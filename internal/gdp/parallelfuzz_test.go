@@ -40,14 +40,21 @@ func buildFuzzSystem(t *testing.T, seed int64, hostpar, nocache, notrace bool) *
 // deliberately starved pipeline.
 func buildFuzzSystemLedger(t *testing.T, seed int64, hostpar, nocache, notrace bool, lcfg ledger.Config) *gdp.System {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	s, err := gdp.New(gdp.Config{
-		Processors:   2 + rng.Intn(3),
-		MemoryBytes:  8 << 20,
+	return buildFuzzSystemConfig(t, seed, gdp.Config{
 		HostParallel: hostpar,
 		NoExecCache:  nocache,
 		NoTraceJIT:   notrace,
-	})
+	}, lcfg)
+}
+
+// buildFuzzSystemConfig is the builder proper: cfg carries the backend
+// knobs, the seed decides the machine shape and the workload.
+func buildFuzzSystemConfig(t *testing.T, seed int64, cfg gdp.Config, lcfg ledger.Config) *gdp.System {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cfg.Processors = 2 + rng.Intn(3)
+	cfg.MemoryBytes = 8 << 20
+	s, err := gdp.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
