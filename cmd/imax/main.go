@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	imax [-cpus N] [-mem BYTES] [-swapping] [-gc] [-hostpar] [-noxcache]
-//	     [-notrace] [-demo NAME] [-trace] [-audit] [-itrace N] [-inspect]
+//	imax [-cpus N] [-mem BYTES] [-swapping] [-gc] [-noxcache] [-notrace]
+//	     [-demo NAME] [-trace] [-audit] [-itrace N] [-inspect]
 //	     [-ledger FILE]
 //	imax -inject SEED
 //
@@ -25,8 +25,8 @@
 //
 // -inject runs the deterministic fault-injection acceptance protocol for
 // the given seed instead of a demo: a fault-free reference run, then the
-// seed's injection plan replayed in all four {serial,parallel}×{cache
-// on,off} corners, cross-checked for byte-identical traces, fault-port
+// seed's injection plan replayed in all three {nocache, cache,
+// cache+trace} corners, cross-checked for byte-identical traces, fault-port
 // delivery, invariant-audit cleanliness and damage confinement. Exits
 // non-zero if any criterion fails.
 package main
@@ -56,7 +56,6 @@ func main() {
 	mem := flag.Uint("mem", 16<<20, "physical memory bytes")
 	swapping := flag.Bool("swapping", false, "select the swapping memory manager")
 	gcOn := flag.Bool("gc", true, "run the on-the-fly collector daemon")
-	hostpar := flag.Bool("hostpar", false, "run each simulated processor's quantum on its own host goroutine (results identical to serial)")
 	noxcache := flag.Bool("noxcache", false, "disable the per-processor execution cache (results identical either way)")
 	notrace := flag.Bool("notrace", false, "disable the profile-guided trace compiler over the execution cache (results identical either way)")
 	demo := flag.String("demo", "ports", "workload: ports | compute | gc | io")
@@ -81,16 +80,15 @@ func main() {
 	}
 
 	im, err := core.Boot(core.Config{
-		Processors:   *cpus,
-		MemoryBytes:  uint32(*mem),
-		Swapping:     *swapping,
-		GC:           *gcOn,
-		Filing:       true,
-		Trace:        *traceFlag,
-		Ledger:       *ledgerFile != "",
-		HostParallel: *hostpar,
-		NoExecCache:  *noxcache,
-		NoTraceJIT:   *notrace,
+		Processors:  *cpus,
+		MemoryBytes: uint32(*mem),
+		Swapping:    *swapping,
+		GC:          *gcOn,
+		Filing:      true,
+		Trace:       *traceFlag,
+		Ledger:      *ledgerFile != "",
+		NoExecCache: *noxcache,
+		NoTraceJIT:  *notrace,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -1,0 +1,110 @@
+package main
+
+// The tests drive the command the way a user does: TestMain re-executes
+// the test binary as imax itself when imaxAsMain is set, so flag parsing,
+// exit codes and both output streams are the real ones.
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+const imaxAsMain = "IMAX_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(imaxAsMain) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// imax runs the command with args and returns its streams and exit code.
+func imax(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), imaxAsMain+"=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var ee *exec.ExitError
+	switch {
+	case err == nil:
+	case errors.As(err, &ee):
+		code = ee.ExitCode()
+	default:
+		t.Fatalf("imax %v: %v", args, err)
+	}
+	return out.String(), errb.String(), code
+}
+
+// TestGoldenPorts pins the default demo's whole stdout: the token count,
+// the elapsed virtual time, every counter and the audit verdict.
+func TestGoldenPorts(t *testing.T) {
+	want, err := os.ReadFile("testdata/ports.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stderr, code := imax(t, "-demo", "ports", "-audit")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	if got != string(want) {
+		t.Fatalf("stdout moved off testdata/ports.golden:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestCornersPrintTheSameRun: the cache switches are host-side only, so
+// default flags, -notrace and -noxcache must print the same bytes —
+// including the trace tail and counters that -trace appends. compute has
+// loops hot enough to compile traces; gc executes the create instruction.
+func TestCornersPrintTheSameRun(t *testing.T) {
+	for _, demo := range []string{"ports", "compute", "gc"} {
+		base := []string{"-demo", demo, "-trace", "-audit"}
+		ref, stderr, code := imax(t, append(base, "-noxcache")...)
+		if code != 0 {
+			t.Fatalf("%s -noxcache: exit %d, stderr:\n%s", demo, code, stderr)
+		}
+		if !strings.Contains(ref, "audit: all invariants hold") {
+			t.Fatalf("%s -noxcache: audit verdict missing:\n%s", demo, ref)
+		}
+		for _, corner := range [][]string{{"-notrace"}, nil} {
+			got, stderr, code := imax(t, append(base, corner...)...)
+			if code != 0 {
+				t.Fatalf("%s %v: exit %d, stderr:\n%s", demo, corner, code, stderr)
+			}
+			if got != ref {
+				t.Errorf("%s %v prints a different run than -noxcache:\n--- got ---\n%s--- want ---\n%s",
+					demo, corner, got, ref)
+			}
+		}
+	}
+}
+
+// TestInjectAcceptance: the fault-injection protocol still passes end to
+// end, now over three corners.
+func TestInjectAcceptance(t *testing.T) {
+	out, stderr, code := imax(t, "-inject", "42")
+	if code != 0 {
+		t.Fatalf("exit %d\nstdout:\n%s\nstderr:\n%s", code, out, stderr)
+	}
+	if !strings.Contains(out, "all corners identical, audit and confinement clean") {
+		t.Fatalf("acceptance verdict missing:\n%s", out)
+	}
+}
+
+// TestHostparFlagIsGone: the host-parallel backend was deleted, and its
+// flag with it — asking for it is a usage error, not a silent no-op.
+func TestHostparFlagIsGone(t *testing.T) {
+	_, stderr, code := imax(t, "-hostpar")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2 (unknown flag)", code)
+	}
+	if !strings.Contains(stderr, "flag provided but not defined: -hostpar") {
+		t.Fatalf("stderr does not name the flag:\n%s", stderr)
+	}
+}

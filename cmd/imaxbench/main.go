@@ -9,14 +9,8 @@
 //	imaxbench -run E3              run one experiment
 //	imaxbench -list                list experiment ids
 //	imaxbench -md                  emit Markdown (for EXPERIMENTS.md)
-//	imaxbench -bench-pr2 OUT.json  host-parallel backend smoke benchmark
-//	imaxbench -bench-pr3 OUT.json  execution-cache benchmark (backend × cache)
-//	imaxbench -bench-pr5 OUT.json  scoped-invalidation + affinity benchmark
-//	imaxbench -bench-pr8 OUT.json  trace-compiler benchmark (six corners,
+//	imaxbench -bench-pr8 OUT.json  trace-compiler benchmark (three corners,
 //	                               ≥3x and 0-alloc gates)
-//	imaxbench -bench-pr10 OUT.json epoch-pipeline + in-fork structural-commit
-//	                               benchmark (six corners + knock-out arms,
-//	                               ≥0.90 commit-rate and occupancy>1 gates)
 //	imaxbench -bench-scale OUT.json [-scale-sessions N] [-scale-det]
 //	                               open-loop scale scenarios (SLO percentiles)
 //	imaxbench -bench-shard OUT.json [-shard-sessions N] [-shard-det]
@@ -28,9 +22,6 @@
 //	imaxbench -perf-track DIR [-perf-baseline DIR2] [-perf-tolerance F]
 //	                               fail if fresh BENCH_*.json in DIR regress
 //	                               >F (default 0.10) vs committed baselines
-//	imaxbench -require-cores N ... hard-fail (not warn) when the host has
-//	                               ≥N cores but a bench run's parallel
-//	                               backend fails to beat serial
 //	imaxbench -cpuprofile CPU.pprof -memprofile MEM.pprof ...
 package main
 
@@ -54,12 +45,7 @@ func run() int {
 	runID := flag.String("run", "", "run a single experiment id (e.g. E3)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	md := flag.Bool("md", false, "emit Markdown instead of plain text")
-	benchPR2 := flag.String("bench-pr2", "", "run the host-parallel smoke benchmark and write the JSON report here")
-	benchPR3 := flag.String("bench-pr3", "", "run the execution-cache benchmark and write the JSON report here")
-	benchPR5 := flag.String("bench-pr5", "", "run the scoped-invalidation/affinity benchmark and write the JSON report here")
-	benchPR8 := flag.String("bench-pr8", "", "run the trace-compiler six-corner benchmark and write the JSON report here")
-	benchPR10 := flag.String("bench-pr10", "", "run the epoch-pipeline/structural-commit benchmark and write the JSON report here")
-	requireCores := flag.Int("require-cores", 0, "hard-fail when the host has at least N cores but the parallel backend fails to beat serial (0 = warn only)")
+	benchPR8 := flag.String("bench-pr8", "", "run the trace-compiler three-corner benchmark and write the JSON report here")
 	perfTrack := flag.String("perf-track", "", "directory of freshly generated BENCH_*.json to judge against committed baselines")
 	perfBaseline := flag.String("perf-baseline", ".", "directory of committed BENCH_*.json baselines for -perf-track")
 	perfTolerance := flag.Float64("perf-tolerance", 0, "allowed fractional regression for -perf-track (0 = default 0.10)")
@@ -103,117 +89,6 @@ func run() int {
 		}()
 	}
 
-	if *benchPR2 != "" {
-		rep, err := experiments.BenchPR2(*benchPR2, 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "imaxbench:", err)
-			return 1
-		}
-		fmt.Printf("bench-pr2: host %d cpus, GOMAXPROCS %d (%s)\n",
-			rep.HostCPUs, rep.GOMAXPROCS, rep.GoVersion)
-		warnSingleCPU(rep.GOMAXPROCS)
-		best := -1.0
-		for _, r := range rep.Runs {
-			fmt.Printf("  %-12s %d cpus, %2d workers: serial %8.2fms, parallel %8.2fms, speedup %.2fx"+
-				" (epochs %d, commits %d, conflicts %d, aborts %d)\n",
-				r.Workload, r.Processors, r.Workers,
-				float64(r.SerialNs)/1e6, float64(r.ParallelNs)/1e6, r.Speedup,
-				r.ParEpochs, r.ParCommits, r.ParConflicts, r.ParAborts)
-			if !r.ResultsEqual {
-				fmt.Fprintf(os.Stderr, "imaxbench: %s: backend results diverged\n", r.Workload)
-				return 1
-			}
-			if r.Speedup > best {
-				best = r.Speedup
-			}
-		}
-		if rc := checkRequireCores(*requireCores, "bench-pr2", best); rc != 0 {
-			return rc
-		}
-		fmt.Println("report:", *benchPR2)
-		return 0
-	}
-
-	if *benchPR3 != "" {
-		rep, err := experiments.BenchPR3(*benchPR3, 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "imaxbench:", err)
-			return 1
-		}
-		fmt.Printf("bench-pr3: host %d cpus, GOMAXPROCS %d (%s)\n",
-			rep.HostCPUs, rep.GOMAXPROCS, rep.GoVersion)
-		warnSingleCPU(rep.GOMAXPROCS)
-		best := -1.0
-		for _, r := range rep.Runs {
-			fmt.Printf("  %-12s %d cpus, %2d workers:\n", r.Workload, r.Processors, r.Workers)
-			fmt.Printf("    serial   uncached %8.2fms, cached %8.2fms: cache speedup %.2fx\n",
-				float64(r.SerialUncachedNs)/1e6, float64(r.SerialCachedNs)/1e6, r.CacheSpeedupSerial)
-			fmt.Printf("    parallel uncached %8.2fms, cached %8.2fms: cache speedup %.2fx, vs serial cached %.2fx\n",
-				float64(r.ParallelUncachedNs)/1e6, float64(r.ParallelCachedNs)/1e6,
-				r.CacheSpeedupParallel, r.ParallelSpeedup)
-			fmt.Printf("    epochs %d, commits %d, conflicts %d, aborts %d, cooldowns %d\n",
-				r.ParEpochs, r.ParCommits, r.ParConflicts, r.ParAborts, r.ParCooldowns)
-			if !r.ResultsEqual {
-				fmt.Fprintf(os.Stderr, "imaxbench: %s: corner results diverged\n", r.Workload)
-				return 1
-			}
-			if r.ParallelSpeedup > best {
-				best = r.ParallelSpeedup
-			}
-		}
-		if rc := checkRequireCores(*requireCores, "bench-pr3", best); rc != 0 {
-			return rc
-		}
-		fmt.Println("report:", *benchPR3)
-		return 0
-	}
-
-	if *benchPR5 != "" {
-		rep, err := experiments.BenchPR5(*benchPR5, 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "imaxbench:", err)
-			return 1
-		}
-		fmt.Printf("bench-pr5: host %d cpus, GOMAXPROCS %d, degenerate=%v (%s)\n",
-			rep.HostCPUs, rep.GOMAXPROCS, rep.Degenerate, rep.GoVersion)
-		warnSingleCPU(rep.GOMAXPROCS)
-		best := -1.0
-		for _, r := range rep.Runs {
-			fmt.Printf("  %-22s %d cpus, %2d workers:\n", r.Workload, r.Processors, r.Workers)
-			fmt.Printf("    serial   uncached %8.2fms, cached %8.2fms: cache speedup %.2fx\n",
-				float64(r.SerialUncachedNs)/1e6, float64(r.SerialCachedNs)/1e6, r.CacheSpeedupSerial)
-			fmt.Printf("    parallel uncached %8.2fms, cached %8.2fms: cache speedup %.2fx, vs serial cached %.2fx\n",
-				float64(r.ParallelUncachedNs)/1e6, float64(r.ParallelCachedNs)/1e6,
-				r.CacheSpeedupParallel, r.ParallelSpeedup)
-			fmt.Printf("    epochs %d, commits %d, conflicts %d, aborts %d, cooldowns %d\n",
-				r.ParEpochs, r.ParCommits, r.ParConflicts, r.ParAborts, r.ParCooldowns)
-			fmt.Printf("    scoped invalidations %d, cache survivals %d, regroups %d\n",
-				r.ScopedInvalidations, r.CacheSurvivals, r.Regroups)
-			if !r.ResultsEqual {
-				fmt.Fprintf(os.Stderr, "imaxbench: %s: corner results diverged\n", r.Workload)
-				return 1
-			}
-			// The tentpole claim: on compute-shaped work the execution
-			// cache must pay under the parallel backend too. This is a
-			// within-backend ratio, so it holds even on a degenerate
-			// (GOMAXPROCS=1) host.
-			if r.Workload == "e3-compute" && r.ParallelCachedNs >= r.ParallelUncachedNs {
-				fmt.Fprintf(os.Stderr,
-					"imaxbench: %s: parallel cached (%dns) not faster than parallel uncached (%dns)\n",
-					r.Workload, r.ParallelCachedNs, r.ParallelUncachedNs)
-				return 1
-			}
-			if r.ParallelSpeedup > best {
-				best = r.ParallelSpeedup
-			}
-		}
-		if rc := checkRequireCores(*requireCores, "bench-pr5", best); rc != 0 {
-			return rc
-		}
-		fmt.Println("report:", *benchPR5)
-		return 0
-	}
-
 	if *benchPR8 != "" {
 		rep, err := experiments.BenchPR8(*benchPR8, 3)
 		if err != nil {
@@ -222,73 +97,21 @@ func run() int {
 		}
 		fmt.Printf("bench-pr8: host %d cpus, GOMAXPROCS %d, degenerate=%v (%s)\n",
 			rep.HostCPUs, rep.GOMAXPROCS, rep.Degenerate, rep.GoVersion)
-		warnSingleCPU(rep.GOMAXPROCS)
 		fmt.Printf("  alloc probe: %d steady-state instructions, %d mallocs (%.6f allocs/op)\n",
 			rep.TraceProbeInstrs, rep.TraceSteadyMallocs, rep.TraceAllocsPerOp)
-		best := -1.0
 		for _, r := range rep.Runs {
 			fmt.Printf("  %-22s %d cpus, %2d workers:\n", r.Workload, r.Processors, r.Workers)
-			fmt.Printf("    serial   nocache %8.2fms, cache %8.2fms, trace %8.2fms: trace speedup %.2fx (total %.2fx)\n",
+			fmt.Printf("    nocache %8.2fms, cache %8.2fms, trace %8.2fms: trace speedup %.2fx (total %.2fx)\n",
 				float64(r.SerialNocacheNs)/1e6, float64(r.SerialCacheNs)/1e6, float64(r.SerialTraceNs)/1e6,
 				r.TraceSpeedupSerial, r.TotalSpeedupSerial)
-			fmt.Printf("    parallel nocache %8.2fms, cache %8.2fms, trace %8.2fms: trace speedup %.2fx\n",
-				float64(r.ParallelNocacheNs)/1e6, float64(r.ParallelCacheNs)/1e6, float64(r.ParallelTraceNs)/1e6,
-				r.TraceSpeedupParallel)
 			fmt.Printf("    traces: %d compiled (%d fused ops), %d entries / %d instructions, %d deopts, %d exits\n",
 				r.TraceCompiled, r.TraceFusedOps, r.TraceEntries, r.TraceInstrs, r.TraceDeopts, r.TraceExits)
 			if !r.ResultsEqual {
 				fmt.Fprintf(os.Stderr, "imaxbench: %s: corner results diverged\n", r.Workload)
 				return 1
 			}
-			if r.ParallelTraceNs > 0 {
-				if sp := float64(r.SerialTraceNs) / float64(r.ParallelTraceNs); sp > best {
-					best = sp
-				}
-			}
-		}
-		if rc := checkRequireCores(*requireCores, "bench-pr8", best); rc != 0 {
-			return rc
 		}
 		fmt.Println("report:", *benchPR8)
-		return 0
-	}
-
-	if *benchPR10 != "" {
-		rep, err := experiments.BenchPR10(*benchPR10, 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "imaxbench:", err)
-			return 1
-		}
-		fmt.Printf("bench-pr10: host %d cpus, GOMAXPROCS %d, degenerate=%v (%s)\n",
-			rep.HostCPUs, rep.GOMAXPROCS, rep.Degenerate, rep.GoVersion)
-		warnSingleCPU(rep.GOMAXPROCS)
-		best := -1.0
-		for _, r := range rep.Runs {
-			fmt.Printf("  %-12s %d cpus, %2d workers:\n", r.Workload, r.Processors, r.Workers)
-			fmt.Printf("    serial   nocache %8.2fms, cache %8.2fms, trace %8.2fms\n",
-				float64(r.SerialNocacheNs)/1e6, float64(r.SerialCacheNs)/1e6, float64(r.SerialTraceNs)/1e6)
-			fmt.Printf("    parallel nocache %8.2fms, cache %8.2fms, trace %8.2fms; nopipe %8.2fms (%.2fx), nostruct %8.2fms (%.2fx)\n",
-				float64(r.ParallelNocacheNs)/1e6, float64(r.ParallelCacheNs)/1e6, float64(r.ParallelTraceNs)/1e6,
-				float64(r.ParallelNoPipeNs)/1e6, r.PipelineSpeedup,
-				float64(r.ParallelNoStructNs)/1e6, r.StructuralSpeedup)
-			fmt.Printf("    epochs %d, commits %d (rate %.3f), occupancy %.2f, in-fork creates %d\n",
-				r.ParEpochs, r.ParCommits, r.StructuralCommitRate, r.PipelineOccupancy, r.ForkCreates)
-			fmt.Printf("    pipeline: %d launches, %d harvests, %d drops; aborts %d structural / %d reservation / %d other\n",
-				r.PipeLaunches, r.PipeCommits, r.PipeDrops,
-				r.AbortsStructural, r.AbortsReservation, r.AbortsOther)
-			if r.AllocVirtualThroughput > 0 {
-				fmt.Printf("    alloc throughput: %.0f creates per virtual megacycle\n", r.AllocVirtualThroughput)
-			}
-			if r.ParallelTraceNs > 0 {
-				if sp := float64(r.SerialTraceNs) / float64(r.ParallelTraceNs); sp > best {
-					best = sp
-				}
-			}
-		}
-		if rc := checkRequireCores(*requireCores, "bench-pr10", best); rc != 0 {
-			return rc
-		}
-		fmt.Println("report:", *benchPR10)
 		return 0
 	}
 
@@ -347,11 +170,6 @@ func run() int {
 				fmt.Printf("    inject:  %d/%d fired\n", s.InjectFired, s.InjectPlanned)
 			}
 		}
-		// The scale scenarios have no serial-vs-parallel arm, so only the
-		// provisioning half of -require-cores applies.
-		if rc := checkRequireCores(*requireCores, "bench-scale", -1); rc != 0 {
-			return rc
-		}
 		fmt.Println("report:", *benchScale)
 		return 0
 	}
@@ -379,11 +197,6 @@ func run() int {
 			if r.HostNs > 0 {
 				fmt.Printf("    host: %.2fms, %.0f req/s\n", float64(r.HostNs)/1e6, r.HostRPS)
 			}
-		}
-		// Speedup4x1 is a virtual-time scale-out ratio, valid on any
-		// host; -require-cores only checks provisioning here.
-		if rc := checkRequireCores(*requireCores, "bench-shard", -1); rc != 0 {
-			return rc
 		}
 		fmt.Println("report:", *benchShard)
 		return 0
@@ -451,51 +264,6 @@ func run() int {
 	fmt.Printf("\n%d experiments, %d reproduced the paper's shape, %d did not\n",
 		len(results), len(results)-failed, failed)
 	if failed > 0 {
-		return 1
-	}
-	return 0
-}
-
-// warnSingleCPU flags reports measured without host parallelism: the
-// parallel backend cannot beat serial on one scheduling core, so its
-// ratios there say nothing about the backend.
-func warnSingleCPU(gomaxprocs int) {
-	if gomaxprocs == 1 {
-		fmt.Fprintln(os.Stderr,
-			"imaxbench: warning: GOMAXPROCS=1 — parallel-backend speedups are meaningless on this host")
-	}
-}
-
-// checkRequireCores enforces -require-cores N: a CI runner that claims
-// n host cores must actually deliver host parallelism. On a host with
-// fewer than n cores the requirement is unenforceable — warn and pass,
-// so local runs on small machines stay usable — but when the cores are
-// there, a GOMAXPROCS cap below n or a best parallel speedup that never
-// clears 1.0 is a hard failure instead of the buried warnSingleCPU
-// line. bestSpeedup < 0 means the benchmark has no serial-vs-parallel
-// arm; only the provisioning half is checked then. Returns a non-zero
-// exit code on failure.
-func checkRequireCores(n int, label string, bestSpeedup float64) int {
-	if n <= 0 {
-		return 0
-	}
-	if runtime.NumCPU() < n {
-		fmt.Fprintf(os.Stderr,
-			"imaxbench: warning: -require-cores %d on a %d-core host — requirement not enforceable here\n",
-			n, runtime.NumCPU())
-		return 0
-	}
-	if runtime.GOMAXPROCS(0) < n {
-		fmt.Fprintf(os.Stderr,
-			"imaxbench: %s: host has %d cores but GOMAXPROCS=%d < %d — parallel measurements are degenerate\n",
-			label, runtime.NumCPU(), runtime.GOMAXPROCS(0), n)
-		return 1
-	}
-	if bestSpeedup >= 0 && bestSpeedup <= 1 {
-		fmt.Fprintf(os.Stderr,
-			"imaxbench: %s: host delivers %d cores but best parallel speedup is %.2fx — "+
-				"the parallel backend never beat serial (-require-cores %d)\n",
-			label, runtime.GOMAXPROCS(0), bestSpeedup, n)
 		return 1
 	}
 	return 0

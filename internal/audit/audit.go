@@ -181,14 +181,6 @@ func (a *Auditor) CheckSROs() []Violation {
 	bad := func(idx obj.Index, format string, args ...any) {
 		out = append(out, Violation{Subsystem: "sro", Obj: idx, Msg: fmt.Sprintf(format, args...)})
 	}
-	// Arena bytes granted to CPU reservations are charged to the SRO at
-	// grant time and only become object footprints as creates consume
-	// them; the unconsumed remainder is part of used that no live object
-	// accounts for.
-	var reserved map[obj.Index]uint64
-	if a.Sys != nil {
-		reserved = a.Sys.ReservedBytes()
-	}
 	for i := 1; i < a.Table.Len(); i++ {
 		idx := obj.Index(i)
 		d := a.Table.DescriptorAt(idx)
@@ -221,9 +213,8 @@ func (a *Auditor) CheckSROs() []Violation {
 					sum += uint64(cd.DataLen) + uint64(cd.AccessSlots)*obj.ADSlotSize
 				}
 			})
-			sum += reserved[idx]
 			if sum != uint64(used) {
-				bad(idx, "used counter %d but live allocations sum to %d bytes (incl. reserved arenas)", used, sum)
+				bad(idx, "used counter %d but live allocations sum to %d bytes", used, sum)
 			}
 		}
 		// Level inheritance: objects charged to an SRO carry its level.
@@ -234,15 +225,6 @@ func (a *Auditor) CheckSROs() []Violation {
 					bad(idx, "level %d differs from ancestral SRO's %d", d.Level, slvl)
 				}
 			}
-		}
-	}
-	// Reserved-slot hygiene: every descriptor slot the table holds out of
-	// circulation must be accounted for by exactly one CPU reservation.
-	// An aborted or replayed epoch that leaked (or double-returned) a
-	// reserved slot breaks this equality.
-	if a.Sys != nil {
-		if tr, cr := a.Table.ReservedSlots(), a.Sys.ReservedSlotCount(); tr != cr {
-			bad(obj.NilIndex, "table holds %d reserved slots but CPU reservations account for %d", tr, cr)
 		}
 	}
 	return out

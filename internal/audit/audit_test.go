@@ -110,18 +110,57 @@ func TestDetectsDanglingAncestralSRO(t *testing.T) {
 	}
 }
 
+// TestDetectsSROAccountingDrift: an SRO's used counter must equal the
+// summed footprint of its live allocations, byte for byte — nothing else
+// (no reserved arena, no held-back slot) may stand between the two. Each
+// case damages one side of that equality behind the table's back.
 func TestDetectsSROAccountingDrift(t *testing.T) {
-	sys := newSystem(t, 1)
-	ad, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 64})
-	if f != nil {
-		t.Fatalf("create: %v", f)
+	// The used counter's place in the SRO data part (internal/sro, offUsed);
+	// the doctoring case checks it against Usage before relying on it.
+	const offUsed = 8
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, sys *gdp.System, ad obj.AD)
+	}{
+		{"shrunken footprint", func(t *testing.T, sys *gdp.System, ad obj.AD) {
+			// The recorded footprint shrinks without crediting the SRO.
+			sys.Table.DescriptorAt(ad.Index).DataLen -= 16
+		}},
+		{"doctored used counter", func(t *testing.T, sys *gdp.System, ad obj.AD) {
+			_, used, _, f := sys.SROs.Usage(sys.Heap)
+			if f != nil {
+				t.Fatalf("usage: %v", f)
+			}
+			if v, f := sys.Table.ReadDWord(sys.Heap, offUsed); f != nil || v != used {
+				t.Fatalf("SRO layout moved: dword at %d is %d (%v), Usage reports %d", offUsed, v, f, used)
+			}
+			if f := sys.Table.WriteDWord(sys.Heap, offUsed, used+16); f != nil {
+				t.Fatalf("write: %v", f)
+			}
+		}},
+		{"leaked descriptor slot", func(t *testing.T, sys *gdp.System, ad obj.AD) {
+			// The slot goes dead without passing through Destroy: it is
+			// neither live nor on the free list, and its storage stays
+			// charged to the SRO with no object to account for it.
+			sys.Table.DescriptorAt(ad.Index).Valid = false
+		}},
 	}
-	// Shrink the recorded footprint without crediting the SRO: the heap's
-	// used counter no longer matches the sum of its live allocations.
-	sys.Table.DescriptorAt(ad.Index).DataLen -= 16
-	vs := audit.New(sys).CheckSROs()
-	if !hasViolation(vs, "sro", "live allocations sum") {
-		t.Fatalf("accounting drift not flagged:\n%s", dump(vs))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := newSystem(t, 1)
+			ad, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 64})
+			if f != nil {
+				t.Fatalf("create: %v", f)
+			}
+			if vs := audit.New(sys).CheckSROs(); len(vs) != 0 {
+				t.Fatalf("undamaged system flagged:\n%s", dump(vs))
+			}
+			tc.damage(t, sys, ad)
+			vs := audit.New(sys).CheckSROs()
+			if !hasViolation(vs, "sro", "live allocations sum") {
+				t.Fatalf("not flagged:\n%s", dump(vs))
+			}
+		})
 	}
 }
 

@@ -99,11 +99,6 @@ type Config struct {
 	// the driver default.
 	DeadlineBase vtime.Cycles
 
-	// HostParallel opts into the driver's parallel host backend: each
-	// simulated processor's quantum runs on its own host goroutine, with
-	// results byte-identical to the serial backend (see internal/gdp).
-	HostParallel bool
-
 	// NoExecCache disables the per-processor execution cache (see
 	// internal/gdp); results are byte-identical either way, so this is a
 	// debugging and benchmarking knob, not a semantic switch.
@@ -113,19 +108,6 @@ type Config struct {
 	// the execution cache (see internal/gdp/trace.go); implied by
 	// NoExecCache. Results are byte-identical either way.
 	NoTraceJIT bool
-
-	// NoPipeline disables pipelined epoch continuations in the parallel
-	// backend (see internal/gdp/parallel.go): every epoch then pays the
-	// full barrier. Results are byte-identical either way.
-	NoPipeline bool
-
-	// NoStructuralCommit disables in-fork object creation from
-	// reservations (see internal/gdp/reserve.go): creates become
-	// unconditionally structural and abort parallel epochs, as before
-	// reservations existed. Serial and parallel stay byte-identical at
-	// either setting, but the settings themselves are distinct canonical
-	// allocation schedules (reservations batch-pop free slots earlier).
-	NoStructuralCommit bool
 }
 
 // IMAX is a configured, running system.
@@ -173,15 +155,12 @@ type IMAX struct {
 // Boot assembles a system from the configuration.
 func Boot(cfg Config) (*IMAX, error) {
 	sys, err := gdp.New(gdp.Config{
-		Processors:         cfg.Processors,
-		MemoryBytes:        cfg.MemoryBytes,
-		DeadlineDispatch:   cfg.DeadlineDispatch,
-		DeadlineBase:       cfg.DeadlineBase,
-		HostParallel:       cfg.HostParallel,
-		NoExecCache:        cfg.NoExecCache,
-		NoTraceJIT:         cfg.NoTraceJIT,
-		NoPipeline:         cfg.NoPipeline,
-		NoStructuralCommit: cfg.NoStructuralCommit,
+		Processors:       cfg.Processors,
+		MemoryBytes:      cfg.MemoryBytes,
+		DeadlineDispatch: cfg.DeadlineDispatch,
+		DeadlineBase:     cfg.DeadlineBase,
+		NoExecCache:      cfg.NoExecCache,
+		NoTraceJIT:       cfg.NoTraceJIT,
 	})
 	if err != nil {
 		return nil, err

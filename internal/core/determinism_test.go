@@ -12,10 +12,9 @@ import (
 
 // traceRun boots a traced system, runs a seeded mixed workload with
 // random stop/start and processor-outage perturbations, and returns the
-// full trace dump plus the final counters. hostpar selects the parallel
-// host backend and nocache disables the per-processor execution cache;
-// both promise byte-identical results.
-func traceRun(t *testing.T, seed int64, hostpar, nocache bool) (string, []uint64) {
+// full trace dump plus the final counters. nocache disables the
+// per-processor execution cache, which promises byte-identical results.
+func traceRun(t *testing.T, seed int64, nocache bool) (string, []uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	im, err := Boot(Config{
@@ -28,7 +27,6 @@ func traceRun(t *testing.T, seed int64, hostpar, nocache bool) (string, []uint64
 		// Big enough that nothing wraps: a wrapped ring would compare
 		// equal tails even if the runs diverged early.
 		TraceCapacity: 1 << 18,
-		HostParallel:  hostpar,
 		NoExecCache:   nocache,
 	})
 	if err != nil {
@@ -104,8 +102,8 @@ func traceRun(t *testing.T, seed int64, hostpar, nocache bool) (string, []uint64
 // wall-clock dependence sneaking into a kernel path shows up here as a
 // diverging trace.
 func TestTraceDeterminism(t *testing.T) {
-	dump1, counts1 := traceRun(t, 42, false, false)
-	dump2, counts2 := traceRun(t, 42, false, false)
+	dump1, counts1 := traceRun(t, 42, false)
+	dump2, counts2 := traceRun(t, 42, false)
 	if dump1 != dump2 {
 		d1, d2 := strings.Split(dump1, "\n"), strings.Split(dump2, "\n")
 		for i := 0; i < len(d1) && i < len(d2); i++ {
@@ -126,7 +124,7 @@ func TestTraceDeterminism(t *testing.T) {
 
 	// A different seed perturbs differently and must diverge — otherwise
 	// the test above proves nothing.
-	dump3, _ := traceRun(t, 7, false, false)
+	dump3, _ := traceRun(t, 7, false)
 	if dump3 == dump1 {
 		t.Error("different seeds produced identical traces; perturbation ineffective")
 	}
@@ -138,8 +136,8 @@ func TestTraceDeterminism(t *testing.T) {
 // run with the same seed. Any fast-path shortcut that changes a fault,
 // a cost, or a trace byte shows up here.
 func TestTraceDeterminismNoCache(t *testing.T) {
-	cached, counts1 := traceRun(t, 42, false, false)
-	uncached, counts2 := traceRun(t, 42, false, true)
+	cached, counts1 := traceRun(t, 42, false)
+	uncached, counts2 := traceRun(t, 42, true)
 	if cached != uncached {
 		c, u := strings.Split(cached, "\n"), strings.Split(uncached, "\n")
 		for i := 0; i < len(c) && i < len(u); i++ {
@@ -150,33 +148,6 @@ func TestTraceDeterminismNoCache(t *testing.T) {
 		t.Fatalf("trace lengths differ: %d vs %d lines", len(c), len(u))
 	}
 	if len(cached) == 0 {
-		t.Fatal("empty trace dump")
-	}
-	for k, c := range counts1 {
-		if counts2[k] != c {
-			t.Errorf("counter %v: %d vs %d", trace.Kind(k), c, counts2[k])
-		}
-	}
-}
-
-// TestTraceDeterminismParallel is the parallel backend's contract test: a
-// run on host goroutines must produce the byte-identical kernel event log
-// and counters of a serial run with the same seed. Run it under -race —
-// any unsynchronised sharing between epoch forks is a failure even when
-// the bytes happen to match.
-func TestTraceDeterminismParallel(t *testing.T) {
-	serial, counts1 := traceRun(t, 42, false, false)
-	parallel, counts2 := traceRun(t, 42, true, false)
-	if serial != parallel {
-		s, p := strings.Split(serial, "\n"), strings.Split(parallel, "\n")
-		for i := 0; i < len(s) && i < len(p); i++ {
-			if s[i] != p[i] {
-				t.Fatalf("trace diverges at event %d:\n  serial:   %s\n  parallel: %s", i, s[i], p[i])
-			}
-		}
-		t.Fatalf("trace lengths differ: %d vs %d lines", len(s), len(p))
-	}
-	if len(serial) == 0 {
 		t.Fatal("empty trace dump")
 	}
 	for k, c := range counts1 {

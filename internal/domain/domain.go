@@ -78,11 +78,6 @@ type Manager struct {
 	handlers map[obj.Index]nativeReg
 	// programs caches decoded code images.
 	programs map[progKey][]isa.Instr
-	// base, when non-nil, marks this manager as an epoch-fork view (see
-	// NewEpochManager): base's program cache is consulted read-only
-	// before decoding, and entries decoded here stay epoch-local until
-	// MergeEpochCache publishes them at commit.
-	base *Manager
 }
 
 type nativeReg struct {
@@ -102,38 +97,6 @@ func NewManager(t *obj.Table, s *sro.Manager) *Manager {
 		SRO:      s,
 		handlers: make(map[obj.Index]nativeReg),
 		programs: make(map[progKey][]isa.Instr),
-	}
-}
-
-// NewEpochManager returns a manager over an epoch-fork table for the
-// parallel host backend (internal/gdp). It shares base's native-handler
-// registry (registration happens outside epochs) and layers an epoch-local
-// program cache over base's: decodes performed during speculation stay
-// private until the epoch commits, so an aborted epoch cannot leak a
-// decode of state that serial replay would see differently.
-func NewEpochManager(t *obj.Table, s *sro.Manager, base *Manager) *Manager {
-	return &Manager{
-		Table:    t,
-		SRO:      s,
-		handlers: base.handlers,
-		programs: make(map[progKey][]isa.Instr),
-		base:     base,
-	}
-}
-
-// ResetEpochCache discards decodes from the previous epoch. The driver
-// calls it at each epoch start; entries from aborted epochs must not
-// survive, since the bytes they were decoded from may since have changed.
-func (m *Manager) ResetEpochCache() {
-	clear(m.programs)
-}
-
-// MergeEpochCache publishes this epoch's decodes into the committed
-// manager's cache. Only called for committing epochs: the no-conflict rule
-// guarantees the decoded bytes equal what a serial run would have read.
-func (m *Manager) MergeEpochCache(into *Manager) {
-	for k, v := range m.programs {
-		into.programs[k] = v
 	}
 }
 
@@ -166,13 +129,6 @@ func (m *Manager) Program(code obj.AD) ([]isa.Instr, *obj.Fault) {
 	key := progKey{code.Index, d.Gen}
 	if prog, ok := m.programs[key]; ok {
 		return prog, nil
-	}
-	if m.base != nil {
-		// Epoch fork: the committed cache is read-only here (the epoch
-		// driver only mutates it between epochs).
-		if prog, ok := m.base.programs[key]; ok {
-			return prog, nil
-		}
 	}
 	img, f := m.Table.ReadBytes(code, 0, d.DataLen)
 	if f != nil {

@@ -9,7 +9,7 @@ import "testing"
 func benchRegLoopCorner(b *testing.B, nocache, notrace bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := benchRegLoop(4, 8, 20_000, false, nocache, notrace); err != nil {
+		if _, _, _, err := benchRegLoop(4, 8, 20_000, nocache, notrace); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -21,7 +21,7 @@ func BenchmarkRegLoopSerialTrace(b *testing.B) { benchRegLoopCorner(b, false, fa
 func benchComputeCorner(b *testing.B, nocache, notrace bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := benchCompute(6, 24, 50_000, false, nocache, notrace); err != nil {
+		if _, _, _, err := benchCompute(6, 24, 50_000, nocache, notrace); err != nil {
 			b.Fatal(err)
 		}
 	}

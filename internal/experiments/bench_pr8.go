@@ -1,21 +1,24 @@
 package experiments
 
 // BenchPR8 measures the profile-guided trace compiler (internal/gdp
-// trace.go): every workload runs at all six corners of {serial, parallel
-// backend} × {cache off, cache on, cache+trace}, and the report records
-// host wall-clock for each plus the derived ratios. The headline number
-// is trace_speedup_serial — serial cache-only over serial cache+trace,
-// i.e. what superinstruction fusion buys on top of the PR 3/5
-// per-instruction fast path — and the binary hard-fails if it is under
-// 3x on e3-compute or reg-loop, or if the trace fast path allocates.
+// trace.go): every workload runs at the three corners {cache off, cache
+// on, cache+trace}, and the report records host wall-clock for each plus
+// the derived ratios. The headline number is trace_speedup_serial —
+// cache-only over cache+trace, i.e. what superinstruction fusion buys on
+// top of the per-instruction fast path — and the binary hard-fails if it
+// is under 3x on e3-compute or reg-loop, or if the trace fast path
+// allocates. serial_nocache_ns/serial_cache_ns is the execution cache's
+// own ratio on the same workloads. (The "serial" in the field names dates
+// from when a host-parallel backend doubled the matrix; the names are the
+// schema -perf-track reads, so they stay.)
 //
 // The allocation claim is measured, not asserted: a steady-state probe
 // pins a hot register loop in compiled traces, then counts
 // runtime.MemStats.Mallocs over a long measured window with GC disabled.
 // Any malloc on the trace fast path shows up as a nonzero delta.
 //
-// The six corners must agree exactly on virtual cycles and results —
-// the determinism contract the six-corner differential fuzz checks with
+// The three corners must agree exactly on virtual cycles and results —
+// the determinism contract the three-corner differential fuzz checks with
 // full fingerprints — so results_equal is a correctness gate here too.
 
 import (
@@ -29,41 +32,33 @@ import (
 	"repro/internal/vtime"
 )
 
-// BenchPR8Run is one workload measured at all six backend × cache ×
-// trace corners (best of `reps` host wall-clock each).
+// BenchPR8Run is one workload measured at all three corners (best of
+// `reps` host wall-clock each).
 type BenchPR8Run struct {
 	Workload   string `json:"workload"`
 	Processors int    `json:"processors"`
 	Workers    int    `json:"workers"`
 
-	SerialNocacheNs   int64 `json:"serial_nocache_ns"`
-	SerialCacheNs     int64 `json:"serial_cache_ns"`
-	SerialTraceNs     int64 `json:"serial_trace_ns"`
-	ParallelNocacheNs int64 `json:"parallel_nocache_ns"`
-	ParallelCacheNs   int64 `json:"parallel_cache_ns"`
-	ParallelTraceNs   int64 `json:"parallel_trace_ns"`
+	SerialNocacheNs int64 `json:"serial_nocache_ns"`
+	SerialCacheNs   int64 `json:"serial_cache_ns"`
+	SerialTraceNs   int64 `json:"serial_trace_ns"`
 
-	// TraceSpeedupSerial is the tentpole ratio: serial cache-only over
-	// serial cache+trace — the PR 5 cached fast path vs the same path
-	// with compiled traces. TotalSpeedupSerial is uncached over traced.
-	TraceSpeedupSerial   float64 `json:"trace_speedup_serial"`
-	TraceSpeedupParallel float64 `json:"trace_speedup_parallel"`
-	TotalSpeedupSerial   float64 `json:"total_speedup_serial"`
+	// TraceSpeedupSerial is the tentpole ratio: cache-only over
+	// cache+trace — the cached fast path vs the same path with compiled
+	// traces. TotalSpeedupSerial is uncached over traced.
+	TraceSpeedupSerial float64 `json:"trace_speedup_serial"`
+	TotalSpeedupSerial float64 `json:"total_speedup_serial"`
 
 	VirtualCycles uint64 `json:"virtual_cycles"`
 	ResultsEqual  bool   `json:"results_equal"`
 
-	// Trace-compiler counters from the serial-trace run.
+	// Trace-compiler counters from the cache+trace run.
 	TraceCompiled uint64 `json:"trace_compiled"`
 	TraceFusedOps uint64 `json:"trace_fused_ops"`
 	TraceEntries  uint64 `json:"trace_entries"`
 	TraceInstrs   uint64 `json:"trace_instructions"`
 	TraceDeopts   uint64 `json:"trace_deopts"`
 	TraceExits    uint64 `json:"trace_exits"`
-
-	// Parallel-backend counters from the parallel-trace run.
-	ParEpochs  uint64 `json:"par_epochs"`
-	ParCommits uint64 `json:"par_commits"`
 }
 
 // BenchPR8Report is the JSON artifact written by imaxbench -bench-pr8.
@@ -81,12 +76,12 @@ type BenchPR8Report struct {
 	Runs []BenchPR8Run `json:"runs"`
 }
 
-// benchPR8Corner names one of the six corners in matrix order.
+// benchPR8Corner names one of the three corners in matrix order.
 type benchPR8Corner struct {
-	hostpar, nocache, notrace bool
+	nocache, notrace bool
 }
 
-// BenchPR8 runs every workload at all six corners (best of `reps` host
+// BenchPR8 runs every workload at all three corners (best of `reps` host
 // wall-clock), runs the steady-state allocation probe, enforces the
 // ≥3x and 0-alloc gates, and writes the JSON report to path.
 func BenchPR8(path string, reps int) (*BenchPR8Report, error) {
@@ -130,50 +125,42 @@ func BenchPR8(path string, reps int) (*BenchPR8Report, error) {
 	)
 	workloads := []workload{
 		{"e3-compute", computeCPUs, computeWorkers, func(c benchPR8Corner) (vtime.Cycles, uint64, benchStats, error) {
-			return benchCompute(computeCPUs, computeWorkers, computeIters, c.hostpar, c.nocache, c.notrace)
+			return benchCompute(computeCPUs, computeWorkers, computeIters, c.nocache, c.notrace)
 		}},
 		{"e12-pingpong", 2, 2, func(c benchPR8Corner) (vtime.Cycles, uint64, benchStats, error) {
-			return benchPingPong(pingpongMsgs, c.hostpar, c.nocache, c.notrace)
+			return benchPingPong(pingpongMsgs, c.nocache, c.notrace)
 		}},
 		{"reg-loop", regloopCPUs, regloopWorkers, func(c benchPR8Corner) (vtime.Cycles, uint64, benchStats, error) {
-			return benchRegLoop(regloopCPUs, regloopWorkers, regloopIters, c.hostpar, c.nocache, c.notrace)
+			return benchRegLoop(regloopCPUs, regloopWorkers, regloopIters, c.nocache, c.notrace)
 		}},
 		{"mixed-compute-pingpong", mixedCPUs, mixedWorkers + 2, func(c benchPR8Corner) (vtime.Cycles, uint64, benchStats, error) {
-			return benchMixed(mixedCPUs, mixedWorkers, mixedIters, mixedMsgs, c.hostpar, c.nocache, c.notrace)
+			return benchMixed(mixedCPUs, mixedWorkers, mixedIters, mixedMsgs, c.nocache, c.notrace)
 		}},
 	}
 	corners := []benchPR8Corner{
-		{false, true, true},   // serial uncached: the reference semantics
-		{false, false, true},  // serial cached, no trace: the PR 5 fast path
-		{false, false, false}, // serial cached + trace: the corner this PR makes pay
-		{true, true, true},    // parallel uncached
-		{true, false, true},   // parallel cached, no trace
-		{true, false, false},  // parallel cached + trace
+		{true, true},   // uncached: the reference semantics
+		{false, true},  // cached, no trace: the per-instruction fast path
+		{false, false}, // cached + trace
 	}
 	for _, w := range workloads {
-		var ns [6]int64
-		var cy [6]vtime.Cycles
-		var sum [6]uint64
+		var ns [3]int64
+		var cy [3]vtime.Cycles
+		var sum [3]uint64
 		var ts gdp.TraceStats
-		var ps gdp.ParStats
 		for i := 0; i < reps; i++ {
 			for ci, c := range corners {
 				ccy, csum, st, err := w.run(c)
 				d := st.RunNs
 				if err != nil {
-					return nil, fmt.Errorf("%s hostpar=%v nocache=%v notrace=%v: %w",
-						w.name, c.hostpar, c.nocache, c.notrace, err)
+					return nil, fmt.Errorf("%s nocache=%v notrace=%v: %w",
+						w.name, c.nocache, c.notrace, err)
 				}
 				if i == 0 || d < ns[ci] {
 					ns[ci] = d
 				}
 				cy[ci], sum[ci] = ccy, csum
 				if !c.notrace {
-					if c.hostpar {
-						ps = st.Par
-					} else {
-						ts = st.Trace
-					}
+					ts = st.Trace
 				}
 			}
 		}
@@ -188,28 +175,22 @@ func BenchPR8(path string, reps int) (*BenchPR8Report, error) {
 			}
 		}
 		rep.Runs = append(rep.Runs, BenchPR8Run{
-			Workload:             w.name,
-			Processors:           w.processors,
-			Workers:              w.workers,
-			SerialNocacheNs:      ns[0],
-			SerialCacheNs:        ns[1],
-			SerialTraceNs:        ns[2],
-			ParallelNocacheNs:    ns[3],
-			ParallelCacheNs:      ns[4],
-			ParallelTraceNs:      ns[5],
-			TraceSpeedupSerial:   float64(ns[1]) / float64(ns[2]),
-			TraceSpeedupParallel: float64(ns[4]) / float64(ns[5]),
-			TotalSpeedupSerial:   float64(ns[0]) / float64(ns[2]),
-			VirtualCycles:        uint64(cy[0]),
-			ResultsEqual:         equal,
-			TraceCompiled:        ts.Compiled,
-			TraceFusedOps:        ts.FusedOps,
-			TraceEntries:         ts.Entries,
-			TraceInstrs:          ts.Instructions,
-			TraceDeopts:          ts.Deopts,
-			TraceExits:           ts.Exits,
-			ParEpochs:            ps.Epochs,
-			ParCommits:           ps.Commits,
+			Workload:           w.name,
+			Processors:         w.processors,
+			Workers:            w.workers,
+			SerialNocacheNs:    ns[0],
+			SerialCacheNs:      ns[1],
+			SerialTraceNs:      ns[2],
+			TraceSpeedupSerial: float64(ns[1]) / float64(ns[2]),
+			TotalSpeedupSerial: float64(ns[0]) / float64(ns[2]),
+			VirtualCycles:      uint64(cy[0]),
+			ResultsEqual:       equal,
+			TraceCompiled:      ts.Compiled,
+			TraceFusedOps:      ts.FusedOps,
+			TraceEntries:       ts.Entries,
+			TraceInstrs:        ts.Instructions,
+			TraceDeopts:        ts.Deopts,
+			TraceExits:         ts.Exits,
 		})
 	}
 

@@ -16,11 +16,6 @@ package experiments
 //     keys carry the session population, so a down-scaled smoke run
 //     never gets compared against a full-scale committed artifact: the
 //     keys simply don't meet.
-//
-// When several committed artifacts track the same key (pr3, pr5 and
-// pr8 all measure cache_speedup_serial on the same workloads), the
-// baseline is the best of them — the trajectory must never fall more
-// than the tolerance below the best the repo has ever committed.
 
 import (
 	"encoding/json"
@@ -81,28 +76,8 @@ func perfExtract(dir string) (map[string]float64, error) {
 		return true, nil
 	}
 
-	// The four-corner artifacts: cache ratio per workload.
-	for _, name := range []string{"BENCH_pr3.json", "BENCH_pr5.json"} {
-		var rep struct {
-			Runs []struct {
-				Workload           string  `json:"workload"`
-				CacheSpeedupSerial float64 `json:"cache_speedup_serial"`
-			} `json:"runs"`
-		}
-		ok, err := load(name, &rep)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		for _, r := range rep.Runs {
-			note("cache_speedup_serial/"+r.Workload, r.CacheSpeedupSerial)
-		}
-	}
-
-	// The six-corner artifact: the trace ratio, and its own reading of
-	// the cache ratio (serial nocache over serial cache).
+	// The trace-compiler artifact: the trace ratio, and the cache ratio
+	// (nocache over cache) from the same runs.
 	{
 		var rep struct {
 			Runs []struct {
@@ -122,35 +97,6 @@ func perfExtract(dir string) (map[string]float64, error) {
 				if r.SerialCacheNs > 0 {
 					note("cache_speedup_serial/"+r.Workload,
 						float64(r.SerialNocacheNs)/float64(r.SerialCacheNs))
-				}
-			}
-		}
-	}
-
-	// The pipeline artifact: deterministic counters from the parallel
-	// trace corner — structural commit rate and pipeline occupancy per
-	// workload, and the virtual allocation throughput of e2-alloc. All
-	// three are host-independent, so a regression is a real scheduling
-	// or reservation change, not measurement noise.
-	{
-		var rep struct {
-			Runs []struct {
-				Workload               string  `json:"workload"`
-				StructuralCommitRate   float64 `json:"structural_commit_rate"`
-				PipelineOccupancy      float64 `json:"pipeline_occupancy"`
-				AllocVirtualThroughput float64 `json:"alloc_throughput_virtual"`
-			} `json:"runs"`
-		}
-		ok, err := load("BENCH_pr10.json", &rep)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			for _, r := range rep.Runs {
-				note("structural_commit_rate/"+r.Workload, r.StructuralCommitRate)
-				note("pipeline_occupancy/"+r.Workload, r.PipelineOccupancy)
-				if r.AllocVirtualThroughput > 0 {
-					note("alloc_throughput_virtual/"+r.Workload, r.AllocVirtualThroughput)
 				}
 			}
 		}

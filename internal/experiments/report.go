@@ -2,7 +2,7 @@ package experiments
 
 // report.go holds the boilerplate every bench runner shares: the host
 // header that leads each JSON artifact, the report writer, and the
-// backend counters a workload run hands back. Benchmarks differ in what
+// counters a workload run hands back. Benchmarks differ in what
 // they measure; they must not differ in how honestly they describe the
 // host that measured it.
 
@@ -18,9 +18,9 @@ import (
 )
 
 // HostInfo leads every bench artifact. Degenerate is always present
-// (never omitted): on a GOMAXPROCS=1 host every parallel wall-clock
-// ratio measures the host, not the backend, and a reader must be able
-// to tell without forensics.
+// (never omitted): a GOMAXPROCS=1 host cannot overlap anything, so any
+// multi-goroutine wall-clock reading from it measures the host, and a
+// reader must be able to tell without forensics.
 type HostInfo struct {
 	HostCPUs   int    `json:"host_cpus"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
@@ -49,18 +49,12 @@ func writeReport(path string, rep any) error {
 	return os.WriteFile(path, out, 0o644)
 }
 
-// benchStats carries the backend counters a workload run produces — the
-// parallel backend's epoch accounting and the trace compiler's profile
-// counters, both read once after the run completes — plus RunNs, the
-// host wall-clock of the run itself.
+// benchStats carries what a workload run hands back besides its result:
+// the trace compiler's profile counters, read once after the run
+// completes, and RunNs, the host wall-clock of the run itself.
 type benchStats struct {
-	Par   gdp.ParStats
 	Trace gdp.TraceStats
 	RunNs int64
-}
-
-func statsOf(sys *gdp.System) benchStats {
-	return benchStats{Par: sys.ParStats(), Trace: sys.TraceStats()}
 }
 
 // timedRun drives sys to idle and reports the host nanoseconds of the run

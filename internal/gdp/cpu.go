@@ -26,20 +26,8 @@ type CPU struct {
 
 	// xst is the trace runner's scratch state (trace.go), pooled here so
 	// a trace run allocates nothing. Every field is re-initialised at run
-	// entry, so the copies the epoch driver makes of CPU structs are
-	// harmless.
+	// entry.
 	xst xstate
-
-	// rsv is this processor's structural-capacity reservation: pre-granted
-	// descriptor slots and pre-charged arena bytes that let the create
-	// instruction commit inside an epoch fork (obj.Reservation). The value
-	// is copied with the CPU struct during speculation; any refill that
-	// actually changes it drops the pipelined continuation built against
-	// the old cursor (refillReservations), so value copies stay sound.
-	// rsvWant records the SRO a create most recently fell back on, so the
-	// next inter-epoch refill binds the reservation there.
-	rsv     obj.Reservation
-	rsvWant obj.AD
 
 	// Per-CPU stats.
 	Dispatches   uint64

@@ -1,8 +1,6 @@
 package gdp
 
 import (
-	"fmt"
-
 	"repro/internal/domain"
 	"repro/internal/isa"
 	"repro/internal/obj"
@@ -44,31 +42,6 @@ func (s *System) Step(quantum vtime.Cycles) (bool, *obj.Fault) {
 		}
 		s.busyThisStep = busy
 	}
-	// Pipelined continuations from the previous step are judged before
-	// anything else mutates the machine, then reservations are topped up —
-	// identically in every corner, so the grants are part of the common
-	// serial prefix of each step rather than of any one backend.
-	s.pipeCheck(quantum)
-	s.refillReservations()
-	if s.parallelEligible() && !s.injectionImminent(quantum) {
-		if s.parCoolLeft > 0 {
-			// Abort backoff: recent epochs kept discarding, so run
-			// serially for a while before paying for speculation again.
-			s.parCoolLeft--
-			s.dropStashes()
-			return s.stepSerial(quantum)
-		}
-		return s.stepParallel(quantum)
-	}
-	s.dropStashes()
-	return s.stepSerial(quantum)
-}
-
-// stepSerial is the reference backend: processors run their quanta one
-// after another in processor order. The parallel backend defines itself
-// against this — whatever it commits must be byte-identical to what
-// stepSerial would have produced.
-func (s *System) stepSerial(quantum vtime.Cycles) (bool, *obj.Fault) {
 	worked := false
 	for _, cpu := range s.CPUs {
 		w, f := s.stepCPU(cpu, quantum)
@@ -175,11 +148,6 @@ func (s *System) RunUntil(pred func() bool, maxCycles vtime.Cycles) (vtime.Cycle
 }
 
 func (s *System) stepCPU(cpu *CPU, quantum vtime.Cycles) (bool, *obj.Fault) {
-	// A dead speculation does no further work; the real epoch driver will
-	// replay everything serially.
-	if s.spec != nil && s.specDead() {
-		return false, nil
-	}
 	// An offline processor burns idle time only; its clock keeps pace
 	// so system-wide time stays meaningful.
 	if cpu.offline {
@@ -219,13 +187,6 @@ func (s *System) stepCPU(cpu *CPU, quantum vtime.Cycles) (bool, *obj.Fault) {
 	before := cpu.Clock.Now()
 	var f *obj.Fault
 	if body := s.nativeBodyOf(proc); body != nil {
-		if s.spec != nil {
-			// Native bodies mutate host Go state (the collector's mark
-			// stack, the memory manager) that forks cannot shadow; the
-			// epoch aborts and replays serially.
-			s.spec.dead = true
-			return true, nil
-		}
 		f = s.stepNative(cpu, body, quantum)
 	} else {
 		f = s.stepVM(cpu, quantum)
@@ -286,9 +247,6 @@ func (s *System) stepNative(cpu *CPU, body NativeBody, quantum vtime.Cycles) *ob
 func (s *System) stepVM(cpu *CPU, quantum vtime.Cycles) *obj.Fault {
 	budget := quantum
 	for budget > 0 && cpu.proc.Valid() {
-		if s.spec != nil && s.specDead() {
-			return nil
-		}
 		// The cycle allowance for this call: a compiled trace may retire
 		// many instructions in one execOne and must stop after the
 		// instruction that crosses the quantum budget or the time slice —
@@ -343,8 +301,7 @@ func (s *System) execOne(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.Fault
 		// Fault injection fires between instructions: the due event acts
 		// on the machine before the next instruction executes, and a
 		// returned fault takes the ordinary deliverFault path against the
-		// process bound here. Only the real system carries an injector
-		// (buildForks strips it), so this cannot run under speculation.
+		// process bound here.
 		if f := s.inj.Fire(s, cpu); f != nil {
 			return 0, f
 		}
@@ -586,7 +543,7 @@ func (s *System) execInstr(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycl
 		if f != nil {
 			return vtime.CostCreateObject, f
 		}
-		ad, f := s.createObject(cpu, sroAD, obj.CreateSpec{
+		ad, f := s.SROs.Create(sroAD, obj.CreateSpec{
 			Type:        obj.TypeGeneric,
 			DataLen:     size,
 			AccessSlots: slots,
@@ -1005,5 +962,3 @@ func (s *System) wakeProcessWithMsg(p obj.AD, msg obj.AD) *obj.Fault {
 	}
 	return s.MakeReady(p)
 }
-
-var _ = fmt.Sprintf // reserved for diagnostics

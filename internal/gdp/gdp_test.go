@@ -1,6 +1,7 @@
 package gdp
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/domain"
@@ -519,5 +520,52 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if s.TotalCycles() == 0 || s.Now() == 0 {
 		t.Fatal("clocks did not advance")
+	}
+}
+
+// TestAuditExecCachesFlagsStaleCode: a live cache is clean under the audit,
+// and a cache whose pinned code object or decoded program no longer matches
+// what the domain holds is reported — the check that stands behind every
+// "the fast path executes what the slow path would fetch" claim.
+func TestAuditExecCachesFlagsStaleCode(t *testing.T) {
+	s := newSystem(t, 1)
+	dom := mustDomain(t, s, []isa.Instr{isa.AddI(0, 0, 1), isa.Br(0)})
+	if _, f := s.Spawn(dom, SpawnSpec{}); f != nil {
+		t.Fatal(f)
+	}
+	if _, f := s.Step(2_000); f != nil {
+		t.Fatal(f)
+	}
+	problems := func() string {
+		recs := s.AuditExecCaches()
+		if len(recs) != 1 {
+			t.Fatalf("%d live caches audited, want 1", len(recs))
+		}
+		return strings.Join(recs[0].Problems, "\n")
+	}
+	if p := problems(); p != "" {
+		t.Fatalf("live cache flagged:\n%s", p)
+	}
+	xc := s.CPUs[0].xc
+
+	code := xc.code
+	xc.code.Index++
+	if p := problems(); !strings.Contains(p, "is not the domain's code slot") {
+		t.Fatalf("doctored code AD not flagged:\n%s", p)
+	}
+	xc.code = code
+
+	// The loop is hot enough to have compiled a trace, so the divergence
+	// shows twice: against the cached program and against the trace's
+	// source mirror.
+	prog := xc.prog
+	xc.prog = append([]isa.Instr(nil), prog...)
+	xc.prog[0] = isa.AddI(0, 0, 2)
+	if p := problems(); !strings.Contains(p, "decoded program diverges from the code object") {
+		t.Fatalf("doctored program not flagged:\n%s", p)
+	}
+	xc.prog = prog
+	if p := problems(); p != "" {
+		t.Fatalf("restored cache flagged:\n%s", p)
 	}
 }

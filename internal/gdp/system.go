@@ -62,19 +62,14 @@ const (
 )
 
 // Injector is the deterministic fault-injection hook (internal/inject).
-// The interpreter consults it before every instruction on the serial
-// backend: when the system-wide executed-instruction count reaches NextAt,
-// Fire runs against the machine exactly as the serial interleaving sees it
-// at that instant. The parallel backend refuses to speculate across an
-// imminent injection (injectionImminent, parallel.go), and epoch forks are
-// never handed the injector, so an injection always mutates real state and
-// every {serial,parallel}×{cache on,off} corner observes the identical
-// machine — injected runs stay byte-for-byte replayable.
+// The interpreter consults it before every instruction: when the
+// system-wide executed-instruction count reaches NextAt, Fire runs against
+// the machine as it stands at that instant, so every cache corner observes
+// the identical machine and injected runs stay byte-for-byte replayable.
 type Injector interface {
 	// NextAt reports the system-wide instruction count at which the next
 	// injection is due, or ^uint64(0) when the plan is exhausted. It must
-	// be cheap and pure: the driver calls it per instruction and at epoch
-	// boundaries.
+	// be cheap and pure: the driver calls it per instruction.
 	NextAt() uint64
 	// Fire performs every injection due at the current instruction count
 	// and advances past it (a Fire that left NextAt in the past would
@@ -137,59 +132,6 @@ type System struct {
 	deadline     bool
 	deadlineBase vtime.Cycles
 
-	// Parallel host backend (parallel.go). hostpar enables it; forks are
-	// the per-processor epoch forks, built lazily (an epoch uses one per
-	// affinity group); spec is non-nil only on the epoch-fork shadow
-	// systems themselves. parCooldown is the resolved abort-backoff
-	// length; parStreak counts consecutive discarded epochs and
-	// parCoolLeft the serial steps still owed to the current backoff.
-	// Conflict-detection scratch maps are pooled across epochs
-	// (cfDescs/cfPages/cfIDs), as are the epoch's conflicting group pairs
-	// (cfPairs) and committed descriptor write set (cfWrites).
-	hostpar     bool
-	forks       []*epochFork
-	spec        *specCtl
-	parCooldown int
-	parStreak   int
-	parCoolLeft int
-	cfDescs     map[obj.Index]touchers
-	cfPages     map[uint32]touchers
-	cfIDs       []int
-	cfPairs     [][2]int
-	cfWrites    []obj.Index
-
-	// Epoch-pipeline state (parallel.go). pipeOff disables pipelined
-	// continuations (Config.NoPipeline); structOff disables in-fork
-	// structural commit via reservations (Config.NoStructuralCommit).
-	// After a step whose fast groups ran the next quantum speculatively,
-	// pipeHave is set, pipeQuantum/pipeTraced record the conditions the
-	// continuations assumed, and pipeMutSnap snapshots Table.MutGen() so
-	// any external mutation between steps invalidates them (pipeCheck).
-	// pipeHarvest is the per-step verdict; lwDescs/lwPages map the
-	// last-committed epoch's descriptor and page writes to group bitmasks,
-	// so a continuation can prove its footprint disjoint from every other
-	// group's commits (stashValid).
-	pipeOff     bool
-	structOff   bool
-	pipeHave    bool
-	pipeHarvest bool
-	pipeTraced  bool
-	pipeQuantum vtime.Cycles
-	pipeMutSnap uint64
-	lwDescs     map[obj.Index]uint64
-	lwPages     map[uint32]uint64
-
-	// Conflict-affinity scheduling state (parallel.go). affinity maps a
-	// canonical processor-pair key to a decayed conflict score; groups is
-	// the current epoch's partition (leader-ordered, members ascending),
-	// groupOf the per-processor group index, prevGroupOf last epoch's for
-	// the Regroups counter, ufScratch the pooled union-find array.
-	affinity    map[int]int
-	groups      [][]int
-	groupOf     []int
-	prevGroupOf []int
-	ufScratch   []int
-
 	// xcOff disables the execution cache (Config.NoExecCache), forcing
 	// every instruction down the uncached reference path.
 	xcOff bool
@@ -210,9 +152,7 @@ type System struct {
 	trDeopts   uint64
 	trExits    uint64
 
-	// inj is the installed fault injector, nil in production runs. Epoch
-	// forks never receive it (buildForks), so injections only ever mutate
-	// real state.
+	// inj is the installed fault injector, nil in production runs.
 	inj Injector
 
 	// Stats.
@@ -220,30 +160,6 @@ type System struct {
 	preemptions  uint64
 	faultsSent   uint64
 	instructions uint64
-
-	// Parallel-backend stats. parAborts splits by cause into
-	// parAbortsStruct (unreservable structural operations), parAbortsRes
-	// (reservation exhaustion mid-epoch), and parAbortsOther (faults,
-	// trace-ring overflow). parPipeLaunches counts quanta run as pipelined
-	// continuations, parPipeCommits those harvested without re-execution,
-	// parPipeDrops continuations discarded at validation. parForkCreates
-	// counts objects created from reservations (committed or serial).
-	parEpochs       uint64
-	parCommits      uint64
-	parConflicts    uint64
-	parAborts       uint64
-	parAbortsStruct uint64
-	parAbortsRes    uint64
-	parAbortsOther  uint64
-	parReplays      uint64
-	parCooldowns    uint64
-	parScopedInv    uint64
-	parSurvivals    uint64
-	parRegroups     uint64
-	parPipeLaunches uint64
-	parPipeCommits  uint64
-	parPipeDrops    uint64
-	parForkCreates  uint64
 }
 
 type bodyReg struct {
@@ -277,22 +193,6 @@ type Config struct {
 	// dispatch; 0 means 100000 cycles.
 	DeadlineBase vtime.Cycles
 
-	// HostParallel opts into the parallel host backend: within each Step,
-	// every simulated processor's quantum runs on its own host goroutine
-	// against epoch-local forked state, committing in canonical processor
-	// order at a barrier. Results are byte-identical to the serial
-	// backend — any cross-processor conflict falls back to serial replay
-	// of the epoch. See parallel.go.
-	HostParallel bool
-
-	// ParallelCooldown is the abort backoff of the parallel backend: after
-	// parStreakLimit consecutive discarded epochs the system runs this many
-	// steps on the serial backend before speculating again, so workloads
-	// whose every epoch conflicts (the E12 ping-pong) stop paying fork
-	// setup plus serial replay for each step. 0 means the default (32);
-	// negative disables the backoff entirely.
-	ParallelCooldown int
-
 	// NoExecCache disables the per-CPU execution cache (xcache.go),
 	// forcing the uncached reference interpreter. Results are identical
 	// either way — the switch exists for benchmarking the cache and for
@@ -301,28 +201,11 @@ type Config struct {
 
 	// NoTraceJIT disables the profile-guided trace compiler (trace.go)
 	// layered on the execution cache, leaving the per-instruction fast
-	// path of PR 3/5. Results are identical either way — the switch
-	// exists for benchmarking the compiler and for the six-corner
-	// differential determinism harnesses. Implied by NoExecCache: traces
+	// path. Results are identical either way — the switch exists for
+	// benchmarking the compiler and for the three-corner differential
+	// determinism harnesses. Implied by NoExecCache: traces
 	// only ever run from a live execution cache.
 	NoTraceJIT bool
-
-	// NoPipeline disables pipelined epoch continuations on the parallel
-	// backend, restoring the strict per-step barrier: every group waits
-	// for every other group's commit before starting its next quantum.
-	// Results are identical either way (see DESIGN.md §13).
-	NoPipeline bool
-
-	// NoStructuralCommit disables per-CPU reservations, so every create
-	// instruction takes the structural path — aborting the epoch when it
-	// happens inside a fork, exactly the pre-reservation behaviour.
-	// Serial and parallel backends stay byte-identical at either setting,
-	// but the two settings are distinct canonical schedules: reservations
-	// batch-pop free-list slots at refill time, so objects may land in
-	// different (equally valid) descriptor slots than pop-at-create
-	// assigns. The switch exists for measuring what in-fork structural
-	// commit buys.
-	NoStructuralCommit bool
 }
 
 // New boots a system: memory, object table, the system global heap, the
@@ -364,12 +247,6 @@ func New(cfg Config) (*System, error) {
 	if deadlineBase == 0 {
 		deadlineBase = 100_000
 	}
-	parCooldown := cfg.ParallelCooldown
-	if parCooldown == 0 {
-		parCooldown = 32
-	} else if parCooldown < 0 {
-		parCooldown = 0
-	}
 	s := &System{
 		Table:        tab,
 		SROs:         sros,
@@ -382,10 +259,6 @@ func New(cfg Config) (*System, error) {
 		contention:   cfg.BusContention,
 		deadline:     cfg.DeadlineDispatch,
 		deadlineBase: deadlineBase,
-		hostpar:      cfg.HostParallel,
-		parCooldown:  parCooldown,
-		pipeOff:      cfg.NoPipeline,
-		structOff:    cfg.NoStructuralCommit,
 		xcOff:        cfg.NoExecCache,
 		trOff:        cfg.NoTraceJIT,
 		bodies:       make(map[obj.Index]bodyReg),

@@ -61,20 +61,11 @@ package gdp
 //     compiled runs are skipped entirely while an observer is installed
 //     (machine bytes are identical either way — observation is the point
 //     of that mode, not speed).
-//
-// Parallelism (parallel.go): epoch forks own independent trace tables on
-// their shadow systems, compiled from the epoch decode cache — exactly as
-// fork-clean as the decodes they fuse. A committed epoch's decodes become
-// real and the fork's traces stay valid; a discarded epoch taints the fork
-// and drops its trace tables with the decode cache. On the real system,
-// footprint-scoped invalidation after a commit drops the trace tables of
-// written descriptor indices alongside the caches that pin them.
 
 import (
 	"encoding/binary"
 
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/obj"
 	"repro/internal/process"
 	"repro/internal/vtime"
@@ -132,7 +123,6 @@ const (
 type xstate struct {
 	s    *System
 	xc   *execCache
-	mem  *mem.Memory
 	win  []byte // context data window; IP is written only at exit
 	exit uint32 // branch-out target, set by an op returning tExit
 }
@@ -227,11 +217,6 @@ func (s *System) tracesFor(code obj.AD) *codeTraces {
 	return ct
 }
 
-// dropTraces discards every trace table. The tainted-fork reset uses it:
-// a discarded epoch's traces were compiled from decodes that may alias
-// speculative state, so they go the way of the epoch decode cache.
-func (s *System) dropTraces() { s.traceTabs = nil }
-
 // noteBranch profiles one taken backward branch on the cached fast path.
 // If the target already has a trace it arms the cache's one-shot entry
 // point; otherwise it heats the target and compiles at the threshold.
@@ -271,7 +256,6 @@ func (xc *execCache) noteBranch(s *System, target uint32) {
 func (s *System) runTrace(cpu *CPU, xc *execCache, tr *codeTrace, limit vtime.Cycles) (vtime.Cycles, bool) {
 	x := &cpu.xst
 	x.s, x.xc, x.win = s, xc, xc.win
-	x.mem = s.Table.Memory()
 	x.exit = 0
 
 	// The per-instruction epilogue's surcharge, hoisted: busyThisStep is
@@ -701,9 +685,6 @@ func compileMemOp(prog []isa.Instr, ip uint32) (traceOp, bool) {
 				return tDeopt
 			}
 			binary.LittleEndian.PutUint32(dst.win[off:], winReg(x.win, a))
-			// Fork footprint: same exact 4-byte report as the
-			// per-instruction fast path; no-op outside speculation.
-			x.mem.MarkForkWrite(dst.base+mem.Addr(off), 4)
 			return tNext
 		}
 	}

@@ -11,13 +11,12 @@ package gdp
 //
 // Correctness rests on one rule: every operation that could alias cached
 // state bumps obj.Table's cache generation (destruction, swap-out/in,
-// compaction moves, AD stores into process or context objects, a committed
-// parallel epoch — see Table.CacheGen). The fast path compares its
-// generation snapshot on every instruction and falls back to the slow path
-// on any mismatch; the slow path re-primes. Data-part writes never bump the
-// generation and never need to: the cached windows are live views of
-// physical memory (mem.Window), so ordinary data traffic is coherent by
-// aliasing.
+// compaction moves, AD stores into process or context objects — see
+// Table.CacheGen). The fast path compares its generation snapshot on every
+// instruction and falls back to the slow path on any mismatch; the slow
+// path re-primes. Data-part writes never bump the generation and never
+// need to: the cached windows are live views of physical memory
+// (mem.Window), so ordinary data traffic is coherent by aliasing.
 //
 // The fast path must be byte-identical to the slow one. Two disciplines
 // enforce that:
@@ -30,23 +29,11 @@ package gdp
 //     kernel trace events and mutate only data-part bytes; everything else
 //     goes through the unchanged execInstr after a fast fetch whose writes
 //     (IP, instruction counters) replicate the slow prologue exactly.
-//
-// Speculative epoch forks run the same fast path over their shadow images:
-// mem.Window on a fork touches the extent into the footprint-tracking
-// shadow (address-stable across epochs), the prime conservatively marks the
-// whole context data extent as written (the fast path writes IP and
-// registers through it; unwritten marked bytes equal the parent's, so the
-// commit copy-back of them is a no-op and over-marking can only add
-// deterministic conflicts, never hide one), and fast stores report their
-// exact byte span through mem.MarkForkWrite. Fork caches never survive an
-// epoch boundary — the driver invalidates them in begin(), and the first
-// fast instruction of the epoch re-primes against the fresh shadow.
 
 import (
 	"encoding/binary"
 
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/obj"
 	"repro/internal/process"
 	"repro/internal/vtime"
@@ -59,13 +46,10 @@ const resolveWays = 8
 
 // resolveEntry caches one translated operand capability: the exact AD (the
 // full value participates in the hit check, so rights and generation are
-// part of the key), a live window over its data part, and the data part's
-// base address so fast stores through a fork window can report their write
-// span to the footprint tracker.
+// part of the key) and a live window over its data part.
 type resolveEntry struct {
-	ad   obj.AD
-	win  []byte
-	base mem.Addr
+	ad  obj.AD
+	win []byte
 }
 
 // execCache is one processor's pinned execution state. It is valid only
@@ -91,14 +75,6 @@ type execCache struct {
 	entry   *codeTrace
 	entryIP uint32
 }
-
-// staleGen is never a real cache generation (generations count up from
-// zero), so assigning it unconditionally fails the fast path's generation
-// check. Both the footprint-scoped invalidation pass after a committed
-// parallel epoch and the per-epoch fork-cache reset kill caches this way.
-const staleGen = ^uint64(0)
-
-func (xc *execCache) invalidate() { xc.gen = staleGen }
 
 // Window accessors over the context data part. Offsets are the context
 // object's architectural layout (process.CtxOff*); the prime established
@@ -158,13 +134,6 @@ func (s *System) primeExecCache(cpu *CPU) *execCache {
 	if len(win) < process.CtxDataBytes || awin == nil {
 		return nil
 	}
-	// On a speculative fork the windows alias the footprint shadow; the
-	// fast path writes IP and registers through win without further
-	// bookkeeping, so mark the whole context data extent written up front.
-	// Bytes the epoch never actually writes still equal the parent's, so
-	// committing them is a no-op; the over-marking can only widen the
-	// conflict footprint (deterministically), never hide a write.
-	m.MarkForkWrite(cd.Data.Base, cd.Data.Len)
 	dom, f := s.Table.LoadAD(ctx, process.CtxSlotDomain)
 	if f != nil {
 		return nil
@@ -207,13 +176,12 @@ func (xc *execCache) areg(r uint8) obj.AD {
 }
 
 // operand translates ad through the direct-mapped resolve cache, returning
-// the filled way: a live window over the object's data part plus its base
-// address. A miss performs the full resolution (validity, generation,
-// presence) and fills the way; the table generation check in the caller
-// guarantees every entry was filled under the current generation. Rights
-// are not checked here — they ride in the cached AD value and the caller
-// tests the bit it needs. nil means the fast path must not handle this
-// operand.
+// the filled way: a live window over the object's data part. A miss
+// performs the full resolution (validity, generation, presence) and fills
+// the way; the table generation check in the caller guarantees every entry
+// was filled under the current generation. Rights are not checked here —
+// they ride in the cached AD value and the caller tests the bit it needs.
+// nil means the fast path must not handle this operand.
 func (xc *execCache) operand(s *System, ad obj.AD) *resolveEntry {
 	e := &xc.res[uint32(ad.Index)%resolveWays]
 	if e.ad == ad && e.win != nil {
@@ -227,7 +195,7 @@ func (xc *execCache) operand(s *System, ad obj.AD) *resolveEntry {
 	if win == nil {
 		return nil
 	}
-	e.ad, e.win, e.base = ad, win, d.Data.Base
+	e.ad, e.win = ad, win
 	return e
 }
 
@@ -393,10 +361,6 @@ func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.F
 		cost = vtime.CostMove
 		setWinIP(win, ip+1)
 		binary.LittleEndian.PutUint32(dst.win[in.C:], winReg(win, in.A))
-		// On a fork the window aliases the footprint shadow; report the
-		// exact four bytes so the commit copies them and conflict
-		// detection sees the write. No-op outside speculation.
-		s.Table.Memory().MarkForkWrite(dst.base+mem.Addr(in.C), 4)
 
 	default:
 		// Everything else — communication, calls, capability moves,
@@ -438,8 +402,8 @@ func (s *System) AuditExecCaches() []ExecCacheAudit {
 	sameView := func(a, b []byte) bool {
 		return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 	}
-	// Content comparison, not pointer: a committed epoch may merge the
-	// fork's decode of the same code bytes over the base entry.
+	// Content comparison, not pointer: what must agree is the instructions
+	// the cache executes, whichever decode produced the slice.
 	sameProg := func(a, b []isa.Instr) bool {
 		if len(a) != len(b) {
 			return false
@@ -489,9 +453,8 @@ func (s *System) AuditExecCaches() []ExecCacheAudit {
 			bad("cached domain %v is not the context's domain slot", xc.dom)
 		}
 		// The decoded program must match a fresh derivation through the
-		// domain — a cache that survived footprint-scoped invalidation
-		// after a parallel commit must still execute exactly the code a
-		// slow-path re-prime would fetch.
+		// domain: a live cache must execute exactly the code a slow-path
+		// re-prime would fetch.
 		if code, f := s.Domains.Code(xc.dom); f != nil || code != xc.code {
 			bad("cached code object %v is not the domain's code slot", xc.code)
 		} else if prog, f := s.Domains.Program(code); f != nil || !sameProg(prog, xc.prog) {

@@ -2,7 +2,7 @@ package inject
 
 // chaos.go is the damage-confinement soak harness: for one seed it runs
 // the chaos workload (workload.go) under the seed's injection plan in all
-// four {serial,parallel}×{cache on,off} corners, plus one fault-free
+// three {nocache, cache, cache+trace} corners, plus one fault-free
 // reference run, and then judges the acceptance criteria of the paper's
 // §7.1/§7.3 story:
 //
@@ -14,7 +14,7 @@ package inject
 //  3. the invariant auditor finds nothing, and audit.CheckConfinement
 //     proves every object outside the injections' declared blast radius
 //     byte-identical to the reference run;
-//  4. all four corners produce the same fingerprint — trace stream,
+//  4. all three corners produce the same fingerprint — trace stream,
 //     stats, worker states and fired-event log — byte for byte.
 
 import (
@@ -32,7 +32,7 @@ import (
 
 const (
 	// chaosSteps × chaosStepQuantum is the driven phase; the odd quantum
-	// exercises epoch boundaries at non-multiples of the dispatch slice.
+	// exercises step boundaries at non-multiples of the dispatch slice.
 	chaosSteps       = 260
 	chaosStepQuantum = vtime.Cycles(2_500)
 	// chaosDrainBudget bounds the drain to worker quiescence; exhausting
@@ -75,8 +75,8 @@ func RunWorld(w *World) error {
 // be identical across corners: virtual time, machine stats, per-CPU
 // clocks, worker fates, the fired-event log, the sealed audit-ledger
 // commitment (root, segment and drop counts), and the complete trace
-// stream. Parallel-backend counters are deliberately absent — they
-// describe how the run was computed, not what it computed.
+// stream. Trace-compiler counters are deliberately absent — they describe
+// how the run was computed, not what it computed.
 func Fingerprint(w *World) string {
 	var b bytes.Buffer
 	st := w.IM.Stats()
@@ -245,10 +245,9 @@ func cloneSnapshot(s *audit.Snapshot) *audit.Snapshot {
 type SeedResult struct {
 	Seed        int64
 	Plan        Plan
-	Fingerprint string  // canonical (serial-nocache) injected fingerprint
+	Fingerprint string  // canonical (nocache) injected fingerprint
 	Fired       []Fired // fired-event log of the canonical corner
 	Faulted     int     // workers that ended faulted or fault-terminated
-	ParEpochs   uint64  // parallel epochs attempted across parallel corners
 	Problems    []string
 }
 
@@ -256,7 +255,7 @@ type SeedResult struct {
 func (r *SeedResult) Ok() bool { return len(r.Problems) == 0 }
 
 // RunSeed executes the complete acceptance protocol for one seed: a
-// fault-free reference run, then the four injected corners, fingerprint
+// fault-free reference run, then the three injected corners, fingerprint
 // cross-comparison, and per-corner §7 checks. Building or driving errors
 // are returned as errors; criterion failures land in Problems.
 func RunSeed(seed int64) (*SeedResult, error) {
@@ -301,9 +300,6 @@ func RunSeed(seed int64) (*SeedResult, error) {
 			res.Problems = append(res.Problems,
 				fmt.Sprintf("%v: fingerprint diverges from %v at %s",
 					corner, Corners[0], diffLine(res.Fingerprint, fp)))
-		}
-		if corner.HostParallel {
-			res.ParEpochs += w.IM.ParStats().Epochs
 		}
 		for _, p := range checkWorld(w, refSnap) {
 			res.Problems = append(res.Problems, fmt.Sprintf("%v: %s", corner, p))

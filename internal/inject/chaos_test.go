@@ -53,9 +53,8 @@ func corpusSeeds(t *testing.T) []int64 {
 }
 
 // TestChaosCorpus is the acceptance soak: every corpus seed must pass the
-// full four-corner protocol.
+// full three-corner protocol.
 func TestChaosCorpus(t *testing.T) {
-	var totalEpochs uint64
 	for _, seed := range corpusSeeds(t) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -66,20 +65,12 @@ func TestChaosCorpus(t *testing.T) {
 			if len(res.Fired) == 0 {
 				t.Errorf("no injection events fired; plan horizon %d missed the workload entirely", res.Plan.Horizon)
 			}
-			totalEpochs += res.ParEpochs
 			if !res.Ok() {
 				var b strings.Builder
 				res.Report(&b)
 				t.Fatalf("acceptance failed:\n%s", b.String())
 			}
 		})
-	}
-	// Per seed, a plan whose injections cut the workload short can keep
-	// the whole run serial (the driver refuses to speculate across a
-	// pending event). Across the corpus, the parallel backend must have
-	// engaged somewhere or the corner matrix is vacuous.
-	if totalEpochs == 0 {
-		t.Errorf("no corpus seed ever attempted a parallel epoch; the corner matrix collapsed to serial")
 	}
 }
 

@@ -55,8 +55,7 @@ const maxFloodMessages = 4096
 
 // Injector executes a Plan against a running system. It implements
 // gdp.Injector: the driver calls NextAt before every instruction and Fire
-// at the planned instants, always on the serial backend against real
-// (non-speculative) state.
+// at the planned instants.
 type Injector struct {
 	plan  Plan
 	env   Env

@@ -5,11 +5,10 @@
 //
 // An injection plan is a pure function of a seed: a strictly increasing
 // sequence of (instruction instant, kind, selector) events. The driver
-// (internal/gdp) consults the injector before every instruction on the
-// serial backend and refuses to speculate across an imminent event, so an
+// (internal/gdp) consults the injector before every instruction, so an
 // injected run is as deterministic as an uninjected one — the same seed
 // replays the same faults at the same virtual instants in every
-// {serial,parallel}×{cache on,off} corner, byte for byte.
+// {nocache, cache, cache+trace} corner, byte for byte.
 package inject
 
 import (

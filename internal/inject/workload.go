@@ -1,9 +1,8 @@
 package inject
 
 // workload.go builds the seed-deterministic chaos workload the harness
-// (chaos.go) runs in every backend/cache corner: an E3-style compute fleet
-// that writes results into witness objects, E12-style capacity-1 ping-pong
-// pairs (the port-conflict shape the parallel backend must serialize),
+// (chaos.go) runs in every cache corner: an E3-style compute fleet that
+// writes results into witness objects, E12-style capacity-1 ping-pong pairs,
 // allocator workers drawing on claimed local heaps (SRO-exhaust victims),
 // and untouched bystander objects whose bytes prove damage confinement.
 // Construction draws only from a seed-derived generator, never from the
@@ -21,11 +20,10 @@ import (
 	"repro/internal/port"
 )
 
-// Corner selects one backend/cache/trace configuration of the six the
-// chaos harness must prove byte-identical.
+// Corner selects one cache/trace configuration of the three the chaos
+// harness must prove byte-identical.
 type Corner struct {
-	HostParallel bool
-	NoExecCache  bool
+	NoExecCache bool
 	// NoTraceJIT disables the profile-guided trace compiler while keeping
 	// the execution cache; meaningless (implied) when NoExecCache is set,
 	// since traces only run from a live cache.
@@ -33,28 +31,21 @@ type Corner struct {
 }
 
 func (c Corner) String() string {
-	b, x := "serial", "trace"
-	if c.HostParallel {
-		b = "parallel"
-	}
 	switch {
 	case c.NoExecCache:
-		x = "nocache"
+		return "nocache"
 	case c.NoTraceJIT:
-		x = "cache"
+		return "cache"
 	}
-	return b + "-" + x
+	return "cache+trace"
 }
 
-// Corners is the full {serial,parallel}×{cache off, cache on, cache+trace}
-// matrix.
-var Corners = [6]Corner{
-	{HostParallel: false, NoExecCache: false, NoTraceJIT: false},
-	{HostParallel: false, NoExecCache: false, NoTraceJIT: true},
-	{HostParallel: false, NoExecCache: true, NoTraceJIT: true},
-	{HostParallel: true, NoExecCache: false, NoTraceJIT: false},
-	{HostParallel: true, NoExecCache: false, NoTraceJIT: true},
-	{HostParallel: true, NoExecCache: true, NoTraceJIT: true},
+// Corners is the matrix: the uncached reference interpreter first, then
+// the two fast paths that are checked against it.
+var Corners = [3]Corner{
+	{NoExecCache: true, NoTraceJIT: true},
+	{NoTraceJIT: true},
+	{},
 }
 
 const (
@@ -120,13 +111,12 @@ func BuildWorld(seed int64, corner Corner, injected bool) (*World, error) {
 		Trace:         true,
 		TraceCapacity: chaosTraceCap,
 		// The audit ledger rides every chaos run: its root lands in the
-		// corner fingerprint (a seventh determinism witness) and the
+		// corner fingerprint (one more determinism witness) and the
 		// re-verification tests re-derive the confinement verdict from
 		// the sealed bytes alone.
-		Ledger:       true,
-		HostParallel: corner.HostParallel,
-		NoExecCache:  corner.NoExecCache,
-		NoTraceJIT:   corner.NoTraceJIT,
+		Ledger:      true,
+		NoExecCache: corner.NoExecCache,
+		NoTraceJIT:  corner.NoTraceJIT,
 	})
 	if err != nil {
 		return nil, err

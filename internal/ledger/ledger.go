@@ -146,9 +146,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Sink is the batching pipeline. It implements trace.Sink; attach it with
-// trace.Log.SetSink. All methods are safe for concurrent use (the
-// parallel host backend emits under the trace log's lock, but the bench
-// and tests drive sinks directly).
+// trace.Log.SetSink. All methods are safe for concurrent use (the trace
+// log emits under its own lock, but the bench and tests drive sinks
+// directly).
 type Sink struct {
 	mu  sync.Mutex
 	cfg Config

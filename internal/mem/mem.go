@@ -56,18 +56,6 @@ type Memory struct {
 	data []byte
 	free []Extent // sorted by Base, coalesced
 	used uint32
-
-	// muts counts external mutations (writes, allocation, freeing) on a
-	// non-fork memory. The parallel driver snapshots it to detect state
-	// changes made outside the epoch engine — epoch-fork commits
-	// deliberately do not bump it, because the driver accounts for its
-	// own committed writes separately.
-	muts uint64
-
-	// fk marks this Memory as an epoch-fork view (see fork.go): reads
-	// and writes are routed through a copy-on-write shadow and recorded
-	// as footprints, and structural operations abort the fork.
-	fk *memFork
 }
 
 // New creates a physical memory of the given size in bytes.
@@ -104,21 +92,10 @@ func (m *Memory) LargestFree() uint32 {
 // of external fragmentation used by the E2/E9 experiments.
 func (m *Memory) FragCount() int { return len(m.free) }
 
-// MutGen reports a counter that advances on every mutation performed
-// outside the epoch-fork engine: byte writes, allocation, freeing,
-// relocation. Fork commits do not advance it.
-func (m *Memory) MutGen() uint64 { return m.muts }
-
 // Alloc carves a segment of n bytes from physical memory using first-fit,
 // the policy simple enough to microcode (the 432 performed allocation in
 // the create-object instruction, so the policy had to be trivial).
 func (m *Memory) Alloc(n uint32) (Extent, error) {
-	if m.fk != nil {
-		// Allocation order is part of serial semantics (first-fit over
-		// the live free list); a fork cannot reproduce it speculatively.
-		m.fk.abort = true
-		return Extent{}, ErrNoMemory
-	}
 	if n == 0 {
 		n = 1 // §2: segments are from 1 byte
 	}
@@ -136,7 +113,6 @@ func (m *Memory) Alloc(n uint32) (Extent, error) {
 			m.free[i] = Extent{Base: e.Base + Addr(n), Len: e.Len - n}
 		}
 		m.used += n
-		m.muts++
 		// The hardware zeroed fresh segments: a new object must not
 		// leak a previous object's contents through a fresh
 		// capability.
@@ -151,10 +127,6 @@ func (m *Memory) Alloc(n uint32) (Extent, error) {
 // on the real machine only the microcode and the collector could reach this
 // path, so corruption here meant a hardware fault.
 func (m *Memory) Free(e Extent) error {
-	if m.fk != nil {
-		m.fk.abort = true
-		return ErrNotOwned
-	}
 	if e.Len == 0 {
 		return nil
 	}
@@ -175,7 +147,6 @@ func (m *Memory) Free(e Extent) error {
 	copy(m.free[i+1:], m.free[i:])
 	m.free[i] = e
 	m.used -= e.Len
-	m.muts++
 	m.coalesce(i)
 	return nil
 }
@@ -207,7 +178,7 @@ func (m *Memory) ReadByteAt(e Extent, off uint32) (byte, error) {
 		return 0, err
 	}
 	b := e.Base + Addr(off)
-	return m.ro(b, 1)[b], nil
+	return m.data[b], nil
 }
 
 // WriteByteAt writes one byte at offset off within extent e.
@@ -216,7 +187,7 @@ func (m *Memory) WriteByteAt(e Extent, off uint32, v byte) error {
 		return err
 	}
 	b := e.Base + Addr(off)
-	m.rw(b, 1)[b] = v
+	m.data[b] = v
 	return nil
 }
 
@@ -227,7 +198,7 @@ func (m *Memory) ReadWord(e Extent, off uint32) (uint16, error) {
 		return 0, err
 	}
 	b := e.Base + Addr(off)
-	d := m.ro(b, 2)
+	d := m.data
 	return uint16(d[b]) | uint16(d[b+1])<<8, nil
 }
 
@@ -237,7 +208,7 @@ func (m *Memory) WriteWord(e Extent, off uint32, v uint16) error {
 		return err
 	}
 	b := e.Base + Addr(off)
-	d := m.rw(b, 2)
+	d := m.data
 	d[b] = byte(v)
 	d[b+1] = byte(v >> 8)
 	return nil
@@ -249,7 +220,7 @@ func (m *Memory) ReadDWord(e Extent, off uint32) (uint32, error) {
 		return 0, err
 	}
 	b := e.Base + Addr(off)
-	d := m.ro(b, 4)
+	d := m.data
 	return uint32(d[b]) | uint32(d[b+1])<<8 |
 		uint32(d[b+2])<<16 | uint32(d[b+3])<<24, nil
 }
@@ -260,7 +231,7 @@ func (m *Memory) WriteDWord(e Extent, off uint32, v uint32) error {
 		return err
 	}
 	b := e.Base + Addr(off)
-	d := m.rw(b, 4)
+	d := m.data
 	d[b] = byte(v)
 	d[b+1] = byte(v >> 8)
 	d[b+2] = byte(v >> 16)
@@ -275,7 +246,7 @@ func (m *Memory) ReadBytes(e Extent, off, n uint32) ([]byte, error) {
 	}
 	b := e.Base + Addr(off)
 	out := make([]byte, n)
-	copy(out, m.ro(b, n)[b:])
+	copy(out, m.data[b:])
 	return out, nil
 }
 
@@ -285,7 +256,7 @@ func (m *Memory) WriteBytes(e Extent, off uint32, p []byte) error {
 		return err
 	}
 	b := e.Base + Addr(off)
-	copy(m.rw(b, uint32(len(p)))[b:], p)
+	copy(m.data[b:], p)
 	return nil
 }
 
@@ -295,33 +266,11 @@ func (m *Memory) WriteBytes(e Extent, off uint32, p []byte) error {
 // allocated once in New and never reallocated: the view stays valid until
 // the extent itself is freed or moved, which the object layer signals
 // through its cache generation. Bad extents get nil.
-//
-// On an epoch fork the view is over the fork's shadow image (also
-// allocated once, in Fork, and address-stable across epochs): the whole
-// extent is touched — copied from the parent and recorded in the read
-// footprint — so reads through the window are indistinguishable from reads
-// through ro. Writes through a fork window MUST be reported with
-// MarkForkWrite, or they are invisible to conflict detection and lost at
-// commit.
 func (m *Memory) Window(e Extent) []byte {
 	if e.End() < e.Base || e.End() > Addr(len(m.data)) {
 		return nil
 	}
-	if fk := m.fk; fk != nil {
-		fk.touch(e.Base, e.Len, false)
-		return fk.shadow[e.Base:e.End():e.End()]
-	}
 	return m.data[e.Base:e.End():e.End()]
-}
-
-// MarkForkWrite records [b, b+n) in the fork's write footprint, for
-// callers that write through a Window instead of through rw. The span is
-// touched exactly as a rw access would touch it; on a non-fork Memory this
-// is a no-op (window writes to live memory are coherent by aliasing).
-func (m *Memory) MarkForkWrite(b Addr, n uint32) {
-	if m.fk != nil {
-		m.fk.touch(b, n, true)
-	}
 }
 
 // Move relocates the contents of src into a freshly allocated extent and

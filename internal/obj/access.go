@@ -185,7 +185,6 @@ func (t *Table) StoreAD(dst AD, slot uint32, src AD) *Fault {
 		// execution structure the interpreter's execution cache pins (the
 		// current context, the domain slot).
 		t.xgen++
-		t.noteCacheHazard(dst.Index)
 	}
 	t.adStores++
 	if l := t.tr; l != nil {
@@ -248,7 +247,6 @@ func (t *Table) StoreADSystem(dst AD, slot uint32, src AD) *Fault {
 		// every execution, so a SetAReg under a compiled trace is
 		// observed without invalidation (and a vanished operand deopts).
 		t.xgen++
-		t.noteCacheHazard(dst.Index)
 	}
 	t.adStores++
 	if l := t.tr; l != nil {

@@ -13,10 +13,10 @@ import (
 // ColorOf reports the marking colour of the object at idx, and whether the
 // slot holds a live object at all.
 func (t *Table) ColorOf(idx Index) (Color, bool) {
-	if int(idx) >= t.Len() || idx == NilIndex {
+	if int(idx) >= len(t.descs) || idx == NilIndex {
 		return White, false
 	}
-	d := t.slot(idx)
+	d := &t.descs[idx]
 	if !d.Valid {
 		return White, false
 	}
@@ -25,8 +25,8 @@ func (t *Table) ColorOf(idx Index) (Color, bool) {
 
 // SetColor sets the marking colour of a live object.
 func (t *Table) SetColor(idx Index, c Color) {
-	if int(idx) < t.Len() && idx != NilIndex {
-		if d := t.slot(idx); d.Valid {
+	if int(idx) < len(t.descs) && idx != NilIndex {
+		if d := &t.descs[idx]; d.Valid {
 			d.Color = c
 		}
 	}
@@ -34,10 +34,10 @@ func (t *Table) SetColor(idx Index, c Color) {
 
 // IsPinned reports whether the object is a permanent root.
 func (t *Table) IsPinned(idx Index) bool {
-	if int(idx) >= t.Len() || idx == NilIndex {
+	if int(idx) >= len(t.descs) || idx == NilIndex {
 		return false
 	}
-	d := t.slot(idx)
+	d := &t.descs[idx]
 	return d.Valid && d.Pinned
 }
 
@@ -56,10 +56,10 @@ func (t *Table) Pin(a AD) *Fault {
 // inspection (the collector scanning, the filing system passivating).
 // It returns nil for invalid slots.
 func (t *Table) DescriptorAt(idx Index) *Descriptor {
-	if int(idx) >= t.Len() || idx == NilIndex {
+	if int(idx) >= len(t.descs) || idx == NilIndex {
 		return nil
 	}
-	d := t.slot(idx)
+	d := &t.descs[idx]
 	if !d.Valid {
 		return nil
 	}
@@ -100,12 +100,6 @@ func (t *Table) Referents(idx Index, fn func(AD)) *Fault {
 // AliveBySRO calls fn with the index of every live object whose ancestral
 // SRO is sro. SRO bulk destruction (§5: local-heap reclamation) walks this.
 func (t *Table) AliveBySRO(sro Index, fn func(Index)) {
-	if t.fk != nil {
-		// Bulk-reclamation walks precede destruction; abort rather than
-		// let a fork see a partial merged view.
-		_ = t.forkBar("SRO liveness walk")
-		return
-	}
 	for i := 1; i < len(t.descs); i++ {
 		if t.descs[i].Valid && t.descs[i].SRO == sro {
 			fn(Index(i))
@@ -118,9 +112,6 @@ func (t *Table) AliveBySRO(sro Index, fn func(Index)) {
 // manager calls this. The object's contents must already have been copied
 // out by the caller (through Memory()).
 func (t *Table) SwapOut(idx Index, token uint64) *Fault {
-	if t.fk != nil {
-		return t.forkBar("swap-out")
-	}
 	d := t.DescriptorAt(idx)
 	if d == nil {
 		return Faultf(FaultInvalidAD, AD{Index: idx}, "no such object")
@@ -154,9 +145,6 @@ func (t *Table) SwapOut(idx Index, token uint64) *Fault {
 // resident again. The caller (the memory manager) then restores the
 // contents through Memory(). It reports the fresh extents.
 func (t *Table) SwapIn(idx Index) (data, access mem.Extent, f *Fault) {
-	if t.fk != nil {
-		return data, access, t.forkBar("swap-in")
-	}
 	d := t.DescriptorAt(idx)
 	if d == nil {
 		return data, access, Faultf(FaultInvalidAD, AD{Index: idx}, "no such object")

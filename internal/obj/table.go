@@ -99,24 +99,9 @@ type Table struct {
 	// interpreter's execution cache (internal/gdp). Every operation that
 	// could alias cached descriptor state — destruction (including SRO and
 	// level reclaim), swap-out/in, extent moves during compaction, AD
-	// stores into process or context objects, a committed parallel epoch —
-	// bumps it; a cached entry whose snapshot differs is dead.
+	// stores into process or context objects — bumps it; a cached entry
+	// whose snapshot differs is dead.
 	xgen uint64
-
-	// muts counts mutations (and conservatively, descriptor accesses that
-	// could mutate) performed outside the epoch-fork engine. The parallel
-	// driver's pipeline snapshots MutGen to detect state changes between
-	// steps; fork commits deliberately do not advance it.
-	muts uint64
-
-	// reserved counts descriptor slots currently held out of circulation
-	// by reservations (see reserve.go), for Len/audit bookkeeping.
-	reserved int
-
-	// fk marks this table as an epoch-fork view (see fork.go): descriptor
-	// lookups route through a copy-on-touch shadow and structural
-	// operations abort the fork.
-	fk *tableFork
 }
 
 // NewTable creates an object table over a fresh physical memory of the
@@ -134,24 +119,12 @@ func NewTable(memSize uint32) *Table {
 // only through ADs.
 func (t *Table) Memory() *mem.Memory { return t.mem }
 
-// Live reports the number of valid objects. A fork adds its own
-// uncommitted reservation-created objects (stashed and current epoch) to
-// the parent's count — forks never destroy.
-func (t *Table) Live() int {
-	if fk := t.fk; fk != nil {
-		return fk.parent.live + fk.stCreated + fk.created
-	}
-	return t.live
-}
+// Live reports the number of valid objects.
+func (t *Table) Live() int { return t.live }
 
 // Len reports the number of table slots ever allocated (including free
 // ones); the collector sweeps this range.
-func (t *Table) Len() int {
-	if fk := t.fk; fk != nil {
-		return len(fk.parent.descs)
-	}
-	return len(t.descs)
-}
+func (t *Table) Len() int { return len(t.descs) }
 
 // Stats reports object-layer event counts used by the benchmarks.
 func (t *Table) Stats() (created, destroyed, adStores, grayings uint64) {
@@ -183,44 +156,22 @@ func (t *Table) Tracer() *trace.Log { return t.tr }
 // mid-run. Any new table mutation that can invalidate a derived window or
 // decoded program MUST bump xgen (directly or via InvalidateCaches), or
 // compiled traces will keep executing a world that no longer exists.
-//
-// An epoch fork reports the sum of its parent's generation and its own:
-// fork-local aliasing operations (an AD store into a process or context
-// during speculation) bump the fork's generation, and structural events on
-// the parent between epochs bump the parent's; either advances the sum, so
-// a fork-primed cache goes stale on both kinds of hazard. The parent is
-// quiescent while forks execute, so the cross-read is race-free.
-func (t *Table) CacheGen() uint64 {
-	if t.fk != nil {
-		return t.fk.parent.xgen + t.xgen
-	}
-	return t.xgen
-}
+func (t *Table) CacheGen() uint64 { return t.xgen }
 
 // InvalidateCaches bumps the cache-invalidation generation. Table-internal
 // aliasing operations bump it themselves; external trusted mutators that
 // bypass the table's methods (the compactor rewriting extents through
-// DescriptorAt, the parallel driver committing an epoch's descriptor
-// writes) must call this explicitly.
+// DescriptorAt) must call this explicitly.
 func (t *Table) InvalidateCaches() { t.xgen++ }
-
-// MutGen reports a counter that advances on every table or memory
-// mutation performed outside the epoch-fork engine — descriptor accesses
-// through non-fork resolution (conservatively counted as potential
-// mutations, since callers mutate through the returned pointer), object
-// creation/destruction, reservation changes, allocator activity. Epoch
-// commits do not advance it: the parallel driver accounts for its own
-// committed writes separately, and uses MutGen to detect everything else.
-func (t *Table) MutGen() uint64 { return t.muts + t.xgen + t.mem.MutGen() }
 
 // Resolve validates an AD against the table: the entry must be live and
 // the generation must match. It returns the descriptor for inspection.
 // Mutation must go through the table's methods.
 func (t *Table) Resolve(a AD) (*Descriptor, *Fault) {
-	if !a.Valid() || int(a.Index) >= t.Len() {
+	if !a.Valid() || int(a.Index) >= len(t.descs) {
 		return nil, Faultf(FaultInvalidAD, a, "no such object")
 	}
-	d := t.slot(a.Index)
+	d := &t.descs[a.Index]
 	if !d.Valid || d.Gen&adGenMask != a.Gen&adGenMask {
 		return nil, Faultf(FaultInvalidAD, a, "object destroyed (dangling capability)")
 	}
@@ -269,11 +220,6 @@ type CreateSpec struct {
 // instruction; internal/sro adds the storage-claim accounting and level
 // assignment on top.
 func (t *Table) Create(spec CreateSpec) (AD, *Fault) {
-	if t.fk != nil {
-		// Slot and extent allocation order is serial semantics a fork
-		// cannot reproduce; the epoch falls back to serial replay.
-		return NilAD, t.forkBar("object creation")
-	}
 	if spec.Type == TypeInvalid || spec.Type >= numTypes {
 		return NilAD, Faultf(FaultType, NilAD, "cannot create objects of %s", spec.Type)
 	}
@@ -328,7 +274,6 @@ func (t *Table) Create(spec CreateSpec) (AD, *Fault) {
 	}
 	t.live++
 	t.created++
-	t.muts++
 	if l := t.tr; l != nil {
 		l.Emit(trace.EvObjCreate, uint32(idx), uint32(spec.Type), uint64(spec.Level))
 	}
@@ -351,9 +296,6 @@ func (t *Table) Destroy(a AD) *Fault {
 // only the collector and SRO teardown use it (they operate below the
 // capability discipline, as the real microcode did).
 func (t *Table) DestroyIndex(idx Index) *Fault {
-	if t.fk != nil {
-		return t.forkBar("object destruction")
-	}
 	if int(idx) >= len(t.descs) || idx == NilIndex {
 		return Faultf(FaultInvalidAD, AD{Index: idx}, "no such object")
 	}
@@ -365,9 +307,6 @@ func (t *Table) DestroyIndex(idx Index) *Fault {
 }
 
 func (t *Table) destroyDesc(idx Index, d *Descriptor) *Fault {
-	if t.fk != nil {
-		return t.forkBar("object destruction")
-	}
 	t.xgen++ // the slot may be recycled; cached windows over it are dead
 	if l := t.tr; l != nil {
 		l.Emit(trace.EvObjDestroy, uint32(idx), uint32(d.Type), 0)

@@ -11,8 +11,7 @@
 // on, and a queued message is reachable from its port, exactly the lifetime
 // story told at the end of §5. Carriers removed from a wait queue are
 // scrubbed and parked on a per-port free pool rather than destroyed, so a
-// port's steady-state blocking traffic allocates nothing (and, in the
-// parallel host backend, speculates cleanly — see park).
+// port's steady-state blocking traffic allocates nothing (see park).
 //
 // Three queueing disciplines are provided (Figure 1 shows the discipline
 // parameter of Create_port): FIFO, priority (highest key first) and
@@ -421,13 +420,9 @@ type parked struct {
 // park appends a carrier holding proc (and, for senders, msg/key) to the
 // wait queue named by the head/tail slots. Carriers come from the port's
 // free pool when one is available, else from the port's own SRO — either
-// way the whole structure shares the port's lifetime.
-//
-// The pool matters to the parallel host backend: creating or destroying an
-// object is a structural operation an epoch fork cannot speculate (slot and
-// extent allocation order), so create-per-park made every blocking
-// send/receive abort its epoch. Popping and pushing a pooled carrier is
-// pure AD-slot traffic, which speculates fine.
+// way the whole structure shares the port's lifetime. Popping and pushing
+// a pooled carrier is pure AD-slot traffic: nothing is allocated and
+// nothing destroyed on the blocking path.
 func (m *Manager) park(p obj.AD, headSlot, tailSlot uint32, proc, msg obj.AD, key uint32) *obj.Fault {
 	car, f := m.carrier(p)
 	if f != nil {

@@ -136,7 +136,6 @@ func New(cfg Config) (*Engine, error) {
 		Trace:            cfg.Trace,
 		Ledger:           cfg.Ledger,
 		DeadlineDispatch: pm.PolicyNeedsDeadlineDispatch(cfg.Policy),
-		HostParallel:     cfg.HostParallel,
 		NoExecCache:      cfg.NoExecCache,
 	})
 	if err != nil {

@@ -36,7 +36,7 @@
 // — every percentile, every counter — is a pure function of (Config,
 // seed). All samplers are integer-only (no float anywhere in the engine),
 // all engine state is iterated in slice order, and the underlying driver
-// is byte-identical across its serial and parallel backends. The same
+// is byte-identical with and without its execution cache. The same
 // seed and config therefore produce a byte-identical canonical JSON
 // report, which is what makes the engine a regression test and not just
 // a load generator.
@@ -118,9 +118,8 @@ type Config struct {
 	InjectHorizon uint64
 
 	// Host backend knobs (results are byte-identical across them).
-	HostParallel bool
-	NoExecCache  bool
-	Trace        bool
+	NoExecCache bool
+	Trace       bool
 	// Ledger attaches the tamper-evident audit ledger (internal/ledger)
 	// to the trace stream; the sealed ledger's Merkle root lands in the
 	// Result, so the canonical fingerprint commits to the full event

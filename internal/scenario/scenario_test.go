@@ -108,14 +108,14 @@ func TestScenarioSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestScenarioSerialParallelDifferential runs the same scenario on the
-// serial and parallel host backends and asserts identical results AND
-// identical final world state: the reachable-object snapshots must be
-// image-equal, and the audit must pass in both worlds.
-func TestScenarioSerialParallelDifferential(t *testing.T) {
+// TestScenarioCacheDifferential runs the same scenario with and without
+// the execution cache and asserts identical results AND identical final
+// world state: the reachable-object snapshots must be image-equal, and the
+// audit must pass in both worlds.
+func TestScenarioCacheDifferential(t *testing.T) {
 	n := testSessions(t) / 2
-	serial, rs := runPreset(t, "baseline", n, 11, nil)
-	par, rp := runPreset(t, "baseline", n, 11, func(c *Config) { c.HostParallel = true })
+	cached, rs := runPreset(t, "baseline", n, 11, nil)
+	ref, rp := runPreset(t, "baseline", n, 11, func(c *Config) { c.NoExecCache = true })
 
 	bs, err := rs.CanonicalJSON()
 	if err != nil {
@@ -126,16 +126,16 @@ func TestScenarioSerialParallelDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(bs, bp) {
-		t.Fatalf("serial and parallel results diverge:\n%s\nvs\n%s", bs, bp)
+		t.Fatalf("cached and uncached results diverge:\n%s\nvs\n%s", bs, bp)
 	}
 
-	audit.Check(t, serial.IM.System)
-	audit.Check(t, par.IM.System)
+	audit.Check(t, cached.IM.System)
+	audit.Check(t, ref.IM.System)
 
-	ss := audit.SnapshotReachable(serial.IM.Table)
-	sp := audit.SnapshotReachable(par.IM.Table)
+	ss := audit.SnapshotReachable(cached.IM.Table)
+	sp := audit.SnapshotReachable(ref.IM.Table)
 	if len(ss.Images) == 0 {
-		t.Fatalf("serial snapshot captured no comparable objects")
+		t.Fatalf("cached snapshot captured no comparable objects")
 	}
 	if len(ss.Images) != len(sp.Images) {
 		t.Fatalf("snapshot sizes diverge: %d vs %d", len(ss.Images), len(sp.Images))
@@ -143,16 +143,16 @@ func TestScenarioSerialParallelDifferential(t *testing.T) {
 	for idx, a := range ss.Images {
 		b, ok := sp.Images[idx]
 		if !ok {
-			t.Fatalf("object %d present only in serial world", idx)
+			t.Fatalf("object %d present only in cached world", idx)
 		}
 		if a.Type != b.Type || a.Gen != b.Gen || a.Level != b.Level ||
 			a.DataLen != b.DataLen || a.AccessSlots != b.AccessSlots ||
 			!bytes.Equal(a.Data, b.Data) || !bytes.Equal(a.Access, b.Access) {
-			t.Fatalf("object %d diverges between serial and parallel worlds", idx)
+			t.Fatalf("object %d diverges between cached and uncached worlds", idx)
 		}
 	}
-	if serial.IM.Now() != par.IM.Now() {
-		t.Fatalf("final virtual time diverges: %v vs %v", serial.IM.Now(), par.IM.Now())
+	if cached.IM.Now() != ref.IM.Now() {
+		t.Fatalf("final virtual time diverges: %v vs %v", cached.IM.Now(), ref.IM.Now())
 	}
 }
 
