@@ -71,19 +71,6 @@ func Run(id string) (*Result, error) {
 	return r()
 }
 
-// RunAll executes every experiment in id order.
-func RunAll() ([]*Result, error) {
-	var out []*Result
-	for _, id := range IDs() {
-		res, err := Run(id)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", id, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // row formats a table row.
 func row(cols ...any) []string {
 	out := make([]string, len(cols))

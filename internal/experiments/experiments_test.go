@@ -23,8 +23,7 @@ func TestUnknownID(t *testing.T) {
 }
 
 // TestFastExperimentsPass runs the quick experiments end to end; the
-// slower sweeps (E3, E6, E8, E9) are covered by cmd/imaxbench and the
-// benchmark suite, and individually below with -short gating.
+// slower ones run in TestSlowExperimentsPass, which -short skips.
 func TestFastExperimentsPass(t *testing.T) {
 	for _, id := range []string{"E1", "E7", "E10", "E11", "E12", "E13"} {
 		id := id

@@ -208,9 +208,9 @@ func TestShardSoakCrossNodeAccounting(t *testing.T) {
 	}
 }
 
-// TestShardScaleOut is the acceptance property behind BENCH_shard.json:
-// the same saturating arrival schedule completes at materially higher
-// aggregate throughput on four nodes than on one.
+// TestShardScaleOut is the scale-out acceptance property (DESIGN.md
+// §10.4): the same saturating arrival schedule completes at materially
+// higher aggregate throughput on four nodes than on one.
 func TestShardScaleOut(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale-out: skipped in -short")
