@@ -84,20 +84,11 @@ type Config struct {
 	// as the trace log's sink, sealing the full event stream into
 	// Merkle-chained segments. Implies Trace.
 	Ledger bool
-	// LedgerSegmentEvents is the records-per-segment size; 0 means
-	// ledger.DefaultSegmentEvents.
-	LedgerSegmentEvents int
-	// LedgerQueueCap bounds the ledger's pending-event queue; 0 means
-	// ledger.DefaultQueueCap.
-	LedgerQueueCap int
 
 	// DeadlineDispatch selects the driver's deadline-ordered (aging)
 	// dispatching discipline instead of strict priority order — the
 	// dispatching half of the pm "deadline" policy selection.
 	DeadlineDispatch bool
-	// DeadlineBase is the deadline period scaled by priority; 0 takes
-	// the driver default.
-	DeadlineBase vtime.Cycles
 
 	// NoExecCache disables the per-processor execution cache (see
 	// internal/gdp); results are byte-identical either way, so this is a
@@ -158,7 +149,6 @@ func Boot(cfg Config) (*IMAX, error) {
 		Processors:       cfg.Processors,
 		MemoryBytes:      cfg.MemoryBytes,
 		DeadlineDispatch: cfg.DeadlineDispatch,
-		DeadlineBase:     cfg.DeadlineBase,
 		NoExecCache:      cfg.NoExecCache,
 		NoTraceJIT:       cfg.NoTraceJIT,
 	})
@@ -174,10 +164,7 @@ func Boot(cfg Config) (*IMAX, error) {
 	if cfg.Trace || cfg.Ledger {
 		im.TraceLog = trace.New(cfg.TraceCapacity)
 		if cfg.Ledger {
-			im.Ledger = ledger.NewSink(ledger.Config{
-				SegmentEvents: cfg.LedgerSegmentEvents,
-				QueueCap:      cfg.LedgerQueueCap,
-			})
+			im.Ledger = ledger.NewSink(ledger.Config{})
 			im.TraceLog.SetSink(im.Ledger)
 		}
 		sys.SetTracer(im.TraceLog)

@@ -25,7 +25,7 @@ type Arrival string
 const (
 	// Poisson arrivals: independent exponential inter-arrival gaps.
 	Poisson Arrival = "poisson"
-	// Bursty arrivals: sessions arrive in trains of BurstLen — a long
+	// Bursty arrivals: sessions arrive in trains of burstLen — a long
 	// exponential gap buys the whole train, then its members follow at
 	// half the mean gap. The long-run rate matches Poisson at the same
 	// MeanGap; the short-run rate inside a train is ~2× that.
@@ -69,16 +69,16 @@ func expGap(r *rand.Rand, mean vtime.Cycles) vtime.Cycles {
 
 // arrivalTimes precomputes the n session arrival instants of the
 // process. Instants are non-decreasing by construction.
-func arrivalTimes(r *rand.Rand, kind Arrival, n int, mean vtime.Cycles, burstLen int) []vtime.Cycles {
+func arrivalTimes(r *rand.Rand, kind Arrival, n int, mean vtime.Cycles) []vtime.Cycles {
 	out := make([]vtime.Cycles, n)
 	var t vtime.Cycles
 	for i := 0; i < n; i++ {
 		switch {
-		case kind == Bursty && burstLen > 1 && i%burstLen == 0:
+		case kind == Bursty && i%burstLen == 0:
 			// The gap between trains carries half the train's rate
 			// budget; in-train gaps at mean/2 carry the other half.
-			t += expGap(r, mean*vtime.Cycles(burstLen)/2)
-		case kind == Bursty && burstLen > 1:
+			t += expGap(r, mean*burstLen/2)
+		case kind == Bursty:
 			t += expGap(r, mean/2)
 		default:
 			t += expGap(r, mean)

@@ -4,16 +4,12 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/gdp"
 	"repro/internal/inject"
 	"repro/internal/obj"
 	"repro/internal/pm"
-	"repro/internal/port"
 	"repro/internal/vtime"
-	"repro/internal/workload"
 )
 
 // Session is one simulated user: its class, its session object, and its
@@ -34,26 +30,6 @@ type Session struct {
 	issueAt []vtime.Cycles
 	// thinks are the pre-drawn think gaps before requests 1..n-1.
 	thinks []vtime.Cycles
-}
-
-// ClassRt is the built runtime of one class: its server pool, request
-// port and measurement state.
-type ClassRt struct {
-	Class
-	ReqPort   obj.AD
-	Servers   []obj.AD
-	Domain    obj.AD
-	Callee    obj.AD
-	Hist      vtime.Hist
-	Sessions  int
-	Issued    uint64
-	Completed uint64
-	Censored  uint64
-	Deferred  uint64
-
-	// pending is the engine-side overflow queue: sessions whose send
-	// found the request port full. Open-loop latency includes this wait.
-	pending []int32
 }
 
 // event is one scheduled engine action: issue session sid's next request.
@@ -82,6 +58,22 @@ func (h *eventHeap) Pop() any {
 	return x
 }
 
+// agenda is an engine's schedule of request instants, ordered by instant
+// and then by push order, plus the latest instant ever scheduled — the
+// drain deadline runs from there.
+type agenda struct {
+	events        eventHeap
+	seq           uint64
+	lastScheduled vtime.Cycles
+}
+
+// push schedules session sid's next request at instant at.
+func (a *agenda) push(at vtime.Cycles, sid int32) {
+	heap.Push(&a.events, event{at: at, seq: a.seq, sid: sid})
+	a.seq++
+	a.lastScheduled = max(a.lastScheduled, at)
+}
+
 // anchorSlots is the access-slot count of the anchor blocks that chain
 // every session object (and the class domains) to the system directory:
 // slot 0 links to the next block. Anchoring makes the whole session
@@ -89,32 +81,25 @@ func (h *eventHeap) Pop() any {
 // sees it and damage confinement can be asserted over session bytes.
 const anchorSlots = 64
 
-// Engine is a built scenario ready to run once.
+// Engine is a built single-machine scenario ready to run once: one node
+// and the event loop that observes it at IM.Now().
 type Engine struct {
 	Cfg Config
-	IM  *core.IMAX
-	Sel *pm.Selection
+	node
 	Inj *inject.Injector
 
-	Sessions  []Session
-	Classes   []ClassRt
-	ReplyPort obj.AD
-	// FaultPort parks servers that fault when no swapping fault service
-	// is configured (under swapping, servers use IM.SegFaultPort).
-	FaultPort  obj.AD
+	Sessions   []Session
 	AnchorHead obj.AD
 
-	byObj         map[obj.Index]int32
-	events        eventHeap
-	seq           uint64
-	all           vtime.Hist
-	totIssued     uint64
-	totCompleted  uint64
-	totCensored   uint64
-	alien         uint64
-	lastScheduled vtime.Cycles
-	lastCompact   vtime.Cycles
-	ran           bool
+	agenda
+	byObj        map[obj.Index]int32
+	all          vtime.Hist
+	totIssued    uint64
+	totCompleted uint64
+	totCensored  uint64
+	alien        uint64
+	lastCompact  vtime.Cycles
+	ran          bool
 }
 
 // New boots a system for the configuration and builds the full scenario:
@@ -125,8 +110,8 @@ type Engine struct {
 // which keeps object-table index assignment identical between an
 // injected run and its fault-free reference.
 func New(cfg Config) (*Engine, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	var err error
+	if cfg.Load, err = cfg.Load.resolve(cfg.Swapping); err != nil {
 		return nil, err
 	}
 	im, err := core.Boot(core.Config{
@@ -141,124 +126,40 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: boot: %w", cfg.Name, err)
 	}
-	e := &Engine{Cfg: cfg, IM: im, byObj: make(map[obj.Index]int32, cfg.Sessions)}
-
-	sel, err := pm.Select(cfg.Policy, im.PM, cfg.FairQuantum)
-	if err != nil {
-		return nil, err
-	}
-	e.Sel = sel
-
-	fail := func(what string, f *obj.Fault) error {
-		return fmt.Errorf("scenario %q: %s: %v", cfg.Name, what, f)
-	}
-	reply, f := im.Ports.Create(im.Heap, 256, port.FIFO)
-	if f != nil {
-		return nil, fail("reply port", f)
-	}
-	e.ReplyPort = reply
-
-	faultPort := im.SegFaultPort
-	if !cfg.Swapping {
-		totalServers := 0
-		for _, cl := range cfg.Classes {
-			totalServers += cl.Servers
-		}
-		capacity := uint16(totalServers + 8)
-		fp, f := im.Ports.Create(im.Heap, capacity, port.FIFO)
-		if f != nil {
-			return nil, fail("fault port", f)
-		}
-		e.FaultPort = fp
-		faultPort = fp
+	e := &Engine{Cfg: cfg, node: node{IM: im}, byObj: make(map[obj.Index]int32, cfg.Sessions)}
+	if err := e.build(&cfg.Load); err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", cfg.Name, err)
 	}
 
-	// Server pools, spawned through the pm layer under the policy.
-	for _, cl := range cfg.Classes {
-		dom, callee, f := workload.NewServerDomain(im.System, cl.Spec)
-		if f != nil {
-			return nil, fail("server domain", f)
-		}
-		req, f := im.Ports.Create(im.Heap, cfg.PortCapacity, port.FIFO)
-		if f != nil {
-			return nil, fail("request port", f)
-		}
-		rt := ClassRt{Class: cl, ReqPort: req, Domain: dom, Callee: callee}
-		for s := 0; s < cl.Servers; s++ {
-			p, f := im.PM.CreateProcess(dom, obj.NilAD, gdp.SpawnSpec{
-				Priority:  cl.Priority,
-				TimeSlice: cl.TimeSlice,
-				FaultPort: faultPort,
-				AArgs:     [4]obj.AD{callee, obj.NilAD, req, reply},
-			})
-			if f != nil {
-				return nil, fail("spawn server", f)
-			}
-			if f := sel.Adopt(p); f != nil {
-				return nil, fail("adopt server", f)
-			}
-			rt.Servers = append(rt.Servers, p)
-		}
-		e.Classes = append(e.Classes, rt)
-	}
-	if f := sel.Launch(cfg.RebalanceEvery, 14); f != nil {
-		return nil, fail("launch policy", f)
-	}
-
-	// Session population: class assignment, session objects, arrival
-	// schedule and think gaps, each from its own seeded stream so adding
-	// draws to one axis never perturbs another.
-	rngClass := rand.New(rand.NewSource(cfg.Seed ^ 0x5e551017))
-	rngArr := rand.New(rand.NewSource(cfg.Seed ^ 0x0a221e5d))
-	rngThink := rand.New(rand.NewSource(cfg.Seed ^ 0x7d1c4ab3))
-	arr := arrivalTimes(rngArr, cfg.Arrival, cfg.Sessions, cfg.MeanGap, cfg.BurstLen)
-	totW := 0
-	for _, cl := range cfg.Classes {
-		totW += cl.Weight
-	}
 	var anchored []obj.AD
 	e.Sessions = make([]Session, cfg.Sessions)
-	for i := range e.Sessions {
-		ci, w := 0, rngClass.Intn(totW)
-		for w >= cfg.Classes[ci].Weight {
-			w -= cfg.Classes[ci].Weight
-			ci++
-		}
+	err = population(&cfg.Load, func(i, class int, arrive vtime.Cycles, thinks []vtime.Cycles) error {
 		so, f := im.MM.Allocate(im.Heap, obj.CreateSpec{
 			Type:    obj.TypeGeneric,
 			DataLen: cfg.SessionData,
 		})
 		if f != nil {
-			return nil, fail(fmt.Sprintf("session %d object", i), f)
+			return fmt.Errorf("scenario %q: session %d object: %v", cfg.Name, i, f)
 		}
-		s := Session{Class: ci, Obj: so, Arrive: arr[i]}
-		if n := cfg.RequestsPerSession - 1; n > 0 {
-			s.thinks = make([]vtime.Cycles, n)
-			for j := range s.thinks {
-				s.thinks[j] = expGap(rngThink, cfg.ThinkMean)
-			}
-		}
-		e.Sessions[i] = s
+		e.Sessions[i] = Session{Class: class, Obj: so, Arrive: arrive, thinks: thinks}
 		e.byObj[so.Index] = int32(i)
-		e.Classes[ci].Sessions++
+		e.Classes[class].Sessions++
 		anchored = append(anchored, so)
 
-		e.push(arr[i], int32(i))
-		if arr[i] > e.lastScheduled {
-			e.lastScheduled = arr[i]
-		}
+		e.push(arrive, int32(i))
 		if cfg.OpenLoop {
 			// Pure open loop: every request instant is fixed up
 			// front, independent of completions.
-			at := arr[i]
-			for _, th := range e.Sessions[i].thinks {
+			at := arrive
+			for _, th := range thinks {
 				at += th
 				e.push(at, int32(i))
-				if at > e.lastScheduled {
-					e.lastScheduled = at
-				}
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, rt := range e.Classes {
 		anchored = append(anchored, rt.Domain)
@@ -273,13 +174,13 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.InjectEvents > 0 {
 		chaosHeap, f := im.MM.NewHeap(1 << 20)
 		if f != nil {
-			return nil, fail("chaos heap", f)
+			return nil, fmt.Errorf("scenario %q: chaos heap: %v", cfg.Name, f)
 		}
 		var reqPorts []obj.AD
 		for _, rt := range e.Classes {
 			reqPorts = append(reqPorts, rt.ReqPort)
 		}
-		plan := inject.NewPlan(cfg.InjectSeed, cfg.InjectHorizon, cfg.InjectEvents)
+		plan := inject.NewPlan(cfg.InjectSeed, injectHorizon, cfg.InjectEvents)
 		e.Inj = inject.New(plan, inject.Env{
 			Swapper:    im.Swapper,
 			FloodPorts: reqPorts,
@@ -330,45 +231,15 @@ func (e *Engine) buildAnchors(ads []obj.AD) error {
 	return nil
 }
 
-func (e *Engine) push(at vtime.Cycles, sid int32) {
-	heap.Push(&e.events, event{at: at, seq: e.seq, sid: sid})
-	e.seq++
-}
-
-// issue schedules session sid's next request at instant at: the latency
+// issue starts session sid's next request at instant at: the latency
 // clock starts now, whether or not the request port has room.
 func (e *Engine) issue(sid int32, at vtime.Cycles) {
 	s := &e.Sessions[sid]
-	cl := &e.Classes[s.Class]
 	s.Issued++
-	cl.Issued++
+	e.Classes[s.Class].Issued++
 	e.totIssued++
 	s.issueAt = append(s.issueAt, at)
-	if len(cl.pending) > 0 {
-		cl.pending = append(cl.pending, sid)
-		cl.Deferred++
-		return
-	}
-	ok, f := e.IM.SendMessage(cl.ReqPort, s.Obj, 0)
-	if f != nil || !ok {
-		cl.pending = append(cl.pending, sid)
-		cl.Deferred++
-	}
-}
-
-// flushPending retries deferred sends in FIFO order, per class.
-func (e *Engine) flushPending() {
-	for ci := range e.Classes {
-		cl := &e.Classes[ci]
-		for len(cl.pending) > 0 {
-			sid := cl.pending[0]
-			ok, f := e.IM.SendMessage(cl.ReqPort, e.Sessions[sid].Obj, 0)
-			if f != nil || !ok {
-				break
-			}
-			cl.pending = cl.pending[1:]
-		}
-	}
+	e.send(s.Class, s.Obj)
 }
 
 // drainReplies observes completions: every message on the reply port is
@@ -405,11 +276,7 @@ func (e *Engine) drainReplies() *obj.Fault {
 		cl.Completed++
 		e.totCompleted++
 		if !e.Cfg.OpenLoop && s.Issued < e.Cfg.RequestsPerSession {
-			next := now + s.thinks[s.Issued-1]
-			e.push(next, sid)
-			if next > e.lastScheduled {
-				e.lastScheduled = next
-			}
+			e.push(now+s.thinks[s.Issued-1], sid)
 		}
 	}
 }
@@ -464,7 +331,7 @@ func (e *Engine) Run() (*Result, error) {
 			ev := heap.Pop(&e.events).(event)
 			e.issue(ev.sid, ev.at)
 		}
-		e.flushPending()
+		e.flush()
 		deadline := e.lastScheduled + e.Cfg.DrainBudget
 		if e.events.Len() == 0 && e.totCompleted+e.totCensored == e.totIssued {
 			break
@@ -473,7 +340,7 @@ func (e *Engine) Run() (*Result, error) {
 			e.censor(deadline)
 			break
 		}
-		worked, f := e.IM.Step(e.Cfg.StepQuantum)
+		worked, f := e.IM.Step(stepQuantum)
 		if f != nil {
 			return nil, fmt.Errorf("scenario %q: system fault at %v: %v", e.Cfg.Name, e.IM.Now(), f)
 		}
@@ -488,25 +355,16 @@ func (e *Engine) Run() (*Result, error) {
 			if e.events.Len() > 0 && e.events[0].at < t {
 				t = e.events[0].at
 			}
-			if e.IM.TimersPending() > 0 {
-				if nt := e.IM.NextTimer(); nt < t {
-					t = nt
-				}
-			}
+			t = e.wake(t)
 			if e.Cfg.CompactEvery > 0 && e.IM.Swapper != nil {
 				if ca := e.lastCompact + e.Cfg.CompactEvery; ca < t {
 					t = ca
 				}
 			}
 			if t <= now {
-				t = now + e.Cfg.StepQuantum
+				t = now + stepQuantum
 			}
-			for _, cpu := range e.IM.CPUs {
-				if n := cpu.Clock.Now(); t > n {
-					cpu.Clock.AdvanceTo(t)
-					cpu.IdleCycles += t - n
-				}
-			}
+			e.advance(t)
 		}
 		e.maybeCompact()
 	}

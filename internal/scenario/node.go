@@ -1,0 +1,197 @@
+package scenario
+
+// node.go: what the single-machine engine and the cluster engine share —
+// an Engine is one node plus its event loop, a ShardEngine is N nodes plus
+// the lockstep loop and the wire — and the one seeded population both draw.
+
+import (
+	"fmt"
+	"math/rand"
+
+	"repro/internal/core"
+	"repro/internal/gdp"
+	"repro/internal/obj"
+	"repro/internal/pm"
+	"repro/internal/port"
+	"repro/internal/vtime"
+	"repro/internal/workload"
+)
+
+// ClassRt is the built runtime of one class on one machine: its server
+// pool, request port and overflow backlog, and (single-machine engine
+// only; the cluster measures per class across nodes) its measurements.
+type ClassRt struct {
+	Class
+	ReqPort   obj.AD
+	Servers   []obj.AD
+	Domain    obj.AD
+	Callee    obj.AD
+	Hist      vtime.Hist
+	Sessions  int
+	Issued    uint64
+	Completed uint64
+	Censored  uint64
+	Deferred  uint64
+
+	// pending is the engine-side overflow queue: objects whose send
+	// found the request port full. Open-loop latency includes this wait.
+	pending []obj.AD
+}
+
+// node is one machine's engine-side state.
+type node struct {
+	IM        *core.IMAX
+	Sel       *pm.Selection
+	Classes   []ClassRt
+	ReplyPort obj.AD
+	// FaultPort parks servers that fault when no swapping fault service
+	// is configured (under swapping, servers use IM.SegFaultPort).
+	FaultPort obj.AD
+}
+
+// build creates the machine's server side under the load's policy. The
+// creation order (policy select, reply port, fault port unless swapping,
+// then per class: domain, request port, servers; then launch) assigns
+// object-table indices and is in the traced set-up, so it is part of the
+// determinism contract.
+func (n *node) build(l *Load) error {
+	im := n.IM
+	sel, err := pm.Select(l.Policy, im.PM, fairQuantum)
+	if err != nil {
+		return err
+	}
+	n.Sel = sel
+
+	reply, f := im.Ports.Create(im.Heap, 256, port.FIFO)
+	if f != nil {
+		return fmt.Errorf("reply port: %v", f)
+	}
+	n.ReplyPort = reply
+
+	faultPort := im.SegFaultPort
+	if im.Swapper == nil {
+		totalServers := 0
+		for _, cl := range l.Classes {
+			totalServers += cl.Servers
+		}
+		fp, f := im.Ports.Create(im.Heap, uint16(totalServers+8), port.FIFO)
+		if f != nil {
+			return fmt.Errorf("fault port: %v", f)
+		}
+		n.FaultPort = fp
+		faultPort = fp
+	}
+
+	// Server pools, spawned through the pm layer under the policy.
+	for _, cl := range l.Classes {
+		dom, callee, f := workload.NewServerDomain(im.System, cl.Spec)
+		if f != nil {
+			return fmt.Errorf("server domain: %v", f)
+		}
+		req, f := im.Ports.Create(im.Heap, portCapacity, port.FIFO)
+		if f != nil {
+			return fmt.Errorf("request port: %v", f)
+		}
+		rt := ClassRt{Class: cl, ReqPort: req, Domain: dom, Callee: callee}
+		for s := 0; s < cl.Servers; s++ {
+			p, f := im.PM.CreateProcess(dom, obj.NilAD, gdp.SpawnSpec{
+				Priority:  cl.Priority,
+				TimeSlice: cl.TimeSlice,
+				FaultPort: faultPort,
+				AArgs:     [4]obj.AD{callee, obj.NilAD, req, reply},
+			})
+			if f != nil {
+				return fmt.Errorf("spawn server: %v", f)
+			}
+			if f := sel.Adopt(p); f != nil {
+				return fmt.Errorf("adopt server: %v", f)
+			}
+			rt.Servers = append(rt.Servers, p)
+		}
+		n.Classes = append(n.Classes, rt)
+	}
+	if f := sel.Launch(rebalanceEvery, 14); f != nil {
+		return fmt.Errorf("launch policy: %v", f)
+	}
+	return nil
+}
+
+// send enqueues an object on a class's request port, spilling to the
+// FIFO backlog when the port is full (or the backlog is not yet empty).
+func (n *node) send(class int, ad obj.AD) {
+	cl := &n.Classes[class]
+	if len(cl.pending) == 0 {
+		if ok, f := n.IM.SendMessage(cl.ReqPort, ad, 0); f == nil && ok {
+			return
+		}
+	}
+	cl.pending = append(cl.pending, ad)
+	cl.Deferred++
+}
+
+// flush retries deferred sends in FIFO order, per class.
+func (n *node) flush() {
+	for ci := range n.Classes {
+		cl := &n.Classes[ci]
+		for len(cl.pending) > 0 {
+			ok, f := n.IM.SendMessage(cl.ReqPort, cl.pending[0], 0)
+			if f != nil || !ok {
+				break
+			}
+			cl.pending = cl.pending[1:]
+		}
+	}
+}
+
+// advance moves every processor clock that is behind t up to t, the way
+// gdp.Run advances an idle machine to its next timer.
+func (n *node) advance(t vtime.Cycles) {
+	for _, cpu := range n.IM.CPUs {
+		if now := cpu.Clock.Now(); t > now {
+			cpu.Clock.AdvanceTo(t)
+			cpu.IdleCycles += t - now
+		}
+	}
+}
+
+// wake is the earlier of t and the machine's next pending timer.
+func (n *node) wake(t vtime.Cycles) vtime.Cycles {
+	if n.IM.TimersPending() > 0 {
+		t = min(t, n.IM.NextTimer())
+	}
+	return t
+}
+
+// population draws the seeded session population in session order and
+// hands each session to each: its class, its arrival instant and the
+// think gaps before its requests 1..n-1 (each owns the slice). Class,
+// arrival and think draws come from three streams of the seed, so adding
+// draws to one axis never perturbs another.
+func population(l *Load, each func(i, class int, arrive vtime.Cycles, thinks []vtime.Cycles) error) error {
+	rngClass := rand.New(rand.NewSource(l.Seed ^ 0x5e551017))
+	rngArr := rand.New(rand.NewSource(l.Seed ^ 0x0a221e5d))
+	rngThink := rand.New(rand.NewSource(l.Seed ^ 0x7d1c4ab3))
+	arr := arrivalTimes(rngArr, l.Arrival, l.Sessions, l.MeanGap)
+	totW := 0
+	for _, cl := range l.Classes {
+		totW += cl.Weight
+	}
+	for i, at := range arr {
+		ci, w := 0, rngClass.Intn(totW)
+		for w >= l.Classes[ci].Weight {
+			w -= l.Classes[ci].Weight
+			ci++
+		}
+		var thinks []vtime.Cycles
+		if n := l.RequestsPerSession - 1; n > 0 {
+			thinks = make([]vtime.Cycles, n)
+			for j := range thinks {
+				thinks[j] = expGap(rngThink, l.ThinkMean)
+			}
+		}
+		if err := each(i, ci, at, thinks); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -56,7 +56,7 @@ type ClassReport struct {
 // Result is the complete, deterministic outcome of a scenario run: a
 // pure function of the scenario Config. It deliberately contains no host
 // wall-clock quantity — host throughput is measured around Run by the
-// caller (imaxbench) so the Result itself can be compared byte-for-byte.
+// caller (benchmark/) so the Result itself can be compared byte-for-byte.
 type Result struct {
 	Name               string `json:"name"`
 	Seed               int64  `json:"seed"`
@@ -186,18 +186,22 @@ func (e *Engine) result() *Result {
 // CanonicalJSON renders the result in its canonical byte form: indented
 // JSON with a trailing newline. Two runs of the same Config produce
 // identical bytes.
-func (r *Result) CanonicalJSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
+func (r *Result) CanonicalJSON() ([]byte, error) { return canonicalJSON(r) }
+
+// Fingerprint is the hex SHA-256 of the canonical JSON — a compact
+// determinism witness for logs and self-checks.
+func (r *Result) Fingerprint() string { return fingerprint(r) }
+
+func canonicalJSON(v any) ([]byte, error) {
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(b, '\n'), nil
 }
 
-// Fingerprint is the hex SHA-256 of the canonical JSON — a compact
-// determinism witness for logs and self-checks.
-func (r *Result) Fingerprint() string {
-	b, err := r.CanonicalJSON()
+func fingerprint(v any) string {
+	b, err := canonicalJSON(v)
 	if err != nil {
 		return "unmarshalable:" + err.Error()
 	}

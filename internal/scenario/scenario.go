@@ -1,6 +1,8 @@
-// Package scenario is the open-loop workload engine: it drives 10⁴–10⁶
-// simulated user sessions against a configured iMAX system and measures
-// per-request latency in virtual time with SLO-grade percentiles.
+// Package scenario is the open-loop workload engine: it drives 10³–10⁶
+// simulated user sessions against a configured iMAX system — one machine
+// (Engine) or a lockstep cluster of them (ShardEngine, N of the same node)
+// — and measures per-request latency in virtual time with SLO-grade
+// percentiles.
 //
 // Every experiment in internal/experiments is closed-loop: a fixed
 // population of processes runs to completion and throughput is reported.
@@ -29,7 +31,7 @@
 // time to the next arrival the way gdp.Run advances to the next timer.
 // Completions are observed at Step boundaries, so individual latencies
 // carry a bounded measurement granularity of one step quantum; the
-// quantum is part of the configuration and therefore of the determinism
+// quantum is a constant of the package and part of the determinism
 // contract.
 //
 // Determinism is a hard property, not an aspiration: a scenario's Result
@@ -44,7 +46,9 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
+	"repro/internal/obj"
 	"repro/internal/vtime"
 	"repro/internal/workload"
 )
@@ -66,9 +70,10 @@ type Class struct {
 	Spec workload.ServerSpec
 }
 
-// Config fully determines a scenario. Result is a pure function of this
-// struct: two runs of the same Config produce identical Results.
-type Config struct {
+// Load is the part of a scenario that is the same question on one machine
+// and on a cluster: who arrives, when, what they ask for, and the shape of
+// the machine (each machine, on a cluster) that serves them.
+type Load struct {
 	Name string
 	Seed int64
 
@@ -77,45 +82,59 @@ type Config struct {
 	Sessions           int
 	RequestsPerSession int
 
-	// Processors and MemoryBytes configure the machine (defaults 4 and
-	// the driver default). Small MemoryBytes plus Swapping puts the
-	// memory manager on the request path.
+	// Processors and MemoryBytes configure the machine (default 4
+	// processors). MemoryBytes 0 sizes a non-swapping machine from the
+	// session population, never below the driver's 16 MB; a small
+	// MemoryBytes plus Config.Swapping puts the memory manager on the
+	// request path.
 	Processors  int
 	MemoryBytes uint32
-	Swapping    bool
-	// CompactEvery runs mm compaction each time virtual time advances
-	// that far (0: never) — segment motion under live load.
-	CompactEvery vtime.Cycles
 
 	// Arrival selects the arrival process; MeanGap is the mean session
-	// inter-arrival gap in cycles; BurstLen sizes bursty trains.
-	Arrival  Arrival
-	MeanGap  vtime.Cycles
-	BurstLen int
+	// inter-arrival gap in cycles.
+	Arrival Arrival
+	MeanGap vtime.Cycles
 	// ThinkMean is the mean think gap between a session's requests.
 	ThinkMean vtime.Cycles
-	// OpenLoop fixes every request instant from the seed alone (pure
-	// open loop). Otherwise the engine is partly open: sessions arrive
-	// open-loop but think times run from observed completions.
-	OpenLoop bool
 
-	// Classes is the session mix (required).
+	// Classes is the session mix (required). On a cluster every node
+	// hosts a server pool per class, so adding nodes adds capacity.
 	Classes []Class
 	// SessionData is the session object size in bytes (default 64;
 	// must cover 4×max Touches).
 	SessionData uint32
 
-	// Policy selects the pm scheduling policy by name (pm.Select);
-	// FairQuantum and RebalanceEvery parameterise the fair scheduler.
-	Policy         string
-	FairQuantum    uint32
-	RebalanceEvery vtime.Cycles
+	// Policy selects the pm scheduling policy by name (pm.Select).
+	Policy string
+
+	// DrainBudget bounds the run past the last scheduled instant;
+	// requests still unfinished then are censored at the deadline
+	// rather than waited for — degraded-but-bounded reporting under
+	// faults (default 20,000,000 cycles).
+	DrainBudget vtime.Cycles
+}
+
+// Config fully determines a single-machine scenario. Result is a pure
+// function of this struct: two runs of the same Config produce identical
+// Results.
+type Config struct {
+	Load
+
+	// Swapping selects the swapping memory manager.
+	Swapping bool
+	// CompactEvery runs mm compaction each time virtual time advances
+	// that far (0: never) — segment motion under live load.
+	CompactEvery vtime.Cycles
+
+	// OpenLoop fixes every request instant from the seed alone (pure
+	// open loop). Otherwise the engine is partly open: sessions arrive
+	// open-loop but think times run from observed completions.
+	OpenLoop bool
 
 	// InjectEvents > 0 arms the fault injector with a plan of that many
-	// events from InjectSeed over InjectHorizon instructions.
-	InjectSeed    int64
-	InjectEvents  int
-	InjectHorizon uint64
+	// events from InjectSeed over the first injectHorizon instructions.
+	InjectSeed   int64
+	InjectEvents int
 
 	// Host backend knobs (results are byte-identical across them).
 	NoExecCache bool
@@ -125,83 +144,104 @@ type Config struct {
 	// Result, so the canonical fingerprint commits to the full event
 	// history of the run.
 	Ledger bool
-
-	// StepQuantum is the driver step size, which is also the completion
-	// measurement granularity (default 2000 cycles).
-	StepQuantum vtime.Cycles
-	// DrainBudget bounds the run past the last scheduled instant;
-	// requests still unfinished then are censored at the deadline
-	// rather than waited for — degraded-but-bounded reporting under
-	// faults (default 20,000,000 cycles).
-	DrainBudget vtime.Cycles
-	// PortCapacity sizes the request ports (default 64).
-	PortCapacity uint16
 }
+
+// Values no caller of either engine ever varied. They are part of the
+// determinism contract (every pinned fingerprint was taken at them), so
+// they are constants, not options.
+const (
+	// stepQuantum is the driver step size, which is also the completion
+	// measurement granularity and, on a cluster, the lockstep grid and
+	// the wire latency.
+	stepQuantum vtime.Cycles = 2_000
+	// portCapacity sizes the request ports.
+	portCapacity uint16 = 64
+	// burstLen sizes bursty arrival trains.
+	burstLen = 64
+	// fairQuantum and rebalanceEvery parameterise the fair scheduler.
+	fairQuantum    uint32       = 2_000
+	rebalanceEvery vtime.Cycles = 20_000
+	// injectHorizon is the instruction window an injection plan covers.
+	injectHorizon uint64 = 200_000
+)
 
 // withDefaults fills zero fields; it never mutates the receiver.
-func (c Config) withDefaults() Config {
-	if c.RequestsPerSession == 0 {
-		c.RequestsPerSession = 1
+func (l Load) withDefaults() Load {
+	if l.RequestsPerSession == 0 {
+		l.RequestsPerSession = 1
 	}
-	if c.Processors == 0 {
-		c.Processors = 4
+	if l.Processors == 0 {
+		l.Processors = 4
 	}
-	if c.Arrival == "" {
-		c.Arrival = Poisson
+	if l.Arrival == "" {
+		l.Arrival = Poisson
 	}
-	if c.MeanGap == 0 {
-		c.MeanGap = 500
+	if l.MeanGap == 0 {
+		l.MeanGap = 500
 	}
-	if c.BurstLen == 0 {
-		c.BurstLen = 64
+	if l.ThinkMean == 0 {
+		l.ThinkMean = 10_000
 	}
-	if c.ThinkMean == 0 {
-		c.ThinkMean = 10_000
+	if l.SessionData == 0 {
+		l.SessionData = 64
 	}
-	if c.SessionData == 0 {
-		c.SessionData = 64
+	if l.Policy == "" {
+		l.Policy = "null"
 	}
-	if c.Policy == "" {
-		c.Policy = "null"
+	if l.DrainBudget == 0 {
+		l.DrainBudget = 20_000_000
 	}
-	if c.FairQuantum == 0 {
-		c.FairQuantum = 2_000
-	}
-	if c.RebalanceEvery == 0 {
-		c.RebalanceEvery = 20_000
-	}
-	if c.InjectHorizon == 0 {
-		c.InjectHorizon = 200_000
-	}
-	if c.StepQuantum == 0 {
-		c.StepQuantum = 2_000
-	}
-	if c.DrainBudget == 0 {
-		c.DrainBudget = 20_000_000
-	}
-	if c.PortCapacity == 0 {
-		c.PortCapacity = 64
-	}
-	return c
+	return l
 }
 
-func (c Config) validate() error {
-	if c.Sessions <= 0 {
-		return fmt.Errorf("scenario %q: Sessions must be positive", c.Name)
+func (l Load) validate() error {
+	if l.Sessions <= 0 {
+		return fmt.Errorf("scenario %q: Sessions must be positive", l.Name)
 	}
-	if len(c.Classes) == 0 {
-		return fmt.Errorf("scenario %q: at least one class required", c.Name)
+	if len(l.Classes) == 0 {
+		return fmt.Errorf("scenario %q: at least one class required", l.Name)
 	}
-	for _, cl := range c.Classes {
+	for _, cl := range l.Classes {
 		if cl.Weight <= 0 || cl.Servers <= 0 {
-			return fmt.Errorf("scenario %q: class %q needs positive Weight and Servers", c.Name, cl.Name)
+			return fmt.Errorf("scenario %q: class %q needs positive Weight and Servers", l.Name, cl.Name)
 		}
-		if 4*cl.Spec.Touches > c.SessionData {
+		if 4*cl.Spec.Touches > l.SessionData {
 			return fmt.Errorf("scenario %q: class %q touches %d dwords but sessions are %d bytes",
-				c.Name, cl.Name, cl.Spec.Touches, c.SessionData)
+				l.Name, cl.Name, cl.Spec.Touches, l.SessionData)
 		}
 	}
 	return nil
+}
+
+const (
+	// defaultMemory is the machine gdp.New builds for MemoryBytes 0.
+	defaultMemory = 16 << 20
+	// memoryReserve is what a derived machine holds beyond its session
+	// population: boot objects, server pools, ports, the injector's heap
+	// and, on a cluster, the request copies in flight.
+	memoryReserve = 4 << 20
+)
+
+// resolve fills defaults, validates, and sizes a non-swapping machine
+// whose MemoryBytes is 0 to hold the whole session population and its
+// anchor blocks, never below the driver default: every population up to
+// ~170 000 × 64 B boots the 16 MB machine it always did.
+func (l Load) resolve(swapping bool) (Load, error) {
+	l = l.withDefaults()
+	if err := l.validate(); err != nil {
+		return l, err
+	}
+	if l.MemoryBytes != 0 || swapping {
+		return l, nil
+	}
+	blocks := (uint64(l.Sessions)+2*uint64(len(l.Classes)))/(anchorSlots-1) + 1
+	need := uint64(l.Sessions)*uint64(l.SessionData) + blocks*anchorSlots*obj.ADSlotSize + memoryReserve
+	if need > math.MaxUint32 {
+		return l, fmt.Errorf("scenario %q: %d sessions of %d bytes need %d bytes of memory, past the 32-bit machine",
+			l.Name, l.Sessions, l.SessionData, need)
+	}
+	l.MemoryBytes = max(uint32(need), defaultMemory)
+	return l, nil
 }
 
 // PresetNames lists the shipped scenario presets.
@@ -232,12 +272,12 @@ func Preset(name string, sessions int, seed int64) (Config, error) {
 		Priority: 3, TimeSlice: 8_000,
 		Spec: workload.ServerSpec{Demand: 400, Touches: 4, DomainCalls: 1},
 	}
-	base := Config{
+	base := Config{Load: Load{
 		Name:     name,
 		Seed:     seed,
 		Sessions: sessions,
 		Classes:  []Class{interactive, batch},
-	}
+	}}
 	switch name {
 	case "baseline":
 		return base, nil
@@ -245,7 +285,6 @@ func Preset(name string, sessions int, seed int64) (Config, error) {
 		base.Arrival = Bursty
 		return base, nil
 	case "mempressure":
-		base.Sessions = sessions
 		base.MemoryBytes = 1 << 21 // 2 MB: far below the session footprint
 		base.Swapping = true
 		base.CompactEvery = 100_000

@@ -213,3 +213,35 @@ func TestScenarioLedgerFingerprint(t *testing.T) {
 		t.Fatalf("ledger fields leaked into a ledger-less result: %+v", plain)
 	}
 }
+
+// TestScenarioPastOldCeiling: with MemoryBytes 0 the machine is sized from
+// the population, so set-up no longer stops at the 261 631 sessions of
+// 64 B that fit the driver's 16 MB — and every population the benchmark
+// and the witnesses run still boots exactly that 16 MB machine.
+func TestScenarioPastOldCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("300 000-session set-up: skipped in -short")
+	}
+	machine := func(sessions int) uint32 {
+		t.Helper()
+		cfg, err := Preset("baseline", sessions, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%d sessions: %v", sessions, err)
+		}
+		return e.IM.Table.Memory().Size()
+	}
+	if got := machine(100_000); got != defaultMemory {
+		t.Errorf("100 000 sessions booted a %d-byte machine, want the driver's %d", got, defaultMemory)
+	}
+	if got := machine(300_000); got <= defaultMemory {
+		t.Errorf("300 000 sessions booted a %d-byte machine, no larger than the driver's", got)
+	}
+	huge, _ := Preset("baseline", 1<<26, 42)
+	if _, err := New(huge); err == nil {
+		t.Error("a population past the 32-bit machine was accepted")
+	}
+}

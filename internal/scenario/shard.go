@@ -10,7 +10,7 @@
 // boundary of the run.
 //
 // Time is lockstep virtual time: every node's every processor advances
-// through the same StepQuantum grid, and wire messages shipped during
+// through the same stepQuantum grid, and wire messages shipped during
 // one step are delivered at the start of the next — a one-quantum wire
 // latency, deterministic by construction. Filing and wire work costs no
 // virtual cycles in this model (the serialization cost shows up in
@@ -28,125 +28,25 @@ import (
 	"repro/internal/audit"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/gdp"
 	"repro/internal/obj"
 	"repro/internal/pm"
-	"repro/internal/port"
 	"repro/internal/vtime"
 	"repro/internal/workload"
 )
 
 // ShardConfig fully determines a sharded scenario; ShardResult is a pure
-// function of it.
+// function of it. The Load is global — sessions arrive to the cluster,
+// their home node is a property of the session, not of the schedule —
+// except Processors and MemoryBytes, which shape each node.
 type ShardConfig struct {
-	Name string
-	Seed int64
+	Load
 
-	// Nodes is the kernel count; sessions hash across them.
+	// Nodes is the kernel count (default 2); sessions hash across them.
 	Nodes int
-	// Sessions is the total simulated user population (across nodes);
-	// each issues RequestsPerSession requests, serialized per session.
-	Sessions           int
-	RequestsPerSession int
 	// MigratePermille is the per-request probability (‰) that a request
 	// is served on a node other than its session's home. With one node
 	// there is nowhere to migrate and the knob is ignored.
 	MigratePermille int
-
-	// Per-node machine shape.
-	Processors  int
-	MemoryBytes uint32
-
-	// Arrival process (global: sessions arrive to the cluster, their
-	// home node is a property of the session, not the schedule).
-	Arrival   Arrival
-	MeanGap   vtime.Cycles
-	BurstLen  int
-	ThinkMean vtime.Cycles
-
-	// Classes is the session mix; every node hosts a server pool per
-	// class, so adding nodes adds service capacity.
-	Classes     []Class
-	SessionData uint32
-
-	Policy         string
-	FairQuantum    uint32
-	RebalanceEvery vtime.Cycles
-
-	StepQuantum  vtime.Cycles
-	DrainBudget  vtime.Cycles
-	PortCapacity uint16
-}
-
-func (c ShardConfig) withDefaults() ShardConfig {
-	if c.Nodes == 0 {
-		c.Nodes = 2
-	}
-	if c.RequestsPerSession == 0 {
-		c.RequestsPerSession = 1
-	}
-	if c.Processors == 0 {
-		c.Processors = 4
-	}
-	if c.Arrival == "" {
-		c.Arrival = Poisson
-	}
-	if c.MeanGap == 0 {
-		c.MeanGap = 500
-	}
-	if c.BurstLen == 0 {
-		c.BurstLen = 64
-	}
-	if c.ThinkMean == 0 {
-		c.ThinkMean = 10_000
-	}
-	if c.SessionData == 0 {
-		c.SessionData = 64
-	}
-	if c.Policy == "" {
-		c.Policy = "null"
-	}
-	if c.FairQuantum == 0 {
-		c.FairQuantum = 2_000
-	}
-	if c.RebalanceEvery == 0 {
-		c.RebalanceEvery = 20_000
-	}
-	if c.StepQuantum == 0 {
-		c.StepQuantum = 2_000
-	}
-	if c.DrainBudget == 0 {
-		c.DrainBudget = 20_000_000
-	}
-	if c.PortCapacity == 0 {
-		c.PortCapacity = 64
-	}
-	return c
-}
-
-func (c ShardConfig) validate() error {
-	if c.Nodes <= 0 {
-		return fmt.Errorf("shard %q: Nodes must be positive", c.Name)
-	}
-	if c.Sessions <= 0 {
-		return fmt.Errorf("shard %q: Sessions must be positive", c.Name)
-	}
-	if c.MigratePermille < 0 || c.MigratePermille > 1000 {
-		return fmt.Errorf("shard %q: MigratePermille %d outside [0,1000]", c.Name, c.MigratePermille)
-	}
-	if len(c.Classes) == 0 {
-		return fmt.Errorf("shard %q: at least one class required", c.Name)
-	}
-	for _, cl := range c.Classes {
-		if cl.Weight <= 0 || cl.Servers <= 0 {
-			return fmt.Errorf("shard %q: class %q needs positive Weight and Servers", c.Name, cl.Name)
-		}
-		if 4*cl.Spec.Touches > c.SessionData {
-			return fmt.Errorf("shard %q: class %q touches %d dwords but sessions are %d bytes",
-				c.Name, cl.Name, cl.Spec.Touches, c.SessionData)
-		}
-	}
-	return nil
 }
 
 // ShardPreset returns the standard sharded session mix scaled to a node
@@ -155,26 +55,28 @@ func (c ShardConfig) validate() error {
 // into added throughput rather than added idle.
 func ShardPreset(nodes, sessions int, seed int64) ShardConfig {
 	return ShardConfig{
-		Name:     fmt.Sprintf("shard-%dn", nodes),
-		Seed:     seed,
-		Nodes:    nodes,
-		Sessions: sessions,
-		// One request per session, arrivals well above one node's
-		// service rate: an open-loop saturation probe.
-		RequestsPerSession: 1,
-		MigratePermille:    150,
-		Processors:         4,
-		MeanGap:            60,
-		Classes: []Class{
-			{
-				Name: "interactive", Weight: 4, Servers: 8,
-				Priority: 12, TimeSlice: 3_000,
-				Spec: workload.ServerSpec{Demand: 60, Touches: 2},
-			},
-			{
-				Name: "batch", Weight: 1, Servers: 4,
-				Priority: 3, TimeSlice: 8_000,
-				Spec: workload.ServerSpec{Demand: 900, Touches: 4, DomainCalls: 1},
+		Nodes:           nodes,
+		MigratePermille: 150,
+		Load: Load{
+			Name:     fmt.Sprintf("shard-%dn", nodes),
+			Seed:     seed,
+			Sessions: sessions,
+			// One request per session, arrivals well above one node's
+			// service rate: an open-loop saturation probe.
+			RequestsPerSession: 1,
+			Processors:         4,
+			MeanGap:            60,
+			Classes: []Class{
+				{
+					Name: "interactive", Weight: 4, Servers: 8,
+					Priority: 12, TimeSlice: 3_000,
+					Spec: workload.ServerSpec{Demand: 60, Touches: 2},
+				},
+				{
+					Name: "batch", Weight: 1, Servers: 4,
+					Priority: 3, TimeSlice: 8_000,
+					Spec: workload.ServerSpec{Demand: 900, Touches: 4, DomainCalls: 1},
+				},
 			},
 		},
 	}
@@ -196,7 +98,6 @@ type shardSession struct {
 
 	inFlight bool
 	issueAt  vtime.Cycles
-	migrated bool // current request is remote
 
 	thinks []vtime.Cycles
 	// Pre-drawn per-request routing: dests[i] is the serving node of
@@ -211,23 +112,10 @@ type remoteJob struct {
 	created []obj.AD // the activated graph, for reclamation after reply
 }
 
-// shardClassRt is one class's runtime on one node.
-type shardClassRt struct {
-	ReqPort obj.AD
-	Domain  obj.AD
-	Callee  obj.AD
-	Servers []obj.AD
-	// pending queues objects whose send found the port full, FIFO.
-	pending []obj.AD
-}
-
-// shardNode is one kernel's engine-side state.
+// shardNode is one kernel's engine-side state: the node the
+// single-machine engine also runs, plus the cluster's bookkeeping.
 type shardNode struct {
-	IM        *core.IMAX
-	Sel       *pm.Selection
-	Classes   []shardClassRt
-	ReplyPort obj.AD
-	FaultPort obj.AD
+	node
 
 	// byObj maps canonical session objects homed here; remote maps
 	// activated request copies being served here.
@@ -246,17 +134,14 @@ type ShardEngine struct {
 	nodes    []*shardNode
 	sessions []shardSession
 
-	events        eventHeap
-	seq           uint64
-	now           vtime.Cycles
-	lastScheduled vtime.Cycles
+	agenda
+	now vtime.Cycles
 
 	all      vtime.Hist
 	perClass []vtime.Hist
 
 	totIssued, totCompleted, totCensored uint64
 	migIssued, migCompleted              uint64
-	deferred                             uint64
 
 	// StepHook, when set before Run, is called after every lockstep
 	// iteration — the soak tests audit cross-node accounting mid-run
@@ -270,9 +155,20 @@ type ShardEngine struct {
 // server pools under the policy, the hashed session population with
 // pre-drawn routing, and the global arrival schedule.
 func NewShard(cfg ShardConfig) (*ShardEngine, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	// A node whose MemoryBytes is 0 is sized for the whole population:
+	// the hash spreads homes evenly, but request copies land anywhere.
+	var err error
+	if cfg.Load, err = cfg.Load.resolve(false); err != nil {
 		return nil, err
+	}
+	if cfg.Nodes == 0 {
+		cfg.Nodes = 2
+	}
+	if cfg.Nodes < 0 {
+		return nil, fmt.Errorf("shard %q: Nodes must be positive", cfg.Name)
+	}
+	if cfg.MigratePermille < 0 || cfg.MigratePermille > 1000 {
+		return nil, fmt.Errorf("shard %q: MigratePermille %d outside [0,1000]", cfg.Name, cfg.MigratePermille)
 	}
 	cl, err := cluster.New(cluster.Config{
 		Nodes: cfg.Nodes,
@@ -286,84 +182,20 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 		return nil, fmt.Errorf("shard %q: %w", cfg.Name, err)
 	}
 	e := &ShardEngine{Cfg: cfg, Cluster: cl, perClass: make([]vtime.Hist, len(cfg.Classes))}
-
-	fail := func(node int, what string, f *obj.Fault) error {
-		return fmt.Errorf("shard %q: node %d: %s: %v", cfg.Name, node, what, f)
-	}
 	for ni, n := range cl.Nodes {
-		im := n.IM
-		sn := &shardNode{IM: im, byObj: make(map[obj.Index]int32), remote: make(map[obj.Index]*remoteJob)}
-		sel, err := pm.Select(cfg.Policy, im.PM, cfg.FairQuantum)
-		if err != nil {
-			return nil, err
-		}
-		sn.Sel = sel
-		reply, f := im.Ports.Create(im.Heap, 256, port.FIFO)
-		if f != nil {
-			return nil, fail(ni, "reply port", f)
-		}
-		sn.ReplyPort = reply
-		totalServers := 0
-		for _, c := range cfg.Classes {
-			totalServers += c.Servers
-		}
-		fp, f := im.Ports.Create(im.Heap, uint16(totalServers+8), port.FIFO)
-		if f != nil {
-			return nil, fail(ni, "fault port", f)
-		}
-		sn.FaultPort = fp
-		for _, c := range cfg.Classes {
-			dom, callee, f := workload.NewServerDomain(im.System, c.Spec)
-			if f != nil {
-				return nil, fail(ni, "server domain", f)
-			}
-			req, f := im.Ports.Create(im.Heap, cfg.PortCapacity, port.FIFO)
-			if f != nil {
-				return nil, fail(ni, "request port", f)
-			}
-			rt := shardClassRt{ReqPort: req, Domain: dom, Callee: callee}
-			for s := 0; s < c.Servers; s++ {
-				p, f := im.PM.CreateProcess(dom, obj.NilAD, gdp.SpawnSpec{
-					Priority:  c.Priority,
-					TimeSlice: c.TimeSlice,
-					FaultPort: fp,
-					AArgs:     [4]obj.AD{callee, obj.NilAD, req, reply},
-				})
-				if f != nil {
-					return nil, fail(ni, "spawn server", f)
-				}
-				if f := sel.Adopt(p); f != nil {
-					return nil, fail(ni, "adopt server", f)
-				}
-				rt.Servers = append(rt.Servers, p)
-			}
-			sn.Classes = append(sn.Classes, rt)
-		}
-		if f := sel.Launch(cfg.RebalanceEvery, 14); f != nil {
-			return nil, fail(ni, "launch policy", f)
+		sn := &shardNode{node: node{IM: n.IM}, byObj: make(map[obj.Index]int32), remote: make(map[obj.Index]*remoteJob)}
+		if err := sn.build(&cfg.Load); err != nil {
+			return nil, fmt.Errorf("shard %q: node %d: %w", cfg.Name, ni, err)
 		}
 		e.nodes = append(e.nodes, sn)
 	}
 
-	// Session population: class and routing from seeded streams, home
-	// from a multiplicative hash of the session id — placement is a
-	// property of identity, not of the arrival order.
-	rngClass := rand.New(rand.NewSource(cfg.Seed ^ 0x5e551017))
-	rngArr := rand.New(rand.NewSource(cfg.Seed ^ 0x0a221e5d))
-	rngThink := rand.New(rand.NewSource(cfg.Seed ^ 0x7d1c4ab3))
+	// Home is a multiplicative hash of the session id — placement is a
+	// property of identity, not of the arrival order — and routing has
+	// its own seeded stream.
 	rngRoute := rand.New(rand.NewSource(cfg.Seed ^ 0x3a9d0c11))
-	arr := arrivalTimes(rngArr, cfg.Arrival, cfg.Sessions, cfg.MeanGap, cfg.BurstLen)
-	totW := 0
-	for _, c := range cfg.Classes {
-		totW += c.Weight
-	}
 	e.sessions = make([]shardSession, cfg.Sessions)
-	for i := range e.sessions {
-		ci, w := 0, rngClass.Intn(totW)
-		for w >= cfg.Classes[ci].Weight {
-			w -= cfg.Classes[ci].Weight
-			ci++
-		}
+	err = population(&cfg.Load, func(i, class int, arrive vtime.Cycles, thinks []vtime.Cycles) error {
 		home := int((uint64(i) * 0x9E3779B97F4A7C15 >> 33) % uint64(cfg.Nodes))
 		im := e.nodes[home].IM
 		so, f := im.SROs.Create(im.Heap, obj.CreateSpec{
@@ -371,63 +203,28 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 			DataLen: cfg.SessionData,
 		})
 		if f != nil {
-			return nil, fail(home, fmt.Sprintf("session %d object", i), f)
+			return fmt.Errorf("shard %q: node %d: session %d object: %v", cfg.Name, home, i, f)
 		}
-		s := shardSession{Class: ci, Home: home, Obj: so}
-		s.dests = make([]int, cfg.RequestsPerSession)
-		for r := range s.dests {
-			s.dests[r] = home
+		dests := make([]int, cfg.RequestsPerSession)
+		for r := range dests {
+			dests[r] = home
 			// Route draws are consumed unconditionally so the schedule
 			// of every other session is invariant under the knob.
 			roll := rngRoute.Intn(1000)
-			pick := rngRoute.Intn(maxInt(cfg.Nodes-1, 1))
+			pick := rngRoute.Intn(max(cfg.Nodes-1, 1))
 			if cfg.Nodes > 1 && roll < cfg.MigratePermille {
-				s.dests[r] = (home + 1 + pick) % cfg.Nodes
+				dests[r] = (home + 1 + pick) % cfg.Nodes
 			}
 		}
-		if n := cfg.RequestsPerSession - 1; n > 0 {
-			s.thinks = make([]vtime.Cycles, n)
-			for j := range s.thinks {
-				s.thinks[j] = expGap(rngThink, cfg.ThinkMean)
-			}
-		}
-		e.sessions[i] = s
+		e.sessions[i] = shardSession{Class: class, Home: home, Obj: so, thinks: thinks, dests: dests}
 		e.nodes[home].byObj[so.Index] = int32(i)
-		e.push(arr[i], int32(i))
-		if arr[i] > e.lastScheduled {
-			e.lastScheduled = arr[i]
-		}
+		e.push(arrive, int32(i))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return e, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func (e *ShardEngine) push(at vtime.Cycles, sid int32) {
-	heap.Push(&e.events, event{at: at, seq: e.seq, sid: sid})
-	e.seq++
-}
-
-// send enqueues an object into a node's class request port, spilling to
-// the engine-side pending queue when full.
-func (e *ShardEngine) send(node, class int, ad obj.AD) {
-	sn := e.nodes[node]
-	rt := &sn.Classes[class]
-	if len(rt.pending) > 0 {
-		rt.pending = append(rt.pending, ad)
-		e.deferred++
-		return
-	}
-	ok, f := sn.IM.SendMessage(rt.ReqPort, ad, 0)
-	if f != nil || !ok {
-		rt.pending = append(rt.pending, ad)
-		e.deferred++
-	}
 }
 
 // issue starts session sid's next request at its scheduled instant: the
@@ -438,19 +235,16 @@ func (e *ShardEngine) issue(sid int32, at vtime.Cycles) error {
 	s.Issued++
 	s.inFlight = true
 	s.issueAt = at
-	s.migrated = dest != s.Home
 	e.totIssued++
-	if !s.migrated {
-		e.send(s.Home, s.Class, s.Obj)
+	if dest == s.Home {
+		e.nodes[s.Home].send(s.Class, s.Obj)
 		return nil
 	}
 	// Migrated request: the canonical object's graph ships to the
 	// serving node; the activated copy is what the remote server mutates.
 	e.migIssued++
-	if _, err := e.Cluster.Ship(s.Home, dest, s.Obj, cluster.MsgRequest, uint64(sid)); err != nil {
-		return err
-	}
-	return nil
+	_, err := e.Cluster.Ship(s.Home, dest, s.Obj, cluster.MsgRequest, uint64(sid))
+	return err
 }
 
 // deliver imports and materializes every graph addressed to node ni:
@@ -472,7 +266,7 @@ func (e *ShardEngine) deliver(ni int) error {
 		switch d.Kind {
 		case cluster.MsgRequest:
 			sn.remote[root.Index] = &remoteJob{sid: sid, created: created}
-			e.send(ni, s.Class, root)
+			sn.send(s.Class, root)
 		case cluster.MsgReply:
 			// Fold the served copy's bytes into the canonical object.
 			im := sn.IM
@@ -510,11 +304,7 @@ func (e *ShardEngine) complete(sid int32) {
 	e.totCompleted++
 	e.nodes[s.Home].Completed++
 	if s.Issued < e.Cfg.RequestsPerSession {
-		next := e.now + s.thinks[s.Issued-1]
-		e.push(next, sid)
-		if next > e.lastScheduled {
-			e.lastScheduled = next
-		}
+		e.push(e.now+s.thinks[s.Issued-1], sid)
 	}
 }
 
@@ -549,20 +339,6 @@ func (e *ShardEngine) drainReplies(ni int) error {
 			continue
 		}
 		return fmt.Errorf("shard %q: node %d: unknown object %d on reply port", e.Cfg.Name, ni, msg.Index)
-	}
-}
-
-func (e *ShardEngine) flushPending(ni int) {
-	sn := e.nodes[ni]
-	for ci := range sn.Classes {
-		rt := &sn.Classes[ci]
-		for len(rt.pending) > 0 {
-			ok, f := sn.IM.SendMessage(rt.ReqPort, rt.pending[0], 0)
-			if f != nil || !ok {
-				break
-			}
-			rt.pending = rt.pending[1:]
-		}
 	}
 }
 
@@ -604,7 +380,6 @@ func (e *ShardEngine) Run() (*ShardResult, error) {
 		return nil, errors.New("shard: engine already ran")
 	}
 	e.ran = true
-	q := e.Cfg.StepQuantum
 	for {
 		for e.events.Len() > 0 && e.events[0].at <= e.now {
 			ev := heap.Pop(&e.events).(event)
@@ -626,11 +401,11 @@ func (e *ShardEngine) Run() (*ShardResult, error) {
 			if err := e.deliver(ni); err != nil {
 				return nil, err
 			}
-			e.flushPending(ni)
+			e.nodes[ni].flush()
 		}
 		anyWorked := false
 		for ni, sn := range e.nodes {
-			worked, f := sn.IM.Step(q)
+			worked, f := sn.IM.Step(stepQuantum)
 			if f != nil {
 				return nil, fmt.Errorf("shard %q: node %d fault at %v: %v", e.Cfg.Name, ni, e.now, f)
 			}
@@ -644,7 +419,7 @@ func (e *ShardEngine) Run() (*ShardResult, error) {
 		}
 		// Lockstep: every processor of every node lands on the next
 		// grid instant.
-		tick := e.now + q
+		tick := e.now + stepQuantum
 		if !anyWorked && inFlight == 0 && e.Cluster.PendingWire() == 0 {
 			// Cluster-wide idle with nothing in flight: skip to the
 			// next obligation (arrival, policy timer, deadline).
@@ -653,23 +428,14 @@ func (e *ShardEngine) Run() (*ShardResult, error) {
 				t = e.events[0].at
 			}
 			for _, sn := range e.nodes {
-				if sn.IM.TimersPending() > 0 {
-					if nt := sn.IM.NextTimer(); nt < t {
-						t = nt
-					}
-				}
+				t = sn.wake(t)
 			}
 			if t > tick {
 				tick = t
 			}
 		}
 		for _, sn := range e.nodes {
-			for _, cpu := range sn.IM.CPUs {
-				if n := cpu.Clock.Now(); tick > n {
-					cpu.Clock.AdvanceTo(tick)
-					cpu.IdleCycles += tick - n
-				}
-			}
+			sn.advance(tick)
 		}
 		e.now = tick
 	}

@@ -1,12 +1,6 @@
 package scenario
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-
-	"repro/internal/vtime"
-)
+import "repro/internal/vtime"
 
 // ShardNodeReport is one kernel's slice of a sharded run.
 type ShardNodeReport struct {
@@ -82,7 +76,6 @@ func (e *ShardEngine) result() *ShardResult {
 		Issued:             e.totIssued,
 		Completed:          e.totCompleted,
 		Censored:           e.totCensored,
-		Deferred:           e.deferred,
 		MigratedIssued:     e.migIssued,
 		MigratedCompleted:  e.migCompleted,
 		WireMsgs:           e.Cluster.Shipped,
@@ -108,6 +101,9 @@ func (e *ShardEngine) result() *ShardResult {
 		homed[e.sessions[i].Home]++
 	}
 	for ni, sn := range e.nodes {
+		for ci := range sn.Classes {
+			r.Deferred += sn.Classes[ci].Deferred
+		}
 		nr := ShardNodeReport{
 			Node:             ni,
 			SessionsHomed:    homed[ni],
@@ -126,20 +122,7 @@ func (e *ShardEngine) result() *ShardResult {
 
 // CanonicalJSON renders the result in its canonical byte form: indented
 // JSON with a trailing newline.
-func (r *ShardResult) CanonicalJSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
+func (r *ShardResult) CanonicalJSON() ([]byte, error) { return canonicalJSON(r) }
 
 // Fingerprint is the hex SHA-256 of the canonical JSON.
-func (r *ShardResult) Fingerprint() string {
-	b, err := r.CanonicalJSON()
-	if err != nil {
-		return "unmarshalable:" + err.Error()
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
+func (r *ShardResult) Fingerprint() string { return fingerprint(r) }

@@ -9,25 +9,27 @@ import (
 
 func shardTestConfig(nodes, sessions int) ShardConfig {
 	return ShardConfig{
-		Name:               "shard-test",
-		Seed:               42,
-		Nodes:              nodes,
-		Sessions:           sessions,
-		RequestsPerSession: 2,
-		MigratePermille:    300,
-		Processors:         2,
-		MeanGap:            400,
-		ThinkMean:          4_000,
-		Classes: []Class{
-			{
-				Name: "interactive", Weight: 3, Servers: 4,
-				Priority: 12, TimeSlice: 3_000,
-				Spec: workload.ServerSpec{Demand: 30, Touches: 2},
-			},
-			{
-				Name: "batch", Weight: 1, Servers: 2,
-				Priority: 3, TimeSlice: 8_000,
-				Spec: workload.ServerSpec{Demand: 300, Touches: 4, DomainCalls: 1},
+		Nodes:           nodes,
+		MigratePermille: 300,
+		Load: Load{
+			Name:               "shard-test",
+			Seed:               42,
+			Sessions:           sessions,
+			RequestsPerSession: 2,
+			Processors:         2,
+			MeanGap:            400,
+			ThinkMean:          4_000,
+			Classes: []Class{
+				{
+					Name: "interactive", Weight: 3, Servers: 4,
+					Priority: 12, TimeSlice: 3_000,
+					Spec: workload.ServerSpec{Demand: 30, Touches: 2},
+				},
+				{
+					Name: "batch", Weight: 1, Servers: 2,
+					Priority: 3, TimeSlice: 8_000,
+					Spec: workload.ServerSpec{Demand: 300, Touches: 4, DomainCalls: 1},
+				},
 			},
 		},
 	}
@@ -120,20 +122,22 @@ func TestShardSingleNodeNeverMigrates(t *testing.T) {
 // the same bytes a local run would.
 func TestShardMigrationWitness(t *testing.T) {
 	cfg := ShardConfig{
-		Name:               "shard-witness",
-		Seed:               7,
-		Nodes:              2,
-		Sessions:           10,
-		RequestsPerSession: 3,
-		MigratePermille:    1000, // every request served off-home
-		Processors:         2,
-		MeanGap:            2_000,
-		ThinkMean:          3_000,
-		Classes: []Class{{
-			Name: "only", Weight: 1, Servers: 3,
-			Priority: 10, TimeSlice: 3_000,
-			Spec: workload.ServerSpec{Demand: 20, Touches: 2},
-		}},
+		Nodes:           2,
+		MigratePermille: 1000, // every request served off-home
+		Load: Load{
+			Name:               "shard-witness",
+			Seed:               7,
+			Sessions:           10,
+			RequestsPerSession: 3,
+			Processors:         2,
+			MeanGap:            2_000,
+			ThinkMean:          3_000,
+			Classes: []Class{{
+				Name: "only", Weight: 1, Servers: 3,
+				Priority: 10, TimeSlice: 3_000,
+				Spec: workload.ServerSpec{Demand: 20, Touches: 2},
+			}},
+		},
 	}
 	e, r := runShard(t, cfg)
 	if r.Completed != r.Issued || r.Censored != 0 {
@@ -225,5 +229,47 @@ func TestShardScaleOut(t *testing.T) {
 	if r4.AggregateRPS < 2*r1.AggregateRPS {
 		t.Fatalf("4 nodes = %.0f rps, 1 node = %.0f rps: scale-out under 2x",
 			r4.AggregateRPS, r1.AggregateRPS)
+	}
+}
+
+// TestShardCensoredRun drives the drain deadline on a cluster: arrivals
+// far above the service rate and a short DrainBudget leave requests queued,
+// in service and as remote copies when the deadline lands. Censoring must
+// still account for every request, leave the wire empty and both kernels
+// and the transfer ledger consistent, and do so deterministically.
+func TestShardCensoredRun(t *testing.T) {
+	cfg := shardTestConfig(2, 400)
+	cfg.MeanGap = 20
+	cfg.DrainBudget = 3_000
+	e, r := runShard(t, cfg)
+	if r.Censored == 0 {
+		t.Fatal("nothing censored: the run never reached the deadline path")
+	}
+	remote := 0
+	for _, sn := range e.nodes {
+		remote += len(sn.remote)
+	}
+	if remote == 0 {
+		t.Fatal("no remote copy was in service at the deadline")
+	}
+	if r.Completed+r.Censored != r.Issued {
+		t.Fatalf("accounting leak: %d completed + %d censored != %d issued", r.Completed, r.Censored, r.Issued)
+	}
+	if r.Overall.Samples != r.Issued {
+		t.Fatalf("%d latency samples for %d issued requests", r.Overall.Samples, r.Issued)
+	}
+	if n := e.Cluster.PendingWire(); n != 0 {
+		t.Fatalf("%d messages left on the wire", n)
+	}
+	if vs := e.CheckTransfers(); len(vs) > 0 {
+		t.Fatalf("transfer accounting violated after a censored run: %v", vs)
+	}
+	for ni, n := range e.Cluster.Nodes {
+		if vs := audit.New(n.IM.System).CheckAll(); len(vs) > 0 {
+			t.Fatalf("node %d audit after a censored run: %v", ni, vs)
+		}
+	}
+	if _, r2 := runShard(t, cfg); r2.Fingerprint() != r.Fingerprint() {
+		t.Fatal("two censored runs of one config fingerprint differently")
 	}
 }
