@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
 	"repro/internal/audit"
@@ -53,7 +54,7 @@ import (
 
 func main() {
 	cpus := flag.Int("cpus", 2, "simulated processors")
-	mem := flag.Uint("mem", 16<<20, "physical memory bytes")
+	mem := flag.Uint64("mem", 16<<20, "physical memory bytes")
 	swapping := flag.Bool("swapping", false, "select the swapping memory manager")
 	gcOn := flag.Bool("gc", true, "run the on-the-fly collector daemon")
 	noxcache := flag.Bool("noxcache", false, "disable the per-processor execution cache (results identical either way)")
@@ -66,6 +67,18 @@ func main() {
 	injectSeed := flag.Int64("inject", 0, "run the fault-injection acceptance protocol for this seed (0 = off)")
 	ledgerFile := flag.String("ledger", "", "seal the audit ledger of the run, self-verify it and write its bytes to this file")
 	flag.Parse()
+
+	// Reject what the machine cannot be built from before building it:
+	// MemoryBytes is 32 bits wide and gdp.New reads 0 processors as 1.
+	runDemo, ok := demos[*demo]
+	switch {
+	case *cpus < 1:
+		usageError("-cpus %d: need at least 1 processor", *cpus)
+	case *mem > math.MaxUint32:
+		usageError("-mem %d: at most %d bytes", *mem, uint32(math.MaxUint32))
+	case !ok:
+		usageError("-demo %q: want ports, compute, gc or io", *demo)
+	}
 
 	if *injectSeed != 0 {
 		res, err := inject.RunSeed(*injectSeed)
@@ -94,7 +107,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("iMAX-432: %d processors, %d KB memory, %s memory manager, gc=%v\n\n",
-		*cpus, *mem/1024, im.MM.Name(), *gcOn)
+		len(im.CPUs), im.Table.Memory().Size()/1024, im.MM.Name(), im.Collector != nil)
 
 	if *itrace > 0 {
 		remaining := *itrace
@@ -112,19 +125,7 @@ func main() {
 		}
 	}
 
-	switch *demo {
-	case "ports":
-		demoPorts(im)
-	case "compute":
-		demoCompute(im)
-	case "gc":
-		demoGC(im)
-	case "io":
-		demoIO(im)
-	default:
-		fmt.Fprintf(os.Stderr, "imax: unknown demo %q\n", *demo)
-		os.Exit(2)
-	}
+	runDemo(im)
 
 	st := im.Stats()
 	fmt.Printf("\nsystem: %v elapsed, %d dispatches, %d preemptions, %d instructions, %d objects live\n",
@@ -154,6 +155,20 @@ func main() {
 			log.Fatalf("imax: ledger: %v", err)
 		}
 	}
+}
+
+var demos = map[string]func(*core.IMAX){
+	"ports":   demoPorts,
+	"compute": demoCompute,
+	"gc":      demoGC,
+	"io":      demoIO,
+}
+
+// usageError reports a rejected flag value the way the flag package
+// reports an unknown flag: one line on stderr, exit 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "imax: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // sealLedger closes the run's audit ledger, verifies the sealed bytes

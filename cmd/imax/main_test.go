@@ -108,3 +108,45 @@ func TestHostparFlagIsGone(t *testing.T) {
 		t.Fatalf("stderr does not name the flag:\n%s", stderr)
 	}
 }
+
+// TestBadFlagValuesRejectedBeforeBoot: a value the machine cannot be built
+// from is a usage error before anything boots or prints. -mem used to be
+// cut to 32 bits (2³² booted the 16 MB default under a "4194304 KB"
+// banner), -cpus 0 ran one processor, and a bad -demo printed the banner
+// first.
+func TestBadFlagValuesRejectedBeforeBoot(t *testing.T) {
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-mem", []string{"-mem", "4294967296", "-demo", "compute"}},
+		{"-mem", []string{"-mem", "4294967297"}},
+		{"-cpus", []string{"-cpus", "0"}},
+		{"-cpus", []string{"-cpus", "-3"}},
+		{"-demo", []string{"-demo", "nope"}},
+	} {
+		stdout, stderr, code := imax(t, tc.args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if stdout != "" {
+			t.Errorf("%v: printed before rejecting:\n%s", tc.args, stdout)
+		}
+		if !strings.HasPrefix(stderr, "imax: "+tc.flag+" ") || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("%v: stderr is not one line naming %s:\n%s", tc.args, tc.flag, stderr)
+		}
+	}
+}
+
+// TestBannerReportsTheBootedMachine: -mem 0 selects the 16 MB default, and
+// the banner says what was booted, not what was typed.
+func TestBannerReportsTheBootedMachine(t *testing.T) {
+	stdout, stderr, code := imax(t, "-mem", "0", "-cpus", "3", "-gc=false")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
+	}
+	const want = "iMAX-432: 3 processors, 16384 KB memory, non-swapping memory manager, gc=false\n"
+	if !strings.HasPrefix(stdout, want) {
+		t.Fatalf("banner:\n%s\nwant:\n%s", stdout, want)
+	}
+}

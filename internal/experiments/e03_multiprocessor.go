@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/gdp"
-	"repro/internal/isa"
-	"repro/internal/obj"
-	"repro/internal/process"
 	"repro/internal/vtime"
+	"repro/internal/workload"
 )
 
 func init() { register("E3", runE3) }
@@ -67,31 +65,16 @@ func runBatch(cpus, workers int, iters uint32) (vtime.Cycles, error) {
 	if err != nil {
 		return 0, err
 	}
-	dom, f := makeDomain(sys, []isa.Instr{
-		isa.MovI(1, iters),
-		isa.AddI(1, 1, ^uint32(0)),
-		isa.BrNZ(1, 1),
-		isa.Halt(),
-	})
+	h, f := workload.Compute(sys, workers, iters, 2_000)
 	if f != nil {
 		return 0, f
-	}
-	var procs []obj.AD
-	for i := 0; i < workers; i++ {
-		p, f := sys.Spawn(dom, gdp.SpawnSpec{TimeSlice: 2_000})
-		if f != nil {
-			return 0, f
-		}
-		procs = append(procs, p)
 	}
 	elapsed, f := sys.Run(0)
 	if f != nil {
 		return 0, f
 	}
-	for _, p := range procs {
-		if st, _ := sys.Procs.StateOf(p); st != process.StateTerminated {
-			return 0, fmt.Errorf("worker did not finish on %d cpus", cpus)
-		}
+	if !h.Done(sys) {
+		return 0, fmt.Errorf("worker did not finish on %d cpus", cpus)
 	}
 	return elapsed, nil
 }

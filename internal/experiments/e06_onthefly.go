@@ -125,8 +125,6 @@ func runMutator(onTheFly bool, allocs int, objSize uint32) (vtime.Cycles, vtime.
 	var maxStall vtime.Cycles
 	var reclaimed uint64
 
-	stw := im.Collector // nil in STW mode; create per-collection below
-	_ = stw
 	sinceCollect := vtime.Cycles(0)
 	const stwEvery = 60_000
 

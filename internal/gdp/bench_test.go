@@ -9,8 +9,8 @@ import (
 // benchBound builds a single-processor system bound to an endless
 // register-heavy compute loop so execOne can be driven directly: the
 // per-instruction interpreter cost with no scheduling traffic in the way.
-func benchBound(tb testing.TB, nocache, notrace bool) *System {
-	s, err := New(Config{Processors: 1, NoExecCache: nocache, NoTraceJIT: notrace})
+func benchBound(tb testing.TB, notrace bool) *System {
+	s, err := New(Config{Processors: 1, NoTraceJIT: notrace})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -60,57 +60,12 @@ func benchWarmTrace(tb testing.TB, s *System) {
 	}
 }
 
-func benchExecOne(b *testing.B, nocache bool) {
-	// NoTraceJIT: these benchmarks measure the per-instruction paths the
-	// trace compiler is judged against (BenchmarkTraceLoop below).
-	s := benchBound(b, nocache, true)
-	cpu := s.CPUs[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, f := s.execOne(cpu, 1); f != nil {
-			b.Fatal(f)
-		}
-	}
-}
-
-// BenchmarkExecOneCached measures the execution-cache fast path. Run with
-// -benchmem: the contract is 0 allocs/op (also pinned by
-// TestFastPathAllocFree below).
-func BenchmarkExecOneCached(b *testing.B) { benchExecOne(b, false) }
-
-// BenchmarkExecOneUncached measures the reference interpreter the fast
-// path is judged against.
-func BenchmarkExecOneUncached(b *testing.B) { benchExecOne(b, true) }
-
-// BenchmarkTraceLoop measures the compiled-trace runner on the same loop,
-// normalised per instruction (ns/instr) so it compares directly against
-// the per-instruction benchmarks above.
-func BenchmarkTraceLoop(b *testing.B) {
-	s := benchBound(b, false, false)
-	benchWarmTrace(b, s)
-	cpu := s.CPUs[0]
-	b.ReportAllocs()
-	start := s.Stats().Instructions
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, f := s.execOne(cpu, 5_000); f != nil {
-			b.Fatal(f)
-		}
-	}
-	b.StopTimer()
-	instrs := s.Stats().Instructions - start
-	if instrs > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
-	}
-}
-
 // TestFastPathAllocFree pins the allocation contract: once the per-CPU
 // cache is primed, executing plain compute instructions allocates
 // nothing. A regression here silently hands the speedup back to the host
 // garbage collector.
 func TestFastPathAllocFree(t *testing.T) {
-	s := benchBound(t, false, true)
+	s := benchBound(t, true)
 	cpu := s.CPUs[0]
 	// The setup step primed the cache; one more call proves the path
 	// works before measuring.
@@ -131,7 +86,7 @@ func TestFastPathAllocFree(t *testing.T) {
 // the hot loop is compiled, a full quantum-sized trace run — thousands of
 // fused instructions — allocates nothing.
 func TestTracePathAllocFree(t *testing.T) {
-	s := benchBound(t, false, false)
+	s := benchBound(t, false)
 	benchWarmTrace(t, s)
 	cpu := s.CPUs[0]
 	avg := testing.AllocsPerRun(200, func() {

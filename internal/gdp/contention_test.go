@@ -56,6 +56,8 @@ func TestBusContentionBendsScaling(t *testing.T) {
 
 	idealSpeedup := float64(run(1, 0)) / float64(run(8, 0))
 	contendedSpeedup := float64(run(1, 12)) / float64(run(8, 12))
+	t.Logf("speedup at 8 processors: %.2f ideal, %.2f with a 4-cycle bus wait, %.2f with 12",
+		idealSpeedup, float64(run(1, 4))/float64(run(8, 4)), contendedSpeedup)
 	if idealSpeedup < 4 {
 		t.Fatalf("ideal speedup at 8 cpus = %.2f", idealSpeedup)
 	}

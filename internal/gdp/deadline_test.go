@@ -48,6 +48,7 @@ func TestDeadlineDispatchAvoidsStarvation(t *testing.T) {
 
 	hiStrict, loStrict := run(false)
 	hiDead, loDead := run(true)
+	t.Logf("cpu cycles hi/lo: %d/%d strict priority, %d/%d deadline", hiStrict, loStrict, hiDead, loDead)
 	if loStrict != 0 {
 		t.Fatalf("strict priority let the low-priority process run (%d cycles)", loStrict)
 	}
