@@ -177,7 +177,7 @@ type Config struct {
 	// shared-memory bus every 432 processor arbitrated for. Zero (the
 	// default) models the paper's idealised "factor of 10" regime; the
 	// historical record of the 432 suggests the bus was the real
-	// machine's bottleneck, and the E3 contention ablation shows the
+	// machine's bottleneck, and TestBusContentionBendsScaling shows the
 	// scaling curve bending exactly as that would predict.
 	BusContention vtime.Cycles
 

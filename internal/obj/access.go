@@ -2,130 +2,168 @@ package obj
 
 // Checked access paths. Every read and write in the system — by user
 // processes, iMAX packages, and the collector alike — goes through these
-// methods, so a capability's rights and its object's bounds are enforced on
-// every reference, exactly the per-reference hardware checking of §7.1.
+// methods or through a View (view.go), so a capability's rights and its
+// object's bounds are enforced on every reference, exactly the
+// per-reference hardware checking of §7.1. Each accessor is the access rule
+// (Table.present), the bounds rule (span), then the transfer, in one frame;
+// when a rule refuses, an outlined diagnosis (refuse, refuseSlot) says why.
 
-import "repro/internal/trace"
+import (
+	"encoding/binary"
+
+	"repro/internal/mem"
+	"repro/internal/trace"
+)
+
+// span is the bounds rule: the n bytes at displacement off of part.
+func span(part []byte, off, n uint32) ([]byte, bool) {
+	if uint64(off)+uint64(n) > uint64(len(part)) {
+		return nil, false
+	}
+	return part[off : off+n], true
+}
+
+// refuse diagnoses a data-part access that present or span turned down:
+// whyNot's clauses first, then the displacement.
+func (t *Table) refuse(a AD, want Rights, off, n uint32) *Fault {
+	d := t.present(a, want)
+	if d == nil {
+		return t.whyNot(a, want)
+	}
+	return Faultf(FaultBounds, a, "%v: [%d,%d) in segment of %d bytes", mem.ErrBadSegment, off, off+n, d.Data.Len)
+}
 
 // ReadByteAt reads the byte at displacement off in the data part.
 func (t *Table) ReadByteAt(a AD, off uint32) (byte, *Fault) {
-	d, f := t.resolvePresent(a, RightRead)
-	if f != nil {
-		return 0, f
+	if d := t.present(a, RightRead); d != nil {
+		if b, ok := span(t.mem.Window(d.Data), off, 1); ok {
+			return b[0], nil
+		}
 	}
-	v, err := t.mem.ReadByteAt(d.Data, off)
-	if err != nil {
-		return 0, Faultf(FaultBounds, a, "%v", err)
-	}
-	return v, nil
+	return 0, t.refuse(a, RightRead, off, 1)
 }
 
 // WriteByteAt writes the byte at displacement off in the data part.
 func (t *Table) WriteByteAt(a AD, off uint32, v byte) *Fault {
-	d, f := t.resolvePresent(a, RightWrite)
-	if f != nil {
-		return f
+	if d := t.present(a, RightWrite); d != nil {
+		if b, ok := span(t.mem.Window(d.Data), off, 1); ok {
+			b[0] = v
+			return nil
+		}
 	}
-	if err := t.mem.WriteByteAt(d.Data, off, v); err != nil {
-		return Faultf(FaultBounds, a, "%v", err)
-	}
-	return nil
+	return t.refuse(a, RightWrite, off, 1)
 }
 
 // ReadWord reads the 16-bit ordinal at displacement off in the data part.
 func (t *Table) ReadWord(a AD, off uint32) (uint16, *Fault) {
-	d, f := t.resolvePresent(a, RightRead)
-	if f != nil {
-		return 0, f
+	if d := t.present(a, RightRead); d != nil {
+		if b, ok := span(t.mem.Window(d.Data), off, 2); ok {
+			return binary.LittleEndian.Uint16(b), nil
+		}
 	}
-	v, err := t.mem.ReadWord(d.Data, off)
-	if err != nil {
-		return 0, Faultf(FaultBounds, a, "%v", err)
-	}
-	return v, nil
+	return 0, t.refuse(a, RightRead, off, 2)
 }
 
 // WriteWord writes the 16-bit ordinal at displacement off in the data part.
 func (t *Table) WriteWord(a AD, off uint32, v uint16) *Fault {
-	d, f := t.resolvePresent(a, RightWrite)
-	if f != nil {
-		return f
+	if d := t.present(a, RightWrite); d != nil {
+		if b, ok := span(t.mem.Window(d.Data), off, 2); ok {
+			binary.LittleEndian.PutUint16(b, v)
+			return nil
+		}
 	}
-	if err := t.mem.WriteWord(d.Data, off, v); err != nil {
-		return Faultf(FaultBounds, a, "%v", err)
-	}
-	return nil
+	return t.refuse(a, RightWrite, off, 2)
 }
 
 // ReadDWord reads the 32-bit value at displacement off in the data part.
 func (t *Table) ReadDWord(a AD, off uint32) (uint32, *Fault) {
-	d, f := t.resolvePresent(a, RightRead)
-	if f != nil {
-		return 0, f
+	if d := t.present(a, RightRead); d != nil {
+		if b, ok := span(t.mem.Window(d.Data), off, 4); ok {
+			return binary.LittleEndian.Uint32(b), nil
+		}
 	}
-	v, err := t.mem.ReadDWord(d.Data, off)
-	if err != nil {
-		return 0, Faultf(FaultBounds, a, "%v", err)
-	}
-	return v, nil
+	return 0, t.refuse(a, RightRead, off, 4)
 }
 
 // WriteDWord writes the 32-bit value at displacement off in the data part.
 func (t *Table) WriteDWord(a AD, off uint32, v uint32) *Fault {
-	d, f := t.resolvePresent(a, RightWrite)
-	if f != nil {
-		return f
+	if d := t.present(a, RightWrite); d != nil {
+		if b, ok := span(t.mem.Window(d.Data), off, 4); ok {
+			binary.LittleEndian.PutUint32(b, v)
+			return nil
+		}
 	}
-	if err := t.mem.WriteDWord(d.Data, off, v); err != nil {
-		return Faultf(FaultBounds, a, "%v", err)
-	}
-	return nil
+	return t.refuse(a, RightWrite, off, 4)
 }
 
-// ReadBytes reads n bytes at displacement off in the data part.
+// ReadBytes reads n bytes at displacement off in the data part into a
+// fresh slice.
 func (t *Table) ReadBytes(a AD, off, n uint32) ([]byte, *Fault) {
-	d, f := t.resolvePresent(a, RightRead)
-	if f != nil {
-		return nil, f
+	if d := t.present(a, RightRead); d != nil {
+		if b, ok := span(t.mem.Window(d.Data), off, n); ok {
+			return append(make([]byte, 0, n), b...), nil
+		}
 	}
-	p, err := t.mem.ReadBytes(d.Data, off, n)
-	if err != nil {
-		return nil, Faultf(FaultBounds, a, "%v", err)
-	}
-	return p, nil
+	return nil, t.refuse(a, RightRead, off, n)
 }
 
 // WriteBytes writes p at displacement off in the data part.
 func (t *Table) WriteBytes(a AD, off uint32, p []byte) *Fault {
-	d, f := t.resolvePresent(a, RightWrite)
-	if f != nil {
-		return f
+	if d := t.present(a, RightWrite); d != nil {
+		if b, ok := span(t.mem.Window(d.Data), off, uint32(len(p))); ok {
+			copy(b, p)
+			return nil
+		}
 	}
-	if err := t.mem.WriteBytes(d.Data, off, p); err != nil {
-		return Faultf(FaultBounds, a, "%v", err)
+	return t.refuse(a, RightWrite, off, uint32(len(p)))
+}
+
+// accessPart is the access part of a resolved object: its window, and the
+// descriptor fields the AD-move microcode consults. It holds no
+// *Descriptor, so it stays good when the table grows.
+type accessPart struct {
+	win   []byte
+	slots uint32
+	level Level
+	typ   Type
+}
+
+func (t *Table) accessOf(d *Descriptor) accessPart {
+	return accessPart{t.mem.Window(d.Access), d.AccessSlots, d.Level, d.Type}
+}
+
+// slot is the bounds rule of the access part: the bytes of slot i.
+func (p *accessPart) slot(i uint32) ([]byte, bool) {
+	if i >= p.slots {
+		return nil, false
 	}
-	return nil
+	return span(p.win, i*ADSlotSize, ADSlotSize)
+}
+
+// refuseSlot diagnoses an access-part access that present or slot turned
+// down. A slot past AccessSlots is the program's error; a window shorter
+// than its descriptor says is damage.
+func (t *Table) refuseSlot(a AD, want Rights, slot uint32) *Fault {
+	d := t.present(a, want)
+	if d == nil {
+		return t.whyNot(a, want)
+	}
+	if slot >= d.AccessSlots {
+		return Faultf(FaultBounds, a, "access slot %d of %d", slot, d.AccessSlots)
+	}
+	return Faultf(FaultOddity, a, "access part shorter than its %d slots", d.AccessSlots)
 }
 
 // LoadAD loads the access descriptor in the given slot of a's access part.
 // Reading an AD requires the Read right on the container.
 func (t *Table) LoadAD(a AD, slot uint32) (AD, *Fault) {
-	d, f := t.resolvePresent(a, RightRead)
-	if f != nil {
-		return NilAD, f
+	if d := t.present(a, RightRead); d != nil {
+		p := t.accessOf(d)
+		if b, ok := p.slot(slot); ok {
+			return DecodeAD(binary.LittleEndian.Uint64(b)), nil
+		}
 	}
-	if slot >= d.AccessSlots {
-		return NilAD, Faultf(FaultBounds, a, "access slot %d of %d", slot, d.AccessSlots)
-	}
-	lo, err := t.mem.ReadDWord(d.Access, slot*ADSlotSize)
-	if err != nil {
-		return NilAD, Faultf(FaultOddity, a, "%v", err)
-	}
-	hi, err := t.mem.ReadDWord(d.Access, slot*ADSlotSize+4)
-	if err != nil {
-		return NilAD, Faultf(FaultOddity, a, "%v", err)
-	}
-	return DecodeAD(uint64(lo) | uint64(hi)<<32), nil
+	return NilAD, t.refuseSlot(a, RightRead, slot)
 }
 
 // StoreAD stores capability src into the given slot of dst's access part.
@@ -142,55 +180,7 @@ func (t *Table) LoadAD(a AD, slot uint32) (AD, *Fault) {
 //
 // Storing NilAD clears the slot and needs no checks beyond Write.
 func (t *Table) StoreAD(dst AD, slot uint32, src AD) *Fault {
-	d, f := t.resolvePresent(dst, RightWrite)
-	if f != nil {
-		return f
-	}
-	if slot >= d.AccessSlots {
-		return Faultf(FaultBounds, dst, "access slot %d of %d", slot, d.AccessSlots)
-	}
-	if src.Valid() {
-		sd, f := t.Resolve(src)
-		if f != nil {
-			return f
-		}
-		if sd.Level > d.Level {
-			return Faultf(FaultLevel, src,
-				"cannot store level-%d object into level-%d object", sd.Level, d.Level)
-		}
-		// Shade the target of the moved AD for the on-the-fly
-		// collector.
-		if sd.Color == White {
-			sd.Color = Gray
-			t.grayings++
-			if l := t.tr; l != nil {
-				l.Emit(trace.EvGray, uint32(src.Index), 0, 0)
-			}
-		}
-		// A freshly stored reference re-adopts the object: it gets a
-		// new destruction-filter life (§8.2). The collector's own
-		// filter delivery sets the latch after its deposit, so a
-		// delivered-then-dropped object still reclaims quietly.
-		sd.Finalized = false
-	}
-	enc := src.Encode()
-	if err := t.mem.WriteDWord(d.Access, slot*ADSlotSize, uint32(enc)); err != nil {
-		return Faultf(FaultOddity, dst, "%v", err)
-	}
-	if err := t.mem.WriteDWord(d.Access, slot*ADSlotSize+4, uint32(enc>>32)); err != nil {
-		return Faultf(FaultOddity, dst, "%v", err)
-	}
-	if d.Type == TypeProcess || d.Type == TypeContext {
-		// A user-reachable AD store into a process or context can redirect
-		// execution structure the interpreter's execution cache pins (the
-		// current context, the domain slot).
-		t.xgen++
-	}
-	t.adStores++
-	if l := t.tr; l != nil {
-		l.Emit(trace.EvADStore, uint32(dst.Index), uint32(src.Index), uint64(slot))
-	}
-	return nil
+	return t.storeAD(dst, slot, src, true)
 }
 
 // MoveAD is the capability-passing form of StoreAD: it stores src with
@@ -208,18 +198,37 @@ func (t *Table) MoveAD(dst AD, slot uint32, src AD, drop Rights) *Fault {
 // user-visible. Only the port and dispatching machinery may use this path;
 // everything user-reachable goes through StoreAD.
 func (t *Table) StoreADSystem(dst AD, slot uint32, src AD) *Fault {
-	d, f := t.resolvePresent(dst, RightWrite)
-	if f != nil {
-		return f
+	return t.storeAD(dst, slot, src, false)
+}
+
+func (t *Table) storeAD(dst AD, slot uint32, src AD, user bool) *Fault {
+	d := t.present(dst, RightWrite)
+	if d == nil {
+		return t.whyNot(dst, RightWrite)
 	}
-	if slot >= d.AccessSlots {
-		return Faultf(FaultBounds, dst, "access slot %d of %d", slot, d.AccessSlots)
+	p := t.accessOf(d)
+	return t.moveAD(dst, &p, slot, src, user)
+}
+
+// moveAD is the AD-move microcode: it stores src into a slot of p, the
+// access part of dst's object. user selects the user-reachable store (level
+// check, context stores invalidate caches) over the microcode-internal one.
+func (t *Table) moveAD(dst AD, p *accessPart, slot uint32, src AD, user bool) *Fault {
+	b, ok := p.slot(slot)
+	if !ok {
+		return t.refuseSlot(dst, RightWrite, slot)
 	}
 	if src.Valid() {
 		sd, f := t.Resolve(src)
 		if f != nil {
 			return f
 		}
+		if user && sd.Level > p.level {
+			return Faultf(FaultLevel, src,
+				"cannot store level-%d object into level-%d object", sd.Level, p.level)
+		}
+		// Shade the target of the moved AD for the on-the-fly
+		// collector.
 		if sd.Color == White {
 			sd.Color = Gray
 			t.grayings++
@@ -227,25 +236,25 @@ func (t *Table) StoreADSystem(dst AD, slot uint32, src AD) *Fault {
 				l.Emit(trace.EvGray, uint32(src.Index), 0, 0)
 			}
 		}
-		sd.Finalized = false // see StoreAD: storing re-adopts
+		// A freshly stored reference re-adopts the object: it gets a
+		// new destruction-filter life (§8.2). The collector's own
+		// filter delivery sets the latch after its deposit, so a
+		// delivered-then-dropped object still reclaims quietly.
+		sd.Finalized = false
 	}
-	enc := src.Encode()
-	if err := t.mem.WriteDWord(d.Access, slot*ADSlotSize, uint32(enc)); err != nil {
-		return Faultf(FaultOddity, dst, "%v", err)
-	}
-	if err := t.mem.WriteDWord(d.Access, slot*ADSlotSize+4, uint32(enc>>32)); err != nil {
-		return Faultf(FaultOddity, dst, "%v", err)
-	}
-	if d.Type == TypeProcess {
-		// System stores into process slots switch contexts (PushContext,
-		// PopContext) and load the carry slot; both alias the execution
-		// cache. Context-object system stores are the access registers
-		// (SetAReg), which the cache reads through the checked path — no
-		// bump, or every AD-handling instruction would thrash the cache.
-		// The trace compiler leans on the same discipline: a fused
-		// load/store re-reads its a-reg from the live access window on
-		// every execution, so a SetAReg under a compiled trace is
-		// observed without invalidation (and a vanished operand deopts).
+	binary.LittleEndian.PutUint64(b, src.Encode())
+	if p.typ == TypeProcess || user && p.typ == TypeContext {
+		// The store can redirect execution structure the interpreter's
+		// execution cache pins: system stores into a process switch
+		// contexts (PushContext, PopContext) and load the carry slot, and
+		// a user-reachable store can also rewrite a context's domain slot.
+		// System stores into a context are the access registers (SetAReg),
+		// which the cache reads through the checked path — no bump, or
+		// every AD-handling instruction would thrash the cache. The trace
+		// compiler leans on the same discipline: a fused load/store
+		// re-reads its a-reg from the live access window on every
+		// execution, so a SetAReg under a compiled trace is observed
+		// without invalidation (and a vanished operand deopts).
 		t.xgen++
 	}
 	t.adStores++

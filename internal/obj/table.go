@@ -178,29 +178,35 @@ func (t *Table) Resolve(a AD) (*Descriptor, *Fault) {
 	return d, nil
 }
 
-// resolveRights resolves a and additionally demands the given rights.
-func (t *Table) resolveRights(a AD, want Rights) (*Descriptor, *Fault) {
-	d, f := t.Resolve(a)
-	if f != nil {
-		return nil, f
+// present is the access rule, stated once: a names a table entry, the
+// entry is live and of a's generation, a carries every right in want, and
+// the object's segments are resident (§6.2). It returns the descriptor, or
+// nil when any clause fails; whyNot then says which. It is small enough to
+// inline into every accessor, so a reference costs a handful of compares.
+func (t *Table) present(a AD, want Rights) *Descriptor {
+	if a.Index == NilIndex || int(a.Index) >= len(t.descs) {
+		return nil
 	}
-	if !a.Rights.Has(want) {
-		return nil, Faultf(FaultRights, a, "need %s", want)
+	d := &t.descs[a.Index]
+	if !d.Valid || d.Gen&adGenMask != a.Gen&adGenMask || a.Rights&want != want || d.SwappedOut {
+		return nil
 	}
-	return d, nil
+	return d
 }
 
-// resolvePresent resolves a with rights and faults FaultSegmentMoved when
-// the object is swapped out (§6.2): the memory manager services that fault.
-func (t *Table) resolvePresent(a AD, want Rights) (*Descriptor, *Fault) {
-	d, f := t.resolveRights(a, want)
+// whyNot diagnoses an access present refused (or one a View refuses on
+// rights alone), walking the clauses in the order the hardware raises them:
+// invalid AD, then rights, then FaultSegmentMoved for the memory manager
+// to service.
+func (t *Table) whyNot(a AD, want Rights) *Fault {
+	d, f := t.Resolve(a)
 	if f != nil {
-		return nil, f
+		return f
 	}
-	if d.SwappedOut {
-		return nil, Faultf(FaultSegmentMoved, a, "swapped out (token %d)", d.SwapToken)
+	if !a.Rights.Has(want) {
+		return Faultf(FaultRights, a, "need %s", want)
 	}
-	return d, nil
+	return Faultf(FaultSegmentMoved, a, "swapped out (token %d)", d.SwapToken)
 }
 
 // CreateSpec describes an object to create.
@@ -285,9 +291,12 @@ func (t *Table) Create(spec CreateSpec) (AD, *Fault) {
 // reclamation (§5) dispose of objects; user code generally never calls it —
 // objects are garbage collected (§8.1).
 func (t *Table) Destroy(a AD) *Fault {
-	d, f := t.resolveRights(a, RightDelete)
+	d, f := t.Resolve(a)
 	if f != nil {
 		return f
+	}
+	if !a.Rights.Has(RightDelete) {
+		return Faultf(FaultRights, a, "need %s", RightDelete)
 	}
 	return t.destroyDesc(a.Index, d)
 }

@@ -22,12 +22,16 @@ func (m *Manager) CancelWaiter(p obj.AD, proc obj.AD) (found bool, msg obj.AD, f
 	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
 		return false, obj.NilAD, f
 	}
-	found, msg, f = m.unlink(p, slotSendHead, slotSendTail, proc)
+	var pv obj.View
+	if f := m.Table.View(p, obj.RightRead, &pv); f != nil {
+		return false, obj.NilAD, f
+	}
+	found, msg, f = m.unlink(&pv, slotSendHead, slotSendTail, proc)
 	if f != nil {
 		return false, obj.NilAD, f
 	}
 	if !found {
-		found, msg, f = m.unlink(p, slotRecvHead, slotRecvTail, proc)
+		found, msg, f = m.unlink(&pv, slotRecvHead, slotRecvTail, proc)
 		if f != nil {
 			return false, obj.NilAD, f
 		}
@@ -40,24 +44,33 @@ func (m *Manager) CancelWaiter(p obj.AD, proc obj.AD) (found bool, msg obj.AD, f
 	return found, msg, nil
 }
 
-// unlink removes the carrier holding proc from one wait queue.
-func (m *Manager) unlink(p obj.AD, headSlot, tailSlot uint32, proc obj.AD) (bool, obj.AD, *obj.Fault) {
+// unlink removes the carrier holding proc from one wait queue. The walk is
+// bounded by the table size, like Inspect's: a queue damaged into a cycle
+// faults instead of hanging the watchdog timer that cancels through here.
+func (m *Manager) unlink(pv *obj.View, headSlot, tailSlot uint32, proc obj.AD) (bool, obj.AD, *obj.Fault) {
 	var prev obj.AD
-	cur, f := m.Table.LoadAD(p, headSlot)
+	cur, f := pv.LoadAD(headSlot)
 	if f != nil {
 		return false, obj.NilAD, f
 	}
-	for cur.Valid() {
-		held, f := m.Table.LoadAD(cur, carSlotProcess)
+	for n, limit := 0, m.Table.Len(); cur.Valid(); n++ {
+		if n >= limit {
+			return false, obj.NilAD, cyclic(pv.AD())
+		}
+		var cv obj.View
+		if f := m.Table.View(cur, obj.RightRead, &cv); f != nil {
+			return false, obj.NilAD, f
+		}
+		held, f := cv.LoadAD(carSlotProcess)
 		if f != nil {
 			return false, obj.NilAD, f
 		}
-		next, f := m.Table.LoadAD(cur, carSlotNext)
+		next, f := cv.LoadAD(carSlotNext)
 		if f != nil {
 			return false, obj.NilAD, f
 		}
 		if held.Index == proc.Index {
-			msg, f := m.Table.LoadAD(cur, carSlotMessage)
+			msg, f := cv.LoadAD(carSlotMessage)
 			if f != nil {
 				return false, obj.NilAD, f
 			}
@@ -67,16 +80,16 @@ func (m *Manager) unlink(p obj.AD, headSlot, tailSlot uint32, proc obj.AD) (bool
 					return false, obj.NilAD, f
 				}
 			} else {
-				if f := m.Table.StoreADSystem(p, headSlot, next); f != nil {
+				if f := pv.StoreADSystem(headSlot, next); f != nil {
 					return false, obj.NilAD, f
 				}
 			}
 			if !next.Valid() {
-				if f := m.Table.StoreADSystem(p, tailSlot, prev); f != nil {
+				if f := pv.StoreADSystem(tailSlot, prev); f != nil {
 					return false, obj.NilAD, f
 				}
 			}
-			if f := m.pool(p, cur); f != nil {
+			if f := pool(pv, &cv); f != nil {
 				return false, obj.NilAD, f
 			}
 			return true, msg, nil

@@ -209,3 +209,42 @@ func TestCancelPoolsCarrier(t *testing.T) {
 		t.Fatalf("pooled carrier still holds a message: %v %v", held, f)
 	}
 }
+
+// TestCyclicQueueFaults: a wait queue damaged into a cycle must fault every
+// walk over it with FaultOddity instead of hanging the simulator — the
+// watchdog timer cancels through CancelWaiter, so an unbounded walk there
+// would wedge the whole machine.
+func TestCyclicQueueFaults(t *testing.T) {
+	for _, side := range []string{"senders", "receivers"} {
+		fx := setup(t)
+		p := fx.newPort(t, 1, FIFO)
+		if side == "senders" {
+			fx.m.Send(p, fx.newMsg(t), 0, obj.NilAD) // fill
+			fx.m.Send(p, fx.newMsg(t), 0, fx.newProc(t))
+		} else {
+			fx.m.Receive(p, fx.newProc(t))
+		}
+		st, f := fx.m.Inspect(p)
+		if f != nil || len(st.Senders)+len(st.Receivers) != 1 {
+			t.Fatalf("%s: inspect: %v %+v", side, f, st)
+		}
+		idx := append(st.Senders, st.Receivers...)[0].Carrier
+		car := obj.AD{Index: idx, Gen: fx.tab.DescriptorAt(idx).Gen, Rights: obj.RightsAll}
+		if f := fx.tab.StoreADSystem(car, carSlotNext, car); f != nil {
+			t.Fatal(f)
+		}
+		waiting := fx.m.WaitingSenders
+		if side == "receivers" {
+			waiting = fx.m.WaitingReceivers
+		}
+		if _, f := waiting(p); !obj.IsFault(f, obj.FaultOddity) {
+			t.Errorf("%s: queue length over a cycle: %v", side, f)
+		}
+		if found, _, f := fx.m.CancelWaiter(p, fx.newProc(t)); found || !obj.IsFault(f, obj.FaultOddity) {
+			t.Errorf("%s: cancel of an absent waiter over a cycle: found=%v %v", side, found, f)
+		}
+		if _, f := fx.m.Inspect(p); !obj.IsFault(f, obj.FaultOddity) {
+			t.Errorf("%s: inspect over a cycle: %v", side, f)
+		}
+	}
+}

@@ -65,19 +65,23 @@ func (m *Manager) Inspect(p obj.AD) (*State, *obj.Fault) {
 	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
 		return nil, f
 	}
+	var pv obj.View
+	if f := m.Table.View(p, obj.RightRead, &pv); f != nil {
+		return nil, f
+	}
 	st := &State{}
-	disc, f := m.Table.ReadWord(p, offDiscipline)
+	disc, f := pv.Word(offDiscipline)
 	if f != nil {
 		return nil, f
 	}
 	st.Discipline = Discipline(disc)
-	if st.Capacity, st.Count, f = m.counts(p); f != nil {
+	if st.Capacity, st.Count, f = counts(&pv); f != nil {
 		return nil, f
 	}
 	st.Slots = make([]SlotState, st.Capacity)
 	for i := uint32(0); i < uint32(st.Capacity); i++ {
 		rec := offSlots + i*slotRecSize
-		occ, f := m.Table.ReadWord(p, rec+recOccupied)
+		occ, f := pv.Word(rec + recOccupied)
 		if f != nil {
 			return nil, f
 		}
@@ -86,13 +90,13 @@ func (m *Manager) Inspect(p obj.AD) (*State, *obj.Fault) {
 		}
 		s := &st.Slots[i]
 		s.Occupied = true
-		if s.Msg, f = m.Table.LoadAD(p, slotMsg0+i); f != nil {
+		if s.Msg, f = pv.LoadAD(slotMsg0 + i); f != nil {
 			return nil, f
 		}
-		if s.Key, f = m.Table.ReadDWord(p, rec+recKey); f != nil {
+		if s.Key, f = pv.DWord(rec + recKey); f != nil {
 			return nil, f
 		}
-		if s.Seq, f = m.Table.ReadDWord(p, rec+recSeq); f != nil {
+		if s.Seq, f = pv.DWord(rec + recSeq); f != nil {
 			return nil, f
 		}
 	}
@@ -135,7 +139,7 @@ func (m *Manager) walkFree(p obj.AD) ([]obj.Index, *obj.Fault) {
 	limit := m.Table.Len()
 	for cur.Valid() {
 		if len(out) >= limit {
-			return nil, obj.Faultf(obj.FaultOddity, p, "free pool longer than the object table: cycle")
+			return nil, cyclic(p)
 		}
 		out = append(out, cur.Index)
 		if cur, f = m.Table.LoadAD(cur, carSlotNext); f != nil {
@@ -154,7 +158,7 @@ func (m *Manager) walkWaiters(p obj.AD, headSlot uint32) ([]Waiter, *obj.Fault) 
 	limit := m.Table.Len()
 	for cur.Valid() {
 		if len(out) >= limit {
-			return nil, obj.Faultf(obj.FaultOddity, p, "wait queue longer than the object table: cycle")
+			return nil, cyclic(p)
 		}
 		w := Waiter{Carrier: cur.Index}
 		if w.Process, f = m.Table.LoadAD(cur, carSlotProcess); f != nil {

@@ -104,6 +104,10 @@ const (
 type Manager struct {
 	Table *obj.Table
 	SRO   *sro.Manager
+
+	// wake is where Send and Receive put the *Wake they return, so waking
+	// a process allocates nothing. It says nothing about any port.
+	wake Wake
 }
 
 // NewManager returns a port manager.
@@ -142,10 +146,25 @@ func (m *Manager) Create(heap obj.AD, capacity uint16, d Discipline) (obj.AD, *o
 
 // Wake describes a process unblocked by a port operation: the dispatching
 // machinery (internal/gdp) must return it to the dispatch mix. For a woken
-// receiver, Msg carries the message it was handed.
+// receiver, Msg carries the message it was handed. A *Wake returned by Send
+// or Receive points into the Manager and is valid until the next call on
+// that Manager: read or copy it before operating on any port again.
 type Wake struct {
 	Process obj.AD
 	Msg     obj.AD
+}
+
+// open checks that p is a port capability carrying the type right the
+// instruction needs, and returns the port's lifetime level.
+func (m *Manager) open(p obj.AD, right obj.Rights, name string) (obj.Level, *obj.Fault) {
+	d, f := m.Table.RequireType(p, obj.TypePort)
+	if f != nil {
+		return 0, f
+	}
+	if !p.Rights.Has(right) {
+		return 0, obj.Faultf(obj.FaultRights, p, "need %s right", name)
+	}
+	return d.Level, nil
 }
 
 // Send queues msg at the port. key orders the message under the priority
@@ -162,12 +181,9 @@ type Wake struct {
 //   - queue full and proc is nil: the conditional send — fails with
 //     blocked=true and no side effects.
 func (m *Manager) Send(p obj.AD, msg obj.AD, key uint32, proc obj.AD) (blocked bool, wake *Wake, f *obj.Fault) {
-	d, f := m.Table.RequireType(p, obj.TypePort)
+	level, f := m.open(p, RightSend, "send")
 	if f != nil {
 		return false, nil, f
-	}
-	if !p.Rights.Has(RightSend) {
-		return false, nil, obj.Faultf(obj.FaultRights, p, "need send right")
 	}
 	if !msg.Valid() {
 		return false, nil, obj.Faultf(obj.FaultInvalidAD, msg, "nil message")
@@ -175,16 +191,22 @@ func (m *Manager) Send(p obj.AD, msg obj.AD, key uint32, proc obj.AD) (blocked b
 	// The lifetime rule of §5: a message must be no shorter-lived than
 	// the port carrying it, or a receiver could be handed a dangling
 	// reference after the sender's heap unwinds.
-	md, f := m.Table.Resolve(msg)
+	msgLevel, f := m.Table.LevelOf(msg)
 	if f != nil {
 		return false, nil, f
 	}
-	if md.Level > d.Level {
+	if msgLevel > level {
 		return false, nil, obj.Faultf(obj.FaultLevel, msg,
-			"level-%d message through level-%d port", md.Level, d.Level)
+			"level-%d message through level-%d port", msgLevel, level)
 	}
 
-	capacity, count, f := m.counts(p)
+	// One walk from the AD to the port's segments serves every access
+	// below; each still tests its own right and its bounds.
+	var pv obj.View
+	if f := m.Table.View(p, obj.RightRead, &pv); f != nil {
+		return false, nil, f
+	}
+	capacity, count, f := counts(&pv)
 	if f != nil {
 		return false, nil, f
 	}
@@ -192,31 +214,26 @@ func (m *Manager) Send(p obj.AD, msg obj.AD, key uint32, proc obj.AD) (blocked b
 		if !proc.Valid() {
 			return true, nil, nil // conditional send would block
 		}
-		if f := m.park(p, slotSendHead, slotSendTail, proc, msg, key); f != nil {
+		if f := m.park(&pv, slotSendHead, slotSendTail, proc, msg, key); f != nil {
 			return false, nil, f
 		}
 		return true, nil, nil
 	}
-	if f := m.deposit(p, capacity, msg, key); f != nil {
+	if f := m.deposit(&pv, capacity, msg, key); f != nil {
 		return false, nil, f
-	}
-	if l := m.Table.Tracer(); l != nil {
-		l.Emit(trace.EvSend, uint32(p.Index), uint32(msg.Index), uint64(key))
 	}
 	// A blocked receiver (possible only when the queue was empty) takes
 	// the best message immediately.
-	recv, f := m.unpark(p, slotRecvHead, slotRecvTail)
+	recv, waiting, f := m.unpark(&pv, slotRecvHead, slotRecvTail)
+	if f != nil || !waiting {
+		return false, nil, f
+	}
+	got, f := takeBest(&pv)
 	if f != nil {
 		return false, nil, f
 	}
-	if recv != nil {
-		got, f := m.takeBest(p)
-		if f != nil {
-			return false, nil, f
-		}
-		return false, &Wake{Process: recv.Process, Msg: got}, nil
-	}
-	return false, nil, nil
+	m.wake = Wake{Process: recv.Process, Msg: got}
+	return false, &m.wake, nil
 }
 
 // Receive takes a message from the port.
@@ -231,13 +248,14 @@ func (m *Manager) Send(p obj.AD, msg obj.AD, key uint32, proc obj.AD) (blocked b
 //     (blocked=true);
 //   - empty and proc nil: conditional receive — blocked=true, no effect.
 func (m *Manager) Receive(p obj.AD, proc obj.AD) (msg obj.AD, blocked bool, wake *Wake, f *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
+	if _, f := m.open(p, RightReceive, "receive"); f != nil {
 		return obj.NilAD, false, nil, f
 	}
-	if !p.Rights.Has(RightReceive) {
-		return obj.NilAD, false, nil, obj.Faultf(obj.FaultRights, p, "need receive right")
+	var pv obj.View
+	if f := m.Table.View(p, obj.RightRead, &pv); f != nil {
+		return obj.NilAD, false, nil, f
 	}
-	capacity, count, f := m.counts(p)
+	capacity, count, f := counts(&pv)
 	if f != nil {
 		return obj.NilAD, false, nil, f
 	}
@@ -245,12 +263,12 @@ func (m *Manager) Receive(p obj.AD, proc obj.AD) (msg obj.AD, blocked bool, wake
 		if !proc.Valid() {
 			return obj.NilAD, true, nil, nil
 		}
-		if f := m.park(p, slotRecvHead, slotRecvTail, proc, obj.NilAD, 0); f != nil {
+		if f := m.park(&pv, slotRecvHead, slotRecvTail, proc, obj.NilAD, 0); f != nil {
 			return obj.NilAD, false, nil, f
 		}
 		return obj.NilAD, true, nil, nil
 	}
-	msg, f = m.takeBest(p)
+	msg, f = takeBest(&pv)
 	if f != nil {
 		return obj.NilAD, false, nil, f
 	}
@@ -258,20 +276,18 @@ func (m *Manager) Receive(p obj.AD, proc obj.AD) (msg obj.AD, blocked bool, wake
 		l.Emit(trace.EvRecv, uint32(p.Index), uint32(msg.Index), 0)
 	}
 	// A blocked sender's message moves into the freed slot.
-	send, f := m.unpark(p, slotSendHead, slotSendTail)
+	send, waiting, f := m.unpark(&pv, slotSendHead, slotSendTail)
 	if f != nil {
 		return obj.NilAD, false, nil, f
 	}
-	if send != nil {
-		if f := m.deposit(p, capacity, send.Msg, send.key); f != nil {
-			return obj.NilAD, false, nil, f
-		}
-		if l := m.Table.Tracer(); l != nil {
-			l.Emit(trace.EvSend, uint32(p.Index), uint32(send.Msg.Index), uint64(send.key))
-		}
-		return msg, false, &Wake{Process: send.Process}, nil
+	if !waiting {
+		return msg, false, nil, nil
 	}
-	return msg, false, nil, nil
+	if f := m.deposit(&pv, capacity, send.Msg, send.key); f != nil {
+		return obj.NilAD, false, nil, f
+	}
+	m.wake = Wake{Process: send.Process}
+	return msg, false, &m.wake, nil
 }
 
 // Count reports the number of messages queued at the port.
@@ -279,7 +295,7 @@ func (m *Manager) Count(p obj.AD) (int, *obj.Fault) {
 	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
 		return 0, f
 	}
-	_, count, f := m.counts(p)
+	count, f := m.Table.ReadWord(p, offCount)
 	return int(count), f
 }
 
@@ -292,52 +308,60 @@ func (m *Manager) DisciplineOf(p obj.AD) (Discipline, *obj.Fault) {
 	return Discipline(d), f
 }
 
-func (m *Manager) counts(p obj.AD) (capacity, count uint16, f *obj.Fault) {
-	if capacity, f = m.Table.ReadWord(p, offCapacity); f != nil {
+func counts(pv *obj.View) (capacity, count uint16, f *obj.Fault) {
+	if capacity, f = pv.Word(offCapacity); f != nil {
 		return
 	}
-	count, f = m.Table.ReadWord(p, offCount)
+	count, f = pv.Word(offCount)
 	return
 }
 
-// deposit places msg into a free slot with the given key and stamps the
-// arrival sequence.
-func (m *Manager) deposit(p obj.AD, capacity uint16, msg obj.AD, key uint32) *obj.Fault {
+// deposit places msg into the lowest free slot with the given key, stamps
+// the arrival sequence and emits the send event. The capacity is the
+// port's own word, so every record is bounds-checked: a damaged capacity
+// faults instead of running off the data part.
+func (m *Manager) deposit(pv *obj.View, capacity uint16, msg obj.AD, key uint32) *obj.Fault {
 	for i := uint32(0); i < uint32(capacity); i++ {
 		rec := offSlots + i*slotRecSize
-		occ, f := m.Table.ReadWord(p, rec+recOccupied)
+		occ, f := pv.Word(rec + recOccupied)
 		if f != nil {
 			return f
 		}
 		if occ != 0 {
 			continue
 		}
-		seq, f := m.Table.ReadDWord(p, offSeq)
+		seq, f := pv.DWord(offSeq)
 		if f != nil {
 			return f
 		}
-		if f := m.Table.WriteDWord(p, offSeq, seq+1); f != nil {
+		if f := pv.SetDWord(offSeq, seq+1); f != nil {
 			return f
 		}
-		if f := m.Table.StoreAD(p, slotMsg0+i, msg); f != nil {
+		if f := pv.StoreAD(slotMsg0+i, msg); f != nil {
 			return f
 		}
-		if f := m.Table.WriteWord(p, rec+recOccupied, 1); f != nil {
+		if f := pv.SetWord(rec+recOccupied, 1); f != nil {
 			return f
 		}
-		if f := m.Table.WriteDWord(p, rec+recKey, key); f != nil {
+		if f := pv.SetDWord(rec+recKey, key); f != nil {
 			return f
 		}
-		if f := m.Table.WriteDWord(p, rec+recSeq, seq); f != nil {
+		if f := pv.SetDWord(rec+recSeq, seq); f != nil {
 			return f
 		}
-		count, f := m.Table.ReadWord(p, offCount)
+		count, f := pv.Word(offCount)
 		if f != nil {
 			return f
 		}
-		return m.Table.WriteWord(p, offCount, count+1)
+		if f := pv.SetWord(offCount, count+1); f != nil {
+			return f
+		}
+		if l := m.Table.Tracer(); l != nil {
+			l.Emit(trace.EvSend, uint32(pv.AD().Index), uint32(msg.Index), uint64(key))
+		}
+		return nil
 	}
-	return obj.Faultf(obj.FaultOddity, p, "no free slot despite count < capacity")
+	return obj.Faultf(obj.FaultOddity, pv.AD(), "no free slot despite count < capacity")
 }
 
 // takeBest removes and returns the message the discipline orders first.
@@ -346,12 +370,12 @@ func (m *Manager) deposit(p obj.AD, capacity uint16, msg obj.AD, key uint32) *ob
 // port pays for its messages, not its capacity. Selection among the
 // occupied slots is unchanged, so the result — and every byte written —
 // is identical under all three disciplines.
-func (m *Manager) takeBest(p obj.AD) (obj.AD, *obj.Fault) {
-	disc, f := m.Table.ReadWord(p, offDiscipline)
+func takeBest(pv *obj.View) (obj.AD, *obj.Fault) {
+	disc, f := pv.Word(offDiscipline)
 	if f != nil {
 		return obj.NilAD, f
 	}
-	capacity, count, f := m.counts(p)
+	capacity, count, f := counts(pv)
 	if f != nil {
 		return obj.NilAD, f
 	}
@@ -360,7 +384,7 @@ func (m *Manager) takeBest(p obj.AD) (obj.AD, *obj.Fault) {
 	seen := uint16(0)
 	for i := uint32(0); i < uint32(capacity) && seen < count; i++ {
 		rec := offSlots + i*slotRecSize
-		occ, f := m.Table.ReadWord(p, rec+recOccupied)
+		occ, f := pv.Word(rec + recOccupied)
 		if f != nil {
 			return obj.NilAD, f
 		}
@@ -368,11 +392,11 @@ func (m *Manager) takeBest(p obj.AD) (obj.AD, *obj.Fault) {
 			continue
 		}
 		seen++
-		key, f := m.Table.ReadDWord(p, rec+recKey)
+		key, f := pv.DWord(rec + recKey)
 		if f != nil {
 			return obj.NilAD, f
 		}
-		seq, f := m.Table.ReadDWord(p, rec+recSeq)
+		seq, f := pv.DWord(rec + recSeq)
 		if f != nil {
 			return obj.NilAD, f
 		}
@@ -390,24 +414,24 @@ func (m *Manager) takeBest(p obj.AD) (obj.AD, *obj.Fault) {
 		}
 	}
 	if best < 0 {
-		return obj.NilAD, obj.Faultf(obj.FaultOddity, p, "count > 0 but no occupied slot")
+		return obj.NilAD, obj.Faultf(obj.FaultOddity, pv.AD(), "count > 0 but no occupied slot")
 	}
-	msg, f := m.Table.LoadAD(p, slotMsg0+uint32(best))
+	msg, f := pv.LoadAD(slotMsg0 + uint32(best))
 	if f != nil {
 		return obj.NilAD, f
 	}
 	rec := offSlots + uint32(best)*slotRecSize
-	if f := m.Table.WriteWord(p, rec+recOccupied, 0); f != nil {
+	if f := pv.SetWord(rec+recOccupied, 0); f != nil {
 		return obj.NilAD, f
 	}
-	if f := m.Table.StoreAD(p, slotMsg0+uint32(best), obj.NilAD); f != nil {
+	if f := pv.StoreAD(slotMsg0+uint32(best), obj.NilAD); f != nil {
 		return obj.NilAD, f
 	}
-	cnt, f := m.Table.ReadWord(p, offCount)
+	cnt, f := pv.Word(offCount)
 	if f != nil {
 		return obj.NilAD, f
 	}
-	return msg, m.Table.WriteWord(p, offCount, cnt-1)
+	return msg, pv.SetWord(offCount, cnt-1)
 }
 
 // parked describes a carrier removed from a wait queue.
@@ -423,24 +447,25 @@ type parked struct {
 // way the whole structure shares the port's lifetime. Popping and pushing
 // a pooled carrier is pure AD-slot traffic: nothing is allocated and
 // nothing destroyed on the blocking path.
-func (m *Manager) park(p obj.AD, headSlot, tailSlot uint32, proc, msg obj.AD, key uint32) *obj.Fault {
-	car, f := m.carrier(p)
-	if f != nil {
+func (m *Manager) park(pv *obj.View, headSlot, tailSlot uint32, proc, msg obj.AD, key uint32) *obj.Fault {
+	var cv obj.View
+	if f := m.carrier(pv, &cv); f != nil {
 		return f
 	}
-	if f := m.Table.WriteDWord(car, carKey, key); f != nil {
+	car := cv.AD()
+	if f := cv.SetDWord(carKey, key); f != nil {
 		return f
 	}
 	// Hardware queues link below the level discipline: see StoreADSystem.
-	if f := m.Table.StoreADSystem(car, carSlotProcess, proc); f != nil {
+	if f := cv.StoreADSystem(carSlotProcess, proc); f != nil {
 		return f
 	}
 	if msg.Valid() {
-		if f := m.Table.StoreADSystem(car, carSlotMessage, msg); f != nil {
+		if f := cv.StoreADSystem(carSlotMessage, msg); f != nil {
 			return f
 		}
 	}
-	tail, f := m.Table.LoadAD(p, tailSlot)
+	tail, f := pv.LoadAD(tailSlot)
 	if f != nil {
 		return f
 	}
@@ -449,127 +474,130 @@ func (m *Manager) park(p obj.AD, headSlot, tailSlot uint32, proc, msg obj.AD, ke
 			return f
 		}
 	} else {
-		if f := m.Table.StoreADSystem(p, headSlot, car); f != nil {
+		if f := pv.StoreADSystem(headSlot, car); f != nil {
 			return f
 		}
 	}
-	if f := m.Table.StoreADSystem(p, tailSlot, car); f != nil {
+	if f := pv.StoreADSystem(tailSlot, car); f != nil {
 		return f
 	}
 	if l := m.Table.Tracer(); l != nil {
-		var side uint64
-		if headSlot == slotRecvHead {
-			side = 1
-		}
-		l.Emit(trace.EvPark, uint32(p.Index), uint32(proc.Index), side)
+		l.Emit(trace.EvPark, uint32(pv.AD().Index), uint32(proc.Index), side(headSlot))
 	}
 	return nil
 }
 
-// carrier produces a carrier for park: the head of the port's free pool if
-// one is there, else a fresh allocation from the port's SRO.
-func (m *Manager) carrier(p obj.AD) (obj.AD, *obj.Fault) {
-	car, f := m.Table.LoadAD(p, slotFree)
-	if f != nil {
-		return obj.NilAD, f
+// side is the Aux of a park or unpark event: 0 sender, 1 receiver.
+func side(headSlot uint32) uint64 {
+	if headSlot == slotRecvHead {
+		return 1
 	}
-	if car.Valid() {
-		next, f := m.Table.LoadAD(car, carSlotNext)
+	return 0
+}
+
+// carrier produces a carrier for park and resolves it into cv: the head of
+// the port's free pool if one is there, else a fresh allocation from the
+// port's SRO.
+func (m *Manager) carrier(pv, cv *obj.View) *obj.Fault {
+	car, f := pv.LoadAD(slotFree)
+	if f != nil {
+		return f
+	}
+	if !car.Valid() {
+		p := pv.AD()
+		sroAD, f := m.sroCapOf(m.Table.DescriptorAt(p.Index).SRO, p)
 		if f != nil {
-			return obj.NilAD, f
+			return f
 		}
-		if f := m.Table.StoreADSystem(p, slotFree, next); f != nil {
-			return obj.NilAD, f
+		car, f = m.SRO.Create(sroAD, obj.CreateSpec{
+			Type:        obj.TypeCarrier,
+			DataLen:     carData,
+			AccessSlots: carSlots,
+		})
+		if f != nil {
+			return f
 		}
-		if f := m.Table.StoreADSystem(car, carSlotNext, obj.NilAD); f != nil {
-			return obj.NilAD, f
-		}
-		return car, nil
+		return m.Table.View(car, obj.RightWrite, cv)
 	}
-	pd := m.Table.DescriptorAt(p.Index)
-	sroAD, f := m.sroCapOf(pd.SRO, p)
+	if f := m.Table.View(car, obj.RightRead, cv); f != nil {
+		return f
+	}
+	next, f := cv.LoadAD(carSlotNext)
 	if f != nil {
-		return obj.NilAD, f
+		return f
 	}
-	return m.SRO.Create(sroAD, obj.CreateSpec{
-		Type:        obj.TypeCarrier,
-		DataLen:     carData,
-		AccessSlots: carSlots,
-	})
+	if f := pv.StoreADSystem(slotFree, next); f != nil {
+		return f
+	}
+	return cv.StoreADSystem(carSlotNext, obj.NilAD)
 }
 
 // pool scrubs a carrier just removed from a wait queue — the process slot
 // always, the message slot when it carried one, so the pool never extends
 // a process's or message's lifetime — and pushes it onto the port's free
 // pool for the next park.
-func (m *Manager) pool(p, car obj.AD) *obj.Fault {
-	if f := m.Table.StoreADSystem(car, carSlotProcess, obj.NilAD); f != nil {
+func pool(pv, cv *obj.View) *obj.Fault {
+	if f := cv.StoreADSystem(carSlotProcess, obj.NilAD); f != nil {
 		return f
 	}
-	msg, f := m.Table.LoadAD(car, carSlotMessage)
+	msg, f := cv.LoadAD(carSlotMessage)
 	if f != nil {
 		return f
 	}
 	if msg.Valid() {
-		if f := m.Table.StoreADSystem(car, carSlotMessage, obj.NilAD); f != nil {
+		if f := cv.StoreADSystem(carSlotMessage, obj.NilAD); f != nil {
 			return f
 		}
 	}
-	free, f := m.Table.LoadAD(p, slotFree)
+	free, f := pv.LoadAD(slotFree)
 	if f != nil {
 		return f
 	}
-	if f := m.Table.StoreADSystem(car, carSlotNext, free); f != nil {
+	if f := cv.StoreADSystem(carSlotNext, free); f != nil {
 		return f
 	}
-	return m.Table.StoreADSystem(p, slotFree, car)
+	return pv.StoreADSystem(slotFree, cv.AD())
 }
 
 // unpark removes the head carrier of a wait queue, pooling the carrier
-// and returning its contents; nil if the queue is empty.
-func (m *Manager) unpark(p obj.AD, headSlot, tailSlot uint32) (*parked, *obj.Fault) {
-	head, f := m.Table.LoadAD(p, headSlot)
+// and returning its contents; ok is false if the queue is empty.
+func (m *Manager) unpark(pv *obj.View, headSlot, tailSlot uint32) (w parked, ok bool, f *obj.Fault) {
+	head, f := pv.LoadAD(headSlot)
+	if f != nil || !head.Valid() {
+		return w, false, f
+	}
+	var hv obj.View
+	if f := m.Table.View(head, obj.RightRead, &hv); f != nil {
+		return w, false, f
+	}
+	if w.Process, f = hv.LoadAD(carSlotProcess); f != nil {
+		return w, false, f
+	}
+	if w.Msg, f = hv.LoadAD(carSlotMessage); f != nil {
+		return w, false, f
+	}
+	if w.key, f = hv.DWord(carKey); f != nil {
+		return w, false, f
+	}
+	next, f := hv.LoadAD(carSlotNext)
 	if f != nil {
-		return nil, f
+		return w, false, f
 	}
-	if !head.Valid() {
-		return nil, nil
-	}
-	proc, f := m.Table.LoadAD(head, carSlotProcess)
-	if f != nil {
-		return nil, f
-	}
-	msg, f := m.Table.LoadAD(head, carSlotMessage)
-	if f != nil {
-		return nil, f
-	}
-	key, f := m.Table.ReadDWord(head, carKey)
-	if f != nil {
-		return nil, f
-	}
-	next, f := m.Table.LoadAD(head, carSlotNext)
-	if f != nil {
-		return nil, f
-	}
-	if f := m.Table.StoreADSystem(p, headSlot, next); f != nil {
-		return nil, f
+	if f := pv.StoreADSystem(headSlot, next); f != nil {
+		return w, false, f
 	}
 	if !next.Valid() {
-		if f := m.Table.StoreADSystem(p, tailSlot, obj.NilAD); f != nil {
-			return nil, f
+		if f := pv.StoreADSystem(tailSlot, obj.NilAD); f != nil {
+			return w, false, f
 		}
 	}
-	if f := m.pool(p, head); f != nil {
-		return nil, f
+	if f := pool(pv, &hv); f != nil {
+		return w, false, f
 	}
 	if l := m.Table.Tracer(); l != nil {
-		var side uint64
-		if headSlot == slotRecvHead {
-			side = 1
-		}
-		l.Emit(trace.EvUnpark, uint32(p.Index), uint32(proc.Index), side)
+		l.Emit(trace.EvUnpark, uint32(pv.AD().Index), uint32(w.Process.Index), side(headSlot))
 	}
-	return &parked{Process: proc, Msg: msg, key: key}, nil
+	return w, true, nil
 }
 
 // WaitingSenders reports the number of processes blocked sending to p.
@@ -592,13 +620,22 @@ func (m *Manager) queueLen(p obj.AD, headSlot uint32) (int, *obj.Fault) {
 	if f != nil {
 		return 0, f
 	}
-	for cur.Valid() {
-		n++
+	for limit := m.Table.Len(); cur.Valid(); n++ {
+		if n >= limit {
+			return 0, cyclic(p)
+		}
 		if cur, f = m.Table.LoadAD(cur, carSlotNext); f != nil {
 			return 0, f
 		}
 	}
 	return n, nil
+}
+
+// cyclic is the fault of a wait-queue or free-pool walk that has visited
+// more carriers than the table holds objects: the chain is damaged into a
+// cycle, and the walk stops instead of hanging the simulator.
+func cyclic(p obj.AD) *obj.Fault {
+	return obj.Faultf(obj.FaultOddity, p, "carrier chain longer than the object table: cycle")
 }
 
 // sroCapOf manufactures a full-rights capability for the SRO at idx. The

@@ -414,3 +414,36 @@ func setupQuick() *fixture {
 	heap, _ := s.NewGlobalHeap(0)
 	return &fixture{tab: tab, sros: s, m: NewManager(tab, s), heap: heap}
 }
+
+// TestPortPathAllocFree pins the host-allocation contract of the port
+// instructions: a send/receive pair, and a park/unpark round trip through a
+// pooled carrier with its *Wake, allocate nothing.
+func TestPortPathAllocFree(t *testing.T) {
+	fx := setup(t)
+	p := fx.newPort(t, 4, FIFO)
+	msg, proc := fx.newMsg(t), fx.newProc(t)
+	pair := testing.AllocsPerRun(1000, func() {
+		if blocked, _, f := fx.m.Send(p, msg, 0, obj.NilAD); f != nil || blocked {
+			t.Fatal(blocked, f)
+		}
+		if _, blocked, _, f := fx.m.Receive(p, obj.NilAD); f != nil || blocked {
+			t.Fatal(blocked, f)
+		}
+	})
+	if pair != 0 {
+		t.Errorf("send/receive pair allocates %.2f objects; want 0", pair)
+	}
+	roundTrip := func() {
+		if _, blocked, _, f := fx.m.Receive(p, proc); f != nil || !blocked {
+			t.Fatal(blocked, f)
+		}
+		_, wake, f := fx.m.Send(p, msg, 0, obj.NilAD)
+		if f != nil || wake == nil || wake.Process != proc || wake.Msg != msg {
+			t.Fatal(wake, f)
+		}
+	}
+	roundTrip() // creates the carrier the later rounds reuse
+	if park := testing.AllocsPerRun(1000, roundTrip); park != 0 {
+		t.Errorf("park/unpark round trip allocates %.2f objects; want 0", park)
+	}
+}

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -26,7 +25,9 @@ type Session struct {
 	Censored  int
 
 	// issueAt queues the scheduled instants of in-flight requests in
-	// attribution (FIFO) order.
+	// attribution (FIFO) order. Its room for RequestsPerSession instants
+	// is carved from one slab in New, and it is popped by copying down,
+	// so it never leaves that room.
 	issueAt []vtime.Cycles
 	// thinks are the pre-drawn think gaps before requests 1..n-1.
 	thinks []vtime.Cycles
@@ -39,23 +40,51 @@ type event struct {
 	sid int32
 }
 
+// eventHeap is a binary min-heap of events by instant, then push order. It
+// is typed, not container/heap, because that interface boxes every event
+// it pushes and pops: two host allocations per request.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q.less(i, parent) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest event; the heap must not be empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0] = q[n]
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+			if q.less(c, least) {
+				least = c
+			}
+		}
+		if least == i {
+			return top
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
 }
 
 // agenda is an engine's schedule of request instants, ordered by instant
@@ -69,7 +98,7 @@ type agenda struct {
 
 // push schedules session sid's next request at instant at.
 func (a *agenda) push(at vtime.Cycles, sid int32) {
-	heap.Push(&a.events, event{at: at, seq: a.seq, sid: sid})
+	a.events.push(event{at: at, seq: a.seq, sid: sid})
 	a.seq++
 	a.lastScheduled = max(a.lastScheduled, at)
 }
@@ -133,6 +162,7 @@ func New(cfg Config) (*Engine, error) {
 
 	var anchored []obj.AD
 	e.Sessions = make([]Session, cfg.Sessions)
+	inFlight := make([]vtime.Cycles, cfg.Sessions*cfg.RequestsPerSession)
 	err = population(&cfg.Load, func(i, class int, arrive vtime.Cycles, thinks []vtime.Cycles) error {
 		so, f := im.MM.Allocate(im.Heap, obj.CreateSpec{
 			Type:    obj.TypeGeneric,
@@ -141,7 +171,8 @@ func New(cfg Config) (*Engine, error) {
 		if f != nil {
 			return fmt.Errorf("scenario %q: session %d object: %v", cfg.Name, i, f)
 		}
-		e.Sessions[i] = Session{Class: class, Obj: so, Arrive: arrive, thinks: thinks}
+		room := inFlight[i*cfg.RequestsPerSession:][:0:cfg.RequestsPerSession]
+		e.Sessions[i] = Session{Class: class, Obj: so, Arrive: arrive, issueAt: room, thinks: thinks}
 		e.byObj[so.Index] = int32(i)
 		e.Classes[class].Sessions++
 		anchored = append(anchored, so)
@@ -266,7 +297,7 @@ func (e *Engine) drainReplies() *obj.Fault {
 			continue
 		}
 		at := s.issueAt[0]
-		s.issueAt = s.issueAt[1:]
+		s.issueAt = s.issueAt[:copy(s.issueAt, s.issueAt[1:])]
 		now := e.IM.Now()
 		lat := now - at
 		cl := &e.Classes[s.Class]
@@ -299,7 +330,7 @@ func (e *Engine) censor(deadline vtime.Cycles) {
 			cl.Censored++
 			e.totCensored++
 		}
-		s.issueAt = nil
+		s.issueAt = s.issueAt[:0]
 	}
 	for ci := range e.Classes {
 		e.Classes[ci].pending = nil
@@ -327,13 +358,13 @@ func (e *Engine) Run() (*Result, error) {
 	e.ran = true
 	for {
 		now := e.IM.Now()
-		for e.events.Len() > 0 && e.events[0].at <= now {
-			ev := heap.Pop(&e.events).(event)
+		for len(e.events) > 0 && e.events[0].at <= now {
+			ev := e.events.pop()
 			e.issue(ev.sid, ev.at)
 		}
 		e.flush()
 		deadline := e.lastScheduled + e.Cfg.DrainBudget
-		if e.events.Len() == 0 && e.totCompleted+e.totCensored == e.totIssued {
+		if len(e.events) == 0 && e.totCompleted+e.totCensored == e.totIssued {
 			break
 		}
 		if now >= deadline {
@@ -352,7 +383,7 @@ func (e *Engine) Run() (*Result, error) {
 			// way gdp.Run advances to the next timer — here the next
 			// arrival, timer, compaction pass or the deadline.
 			t := deadline
-			if e.events.Len() > 0 && e.events[0].at < t {
+			if len(e.events) > 0 && e.events[0].at < t {
 				t = e.events[0].at
 			}
 			t = e.wake(t)

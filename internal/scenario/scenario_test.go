@@ -3,10 +3,13 @@ package scenario
 import (
 	"bytes"
 	"encoding/hex"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/audit"
 	"repro/internal/ledger"
+	"repro/internal/vtime"
 )
 
 // testSessions scales the determinism regression: 10⁴ sessions as the
@@ -243,5 +246,58 @@ func TestScenarioPastOldCeiling(t *testing.T) {
 	huge, _ := Preset("baseline", 1<<26, 42)
 	if _, err := New(huge); err == nil {
 		t.Error("a population past the 32-bit machine was accepted")
+	}
+}
+
+// TestRequestPathAllocFree holds New to its promise that the run itself
+// performs no engine-side allocation: issuing, sending, serving, waking,
+// receiving and recording a request allocates nothing on the host, so what
+// a run allocates is fixed — the execution caches and compiled traces of
+// the server programs on first use (some forty objects) and the Result —
+// and not a per-request cost the host collector pays for.
+func TestRequestPathAllocFree(t *testing.T) {
+	const sessions = 10_000
+	cfg, err := Preset("baseline", sessions, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := e.Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != sessions {
+		t.Fatalf("completed %d of %d requests", res.Completed, sessions)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / float64(res.Completed); per > 0.01 {
+		t.Errorf("Engine.Run allocates %.3f objects per completed request (%d in all); want at most 0.01",
+			per, after.Mallocs-before.Mallocs)
+	}
+}
+
+// TestEventHeapOrder: the agenda pops by instant, then by push order,
+// whatever order the pushes came in.
+func TestEventHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var a agenda
+	for i := 0; i < 2_000; i++ {
+		a.push(vtime.Cycles(rng.Intn(50)), int32(i))
+		if rng.Intn(3) == 0 {
+			a.events.pop()
+		}
+	}
+	prev := a.events.pop()
+	for len(a.events) > 0 {
+		ev := a.events.pop()
+		if ev.at < prev.at || ev.at == prev.at && ev.seq < prev.seq {
+			t.Fatalf("popped (%d, %d) after (%d, %d)", ev.at, ev.seq, prev.at, prev.seq)
+		}
+		prev = ev
 	}
 }

@@ -20,7 +20,6 @@
 package scenario
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -381,15 +380,15 @@ func (e *ShardEngine) Run() (*ShardResult, error) {
 	}
 	e.ran = true
 	for {
-		for e.events.Len() > 0 && e.events[0].at <= e.now {
-			ev := heap.Pop(&e.events).(event)
+		for len(e.events) > 0 && e.events[0].at <= e.now {
+			ev := e.events.pop()
 			if err := e.issue(ev.sid, ev.at); err != nil {
 				return nil, err
 			}
 		}
 		inFlight := e.totIssued - e.totCompleted - e.totCensored
 		deadline := e.lastScheduled + e.Cfg.DrainBudget
-		if e.events.Len() == 0 && inFlight == 0 {
+		if len(e.events) == 0 && inFlight == 0 {
 			break
 		}
 		if e.now >= deadline {
@@ -424,7 +423,7 @@ func (e *ShardEngine) Run() (*ShardResult, error) {
 			// Cluster-wide idle with nothing in flight: skip to the
 			// next obligation (arrival, policy timer, deadline).
 			t := deadline
-			if e.events.Len() > 0 && e.events[0].at < t {
+			if len(e.events) > 0 && e.events[0].at < t {
 				t = e.events[0].at
 			}
 			for _, sn := range e.nodes {
