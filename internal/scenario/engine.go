@@ -41,8 +41,8 @@ type event struct {
 }
 
 // eventHeap is a binary min-heap of events by instant, then push order. It
-// is typed, not container/heap, because that interface boxes every event
-// it pushes and pops: two host allocations per request.
+// is typed, not the standard library's heap, because that interface boxes
+// every event it pushes and pops: two host allocations per request.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {
