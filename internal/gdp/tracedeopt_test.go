@@ -1,13 +1,14 @@
 package gdp
 
 // Table-driven deopt tests for the trace compiler (trace.go): each
-// scenario drives a pair of twin systems — one with the compiler off, one
-// with it on — through the same step cadence and the same mid-run
-// mutation, comparing a full machine fingerprint (per-CPU clocks, slice
-// remainders, instruction counters, stats, and the raw context data bytes
-// — registers and IP) after every step. Divergence at any step means a
-// deopt or a limit crossing left the traced machine in a state the
-// per-instruction interpreter would not have produced.
+// scenario drives three twin systems — the uncached reference interpreter,
+// the execution cache with the compiler off, and the cache with it on —
+// through the same step cadence and the same mid-run mutation, comparing a
+// full machine fingerprint (per-CPU clocks, slice remainders, instruction
+// counters, stats, and the raw context data bytes — registers and IP)
+// after every step. Divergence at any step means a deopt or a limit
+// crossing left a cached machine in a state the reference interpreter
+// would not have produced.
 
 import (
 	"bytes"
@@ -50,11 +51,12 @@ func (i *testInjector) Fire(s *System, cpu *CPU) *obj.Fault {
 }
 
 // buildDeoptWorld constructs one system for a scenario. The construction
-// sequence is fully deterministic, so the notrace/trace twins are
-// byte-identical at the start.
-func buildDeoptWorld(t *testing.T, notrace bool, sc *deoptScenario) *deoptWorld {
+// sequence is fully deterministic, so the twins are byte-identical at the
+// start. cfg carries only the interpreter corner.
+func buildDeoptWorld(t *testing.T, cfg Config, sc *deoptScenario) *deoptWorld {
 	t.Helper()
-	s, err := New(Config{Processors: 1, MemoryBytes: 8 << 20, NoTraceJIT: notrace})
+	cfg.Processors, cfg.MemoryBytes = 1, 8<<20
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,10 +312,11 @@ func deoptScenarios() []deoptScenario {
 			wantEntries: true,
 		},
 		{
-			// A store through an a-reg naming the running context itself:
-			// the slow path writes the IP before the store, so the store
-			// can observe ip+1 — the trace defers IP writes and must
-			// deopt on the self-reference guard every single entry.
+			// A store and a load through an a-reg naming the running
+			// context itself: the slow path writes the IP before the
+			// operand access, so the load reads ip+1 — the trace defers
+			// IP writes and must deopt on the self-reference guard every
+			// single entry.
 			name: "self-referential-store",
 			build: func(t *testing.T, w *deoptWorld) {
 				prog := []isa.Instr{
@@ -324,6 +327,7 @@ func deoptScenarios() []deoptScenario {
 					isa.Mul(6, 0, 2),
 					isa.AddI(1, 1, ^uint32(0)),
 					isa.Store(0, 2, process.CtxOffRegs+7*4), // writes own r7
+					isa.Load(3, 2, process.CtxOffIP),        // reads own IP: 8
 					isa.BrNZ(1, 2),
 					isa.Halt(),
 				}
@@ -361,27 +365,36 @@ func TestTraceDeoptParity(t *testing.T) {
 	for i := range deoptScenarios() {
 		sc := deoptScenarios()[i]
 		t.Run(sc.name, func(t *testing.T) {
-			ref := buildDeoptWorld(t, true, &sc)
-			tr := buildDeoptWorld(t, false, &sc)
+			// The uncached machine is the reference; both cached twins
+			// must equal it step by step.
+			ref := buildDeoptWorld(t, Config{NoExecCache: true}, &sc)
+			notr := buildDeoptWorld(t, Config{NoTraceJIT: true}, &sc)
+			tr := buildDeoptWorld(t, Config{}, &sc)
+			twins := []struct {
+				name string
+				w    *deoptWorld
+			}{{"nocache", ref}, {"cache", notr}, {"cache+trace", tr}}
 			warm := sc.steps / 3
 			mutated := sc.mutate == nil
 			for step := 0; step < sc.steps; step++ {
 				if !mutated && step >= warm &&
 					(sc.mutateWhenIP == nil || ctxIP(tr.s, tr.procs[0]) == *sc.mutateWhenIP) {
-					sc.mutate(t, ref)
-					sc.mutate(t, tr)
+					for _, tw := range twins {
+						sc.mutate(t, tw.w)
+					}
 					mutated = true
 				}
-				if _, f := ref.s.Step(sc.budget); f != nil {
-					t.Fatalf("step %d (notrace): %v", step, f)
-				}
-				if _, f := tr.s.Step(sc.budget); f != nil {
-					t.Fatalf("step %d (trace): %v", step, f)
-				}
-				a := deoptFingerprint(ref.s, ref.procs)
-				b := deoptFingerprint(tr.s, tr.procs)
-				if a != b {
-					t.Fatalf("step %d: traced machine diverged\n--- notrace ---\n%s--- trace ---\n%s", step, a, b)
+				var want string
+				for _, tw := range twins {
+					if _, f := tw.w.s.Step(sc.budget); f != nil {
+						t.Fatalf("step %d (%s): %v", step, tw.name, f)
+					}
+					got := deoptFingerprint(tw.w.s, tw.w.procs)
+					if tw.w == ref {
+						want = got
+					} else if got != want {
+						t.Fatalf("step %d: %s machine diverged\n--- nocache ---\n%s--- %s ---\n%s", step, tw.name, want, tw.name, got)
+					}
 				}
 			}
 			if !mutated {
@@ -397,8 +410,10 @@ func TestTraceDeoptParity(t *testing.T) {
 			if sc.wantDeopts && st.Deopts == 0 {
 				t.Fatalf("scenario never deopted: %+v", st)
 			}
-			if rst := ref.s.TraceStats(); rst != (TraceStats{}) {
-				t.Fatalf("NoTraceJIT system ran the trace compiler: %+v", rst)
+			for _, w := range []*deoptWorld{ref, notr} {
+				if rst := w.s.TraceStats(); rst != (TraceStats{}) {
+					t.Fatalf("NoTraceJIT system ran the trace compiler: %+v", rst)
+				}
 			}
 		})
 	}
