@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	imax [-cpus N] [-mem BYTES] [-swapping] [-gc] [-noxcache] [-notrace]
+//	imax [-cpus N] [-mem BYTES] [-swapping] [-gc] [-noxcache]
 //	     [-demo NAME] [-trace] [-audit] [-itrace N] [-inspect]
 //	     [-ledger FILE]
 //	imax -inject SEED
@@ -25,10 +25,10 @@
 //
 // -inject runs the deterministic fault-injection acceptance protocol for
 // the given seed instead of a demo: a fault-free reference run, then the
-// seed's injection plan replayed in all three {nocache, cache,
-// cache+trace} corners, cross-checked for byte-identical traces, fault-port
-// delivery, invariant-audit cleanliness and damage confinement. Exits
-// non-zero if any criterion fails.
+// seed's injection plan replayed in both {nocache, cache} corners,
+// cross-checked for byte-identical traces, fault-port delivery,
+// invariant-audit cleanliness and damage confinement. Exits non-zero if
+// any criterion fails.
 package main
 
 import (
@@ -58,7 +58,6 @@ func main() {
 	swapping := flag.Bool("swapping", false, "select the swapping memory manager")
 	gcOn := flag.Bool("gc", true, "run the on-the-fly collector daemon")
 	noxcache := flag.Bool("noxcache", false, "disable the per-processor execution cache (results identical either way)")
-	notrace := flag.Bool("notrace", false, "disable the profile-guided trace compiler over the execution cache (results identical either way)")
 	demo := flag.String("demo", "ports", "workload: ports | compute | gc | io")
 	inspectFlag := flag.Bool("inspect", false, "dump the object population after the workload")
 	traceFlag := flag.Bool("trace", false, "enable the kernel event log; print counters and tail at exit")
@@ -101,7 +100,6 @@ func main() {
 		Trace:       *traceFlag,
 		Ledger:      *ledgerFile != "",
 		NoExecCache: *noxcache,
-		NoTraceJIT:  *notrace,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -58,10 +58,10 @@ func TestGoldenPorts(t *testing.T) {
 	}
 }
 
-// TestCornersPrintTheSameRun: the cache switches are host-side only, so
-// default flags, -notrace and -noxcache must print the same bytes —
-// including the trace tail and counters that -trace appends. compute has
-// loops hot enough to compile traces; gc executes the create instruction.
+// TestCornersPrintTheSameRun: the cache switch is host-side only, so
+// default flags and -noxcache must print the same bytes — including the
+// trace tail and counters that -trace appends. compute spins in the cached
+// run loop; gc executes the create instruction.
 func TestCornersPrintTheSameRun(t *testing.T) {
 	for _, demo := range []string{"ports", "compute", "gc"} {
 		base := []string{"-demo", demo, "-trace", "-audit"}
@@ -72,21 +72,19 @@ func TestCornersPrintTheSameRun(t *testing.T) {
 		if !strings.Contains(ref, "audit: all invariants hold") {
 			t.Fatalf("%s -noxcache: audit verdict missing:\n%s", demo, ref)
 		}
-		for _, corner := range [][]string{{"-notrace"}, nil} {
-			got, stderr, code := imax(t, append(base, corner...)...)
-			if code != 0 {
-				t.Fatalf("%s %v: exit %d, stderr:\n%s", demo, corner, code, stderr)
-			}
-			if got != ref {
-				t.Errorf("%s %v prints a different run than -noxcache:\n--- got ---\n%s--- want ---\n%s",
-					demo, corner, got, ref)
-			}
+		got, stderr, code := imax(t, base...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr:\n%s", demo, code, stderr)
+		}
+		if got != ref {
+			t.Errorf("%s prints a different run than with -noxcache:\n--- got ---\n%s--- want ---\n%s",
+				demo, got, ref)
 		}
 	}
 }
 
-// TestInjectAcceptance: the fault-injection protocol still passes end to
-// end, now over three corners.
+// TestInjectAcceptance: the fault-injection protocol passes end to end
+// over both corners.
 func TestInjectAcceptance(t *testing.T) {
 	out, stderr, code := imax(t, "-inject", "42")
 	if code != 0 {
@@ -105,6 +103,18 @@ func TestHostparFlagIsGone(t *testing.T) {
 		t.Fatalf("exit %d, want 2 (unknown flag)", code)
 	}
 	if !strings.Contains(stderr, "flag provided but not defined: -hostpar") {
+		t.Fatalf("stderr does not name the flag:\n%s", stderr)
+	}
+}
+
+// TestNotraceFlagIsGone: the trace compiler was deleted, and its flag with
+// it.
+func TestNotraceFlagIsGone(t *testing.T) {
+	_, stderr, code := imax(t, "-notrace")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2 (unknown flag)", code)
+	}
+	if !strings.Contains(stderr, "flag provided but not defined: -notrace") {
 		t.Fatalf("stderr does not name the flag:\n%s", stderr)
 	}
 }

@@ -94,11 +94,6 @@ type Config struct {
 	// internal/gdp); results are byte-identical either way, so this is a
 	// debugging and benchmarking knob, not a semantic switch.
 	NoExecCache bool
-
-	// NoTraceJIT disables the profile-guided trace compiler layered on
-	// the execution cache (see internal/gdp/trace.go); implied by
-	// NoExecCache. Results are byte-identical either way.
-	NoTraceJIT bool
 }
 
 // IMAX is a configured, running system.
@@ -150,7 +145,6 @@ func Boot(cfg Config) (*IMAX, error) {
 		MemoryBytes:      cfg.MemoryBytes,
 		DeadlineDispatch: cfg.DeadlineDispatch,
 		NoExecCache:      cfg.NoExecCache,
-		NoTraceJIT:       cfg.NoTraceJIT,
 	})
 	if err != nil {
 		return nil, err

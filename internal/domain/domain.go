@@ -76,8 +76,10 @@ type Manager struct {
 	// table index and guarded by generation at lookup so a stale
 	// registration can never run for a recycled slot.
 	handlers map[obj.Index]nativeReg
-	// programs caches decoded code images.
-	programs map[progKey][]isa.Instr
+	// programs caches decoded code images, one per table slot, with the
+	// same generation guard: a recycled slot's entry is replaced, so the
+	// cache is bounded by the slots that ever held code at once.
+	programs map[obj.Index]decoded
 }
 
 type nativeReg struct {
@@ -85,9 +87,9 @@ type nativeReg struct {
 	handler Handler
 }
 
-type progKey struct {
-	idx obj.Index
-	gen uint32
+type decoded struct {
+	gen  uint32
+	prog []isa.Instr
 }
 
 // NewManager returns a domain manager.
@@ -96,7 +98,7 @@ func NewManager(t *obj.Table, s *sro.Manager) *Manager {
 		Table:    t,
 		SRO:      s,
 		handlers: make(map[obj.Index]nativeReg),
-		programs: make(map[progKey][]isa.Instr),
+		programs: make(map[obj.Index]decoded),
 	}
 }
 
@@ -126,9 +128,8 @@ func (m *Manager) Program(code obj.AD) ([]isa.Instr, *obj.Fault) {
 	if f != nil {
 		return nil, f
 	}
-	key := progKey{code.Index, d.Gen}
-	if prog, ok := m.programs[key]; ok {
-		return prog, nil
+	if c, ok := m.programs[code.Index]; ok && c.gen == d.Gen {
+		return c.prog, nil
 	}
 	img, f := m.Table.ReadBytes(code, 0, d.DataLen)
 	if f != nil {
@@ -138,7 +139,7 @@ func (m *Manager) Program(code obj.AD) ([]isa.Instr, *obj.Fault) {
 	if err != nil {
 		return nil, obj.Faultf(obj.FaultOddity, code, "%v", err)
 	}
-	m.programs[key] = prog
+	m.programs[code.Index] = decoded{d.Gen, prog}
 	return prog, nil
 }
 

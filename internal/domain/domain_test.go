@@ -180,3 +180,34 @@ func TestProgramCacheInvalidatedByGeneration(t *testing.T) {
 		t.Fatalf("dangling code AD: %v", f)
 	}
 }
+
+// TestProgramCacheBoundedBySlots: the decode cache is keyed by table slot,
+// so a thousand code objects created and destroyed through a reused slot
+// leave one entry for that slot, not a thousand.
+func TestProgramCacheBoundedBySlots(t *testing.T) {
+	fx := setup(t)
+	slots := make(map[obj.Index]bool)
+	for i := uint32(0); i < 1000; i++ {
+		code, f := fx.m.CreateCode(fx.heap, []isa.Instr{isa.MovI(0, i), isa.Halt()})
+		if f != nil {
+			t.Fatal(f)
+		}
+		slots[code.Index] = true
+		prog, f := fx.m.Program(code)
+		if f != nil {
+			t.Fatal(f)
+		}
+		if prog[0].C != i {
+			t.Fatalf("code object %d decoded as %v", i, prog)
+		}
+		if f := fx.sros.Reclaim(code.Index); f != nil {
+			t.Fatal(f)
+		}
+	}
+	if len(slots) >= 1000 {
+		t.Fatalf("the table never reused a slot (%d distinct); the test is vacuous", len(slots))
+	}
+	if got := len(fx.m.programs); got > len(slots) {
+		t.Fatalf("decode cache holds %d programs for %d slots", got, len(slots))
+	}
+}

@@ -9,8 +9,8 @@ import (
 // benchBound builds a single-processor system bound to an endless
 // register-heavy compute loop so execOne can be driven directly: the
 // per-instruction interpreter cost with no scheduling traffic in the way.
-func benchBound(tb testing.TB, notrace bool) *System {
-	s, err := New(Config{Processors: 1, NoTraceJIT: notrace})
+func benchBound(tb testing.TB) *System {
+	s, err := New(Config{Processors: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -45,27 +45,12 @@ func benchBound(tb testing.TB, notrace bool) *System {
 	return s
 }
 
-// benchWarmTrace drives enough back edges through the cached fast path to
-// cross the hotness threshold and compile the loop, then verifies a trace
-// is installed.
-func benchWarmTrace(tb testing.TB, s *System) {
-	cpu := s.CPUs[0]
-	for i := 0; i < traceHotThreshold*8; i++ {
-		if _, f := s.execOne(cpu, 1); f != nil {
-			tb.Fatal(f)
-		}
-	}
-	if s.TraceStats().Compiled == 0 {
-		tb.Fatal("hot loop did not compile")
-	}
-}
-
 // TestFastPathAllocFree pins the allocation contract: once the per-CPU
 // cache is primed, executing plain compute instructions allocates
 // nothing. A regression here silently hands the speedup back to the host
 // garbage collector.
 func TestFastPathAllocFree(t *testing.T) {
-	s := benchBound(t, true)
+	s := benchBound(t)
 	cpu := s.CPUs[0]
 	// The setup step primed the cache; one more call proves the path
 	// works before measuring.
@@ -82,22 +67,25 @@ func TestFastPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestTracePathAllocFree pins the trace runner's allocation contract: once
-// the hot loop is compiled, a full quantum-sized trace run — thousands of
-// fused instructions — allocates nothing.
-func TestTracePathAllocFree(t *testing.T) {
-	s := benchBound(t, false)
-	benchWarmTrace(t, s)
+// TestRunLoopAllocFree pins the run loop's allocation contract: a full
+// quantum-sized call — hundreds of instructions retired from locals —
+// allocates nothing.
+func TestRunLoopAllocFree(t *testing.T) {
+	s := benchBound(t)
 	cpu := s.CPUs[0]
+	before := cpu.Instructions
+	if _, f := s.execOne(cpu, 5_000); f != nil {
+		t.Fatal(f)
+	}
+	if n := cpu.Instructions - before; n <= 500 {
+		t.Fatalf("one execOne(cpu, 5_000) retired %d instructions; want more than 500", n)
+	}
 	avg := testing.AllocsPerRun(200, func() {
 		if _, f := s.execOne(cpu, 5_000); f != nil {
 			t.Fatal(f)
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("trace fast path allocates %.2f allocs/op; want 0", avg)
-	}
-	if st := s.TraceStats(); st.Instructions == 0 || st.Entries == 0 {
-		t.Fatalf("trace runner never ran: %+v", st)
+		t.Fatalf("run loop allocates %.2f allocs/op; want 0", avg)
 	}
 }

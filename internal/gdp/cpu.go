@@ -20,14 +20,9 @@ type CPU struct {
 	offline   bool         // taken out of service; dispatches nothing
 
 	// xc is the execution cache (xcache.go): pinned windows over the
-	// bound process's hot state, validated per instruction against the
-	// table's cache generation. Lazily allocated, reused across primes.
-	xc *execCache
-
-	// xst is the trace runner's scratch state (trace.go), pooled here so
-	// a trace run allocates nothing. Every field is re-initialised at run
-	// entry.
-	xst xstate
+	// bound process's hot state, validated on every execOne against the
+	// table's cache generation. Overwritten by each prime.
+	xc execCache
 
 	// Per-CPU stats.
 	Dispatches   uint64

@@ -247,7 +247,7 @@ func (s *System) stepNative(cpu *CPU, body NativeBody, quantum vtime.Cycles) *ob
 func (s *System) stepVM(cpu *CPU, quantum vtime.Cycles) *obj.Fault {
 	budget := quantum
 	for budget > 0 && cpu.proc.Valid() {
-		// The cycle allowance for this call: a compiled trace may retire
+		// The cycle allowance for this call: the cached run loop may retire
 		// many instructions in one execOne and must stop after the
 		// instruction that crosses the quantum budget or the time slice —
 		// the same crossing this loop detects per instruction.
@@ -292,10 +292,10 @@ func (s *System) stepVM(cpu *CPU, quantum vtime.Cycles) *obj.Fault {
 // (xcache.go) runs whenever the per-CPU execution cache is current;
 // anything it cannot prove safe falls through — with machine state
 // untouched — to the slow path, which re-derives the full resolution
-// chain. When a compiled trace (trace.go) is entered, one call retires a
-// whole run of fused instructions, stopping after the instruction that
+// chain. One call of the fast path retires a whole run of register,
+// branch and load/store instructions, stopping after the instruction that
 // crosses limit — the caller's remaining cycle allowance — exactly where
-// the per-instruction loop would have stopped.
+// a per-instruction loop would have stopped.
 func (s *System) execOne(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.Fault) {
 	if s.inj != nil && s.instructions >= s.inj.NextAt() {
 		// Fault injection fires between instructions: the due event acts
@@ -385,11 +385,7 @@ func (s *System) execOneSlow(cpu *CPU) (vtime.Cycles, *obj.Fault) {
 // paths: bus-contention surcharge, clock charge, and the Trace callback.
 // Keeping it in one place is what keeps the two paths cycle-identical.
 func (s *System) execFinish(cpu *CPU, proc obj.AD, ip uint32, in isa.Instr, spent vtime.Cycles, f *obj.Fault) vtime.Cycles {
-	if s.contention > 0 && s.busyThisStep > 1 {
-		// Shared-bus arbitration: every other busy processor in this
-		// step round adds a wait per instruction.
-		spent += s.contention * vtime.Cycles(s.busyThisStep-1)
-	}
+	spent += s.surcharge()
 	cpu.Clock.Charge(spent)
 	if s.Trace != nil {
 		s.Trace(cpu.ID, proc, TraceEvent{IP: ip, Instr: in, Cost: spent, Fault: f})

@@ -546,7 +546,7 @@ func TestAuditExecCachesFlagsStaleCode(t *testing.T) {
 	if p := problems(); p != "" {
 		t.Fatalf("live cache flagged:\n%s", p)
 	}
-	xc := s.CPUs[0].xc
+	xc := &s.CPUs[0].xc
 
 	code := xc.code
 	xc.code.Index++
@@ -565,6 +565,65 @@ func TestAuditExecCachesFlagsStaleCode(t *testing.T) {
 		t.Fatalf("doctored program not flagged:\n%s", p)
 	}
 	xc.prog = prog
+	if p := problems(); p != "" {
+		t.Fatalf("restored cache flagged:\n%s", p)
+	}
+}
+
+// TestAuditExecCachesFlagsCorruptPredecode: the audit compares the cached
+// predecoded table with a fresh predecode of the domain's program, so one
+// flipped op kind is a finding — as is an operand view that no longer is
+// what its AD resolves to.
+func TestAuditExecCachesFlagsCorruptPredecode(t *testing.T) {
+	w := buildLoopTwin(t, Config{}, []isa.Instr{isa.Nop(), isa.Load(1, 0, 0), isa.AddI(0, 0, 1), isa.Br(1)}, [4]uint32{}, false)
+	if _, f := w.s.execOne(w.cpu, 200); f != nil {
+		t.Fatal(f)
+	}
+	problems := func() string {
+		recs := w.s.AuditExecCaches()
+		if len(recs) != 1 {
+			t.Fatalf("%d live caches audited, want 1", len(recs))
+		}
+		return strings.Join(recs[0].Problems, "\n")
+	}
+	if p := problems(); p != "" {
+		t.Fatalf("live cache flagged:\n%s", p)
+	}
+	xc := &w.cpu.xc
+
+	// The table is shared with System.xcodes; the audit must not be fooled
+	// by comparing the cache with its own source.
+	xc.ops[2].kind = kSub
+	if p := problems(); !strings.Contains(p, "predecoded table diverges from the decoded program") {
+		t.Fatalf("flipped op kind not flagged:\n%s", p)
+	}
+	xc.ops[2].kind = kAddI
+
+	// Move the loaded object under the memoised view without bumping the
+	// cache generation — the bug class the generation exists to prevent.
+	var way *obj.View
+	for i := range xc.res {
+		if xc.res[i].AD().Valid() {
+			way = &xc.res[i]
+		}
+	}
+	if way == nil {
+		t.Fatal("the load left no operand view behind")
+	}
+	d, f := w.s.Table.Resolve(way.AD())
+	if f != nil {
+		t.Fatal(f)
+	}
+	moved, err := w.s.Table.Memory().Alloc(d.Data.Len)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := d.Data
+	d.Data = moved
+	if p := problems(); !strings.Contains(p, "is not what") {
+		t.Fatalf("stale operand view not flagged:\n%s", p)
+	}
+	d.Data = old
 	if p := problems(); p != "" {
 		t.Fatalf("restored cache flagged:\n%s", p)
 	}

@@ -2,11 +2,11 @@ package gdp_test
 
 // Differential fuzzing of the interpreter's fast paths (external test
 // package so the cross-subsystem invariant auditor can join the
-// comparison): the same seeded workload is run to completion at the three
-// corners {nocache, cache, cache+trace}, and any divergence from the
-// uncached reference interpreter — in the kernel event log bytes,
-// per-processor clocks, system stats, live-object census, or the audit
-// report — is a bug in the execution cache or the trace compiler. The file,
+// comparison): the same seeded workload is run to completion at the two
+// corners {nocache, cache}, and any divergence from the uncached reference
+// interpreter — in the kernel event log bytes, per-processor clocks,
+// system stats, live-object census, or the audit report — is a bug in the
+// execution cache. The file,
 // the corpus (testdata/parallel_corpus.txt) and TestParallelDifferentialFuzz
 // keep the names they had when the matrix also had a host-parallel axis:
 // the seeds were selected against that backend, and the test ids are the
@@ -45,7 +45,6 @@ func buildFuzzSystem(t *testing.T, seed int64, c fuzzCorner, lcfg ledger.Config)
 		Processors:  2 + rng.Intn(3),
 		MemoryBytes: 8 << 20,
 		NoExecCache: c.nocache,
-		NoTraceJIT:  c.notrace,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,10 +95,10 @@ func buildFuzzSystem(t *testing.T, seed int64, c fuzzCorner, lcfg ledger.Config)
 			}
 		case 3: // a hot loop that self-modifies its own invalidation
 			// triggers: the per-iteration CSend's carrier traffic keeps
-			// bumping the cache generation under the loop's compiled
-			// trace, and the epilogue nils the a-reg the loop loads
-			// through, then jumps back in — the re-entered trace must
-			// deopt mid-run and land on the canonical dangling-AD fault.
+			// bumping the cache generation under the cached run loop, and
+			// the epilogue nils the a-reg the loop loads through, then
+			// jumps back in — the run must stop at the load and land on
+			// the canonical dangling-AD fault.
 			prog = []isa.Instr{
 				isa.MovI(1, iters),
 				isa.MovI(2, 3),
@@ -107,7 +106,7 @@ func buildFuzzSystem(t *testing.T, seed int64, c fuzzCorner, lcfg ledger.Config)
 				isa.Sub(5, 4, 2),
 				isa.Mul(6, 4, 2),
 				isa.AddI(1, 1, ^uint32(0)),
-				isa.Load(3, 0, 0),  // result[0]; deopts once a0 is nil
+				isa.Load(3, 0, 0),  // result[0]; refused once a0 is nil
 				isa.CSend(0, 1, 7), // offer result; full port drops it
 				isa.BrNZ(1, 2),
 				isa.MovA(0, 2), // a0 ← nil (a2 was never filled)
@@ -245,23 +244,21 @@ func corpusSeeds(t *testing.T) []int64 {
 
 // fuzzCorner is one cache configuration of the interpreter.
 type fuzzCorner struct {
-	name             string
-	nocache, notrace bool
+	name    string
+	nocache bool
 }
 
 // fuzzCorners is the matrix. The uncached run is the reference semantics;
-// the other two must reproduce its fingerprint byte for byte — including
-// the trace corner, where hot loops execute as compiled superinstructions
-// (trace.go).
+// the cached run loop (xcache.go) must reproduce its fingerprint byte for
+// byte.
 var fuzzCorners = []fuzzCorner{
-	{"nocache", true, true},
-	{"cache", false, true},
-	{"cache+trace", false, false},
+	{"nocache", true},
+	{"cache", false},
 }
 
-// TestParallelDifferentialFuzz runs every corpus seed at the three corners.
+// TestParallelDifferentialFuzz runs every corpus seed at both corners.
 // Each corner must land on the pinned serial witness (witness_test.go), and
-// the two cached corners must also match the reference corner's full
+// the cached corner must also match the reference corner's full
 // fingerprint — which adds the audit report and the system stats to what
 // the witness hashes.
 func TestParallelDifferentialFuzz(t *testing.T) {
@@ -295,11 +292,11 @@ func TestParallelDifferentialFuzz(t *testing.T) {
 
 // TestLedgerOverloadDeterminism starves the audit ledger's pipeline (a
 // queue smaller than a pump interval, a consumer draining a fraction of
-// what arrives) under the two extreme corners of every corpus seed. The
+// what arrives) under both corners of every corpus seed. The
 // point of the pump discipline is that backpressure drops are a function
 // of the event stream, never of host timing — so even a ledger that is
 // dropping most of its input must come out byte-identical, drop counters
-// included, between the uncached and the traced interpreter.
+// included, between the uncached and the cached interpreter.
 func TestLedgerOverloadDeterminism(t *testing.T) {
 	starved := ledger.Config{SegmentEvents: 32, QueueCap: 48, PumpEvery: 96, DrainPerPump: 8}
 	for _, seed := range corpusSeeds(t) {
@@ -307,7 +304,7 @@ func TestLedgerOverloadDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			var refBytes []byte
 			var refSeq uint64
-			for i, c := range []fuzzCorner{fuzzCorners[0], fuzzCorners[len(fuzzCorners)-1]} {
+			for i, c := range fuzzCorners {
 				s := buildFuzzSystem(t, seed, c, starved)
 				runFuzz(t, s)
 				sk := fuzzLedger(t, s)

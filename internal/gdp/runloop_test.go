@@ -84,11 +84,6 @@ func catchUp(ref, cached *loopTwin, wantFault bool) *obj.Fault {
 	return nil
 }
 
-// loopState is what the twins must agree on after every call.
-func loopState(w *loopTwin) string {
-	return fmt.Sprintf("sys-instr=%d\n%s", w.s.instructions, deoptFingerprint(w.s, w.procs))
-}
-
 func faultString(f *obj.Fault) string {
 	if f == nil {
 		return "no fault"
@@ -195,7 +190,7 @@ func TestRunLoopStopsWhereTheReferenceStops(t *testing.T) {
 							t.Fatalf("%s: at instruction %d the call reported %d cycles for %d instructions; the reference spends %d",
 								name, before, got, n, spent)
 						}
-						if a, b := loopState(ref), loopState(cached); a != b {
+						if a, b := deoptFingerprint(ref.s, ref.procs), deoptFingerprint(cached.s, cached.procs); a != b {
 							t.Fatalf("%s: cached machine diverged\n--- nocache ---\n%s--- cache ---\n%s", name, a, b)
 						}
 					}
@@ -261,7 +256,7 @@ func TestPredecodeRejectionMatrix(t *testing.T) {
 							if x, y := faultString(rf), faultString(cf); x != y {
 								t.Fatalf("%v args %v call %d: reference %s, cached %s", in, args, call, x, y)
 							}
-							if x, y := loopState(ref), loopState(cached); x != y {
+							if x, y := deoptFingerprint(ref.s, ref.procs), deoptFingerprint(cached.s, cached.procs); x != y {
 								t.Fatalf("%v args %v call %d: cached machine diverged\n--- nocache ---\n%s--- cache ---\n%s", in, args, call, x, y)
 							}
 							if cf != nil {

@@ -136,21 +136,9 @@ type System struct {
 	// every instruction down the uncached reference path.
 	xcOff bool
 
-	// Trace-compiler state (trace.go). trOff disables the profile-guided
-	// trace JIT (Config.NoTraceJIT); traceTabs holds one per-code-object
-	// trace table, keyed by descriptor index and validated against the
-	// descriptor generation, so slot reuse can never revive a stale trace.
-	trOff     bool
-	traceTabs map[obj.Index]*codeTraces
-
-	// Trace-compiler stats (host-level diagnostics; never part of the
-	// deterministic fingerprint — corners differ in how much they fuse).
-	trCompiled uint64
-	trFused    uint64
-	trEntries  uint64
-	trInstrs   uint64
-	trDeopts   uint64
-	trExits    uint64
+	// xcodes holds the predecoded table of each code object the execution
+	// cache has run (xcache.go).
+	xcodes map[obj.Index]xcode
 
 	// inj is the installed fault injector, nil in production runs.
 	inj Injector
@@ -198,14 +186,6 @@ type Config struct {
 	// either way — the switch exists for benchmarking the cache and for
 	// the differential determinism harnesses.
 	NoExecCache bool
-
-	// NoTraceJIT disables the profile-guided trace compiler (trace.go)
-	// layered on the execution cache, leaving the per-instruction fast
-	// path. Results are identical either way — the switch exists for
-	// benchmarking the compiler and for the three-corner differential
-	// determinism harnesses. Implied by NoExecCache: traces
-	// only ever run from a live execution cache.
-	NoTraceJIT bool
 }
 
 // New boots a system: memory, object table, the system global heap, the
@@ -260,7 +240,7 @@ func New(cfg Config) (*System, error) {
 		deadline:     cfg.DeadlineDispatch,
 		deadlineBase: deadlineBase,
 		xcOff:        cfg.NoExecCache,
-		trOff:        cfg.NoTraceJIT,
+		xcodes:       make(map[obj.Index]xcode),
 		bodies:       make(map[obj.Index]bodyReg),
 	}
 	for i := 0; i < cfg.Processors; i++ {

@@ -1,14 +1,14 @@
 package gdp
 
-// Table-driven deopt tests for the trace compiler (trace.go): each
-// scenario drives three twin systems — the uncached reference interpreter,
-// the execution cache with the compiler off, and the cache with it on —
-// through the same step cadence and the same mid-run mutation, comparing a
-// full machine fingerprint (per-CPU clocks, slice remainders, instruction
-// counters, stats, and the raw context data bytes — registers and IP)
-// after every step. Divergence at any step means a deopt or a limit
-// crossing left a cached machine in a state the reference interpreter
-// would not have produced.
+// Table-driven parity tests for the cached run loop (xcache.go): each
+// scenario drives twin systems — the uncached reference interpreter and
+// the execution cache — through the same step cadence and the same mid-run
+// mutation, comparing a full machine fingerprint (per-CPU clocks, slice
+// remainders, instruction counters, stats, and the raw context data bytes
+// — registers and IP) after every step. Divergence at any step means a
+// refused guard or a limit crossing left the cached machine in a state the
+// reference interpreter would not have produced. (The scenario names date
+// from the trace compiler the run loop replaced; they are test ids.)
 
 import (
 	"bytes"
@@ -85,8 +85,8 @@ func spawnProg(t *testing.T, s *System, prog []isa.Instr, spec SpawnSpec) obj.AD
 }
 
 // hotLoadLoop is the shared workload: a closed hot loop of four register
-// ops, a load through a0, and the back edge — compiled as one trace
-// (superinstruction block + singleton load + branch) once hot.
+// ops, a load through a0, and the back edge — all of it the run loop's, so
+// one execOne retires a quantum of it.
 func hotLoadLoop(iters uint32) []isa.Instr {
 	return []isa.Instr{
 		isa.MovI(1, iters),
@@ -135,7 +135,7 @@ type deoptScenario struct {
 	// build populates the world: spawn processes, stash aux handles,
 	// install injectors. Must be deterministic.
 	build func(t *testing.T, w *deoptWorld)
-	// mutate fires once, on both twins, after warmSteps steps.
+	// mutate fires once, on both twins, after a third of the steps.
 	mutate func(t *testing.T, w *deoptWorld)
 	// mutateWhenIP, when non-nil, delays the mutation past the warm point
 	// until the first step boundary where proc 0's context IP equals this
@@ -143,25 +143,20 @@ type deoptScenario struct {
 	// so the mutation stays twin-identical).
 	mutateWhenIP *uint32
 	// budget is the per-step cycle budget; odd values land limit
-	// crossings on fused boundaries.
+	// crossings on every instruction of the loop in turn.
 	budget vtime.Cycles
 	steps  int
-	// Expected trace-system outcomes.
-	wantDeopts  bool
-	wantEntries bool
 }
 
 func deoptScenarios() []deoptScenario {
 	return []deoptScenario{
 		{
 			// Destroying the loaded object bumps the cache generation and
-			// leaves a dangling AD in a0. The bump disarms the one-shot
-			// trace entry during the re-prime, so the per-instruction
-			// interpreter — not the trace — meets the dangling capability
-			// and raises the canonical fault; the parity check proves the
-			// traced machine reaches that boundary byte-identically.
-			// (Armed-entry deopts are exercised by the nil-areg and
-			// self-referential scenarios below.)
+			// leaves a dangling AD in a0. The re-prime empties the operand
+			// memo, so the load's fill is refused, the loop stops with the
+			// machine at the load, and execInstr raises the canonical
+			// fault; the parity check proves the cached machine reaches
+			// that boundary byte-identically.
 			name: "destroy-load-target",
 			build: func(t *testing.T, w *deoptWorld) {
 				res, f := w.s.SROs.Create(w.s.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 16})
@@ -177,13 +172,11 @@ func deoptScenarios() []deoptScenario {
 				}
 			},
 			budget: 4_001, steps: 120,
-			wantEntries: true,
 		},
 		{
-			// Swapping the loaded object out makes the operand resolve
-			// fail presence. As with destroy, the generation bump means
-			// the interpreter meets the absent object first; the parity
-			// check covers the whole re-prime + canonical-fault sequence.
+			// Swapping the loaded object out makes the operand fill fail
+			// presence; the parity check covers the whole re-prime +
+			// canonical-fault sequence.
 			name: "swapout-load-target",
 			build: func(t *testing.T, w *deoptWorld) {
 				res, f := w.s.SROs.Create(w.s.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 16})
@@ -199,17 +192,15 @@ func deoptScenarios() []deoptScenario {
 				}
 			},
 			budget: 4_001, steps: 120,
-			wantEntries: true,
 		},
 		{
 			// Nil out the a-reg the hot loop loads through — via SetAReg,
 			// which deliberately does NOT bump the cache generation (the
 			// fast path re-reads a-regs from the live window) — at a step
-			// boundary where the machine is parked on the loop head with
-			// the trace entry armed. The next quantum enters the trace,
-			// runs the superinstruction block, and the load guard must
-			// deopt mid-trace with the registers exactly at the last
-			// completed instruction.
+			// boundary where the machine is parked on the loop head. The
+			// next quantum retires the four register ops, and the refused
+			// load must stop the loop with the registers exactly at the
+			// last completed instruction.
 			name: "nil-areg-mid-trace",
 			build: func(t *testing.T, w *deoptWorld) {
 				res, f := w.s.SROs.Create(w.s.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 16})
@@ -230,14 +221,13 @@ func deoptScenarios() []deoptScenario {
 			},
 			mutateWhenIP: func() *uint32 { ip := uint32(2); return &ip }(),
 			budget:       4_001, steps: 120,
-			wantDeopts: true, wantEntries: true,
 		},
 		{
 			// A compaction-style move of the loaded object: swap it out,
 			// plug the hole so the swap-in lands at fresh extents, and
 			// restore the image — the generation bump forces a re-prime
-			// and the re-attached trace must run against the moved
-			// window byte-identically. (The mm compactor itself cannot
+			// and the loop must run against the moved window
+			// byte-identically. (The mm compactor itself cannot
 			// be imported here — it sits above gdp — but the observable
 			// machine events are exactly these.)
 			name: "move-load-target",
@@ -275,12 +265,11 @@ func deoptScenarios() []deoptScenario {
 				}
 			},
 			budget: 4_001, steps: 120,
-			wantEntries: true,
 		},
 		{
 			// A planned fault lands at a system-wide instruction count
-			// chosen to fall mid-hot-loop: the runner must stop before
-			// the due instruction so the injection fires exactly on time.
+			// chosen to fall mid-hot-loop: the loop must stop before the
+			// due instruction so the injection fires exactly on time.
 			name: "injected-fault-mid-trace",
 			build: func(t *testing.T, w *deoptWorld) {
 				res, f := w.s.SROs.Create(w.s.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 16})
@@ -291,12 +280,11 @@ func deoptScenarios() []deoptScenario {
 				w.s.SetInjector(&testInjector{at: 1_003})
 			},
 			budget: 4_001, steps: 40,
-			wantEntries: true,
 		},
 		{
-			// A short, odd time slice lands quantum expiry inside fused
-			// blocks over and over; every preemption boundary must leave
-			// the context exactly where the serial loop would have.
+			// A short, odd time slice lands quantum expiry mid-loop over
+			// and over; every preemption boundary must leave the context
+			// exactly where the per-instruction reference would have.
 			name: "quantum-expiry-on-fused-boundary",
 			build: func(t *testing.T, w *deoptWorld) {
 				res, f := w.s.SROs.Create(w.s.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 16})
@@ -309,14 +297,13 @@ func deoptScenarios() []deoptScenario {
 				}
 			},
 			budget: 997, steps: 300,
-			wantEntries: true,
 		},
 		{
 			// A store and a load through an a-reg naming the running
 			// context itself: the slow path writes the IP before the
-			// operand access, so the load reads ip+1 — the trace defers
-			// IP writes and must deopt on the self-reference guard every
-			// single entry.
+			// operand access, so the load reads ip+1 — the run loop defers
+			// IP writes and must refuse both on the self-reference guard
+			// every time.
 			name: "self-referential-store",
 			build: func(t *testing.T, w *deoptWorld) {
 				prog := []isa.Instr{
@@ -342,7 +329,6 @@ func deoptScenarios() []deoptScenario {
 				w.procs = append(w.procs, p)
 			},
 			budget: 4_001, steps: 120,
-			wantDeopts: true, wantEntries: true,
 		},
 	}
 }
@@ -361,59 +347,57 @@ func ctxIP(s *System, p obj.AD) uint32 {
 	return winIP(s.Table.Memory().Window(d.Data))
 }
 
+// cacheLive reports whether the (one) processor has a process bound and an
+// execution cache current for it: the next execOne runs the loop, not a
+// prime or the slow path.
+func cacheLive(s *System) bool {
+	cpu := s.CPUs[0]
+	return cpu.proc.Valid() && cpu.xc.live(s, cpu)
+}
+
 func TestTraceDeoptParity(t *testing.T) {
 	for i := range deoptScenarios() {
 		sc := deoptScenarios()[i]
 		t.Run(sc.name, func(t *testing.T) {
-			// The uncached machine is the reference; both cached twins
-			// must equal it step by step.
 			ref := buildDeoptWorld(t, Config{NoExecCache: true}, &sc)
-			notr := buildDeoptWorld(t, Config{NoTraceJIT: true}, &sc)
-			tr := buildDeoptWorld(t, Config{}, &sc)
-			twins := []struct {
-				name string
-				w    *deoptWorld
-			}{{"nocache", ref}, {"cache", notr}, {"cache+trace", tr}}
+			cached := buildDeoptWorld(t, Config{}, &sc)
 			warm := sc.steps / 3
 			mutated := sc.mutate == nil
+			// A scenario must not pass by running on the slow path: the
+			// cached twin's cache is live at the mutation point (at some
+			// step boundary, for a scenario without one).
+			live := false
 			for step := 0; step < sc.steps; step++ {
+				live = live || cacheLive(cached.s)
 				if !mutated && step >= warm &&
-					(sc.mutateWhenIP == nil || ctxIP(tr.s, tr.procs[0]) == *sc.mutateWhenIP) {
-					for _, tw := range twins {
-						sc.mutate(t, tw.w)
+					(sc.mutateWhenIP == nil || ctxIP(cached.s, cached.procs[0]) == *sc.mutateWhenIP) {
+					if !cacheLive(cached.s) {
+						t.Fatalf("step %d: execution cache not live at the mutation point", step)
 					}
+					sc.mutate(t, ref)
+					sc.mutate(t, cached)
 					mutated = true
 				}
-				var want string
-				for _, tw := range twins {
-					if _, f := tw.w.s.Step(sc.budget); f != nil {
-						t.Fatalf("step %d (%s): %v", step, tw.name, f)
-					}
-					got := deoptFingerprint(tw.w.s, tw.w.procs)
-					if tw.w == ref {
-						want = got
-					} else if got != want {
-						t.Fatalf("step %d: %s machine diverged\n--- nocache ---\n%s--- %s ---\n%s", step, tw.name, want, tw.name, got)
-					}
+				if _, f := ref.s.Step(sc.budget); f != nil {
+					t.Fatalf("step %d (nocache): %v", step, f)
+				}
+				if _, f := cached.s.Step(sc.budget); f != nil {
+					t.Fatalf("step %d (cache): %v", step, f)
+				}
+				a := deoptFingerprint(ref.s, ref.procs)
+				b := deoptFingerprint(cached.s, cached.procs)
+				if a != b {
+					t.Fatalf("step %d: cached machine diverged\n--- nocache ---\n%s--- cache ---\n%s", step, a, b)
 				}
 			}
 			if !mutated {
 				t.Fatalf("mutation never fired: the machine never parked on IP %d", *sc.mutateWhenIP)
 			}
-			st := tr.s.TraceStats()
-			if st.Compiled == 0 {
-				t.Fatalf("scenario never compiled a trace: %+v", st)
+			if !live {
+				t.Fatal("execution cache never live at a step boundary")
 			}
-			if sc.wantEntries && st.Entries == 0 {
-				t.Fatalf("scenario never entered a trace: %+v", st)
-			}
-			if sc.wantDeopts && st.Deopts == 0 {
-				t.Fatalf("scenario never deopted: %+v", st)
-			}
-			for _, w := range []*deoptWorld{ref, notr} {
-				if rst := w.s.TraceStats(); rst != (TraceStats{}) {
-					t.Fatalf("NoTraceJIT system ran the trace compiler: %+v", rst)
-				}
+			if cacheLive(ref.s) {
+				t.Fatal("NoExecCache system primed an execution cache")
 			}
 		})
 	}

@@ -12,26 +12,32 @@ package gdp
 // Correctness rests on one rule: every operation that could alias cached
 // state bumps obj.Table's cache generation (destruction, swap-out/in,
 // compaction moves, AD stores into process or context objects — see
-// Table.CacheGen). The fast path compares its generation snapshot on every
-// instruction and falls back to the slow path on any mismatch; the slow
-// path re-primes. Data-part writes never bump the generation and never
-// need to: the cached windows are live views of physical memory
-// (mem.Window), so ordinary data traffic is coherent by aliasing.
+// Table.CacheGen). execOneFast compares its generation snapshot on entry
+// and re-primes on any mismatch; nothing the run loop retires can bump the
+// generation, so the pinned windows stay exact for the whole call.
+// Data-part writes never bump the generation and never need to: the cached
+// windows are live views of physical memory (mem.Window), so ordinary data
+// traffic is coherent by aliasing.
 //
-// The fast path must be byte-identical to the slow one. Two disciplines
-// enforce that:
+// The fast path must be byte-identical to the reference (execOneSlow,
+// execInstr). Two disciplines enforce that:
 //
-//   - check-then-mutate: every validation a fast op needs (register
-//     bounds, operand resolution, rights, byte bounds) completes before the
-//     first write; any failure returns "not handled" with the machine
-//     untouched, and the slow path reproduces the canonical fault.
-//   - fast ops are exactly the ops whose slow implementations emit no
+//   - check-then-mutate: whatever a fast op needs validated is validated
+//     before its first write — register numbers once, at predecode; the
+//     operand capability, its rights and the displacement per execution,
+//     by obj.View. A refusal retires nothing: the loop stops with the
+//     machine at the last completed instruction and execInstr reproduces
+//     the canonical outcome, fault or not.
+//   - fast ops are exactly the ops whose reference implementations emit no
 //     kernel trace events and mutate only data-part bytes; everything else
-//     goes through the unchanged execInstr after a fast fetch whose writes
-//     (IP, instruction counters) replicate the slow prologue exactly.
+//     is predecoded as kSlow and runs the unchanged execInstr after a fast
+//     fetch whose writes (IP, instruction counters) replicate the reference
+//     prologue exactly.
 
 import (
 	"encoding/binary"
+	"math"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/obj"
@@ -39,23 +45,107 @@ import (
 	"repro/internal/vtime"
 )
 
-// resolveWays sizes the direct-mapped operand resolve cache. Loads and
-// stores in hot loops touch one or two objects; eight ways keeps the map
-// trivial (index mod ways) while covering every a-reg twice over.
+// resolveWays sizes the direct-mapped operand memo. Loads and stores in
+// hot loops touch one or two objects; eight ways keeps the map trivial
+// (index mod ways) while covering every a-reg twice over.
 const resolveWays = 8
 
-// resolveEntry caches one translated operand capability: the exact AD (the
-// full value participates in the hit check, so rights and generation are
-// part of the key) and a live window over its data part.
-type resolveEntry struct {
-	ad  obj.AD
-	win []byte
+// xop is one predecoded instruction. kind is kSlow for every instruction
+// outside the fast set and for any fast opcode naming a register that does
+// not exist, so the run loop never validates a register number.
+type xop struct {
+	kind    uint8
+	a, b, c uint8
+	imm     uint32
+}
+
+const (
+	kSlow = iota // not retired here: execInstr's
+	kNop
+	kMovI  // r[a] = imm
+	kMov   // r[a] = r[b]
+	kAdd   // r[a] = r[b] + r[c]
+	kSub   // r[a] = r[b] - r[c]
+	kMul   // r[a] = r[b] * r[c]
+	kAddI  // r[a] = r[b] + imm
+	kBr    // ip = imm
+	kBrZ   // ip = imm if r[a] == 0
+	kBrNZ  // ip = imm if r[a] != 0
+	kBrLT  // ip = imm if r[a] < r[b]
+	kLoad  // r[a] = dword at imm of the object a-reg b names
+	kStore // dword at imm of the object a-reg b names = r[a]
+)
+
+// xcode is the predecoded form of one code object, keyed in
+// System.xcodes by descriptor index and guarded by the descriptor
+// generation, so slot reuse can never revive a stale table.
+type xcode struct {
+	gen uint32
+	ops []xop
+}
+
+// predecode translates prog op for op (len(ops) == len(prog)). Register
+// fields are checked here, once; branch targets are not, because an IP at
+// or past the end is the next fetch's FaultBounds, not the branch's.
+func predecode(prog []isa.Instr) []xop {
+	ops := make([]xop, len(prog))
+	for i, in := range prog {
+		// The reference reads a three-register op's third register as
+		// uint8(C); so does this.
+		op := xop{a: in.A, b: in.B, c: uint8(in.C), imm: in.C}
+		a, b, c := op.a < isa.NumDataRegs, op.b < isa.NumDataRegs, op.c < isa.NumDataRegs
+		kind, ok := uint8(kSlow), false
+		switch in.Op {
+		case isa.OpNop:
+			kind, ok = kNop, true
+		case isa.OpMovI:
+			kind, ok = kMovI, a
+		case isa.OpMov:
+			kind, ok = kMov, a && b
+		case isa.OpAdd:
+			kind, ok = kAdd, a && b && c
+		case isa.OpSub:
+			kind, ok = kSub, a && b && c
+		case isa.OpMul:
+			kind, ok = kMul, a && b && c
+		case isa.OpAddI:
+			kind, ok = kAddI, a && b
+		case isa.OpBr:
+			kind, ok = kBr, true
+		case isa.OpBrZ:
+			kind, ok = kBrZ, a
+		case isa.OpBrNZ:
+			kind, ok = kBrNZ, a
+		case isa.OpBrLT:
+			kind, ok = kBrLT, a && b
+		case isa.OpLoad:
+			kind, ok = kLoad, a && op.b < isa.NumAccessRegs
+		case isa.OpStore:
+			kind, ok = kStore, a && op.b < isa.NumAccessRegs
+		}
+		if ok {
+			op.kind = kind
+		}
+		ops[i] = op
+	}
+	return ops
+}
+
+// xcodeFor returns the predecoded table of the code object prog was decoded
+// from, building or replacing it when absent or stale. Called from the
+// prime path only, so the map traffic never lands on the run loop.
+func (s *System) xcodeFor(code obj.AD, prog []isa.Instr) []xop {
+	xc, ok := s.xcodes[code.Index]
+	if !ok || xc.gen != code.Gen {
+		xc = xcode{gen: code.Gen, ops: predecode(prog)}
+		s.xcodes[code.Index] = xc
+	}
+	return xc.ops
 }
 
 // execCache is one processor's pinned execution state. It is valid only
 // while gen equals the table's cache generation and proc equals the CPU's
-// bound process; either mismatch sends the interpreter back to the slow
-// path, which re-primes.
+// bound process; either mismatch sends the interpreter back to the prime.
 type execCache struct {
 	gen  uint64 // obj.Table.CacheGen() snapshot at prime time
 	proc obj.AD // process this cache was primed for
@@ -65,20 +155,34 @@ type execCache struct {
 	dom  obj.AD // current domain (CtxSlotDomain at prime time)
 	code obj.AD // the domain's code object (prog was decoded from it)
 	prog []isa.Instr
-	res  [resolveWays]resolveEntry
-
-	// Trace-compiler attachment (trace.go). ct is the code object's trace
-	// table, attached at prime time; entry/entryIP are the one-shot entry
-	// point armed by a taken backward branch (or a trace exit landing on
-	// another head), checked with two compares on the fast path.
-	ct      *codeTraces
-	entry   *codeTrace
-	entryIP uint32
+	ops  []xop // prog predecoded (xcodeFor); same length
+	// res memoises obj.Table.Fill per operand capability: way index mod
+	// resolveWays holds the view of the last AD that mapped there. The
+	// full AD is the key, and the view tests rights and bounds itself.
+	// Every view was filled under gen, the only time it is consulted.
+	res [resolveWays]obj.View
 }
 
-// Window accessors over the context data part. Offsets are the context
-// object's architectural layout (process.CtxOff*); the prime established
-// len(win) >= process.CtxDataBytes, and callers bound r.
+// regWin is the register-file view of the context data window. The prime
+// established len(win) >= CtxDataBytes, so the conversion cannot fail, and
+// constant offsets into the array need no bounds checks.
+type regWin = [process.CtxDataBytes]byte
+
+// regMask folds a register number into the register file. Predecode already
+// bounds every register < NumDataRegs (a power of two); the mask exists so
+// the compiler can prove the access in-bounds and drop the check.
+const regMask = isa.NumDataRegs - 1
+
+func regGet(w *regWin, r uint8) uint32 {
+	off := process.CtxOffRegs + uint32(r&regMask)*4
+	return binary.LittleEndian.Uint32(w[off : off+4])
+}
+
+func regSet(w *regWin, r uint8, v uint32) {
+	off := process.CtxOffRegs + uint32(r&regMask)*4
+	binary.LittleEndian.PutUint32(w[off:off+4], v)
+}
+
 func winIP(win []byte) uint32 {
 	return binary.LittleEndian.Uint32(win[process.CtxOffIP:])
 }
@@ -87,17 +191,18 @@ func setWinIP(win []byte, ip uint32) {
 	binary.LittleEndian.PutUint32(win[process.CtxOffIP:], ip)
 }
 
-func winReg(win []byte, r uint8) uint32 {
-	return binary.LittleEndian.Uint32(win[process.CtxOffRegs+uint32(r)*4:])
-}
-
-func setWinReg(win []byte, r uint8, v uint32) {
-	binary.LittleEndian.PutUint32(win[process.CtxOffRegs+uint32(r)*4:], v)
+// live reports whether xc is current for the process bound to cpu: the
+// next execOne runs the loop from it, with no prime. A cache never primed
+// names no process, and the interpreter only asks with one bound.
+func (xc *execCache) live(s *System, cpu *CPU) bool {
+	return xc.gen == s.Table.CacheGen() && xc.proc == cpu.proc
 }
 
 // primeExecCache performs the full slow-path resolution chain once —
 // process, context, domain, code, program — snapshots the cache generation,
-// and installs direct windows. It mutates nothing in the object world, so a
+// and installs direct windows. It is the one place the interpreter reads
+// descriptors raw: it establishes the register-file window every later
+// access goes through. It mutates nothing in the object world, so a
 // nil return (anything at all out of the ordinary) simply leaves the slow
 // path to run and produce the canonical behaviour.
 func (s *System) primeExecCache(cpu *CPU) *execCache {
@@ -146,11 +251,7 @@ func (s *System) primeExecCache(cpu *CPU) *execCache {
 	if f != nil {
 		return nil
 	}
-	xc := cpu.xc
-	if xc == nil {
-		xc = &execCache{}
-		cpu.xc = xc
-	}
+	xc := &cpu.xc
 	*xc = execCache{
 		gen:  gen,
 		proc: proc,
@@ -160,10 +261,7 @@ func (s *System) primeExecCache(cpu *CPU) *execCache {
 		dom:  dom,
 		code: code,
 		prog: prog,
-		// The trace table rides the same immutability key as the decode
-		// cache (descriptor index + generation), so a re-prime after any
-		// invalidation re-attaches — or lazily rebuilds — the right one.
-		ct: s.tracesFor(code),
+		ops:  s.xcodeFor(code, prog),
 	}
 	return xc
 }
@@ -175,42 +273,93 @@ func (xc *execCache) areg(r uint8) obj.AD {
 	return obj.DecodeAD(binary.LittleEndian.Uint64(xc.awin[off:]))
 }
 
-// operand translates ad through the direct-mapped resolve cache, returning
-// the filled way: a live window over the object's data part. A miss
-// performs the full resolution (validity, generation, presence) and fills
-// the way; the table generation check in the caller guarantees every entry
-// was filled under the current generation. Rights are not checked here —
-// they ride in the cached AD value and the caller tests the bit it needs.
-// nil means the fast path must not handle this operand.
-func (xc *execCache) operand(s *System, ad obj.AD) *resolveEntry {
-	e := &xc.res[uint32(ad.Index)%resolveWays]
-	if e.ad == ad && e.win != nil {
-		return e
+// surcharge is the bus-contention wait every instruction pays this step
+// round: busyThisStep is set once per Step and cannot change inside one.
+func (s *System) surcharge() vtime.Cycles {
+	if s.contention > 0 && s.busyThisStep > 1 {
+		// Shared-bus arbitration: every other busy processor in this
+		// step round adds a wait per instruction.
+		return s.contention * vtime.Cycles(s.busyThisStep-1)
 	}
-	d, f := s.Table.Resolve(ad)
-	if f != nil || d.SwappedOut {
-		return nil
+	return 0
+}
+
+// runRegs retires register ops and branches from ip, at most room of them,
+// stopping after the one that takes left to zero or below. It returns at
+// the first op of any other kind, or an ip outside ops, having touched
+// nothing for it. alu and br are the two costs, surcharge included. It is
+// a leaf — it calls nothing that is not inlined — so ip, left and the
+// count stay in registers; the loads and stores live in the caller.
+func runRegs(w *regWin, ops []xop, ip uint32, left, alu, br int64, room uint64) (uint32, int64, uint64) {
+	n := uint64(0)
+	for ip < uint32(len(ops)) {
+		op := ops[ip]
+		switch op.kind {
+		case kNop:
+			ip, left = ip+1, left-alu
+		case kMovI:
+			regSet(w, op.a, op.imm)
+			ip, left = ip+1, left-alu
+		case kMov:
+			regSet(w, op.a, regGet(w, op.b))
+			ip, left = ip+1, left-alu
+		case kAdd:
+			regSet(w, op.a, regGet(w, op.b)+regGet(w, op.c))
+			ip, left = ip+1, left-alu
+		case kSub:
+			regSet(w, op.a, regGet(w, op.b)-regGet(w, op.c))
+			ip, left = ip+1, left-alu
+		case kMul:
+			regSet(w, op.a, regGet(w, op.b)*regGet(w, op.c))
+			ip, left = ip+1, left-alu
+		case kAddI:
+			regSet(w, op.a, regGet(w, op.b)+op.imm)
+			ip, left = ip+1, left-alu
+		case kBr:
+			ip, left = op.imm, left-br
+		case kBrZ:
+			if ip++; regGet(w, op.a) == 0 {
+				ip = op.imm
+			}
+			left -= br
+		case kBrNZ:
+			if ip++; regGet(w, op.a) != 0 {
+				ip = op.imm
+			}
+			left -= br
+		case kBrLT:
+			if ip++; regGet(w, op.a) < regGet(w, op.b) {
+				ip = op.imm
+			}
+			left -= br
+		default:
+			return ip, left, n
+		}
+		if n++; left <= 0 || n >= room {
+			break
+		}
 	}
-	win := s.Table.Memory().Window(d.Data)
-	if win == nil {
-		return nil
-	}
-	e.ad, e.win = ad, win
-	return e
+	return ip, left, n
 }
 
 // execOneFast is the cached interpreter. It reports handled=false — with
-// the machine state untouched — whenever anything falls outside the cached
-// fast path: the cache is stale, a resume action is pending, the IP is out
-// of bounds, an operand fails to translate, or rights/bounds would fault.
-// The slow path then re-derives everything and produces the canonical
-// outcome, fault or not. limit is the quantum's remaining cycle allowance
-// (stepVM mins the budget and the time slice); only the trace runner uses
-// it — a single interpreted instruction is atomic regardless.
+// the machine state untouched — when the cache cannot be primed, a resume
+// action is pending or the IP is out of bounds; the slow path then
+// re-derives everything and produces the canonical outcome.
+//
+// Otherwise it retires instructions from the cached IP, holding the IP,
+// the cycles left and the count in locals, until one of five things:
+// the instruction that crosses limit (the quantum's remaining allowance —
+// stepVM mins the budget and the time slice — counted with the surcharge;
+// instructions are atomic, so the line is tested after each one), the
+// instruction at which the injector is due (or, under an s.Trace observer,
+// after one: the observer is owed an event per instruction), a kSlow op, a
+// load or store obj refuses, or an IP outside the program. It then writes
+// the IP, both instruction counters and one Clock.Charge. If that retired
+// nothing, the instruction at the IP goes to execInstr after a fast fetch.
 func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.Fault, bool) {
-	xc := cpu.xc
-	if xc == nil || s.xcOff ||
-		xc.gen != s.Table.CacheGen() || xc.proc != cpu.proc {
+	xc := &cpu.xc
+	if s.xcOff || !xc.live(s, cpu) {
 		if xc = s.primeExecCache(cpu); xc == nil {
 			return 0, nil, false
 		}
@@ -221,161 +370,89 @@ func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.F
 	if binary.LittleEndian.Uint16(win[process.CtxOffResume:]) != 0 {
 		return 0, nil, false
 	}
-	ip := winIP(win)
-	if ip >= uint32(len(xc.prog)) {
+	ip0 := winIP(win)
+	if ip0 >= uint32(len(xc.prog)) {
 		return 0, nil, false
 	}
-	// Armed trace entry: a prior backward branch (or trace exit) named
-	// this IP as a compiled head. A run that completes any instructions
-	// has done all accounting itself; a first-op deopt falls through to
-	// the ordinary dispatch below with state untouched. The s.Trace
-	// observer needs one event per instruction, so compiled runs are
-	// skipped entirely while one is installed (the machine bytes are
-	// identical either way).
-	if xc.entry != nil && ip == xc.entryIP && s.Trace == nil {
-		if spent, ok := s.runTrace(cpu, xc, xc.entry, limit); ok {
-			return spent, nil, true
+
+	room := ^uint64(0)
+	if s.Trace != nil {
+		room = 1
+	} else if s.inj != nil {
+		// execOne's prologue already consulted the injector for this
+		// entry, so at least one instruction is owed.
+		if next := s.inj.NextAt(); next != ^uint64(0) {
+			room = next - s.instructions
 		}
-		xc.entry = nil
 	}
-	in := xc.prog[ip]
-
-	// Per-op fast implementations. The slow path writes IP = ip+1 before
-	// executing the instruction, so for self-referential loads/stores
-	// (an a-reg naming the context itself) the IP write must precede the
-	// operand access here too.
-	var cost vtime.Cycles
-	switch in.Op {
-	case isa.OpNop:
-		cost = vtime.CostALU
-		setWinIP(win, ip+1)
-
-	case isa.OpMovI:
-		if in.A >= isa.NumDataRegs {
-			return 0, nil, false
+	budget := int64(limit)
+	if limit > math.MaxInt64 {
+		budget = math.MaxInt64
+	}
+	sur := int64(s.surcharge())
+	alu, br, move := int64(vtime.CostALU)+sur, int64(vtime.CostBranch)+sur, int64(vtime.CostMove)+sur
+	w, ops := (*regWin)(win), xc.ops
+	ip, left, n := ip0, budget, uint64(0)
+	for {
+		var k uint64
+		ip, left, k = runRegs(w, ops, ip, left, alu, br, room-n)
+		if n += k; left <= 0 || n >= room || ip >= uint32(len(ops)) {
+			break
 		}
-		cost = vtime.CostALU
-		setWinIP(win, ip+1)
-		setWinReg(win, in.A, in.C)
-
-	case isa.OpMov:
-		if in.A >= isa.NumDataRegs || in.B >= isa.NumDataRegs {
-			return 0, nil, false
+		op := ops[ip]
+		if op.kind != kLoad && op.kind != kStore {
+			break
 		}
-		cost = vtime.CostALU
-		setWinIP(win, ip+1)
-		setWinReg(win, in.A, winReg(win, in.B))
-
-	case isa.OpAdd, isa.OpSub, isa.OpMul:
-		rc := uint8(in.C)
-		if in.A >= isa.NumDataRegs || in.B >= isa.NumDataRegs || rc >= isa.NumDataRegs {
-			return 0, nil, false
+		// The IP is deferred, and the reference writes it before the
+		// operand access: a load or store naming the running context would
+		// see the difference, so it is refused like any other guard.
+		ad := xc.areg(op.b)
+		if ad.Index == xc.ctx.Index {
+			break
 		}
-		cost = vtime.CostALU
-		setWinIP(win, ip+1)
-		b, c := winReg(win, in.B), winReg(win, rc)
-		var v uint32
-		switch in.Op {
-		case isa.OpAdd:
-			v = b + c
-		case isa.OpSub:
-			v = b - c
-		case isa.OpMul:
-			v = b * c
+		// The memoised view of ad, filled on a miss; the table refuses an
+		// invalid, dangling or swapped-out ad without building the fault,
+		// which the canonical path will raise itself. An empty way holds
+		// the zero AD, which is NilAD: hence the Valid test.
+		v := &xc.res[uint32(ad.Index)%resolveWays]
+		if (v.AD() != ad || !ad.Valid()) && !s.Table.Fill(ad, 0, v) {
+			break
 		}
-		setWinReg(win, in.A, v)
-
-	case isa.OpAddI:
-		if in.A >= isa.NumDataRegs || in.B >= isa.NumDataRegs {
-			return 0, nil, false
-		}
-		cost = vtime.CostALU
-		setWinIP(win, ip+1)
-		setWinReg(win, in.A, winReg(win, in.B)+in.C)
-
-	case isa.OpBr:
-		cost = vtime.CostBranch
-		setWinIP(win, in.C)
-		if in.C <= ip {
-			// A taken backward branch is the trace compiler's profile
-			// signal: its target is a loop head candidate.
-			xc.noteBranch(s, in.C)
-		}
-
-	case isa.OpBrZ, isa.OpBrNZ:
-		if in.A >= isa.NumDataRegs {
-			return 0, nil, false
-		}
-		cost = vtime.CostBranch
-		if (in.Op == isa.OpBrZ) == (winReg(win, in.A) == 0) {
-			setWinIP(win, in.C)
-			if in.C <= ip {
-				xc.noteBranch(s, in.C)
+		if op.kind == kLoad {
+			x, f := v.DWord(op.imm)
+			if f != nil {
+				break
 			}
-		} else {
-			setWinIP(win, ip+1)
+			regSet(w, op.a, x)
+		} else if v.SetDWord(op.imm, regGet(w, op.a)) != nil {
+			break
 		}
+		if ip, left, n = ip+1, left-move, n+1; left <= 0 || n >= room {
+			break
+		}
+	}
 
-	case isa.OpBrLT:
-		if in.A >= isa.NumDataRegs || in.B >= isa.NumDataRegs {
-			return 0, nil, false
-		}
-		cost = vtime.CostBranch
-		if winReg(win, in.A) < winReg(win, in.B) {
-			setWinIP(win, in.C)
-			if in.C <= ip {
-				xc.noteBranch(s, in.C)
-			}
-		} else {
-			setWinIP(win, ip+1)
-		}
-
-	case isa.OpLoad:
-		if in.A >= isa.NumDataRegs || in.B >= isa.NumAccessRegs {
-			return 0, nil, false
-		}
-		ad := xc.areg(in.B)
-		if !ad.Valid() || !ad.Rights.Has(obj.RightRead) {
-			return 0, nil, false
-		}
-		src := xc.operand(s, ad)
-		if src == nil || uint64(in.C)+4 > uint64(len(src.win)) {
-			return 0, nil, false
-		}
-		cost = vtime.CostMove
-		setWinIP(win, ip+1)
-		setWinReg(win, in.A, binary.LittleEndian.Uint32(src.win[in.C:]))
-
-	case isa.OpStore:
-		if in.A >= isa.NumDataRegs || in.B >= isa.NumAccessRegs {
-			return 0, nil, false
-		}
-		ad := xc.areg(in.B)
-		if !ad.Valid() || !ad.Rights.Has(obj.RightWrite) {
-			return 0, nil, false
-		}
-		dst := xc.operand(s, ad)
-		if dst == nil || uint64(in.C)+4 > uint64(len(dst.win)) {
-			return 0, nil, false
-		}
-		cost = vtime.CostMove
-		setWinIP(win, ip+1)
-		binary.LittleEndian.PutUint32(dst.win[in.C:], winReg(win, in.A))
-
-	default:
+	if n == 0 {
 		// Everything else — communication, calls, capability moves,
-		// creation, termination — runs the canonical implementation
-		// after a fast fetch that replicates the slow prologue's writes.
-		setWinIP(win, ip+1)
+		// creation, termination, and whatever a guard above refused —
+		// runs the canonical implementation after a fast fetch that
+		// replicates the slow prologue's writes.
+		in := xc.prog[ip0]
+		setWinIP(win, ip0+1)
 		cpu.Instructions++
 		s.instructions++
 		spent, f := s.execInstr(cpu, xc.proc, xc.ctx, in)
-		return s.execFinish(cpu, xc.proc, ip, in, spent, f), f, true
+		return s.execFinish(cpu, xc.proc, ip0, in, spent, f), f, true
 	}
-
-	cpu.Instructions++
-	s.instructions++
-	return s.execFinish(cpu, xc.proc, ip, in, cost, nil), nil, true
+	setWinIP(win, ip)
+	cpu.Instructions += n
+	s.instructions += n
+	spent := vtime.Cycles(budget - left)
+	cpu.Clock.Charge(spent)
+	if s.Trace != nil {
+		s.Trace(cpu.ID, xc.proc, TraceEvent{IP: ip0, Instr: xc.prog[ip0], Cost: spent})
+	}
+	return spent, nil, true
 }
 
 // ExecCacheAudit describes one live execution-cache binding for the
@@ -392,32 +469,20 @@ type ExecCacheAudit struct {
 // AuditExecCaches cross-checks every live execution-cache entry against
 // the object table: the cached context must still be the bound process's
 // current context, the cached windows must be the table's own view of the
-// context's extents, and every operand entry must still resolve to the
-// window it caches. It returns one record per CPU whose cache is live;
-// records with non-empty Problems are invariant violations.
+// context's extents, the program and its predecoded table must be what a
+// fresh derivation through the domain yields, and every operand view must
+// still be what resolving its AD yields. It returns one record per CPU
+// whose cache is live; records with non-empty Problems are invariant
+// violations.
 func (s *System) AuditExecCaches() []ExecCacheAudit {
 	var out []ExecCacheAudit
-	gen := s.Table.CacheGen()
 	m := s.Table.Memory()
 	sameView := func(a, b []byte) bool {
 		return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 	}
-	// Content comparison, not pointer: what must agree is the instructions
-	// the cache executes, whichever decode produced the slice.
-	sameProg := func(a, b []isa.Instr) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
 	for _, cpu := range s.CPUs {
-		xc := cpu.xc
-		if xc == nil || xc.gen != gen || xc.proc != cpu.proc || !xc.proc.Valid() {
+		xc := &cpu.xc
+		if !xc.live(s, cpu) || !xc.proc.Valid() {
 			continue // stale or unbound: re-primed before next use
 		}
 		rec := ExecCacheAudit{CPU: cpu.ID, Proc: xc.proc, Ctx: xc.ctx}
@@ -452,57 +517,19 @@ func (s *System) AuditExecCaches() []ExecCacheAudit {
 		if dom, f := s.Table.LoadAD(xc.ctx, process.CtxSlotDomain); f != nil || dom != xc.dom {
 			bad("cached domain %v is not the context's domain slot", xc.dom)
 		}
-		// The decoded program must match a fresh derivation through the
-		// domain: a live cache must execute exactly the code a slow-path
-		// re-prime would fetch.
+		// A live cache must execute exactly the code a slow-path re-prime
+		// would fetch: compare content, whichever decode produced the
+		// slices.
 		if code, f := s.Domains.Code(xc.dom); f != nil || code != xc.code {
 			bad("cached code object %v is not the domain's code slot", xc.code)
-		} else if prog, f := s.Domains.Program(code); f != nil || !sameProg(prog, xc.prog) {
+		} else if prog, f := s.Domains.Program(code); f != nil || !slices.Equal(prog, xc.prog) {
 			bad("cached decoded program diverges from the code object")
+		} else if !slices.Equal(predecode(prog), xc.ops) {
+			bad("cached predecoded table diverges from the decoded program")
 		}
-		for way, e := range xc.res {
-			if e.win == nil {
-				continue
-			}
-			d, f := s.Table.Resolve(e.ad)
-			if f != nil || d.SwappedOut {
-				bad("operand way %d caches a dead or absent object %v", way, e.ad)
-				continue
-			}
-			if !sameView(m.Window(d.Data), e.win) {
-				bad("operand way %d window does not match %v's extent", way, e.ad)
-			}
-		}
-		// The attached trace table must carry the code object's identity
-		// key, and every fused op must still mirror the decoded program a
-		// slow-path re-derivation would fetch — a trace diverging from its
-		// program would execute instructions the machine no longer holds.
-		if ct := xc.ct; ct != nil {
-			if ct.gen != xc.code.Gen {
-				bad("trace table generation %d does not match code %v", ct.gen, xc.code)
-			}
-			for head, tr := range ct.traces {
-				if tr == nil {
-					continue // tried-and-rejected sentinel
-				}
-				if tr.head != head {
-					bad("trace keyed at %d reports head %d", head, tr.head)
-				}
-			ops:
-				for k := range tr.ops {
-					op := &tr.ops[k]
-					if uint64(op.ip)+uint64(op.n) > uint64(len(xc.prog)) ||
-						op.n != uint32(len(op.src)) {
-						bad("trace at %d: fused op %d overruns the decoded program", head, k)
-						break
-					}
-					for j, in := range op.src {
-						if xc.prog[op.ip+uint32(j)] != in {
-							bad("trace at %d: fused op %d diverges from the decoded program", head, k)
-							break ops
-						}
-					}
-				}
+		for way := range xc.res {
+			if v := &xc.res[way]; v.AD().Valid() && !s.Table.Current(v) {
+				bad("operand way %d is not what %v resolves to", way, v.AD())
 			}
 		}
 		out = append(out, rec)

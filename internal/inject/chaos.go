@@ -1,10 +1,9 @@
 package inject
 
 // chaos.go is the damage-confinement soak harness: for one seed it runs
-// the chaos workload (workload.go) under the seed's injection plan in all
-// three {nocache, cache, cache+trace} corners, plus one fault-free
-// reference run, and then judges the acceptance criteria of the paper's
-// §7.1/§7.3 story:
+// the chaos workload (workload.go) under the seed's injection plan in both
+// {nocache, cache} corners, plus one fault-free reference run, and then
+// judges the acceptance criteria of the paper's §7.1/§7.3 story:
 //
 //  1. every injected run terminates cleanly (no system-level fault, no
 //     drain timeout);
@@ -14,8 +13,8 @@ package inject
 //  3. the invariant auditor finds nothing, and audit.CheckConfinement
 //     proves every object outside the injections' declared blast radius
 //     byte-identical to the reference run;
-//  4. all three corners produce the same fingerprint — trace stream,
-//     stats, worker states and fired-event log — byte for byte.
+//  4. both corners produce the same fingerprint — trace stream, stats,
+//     worker states and fired-event log — byte for byte.
 
 import (
 	"bytes"
@@ -255,7 +254,7 @@ type SeedResult struct {
 func (r *SeedResult) Ok() bool { return len(r.Problems) == 0 }
 
 // RunSeed executes the complete acceptance protocol for one seed: a
-// fault-free reference run, then the three injected corners, fingerprint
+// fault-free reference run, then the two injected corners, fingerprint
 // cross-comparison, and per-corner §7 checks. Building or driving errors
 // are returned as errors; criterion failures land in Problems.
 func RunSeed(seed int64) (*SeedResult, error) {

@@ -53,7 +53,7 @@ func corpusSeeds(t *testing.T) []int64 {
 }
 
 // TestChaosCorpus is the acceptance soak: every corpus seed must pass the
-// full three-corner protocol.
+// full two-corner protocol.
 func TestChaosCorpus(t *testing.T) {
 	for _, seed := range corpusSeeds(t) {
 		seed := seed

@@ -8,7 +8,7 @@
 // (internal/gdp) consults the injector before every instruction, so an
 // injected run is as deterministic as an uninjected one — the same seed
 // replays the same faults at the same virtual instants in every
-// {nocache, cache, cache+trace} corner, byte for byte.
+// {nocache, cache} corner, byte for byte.
 package inject
 
 import (

@@ -20,33 +20,22 @@ import (
 	"repro/internal/port"
 )
 
-// Corner selects one cache/trace configuration of the three the chaos
+// Corner selects one of the two interpreter configurations the chaos
 // harness must prove byte-identical.
 type Corner struct {
 	NoExecCache bool
-	// NoTraceJIT disables the profile-guided trace compiler while keeping
-	// the execution cache; meaningless (implied) when NoExecCache is set,
-	// since traces only run from a live cache.
-	NoTraceJIT bool
 }
 
 func (c Corner) String() string {
-	switch {
-	case c.NoExecCache:
+	if c.NoExecCache {
 		return "nocache"
-	case c.NoTraceJIT:
-		return "cache"
 	}
-	return "cache+trace"
+	return "cache"
 }
 
 // Corners is the matrix: the uncached reference interpreter first, then
-// the two fast paths that are checked against it.
-var Corners = [3]Corner{
-	{NoExecCache: true, NoTraceJIT: true},
-	{NoTraceJIT: true},
-	{},
-}
+// the fast path that is checked against it.
+var Corners = [2]Corner{{NoExecCache: true}, {}}
 
 const (
 	// chaosHorizon is the instruction window injection plans are drawn
@@ -116,7 +105,6 @@ func BuildWorld(seed int64, corner Corner, injected bool) (*World, error) {
 		// the sealed bytes alone.
 		Ledger:      true,
 		NoExecCache: corner.NoExecCache,
-		NoTraceJIT:  corner.NoTraceJIT,
 	})
 	if err != nil {
 		return nil, err

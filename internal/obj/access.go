@@ -250,11 +250,9 @@ func (t *Table) moveAD(dst AD, p *accessPart, slot uint32, src AD, user bool) *F
 		// a user-reachable store can also rewrite a context's domain slot.
 		// System stores into a context are the access registers (SetAReg),
 		// which the cache reads through the checked path — no bump, or
-		// every AD-handling instruction would thrash the cache. The trace
-		// compiler leans on the same discipline: a fused load/store
-		// re-reads its a-reg from the live access window on every
-		// execution, so a SetAReg under a compiled trace is observed
-		// without invalidation (and a vanished operand deopts).
+		// every AD-handling instruction would thrash the cache: its loads
+		// and stores re-read their a-reg from the live access window on
+		// every execution, so a SetAReg is observed without invalidation.
 		t.xgen++
 	}
 	t.adStores++

@@ -142,20 +142,21 @@ func (t *Table) SetTracer(l *trace.Log) { t.tr = l }
 func (t *Table) Tracer() *trace.Log { return t.tr }
 
 // CacheGen reports the table's cache-invalidation generation. Holders of
-// derived state (resolved descriptor windows, decoded operand caches,
-// compiled instruction traces) must snapshot it when priming and treat any
-// later mismatch as invalidation.
+// derived state (resolved descriptor windows, memoised operand views,
+// predecoded programs) must snapshot it when priming and treat any later
+// mismatch as invalidation.
 //
-// Trace-pin hazard note: the interpreter's trace compiler (internal/gdp)
-// fuses hot regions into superinstructions that run over pinned mem.Window
-// views with the instruction pointer deferred to region exit. Those runs
-// are safe against exactly the hazards this generation covers — destroy,
-// swap-out/in, compaction moves, AD stores into process/context objects —
-// because a trace executes only from an execution cache whose generation
-// was just checked, and no fused operation can bump the generation
-// mid-run. Any new table mutation that can invalidate a derived window or
-// decoded program MUST bump xgen (directly or via InvalidateCaches), or
-// compiled traces will keep executing a world that no longer exists.
+// Pinned-window hazard note: the interpreter's execution cache
+// (internal/gdp) retires runs of register, branch and load/store
+// instructions over pinned mem.Window views with the instruction pointer
+// deferred to the end of the run. Those runs are safe against exactly the
+// hazards this generation covers — destroy, swap-out/in, compaction moves,
+// AD stores into process/context objects — because a run starts only from
+// a cache whose generation was just checked, and nothing it retires can
+// bump the generation. Any new table mutation that can invalidate a
+// derived window or decoded program MUST bump xgen (directly or via
+// InvalidateCaches), or the run loop will keep executing a world that no
+// longer exists.
 func (t *Table) CacheGen() uint64 { return t.xgen }
 
 // InvalidateCaches bumps the cache-invalidation generation. Table-internal

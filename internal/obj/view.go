@@ -23,12 +23,35 @@ type View struct {
 // fault on their own rights. v is filled in place: a View is a hundred
 // bytes, and returning one costs a port operation three copies of it.
 func (t *Table) View(a AD, want Rights, v *View) *Fault {
-	d := t.present(a, want)
-	if d == nil {
+	if !t.Fill(a, want, v) {
 		return t.whyNot(a, want)
 	}
-	v.t, v.ad, v.data, v.access = t, a, t.mem.Window(d.Data), t.accessOf(d)
 	return nil
+}
+
+// Fill is View without the diagnosis, for a caller that answers a refusal
+// by taking another path (the interpreter's operand memo) and would throw
+// the fault away. A refusal leaves v as it was.
+func (t *Table) Fill(a AD, want Rights, v *View) bool {
+	d := t.present(a, want)
+	if d == nil {
+		return false
+	}
+	v.t, v.ad, v.data, v.access = t, a, t.mem.Window(d.Data), t.accessOf(d)
+	return true
+}
+
+// Current reports whether v is what resolving its AD would produce now:
+// the object still present, both windows still the table's own view of its
+// extents. The invariant auditor asks this of every view a cache holds.
+func (t *Table) Current(v *View) bool {
+	var now View
+	return t.Fill(v.ad, 0, &now) &&
+		sameBytes(now.data, v.data) && sameBytes(now.access.win, v.access.win)
+}
+
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // AD returns the capability the view was resolved from.

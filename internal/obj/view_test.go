@@ -104,7 +104,9 @@ func TestViewAgreesWithTable(t *testing.T) {
 }
 
 // TestViewResolve: View faults like the first access would — invalid,
-// then the demanded right, then presence — and survives table growth.
+// then the demanded right, then presence — and survives table growth; Fill
+// refuses the same ADs without building the fault or touching the view, and
+// Current says when a held view has stopped being the object.
 func TestViewResolve(t *testing.T) {
 	tab := newTestTable(t)
 	a := mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 8, AccessSlots: 1})
@@ -124,8 +126,21 @@ func TestViewResolve(t *testing.T) {
 	if x, f := tab.ReadDWord(a, 4); f != nil || x != 7 {
 		t.Fatalf("write through a view across table growth: %d %v", x, f)
 	}
+	if !tab.Current(&v) {
+		t.Error("a view of a resident object is not current")
+	}
 	if f := tab.SwapOut(a.Index, 3); f != nil {
 		t.Fatal(f)
+	}
+	if tab.Current(&v) {
+		t.Error("a view of a swapped-out object is current")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if tab.Fill(a, RightRead, &dead) || dead.AD().Valid() {
+			t.Fatal("Fill accepted a swapped-out object, or wrote the view it refused")
+		}
+	}); n != 0 {
+		t.Errorf("a refused Fill allocates %v times", n)
 	}
 	if f := tab.View(a.WithRights(RightWrite), RightRead, &dead); !IsFault(f, FaultRights) {
 		t.Errorf("rights come before presence: %v", f)
