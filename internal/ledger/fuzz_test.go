@@ -37,7 +37,7 @@ func rehash(data []byte) []byte {
 			break
 		}
 		hdr := out[off : off+headerLen(int(kinds))]
-		copy(hdr[36:36+HashBytes], prev[:])
+		copy(hdr[prevHashOff:], prev[:])
 		segHash := sha256.Sum256(hdr)
 		copy(out[off+int(need)-HashBytes:off+int(need)], segHash[:])
 		prev = segHash

@@ -14,26 +14,24 @@ import (
 	"repro/internal/trace"
 )
 
-// leafHash is the domain-separated hash of one leaf's bytes (0x00 prefix,
-// so a leaf can never be confused with an interior node).
-func leafHash(data []byte) [HashBytes]byte {
-	h := sha256.New()
-	h.Write([]byte{0x00})
-	h.Write(data)
-	var out [HashBytes]byte
-	h.Sum(out[:0])
-	return out
+// leafHash is the domain-separated hash of one encoded record (0x00
+// prefix, so a leaf can never be confused with an interior node); rec
+// holds RecordBytes. The sink, Verify and the proofs all hash through
+// these two functions; each is one sha256.Sum256 over a stack buffer and
+// allocates nothing.
+func leafHash(rec []byte) [HashBytes]byte {
+	var buf [1 + RecordBytes]byte
+	*(*[RecordBytes]byte)(buf[1:]) = [RecordBytes]byte(rec)
+	return sha256.Sum256(buf[:])
 }
 
 // nodeHash combines two subtree hashes (0x01 prefix).
 func nodeHash(l, r [HashBytes]byte) [HashBytes]byte {
-	h := sha256.New()
-	h.Write([]byte{0x01})
-	h.Write(l[:])
-	h.Write(r[:])
-	var out [HashBytes]byte
-	h.Sum(out[:0])
-	return out
+	var buf [1 + 2*HashBytes]byte
+	buf[0] = 0x01
+	copy(buf[1:], l[:])
+	copy(buf[1+HashBytes:], r[:])
+	return sha256.Sum256(buf[:])
 }
 
 // splitPoint is the largest power of two strictly less than n (n ≥ 2).
@@ -198,7 +196,7 @@ func VerifyEvent(root [HashBytes]byte, ev trace.Event, p *EventProof) bool {
 		return false
 	}
 	var bodyRoot [HashBytes]byte
-	copy(bodyRoot[:], p.Header[36+HashBytes:36+2*HashBytes])
+	copy(bodyRoot[:], p.Header[bodyRootOff:])
 	rec := appendRecord(nil, ev)
 	if !VerifyInclusion(bodyRoot, leafHash(rec), p.Index, p.SegmentCount, p.BodyPath) {
 		return false

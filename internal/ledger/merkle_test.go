@@ -10,6 +10,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // TestInclusionEveryEvent: for random batch sizes, every single event's
@@ -59,7 +61,7 @@ func TestConsistencyEveryPrefix(t *testing.T) {
 	const maxN = 24
 	leaves := make([][HashBytes]byte, maxN)
 	for i := range leaves {
-		leaves[i] = leafHash([]byte{byte(i), byte(i >> 8)})
+		leaves[i] = leafHash(appendRecord(nil, trace.Event{Seq: uint64(i)}))
 	}
 	for m := 1; m <= maxN; m++ {
 		newRoot := merkleRoot(leaves[:m])
@@ -92,9 +94,51 @@ func TestReplayConsistency(t *testing.T) {
 	}
 	total := len(rep.Segments)
 	for n := 1; n <= total; n++ {
-		if !VerifyConsistency(rep.RootAt(n), rep.Root, n, total, rep.ConsistencyProof(n)) {
+		root, err := rep.RootAt(n)
+		if err != nil {
+			t.Fatalf("root at %d/%d segments: %v", n, total, err)
+		}
+		proof, err := rep.ConsistencyProof(n)
+		if err != nil {
+			t.Fatalf("proof for %d/%d segments: %v", n, total, err)
+		}
+		if !VerifyConsistency(root, rep.Root, n, total, proof) {
 			t.Fatalf("prefix of %d/%d segments not provably consistent", n, total)
 		}
+	}
+}
+
+// TestReplayProofBounds: a prefix length outside the ledger is an error
+// from both, as a bad index is from ProveEvent. ConsistencyProof(0) used
+// to recurse until the stack overflowed, which no recover catches, and
+// RootAt outside [0, len] panicked on a slice bound.
+func TestReplayProofBounds(t *testing.T) {
+	rep, err := Verify(Seal(genEvents(200, 77), Config{SegmentEvents: 16}))
+	if err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	total := len(rep.Segments)
+	for _, c := range []struct {
+		n             int
+		root, proving bool
+	}{{-1, false, false}, {0, true, false}, {total, true, true}, {total + 1, false, false}} {
+		root, err := rep.RootAt(c.n)
+		if (err == nil) != c.root {
+			t.Errorf("RootAt(%d) of %d segments: err = %v, want ok = %v", c.n, total, err, c.root)
+		}
+		if err == nil && root != merkleRoot(rep.leaves[:c.n]) {
+			t.Errorf("RootAt(%d) is not the root of the first %d segments", c.n, c.n)
+		}
+		proof, err := rep.ConsistencyProof(c.n)
+		if (err == nil) != c.proving {
+			t.Errorf("ConsistencyProof(%d) of %d segments: err = %v, want ok = %v", c.n, total, err, c.proving)
+		}
+		if err == nil && !VerifyConsistency(root, rep.Root, c.n, total, proof) {
+			t.Errorf("ConsistencyProof(%d) does not verify", c.n)
+		}
+	}
+	if empty, err := (&Replay{}).RootAt(0); err != nil || empty != merkleRoot(nil) {
+		t.Errorf("RootAt(0) of an empty replay = %x, %v", empty, err)
 	}
 }
 

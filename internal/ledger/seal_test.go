@@ -1,0 +1,195 @@
+package ledger
+
+// Tests for the shape of sealing rather than its bytes (witness_test.go
+// has those): bodies are hashed on goroutines the emitter starts and
+// collects, so the bytes must not depend on the host's schedule, every
+// reader must see the segments cut so far, nothing may outlive the sink,
+// and a segment must cost about its own size in allocation.
+
+import (
+	"bytes"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/trace"
+)
+
+// TestSealScheduleIndependence: the witness streams reproduce the pinned
+// lines (bytes TestLedgerWitness verifies) with one host thread and with
+// four, and a Block sink fed by one to eight goroutines at once, with a
+// reader joining the window underneath them, seals the same bytes every
+// time.
+func TestSealScheduleIndependence(t *testing.T) {
+	want := loadPinned(t, ledgerWitnessPath)
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		witnessRuns(func(key string, s *Sink) {
+			if got := sinkLine(s); got != want[key] {
+				t.Errorf("GOMAXPROCS %d: %s moved off the ledger witness:\n got %s\nwant %s", procs, key, got, want[key])
+			}
+		})
+		runtime.GOMAXPROCS(prev)
+	}
+
+	// The producers emit through a trace.Log, as the kernel's do: the log
+	// numbers events in the order it hands them to Record, which is the
+	// order Verify demands. Every event carries the same payload, so the
+	// stream, and with it every byte, is the same however they interleave.
+	const perProducer = 3_000
+	var single []byte
+	for producers := 1; producers <= 8; producers++ {
+		l := trace.New(64)
+		s := NewSink(Config{SegmentEvents: 7, QueueCap: 8, Policy: Block})
+		l.SetSink(s)
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 8*perProducer/producers; i++ {
+					l.Emit(trace.EvSend, 7, 7, 7)
+				}
+			}()
+		}
+		stop := make(chan struct{})
+		go func() { wg.Wait(); close(stop) }()
+		for reading := true; reading; {
+			select {
+			case <-stop:
+				reading = false
+			default:
+				if n := s.Segments(); n > int(s.Recorded())/7 {
+					t.Errorf("%d producers: %d segments of 7 from %d events", producers, n, s.Recorded())
+				}
+			}
+		}
+		s.Close()
+		got := s.Bytes()
+		rep, err := Verify(got)
+		if err != nil {
+			t.Fatalf("%d producers: %v", producers, err)
+		}
+		if want := 8 * perProducer / producers * producers; len(rep.Events) != want || s.Dropped() != 0 {
+			t.Fatalf("%d producers: replayed %d events and dropped %d, want %d and 0", producers, len(rep.Events), s.Dropped(), want)
+		}
+		if producers == 1 {
+			single = got
+		} else if n := len(got); !bytes.Equal(got, single[:n]) {
+			t.Errorf("%d producers sealed other bytes than one producer did", producers)
+		}
+	}
+}
+
+// TestSinkJoinsBeforeAnswering: Segments, Root and Bytes, each the first
+// call on a sink that was never closed, answer for every segment cut so
+// far, including more of them than the in-flight window holds.
+func TestSinkJoinsBeforeAnswering(t *testing.T) {
+	for _, se := range []int{1, 3, 256} {
+		for k := 0; k <= 2*sealWindow+1; k++ {
+			events := genEvents(k*se, uint64(se))
+			fill := func() *Sink {
+				s := NewSink(Config{SegmentEvents: se, PumpEvery: se, DrainPerPump: se})
+				for _, ev := range events {
+					s.Record(ev)
+				}
+				return s
+			}
+			rep, err := Verify(fill().Bytes())
+			if err != nil {
+				t.Fatalf("%d × %d events, unclosed: %v", k, se, err)
+			}
+			if len(rep.Segments) != k || len(rep.Events) != k*se {
+				t.Errorf("%d × %d events: Bytes holds %d segments and %d events", k, se, len(rep.Segments), len(rep.Events))
+			}
+			if got := fill().Segments(); got != k {
+				t.Errorf("%d × %d events: Segments() = %d", k, se, got)
+			}
+			if got := fill().Root(); got != rep.Root {
+				t.Errorf("%d × %d events: Root() is not the root of the %d segments cut", k, se, k)
+			}
+		}
+	}
+}
+
+// TestSinkLeavesNoGoroutines: Close returns with every sealer finished,
+// and a sink dropped with segments in flight is not kept alive by them.
+func TestSinkLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settle := func(when string) {
+		t.Helper()
+		// A sealer signals the emitter before it returns, so it can still
+		// be counted for an instant after the join.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before the sink existed", when, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+	events := genEvents(5_000, 5)
+	s := NewSink(Config{SegmentEvents: 16})
+	for _, ev := range events {
+		s.Record(ev)
+	}
+	s.Close()
+	settle("after Close")
+
+	s = NewSink(Config{SegmentEvents: 16, PumpEvery: 16, DrainPerPump: 16})
+	for _, ev := range events[:1_000] {
+		s.Record(ev)
+	}
+	if _, err := Verify(s.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events[1_000:] {
+		s.Record(ev)
+	}
+	s = nil // dropped with a full window, never joined
+	settle("after dropping an unclosed sink")
+}
+
+// TestSealAllocBound: a sealed segment costs its own buffer and the
+// sealer's start, not a body, a header, a leaf slice and a regrown copy of
+// the ledger so far (seven objects and about seven times the bytes at the
+// commit this bound was written against).
+func TestSealAllocBound(t *testing.T) {
+	const segments = 100
+	events := genEvents(DefaultSegmentEvents, 3)
+	segBytes := uint64(headerLen(trace.NumKinds()) + DefaultSegmentEvents*RecordBytes + HashBytes)
+	seq := uint64(0)
+	s := NewSink(Config{})
+	oneSegment := func() {
+		for _, ev := range events {
+			seq++
+			ev.Seq = seq
+			s.Record(ev)
+		}
+	}
+	for i := 0; i < 4*sealWindow; i++ { // every slot's slices at full size
+		oneSegment()
+	}
+	before := s.Segments()
+	if objs := testing.AllocsPerRun(segments, oneSegment); objs > 4 {
+		t.Errorf("%v objects allocated per segment, want at most 4", objs)
+	}
+	if got := s.Segments() - before; got != segments+1 {
+		t.Fatalf("measured %d segments, want %d", got, segments+1)
+	}
+
+	// Bytes over ten times as many: segment buffers come nine to a slab,
+	// so a hundred segments can be charged eleven slabs or twelve.
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < 10*segments; i++ {
+		oneSegment()
+	}
+	s.Segments()
+	runtime.ReadMemStats(&m1)
+	if got, limit := m1.TotalAlloc-m0.TotalAlloc, 10*segments*segBytes*11/10; got > limit {
+		t.Errorf("%d bytes allocated for %d segments of %d, want at most %d", got, 10*segments, segBytes, limit)
+	}
+	if rep, err := Verify(s.Bytes()); err != nil || uint64(len(rep.Events)) != seq {
+		t.Fatalf("the measured ledger does not replay its %d events: %v", seq, err)
+	}
+}

@@ -75,9 +75,16 @@ func (r *Replay) DroppedTotal() uint64 {
 // stream and counters; on any malformation the error is a *CorruptError
 // unwrapping to ErrCorrupt.
 func Verify(data []byte) (*Replay, error) {
-	rep := &Replay{}
+	// Every record is RecordBytes of data, so this is an upper bound taken
+	// from the bytes in hand, not from any count they declare.
+	rep := &Replay{Events: make([]trace.Event, 0, len(data)/RecordBytes)}
 	var prev [HashBytes]byte
 	var lastSeq uint64
+	// Per-segment scratch, filled only after the segment's declared counts
+	// are clamped against the bytes that remain, and reused by every later
+	// segment.
+	var countDelta, dropDelta, bodyCounts []uint64
+	var leaves [][HashBytes]byte
 	off := 0
 	for seg := 0; off < len(data); seg++ {
 		rest := data[off:]
@@ -112,27 +119,21 @@ func Verify(data []byte) (*Replay, error) {
 		firstSeq := binary.LittleEndian.Uint64(hdr[20:28])
 		segLastSeq := binary.LittleEndian.Uint64(hdr[28:36])
 		var prevHash, bodyRoot [HashBytes]byte
-		copy(prevHash[:], hdr[36:36+HashBytes])
-		copy(bodyRoot[:], hdr[36+HashBytes:36+2*HashBytes])
+		copy(prevHash[:], hdr[prevHashOff:])
+		copy(bodyRoot[:], hdr[bodyRootOff:])
 		if prevHash != prev {
 			return nil, corruptf(seg, "previous-segment hash mismatch: chain broken")
 		}
 
-		deltaOff := headerFixedBytes
-		countDelta := make([]uint64, kinds)
-		for k := range countDelta {
-			countDelta[k] = binary.LittleEndian.Uint64(hdr[deltaOff:])
-			deltaOff += 8
-		}
-		dropDelta := make([]uint64, kinds)
-		for k := range dropDelta {
-			dropDelta[k] = binary.LittleEndian.Uint64(hdr[deltaOff:])
-			deltaOff += 8
+		countDelta, dropDelta, bodyCounts = countDelta[:0], dropDelta[:0], bodyCounts[:0]
+		for k := 0; k < int(kinds); k++ {
+			countDelta = append(countDelta, binary.LittleEndian.Uint64(hdr[headerFixedBytes+8*k:]))
+			dropDelta = append(dropDelta, binary.LittleEndian.Uint64(hdr[headerFixedBytes+8*(int(kinds)+k):]))
+			bodyCounts = append(bodyCounts, 0)
 		}
 
 		body := rest[len(hdr) : len(hdr)+int(count)*RecordBytes]
-		bodyCounts := make([]uint64, kinds)
-		leaves := make([][HashBytes]byte, count)
+		leaves = leaves[:0]
 		for i := 0; i < int(count); i++ {
 			rec := body[i*RecordBytes : (i+1)*RecordBytes]
 			ev := decodeRecord(rec)
@@ -144,7 +145,7 @@ func Verify(data []byte) (*Replay, error) {
 			}
 			lastSeq = ev.Seq
 			bodyCounts[ev.Kind]++
-			leaves[i] = leafHash(rec)
+			leaves = append(leaves, leafHash(rec))
 			rep.Events = append(rep.Events, ev)
 		}
 		if rep.Events[len(rep.Events)-int(count)].Seq != firstSeq {
@@ -228,15 +229,24 @@ func (r *Replay) ProveEvent(i int) (*EventProof, error) {
 	}, nil
 }
 
-// RootAt is the Merkle root over the first n segments — the commitment a
-// verifier would have held when the ledger was n segments long.
-func (r *Replay) RootAt(n int) [HashBytes]byte {
-	return merkleRoot(r.leaves[:n])
+// RootAt is the Merkle root over the first n segments, 0 ≤ n ≤
+// len(Segments) — the commitment a verifier would have held when the
+// ledger was n segments long.
+func (r *Replay) RootAt(n int) ([HashBytes]byte, error) {
+	if n < 0 || n > len(r.leaves) {
+		return [HashBytes]byte{}, fmt.Errorf("ledger: root at %d segments out of range (have %d)", n, len(r.leaves))
+	}
+	return merkleRoot(r.leaves[:n]), nil
 }
 
-// ConsistencyProof proves the first n segments are a prefix of the full
-// ledger; verify with VerifyConsistency(RootAt(n), Root, n, len(Segments),
-// proof).
-func (r *Replay) ConsistencyProof(n int) [][HashBytes]byte {
-	return consistencyPath(r.leaves, n)
+// ConsistencyProof proves the first n segments, 1 ≤ n ≤ len(Segments),
+// are a prefix of the full ledger; verify with
+// VerifyConsistency(RootAt(n), Root, n, len(Segments), proof). The empty
+// prefix has no proof (RFC 6962 defines none, and VerifyConsistency
+// rejects n = 0).
+func (r *Replay) ConsistencyProof(n int) ([][HashBytes]byte, error) {
+	if n < 1 || n > len(r.leaves) {
+		return nil, fmt.Errorf("ledger: consistency proof for %d segments out of range (have %d)", n, len(r.leaves))
+	}
+	return consistencyPath(r.leaves, n), nil
 }

@@ -128,9 +128,12 @@ func (e Event) String() string {
 }
 
 // Sink receives every emitted event, in emission order, under the log's
-// lock — implementations must not call back into the Log. The audit
-// ledger (internal/ledger) is the standing implementation; the hook is
-// nil-safe and costs one predictable branch per Emit when unset.
+// lock — implementations must not call back into the Log. A sink may
+// finish its work on goroutines of its own after Record returns (the
+// ledger hashes segment bodies that way); those goroutines must never
+// touch the Log either. The audit ledger (internal/ledger) is the
+// standing implementation; the hook is nil-safe and costs one predictable
+// branch per Emit when unset.
 type Sink interface {
 	Record(Event)
 }
