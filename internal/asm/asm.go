@@ -106,19 +106,6 @@ func (p *Program) Entry(label string) (uint32, error) {
 	return ip, nil
 }
 
-// Entries resolves a list of labels into a domain entry table.
-func (p *Program) Entries(labels ...string) ([]uint32, error) {
-	out := make([]uint32, len(labels))
-	for i, l := range labels {
-		ip, err := p.Entry(l)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ip
-	}
-	return out, nil
-}
-
 type pending struct {
 	line  int
 	instr int
@@ -180,15 +167,6 @@ func Assemble(source string) (*Program, error) {
 		return nil, errf(0, "empty program")
 	}
 	return p, nil
-}
-
-// MustAssemble is Assemble for static program text; it panics on error.
-func MustAssemble(source string) *Program {
-	p, err := Assemble(source)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 func validLabel(s string) bool {

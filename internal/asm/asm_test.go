@@ -137,29 +137,21 @@ func TestDiagnostics(t *testing.T) {
 }
 
 func TestEntries(t *testing.T) {
-	p := MustAssemble(`
+	p, err := Assemble(`
 	main:  halt
 	aux:   ret
 	`)
-	es, err := p.Entries("main", "aux")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if es[0] != 0 || es[1] != 1 {
-		t.Fatalf("Entries = %v", es)
+	for label, want := range map[string]uint32{"main": 0, "aux": 1} {
+		if ip, err := p.Entry(label); err != nil || ip != want {
+			t.Fatalf("Entry(%q) = %d, %v", label, ip, err)
+		}
 	}
-	if _, err := p.Entries("main", "missing"); err == nil {
+	if _, err := p.Entry("missing"); err == nil {
 		t.Fatal("missing entry accepted")
 	}
-}
-
-func TestMustAssemblePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	MustAssemble("bogus r1")
 }
 
 // TestAssembledProgramExecutes closes the loop: source text through the
@@ -169,7 +161,7 @@ func TestAssembledProgramExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := MustAssemble(`
+	p, err := Assemble(`
 		; sum 1..10 into the object in a0
 		        movi  r1, 10
 		        movi  r0, 0
@@ -179,6 +171,9 @@ func TestAssembledProgramExecutes(t *testing.T) {
 		        store r0, a0, 0
 		        halt
 	`)
+	if err != nil {
+		t.Fatal(err)
+	}
 	code, f := sys.Domains.CreateCode(sys.Heap, p.Instrs)
 	if f != nil {
 		t.Fatal(f)

@@ -133,26 +133,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// DefineSharedType defines a user type of the same name independently on
-// every node and binds it into every volume's activation registry. The
-// returned slice holds each node's own TDO — distinct objects in
-// distinct tables that happen to agree on a name, which is all the wire
-// format ever carries.
-func (c *Cluster) DefineSharedType(name string) ([]obj.AD, error) {
-	tdos := make([]obj.AD, len(c.Nodes))
-	for i, n := range c.Nodes {
-		tdo, f := n.IM.TDOs.Define(name, obj.LevelGlobal, obj.NilIndex)
-		if f != nil {
-			return nil, fmt.Errorf("cluster: defining %q on node %d: %w", name, i, error(f))
-		}
-		if f := n.IM.Files.BindType(name, tdo); f != nil {
-			return nil, fmt.Errorf("cluster: binding %q on node %d: %w", name, i, error(f))
-		}
-		tdos[i] = tdo
-	}
-	return tdos, nil
-}
-
 // Ship passivates the graph rooted at root on node from and enqueues its
 // image toward node to. The sender's volume gives the image up
 // immediately — the wire buffer is the graph's sole owner until

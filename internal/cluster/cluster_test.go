@@ -28,9 +28,18 @@ func TestShipDeliverMaterializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tdos, err := c.DefineSharedType("session_rec")
-	if err != nil {
-		t.Fatal(err)
+	// The same type name defined independently on every node: distinct
+	// TDOs in distinct tables, which is all the wire format ever carries.
+	tdos := make([]obj.AD, len(c.Nodes))
+	for i, n := range c.Nodes {
+		tdo, f := n.IM.TDOs.Define("session_rec", obj.LevelGlobal, obj.NilIndex)
+		if f != nil {
+			t.Fatal(f)
+		}
+		if f := n.IM.Files.BindType("session_rec", tdo); f != nil {
+			t.Fatal(f)
+		}
+		tdos[i] = tdo
 	}
 	a := c.Nodes[0].IM
 

@@ -44,7 +44,7 @@ func TestBootAllPackages(t *testing.T) {
 		t.Error("segment-fault port missing")
 	}
 	// The GC daemon is registered at level 3; the fault handler at 2.
-	if l, ok := im.LevelOfProcess(im.GCProc); !ok || l != Level3 {
+	if l, ok := im.levels[im.GCProc.Index]; !ok || l != Level3 {
 		t.Errorf("GC daemon level = %v, %v", l, ok)
 	}
 	// The directory is pinned and usable.
@@ -55,9 +55,9 @@ func TestBootAllPackages(t *testing.T) {
 	if f := im.Publish(63, ad); f != nil {
 		t.Fatal(f)
 	}
-	got, f := im.Lookup(63)
+	got, f := im.Table.LoadAD(im.Directory, 63)
 	if f != nil || got.Index != ad.Index {
-		t.Fatalf("Lookup = %v, %v", got, f)
+		t.Fatalf("directory slot 63 = %v, %v", got, f)
 	}
 }
 

@@ -21,7 +21,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/filing"
 	"repro/internal/gc"
@@ -238,12 +240,7 @@ func gcBody(c *gc.Collector, work int, interval vtime.Cycles) gdp.NativeBody {
 		// Destruction-filter deliveries may have unblocked type
 		// managers; return them to the mix (§8.2).
 		for _, w := range c.DrainWakes() {
-			if w.Msg.Valid() {
-				if f := sys.Procs.SetLink(w.Process, process.SlotCarry, w.Msg); f != nil {
-					return spent, gdp.BodyYield, f
-				}
-			}
-			if f := sys.MakeReady(w.Process); f != nil {
+			if f := sys.Wake(w); f != nil {
 				return spent, gdp.BodyYield, f
 			}
 		}
@@ -267,12 +264,7 @@ func (im *IMAX) Collect() (vtime.Cycles, *obj.Fault) {
 		return spent, f
 	}
 	for _, w := range c.DrainWakes() {
-		if w.Msg.Valid() {
-			if f := im.Procs.SetLink(w.Process, process.SlotCarry, w.Msg); f != nil {
-				return spent, f
-			}
-		}
-		if f := im.MakeReady(w.Process); f != nil {
+		if f := im.Wake(w); f != nil {
 			return spent, f
 		}
 	}
@@ -283,11 +275,6 @@ func (im *IMAX) Collect() (vtime.Cycles, *obj.Fault) {
 // making it a GC root.
 func (im *IMAX) Publish(slot uint32, ad obj.AD) *obj.Fault {
 	return im.Table.StoreAD(im.Directory, slot, ad)
-}
-
-// Lookup reads a directory slot.
-func (im *IMAX) Lookup(slot uint32) (obj.AD, *obj.Fault) {
-	return im.Table.LoadAD(im.Directory, slot)
 }
 
 // RegisterSystemProcess records the declared level of a system process
@@ -326,7 +313,7 @@ func (v LevelViolation) String() string {
 // CheckLevels audits every registered system process against its declared
 // level: a recorded fault on a level-1 process, or a non-timeout fault on
 // a level-2 process, is a violation. Run it from tests and from the
-// system health monitor.
+// system health monitor. Violations come in object-index order.
 func (im *IMAX) CheckLevels() []LevelViolation {
 	var out []LevelViolation
 	for idx, level := range im.levels {
@@ -348,11 +335,6 @@ func (im *IMAX) CheckLevels() []LevelViolation {
 			}
 		}
 	}
+	slices.SortFunc(out, func(a, b LevelViolation) int { return cmp.Compare(a.Process.Index, b.Process.Index) })
 	return out
-}
-
-// LevelOfProcess reports a registered system process's declared level.
-func (im *IMAX) LevelOfProcess(p obj.AD) (SystemLevel, bool) {
-	l, ok := im.levels[p.Index]
-	return l, ok
 }

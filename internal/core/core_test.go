@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gdp"
@@ -71,9 +72,9 @@ func TestPublishMakesGCRoot(t *testing.T) {
 	if _, f := im.Table.Resolve(lost); !obj.IsFault(f, obj.FaultInvalidAD) {
 		t.Fatal("unpublished object survived")
 	}
-	got, f := im.Lookup(0)
+	got, f := im.Table.LoadAD(im.Directory, 0)
 	if f != nil || got.Index != kept.Index {
-		t.Fatalf("Lookup = %v, %v", got, f)
+		t.Fatalf("directory slot 0 = %v, %v", got, f)
 	}
 }
 
@@ -127,8 +128,8 @@ func TestLevelOneRefusesFaultPort(t *testing.T) {
 	if f := im.RegisterSystemProcess(p2, Level1); f != nil {
 		t.Fatalf("clean level-1 refused: %v", f)
 	}
-	if l, ok := im.LevelOfProcess(p2); !ok || l != Level1 {
-		t.Fatalf("LevelOfProcess = %v, %v", l, ok)
+	if l, ok := im.levels[p2.Index]; !ok || l != Level1 {
+		t.Fatalf("registered level = %v, %v", l, ok)
 	}
 }
 
@@ -169,6 +170,39 @@ func TestLevelAuditE13(t *testing.T) {
 	}
 	if !seen[l1.Index] || !seen[l2bad.Index] {
 		t.Fatalf("wrong violators: %v", violations)
+	}
+}
+
+// TestCheckLevelsOrder: violations come in object-index order, the same
+// on every call; they used to come in the levels map's iteration order.
+func TestCheckLevelsOrder(t *testing.T) {
+	im := boot(t, Config{})
+	prog, _ := im.Domains.CreateCode(im.Heap, []isa.Instr{
+		isa.FaultInject(uint32(obj.FaultRights)),
+		isa.Halt(),
+	})
+	dom, _ := im.Domains.Create(im.Heap, prog, []uint32{0})
+	var want []obj.Index
+	for i := 0; i < 3; i++ {
+		p, f := im.Spawn(dom, gdp.SpawnSpec{})
+		if f != nil {
+			t.Fatal(f)
+		}
+		im.RegisterSystemProcess(p, Level1)
+		want = append(want, p.Index)
+	}
+	slices.Sort(want)
+	if _, f := im.Run(10_000_000); f != nil {
+		t.Fatal(f)
+	}
+	for call := 0; call < 20; call++ {
+		var got []obj.Index
+		for _, v := range im.CheckLevels() {
+			got = append(got, v.Process.Index)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("call %d: violators %v, want %v", call, got, want)
+		}
 	}
 }
 

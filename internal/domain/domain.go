@@ -251,26 +251,3 @@ func (m *Manager) Code(dom obj.AD) (obj.AD, *obj.Fault) {
 	}
 	return m.Table.LoadAD(dom, slotCode)
 }
-
-// SetPrivate stores an object into one of the domain's private slots; only
-// code executing within the domain can reach it afterwards.
-func (m *Manager) SetPrivate(dom obj.AD, n uint32, ad obj.AD) *obj.Fault {
-	if _, f := m.Table.RequireType(dom, obj.TypeDomain); f != nil {
-		return f
-	}
-	if SlotPrivate0+n >= domainSlots {
-		return obj.Faultf(obj.FaultBounds, dom, "private slot %d", n)
-	}
-	return m.Table.StoreAD(dom, SlotPrivate0+n, ad)
-}
-
-// Private loads one of the domain's private objects.
-func (m *Manager) Private(dom obj.AD, n uint32) (obj.AD, *obj.Fault) {
-	if _, f := m.Table.RequireType(dom, obj.TypeDomain); f != nil {
-		return obj.NilAD, f
-	}
-	if SlotPrivate0+n >= domainSlots {
-		return obj.NilAD, obj.Faultf(obj.FaultBounds, dom, "private slot %d", n)
-	}
-	return m.Table.LoadAD(dom, SlotPrivate0+n)
-}

@@ -138,25 +138,6 @@ func TestHandlerRegistrationGenerationGuard(t *testing.T) {
 	}
 }
 
-func TestPrivateSlots(t *testing.T) {
-	fx := setup(t)
-	dom, _ := fx.m.CreateNative(fx.heap, 1, func(*Env, uint32) *obj.Fault { return nil })
-	secret, _ := fx.sros.Create(fx.heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
-	if f := fx.m.SetPrivate(dom, 0, secret); f != nil {
-		t.Fatal(f)
-	}
-	got, f := fx.m.Private(dom, 0)
-	if f != nil || got.Index != secret.Index {
-		t.Fatalf("Private = %v, %v", got, f)
-	}
-	if f := fx.m.SetPrivate(dom, 99, secret); !obj.IsFault(f, obj.FaultBounds) {
-		t.Errorf("private slot 99: %v", f)
-	}
-	if _, f := fx.m.Private(dom, 99); !obj.IsFault(f, obj.FaultBounds) {
-		t.Errorf("read private slot 99: %v", f)
-	}
-}
-
 func TestProgramCacheInvalidatedByGeneration(t *testing.T) {
 	fx := setup(t)
 	code, _ := fx.m.CreateCode(fx.heap, []isa.Instr{isa.Halt()})

@@ -4,6 +4,7 @@ import (
 	"repro/internal/domain"
 	"repro/internal/isa"
 	"repro/internal/obj"
+	"repro/internal/port"
 	"repro/internal/process"
 	"repro/internal/trace"
 	"repro/internal/vtime"
@@ -666,7 +667,7 @@ func (s *System) execSend(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycle
 	}
 	if wake != nil {
 		// A blocked receiver was handed the message directly.
-		if f := s.wakeProcessWithMsg(wake.Process, wake.Msg); f != nil {
+		if f := s.Wake(*wake); f != nil {
 			return vtime.CostSend, f
 		}
 	}
@@ -718,7 +719,7 @@ func (s *System) execRecv(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycle
 	if wake != nil {
 		// A parked sender's message was deposited; the sender just
 		// becomes ready.
-		if f := s.wakeProcess(wake.Process); f != nil {
+		if f := s.Wake(*wake); f != nil {
 			return vtime.CostReceive, f
 		}
 	}
@@ -923,7 +924,7 @@ func (s *System) deliverFault(cpu *CPU, proc obj.AD, cause *obj.Fault) *obj.Faul
 	}
 	s.faultsSent++
 	if wake != nil {
-		return s.wakeProcessWithMsg(wake.Process, wake.Msg)
+		return s.Wake(*wake)
 	}
 	return nil
 }
@@ -938,23 +939,22 @@ func (s *System) notifyScheduler(proc obj.AD) {
 	}
 	_, wake, f := s.Ports.Send(sport, proc, 0, obj.NilAD)
 	if f == nil && wake != nil {
-		_ = s.wakeProcessWithMsg(wake.Process, wake.Msg)
+		_ = s.Wake(*wake)
 	}
 }
 
-// wakeProcess returns a blocked process to the dispatch mix.
-func (s *System) wakeProcess(p obj.AD) *obj.Fault {
-	return s.MakeReady(p)
-}
-
-// wakeProcessWithMsg resumes a process that was blocked receiving: the
-// message rides in the carry slot until the process next runs, when the
-// resume action moves it into the destination register.
-func (s *System) wakeProcessWithMsg(p obj.AD, msg obj.AD) *obj.Fault {
-	if msg.Valid() {
-		if f := s.Procs.SetLink(p, process.SlotCarry, msg); f != nil {
+// Wake returns a process that a port operation unparked to the dispatch
+// mix: the one wake step, for the send and receive instructions and for
+// every agent that operates a port from outside the instruction stream. A
+// woken receiver's message rides in the carry slot until the process next
+// runs, when the resume action moves it into the destination register. A
+// Wake that Send or Receive returned and nobody passed here is a lost
+// process: it is off the wait queue and still StateBlocked.
+func (s *System) Wake(w port.Wake) *obj.Fault {
+	if w.Msg.Valid() {
+		if f := s.Procs.SetLink(w.Process, process.SlotCarry, w.Msg); f != nil {
 			return f
 		}
 	}
-	return s.MakeReady(p)
+	return s.MakeReady(w.Process)
 }

@@ -36,8 +36,8 @@ import (
 // spread of time slices (preemption traffic) across 2..4 processors.
 // Identical seeds produce identical construction sequences, so builds at
 // different corners are twins. lcfg configures the audit ledger behind the
-// tracer — the overload-determinism test uses a deliberately starved
-// pipeline.
+// tracer — the overload-determinism test cuts small segments to keep the
+// seal window full.
 func buildFuzzSystem(t *testing.T, seed int64, c fuzzCorner, lcfg ledger.Config) *gdp.System {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -290,51 +290,40 @@ func TestParallelDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// TestLedgerOverloadDeterminism starves the audit ledger's pipeline (a
-// queue smaller than a pump interval, a consumer draining a fraction of
-// what arrives) under both corners of every corpus seed. The
-// point of the pump discipline is that backpressure drops are a function
-// of the event stream, never of host timing — so even a ledger that is
-// dropping most of its input must come out byte-identical, drop counters
-// included, between the uncached and the cached interpreter.
+// TestLedgerOverloadDeterminism overloads the audit ledger the one way it
+// can be: segments of 4 records are cut faster than their bodies hash, so
+// the emitter fills the seal window and waits on it, under both corners of
+// every corpus seed. Admission and cuts are a function of the event stream,
+// never of host timing, so the ledger must come out byte-identical between
+// the uncached and the cached interpreter, every emitted event in it.
 func TestLedgerOverloadDeterminism(t *testing.T) {
-	starved := ledger.Config{SegmentEvents: 32, QueueCap: 48, PumpEvery: 96, DrainPerPump: 8}
+	small := ledger.Config{SegmentEvents: 4}
 	for _, seed := range corpusSeeds(t) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			var refBytes []byte
-			var refSeq uint64
 			for i, c := range fuzzCorners {
-				s := buildFuzzSystem(t, seed, c, starved)
+				s := buildFuzzSystem(t, seed, c, small)
 				runFuzz(t, s)
 				sk := fuzzLedger(t, s)
 				seq, _ := s.Tracer().Snapshot()
-				if sk.Recorded()+sk.Dropped() != seq {
-					t.Fatalf("%s: recorded %d + dropped %d != emitted %d",
+				if sk.Recorded() != seq || sk.Dropped() != 0 {
+					t.Fatalf("%s: recorded %d and dropped %d of %d emitted",
 						c.name, sk.Recorded(), sk.Dropped(), seq)
-				}
-				if sk.Dropped() == 0 {
-					t.Fatalf("%s: starved pipeline dropped nothing (seq=%d) — overload arm not exercised",
-						c.name, seq)
 				}
 				b := sk.Bytes()
 				if i == 0 {
-					refBytes, refSeq = b, seq
+					refBytes = b
 					rep, err := ledger.Verify(b)
 					if err != nil {
-						t.Fatalf("overloaded ledger failed verification: %v", err)
+						t.Fatalf("ledger failed verification: %v", err)
 					}
-					if rep.DroppedTotal() != sk.Dropped() {
-						t.Fatalf("replayed drop count %d != sink drop count %d",
-							rep.DroppedTotal(), sk.Dropped())
+					if uint64(len(rep.Events)) != seq || len(rep.Segments) <= 8 {
+						t.Fatalf("replayed %d of %d events in %d segments; the window holds 8",
+							len(rep.Events), seq, len(rep.Segments))
 					}
-				} else {
-					if seq != refSeq {
-						t.Fatalf("%s emitted %d events, reference %d", c.name, seq, refSeq)
-					}
-					if !bytes.Equal(b, refBytes) {
-						t.Fatalf("%s: overloaded ledger bytes diverged from %s", c.name, fuzzCorners[0].name)
-					}
+				} else if !bytes.Equal(b, refBytes) {
+					t.Fatalf("%s: ledger bytes diverged from %s", c.name, fuzzCorners[0].name)
 				}
 			}
 		})

@@ -26,7 +26,7 @@ func (s *System) SendMessage(prt, msg obj.AD, key uint32) (bool, *obj.Fault) {
 		return false, nil
 	}
 	if wake != nil {
-		if f := s.wakeProcessWithMsg(wake.Process, wake.Msg); f != nil {
+		if f := s.Wake(*wake); f != nil {
 			return true, f
 		}
 	}
@@ -45,7 +45,7 @@ func (s *System) ReceiveMessage(prt obj.AD) (msg obj.AD, ok bool, fault *obj.Fau
 		return obj.NilAD, false, nil
 	}
 	if wake != nil {
-		if f := s.wakeProcess(wake.Process); f != nil {
+		if f := s.Wake(*wake); f != nil {
 			return msg, true, f
 		}
 	}

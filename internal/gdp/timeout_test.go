@@ -43,8 +43,8 @@ func TestWatchTimeoutCancelsBlockedReceive(t *testing.T) {
 	if f != nil || !ok || msg.Index != p.Index {
 		t.Fatalf("fault delivery: %v %v %v", msg, ok, f)
 	}
-	if n, _ := s.Ports.WaitingReceivers(prt); n != 0 {
-		t.Fatalf("WaitingReceivers = %d after timeout", n)
+	if st, f := s.Ports.Inspect(prt); f != nil || len(st.Receivers) != 0 {
+		t.Fatalf("%d receivers still waiting after timeout (%v)", len(st.Receivers), f)
 	}
 }
 
@@ -105,8 +105,8 @@ func TestWatchTimeoutOnBlockedSender(t *testing.T) {
 		t.Fatal(f)
 	}
 	mustState(t, s, p, process.StateFaulted)
-	if n, _ := s.Ports.WaitingSenders(prt); n != 0 {
-		t.Fatalf("WaitingSenders = %d after timeout", n)
+	if st, f := s.Ports.Inspect(prt); f != nil || len(st.Senders) != 0 {
+		t.Fatalf("%d senders still waiting after timeout (%v)", len(st.Senders), f)
 	}
 	// The queued message is untouched; only the parked one was pulled.
 	if n, _ := s.Ports.Count(prt); n != 1 {

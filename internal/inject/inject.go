@@ -94,12 +94,6 @@ func (in *Injector) FiredByKind() []uint64 {
 	return out
 }
 
-// Exhausted reports whether every planned event has fired. Plans are laid
-// over an instruction horizon the workload is expected to pass; a workload
-// that terminates earlier leaves events unfired, which the harness treats
-// as a planning error, not a machine fault.
-func (in *Injector) Exhausted() bool { return in.next >= len(in.plan.Events) }
-
 // Report writes the deterministic fired-event log.
 func (in *Injector) Report(w io.Writer) {
 	fmt.Fprintf(w, "injected %d/%d events (seed %d)\n", len(in.fired), len(in.plan.Events), in.plan.Seed)

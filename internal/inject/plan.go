@@ -71,9 +71,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// NumKinds reports the number of defined injection kinds.
-func NumKinds() int { return int(numKinds) }
-
 // Event is one planned injection: fire when the system-wide executed
 // instruction count reaches At. Arg is a raw selector, interpreted at fire
 // time modulo the relevant population (processors, flood ports, heaps), so

@@ -102,33 +102,3 @@ func (s *Snapshot) Write(w io.Writer) {
 		fmt.Fprintf(w, "%-12s %8d %12d %8d\n", tc.Type, tc.Count, tc.Bytes, tc.Swapped)
 	}
 }
-
-// Graph writes the reachable object graph rooted at ad in a dot-like
-// adjacency listing, depth-limited; a debugging aid for examples.
-func Graph(w io.Writer, t *obj.Table, root obj.AD, maxDepth int) {
-	type node struct {
-		idx   obj.Index
-		depth int
-	}
-	seen := map[obj.Index]bool{root.Index: true}
-	queue := []node{{root.Index, 0}}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		d := t.DescriptorAt(n.idx)
-		if d == nil {
-			continue
-		}
-		fmt.Fprintf(w, "%*s#%d %s (level %d, %dB+%d slots)\n",
-			n.depth*2, "", n.idx, d.Type, d.Level, d.DataLen, d.AccessSlots)
-		if n.depth >= maxDepth {
-			continue
-		}
-		_ = t.Referents(n.idx, func(ad obj.AD) {
-			if !seen[ad.Index] {
-				seen[ad.Index] = true
-				queue = append(queue, node{ad.Index, n.depth + 1})
-			}
-		})
-	}
-}

@@ -76,22 +76,3 @@ func TestSnapshotSwappedAccounting(t *testing.T) {
 		t.Fatalf("SwappedOut = %d", snap.SwappedOut)
 	}
 }
-
-func TestGraphListing(t *testing.T) {
-	tab, s, heap := setup(t)
-	root, _ := s.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, AccessSlots: 2})
-	leaf, _ := s.Create(heap, obj.CreateSpec{Type: obj.TypePort, DataLen: 32, AccessSlots: 8})
-	tab.StoreAD(root, 0, leaf)
-	var buf strings.Builder
-	Graph(&buf, tab, root, 3)
-	out := buf.String()
-	if !strings.Contains(out, "generic") || !strings.Contains(out, "port") {
-		t.Fatalf("graph listing incomplete:\n%s", out)
-	}
-	// Depth limiting: at depth 0 only the root prints.
-	buf.Reset()
-	Graph(&buf, tab, root, 0)
-	if strings.Contains(buf.String(), "port") {
-		t.Fatal("depth limit ignored")
-	}
-}

@@ -25,9 +25,6 @@ func TestPortExposure(t *testing.T) {
 	if !cp.Port().Valid() {
 		t.Fatal("Checked.Port invalid")
 	}
-	if n, err := cp.Count(); err != nil || n != 0 {
-		t.Fatalf("Checked.Count = %d, %v", n, err)
-	}
 }
 
 func TestTypedSendKeyed(t *testing.T) {
@@ -48,7 +45,7 @@ func TestTypedSendKeyed(t *testing.T) {
 	if got.AD().Index != high.AD().Index {
 		t.Fatal("typed keyed send lost its key")
 	}
-	if n, _ := tp.Count(); n != 1 {
+	if n, _ := fx.ports.Count(tp.Port()); n != 1 {
 		t.Fatalf("Count = %d", n)
 	}
 }

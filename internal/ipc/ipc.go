@@ -32,10 +32,23 @@ import (
 // an empty one.
 var ErrWouldBlock = errors.New("ipc: operation would block")
 
+// ErrNoWaker reports that an operation unparked a simulated process at a
+// port built without a Waker: the process has been handed the message (or
+// had its own deposited) and nothing can return it to the dispatch mix.
+var ErrNoWaker = errors.New("ipc: port operation unparked a process, and the port has no waker")
+
+// Waker returns a process that a port operation unparked to the dispatch
+// mix. *gdp.System is one. Ports that simulated processes block at need
+// one (WithWaker); ports only Go callers use do not.
+type Waker interface {
+	Wake(port.Wake) *obj.Fault
+}
+
 // Untyped is Figure 1: ports carrying any access descriptor.
 type Untyped struct {
 	ports *port.Manager
 	prt   obj.AD
+	waker Waker
 }
 
 // CreateUntyped makes a port with the given message_count and queueing
@@ -48,9 +61,10 @@ func CreateUntyped(m *port.Manager, heap obj.AD, messageCount uint16, d port.Dis
 	return Untyped{ports: m, prt: p}, nil
 }
 
-// UntypedOver wraps an existing port capability.
-func UntypedOver(m *port.Manager, prt obj.AD) Untyped {
-	return Untyped{ports: m, prt: prt}
+// WithWaker returns the port with w attached.
+func (u Untyped) WithWaker(w Waker) Untyped {
+	u.waker = w
+	return u
 }
 
 // Port exposes the underlying port capability (for handing to spawned
@@ -58,49 +72,45 @@ func UntypedOver(m *port.Manager, prt obj.AD) Untyped {
 func (u Untyped) Port() obj.AD { return u.prt }
 
 // Send queues msg; ErrWouldBlock when the queue is full.
-func (u Untyped) Send(msg obj.AD) error {
-	blocked, _, f := u.ports.Send(u.prt, msg, 0, obj.NilAD)
-	if f != nil {
-		return f
-	}
-	if blocked {
-		return ErrWouldBlock
-	}
-	return nil
-}
+func (u Untyped) Send(msg obj.AD) error { return u.SendKeyed(msg, 0) }
 
 // SendKeyed queues msg with an ordering key (priority or deadline
 // disciplines).
 func (u Untyped) SendKeyed(msg obj.AD, key uint32) error {
-	blocked, _, f := u.ports.Send(u.prt, msg, key, obj.NilAD)
+	blocked, wake, f := u.ports.Send(u.prt, msg, key, obj.NilAD)
 	if f != nil {
 		return f
 	}
 	if blocked {
 		return ErrWouldBlock
 	}
-	return nil
+	return u.wakeUp(wake)
 }
 
 // Receive takes the next message; ErrWouldBlock when the queue is empty.
 func (u Untyped) Receive() (obj.AD, error) {
-	msg, blocked, _, f := u.ports.Receive(u.prt, obj.NilAD)
+	msg, blocked, wake, f := u.ports.Receive(u.prt, obj.NilAD)
 	if f != nil {
 		return obj.NilAD, f
 	}
 	if blocked {
 		return obj.NilAD, ErrWouldBlock
 	}
-	return msg, nil
+	return msg, u.wakeUp(wake)
 }
 
-// Count reports queued messages.
-func (u Untyped) Count() (int, error) {
-	n, f := u.ports.Count(u.prt)
-	if f != nil {
-		return 0, f
+// wakeUp hands the process an operation unparked, if any, to the waker.
+func (u Untyped) wakeUp(w *port.Wake) error {
+	if w == nil {
+		return nil
 	}
-	return n, nil
+	if u.waker == nil {
+		return ErrNoWaker
+	}
+	if f := u.waker.Wake(*w); f != nil {
+		return f
+	}
+	return nil
 }
 
 // Handle is a capability carrying a compile-time message type. The phantom
@@ -120,9 +130,6 @@ func Wrap[T any](ad obj.AD) Handle[T] { return Handle[T]{ad: ad} }
 // AD unseals the handle.
 func (h Handle[T]) AD() obj.AD { return h.ad }
 
-// Valid reports whether the handle carries a capability.
-func (h Handle[T]) Valid() bool { return h.ad.Valid() }
-
 // Typed is Figure 2: a generic instantiation whose operations type-check
 // at compile time and compile to exactly the untyped operations.
 type Typed[T any] struct {
@@ -138,9 +145,10 @@ func CreateTyped[T any](m *port.Manager, heap obj.AD, messageCount uint16, d por
 	return Typed[T]{u: u}, nil
 }
 
-// TypedOver wraps an existing port capability with a compile-time type.
-func TypedOver[T any](m *port.Manager, prt obj.AD) Typed[T] {
-	return Typed[T]{u: UntypedOver(m, prt)}
+// WithWaker returns the port with w attached.
+func (p Typed[T]) WithWaker(w Waker) Typed[T] {
+	p.u.waker = w
+	return p
 }
 
 // Port exposes the underlying port capability.
@@ -163,9 +171,6 @@ func (p Typed[T]) Receive() (Handle[T], error) {
 	return Handle[T]{ad: ad}, nil
 }
 
-// Count reports queued messages.
-func (p Typed[T]) Count() (int, error) { return p.u.Count() }
-
 // Checked is the runtime-checked variant: every send verifies that the
 // message is an instance of the port's TDO, and every receive re-verifies
 // on the way out — "a few more generated instructions making use of
@@ -187,6 +192,12 @@ func CreateChecked(m *port.Manager, td *typedef.Manager, heap obj.AD, tdo obj.AD
 		return Checked{}, f
 	}
 	return Checked{u: u, tdos: td, tdo: tdo}, nil
+}
+
+// WithWaker returns the port with w attached.
+func (p Checked) WithWaker(w Waker) Checked {
+	p.u.waker = w
+	return p
 }
 
 // Port exposes the underlying port capability.
@@ -221,6 +232,3 @@ func (p Checked) Receive() (obj.AD, error) {
 	}
 	return msg, nil
 }
-
-// Count reports queued messages.
-func (p Checked) Count() (int, error) { return p.u.Count() }

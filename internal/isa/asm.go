@@ -50,9 +50,6 @@ func Load(r, ab uint8, off uint32) Instr { return Instr{Op: OpLoad, A: r, B: ab,
 // access register ab.
 func Store(r, ab uint8, off uint32) Instr { return Instr{Op: OpStore, A: r, B: ab, C: off} }
 
-// LoadA loads access slot n of the object in ab into access register aa.
-func LoadA(aa, ab uint8, n uint32) Instr { return Instr{Op: OpLoadA, A: aa, B: ab, C: n} }
-
 // StoreA stores access register aa into access slot n of the object in ab.
 func StoreA(aa, ab uint8, n uint32) Instr { return Instr{Op: OpStoreA, A: aa, B: ab, C: n} }
 

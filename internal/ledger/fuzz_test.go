@@ -47,12 +47,17 @@ func rehash(data []byte) []byte {
 }
 
 func FuzzSegmentDecode(f *testing.F) {
-	// Seed corpus: a genuine two-and-a-half-segment ledger, an overloaded
-	// (drop-bearing) ledger, truncations, bit flips, and a crafted header
-	// declaring far more records than the bytes behind it.
+	// Seed corpus: a genuine two-and-a-half-segment ledger, a drop-bearing
+	// ledger (the format's drop-delta words, which this sink leaves zero,
+	// filled in by hand and re-hashed), truncations, bit flips, and a
+	// crafted header declaring far more records than the bytes behind it.
 	valid := Seal(genEvents(80, 9), Config{SegmentEvents: 32})
 	f.Add(valid)
-	f.Add(Seal(genEvents(2000, 4), Config{SegmentEvents: 64, QueueCap: 32, PumpEvery: 64, DrainPerPump: 8}))
+	dropping := Seal(genEvents(250, 4), Config{SegmentEvents: 64})
+	for k, nk := 0, trace.NumKinds(); k < nk; k++ {
+		binary.LittleEndian.PutUint64(dropping[headerFixedBytes+8*(nk+k):], uint64(k))
+	}
+	f.Add(rehash(dropping))
 	f.Add([]byte{})
 	f.Add(valid[:headerFixedBytes-1])
 	f.Add(valid[:len(valid)/2])

@@ -11,22 +11,20 @@
 // event stream becomes a formal artifact checkable independently of the
 // kernel that produced it.
 //
-// Determinism discipline: admission is a cheap bounded enqueue and the
-// expensive folding (encoding, hashing, sealing) happens in batches,
-// modeling a consumer that drains DrainPerPump events every PumpEvery
-// offered records. The drain schedule is driven by the event stream
-// itself, never by host threads or wall-clock time, so which events are
-// accepted, which are dropped and where segments are cut are a pure
-// function of (events, Config), decided on the emitting thread: two
-// same-seed runs produce byte-identical ledgers including their drop
-// counters, at every backend/cache corner.
+// Determinism discipline: admission is an append to the open segment and
+// a cut at every SegmentEvents-th accepted record, both on the emitting
+// thread, so which events a segment holds and where segments are cut are a
+// pure function of (events, Config): two same-seed runs produce
+// byte-identical ledgers at every cache corner. Nothing is dropped while
+// the sink is open; the one backpressure is real, not modelled: the
+// emitter waits when sealWindow segments are still being hashed.
 //
 // That is what lets the folding itself be host-asynchronous. Once a
-// segment is cut its events, index and drop deltas are fixed, so encoding
-// its body and computing bodyRoot run on a goroutine of their own while
-// the emitter goes on admitting; the emitter collects finished segments
-// oldest-first and only then writes prevHash and hashes the header, so the
-// chain is built in segment order whatever order bodies finish in. Every
+// segment is cut its events and index are fixed, so encoding its body and
+// computing bodyRoot run on a goroutine of their own while the emitter
+// goes on admitting; the emitter collects finished segments oldest-first
+// and only then writes prevHash and hashes the header, so the chain is
+// built in segment order whatever order bodies finish in. Every
 // byte is a function of values fixed at the cut; the host's schedule
 // decides when a byte is written, never which. Every method that reads
 // sealed state joins the segments in flight first.
@@ -98,62 +96,13 @@ func decodeRecord(b []byte) trace.Event {
 	}
 }
 
-// Policy selects what Record does when the bounded queue is full.
-type Policy uint8
+// DefaultSegmentEvents is Config.SegmentEvents when left zero.
+const DefaultSegmentEvents = 256
 
-const (
-	// DropNewest rejects the offered event and counts it in the per-kind
-	// drop counters — the production posture: the kernel never stalls on
-	// its audit pipeline, and the loss is explicit in the ledger itself.
-	DropNewest Policy = iota
-	// Block drains the queue inline to make room — the never-lose-events
-	// posture for verification runs, at the cost of unbounded Record
-	// latency.
-	Block
-)
-
-// Defaults for Config fields left zero.
-const (
-	DefaultSegmentEvents = 256
-	DefaultQueueCap      = 1024
-	DefaultDrainPerPump  = 256
-	DefaultPumpEvery     = 256
-)
-
-// Config sizes the pipeline. The defaults (pump as many as arrive, queue
-// deeper than a pump interval) never drop; overload configurations set
-// DrainPerPump below PumpEvery to model a consumer slower than the
-// producer, which exercises the DropNewest arm deterministically.
+// Config sizes the pipeline.
 type Config struct {
 	// SegmentEvents is the number of records per sealed segment.
 	SegmentEvents int
-	// QueueCap bounds the pending-event queue.
-	QueueCap int
-	// DrainPerPump is the modeled consumer bandwidth: events moved from
-	// the queue into the batcher per pump.
-	DrainPerPump int
-	// PumpEvery schedules a pump after this many offered (accepted or
-	// dropped) records — offered, not accepted, so a saturated queue
-	// still drains instead of deadlocking the model.
-	PumpEvery int
-	// Policy is the full-queue behavior.
-	Policy Policy
-}
-
-func (c Config) withDefaults() Config {
-	if c.SegmentEvents <= 0 {
-		c.SegmentEvents = DefaultSegmentEvents
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = DefaultQueueCap
-	}
-	if c.DrainPerPump <= 0 {
-		c.DrainPerPump = DefaultDrainPerPump
-	}
-	if c.PumpEvery <= 0 {
-		c.PumpEvery = DefaultPumpEvery
-	}
-	return c
 }
 
 // sealWindow bounds the segments whose bodies are being hashed at once,
@@ -186,12 +135,11 @@ type sealing struct {
 // log emits under its own lock, but the bench and tests drive sinks
 // directly).
 type Sink struct {
-	mu  sync.Mutex
-	cfg Config
+	mu            sync.Mutex
+	segmentEvents int
+	kinds         int // per-kind delta words in every header
 
-	queue   []trace.Event // bounded FIFO, head first
 	pending []trace.Event // records of the open (unsealed) segment
-	offered int           // records offered since the last pump
 
 	window   [sealWindow]sealing // cut segments not yet chained, a ring
 	head, n  int                 // oldest slot of window, slots in use
@@ -202,95 +150,48 @@ type Sink struct {
 	segHashes [][HashBytes]byte // footer hash of every chained segment
 	prev      [HashBytes]byte   // last chained segment's hash
 
-	counts      []uint64 // per-kind accepted, cumulative
-	drops       []uint64 // per-kind dropped, cumulative
-	sealedDrops []uint64 // drops already attributed to cut segments
-
-	recorded uint64 // accepted events, cumulative
+	recorded uint64 // events accepted
+	dropped  uint64 // events offered after Close
 	closed   bool
 }
 
 // NewSink returns a pipeline with cfg's zero fields defaulted.
 func NewSink(cfg Config) *Sink {
-	nk := trace.NumKinds()
-	return &Sink{
-		cfg:         cfg.withDefaults(),
-		counts:      make([]uint64, nk),
-		drops:       make([]uint64, nk),
-		sealedDrops: make([]uint64, nk),
+	if cfg.SegmentEvents <= 0 {
+		cfg.SegmentEvents = DefaultSegmentEvents
 	}
+	return &Sink{segmentEvents: cfg.SegmentEvents, kinds: trace.NumKinds()}
 }
 
-// Record offers one event to the pipeline (the trace.Sink hook). After
-// Close the sink is sealed: further events are counted as drops so the
-// loss stays observable, but no segment changes.
+// Record appends one event to the open segment and cuts the segment when
+// it is full (the trace.Sink hook). After Close the sink is sealed:
+// further events are counted as drops so the loss stays observable, but
+// no segment changes. A closed sink cuts nothing, so the drop-delta words
+// the wire format keeps in every header are always written zero.
 func (s *Sink) Record(ev trace.Event) {
 	s.mu.Lock()
-	s.record(ev)
-	s.mu.Unlock()
-}
-
-func (s *Sink) record(ev trace.Event) {
 	if s.closed {
-		s.drop(ev)
-		return
-	}
-	s.offered++
-	if len(s.queue) >= s.cfg.QueueCap {
-		if s.cfg.Policy == Block {
-			s.drain(len(s.queue))
-		} else {
-			s.drop(ev)
-			s.maybePump()
-			return
-		}
-	}
-	s.queue = append(s.queue, ev)
-	if int(ev.Kind) < len(s.counts) {
-		s.counts[ev.Kind]++
-	}
-	s.recorded++
-	s.maybePump()
-}
-
-func (s *Sink) drop(ev trace.Event) {
-	if int(ev.Kind) < len(s.drops) {
-		s.drops[ev.Kind]++
-	}
-}
-
-func (s *Sink) maybePump() {
-	if s.offered >= s.cfg.PumpEvery {
-		s.offered = 0
-		s.drain(s.cfg.DrainPerPump)
-	}
-}
-
-// drain moves up to n queued events into the open segment, sealing as it
-// fills. Called with mu held.
-func (s *Sink) drain(n int) {
-	if n > len(s.queue) {
-		n = len(s.queue)
-	}
-	for _, ev := range s.queue[:n] {
+		s.dropped++
+	} else {
 		s.pending = append(s.pending, ev)
-		if len(s.pending) >= s.cfg.SegmentEvents {
+		s.recorded++
+		if len(s.pending) >= s.segmentEvents {
 			s.seal()
 		}
 	}
-	s.queue = append(s.queue[:0], s.queue[n:]...)
+	s.mu.Unlock()
 }
 
 // seal cuts the open segment: it fixes everything the bytes depend on
-// (index, records, drop deltas), in one buffer of the segment's exact
-// size, and starts the goroutine that fills in the body. Called with mu
-// held and len(s.pending) > 0. Waiting here for the oldest sealer holds mu
-// across a block, which is safe because no sealer ever takes it.
+// (index, records), in one zeroed buffer of the segment's exact size, and
+// starts the goroutine that fills in the body. Called with mu held and
+// len(s.pending) > 0. Waiting here for the oldest sealer holds mu across a
+// block, which is safe because no sealer ever takes it.
 func (s *Sink) seal() {
 	if s.n == sealWindow {
 		s.collect()
 	}
-	nk, le := len(s.counts), binary.LittleEndian
+	nk, le := s.kinds, binary.LittleEndian
 	j := &s.window[(s.head+s.n)%sealWindow]
 	s.n++
 	j.events, s.pending = s.pending, j.events[:0]
@@ -307,10 +208,6 @@ func (s *Sink) seal() {
 	le.PutUint32(j.buf[16:], uint32(len(j.events)))
 	le.PutUint64(j.buf[20:], j.events[0].Seq)
 	le.PutUint64(j.buf[28:], j.events[len(j.events)-1].Seq)
-	for k, d := range s.drops {
-		le.PutUint64(j.buf[headerFixedBytes+8*(nk+k):], d-s.sealedDrops[k])
-		s.sealedDrops[k] = d
-	}
 	s.segIndex++
 	j.done.Add(1)
 	go j.run(nk)
@@ -344,7 +241,7 @@ func (s *Sink) collect() {
 	s.head, s.n = (s.head+1)%sealWindow, s.n-1
 	j.done.Wait()
 	copy(j.buf[prevHashOff:], s.prev[:])
-	s.prev = sha256.Sum256(j.buf[:headerLen(len(s.counts))])
+	s.prev = sha256.Sum256(j.buf[:headerLen(s.kinds)])
 	copy(j.buf[len(j.buf)-HashBytes:], s.prev[:])
 	s.segs = append(s.segs, j.buf)
 	s.segHashes = append(s.segHashes, s.prev)
@@ -358,12 +255,11 @@ func (s *Sink) join() {
 	}
 }
 
-// Close drains the queue, seals the final (short) segment and returns once
-// every segment is chained, so no goroutine of the sink outlives it.
-// Idempotent; events Recorded after Close are counted as drops. A segment
-// already sealed is immutable from here on — in particular a
-// trace.Log.Reset of the ring upstream has no effect on the ledger (see
-// trace.Log.Reset).
+// Close seals the final (short) segment and returns once every segment
+// is chained, so no goroutine of the sink outlives it. Idempotent; events
+// Recorded after Close are counted as drops. A segment already sealed is
+// immutable from here on — in particular a trace.Log.Reset of the ring
+// upstream has no effect on the ledger (see trace.Log.Reset).
 func (s *Sink) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -371,7 +267,6 @@ func (s *Sink) Close() {
 		return
 	}
 	s.closed = true
-	s.drain(len(s.queue))
 	if len(s.pending) > 0 {
 		s.seal()
 	}
@@ -418,22 +313,18 @@ func (s *Sink) Segments() int {
 	return len(s.segHashes)
 }
 
-// Recorded reports the cumulative number of accepted events.
+// Recorded reports the number of accepted events.
 func (s *Sink) Recorded() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recorded
 }
 
-// Dropped reports the cumulative number of dropped events.
+// Dropped reports the number of events offered after Close.
 func (s *Sink) Dropped() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var n uint64
-	for _, d := range s.drops {
-		n += d
-	}
-	return n
+	return s.dropped
 }
 
 // Seal runs a complete event stream through a fresh pipeline and returns

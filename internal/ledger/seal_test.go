@@ -18,9 +18,8 @@ import (
 
 // TestSealScheduleIndependence: the witness streams reproduce the pinned
 // lines (bytes TestLedgerWitness verifies) with one host thread and with
-// four, and a Block sink fed by one to eight goroutines at once, with a
-// reader joining the window underneath them, seals the same bytes every
-// time.
+// four, and a sink fed by one to eight goroutines at once, with a reader
+// joining the window underneath them, seals the same bytes every time.
 func TestSealScheduleIndependence(t *testing.T) {
 	want := loadPinned(t, ledgerWitnessPath)
 	for _, procs := range []int{1, 4} {
@@ -41,7 +40,7 @@ func TestSealScheduleIndependence(t *testing.T) {
 	var single []byte
 	for producers := 1; producers <= 8; producers++ {
 		l := trace.New(64)
-		s := NewSink(Config{SegmentEvents: 7, QueueCap: 8, Policy: Block})
+		s := NewSink(Config{SegmentEvents: 7})
 		l.SetSink(s)
 		var wg sync.WaitGroup
 		for p := 0; p < producers; p++ {
@@ -90,7 +89,7 @@ func TestSinkJoinsBeforeAnswering(t *testing.T) {
 		for k := 0; k <= 2*sealWindow+1; k++ {
 			events := genEvents(k*se, uint64(se))
 			fill := func() *Sink {
-				s := NewSink(Config{SegmentEvents: se, PumpEvery: se, DrainPerPump: se})
+				s := NewSink(Config{SegmentEvents: se})
 				for _, ev := range events {
 					s.Record(ev)
 				}
@@ -135,7 +134,7 @@ func TestSinkLeavesNoGoroutines(t *testing.T) {
 	s.Close()
 	settle("after Close")
 
-	s = NewSink(Config{SegmentEvents: 16, PumpEvery: 16, DrainPerPump: 16})
+	s = NewSink(Config{SegmentEvents: 16})
 	for _, ev := range events[:1_000] {
 		s.Record(ev)
 	}

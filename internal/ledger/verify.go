@@ -58,15 +58,6 @@ type Replay struct {
 	leaves [][HashBytes]byte // segment hashes, for proofs
 }
 
-// DroppedTotal sums the per-kind drop counters.
-func (r *Replay) DroppedTotal() uint64 {
-	var n uint64
-	for _, d := range r.Dropped {
-		n += d
-	}
-	return n
-}
-
 // Verify parses and checks a complete ledger: per segment it re-derives
 // the body Merkle root, cross-checks the header's per-kind count deltas
 // against the body, recomputes the segment hash, and checks the previous-

@@ -72,9 +72,6 @@ func (m *Memory) Size() uint32 { return uint32(len(m.data)) }
 // Used reports the number of allocated bytes.
 func (m *Memory) Used() uint32 { return m.used }
 
-// FreeBytes reports the number of unallocated bytes.
-func (m *Memory) FreeBytes() uint32 { return m.Size() - m.used }
-
 // LargestFree reports the size of the largest free extent; allocation of
 // any larger segment will fail even if total free space suffices
 // (external fragmentation).
@@ -89,7 +86,7 @@ func (m *Memory) LargestFree() uint32 {
 }
 
 // FragCount reports the number of disjoint free extents, a direct measure
-// of external fragmentation used by the E2/E9 experiments.
+// of external fragmentation.
 func (m *Memory) FragCount() int { return len(m.free) }
 
 // Alloc carves a segment of n bytes from physical memory using first-fit,
@@ -172,48 +169,6 @@ func (m *Memory) check(e Extent, off, n uint32) error {
 	return nil
 }
 
-// ReadByteAt reads one byte at offset off within extent e.
-func (m *Memory) ReadByteAt(e Extent, off uint32) (byte, error) {
-	if err := m.check(e, off, 1); err != nil {
-		return 0, err
-	}
-	b := e.Base + Addr(off)
-	return m.data[b], nil
-}
-
-// WriteByteAt writes one byte at offset off within extent e.
-func (m *Memory) WriteByteAt(e Extent, off uint32, v byte) error {
-	if err := m.check(e, off, 1); err != nil {
-		return err
-	}
-	b := e.Base + Addr(off)
-	m.data[b] = v
-	return nil
-}
-
-// ReadWord reads a 16-bit "ordinal" (the 432's natural data unit) in
-// little-endian order at offset off.
-func (m *Memory) ReadWord(e Extent, off uint32) (uint16, error) {
-	if err := m.check(e, off, 2); err != nil {
-		return 0, err
-	}
-	b := e.Base + Addr(off)
-	d := m.data
-	return uint16(d[b]) | uint16(d[b+1])<<8, nil
-}
-
-// WriteWord writes a 16-bit ordinal at offset off.
-func (m *Memory) WriteWord(e Extent, off uint32, v uint16) error {
-	if err := m.check(e, off, 2); err != nil {
-		return err
-	}
-	b := e.Base + Addr(off)
-	d := m.data
-	d[b] = byte(v)
-	d[b+1] = byte(v >> 8)
-	return nil
-}
-
 // ReadDWord reads a 32-bit value at offset off.
 func (m *Memory) ReadDWord(e Extent, off uint32) (uint32, error) {
 	if err := m.check(e, off, 4); err != nil {
@@ -223,20 +178,6 @@ func (m *Memory) ReadDWord(e Extent, off uint32) (uint32, error) {
 	d := m.data
 	return uint32(d[b]) | uint32(d[b+1])<<8 |
 		uint32(d[b+2])<<16 | uint32(d[b+3])<<24, nil
-}
-
-// WriteDWord writes a 32-bit value at offset off.
-func (m *Memory) WriteDWord(e Extent, off uint32, v uint32) error {
-	if err := m.check(e, off, 4); err != nil {
-		return err
-	}
-	b := e.Base + Addr(off)
-	d := m.data
-	d[b] = byte(v)
-	d[b+1] = byte(v >> 8)
-	d[b+2] = byte(v >> 16)
-	d[b+3] = byte(v >> 24)
-	return nil
 }
 
 // ReadBytes copies n bytes starting at offset off into a fresh slice.
@@ -271,21 +212,4 @@ func (m *Memory) Window(e Extent) []byte {
 		return nil
 	}
 	return m.data[e.Base:e.End():e.End()]
-}
-
-// Move relocates the contents of src into a freshly allocated extent and
-// frees src. The swapping memory manager and a compacting collector use
-// this; user processes never observe it except as a segment fault (§7.3).
-func (m *Memory) Move(src Extent) (Extent, error) {
-	dst, err := m.Alloc(src.Len)
-	if err != nil {
-		return Extent{}, err
-	}
-	copy(m.data[dst.Base:dst.End()], m.data[src.Base:src.End()])
-	if err := m.Free(src); err != nil {
-		// src was bad; undo the allocation.
-		_ = m.Free(dst)
-		return Extent{}, err
-	}
-	return dst, nil
 }

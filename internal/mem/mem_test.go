@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -15,8 +16,8 @@ func TestAllocBasics(t *testing.T) {
 	if e.Len != 100 {
 		t.Fatalf("Len = %d, want 100", e.Len)
 	}
-	if m.Used() != 100 || m.FreeBytes() != 924 {
-		t.Fatalf("Used=%d Free=%d", m.Used(), m.FreeBytes())
+	if m.Used() != 100 {
+		t.Fatalf("Used = %d, want 100", m.Used())
 	}
 }
 
@@ -105,34 +106,30 @@ func TestFreshSegmentZeroed(t *testing.T) {
 	// A new object must not leak a previous object's contents.
 	m := New(64)
 	a, _ := m.Alloc(64)
-	for i := uint32(0); i < 64; i++ {
-		if err := m.WriteByteAt(a, i, 0xAA); err != nil {
-			t.Fatal(err)
-		}
+	if err := m.WriteBytes(a, 0, bytes.Repeat([]byte{0xAA}, 64)); err != nil {
+		t.Fatal(err)
 	}
 	if err := m.Free(a); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := m.Alloc(64)
-	for i := uint32(0); i < 64; i++ {
-		v, err := m.ReadByteAt(b, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != 0 {
-			t.Fatalf("byte %d = %#x after realloc, want 0", i, v)
-		}
+	got, err := m.ReadBytes(b, 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, 64)) {
+		t.Fatalf("segment reads % x after realloc, want zeros", got)
 	}
 }
 
 func TestBoundsChecks(t *testing.T) {
 	m := New(64)
 	e, _ := m.Alloc(8)
-	if _, err := m.ReadByteAt(e, 8); !errors.Is(err, ErrBadSegment) {
-		t.Errorf("ReadByteAt past end: %v", err)
+	if _, err := m.ReadBytes(e, 8, 1); !errors.Is(err, ErrBadSegment) {
+		t.Errorf("ReadBytes past end: %v", err)
 	}
-	if err := m.WriteWord(e, 7, 1); !errors.Is(err, ErrBadSegment) {
-		t.Errorf("WriteWord straddling end: %v", err)
+	if err := m.WriteBytes(e, 7, []byte{1, 0}); !errors.Is(err, ErrBadSegment) {
+		t.Errorf("WriteBytes straddling end: %v", err)
 	}
 	if _, err := m.ReadDWord(e, 5); !errors.Is(err, ErrBadSegment) {
 		t.Errorf("ReadDWord straddling end: %v", err)
@@ -143,20 +140,12 @@ func TestBoundsChecks(t *testing.T) {
 	}
 }
 
+// TestWordRoundTrip: a dword is read little-endian, least significant
+// byte at the lowest offset.
 func TestWordRoundTrip(t *testing.T) {
 	m := New(64)
 	e, _ := m.Alloc(16)
-	if err := m.WriteWord(e, 2, 0xBEEF); err != nil {
-		t.Fatal(err)
-	}
-	v, err := m.ReadWord(e, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0xBEEF {
-		t.Fatalf("ReadWord = %#x", v)
-	}
-	if err := m.WriteDWord(e, 8, 0xDEADBEEF); err != nil {
+	if err := m.WriteBytes(e, 8, []byte{0xEF, 0xBE, 0xAD, 0xDE}); err != nil {
 		t.Fatal(err)
 	}
 	d, err := m.ReadDWord(e, 8)
@@ -181,32 +170,6 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 	if string(out) != string(in) {
 		t.Fatalf("round trip = %q", out)
-	}
-}
-
-func TestMove(t *testing.T) {
-	m := New(256)
-	a, _ := m.Alloc(32)
-	if err := m.WriteBytes(a, 0, []byte("swapped segment")); err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.Move(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := m.ReadBytes(b, 0, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "swapped segment" {
-		t.Fatalf("after Move: %q", out)
-	}
-	// The source extent must be free again (freeing it is an error).
-	if err := m.Free(a); err == nil {
-		t.Fatal("source extent still allocated after Move")
-	}
-	if m.Used() != 32 {
-		t.Fatalf("Used = %d, want 32", m.Used())
 	}
 }
 

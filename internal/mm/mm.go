@@ -116,9 +116,6 @@ func (b *BackingStore) get(tok uint64) (storedImage, bool) {
 	return img, ok
 }
 
-// Resident reports the number of images currently swapped out.
-func (b *BackingStore) Resident() int { return len(b.images) }
-
 // Swapping is the second-release implementation: the same interface, but
 // allocation pressure evicts victim objects to the backing store, and
 // segment faults bring them back (§6.2, §7.3). It provides the additional

@@ -187,13 +187,13 @@ func TestDestroyHeapReleasesBackingImages(t *testing.T) {
 	if f := alloc.swapOut(ad.Index); f != nil {
 		t.Fatal(f)
 	}
-	if alloc.Store.Resident() != 1 {
-		t.Fatalf("backing images = %d", alloc.Store.Resident())
+	if len(alloc.Store.images) != 1 {
+		t.Fatalf("backing images = %d", len(alloc.Store.images))
 	}
 	if _, f := alloc.DestroyHeap(local); f != nil {
 		t.Fatal(f)
 	}
-	if alloc.Store.Resident() != 0 {
+	if len(alloc.Store.images) != 0 {
 		t.Fatal("backing image leaked by heap destruction")
 	}
 }

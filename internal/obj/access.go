@@ -183,12 +183,6 @@ func (t *Table) StoreAD(dst AD, slot uint32, src AD) *Fault {
 	return t.storeAD(dst, slot, src, true)
 }
 
-// MoveAD is the capability-passing form of StoreAD: it stores src with
-// rights restricted by drop, modelling the 432's rights reduction on copy.
-func (t *Table) MoveAD(dst AD, slot uint32, src AD, drop Rights) *Fault {
-	return t.StoreAD(dst, slot, src.Restrict(drop))
-}
-
 // StoreADSystem is the microcode-internal AD store: it performs validity,
 // rights-on-container and gray-bit duties but skips the lifetime level
 // check. The hardware's own transient queues need it — a process blocking

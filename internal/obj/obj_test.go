@@ -167,7 +167,7 @@ func TestMoveADRestrictsRights(t *testing.T) {
 	tab := newTestTable(t)
 	dir := mustCreate(t, tab, CreateSpec{Type: TypeGeneric, AccessSlots: 1})
 	leaf := mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 8})
-	if f := tab.MoveAD(dir, 0, leaf, RightWrite|RightDelete); f != nil {
+	if f := tab.StoreAD(dir, 0, leaf.Restrict(RightWrite|RightDelete)); f != nil {
 		t.Fatal(f)
 	}
 	got, _ := tab.LoadAD(dir, 0)

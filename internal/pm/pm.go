@@ -35,15 +35,12 @@ type Basic struct {
 	Sys *gdp.System
 	// Notify, when valid, receives every process that enters or leaves
 	// the dispatching mix because of a stop or start — the §6.1
-	// scheduler notification. Set it with UseScheduler.
+	// scheduler notification.
 	Notify obj.AD
 }
 
 // NewBasic returns a basic process manager over the system.
 func NewBasic(sys *gdp.System) *Basic { return &Basic{Sys: sys} }
-
-// UseScheduler routes enter/leave-mix notifications to the given port.
-func (b *Basic) UseScheduler(notify obj.AD) { b.Notify = notify }
 
 // CreateProcess spawns a process under parent (NilAD for a root of a new
 // tree), recording it in the parent's child list so tree operations can
@@ -272,35 +269,11 @@ func (b *Basic) notify(p obj.AD, key uint32) {
 	}
 	// Best effort: a slow scheduler loses notifications rather than
 	// wedging the manager (upward communication never depends on a
-	// reply, §7.3).
-	_, _, _ = b.Sys.Ports.Send(b.Notify, p, key, obj.NilAD)
-}
-
-// Stopped reports whether p currently has stops outstanding.
-func (b *Basic) Stopped(p obj.AD) (bool, *obj.Fault) {
-	n, f := b.Sys.Procs.StopCount(p)
-	if f != nil {
-		return false, f
+	// reply, §7.3). A scheduler parked at the port is handed this one
+	// directly and must be returned to the mix.
+	if _, wake, f := b.Sys.Ports.Send(b.Notify, p, key, obj.NilAD); f == nil && wake != nil {
+		_ = b.Sys.Wake(*wake)
 	}
-	return n > 0, nil
-}
-
-// NullPolicy is the §6.1 null resource-control policy: it "simply passes
-// through the dispatching parameters of the hardware and permits its
-// users to commit them in any way they wish" — acceptable for embedded
-// systems with a pre-evaluated load, unacceptable for multi-user ones.
-type NullPolicy struct {
-	Basic *Basic
-}
-
-// SetPriority passes the hardware priority straight through.
-func (n *NullPolicy) SetPriority(p obj.AD, prio uint16) *obj.Fault {
-	return n.Basic.Sys.Procs.SetPriority(p, prio)
-}
-
-// SetTimeSlice passes the hardware quantum straight through.
-func (n *NullPolicy) SetTimeSlice(p obj.AD, cycles uint32) *obj.Fault {
-	return n.Basic.Sys.Procs.SetTimeSlice(p, cycles)
 }
 
 // FairScheduler is a user-process manager built on the basic manager: it

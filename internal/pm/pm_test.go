@@ -104,7 +104,7 @@ func TestNestedStopStart(t *testing.T) {
 	if f := b.Start(p); f != nil {
 		t.Fatal(f)
 	}
-	if stopped, _ := b.Stopped(p); !stopped {
+	if n, _ := sys.Procs.StopCount(p); n == 0 {
 		t.Fatal("single start cleared two stops")
 	}
 	if _, f := sys.Run(0); f != nil {
@@ -135,7 +135,7 @@ func TestStopAppliesToWholeTree(t *testing.T) {
 		t.Fatal(f)
 	}
 	for _, p := range []obj.AD{root, child, grand} {
-		if stopped, _ := b.Stopped(p); !stopped {
+		if n, _ := sys.Procs.StopCount(p); n == 0 {
 			t.Fatal("descendant not stopped")
 		}
 	}
@@ -233,7 +233,7 @@ func TestSchedulerNotifications(t *testing.T) {
 	if f != nil {
 		t.Fatal(f)
 	}
-	b.UseScheduler(notify)
+	b.Notify = notify
 	dom := spinDomain(t, sys, 200_000)
 	p, _ := b.CreateProcess(dom, obj.NilAD, gdp.SpawnSpec{TimeSlice: 1000})
 	if f := b.Stop(p); f != nil {
@@ -251,6 +251,54 @@ func TestSchedulerNotifications(t *testing.T) {
 		if msg.Index != p.Index {
 			t.Fatal("notification names wrong process")
 		}
+	}
+}
+
+// TestNotificationWakesParkedScheduler: a scheduler process parked at the
+// notification port is handed the leaving process and runs. The wake the
+// port returned used to be discarded, which left the scheduler blocked for
+// ever, off the wait queue, with the notification gone.
+func TestNotificationWakesParkedScheduler(t *testing.T) {
+	sys, b := newSys(t)
+	notify, f := sys.Ports.Create(sys.Heap, 16, port.FIFO)
+	if f != nil {
+		t.Fatal(f)
+	}
+	b.Notify = notify
+	code, f := sys.Domains.CreateCode(sys.Heap, []isa.Instr{isa.Recv(1, 2), isa.Halt()})
+	if f != nil {
+		t.Fatal(f)
+	}
+	dom, f := sys.Domains.Create(sys.Heap, code, []uint32{0})
+	if f != nil {
+		t.Fatal(f)
+	}
+	sched, f := sys.Spawn(dom, gdp.SpawnSpec{AArgs: [4]obj.AD{obj.NilAD, obj.NilAD, notify}})
+	if f != nil {
+		t.Fatal(f)
+	}
+	if _, f := sys.Run(1_000_000); f != nil {
+		t.Fatal(f)
+	}
+	if st, _ := sys.Procs.StateOf(sched); st != process.StateBlocked {
+		t.Fatalf("scheduler is %v, want blocked at the empty notification port", st)
+	}
+	p, f := b.CreateProcess(spinDomain(t, sys, 200_000), obj.NilAD, gdp.SpawnSpec{TimeSlice: 1000})
+	if f != nil {
+		t.Fatal(f)
+	}
+	if f := b.Stop(p); f != nil {
+		t.Fatal(f)
+	}
+	// RunUntil, not Run: the stopped process is still queued at the
+	// dispatch port, and the step that skips it counts as idle.
+	terminated := func() bool {
+		st, _ := sys.Procs.StateOf(sched)
+		return st == process.StateTerminated
+	}
+	if _, f := sys.RunUntil(terminated, 1_000_000); f != nil {
+		st, _ := sys.Procs.StateOf(sched)
+		t.Fatalf("scheduler is %v after the stop notification, want terminated: %v", st, f)
 	}
 }
 

@@ -18,24 +18,31 @@ func TestNullPolicyPassesParametersThrough(t *testing.T) {
 	if f != nil {
 		t.Fatal(f)
 	}
-	null := &NullPolicy{Basic: b}
-	// The null policy imposes nothing: whatever the user asks for lands
-	// directly in the hardware parameters (§6.1).
-	if f := null.SetPriority(p, 15); f != nil {
-		t.Fatal(f)
+	// The null policy imposes nothing: adopting a client leaves whatever
+	// the user asked for in the hardware parameters, and no daemon runs
+	// (§6.1). The fair scheduler takes the time slice over.
+	check := func(policy string, wantSlice uint32, wantDaemon bool) {
+		t.Helper()
+		s, err := Select(policy, b, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := s.Adopt(p); f != nil {
+			t.Fatal(f)
+		}
+		if f := s.Launch(10_000, 15); f != nil {
+			t.Fatal(f)
+		}
+		if prio, _ := sys.Procs.Priority(p); prio != 1 {
+			t.Fatalf("%s: priority = %d", policy, prio)
+		}
+		if ts, _ := sys.Procs.TimeSlice(p); ts != wantSlice {
+			t.Fatalf("%s: time slice = %d, want %d", policy, ts, wantSlice)
+		}
+		if s.Daemon.Valid() != wantDaemon {
+			t.Fatalf("%s: daemon spawned = %v", policy, s.Daemon.Valid())
+		}
 	}
-	if f := null.SetTimeSlice(p, 0); f != nil {
-		t.Fatal(f)
-	}
-	if prio, _ := sys.Procs.Priority(p); prio != 15 {
-		t.Fatalf("priority = %d", prio)
-	}
-	if ts, _ := sys.Procs.TimeSlice(p); ts != 0 {
-		t.Fatalf("time slice = %d", ts)
-	}
-	// Without the control right it refuses, like the raw hardware path.
-	weak := p.Restrict(obj.RightT1)
-	if f := null.SetPriority(weak, 1); !obj.IsFault(f, obj.FaultRights) {
-		t.Fatalf("null policy bypassed rights: %v", f)
-	}
+	check("null", 100, false)
+	check("fair", 500, true)
 }

@@ -25,8 +25,8 @@ func TestCancelBlockedSender(t *testing.T) {
 	if got.Index != msg.Index {
 		t.Fatal("cancelled sender's message not returned")
 	}
-	if n, _ := fx.m.WaitingSenders(p); n != 0 {
-		t.Fatalf("WaitingSenders = %d after cancel", n)
+	if n, _ := waitingSenders(fx.m, p); n != 0 {
+		t.Fatalf("waiting senders = %d after cancel", n)
 	}
 	// The port still works: draining the one queued message wakes
 	// nobody (the cancelled sender is gone).
@@ -77,8 +77,8 @@ func TestCancelMiddleOfQueue(t *testing.T) {
 	if found, _, f := fx.m.CancelWaiter(p, procs[1]); f != nil || !found {
 		t.Fatalf("cancel middle: %v %v", found, f)
 	}
-	if n, _ := fx.m.WaitingSenders(p); n != 2 {
-		t.Fatalf("WaitingSenders = %d", n)
+	if n, _ := waitingSenders(fx.m, p); n != 2 {
+		t.Fatalf("waiting senders = %d", n)
 	}
 	// The remaining waiters wake in their original order.
 	_, _, wake, _ := fx.m.Receive(p, obj.NilAD)
@@ -107,8 +107,8 @@ func TestCancelTailThenAppend(t *testing.T) {
 	if blocked, _, f := fx.m.Send(p, fx.newMsg(t), 0, c); f != nil || !blocked {
 		t.Fatalf("append after tail cancel: %v %v", blocked, f)
 	}
-	if n, _ := fx.m.WaitingSenders(p); n != 2 {
-		t.Fatalf("WaitingSenders = %d", n)
+	if n, _ := waitingSenders(fx.m, p); n != 2 {
+		t.Fatalf("waiting senders = %d", n)
 	}
 	_, _, wake, _ := fx.m.Receive(p, obj.NilAD)
 	if wake == nil || wake.Process.Index != a.Index {
@@ -233,12 +233,8 @@ func TestCyclicQueueFaults(t *testing.T) {
 		if f := fx.tab.StoreADSystem(car, carSlotNext, car); f != nil {
 			t.Fatal(f)
 		}
-		waiting := fx.m.WaitingSenders
-		if side == "receivers" {
-			waiting = fx.m.WaitingReceivers
-		}
-		if _, f := waiting(p); !obj.IsFault(f, obj.FaultOddity) {
-			t.Errorf("%s: queue length over a cycle: %v", side, f)
+		if _, f := fx.m.Inspect(p); !obj.IsFault(f, obj.FaultOddity) {
+			t.Errorf("%s: queue walk over a cycle: %v", side, f)
 		}
 		if found, _, f := fx.m.CancelWaiter(p, fx.newProc(t)); found || !obj.IsFault(f, obj.FaultOddity) {
 			t.Errorf("%s: cancel of an absent waiter over a cycle: found=%v %v", side, found, f)

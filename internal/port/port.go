@@ -299,15 +299,6 @@ func (m *Manager) Count(p obj.AD) (int, *obj.Fault) {
 	return int(count), f
 }
 
-// DisciplineOf reports the port's queueing discipline.
-func (m *Manager) DisciplineOf(p obj.AD) (Discipline, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
-		return 0, f
-	}
-	d, f := m.Table.ReadWord(p, offDiscipline)
-	return Discipline(d), f
-}
-
 func counts(pv *obj.View) (capacity, count uint16, f *obj.Fault) {
 	if capacity, f = pv.Word(offCapacity); f != nil {
 		return
@@ -598,37 +589,6 @@ func (m *Manager) unpark(pv *obj.View, headSlot, tailSlot uint32) (w parked, ok 
 		l.Emit(trace.EvUnpark, uint32(pv.AD().Index), uint32(w.Process.Index), side(headSlot))
 	}
 	return w, true, nil
-}
-
-// WaitingSenders reports the number of processes blocked sending to p.
-func (m *Manager) WaitingSenders(p obj.AD) (int, *obj.Fault) {
-	return m.queueLen(p, slotSendHead)
-}
-
-// WaitingReceivers reports the number of processes blocked receiving
-// from p.
-func (m *Manager) WaitingReceivers(p obj.AD) (int, *obj.Fault) {
-	return m.queueLen(p, slotRecvHead)
-}
-
-func (m *Manager) queueLen(p obj.AD, headSlot uint32) (int, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
-		return 0, f
-	}
-	n := 0
-	cur, f := m.Table.LoadAD(p, headSlot)
-	if f != nil {
-		return 0, f
-	}
-	for limit := m.Table.Len(); cur.Valid(); n++ {
-		if n >= limit {
-			return 0, cyclic(p)
-		}
-		if cur, f = m.Table.LoadAD(cur, carSlotNext); f != nil {
-			return 0, f
-		}
-	}
-	return n, nil
 }
 
 // cyclic is the fault of a wait-queue or free-pool walk that has visited

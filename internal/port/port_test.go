@@ -26,6 +26,24 @@ func setup(t *testing.T) *fixture {
 	return &fixture{tab: tab, sros: s, m: NewManager(tab, s), heap: heap}
 }
 
+// waitingSenders and waitingReceivers count the processes parked at p, from
+// Inspect's walk of its wait queues.
+func waitingSenders(m *Manager, p obj.AD) (int, *obj.Fault) {
+	st, f := m.Inspect(p)
+	if f != nil {
+		return 0, f
+	}
+	return len(st.Senders), nil
+}
+
+func waitingReceivers(m *Manager, p obj.AD) (int, *obj.Fault) {
+	st, f := m.Inspect(p)
+	if f != nil {
+		return 0, f
+	}
+	return len(st.Receivers), nil
+}
+
 func (fx *fixture) newPort(t *testing.T, capacity uint16, d Discipline) obj.AD {
 	t.Helper()
 	p, f := fx.m.Create(fx.heap, capacity, d)
@@ -65,8 +83,8 @@ func TestCreateValidation(t *testing.T) {
 		t.Errorf("bad discipline: %v", f)
 	}
 	p := fx.newPort(t, 4, Priority)
-	if d, _ := fx.m.DisciplineOf(p); d != Priority {
-		t.Errorf("DisciplineOf = %v", d)
+	if st, f := fx.m.Inspect(p); f != nil || st.Discipline != Priority {
+		t.Errorf("discipline = %+v, %v", st, f)
 	}
 	if typ, _ := fx.tab.TypeOf(p); typ != obj.TypePort {
 		t.Errorf("TypeOf = %v", typ)
@@ -164,11 +182,11 @@ func TestConditionalOpsDoNotBlock(t *testing.T) {
 		t.Fatalf("cond send on full: blocked=%v f=%v", blocked, f)
 	}
 	// No waiters were parked.
-	if n, _ := fx.m.WaitingSenders(p); n != 0 {
-		t.Fatalf("WaitingSenders = %d", n)
+	if n, _ := waitingSenders(fx.m, p); n != 0 {
+		t.Fatalf("waiting senders = %d", n)
 	}
-	if n, _ := fx.m.WaitingReceivers(p); n != 0 {
-		t.Fatalf("WaitingReceivers = %d", n)
+	if n, _ := waitingReceivers(fx.m, p); n != 0 {
+		t.Fatalf("waiting receivers = %d", n)
 	}
 }
 
@@ -185,8 +203,8 @@ func TestBlockedSenderResumesOnReceive(t *testing.T) {
 	if f != nil || !blocked {
 		t.Fatalf("second send should block: %v %v", blocked, f)
 	}
-	if n, _ := fx.m.WaitingSenders(p); n != 1 {
-		t.Fatalf("WaitingSenders = %d", n)
+	if n, _ := waitingSenders(fx.m, p); n != 1 {
+		t.Fatalf("waiting senders = %d", n)
 	}
 	got, blocked, wake, f := fx.m.Receive(p, obj.NilAD)
 	if f != nil || blocked {
@@ -206,8 +224,8 @@ func TestBlockedSenderResumesOnReceive(t *testing.T) {
 	if got2.Index != m2.Index {
 		t.Fatal("parked message lost")
 	}
-	if n, _ := fx.m.WaitingSenders(p); n != 0 {
-		t.Fatalf("WaitingSenders = %d after wake", n)
+	if n, _ := waitingSenders(fx.m, p); n != 0 {
+		t.Fatalf("waiting senders = %d after wake", n)
 	}
 }
 
@@ -219,8 +237,8 @@ func TestBlockedReceiverResumesOnSend(t *testing.T) {
 	if f != nil || !blocked {
 		t.Fatalf("receive on empty should block: %v %v", blocked, f)
 	}
-	if n, _ := fx.m.WaitingReceivers(p); n != 1 {
-		t.Fatalf("WaitingReceivers = %d", n)
+	if n, _ := waitingReceivers(fx.m, p); n != 1 {
+		t.Fatalf("waiting receivers = %d", n)
 	}
 	msg := fx.newMsg(t)
 	blocked, wake, f := fx.m.Send(p, msg, 0, obj.NilAD)
@@ -247,8 +265,8 @@ func TestMultipleBlockedSendersFIFOOrder(t *testing.T) {
 	m1, m2 := fx.newMsg(t), fx.newMsg(t)
 	fx.m.Send(p, m1, 0, s1)
 	fx.m.Send(p, m2, 0, s2)
-	if n, _ := fx.m.WaitingSenders(p); n != 2 {
-		t.Fatalf("WaitingSenders = %d", n)
+	if n, _ := waitingSenders(fx.m, p); n != 2 {
+		t.Fatalf("waiting senders = %d", n)
 	}
 	_, _, wake, _ := fx.m.Receive(p, obj.NilAD)
 	if wake == nil || wake.Process.Index != s1.Index {
@@ -397,7 +415,7 @@ func TestConservation(t *testing.T) {
 		if fault != nil {
 			return false
 		}
-		waiting, fault := fx.m.WaitingSenders(p)
+		waiting, fault := waitingSenders(fx.m, p)
 		if fault != nil {
 			return false
 		}

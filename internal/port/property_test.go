@@ -92,7 +92,7 @@ func TestConservationWithCancellation(t *testing.T) {
 		if f != nil {
 			t.Fatal(f)
 		}
-		waiting, f := m.WaitingSenders(prt)
+		waiting, f := waitingSenders(m, prt)
 		if f != nil {
 			t.Fatal(f)
 		}

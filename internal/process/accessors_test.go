@@ -52,7 +52,7 @@ func TestAccessorsRoundTrip(t *testing.T) {
 		t.Fatalf("TimeSlice = %d", v)
 	}
 
-	if id, _ := fx.m.PID(p); id == 0 {
+	if id, _ := fx.tab.ReadDWord(p, offPID); id == 0 {
 		t.Fatal("PID = 0")
 	}
 }
@@ -69,7 +69,6 @@ func TestAccessorsRefuseNonProcess(t *testing.T) {
 		name string
 		f    func() *obj.Fault
 	}{
-		{"PID", func() *obj.Fault { _, f := fx.m.PID(notProc); return f }},
 		{"SetState", func() *obj.Fault { return fx.m.SetState(notProc, StateReady) }},
 		{"Priority", func() *obj.Fault { _, f := fx.m.Priority(notProc); return f }},
 		{"SetPriority", func() *obj.Fault { return fx.m.SetPriority(notProc, 1) }},
@@ -85,7 +84,6 @@ func TestAccessorsRefuseNonProcess(t *testing.T) {
 		{"SetFaultObject", func() *obj.Fault { return fx.m.SetFaultObject(notProc, 1) }},
 		{"Link", func() *obj.Fault { _, f := fx.m.Link(notProc, 0); return f }},
 		{"SetLink", func() *obj.Fault { return fx.m.SetLink(notProc, 0, obj.NilAD) }},
-		{"Depth", func() *obj.Fault { _, f := fx.m.Depth(notProc); return f }},
 		{"PopContext", func() *obj.Fault { _, f := fx.m.PopContext(notProc); return f }},
 		{"StateOf", func() *obj.Fault { _, f := fx.m.StateOf(notProc); return f }},
 	}

@@ -202,14 +202,6 @@ func (m *Manager) Create(heap obj.AD, spec Spec) (obj.AD, *obj.Fault) {
 	return p, nil
 }
 
-// PID reports the process's diagnostic identity.
-func (m *Manager) PID(p obj.AD) (uint32, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return 0, f
-	}
-	return m.Table.ReadDWord(p, offPID)
-}
-
 // StateOf reports the process's run state.
 func (m *Manager) StateOf(p obj.AD) (State, *obj.Fault) {
 	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
@@ -364,16 +356,6 @@ func (m *Manager) SetLink(p obj.AD, slot uint32, ad obj.AD) *obj.Fault {
 		return f
 	}
 	return m.Table.StoreADSystem(p, slot, ad)
-}
-
-// Depth reports the process's current dynamic call depth, which is the
-// level of its top context.
-func (m *Manager) Depth(p obj.AD) (obj.Level, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return 0, f
-	}
-	d, f := m.Table.ReadWord(p, offDepth)
-	return obj.Level(d), f
 }
 
 // PushContext creates a new context for executing domain and makes it the

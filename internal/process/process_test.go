@@ -49,7 +49,7 @@ func TestCreateDefaults(t *testing.T) {
 	if sc, _ := fx.m.StopCount(p); sc != 0 {
 		t.Errorf("stop count = %d", sc)
 	}
-	if d, _ := fx.m.Depth(p); d != 0 {
+	if d, _ := fx.tab.ReadWord(p, offDepth); d != 0 {
 		t.Errorf("depth = %d", d)
 	}
 	if ctx, _ := fx.m.Context(p); ctx.Valid() {
@@ -61,8 +61,8 @@ func TestPIDsDistinct(t *testing.T) {
 	fx := setup(t)
 	a := fx.newProc(t, Spec{})
 	b := fx.newProc(t, Spec{})
-	pa, _ := fx.m.PID(a)
-	pb, _ := fx.m.PID(b)
+	pa, _ := fx.tab.ReadDWord(a, offPID)
+	pb, _ := fx.tab.ReadDWord(b, offPID)
 	if pa == pb {
 		t.Fatalf("PIDs collide: %d", pa)
 	}
@@ -115,7 +115,7 @@ func TestPushPopContext(t *testing.T) {
 	if f != nil {
 		t.Fatal(f)
 	}
-	if d, _ := fx.m.Depth(p); d != 1 {
+	if d, _ := fx.tab.ReadWord(p, offDepth); d != 1 {
 		t.Fatalf("depth = %d", d)
 	}
 	if lvl, _ := fx.tab.LevelOf(c1); lvl != 1 {
@@ -139,7 +139,7 @@ func TestPushPopContext(t *testing.T) {
 	if caller.Index != c1.Index {
 		t.Fatal("pop did not restore caller")
 	}
-	if d, _ := fx.m.Depth(p); d != 1 {
+	if d, _ := fx.tab.ReadWord(p, offDepth); d != 1 {
 		t.Fatalf("depth after pop = %d", d)
 	}
 	// The popped context is reclaimed.

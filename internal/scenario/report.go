@@ -183,15 +183,13 @@ func (e *Engine) result() *Result {
 	return r
 }
 
-// CanonicalJSON renders the result in its canonical byte form: indented
-// JSON with a trailing newline. Two runs of the same Config produce
-// identical bytes.
-func (r *Result) CanonicalJSON() ([]byte, error) { return canonicalJSON(r) }
-
 // Fingerprint is the hex SHA-256 of the canonical JSON — a compact
 // determinism witness for logs and self-checks.
 func (r *Result) Fingerprint() string { return fingerprint(r) }
 
+// canonicalJSON renders a result in its canonical byte form: indented
+// JSON with a trailing newline. Two runs of the same Config produce
+// identical bytes.
 func canonicalJSON(v any) ([]byte, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -77,11 +77,11 @@ func TestScenarioDeterminism(t *testing.T) {
 			trace := func(c *Config) { c.Trace = true }
 			e1, r1 := runPreset(t, preset, n, 42, trace)
 			e2, r2 := runPreset(t, preset, n, 42, trace)
-			b1, err := r1.CanonicalJSON()
+			b1, err := canonicalJSON(r1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b2, err := r2.CanonicalJSON()
+			b2, err := canonicalJSON(r2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,11 +120,11 @@ func TestScenarioCacheDifferential(t *testing.T) {
 	cached, rs := runPreset(t, "baseline", n, 11, nil)
 	ref, rp := runPreset(t, "baseline", n, 11, func(c *Config) { c.NoExecCache = true })
 
-	bs, err := rs.CanonicalJSON()
+	bs, err := canonicalJSON(rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, err := rp.CanonicalJSON()
+	bp, err := canonicalJSON(rp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestScenarioLedgerFingerprint(t *testing.T) {
 	if r1.LedgerRoot != r2.LedgerRoot || r1.Fingerprint() != r2.Fingerprint() {
 		t.Fatalf("same-seed ledger roots diverge: %s vs %s", r1.LedgerRoot, r2.LedgerRoot)
 	}
-	b, err := r1.CanonicalJSON()
+	b, err := canonicalJSON(r1)
 	if err != nil {
 		t.Fatal(err)
 	}

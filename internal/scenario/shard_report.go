@@ -120,9 +120,5 @@ func (e *ShardEngine) result() *ShardResult {
 	return r
 }
 
-// CanonicalJSON renders the result in its canonical byte form: indented
-// JSON with a trailing newline.
-func (r *ShardResult) CanonicalJSON() ([]byte, error) { return canonicalJSON(r) }
-
 // Fingerprint is the hex SHA-256 of the canonical JSON.
 func (r *ShardResult) Fingerprint() string { return fingerprint(r) }

@@ -97,8 +97,8 @@ func TestShardDeterminism(t *testing.T) {
 	_, r1 := runShard(t, shardTestConfig(3, 80))
 	_, r2 := runShard(t, shardTestConfig(3, 80))
 	if r1.Fingerprint() != r2.Fingerprint() {
-		j1, _ := r1.CanonicalJSON()
-		j2, _ := r2.CanonicalJSON()
+		j1, _ := canonicalJSON(r1)
+		j2, _ := canonicalJSON(r2)
 		t.Fatalf("same config, different results:\n%s\nvs\n%s", j1, j2)
 	}
 }

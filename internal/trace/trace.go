@@ -220,21 +220,10 @@ func (l *Log) Seq() uint64 {
 	return l.seq
 }
 
-// Count reports the cumulative number of events of kind k.
-func (l *Log) Count(k Kind) uint64 {
-	if l == nil || k >= numKinds {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.counts[k]
-}
-
 // Snapshot returns the sequence number and a copy of the per-kind
 // counters under a single lock acquisition — one consistent view, where a
-// Seq call followed by per-kind Count calls takes one lock each and can
-// interleave with emissions. Hot loops (and the ledger cross-checks)
-// should prefer this over repeated Count calls.
+// Seq call followed by a Counts call takes one lock each and can
+// interleave with emissions.
 func (l *Log) Snapshot() (seq uint64, counts []uint64) {
 	counts = make([]uint64, numKinds)
 	if l == nil {
@@ -280,8 +269,8 @@ func (l *Log) Events() []Event {
 // Reset does NOT reach the attached sink: the ring is a view, the sink is
 // the pipeline, and segments a ledger sink has already sealed from
 // pre-reset events survive (by design — an operator clearing the ring
-// must not be able to erase audit history). Only the sink's own queue of
-// not-yet-sealed events would still mention pre-reset activity.
+// must not be able to erase audit history), as do the pre-reset events
+// of its open, not yet sealed segment.
 func (l *Log) Reset() {
 	if l == nil {
 		return

@@ -11,7 +11,7 @@ func TestNilLogIsSafe(t *testing.T) {
 		t.Fatal("nil log reports enabled")
 	}
 	l.Emit(EvSend, 1, 2, 3) // must not panic
-	if l.Seq() != 0 || l.Count(EvSend) != 0 {
+	if l.Seq() != 0 || l.Counts()[EvSend] != 0 {
 		t.Fatal("nil log recorded an event")
 	}
 	if got := l.Events(); got != nil {
@@ -32,7 +32,7 @@ func TestEmitAndCounters(t *testing.T) {
 	if l.Seq() != 3 {
 		t.Fatalf("seq = %d, want 3", l.Seq())
 	}
-	if l.Count(EvSend) != 2 || l.Count(EvObjCreate) != 1 || l.Count(EvRecv) != 0 {
+	if l.Counts()[EvSend] != 2 || l.Counts()[EvObjCreate] != 1 || l.Counts()[EvRecv] != 0 {
 		t.Fatalf("counters wrong: %v", l.Counts())
 	}
 	ev := l.Events()
@@ -93,7 +93,7 @@ func TestResetClearsButKeepsSeq(t *testing.T) {
 	l := New(4)
 	l.Emit(EvSend, 1, 0, 0)
 	l.Reset()
-	if len(l.Events()) != 0 || l.Count(EvSend) != 0 {
+	if len(l.Events()) != 0 || l.Counts()[EvSend] != 0 {
 		t.Fatal("reset did not clear")
 	}
 	l.Emit(EvSend, 2, 0, 0)

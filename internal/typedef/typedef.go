@@ -181,25 +181,6 @@ func (m *Manager) ArmDestructionFilter(tdo obj.AD, port obj.AD) *obj.Fault {
 	return m.Table.WriteWord(tdo, offFlags, flags|flagFilterArmed)
 }
 
-// DisarmDestructionFilter removes the filter; garbage instances reclaim
-// normally again.
-func (m *Manager) DisarmDestructionFilter(tdo obj.AD) *obj.Fault {
-	if _, f := m.Table.RequireType(tdo, obj.TypeTDO); f != nil {
-		return f
-	}
-	if !tdo.Rights.Has(RightRetype) {
-		return obj.Faultf(obj.FaultRights, tdo, "need retype right on TDO")
-	}
-	if f := m.Table.StoreAD(tdo, slotFilterPort, obj.NilAD); f != nil {
-		return f
-	}
-	flags, f := m.Table.ReadWord(tdo, offFlags)
-	if f != nil {
-		return f
-	}
-	return m.Table.WriteWord(tdo, offFlags, flags&^flagFilterArmed)
-}
-
 // FilterPort reports the destruction-filter port of the TDO at index tdoIdx
 // and whether the filter is armed. The collector calls this below the
 // capability discipline (it holds no ADs), so it takes a raw index.

@@ -102,15 +102,3 @@ func (h *Hist) Quantile(num, den uint64) Cycles {
 	}
 	return h.max
 }
-
-// Merge adds every sample of o into h.
-func (h *Hist) Merge(o *Hist) {
-	for b, c := range o.counts {
-		h.counts[b] += c
-	}
-	h.n += o.n
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"repro/internal/gdp"
 	"repro/internal/isa"
 	"repro/internal/obj"
-	"repro/internal/vtime"
 )
 
 // ServerSpec describes the per-request program of one request-server
@@ -25,20 +24,6 @@ type ServerSpec struct {
 	// DomainCalls is the number of cross-domain call/return pairs per
 	// request — the E1 domain-switch shape as a service-time component.
 	DomainCalls uint32
-}
-
-// RequestCost estimates the virtual-cycle service demand of one request
-// under the spec, for open-loop utilisation sizing. It mirrors the cost
-// table applied by the interpreter; treat it as an estimate, not an
-// accounting identity.
-func (s ServerSpec) RequestCost() vtime.Cycles {
-	c := vtime.CostReceive + vtime.CostSend + vtime.CostBranch
-	c += vtime.Cycles(s.Touches) * (2*vtime.CostMove + vtime.CostALU)
-	if s.Demand > 0 {
-		c += vtime.CostALU + vtime.Cycles(s.Demand)*(vtime.CostALU+vtime.CostBranch)
-	}
-	c += vtime.Cycles(s.DomainCalls) * (vtime.CostDomainCall + vtime.CostDomainReturn)
-	return c
 }
 
 // ServerProgram assembles the server loop. Register conventions (set by
