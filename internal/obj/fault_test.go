@@ -1,0 +1,55 @@
+package obj
+
+import "testing"
+
+// TestRoutineFaultStrings pins Error() of the two faults a swapping system
+// raises as routine events (§7.3): the segment fault of an access to a
+// swapped-out object, through every accessor family, and the no-memory
+// fault of a creation or a swap-in that finds no room. Nothing but Error()
+// reads their detail, so how and when it is rendered is free to change;
+// the text is not.
+func TestRoutineFaultStrings(t *testing.T) {
+	tab := NewTable(1024)
+	ad := mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 256, AccessSlots: 2})
+	if f := tab.SwapOut(ad.Index, 7); f != nil {
+		t.Fatal(f)
+	}
+	const moved = "fault: segment moved or swapped out on AD<1#1 rwd123>: swapped out (token 7)"
+	_, read := tab.ReadDWord(ad, 0)
+	_, load := tab.LoadAD(ad, 1)
+	var v View
+	referents := tab.Referents(ad.Index, func(AD) {})
+	filler := mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 1000})
+	_, _, swapIn := tab.SwapIn(ad.Index)
+	_, data := tab.Create(CreateSpec{Type: TypeGeneric, DataLen: 64})
+	if f := tab.Destroy(filler); f != nil {
+		t.Fatal(f)
+	}
+	mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 1000})
+	_, access := tab.Create(CreateSpec{Type: TypeGeneric, DataLen: 8, AccessSlots: 4})
+	if tab.Memory().Used() != 1000 {
+		t.Fatalf("the failed creations left %d bytes in use, want 1000", tab.Memory().Used())
+	}
+	for _, c := range []struct {
+		name string
+		got  *Fault
+		want string
+	}{
+		{"read", read, moved},
+		{"write", tab.WriteDWord(ad, 0, 1), moved},
+		{"load AD", load, moved},
+		{"store AD", tab.StoreAD(ad, 0, NilAD), moved},
+		{"view", tab.View(ad, RightRead, &v), moved},
+		{"referents", referents, "fault: segment moved or swapped out on AD<1#0 ->: cannot scan swapped object"},
+		{"swap out twice", tab.SwapOut(ad.Index, 8), "fault: segment moved or swapped out on AD<1#0 ->: already swapped out"},
+		{"swap in", swapIn, "fault: insufficient storage on AD<1#0 ->: mem: insufficient free storage"},
+		{"create, data part", data, "fault: insufficient storage on AD<nil>: data part: mem: insufficient free storage"},
+		{"create, access part", access, "fault: insufficient storage on AD<nil>: access part: mem: insufficient free storage"},
+	} {
+		if c.got == nil {
+			t.Errorf("%s: no fault", c.name)
+		} else if c.got.Error() != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, c.got.Error(), c.want)
+		}
+	}
+}
