@@ -9,7 +9,9 @@
 // invariants every subsystem relies on but none can see whole:
 //
 //   - object table: descriptor/type/generation consistency, ancestral-SRO
-//     liveness, swap-state sanity, AD slots decode within the table;
+//     liveness, swap-state sanity (the resident set is exactly the valid,
+//     swapped-in slots; the backing store holds exactly the images swapped-
+//     out descriptors name), AD slots decode within the table;
 //   - storage resource objects: used ≤ claim, the level ordering of the
 //     SRO tree (§5), and byte-exact accounting — an SRO's used counter
 //     equals the summed footprint of its live allocations;
@@ -114,17 +116,29 @@ func (a *Auditor) capOf(idx obj.Index) obj.AD {
 }
 
 // CheckObjects validates the object descriptor table: type and generation
-// sanity, ancestral-SRO liveness, swap-state consistency, and that every
-// stored AD decodes to an index inside the table.
+// sanity, ancestral-SRO liveness, swap-state consistency (with the resident
+// set, and with the backing store when a swapping manager installed one),
+// and that every stored AD decodes to an index inside the table.
 func (a *Auditor) CheckObjects() []Violation {
 	var out []Violation
 	bad := func(idx obj.Index, format string, args ...any) {
 		out = append(out, Violation{Subsystem: "obj", Obj: idx, Msg: fmt.Sprintf(format, args...)})
 	}
-	live := 0
+	live, swapped, store := 0, 0, a.Table.Backing()
 	for i := 1; i < a.Table.Len(); i++ {
 		idx := obj.Index(i)
 		d := a.Table.DescriptorAt(idx)
+		if in := d != nil && !d.SwappedOut; a.Table.Resident(idx) != in {
+			bad(idx, "resident-set bit is %v, descriptor in memory is %v", !in, in)
+		}
+		var token uint64 // of the image the store should hold for idx
+		if d != nil && d.SwappedOut {
+			token = d.SwapToken
+			swapped++
+		}
+		if store != nil && store.Token(idx) != token {
+			bad(idx, "backing store holds image %d, descriptor names %d", store.Token(idx), token)
+		}
 		if d == nil {
 			continue
 		}
@@ -166,6 +180,9 @@ func (a *Auditor) CheckObjects() []Violation {
 	}
 	if live != a.Table.Live() {
 		bad(obj.NilIndex, "table counts %d live objects, scan found %d", a.Table.Live(), live)
+	}
+	if store != nil && store.Images() != swapped {
+		bad(obj.NilIndex, "backing store holds %d images, %d descriptors are swapped out", store.Images(), swapped)
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/gdp"
+	"repro/internal/mm"
 	"repro/internal/obj"
 	"repro/internal/port"
 	"repro/internal/process"
@@ -159,6 +160,62 @@ func TestDetectsSROAccountingDrift(t *testing.T) {
 			vs := audit.New(sys).CheckSROs()
 			if !hasViolation(vs, "sro", "live allocations sum") {
 				t.Fatalf("not flagged:\n%s", dump(vs))
+			}
+		})
+	}
+}
+
+// TestDetectsSwapStateDrift corrupts one side of each swap-state
+// equivalence and expects the other side's clause to object: the resident
+// set against the descriptors' Valid and SwappedOut, and the backing
+// store's images against the descriptors' SwappedOut and SwapToken.
+func TestDetectsSwapStateDrift(t *testing.T) {
+	cases := []struct {
+		name, want string
+		damage     func(sys *gdp.System, sw *mm.Swapping, in, out obj.AD)
+	}{
+		{"descriptor swapped out behind the resident set", "resident-set bit is true", func(sys *gdp.System, _ *mm.Swapping, in, _ obj.AD) {
+			d := sys.Table.DescriptorAt(in.Index)
+			d.SwappedOut, d.SwapToken = true, 99
+		}},
+		{"descriptor invalidated behind the resident set", "resident-set bit is true", func(sys *gdp.System, _ *mm.Swapping, in, _ obj.AD) {
+			sys.Table.DescriptorAt(in.Index).Valid = false
+		}},
+		{"descriptor swapped in behind the resident set", "resident-set bit is false", func(sys *gdp.System, _ *mm.Swapping, _, out obj.AD) {
+			sys.Table.DescriptorAt(out.Index).SwappedOut = false
+		}},
+		{"image released behind the descriptor", "backing store holds image 0, descriptor names 1", func(sys *gdp.System, sw *mm.Swapping, _, out obj.AD) {
+			sw.Store.Release(out.Index, sys.Table.DescriptorAt(out.Index).SwapToken)
+		}},
+		{"token rewritten behind the store", "backing store holds image 1, descriptor names 7", func(sys *gdp.System, _ *mm.Swapping, _, out obj.AD) {
+			sys.Table.DescriptorAt(out.Index).SwapToken = 7
+		}},
+		{"image outliving its descriptor", "backing store holds 1 images, 0 descriptors are swapped out", func(sys *gdp.System, sw *mm.Swapping, _, out obj.AD) {
+			sys.Table.SetBacking(nil) // the release path cut
+			if f := sys.Table.Destroy(out); f != nil {
+				panic(f)
+			}
+			sys.Table.SetBacking(sw.Store)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := newSystem(t, 1)
+			sw := mm.NewSwapping(sys.Table, sys.SROs)
+			var ads [2]obj.AD // the first is swapped out, the second stays in
+			for i := range ads {
+				var f *obj.Fault
+				if ads[i], f = sw.Allocate(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 64}); f != nil {
+					t.Fatalf("allocate: %v", f)
+				}
+			}
+			if victim, ok, f := sw.EvictVictim(); f != nil || !ok || victim != ads[0].Index {
+				t.Fatalf("evict: victim %d, want %d: %v %v", victim, ads[0].Index, ok, f)
+			}
+			mustClean(t, audit.New(sys))
+			tc.damage(sys, sw, ads[1], ads[0])
+			if vs := audit.New(sys).CheckObjects(); !hasViolation(vs, "obj", tc.want) {
+				t.Fatalf("not flagged (want %q):\n%s", tc.want, dump(vs))
 			}
 		})
 	}

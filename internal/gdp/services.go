@@ -82,8 +82,7 @@ func (s *System) WatchTimeout(at vtime.Cycles, proc obj.AD, prt obj.AD) {
 
 // fireTimers wakes every timer at or before now.
 func (s *System) fireTimers(now vtime.Cycles) *obj.Fault {
-	kept := s.timers[:0]
-	var fired []timer
+	kept, fired := s.timers[:0], s.fired[:0]
 	for _, t := range s.timers {
 		if t.at <= now {
 			fired = append(fired, t)
@@ -91,7 +90,7 @@ func (s *System) fireTimers(now vtime.Cycles) *obj.Fault {
 			kept = append(kept, t)
 		}
 	}
-	s.timers = kept
+	s.timers, s.fired = kept, fired
 	for _, t := range fired {
 		p := t.proc
 		if _, f := s.Table.RequireType(p, obj.TypeProcess); f != nil {

@@ -127,6 +127,7 @@ type System struct {
 
 	bodies       map[obj.Index]bodyReg
 	timers       []timer
+	fired        []timer // fireTimers' scratch, kept for its capacity
 	contention   vtime.Cycles
 	busyThisStep int
 	deadline     bool

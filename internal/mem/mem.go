@@ -119,6 +119,22 @@ func (m *Memory) Alloc(n uint32) (Extent, error) {
 	return Extent{}, ErrNoMemory
 }
 
+// FitsBelow reports whether Alloc(n) would place its segment strictly below
+// limit. The compactor asks before it allocates, so an extent with no
+// fitting hole beneath it is not touched; the walk stops at the first hole
+// at or above limit.
+func (m *Memory) FitsBelow(n uint32, limit Addr) bool {
+	for _, e := range m.free {
+		if e.Base >= limit {
+			break
+		}
+		if e.Len >= n {
+			return true
+		}
+	}
+	return false
+}
+
 // Free returns an extent to the free pool, coalescing with neighbours.
 // Freeing an extent that was not allocated (or double-freeing) is an error:
 // on the real machine only the microcode and the collector could reach this

@@ -214,3 +214,39 @@ func TestAllocFreeInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFitsBelowAgreesWithAlloc property-checks the compactor's peek against
+// the allocation it stands in for: over a fragmented memory, FitsBelow(n,
+// limit) says exactly whether a trial Alloc(n) lands strictly below limit,
+// and asking leaves the free list as it was.
+func TestFitsBelowAgreesWithAlloc(t *testing.T) {
+	f := func(sizes []uint16, freeMask []bool, n uint16, limit uint16) bool {
+		m := New(1 << 16)
+		var live []Extent
+		for _, s := range sizes {
+			if e, err := m.Alloc(uint32(s%2048) + 1); err == nil {
+				live = append(live, e)
+			}
+		}
+		for i, e := range live {
+			if i < len(freeMask) && freeMask[i] && m.Free(e) != nil {
+				return false
+			}
+		}
+		before := append([]Extent(nil), m.free...)
+		got := m.FitsBelow(uint32(n%4096)+1, Addr(limit))
+		if len(before) != len(m.free) {
+			return false
+		}
+		for i := range before {
+			if before[i] != m.free[i] {
+				return false
+			}
+		}
+		trial, err := m.Alloc(uint32(n%4096) + 1)
+		return got == (err == nil && trial.Base < Addr(limit))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

@@ -25,44 +25,42 @@ import (
 // too — pinning protects from reclamation and swapping, not from motion,
 // which is invisible through the descriptor indirection.
 func (m *Swapping) Compact() (moved int, spent vtime.Cycles, fault *obj.Fault) {
-	// Repeatedly pick the live extent with the highest base that fits
-	// into a lower free slot. Simple and quadratic-ish, but bounded by
-	// the live object count and deterministic.
-	for {
-		progress := false
-		for i := 1; i < m.Table.Len(); i++ {
-			idx := obj.Index(i)
-			d := m.Table.DescriptorAt(idx)
+	// Pass over the resident set in table order, moving every part that
+	// first-fit would place strictly lower, until a pass moves nothing.
+	// Simple and quadratic-ish, but bounded by what is in memory (never
+	// by the table) and deterministic.
+	t, phys := m.Table, m.Table.Memory()
+	for progress := true; progress; {
+		progress = false
+		// A part larger than the largest hole cannot move, and under
+		// pressure that is most of them; a move makes new holes.
+		largest := phys.LargestFree()
+		for idx := t.NextResident(obj.NilIndex); idx != obj.NilIndex; idx = t.NextResident(idx) {
+			d := t.DescriptorAt(idx)
 			if d == nil || d.SwappedOut {
 				continue
 			}
+			m.CompactVisits++
 			// Try moving each part to a strictly lower address.
-			if d.DataLen > 0 {
-				if e, ok := m.tryMoveLower(d.Data); ok {
-					d.Data = e
+			for _, part := range [2]*mem.Extent{&d.Data, &d.Access} {
+				if part.Len == 0 || part.Len > largest {
+					continue
+				}
+				if e, ok := m.tryMoveLower(*part); ok {
+					*part = e
 					moved++
-					spent += vtime.CostSwapIn/4 + vtime.Cycles(d.DataLen/64)
+					spent += vtime.CostSwapIn/4 + vtime.Cycles(part.Len/64)
 					progress = true
+					largest = phys.LargestFree()
 				}
 			}
-			if d.AccessSlots > 0 {
-				if e, ok := m.tryMoveLower(d.Access); ok {
-					d.Access = e
-					moved++
-					spent += vtime.CostSwapIn/4 + vtime.Cycles(d.AccessSlots*obj.ADSlotSize/64)
-					progress = true
-				}
-			}
-		}
-		if !progress {
-			break
 		}
 	}
 	if moved > 0 {
 		// Extents were rewritten behind the table's back (directly
 		// through DescriptorAt); any execution-cache window over a moved
 		// segment now points at freed bytes.
-		m.Table.InvalidateCaches()
+		t.InvalidateCaches()
 	}
 	m.Compactions++
 	m.CompactMoves += uint64(moved)
@@ -70,33 +68,26 @@ func (m *Swapping) Compact() (moved int, spent vtime.Cycles, fault *obj.Fault) {
 	return moved, spent, nil
 }
 
-// tryMoveLower relocates extent e if a strictly lower-addressed free
-// region can hold it; it reports the new extent.
+// tryMoveLower relocates extent e if first-fit would place it at a strictly
+// lower address; it reports the new extent. It asks before it allocates:
+// an extent with no fitting hole beneath it costs a look at the free list
+// up to its own base and nothing else.
 func (m *Swapping) tryMoveLower(e mem.Extent) (mem.Extent, bool) {
 	mem := m.Table.Memory()
+	src := mem.Window(e)
+	if src == nil || !mem.FitsBelow(e.Len, e.Base) {
+		return e, false
+	}
 	dst, err := mem.Alloc(e.Len)
 	if err != nil {
 		return e, false
 	}
-	if dst.Base >= e.Base {
-		// No improvement; undo.
+	if err := mem.WriteBytes(dst, 0, src); err != nil {
 		_ = mem.Free(dst)
 		return e, false
 	}
-	// Copy the contents and release the old extent.
-	p, err := mem.ReadBytes(e, 0, e.Len)
-	if err != nil {
-		_ = mem.Free(dst)
-		return e, false
-	}
-	if err := mem.WriteBytes(dst, 0, p); err != nil {
-		_ = mem.Free(dst)
-		return e, false
-	}
-	if err := mem.Free(e); err != nil {
-		// The old extent is damaged; keep the copy anyway — the
-		// descriptor must point at valid storage.
-		return dst, true
-	}
+	// Should the old extent be damaged, keep the copy anyway: the
+	// descriptor must point at valid storage.
+	_ = mem.Free(e)
 	return dst, true
 }

@@ -14,6 +14,7 @@
 package mm
 
 import (
+	"repro/internal/mem"
 	"repro/internal/obj"
 	"repro/internal/sro"
 	"repro/internal/vtime"
@@ -72,48 +73,79 @@ func (m *NonSwapping) DestroyHeap(heap obj.AD) (int, *obj.Fault) {
 var _ Allocator = (*NonSwapping)(nil)
 var _ Allocator = (*Swapping)(nil)
 
-// BackingStore simulates the swapping device: a token-addressed byte
-// store with transfer accounting. (The paper's testbed used disk; the
-// substitution preserves the code path and the cost model.)
+// BackingStore simulates the swapping device: at most one image per object
+// index, named by the token its descriptor carries. The store owns its
+// buffers: an image is copied in from the memory window and back out to
+// one, and the buffer of an image read back or released serves the next
+// put, so a segment in transit never passes through a fresh Go slice. (The
+// paper's testbed used disk; this keeps the code path and the cost model.)
 type BackingStore struct {
-	images map[uint64]storedImage
+	images []image  // by obj.Index; tok 0 marks no image
+	spare  [][]byte // buffers of images read back or released, newest last
+	held   int
 	next   uint64
-
-	// Stats.
-	WritesBytes uint64
-	ReadsBytes  uint64
-	Ops         uint64
 }
 
-type storedImage struct {
-	data   []byte
-	access []byte
+type image struct {
+	tok uint64
+	buf []byte // the data part, then the access part
 }
 
 // NewBackingStore returns an empty backing store.
-func NewBackingStore() *BackingStore {
-	return &BackingStore{images: make(map[uint64]storedImage), next: 1}
+func NewBackingStore() *BackingStore { return &BackingStore{next: 1} }
+
+// Images implements obj.Backing: how many images the store holds.
+func (b *BackingStore) Images() int { return b.held }
+
+// Token implements obj.Backing: the token of idx's image, 0 for none.
+func (b *BackingStore) Token(idx obj.Index) uint64 {
+	if int(idx) >= len(b.images) {
+		return 0
+	}
+	return b.images[idx].tok
 }
 
-// put stores an object image and returns its token.
-func (b *BackingStore) put(data, access []byte) uint64 {
+// put stores idx's image and returns its token. The newest spare buffer
+// holds it if it fits and would be at least half used; a spare that does
+// not is dropped, so the pool never outgrows the images read back.
+func (b *BackingStore) put(idx obj.Index, data, access []byte) uint64 {
+	for int(idx) >= len(b.images) {
+		b.images = append(b.images, image{})
+	}
+	var buf []byte
+	if k := len(b.spare) - 1; k >= 0 {
+		if n := len(data) + len(access); n <= cap(b.spare[k]) && cap(b.spare[k]) <= 2*n {
+			buf = b.spare[k][:0]
+		}
+		b.spare = b.spare[:k]
+	}
 	tok := b.next
 	b.next++
-	b.images[tok] = storedImage{data: data, access: access}
-	b.WritesBytes += uint64(len(data) + len(access))
-	b.Ops++
+	b.images[idx] = image{tok: tok, buf: append(append(buf, data...), access...)}
+	b.held++
 	return tok
 }
 
-// get retrieves and removes an image.
-func (b *BackingStore) get(tok uint64) (storedImage, bool) {
-	img, ok := b.images[tok]
-	if ok {
-		delete(b.images, tok)
-		b.ReadsBytes += uint64(len(img.data) + len(img.access))
-		b.Ops++
+// get copies idx's image out to data and access and retires it, provided
+// it is the image tok names and fills the two exactly.
+func (b *BackingStore) get(idx obj.Index, tok uint64, data, access []byte) bool {
+	if tok == 0 || b.Token(idx) != tok || len(b.images[idx].buf) != len(data)+len(access) {
+		return false
 	}
-	return img, ok
+	copy(access, b.images[idx].buf[copy(data, b.images[idx].buf):])
+	b.Release(idx, tok)
+	return true
+}
+
+// Release implements obj.Backing: idx's image goes if tok names it, and its
+// buffer waits for the next put.
+func (b *BackingStore) Release(idx obj.Index, tok uint64) {
+	if tok == 0 || b.Token(idx) != tok {
+		return
+	}
+	b.spare = append(b.spare, b.images[idx].buf)
+	b.images[idx] = image{}
+	b.held--
 }
 
 // Swapping is the second-release implementation: the same interface, but
@@ -142,14 +174,20 @@ type Swapping struct {
 	FaultsServiced uint64
 	// Compactions and CompactMoves count Compact passes and the segment
 	// parts they relocated; CompactCycles is their charged virtual time.
+	// CompactVisits counts the resident descriptors they walked, uncharged.
 	Compactions   uint64
 	CompactMoves  uint64
 	CompactCycles vtime.Cycles
+	CompactVisits uint64
 }
 
-// NewSwapping returns the swapping implementation.
+// NewSwapping returns the swapping implementation. Its store becomes the
+// table's backing, so that an object destroyed while swapped out — by the
+// collector, by level or SRO reclaim, by anyone — gives its image back.
 func NewSwapping(t *obj.Table, s *sro.Manager) *Swapping {
-	return &Swapping{Table: t, SROs: s, Store: NewBackingStore()}
+	m := &Swapping{Table: t, SROs: s, Store: NewBackingStore()}
+	t.SetBacking(m.Store)
+	return m
 }
 
 // Name implements Allocator.
@@ -166,13 +204,8 @@ func (m *Swapping) NewLocalHeap(parent obj.AD, level obj.Level, claim uint32) (o
 }
 
 // DestroyHeap implements Allocator. Swapped-out members release their
-// backing images.
+// backing images as their descriptors die (obj.Backing).
 func (m *Swapping) DestroyHeap(heap obj.AD) (int, *obj.Fault) {
-	m.Table.AliveBySRO(heap.Index, func(i obj.Index) {
-		if d := m.Table.DescriptorAt(i); d != nil && d.SwappedOut {
-			_, _ = m.Store.get(d.SwapToken)
-		}
-	})
 	return m.SROs.DestroyHeap(heap)
 }
 
@@ -222,25 +255,18 @@ func (m *Swapping) evictOne() (bool, *obj.Fault) {
 // physical memory.
 func (m *Swapping) swapOut(idx obj.Index) *obj.Fault {
 	d := m.Table.DescriptorAt(idx)
-	if d == nil {
-		return obj.Faultf(obj.FaultInvalidAD, obj.AD{Index: idx}, "no such object")
+	if d == nil || d.SwappedOut {
+		// The table's refusal, before the store's image of idx is written over.
+		return m.Table.SwapOut(idx, 0)
 	}
-	mem := m.Table.Memory()
-	var data, access []byte
-	var err error
-	if d.DataLen > 0 {
-		if data, err = mem.ReadBytes(d.Data, 0, d.DataLen); err != nil {
-			return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "%v", err)
-		}
+	phys := m.Table.Memory()
+	data, access := phys.Window(d.Data), phys.Window(d.Access)
+	if data == nil || access == nil {
+		return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "extents outside memory: data %v, access %v", d.Data, d.Access)
 	}
-	if d.AccessSlots > 0 {
-		if access, err = mem.ReadBytes(d.Access, 0, d.AccessSlots*obj.ADSlotSize); err != nil {
-			return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "%v", err)
-		}
-	}
-	tok := m.Store.put(data, access)
+	tok := m.Store.put(idx, data, access)
 	if f := m.Table.SwapOut(idx, tok); f != nil {
-		_, _ = m.Store.get(tok)
+		m.Store.Release(idx, tok)
 		return f
 	}
 	m.SwapOuts++
@@ -252,22 +278,16 @@ func (m *Swapping) swapOut(idx obj.Index) *obj.Fault {
 // its index, without waiting for allocation pressure. Resource managers use
 // it to shed memory ahead of need, and the fault-injection harness uses it
 // to force a swap-out between two instructions of a running process. ok is
-// false when nothing is swappable.
+// false when nothing is swappable. The hand sweeps the resident set, not
+// the table: from the last victim to the end, then round from the start.
 func (m *Swapping) EvictVictim() (victim obj.Index, ok bool, f *obj.Fault) {
-	n := obj.Index(m.Table.Len())
-	if n <= 1 {
-		return obj.NilIndex, false, nil
-	}
-	hand := m.clockHand
-	for i := obj.Index(0); i < n; i++ {
-		hand++
-		if hand >= n {
-			hand = 1
-		}
-		if m.swappable(hand) {
-			m.clockHand = hand
-			m.Evictions++
-			return hand, true, m.swapOut(hand)
+	for _, from := range [2]obj.Index{m.clockHand, obj.NilIndex} {
+		for hand := m.Table.NextResident(from); hand != obj.NilIndex; hand = m.Table.NextResident(hand) {
+			if m.swappable(hand) {
+				m.clockHand = hand
+				m.Evictions++
+				return hand, true, m.swapOut(hand)
+			}
 		}
 	}
 	return obj.NilIndex, false, nil
@@ -285,27 +305,27 @@ func (m *Swapping) EnsureResident(idx obj.Index) *obj.Fault {
 		return nil
 	}
 	tok := d.SwapToken
+	phys := m.Table.Memory()
+	// Under pressure memory is full, and the table's first answer would be
+	// a no-memory fault built to be thrown away: while not even the larger
+	// part has a hole, evict before asking. With nothing left to evict the
+	// table says why.
+	for need := max(d.DataLen, d.AccessSlots*obj.ADSlotSize); need > 0 && !phys.FitsBelow(need, mem.Addr(phys.Size())); {
+		if evicted, ef := m.evictOne(); ef != nil {
+			return ef
+		} else if !evicted {
+			break
+		}
+	}
 	for {
 		data, access, f := m.Table.SwapIn(idx)
 		if f == nil {
-			img, ok := m.Store.get(tok)
-			if !ok {
+			if !m.Store.get(idx, tok, phys.Window(data), phys.Window(access)) {
 				return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx},
 					"backing image %d missing", tok)
 			}
-			mem := m.Table.Memory()
-			if len(img.data) > 0 {
-				if err := mem.WriteBytes(data, 0, img.data); err != nil {
-					return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "%v", err)
-				}
-			}
-			if len(img.access) > 0 {
-				if err := mem.WriteBytes(access, 0, img.access); err != nil {
-					return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "%v", err)
-				}
-			}
 			m.SwapIns++
-			m.SwapCycles += transferCost(len(img.data) + len(img.access))
+			m.SwapCycles += transferCost(int(data.Len + access.Len))
 			return nil
 		}
 		if f.Code != obj.FaultNoMemory {

@@ -187,14 +187,75 @@ func TestDestroyHeapReleasesBackingImages(t *testing.T) {
 	if f := alloc.swapOut(ad.Index); f != nil {
 		t.Fatal(f)
 	}
-	if len(alloc.Store.images) != 1 {
-		t.Fatalf("backing images = %d", len(alloc.Store.images))
+	if alloc.Store.Images() != 1 {
+		t.Fatalf("backing images = %d", alloc.Store.Images())
 	}
 	if _, f := alloc.DestroyHeap(local); f != nil {
 		t.Fatal(f)
 	}
-	if len(alloc.Store.images) != 0 {
+	if alloc.Store.Images() != 0 {
 		t.Fatal("backing image leaked by heap destruction")
+	}
+}
+
+// TestDestroyReleasesBackingImage: an object destroyed while swapped out
+// gives its image back whoever destroys it — the capability path, the
+// collector's DestroyIndex, SRO reclaim, or the bulk destruction of a heap
+// it is not a direct member of — and the next eviction reuses the buffer.
+func TestDestroyReleasesBackingImage(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		destroy func(tab *obj.Table, s *sro.Manager, heap, ad obj.AD) *obj.Fault
+	}{
+		{"Table.Destroy", func(tab *obj.Table, _ *sro.Manager, _, ad obj.AD) *obj.Fault { return tab.Destroy(ad) }},
+		{"Table.DestroyIndex", func(tab *obj.Table, _ *sro.Manager, _, ad obj.AD) *obj.Fault { return tab.DestroyIndex(ad.Index) }},
+		{"sro.Reclaim", func(_ *obj.Table, s *sro.Manager, _, ad obj.AD) *obj.Fault { return s.Reclaim(ad.Index) }},
+		{"DestroyHeap of the enclosing heap", func(_ *obj.Table, s *sro.Manager, heap, _ obj.AD) *obj.Fault {
+			_, f := s.DestroyHeap(heap)
+			return f
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tab, s := setup(t, 1<<20)
+			alloc := NewSwapping(tab, s)
+			root, _ := alloc.NewHeap(0)
+			outer, _ := alloc.NewLocalHeap(root, 1, 0)
+			inner, _ := alloc.NewLocalHeap(outer, 2, 0)
+			ad, f := alloc.Allocate(inner, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 1024, AccessSlots: 2})
+			if f != nil {
+				t.Fatal(f)
+			}
+			if f := alloc.swapOut(ad.Index); f != nil {
+				t.Fatal(f)
+			}
+			if n, tok := alloc.Store.Images(), alloc.Store.Token(ad.Index); n != 1 || tok != 1 {
+				t.Fatalf("after swap-out: %d images, token %d for the object", n, tok)
+			}
+			if f := c.destroy(tab, s, outer, ad); f != nil {
+				t.Fatal(f)
+			}
+			if n, tok := alloc.Store.Images(), alloc.Store.Token(ad.Index); n != 0 || tok != 0 {
+				t.Fatalf("backing image leaked: %d images, token %d for the dead object", n, tok)
+			}
+			if len(alloc.Store.spare) != 1 {
+				t.Fatalf("%d spare buffers after the release, want 1", len(alloc.Store.spare))
+			}
+			// A slot recycled for a new object starts with no image, and
+			// its eviction takes the released buffer.
+			next, f := alloc.Allocate(root, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 1040})
+			if f != nil {
+				t.Fatal(f)
+			}
+			if f := alloc.swapOut(next.Index); f != nil {
+				t.Fatal(f)
+			}
+			if alloc.Store.Images() != 1 || len(alloc.Store.spare) != 0 {
+				t.Fatalf("after the next swap-out: %d images, %d spare buffers", alloc.Store.Images(), len(alloc.Store.spare))
+			}
+			if f := alloc.EnsureResident(next.Index); f != nil {
+				t.Fatal(f)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,10 @@
 package obj
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/mem"
+)
 
 // FaultCode classifies a protection or addressing fault raised by the
 // object layer. Faults propagate as errors through the microcode paths;
@@ -66,14 +70,30 @@ type Fault struct {
 	Code   FaultCode
 	AD     AD     // the capability involved, if any
 	Detail string // human-readable specifics
+	// Token is the backing token a segment fault names. A swapping system
+	// raises these as routine events (§7.3), thousands a run, so the token
+	// is carried as it is and only Error renders it, for an empty Detail.
+	Token uint64
 }
 
 func (f *Fault) Error() string {
-	if f.Detail == "" {
+	detail := f.Detail
+	if detail == "" && f.Code == FaultSegmentMoved {
+		detail = fmt.Sprintf("swapped out (token %d)", f.Token)
+	}
+	if detail == "" {
 		return fmt.Sprintf("fault: %s on %s", f.Code, f.AD)
 	}
-	return fmt.Sprintf("fault: %s on %s: %s", f.Code, f.AD, f.Detail)
+	return fmt.Sprintf("fault: %s on %s: %s", f.Code, f.AD, detail)
 }
+
+// The details of the other routine fault, no memory for a part, rendered
+// once: mem.Alloc refuses a part no larger than mem.MaxPart for one reason.
+var (
+	noMemory          = mem.ErrNoMemory.Error()
+	noMemoryForData   = "data part: " + noMemory
+	noMemoryForAccess = "access part: " + noMemory
+)
 
 // Faultf constructs a Fault.
 func Faultf(code FaultCode, ad AD, format string, args ...any) *Fault {

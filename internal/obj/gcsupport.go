@@ -134,6 +134,7 @@ func (t *Table) SwapOut(idx Index, token uint64) *Fault {
 	}
 	d.SwappedOut = true
 	d.SwapToken = token
+	t.resident[idx/64] &^= 1 << (idx % 64)
 	t.xgen++ // cached windows over the freed extents are dead
 	if l := t.tr; l != nil {
 		l.Emit(trace.EvSwapOut, uint32(idx), 0, token)
@@ -156,7 +157,7 @@ func (t *Table) SwapIn(idx Index) (data, access mem.Extent, f *Fault) {
 	if d.DataLen > 0 {
 		d.Data, err = t.mem.Alloc(d.DataLen)
 		if err != nil {
-			return data, access, Faultf(FaultNoMemory, AD{Index: idx}, "%v", err)
+			return data, access, &Fault{Code: FaultNoMemory, AD: AD{Index: idx}, Detail: noMemory}
 		}
 	}
 	if d.AccessSlots > 0 {
@@ -165,11 +166,12 @@ func (t *Table) SwapIn(idx Index) (data, access mem.Extent, f *Fault) {
 			if d.DataLen > 0 {
 				_ = t.mem.Free(d.Data)
 			}
-			return data, access, Faultf(FaultNoMemory, AD{Index: idx}, "%v", err)
+			return data, access, &Fault{Code: FaultNoMemory, AD: AD{Index: idx}, Detail: noMemory}
 		}
 	}
 	d.SwappedOut = false
 	d.SwapToken = 0
+	t.resident[idx/64] |= 1 << (idx % 64)
 	t.xgen++ // the object landed at fresh extents; re-prime any windows
 	if l := t.tr; l != nil {
 		l.Emit(trace.EvSwapIn, uint32(idx), 0, 0)

@@ -434,3 +434,69 @@ func TestFaultHelpers(t *testing.T) {
 		t.Error("fault strings empty")
 	}
 }
+
+// TestResidentSet walks the resident set across its word boundaries: the
+// bit of a slot is set exactly while its descriptor is valid and swapped
+// in, whichever of Create, Destroy, SwapOut and SwapIn wrote it last, and
+// NextResident visits the set bits in table order.
+func TestResidentSet(t *testing.T) {
+	tab := NewTable(1 << 16)
+	var ads []AD
+	for i := 0; i < 200; i++ {
+		ads = append(ads, mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 8}))
+	}
+	want := func() (in []Index) {
+		for i := 1; i < tab.Len(); i++ {
+			if d := tab.DescriptorAt(Index(i)); d != nil && !d.SwappedOut {
+				in = append(in, Index(i))
+			}
+		}
+		return in
+	}
+	check := func(when string) {
+		t.Helper()
+		in := want()
+		walk := NilIndex
+		for _, idx := range in {
+			if walk = tab.NextResident(walk); walk != idx {
+				t.Fatalf("%s: walk reached %d, want %d", when, walk, idx)
+			}
+			if !tab.Resident(idx) {
+				t.Fatalf("%s: Resident(%d) = false", when, idx)
+			}
+		}
+		if next := tab.NextResident(walk); next != NilIndex {
+			t.Fatalf("%s: walk went on to %d past the last resident", when, next)
+		}
+	}
+	check("after create")
+	for i, ad := range ads {
+		switch {
+		case i%3 == 0:
+			if f := tab.SwapOut(ad.Index, uint64(i+1)); f != nil {
+				t.Fatal(f)
+			}
+		case i%7 == 0 || i >= 60 && i < 130: // two whole words go empty
+			if f := tab.Destroy(ad); f != nil {
+				t.Fatal(f)
+			}
+		}
+	}
+	check("after swap-out and destroy")
+	if tab.Resident(ads[0].Index) || tab.Resident(ads[7].Index) || tab.Resident(Index(tab.Len()+64)) {
+		t.Fatal("a swapped-out, a destroyed or an unallocated slot reads as resident")
+	}
+	for i, ad := range ads {
+		if i%6 == 0 {
+			if _, _, f := tab.SwapIn(ad.Index); f != nil {
+				t.Fatal(f)
+			}
+		}
+	}
+	mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 8}) // reuses a freed slot
+	check("after swap-in and slot reuse")
+	if f := tab.Destroy(ads[3]); f != nil { // destroyed while swapped out
+		t.Fatal(f)
+	}
+	check("after destroying a swapped-out object")
+}

@@ -2,6 +2,7 @@ package obj
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -84,6 +85,13 @@ type Table struct {
 	free  []Index // free descriptor slots, reused with bumped generations
 	live  int     // number of valid descriptors
 
+	// resident is the resident set: bit i is set exactly when descs[i] is
+	// Valid && !SwappedOut, written where those two fields are (Create,
+	// destroyDesc, SwapOut, SwapIn). The memory manager walks it, not the
+	// table: what can be evicted or moved is what is in memory (§6.2).
+	resident []uint64
+	backing  Backing // told when a descriptor dies swapped out; nil without a swapping manager
+
 	// stats for the experiment harness
 	created   uint64
 	destroyed uint64
@@ -112,6 +120,43 @@ func NewTable(memSize uint32) *Table {
 		descs: make([]Descriptor, 1, 1024),
 	}
 	return t
+}
+
+// Backing is the swapping manager's store as the table sees it: the owner
+// of the image a swapped-out descriptor's SwapToken names.
+type Backing interface {
+	// Release discards the image held for the object at idx, which was
+	// destroyed while swapped out under token.
+	Release(idx Index, token uint64)
+	// Token reports the token of the image held for idx (0: none) and
+	// Images how many are held in all; the auditor reads both.
+	Token(idx Index) uint64
+	Images() int
+}
+
+// SetBacking installs the store that destruction releases images to.
+func (t *Table) SetBacking(b Backing) { t.backing = b }
+
+// Backing returns the installed store, or nil.
+func (t *Table) Backing() Backing { return t.backing }
+
+// Resident reports idx's bit of the resident set.
+func (t *Table) Resident(idx Index) bool {
+	return int(idx/64) < len(t.resident) && t.resident[idx/64]>>(idx%64)&1 != 0
+}
+
+// NextResident returns the lowest index above after whose segments are in
+// memory, or NilIndex when there is none: a table-order walk of the
+// resident set.
+func (t *Table) NextResident(after Index) Index {
+	i := uint(after) + 1
+	for w := i / 64; w < uint(len(t.resident)); w++ {
+		if word := t.resident[w] >> (i % 64); word != 0 {
+			return Index(i + uint(bits.TrailingZeros64(word)))
+		}
+		i = (w + 1) * 64
+	}
+	return NilIndex
 }
 
 // Memory exposes the underlying physical store to trusted subsystems (the
@@ -207,7 +252,7 @@ func (t *Table) whyNot(a AD, want Rights) *Fault {
 	if !a.Rights.Has(want) {
 		return Faultf(FaultRights, a, "need %s", want)
 	}
-	return Faultf(FaultSegmentMoved, a, "swapped out (token %d)", d.SwapToken)
+	return &Fault{Code: FaultSegmentMoved, AD: a, Token: d.SwapToken}
 }
 
 // CreateSpec describes an object to create.
@@ -239,7 +284,7 @@ func (t *Table) Create(spec CreateSpec) (AD, *Fault) {
 	if spec.DataLen > 0 {
 		data, err = t.mem.Alloc(spec.DataLen)
 		if err != nil {
-			return NilAD, Faultf(FaultNoMemory, NilAD, "data part: %v", err)
+			return NilAD, &Fault{Code: FaultNoMemory, Detail: noMemoryForData}
 		}
 	}
 	if spec.AccessSlots > 0 {
@@ -248,7 +293,7 @@ func (t *Table) Create(spec CreateSpec) (AD, *Fault) {
 			if spec.DataLen > 0 {
 				_ = t.mem.Free(data)
 			}
-			return NilAD, Faultf(FaultNoMemory, NilAD, "access part: %v", err)
+			return NilAD, &Fault{Code: FaultNoMemory, Detail: noMemoryForAccess}
 		}
 	}
 
@@ -259,6 +304,9 @@ func (t *Table) Create(spec CreateSpec) (AD, *Fault) {
 	} else {
 		t.descs = append(t.descs, Descriptor{})
 		idx = Index(len(t.descs) - 1)
+		if int(idx/64) == len(t.resident) {
+			t.resident = append(t.resident, 0)
+		}
 	}
 	d := &t.descs[idx]
 	gen := d.Gen + 1 // bump on reuse so stale ADs dangle detectably
@@ -279,6 +327,7 @@ func (t *Table) Create(spec CreateSpec) (AD, *Fault) {
 		Color:  Gray,
 		Pinned: spec.Pinned,
 	}
+	t.resident[idx/64] |= 1 << (idx % 64)
 	t.live++
 	t.created++
 	if l := t.tr; l != nil {
@@ -332,9 +381,12 @@ func (t *Table) destroyDesc(idx Index, d *Descriptor) *Fault {
 				return Faultf(FaultOddity, AD{Index: idx}, "freeing access part: %v", err)
 			}
 		}
+	} else if t.backing != nil {
+		t.backing.Release(idx, d.SwapToken)
 	}
 	d.Valid = false
 	d.SwappedOut = false
+	t.resident[idx/64] &^= 1 << (idx % 64)
 	t.free = append(t.free, idx)
 	t.live--
 	t.destroyed++
