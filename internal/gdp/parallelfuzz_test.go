@@ -31,9 +31,17 @@ import (
 	"repro/internal/trace"
 )
 
+// callSeedBase is the first seed whose mix also gets a caller: a process
+// that makes VM domain calls in a loop. The shapes below make none, and
+// their seeds stay what the serial witness pinned.
+const callSeedBase = 920_000_000
+
 // buildFuzzSystem constructs a system plus a seed-determined workload mix:
 // pure compute loops, port spammers and drainers on a shared port, and a
-// spread of time slices (preemption traffic) across 2..4 processors.
+// spread of time slices (preemption traffic) across 2..4 processors; from
+// callSeedBase on, one process more that calls and returns (a PushContext
+// and a PopContext on the bound process per iteration: every instruction
+// after either must execute in the context the process object then names).
 // Identical seeds produce identical construction sequences, so builds at
 // different corners are twins. lcfg configures the audit ledger behind the
 // tracer — the overload-determinism test cuts small segments to keep the
@@ -148,7 +156,60 @@ func buildFuzzSystem(t *testing.T, seed int64, c fuzzCorner, lcfg ledger.Config)
 			t.Fatal(f)
 		}
 	}
+	if seed >= callSeedBase {
+		spawnFuzzCaller(t, s, rng, shared)
+	}
 	return s
+}
+
+// spawnFuzzCaller adds the caller of seeds from callSeedBase on: a loop of
+// domain calls into a VM callee that computes on its arguments, reads the
+// caller's result object and returns, with an offer at the shared port
+// between calls, under a time slice short enough to preempt it inside the
+// callee.
+func spawnFuzzCaller(t *testing.T, s *gdp.System, rng *rand.Rand, shared obj.AD) {
+	t.Helper()
+	domainOf := func(prog []isa.Instr) obj.AD {
+		code, f := s.Domains.CreateCode(s.Heap, prog)
+		if f != nil {
+			t.Fatal(f)
+		}
+		d, f := s.Domains.Create(s.Heap, code, []uint32{0})
+		if f != nil {
+			t.Fatal(f)
+		}
+		return d
+	}
+	result, f := s.SROs.Create(s.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
+	if f != nil {
+		t.Fatal(f)
+	}
+	callee := domainOf([]isa.Instr{
+		isa.MovI(4, 25),
+		isa.AddI(0, 0, 3), // loop head; r0 goes back to the caller
+		isa.Load(5, 0, 4), // the caller's a0, copied across
+		isa.Add(0, 0, 5),
+		isa.AddI(4, 4, ^uint32(0)),
+		isa.BrNZ(4, 1),
+		isa.Ret(),
+	})
+	caller := domainOf([]isa.Instr{
+		isa.MovI(1, uint32(40+rng.Intn(120))),
+		isa.Call(2, 0), // loop head
+		isa.Store(0, 0, 4),
+		isa.CSend(0, 1, 7), // offer result; full port drops it
+		isa.AddI(1, 1, ^uint32(0)),
+		isa.BrNZ(1, 1),
+		isa.Store(0, 0, 0),
+		isa.Halt(),
+	})
+	if _, f := s.Spawn(caller, gdp.SpawnSpec{
+		Priority:  uint16(rng.Intn(4)),
+		TimeSlice: []uint32{0, 700, 1_500}[rng.Intn(3)],
+		AArgs:     [4]obj.AD{result, shared, callee},
+	}); f != nil {
+		t.Fatal(f)
+	}
 }
 
 // runFuzz drives the system through a mixed cadence of short steps (to
@@ -172,8 +233,10 @@ func fuzzFingerprint(t *testing.T, s *gdp.System) string {
 		fmt.Fprintf(&b, "cpu%d clock=%d idle=%d disp=%d instr=%d\n",
 			cpu.ID, cpu.Clock.Now(), cpu.IdleCycles, cpu.Dispatches, cpu.Instructions)
 	}
+	st := s.Stats()
+	st.Primes = 0 // the one count the corners differ in by design: nocache never binds
 	fmt.Fprintf(&b, "stats=%+v live=%d now=%d total=%d\n",
-		s.Stats(), s.Table.Live(), s.Now(), s.TotalCycles())
+		st, s.Table.Live(), s.Now(), s.TotalCycles())
 	for _, v := range audit.New(s).CheckAll() {
 		fmt.Fprintf(&b, "violation: %s %v %s\n", v.Subsystem, v.Obj, v.Msg)
 	}

@@ -149,6 +149,7 @@ type System struct {
 	preemptions  uint64
 	faultsSent   uint64
 	instructions uint64
+	primes       uint64
 }
 
 type bodyReg struct {
@@ -448,6 +449,9 @@ type Stats struct {
 	Preemptions  uint64
 	FaultsSent   uint64
 	Instructions uint64
+	// Primes counts derivations of an execution-cache binding
+	// (primeExecCache); the nocache corner never binds and reads 0.
+	Primes uint64
 }
 
 // Stats returns the current counters.
@@ -457,6 +461,7 @@ func (s *System) Stats() Stats {
 		Preemptions:  s.preemptions,
 		FaultsSent:   s.faultsSent,
 		Instructions: s.instructions,
+		Primes:       s.primes,
 	}
 }
 

@@ -209,6 +209,7 @@ func (s *System) primeExecCache(cpu *CPU) *execCache {
 	if s.xcOff || !cpu.proc.Valid() {
 		return nil
 	}
+	s.primes++
 	gen := s.Table.CacheGen()
 	proc := cpu.proc
 	// The slow prologue reaches the context via Context(proc) =

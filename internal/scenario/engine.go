@@ -103,6 +103,25 @@ func (a *agenda) push(at vtime.Cycles, sid int32) {
 	a.lastScheduled = max(a.lastScheduled, at)
 }
 
+// next reports the earliest scheduled instant, and false when nothing is
+// scheduled.
+func (a *agenda) next() (vtime.Cycles, bool) {
+	if len(a.events) == 0 {
+		return 0, false
+	}
+	return a.events[0].at, true
+}
+
+// due reports whether a request is scheduled at or before now.
+func (a *agenda) due(now vtime.Cycles) bool {
+	at, ok := a.next()
+	return ok && at <= now
+}
+
+// pop removes and returns the earliest request, in (at, seq) order; the
+// agenda must not be empty.
+func (a *agenda) pop() event { return a.events.pop() }
+
 // anchorSlots is the access-slot count of the anchor blocks that chain
 // every session object (and the class domains) to the system directory:
 // slot 0 links to the next block. Anchoring makes the whole session
@@ -358,13 +377,13 @@ func (e *Engine) Run() (*Result, error) {
 	e.ran = true
 	for {
 		now := e.IM.Now()
-		for len(e.events) > 0 && e.events[0].at <= now {
-			ev := e.events.pop()
+		for e.due(now) {
+			ev := e.pop()
 			e.issue(ev.sid, ev.at)
 		}
 		e.flush()
 		deadline := e.lastScheduled + e.Cfg.DrainBudget
-		if len(e.events) == 0 && e.totCompleted+e.totCensored == e.totIssued {
+		if _, more := e.next(); !more && e.totCompleted+e.totCensored == e.totIssued {
 			break
 		}
 		if now >= deadline {
@@ -383,8 +402,8 @@ func (e *Engine) Run() (*Result, error) {
 			// way gdp.Run advances to the next timer — here the next
 			// arrival, timer, compaction pass or the deadline.
 			t := deadline
-			if len(e.events) > 0 && e.events[0].at < t {
-				t = e.events[0].at
+			if at, ok := e.next(); ok {
+				t = min(t, at)
 			}
 			t = e.wake(t)
 			if e.Cfg.CompactEvery > 0 && e.IM.Swapper != nil {

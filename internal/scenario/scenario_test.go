@@ -281,23 +281,112 @@ func TestRequestPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestEventHeapOrder: the agenda pops by instant, then by push order,
-// whatever order the pushes came in.
-func TestEventHeapOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var a agenda
-	for i := 0; i < 2_000; i++ {
-		a.push(vtime.Cycles(rng.Intn(50)), int32(i))
-		if rng.Intn(3) == 0 {
-			a.events.pop()
+// TestAgendaOrder: whatever mix of pushes and pops the agenda sees — instants
+// arriving in order (the arrival schedule), out of order (think gaps pushed
+// between pops), many at one instant — every pop is the least outstanding
+// event by (instant, push order), next and due agree with it, and the drain
+// at the end is a sort of what was left.
+func TestAgendaOrder(t *testing.T) {
+	mixes := []struct {
+		name string
+		at   func(rng *rand.Rand, last vtime.Cycles) vtime.Cycles
+		pops int // one pop per pops pushes while filling; 0: none
+	}{
+		{"in-order", func(rng *rand.Rand, last vtime.Cycles) vtime.Cycles { return last + vtime.Cycles(rng.Intn(40)) }, 0},
+		{"in-order-popped", func(rng *rand.Rand, last vtime.Cycles) vtime.Cycles { return last + vtime.Cycles(rng.Intn(40)) }, 2},
+		{"out-of-order", func(rng *rand.Rand, _ vtime.Cycles) vtime.Cycles { return vtime.Cycles(rng.Intn(5_000)) }, 3},
+		{"equal-instants", func(rng *rand.Rand, _ vtime.Cycles) vtime.Cycles { return vtime.Cycles(rng.Intn(4)) }, 3},
+		{"mostly-in-order", func(rng *rand.Rand, last vtime.Cycles) vtime.Cycles {
+			if rng.Intn(5) == 0 {
+				return vtime.Cycles(rng.Int63n(int64(last) + 1))
+			}
+			return last + vtime.Cycles(rng.Intn(3))
+		}, 2},
+	}
+	for _, mix := range mixes {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			var a agenda
+			var model []event // outstanding, in push order
+			popOne := func() {
+				t.Helper()
+				least := 0
+				for i, ev := range model {
+					if ev.at < model[least].at { // push order breaks ties: the first of equals stays
+						least = i
+					}
+				}
+				want := model[least]
+				model = append(model[:least], model[least+1:]...)
+				if at, ok := a.next(); !ok || at != want.at {
+					t.Fatalf("%s/%d: next() = (%d, %v), want (%d, true)", mix.name, seed, at, ok, want.at)
+				}
+				if !a.due(want.at) || want.at > 0 && a.due(want.at-1) {
+					t.Fatalf("%s/%d: due disagrees with next at instant %d", mix.name, seed, want.at)
+				}
+				if got := a.pop(); got != want {
+					t.Fatalf("%s/%d: popped (%d, %d, sid %d), want (%d, %d, sid %d)",
+						mix.name, seed, got.at, got.seq, got.sid, want.at, want.seq, want.sid)
+				}
+			}
+			var last, latest vtime.Cycles
+			for i := 0; i < 1_500; i++ {
+				last = mix.at(rng, last)
+				latest = max(latest, last)
+				model = append(model, event{at: last, seq: uint64(i), sid: int32(i)})
+				a.push(last, int32(i))
+				if mix.pops > 0 && rng.Intn(mix.pops) == 0 && len(model) > 0 {
+					popOne()
+				}
+			}
+			if a.lastScheduled != latest {
+				t.Fatalf("%s/%d: lastScheduled = %d, want %d", mix.name, seed, a.lastScheduled, latest)
+			}
+			for len(model) > 0 {
+				popOne()
+			}
+			if _, ok := a.next(); ok || a.due(^vtime.Cycles(0)) {
+				t.Fatalf("%s/%d: agenda not empty after the drain", mix.name, seed)
+			}
 		}
 	}
-	prev := a.events.pop()
-	for len(a.events) > 0 {
-		ev := a.events.pop()
-		if ev.at < prev.at || ev.at == prev.at && ev.seq < prev.seq {
-			t.Fatalf("popped (%d, %d) after (%d, %d)", ev.at, ev.seq, prev.at, prev.seq)
-		}
-		prev = ev
+}
+
+// TestPrimesPerDispatch logs how often a processor derives its
+// execution-cache binding (gdp.Stats.Primes) against how often one binds a
+// process, on the baseline preset and on two sharded nodes. Both counts are
+// pure functions of the configuration. The sharded preset runs at the
+// benchmark's arrival gap: at its own, ten times shorter, the nodes are
+// saturated, no server ever parks, and every prime is one a context switch
+// owes.
+func TestPrimesPerDispatch(t *testing.T) {
+	const sessions = 5_000
+	cfg, err := Preset("baseline", sessions, 42)
+	if err != nil {
+		t.Fatal(err)
 	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.IM.Stats()
+	t.Logf("baseline: %d primes, %d dispatches, %d requests: %.2f primes per dispatch, %.2f per request",
+		st.Primes, st.Dispatches, res.Completed,
+		float64(st.Primes)/float64(st.Dispatches), float64(st.Primes)/float64(res.Completed))
+
+	scfg := ShardPreset(2, sessions, 42)
+	scfg.MeanGap = 600
+	se, sres := runShard(t, scfg)
+	var primes, dispatches uint64
+	for _, sn := range se.nodes {
+		st := sn.IM.Stats()
+		primes, dispatches = primes+st.Primes, dispatches+st.Dispatches
+	}
+	t.Logf("shard-2n: %d primes, %d dispatches, %d requests: %.2f primes per dispatch, %.2f per request",
+		primes, dispatches, sres.Completed,
+		float64(primes)/float64(dispatches), float64(primes)/float64(sres.Completed))
 }

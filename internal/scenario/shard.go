@@ -380,15 +380,15 @@ func (e *ShardEngine) Run() (*ShardResult, error) {
 	}
 	e.ran = true
 	for {
-		for len(e.events) > 0 && e.events[0].at <= e.now {
-			ev := e.events.pop()
+		for e.due(e.now) {
+			ev := e.pop()
 			if err := e.issue(ev.sid, ev.at); err != nil {
 				return nil, err
 			}
 		}
 		inFlight := e.totIssued - e.totCompleted - e.totCensored
 		deadline := e.lastScheduled + e.Cfg.DrainBudget
-		if len(e.events) == 0 && inFlight == 0 {
+		if _, more := e.next(); !more && inFlight == 0 {
 			break
 		}
 		if e.now >= deadline {
@@ -423,8 +423,8 @@ func (e *ShardEngine) Run() (*ShardResult, error) {
 			// Cluster-wide idle with nothing in flight: skip to the
 			// next obligation (arrival, policy timer, deadline).
 			t := deadline
-			if len(e.events) > 0 && e.events[0].at < t {
-				t = e.events[0].at
+			if at, ok := e.next(); ok {
+				t = min(t, at)
 			}
 			for _, sn := range e.nodes {
 				t = sn.wake(t)
