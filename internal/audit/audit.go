@@ -493,13 +493,13 @@ func (a *Auditor) CheckScheduler() []Violation {
 }
 
 // CheckExecCache validates the interpreter's per-CPU execution caches
-// against the object table: every current-generation cache must pin the
-// bound process's actual current context, windows that are the table's own
-// view of the context's extents, a predecoded table equal to a fresh
-// predecode of the domain's program, and operand views that are still what
-// their ADs resolve to. A violation here means some aliasing operation
-// failed to bump the table's cache generation — the stale-cache bug class
-// the generation discipline exists to make impossible.
+// against the object table: every current-generation cache, bound just now
+// or not, must pin its process's actual current context, windows that are
+// the table's own view of the context's extents, a predecoded table equal
+// to a fresh predecode of the domain's program, and operand views that are
+// still what their ADs resolve to. A violation here means some aliasing
+// operation failed to bump the table's cache generation — the stale-cache
+// bug class the generation discipline exists to make impossible.
 func (a *Auditor) CheckExecCache() []Violation {
 	if a.Sys == nil {
 		return nil

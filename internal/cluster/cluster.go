@@ -24,7 +24,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/audit"
 	"repro/internal/core"
@@ -66,7 +65,6 @@ const (
 )
 
 type graphRec struct {
-	id        uint64
 	from, to  int
 	kind      Kind
 	objects   int
@@ -97,8 +95,11 @@ type Cluster struct {
 	// queues[from][to] is a FIFO of in-flight messages.
 	queues [][][]Msg
 
-	graphs    map[uint64]*graphRec
-	nextGraph uint64
+	// graphs is the transfer ledger, indexed by graph id: ids are handed
+	// out in shipping order from 1, and entry 0 is the id no graph has.
+	graphs []graphRec
+	// delivered is Deliver's result, reused by the next call.
+	delivered []Delivery
 
 	// Wire statistics.
 	Shipped           uint64
@@ -115,10 +116,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	nodeCfg := cfg.Node
 	nodeCfg.Filing = true
-	c := &Cluster{
-		graphs:    make(map[uint64]*graphRec),
-		nextGraph: 1,
-	}
+	c := &Cluster{graphs: make([]graphRec, 1)}
 	for i := 0; i < cfg.Nodes; i++ {
 		im, err := core.Boot(nodeCfg)
 		if err != nil {
@@ -156,9 +154,8 @@ func (c *Cluster) Ship(from, to int, root obj.AD, kind Kind, seq uint64) (uint64
 	if err := st.Delete(tok); err != nil {
 		return 0, err
 	}
-	id := c.nextGraph
-	c.nextGraph++
-	c.graphs[id] = &graphRec{id: id, from: from, to: to, kind: kind, objects: objects, state: flightWire}
+	id := uint64(len(c.graphs))
+	c.graphs = append(c.graphs, graphRec{from: from, to: to, kind: kind, objects: objects, state: flightWire})
 	c.queues[from][to] = append(c.queues[from][to], Msg{
 		Graph: id, From: from, To: to, Kind: kind, Seq: seq, Img: img, Objects: objects,
 	})
@@ -171,21 +168,17 @@ func (c *Cluster) Ship(from, to int, root obj.AD, kind Kind, seq uint64) (uint64
 // order (sender 0 first, FIFO within a sender), importing each image
 // into the receiver's volume. An image the volume refuses (wire damage)
 // closes its flight as failed; clean deliveries come back ready to
-// Materialize.
+// Materialize, in a slice that is the caller's until the next Deliver.
 func (c *Cluster) Deliver(to int) ([]Delivery, error) {
 	if to < 0 || to >= len(c.Nodes) {
 		return nil, fmt.Errorf("cluster: deliver to %d outside cluster of %d nodes", to, len(c.Nodes))
 	}
 	st := c.Nodes[to].IM.Files
-	var out []Delivery
+	out := c.delivered[:0]
 	for from := range c.Nodes {
 		q := c.queues[from][to]
-		if len(q) == 0 {
-			continue
-		}
-		c.queues[from][to] = nil
 		for _, m := range q {
-			rec := c.graphs[m.Graph]
+			rec := &c.graphs[m.Graph]
 			tok, err := st.Import(m.Img)
 			if err != nil {
 				rec.state = flightClosed
@@ -198,7 +191,10 @@ func (c *Cluster) Deliver(to int) ([]Delivery, error) {
 			c.DeliveredMsgs++
 			out = append(out, Delivery{Msg: m, Tok: tok})
 		}
+		clear(q) // the queue keeps its room, not the images
+		c.queues[from][to] = q[:0]
 	}
+	c.delivered = out
 	return out, nil
 }
 
@@ -209,10 +205,10 @@ func (c *Cluster) Deliver(to int) ([]Delivery, error) {
 // claim — all unwound by filing) leaves the graph owned by no one, and
 // the ledger records which.
 func (c *Cluster) Materialize(d Delivery) (obj.AD, []obj.AD, error) {
-	rec, ok := c.graphs[d.Graph]
-	if !ok || rec.state != flightStore {
+	if d.Graph >= uint64(len(c.graphs)) || c.graphs[d.Graph].state != flightStore {
 		return obj.NilAD, nil, fmt.Errorf("cluster: graph %d is not deliverable", d.Graph)
 	}
+	rec := &c.graphs[d.Graph]
 	im := c.Nodes[d.To].IM
 	root, created, err := im.Files.ActivateGraph(d.Tok, im.Heap)
 	_ = im.Files.Delete(d.Tok)
@@ -250,23 +246,19 @@ func (c *Cluster) ReclaimGraph(node int, created []obj.AD) error {
 // audit.CheckTransfers. It trusts the ledger for what was shipped and
 // the world for where everything is.
 func (c *Cluster) Snapshot() audit.TransferSnapshot {
-	wireCount := make(map[uint64]int)
+	wireCount := make([]int, len(c.graphs))
 	for from := range c.queues {
 		for to := range c.queues[from] {
 			for _, m := range c.queues[from][to] {
-				wireCount[m.Graph]++
+				if m.Graph < uint64(len(wireCount)) {
+					wireCount[m.Graph]++
+				}
 			}
 		}
 	}
-	ids := make([]uint64, 0, len(c.graphs))
-	for id := range c.graphs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
 	s := audit.TransferSnapshot{Nodes: len(c.Nodes)}
-	for _, id := range ids {
-		rec := c.graphs[id]
+	for id := 1; id < len(c.graphs); id++ {
+		rec := &c.graphs[id]
 		// Ground truth, not the ledger's claim: a token is "held" iff the
 		// receiver's volume actually still has it. Tokens are never
 		// reused, so a closed flight whose Delete misfired shows up here.
@@ -279,7 +271,7 @@ func (c *Cluster) Snapshot() audit.TransferSnapshot {
 			state = audit.FlightClosed
 		}
 		s.Flights = append(s.Flights, audit.GraphFlight{
-			ID: rec.id, From: rec.from, To: rec.to, State: state,
+			ID: uint64(id), From: rec.from, To: rec.to, State: state,
 			Objects: rec.objects, Activated: rec.activated, Failed: rec.failed,
 			WireCopies: wireCount[id], StoreHeld: held,
 		})

@@ -72,24 +72,12 @@ type Manager struct {
 	Table *obj.Table
 	SRO   *sro.Manager
 
-	// handlers maps native domain objects to their Go bodies. Keyed by
-	// table index and guarded by generation at lookup so a stale
-	// registration can never run for a recycled slot.
-	handlers map[obj.Index]nativeReg
-	// programs caches decoded code images, one per table slot, with the
-	// same generation guard: a recycled slot's entry is replaced, so the
-	// cache is bounded by the slots that ever held code at once.
-	programs map[obj.Index]decoded
-}
-
-type nativeReg struct {
-	gen     uint32
-	handler Handler
-}
-
-type decoded struct {
-	gen  uint32
-	prog []isa.Instr
+	// handlers holds the Go body of each native domain object and programs
+	// the decoded image of each code object: obj.Side's generation guard
+	// keeps a registration from running, and a decode from being fetched,
+	// for whatever takes a recycled slot.
+	handlers obj.Side[Handler]
+	programs obj.Side[[]isa.Instr]
 }
 
 // NewManager returns a domain manager.
@@ -97,8 +85,8 @@ func NewManager(t *obj.Table, s *sro.Manager) *Manager {
 	return &Manager{
 		Table:    t,
 		SRO:      s,
-		handlers: make(map[obj.Index]nativeReg),
-		programs: make(map[obj.Index]decoded),
+		handlers: obj.NewSide[Handler](t),
+		programs: obj.NewSide[[]isa.Instr](t),
 	}
 }
 
@@ -128,8 +116,8 @@ func (m *Manager) Program(code obj.AD) ([]isa.Instr, *obj.Fault) {
 	if f != nil {
 		return nil, f
 	}
-	if c, ok := m.programs[code.Index]; ok && c.gen == d.Gen {
-		return c.prog, nil
+	if prog, ok := m.programs.Get(code.Index); ok {
+		return prog, nil
 	}
 	img, f := m.Table.ReadBytes(code, 0, d.DataLen)
 	if f != nil {
@@ -139,7 +127,7 @@ func (m *Manager) Program(code obj.AD) ([]isa.Instr, *obj.Fault) {
 	if err != nil {
 		return nil, obj.Faultf(obj.FaultOddity, code, "%v", err)
 	}
-	m.programs[code.Index] = decoded{d.Gen, prog}
+	m.programs.Put(code.Index, prog)
 	return prog, nil
 }
 
@@ -172,8 +160,7 @@ func (m *Manager) CreateNative(heap obj.AD, entryCount int, h Handler) (obj.AD, 
 	if f != nil {
 		return obj.NilAD, f
 	}
-	d := m.Table.DescriptorAt(dom.Index)
-	m.handlers[dom.Index] = nativeReg{gen: d.Gen, handler: h}
+	m.handlers.Put(dom.Index, h)
 	return dom, nil
 }
 
@@ -218,15 +205,14 @@ func (m *Manager) IsNative(dom obj.AD) (bool, *obj.Fault) {
 
 // HandlerOf returns the native body of a domain.
 func (m *Manager) HandlerOf(dom obj.AD) (Handler, *obj.Fault) {
-	d, f := m.Table.RequireType(dom, obj.TypeDomain)
-	if f != nil {
+	if _, f := m.Table.RequireType(dom, obj.TypeDomain); f != nil {
 		return nil, f
 	}
-	reg, ok := m.handlers[dom.Index]
-	if !ok || reg.gen != d.Gen {
+	h, ok := m.handlers.Get(dom.Index)
+	if !ok {
 		return nil, obj.Faultf(obj.FaultOddity, dom, "native domain has no registered body")
 	}
-	return reg.handler, nil
+	return h, nil
 }
 
 // EntryIP reports the instruction index of entry point entry.

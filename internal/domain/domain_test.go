@@ -162,9 +162,10 @@ func TestProgramCacheInvalidatedByGeneration(t *testing.T) {
 	}
 }
 
-// TestProgramCacheBoundedBySlots: the decode cache is keyed by table slot,
-// so a thousand code objects created and destroyed through a reused slot
-// leave one entry for that slot, not a thousand.
+// TestProgramCacheBoundedBySlots: the decode cache is indexed by table slot
+// (obj.Side, bounded by the table by construction), so each of a thousand
+// code objects created and destroyed through a reused slot must be decoded
+// afresh, never served its predecessor's program.
 func TestProgramCacheBoundedBySlots(t *testing.T) {
 	fx := setup(t)
 	slots := make(map[obj.Index]bool)
@@ -187,8 +188,5 @@ func TestProgramCacheBoundedBySlots(t *testing.T) {
 	}
 	if len(slots) >= 1000 {
 		t.Fatalf("the table never reused a slot (%d distinct); the test is vacuous", len(slots))
-	}
-	if got := len(fx.m.programs); got > len(slots) {
-		t.Fatalf("decode cache holds %d programs for %d slots", got, len(slots))
 	}
 }

@@ -187,7 +187,7 @@ func (s *System) stepCPU(cpu *CPU, quantum vtime.Cycles) (bool, *obj.Fault) {
 	proc := cpu.proc
 	before := cpu.Clock.Now()
 	var f *obj.Fault
-	if body := s.nativeBodyOf(proc); body != nil {
+	if body, native := s.bodies.Get(proc.Index); native {
 		f = s.stepNative(cpu, body, quantum)
 	} else {
 		f = s.stepVM(cpu, quantum)

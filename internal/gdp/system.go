@@ -125,7 +125,7 @@ type System struct {
 	// the simulation.
 	Trace func(cpu int, proc obj.AD, in TraceEvent)
 
-	bodies       map[obj.Index]bodyReg
+	bodies       obj.Side[NativeBody] // the Go body of each native process
 	timers       []timer
 	fired        []timer // fireTimers' scratch, kept for its capacity
 	contention   vtime.Cycles
@@ -139,7 +139,7 @@ type System struct {
 
 	// xcodes holds the predecoded table of each code object the execution
 	// cache has run (xcache.go).
-	xcodes map[obj.Index]xcode
+	xcodes obj.Side[[]xop]
 
 	// inj is the installed fault injector, nil in production runs.
 	inj Injector
@@ -150,11 +150,6 @@ type System struct {
 	faultsSent   uint64
 	instructions uint64
 	primes       uint64
-}
-
-type bodyReg struct {
-	gen  uint32
-	body NativeBody
 }
 
 // Config sizes a new system.
@@ -242,8 +237,8 @@ func New(cfg Config) (*System, error) {
 		deadline:     cfg.DeadlineDispatch,
 		deadlineBase: deadlineBase,
 		xcOff:        cfg.NoExecCache,
-		xcodes:       make(map[obj.Index]xcode),
-		bodies:       make(map[obj.Index]bodyReg),
+		xcodes:       obj.NewSide[[]xop](tab),
+		bodies:       obj.NewSide[NativeBody](tab),
 	}
 	for i := 0; i < cfg.Processors; i++ {
 		cpu, err := s.addCPU(i)
@@ -357,8 +352,7 @@ func (s *System) SpawnNative(body NativeBody, spec SpawnSpec) (obj.AD, *obj.Faul
 	if f != nil {
 		return obj.NilAD, f
 	}
-	d := s.Table.DescriptorAt(p.Index)
-	s.bodies[p.Index] = bodyReg{gen: d.Gen, body: body}
+	s.bodies.Put(p.Index, body)
 	if f := s.MakeReady(p); f != nil {
 		return obj.NilAD, f
 	}
@@ -366,19 +360,6 @@ func (s *System) SpawnNative(body NativeBody, spec SpawnSpec) (obj.AD, *obj.Faul
 		l.Emit(trace.EvSpawn, uint32(p.Index), 1, 0)
 	}
 	return p, nil
-}
-
-// nativeBodyOf returns the registered body for a process, if any.
-func (s *System) nativeBodyOf(p obj.AD) NativeBody {
-	reg, ok := s.bodies[p.Index]
-	if !ok {
-		return nil
-	}
-	d := s.Table.DescriptorAt(p.Index)
-	if d == nil || d.Gen != reg.gen {
-		return nil
-	}
-	return reg.body
 }
 
 // MakeReady queues the process at its dispatching port with its priority

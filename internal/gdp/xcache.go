@@ -9,12 +9,16 @@ package gdp
 // between scheduling events and re-derives only when something could have
 // changed.
 //
-// Correctness rests on one rule: every operation that could alias cached
-// state bumps obj.Table's cache generation (destruction, swap-out/in,
-// compaction moves, AD stores into process or context objects — see
-// Table.CacheGen). execOneFast compares its generation snapshot on entry
-// and re-primes on any mismatch; nothing the run loop retires can bump the
-// generation, so the pinned windows stay exact for the whole call.
+// Correctness rests on one rule: every operation that could alias what the
+// cache pins bumps obj.Table's cache generation — destruction, swap-out/in,
+// compaction moves, a store into the context slot of a process (PushContext,
+// PopContext), a user-reachable store into a context — and nothing else
+// does (Table.CacheGen, moveAD): a process that parks and is woken through
+// its carry slot comes back to a live binding, and the prime that is left
+// is the one a dispatch of another process or a context switch owes.
+// execOneFast compares its generation snapshot on entry and re-primes on any
+// mismatch; nothing the run loop retires can bump the generation, so the
+// pinned windows stay exact for the whole call.
 // Data-part writes never bump the generation and never need to: the cached
 // windows are live views of physical memory (mem.Window), so ordinary data
 // traffic is coherent by aliasing.
@@ -76,14 +80,6 @@ const (
 	kStore // dword at imm of the object a-reg b names = r[a]
 )
 
-// xcode is the predecoded form of one code object, keyed in
-// System.xcodes by descriptor index and guarded by the descriptor
-// generation, so slot reuse can never revive a stale table.
-type xcode struct {
-	gen uint32
-	ops []xop
-}
-
 // predecode translates prog op for op (len(ops) == len(prog)). Register
 // fields are checked here, once; branch targets are not, because an IP at
 // or past the end is the next fetch's FaultBounds, not the branch's.
@@ -131,18 +127,6 @@ func predecode(prog []isa.Instr) []xop {
 	return ops
 }
 
-// xcodeFor returns the predecoded table of the code object prog was decoded
-// from, building or replacing it when absent or stale. Called from the
-// prime path only, so the map traffic never lands on the run loop.
-func (s *System) xcodeFor(code obj.AD, prog []isa.Instr) []xop {
-	xc, ok := s.xcodes[code.Index]
-	if !ok || xc.gen != code.Gen {
-		xc = xcode{gen: code.Gen, ops: predecode(prog)}
-		s.xcodes[code.Index] = xc
-	}
-	return xc.ops
-}
-
 // execCache is one processor's pinned execution state. It is valid only
 // while gen equals the table's cache generation and proc equals the CPU's
 // bound process; either mismatch sends the interpreter back to the prime.
@@ -155,7 +139,7 @@ type execCache struct {
 	dom  obj.AD // current domain (CtxSlotDomain at prime time)
 	code obj.AD // the domain's code object (prog was decoded from it)
 	prog []isa.Instr
-	ops  []xop // prog predecoded (xcodeFor); same length
+	ops  []xop // prog predecoded (System.xcodes); same length
 	// res memoises obj.Table.Fill per operand capability: way index mod
 	// resolveWays holds the view of the last AD that mapped there. The
 	// full AD is the key, and the view tests rights and bounds itself.
@@ -252,18 +236,17 @@ func (s *System) primeExecCache(cpu *CPU) *execCache {
 	if f != nil {
 		return nil
 	}
-	xc := &cpu.xc
-	*xc = execCache{
-		gen:  gen,
-		proc: proc,
-		ctx:  ctx,
-		win:  win,
-		awin: awin,
-		dom:  dom,
-		code: code,
-		prog: prog,
-		ops:  s.xcodeFor(code, prog),
+	ops, ok := s.xcodes.Get(code.Index)
+	if !ok { // predecoded once per code object, here and nowhere else
+		ops = predecode(prog)
+		s.xcodes.Put(code.Index, ops)
 	}
+	// Assigned in place: a fresh 900-byte literal is zeroed, then copied.
+	xc := &cpu.xc
+	xc.gen, xc.proc, xc.ctx = gen, proc, ctx
+	xc.win, xc.awin = win, awin
+	xc.dom, xc.code, xc.prog, xc.ops = dom, code, prog, ops
+	clear(xc.res[:]) // views filled under an older generation are dead
 	return xc
 }
 
@@ -456,10 +439,9 @@ func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.F
 	return spent, nil, true
 }
 
-// ExecCacheAudit describes one live execution-cache binding for the
-// invariant auditor (internal/audit). Only current-generation caches are
-// reported — a stale cache is not an invariant violation, just a pending
-// re-prime.
+// ExecCacheAudit describes one execution-cache binding for the invariant
+// auditor (internal/audit). Only current-generation caches are reported — a
+// stale cache is not an invariant violation, just a pending re-prime.
 type ExecCacheAudit struct {
 	CPU      int
 	Proc     obj.AD
@@ -467,14 +449,15 @@ type ExecCacheAudit struct {
 	Problems []string
 }
 
-// AuditExecCaches cross-checks every live execution-cache entry against
-// the object table: the cached context must still be the bound process's
-// current context, the cached windows must be the table's own view of the
-// context's extents, the program and its predecoded table must be what a
-// fresh derivation through the domain yields, and every operand view must
-// still be what resolving its AD yields. It returns one record per CPU
-// whose cache is live; records with non-empty Problems are invariant
-// violations.
+// AuditExecCaches cross-checks every current-generation execution cache
+// against the object table, bound just now or not: a process that comes back
+// to the processor it last ran on runs from the binding as it stands. The
+// cached context must still be that process's current context, the cached
+// windows the table's own view of the context's extents, the program and
+// its predecoded table what a fresh derivation through the domain yields,
+// and every operand view what resolving its AD yields. It returns one
+// record per CPU whose cache is current; records with non-empty Problems
+// are invariant violations.
 func (s *System) AuditExecCaches() []ExecCacheAudit {
 	var out []ExecCacheAudit
 	m := s.Table.Memory()
@@ -483,8 +466,8 @@ func (s *System) AuditExecCaches() []ExecCacheAudit {
 	}
 	for _, cpu := range s.CPUs {
 		xc := &cpu.xc
-		if !xc.live(s, cpu) || !xc.proc.Valid() {
-			continue // stale or unbound: re-primed before next use
+		if xc.gen != s.Table.CacheGen() || !xc.proc.Valid() {
+			continue // stale or never primed: re-primed before next use
 		}
 		rec := ExecCacheAudit{CPU: cpu.ID, Proc: xc.proc, Ctx: xc.ctx}
 		bad := func(format string, args ...any) {

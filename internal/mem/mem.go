@@ -185,17 +185,6 @@ func (m *Memory) check(e Extent, off, n uint32) error {
 	return nil
 }
 
-// ReadDWord reads a 32-bit value at offset off.
-func (m *Memory) ReadDWord(e Extent, off uint32) (uint32, error) {
-	if err := m.check(e, off, 4); err != nil {
-		return 0, err
-	}
-	b := e.Base + Addr(off)
-	d := m.data
-	return uint32(d[b]) | uint32(d[b+1])<<8 |
-		uint32(d[b+2])<<16 | uint32(d[b+3])<<24, nil
-}
-
 // ReadBytes copies n bytes starting at offset off into a fresh slice.
 func (m *Memory) ReadBytes(e Extent, off, n uint32) ([]byte, error) {
 	if err := m.check(e, off, n); err != nil {

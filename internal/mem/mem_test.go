@@ -131,29 +131,9 @@ func TestBoundsChecks(t *testing.T) {
 	if err := m.WriteBytes(e, 7, []byte{1, 0}); !errors.Is(err, ErrBadSegment) {
 		t.Errorf("WriteBytes straddling end: %v", err)
 	}
-	if _, err := m.ReadDWord(e, 5); !errors.Is(err, ErrBadSegment) {
-		t.Errorf("ReadDWord straddling end: %v", err)
-	}
 	// Offset overflow must not wrap.
 	if _, err := m.ReadBytes(e, ^uint32(0), 2); !errors.Is(err, ErrBadSegment) {
 		t.Errorf("overflowing offset: %v", err)
-	}
-}
-
-// TestWordRoundTrip: a dword is read little-endian, least significant
-// byte at the lowest offset.
-func TestWordRoundTrip(t *testing.T) {
-	m := New(64)
-	e, _ := m.Alloc(16)
-	if err := m.WriteBytes(e, 8, []byte{0xEF, 0xBE, 0xAD, 0xDE}); err != nil {
-		t.Fatal(err)
-	}
-	d, err := m.ReadDWord(e, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0xDEADBEEF {
-		t.Fatalf("ReadDWord = %#x", d)
 	}
 }
 

@@ -206,7 +206,8 @@ func (t *Table) storeAD(dst AD, slot uint32, src AD, user bool) *Fault {
 
 // moveAD is the AD-move microcode: it stores src into a slot of p, the
 // access part of dst's object. user selects the user-reachable store (level
-// check, context stores invalidate caches) over the microcode-internal one.
+// check, context stores invalidate caches) over the microcode-internal one;
+// a store into a process's context slot invalidates either way.
 func (t *Table) moveAD(dst AD, p *accessPart, slot uint32, src AD, user bool) *Fault {
 	b, ok := p.slot(slot)
 	if !ok {
@@ -237,16 +238,16 @@ func (t *Table) moveAD(dst AD, p *accessPart, slot uint32, src AD, user bool) *F
 		sd.Finalized = false
 	}
 	binary.LittleEndian.PutUint64(b, src.Encode())
-	if p.typ == TypeProcess || user && p.typ == TypeContext {
-		// The store can redirect execution structure the interpreter's
-		// execution cache pins: system stores into a process switch
-		// contexts (PushContext, PopContext) and load the carry slot, and
-		// a user-reachable store can also rewrite a context's domain slot.
-		// System stores into a context are the access registers (SetAReg),
-		// which the cache reads through the checked path — no bump, or
-		// every AD-handling instruction would thrash the cache: its loads
-		// and stores re-read their a-reg from the live access window on
-		// every execution, so a SetAReg is observed without invalidation.
+	if p.typ == TypeProcess && slot == ProcessSlotContext || user && p.typ == TypeContext {
+		// The store redirects execution structure the execution cache pins:
+		// PushContext and PopContext switch the context slot of a process,
+		// and a user-reachable store can rewrite a context's domain slot.
+		// No cache holds any other slot of a process (ports, tree links,
+		// the carry slot a wake-up loads: the resume word in the context
+		// announces that one), and system stores into a context are the
+		// access registers, re-read through the live window on every
+		// execution — a bump for either would kill every processor's
+		// binding on every message.
 		t.xgen++
 	}
 	t.adStores++

@@ -1,6 +1,8 @@
 package obj
 
 import (
+	"encoding/binary"
+
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
@@ -77,16 +79,13 @@ func (t *Table) Referents(idx Index, fn func(AD)) *Fault {
 	if d.SwappedOut {
 		return Faultf(FaultSegmentMoved, AD{Index: idx}, "cannot scan swapped object")
 	}
-	for slot := uint32(0); slot < d.AccessSlots; slot++ {
-		lo, err := t.mem.ReadDWord(d.Access, slot*ADSlotSize)
-		if err != nil {
-			return Faultf(FaultOddity, AD{Index: idx}, "%v", err)
+	p := t.accessOf(d)
+	for i := uint32(0); i < p.slots; i++ {
+		b, ok := p.slot(i)
+		if !ok {
+			return Faultf(FaultOddity, AD{Index: idx}, "access part shorter than its %d slots", p.slots)
 		}
-		hi, err := t.mem.ReadDWord(d.Access, slot*ADSlotSize+4)
-		if err != nil {
-			return Faultf(FaultOddity, AD{Index: idx}, "%v", err)
-		}
-		if a := DecodeAD(uint64(lo) | uint64(hi)<<32); a.Valid() {
+		if a := DecodeAD(binary.LittleEndian.Uint64(b)); a.Valid() {
 			// Skip dangling entries (object since destroyed):
 			// they carry no reachability.
 			if _, f := t.Resolve(a); f == nil {

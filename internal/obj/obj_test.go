@@ -500,3 +500,54 @@ func TestResidentSet(t *testing.T) {
 	}
 	check("after destroying a swapped-out object")
 }
+
+// TestSideGenerationGuard: a side-table entry answers for the object it was
+// put under and for nothing else — not for an empty slot, not after the
+// object dies, not for the next object in the slot until that one has an
+// entry of its own — and the table is no longer than the slots it covers.
+func TestSideGenerationGuard(t *testing.T) {
+	tab := newTestTable(t)
+	side := NewSide[int](tab)
+	if _, ok := side.Get(NilIndex); ok {
+		t.Error("the nil index has an entry")
+	}
+	var ads []AD
+	for i := 0; i < 100; i++ {
+		ads = append(ads, mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 4}))
+	}
+	if _, ok := side.Get(ads[99].Index); ok {
+		t.Error("an entry before any Put")
+	}
+	side.Put(ads[70].Index, 70) // grows past every lower index
+	side.Put(ads[3].Index, 3)
+	for i, a := range ads {
+		v, ok := side.Get(a.Index)
+		if want := i == 70 || i == 3; ok != want || ok && v != i {
+			t.Errorf("object %d: Get = (%d, %v)", i, v, ok)
+		}
+	}
+	if len(side.entries) > tab.Len() {
+		t.Errorf("%d entries for a table of %d slots", len(side.entries), tab.Len())
+	}
+	if f := tab.DestroyIndex(ads[70].Index); f != nil {
+		t.Fatal(f)
+	}
+	if _, ok := side.Get(ads[70].Index); ok {
+		t.Error("a destroyed object still has its entry")
+	}
+	side.Put(ads[70].Index, -1) // nothing lives there: recorded for no one
+	next := mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 4})
+	if next.Index != ads[70].Index {
+		t.Fatalf("slot %d was not reused (got %d); the test is vacuous", ads[70].Index, next.Index)
+	}
+	if v, ok := side.Get(next.Index); ok {
+		t.Errorf("the slot's next object reads its predecessor's entry %d", v)
+	}
+	side.Put(next.Index, 71)
+	if v, ok := side.Get(next.Index); !ok || v != 71 {
+		t.Errorf("after Put: Get = (%d, %v)", v, ok)
+	}
+	if _, ok := side.Get(Index(tab.Len() + 5)); ok {
+		t.Error("an index past the table has an entry")
+	}
+}

@@ -106,9 +106,10 @@ type Table struct {
 	// xgen is the cache-invalidation generation consumed by the
 	// interpreter's execution cache (internal/gdp). Every operation that
 	// could alias cached descriptor state — destruction (including SRO and
-	// level reclaim), swap-out/in, extent moves during compaction, AD
-	// stores into process or context objects — bumps it; a cached entry
-	// whose snapshot differs is dead.
+	// level reclaim), swap-out/in, extent moves during compaction, an AD
+	// store into the context slot of a process, a user-reachable AD store
+	// into a context — bumps it; a cached entry whose snapshot differs is
+	// dead. moveAD says why no other slot of a process is on the list.
 	xgen uint64
 }
 
@@ -196,12 +197,12 @@ func (t *Table) Tracer() *trace.Log { return t.tr }
 // instructions over pinned mem.Window views with the instruction pointer
 // deferred to the end of the run. Those runs are safe against exactly the
 // hazards this generation covers — destroy, swap-out/in, compaction moves,
-// AD stores into process/context objects — because a run starts only from
-// a cache whose generation was just checked, and nothing it retires can
-// bump the generation. Any new table mutation that can invalidate a
-// derived window or decoded program MUST bump xgen (directly or via
-// InvalidateCaches), or the run loop will keep executing a world that no
-// longer exists.
+// AD stores into a process's context slot or (user-reachable) a context —
+// because a run starts only from a cache whose generation was just checked,
+// and nothing it retires can bump the generation. Any new table mutation
+// that can invalidate a derived window or decoded program MUST bump xgen
+// (directly or via InvalidateCaches), or the run loop will keep executing a
+// world that no longer exists.
 func (t *Table) CacheGen() uint64 { return t.xgen }
 
 // InvalidateCaches bumps the cache-invalidation generation. Table-internal

@@ -49,6 +49,11 @@ var typeNames = [...]string{
 	TypeInstruction: "instruction",
 }
 
+// ProcessSlotContext is the access slot of a process object that names its
+// current context: the one slot the processor itself follows, so a store
+// into it is a context switch to moveAD. internal/process lays out the rest.
+const ProcessSlotContext = 0
+
 func (t Type) String() string {
 	if int(t) < len(typeNames) {
 		return typeNames[t]

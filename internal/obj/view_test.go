@@ -156,31 +156,50 @@ func TestViewResolve(t *testing.T) {
 	}
 }
 
-// TestADStoreInvalidatesCaches pins which AD stores bump the cache
-// generation: user-reachable stores into a process or a context, system
-// stores into a process only (a system store into a context is SetAReg,
-// which must not thrash the execution cache), and nothing else.
+// TestADStoreInvalidatesCaches is the table of the one invalidation rule of
+// the AD-move microcode: a store bumps the cache generation when it writes
+// the context slot of a process (either path: PushContext and PopContext are
+// system stores) or, on the user-reachable path only, any slot of a context
+// (a system store into a context is SetAReg, which must not thrash the
+// execution cache). Every other slot of a process — ports, tree links, the
+// carry slot a wake-up loads — and every other type bumps on neither path.
 func TestADStoreInvalidatesCaches(t *testing.T) {
 	tab := newTestTable(t)
 	leaf := mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 4})
-	for _, c := range []struct {
-		typ          Type
-		user, system uint64
-	}{{TypeProcess, 1, 1}, {TypeContext, 1, 0}, {TypeGeneric, 0, 0}, {TypePort, 0, 0}} {
-		dst := mustCreate(t, tab, CreateSpec{Type: c.typ, AccessSlots: 1})
-		gen := tab.CacheGen()
-		if f := tab.StoreAD(dst, 0, leaf); f != nil {
-			t.Fatal(f)
+	const slots = 8
+	for _, typ := range []Type{TypeProcess, TypeContext, TypeGeneric, TypePort, TypeDomain, TypeProcessor} {
+		dst := mustCreate(t, tab, CreateSpec{Type: typ, AccessSlots: slots})
+		for slot := uint32(0); slot < slots; slot++ {
+			for _, src := range []AD{leaf, NilAD} { // a clear counts as a store
+				wantSystem := typ == TypeProcess && slot == ProcessSlotContext
+				wantUser := wantSystem || typ == TypeContext
+				gen := tab.CacheGen()
+				if f := tab.StoreAD(dst, slot, src); f != nil {
+					t.Fatal(f)
+				}
+				if got := tab.CacheGen() != gen; got != wantUser {
+					t.Errorf("StoreAD(%v) into slot %d of a %s: bumped = %v, want %v", src, slot, typ, got, wantUser)
+				}
+				gen = tab.CacheGen()
+				if f := tab.StoreADSystem(dst, slot, src); f != nil {
+					t.Fatal(f)
+				}
+				if got := tab.CacheGen() != gen; got != wantSystem {
+					t.Errorf("StoreADSystem(%v) into slot %d of a %s: bumped = %v, want %v", src, slot, typ, got, wantSystem)
+				}
+			}
 		}
-		if got := tab.CacheGen() - gen; got != c.user {
-			t.Errorf("StoreAD into a %s bumped the cache generation by %d, want %d", c.typ, got, c.user)
-		}
-		gen = tab.CacheGen()
-		if f := tab.StoreADSystem(dst, 0, leaf); f != nil {
-			t.Fatal(f)
-		}
-		if got := tab.CacheGen() - gen; got != c.system {
-			t.Errorf("StoreADSystem into a %s bumped the cache generation by %d, want %d", c.typ, got, c.system)
-		}
+	}
+	// A refused store moved nothing and bumps nothing.
+	proc := mustCreate(t, tab, CreateSpec{Type: TypeProcess, AccessSlots: slots})
+	gen := tab.CacheGen()
+	if f := tab.StoreADSystem(proc.Restrict(RightWrite), ProcessSlotContext, leaf); !IsFault(f, FaultRights) {
+		t.Fatalf("store through a read-only capability: %v", f)
+	}
+	if f := tab.StoreADSystem(proc, slots, leaf); !IsFault(f, FaultBounds) {
+		t.Fatalf("store past the access part: %v", f)
+	}
+	if tab.CacheGen() != gen {
+		t.Error("a refused store bumped the cache generation")
 	}
 }

@@ -72,8 +72,8 @@ const (
 
 // Process access-part slots.
 const (
-	// SlotContext is the current (top) context.
-	SlotContext = 0
+	// SlotContext is the current (top) context; the processor follows it.
+	SlotContext = obj.ProcessSlotContext
 	// SlotFaultPort receives the process when it faults.
 	SlotFaultPort = 1
 	// SlotDispatchPort is where the process queues when ready.

@@ -40,24 +40,25 @@ type event struct {
 	sid int32
 }
 
-// eventHeap is a binary min-heap of events by instant, then push order. It
-// is typed, not the standard library's heap, because that interface boxes
-// every event it pushes and pops: two host allocations per request.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the agenda's order: by instant, then by push order.
+func (ev event) before(o event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return ev.seq < o.seq
 }
+
+// eventHeap is a binary min-heap of events in that order. It is typed, not
+// the standard library's heap, because that interface boxes every event it
+// pushes and pops: two host allocations per request.
+type eventHeap []event
 
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)
 	q := *h
 	for i := len(q) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !q[i].before(q[parent]) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -75,7 +76,7 @@ func (h *eventHeap) pop() event {
 	for i := 0; ; {
 		least := i
 		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
-			if q.less(c, least) {
+			if q[c].before(q[least]) {
 				least = c
 			}
 		}
@@ -89,8 +90,14 @@ func (h *eventHeap) pop() event {
 
 // agenda is an engine's schedule of request instants, ordered by instant
 // and then by push order, plus the latest instant ever scheduled — the
-// drain deadline runs from there.
+// drain deadline runs from there. An event no earlier than the last one in
+// the lane is appended to it, so lane[head:] is sorted (push order only
+// grows) and the arrival schedule, drawn in order, never pays for the heap;
+// only an event that comes early does. pop takes the lesser of the two
+// heads, the least event outstanding: the order is the heap's own.
 type agenda struct {
+	lane          []event
+	head          int
 	events        eventHeap
 	seq           uint64
 	lastScheduled vtime.Cycles
@@ -98,18 +105,30 @@ type agenda struct {
 
 // push schedules session sid's next request at instant at.
 func (a *agenda) push(at vtime.Cycles, sid int32) {
-	a.events.push(event{at: at, seq: a.seq, sid: sid})
+	ev := event{at: at, seq: a.seq, sid: sid}
 	a.seq++
 	a.lastScheduled = max(a.lastScheduled, at)
+	if n := len(a.lane); n == 0 || at >= a.lane[n-1].at {
+		a.lane = append(a.lane, ev)
+	} else {
+		a.events.push(ev)
+	}
 }
 
-// next reports the earliest scheduled instant, and false when nothing is
-// scheduled.
+// laneFirst reports whether the earliest scheduled event is the lane's head.
+func (a *agenda) laneFirst() bool {
+	return a.head < len(a.lane) && (len(a.events) == 0 || a.lane[a.head].before(a.events[0]))
+}
+
+// next reports the earliest scheduled instant, if there is one.
 func (a *agenda) next() (vtime.Cycles, bool) {
-	if len(a.events) == 0 {
-		return 0, false
+	switch {
+	case a.laneFirst():
+		return a.lane[a.head].at, true
+	case len(a.events) > 0:
+		return a.events[0].at, true
 	}
-	return a.events[0].at, true
+	return 0, false
 }
 
 // due reports whether a request is scheduled at or before now.
@@ -118,9 +137,17 @@ func (a *agenda) due(now vtime.Cycles) bool {
 	return ok && at <= now
 }
 
-// pop removes and returns the earliest request, in (at, seq) order; the
-// agenda must not be empty.
-func (a *agenda) pop() event { return a.events.pop() }
+// pop removes and returns the earliest request; there must be one.
+func (a *agenda) pop() event {
+	if !a.laneFirst() {
+		return a.events.pop()
+	}
+	ev := a.lane[a.head]
+	if a.head++; a.head == len(a.lane) {
+		a.lane, a.head = a.lane[:0], 0 // drained: its room serves the next in-order run
+	}
+	return ev
+}
 
 // anchorSlots is the access-slot count of the anchor blocks that chain
 // every session object (and the class domains) to the system directory:
@@ -140,7 +167,7 @@ type Engine struct {
 	AnchorHead obj.AD
 
 	agenda
-	byObj        map[obj.Index]int32
+	byObj        obj.Side[int32] // session object → session id
 	all          vtime.Hist
 	totIssued    uint64
 	totCompleted uint64
@@ -174,7 +201,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: boot: %w", cfg.Name, err)
 	}
-	e := &Engine{Cfg: cfg, node: node{IM: im}, byObj: make(map[obj.Index]int32, cfg.Sessions)}
+	e := &Engine{Cfg: cfg, node: node{IM: im}, byObj: obj.NewSide[int32](im.Table)}
 	if err := e.build(&cfg.Load); err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", cfg.Name, err)
 	}
@@ -192,7 +219,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 		room := inFlight[i*cfg.RequestsPerSession:][:0:cfg.RequestsPerSession]
 		e.Sessions[i] = Session{Class: class, Obj: so, Arrive: arrive, issueAt: room, thinks: thinks}
-		e.byObj[so.Index] = int32(i)
+		e.byObj.Put(so.Index, int32(i))
 		e.Classes[class].Sessions++
 		anchored = append(anchored, so)
 
@@ -305,7 +332,7 @@ func (e *Engine) drainReplies() *obj.Fault {
 		if !ok {
 			return nil
 		}
-		sid, known := e.byObj[msg.Index]
+		sid, known := e.byObj.Get(msg.Index)
 		if !known {
 			e.alien++
 			continue

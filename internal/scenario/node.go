@@ -129,17 +129,20 @@ func (n *node) send(class int, ad obj.AD) {
 	cl.Deferred++
 }
 
-// flush retries deferred sends in FIFO order, per class.
+// flush retries deferred sends in FIFO order, per class, and pops what the
+// port took by copying the rest down: a backlog refills in the room it has.
 func (n *node) flush() {
 	for ci := range n.Classes {
 		cl := &n.Classes[ci]
-		for len(cl.pending) > 0 {
-			ok, f := n.IM.SendMessage(cl.ReqPort, cl.pending[0], 0)
+		sent := 0
+		for sent < len(cl.pending) {
+			ok, f := n.IM.SendMessage(cl.ReqPort, cl.pending[sent], 0)
 			if f != nil || !ok {
 				break
 			}
-			cl.pending = cl.pending[1:]
+			sent++
 		}
+		cl.pending = cl.pending[:copy(cl.pending, cl.pending[sent:])]
 	}
 }
 

@@ -352,15 +352,28 @@ func TestAgendaOrder(t *testing.T) {
 	}
 }
 
-// TestPrimesPerDispatch logs how often a processor derives its
+// TestPrimesPerDispatch bounds how often a processor derives its
 // execution-cache binding (gdp.Stats.Primes) against how often one binds a
-// process, on the baseline preset and on two sharded nodes. Both counts are
-// pure functions of the configuration. The sharded preset runs at the
-// benchmark's arrival gap: at its own, ten times shorter, the nodes are
-// saturated, no server ever parks, and every prime is one a context switch
-// owes.
+// process, on the baseline preset and on two sharded nodes. A dispatch of
+// another process owes one prime, and a context switch or a destruction
+// anywhere costs each busy processor one (the generation is the table's); a
+// wake-up owes none — when every AD store into a process invalidated, the
+// carry slot took both presets past 2.6. Both counts are pure functions of
+// the configuration. The sharded
+// preset runs at the benchmark's arrival gap: at its own, ten times shorter,
+// the nodes are saturated, no server ever parks, and every prime is one a
+// context switch owes.
 func TestPrimesPerDispatch(t *testing.T) {
 	const sessions = 5_000
+	check := func(name string, primes, dispatches, requests uint64, bound float64) {
+		t.Helper()
+		per := float64(primes) / float64(dispatches)
+		t.Logf("%s: %d primes, %d dispatches, %d requests: %.2f primes per dispatch, %.2f per request",
+			name, primes, dispatches, requests, per, float64(primes)/float64(requests))
+		if per > bound {
+			t.Errorf("%s: %.2f primes per dispatch, want at most %.1f", name, per, bound)
+		}
+	}
 	cfg, err := Preset("baseline", sessions, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -374,9 +387,7 @@ func TestPrimesPerDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.IM.Stats()
-	t.Logf("baseline: %d primes, %d dispatches, %d requests: %.2f primes per dispatch, %.2f per request",
-		st.Primes, st.Dispatches, res.Completed,
-		float64(st.Primes)/float64(st.Dispatches), float64(st.Primes)/float64(res.Completed))
+	check("baseline", st.Primes, st.Dispatches, res.Completed, 1.7)
 
 	scfg := ShardPreset(2, sessions, 42)
 	scfg.MeanGap = 600
@@ -386,7 +397,47 @@ func TestPrimesPerDispatch(t *testing.T) {
 		st := sn.IM.Stats()
 		primes, dispatches = primes+st.Primes, dispatches+st.Dispatches
 	}
-	t.Logf("shard-2n: %d primes, %d dispatches, %d requests: %.2f primes per dispatch, %.2f per request",
-		primes, dispatches, sres.Completed,
-		float64(primes)/float64(dispatches), float64(primes)/float64(sres.Completed))
+	check("shard-2n", primes, dispatches, sres.Completed, 1.8)
+}
+
+// TestBacklogRefillAllocFree: a class backlog that fills, drains and refills
+// keeps the room it has. Popping it by re-slicing from the front walked the
+// backing array forward, so every refill reallocated.
+func TestBacklogRefillAllocFree(t *testing.T) {
+	cfg, err := Preset("baseline", 8, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, msg := &e.Classes[0], e.Sessions[0].Obj
+	for { // fill the request port, so that every send below spills
+		if ok, f := e.IM.SendMessage(cl.ReqPort, msg, 0); f != nil {
+			t.Fatal(f)
+		} else if !ok {
+			break
+		}
+	}
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			e.send(0, msg)
+		}
+		for len(cl.pending) > 0 {
+			for i := 0; i < 3; i++ { // room for three of them
+				if _, ok, f := e.IM.ReceiveMessage(cl.ReqPort); f != nil || !ok {
+					t.Fatalf("request port: received=%v fault=%v", ok, f)
+				}
+			}
+			e.flush()
+		}
+	}
+	cycle() // the backlog's room is allocated once
+	if allocs := testing.AllocsPerRun(10_000, cycle); allocs != 0 {
+		t.Errorf("a fill, drain and refill of the backlog allocates %.2f objects; want 0", allocs)
+	}
+	if cl.Deferred < 7*10_000 {
+		t.Errorf("Deferred = %d: the sends did not spill, the backlog was never exercised", cl.Deferred)
+	}
 }

@@ -97,6 +97,9 @@ type shardSession struct {
 
 	inFlight bool
 	issueAt  vtime.Cycles
+	// remote is the activated graph of the request copy a non-home node is
+	// serving, kept for its reclamation after the reply ships.
+	remote []obj.AD
 
 	thinks []vtime.Cycles
 	// Pre-drawn per-request routing: dests[i] is the serving node of
@@ -104,22 +107,15 @@ type shardSession struct {
 	dests []int
 }
 
-// remoteJob tracks an activated request copy being served on a non-home
-// node, keyed by the copy's root object index.
-type remoteJob struct {
-	sid     int32
-	created []obj.AD // the activated graph, for reclamation after reply
-}
-
 // shardNode is one kernel's engine-side state: the node the
 // single-machine engine also runs, plus the cluster's bookkeeping.
 type shardNode struct {
 	node
 
-	// byObj maps canonical session objects homed here; remote maps
-	// activated request copies being served here.
-	byObj  map[obj.Index]int32
-	remote map[obj.Index]*remoteJob
+	// byObj maps an object on this node's reply port to its session: the
+	// canonical session object where the session is homed, the root of the
+	// activated request copy where it is served away from home.
+	byObj obj.Side[int32]
 
 	Completed uint64 // requests completed for sessions homed here
 	Served    uint64 // requests whose service ran here (home or migrated)
@@ -182,7 +178,7 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 	}
 	e := &ShardEngine{Cfg: cfg, Cluster: cl, perClass: make([]vtime.Hist, len(cfg.Classes))}
 	for ni, n := range cl.Nodes {
-		sn := &shardNode{node: node{IM: n.IM}, byObj: make(map[obj.Index]int32), remote: make(map[obj.Index]*remoteJob)}
+		sn := &shardNode{node: node{IM: n.IM}, byObj: obj.NewSide[int32](n.IM.Table)}
 		if err := sn.build(&cfg.Load); err != nil {
 			return nil, fmt.Errorf("shard %q: node %d: %w", cfg.Name, ni, err)
 		}
@@ -216,7 +212,7 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 			}
 		}
 		e.sessions[i] = shardSession{Class: class, Home: home, Obj: so, thinks: thinks, dests: dests}
-		e.nodes[home].byObj[so.Index] = int32(i)
+		e.nodes[home].byObj.Put(so.Index, int32(i))
 		e.push(arrive, int32(i))
 		return nil
 	})
@@ -264,7 +260,8 @@ func (e *ShardEngine) deliver(ni int) error {
 		s := &e.sessions[sid]
 		switch d.Kind {
 		case cluster.MsgRequest:
-			sn.remote[root.Index] = &remoteJob{sid: sid, created: created}
+			sn.byObj.Put(root.Index, sid)
+			s.remote = created
 			sn.send(s.Class, root)
 		case cluster.MsgReply:
 			// Fold the served copy's bytes into the canonical object.
@@ -319,25 +316,24 @@ func (e *ShardEngine) drainReplies(ni int) error {
 		if !ok {
 			return nil
 		}
-		if sid, known := sn.byObj[msg.Index]; known {
-			sn.Served++
+		sid, known := sn.byObj.Get(msg.Index)
+		if !known {
+			return fmt.Errorf("shard %q: node %d: unknown object %d on reply port", e.Cfg.Name, ni, msg.Index)
+		}
+		sn.Served++
+		s := &e.sessions[sid]
+		if s.Home == ni {
 			e.complete(sid)
 			continue
 		}
-		if job, known := sn.remote[msg.Index]; known {
-			delete(sn.remote, msg.Index)
-			sn.Served++
-			s := &e.sessions[job.sid]
-			if _, err := e.Cluster.Ship(ni, s.Home, msg, cluster.MsgReply, uint64(job.sid)); err != nil {
-				return err
-			}
-			// The shipped image owns the state now; the copy is done.
-			if err := e.Cluster.ReclaimGraph(ni, job.created); err != nil {
-				return err
-			}
-			continue
+		if _, err := e.Cluster.Ship(ni, s.Home, msg, cluster.MsgReply, uint64(sid)); err != nil {
+			return err
 		}
-		return fmt.Errorf("shard %q: node %d: unknown object %d on reply port", e.Cfg.Name, ni, msg.Index)
+		// The shipped image owns the state now; the copy is done.
+		if err := e.Cluster.ReclaimGraph(ni, s.remote); err != nil {
+			return err
+		}
+		s.remote = nil
 	}
 }
 
