@@ -80,31 +80,28 @@ func (c *CPU) unbind(s *System) *obj.Fault {
 }
 
 // tryDispatch draws the highest-priority ready process from the
-// dispatching port. It reports whether a process was bound.
+// dispatching port. It reports whether a process was bound. An entry whose
+// process was stopped while queued is stale (the process manager requeues
+// it on start, §6.1): it is skipped, charged as the receive that drew it,
+// and the next entry is drawn in the same dispatch.
 func (c *CPU) tryDispatch(s *System) (bool, *obj.Fault) {
-	msg, blocked, _, f := s.Ports.Receive(s.Dispatch, obj.NilAD)
-	if f != nil {
-		return false, f
+	for {
+		msg, blocked, _, f := s.Ports.Receive(s.Dispatch, obj.NilAD)
+		if f != nil || blocked { // empty: stay idle
+			return false, f
+		}
+		if _, f := s.Table.RequireType(msg, obj.TypeProcess); f != nil {
+			// A non-process at the dispatch port is system damage; drop
+			// it rather than wedge the processor.
+			return false, f
+		}
+		st, f := s.Procs.StateOf(msg)
+		if f != nil {
+			return false, f
+		}
+		if st == process.StateReady {
+			return true, c.bind(s, msg)
+		}
+		c.Clock.Charge(vtime.CostReceive)
 	}
-	if blocked { // empty: stay idle
-		return false, nil
-	}
-	if _, f := s.Table.RequireType(msg, obj.TypeProcess); f != nil {
-		// A non-process at the dispatch port is system damage; drop
-		// it rather than wedge the processor.
-		return false, f
-	}
-	// A process stopped while queued is skipped; the process manager
-	// requeues it on start (§6.1).
-	st, f := s.Procs.StateOf(msg)
-	if f != nil {
-		return false, f
-	}
-	if st != process.StateReady {
-		return false, nil
-	}
-	if f := c.bind(s, msg); f != nil {
-		return false, f
-	}
-	return true, nil
 }

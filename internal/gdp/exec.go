@@ -65,10 +65,21 @@ func (s *System) Step(quantum vtime.Cycles) (bool, *obj.Fault) {
 // what remains of the budget, and any instruction-granularity spill past
 // the boundary is capped back.
 func (s *System) Run(maxCycles vtime.Cycles) (vtime.Cycles, *obj.Fault) {
+	return s.RunUntil(nil, maxCycles)
+}
+
+// RunUntil steps the system until pred reports true or maxCycles of
+// virtual time elapse. Use it instead of Run when the configuration
+// includes perpetual daemons (a polling fault handler, the collector):
+// such systems are never idle, so "run to idle" never returns. A nil pred
+// is Run: the loop ends when a step finds no work and no timer is armed,
+// and while timers are armed idle time passes to the earliest expiry. A
+// non-zero budget bounds the reported elapsed time exactly.
+func (s *System) RunUntil(pred func() bool, maxCycles vtime.Cycles) (vtime.Cycles, *obj.Fault) {
 	start := s.Now()
 	const quantum = 5_000
 	limit := start + maxCycles
-	for {
+	for pred == nil || !pred() {
 		q := vtime.Cycles(quantum)
 		if maxCycles > 0 {
 			if rem := limit - s.Now(); rem < q {
@@ -86,9 +97,9 @@ func (s *System) Run(maxCycles vtime.Cycles) (vtime.Cycles, *obj.Fault) {
 		if f != nil {
 			return s.Now() - start, f
 		}
-		if !worked {
+		if pred == nil && !worked {
 			if len(s.timers) == 0 {
-				return s.Now() - start, nil
+				break
 			}
 			// Nothing runnable but timers are armed: idle time passes,
 			// on every processor alike, until the earliest expiry —
@@ -109,40 +120,11 @@ func (s *System) Run(maxCycles vtime.Cycles) (vtime.Cycles, *obj.Fault) {
 			}
 		}
 		if maxCycles > 0 && s.Now()-start >= maxCycles {
-			return s.Now() - start, obj.Faultf(obj.FaultTimeout, obj.NilAD,
-				"system still busy after %v", maxCycles)
-		}
-	}
-}
-
-// RunUntil steps the system until pred reports true or maxCycles of
-// virtual time elapse. Use it instead of Run when the configuration
-// includes perpetual daemons (a polling fault handler, the collector):
-// such systems are never idle, so "run to idle" never returns. Like Run,
-// a non-zero budget bounds the reported elapsed time exactly.
-func (s *System) RunUntil(pred func() bool, maxCycles vtime.Cycles) (vtime.Cycles, *obj.Fault) {
-	start := s.Now()
-	const quantum = 5_000
-	limit := start + maxCycles
-	for !pred() {
-		q := vtime.Cycles(quantum)
-		if maxCycles > 0 {
-			if rem := limit - s.Now(); rem < q {
-				q = rem
+			what := "condition not reached"
+			if pred == nil {
+				what = "system still busy"
 			}
-		}
-		_, f := s.Step(q)
-		if maxCycles > 0 {
-			for _, cpu := range s.CPUs {
-				cpu.Clock.CapAt(limit)
-			}
-		}
-		if f != nil {
-			return s.Now() - start, f
-		}
-		if maxCycles > 0 && s.Now()-start >= maxCycles {
-			return s.Now() - start, obj.Faultf(obj.FaultTimeout, obj.NilAD,
-				"condition not reached after %v", maxCycles)
+			return s.Now() - start, obj.Faultf(obj.FaultTimeout, obj.NilAD, "%s after %v", what, maxCycles)
 		}
 	}
 	return s.Now() - start, nil
