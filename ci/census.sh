@@ -32,7 +32,12 @@ loop:   add   r0, r0, r1
         halt
 ASM
 
-{
+# Every run's exit status counts: the demos' and the examples' self-checks
+# are gates. (A brace group on the left of `||` would run with -e ignored,
+# so the runs go in a subshell whose status is read afterwards.)
+set +e
+(
+	set -e
 	for d in ports compute gc io; do
 		"$bin/imax" -demo $d
 		"$bin/imax" -demo $d -trace -audit -inspect -swapping -mem 2097152 -cpus 4
@@ -45,9 +50,15 @@ ASM
 	for e in multiuser pipeline quickstart sieve swapdemo tapefarm; do
 		"$bin/$e"
 	done
-	"$bin/imaxasm" "$work/sum.s"
+	"$bin/imaxasm" -trace 5 "$work/sum.s"
 	"$bin/benchmark" -reps 1 -scale 0.05
-} >"$work/log" 2>&1 || { cat "$work/log" >&2; exit 1; }
+) >"$work/log" 2>&1
+status=$?
+set -e
+if [ $status -ne 0 ]; then
+	cat "$work/log" >&2
+	exit 1
+fi
 
 go tool covdata func -i="$GOCOVERDIR" |
 	awk '$1 ~ /^repro\/internal\// && $NF == "0.0%" { sub(/^repro\//, "", $1); sub(/:[0-9]+:$/, "", $1); print $1, $2 }' |

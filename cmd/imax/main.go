@@ -10,25 +10,29 @@
 //	     [-ledger FILE]
 //	imax -inject SEED
 //
-// Demos: ports (default), compute, gc, io.
+// Demos: ports (default), compute, gc, io. The io demo writes through three
+// device domains and reads back through them, and exits non-zero if what
+// it read is not what was written or fed.
 //
 // -trace enables the kernel event log and prints its counters and tail
 // after the workload; -audit runs the cross-subsystem invariant auditor
 // and exits non-zero on any violation; -itrace prints the first N executed
-// instructions.
+// instructions in assembler syntax.
 //
 // -ledger FILE attaches the tamper-evident audit ledger to the trace
 // stream, and at exit seals it, self-verifies the sealed bytes (structure,
-// hash chain, Merkle root, per-kind counters against the live ring) and
-// writes them to FILE. The bytes are deterministic: two invocations with
+// hash chain, Merkle root, per-kind counters against the live ring, the
+// last event's inclusion proof and the first segment's consistency proof
+// against the root) and writes them to FILE. The bytes are deterministic: two invocations with
 // the same flags produce identical files, which CI checks with cmp.
 //
 // -inject runs the deterministic fault-injection acceptance protocol for
 // the given seed instead of a demo: a fault-free reference run, then the
 // seed's injection plan replayed in both {nocache, cache} corners,
 // cross-checked for byte-identical traces, fault-port delivery,
-// invariant-audit cleanliness and damage confinement. Exits non-zero if
-// any criterion fails.
+// invariant-audit cleanliness, damage confinement, and the same confinement
+// verdict re-derived from the sealed ledgers alone. Exits non-zero if any
+// criterion fails.
 package main
 
 import (
@@ -37,6 +41,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"strings"
 
 	"repro/internal/audit"
 	"repro/internal/core"
@@ -49,7 +54,7 @@ import (
 	"repro/internal/obj"
 	"repro/internal/port"
 	"repro/internal/process"
-	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -118,7 +123,7 @@ func main() {
 			if ev.Fault != nil {
 				status = "  !! " + ev.Fault.Code.String()
 			}
-			fmt.Printf("  cpu%d %v ip=%-4d %-20v %v%s\n",
+			fmt.Printf("  cpu%d %v ip=%-4d %-26v %v%s\n",
 				cpu, proc, ev.IP, ev.Instr, ev.Cost, status)
 		}
 	}
@@ -169,55 +174,50 @@ func usageError(format string, args ...any) {
 	os.Exit(2)
 }
 
-// sealLedger closes the run's audit ledger, verifies the sealed bytes
-// from scratch (structure, hash chain, Merkle commitments) and
-// cross-checks the replayed counters against the live trace ring before
-// writing the ledger to path.
+// sealLedger seals and self-verifies the run's audit ledger
+// (core.IMAX.SealLedger: structure, hash chain, Merkle commitments, the
+// replayed counters against the live trace ring) and checks one inclusion
+// and one consistency proof against the root before writing the ledger to
+// path.
 func sealLedger(im *core.IMAX, path string) error {
-	lg := im.Ledger
-	lg.Close()
-	data := lg.Bytes()
-	rep, err := ledger.Verify(data)
+	rep, err := im.SealLedger()
 	if err != nil {
-		return fmt.Errorf("sealed ledger does not verify: %w", err)
+		return err
 	}
-	if rep.Root != lg.Root() {
-		return fmt.Errorf("replay root %x != sink root %s", rep.Root, lg.RootHex())
-	}
-	seq, counts := im.TraceLog.Snapshot()
-	if lg.Dropped() == 0 && uint64(len(rep.Events)) != seq {
-		return fmt.Errorf("ledger holds %d events, ring emitted %d", len(rep.Events), seq)
-	}
-	for k, n := range counts {
-		var got uint64
-		if k < len(rep.Counts) {
-			got = rep.Counts[k]
+	lg := im.Ledger
+	// A root is worth recording elsewhere only if it proves what it commits
+	// to: the last event's inclusion, and the first segment as a prefix of
+	// the ledger (what a verifier holding an older root would ask for).
+	if last := len(rep.Events) - 1; last >= 0 {
+		p, err := rep.ProveEvent(last)
+		if err != nil || !ledger.VerifyEvent(rep.Root, rep.Events[last], p) {
+			return fmt.Errorf("inclusion proof of event %d does not verify: %v", last, err)
 		}
-		if k < len(rep.Dropped) {
-			got += rep.Dropped[k]
-		}
-		if got != n {
-			return fmt.Errorf("kind %v: ledger accounts for %d events, ring counted %d", trace.Kind(k), got, n)
+		old, _ := rep.RootAt(1)
+		proof, err := rep.ConsistencyProof(1)
+		if err != nil || !ledger.VerifyConsistency(old, rep.Root, 1, len(rep.Segments), proof) {
+			return fmt.Errorf("consistency proof of the first segment does not verify: %v", err)
 		}
 	}
+	data := lg.Bytes()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("\nledger: %d segments, %d events (%d dropped), root %s -> %s (%d bytes, verified)\n",
+	fmt.Printf("\nledger: %d segments, %d events (%d dropped), root %s -> %s (%d bytes, verified, proofs check)\n",
 		lg.Segments(), lg.Recorded(), lg.Dropped(), lg.RootHex(), path, len(data))
 	return nil
 }
 
-func mustDomain(im *core.IMAX, prog []isa.Instr) obj.AD {
-	code, f := im.Domains.CreateCode(im.Heap, prog)
+// must unwraps a result whose fault is fatal to the demo.
+func must[T any](v T, f *obj.Fault) T {
+	check(f)
+	return v
+}
+
+func check(f *obj.Fault) {
 	if f != nil {
 		log.Fatal(f)
 	}
-	dom, f := im.Domains.Create(im.Heap, code, []uint32{0})
-	if f != nil {
-		log.Fatal(f)
-	}
-	return dom
 }
 
 func waitAll(im *core.IMAX, procs []obj.AD) {
@@ -240,16 +240,11 @@ func demoPorts(im *core.IMAX) {
 	const hops = 6
 	var ports []obj.AD
 	for i := 0; i < hops; i++ {
-		p, f := im.Ports.Create(im.Heap, 2, port.FIFO)
-		if f != nil {
-			log.Fatal(f)
-		}
+		p := must(im.Ports.Create(im.Heap, 2, port.FIFO))
 		ports = append(ports, p)
-		if f := im.Publish(uint32(i), p); f != nil {
-			log.Fatal(f)
-		}
+		check(im.Publish(uint32(i), p))
 	}
-	relay := mustDomain(im, []isa.Instr{
+	relay := must(workload.Domain(im.System, []isa.Instr{
 		isa.MovI(4, 10), // laps
 		isa.Recv(1, 2),
 		isa.Load(0, 1, 0),
@@ -260,28 +255,18 @@ func demoPorts(im *core.IMAX) {
 		isa.AddI(4, 4, ^uint32(0)),
 		isa.BrNZ(4, 1),
 		isa.Halt(),
-	})
-	if f := im.Publish(20, relay); f != nil {
-		log.Fatal(f)
-	}
+	}))
+	check(im.Publish(20, relay))
 	var procs []obj.AD
 	for i := 0; i < hops; i++ {
-		p, f := im.Spawn(relay, gdp.SpawnSpec{
+		p := must(im.Spawn(relay, gdp.SpawnSpec{
 			TimeSlice: 2_000,
 			AArgs:     [4]obj.AD{obj.NilAD, obj.NilAD, ports[i], ports[(i+1)%hops]},
-		})
-		if f != nil {
-			log.Fatal(f)
-		}
+		}))
 		procs = append(procs, p)
-		if f := im.Publish(uint32(30+i), p); f != nil {
-			log.Fatal(f)
-		}
+		check(im.Publish(uint32(30+i), p))
 	}
-	token, f := im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
-	if f != nil {
-		log.Fatal(f)
-	}
+	token := must(im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8}))
 	if ok, f := im.SendMessage(ports[0], token, 0); f != nil || !ok {
 		log.Fatal(f)
 	}
@@ -294,27 +279,11 @@ func demoPorts(im *core.IMAX) {
 // demoCompute: independent workers saturating every processor.
 func demoCompute(im *core.IMAX) {
 	workers := len(im.CPUs) * 4
-	dom := mustDomain(im, []isa.Instr{
-		isa.MovI(1, 20_000),
-		isa.AddI(1, 1, ^uint32(0)),
-		isa.BrNZ(1, 1),
-		isa.Halt(),
-	})
-	if f := im.Publish(0, dom); f != nil {
-		log.Fatal(f)
+	h := must(workload.Compute(im.System, workers, 20_000, 3_000))
+	for i, p := range h.Procs {
+		check(im.Publish(uint32(1+i), p))
 	}
-	var procs []obj.AD
-	for i := 0; i < workers; i++ {
-		p, f := im.Spawn(dom, gdp.SpawnSpec{TimeSlice: 3_000})
-		if f != nil {
-			log.Fatal(f)
-		}
-		procs = append(procs, p)
-		if f := im.Publish(uint32(1+i), p); f != nil {
-			log.Fatal(f)
-		}
-	}
-	waitAll(im, procs)
+	waitAll(im, h.Procs)
 	fmt.Printf("compute demo: %d workers over %d processors\n", workers, len(im.CPUs))
 	for _, cpu := range im.CPUs {
 		busy := cpu.Clock.Now() - cpu.IdleCycles
@@ -325,7 +294,7 @@ func demoCompute(im *core.IMAX) {
 
 // demoGC: allocation churn with the daemon keeping up.
 func demoGC(im *core.IMAX) {
-	dom := mustDomain(im, []isa.Instr{
+	dom := must(workload.Domain(im.System, []isa.Instr{
 		isa.MovI(4, 2_000),
 		isa.MovI(2, 256),
 		isa.MovI(3, 2),
@@ -333,94 +302,116 @@ func demoGC(im *core.IMAX) {
 		isa.AddI(4, 4, ^uint32(0)),
 		isa.BrNZ(4, 3),
 		isa.Halt(),
-	})
-	if f := im.Publish(0, dom); f != nil {
-		log.Fatal(f)
-	}
-	p, f := im.Spawn(dom, gdp.SpawnSpec{TimeSlice: 2_000, AArgs: [4]obj.AD{im.Heap}})
-	if f != nil {
-		log.Fatal(f)
-	}
-	if f := im.Publish(1, p); f != nil {
-		log.Fatal(f)
-	}
+	}))
+	check(im.Publish(0, dom))
+	p := must(im.Spawn(dom, gdp.SpawnSpec{TimeSlice: 2_000, AArgs: [4]obj.AD{im.Heap}}))
+	check(im.Publish(1, p))
 	before := im.Table.Live()
 	waitAll(im, []obj.AD{p})
 	if im.Collector == nil {
-		if _, f := im.Collect(); f != nil {
-			log.Fatal(f)
-		}
+		must(im.Collect())
 	} else {
 		// Let the daemon finish a couple more cycles.
 		target := im.Collector.Stats().Cycles + 2
-		if _, f := im.RunUntil(func() bool {
+		must(im.RunUntil(func() bool {
 			return im.Collector.Stats().Cycles >= target
-		}, 500_000_000); f != nil {
-			log.Fatal(f)
-		}
+		}, 500_000_000))
 	}
 	fmt.Printf("gc demo: 2000 objects allocated and dropped; live %d -> %d\n",
 		before, im.Table.Live())
 }
 
-// demoIO: the same program writing through three different devices.
+// demoIO: one writer program and one reader program, run against three
+// device instances through the same device-independent entries.
 func demoIO(im *core.IMAX) {
+	const text, typed, max = "uniform I/O via domains\n", "typed at the console\n", 32
 	console := iosys.NewConsole()
 	tape := iosys.NewTape(1 << 16)
 	disk := iosys.NewDisk(32, 512)
-	devs := make([]obj.AD, 3)
-	var f *obj.Fault
-	if devs[0], f = iosys.InstallConsole(im.Domains, im.Heap, console); f != nil {
-		log.Fatal(f)
+	console.FeedInput([]byte(typed))
+	devs := []obj.AD{
+		must(iosys.InstallConsole(im.Domains, im.Heap, console)),
+		must(iosys.InstallTape(im.Domains, im.Heap, tape)),
+		must(iosys.InstallDisk(im.Domains, im.Heap, disk)),
 	}
-	if devs[1], f = iosys.InstallTape(im.Domains, im.Heap, tape); f != nil {
-		log.Fatal(f)
-	}
-	if devs[2], f = iosys.InstallDisk(im.Domains, im.Heap, disk); f != nil {
-		log.Fatal(f)
-	}
-	text := "uniform I/O via domains\n"
-	buf, f := im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: uint32(len(text))})
-	if f != nil {
-		log.Fatal(f)
-	}
-	if f := im.Table.WriteBytes(buf, 0, []byte(text)); f != nil {
-		log.Fatal(f)
-	}
-	writer := mustDomain(im, []isa.Instr{
+	buf := must(im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: uint32(len(text))}))
+	check(im.Table.WriteBytes(buf, 0, []byte(text)))
+	// a2 = buffer, a3 = device. r3 is 1 on a tape, which closes what it
+	// wrote with an end-of-file mark (a tape-class entry), and 0 elsewhere.
+	writer := must(workload.Domain(im.System, []isa.Instr{
 		isa.MovI(1, 0),
 		isa.MovI(2, uint32(len(text))),
 		isa.MovA(1, 2),
 		isa.Call(3, iosys.EntryWrite),
+		isa.BrZ(3, 6),
+		isa.Call(3, iosys.EntryTapeMark),
 		isa.Halt(),
-	})
-	for slot, ad := range append(devs, buf, writer) {
-		if f := im.Publish(uint32(slot), ad); f != nil {
-			log.Fatal(f)
-		}
+	}))
+	// a0 = results, a2 = buffer, a3 = device. r3 is 1 where entry 3
+	// repositions the medium (REWIND on a tape, SEEK to block r1 on a
+	// disk). Two reads, then STATUS: the byte counts and the status word
+	// land in the results object.
+	reader := must(workload.Domain(im.System, []isa.Instr{
+		isa.MovI(1, 0),
+		isa.MovA(1, 2),
+		isa.BrZ(3, 4),
+		isa.Call(3, iosys.EntryTapeRewind),
+		isa.MovI(2, max),
+		isa.Call(3, iosys.EntryRead),
+		isa.Mov(4, 0),
+		isa.MovI(1, max),
+		isa.Call(3, iosys.EntryRead),
+		isa.Mov(5, 0),
+		isa.Call(3, iosys.EntryStatus),
+		isa.Store(4, 0, 0),
+		isa.Store(5, 0, 4),
+		isa.Store(0, 0, 8),
+		isa.Halt(),
+	}))
+	for slot, ad := range append(devs, buf, writer, reader) {
+		check(im.Publish(uint32(slot), ad))
 	}
-	var procs []obj.AD
-	for _, dev := range devs {
-		p, f := im.Spawn(writer, gdp.SpawnSpec{AArgs: [4]obj.AD{obj.NilAD, obj.NilAD, buf, dev}})
-		if f != nil {
-			log.Fatal(f)
+	// run spawns dom once per device with r3, a0 and a2 as given.
+	run := func(dom obj.AD, r3 [3]uint32, a0, a2 [3]obj.AD) {
+		var procs []obj.AD
+		for i, dev := range devs {
+			p := must(im.Spawn(dom, gdp.SpawnSpec{
+				Args:  [4]uint32{0, 0, 0, r3[i]},
+				AArgs: [4]obj.AD{a0[i], obj.NilAD, a2[i], dev},
+			}))
+			procs = append(procs, p)
+			check(im.Publish(uint32(10+i), p))
 		}
-		procs = append(procs, p)
-		if f := im.Publish(uint32(10+len(procs)), p); f != nil {
-			log.Fatal(f)
-		}
+		waitAll(im, procs)
 	}
-	waitAll(im, procs)
-	fmt.Printf("io demo: one writer program, three device instances\n")
-	fmt.Printf("  console: %q\n", console.Output())
-	st := tape.Status()
-	fmt.Printf("  tape   : status %#x (class %d)\n", st, st>>8)
-	fmt.Printf("  disk   : block 0 begins %q\n", firstBytes(disk))
-}
+	run(writer, [3]uint32{0, 1, 0}, [3]obj.AD{}, [3]obj.AD{buf, buf, buf})
+	var results, inputs [3]obj.AD
+	for i := range devs {
+		results[i] = must(im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 12}))
+		inputs[i] = must(im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 2 * max}))
+		check(im.Publish(uint32(20+2*i), results[i]))
+		check(im.Publish(uint32(21+2*i), inputs[i]))
+	}
+	run(reader, [3]uint32{0, 1, 1}, results, inputs)
 
-func firstBytes(d *iosys.Disk) string {
-	p := make([]byte, 8)
-	_ = d.Seek(0)
-	n, _ := d.Read(p)
-	return string(p[:n])
+	fmt.Printf("io demo: one writer program and one reader program, three device instances\n")
+	fmt.Printf("  console: %q\n", console.Output())
+	for i, name := range []string{"console", "tape", "disk"} {
+		first := must(im.Table.ReadDWord(results[i], 0))
+		second := must(im.Table.ReadDWord(results[i], 4))
+		status := must(im.Table.ReadDWord(results[i], 8))
+		got := must(im.Table.ReadBytes(inputs[i], 0, first))
+		want := text
+		if i == 0 {
+			want = typed
+		}
+		if !strings.HasPrefix(string(got), want) || status>>8 != uint32(i+1) {
+			log.Fatalf("%s read back %q with status %#x, want %q from class %d", name, got, status, want, i+1)
+		}
+		fmt.Printf("  %-7s: read %d bytes beginning %q, then %d; status %#x (class %d)\n",
+			name, first, want, second, status, status>>8)
+	}
+	if st := must(im.Table.ReadDWord(results[1], 8)); st&iosys.FlagEOF == 0 {
+		log.Fatalf("tape status %#x after reading past its mark: no end-of-file", st)
+	}
 }

@@ -6,6 +6,9 @@
 //
 //	imaxasm [-cpus N] [-trace N] [-data BYTES] prog.s
 //
+// -trace N prints the assembled listing, then the first N executed
+// instructions.
+//
 // The program receives one scratch data object in a0 (size -data) and the
 // system global heap SRO in a1. Whatever it leaves in the first dword of
 // the scratch object is printed as its result.
@@ -60,6 +63,7 @@ func main() {
 		fatal(err)
 	}
 	if *traceN > 0 {
+		fmt.Print(asm.Disassemble(prog.Instrs))
 		remaining := *traceN
 		im.Trace = func(cpu int, proc obj.AD, ev gdp.TraceEvent) {
 			if remaining <= 0 {
@@ -70,7 +74,7 @@ func main() {
 			if ev.Fault != nil {
 				status = "  !! " + ev.Fault.Code.String()
 			}
-			fmt.Printf("  cpu%d ip=%-4d %-20v %v%s\n", cpu, ev.IP, ev.Instr, ev.Cost, status)
+			fmt.Printf("  cpu%d ip=%-4d %-26v %v%s\n", cpu, ev.IP, ev.Instr, ev.Cost, status)
 		}
 	}
 	code, f := im.Domains.CreateCode(im.Heap, prog.Instrs)

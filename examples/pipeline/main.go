@@ -1,7 +1,7 @@
-// Pipeline: the §3 multiprocessor story. A four-stage processing
-// pipeline — generate, transform, transform, accumulate — is wired
-// together with hardware ports and run unchanged on 1, 2, 4 and 8
-// processors. "The 432 hardware ... makes the existence of multiple
+// Pipeline: the §3 multiprocessor story. A processing pipeline —
+// generate, transform, transform, transform, accumulate — is wired together
+// with hardware ports (workload.Pipeline) and run unchanged on 1, 2, 4 and
+// 8 processors. "The 432 hardware ... makes the existence of multiple
 // general data processors transparent to virtually all of the system
 // software": the only thing that changes between runs is the Processors
 // field of the boot configuration, and the only observable difference is
@@ -15,33 +15,29 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/gdp"
-	"repro/internal/isa"
-	"repro/internal/obj"
-	"repro/internal/port"
-	"repro/internal/process"
 	"repro/internal/vtime"
+	"repro/internal/workload"
 )
 
 const (
 	items  = 200 // work items through the pipeline
-	stages = 4
-	spin   = 40 // busy-work iterations per stage per item
+	stages = 4   // three transforms and the accumulator, behind the generator
 )
 
 func main() {
-	fmt.Printf("pipeline: %d items through %d stages, %d spin/stage\n\n", items, stages, spin)
-	fmt.Printf("%-6s %-16s %-14s %-10s %s\n", "CPUs", "virtual time", "speedup", "dispatches", "result")
+	fmt.Printf("pipeline: %d items through a generator and %d stages\n\n", items, stages)
+	fmt.Printf("%-6s %-24s %-10s %-12s %s\n", "CPUs", "virtual time", "speedup", "dispatches", "result")
 	var base vtime.Cycles
 	for _, cpus := range []int{1, 2, 4, 8} {
 		elapsed, sum, dispatches := run(cpus)
 		if base == 0 {
 			base = elapsed
 		}
-		fmt.Printf("%-6d %-16v %-14.2f %-10d %d\n",
+		fmt.Printf("%-6d %-24v %-10.2f %-12d %d\n",
 			cpus, elapsed, float64(base)/float64(elapsed), dispatches, sum)
 	}
-	fmt.Println("\nsame binary, same answers; processors are transparent (§3)")
+	fmt.Printf("\nsame binary, same answer (%d) on every row; processors are transparent (§3)\n",
+		workload.PipelineExpected(stages, items))
 }
 
 func run(cpus int) (vtime.Cycles, uint32, uint64) {
@@ -49,126 +45,19 @@ func run(cpus int) (vtime.Cycles, uint32, uint64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Ports linking the stages; generous capacity keeps the pipeline
-	// from serialising on backpressure.
-	var ports []obj.AD
-	for i := 0; i < stages; i++ {
-		p, f := im.Ports.Create(im.Heap, 16, port.FIFO)
-		if f != nil {
-			log.Fatal(f)
-		}
-		ports = append(ports, p)
-		if f := im.Publish(uint32(i), p); f != nil {
-			log.Fatal(f)
-		}
-	}
-	result, f := im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
+	// Generous port capacity keeps the pipeline from serialising on
+	// backpressure.
+	h, f := workload.Pipeline(im.System, stages, items, 16, 4_000)
 	if f != nil {
 		log.Fatal(f)
 	}
-	if f := im.Publish(10, result); f != nil {
-		log.Fatal(f)
-	}
-
-	// Generator: create items, send to stage 0's port.
-	gen := mustDomain(im, []isa.Instr{
-		isa.MovI(4, items),
-		isa.MovI(5, 1), // item value
-		// loop:
-		isa.MovI(2, 8),
-		isa.MovI(3, 0),
-		isa.Create(1, 0, 2),
-		isa.Store(5, 1, 0),
-		isa.MovI(6, 0),
-		isa.Send(1, 2, 6),
-		isa.AddI(5, 5, 1),
-		isa.AddI(4, 4, ^uint32(0)),
-		isa.BrNZ(4, 2),
-		isa.Halt(),
-	})
-	// Transform stage: receive from a2, spin (the per-item work), add 1
-	// to the payload, forward to a3.
-	xform := mustDomain(im, []isa.Instr{
-		isa.MovI(4, items),
-		// loop:
-		isa.Recv(1, 2),
-		isa.MovI(6, spin),
-		isa.AddI(6, 6, ^uint32(0)), // spin loop body (instr 3)
-		isa.BrNZ(6, 3),
-		isa.Load(0, 1, 0),
-		isa.AddI(0, 0, 1),
-		isa.Store(0, 1, 0),
-		isa.MovI(7, 0),
-		isa.Send(1, 3, 7),
-		isa.AddI(4, 4, ^uint32(0)),
-		isa.BrNZ(4, 1),
-		isa.Halt(),
-	})
-	// Accumulator: receive from a2, add payloads into the result (a3).
-	acc := mustDomain(im, []isa.Instr{
-		isa.MovI(4, items),
-		isa.MovI(5, 0),
-		// loop:
-		isa.Recv(1, 2),
-		isa.Load(0, 1, 0),
-		isa.Add(5, 5, 0),
-		isa.AddI(4, 4, ^uint32(0)),
-		isa.BrNZ(4, 2),
-		isa.Store(5, 3, 0),
-		isa.Halt(),
-	})
-	for slot, dom := range []obj.AD{gen, xform, acc} {
-		if f := im.Publish(uint32(20+slot), dom); f != nil {
-			log.Fatal(f)
-		}
-	}
-
-	// Each stage gets its input port in a2 and its output (port or
-	// result object) in a3; the generator's "input" is its output port.
-	var procs []obj.AD
-	spawn := func(dom obj.AD, in, out obj.AD) {
-		p, f := im.Spawn(dom, gdp.SpawnSpec{
-			TimeSlice: 4_000,
-			AArgs:     [4]obj.AD{im.Heap, obj.NilAD, in, out},
-		})
-		if f != nil {
-			log.Fatal(f)
-		}
-		procs = append(procs, p)
-		if f := im.Publish(uint32(30+len(procs)), p); f != nil {
-			log.Fatal(f)
-		}
-	}
-	spawn(gen, ports[0], obj.NilAD)
-	spawn(xform, ports[0], ports[1])
-	spawn(xform, ports[1], ports[2])
-	spawn(acc, ports[2], result)
-
-	done := func() bool {
-		for _, p := range procs {
-			st, _ := im.Procs.StateOf(p)
-			if st != process.StateTerminated {
-				return false
-			}
-		}
-		return true
-	}
-	elapsed, f := im.RunUntil(done, 2_000_000_000)
+	elapsed, f := im.RunUntil(func() bool { return h.Done(im.System) }, 2_000_000_000)
 	if f != nil {
 		log.Fatalf("cpus=%d: %v", cpus, f)
 	}
-	sum, _ := im.Table.ReadDWord(result, 0)
+	if err := h.Verify(im.System, stages, items); err != nil {
+		log.Fatalf("cpus=%d: %v", cpus, err)
+	}
+	sum, _ := im.Table.ReadDWord(h.Results[0], 0)
 	return elapsed, sum, im.Stats().Dispatches
-}
-
-func mustDomain(im *core.IMAX, prog []isa.Instr) obj.AD {
-	code, f := im.Domains.CreateCode(im.Heap, prog)
-	if f != nil {
-		log.Fatal(f)
-	}
-	dom, f := im.Domains.Create(im.Heap, code, []uint32{0})
-	if f != nil {
-		log.Fatal(f)
-	}
-	return dom
 }

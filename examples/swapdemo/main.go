@@ -33,7 +33,59 @@ func main() {
 			run(ratio, count, swapping)
 		}
 	}
+	compaction()
 	fmt.Println("\none interface, two implementations; programs select, not adapt (§6.2)")
+}
+
+// compaction shows what the swapping manager can do about the holes a dead
+// local heap leaves behind: every other object comes from a local heap,
+// the heap is destroyed, and Compact slides the survivors down through the
+// descriptor indirection. Their capabilities do not change.
+func compaction() {
+	im, err := core.Boot(core.Config{Swapping: true, MemoryBytes: physMem})
+	if err != nil {
+		log.Fatal(err)
+	}
+	local, f := im.MM.NewLocalHeap(im.Heap, 1, 0)
+	if f != nil {
+		log.Fatal(f)
+	}
+	var kept []obj.AD
+	for i := 0; i < 16; i++ {
+		heap := im.Heap
+		if i%2 == 1 {
+			heap = local
+		}
+		ad, f := im.MM.Allocate(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: objSize})
+		if f != nil {
+			log.Fatal(f)
+		}
+		if i%2 == 0 {
+			if f := im.Table.WriteDWord(ad, 0, uint32(i)); f != nil {
+				log.Fatal(f)
+			}
+			kept = append(kept, ad)
+		}
+	}
+	if _, f := im.MM.DestroyHeap(local); f != nil {
+		log.Fatal(f)
+	}
+	phys := im.Table.Memory()
+	frags, largest := phys.FragCount(), phys.LargestFree()
+	moved, _, f := im.Swapper.Compact()
+	if f != nil {
+		log.Fatal(f)
+	}
+	fmt.Printf("\ncompaction: a dead local heap left %d free fragments (largest %d KB); %d parts moved, %d fragments (largest %d KB)\n",
+		frags, largest/1024, moved, phys.FragCount(), phys.LargestFree()/1024)
+	if phys.FragCount() >= frags || phys.LargestFree() <= largest {
+		log.Fatal("compaction did not reduce fragmentation")
+	}
+	for i, ad := range kept {
+		if v, f := im.Table.ReadDWord(ad, 0); f != nil || v != uint32(2*i) {
+			log.Fatalf("object %d reads %d after compaction: %v", 2*i, v, f)
+		}
+	}
 }
 
 func run(ratio float64, count int, swapping bool) {
@@ -43,11 +95,6 @@ func run(ratio float64, count int, swapping bool) {
 	}
 	// The workload: allocate `count` objects, tag them, then touch them
 	// all again touchRuns times (forcing swap-ins under pressure).
-	anchors, f := im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, AccessSlots: 64})
-	if f != nil {
-		log.Fatal(f)
-	}
-	_ = anchors
 	var objs []obj.AD
 	allocated := 0
 	var failure *obj.Fault

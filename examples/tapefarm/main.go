@@ -8,6 +8,15 @@
 // its TDO, so the garbage collector delivers every lost drive to the
 // manager's recovery port instead of reclaiming it, and the pool refills.
 //
+// Two pieces of §4 do the manager's checking. The recovery port is a
+// runtime-checked port (ipc.Checked): what comes out of it is a drive or
+// the receive fails. And check-in is the type-manager entry operation, run
+// as the instructions it compiles to: a client holds its drive without the
+// delete right, so the capability it hands back is weaker than the one the
+// pool gave out, and only the holder of the TDO can amplify it back.
+// Without that step the pool's rights decay with every round trip; the
+// example asserts at exit that they have not.
+//
 // Run with: go run ./examples/tapefarm
 package main
 
@@ -16,9 +25,14 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/gdp"
 	"repro/internal/iosys"
+	"repro/internal/ipc"
+	"repro/internal/isa"
 	"repro/internal/obj"
 	"repro/internal/port"
+	"repro/internal/process"
+	"repro/internal/workload"
 )
 
 const (
@@ -28,6 +42,8 @@ const (
 	dirTDO      = 0
 	dirRecovery = 1
 	dirPool     = 2
+	dirCheckin  = 3
+	dirTray     = 4
 )
 
 // manager is the tape-drive type manager: a pool of drive objects plus
@@ -35,47 +51,50 @@ const (
 type manager struct {
 	im       *core.IMAX
 	tdo      obj.AD
-	recovery obj.AD
+	recovery ipc.Checked
 	pool     obj.AD // directory object holding free-drive capabilities
+	entry    obj.AD // the check-in domain
+	tray     obj.AD // where the check-in domain leaves its verdict and the amplified capability
 	free     int
 	devices  map[obj.Index]*iosys.Tape // the physical media behind the objects
 }
 
+// checkinProgram is the manager's entry operation. a1 = the capability a
+// client handed back, a2 = the TDO, a3 = the tray. To the hardware a drive
+// is an ordinary generic object (typeof); to the holder of the TDO it is a
+// tape_drive or it is not (istype), and if it is, amplify restores the
+// rights the client's copy was issued without.
+var checkinProgram = []isa.Instr{
+	isa.TypeOf(1, 1),
+	isa.IsType(0, 1, 2),
+	isa.BrZ(0, 5),
+	isa.Amplify(1, 2, uint32(obj.RightsAll)),
+	isa.StoreA(1, 3, 0),
+	isa.Store(0, 3, 0), // verdict
+	isa.Store(1, 3, 4), // hardware type
+	isa.Halt(),
+}
+
 func newManager(im *core.IMAX) *manager {
-	tdo, f := im.TDOs.Define("tape_drive", obj.LevelGlobal, obj.NilIndex)
-	if f != nil {
-		log.Fatal(f)
-	}
-	recovery, f := im.Ports.Create(im.Heap, driveCount*2, port.FIFO)
-	if f != nil {
-		log.Fatal(f)
-	}
-	pool, f := im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, AccessSlots: driveCount})
-	if f != nil {
-		log.Fatal(f)
-	}
-	if f := im.TDOs.ArmDestructionFilter(tdo, recovery); f != nil {
-		log.Fatal(f)
-	}
-	// The manager's own anchors live in the system directory.
-	for slot, ad := range map[uint32]obj.AD{dirTDO: tdo, dirRecovery: recovery, dirPool: pool} {
-		if f := im.Publish(slot, ad); f != nil {
-			log.Fatal(f)
-		}
-	}
+	tdo := must(im.TDOs.Define("tape_drive", obj.LevelGlobal, obj.NilIndex))
+	// Nothing parks at the recovery port today; the waker is what keeps a
+	// receive that unparks a sender from losing it.
+	recovery := must(ipc.CreateChecked(im.Ports, im.TDOs, im.Heap, tdo, driveCount*2, port.FIFO)).WithWaker(im.System)
+	pool := must(im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, AccessSlots: driveCount}))
+	check(im.TDOs.ArmDestructionFilter(tdo, recovery.Port()))
 	m := &manager{im: im, tdo: tdo, recovery: recovery, pool: pool,
+		entry:   must(workload.Domain(im.System, checkinProgram)),
+		tray:    must(im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8, AccessSlots: 1})),
 		devices: make(map[obj.Index]*iosys.Tape)}
+	// The manager's own anchors live in the system directory.
+	for slot, ad := range map[uint32]obj.AD{dirTDO: tdo, dirRecovery: recovery.Port(), dirPool: pool,
+		dirCheckin: m.entry, dirTray: m.tray} {
+		check(im.Publish(slot, ad))
+	}
 	for i := 0; i < driveCount; i++ {
-		drive, f := im.TDOs.CreateInstance(tdo, obj.CreateSpec{DataLen: 16})
-		if f != nil {
-			log.Fatal(f)
-		}
-		if f := im.Table.WriteDWord(drive, 0, uint32(i)); f != nil {
-			log.Fatal(f)
-		}
-		if f := im.Table.StoreAD(pool, uint32(i), drive); f != nil {
-			log.Fatal(f)
-		}
+		drive := must(im.TDOs.CreateInstance(tdo, obj.CreateSpec{DataLen: 16}))
+		check(im.Table.WriteDWord(drive, 0, uint32(i)))
+		check(im.Table.StoreAD(pool, uint32(i), drive))
 		m.devices[drive.Index] = iosys.NewTape(1 << 16)
 		m.free++
 	}
@@ -103,18 +122,26 @@ func (m *manager) checkout() (obj.AD, bool) {
 	return obj.NilAD, false
 }
 
-// checkin returns a drive to the pool.
+// checkin returns a drive to the pool, through the check-in domain: the
+// capability that goes back in is the amplified one.
 func (m *manager) checkin(drive obj.AD) {
-	ok, f := m.im.TDOs.Is(m.tdo, drive)
-	if f != nil || !ok {
-		log.Fatal("checkin of a non-drive")
+	im := m.im
+	p := must(im.Spawn(m.entry, gdp.SpawnSpec{AArgs: [4]obj.AD{obj.NilAD, drive, m.tdo, m.tray}}))
+	must(im.RunUntil(func() bool {
+		st, _ := im.Procs.StateOf(p)
+		return st == process.StateTerminated
+	}, 1_000_000))
+	if must(im.Table.ReadDWord(m.tray, 0)) != 1 {
+		log.Fatalf("checkin of a non-drive: %v", drive)
 	}
+	if hw := obj.Type(must(im.Table.ReadDWord(m.tray, 4))); hw != obj.TypeGeneric {
+		log.Fatalf("a drive is a %v to the hardware, want %v", hw, obj.TypeGeneric)
+	}
+	drive = must(im.Table.LoadAD(m.tray, 0))
+	check(im.Table.StoreAD(m.tray, 0, obj.NilAD))
 	for i := uint32(0); i < driveCount; i++ {
-		ad, _ := m.im.Table.LoadAD(m.pool, i)
-		if !ad.Valid() {
-			if f := m.im.Table.StoreAD(m.pool, i, drive); f != nil {
-				log.Fatal(f)
-			}
+		if ad := must(im.Table.LoadAD(m.pool, i)); !ad.Valid() {
+			check(im.Table.StoreAD(m.pool, i, drive))
 			m.free++
 			return
 		}
@@ -124,23 +151,17 @@ func (m *manager) checkin(drive obj.AD) {
 
 // recoverLost drains the recovery port: every delivery is a drive some
 // client lost, recognisable and restorable because its type identity
-// survived (§7.2). Returns the number recovered.
+// survived (§7.2) — the checked port verifies it on the way out. Returns
+// the number recovered.
 func (m *manager) recoverLost() int {
 	n := 0
 	for {
-		msg, ok, f := m.im.ReceiveMessage(m.recovery)
-		if f != nil {
-			log.Fatal(f)
-		}
-		if !ok {
+		msg, err := m.recovery.Receive()
+		if err == ipc.ErrWouldBlock {
 			return n
 		}
-		isDrive, f := m.im.TDOs.Is(m.tdo, msg)
-		if f != nil {
-			log.Fatal(f)
-		}
-		if !isDrive {
-			log.Fatalf("recovery port delivered a non-drive: %v", msg)
+		if err != nil {
+			log.Fatalf("recovery port: %v", err)
 		}
 		// The collector marked it finalized; a fresh instance takes
 		// its place in the accounting (rewinding the physical medium)
@@ -150,6 +171,18 @@ func (m *manager) recoverLost() int {
 		}
 		m.checkin(msg)
 		n++
+	}
+}
+
+// must unwraps a result whose fault is fatal to the example.
+func must[T any](v T, f *obj.Fault) T {
+	check(f)
+	return v
+}
+
+func check(f *obj.Fault) {
+	if f != nil {
+		log.Fatal(f)
 	}
 }
 
@@ -200,4 +233,10 @@ func main() {
 		log.Fatalf("LOST OBJECTS: %d drives unaccounted for", driveCount-m.free)
 	}
 	fmt.Println("  every lost drive came home through the destruction filter")
+	for i := uint32(0); i < driveCount; i++ {
+		if ad := must(im.Table.LoadAD(m.pool, i)); !ad.Rights.Has(obj.RightsAll) {
+			log.Fatalf("DECAYED RIGHTS: pool slot %d holds %v: a check-in stored the client's copy", i, ad)
+		}
+	}
+	fmt.Printf("  the pool holds all %d drives with full rights: every check-in amplified\n", driveCount)
 }

@@ -38,57 +38,15 @@ func errf(line int, format string, args ...any) *Error {
 	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// operand kinds the mnemonic table uses.
-type opKind uint8
-
-const (
-	opEnd   opKind = iota // no more operands
-	opDreg                // data register rN
-	opAreg                // access register aN
-	opImm                 // immediate (label allowed where noted)
-	opLabel               // immediate that may be a label (branch/call targets)
-)
-
-// one mnemonic's shape: the opcode and where each operand lands.
-type shape struct {
-	op   isa.Op
-	args []opKind
-	// place maps parsed operand i into the instruction fields:
-	// 'A', 'B', 'C'.
-	place []byte
-}
-
-var mnemonics = map[string]shape{
-	"nop":     {isa.OpNop, nil, nil},
-	"halt":    {isa.OpHalt, nil, nil},
-	"movi":    {isa.OpMovI, []opKind{opDreg, opImm}, []byte{'A', 'C'}},
-	"mov":     {isa.OpMov, []opKind{opDreg, opDreg}, []byte{'A', 'B'}},
-	"add":     {isa.OpAdd, []opKind{opDreg, opDreg, opDreg}, []byte{'A', 'B', 'C'}},
-	"addi":    {isa.OpAddI, []opKind{opDreg, opDreg, opImm}, []byte{'A', 'B', 'C'}},
-	"sub":     {isa.OpSub, []opKind{opDreg, opDreg, opDreg}, []byte{'A', 'B', 'C'}},
-	"mul":     {isa.OpMul, []opKind{opDreg, opDreg, opDreg}, []byte{'A', 'B', 'C'}},
-	"br":      {isa.OpBr, []opKind{opLabel}, []byte{'C'}},
-	"brz":     {isa.OpBrZ, []opKind{opDreg, opLabel}, []byte{'A', 'C'}},
-	"brnz":    {isa.OpBrNZ, []opKind{opDreg, opLabel}, []byte{'A', 'C'}},
-	"brlt":    {isa.OpBrLT, []opKind{opDreg, opDreg, opLabel}, []byte{'A', 'B', 'C'}},
-	"load":    {isa.OpLoad, []opKind{opDreg, opAreg, opImm}, []byte{'A', 'B', 'C'}},
-	"store":   {isa.OpStore, []opKind{opDreg, opAreg, opImm}, []byte{'A', 'B', 'C'}},
-	"loada":   {isa.OpLoadA, []opKind{opAreg, opAreg, opImm}, []byte{'A', 'B', 'C'}},
-	"storea":  {isa.OpStoreA, []opKind{opAreg, opAreg, opImm}, []byte{'A', 'B', 'C'}},
-	"mova":    {isa.OpMovA, []opKind{opAreg, opAreg}, []byte{'A', 'B'}},
-	"create":  {isa.OpCreate, []opKind{opAreg, opAreg, opDreg}, []byte{'A', 'B', 'C'}},
-	"send":    {isa.OpSend, []opKind{opAreg, opAreg, opDreg}, []byte{'A', 'B', 'C'}},
-	"recv":    {isa.OpRecv, []opKind{opAreg, opAreg}, []byte{'A', 'B'}},
-	"csend":   {isa.OpCSend, []opKind{opAreg, opAreg, opDreg}, []byte{'A', 'B', 'C'}},
-	"crecv":   {isa.OpCRecv, []opKind{opAreg, opAreg, opDreg}, []byte{'A', 'B', 'C'}},
-	"call":    {isa.OpCall, []opKind{opAreg, opImm}, []byte{'B', 'C'}},
-	"calll":   {isa.OpCallLocal, []opKind{opImm}, []byte{'C'}},
-	"ret":     {isa.OpRet, nil, nil},
-	"typeof":  {isa.OpTypeOf, []opKind{opDreg, opAreg}, []byte{'A', 'B'}},
-	"amplify": {isa.OpAmplify, []opKind{opAreg, opAreg, opImm}, []byte{'A', 'B', 'C'}},
-	"istype":  {isa.OpIsType, []opKind{opDreg, opAreg, opAreg}, []byte{'A', 'B', 'C'}},
-	"fault":   {isa.OpFault, []opKind{opImm}, []byte{'C'}},
-}
+// mnemonics is the opcode table of internal/isa by name: the one statement
+// of each instruction's operands, which Disassemble prints from too.
+var mnemonics = func() map[string]isa.Op {
+	m := map[string]isa.Op{}
+	for op := isa.Op(0); op.Valid(); op++ {
+		m[op.Spec().Name] = op
+	}
+	return m
+}()
 
 // Program is an assembled program with its symbol table.
 type Program struct {
@@ -190,10 +148,11 @@ func validLabel(s string) bool {
 func parseInstr(line int, text string, index int) (isa.Instr, *pending, error) {
 	fields := strings.Fields(text)
 	mn := strings.ToLower(fields[0])
-	sh, ok := mnemonics[mn]
+	op, ok := mnemonics[mn]
 	if !ok {
 		return isa.Instr{}, nil, errf(line, "unknown mnemonic %q", fields[0])
 	}
+	sp := op.Spec()
 	rest := strings.TrimSpace(text[len(fields[0]):])
 	var ops []string
 	if rest != "" {
@@ -201,52 +160,38 @@ func parseInstr(line int, text string, index int) (isa.Instr, *pending, error) {
 			ops = append(ops, strings.TrimSpace(o))
 		}
 	}
-	if len(ops) != len(sh.args) {
-		return isa.Instr{}, nil, errf(line, "%s takes %d operands, got %d", mn, len(sh.args), len(ops))
+	if len(ops) != len(sp.Args) {
+		return isa.Instr{}, nil, errf(line, "%s takes %d operands, got %d", mn, len(sp.Args), len(ops))
 	}
-	in := isa.Instr{Op: sh.op}
+	in := isa.Instr{Op: op}
 	var fix *pending
 	for i, o := range ops {
 		var v uint32
-		switch sh.args[i] {
-		case opDreg:
-			r, err := parseReg(o, 'r', isa.NumDataRegs)
-			if err != nil {
-				return isa.Instr{}, nil, errf(line, "%v", err)
-			}
-			v = uint32(r)
-		case opAreg:
-			r, err := parseReg(o, 'a', isa.NumAccessRegs)
-			if err != nil {
-				return isa.Instr{}, nil, errf(line, "%v", err)
-			}
-			v = uint32(r)
-		case opImm, opLabel:
-			imm, isLabel, err := parseImm(o)
-			if err != nil {
-				return isa.Instr{}, nil, errf(line, "%v", err)
+		var err error
+		switch kind := sp.Args[i].Kind; kind {
+		case isa.DReg:
+			v, err = parseReg(o, 'r', isa.NumDataRegs)
+		case isa.AReg:
+			v, err = parseReg(o, 'a', isa.NumAccessRegs)
+		default:
+			var isLabel bool
+			v, isLabel, err = parseImm(o)
+			if isLabel && kind != isa.Target {
+				return isa.Instr{}, nil, errf(line, "label %q not allowed here", o)
 			}
 			if isLabel {
-				if sh.args[i] != opLabel {
-					return isa.Instr{}, nil, errf(line, "label %q not allowed here", o)
-				}
 				fix = &pending{line: line, instr: index, label: o}
 			}
-			v = imm
 		}
-		switch sh.place[i] {
-		case 'A':
-			in.A = uint8(v)
-		case 'B':
-			in.B = uint8(v)
-		case 'C':
-			in.C = v
+		if err != nil {
+			return isa.Instr{}, nil, errf(line, "%v", err)
 		}
+		in.SetField(sp.Args[i], v)
 	}
 	return in, fix, nil
 }
 
-func parseReg(s string, prefix byte, limit int) (uint8, error) {
+func parseReg(s string, prefix byte, limit int) (uint32, error) {
 	if len(s) < 2 || (s[0] != prefix && s[0] != prefix-32) {
 		return 0, fmt.Errorf("expected %c-register, got %q", prefix, s)
 	}
@@ -254,7 +199,7 @@ func parseReg(s string, prefix byte, limit int) (uint8, error) {
 	if err != nil || n < 0 || n >= limit {
 		return 0, fmt.Errorf("register %q out of range (0..%d)", s, limit-1)
 	}
-	return uint8(n), nil
+	return uint32(n), nil
 }
 
 // parseImm accepts decimal (optionally negative, wrapping to uint32), hex

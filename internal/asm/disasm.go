@@ -8,87 +8,32 @@ import (
 )
 
 // Disassemble renders a program as assembler source that Assemble accepts
-// and that round-trips to the same instructions. Branch targets become
-// generated labels (L<index>); everything else prints through the same
-// mnemonic table the assembler parses.
+// and that round-trips to the same instructions. Branch targets inside the
+// program become generated labels (L<index>); everything else prints as
+// isa.Instr.String does, from the opcode table the assembler parses.
 func Disassemble(prog []isa.Instr) string {
 	// First pass: find branch targets that need labels.
 	targets := map[uint32]bool{}
 	for _, in := range prog {
-		if isBranch(in.Op) && in.C < uint32(len(prog)) {
-			targets[in.C] = true
+		for _, o := range in.Op.Spec().Args {
+			if o.Kind == isa.Target && in.C < uint32(len(prog)) {
+				targets[in.C] = true
+			}
 		}
+	}
+	name := func(target uint32) string {
+		if targets[target] {
+			return fmt.Sprintf("L%d", target)
+		}
+		return ""
 	}
 	var b strings.Builder
 	for i, in := range prog {
 		label := ""
 		if targets[uint32(i)] {
-			label = fmt.Sprintf("L%d:", i)
+			label = name(uint32(i)) + ":"
 		}
-		fmt.Fprintf(&b, "%-8s%s\n", label, formatInstr(in, targets))
+		fmt.Fprintf(&b, "%-8s%s\n", label, in.Text(name))
 	}
 	return b.String()
-}
-
-func isBranch(op isa.Op) bool {
-	switch op {
-	case isa.OpBr, isa.OpBrZ, isa.OpBrNZ, isa.OpBrLT:
-		return true
-	}
-	return false
-}
-
-// mnemonicOf inverts the mnemonic table once.
-var mnemonicOf = func() map[isa.Op]string {
-	m := make(map[isa.Op]string, len(mnemonics))
-	for name, sh := range mnemonics {
-		m[sh.op] = name
-	}
-	return m
-}()
-
-// shapeOf finds the operand shape for an opcode.
-func shapeOf(op isa.Op) (string, shape, bool) {
-	name, ok := mnemonicOf[op]
-	if !ok {
-		return "", shape{}, false
-	}
-	return name, mnemonics[name], true
-}
-
-func formatInstr(in isa.Instr, targets map[uint32]bool) string {
-	name, sh, ok := shapeOf(in.Op)
-	if !ok {
-		return fmt.Sprintf("; unknown op %d", in.Op)
-	}
-	if len(sh.args) == 0 {
-		return name
-	}
-	ops := make([]string, len(sh.args))
-	for i, kind := range sh.args {
-		var v uint32
-		switch sh.place[i] {
-		case 'A':
-			v = uint32(in.A)
-		case 'B':
-			v = uint32(in.B)
-		case 'C':
-			v = in.C
-		}
-		switch kind {
-		case opDreg:
-			ops[i] = fmt.Sprintf("r%d", v)
-		case opAreg:
-			ops[i] = fmt.Sprintf("a%d", v)
-		case opLabel:
-			if targets[v] {
-				ops[i] = fmt.Sprintf("L%d", v)
-			} else {
-				ops[i] = fmt.Sprint(v)
-			}
-		case opImm:
-			ops[i] = fmt.Sprint(v)
-		}
-	}
-	return name + "  " + strings.Join(ops, ", ")
 }

@@ -41,27 +41,19 @@ func TestAssembleDisassembleRoundTrip(t *testing.T) {
 		for i := range prog {
 			op := ops[rng.Intn(len(ops))]
 			in := isa.Instr{Op: op}
-			_, sh, _ := shapeOf(op)
-			for j, kind := range sh.args {
+			for _, o := range op.Spec().Args {
 				var v uint32
-				switch kind {
-				case opDreg:
+				switch o.Kind {
+				case isa.DReg:
 					v = uint32(rng.Intn(isa.NumDataRegs))
-				case opAreg:
+				case isa.AReg:
 					v = uint32(rng.Intn(isa.NumAccessRegs))
-				case opLabel:
+				case isa.Target:
 					v = uint32(rng.Intn(n)) // valid target
-				case opImm:
+				case isa.Imm:
 					v = rng.Uint32() % 10_000
 				}
-				switch sh.place[j] {
-				case 'A':
-					in.A = uint8(v)
-				case 'B':
-					in.B = uint8(v)
-				case 'C':
-					in.C = v
-				}
+				in.SetField(o, v)
 			}
 			prog[i] = in
 		}

@@ -338,3 +338,37 @@ func (im *IMAX) CheckLevels() []LevelViolation {
 	slices.SortFunc(out, func(a, b LevelViolation) int { return cmp.Compare(a.Process.Index, b.Process.Index) })
 	return out
 }
+
+// SealLedger closes the audit ledger and verifies the sealed bytes from
+// scratch — structure, hash chain, Merkle root against the sink's — and
+// against the live ring: every event the ring emitted is in the replay,
+// kind by kind. The replay is what proofs and the replay-mode confinement
+// check (audit.CheckConfinementFromLedger) are built from.
+func (im *IMAX) SealLedger() (*ledger.Replay, error) {
+	lg := im.Ledger
+	lg.Close()
+	rep, err := ledger.Verify(lg.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("sealed ledger does not verify: %w", err)
+	}
+	if rep.Root != lg.Root() {
+		return nil, fmt.Errorf("replay root %x != sink root %s", rep.Root, lg.RootHex())
+	}
+	seq, counts := im.TraceLog.Snapshot()
+	if lg.Dropped() == 0 && uint64(len(rep.Events)) != seq {
+		return nil, fmt.Errorf("ledger holds %d events, ring emitted %d", len(rep.Events), seq)
+	}
+	for k, n := range counts {
+		var got uint64
+		if k < len(rep.Counts) {
+			got = rep.Counts[k]
+		}
+		if k < len(rep.Dropped) {
+			got += rep.Dropped[k]
+		}
+		if got != n {
+			return nil, fmt.Errorf("kind %v: ledger accounts for %d events, ring counted %d", trace.Kind(k), got, n)
+		}
+	}
+	return rep, nil
+}

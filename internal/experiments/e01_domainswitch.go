@@ -6,8 +6,8 @@ import (
 	"repro/internal/gdp"
 	"repro/internal/isa"
 	"repro/internal/obj"
-	"repro/internal/process"
 	"repro/internal/vtime"
+	"repro/internal/workload"
 )
 
 func init() { register("E1", runE1) }
@@ -18,87 +18,38 @@ func init() { register("E1", runE1) }
 // runs the identical call/return workload through a cross-domain CALL and
 // an intra-domain CALL and measures cycles per call pair, end to end
 // through the executing machinery (not just the cost table).
-func runE1() (*Result, error) {
+func runE1() *Result {
 	const calls = 2000
 
-	measure := func(cross bool) (float64, error) {
-		sys, err := gdp.New(gdp.Config{Processors: 1})
-		if err != nil {
-			return 0, err
-		}
-		callee, f := makeDomain(sys, []isa.Instr{isa.Ret()})
-		if f != nil {
-			return 0, f
-		}
-		callInstr := isa.Call(1, 0)
-		if !cross {
-			// Entry 1 of the caller's own domain is the local
-			// subprogram (a bare Ret below).
-			callInstr = isa.CallLocal(1)
-		}
-		var prog []isa.Instr
+	measure := func(cross bool) float64 {
+		sys := try(gdp.New(gdp.Config{Processors: 1}))
+		callee := must(workload.Domain(sys, []isa.Instr{isa.Ret()}))
+		// The intra-domain callee is entry 1 of the caller's own domain: a
+		// bare Ret below the Halt, which keeps fallthrough out of it.
+		call := isa.CallLocal(1)
 		if cross {
-			prog = []isa.Instr{
-				isa.MovI(4, calls),
-				callInstr,
-				isa.AddI(4, 4, ^uint32(0)),
-				isa.BrNZ(4, 1),
-				isa.Halt(),
-			}
-		} else {
-			// The intra-domain callee is entry 1 of the same
-			// domain; a guard branch keeps fallthrough out of it.
-			prog = []isa.Instr{
-				isa.MovI(4, calls),
-				callInstr,
-				isa.AddI(4, 4, ^uint32(0)),
-				isa.BrNZ(4, 1),
-				isa.Halt(),
-				isa.Ret(), // entry 1
-			}
+			call = isa.Call(1, 0)
 		}
-		var caller obj.AD
-		if cross {
-			caller, f = makeDomain(sys, prog)
-		} else {
-			code, cf := sys.Domains.CreateCode(sys.Heap, prog)
-			if cf != nil {
-				return 0, cf
-			}
-			caller, f = sys.Domains.Create(sys.Heap, code, []uint32{0, 5})
+		prog := []isa.Instr{
+			isa.MovI(4, calls),
+			call,
+			isa.AddI(4, 4, ^uint32(0)),
+			isa.BrNZ(4, 1),
+			isa.Halt(),
+			isa.Ret(), // entry 1
 		}
-		if f != nil {
-			return 0, f
-		}
-		p, f := sys.Spawn(caller, gdp.SpawnSpec{AArgs: [4]obj.AD{obj.NilAD, callee}})
-		if f != nil {
-			return 0, f
-		}
-		// Baseline run without the calls to subtract loop overhead.
-		if _, f := sys.Run(0); f != nil {
-			return 0, f
-		}
-		if st, _ := sys.Procs.StateOf(p); st != process.StateTerminated {
-			c, _ := sys.Procs.FaultCode(p)
-			return 0, fmt.Errorf("workload faulted: %v", c)
-		}
-		busy := sys.CPUs[0].Clock.Now() - sys.CPUs[0].IdleCycles
+		code := must(sys.Domains.CreateCode(sys.Heap, prog))
+		caller := must(sys.Domains.Create(sys.Heap, code, []uint32{0, 5}))
+		p := must(sys.Spawn(caller, gdp.SpawnSpec{AArgs: [4]obj.AD{obj.NilAD, callee}}))
+		busy := busyCycles(sys, p)
 		// Loop overhead per iteration: AddI + BrNZ; setup: MovI +
 		// dispatch + Halt + fixed costs — measured once and
 		// subtracted as a constant.
 		overhead := vtime.Cycles(calls) * (vtime.CostALU + vtime.CostBranch)
-		perCall := float64(busy-overhead) / calls
-		return perCall, nil
+		return float64(busy-overhead) / calls
 	}
 
-	crossCy, err := measure(true)
-	if err != nil {
-		return nil, err
-	}
-	intraCy, err := measure(false)
-	if err != nil {
-		return nil, err
-	}
+	crossCy, intraCy := measure(true), measure(false)
 	crossUs := vtime.Cycles(crossCy).Microseconds()
 	intraUs := vtime.Cycles(intraCy).Microseconds()
 	ratio := crossCy / intraCy
@@ -121,14 +72,5 @@ func runE1() (*Result, error) {
 	// of magnitude) of a procedure activation.
 	res.Pass = crossUs > 60 && crossUs < 75 && ratio > 2 && ratio < 10
 	res.Verdict = fmt.Sprintf("measured %.1f µs per domain switch, %.1f× an intra-domain activation", crossUs, ratio)
-	return res, nil
-}
-
-// makeDomain builds a single-entry domain over prog.
-func makeDomain(sys *gdp.System, prog []isa.Instr) (obj.AD, *obj.Fault) {
-	code, f := sys.Domains.CreateCode(sys.Heap, prog)
-	if f != nil {
-		return obj.NilAD, f
-	}
-	return sys.Domains.Create(sys.Heap, code, []uint32{0})
+	return res
 }

@@ -5,9 +5,10 @@ import (
 
 	"repro/internal/gdp"
 	"repro/internal/isa"
+	"repro/internal/mm"
 	"repro/internal/obj"
-	"repro/internal/process"
 	"repro/internal/vtime"
+	"repro/internal/workload"
 )
 
 func init() { register("E2", runE2) }
@@ -19,7 +20,7 @@ func init() { register("E2", runE2) }
 // and heap kinds (global and local SRO) through the executing create
 // instruction and checks the cost is flat with size and lands on the
 // calibrated figure.
-func runE2() (*Result, error) {
+func runE2() *Result {
 	const allocs = 500
 	sizes := []uint32{16, 256, 4096, 32 * 1024, 64 * 1024}
 
@@ -37,10 +38,7 @@ func runE2() (*Result, error) {
 	var worst, best float64
 	for _, local := range []bool{false, true} {
 		for _, size := range sizes {
-			perAlloc, err := measureCreate(size, allocs, local)
-			if err != nil {
-				return nil, err
-			}
+			perAlloc := measureCreate(size, allocs, local)
 			us := vtime.Cycles(perAlloc).Microseconds()
 			heap := "global"
 			if local {
@@ -58,25 +56,18 @@ func runE2() (*Result, error) {
 	}
 	res.Pass = best > 75 && worst < 90 && worst/best < 1.1
 	res.Verdict = fmt.Sprintf("measured %.1f–%.1f µs per create across sizes and heaps (flat, on the 80 µs calibration)", best, worst)
-	return res, nil
+	return res
 }
 
 // measureCreate runs an allocation loop in the VM against a heap (global
 // or local SRO) and reports cycles per create instruction.
-func measureCreate(size uint32, allocs int, local bool) (float64, error) {
-	sys, err := gdp.New(gdp.Config{MemoryBytes: 128 << 20})
-	if err != nil {
-		return 0, err
-	}
+func measureCreate(size uint32, allocs int, local bool) float64 {
+	sys := try(gdp.New(gdp.Config{MemoryBytes: 128 << 20}))
 	heap := sys.Heap
 	if local {
-		h, f := sys.SROs.NewLocalHeap(sys.Heap, 1, 0)
-		if f != nil {
-			return 0, f
-		}
-		heap = h
+		heap = must(mm.NewNonSwapping(sys.SROs).NewLocalHeap(sys.Heap, 1, 0))
 	}
-	dom, f := makeDomain(sys, []isa.Instr{
+	dom := must(workload.Domain(sys, []isa.Instr{
 		isa.MovI(4, uint32(allocs)),
 		isa.MovI(2, size),
 		isa.MovI(3, 0),
@@ -84,22 +75,8 @@ func measureCreate(size uint32, allocs int, local bool) (float64, error) {
 		isa.AddI(4, 4, ^uint32(0)),
 		isa.BrNZ(4, 3),
 		isa.Halt(),
-	})
-	if f != nil {
-		return 0, f
-	}
-	p, f := sys.Spawn(dom, gdp.SpawnSpec{AArgs: [4]obj.AD{heap}})
-	if f != nil {
-		return 0, f
-	}
-	if _, f := sys.Run(0); f != nil {
-		return 0, f
-	}
-	if st, _ := sys.Procs.StateOf(p); st != process.StateTerminated {
-		c, _ := sys.Procs.FaultCode(p)
-		return 0, fmt.Errorf("allocation workload faulted: %v (size %d)", c, size)
-	}
-	busy := sys.CPUs[0].Clock.Now() - sys.CPUs[0].IdleCycles
+	}))
+	p := must(sys.Spawn(dom, gdp.SpawnSpec{AArgs: [4]obj.AD{heap}}))
 	overhead := vtime.Cycles(allocs) * (vtime.CostALU + vtime.CostBranch)
-	return float64(busy-overhead) / float64(allocs), nil
+	return float64(busyCycles(sys, p)-overhead) / float64(allocs)
 }

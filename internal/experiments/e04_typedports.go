@@ -21,24 +21,18 @@ func init() { register("E4", runE4) }
 // few more generated instructions". We measure wall time per
 // send/receive pair for all three layers over the same hardware port
 // machinery (Go's inliner plays the role of the Ada inline pragma).
-func runE4() (*Result, error) {
+func runE4() *Result {
 	type tapeMsg struct{}
 
 	// One system, three ports: each arm is one send+receive pair over its
 	// own port and message, so the arms differ only in the interface layer.
 	tab := obj.NewTable(1 << 22)
 	s := sro.NewManager(tab)
-	heap, f := s.NewGlobalHeap(0)
-	if f != nil {
-		return nil, f
-	}
+	heap := must(s.NewGlobalHeap(0))
 	pm := port.NewManager(tab, s)
 
-	u, f := ipc.CreateUntyped(pm, heap, 8, port.FIFO)
-	if f != nil {
-		return nil, f
-	}
-	umsg, _ := s.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
+	u := must(ipc.CreateUntyped(pm, heap, 8, port.FIFO))
+	umsg := must(s.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8}))
 	untyped := func() error {
 		if err := u.Send(umsg); err != nil {
 			return err
@@ -47,12 +41,8 @@ func runE4() (*Result, error) {
 		return err
 	}
 
-	tp, f := ipc.CreateTyped[tapeMsg](pm, heap, 8, port.FIFO)
-	if f != nil {
-		return nil, f
-	}
-	raw, _ := s.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
-	tmsg := ipc.Wrap[tapeMsg](raw)
+	tp := must(ipc.CreateTyped[tapeMsg](pm, heap, 8, port.FIFO))
+	tmsg := ipc.Wrap[tapeMsg](must(s.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})))
 	typed := func() error {
 		if err := tp.Send(tmsg); err != nil {
 			return err
@@ -62,18 +52,9 @@ func runE4() (*Result, error) {
 	}
 
 	td := typedef.NewManager(tab)
-	tdo, f := td.Define("bench_msg", obj.LevelGlobal, obj.NilIndex)
-	if f != nil {
-		return nil, f
-	}
-	cp, f := ipc.CreateChecked(pm, td, heap, tdo, 8, port.FIFO)
-	if f != nil {
-		return nil, f
-	}
-	cmsg, f := td.CreateInstance(tdo, obj.CreateSpec{DataLen: 8})
-	if f != nil {
-		return nil, f
-	}
+	tdo := must(td.Define("bench_msg", obj.LevelGlobal, obj.NilIndex))
+	cp := must(ipc.CreateChecked(pm, td, heap, tdo, 8, port.FIFO))
+	cmsg := must(td.CreateInstance(tdo, obj.CreateSpec{DataLen: 8}))
 	checked := func() error {
 		if err := cp.Send(cmsg); err != nil {
 			return err
@@ -96,9 +77,7 @@ func runE4() (*Result, error) {
 		for i, pair := range arms {
 			start := time.Now()
 			for n := 0; n < pairs; n++ {
-				if err := pair(); err != nil {
-					return nil, err
-				}
+				checkErr(pair())
 			}
 			windows[i][r] = float64(time.Since(start).Nanoseconds()) / pairs
 		}
@@ -130,5 +109,5 @@ func runE4() (*Result, error) {
 	// more expensive.
 	res.Pass = overheadTyped < 10 && overheadChecked > overheadTyped
 	res.Verdict = fmt.Sprintf("typed %+.1f%% vs untyped (noise); runtime check %+.1f%%", overheadTyped, overheadChecked)
-	return res, nil
+	return res
 }

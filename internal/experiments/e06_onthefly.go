@@ -9,6 +9,7 @@ import (
 	"repro/internal/obj"
 	"repro/internal/process"
 	"repro/internal/vtime"
+	"repro/internal/workload"
 )
 
 func init() { register("E6", runE6) }
@@ -20,20 +21,14 @@ func init() { register("E6", runE6) }
 // runs an allocation-heavy mutator under (a) the on-the-fly daemon and
 // (b) an equivalent stop-the-world regime, and compares the mutator's
 // longest stall and total completion time.
-func runE6() (*Result, error) {
+func runE6() *Result {
 	const (
 		allocs  = 3_000
 		objSize = 128
 	)
 
-	onTime, onStall, onReclaimed, err := runMutator(true, allocs, objSize)
-	if err != nil {
-		return nil, err
-	}
-	stwTime, stwStall, stwReclaimed, err := runMutator(false, allocs, objSize)
-	if err != nil {
-		return nil, err
-	}
+	onTime, onStall, onReclaimed := runMutator(true, allocs, objSize)
+	stwTime, stwStall, stwReclaimed := runMutator(false, allocs, objSize)
 
 	res := &Result{
 		ID:     "E6",
@@ -56,20 +51,13 @@ func runE6() (*Result, error) {
 	// and the gap widens with the heap.
 	res.Pass = onStall*3 < stwStall && onReclaimed > 0 && stwReclaimed > 0
 	res.Verdict = fmt.Sprintf("longest stall %d cy on-the-fly vs %d cy stop-the-world (%.0f× shorter)",
-		uint64(onStall), uint64(stwStall), float64(stwStall)/float64(max64(onStall, 1)))
-	return res, nil
-}
-
-func max64(a vtime.Cycles, b vtime.Cycles) vtime.Cycles {
-	if a > b {
-		return a
-	}
-	return b
+		uint64(onStall), uint64(stwStall), float64(stwStall)/float64(max(onStall, 1)))
+	return res
 }
 
 // runMutator runs the allocation workload to completion and reports
 // (completion time, longest stall, reclaimed count).
-func runMutator(onTheFly bool, allocs int, objSize uint32) (vtime.Cycles, vtime.Cycles, uint64, error) {
+func runMutator(onTheFly bool, allocs int, objSize uint32) (vtime.Cycles, vtime.Cycles, uint64) {
 	cfg := core.Config{Processors: 2, MemoryBytes: 64 << 20}
 	if onTheFly {
 		cfg.GC = true
@@ -79,20 +67,12 @@ func runMutator(onTheFly bool, allocs int, objSize uint32) (vtime.Cycles, vtime.
 		cfg.GCWork = 16
 		cfg.GCInterval = 10_000
 	}
-	im, err := core.Boot(cfg)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	progress, f := im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
-	if f != nil {
-		return 0, 0, 0, f
-	}
-	if f := im.Publish(0, progress); f != nil {
-		return 0, 0, 0, f
-	}
+	im := try(core.Boot(cfg))
+	progress := must(im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8}))
+	check(im.Publish(0, progress))
 	// The mutator allocates and immediately drops objects, writing its
 	// remaining count into the progress object (a3) as a heartbeat.
-	dom, f := makeDomain(im.System, []isa.Instr{
+	dom := must(workload.Domain(im.System, []isa.Instr{
 		isa.MovI(4, uint32(allocs)),
 		isa.MovI(2, objSize),
 		isa.MovI(3, 1),
@@ -101,23 +81,13 @@ func runMutator(onTheFly bool, allocs int, objSize uint32) (vtime.Cycles, vtime.
 		isa.AddI(4, 4, ^uint32(0)),
 		isa.BrNZ(4, 3),
 		isa.Halt(),
-	})
-	if f != nil {
-		return 0, 0, 0, f
-	}
-	if f := im.Publish(1, dom); f != nil {
-		return 0, 0, 0, f
-	}
-	p, f := im.Spawn(dom, gdp.SpawnSpec{
+	}))
+	check(im.Publish(1, dom))
+	p := must(im.Spawn(dom, gdp.SpawnSpec{
 		TimeSlice: 2_000,
 		AArgs:     [4]obj.AD{im.Heap, obj.NilAD, obj.NilAD, progress},
-	})
-	if f != nil {
-		return 0, 0, 0, f
-	}
-	if f := im.Publish(2, p); f != nil {
-		return 0, 0, 0, f
-	}
+	}))
+	check(im.Publish(2, p))
 
 	start := im.Now()
 	var lastProgressVal uint32 = ^uint32(0)
@@ -129,14 +99,9 @@ func runMutator(onTheFly bool, allocs int, objSize uint32) (vtime.Cycles, vtime.
 	const stwEvery = 60_000
 
 	for {
-		if _, f := im.Step(1_000); f != nil {
-			return 0, 0, 0, f
-		}
+		must(im.Step(1_000))
 		// Track mutator stalls through its heartbeat.
-		v, f := im.Table.ReadDWord(progress, 0)
-		if f != nil {
-			return 0, 0, 0, f
-		}
+		v := must(im.Table.ReadDWord(progress, 0))
 		now := im.Now()
 		if v != lastProgressVal {
 			lastProgressVal = v
@@ -144,11 +109,7 @@ func runMutator(onTheFly bool, allocs int, objSize uint32) (vtime.Cycles, vtime.
 		} else if stall := now - lastProgressAt; stall > maxStall {
 			maxStall = stall
 		}
-		st, f := im.Procs.StateOf(p)
-		if f != nil {
-			return 0, 0, 0, f
-		}
-		if st == process.StateTerminated {
+		if must(im.Procs.StateOf(p)) == process.StateTerminated {
 			break
 		}
 		if !onTheFly {
@@ -158,10 +119,7 @@ func runMutator(onTheFly bool, allocs int, objSize uint32) (vtime.Cycles, vtime.
 				// Stop the world: the mutator waits while the
 				// whole collection runs, so the collection
 				// cost lands on every processor clock.
-				spent, f := im.Collect()
-				if f != nil {
-					return 0, 0, 0, f
-				}
+				spent := must(im.Collect())
 				for _, cpu := range im.CPUs {
 					cpu.Clock.Charge(spent)
 				}
@@ -175,17 +133,15 @@ func runMutator(onTheFly bool, allocs int, objSize uint32) (vtime.Cycles, vtime.
 			}
 		}
 		if now-start > 2_000_000_000 {
-			return 0, 0, 0, fmt.Errorf("mutator did not finish")
+			fail("mutator did not finish")
 		}
 	}
 	if onTheFly {
 		reclaimed = im.Collector.Stats().Reclaimed
 	} else {
 		// One final accounting collection (not timed into stalls).
-		if _, f := im.Collect(); f != nil {
-			return 0, 0, 0, f
-		}
+		must(im.Collect())
 		reclaimed = uint64(allocs) // dropped objects all reclaim eventually
 	}
-	return im.Now() - start, maxStall, reclaimed, nil
+	return im.Now() - start, maxStall, reclaimed
 }

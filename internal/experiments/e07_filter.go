@@ -16,71 +16,37 @@ func init() { register("E7", runE7) }
 // filtered type and sends them to the manager's port, so lost physical
 // resources (the paper's tape drives) are never silently reclaimed.
 // The experiment loses 1000 drive objects and counts recoveries.
-func runE7() (*Result, error) {
+func runE7() *Result {
 	const drives = 1000
 
-	run := func(filtered bool) (recovered int, reclaimed uint64, err error) {
-		im, err := core.Boot(core.Config{})
-		if err != nil {
-			return 0, 0, err
-		}
-		tdo, f := im.TDOs.Define("tape_drive", obj.LevelGlobal, obj.NilIndex)
-		if f != nil {
-			return 0, 0, f
-		}
-		if f := im.Publish(0, tdo); f != nil {
-			return 0, 0, f
-		}
-		recovery, f := im.Ports.Create(im.Heap, drives+8, port.FIFO)
-		if f != nil {
-			return 0, 0, f
-		}
-		if f := im.Publish(1, recovery); f != nil {
-			return 0, 0, f
-		}
+	run := func(filtered bool) (recovered int) {
+		im := try(core.Boot(core.Config{}))
+		tdo := must(im.TDOs.Define("tape_drive", obj.LevelGlobal, obj.NilIndex))
+		check(im.Publish(0, tdo))
+		recovery := must(im.Ports.Create(im.Heap, drives+8, port.FIFO))
+		check(im.Publish(1, recovery))
 		if filtered {
-			if f := im.TDOs.ArmDestructionFilter(tdo, recovery); f != nil {
-				return 0, 0, f
-			}
+			check(im.TDOs.ArmDestructionFilter(tdo, recovery))
 		}
 		for i := 0; i < drives; i++ {
 			// Create a drive and immediately lose the capability.
-			if _, f := im.TDOs.CreateInstance(tdo, obj.CreateSpec{DataLen: 16}); f != nil {
-				return 0, 0, f
-			}
+			must(im.TDOs.CreateInstance(tdo, obj.CreateSpec{DataLen: 16}))
 		}
-		if _, f := im.Collect(); f != nil {
-			return 0, 0, f
-		}
+		must(im.Collect())
 		for {
 			msg, ok, f := im.ReceiveMessage(recovery)
-			if f != nil {
-				return 0, 0, f
-			}
+			check(f)
 			if !ok {
-				break
+				return recovered
 			}
-			isDrive, f := im.TDOs.Is(tdo, msg)
-			if f != nil {
-				return 0, 0, f
-			}
-			if !isDrive {
-				return 0, 0, fmt.Errorf("recovery port delivered a non-drive")
+			if !must(im.TDOs.Is(tdo, msg)) {
+				fail("recovery port delivered a non-drive")
 			}
 			recovered++
 		}
-		_, destroyed, _, _ := im.Table.Stats()
-		return recovered, destroyed, nil
 	}
 
-	recFiltered, _, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	recPlain, _, err := run(false)
-	if err != nil {
-		return nil, err
-	}
+	recFiltered, recPlain := run(true), run(false)
 
 	res := &Result{
 		ID:     "E7",
@@ -99,5 +65,5 @@ func runE7() (*Result, error) {
 	}
 	res.Pass = recFiltered == drives && recPlain == 0
 	res.Verdict = fmt.Sprintf("%d/%d lost drives recovered with the filter; %d without", recFiltered, drives, recPlain)
-	return res, nil
+	return res
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/obj"
 	"repro/internal/pm"
+	"repro/internal/workload"
 )
 
 func init() { register("E8", runE8) }
@@ -18,78 +19,47 @@ func init() { register("E8", runE8) }
 // manager can build a fair policy on the same basic process manager. The
 // experiment runs eight competing users (one asking for everything) under
 // both policies and reports the Jain fairness index and the hog's share.
-func runE8() (*Result, error) {
+func runE8() *Result {
 	const users = 8
 
-	shares := func(fair bool) ([]uint32, error) {
-		im, err := core.Boot(core.Config{Processors: 1})
-		if err != nil {
-			return nil, err
-		}
+	shares := func(fair bool) []uint32 {
+		im := try(core.Boot(core.Config{Processors: 1}))
 		basic := pm.NewBasic(im.System)
 		sched := pm.NewFairScheduler(basic, 2_000)
-		dom, f := makeDomain(im.System, []isa.Instr{
+		dom := must(workload.Domain(im.System, []isa.Instr{
 			isa.MovI(1, 100_000_000),
 			isa.AddI(1, 1, ^uint32(0)),
 			isa.BrNZ(1, 1),
 			isa.Halt(),
-		})
-		if f != nil {
-			return nil, f
-		}
-		if f := im.Publish(0, dom); f != nil {
-			return nil, f
-		}
+		}))
+		check(im.Publish(0, dom))
 		var procs []obj.AD
 		for i := 0; i < users; i++ {
 			prio, slice := uint16(1), uint32(2_000)
 			if i == 0 {
 				prio, slice = 9, 0 // the hog's chosen parameters
 			}
-			p, f := basic.CreateProcess(dom, obj.NilAD, gdp.SpawnSpec{Priority: prio, TimeSlice: slice})
-			if f != nil {
-				return nil, f
-			}
+			p := must(basic.CreateProcess(dom, obj.NilAD, gdp.SpawnSpec{Priority: prio, TimeSlice: slice}))
 			procs = append(procs, p)
-			if f := im.Publish(uint32(1+i), p); f != nil {
-				return nil, f
-			}
+			check(im.Publish(uint32(1+i), p))
 			if fair {
-				if f := sched.Adopt(p); f != nil {
-					return nil, f
-				}
+				check(sched.Adopt(p))
 			}
 		}
 		if fair {
-			if _, f := basic.CreateNativeProcess(sched.Body(8_000), obj.NilAD,
-				gdp.SpawnSpec{Priority: 15}); f != nil {
-				return nil, f
-			}
+			must(basic.CreateNativeProcess(sched.Body(8_000), obj.NilAD, gdp.SpawnSpec{Priority: 15}))
 		}
 		for i := 0; i < 800; i++ {
-			if _, f := im.Step(2_000); f != nil {
-				return nil, f
-			}
+			must(im.Step(2_000))
 		}
 		out := make([]uint32, users)
 		for i, p := range procs {
-			c, f := im.Procs.CPUCycles(p)
-			if f != nil {
-				return nil, f
-			}
-			out[i] = c
+			out[i] = must(im.Procs.CPUCycles(p))
 		}
-		return out, nil
+		return out
 	}
 
-	nullShares, err := shares(false)
-	if err != nil {
-		return nil, err
-	}
-	fairShares, err := shares(true)
-	if err != nil {
-		return nil, err
-	}
+	nullShares, fairShares := shares(false), shares(true)
 
 	res := &Result{
 		ID:     "E8",
@@ -108,7 +78,7 @@ func runE8() (*Result, error) {
 	res.Pass = jainIdx(nullShares) < 0.3 && jainIdx(fairShares) > 0.85
 	res.Verdict = fmt.Sprintf("fairness %0.3f under null policy vs %0.3f under the fair package",
 		jainIdx(nullShares), jainIdx(fairShares))
-	return res, nil
+	return res
 }
 
 func jainIdx(xs []uint32) float64 {

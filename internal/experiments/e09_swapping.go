@@ -16,7 +16,7 @@ func init() { register("E9", runE9) }
 // selection. The experiment runs the same allocate-and-touch workload at
 // increasing overcommit ratios on both managers and reports where each
 // survives and what the swapping one pays.
-func runE9() (*Result, error) {
+func runE9() *Result {
 	const (
 		physMem = 512 * 1024
 		objSize = 8 * 1024
@@ -42,10 +42,7 @@ func runE9() (*Result, error) {
 	for _, ratio := range ratios {
 		want := int(float64(physMem) / objSize * ratio)
 		for _, swapping := range []bool{false, true} {
-			im, err := core.Boot(core.Config{Swapping: swapping, MemoryBytes: physMem})
-			if err != nil {
-				return nil, err
-			}
+			im := try(core.Boot(core.Config{Swapping: swapping, MemoryBytes: physMem}))
 			allocated, refused := 0, false
 			var objs []obj.AD
 			for i := 0; i < want; i++ {
@@ -62,22 +59,12 @@ func runE9() (*Result, error) {
 				for pass := 0; pass < 2; pass++ {
 					for i, ad := range objs {
 						if im.Swapper != nil {
-							if f := im.Swapper.EnsureResident(ad.Index); f != nil {
-								return nil, f
-							}
+							check(im.Swapper.EnsureResident(ad.Index))
 						}
 						if pass == 0 {
-							if f := im.Table.WriteDWord(ad, 0, uint32(i)); f != nil {
-								return nil, f
-							}
-						} else {
-							v, f := im.Table.ReadDWord(ad, 0)
-							if f != nil {
-								return nil, f
-							}
-							if v != uint32(i) {
-								verified = false
-							}
+							check(im.Table.WriteDWord(ad, 0, uint32(i)))
+						} else if must(im.Table.ReadDWord(ad, 0)) != uint32(i) {
+							verified = false
 						}
 					}
 				}
@@ -110,5 +97,5 @@ func runE9() (*Result, error) {
 		swapAt2x.allocated > nonswapAt2x.allocated
 	res.Verdict = fmt.Sprintf("at 2× overcommit: non-swapping refused after %d objects, swapping completed %d",
 		nonswapAt2x.allocated, swapAt2x.allocated)
-	return res, nil
+	return res
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/obj"
 	"repro/internal/port"
 	"repro/internal/process"
+	"repro/internal/workload"
 )
 
 func init() { register("E10", runE10) }
@@ -20,16 +21,10 @@ func init() { register("E10", runE10) }
 // runs a fleet of worker processes, injects a fault into one of them, and
 // audits how far the damage spread. A second part verifies the flip side
 // the paper calls out: there is no central process table to consult.
-func runE10() (*Result, error) {
+func runE10() *Result {
 	const workers = 16
-	sys, err := gdp.New(gdp.Config{Processors: 2})
-	if err != nil {
-		return nil, err
-	}
-	fport, f := sys.Ports.Create(sys.Heap, 8, port.FIFO)
-	if f != nil {
-		return nil, f
-	}
+	sys := try(gdp.New(gdp.Config{Processors: 2}))
+	fport := must(sys.Ports.Create(sys.Heap, 8, port.FIFO))
 	// Each worker owns one data object and fills it with a checksum
 	// pattern. Worker 7 additionally hits an injected machine error
 	// mid-way.
@@ -53,44 +48,25 @@ func runE10() (*Result, error) {
 
 	var procs, data []obj.AD
 	for i := 0; i < workers; i++ {
-		d, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 256})
-		if f != nil {
-			return nil, f
-		}
+		d := must(sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 256}))
 		data = append(data, d)
-		dom, f := makeDomain(sys, mkProg(i == 7))
-		if f != nil {
-			return nil, f
-		}
+		dom := must(workload.Domain(sys, mkProg(i == 7)))
 		// Workers hold a capability for ONLY their own object: the
 		// addressing structure is the confinement mechanism.
-		p, f := sys.Spawn(dom, gdp.SpawnSpec{
+		procs = append(procs, must(sys.Spawn(dom, gdp.SpawnSpec{
 			TimeSlice: 1_000,
 			FaultPort: fport,
 			AArgs:     [4]obj.AD{obj.NilAD, d},
-		})
-		if f != nil {
-			return nil, f
-		}
-		procs = append(procs, p)
+		})))
 	}
-	if _, f := sys.Run(100_000_000); f != nil {
-		return nil, f
-	}
+	must(sys.Run(100_000_000))
 
 	// Audit: which workers finished, which data objects carry the
 	// completion word.
 	completed, damaged := 0, 0
 	for i := range procs {
-		st, f := sys.Procs.StateOf(procs[i])
-		if f != nil {
-			return nil, f
-		}
-		v, f := sys.Table.ReadDWord(data[i], 4)
-		if f != nil {
-			return nil, f
-		}
-		if st == process.StateTerminated && v == 0x1234 {
+		st := must(sys.Procs.StateOf(procs[i]))
+		if v := must(sys.Table.ReadDWord(data[i], 4)); st == process.StateTerminated && v == 0x1234 {
 			completed++
 		} else {
 			damaged++
@@ -98,9 +74,7 @@ func runE10() (*Result, error) {
 	}
 	// The faulted worker is at the fault port, available for service.
 	victim, ok, f := sys.ReceiveMessage(fport)
-	if f != nil {
-		return nil, f
-	}
+	check(f)
 	faultDelivered := ok && victim.Index == procs[7].Index
 
 	// Part 2: the capability a worker holds cannot reach its
@@ -127,5 +101,5 @@ func runE10() (*Result, error) {
 	}
 	res.Pass = completed == workers-1 && damaged == 1 && faultDelivered
 	res.Verdict = fmt.Sprintf("damage confined to 1 of %d objects; %d bystanders unaffected", workers, completed)
-	return res, nil
+	return res
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/ipc"
 	"repro/internal/obj"
 	"repro/internal/port"
 	"repro/internal/sro"
@@ -15,7 +16,7 @@ func init() { register("E11", runE11) }
 // urgencies is offered to a FIFO, a priority and a deadline port; the
 // measure is how each discipline serves the urgent traffic (delivery
 // position of high-urgency messages, and tardiness against deadlines).
-func runE11() (*Result, error) {
+func runE11() *Result {
 	const burst = 64
 
 	type job struct {
@@ -38,21 +39,16 @@ func runE11() (*Result, error) {
 		})
 	}
 
-	deliver := func(d port.Discipline) ([]job, error) {
+	deliver := func(d port.Discipline) []job {
 		tab := obj.NewTable(1 << 22)
 		s := sro.NewManager(tab)
-		heap, _ := s.NewGlobalHeap(0)
-		pm := port.NewManager(tab, s)
-		prt, f := pm.Create(heap, burst, d)
-		if f != nil {
-			return nil, f
-		}
+		heap := must(s.NewGlobalHeap(0))
+		// Figure 2's generic package instantiated for jobs, created with
+		// Figure 1's q_discipline parameter.
+		prt := must(ipc.CreateTyped[job](port.NewManager(tab, s), heap, burst, d))
 		byIndex := map[obj.Index]job{}
 		for _, j := range jobs {
-			msg, f := s.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 4})
-			if f != nil {
-				return nil, f
-			}
+			msg := must(s.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 4}))
 			byIndex[msg.Index] = j
 			key := uint32(0)
 			switch d {
@@ -61,20 +57,16 @@ func runE11() (*Result, error) {
 			case port.Deadline:
 				key = j.deadline
 			}
-			if _, _, f := pm.Send(prt, msg, key, obj.NilAD); f != nil {
-				return nil, f
-			}
+			checkErr(prt.SendKeyed(ipc.Wrap[job](msg), key))
 		}
 		var order []job
 		for {
-			msg, blocked, _, f := pm.Receive(prt, obj.NilAD)
-			if f != nil {
-				return nil, f
+			msg, err := prt.Receive()
+			if err == ipc.ErrWouldBlock {
+				return order
 			}
-			if blocked {
-				return order, nil
-			}
-			order = append(order, byIndex[msg.Index])
+			checkErr(err)
+			order = append(order, byIndex[msg.AD().Index])
 		}
 	}
 
@@ -87,12 +79,9 @@ func runE11() (*Result, error) {
 
 	var urgentMeans = map[port.Discipline]float64{}
 	for _, d := range []port.Discipline{port.FIFO, port.Priority, port.Deadline} {
-		order, err := deliver(d)
-		if err != nil {
-			return nil, err
-		}
+		order := deliver(d)
 		if len(order) != burst {
-			return nil, fmt.Errorf("%v delivered %d of %d", d, len(order), burst)
+			fail("%v delivered %d of %d", d, len(order), burst)
 		}
 		var urgentPos, urgentN float64
 		deadlineInv, fifoInv := 0, 0
@@ -125,5 +114,5 @@ func runE11() (*Result, error) {
 	res.Notes = []string{
 		fmt.Sprintf("burst of %d messages, every 4th urgent, deadlines adversarial to arrival order", burst),
 	}
-	return res, nil
+	return res
 }

@@ -6,8 +6,8 @@ import (
 	"repro/internal/gdp"
 	"repro/internal/isa"
 	"repro/internal/obj"
-	"repro/internal/process"
 	"repro/internal/vtime"
+	"repro/internal/workload"
 )
 
 func init() { register("E12", runE12) }
@@ -16,21 +16,18 @@ func init() { register("E12", runE12) }
 // single (microcoded) instructions, well below a domain switch in cost,
 // and the blocking path — sender parked in a carrier, woken by the
 // receiver — costs only what the dispatching machinery charges. We run a
-// non-blocking relay and a fully blocking ping-pong and report both.
-func runE12() (*Result, error) {
+// non-blocking relay and a fully blocking ping-pong and report both, and
+// the conditional forms against a port that is full and then empty.
+func runE12() *Result {
 	const msgs = 2000
 
 	// Non-blocking: one process sends and receives on a roomy port.
-	fastCy, err := measureSelfRelay(msgs)
-	if err != nil {
-		return nil, err
-	}
+	fastCy := measureSelfRelay(msgs)
 	// Blocking: capacity-1 port, two processes, every exchange parks
 	// and wakes someone.
-	slowCy, err := measurePingPong(msgs)
-	if err != nil {
-		return nil, err
-	}
+	slowCy := measurePingPong(msgs)
+	// Conditional forms: a full or an empty port answers at once.
+	condCy := measureConditional()
 
 	pairUs := vtime.Cycles(fastCy).Microseconds()
 	blockUs := vtime.Cycles(slowCy).Microseconds()
@@ -44,31 +41,30 @@ func runE12() (*Result, error) {
 		Rows: [][]string{
 			row("send+receive, no blocking", fmt.Sprintf("%.0f", fastCy), fmt.Sprintf("%.1f", pairUs)),
 			row("send+receive, blocking handoff", fmt.Sprintf("%.0f", slowCy), fmt.Sprintf("%.1f", blockUs)),
+			row("conditional send+receive: full and empty port refuse, nothing parks", fmt.Sprintf("%.0f", condCy), fmt.Sprintf("%.1f", vtime.Cycles(condCy).Microseconds())),
 			row("(domain switch, for scale)", fmt.Sprint(uint64(vtime.CostDomainCall+vtime.CostDomainReturn)), fmt.Sprintf("%.1f", domainUs)),
 		},
 		Notes: []string{
 			"blocking exchanges include carrier creation, dispatch-port traffic and processor rebinding",
 		},
 	}
-	res.Pass = pairUs < domainUs && slowCy > fastCy
+	res.Pass = pairUs < domainUs && slowCy > fastCy && condCy == float64(vtime.CostSend+vtime.CostReceive)
 	res.Verdict = fmt.Sprintf("%.1f µs per unblocked exchange (vs %.1f µs domain switch); blocking handoff %.1f µs", pairUs, domainUs, blockUs)
-	return res, nil
+	return res
 }
 
-func measureSelfRelay(msgs int) (float64, error) {
-	sys, err := gdp.New(gdp.Config{Processors: 1})
-	if err != nil {
-		return 0, err
-	}
-	prt, f := sys.Ports.Create(sys.Heap, 4, 0)
-	if f != nil {
-		return 0, f
-	}
-	msg, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
-	if f != nil {
-		return 0, f
-	}
-	dom, f := makeDomain(sys, []isa.Instr{
+// onePort boots one processor with a port of the given capacity and a
+// 16-byte message object.
+func onePort(capacity uint16) (sys *gdp.System, prt, msg obj.AD) {
+	sys = try(gdp.New(gdp.Config{Processors: 1}))
+	prt = must(sys.Ports.Create(sys.Heap, capacity, 0))
+	msg = must(sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 16}))
+	return sys, prt, msg
+}
+
+func measureSelfRelay(msgs int) float64 {
+	sys, prt, msg := onePort(4)
+	dom := must(workload.Domain(sys, []isa.Instr{
 		isa.MovI(4, uint32(msgs)),
 		isa.MovI(5, 0),
 		isa.Send(1, 2, 5),
@@ -76,86 +72,66 @@ func measureSelfRelay(msgs int) (float64, error) {
 		isa.AddI(4, 4, ^uint32(0)),
 		isa.BrNZ(4, 2),
 		isa.Halt(),
-	})
-	if f != nil {
-		return 0, f
-	}
-	p, f := sys.Spawn(dom, gdp.SpawnSpec{AArgs: [4]obj.AD{obj.NilAD, msg, prt}})
-	if f != nil {
-		return 0, f
-	}
-	if _, f := sys.Run(0); f != nil {
-		return 0, f
-	}
-	if st, _ := sys.Procs.StateOf(p); st != process.StateTerminated {
-		return 0, fmt.Errorf("relay did not finish")
-	}
-	busy := sys.CPUs[0].Clock.Now() - sys.CPUs[0].IdleCycles
+	}))
+	p := must(sys.Spawn(dom, gdp.SpawnSpec{AArgs: [4]obj.AD{obj.NilAD, msg, prt}}))
 	overhead := vtime.Cycles(msgs) * (vtime.CostALU + vtime.CostBranch)
-	return float64(busy-overhead) / float64(msgs), nil
+	return float64(busyCycles(sys, p)-overhead) / float64(msgs)
 }
 
-func measurePingPong(msgs int) (float64, error) {
-	sys, err := gdp.New(gdp.Config{Processors: 1})
-	if err != nil {
-		return 0, err
-	}
-	ping, f := sys.Ports.Create(sys.Heap, 1, 0)
-	if f != nil {
-		return 0, f
-	}
-	pong, f := sys.Ports.Create(sys.Heap, 1, 0)
-	if f != nil {
-		return 0, f
-	}
-	ball, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
-	if f != nil {
-		return 0, f
-	}
+func measurePingPong(msgs int) float64 {
+	sys, ping, ball := onePort(1)
+	pong := must(sys.Ports.Create(sys.Heap, 1, 0))
 	// a2 = receive port, a3 = send port, a1 = the ball (server starts
 	// with it).
-	player := func(starts bool) []isa.Instr {
-		var prog []isa.Instr
-		prog = append(prog, isa.MovI(4, uint32(msgs)), isa.MovI(5, 0))
-		loop := uint32(len(prog))
+	player := func(starts bool) obj.AD {
+		exchange := []isa.Instr{isa.Recv(1, 2), isa.Send(1, 3, 5)}
 		if starts {
-			prog = append(prog, isa.Send(1, 3, 5), isa.Recv(1, 2))
-		} else {
-			prog = append(prog, isa.Recv(1, 2), isa.Send(1, 3, 5))
+			exchange[0], exchange[1] = exchange[1], exchange[0]
 		}
-		prog = append(prog,
+		return must(workload.Domain(sys, []isa.Instr{
+			isa.MovI(4, uint32(msgs)),
+			isa.MovI(5, 0),
+			exchange[0],
+			exchange[1],
 			isa.AddI(4, 4, ^uint32(0)),
-			isa.BrNZ(4, loop),
+			isa.BrNZ(4, 2),
 			isa.Halt(),
-		)
-		return prog
+		}))
 	}
-	serveDom, f := makeDomain(sys, player(true))
-	if f != nil {
-		return 0, f
+	p1 := must(sys.Spawn(player(true), gdp.SpawnSpec{AArgs: [4]obj.AD{obj.NilAD, ball, pong, ping}}))
+	p2 := must(sys.Spawn(player(false), gdp.SpawnSpec{AArgs: [4]obj.AD{obj.NilAD, obj.NilAD, ping, pong}}))
+	// Each round trip is two exchanges (one per player).
+	return float64(busyCycles(sys, p1, p2)) / float64(2*msgs)
+}
+
+// measureConditional runs the conditional instructions against a
+// capacity-1 port: a send that fits, one that does not, a receive that
+// finds the message, one that finds nothing. The flags must read 1, 0, 1, 0
+// and the process must finish without ever leaving the processor; the
+// reported cost is that of a send and a receive, refused or not.
+func measureConditional() float64 {
+	sys, prt, msg := onePort(1)
+	dom := must(workload.Domain(sys, []isa.Instr{
+		isa.CSend(1, 2, 4),
+		isa.CSend(1, 2, 5),
+		isa.CRecv(3, 2, 6),
+		isa.CRecv(3, 2, 7),
+		isa.Store(4, 1, 0),
+		isa.Store(5, 1, 4),
+		isa.Store(6, 1, 8),
+		isa.Store(7, 1, 12),
+		isa.Halt(),
+	}))
+	p := must(sys.Spawn(dom, gdp.SpawnSpec{AArgs: [4]obj.AD{obj.NilAD, msg, prt}}))
+	busy := busyCycles(sys, p)
+	if n := sys.Stats().Dispatches; n != 1 {
+		fail("conditional operations parked the process: %d dispatches", n)
 	}
-	returnDom, f := makeDomain(sys, player(false))
-	if f != nil {
-		return 0, f
-	}
-	p1, f := sys.Spawn(serveDom, gdp.SpawnSpec{AArgs: [4]obj.AD{obj.NilAD, ball, pong, ping}})
-	if f != nil {
-		return 0, f
-	}
-	p2, f := sys.Spawn(returnDom, gdp.SpawnSpec{AArgs: [4]obj.AD{obj.NilAD, obj.NilAD, ping, pong}})
-	if f != nil {
-		return 0, f
-	}
-	if _, f := sys.Run(0); f != nil {
-		return 0, f
-	}
-	for _, p := range []obj.AD{p1, p2} {
-		if st, _ := sys.Procs.StateOf(p); st != process.StateTerminated {
-			c, _ := sys.Procs.FaultCode(p)
-			return 0, fmt.Errorf("ping-pong stuck (fault %v)", c)
+	for i, want := range []uint32{1, 0, 1, 0} {
+		if got := must(sys.Table.ReadDWord(msg, uint32(4*i))); got != want {
+			fail("conditional flag %d = %d, want %d", i, got, want)
 		}
 	}
-	busy := sys.CPUs[0].Clock.Now() - sys.CPUs[0].IdleCycles
-	// Each round trip is two exchanges (one per player).
-	return float64(busy) / float64(2*msgs), nil
+	overhead := vtime.CostDispatch + 4*vtime.CostMove + vtime.CostALU
+	return float64(busy-overhead) / 2
 }

@@ -16,77 +16,36 @@ func init() { register("E14", runE14) }
 // activates them back, and verifies structure, contents and type labels;
 // a corruption probe confirms damaged images are detected, and an
 // unbound-type probe confirms identity cannot be conjured.
-func runE14() (*Result, error) {
+func runE14() *Result {
 	const graphs = 300
 
-	im, err := core.Boot(core.Config{Filing: true, MemoryBytes: 64 << 20})
-	if err != nil {
-		return nil, err
-	}
-	tdoA, f := im.TDOs.Define("account", obj.LevelGlobal, obj.NilIndex)
-	if f != nil {
-		return nil, f
-	}
-	tdoB, f := im.TDOs.Define("ledger", obj.LevelGlobal, obj.NilIndex)
-	if f != nil {
-		return nil, f
-	}
-	if f := im.Publish(0, tdoA); f != nil {
-		return nil, f
-	}
-	if f := im.Publish(1, tdoB); f != nil {
-		return nil, f
-	}
-	if f := im.Files.BindType("account", tdoA); f != nil {
-		return nil, f
-	}
-	if f := im.Files.BindType("ledger", tdoB); f != nil {
-		return nil, f
-	}
+	im := try(core.Boot(core.Config{Filing: true, MemoryBytes: 64 << 20}))
+	tdoA := must(im.TDOs.Define("account", obj.LevelGlobal, obj.NilIndex))
+	tdoB := must(im.TDOs.Define("ledger", obj.LevelGlobal, obj.NilIndex))
+	check(im.Publish(0, tdoA))
+	check(im.Publish(1, tdoB))
+	check(im.Files.BindType("account", tdoA))
+	check(im.Files.BindType("ledger", tdoB))
 
 	// Each graph: a ledger holding two accounts, one shared data leaf.
 	var tokens []uint64
 	for i := 0; i < graphs; i++ {
-		ledger, f := im.TDOs.CreateInstance(tdoB, obj.CreateSpec{DataLen: 16, AccessSlots: 3})
-		if f != nil {
-			return nil, f
-		}
-		leaf, f := im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
-		if f != nil {
-			return nil, f
-		}
-		if f := im.Table.WriteDWord(leaf, 0, uint32(i)); f != nil {
-			return nil, f
-		}
+		ledger := must(im.TDOs.CreateInstance(tdoB, obj.CreateSpec{DataLen: 16, AccessSlots: 3}))
+		leaf := must(im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8}))
+		check(im.Table.WriteDWord(leaf, 0, uint32(i)))
 		for slot := uint32(0); slot < 2; slot++ {
-			acct, f := im.TDOs.CreateInstance(tdoA, obj.CreateSpec{DataLen: 8, AccessSlots: 1})
-			if f != nil {
-				return nil, f
-			}
-			if f := im.Table.WriteDWord(acct, 0, uint32(i)*10+slot); f != nil {
-				return nil, f
-			}
-			if f := im.Table.StoreAD(acct, 0, leaf); f != nil {
-				return nil, f
-			}
-			if f := im.Table.StoreAD(ledger, slot, acct); f != nil {
-				return nil, f
-			}
+			acct := must(im.TDOs.CreateInstance(tdoA, obj.CreateSpec{DataLen: 8, AccessSlots: 1}))
+			check(im.Table.WriteDWord(acct, 0, uint32(i)*10+slot))
+			check(im.Table.StoreAD(acct, 0, leaf))
+			check(im.Table.StoreAD(ledger, slot, acct))
 		}
-		tok, err := im.Files.Passivate(ledger)
-		if err != nil {
-			return nil, err
-		}
-		tokens = append(tokens, tok)
+		tokens = append(tokens, try(im.Files.Passivate(ledger)))
 	}
 
 	// Activate everything back and verify.
 	typesOK, structureOK, contentsOK := 0, 0, 0
 	for i, tok := range tokens {
-		back, err := im.Files.Activate(tok, im.Heap)
-		if err != nil {
-			return nil, err
-		}
+		back := try(im.Files.Activate(tok, im.Heap))
 		if ok, _ := im.TDOs.Is(tdoB, back); ok {
 			typesOK++
 		}
@@ -108,25 +67,15 @@ func runE14() (*Result, error) {
 	}
 
 	// Probes.
-	probeTok, err := im.Files.Passivate(mustAlloc(im))
-	if err != nil {
-		return nil, err
-	}
-	if err := im.Files.Corrupt(probeTok, 9); err != nil {
-		return nil, err
-	}
+	probe := must(im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 16}))
+	probeTok := try(im.Files.Passivate(probe))
+	checkErr(im.Files.Corrupt(probeTok, 9))
 	_, corrErr := im.Files.Activate(probeTok, im.Heap)
 
-	orphanTDO, _ := im.TDOs.Define("orphan", obj.LevelGlobal, obj.NilIndex)
-	if f := im.Publish(2, orphanTDO); f != nil {
-		return nil, f
-	}
-	orphan, _ := im.TDOs.CreateInstance(orphanTDO, obj.CreateSpec{DataLen: 4})
-	orphanTok, err := im.Files.Passivate(orphan)
-	if err != nil {
-		return nil, err
-	}
-	_, unboundErr := im.Files.Activate(orphanTok, im.Heap)
+	orphanTDO := must(im.TDOs.Define("orphan", obj.LevelGlobal, obj.NilIndex))
+	check(im.Publish(2, orphanTDO))
+	orphan := must(im.TDOs.CreateInstance(orphanTDO, obj.CreateSpec{DataLen: 4}))
+	_, unboundErr := im.Files.Activate(try(im.Files.Passivate(orphan)), im.Heap)
 
 	res := &Result{
 		ID:     "E14",
@@ -148,13 +97,5 @@ func runE14() (*Result, error) {
 	res.Pass = typesOK == 2*graphs && structureOK == graphs && contentsOK == graphs &&
 		corrErr != nil && unboundErr != nil
 	res.Verdict = fmt.Sprintf("%d graphs round-tripped with types, sharing and contents intact; damage and forgery refused", graphs)
-	return res, nil
-}
-
-func mustAlloc(im *core.IMAX) obj.AD {
-	ad, f := im.MM.Allocate(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 16})
-	if f != nil {
-		panic(f)
-	}
-	return ad
+	return res
 }

@@ -12,6 +12,11 @@ package experiments
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/gdp"
+	"repro/internal/obj"
+	"repro/internal/process"
+	"repro/internal/vtime"
 )
 
 // Result is one experiment's reproduction record.
@@ -31,8 +36,52 @@ type Result struct {
 	Notes []string
 }
 
-// Runner produces one experiment result.
-type Runner func() (*Result, error)
+// Runner produces one experiment result. A fault or error the experiment
+// cannot go on past ends it through must, try, check or fail, which unwind
+// to Run.
+type Runner func() *Result
+
+type abort struct{ err error }
+
+// must unwraps a result the experiment cannot go on without.
+func must[T any](v T, f *obj.Fault) T {
+	check(f)
+	return v
+}
+
+// try is must for the packages that report a plain error.
+func try[T any](v T, err error) T {
+	checkErr(err)
+	return v
+}
+
+func checkErr(err error) {
+	if err != nil {
+		panic(abort{err})
+	}
+}
+
+// check ends the experiment on a fault.
+func check(f *obj.Fault) {
+	if f != nil {
+		panic(abort{f})
+	}
+}
+
+// fail ends the experiment with an error of its own.
+func fail(format string, args ...any) { panic(abort{fmt.Errorf(format, args...)}) }
+
+// busyCycles runs the system until it is idle and reports the cycles
+// processor 0 spent working. Every process named must have terminated.
+func busyCycles(sys *gdp.System, procs ...obj.AD) vtime.Cycles {
+	must(sys.Run(0))
+	for _, p := range procs {
+		if st := must(sys.Procs.StateOf(p)); st != process.StateTerminated {
+			fail("process %v ended %v with fault code %v", p, st, must(sys.Procs.FaultCode(p)))
+		}
+	}
+	return sys.CPUs[0].Clock.Now() - sys.CPUs[0].IdleCycles
+}
 
 var registry = map[string]Runner{}
 
@@ -63,12 +112,21 @@ func idNum(id string) int {
 }
 
 // Run executes one experiment by id.
-func Run(id string) (*Result, error) {
+func Run(id string) (res *Result, err error) {
 	r, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown id %q", id)
 	}
-	return r()
+	defer func() {
+		if p := recover(); p != nil {
+			a, ok := p.(abort)
+			if !ok {
+				panic(p)
+			}
+			res, err = nil, a.err
+		}
+	}()
+	return r(), nil
 }
 
 // row formats a table row.

@@ -19,7 +19,7 @@ import (
 // outside it. The collector builds that remembered set with one scan of
 // access parts, traces only within the population, and sweeps only the
 // population. For a small heap in a big system that is far less work than
-// a global cycle, which TestCollectLocalVersusGlobalWork holds.
+// a global cycle, which the last two rows of experiment E5 measure.
 //
 // The destruction-filter rules apply unchanged.
 

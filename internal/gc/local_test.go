@@ -139,36 +139,3 @@ func TestCollectLocalRefusesSwappedParts(t *testing.T) {
 		t.Fatalf("swapped access part tolerated: %v", f)
 	}
 }
-
-func TestCollectLocalVersusGlobalWork(t *testing.T) {
-	// The point of the extension: local collection of a small heap in a
-	// big system does far less work than a global cycle.
-	fx := setup(t)
-	// A big, stable global population.
-	for i := 0; i < 400; i++ {
-		ad := fx.alloc(t, 1)
-		fx.tab.StoreAD(fx.root, uint32(i%64), ad)
-	}
-	local, _ := fx.sros.NewLocalHeap(fx.heap, 1, 0)
-	fx.tab.StoreAD(fx.root, 63, local)
-	for i := 0; i < 20; i++ {
-		if _, f := fx.sros.Create(local, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8}); f != nil {
-			t.Fatal(f)
-		}
-	}
-	localSpent, n, f := fx.c.CollectLocal(local.Index)
-	if f != nil {
-		t.Fatal(f)
-	}
-	if n != 20 {
-		t.Fatalf("local reclaimed %d", n)
-	}
-	globalSpent, f := fx.c.Collect()
-	if f != nil {
-		t.Fatal(f)
-	}
-	t.Logf("20 garbage objects among 400 live: local collection %v, global cycle %v", localSpent, globalSpent)
-	if localSpent >= globalSpent {
-		t.Fatalf("local collection (%v) not cheaper than global (%v)", localSpent, globalSpent)
-	}
-}

@@ -162,8 +162,8 @@ type Config struct {
 	// shared-memory bus every 432 processor arbitrated for. Zero (the
 	// default) models the paper's idealised "factor of 10" regime; the
 	// historical record of the 432 suggests the bus was the real
-	// machine's bottleneck, and TestBusContentionBendsScaling shows the
-	// scaling curve bending exactly as that would predict.
+	// machine's bottleneck, and experiment E3's bus rows show the scaling
+	// curve bending exactly as that would predict.
 	BusContention vtime.Cycles
 
 	// DeadlineDispatch selects deadline-ordered dispatching: each ready

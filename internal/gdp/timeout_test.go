@@ -9,45 +9,6 @@ import (
 	"repro/internal/process"
 )
 
-func TestWatchTimeoutCancelsBlockedReceive(t *testing.T) {
-	s := newSystem(t, 1)
-	prt, f := s.Ports.Create(s.Heap, 2, port.FIFO)
-	if f != nil {
-		t.Fatal(f)
-	}
-	fport, _ := s.Ports.Create(s.Heap, 4, port.FIFO)
-	dom := mustDomain(t, s, []isa.Instr{
-		isa.Recv(1, 0), // blocks forever: nobody sends
-		isa.Halt(),
-	})
-	p, f := s.Spawn(dom, SpawnSpec{FaultPort: fport, AArgs: [4]obj.AD{prt}})
-	if f != nil {
-		t.Fatal(f)
-	}
-	// Let it block, then arm the watchdog.
-	if _, f := s.Run(0); f != nil {
-		t.Fatal(f)
-	}
-	mustState(t, s, p, process.StateBlocked)
-	s.WatchTimeout(s.Now()+5_000, p, prt)
-	if _, f := s.Run(0); f != nil {
-		t.Fatal(f)
-	}
-	mustState(t, s, p, process.StateFaulted)
-	if c, _ := s.Procs.FaultCode(p); c != obj.FaultTimeout {
-		t.Fatalf("fault code = %v", c)
-	}
-	// The victim is at its fault port, and the port's wait queue is
-	// clean.
-	msg, ok, f := s.ReceiveMessage(fport)
-	if f != nil || !ok || msg.Index != p.Index {
-		t.Fatalf("fault delivery: %v %v %v", msg, ok, f)
-	}
-	if st, f := s.Ports.Inspect(prt); f != nil || len(st.Receivers) != 0 {
-		t.Fatalf("%d receivers still waiting after timeout (%v)", len(st.Receivers), f)
-	}
-}
-
 func TestWatchTimeoutExpiresSilentlyWhenServedInTime(t *testing.T) {
 	s := newSystem(t, 1)
 	prt, _ := s.Ports.Create(s.Heap, 2, port.FIFO)

@@ -80,47 +80,33 @@ const (
 	kStore // dword at imm of the object a-reg b names = r[a]
 )
 
+// fastKind names the run loop's instruction for each opcode of the fast
+// set; every other opcode reads kSlow.
+var fastKind = [...]uint8{
+	isa.OpNop: kNop, isa.OpMovI: kMovI, isa.OpMov: kMov, isa.OpAdd: kAdd,
+	isa.OpSub: kSub, isa.OpMul: kMul, isa.OpAddI: kAddI, isa.OpBr: kBr,
+	isa.OpBrZ: kBrZ, isa.OpBrNZ: kBrNZ, isa.OpBrLT: kBrLT,
+	isa.OpLoad: kLoad, isa.OpStore: kStore,
+}
+
 // predecode translates prog op for op (len(ops) == len(prog)). Register
-// fields are checked here, once; branch targets are not, because an IP at
-// or past the end is the next fetch's FaultBounds, not the branch's.
+// fields are checked here, once, against the operand kinds of the opcode
+// table; branch targets are not, because an IP at or past the end is the
+// next fetch's FaultBounds, not the branch's.
 func predecode(prog []isa.Instr) []xop {
 	ops := make([]xop, len(prog))
 	for i, in := range prog {
 		// The reference reads a three-register op's third register as
 		// uint8(C); so does this.
 		op := xop{a: in.A, b: in.B, c: uint8(in.C), imm: in.C}
-		a, b, c := op.a < isa.NumDataRegs, op.b < isa.NumDataRegs, op.c < isa.NumDataRegs
-		kind, ok := uint8(kSlow), false
-		switch in.Op {
-		case isa.OpNop:
-			kind, ok = kNop, true
-		case isa.OpMovI:
-			kind, ok = kMovI, a
-		case isa.OpMov:
-			kind, ok = kMov, a && b
-		case isa.OpAdd:
-			kind, ok = kAdd, a && b && c
-		case isa.OpSub:
-			kind, ok = kSub, a && b && c
-		case isa.OpMul:
-			kind, ok = kMul, a && b && c
-		case isa.OpAddI:
-			kind, ok = kAddI, a && b
-		case isa.OpBr:
-			kind, ok = kBr, true
-		case isa.OpBrZ:
-			kind, ok = kBrZ, a
-		case isa.OpBrNZ:
-			kind, ok = kBrNZ, a
-		case isa.OpBrLT:
-			kind, ok = kBrLT, a && b
-		case isa.OpLoad:
-			kind, ok = kLoad, a && op.b < isa.NumAccessRegs
-		case isa.OpStore:
-			kind, ok = kStore, a && op.b < isa.NumAccessRegs
+		if int(in.Op) < len(fastKind) {
+			op.kind = fastKind[in.Op]
 		}
-		if ok {
-			op.kind = kind
+		for _, o := range in.Op.Spec().Args {
+			if o.Kind == isa.DReg && in.Field(o) >= isa.NumDataRegs ||
+				o.Kind == isa.AReg && in.Field(o) >= isa.NumAccessRegs {
+				op.kind = kSlow
+			}
 		}
 		ops[i] = op
 	}

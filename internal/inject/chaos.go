@@ -14,7 +14,9 @@ package inject
 //     proves every object outside the injections' declared blast radius
 //     byte-identical to the reference run;
 //  4. both corners produce the same fingerprint — trace stream, stats,
-//     worker states and fired-event log — byte for byte.
+//     worker states and fired-event log — byte for byte;
+//  5. the confinement verdict of 3, re-derived from the two sealed audit
+//     ledgers with no live system (DESIGN.md §12.5), is the same verdict.
 
 import (
 	"bytes"
@@ -26,6 +28,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/obj"
 	"repro/internal/process"
+	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
@@ -240,6 +243,32 @@ func cloneSnapshot(s *audit.Snapshot) *audit.Snapshot {
 	return &audit.Snapshot{Images: images, Edges: s.Edges}
 }
 
+// blastRadiusFromLedger derives the exclusion seeds and the deliberately
+// destroyed objects purely from an injected run's replayed events: every
+// fault delivery names its process, every injection names its victim.
+// This over-excludes relative to checkWorld (a serviced segment fault also
+// lands its process here), which can only weaken the check, never produce
+// a spurious violation.
+func blastRadiusFromLedger(events []trace.Event) (excluded, destroyed []obj.Index) {
+	for _, ev := range events {
+		switch ev.Kind {
+		case trace.EvFault:
+			excluded = append(excluded, obj.Index(ev.Obj))
+		case trace.EvInject:
+			v := obj.Index(ev.Obj)
+			if v == obj.NilIndex {
+				continue
+			}
+			if Kind(ev.Arg) == KindDestroyMidMark {
+				destroyed = append(destroyed, v)
+			} else {
+				excluded = append(excluded, v)
+			}
+		}
+	}
+	return excluded, destroyed
+}
+
 // SeedResult is the outcome of one full seed acceptance run.
 type SeedResult struct {
 	Seed        int64
@@ -271,6 +300,10 @@ func RunSeed(seed int64) (*SeedResult, error) {
 		return nil, fmt.Errorf("seed %d: reference run failed its own audit: %v", seed, vs[0])
 	}
 	refSnap := audit.SnapshotReachable(refWorld.IM.Table)
+	refRep, err := refWorld.IM.SealLedger()
+	if err != nil {
+		return nil, fmt.Errorf("seed %d: reference %v", seed, err)
+	}
 
 	for ci, corner := range Corners {
 		w, err := BuildWorld(seed, corner, true)
@@ -300,8 +333,19 @@ func RunSeed(seed int64) (*SeedResult, error) {
 				fmt.Sprintf("%v: fingerprint diverges from %v at %s",
 					corner, Corners[0], diffLine(res.Fingerprint, fp)))
 		}
-		for _, p := range checkWorld(w, refSnap) {
+		live := checkWorld(w, refSnap)
+		for _, p := range live {
 			res.Problems = append(res.Problems, fmt.Sprintf("%v: %s", corner, p))
+		}
+		if rep, err := w.IM.SealLedger(); err != nil {
+			res.Problems = append(res.Problems, fmt.Sprintf("%v: %v", corner, err))
+		} else {
+			excluded, destroyed := blastRadiusFromLedger(rep.Events)
+			vs := audit.CheckConfinementFromLedger(refRep.Events, rep.Events, excluded, destroyed)
+			if (len(vs) == 0) != (len(live) == 0) {
+				res.Problems = append(res.Problems, fmt.Sprintf("%v: ledger verdict (%d violations: %v) disagrees with the live one (%d problems)",
+					corner, len(vs), vs, len(live)))
+			}
 		}
 	}
 	return res, nil
@@ -343,7 +387,7 @@ func (r *SeedResult) Report(w io.Writer) {
 		fmt.Fprintf(w, "  %v\n", f)
 	}
 	if r.Ok() {
-		fmt.Fprintf(w, "  all corners identical, audit and confinement clean\n")
+		fmt.Fprintf(w, "  all corners identical, audit and confinement clean, ledger verdict agrees\n")
 		return
 	}
 	for _, p := range r.Problems {

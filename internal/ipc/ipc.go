@@ -147,7 +147,7 @@ func CreateTyped[T any](m *port.Manager, heap obj.AD, messageCount uint16, d por
 
 // WithWaker returns the port with w attached.
 func (p Typed[T]) WithWaker(w Waker) Typed[T] {
-	p.u.waker = w
+	p.u = p.u.WithWaker(w)
 	return p
 }
 
@@ -196,7 +196,7 @@ func CreateChecked(m *port.Manager, td *typedef.Manager, heap obj.AD, tdo obj.AD
 
 // WithWaker returns the port with w attached.
 func (p Checked) WithWaker(w Waker) Checked {
-	p.u.waker = w
+	p.u = p.u.WithWaker(w)
 	return p
 }
 

@@ -10,7 +10,10 @@
 // any other object.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Op is an operation code.
 type Op uint8
@@ -80,9 +83,8 @@ const (
 	// amplify right can open its sealed objects). Faults unless aA is
 	// an instance of aB's type and aB carries the amplify right.
 	OpAmplify
-	// OpIsType sets rA to 1 when aB is an instance of the TDO in aC's
-	// access register... encoded: rA ← (aB is instance of TDO a(C)),
-	// the runtime check of §4's dynamically typed ports.
+	// OpIsType sets rA to 1 when aB is an instance of the TDO in aC, else
+	// 0: the runtime check of §4's dynamically typed ports.
 	OpIsType
 
 	// OpFault deliberately raises fault code C — the fault-injection
@@ -92,23 +94,81 @@ const (
 	numOps
 )
 
-var opNames = [...]string{
-	OpNop: "nop", OpHalt: "halt",
-	OpMovI: "movi", OpMov: "mov", OpAdd: "add", OpAddI: "addi",
-	OpSub: "sub", OpMul: "mul",
-	OpBr: "br", OpBrZ: "brz", OpBrNZ: "brnz", OpBrLT: "brlt",
-	OpLoad: "load", OpStore: "store",
-	OpLoadA: "loada", OpStoreA: "storea", OpMovA: "mova",
-	OpCreate: "create", OpSend: "send", OpRecv: "recv",
-	OpCSend: "csend", OpCRecv: "crecv",
-	OpCall: "call", OpCallLocal: "calll", OpRet: "ret",
-	OpTypeOf: "typeof", OpFault: "fault",
-	OpAmplify: "amplify", OpIsType: "istype",
+// Kind says what an operand is.
+type Kind uint8
+
+const (
+	DReg   Kind = iota + 1 // data register rN
+	AReg                   // access register aN
+	Imm                    // immediate
+	Target                 // instruction index; the assembler accepts a label
+)
+
+// Operand is one operand of an instruction: what it is and which field of
+// the Instr ('A', 'B' or 'C') holds it.
+type Operand struct {
+	Kind  Kind
+	Field byte
+}
+
+// Spec is one row of the opcode table: the mnemonic and the operands in
+// assembler order, destination first. The assembler parses from it,
+// Instr.String prints from it, and the processor's predecoder reads the
+// operand kinds to validate register numbers.
+type Spec struct {
+	Name string
+	Args []Operand
+}
+
+var (
+	rA, rB, rC = Operand{DReg, 'A'}, Operand{DReg, 'B'}, Operand{DReg, 'C'}
+	aA, aB, aC = Operand{AReg, 'A'}, Operand{AReg, 'B'}, Operand{AReg, 'C'}
+	iC, tC     = Operand{Imm, 'C'}, Operand{Target, 'C'}
+)
+
+var specs = [numOps]Spec{
+	OpNop:       {"nop", nil},
+	OpHalt:      {"halt", nil},
+	OpMovI:      {"movi", []Operand{rA, iC}},
+	OpMov:       {"mov", []Operand{rA, rB}},
+	OpAdd:       {"add", []Operand{rA, rB, rC}},
+	OpAddI:      {"addi", []Operand{rA, rB, iC}},
+	OpSub:       {"sub", []Operand{rA, rB, rC}},
+	OpMul:       {"mul", []Operand{rA, rB, rC}},
+	OpBr:        {"br", []Operand{tC}},
+	OpBrZ:       {"brz", []Operand{rA, tC}},
+	OpBrNZ:      {"brnz", []Operand{rA, tC}},
+	OpBrLT:      {"brlt", []Operand{rA, rB, tC}},
+	OpLoad:      {"load", []Operand{rA, aB, iC}},
+	OpStore:     {"store", []Operand{rA, aB, iC}},
+	OpLoadA:     {"loada", []Operand{aA, aB, iC}},
+	OpStoreA:    {"storea", []Operand{aA, aB, iC}},
+	OpMovA:      {"mova", []Operand{aA, aB}},
+	OpCreate:    {"create", []Operand{aA, aB, rC}},
+	OpSend:      {"send", []Operand{aA, aB, rC}},
+	OpRecv:      {"recv", []Operand{aA, aB}},
+	OpCSend:     {"csend", []Operand{aA, aB, rC}},
+	OpCRecv:     {"crecv", []Operand{aA, aB, rC}},
+	OpCall:      {"call", []Operand{aB, iC}},
+	OpCallLocal: {"calll", []Operand{iC}},
+	OpRet:       {"ret", nil},
+	OpTypeOf:    {"typeof", []Operand{rA, aB}},
+	OpAmplify:   {"amplify", []Operand{aA, aB, iC}},
+	OpIsType:    {"istype", []Operand{rA, aB, aC}},
+	OpFault:     {"fault", []Operand{iC}},
+}
+
+// Spec reports the opcode's table row, the zero Spec for an undefined one.
+func (o Op) Spec() Spec {
+	if !o.Valid() {
+		return Spec{}
+	}
+	return specs[o]
 }
 
 func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
+	if o.Valid() {
+		return specs[o].Name
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -123,8 +183,56 @@ type Instr struct {
 	C    uint32
 }
 
-func (i Instr) String() string {
-	return fmt.Sprintf("%s %d,%d,%d", i.Op, i.A, i.B, i.C)
+// Field reads the field an Operand names. Register operands are a byte
+// wide wherever they sit: the processor reads a register in C as uint8(C).
+func (i Instr) Field(o Operand) uint32 {
+	switch {
+	case o.Field == 'A':
+		return uint32(i.A)
+	case o.Field == 'B':
+		return uint32(i.B)
+	case o.Kind == DReg || o.Kind == AReg:
+		return uint32(uint8(i.C))
+	}
+	return i.C
+}
+
+// SetField writes the field an Operand names.
+func (i *Instr) SetField(o Operand, v uint32) {
+	switch o.Field {
+	case 'A':
+		i.A = uint8(v)
+	case 'B':
+		i.B = uint8(v)
+	default:
+		i.C = v
+	}
+}
+
+// String prints the instruction in assembler syntax: "load r1, a2, 8".
+func (i Instr) String() string { return i.Text(nil) }
+
+// Text is String with branch targets named by label, which returns "" for
+// a target it has no name for (nil: none has one).
+func (i Instr) Text(label func(target uint32) string) string {
+	if !i.Op.Valid() {
+		return fmt.Sprintf("; unknown op %d", uint8(i.Op))
+	}
+	sp := specs[i.Op]
+	ops := make([]string, len(sp.Args))
+	for n, o := range sp.Args {
+		switch v := i.Field(o); {
+		case o.Kind == DReg:
+			ops[n] = fmt.Sprintf("r%d", v)
+		case o.Kind == AReg:
+			ops[n] = fmt.Sprintf("a%d", v)
+		case o.Kind == Target && label != nil && label(v) != "":
+			ops[n] = label(v)
+		default:
+			ops[n] = fmt.Sprint(v)
+		}
+	}
+	return strings.TrimSpace(i.Op.String() + " " + strings.Join(ops, ", "))
 }
 
 // InstrSize is the encoded size of one instruction in an instruction

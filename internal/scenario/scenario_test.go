@@ -441,3 +441,54 @@ func TestBacklogRefillAllocFree(t *testing.T) {
 		t.Errorf("Deferred = %d: the sends did not spill, the backlog was never exercised", cl.Deferred)
 	}
 }
+
+// TestEngineMultiRequestSessions runs the single-machine engine with more
+// than one request per session, which no preset does: the per-session
+// in-flight queue holds more than one instant, the partly-open mode
+// reschedules a think time after each completion (an instant that can be
+// earlier than arrivals already queued, so the agenda heaps it), and the
+// pure open loop schedules every instant up front. Every request issued is
+// accounted for, session by session, and the result is a pure function of
+// the configuration in both interpreter corners.
+func TestEngineMultiRequestSessions(t *testing.T) {
+	const sessions, each = 300, 3
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"partly-open", func(c *Config) {}},
+		{"open-loop", func(c *Config) { c.OpenLoop = true }},
+		{"open-loop-short-think", func(c *Config) { c.OpenLoop = true; c.ThinkMean = 500 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var prints []string
+			for _, nocache := range []bool{false, true, false} {
+				e, res := runPreset(t, "baseline", sessions, 17, func(c *Config) {
+					c.RequestsPerSession = each
+					c.NoExecCache = nocache
+					tc.mutate(c)
+				})
+				if res.Issued != sessions*each || res.Completed+res.Censored != res.Issued || res.Unissued != 0 || res.Alien != 0 {
+					t.Fatalf("nocache=%v: issued %d, completed %d, censored %d, unissued %d, alien %d; want %d issued and all of them accounted for",
+						nocache, res.Issued, res.Completed, res.Censored, res.Unissued, res.Alien, sessions*each)
+				}
+				for i, s := range e.Sessions {
+					if s.Issued != each || s.Completed+s.Censored != each || len(s.issueAt) != 0 {
+						t.Fatalf("nocache=%v: session %d issued %d, completed %d, censored %d, %d still in flight",
+							nocache, i, s.Issued, s.Completed, s.Censored, len(s.issueAt))
+					}
+				}
+				if cap(e.events) == 0 {
+					t.Fatalf("nocache=%v: no out-of-order instant ever went to the agenda's heap", nocache)
+				}
+				prints = append(prints, res.Fingerprint())
+			}
+			if prints[0] != prints[2] {
+				t.Fatalf("two runs of one configuration differ: %s vs %s", prints[0], prints[2])
+			}
+			if prints[0] != prints[1] {
+				t.Fatalf("cached and uncached runs differ: %s vs %s", prints[0], prints[1])
+			}
+		})
+	}
+}

@@ -59,12 +59,12 @@ func ServerProgram(spec ServerSpec) []isa.Instr {
 // makes none). Pass the callee in AArgs[0] at spawn.
 func NewServerDomain(sys *gdp.System, spec ServerSpec) (dom, callee obj.AD, f *obj.Fault) {
 	if spec.DomainCalls > 0 {
-		callee, f = domainFor(sys, []isa.Instr{isa.Ret()})
+		callee, f = Domain(sys, []isa.Instr{isa.Ret()})
 		if f != nil {
 			return obj.NilAD, obj.NilAD, f
 		}
 	}
-	dom, f = domainFor(sys, ServerProgram(spec))
+	dom, f = Domain(sys, ServerProgram(spec))
 	if f != nil {
 		return obj.NilAD, obj.NilAD, f
 	}

@@ -35,8 +35,8 @@ func (h *Handle) Done(sys *gdp.System) bool {
 	return true
 }
 
-// domainFor assembles a single-entry domain.
-func domainFor(sys *gdp.System, prog []isa.Instr) (obj.AD, *obj.Fault) {
+// Domain builds a single-entry domain over prog on the system heap.
+func Domain(sys *gdp.System, prog []isa.Instr) (obj.AD, *obj.Fault) {
 	code, f := sys.Domains.CreateCode(sys.Heap, prog)
 	if f != nil {
 		return obj.NilAD, f
@@ -47,7 +47,7 @@ func domainFor(sys *gdp.System, prog []isa.Instr) (obj.AD, *obj.Fault) {
 // Compute spawns n independent compute-bound processes, each spinning for
 // iters iterations with the given time slice.
 func Compute(sys *gdp.System, n int, iters uint32, slice uint32) (*Handle, *obj.Fault) {
-	dom, f := domainFor(sys, []isa.Instr{
+	dom, f := Domain(sys, []isa.Instr{
 		isa.MovI(1, iters),
 		isa.AddI(1, 1, ^uint32(0)),
 		isa.BrNZ(1, 1),
@@ -70,7 +70,7 @@ func Compute(sys *gdp.System, n int, iters uint32, slice uint32) (*Handle, *obj.
 // Churn spawns n allocation-churn processes, each creating and dropping
 // allocs objects of objBytes from the system heap — collector fodder.
 func Churn(sys *gdp.System, n int, allocs, objBytes uint32, slice uint32) (*Handle, *obj.Fault) {
-	dom, f := domainFor(sys, []isa.Instr{
+	dom, f := Domain(sys, []isa.Instr{
 		isa.MovI(4, allocs),
 		isa.MovI(2, objBytes),
 		isa.MovI(3, 1),
@@ -118,7 +118,7 @@ func Pipeline(sys *gdp.System, stages int, items uint32, capacity uint16, slice 
 		return nil, f
 	}
 
-	gen, f := domainFor(sys, []isa.Instr{
+	gen, f := Domain(sys, []isa.Instr{
 		isa.MovI(4, items),
 		isa.MovI(5, 1),
 		isa.MovI(2, 8),
@@ -135,7 +135,7 @@ func Pipeline(sys *gdp.System, stages int, items uint32, capacity uint16, slice 
 	if f != nil {
 		return nil, f
 	}
-	xform, f := domainFor(sys, []isa.Instr{
+	xform, f := Domain(sys, []isa.Instr{
 		isa.MovI(4, items),
 		isa.Recv(1, 2),
 		isa.Load(0, 1, 0),
@@ -150,7 +150,7 @@ func Pipeline(sys *gdp.System, stages int, items uint32, capacity uint16, slice 
 	if f != nil {
 		return nil, f
 	}
-	acc, f := domainFor(sys, []isa.Instr{
+	acc, f := Domain(sys, []isa.Instr{
 		isa.MovI(4, items),
 		isa.MovI(5, 0),
 		isa.Recv(1, 2),
@@ -209,7 +209,7 @@ func ForkJoin(sys *gdp.System, depth int, iters uint32, slice uint32) (*Handle, 
 	if depth < 0 || depth > 8 {
 		return nil, obj.Faultf(obj.FaultBounds, obj.NilAD, "depth %d outside 0..8", depth)
 	}
-	leafDom, f := domainFor(sys, []isa.Instr{
+	leafDom, f := Domain(sys, []isa.Instr{
 		isa.MovI(1, iters),
 		isa.AddI(1, 1, ^uint32(0)),
 		isa.BrNZ(1, 1),
