@@ -108,11 +108,8 @@ func moved(f *obj.Fault) bool { return f != nil && f.Code == obj.FaultSegmentMov
 // the collector and the port microcode do: the auditor operates below the
 // capability discipline.
 func (a *Auditor) capOf(idx obj.Index) obj.AD {
-	d := a.Table.DescriptorAt(idx)
-	if d == nil {
-		return obj.NilAD
-	}
-	return obj.AD{Index: idx, Gen: d.Gen, Rights: obj.RightsAll}
+	ad, _ := a.Table.SystemAD(idx)
+	return ad
 }
 
 // CheckObjects validates the object descriptor table: type and generation

@@ -44,7 +44,7 @@ func TestBootAllPackages(t *testing.T) {
 		t.Error("segment-fault port missing")
 	}
 	// The GC daemon is registered at level 3; the fault handler at 2.
-	if l, ok := im.levels[im.GCProc.Index]; !ok || l != Level3 {
+	if l, ok := im.levels.Get(im.GCProc.Index); !ok || l != Level3 {
 		t.Errorf("GC daemon level = %v, %v", l, ok)
 	}
 	// The directory is pinned and usable.

@@ -21,9 +21,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/filing"
 	"repro/internal/gc"
@@ -137,7 +135,7 @@ type IMAX struct {
 	// stream.
 	Ledger *ledger.Sink
 
-	levels map[obj.Index]SystemLevel
+	levels obj.Side[SystemLevel]
 }
 
 // Boot assembles a system from the configuration.
@@ -154,7 +152,7 @@ func Boot(cfg Config) (*IMAX, error) {
 	im := &IMAX{
 		System: sys,
 		TDOs:   sys.TDOs,
-		levels: make(map[obj.Index]SystemLevel),
+		levels: obj.NewSide[SystemLevel](sys.Table),
 	}
 	im.PM = pm.NewBasic(sys)
 	if cfg.Trace || cfg.Ledger {
@@ -295,7 +293,7 @@ func (im *IMAX) RegisterSystemProcess(p obj.AD, level SystemLevel) *obj.Fault {
 				"level-1 process configured with a fault port")
 		}
 	}
-	im.levels[p.Index] = level
+	im.levels.Put(p.Index, level)
 	return nil
 }
 
@@ -313,29 +311,26 @@ func (v LevelViolation) String() string {
 // CheckLevels audits every registered system process against its declared
 // level: a recorded fault on a level-1 process, or a non-timeout fault on
 // a level-2 process, is a violation. Run it from tests and from the
-// system health monitor. Violations come in object-index order.
+// system health monitor. Violations come in object-index order: the walk
+// is the table's. A level is recorded under its process's generation
+// (obj.Side), so a slot a registered process has left says nothing about
+// the process that took it.
 func (im *IMAX) CheckLevels() []LevelViolation {
 	var out []LevelViolation
-	for idx, level := range im.levels {
-		d := im.Table.DescriptorAt(idx)
-		if d == nil || d.Type != obj.TypeProcess {
+	for i := 1; i < im.Table.Len(); i++ {
+		level, ok := im.levels.Get(obj.Index(i))
+		if !ok {
 			continue
 		}
-		p := obj.AD{Index: idx, Gen: d.Gen, Rights: obj.RightsAll}
+		p, _ := im.Table.SystemAD(obj.Index(i))
 		code, f := im.Procs.FaultCode(p)
 		if f != nil || code == obj.FaultNone {
 			continue
 		}
-		switch level {
-		case Level1:
+		if level == Level1 || level == Level2 && code != obj.FaultTimeout {
 			out = append(out, LevelViolation{Process: p, Level: level, Code: code})
-		case Level2:
-			if code != obj.FaultTimeout {
-				out = append(out, LevelViolation{Process: p, Level: level, Code: code})
-			}
 		}
 	}
-	slices.SortFunc(out, func(a, b LevelViolation) int { return cmp.Compare(a.Process.Index, b.Process.Index) })
 	return out
 }
 

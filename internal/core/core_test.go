@@ -43,8 +43,8 @@ func TestBootSwappingSelection(t *testing.T) {
 	}
 	// The fault handler is registered at level 2.
 	found := false
-	for _, l := range im.levels {
-		if l == Level2 {
+	for i := 1; i < im.Table.Len(); i++ {
+		if l, ok := im.levels.Get(obj.Index(i)); ok && l == Level2 {
 			found = true
 		}
 	}
@@ -128,7 +128,7 @@ func TestLevelOneRefusesFaultPort(t *testing.T) {
 	if f := im.RegisterSystemProcess(p2, Level1); f != nil {
 		t.Fatalf("clean level-1 refused: %v", f)
 	}
-	if l, ok := im.levels[p2.Index]; !ok || l != Level1 {
+	if l, ok := im.levels.Get(p2.Index); !ok || l != Level1 {
 		t.Fatalf("registered level = %v, %v", l, ok)
 	}
 }
@@ -203,6 +203,39 @@ func TestCheckLevelsOrder(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("call %d: violators %v, want %v", call, got, want)
 		}
+	}
+}
+
+// TestCheckLevelsIgnoresReusedSlot: a registered system process that is
+// reclaimed takes its level with it. The user process that reuses its table
+// slot may fault as it likes; the levels used to be keyed by index alone,
+// and CheckLevels reported the newcomer as a faulting level-2 process.
+func TestCheckLevelsIgnoresReusedSlot(t *testing.T) {
+	im := boot(t, Config{})
+	sysproc, f := im.Procs.Create(im.Heap, process.Spec{})
+	if f != nil {
+		t.Fatal(f)
+	}
+	if f := im.RegisterSystemProcess(sysproc, Level2); f != nil {
+		t.Fatal(f)
+	}
+	if f := im.SROs.Reclaim(sysproc.Index); f != nil {
+		t.Fatal(f)
+	}
+	user, f := im.Procs.Create(im.Heap, process.Spec{})
+	if f != nil {
+		t.Fatal(f)
+	}
+	if user.Index != sysproc.Index {
+		t.Fatalf("the new process took slot %d, not the reclaimed %d", user.Index, sysproc.Index)
+	}
+	var v process.Proc
+	im.Procs.Open(user, obj.RightWrite, &v)
+	if v.SetFault(obj.FaultRights, obj.NilIndex); v.Fault() != nil {
+		t.Fatal(v.Fault())
+	}
+	if vs := im.CheckLevels(); len(vs) != 0 {
+		t.Fatalf("a user process in a reused slot was audited as a system process: %v", vs)
 	}
 }
 

@@ -103,10 +103,7 @@ func (m *Manager) CreateCode(heap obj.AD, prog []isa.Instr) (obj.AD, *obj.Fault)
 	if f != nil {
 		return obj.NilAD, f
 	}
-	if f := m.Table.WriteBytes(code, 0, img); f != nil {
-		return obj.NilAD, f
-	}
-	return code, nil
+	return code, m.Table.WriteBytes(code, 0, img)
 }
 
 // Program returns the decoded program of an instruction object, cached by
@@ -137,14 +134,7 @@ func (m *Manager) Create(heap obj.AD, code obj.AD, entries []uint32) (obj.AD, *o
 	if _, f := m.Table.RequireType(code, obj.TypeInstruction); f != nil {
 		return obj.NilAD, f
 	}
-	dom, f := m.create(heap, entries, 0)
-	if f != nil {
-		return obj.NilAD, f
-	}
-	if f := m.Table.StoreAD(dom, slotCode, code); f != nil {
-		return obj.NilAD, f
-	}
-	return dom, nil
+	return m.create(heap, entries, 0, code)
 }
 
 // CreateNative makes a domain whose body is the Go handler. Each call to
@@ -155,8 +145,7 @@ func (m *Manager) CreateNative(heap obj.AD, entryCount int, h Handler) (obj.AD, 
 	if h == nil {
 		return obj.NilAD, obj.Faultf(obj.FaultInvalidAD, obj.NilAD, "nil handler")
 	}
-	entries := make([]uint32, entryCount)
-	dom, f := m.create(heap, entries, flagNative)
+	dom, f := m.create(heap, make([]uint32, entryCount), flagNative, obj.NilAD)
 	if f != nil {
 		return obj.NilAD, f
 	}
@@ -164,7 +153,9 @@ func (m *Manager) CreateNative(heap obj.AD, entryCount int, h Handler) (obj.AD, 
 	return dom, nil
 }
 
-func (m *Manager) create(heap obj.AD, entries []uint32, flags uint16) (obj.AD, *obj.Fault) {
+// create makes the domain object: flags, the entry table, and the code
+// object of a VM domain (a native one passes NilAD).
+func (m *Manager) create(heap obj.AD, entries []uint32, flags uint16, code obj.AD) (obj.AD, *obj.Fault) {
 	if len(entries) == 0 || len(entries) > MaxEntries {
 		return obj.NilAD, obj.Faultf(obj.FaultBounds, obj.NilAD,
 			"%d entry points outside 1..%d", len(entries), MaxEntries)
@@ -177,30 +168,24 @@ func (m *Manager) create(heap obj.AD, entries []uint32, flags uint16) (obj.AD, *
 	if f != nil {
 		return obj.NilAD, f
 	}
-	if f := m.Table.WriteWord(dom, offFlags, flags); f != nil {
-		return obj.NilAD, f
-	}
-	if f := m.Table.WriteWord(dom, offEntryCount, uint16(len(entries))); f != nil {
-		return obj.NilAD, f
-	}
+	var dv obj.View
+	m.Table.View(dom, obj.TypeDomain, obj.RightWrite, &dv)
+	dv.SetWord(offFlags, flags)
+	dv.SetWord(offEntryCount, uint16(len(entries)))
 	for i, e := range entries {
-		if f := m.Table.WriteDWord(dom, offEntries+uint32(i)*4, e); f != nil {
-			return obj.NilAD, f
-		}
+		dv.SetDWord(offEntries+uint32(i)*4, e)
 	}
-	return dom, nil
+	if code.Valid() {
+		dv.StoreAD(slotCode, code)
+	}
+	return dom, dv.Fault()
 }
 
 // IsNative reports whether the domain's body is a Go handler.
 func (m *Manager) IsNative(dom obj.AD) (bool, *obj.Fault) {
-	if _, f := m.Table.RequireType(dom, obj.TypeDomain); f != nil {
-		return false, f
-	}
-	flags, f := m.Table.ReadWord(dom, offFlags)
-	if f != nil {
-		return false, f
-	}
-	return flags&flagNative != 0, nil
+	var dv obj.View
+	m.Table.View(dom, obj.TypeDomain, obj.RightRead, &dv)
+	return dv.Word(offFlags)&flagNative != 0, dv.Fault()
 }
 
 // HandlerOf returns the native body of a domain.
@@ -217,23 +202,17 @@ func (m *Manager) HandlerOf(dom obj.AD) (Handler, *obj.Fault) {
 
 // EntryIP reports the instruction index of entry point entry.
 func (m *Manager) EntryIP(dom obj.AD, entry uint32) (uint32, *obj.Fault) {
-	if _, f := m.Table.RequireType(dom, obj.TypeDomain); f != nil {
-		return 0, f
+	var dv obj.View
+	m.Table.View(dom, obj.TypeDomain, obj.RightRead, &dv)
+	if n := dv.Word(offEntryCount); entry >= uint32(n) {
+		dv.Latch(obj.Faultf(obj.FaultBounds, dom, "entry %d of %d", entry, n))
 	}
-	n, f := m.Table.ReadWord(dom, offEntryCount)
-	if f != nil {
-		return 0, f
-	}
-	if entry >= uint32(n) {
-		return 0, obj.Faultf(obj.FaultBounds, dom, "entry %d of %d", entry, n)
-	}
-	return m.Table.ReadDWord(dom, offEntries+entry*4)
+	return dv.DWord(offEntries + entry*4), dv.Fault()
 }
 
 // Code reports the domain's instruction object.
 func (m *Manager) Code(dom obj.AD) (obj.AD, *obj.Fault) {
-	if _, f := m.Table.RequireType(dom, obj.TypeDomain); f != nil {
-		return obj.NilAD, f
-	}
-	return m.Table.LoadAD(dom, slotCode)
+	var dv obj.View
+	m.Table.View(dom, obj.TypeDomain, obj.RightRead, &dv)
+	return dv.LoadAD(slotCode), dv.Fault()
 }

@@ -170,15 +170,14 @@ func (s *Store) Passivate(root obj.AD) (uint64, error) {
 		img = append(img, byte(d.Type))
 		name := ""
 		if d.UserType != obj.NilIndex {
-			td := s.Table.DescriptorAt(d.UserType)
-			if td == nil {
+			tdoAD, ok := s.Table.SystemAD(d.UserType)
+			if !ok {
 				// The labelling TDO was destroyed while its instance
 				// lives on; an image recording the dead type would be
 				// unactivatable at best and a forgery vector at worst.
 				return 0, obj.Faultf(obj.FaultInvalidAD, ad,
 					"user-type TDO %d destroyed before passivation", d.UserType)
 			}
-			tdoAD := obj.AD{Index: d.UserType, Gen: td.Gen, Rights: obj.RightsAll}
 			n, f := s.TDOs.Name(tdoAD)
 			if f != nil {
 				return 0, f
@@ -195,16 +194,15 @@ func (s *Store) Passivate(root obj.AD) (uint64, error) {
 		img = binary.LittleEndian.AppendUint16(img, uint16(len(name)))
 		img = append(img, name...)
 		img = binary.LittleEndian.AppendUint32(img, d.DataLen)
+		fullAD, _ := s.Table.SystemAD(ad.Index)
 		if d.DataLen > 0 {
-			ad := obj.AD{Index: ad.Index, Gen: d.Gen, Rights: obj.RightsAll}
-			data, f := s.Table.ReadBytes(ad, 0, d.DataLen)
+			data, f := s.Table.ReadBytes(fullAD, 0, d.DataLen)
 			if f != nil {
 				return 0, f
 			}
 			img = append(img, data...)
 		}
 		img = binary.LittleEndian.AppendUint32(img, d.AccessSlots)
-		fullAD := obj.AD{Index: ad.Index, Gen: d.Gen, Rights: obj.RightsAll}
 		for slot := uint32(0); slot < d.AccessSlots; slot++ {
 			ref, f := s.Table.LoadAD(fullAD, slot)
 			if f != nil {

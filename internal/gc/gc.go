@@ -258,7 +258,7 @@ func (c *Collector) disposeWhite(idx obj.Index) (vtime.Cycles, bool, *obj.Fault)
 	}
 	if d.UserType != obj.NilIndex && !d.Finalized {
 		if fport, armed := c.TDOs.FilterPort(d.UserType); armed {
-			ad := obj.AD{Index: idx, Gen: d.Gen, Rights: obj.RightsAll}
+			ad, _ := c.Table.SystemAD(idx)
 			blocked, wake, f := c.Ports.Send(fport, ad, 0, obj.NilAD)
 			if f == nil && !blocked {
 				// Delivered: the object is reachable from the

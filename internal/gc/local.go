@@ -34,8 +34,14 @@ func (c *Collector) CollectLocal(sroIdx obj.Index) (vtime.Cycles, int, *obj.Faul
 	var spent vtime.Cycles
 
 	// The population: live objects whose ancestral SRO is sroIdx.
+	// members keeps it in table order, the order of the sweep: which slot
+	// is freed last, and so reused first, must not depend on a map walk.
 	pop := make(map[obj.Index]bool)
-	c.Table.AliveBySRO(sroIdx, func(i obj.Index) { pop[i] = true })
+	var members []obj.Index
+	c.Table.AliveBySRO(sroIdx, func(i obj.Index) {
+		pop[i] = true
+		members = append(members, i)
+	})
 	if len(pop) == 0 {
 		return 0, 0, nil
 	}
@@ -89,39 +95,20 @@ func (c *Collector) CollectLocal(sroIdx obj.Index) (vtime.Cycles, int, *obj.Faul
 		}
 	}
 
-	// Sweep the population only.
-	reclaimed := 0
-	for idx := range pop {
+	// Sweep the population only. disposeWhite is the global sweep's disposal:
+	// reclaim, or deliver to the type's destruction filter, with the same
+	// events and the same charges.
+	disposed := c.stats.Reclaimed + c.stats.Filtered
+	var fault *obj.Fault
+	for _, idx := range members {
 		if marked[idx] || c.Table.IsPinned(idx) {
 			continue
 		}
-		spent += vtime.CostGCSweepStep
-		d := c.Table.DescriptorAt(idx)
-		if d == nil {
-			continue
+		cost, _, f := c.disposeWhite(idx)
+		spent += cost
+		if fault = f; f != nil {
+			break
 		}
-		if d.UserType != obj.NilIndex && !d.Finalized {
-			if fport, armed := c.TDOs.FilterPort(d.UserType); armed {
-				ad := obj.AD{Index: idx, Gen: d.Gen, Rights: obj.RightsAll}
-				blocked, wake, f := c.Ports.Send(fport, ad, 0, obj.NilAD)
-				if f == nil && !blocked {
-					d.Finalized = true
-					c.stats.Filtered++
-					if wake != nil {
-						c.pendingWakes = append(c.pendingWakes, *wake)
-					}
-					spent += vtime.CostSend
-					reclaimed++
-					continue
-				}
-				continue // port full: keep for a later attempt
-			}
-		}
-		if f := c.SROs.Reclaim(idx); f != nil {
-			return spent, reclaimed, f
-		}
-		c.stats.Reclaimed++
-		reclaimed++
 	}
-	return spent, reclaimed, nil
+	return spent, int(c.stats.Reclaimed + c.stats.Filtered - disposed), fault
 }

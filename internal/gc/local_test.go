@@ -1,10 +1,13 @@
 package gc
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/obj"
 	"repro/internal/port"
+	"repro/internal/trace"
 )
 
 func TestCollectLocalReclaimsWithinSRO(t *testing.T) {
@@ -137,5 +140,51 @@ func TestCollectLocalRefusesSwappedParts(t *testing.T) {
 	}
 	if _, _, f := fx.c.CollectLocal(local.Index); !obj.IsFault(f, obj.FaultSegmentMoved) {
 		t.Fatalf("swapped access part tolerated: %v", f)
+	}
+}
+
+// TestCollectLocalDeterministic: a local collection reclaims in table
+// order, so two worlds built alike free the same slots in the same order —
+// the table's free list is LIFO, and the next creations land on the same
+// indices — and emit the same events, a reclaim event per object like the
+// global sweep's. (The sweep used to range over a Go map: twenty runs gave
+// twenty index sequences.)
+func TestCollectLocalDeterministic(t *testing.T) {
+	world := func() string {
+		fx := setup(t)
+		log := trace.New(1024)
+		fx.tab.SetTracer(log)
+		local, f := fx.sros.NewLocalHeap(fx.heap, 2, 0)
+		if f != nil {
+			t.Fatal(f)
+		}
+		if f := fx.tab.StoreAD(fx.root, 0, local); f != nil {
+			t.Fatal(f)
+		}
+		for i := 0; i < 12; i++ { // garbage from birth
+			if _, f := fx.sros.Create(local, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8}); f != nil {
+				t.Fatal(f)
+			}
+		}
+		if _, n, f := fx.c.CollectLocal(local.Index); f != nil || n != 12 {
+			t.Fatalf("collected %d of 12: %v", n, f)
+		}
+		if got := log.Counts()[trace.EvGCReclaim]; got != 12 {
+			t.Errorf("%d reclaim events for 12 reclaimed objects", got)
+		}
+		var out bytes.Buffer
+		if err := log.Dump(&out); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			fmt.Fprintln(&out, "next", fx.alloc(t, 0).Index)
+		}
+		return out.String()
+	}
+	first := world()
+	for i := 0; i < 8; i++ {
+		if again := world(); again != first {
+			t.Fatalf("two identical worlds diverged:\n%s\n--- against ---\n%s", first, again)
+		}
 	}
 }

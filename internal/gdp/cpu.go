@@ -46,28 +46,24 @@ func (c *CPU) CurrentSlot(s *System) (obj.AD, *obj.Fault) {
 	return s.Table.LoadAD(c.Obj, cpuSlotCurrent)
 }
 
-// bind attaches a ready process to the processor: the implicit hardware
-// dispatch of §5 ("ready processes are dispatched on processors
-// automatically").
-func (c *CPU) bind(s *System, p obj.AD) *obj.Fault {
+// bind attaches a ready process, opened by tryDispatch, to the processor:
+// the implicit hardware dispatch of §5 ("ready processes are dispatched on
+// processors automatically").
+func (c *CPU) bind(s *System, pv *process.Proc) *obj.Fault {
 	c.Clock.Charge(vtime.CostDispatch)
-	if f := s.Procs.SetState(p, process.StateRunning); f != nil {
+	pv.SetState(process.StateRunning)
+	ts := pv.TimeSlice()
+	if f := pv.Fault(); f != nil {
 		return f
 	}
-	ts, f := s.Procs.TimeSlice(p)
-	if f != nil {
-		return f
-	}
-	c.proc = p
+	c.proc = pv.AD()
 	c.sliceLeft = vtime.Cycles(ts)
 	c.Dispatches++
 	s.dispatches++
-	if l := s.Table.Tracer(); l != nil {
-		l.Emit(trace.EvDispatch, uint32(p.Index), uint32(c.ID), 0)
-	}
+	pv.Emit(trace.EvDispatch, uint32(c.ID), 0)
 	// The processor object names its current process so the collector
 	// sees running processes as roots.
-	return s.Table.StoreADSystem(c.Obj, cpuSlotCurrent, p)
+	return s.Table.StoreADSystem(c.Obj, cpuSlotCurrent, c.proc)
 }
 
 // unbind detaches the current process (which has blocked, terminated,
@@ -90,17 +86,16 @@ func (c *CPU) tryDispatch(s *System) (bool, *obj.Fault) {
 		if f != nil || blocked { // empty: stay idle
 			return false, f
 		}
-		if _, f := s.Table.RequireType(msg, obj.TypeProcess); f != nil {
+		var pv process.Proc
+		s.Procs.Open(msg, obj.RightRead, &pv)
+		st := pv.State()
+		if f := pv.Fault(); f != nil {
 			// A non-process at the dispatch port is system damage; drop
 			// it rather than wedge the processor.
 			return false, f
 		}
-		st, f := s.Procs.StateOf(msg)
-		if f != nil {
-			return false, f
-		}
 		if st == process.StateReady {
-			return true, c.bind(s, msg)
+			return true, c.bind(s, &pv)
 		}
 		c.Clock.Charge(vtime.CostReceive)
 	}

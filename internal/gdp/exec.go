@@ -177,7 +177,9 @@ func (s *System) stepCPU(cpu *CPU, quantum vtime.Cycles) (bool, *obj.Fault) {
 	if spent := cpu.Clock.Now() - before; spent > 0 {
 		// The process may have terminated and been collected within
 		// the step; uncredited cycles then vanish with it.
-		_ = s.Procs.AddCPUCycles(proc, uint32(spent))
+		var pv process.Proc
+		s.Procs.Open(proc, obj.RightRead, &pv)
+		pv.AddCPUCycles(uint32(spent))
 	}
 	return true, f
 }
@@ -723,29 +725,24 @@ func (s *System) execCall(proc, caller obj.AD, dom obj.AD, entry uint32, crossDo
 	if _, f := s.Table.RequireType(dom, obj.TypeDomain); f != nil {
 		return cost, f
 	}
-	P := s.Procs
-	ctx, f := P.PushContext(proc, dom)
+	ctx, f := s.Procs.PushContext(proc, dom)
 	if f != nil {
 		return cost, f
 	}
 	// Arguments: r0..r3 and a0..a3 copy across.
+	var from, to process.Ctx
+	s.Procs.OpenContext(caller, obj.RightRead, &from)
+	s.Procs.OpenContext(ctx, obj.RightWrite, &to)
 	for r := uint8(0); r < 4; r++ {
-		v, f := P.Reg(caller, r)
-		if f != nil {
-			return cost, f
-		}
-		if f := P.SetReg(ctx, r, v); f != nil {
-			return cost, f
-		}
-		ad, f := P.AReg(caller, r)
-		if f != nil {
-			return cost, f
-		}
+		v, ad := from.Reg(r), from.AReg(r)
+		to.Latch(from.Fault())
+		to.SetReg(r, v)
 		if ad.Valid() {
-			if f := P.SetAReg(ctx, r, ad); f != nil {
-				return cost, f
-			}
+			to.SetAReg(r, ad)
 		}
+	}
+	if f := to.Fault(); f != nil {
+		return cost, f
 	}
 	native, f := s.Domains.IsNative(dom)
 	if f != nil {
@@ -758,7 +755,8 @@ func (s *System) execCall(proc, caller obj.AD, dom obj.AD, entry uint32, crossDo
 	if f != nil {
 		return cost, f
 	}
-	return cost, P.SetIP(ctx, ip)
+	to.SetIP(ip)
+	return cost, to.Fault()
 }
 
 // execNativeCall runs a native domain body to completion within the call
@@ -818,31 +816,30 @@ func (s *System) execRet(cpu *CPU, proc, ctx obj.AD) (vtime.Cycles, *obj.Fault) 
 }
 
 func (s *System) copyResults(callee, caller obj.AD) *obj.Fault {
-	v, f := s.Procs.Reg(callee, 0)
-	if f != nil {
+	var from process.Ctx
+	s.Procs.OpenContext(callee, obj.RightRead, &from)
+	v, ad := from.Reg(0), from.AReg(0)
+	if f := from.Fault(); f != nil {
 		return f
 	}
-	if f := s.Procs.SetReg(caller, 0, v); f != nil {
-		return f
-	}
-	ad, f := s.Procs.AReg(callee, 0)
-	if f != nil {
-		return f
-	}
+	var to process.Ctx
+	s.Procs.OpenContext(caller, obj.RightWrite, &to)
+	to.SetReg(0, v)
 	if ad.Valid() {
-		return s.Procs.SetAReg(caller, 0, ad)
+		to.SetAReg(0, ad)
 	}
-	return nil
+	return to.Fault()
 }
 
 // terminate ends the process: state change, scheduler notification, and
 // release of the processor.
 func (s *System) terminate(cpu *CPU, proc obj.AD) *obj.Fault {
-	if f := s.Procs.SetState(proc, process.StateTerminated); f != nil {
+	var pv process.Proc
+	s.Procs.Open(proc, obj.RightWrite, &pv)
+	pv.SetState(process.StateTerminated)
+	pv.Emit(trace.EvTerminate, 0, 0)
+	if f := pv.Fault(); f != nil {
 		return f
-	}
-	if l := s.Table.Tracer(); l != nil {
-		l.Emit(trace.EvTerminate, uint32(proc.Index), 0, 0)
 	}
 	s.notifyScheduler(proc)
 	if cpu != nil && cpu.proc == proc {
@@ -861,27 +858,26 @@ func (s *System) deliverFault(cpu *CPU, proc obj.AD, cause *obj.Fault) *obj.Faul
 	if l := s.Table.Tracer(); l != nil {
 		l.Emit(trace.EvFault, uint32(proc.Index), uint32(cause.Code), uint64(cause.AD.Index))
 	}
-	if f := s.Procs.SetFaultCode(proc, cause.Code); f != nil {
-		return f
-	}
-	if f := s.Procs.SetFaultObject(proc, cause.AD.Index); f != nil {
-		return f
-	}
+	var pv process.Proc
+	s.Procs.Open(proc, obj.RightWrite, &pv)
+	pv.SetFault(cause.Code, cause.AD.Index)
 	// A segment fault is transparent to the process (§7.3: user-level
 	// processes are unaware a segment might be temporarily inaccessible):
 	// rewind the instruction so it re-executes after the memory manager
 	// restores residency. Port and register state is untouched because
-	// the access check precedes every side effect.
+	// the access check precedes every side effect. A process with no
+	// context to rewind is left as it is.
 	if cause.Code == obj.FaultSegmentMoved {
-		if ctx, f := s.Procs.Context(proc); f == nil && ctx.Valid() {
-			if ip, f := s.Procs.IP(ctx); f == nil && ip > 0 {
-				if f := s.Procs.SetIP(ctx, ip-1); f != nil {
-					return f
-				}
-			}
+		var cv process.Ctx
+		s.Procs.OpenContext(pv.LoadAD(process.SlotContext), obj.RightRead, &cv)
+		if ip := cv.IP(); ip > 0 {
+			cv.SetIP(ip - 1)
+			pv.Latch(cv.Fault())
 		}
 	}
-	if f := s.Procs.SetState(proc, process.StateFaulted); f != nil {
+	pv.SetState(process.StateFaulted)
+	fport := pv.LoadAD(process.SlotFaultPort)
+	if f := pv.Fault(); f != nil {
 		return f
 	}
 	if cpu.proc == proc {
@@ -889,26 +885,20 @@ func (s *System) deliverFault(cpu *CPU, proc obj.AD, cause *obj.Fault) *obj.Faul
 			return f
 		}
 	}
-	fport, f := s.Procs.Link(proc, process.SlotFaultPort)
-	if f != nil {
-		return f
+	if fport.Valid() {
+		if blocked, wake, f := s.Ports.Send(fport, proc, uint32(cause.Code), obj.NilAD); f == nil && !blocked {
+			s.faultsSent++
+			if wake != nil {
+				return s.Wake(*wake)
+			}
+			return nil
+		}
 	}
-	if !fport.Valid() {
-		s.notifyScheduler(proc)
-		return s.Procs.SetState(proc, process.StateTerminated)
-	}
-	blocked, wake, f := s.Ports.Send(fport, proc, uint32(cause.Code), obj.NilAD)
-	if f != nil || blocked {
-		// Fault port gone or full: the process is lost to software;
-		// terminate it rather than wedge the processor.
-		s.notifyScheduler(proc)
-		return s.Procs.SetState(proc, process.StateTerminated)
-	}
-	s.faultsSent++
-	if wake != nil {
-		return s.Wake(*wake)
-	}
-	return nil
+	// No fault port, or it is gone or full: the process is lost to
+	// software; terminate it rather than wedge the processor.
+	s.notifyScheduler(proc)
+	pv.SetState(process.StateTerminated)
+	return pv.Fault()
 }
 
 // notifyScheduler sends the process to its scheduler port, if it has one,

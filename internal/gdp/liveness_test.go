@@ -35,10 +35,11 @@ func TestStoppedEntryDoesNotStrandReadyProcess(t *testing.T) {
 		}
 		// What pm.Basic.Stop does to a ready process: the stop count, the
 		// state, and the entry left where it is.
-		if f := s.Procs.SetStopCount(p, 1); f != nil {
-			t.Fatal(f)
-		}
-		if f := s.Procs.SetState(p, process.StateStopped); f != nil {
+		var pv process.Proc
+		s.Procs.Open(p, obj.RightWrite, &pv)
+		pv.SetStopCount(1)
+		pv.SetState(process.StateStopped)
+		if f := pv.Fault(); f != nil {
 			t.Fatal(f)
 		}
 		stopped = append(stopped, p)

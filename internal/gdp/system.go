@@ -286,18 +286,7 @@ type SpawnSpec struct {
 // Spawn creates a process executing entry 0 of the given domain and queues
 // it at the dispatching port.
 func (s *System) Spawn(dom obj.AD, spec SpawnSpec) (obj.AD, *obj.Fault) {
-	heap := spec.Heap
-	if !heap.Valid() {
-		heap = s.Heap
-	}
-	p, f := s.Procs.Create(heap, process.Spec{
-		Priority:     spec.Priority,
-		TimeSlice:    spec.TimeSlice,
-		FaultPort:    spec.FaultPort,
-		DispatchPort: s.Dispatch,
-		SchedPort:    spec.SchedPort,
-		Parent:       spec.Parent,
-	})
+	p, f := s.newProcess(spec)
 	if f != nil {
 		return obj.NilAD, f
 	}
@@ -309,39 +298,42 @@ func (s *System) Spawn(dom obj.AD, spec SpawnSpec) (obj.AD, *obj.Fault) {
 	if f != nil {
 		return obj.NilAD, f
 	}
-	if f := s.Procs.SetIP(ctx, ip); f != nil {
-		return obj.NilAD, f
-	}
+	var cv process.Ctx
+	s.Procs.OpenContext(ctx, obj.RightWrite, &cv)
+	cv.SetIP(ip)
 	for i, v := range spec.Args {
-		if f := s.Procs.SetReg(ctx, uint8(i), v); f != nil {
-			return obj.NilAD, f
-		}
+		cv.SetReg(uint8(i), v)
 	}
 	for i, ad := range spec.AArgs {
-		if !ad.Valid() {
-			continue
-		}
-		if f := s.Procs.SetAReg(ctx, uint8(i), ad); f != nil {
-			return obj.NilAD, f
+		if ad.Valid() {
+			cv.SetAReg(uint8(i), ad)
 		}
 	}
-	if f := s.MakeReady(p); f != nil {
+	if f := cv.Fault(); f != nil {
 		return obj.NilAD, f
 	}
-	if l := s.Table.Tracer(); l != nil {
-		l.Emit(trace.EvSpawn, uint32(p.Index), 0, 0)
-	}
-	return p, nil
+	return p, s.launch(p, 0)
 }
 
 // SpawnNative creates a process whose body is Go code, scheduled like any
 // other process.
 func (s *System) SpawnNative(body NativeBody, spec SpawnSpec) (obj.AD, *obj.Fault) {
+	p, f := s.newProcess(spec)
+	if f != nil {
+		return obj.NilAD, f
+	}
+	s.bodies.Put(p.Index, body)
+	return p, s.launch(p, 1)
+}
+
+// newProcess creates the process object of a spawn, from the spec's heap or
+// the system's.
+func (s *System) newProcess(spec SpawnSpec) (obj.AD, *obj.Fault) {
 	heap := spec.Heap
 	if !heap.Valid() {
 		heap = s.Heap
 	}
-	p, f := s.Procs.Create(heap, process.Spec{
+	return s.Procs.Create(heap, process.Spec{
 		Priority:     spec.Priority,
 		TimeSlice:    spec.TimeSlice,
 		FaultPort:    spec.FaultPort,
@@ -349,17 +341,18 @@ func (s *System) SpawnNative(body NativeBody, spec SpawnSpec) (obj.AD, *obj.Faul
 		SchedPort:    spec.SchedPort,
 		Parent:       spec.Parent,
 	})
-	if f != nil {
-		return obj.NilAD, f
-	}
-	s.bodies.Put(p.Index, body)
+}
+
+// launch queues a new process at its dispatching port and logs the spawn;
+// native is 1 for a Go body.
+func (s *System) launch(p obj.AD, native uint32) *obj.Fault {
 	if f := s.MakeReady(p); f != nil {
-		return obj.NilAD, f
+		return f
 	}
 	if l := s.Table.Tracer(); l != nil {
-		l.Emit(trace.EvSpawn, uint32(p.Index), 1, 0)
+		l.Emit(trace.EvSpawn, uint32(p.Index), native, 0)
 	}
-	return p, nil
+	return nil
 }
 
 // MakeReady queues the process at its dispatching port with its priority
@@ -367,36 +360,27 @@ func (s *System) SpawnNative(body NativeBody, spec SpawnSpec) (obj.AD, *obj.Faul
 // the dispatch mix — wakeups, time-slice end, and explicit starts all
 // funnel through it.
 func (s *System) MakeReady(p obj.AD) *obj.Fault {
-	if _, f := s.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return f
-	}
-	if st, f := s.Procs.StateOf(p); f != nil {
-		return f
-	} else if st == process.StateTerminated {
-		return nil
+	var pv process.Proc
+	s.Procs.Open(p, obj.RightRead, &pv)
+	st, stops := pv.State(), pv.StopCount()
+	if pv.Fault() != nil || st == process.StateTerminated {
+		return pv.Fault()
 	}
 	// A process with stops outstanding stays out of the mix (§6.1): it
 	// is parked in the stopped state and the process manager requeues
 	// it on the matching start. This is the hook that lets stop/start
 	// apply cleanly even to processes that were blocked at a port when
 	// stopped — the wakeup funnels through here and parks them.
-	if sc, f := s.Procs.StopCount(p); f != nil {
-		return f
-	} else if sc > 0 {
-		return s.Procs.SetState(p, process.StateStopped)
+	if stops > 0 {
+		pv.SetState(process.StateStopped)
+		return pv.Fault()
 	}
-	dport, f := s.Procs.Link(p, process.SlotDispatchPort)
-	if f != nil {
-		return f
-	}
+	dport, prio := pv.LoadAD(process.SlotDispatchPort), pv.Priority()
 	if !dport.Valid() {
 		dport = s.Dispatch
 	}
-	prio, f := s.Procs.Priority(p)
-	if f != nil {
-		return f
-	}
-	if f := s.Procs.SetState(p, process.StateReady); f != nil {
+	pv.SetState(process.StateReady)
+	if f := pv.Fault(); f != nil {
 		return f
 	}
 	key := uint32(prio)
@@ -407,13 +391,10 @@ func (s *System) MakeReady(p obj.AD) *obj.Fault {
 		key = uint32(s.Now() + s.deadlineBase/vtime.Cycles(prio+1))
 	}
 	blocked, _, f := s.Ports.Send(dport, p, key, obj.NilAD)
-	if f != nil {
-		return f
+	if f == nil && blocked {
+		f = obj.Faultf(obj.FaultBounds, dport, "dispatch port overflow")
 	}
-	if blocked {
-		return obj.Faultf(obj.FaultBounds, dport, "dispatch port overflow")
-	}
-	return nil
+	return f
 }
 
 // SetTracer installs the kernel event log on the system and its object

@@ -389,12 +389,16 @@ func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.F
 			break
 		}
 		if op.kind == kLoad {
-			x, f := v.DWord(op.imm)
-			if f != nil {
-				break
+			if x := v.DWord(op.imm); v.Fault() == nil {
+				regSet(w, op.a, x)
 			}
-			regSet(w, op.a, x)
-		} else if v.SetDWord(op.imm, regGet(w, op.a)) != nil {
+		} else {
+			v.SetDWord(op.imm, regGet(w, op.a))
+		}
+		if v.Fault() != nil {
+			// Refused: the canonical path raises the fault itself, and
+			// the way is emptied rather than left holding a latched view.
+			*v = obj.View{}
 			break
 		}
 		if ip, left, n = ip+1, left-move, n+1; left <= 0 || n >= room {

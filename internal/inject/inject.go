@@ -21,7 +21,8 @@ type Env struct {
 	// Swapper enables KindSwapOut (and is the only way to force an
 	// eviction between two instructions).
 	Swapper *mm.Swapping
-	// Collector gates KindDestroyMidMark on the mark phase.
+	// Collector enables KindDestroyMidMark, which steps it to its mark
+	// phase.
 	Collector *gc.Collector
 	// FloodPorts are the candidate targets of KindPortFlood. Never
 	// include a dispatching port: non-process messages there are a
@@ -242,8 +243,16 @@ func (in *Injector) destroyMidMark(s *gdp.System, ev Event) (obj.Index, string, 
 	if in.env.Collector == nil {
 		return obj.NilIndex, "skipped: no collector", nil
 	}
-	if ph := in.env.Collector.Phase(); ph != gc.PhaseMark {
-		return obj.NilIndex, fmt.Sprintf("skipped: collector not marking (phase %d)", ph), nil
+	// The daemon runs below every worker's priority and seldom reaches a
+	// mark phase inside a plan's horizon, so the event brings the race
+	// about itself: it runs the collector, between two instructions as the
+	// daemon's processor would, up to its next mark phase. That is
+	// adversarial scheduling, like the destruction; not corruption. Every
+	// phase ends after one pass over the table, so the loop does.
+	for c := in.env.Collector; c.Phase() != gc.PhaseMark; {
+		if _, _, f := c.Step(1); f != nil {
+			return obj.NilIndex, fmt.Sprintf("skipped: collector faulted before its mark phase: %v", f), nil
+		}
 	}
 	procVictim, genVictim := obj.NilIndex, obj.NilIndex
 	for i := 1; i < s.Table.Len(); i++ {
@@ -255,7 +264,7 @@ func (in *Injector) destroyMidMark(s *gdp.System, ev Event) (obj.Index, string, 
 		switch d.Type {
 		case obj.TypeProcess:
 			if procVictim == obj.NilIndex {
-				p := obj.AD{Index: idx, Gen: d.Gen, Rights: obj.RightsAll}
+				p, _ := s.Table.SystemAD(idx)
 				if st, f := s.Procs.StateOf(p); f == nil && st == process.StateTerminated {
 					procVictim = idx
 				}

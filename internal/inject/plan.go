@@ -33,9 +33,8 @@ const (
 	// KindPortFlood fills a victim port to capacity with filler messages,
 	// so subsequent sends — including fault deliveries — find it full.
 	KindPortFlood
-	// KindDestroyMidMark destroys a victim object (preferring a
-	// terminated process) while the collector is in its mark phase; a
-	// no-op outside the mark phase.
+	// KindDestroyMidMark runs the collector up to its mark phase and there
+	// destroys a victim object (preferring a terminated process).
 	KindDestroyMidMark
 	// KindSROExhaust allocates away the remaining claim of a victim SRO,
 	// so the next allocation from it raises a storage-claim fault.

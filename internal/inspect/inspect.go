@@ -70,7 +70,12 @@ func Take(t *obj.Table) *Snapshot {
 	for _, tc := range byType {
 		s.ByType = append(s.ByType, *tc)
 	}
-	sort.Slice(s.ByType, func(i, j int) bool { return s.ByType[i].Count > s.ByType[j].Count })
+	// Most numerous first; types with equal counts in type order, not in
+	// the map's.
+	sort.Slice(s.ByType, func(i, j int) bool {
+		a, b := s.ByType[i], s.ByType[j]
+		return a.Count > b.Count || a.Count == b.Count && a.Type < b.Type
+	})
 
 	// Reachability sweep from pinned roots.
 	seen := map[obj.Index]bool{}

@@ -76,3 +76,32 @@ func TestSnapshotSwappedAccounting(t *testing.T) {
 		t.Fatalf("SwappedOut = %d", snap.SwappedOut)
 	}
 }
+
+// TestSnapshotTiedCountsInTypeOrder: types with equal counts come out in
+// type order on every call. The rows were sorted by count alone over a
+// slice built in map order, so `imax -inspect` printed tied types in a
+// different order from run to run.
+func TestSnapshotTiedCountsInTypeOrder(t *testing.T) {
+	tab, s, heap := setup(t)
+	types := []obj.Type{obj.TypeCarrier, obj.TypeGeneric, obj.TypePort, obj.TypeDomain,
+		obj.TypeContext, obj.TypeProcess, obj.TypeTDO, obj.TypeInstruction}
+	for range 2 {
+		for _, typ := range types {
+			if _, f := s.Create(heap, obj.CreateSpec{Type: typ, DataLen: 8}); f != nil {
+				t.Fatal(f)
+			}
+		}
+	}
+	for call := 0; call < 20; call++ {
+		rows := Take(tab).ByType
+		if len(rows) != len(types)+1 { // and the heap's SRO
+			t.Fatalf("%d rows, want %d", len(rows), len(types)+1)
+		}
+		for i := 1; i < len(rows); i++ {
+			a, b := rows[i-1], rows[i]
+			if a.Count < b.Count || a.Count == b.Count && a.Type >= b.Type {
+				t.Fatalf("call %d: row %d (%s ×%d) before row %d (%s ×%d)", call, i-1, a.Type, a.Count, i, b.Type, b.Count)
+			}
+		}
+	}
+}

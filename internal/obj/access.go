@@ -54,27 +54,6 @@ func (t *Table) WriteByteAt(a AD, off uint32, v byte) *Fault {
 	return t.refuse(a, RightWrite, off, 1)
 }
 
-// ReadWord reads the 16-bit ordinal at displacement off in the data part.
-func (t *Table) ReadWord(a AD, off uint32) (uint16, *Fault) {
-	if d := t.present(a, RightRead); d != nil {
-		if b, ok := span(t.mem.Window(d.Data), off, 2); ok {
-			return binary.LittleEndian.Uint16(b), nil
-		}
-	}
-	return 0, t.refuse(a, RightRead, off, 2)
-}
-
-// WriteWord writes the 16-bit ordinal at displacement off in the data part.
-func (t *Table) WriteWord(a AD, off uint32, v uint16) *Fault {
-	if d := t.present(a, RightWrite); d != nil {
-		if b, ok := span(t.mem.Window(d.Data), off, 2); ok {
-			binary.LittleEndian.PutUint16(b, v)
-			return nil
-		}
-	}
-	return t.refuse(a, RightWrite, off, 2)
-}
-
 // ReadDWord reads the 32-bit value at displacement off in the data part.
 func (t *Table) ReadDWord(a AD, off uint32) (uint32, *Fault) {
 	if d := t.present(a, RightRead); d != nil {

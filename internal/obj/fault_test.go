@@ -18,6 +18,7 @@ func TestRoutineFaultStrings(t *testing.T) {
 	_, read := tab.ReadDWord(ad, 0)
 	_, load := tab.LoadAD(ad, 1)
 	var v View
+	tab.View(ad, TypeGeneric, RightRead, &v)
 	referents := tab.Referents(ad.Index, func(AD) {})
 	filler := mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 1000})
 	_, _, swapIn := tab.SwapIn(ad.Index)
@@ -39,7 +40,7 @@ func TestRoutineFaultStrings(t *testing.T) {
 		{"write", tab.WriteDWord(ad, 0, 1), moved},
 		{"load AD", load, moved},
 		{"store AD", tab.StoreAD(ad, 0, NilAD), moved},
-		{"view", tab.View(ad, RightRead, &v), moved},
+		{"view", v.Fault(), moved},
 		{"referents", referents, "fault: segment moved or swapped out on AD<1#0 ->: cannot scan swapped object"},
 		{"swap out twice", tab.SwapOut(ad.Index, 8), "fault: segment moved or swapped out on AD<1#0 ->: already swapped out"},
 		{"swap in", swapIn, "fault: insufficient storage on AD<1#0 ->: mem: insufficient free storage"},

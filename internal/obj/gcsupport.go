@@ -68,6 +68,20 @@ func (t *Table) DescriptorAt(idx Index) *Descriptor {
 	return d
 }
 
+// SystemAD manufactures a full-rights capability for the live object at idx,
+// or reports false for an empty slot. It is the one place a capability is
+// made from a raw index below the discipline: the collector delivering a
+// garbage instance to its destruction filter, the microcode reaching a
+// port's SRO, the filing system and the auditor reading what they hold no
+// AD for all come through here.
+func (t *Table) SystemAD(idx Index) (AD, bool) {
+	d := t.DescriptorAt(idx)
+	if d == nil {
+		return NilAD, false
+	}
+	return AD{Index: idx, Gen: d.Gen & adGenMask, Rights: RightsAll}, true
+}
+
 // Referents calls fn with each valid AD stored in the object's access
 // part. The collector's scan step uses this; it bypasses rights (the
 // collector holds no capabilities) but not validity.

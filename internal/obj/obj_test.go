@@ -61,15 +61,15 @@ func TestCreateAndAccess(t *testing.T) {
 	if tab.Live() != 1 {
 		t.Fatalf("Live = %d", tab.Live())
 	}
-	if f := tab.WriteWord(ad, 0, 1234); f != nil {
+	if f := tab.WriteDWord(ad, 0, 1234); f != nil {
 		t.Fatal(f)
 	}
-	v, f := tab.ReadWord(ad, 0)
+	v, f := tab.ReadDWord(ad, 0)
 	if f != nil {
 		t.Fatal(f)
 	}
 	if v != 1234 {
-		t.Fatalf("ReadWord = %d", v)
+		t.Fatalf("ReadDWord = %d", v)
 	}
 	typ, f := tab.TypeOf(ad)
 	if f != nil || typ != TypeGeneric {

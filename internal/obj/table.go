@@ -251,7 +251,7 @@ func (t *Table) whyNot(a AD, want Rights) *Fault {
 		return f
 	}
 	if !a.Rights.Has(want) {
-		return Faultf(FaultRights, a, "need %s", want)
+		return Faultf(FaultRights, a, "need %s", want&^a.Rights)
 	}
 	return &Fault{Code: FaultSegmentMoved, AD: a, Token: d.SwapToken}
 }

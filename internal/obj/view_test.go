@@ -1,8 +1,11 @@
 package obj
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func faultCode(f *Fault) FaultCode {
@@ -12,116 +15,276 @@ func faultCode(f *Fault) FaultCode {
 	return f.Code
 }
 
+// viewOp is one access of the nine an operation can make, in both forms:
+// through a View (which latches) and through the table's single-shot
+// accessor (which returns its fault). Each returns the value read, if any.
+type viewOp struct {
+	name  string
+	view  func(v *View, off, slot, x uint32, src AD) uint64
+	table func(t *Table, a AD, off, slot, x uint32, src AD) (uint64, *Fault)
+}
+
+var viewOps = []viewOp{
+	{"Word",
+		func(v *View, off, _, _ uint32, _ AD) uint64 { return uint64(v.Word(off)) },
+		func(t *Table, a AD, off, _, _ uint32, _ AD) (uint64, *Fault) {
+			w, f := t.ReadBytes(a, off, 2) // little-endian, like every ordinal
+			if f != nil {
+				return 0, f
+			}
+			return uint64(w[0]) | uint64(w[1])<<8, nil
+		}},
+	{"SetWord",
+		func(v *View, off, _, x uint32, _ AD) uint64 { v.SetWord(off, uint16(x)); return 0 },
+		func(t *Table, a AD, off, _, x uint32, _ AD) (uint64, *Fault) {
+			return 0, t.WriteBytes(a, off, []byte{byte(x), byte(x >> 8)})
+		}},
+	{"DWord",
+		func(v *View, off, _, _ uint32, _ AD) uint64 { return uint64(v.DWord(off)) },
+		func(t *Table, a AD, off, _, _ uint32, _ AD) (uint64, *Fault) {
+			w, f := t.ReadDWord(a, off)
+			return uint64(w), f
+		}},
+	{"SetDWord",
+		func(v *View, off, _, x uint32, _ AD) uint64 { v.SetDWord(off, x); return 0 },
+		func(t *Table, a AD, off, _, x uint32, _ AD) (uint64, *Fault) { return 0, t.WriteDWord(a, off, x) }},
+	{"Bytes",
+		func(v *View, off, _, x uint32, _ AD) uint64 { return sum64(v.Bytes(off, x%8)) },
+		func(t *Table, a AD, off, _, x uint32, _ AD) (uint64, *Fault) {
+			w, f := t.ReadBytes(a, off, x%8)
+			return sum64(w), f
+		}},
+	{"SetBytes",
+		func(v *View, off, _, x uint32, _ AD) uint64 { v.SetBytes(off, pattern(x)); return 0 },
+		func(t *Table, a AD, off, _, x uint32, _ AD) (uint64, *Fault) {
+			return 0, t.WriteBytes(a, off, pattern(x))
+		}},
+	{"LoadAD",
+		func(v *View, _, slot, _ uint32, _ AD) uint64 { return v.LoadAD(slot).Encode() },
+		func(t *Table, a AD, _, slot, _ uint32, _ AD) (uint64, *Fault) {
+			w, f := t.LoadAD(a, slot)
+			return w.Encode(), f
+		}},
+	{"StoreAD",
+		func(v *View, _, slot, _ uint32, src AD) uint64 { v.StoreAD(slot, src); return 0 },
+		func(t *Table, a AD, _, slot, _ uint32, src AD) (uint64, *Fault) { return 0, t.StoreAD(a, slot, src) }},
+	{"StoreADSystem",
+		func(v *View, _, slot, _ uint32, src AD) uint64 { v.StoreADSystem(slot, src); return 0 },
+		func(t *Table, a AD, _, slot, _ uint32, src AD) (uint64, *Fault) {
+			return 0, t.StoreADSystem(a, slot, src)
+		}},
+}
+
+// pattern is the x%8 bytes a SetBytes of the tables writes, and sum64 folds
+// what a Bytes read into the value the tables compare.
+func pattern(x uint32) []byte {
+	return []byte{byte(x), byte(x >> 8), byte(x >> 16), byte(x >> 24), 5, 6, 7}[:x%8]
+}
+
+func sum64(p []byte) (s uint64) {
+	for _, b := range p {
+		s = s<<8 | uint64(b)
+	}
+	return s
+}
+
+// viewTwins builds a table with a logged tracer, twin contexts a and b and
+// the sources an AD store is tried with.
+func viewTwins(t *testing.T) (tab *Table, a, b AD, srcs []AD) {
+	tab = newTestTable(t)
+	tab.SetTracer(trace.New(64))
+	spec := CreateSpec{Type: TypeContext, Level: 1, DataLen: 24, AccessSlots: 3}
+	a, b = mustCreate(t, tab, spec), mustCreate(t, tab, spec)
+	srcs = []AD{
+		NilAD,
+		mustCreate(t, tab, CreateSpec{Type: TypeGeneric, Level: 1, DataLen: 4}),
+		mustCreate(t, tab, CreateSpec{Type: TypeGeneric, Level: 2, DataLen: 4}), // too local for StoreAD
+		{Index: 999, Gen: 1, Rights: RightsAll},                                 // dangling
+	}
+	return
+}
+
+// contents reads both parts of an object below its capability's rights.
+func contents(t *testing.T, tab *Table, ad AD) string {
+	t.Helper()
+	ad = ad.WithRights(RightsAll)
+	data, f := tab.ReadBytes(ad, 0, 24)
+	if f != nil {
+		t.Fatal(f)
+	}
+	out := fmt.Sprintf("%x", data)
+	for s := uint32(0); s < 3; s++ {
+		x, f := tab.LoadAD(ad, s)
+		if f != nil {
+			t.Fatal(f)
+		}
+		out += " " + x.String()
+	}
+	return out
+}
+
+// effects is everything an access can move besides the object's bytes.
+type effects struct {
+	gen, stores, grayings, seq uint64
+}
+
+func effectsOf(tab *Table) effects {
+	return effects{tab.CacheGen(), tab.adStores, tab.grayings, tab.tr.Seq()}
+}
+
 // TestViewAgreesWithTable drives the same random accesses through a View
 // and through the single-shot Table accessors, on twin objects, under every
 // subset of read/write rights: values, fault codes, bytes left behind,
 // counters and trace events must agree, because a view may skip the walk
-// from AD to segment but no check.
+// from AD to segment but no check. The first table fills a view per access;
+// the second runs whole operations — a fill, then accesses until one is
+// refused — against the same accesses made one shot at a time and stopped
+// at the first fault, which is what a latch is.
 func TestViewAgreesWithTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, rights := range []Rights{RightsNone, RightRead, RightWrite, RightsData} {
-		tab := newTestTable(t)
-		spec := CreateSpec{Type: TypeContext, Level: 1, DataLen: 24, AccessSlots: 3}
-		a, b := mustCreate(t, tab, spec), mustCreate(t, tab, spec)
-		srcs := []AD{
-			NilAD,
-			mustCreate(t, tab, CreateSpec{Type: TypeGeneric, Level: 1, DataLen: 4}),
-			mustCreate(t, tab, CreateSpec{Type: TypeGeneric, Level: 2, DataLen: 4}), // too local for StoreAD
-			{Index: 999, Gen: 1, Rights: RightsAll},                                 // dangling
-		}
+		tab, a, b, srcs := viewTwins(t)
 		a, b = a.WithRights(rights), b.WithRights(rights)
-		var v View
-		if f := tab.View(a, RightsNone, &v); f != nil {
-			t.Fatal(f)
+		step := func(v *View, i int) (stop bool) {
+			off, slot, x := uint32(rng.Intn(28)), uint32(rng.Intn(4)), rng.Uint32()
+			src, op := srcs[rng.Intn(len(srcs))], viewOps[rng.Intn(len(viewOps))]
+			// The store and its twin run back to back, so both see the
+			// same colour on src and move the same counters.
+			before := effectsOf(tab)
+			got := op.view(v, off, slot, x, src)
+			mid := effectsOf(tab)
+			want, wf := op.table(tab, b, off, slot, x, src)
+			after := effectsOf(tab)
+			dv := effects{mid.gen - before.gen, mid.stores - before.stores, mid.grayings - before.grayings, mid.seq - before.seq}
+			dt := effects{after.gen - mid.gen, after.stores - mid.stores, after.grayings - mid.grayings, after.seq - mid.seq}
+			// Graying is the one effect the twin cannot repeat: the view's
+			// store shaded src first.
+			dv.grayings, dv.seq = 0, dv.seq-dv.grayings
+			if got != want || faultCode(v.Fault()) != faultCode(wf) || dv != dt {
+				t.Fatalf("rights %s access %d %s: view %d %v %+v, table %d %v %+v",
+					rights, i, op.name, got, v.Fault(), dv, want, wf, dt)
+			}
+			return wf != nil
 		}
 		for i := 0; i < 2_000; i++ {
-			off, slot, x := uint32(rng.Intn(28)), uint32(rng.Intn(4)), rng.Uint32()
-			src := srcs[rng.Intn(len(srcs))]
-			gen, stores := tab.CacheGen(), tab.adStores
-			var got, want uint64
-			var gf, wf *Fault
-			switch op := rng.Intn(7); op {
-			case 0:
-				var g, w uint16
-				g, gf = v.Word(off)
-				w, wf = tab.ReadWord(b, off)
-				got, want = uint64(g), uint64(w)
-			case 1:
-				gf, wf = v.SetWord(off, uint16(x)), tab.WriteWord(b, off, uint16(x))
-			case 2:
-				var g, w uint32
-				g, gf = v.DWord(off)
-				w, wf = tab.ReadDWord(b, off)
-				got, want = uint64(g), uint64(w)
-			case 3:
-				gf, wf = v.SetDWord(off, x), tab.WriteDWord(b, off, x)
-			case 4:
-				var g, w AD
-				g, gf = v.LoadAD(slot)
-				w, wf = tab.LoadAD(b, slot)
-				got, want = g.Encode(), w.Encode()
-			case 5, 6:
-				// Each store is followed by its twin, so both see the
-				// same colour on src and bump the same counters.
-				store, twin := v.StoreAD, tab.StoreAD
-				if op == 6 {
-					store, twin = v.StoreADSystem, tab.StoreADSystem
-				}
-				gf = store(slot, src)
-				dGen, dStores := tab.CacheGen()-gen, tab.adStores-stores
-				gen, stores = tab.CacheGen(), tab.adStores
-				wf = twin(b, slot, src)
-				if tab.CacheGen()-gen != dGen || tab.adStores-stores != dStores {
-					t.Fatalf("rights %s op %d: view moved xgen/adStores by %d/%d, table by %d/%d",
-						rights, i, dGen, dStores, tab.CacheGen()-gen, tab.adStores-stores)
-				}
-			}
-			if got != want || faultCode(gf) != faultCode(wf) {
-				t.Fatalf("rights %s op %d: view %d %v, table %d %v", rights, i, got, gf, want, wf)
+			var v View
+			tab.View(a, TypeContext, RightsNone, &v)
+			step(&v, i)
+		}
+		if ca, cb := contents(t, tab, a), contents(t, tab, b); ca != cb {
+			t.Fatalf("rights %s: twins diverged one access at a time:\n%s\n%s", rights, ca, cb)
+		}
+		for i := 0; i < 400; i++ {
+			var v View
+			tab.View(a, TypeContext, RightsNone, &v)
+			for n := 0; n < 12 && !step(&v, i); n++ {
 			}
 		}
-		full := func(ad AD) ([]byte, []AD) {
-			data, f := tab.ReadBytes(ad.WithRights(RightsAll), 0, 24)
-			if f != nil {
-				t.Fatal(f)
-			}
-			var ads []AD
-			for s := uint32(0); s < 3; s++ {
-				x, f := tab.LoadAD(ad.WithRights(RightsAll), s)
-				if f != nil {
-					t.Fatal(f)
-				}
-				ads = append(ads, x)
-			}
-			return data, ads
-		}
-		da, aa := full(a)
-		db, ab := full(b)
-		if string(da) != string(db) || len(aa) != len(ab) || aa[0] != ab[0] || aa[1] != ab[1] || aa[2] != ab[2] {
-			t.Fatalf("rights %s: twins diverged:\n%x %v\n%x %v", rights, da, aa, db, ab)
+		if ca, cb := contents(t, tab, a), contents(t, tab, b); ca != cb {
+			t.Fatalf("rights %s: twins diverged an operation at a time:\n%s\n%s", rights, ca, cb)
 		}
 	}
 }
 
-// TestViewResolve: View faults like the first access would — invalid,
-// then the demanded right, then presence — and survives table growth; Fill
-// refuses the same ADs without building the fault or touching the view, and
-// Current says when a held view has stopped being the object.
+// TestViewLatch: after the first refused access of each kind — a right the
+// capability lacks, a displacement out of bounds, a slot past the access
+// part, the level rule — every further accessor is a no-op. The object's
+// bytes, the AD-store and graying counters, the cache generation and the
+// trace sequence stay where the refusal left them, reads return zero, and
+// Fault is still the first fault. A fault latched from outside stops the
+// view the same way, and only if it is the first.
+func TestViewLatch(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		rights Rights
+		refuse func(v *View, local AD)
+		want   FaultCode
+	}{
+		{"rights", RightRead, func(v *View, _ AD) { v.SetWord(0, 1) }, FaultRights},
+		{"bounds", RightsData, func(v *View, _ AD) { v.DWord(22) }, FaultBounds},
+		{"slot bound", RightsData, func(v *View, _ AD) { v.LoadAD(3) }, FaultBounds},
+		{"level rule", RightsData, func(v *View, local AD) { v.StoreAD(0, local) }, FaultLevel},
+		{"latched from outside", RightsData, func(v *View, _ AD) {
+			v.Latch(nil)
+			v.Latch(Faultf(FaultNoMemory, NilAD, "no carrier"))
+			v.Latch(Faultf(FaultOddity, NilAD, "second"))
+		}, FaultNoMemory},
+	} {
+		tab, a, _, srcs := viewTwins(t)
+		ok, local := srcs[1], srcs[2]
+		var v View
+		tab.View(a.WithRights(c.rights), TypeContext, RightRead, &v)
+		if c.rights == RightsData {
+			v.SetDWord(4, 0xfeedface)
+			v.StoreAD(1, ok)
+		}
+		if v.Fault() != nil {
+			t.Fatalf("%s: healthy accesses faulted: %v", c.name, v.Fault())
+		}
+		c.refuse(&v, local)
+		first := v.Fault()
+		if faultCode(first) != c.want {
+			t.Fatalf("%s: refusal latched %v, want %s", c.name, first, c.want)
+		}
+		bytes, eff := contents(t, tab, a), effectsOf(tab)
+		white := mustCreate(t, tab, CreateSpec{Type: TypeGeneric, Level: 1, DataLen: 4})
+		tab.SetColor(white.Index, White)
+		eff.seq = tab.tr.Seq() // the creation's own event
+		for _, op := range viewOps {
+			for _, src := range []AD{NilAD, white, local} {
+				if got := op.view(&v, 0, 0, 0xffffffff, src); got != 0 {
+					t.Errorf("%s: %s read %d through a faulted view", c.name, op.name, got)
+				}
+				op.view(&v, 400, 9, 1, src) // and a refusal of its own
+			}
+		}
+		v.Emit(trace.EvSend, 1, 2)
+		v.Latch(Faultf(FaultOddity, NilAD, "later"))
+		if v.Fault() != first {
+			t.Errorf("%s: the latch moved from %v to %v", c.name, first, v.Fault())
+		}
+		if got := contents(t, tab, a); got != bytes {
+			t.Errorf("%s: a faulted view wrote:\n%s\n%s", c.name, bytes, got)
+		}
+		if got := effectsOf(tab); got != eff {
+			t.Errorf("%s: a faulted view had effects: %+v, want %+v", c.name, got, eff)
+		}
+		if col, _ := tab.ColorOf(white.Index); col != White {
+			t.Errorf("%s: a faulted view shaded its source %s", c.name, col)
+		}
+	}
+}
+
+// TestViewResolve: a refused fill latches what RequireType and then the
+// first access would raise — invalid, type, the demanded right, presence —
+// and a filled view survives table growth; Fill refuses the same ADs
+// without building the fault or touching the view, and Current says when a
+// held view has stopped being the object.
 func TestViewResolve(t *testing.T) {
 	tab := newTestTable(t)
 	a := mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 8, AccessSlots: 1})
 	var v, dead View
-	if f := tab.View(a.WithRights(RightWrite), RightRead, &dead); !IsFault(f, FaultRights) {
+	refused := func(ad AD, typ Type) *Fault {
+		tab.View(ad, typ, RightRead, &dead)
+		if dead.AD() != ad || dead.Word(0) != 0 {
+			t.Errorf("a refused fill of %v left a usable view", ad)
+		}
+		return dead.Fault()
+	}
+	if f := refused(a.WithRights(RightWrite), TypeGeneric); !IsFault(f, FaultRights) {
 		t.Errorf("view without the demanded right: %v", f)
 	}
-	if f := tab.View(a, RightRead, &v); f != nil {
-		t.Fatal(f)
+	if f := refused(a.WithRights(RightWrite), TypePort); !IsFault(f, FaultType) {
+		t.Errorf("type comes before rights: %v", f)
+	}
+	if tab.View(a, TypeGeneric, RightRead, &v); v.Fault() != nil {
+		t.Fatal(v.Fault())
 	}
 	for i := 0; i < 5_000; i++ { // grow the descriptor table under the view
 		mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 1})
 	}
-	if f := v.SetDWord(4, 7); f != nil {
-		t.Fatal(f)
+	if v.SetDWord(4, 7); v.Fault() != nil {
+		t.Fatal(v.Fault())
 	}
 	if x, f := tab.ReadDWord(a, 4); f != nil || x != 7 {
 		t.Fatalf("write through a view across table growth: %d %v", x, f)
@@ -135,6 +298,7 @@ func TestViewResolve(t *testing.T) {
 	if tab.Current(&v) {
 		t.Error("a view of a swapped-out object is current")
 	}
+	dead = View{}
 	if n := testing.AllocsPerRun(100, func() {
 		if tab.Fill(a, RightRead, &dead) || dead.AD().Valid() {
 			t.Fatal("Fill accepted a swapped-out object, or wrote the view it refused")
@@ -142,17 +306,20 @@ func TestViewResolve(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a refused Fill allocates %v times", n)
 	}
-	if f := tab.View(a.WithRights(RightWrite), RightRead, &dead); !IsFault(f, FaultRights) {
+	if f := refused(a.WithRights(RightWrite), TypeGeneric); !IsFault(f, FaultRights) {
 		t.Errorf("rights come before presence: %v", f)
 	}
-	if f := tab.View(a, RightRead, &dead); !IsFault(f, FaultSegmentMoved) {
+	if f := refused(a, TypeGeneric); !IsFault(f, FaultSegmentMoved) {
 		t.Errorf("view of a swapped-out object: %v", f)
+	}
+	if f := refused(a, TypePort); !IsFault(f, FaultType) {
+		t.Errorf("type comes before presence: %v", f)
 	}
 	if f := tab.DestroyIndex(a.Index); f != nil {
 		t.Fatal(f)
 	}
-	if f := tab.View(a.WithRights(RightsNone), RightRead, &dead); !IsFault(f, FaultInvalidAD) {
-		t.Errorf("invalid comes before rights: %v", f)
+	if f := refused(a.WithRights(RightsNone), TypePort); !IsFault(f, FaultInvalidAD) {
+		t.Errorf("invalid comes before type and rights: %v", f)
 	}
 }
 

@@ -47,36 +47,33 @@ func NewBasic(sys *gdp.System) *Basic { return &Basic{Sys: sys} }
 // find it. The returned capability carries all rights; hand out copies
 // without RightControl to deny scheduling interference.
 func (b *Basic) CreateProcess(dom obj.AD, parent obj.AD, spec gdp.SpawnSpec) (obj.AD, *obj.Fault) {
-	spec.Parent = parent
-	if b.Notify.Valid() && !spec.SchedPort.Valid() {
-		spec.SchedPort = b.Notify
-	}
-	p, f := b.Sys.Spawn(dom, spec)
-	if f != nil {
-		return obj.NilAD, f
-	}
-	if parent.Valid() {
-		if f := b.addChild(parent, p); f != nil {
-			return obj.NilAD, f
-		}
-	}
-	return p, nil
+	p, f := b.Sys.Spawn(dom, b.under(parent, spec))
+	return b.adopt(parent, p, f)
 }
 
 // CreateNativeProcess is CreateProcess for a Go-bodied process.
 func (b *Basic) CreateNativeProcess(body gdp.NativeBody, parent obj.AD, spec gdp.SpawnSpec) (obj.AD, *obj.Fault) {
+	p, f := b.Sys.SpawnNative(body, b.under(parent, spec))
+	return b.adopt(parent, p, f)
+}
+
+// under completes a spawn spec for a child of parent: the tree link, and
+// the manager's notification port unless the caller named another.
+func (b *Basic) under(parent obj.AD, spec gdp.SpawnSpec) gdp.SpawnSpec {
 	spec.Parent = parent
 	if b.Notify.Valid() && !spec.SchedPort.Valid() {
 		spec.SchedPort = b.Notify
 	}
-	p, f := b.Sys.SpawnNative(body, spec)
+	return spec
+}
+
+// adopt records a process just spawned in its parent's child list.
+func (b *Basic) adopt(parent, p obj.AD, f *obj.Fault) (obj.AD, *obj.Fault) {
+	if f == nil && parent.Valid() {
+		f = b.addChild(parent, p)
+	}
 	if f != nil {
 		return obj.NilAD, f
-	}
-	if parent.Valid() {
-		if f := b.addChild(parent, p); f != nil {
-			return obj.NilAD, f
-		}
 	}
 	return p, nil
 }
@@ -88,33 +85,22 @@ func (b *Basic) CreateNativeProcess(body gdp.NativeBody, parent obj.AD, spec gdp
 // manager unlinks them on destruction).
 func (b *Basic) addChild(parent, child obj.AD) *obj.Fault {
 	t := b.Sys.Table
-	head, f := b.Sys.Procs.Link(parent, process.SlotChildren)
-	if f != nil {
-		return f
-	}
-	cur := head
-	for cur.Valid() {
+	var pv process.Proc
+	b.Sys.Procs.Open(parent, obj.RightRead, &pv)
+	var last obj.View // the block walked last, where a new one links
+	for cur := pv.LoadAD(process.SlotChildren); cur.Valid(); cur = last.LoadAD(childSlotNext) {
+		t.View(cur, obj.TypeGeneric, obj.RightRead, &last)
 		for s := uint32(childSlot0); s < childBlockSlots; s++ {
-			ad, f := t.LoadAD(cur, s)
-			if f != nil {
-				return f
-			}
-			if !ad.Valid() {
-				return t.StoreADSystem(cur, s, child)
+			if ad := last.LoadAD(s); !ad.Valid() {
+				last.StoreADSystem(s, child)
+				return last.Fault()
 			}
 		}
-		next, f := t.LoadAD(cur, childSlotNext)
-		if f != nil {
-			return f
-		}
-		if !next.Valid() {
-			break
-		}
-		cur = next
 	}
 	// Allocate a new block from the parent's SRO.
-	heap, f := b.Sys.Procs.Link(parent, process.SlotSRO)
-	if f != nil {
+	pv.Latch(last.Fault())
+	heap := pv.LoadAD(process.SlotSRO)
+	if f := pv.Fault(); f != nil {
 		return f
 	}
 	blk, f := b.Sys.SROs.Create(heap, obj.CreateSpec{
@@ -127,40 +113,44 @@ func (b *Basic) addChild(parent, child obj.AD) *obj.Fault {
 	if f := t.StoreADSystem(blk, childSlot0, child); f != nil {
 		return f
 	}
-	if cur.Valid() {
-		return t.StoreADSystem(cur, childSlotNext, blk)
+	if last.AD().Valid() {
+		last.StoreADSystem(childSlotNext, blk)
+		return last.Fault()
 	}
-	return b.Sys.Procs.SetLink(parent, process.SlotChildren, blk)
+	pv.StoreADSystem(process.SlotChildren, blk)
+	return pv.Fault()
 }
 
-// Children calls fn with each live child of p.
+// Children calls fn with each live child of p. A block is read whole
+// before fn sees any of it: fn may do anything, and a view is held across
+// nothing but its own accesses.
 func (b *Basic) Children(p obj.AD, fn func(obj.AD) *obj.Fault) *obj.Fault {
 	t := b.Sys.Table
 	cur, f := b.Sys.Procs.Link(p, process.SlotChildren)
-	if f != nil {
-		return f
-	}
-	for cur.Valid() {
-		for s := uint32(childSlot0); s < childBlockSlots; s++ {
-			ad, f := t.LoadAD(cur, s)
-			if f != nil {
-				return f
-			}
+	for f == nil && cur.Valid() {
+		var bv obj.View
+		t.View(cur, obj.TypeGeneric, obj.RightRead, &bv)
+		var slots [childBlockSlots]obj.AD
+		for s := range slots {
+			slots[s] = bv.LoadAD(uint32(s))
+		}
+		if f = bv.Fault(); f != nil {
+			break
+		}
+		for _, ad := range slots[childSlot0:] {
 			if !ad.Valid() {
 				continue
 			}
-			if _, rf := t.Resolve(ad); rf != nil {
+			if _, gone := t.Resolve(ad); gone != nil {
 				continue // child since collected
 			}
 			if f := fn(ad); f != nil {
 				return f
 			}
 		}
-		if cur, f = t.LoadAD(cur, childSlotNext); f != nil {
-			return f
-		}
+		cur = slots[childSlotNext]
 	}
-	return nil
+	return f
 }
 
 // Walk calls fn with p and every live descendant, depth-first.
@@ -185,38 +175,24 @@ func (b *Basic) Stop(p obj.AD) *obj.Fault {
 }
 
 func (b *Basic) stopOne(p obj.AD) *obj.Fault {
-	P := b.Sys.Procs
-	n, f := P.StopCount(p)
-	if f != nil {
-		return f
-	}
-	if f := P.SetStopCount(p, n+1); f != nil {
-		return f
-	}
-	if l := b.Sys.Table.Tracer(); l != nil {
-		l.Emit(trace.EvStop, uint32(p.Index), uint32(n+1), 0)
-	}
-	if n != 0 {
-		return nil // already out of the mix
-	}
-	st, f := P.StateOf(p)
-	if f != nil {
-		return f
-	}
-	switch st {
-	case process.StateReady, process.StateRunning:
-		// The dispatch loop skips non-ready processes it draws, so
-		// flipping the state suffices; a running process is parked
-		// at its next scheduling event.
-		if f := P.SetState(p, process.StateStopped); f != nil {
-			return f
+	var pv process.Proc
+	b.Sys.Procs.Open(p, obj.RightRead, &pv)
+	n := pv.StopCount()
+	pv.SetStopCount(n + 1)
+	pv.Emit(trace.EvStop, uint32(n+1), 0)
+	// With stops already outstanding the process is out of the mix. A
+	// blocked or faulted one stays where it is: MakeReady parks it on
+	// wakeup because the stop count is set. For a ready or running one,
+	// flipping the state suffices: the dispatch loop skips non-ready
+	// processes it draws, and a running process is parked at its next
+	// scheduling event.
+	if st := pv.State(); n == 0 && (st == process.StateReady || st == process.StateRunning) {
+		pv.SetState(process.StateStopped)
+		if pv.Fault() == nil {
+			b.notifyLeave(p)
 		}
-		b.notifyLeave(p)
-	case process.StateBlocked, process.StateFaulted:
-		// Stays where it is; MakeReady parks it on wakeup because
-		// the stop count is set.
 	}
-	return nil
+	return pv.Fault()
 }
 
 // Start decrements the stop count of p and its subtree; processes whose
@@ -229,35 +205,22 @@ func (b *Basic) Start(p obj.AD) *obj.Fault {
 }
 
 func (b *Basic) startOne(p obj.AD) *obj.Fault {
-	P := b.Sys.Procs
-	n, f := P.StopCount(p)
-	if f != nil {
-		return f
-	}
+	var pv process.Proc
+	b.Sys.Procs.Open(p, obj.RightRead, &pv)
+	n := pv.StopCount()
 	if n == 0 {
-		return nil // never stopped; starts do not go negative
+		return pv.Fault() // never stopped; starts do not go negative
 	}
-	if f := P.SetStopCount(p, n-1); f != nil {
-		return f
-	}
-	if l := b.Sys.Table.Tracer(); l != nil {
-		l.Emit(trace.EvStart, uint32(p.Index), uint32(n-1), 0)
-	}
-	if n != 1 {
-		return nil // still stopped
-	}
-	st, f := P.StateOf(p)
-	if f != nil {
-		return f
-	}
-	if st == process.StateStopped {
-		if f := P.SetState(p, process.StateReady); f != nil {
-			return f
+	pv.SetStopCount(n - 1)
+	pv.Emit(trace.EvStart, uint32(n-1), 0)
+	if n == 1 && pv.State() == process.StateStopped {
+		pv.SetState(process.StateReady)
+		if pv.Fault() == nil {
+			b.notifyEnter(p)
+			return b.Sys.MakeReady(p)
 		}
-		b.notifyEnter(p)
-		return b.Sys.MakeReady(p)
 	}
-	return nil
+	return pv.Fault() // still stopped, or parked where a wakeup will find it
 }
 
 func (b *Basic) notifyLeave(p obj.AD) { b.notify(p, 0) }

@@ -104,7 +104,7 @@ func TestNestedStopStart(t *testing.T) {
 	if f := b.Start(p); f != nil {
 		t.Fatal(f)
 	}
-	if n, _ := sys.Procs.StopCount(p); n == 0 {
+	if n := opened(sys, p).StopCount(); n == 0 {
 		t.Fatal("single start cleared two stops")
 	}
 	if _, f := sys.Run(0); f != nil {
@@ -135,7 +135,7 @@ func TestStopAppliesToWholeTree(t *testing.T) {
 		t.Fatal(f)
 	}
 	for _, p := range []obj.AD{root, child, grand} {
-		if n, _ := sys.Procs.StopCount(p); n == 0 {
+		if n := opened(sys, p).StopCount(); n == 0 {
 			t.Fatal("descendant not stopped")
 		}
 	}
@@ -172,7 +172,7 @@ func TestStartWithoutStopIsNoop(t *testing.T) {
 	if f := b.Start(p); f != nil {
 		t.Fatal(f)
 	}
-	if n, _ := sys.Procs.StopCount(p); n != 0 {
+	if n := opened(sys, p).StopCount(); n != 0 {
 		t.Fatalf("stop count went negative: %d", n)
 	}
 }
@@ -391,4 +391,11 @@ func TestFairSchedulerDropsTerminatedClients(t *testing.T) {
 	if len(fs.clients) != 0 {
 		t.Fatalf("terminated client retained: %d", len(fs.clients))
 	}
+}
+
+// opened resolves p for reading its scheduling fields.
+func opened(sys *gdp.System, p obj.AD) *process.Proc {
+	var v process.Proc
+	sys.Procs.Open(p, obj.RightRead, &v)
+	return &v
 }

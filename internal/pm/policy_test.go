@@ -33,10 +33,10 @@ func TestNullPolicyPassesParametersThrough(t *testing.T) {
 		if f := s.Launch(10_000, 15); f != nil {
 			t.Fatal(f)
 		}
-		if prio, _ := sys.Procs.Priority(p); prio != 1 {
+		if prio := opened(sys, p).Priority(); prio != 1 {
 			t.Fatalf("%s: priority = %d", policy, prio)
 		}
-		if ts, _ := sys.Procs.TimeSlice(p); ts != wantSlice {
+		if ts := opened(sys, p).TimeSlice(); ts != wantSlice {
 			t.Fatalf("%s: time slice = %d, want %d", policy, ts, wantSlice)
 		}
 		if s.Daemon.Valid() != wantDaemon {

@@ -17,29 +17,19 @@ import (
 // whether the process was found, and, for a cancelled sender, the message
 // its carrier held. The sender queue is searched first; a fault there
 // aborts the whole cancellation immediately — the receiver queue must not
-// be walked over a port whose sender queue just proved corrupt.
+// be walked over a port whose sender queue just proved corrupt, and a view
+// that has latched a fault loads a nil head.
 func (m *Manager) CancelWaiter(p obj.AD, proc obj.AD) (found bool, msg obj.AD, f *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
-		return false, obj.NilAD, f
-	}
 	var pv obj.View
-	if f := m.Table.View(p, obj.RightRead, &pv); f != nil {
-		return false, obj.NilAD, f
-	}
-	found, msg, f = m.unlink(&pv, slotSendHead, slotSendTail, proc)
-	if f != nil {
-		return false, obj.NilAD, f
-	}
-	if !found {
-		found, msg, f = m.unlink(&pv, slotRecvHead, slotRecvTail, proc)
-		if f != nil {
-			return false, obj.NilAD, f
-		}
+	m.Table.View(p, obj.TypePort, obj.RightRead, &pv)
+	if found, msg = m.unlink(&pv, slotSendHead, slotSendTail, proc); !found {
+		found, msg = m.unlink(&pv, slotRecvHead, slotRecvTail, proc)
 	}
 	if found {
-		if l := m.Table.Tracer(); l != nil {
-			l.Emit(trace.EvCancel, uint32(p.Index), uint32(proc.Index), 0)
-		}
+		pv.Emit(trace.EvCancel, uint32(proc.Index), 0)
+	}
+	if f := pv.Fault(); f != nil {
+		return false, obj.NilAD, f
 	}
 	return found, msg, nil
 }
@@ -47,54 +37,35 @@ func (m *Manager) CancelWaiter(p obj.AD, proc obj.AD) (found bool, msg obj.AD, f
 // unlink removes the carrier holding proc from one wait queue. The walk is
 // bounded by the table size, like Inspect's: a queue damaged into a cycle
 // faults instead of hanging the watchdog timer that cancels through here.
-func (m *Manager) unlink(pv *obj.View, headSlot, tailSlot uint32, proc obj.AD) (bool, obj.AD, *obj.Fault) {
+func (m *Manager) unlink(pv *obj.View, headSlot, tailSlot uint32, proc obj.AD) (bool, obj.AD) {
 	var prev obj.AD
-	cur, f := pv.LoadAD(headSlot)
-	if f != nil {
-		return false, obj.NilAD, f
-	}
-	for n, limit := 0, m.Table.Len(); cur.Valid(); n++ {
-		if n >= limit {
-			return false, obj.NilAD, cyclic(pv.AD())
+	cur := pv.LoadAD(headSlot)
+	for n := 0; cur.Valid(); n++ {
+		if n >= m.Table.Len() {
+			pv.Latch(cyclic(pv.AD()))
+			break
 		}
 		var cv obj.View
-		if f := m.Table.View(cur, obj.RightRead, &cv); f != nil {
-			return false, obj.NilAD, f
+		m.Table.View(cur, obj.TypeCarrier, obj.RightRead, &cv)
+		held, msg, next := cv.LoadAD(carSlotProcess), cv.LoadAD(carSlotMessage), cv.LoadAD(carSlotNext)
+		if pv.Latch(cv.Fault()); pv.Fault() != nil {
+			break
 		}
-		held, f := cv.LoadAD(carSlotProcess)
-		if f != nil {
-			return false, obj.NilAD, f
+		if held.Index != proc.Index {
+			prev, cur = cur, next
+			continue
 		}
-		next, f := cv.LoadAD(carSlotNext)
-		if f != nil {
-			return false, obj.NilAD, f
+		// Splice the carrier out.
+		if prev.Valid() {
+			pv.Latch(m.Table.StoreADSystem(prev, carSlotNext, next))
+		} else {
+			pv.StoreADSystem(headSlot, next)
 		}
-		if held.Index == proc.Index {
-			msg, f := cv.LoadAD(carSlotMessage)
-			if f != nil {
-				return false, obj.NilAD, f
-			}
-			// Splice the carrier out.
-			if prev.Valid() {
-				if f := m.Table.StoreADSystem(prev, carSlotNext, next); f != nil {
-					return false, obj.NilAD, f
-				}
-			} else {
-				if f := pv.StoreADSystem(headSlot, next); f != nil {
-					return false, obj.NilAD, f
-				}
-			}
-			if !next.Valid() {
-				if f := pv.StoreADSystem(tailSlot, prev); f != nil {
-					return false, obj.NilAD, f
-				}
-			}
-			if f := pool(pv, &cv); f != nil {
-				return false, obj.NilAD, f
-			}
-			return true, msg, nil
+		if !next.Valid() {
+			pv.StoreADSystem(tailSlot, prev)
 		}
-		prev, cur = cur, next
+		pool(pv, &cv)
+		return pv.Fault() == nil, msg
 	}
-	return false, obj.NilAD, nil
+	return false, obj.NilAD
 }

@@ -62,118 +62,47 @@ func (st *State) OccupiedSlots() int {
 // bounded by the table size, so a corrupted (cyclic) queue faults instead
 // of hanging.
 func (m *Manager) Inspect(p obj.AD) (*State, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
-		return nil, f
-	}
 	var pv obj.View
-	if f := m.Table.View(p, obj.RightRead, &pv); f != nil {
-		return nil, f
-	}
-	st := &State{}
-	disc, f := pv.Word(offDiscipline)
-	if f != nil {
-		return nil, f
-	}
-	st.Discipline = Discipline(disc)
-	if st.Capacity, st.Count, f = counts(&pv); f != nil {
-		return nil, f
+	m.Table.View(p, obj.TypePort, obj.RightRead, &pv)
+	st := &State{
+		Discipline: Discipline(pv.Word(offDiscipline)),
+		Capacity:   pv.Word(offCapacity),
+		Count:      pv.Word(offCount),
 	}
 	st.Slots = make([]SlotState, st.Capacity)
-	for i := uint32(0); i < uint32(st.Capacity); i++ {
-		rec := offSlots + i*slotRecSize
-		occ, f := pv.Word(rec + recOccupied)
-		if f != nil {
-			return nil, f
-		}
-		if occ == 0 {
-			continue
-		}
-		s := &st.Slots[i]
-		s.Occupied = true
-		if s.Msg, f = pv.LoadAD(slotMsg0 + i); f != nil {
-			return nil, f
-		}
-		if s.Key, f = pv.DWord(rec + recKey); f != nil {
-			return nil, f
-		}
-		if s.Seq, f = pv.DWord(rec + recSeq); f != nil {
-			return nil, f
+	for i := range st.Slots {
+		rec := offSlots + uint32(i)*slotRecSize
+		if pv.Word(rec+recOccupied) != 0 {
+			st.Slots[i] = SlotState{true, pv.LoadAD(slotMsg0 + uint32(i)), pv.DWord(rec + recKey), pv.DWord(rec + recSeq)}
 		}
 	}
-	if st.Senders, f = m.walkWaiters(p, slotSendHead); f != nil {
-		return nil, f
+	st.Senders = m.walk(&pv, slotSendHead)
+	st.Receivers = m.walk(&pv, slotRecvHead)
+	for _, w := range m.walk(&pv, slotFree) {
+		st.Free = append(st.Free, w.Carrier)
 	}
-	if st.Receivers, f = m.walkWaiters(p, slotRecvHead); f != nil {
+	// A nil AD's index is NilIndex: an empty queue's tail.
+	st.SendTail, st.RecvTail = pv.LoadAD(slotSendTail).Index, pv.LoadAD(slotRecvTail).Index
+	if f := pv.Fault(); f != nil {
 		return nil, f
-	}
-	if st.Free, f = m.walkFree(p); f != nil {
-		return nil, f
-	}
-	if tail, f := m.Table.LoadAD(p, slotSendTail); f != nil {
-		return nil, f
-	} else {
-		st.SendTail = tailIndex(tail)
-	}
-	if tail, f := m.Table.LoadAD(p, slotRecvTail); f != nil {
-		return nil, f
-	} else {
-		st.RecvTail = tailIndex(tail)
 	}
 	return st, nil
 }
 
-func tailIndex(ad obj.AD) obj.Index {
-	if !ad.Valid() {
-		return obj.NilIndex
-	}
-	return ad.Index
-}
-
-// walkFree reads the free-pool chain, cycle-bounded like the wait queues.
-func (m *Manager) walkFree(p obj.AD) ([]obj.Index, *obj.Fault) {
-	var out []obj.Index
-	cur, f := m.Table.LoadAD(p, slotFree)
-	if f != nil {
-		return nil, f
-	}
-	limit := m.Table.Len()
-	for cur.Valid() {
-		if len(out) >= limit {
-			return nil, cyclic(p)
-		}
-		out = append(out, cur.Index)
-		if cur, f = m.Table.LoadAD(cur, carSlotNext); f != nil {
-			return nil, f
-		}
-	}
-	return out, nil
-}
-
-func (m *Manager) walkWaiters(p obj.AD, headSlot uint32) ([]Waiter, *obj.Fault) {
+// walk reads the carrier chain headed at a slot of the port — a wait queue
+// or the free pool — latching into pv whatever a carrier refuses.
+func (m *Manager) walk(pv *obj.View, headSlot uint32) []Waiter {
 	var out []Waiter
-	cur, f := m.Table.LoadAD(p, headSlot)
-	if f != nil {
-		return nil, f
+	for cur := pv.LoadAD(headSlot); cur.Valid(); {
+		if len(out) >= m.Table.Len() {
+			pv.Latch(cyclic(pv.AD()))
+			break
+		}
+		var cv obj.View
+		m.Table.View(cur, obj.TypeCarrier, obj.RightRead, &cv)
+		out = append(out, Waiter{cur.Index, cv.LoadAD(carSlotProcess), cv.LoadAD(carSlotMessage), cv.DWord(carKey)})
+		cur = cv.LoadAD(carSlotNext)
+		pv.Latch(cv.Fault())
 	}
-	limit := m.Table.Len()
-	for cur.Valid() {
-		if len(out) >= limit {
-			return nil, cyclic(p)
-		}
-		w := Waiter{Carrier: cur.Index}
-		if w.Process, f = m.Table.LoadAD(cur, carSlotProcess); f != nil {
-			return nil, f
-		}
-		if w.Msg, f = m.Table.LoadAD(cur, carSlotMessage); f != nil {
-			return nil, f
-		}
-		if w.Key, f = m.Table.ReadDWord(cur, carKey); f != nil {
-			return nil, f
-		}
-		out = append(out, w)
-		if cur, f = m.Table.LoadAD(cur, carSlotNext); f != nil {
-			return nil, f
-		}
-	}
-	return out, nil
+	return out
 }

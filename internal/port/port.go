@@ -135,13 +135,11 @@ func (m *Manager) Create(heap obj.AD, capacity uint16, d Discipline) (obj.AD, *o
 	if f != nil {
 		return obj.NilAD, f
 	}
-	if f := m.Table.WriteWord(p, offDiscipline, uint16(d)); f != nil {
-		return obj.NilAD, f
-	}
-	if f := m.Table.WriteWord(p, offCapacity, capacity); f != nil {
-		return obj.NilAD, f
-	}
-	return p, nil
+	var pv obj.View
+	m.Table.View(p, obj.TypePort, obj.RightWrite, &pv)
+	pv.SetWord(offDiscipline, uint16(d))
+	pv.SetWord(offCapacity, capacity)
+	return p, pv.Fault()
 }
 
 // Wake describes a process unblocked by a port operation: the dispatching
@@ -201,39 +199,32 @@ func (m *Manager) Send(p obj.AD, msg obj.AD, key uint32, proc obj.AD) (blocked b
 	}
 
 	// One walk from the AD to the port's segments serves every access
-	// below; each still tests its own right and its bounds.
+	// below; each still tests its own right and its bounds, and the first
+	// one refused ends the instruction: the view latches it and every
+	// access after it is a no-op.
 	var pv obj.View
-	if f := m.Table.View(p, obj.RightRead, &pv); f != nil {
-		return false, nil, f
-	}
-	capacity, count, f := counts(&pv)
-	if f != nil {
-		return false, nil, f
-	}
-	if count >= capacity {
-		if !proc.Valid() {
-			return true, nil, nil // conditional send would block
+	m.Table.View(p, obj.TypePort, obj.RightRead, &pv)
+	capacity, count := pv.Word(offCapacity), pv.Word(offCount)
+	switch {
+	case pv.Fault() != nil:
+	case count < capacity:
+		deposit(&pv, capacity, msg, key)
+		// A blocked receiver (possible only when the queue was empty)
+		// takes the best message immediately.
+		if recv, waiting := m.unpark(&pv, slotRecvHead, slotRecvTail); waiting {
+			m.wake = Wake{Process: recv.Process, Msg: takeBest(&pv)}
+			wake = &m.wake
 		}
-		if f := m.park(&pv, slotSendHead, slotSendTail, proc, msg, key); f != nil {
-			return false, nil, f
+	default: // the conditional send would block; the other does
+		blocked = true
+		if proc.Valid() {
+			m.park(&pv, slotSendHead, slotSendTail, proc, msg, key)
 		}
-		return true, nil, nil
 	}
-	if f := m.deposit(&pv, capacity, msg, key); f != nil {
+	if f := pv.Fault(); f != nil {
 		return false, nil, f
 	}
-	// A blocked receiver (possible only when the queue was empty) takes
-	// the best message immediately.
-	recv, waiting, f := m.unpark(&pv, slotRecvHead, slotRecvTail)
-	if f != nil || !waiting {
-		return false, nil, f
-	}
-	got, f := takeBest(&pv)
-	if f != nil {
-		return false, nil, f
-	}
-	m.wake = Wake{Process: recv.Process, Msg: got}
-	return false, &m.wake, nil
+	return blocked, wake, nil
 }
 
 // Receive takes a message from the port.
@@ -252,107 +243,59 @@ func (m *Manager) Receive(p obj.AD, proc obj.AD) (msg obj.AD, blocked bool, wake
 		return obj.NilAD, false, nil, f
 	}
 	var pv obj.View
-	if f := m.Table.View(p, obj.RightRead, &pv); f != nil {
-		return obj.NilAD, false, nil, f
-	}
-	capacity, count, f := counts(&pv)
-	if f != nil {
-		return obj.NilAD, false, nil, f
-	}
-	if count == 0 {
-		if !proc.Valid() {
-			return obj.NilAD, true, nil, nil
+	m.Table.View(p, obj.TypePort, obj.RightRead, &pv)
+	capacity, count := pv.Word(offCapacity), pv.Word(offCount)
+	switch {
+	case pv.Fault() != nil:
+	case count > 0:
+		msg = takeBest(&pv)
+		pv.Emit(trace.EvRecv, uint32(msg.Index), 0)
+		// A blocked sender's message moves into the freed slot.
+		if send, waiting := m.unpark(&pv, slotSendHead, slotSendTail); waiting {
+			deposit(&pv, capacity, send.Msg, send.key)
+			m.wake = Wake{Process: send.Process}
+			wake = &m.wake
 		}
-		if f := m.park(&pv, slotRecvHead, slotRecvTail, proc, obj.NilAD, 0); f != nil {
-			return obj.NilAD, false, nil, f
+	default:
+		blocked = true
+		if proc.Valid() {
+			m.park(&pv, slotRecvHead, slotRecvTail, proc, obj.NilAD, 0)
 		}
-		return obj.NilAD, true, nil, nil
 	}
-	msg, f = takeBest(&pv)
-	if f != nil {
+	if f := pv.Fault(); f != nil {
 		return obj.NilAD, false, nil, f
 	}
-	if l := m.Table.Tracer(); l != nil {
-		l.Emit(trace.EvRecv, uint32(p.Index), uint32(msg.Index), 0)
-	}
-	// A blocked sender's message moves into the freed slot.
-	send, waiting, f := m.unpark(&pv, slotSendHead, slotSendTail)
-	if f != nil {
-		return obj.NilAD, false, nil, f
-	}
-	if !waiting {
-		return msg, false, nil, nil
-	}
-	if f := m.deposit(&pv, capacity, send.Msg, send.key); f != nil {
-		return obj.NilAD, false, nil, f
-	}
-	m.wake = Wake{Process: send.Process}
-	return msg, false, &m.wake, nil
+	return msg, blocked, wake, nil
 }
 
 // Count reports the number of messages queued at the port.
 func (m *Manager) Count(p obj.AD) (int, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypePort); f != nil {
-		return 0, f
-	}
-	count, f := m.Table.ReadWord(p, offCount)
-	return int(count), f
-}
-
-func counts(pv *obj.View) (capacity, count uint16, f *obj.Fault) {
-	if capacity, f = pv.Word(offCapacity); f != nil {
-		return
-	}
-	count, f = pv.Word(offCount)
-	return
+	var pv obj.View
+	m.Table.View(p, obj.TypePort, obj.RightRead, &pv)
+	return int(pv.Word(offCount)), pv.Fault()
 }
 
 // deposit places msg into the lowest free slot with the given key, stamps
 // the arrival sequence and emits the send event. The capacity is the
 // port's own word, so every record is bounds-checked: a damaged capacity
 // faults instead of running off the data part.
-func (m *Manager) deposit(pv *obj.View, capacity uint16, msg obj.AD, key uint32) *obj.Fault {
+func deposit(pv *obj.View, capacity uint16, msg obj.AD, key uint32) {
 	for i := uint32(0); i < uint32(capacity); i++ {
 		rec := offSlots + i*slotRecSize
-		occ, f := pv.Word(rec + recOccupied)
-		if f != nil {
-			return f
-		}
-		if occ != 0 {
+		if pv.Word(rec+recOccupied) != 0 {
 			continue
 		}
-		seq, f := pv.DWord(offSeq)
-		if f != nil {
-			return f
-		}
-		if f := pv.SetDWord(offSeq, seq+1); f != nil {
-			return f
-		}
-		if f := pv.StoreAD(slotMsg0+i, msg); f != nil {
-			return f
-		}
-		if f := pv.SetWord(rec+recOccupied, 1); f != nil {
-			return f
-		}
-		if f := pv.SetDWord(rec+recKey, key); f != nil {
-			return f
-		}
-		if f := pv.SetDWord(rec+recSeq, seq); f != nil {
-			return f
-		}
-		count, f := pv.Word(offCount)
-		if f != nil {
-			return f
-		}
-		if f := pv.SetWord(offCount, count+1); f != nil {
-			return f
-		}
-		if l := m.Table.Tracer(); l != nil {
-			l.Emit(trace.EvSend, uint32(pv.AD().Index), uint32(msg.Index), uint64(key))
-		}
-		return nil
+		seq := pv.DWord(offSeq)
+		pv.SetDWord(offSeq, seq+1)
+		pv.StoreAD(slotMsg0+i, msg)
+		pv.SetWord(rec+recOccupied, 1)
+		pv.SetDWord(rec+recKey, key)
+		pv.SetDWord(rec+recSeq, seq)
+		pv.SetWord(offCount, pv.Word(offCount)+1)
+		pv.Emit(trace.EvSend, uint32(msg.Index), uint64(key))
+		return
 	}
-	return obj.Faultf(obj.FaultOddity, pv.AD(), "no free slot despite count < capacity")
+	pv.Latch(obj.Faultf(obj.FaultOddity, pv.AD(), "no free slot despite count < capacity"))
 }
 
 // takeBest removes and returns the message the discipline orders first.
@@ -361,38 +304,21 @@ func (m *Manager) deposit(pv *obj.View, capacity uint16, msg obj.AD, key uint32)
 // port pays for its messages, not its capacity. Selection among the
 // occupied slots is unchanged, so the result — and every byte written —
 // is identical under all three disciplines.
-func takeBest(pv *obj.View) (obj.AD, *obj.Fault) {
-	disc, f := pv.Word(offDiscipline)
-	if f != nil {
-		return obj.NilAD, f
-	}
-	capacity, count, f := counts(pv)
-	if f != nil {
-		return obj.NilAD, f
-	}
+func takeBest(pv *obj.View) obj.AD {
+	disc := Discipline(pv.Word(offDiscipline))
+	capacity, count := pv.Word(offCapacity), pv.Word(offCount)
 	best := -1
 	var bestKey, bestSeq uint32
 	seen := uint16(0)
 	for i := uint32(0); i < uint32(capacity) && seen < count; i++ {
 		rec := offSlots + i*slotRecSize
-		occ, f := pv.Word(rec + recOccupied)
-		if f != nil {
-			return obj.NilAD, f
-		}
-		if occ == 0 {
+		if pv.Word(rec+recOccupied) == 0 {
 			continue
 		}
 		seen++
-		key, f := pv.DWord(rec + recKey)
-		if f != nil {
-			return obj.NilAD, f
-		}
-		seq, f := pv.DWord(rec + recSeq)
-		if f != nil {
-			return obj.NilAD, f
-		}
+		key, seq := pv.DWord(rec+recKey), pv.DWord(rec+recSeq)
 		better := false
-		switch Discipline(disc) {
+		switch disc {
 		case FIFO:
 			better = best < 0 || seq < bestSeq
 		case Priority:
@@ -405,24 +331,14 @@ func takeBest(pv *obj.View) (obj.AD, *obj.Fault) {
 		}
 	}
 	if best < 0 {
-		return obj.NilAD, obj.Faultf(obj.FaultOddity, pv.AD(), "count > 0 but no occupied slot")
+		pv.Latch(obj.Faultf(obj.FaultOddity, pv.AD(), "count > 0 but no occupied slot"))
+		return obj.NilAD
 	}
-	msg, f := pv.LoadAD(slotMsg0 + uint32(best))
-	if f != nil {
-		return obj.NilAD, f
-	}
-	rec := offSlots + uint32(best)*slotRecSize
-	if f := pv.SetWord(rec+recOccupied, 0); f != nil {
-		return obj.NilAD, f
-	}
-	if f := pv.StoreAD(slotMsg0+uint32(best), obj.NilAD); f != nil {
-		return obj.NilAD, f
-	}
-	cnt, f := pv.Word(offCount)
-	if f != nil {
-		return obj.NilAD, f
-	}
-	return msg, pv.SetWord(offCount, cnt-1)
+	msg := pv.LoadAD(slotMsg0 + uint32(best))
+	pv.SetWord(offSlots+uint32(best)*slotRecSize+recOccupied, 0)
+	pv.StoreAD(slotMsg0+uint32(best), obj.NilAD)
+	pv.SetWord(offCount, pv.Word(offCount)-1)
+	return msg
 }
 
 // parked describes a carrier removed from a wait queue.
@@ -438,44 +354,28 @@ type parked struct {
 // way the whole structure shares the port's lifetime. Popping and pushing
 // a pooled carrier is pure AD-slot traffic: nothing is allocated and
 // nothing destroyed on the blocking path.
-func (m *Manager) park(pv *obj.View, headSlot, tailSlot uint32, proc, msg obj.AD, key uint32) *obj.Fault {
+//
+// The carrier has a view of its own, and the instruction is still one
+// unit: wherever the accesses pass from one view to the other, the first
+// hands its fault over (Latch), so a refusal on either side stops both.
+func (m *Manager) park(pv *obj.View, headSlot, tailSlot uint32, proc, msg obj.AD, key uint32) {
 	var cv obj.View
-	if f := m.carrier(pv, &cv); f != nil {
-		return f
-	}
+	m.carrier(pv, &cv)
 	car := cv.AD()
-	if f := cv.SetDWord(carKey, key); f != nil {
-		return f
-	}
+	cv.SetDWord(carKey, key)
 	// Hardware queues link below the level discipline: see StoreADSystem.
-	if f := cv.StoreADSystem(carSlotProcess, proc); f != nil {
-		return f
-	}
+	cv.StoreADSystem(carSlotProcess, proc)
 	if msg.Valid() {
-		if f := cv.StoreADSystem(carSlotMessage, msg); f != nil {
-			return f
-		}
+		cv.StoreADSystem(carSlotMessage, msg)
 	}
-	tail, f := pv.LoadAD(tailSlot)
-	if f != nil {
-		return f
-	}
-	if tail.Valid() {
-		if f := m.Table.StoreADSystem(tail, carSlotNext, car); f != nil {
-			return f
-		}
+	pv.Latch(cv.Fault())
+	if tail := pv.LoadAD(tailSlot); tail.Valid() {
+		pv.Latch(m.Table.StoreADSystem(tail, carSlotNext, car))
 	} else {
-		if f := pv.StoreADSystem(headSlot, car); f != nil {
-			return f
-		}
+		pv.StoreADSystem(headSlot, car)
 	}
-	if f := pv.StoreADSystem(tailSlot, car); f != nil {
-		return f
-	}
-	if l := m.Table.Tracer(); l != nil {
-		l.Emit(trace.EvPark, uint32(pv.AD().Index), uint32(proc.Index), side(headSlot))
-	}
-	return nil
+	pv.StoreADSystem(tailSlot, car)
+	pv.Emit(trace.EvPark, uint32(proc.Index), side(headSlot))
 }
 
 // side is the Aux of a park or unpark event: 0 sender, 1 receiver.
@@ -488,107 +388,65 @@ func side(headSlot uint32) uint64 {
 
 // carrier produces a carrier for park and resolves it into cv: the head of
 // the port's free pool if one is there, else a fresh allocation from the
-// port's SRO.
-func (m *Manager) carrier(pv, cv *obj.View) *obj.Fault {
-	car, f := pv.LoadAD(slotFree)
-	if f != nil {
-		return f
-	}
-	if !car.Valid() {
-		p := pv.AD()
-		sroAD, f := m.sroCapOf(m.Table.DescriptorAt(p.Index).SRO, p)
-		if f != nil {
-			return f
-		}
-		car, f = m.SRO.Create(sroAD, obj.CreateSpec{
+// SRO the port came from. The microcode manufactures that SRO's capability:
+// like the collector, it operates below the capability discipline.
+func (m *Manager) carrier(pv, cv *obj.View) {
+	car := pv.LoadAD(slotFree)
+	if !car.Valid() && pv.Fault() == nil {
+		sroAD, _ := m.Table.SystemAD(m.Table.DescriptorAt(pv.AD().Index).SRO)
+		car, f := m.SRO.Create(sroAD, obj.CreateSpec{
 			Type:        obj.TypeCarrier,
 			DataLen:     carData,
 			AccessSlots: carSlots,
 		})
-		if f != nil {
-			return f
-		}
-		return m.Table.View(car, obj.RightWrite, cv)
+		pv.Latch(f)
+		m.Table.View(car, obj.TypeCarrier, obj.RightWrite, cv)
+		return
 	}
-	if f := m.Table.View(car, obj.RightRead, cv); f != nil {
-		return f
-	}
-	next, f := cv.LoadAD(carSlotNext)
-	if f != nil {
-		return f
-	}
-	if f := pv.StoreADSystem(slotFree, next); f != nil {
-		return f
-	}
-	return cv.StoreADSystem(carSlotNext, obj.NilAD)
+	m.Table.View(car, obj.TypeCarrier, obj.RightRead, cv)
+	next := cv.LoadAD(carSlotNext)
+	pv.Latch(cv.Fault())
+	pv.StoreADSystem(slotFree, next)
+	cv.Latch(pv.Fault())
+	cv.StoreADSystem(carSlotNext, obj.NilAD)
 }
 
 // pool scrubs a carrier just removed from a wait queue — the process slot
 // always, the message slot when it carried one, so the pool never extends
 // a process's or message's lifetime — and pushes it onto the port's free
 // pool for the next park.
-func pool(pv, cv *obj.View) *obj.Fault {
-	if f := cv.StoreADSystem(carSlotProcess, obj.NilAD); f != nil {
-		return f
+func pool(pv, cv *obj.View) {
+	free := pv.LoadAD(slotFree)
+	cv.Latch(pv.Fault())
+	cv.StoreADSystem(carSlotProcess, obj.NilAD)
+	if cv.LoadAD(carSlotMessage).Valid() {
+		cv.StoreADSystem(carSlotMessage, obj.NilAD)
 	}
-	msg, f := cv.LoadAD(carSlotMessage)
-	if f != nil {
-		return f
-	}
-	if msg.Valid() {
-		if f := cv.StoreADSystem(carSlotMessage, obj.NilAD); f != nil {
-			return f
-		}
-	}
-	free, f := pv.LoadAD(slotFree)
-	if f != nil {
-		return f
-	}
-	if f := cv.StoreADSystem(carSlotNext, free); f != nil {
-		return f
-	}
-	return pv.StoreADSystem(slotFree, cv.AD())
+	cv.StoreADSystem(carSlotNext, free)
+	pv.Latch(cv.Fault())
+	pv.StoreADSystem(slotFree, cv.AD())
 }
 
 // unpark removes the head carrier of a wait queue, pooling the carrier
-// and returning its contents; ok is false if the queue is empty.
-func (m *Manager) unpark(pv *obj.View, headSlot, tailSlot uint32) (w parked, ok bool, f *obj.Fault) {
-	head, f := pv.LoadAD(headSlot)
-	if f != nil || !head.Valid() {
-		return w, false, f
+// and returning its contents; ok is false if the queue is empty or the
+// operation has faulted.
+func (m *Manager) unpark(pv *obj.View, headSlot, tailSlot uint32) (w parked, ok bool) {
+	head := pv.LoadAD(headSlot)
+	if !head.Valid() {
+		return w, false
 	}
 	var hv obj.View
-	if f := m.Table.View(head, obj.RightRead, &hv); f != nil {
-		return w, false, f
-	}
-	if w.Process, f = hv.LoadAD(carSlotProcess); f != nil {
-		return w, false, f
-	}
-	if w.Msg, f = hv.LoadAD(carSlotMessage); f != nil {
-		return w, false, f
-	}
-	if w.key, f = hv.DWord(carKey); f != nil {
-		return w, false, f
-	}
-	next, f := hv.LoadAD(carSlotNext)
-	if f != nil {
-		return w, false, f
-	}
-	if f := pv.StoreADSystem(headSlot, next); f != nil {
-		return w, false, f
-	}
+	m.Table.View(head, obj.TypeCarrier, obj.RightRead, &hv)
+	w = parked{hv.LoadAD(carSlotProcess), hv.LoadAD(carSlotMessage), hv.DWord(carKey)}
+	next := hv.LoadAD(carSlotNext)
+	pv.Latch(hv.Fault())
+	pv.StoreADSystem(headSlot, next)
 	if !next.Valid() {
-		if f := pv.StoreADSystem(tailSlot, obj.NilAD); f != nil {
-			return w, false, f
-		}
+		pv.StoreADSystem(tailSlot, obj.NilAD)
 	}
-	if f := pool(pv, &hv); f != nil {
-		return w, false, f
-	}
-	if l := m.Table.Tracer(); l != nil {
-		l.Emit(trace.EvUnpark, uint32(pv.AD().Index), uint32(w.Process.Index), side(headSlot))
-	}
-	return w, true, nil
+	pool(pv, &hv)
+	pv.Emit(trace.EvUnpark, uint32(w.Process.Index), side(headSlot))
+	return w, pv.Fault() == nil
 }
 
 // cyclic is the fault of a wait-queue or free-pool walk that has visited
@@ -596,15 +454,4 @@ func (m *Manager) unpark(pv *obj.View, headSlot, tailSlot uint32) (w parked, ok 
 // cycle, and the walk stops instead of hanging the simulator.
 func cyclic(p obj.AD) *obj.Fault {
 	return obj.Faultf(obj.FaultOddity, p, "carrier chain longer than the object table: cycle")
-}
-
-// sroCapOf manufactures a full-rights capability for the SRO at idx. The
-// port microcode needs it to allocate carriers; like the collector, the
-// microcode operates below the capability discipline.
-func (m *Manager) sroCapOf(idx obj.Index, p obj.AD) (obj.AD, *obj.Fault) {
-	d := m.Table.DescriptorAt(idx)
-	if d == nil || d.Type != obj.TypeSRO {
-		return obj.NilAD, obj.Faultf(obj.FaultOddity, p, "port's ancestral SRO missing")
-	}
-	return obj.AD{Index: idx, Gen: d.Gen, Rights: obj.RightsAll}, nil
 }

@@ -6,54 +6,73 @@ import (
 	"repro/internal/obj"
 )
 
-// TestAccessorsRoundTrip covers the bookkeeping accessors the processor
-// and schedulers use, including their type-check refusals.
+// TestAccessorsRoundTrip covers the bookkeeping fields the processor and
+// schedulers use: written through an opened process, read back single-shot.
 func TestAccessorsRoundTrip(t *testing.T) {
 	fx := setup(t)
 	p := fx.newProc(t, Spec{})
+	other := fx.newProc(t, Spec{})
 
-	if f := fx.m.SetStopCount(p, 3); f != nil {
+	var v Proc
+	fx.m.Open(p, obj.RightWrite, &v)
+	v.SetStopCount(3)
+	v.AddCPUCycles(100)
+	v.AddCPUCycles(50)
+	v.SetFault(obj.FaultBounds, obj.Index(42))
+	v.StoreADSystem(SlotParent, other)
+	if f := v.Fault(); f != nil {
 		t.Fatal(f)
 	}
-	if n, _ := fx.m.StopCount(p); n != 3 {
+	if n := fx.open(p).StopCount(); n != 3 {
 		t.Fatalf("StopCount = %d", n)
-	}
-
-	if f := fx.m.AddCPUCycles(p, 100); f != nil {
-		t.Fatal(f)
-	}
-	if f := fx.m.AddCPUCycles(p, 50); f != nil {
-		t.Fatal(f)
 	}
 	if c, _ := fx.m.CPUCycles(p); c != 150 {
 		t.Fatalf("CPUCycles = %d", c)
 	}
-
-	if f := fx.m.SetFaultObject(p, obj.Index(42)); f != nil {
-		t.Fatal(f)
+	if c, _ := fx.m.FaultCode(p); c != obj.FaultBounds {
+		t.Fatalf("FaultCode = %v", c)
 	}
 	if idx, _ := fx.m.FaultObject(p); idx != 42 {
 		t.Fatalf("FaultObject = %d", idx)
 	}
-
-	other := fx.newProc(t, Spec{})
-	if f := fx.m.SetLink(p, SlotParent, other); f != nil {
+	if got, _ := fx.m.Link(p, SlotParent); got.Index != other.Index {
+		t.Fatal("StoreADSystem/Link mismatch")
+	}
+	if f := fx.m.SetLink(p, SlotParent, obj.NilAD); f != nil {
 		t.Fatal(f)
 	}
-	if got, _ := fx.m.Link(p, SlotParent); got.Index != other.Index {
-		t.Fatal("SetLink/Link mismatch")
+	if got, _ := fx.m.Link(p, SlotParent); got.Valid() {
+		t.Fatal("SetLink did not clear the slot")
 	}
 
 	ts := fx.m.SetTimeSlice(p, 777)
 	if ts != nil {
 		t.Fatal(ts)
 	}
-	if v, _ := fx.m.TimeSlice(p); v != 777 {
+	if v := fx.open(p).TimeSlice(); v != 777 {
 		t.Fatalf("TimeSlice = %d", v)
 	}
 
 	if id, _ := fx.tab.ReadDWord(p, offPID); id == 0 {
 		t.Fatal("PID = 0")
+	}
+
+	// A write through a read-only capability latches, and what follows it
+	// writes nothing.
+	fx.m.Open(p.Restrict(obj.RightWrite), obj.RightRead, &v)
+	if v.StopCount() != 3 {
+		t.Fatal("read through a read-only capability")
+	}
+	v.SetStopCount(9)
+	v.SetState(StateStopped)
+	if !obj.IsFault(v.Fault(), obj.FaultRights) {
+		t.Fatalf("write through a read-only capability: %v", v.Fault())
+	}
+	if n := fx.open(p).StopCount(); n != 3 {
+		t.Fatalf("a refused operation left StopCount = %d", n)
+	}
+	if st, _ := fx.m.StateOf(p); st != StateReady {
+		t.Fatalf("a refused operation left the state %v", st)
 	}
 }
 
@@ -69,21 +88,23 @@ func TestAccessorsRefuseNonProcess(t *testing.T) {
 		name string
 		f    func() *obj.Fault
 	}{
+		{"Open", func() *obj.Fault {
+			var v Proc
+			fx.m.Open(notProc, obj.RightRead, &v)
+			v.SetStopCount(v.StopCount() + 1)
+			v.AddCPUCycles(1)
+			v.SetFault(obj.FaultRights, 1)
+			return v.Fault()
+		}},
 		{"SetState", func() *obj.Fault { return fx.m.SetState(notProc, StateReady) }},
-		{"Priority", func() *obj.Fault { _, f := fx.m.Priority(notProc); return f }},
 		{"SetPriority", func() *obj.Fault { return fx.m.SetPriority(notProc, 1) }},
-		{"TimeSlice", func() *obj.Fault { _, f := fx.m.TimeSlice(notProc); return f }},
 		{"SetTimeSlice", func() *obj.Fault { return fx.m.SetTimeSlice(notProc, 1) }},
-		{"StopCount", func() *obj.Fault { _, f := fx.m.StopCount(notProc); return f }},
-		{"SetStopCount", func() *obj.Fault { return fx.m.SetStopCount(notProc, 1) }},
 		{"CPUCycles", func() *obj.Fault { _, f := fx.m.CPUCycles(notProc); return f }},
-		{"AddCPUCycles", func() *obj.Fault { return fx.m.AddCPUCycles(notProc, 1) }},
 		{"FaultCode", func() *obj.Fault { _, f := fx.m.FaultCode(notProc); return f }},
-		{"SetFaultCode", func() *obj.Fault { return fx.m.SetFaultCode(notProc, obj.FaultRights) }},
 		{"FaultObject", func() *obj.Fault { _, f := fx.m.FaultObject(notProc); return f }},
-		{"SetFaultObject", func() *obj.Fault { return fx.m.SetFaultObject(notProc, 1) }},
 		{"Link", func() *obj.Fault { _, f := fx.m.Link(notProc, 0); return f }},
 		{"SetLink", func() *obj.Fault { return fx.m.SetLink(notProc, 0, obj.NilAD) }},
+		{"PushContext", func() *obj.Fault { _, f := fx.m.PushContext(notProc, obj.NilAD); return f }},
 		{"PopContext", func() *obj.Fault { _, f := fx.m.PopContext(notProc); return f }},
 		{"StateOf", func() *obj.Fault { _, f := fx.m.StateOf(notProc); return f }},
 	}
@@ -92,7 +113,17 @@ func TestAccessorsRefuseNonProcess(t *testing.T) {
 			t.Errorf("%s on non-process: %v", c.name, f)
 		}
 	}
+	if data, f := fx.tab.ReadBytes(notProc, 0, 64); f != nil || string(data) != string(make([]byte, 64)) {
+		t.Errorf("a refused operation wrote the object it refused: %x %v", data, f)
+	}
 	// Context accessors refuse non-contexts the same way.
+	var cv Ctx
+	fx.m.OpenContext(notProc, obj.RightRead, &cv)
+	cv.SetReg(0, cv.Reg(1))
+	cv.SetAReg(0, cv.AReg(1))
+	if !obj.IsFault(cv.Fault(), obj.FaultType) {
+		t.Errorf("OpenContext on non-context: %v", cv.Fault())
+	}
 	if _, f := fx.m.IP(notProc); !obj.IsFault(f, obj.FaultType) {
 		t.Errorf("IP on non-context: %v", f)
 	}
@@ -112,17 +143,18 @@ func TestAccessorsRefuseNonProcess(t *testing.T) {
 func TestCPUCyclesOverflowSafe(t *testing.T) {
 	fx := setup(t)
 	p := fx.newProc(t, Spec{Priority: 5})
-	if f := fx.m.AddCPUCycles(p, ^uint32(0)); f != nil {
-		t.Fatal(f)
-	}
-	if f := fx.m.AddCPUCycles(p, 10); f != nil {
+	var v Proc
+	fx.m.Open(p, obj.RightRead, &v)
+	v.AddCPUCycles(^uint32(0))
+	v.AddCPUCycles(10)
+	if f := v.Fault(); f != nil {
 		t.Fatal(f)
 	}
 	if c, _ := fx.m.CPUCycles(p); c != 9 {
 		t.Fatalf("wrapped CPUCycles = %d", c)
 	}
 	// The neighbouring priority field is intact.
-	if prio, _ := fx.m.Priority(p); prio != 5 {
+	if prio := fx.open(p).Priority(); prio != 5 {
 		t.Fatalf("priority corrupted: %d", prio)
 	}
 }

@@ -170,18 +170,12 @@ func (m *Manager) Create(heap obj.AD, spec Spec) (obj.AD, *obj.Fault) {
 		return obj.NilAD, f
 	}
 	m.nextPID++
-	if f := m.Table.WriteDWord(p, offPID, m.nextPID); f != nil {
-		return obj.NilAD, f
-	}
-	if f := m.Table.WriteWord(p, offPriority, spec.Priority); f != nil {
-		return obj.NilAD, f
-	}
-	if f := m.Table.WriteDWord(p, offTimeSlice, spec.TimeSlice); f != nil {
-		return obj.NilAD, f
-	}
-	if f := m.Table.WriteWord(p, offState, uint16(StateReady)); f != nil {
-		return obj.NilAD, f
-	}
+	var v Proc
+	m.Open(p, obj.RightWrite, &v)
+	v.SetDWord(offPID, m.nextPID)
+	v.SetWord(offPriority, spec.Priority)
+	v.SetDWord(offTimeSlice, spec.TimeSlice)
+	v.SetWord(offState, uint16(StateReady))
 	for _, link := range []struct {
 		slot uint32
 		ad   obj.AD
@@ -192,170 +186,141 @@ func (m *Manager) Create(heap obj.AD, spec Spec) (obj.AD, *obj.Fault) {
 		{SlotParent, spec.Parent},
 		{SlotSRO, heap},
 	} {
-		if !link.ad.Valid() {
-			continue
-		}
-		if f := m.Table.StoreADSystem(p, link.slot, link.ad); f != nil {
-			return obj.NilAD, f
+		if link.ad.Valid() {
+			v.StoreADSystem(link.slot, link.ad)
 		}
 	}
-	return p, nil
+	return p, v.Fault()
 }
+
+// Proc is a process object opened for one operation of the processor or a
+// process manager: an obj.View, which resolves the process once and latches
+// the operation's first fault, with the fields of the process layout. The
+// links are its access slots: LoadAD and StoreADSystem with the Slot names.
+type Proc struct{ obj.View }
+
+// Open resolves process p into v for one operation. want is the right of
+// the operation's first access, with RightControl if the operation demands
+// it. v is filled in place, like the view in it: returned by value, the
+// copies showed as 5 % of a sharded run.
+func (m *Manager) Open(p obj.AD, want obj.Rights, v *Proc) {
+	m.Table.View(p, obj.TypeProcess, want, &v.View)
+}
+
+// State reads the run state.
+func (v *Proc) State() State { return State(v.Word(offState)) }
+
+// SetState records a run-state transition. The processor and the process
+// managers are the only callers.
+func (v *Proc) SetState(s State) {
+	v.SetWord(offState, uint16(s))
+	v.Emit(trace.EvProcState, uint32(s), 0)
+}
+
+// Priority reads the dispatching priority.
+func (v *Proc) Priority() uint16 { return v.Word(offPriority) }
+
+// TimeSlice reads the quantum in cycles (0 = run to completion).
+func (v *Proc) TimeSlice() uint32 { return v.DWord(offTimeSlice) }
+
+// StopCount reads the nested stop count the basic process manager keeps
+// (§6.1), and SetStopCount records it.
+func (v *Proc) StopCount() uint16     { return v.Word(offStopCount) }
+func (v *Proc) SetStopCount(n uint16) { v.SetWord(offStopCount, n) }
+
+// CPUCycles reads the processor cycles the process has consumed, the
+// accounting a scheduler policy uses to apportion the processing resource
+// fairly (§6.1); AddCPUCycles charges n more, when the process leaves a
+// processor. The accumulator is a plain dword and wraps.
+func (v *Proc) CPUCycles() uint32     { return v.DWord(offCPU) }
+func (v *Proc) AddCPUCycles(n uint32) { v.SetDWord(offCPU, v.DWord(offCPU)+n) }
+
+// FaultCode reads the last fault delivered to the process and FaultObject
+// the table index of the object involved — how a segment-fault handler
+// learns what to swap in. SetFault records both.
+func (v *Proc) FaultCode() obj.FaultCode { return obj.FaultCode(v.Word(offFaultCode)) }
+func (v *Proc) FaultObject() obj.Index   { return obj.Index(v.DWord(offFaultObj)) }
+func (v *Proc) SetFault(c obj.FaultCode, idx obj.Index) {
+	v.SetWord(offFaultCode, uint16(c))
+	v.SetDWord(offFaultObj, uint32(idx))
+}
+
+// The single-shot forms: one field of a process the caller holds only an AD
+// for. Each is an operation of one access.
 
 // StateOf reports the process's run state.
 func (m *Manager) StateOf(p obj.AD) (State, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return 0, f
-	}
-	s, f := m.Table.ReadWord(p, offState)
-	return State(s), f
+	var v Proc
+	m.Open(p, obj.RightRead, &v)
+	return v.State(), v.Fault()
 }
 
-// SetState records a run-state transition. The processor and the process
-// manager are the only callers.
+// SetState records a run-state transition.
 func (m *Manager) SetState(p obj.AD, s State) *obj.Fault {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return f
-	}
-	if f := m.Table.WriteWord(p, offState, uint16(s)); f != nil {
-		return f
-	}
-	if l := m.Table.Tracer(); l != nil {
-		l.Emit(trace.EvProcState, uint32(p.Index), uint32(s), 0)
-	}
-	return nil
-}
-
-// Priority reports the process's dispatching priority.
-func (m *Manager) Priority(p obj.AD) (uint16, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return 0, f
-	}
-	return m.Table.ReadWord(p, offPriority)
+	var v Proc
+	m.Open(p, obj.RightWrite, &v)
+	v.SetState(s)
+	return v.Fault()
 }
 
 // SetPriority changes the dispatching priority; requires the control
 // right (the basic process manager "makes directly available to the user
 // the dispatching parameters of the hardware", §6.1).
 func (m *Manager) SetPriority(p obj.AD, prio uint16) *obj.Fault {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return f
-	}
-	if !p.Rights.Has(RightControl) {
-		return obj.Faultf(obj.FaultRights, p, "need control right")
-	}
-	return m.Table.WriteWord(p, offPriority, prio)
-}
-
-// TimeSlice reports the quantum in cycles (0 = run to completion).
-func (m *Manager) TimeSlice(p obj.AD) (uint32, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return 0, f
-	}
-	return m.Table.ReadDWord(p, offTimeSlice)
+	var v Proc
+	m.Open(p, RightControl|obj.RightWrite, &v)
+	v.SetWord(offPriority, prio)
+	return v.Fault()
 }
 
 // SetTimeSlice changes the quantum; requires the control right.
 func (m *Manager) SetTimeSlice(p obj.AD, cycles uint32) *obj.Fault {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return f
-	}
-	if !p.Rights.Has(RightControl) {
-		return obj.Faultf(obj.FaultRights, p, "need control right")
-	}
-	return m.Table.WriteDWord(p, offTimeSlice, cycles)
+	var v Proc
+	m.Open(p, RightControl|obj.RightWrite, &v)
+	v.SetDWord(offTimeSlice, cycles)
+	return v.Fault()
 }
 
-// StopCount reports the nested stop count maintained for the basic
-// process manager (§6.1).
-func (m *Manager) StopCount(p obj.AD) (uint16, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return 0, f
-	}
-	return m.Table.ReadWord(p, offStopCount)
-}
-
-// CPUCycles reports the processor cycles the process has consumed, the
-// accounting a scheduler policy uses to apportion the processing resource
-// fairly (§6.1).
+// CPUCycles reports the processor cycles the process has consumed.
 func (m *Manager) CPUCycles(p obj.AD) (uint32, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return 0, f
-	}
-	return m.Table.ReadDWord(p, offCPU)
-}
-
-// AddCPUCycles charges consumed processor time to the process; the
-// processor calls this when the process leaves a processor.
-func (m *Manager) AddCPUCycles(p obj.AD, n uint32) *obj.Fault {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return f
-	}
-	v, f := m.Table.ReadDWord(p, offCPU)
-	if f != nil {
-		return f
-	}
-	return m.Table.WriteDWord(p, offCPU, v+n)
-}
-
-// SetStopCount records the nested stop count.
-func (m *Manager) SetStopCount(p obj.AD, n uint16) *obj.Fault {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return f
-	}
-	return m.Table.WriteWord(p, offStopCount, n)
+	var v Proc
+	m.Open(p, obj.RightRead, &v)
+	return v.CPUCycles(), v.Fault()
 }
 
 // FaultCode reports the last fault delivered to the process.
 func (m *Manager) FaultCode(p obj.AD) (obj.FaultCode, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return 0, f
-	}
-	c, f := m.Table.ReadWord(p, offFaultCode)
-	return obj.FaultCode(c), f
+	var v Proc
+	m.Open(p, obj.RightRead, &v)
+	return v.FaultCode(), v.Fault()
 }
 
-// SetFaultCode records a delivered fault.
-func (m *Manager) SetFaultCode(p obj.AD, c obj.FaultCode) *obj.Fault {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return f
-	}
-	return m.Table.WriteWord(p, offFaultCode, uint16(c))
-}
-
-// FaultObject reports the table index of the object involved in the last
-// delivered fault — how a segment-fault handler learns what to swap in.
+// FaultObject reports the object involved in the last delivered fault.
 func (m *Manager) FaultObject(p obj.AD) (obj.Index, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return obj.NilIndex, f
-	}
-	v, f := m.Table.ReadDWord(p, offFaultObj)
-	return obj.Index(v), f
-}
-
-// SetFaultObject records the object involved in a delivered fault.
-func (m *Manager) SetFaultObject(p obj.AD, idx obj.Index) *obj.Fault {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return f
-	}
-	return m.Table.WriteDWord(p, offFaultObj, uint32(idx))
+	var v Proc
+	m.Open(p, obj.RightRead, &v)
+	return v.FaultObject(), v.Fault()
 }
 
 // Link reads one of the process's access slots (fault port, dispatch
 // port, parent, ...).
 func (m *Manager) Link(p obj.AD, slot uint32) (obj.AD, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return obj.NilAD, f
-	}
-	return m.Table.LoadAD(p, slot)
+	var v Proc
+	m.Open(p, obj.RightRead, &v)
+	return v.LoadAD(slot), v.Fault()
 }
 
 // SetLink writes one of the process's access slots.
 func (m *Manager) SetLink(p obj.AD, slot uint32, ad obj.AD) *obj.Fault {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return f
-	}
-	return m.Table.StoreADSystem(p, slot, ad)
+	var v Proc
+	m.Open(p, obj.RightWrite, &v)
+	v.StoreADSystem(slot, ad)
+	return v.Fault()
+}
+
+// Context reports the process's current context.
+func (m *Manager) Context(p obj.AD) (obj.AD, *obj.Fault) {
+	return m.Link(p, SlotContext)
 }
 
 // PushContext creates a new context for executing domain and makes it the
@@ -363,19 +328,10 @@ func (m *Manager) SetLink(p obj.AD, slot uint32, ad obj.AD) *obj.Fault {
 // the caller's (§5), which is what makes local heaps created in a frame
 // unstorable above it. Allocation comes from the process's default SRO.
 func (m *Manager) PushContext(p obj.AD, domain obj.AD) (obj.AD, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return obj.NilAD, f
-	}
-	caller, f := m.Table.LoadAD(p, SlotContext)
-	if f != nil {
-		return obj.NilAD, f
-	}
-	depth, f := m.Table.ReadWord(p, offDepth)
-	if f != nil {
-		return obj.NilAD, f
-	}
-	heap, f := m.Table.LoadAD(p, SlotSRO)
-	if f != nil {
+	var pv Proc
+	m.Open(p, obj.RightRead, &pv)
+	caller, depth, heap := pv.LoadAD(SlotContext), pv.Word(offDepth), pv.LoadAD(SlotSRO)
+	if f := pv.Fault(); f != nil {
 		return obj.NilAD, f
 	}
 	ctx, f := m.SRO.Create(heap, obj.CreateSpec{
@@ -391,23 +347,18 @@ func (m *Manager) PushContext(p obj.AD, domain obj.AD) (obj.AD, *obj.Fault) {
 	// descriptor via the system path: context lifetime is governed by
 	// the call stack, not the heap it was carved from.
 	m.Table.DescriptorAt(ctx.Index).Level = obj.Level(depth + 1)
+	var cv Ctx
+	m.OpenContext(ctx, obj.RightWrite, &cv)
 	if caller.Valid() {
-		if f := m.Table.StoreADSystem(ctx, CtxSlotCaller, caller); f != nil {
-			return obj.NilAD, f
-		}
+		cv.StoreADSystem(CtxSlotCaller, caller)
 	}
 	if domain.Valid() {
-		if f := m.Table.StoreADSystem(ctx, CtxSlotDomain, domain); f != nil {
-			return obj.NilAD, f
-		}
+		cv.StoreADSystem(CtxSlotDomain, domain)
 	}
-	if f := m.Table.StoreADSystem(p, SlotContext, ctx); f != nil {
-		return obj.NilAD, f
-	}
-	if f := m.Table.WriteWord(p, offDepth, depth+1); f != nil {
-		return obj.NilAD, f
-	}
-	return ctx, nil
+	pv.Latch(cv.Fault())
+	pv.StoreADSystem(SlotContext, ctx)
+	pv.SetWord(offDepth, depth+1)
+	return ctx, pv.Fault()
 }
 
 // PopContext unwinds the current context: its local heap (if any) is
@@ -415,69 +366,73 @@ func (m *Manager) PushContext(p obj.AD, domain obj.AD) (obj.AD, *obj.Fault) {
 // caller becomes current, and the popped context is reclaimed. It reports
 // the caller context (NilAD when the outermost context returns).
 func (m *Manager) PopContext(p obj.AD) (obj.AD, *obj.Fault) {
-	if _, f := m.Table.RequireType(p, obj.TypeProcess); f != nil {
-		return obj.NilAD, f
-	}
-	ctx, f := m.Table.LoadAD(p, SlotContext)
-	if f != nil {
-		return obj.NilAD, f
-	}
+	var pv Proc
+	m.Open(p, obj.RightRead, &pv)
+	ctx := pv.LoadAD(SlotContext)
 	if !ctx.Valid() {
-		return obj.NilAD, obj.Faultf(obj.FaultOddity, p, "no context to pop")
+		pv.Latch(obj.Faultf(obj.FaultOddity, p, "no context to pop"))
 	}
-	caller, f := m.Table.LoadAD(ctx, CtxSlotCaller)
-	if f != nil {
-		return obj.NilAD, f
-	}
-	local, f := m.Table.LoadAD(ctx, CtxSlotLocalSRO)
-	if f != nil {
-		return obj.NilAD, f
-	}
+	var cv Ctx
+	m.OpenContext(ctx, obj.RightRead, &cv)
+	caller, local := cv.LoadAD(CtxSlotCaller), cv.LoadAD(CtxSlotLocalSRO)
+	pv.Latch(cv.Fault())
 	if local.Valid() {
-		if _, f := m.SRO.DestroyHeap(local); f != nil {
-			return obj.NilAD, f
-		}
+		_, f := m.SRO.DestroyHeap(local)
+		pv.Latch(f)
 	}
-	if f := m.Table.StoreADSystem(p, SlotContext, caller); f != nil {
+	pv.StoreADSystem(SlotContext, caller)
+	if depth := pv.Word(offDepth); depth > 0 {
+		pv.SetWord(offDepth, depth-1)
+	}
+	if f := pv.Fault(); f != nil {
 		return obj.NilAD, f
 	}
-	depth, f := m.Table.ReadWord(p, offDepth)
-	if f != nil {
-		return obj.NilAD, f
-	}
-	if depth > 0 {
-		if f := m.Table.WriteWord(p, offDepth, depth-1); f != nil {
-			return obj.NilAD, f
-		}
-	}
-	if f := m.SRO.Reclaim(ctx.Index); f != nil {
-		return obj.NilAD, f
-	}
-	return caller, nil
+	return caller, m.SRO.Reclaim(ctx.Index)
 }
 
-// Context reports the process's current context.
-func (m *Manager) Context(p obj.AD) (obj.AD, *obj.Fault) {
-	return m.Link(p, SlotContext)
+// Ctx is a context object opened for one operation, as Proc is a process.
+// The view's own bounds rule is the register check: a data register past
+// the file is past the data part, an access register past a3 past the
+// access part.
+type Ctx struct{ obj.View }
+
+// OpenContext resolves context ctx into v for one operation.
+func (m *Manager) OpenContext(ctx obj.AD, want obj.Rights, v *Ctx) {
+	m.Table.View(ctx, obj.TypeContext, want, &v.View)
 }
+
+// IP and SetIP read and write the instruction pointer.
+func (v *Ctx) IP() uint32      { return v.DWord(ctxOffIP) }
+func (v *Ctx) SetIP(ip uint32) { v.SetDWord(ctxOffIP, ip) }
+
+// Reg and SetReg read and write data register r.
+func (v *Ctx) Reg(r uint8) uint32       { return v.DWord(ctxOffRegs + uint32(r)*4) }
+func (v *Ctx) SetReg(r uint8, x uint32) { v.SetDWord(ctxOffRegs+uint32(r)*4, x) }
+
+// AReg and SetAReg read and write access register r. Access registers are
+// processor state, so the store bypasses the level discipline like the
+// real register file did; the level rule bites when the capability is
+// stored into an object.
+func (v *Ctx) AReg(r uint8) obj.AD        { return v.LoadAD(CtxSlotA0 + uint32(r)) }
+func (v *Ctx) SetAReg(r uint8, ad obj.AD) { v.StoreADSystem(CtxSlotA0+uint32(r), ad) }
 
 // IP reads the context's instruction pointer.
 func (m *Manager) IP(ctx obj.AD) (uint32, *obj.Fault) {
-	if _, f := m.Table.RequireType(ctx, obj.TypeContext); f != nil {
-		return 0, f
-	}
-	return m.Table.ReadDWord(ctx, ctxOffIP)
+	var v Ctx
+	m.OpenContext(ctx, obj.RightRead, &v)
+	return v.IP(), v.Fault()
 }
 
 // SetIP writes the context's instruction pointer.
 func (m *Manager) SetIP(ctx obj.AD, ip uint32) *obj.Fault {
-	if _, f := m.Table.RequireType(ctx, obj.TypeContext); f != nil {
-		return f
-	}
-	return m.Table.WriteDWord(ctx, ctxOffIP, ip)
+	var v Ctx
+	m.OpenContext(ctx, obj.RightWrite, &v)
+	v.SetIP(ip)
+	return v.Fault()
 }
 
-// Reg reads data register r of the context.
+// Reg reads data register r of the context. This and the three below are
+// the reference interpreter's per-register traffic: each resolves afresh.
 func (m *Manager) Reg(ctx obj.AD, r uint8) (uint32, *obj.Fault) {
 	if r >= isa.NumDataRegs {
 		return 0, obj.Faultf(obj.FaultBounds, ctx, "data register %d", r)
@@ -501,10 +456,7 @@ func (m *Manager) AReg(ctx obj.AD, r uint8) (obj.AD, *obj.Fault) {
 	return m.Table.LoadAD(ctx, CtxSlotA0+uint32(r))
 }
 
-// SetAReg writes access register r of the context. Access registers are
-// processor state, so the store bypasses the level discipline like the
-// real register file did; the level rule bites when the capability is
-// stored into an object.
+// SetAReg writes access register r of the context (see Ctx.SetAReg).
 func (m *Manager) SetAReg(ctx obj.AD, r uint8, ad obj.AD) *obj.Fault {
 	if r >= isa.NumAccessRegs {
 		return obj.Faultf(obj.FaultBounds, ctx, "access register %d", r)
@@ -513,26 +465,20 @@ func (m *Manager) SetAReg(ctx obj.AD, r uint8, ad obj.AD) *obj.Fault {
 }
 
 // Resume reads and clears the context's pending resume action.
-func (m *Manager) Resume(ctx obj.AD) (action uint16, f *obj.Fault) {
-	if _, f := m.Table.RequireType(ctx, obj.TypeContext); f != nil {
-		return 0, f
+func (m *Manager) Resume(ctx obj.AD) (uint16, *obj.Fault) {
+	var v Ctx
+	m.OpenContext(ctx, obj.RightRead, &v)
+	action := v.Word(ctxOffResume)
+	if action != ResumeNone {
+		v.SetWord(ctxOffResume, ResumeNone)
 	}
-	v, f := m.Table.ReadWord(ctx, ctxOffResume)
-	if f != nil {
-		return 0, f
-	}
-	if v != ResumeNone {
-		if f := m.Table.WriteWord(ctx, ctxOffResume, ResumeNone); f != nil {
-			return 0, f
-		}
-	}
-	return v, nil
+	return action, v.Fault()
 }
 
 // SetResume records a resume action to run when the process next runs.
 func (m *Manager) SetResume(ctx obj.AD, action uint16) *obj.Fault {
-	if _, f := m.Table.RequireType(ctx, obj.TypeContext); f != nil {
-		return f
-	}
-	return m.Table.WriteWord(ctx, ctxOffResume, action)
+	var v Ctx
+	m.OpenContext(ctx, obj.RightWrite, &v)
+	v.SetWord(ctxOffResume, action)
+	return v.Fault()
 }

@@ -14,6 +14,13 @@ type fixture struct {
 	heap obj.AD
 }
 
+// open resolves p for reading its fields; a refusal reads as zeros.
+func (fx *fixture) open(p obj.AD) *Proc {
+	var v Proc
+	fx.m.Open(p, obj.RightRead, &v)
+	return &v
+}
+
 func setup(t *testing.T) *fixture {
 	t.Helper()
 	tab := obj.NewTable(1 << 20)
@@ -40,16 +47,16 @@ func TestCreateDefaults(t *testing.T) {
 	if st, _ := fx.m.StateOf(p); st != StateReady {
 		t.Errorf("initial state = %v", st)
 	}
-	if prio, _ := fx.m.Priority(p); prio != 7 {
+	if prio := fx.open(p).Priority(); prio != 7 {
 		t.Errorf("priority = %d", prio)
 	}
-	if ts, _ := fx.m.TimeSlice(p); ts != 1000 {
+	if ts := fx.open(p).TimeSlice(); ts != 1000 {
 		t.Errorf("time slice = %d", ts)
 	}
-	if sc, _ := fx.m.StopCount(p); sc != 0 {
+	if sc := fx.open(p).StopCount(); sc != 0 {
 		t.Errorf("stop count = %d", sc)
 	}
-	if d, _ := fx.tab.ReadWord(p, offDepth); d != 0 {
+	if d := fx.open(p).Word(offDepth); d != 0 {
 		t.Errorf("depth = %d", d)
 	}
 	if ctx, _ := fx.m.Context(p); ctx.Valid() {
@@ -101,7 +108,7 @@ func TestControlRightRequired(t *testing.T) {
 	if f := fx.m.SetPriority(p, 9); f != nil {
 		t.Errorf("SetPriority with right: %v", f)
 	}
-	if prio, _ := fx.m.Priority(p); prio != 9 {
+	if prio := fx.open(p).Priority(); prio != 9 {
 		t.Errorf("priority = %d", prio)
 	}
 }
@@ -115,7 +122,7 @@ func TestPushPopContext(t *testing.T) {
 	if f != nil {
 		t.Fatal(f)
 	}
-	if d, _ := fx.tab.ReadWord(p, offDepth); d != 1 {
+	if d := fx.open(p).Word(offDepth); d != 1 {
 		t.Fatalf("depth = %d", d)
 	}
 	if lvl, _ := fx.tab.LevelOf(c1); lvl != 1 {
@@ -139,7 +146,7 @@ func TestPushPopContext(t *testing.T) {
 	if caller.Index != c1.Index {
 		t.Fatal("pop did not restore caller")
 	}
-	if d, _ := fx.tab.ReadWord(p, offDepth); d != 1 {
+	if d := fx.open(p).Word(offDepth); d != 1 {
 		t.Fatalf("depth after pop = %d", d)
 	}
 	// The popped context is reclaimed.
@@ -260,8 +267,10 @@ func TestStateTransitions(t *testing.T) {
 func TestFaultCodeRecorded(t *testing.T) {
 	fx := setup(t)
 	p := fx.newProc(t, Spec{})
-	if f := fx.m.SetFaultCode(p, obj.FaultLevel); f != nil {
-		t.Fatal(f)
+	var v Proc
+	fx.m.Open(p, obj.RightWrite, &v)
+	if v.SetFault(obj.FaultLevel, obj.NilIndex); v.Fault() != nil {
+		t.Fatal(v.Fault())
 	}
 	if c, _ := fx.m.FaultCode(p); c != obj.FaultLevel {
 		t.Fatalf("fault code = %v", c)

@@ -56,7 +56,7 @@ func NewManager(t *obj.Table) *Manager { return &Manager{Table: t} }
 // 0 means bounded only by physical memory. The SRO object itself is
 // level 0 and belongs to no SRO (it is reclaimed only explicitly).
 func (m *Manager) NewGlobalHeap(claim uint32) (obj.AD, *obj.Fault) {
-	return m.newSRO(obj.NilAD, obj.LevelGlobal, claim)
+	return m.newSRO(nil, obj.LevelGlobal, claim)
 }
 
 // NewLocalHeap creates an SRO producing objects at the given level,
@@ -65,64 +65,52 @@ func (m *Manager) NewGlobalHeap(claim uint32) (obj.AD, *obj.Fault) {
 // (§5: objects "may be destroyed whenever their ancestral SRO is
 // destroyed").
 func (m *Manager) NewLocalHeap(parent obj.AD, level obj.Level, claim uint32) (obj.AD, *obj.Fault) {
-	if _, f := m.Table.RequireType(parent, obj.TypeSRO); f != nil {
-		return obj.NilAD, f
-	}
-	if !parent.Rights.Has(RightAllocate) {
-		return obj.NilAD, obj.Faultf(obj.FaultRights, parent, "need allocate right on SRO")
-	}
-	parentLevel, f := m.Table.ReadWord(parent, offLevel)
-	if f != nil {
+	var pv obj.View
+	m.Table.View(parent, obj.TypeSRO, RightAllocate|obj.RightRead, &pv)
+	parentLevel := pv.Word(offLevel)
+	if f := pv.Fault(); f != nil {
 		return obj.NilAD, f
 	}
 	if level < obj.Level(parentLevel) {
 		return obj.NilAD, obj.Faultf(obj.FaultLevel, parent,
 			"local heap level %d below parent's %d", level, parentLevel)
 	}
-	return m.newSRO(parent, level, claim)
+	return m.newSRO(&pv, level, claim)
 }
 
-func (m *Manager) newSRO(parent obj.AD, level obj.Level, claim uint32) (obj.AD, *obj.Fault) {
+// newSRO creates an SRO under the opened parent pv, or a root for nil.
+func (m *Manager) newSRO(pv *obj.View, level obj.Level, claim uint32) (obj.AD, *obj.Fault) {
 	spec := obj.CreateSpec{
 		Type:        obj.TypeSRO,
 		DataLen:     sroData,
 		AccessSlots: sroSlots,
 	}
-	if parent.Valid() {
+	if pv != nil {
 		// The SRO object itself is allocated from its parent so that
 		// bulk destruction of the parent sweeps it up. Its own level
 		// is the parent's level (the SRO must be storable where its
 		// creator can reach it), while the objects it creates get
 		// the (deeper) level recorded in its data part.
-		pl, f := m.Table.ReadWord(parent, offLevel)
-		if f != nil {
-			return obj.NilAD, f
-		}
-		spec.Level = obj.Level(pl)
-		spec.SRO = parent.Index
+		spec.Level, spec.SRO = obj.Level(pv.Word(offLevel)), pv.AD().Index
 	}
 	sroAD, f := m.Table.Create(spec)
 	if f != nil {
 		return obj.NilAD, f
 	}
-	if parent.Valid() {
-		if f := m.charge(parent, sroData+sroSlots*obj.ADSlotSize); f != nil {
+	if pv != nil {
+		if charge(pv, footprint(spec)); pv.Fault() != nil {
 			_ = m.Table.DestroyIndex(sroAD.Index)
-			return obj.NilAD, f
+			return obj.NilAD, pv.Fault()
 		}
 	}
-	if f := m.Table.WriteWord(sroAD, offLevel, uint16(level)); f != nil {
-		return obj.NilAD, f
+	var sv obj.View
+	m.Table.View(sroAD, obj.TypeSRO, obj.RightWrite, &sv)
+	sv.SetWord(offLevel, uint16(level))
+	sv.SetDWord(offClaim, claim)
+	if pv != nil {
+		sv.StoreAD(slotParent, pv.AD().Restrict(obj.RightsAll))
 	}
-	if f := m.Table.WriteDWord(sroAD, offClaim, claim); f != nil {
-		return obj.NilAD, f
-	}
-	if parent.Valid() {
-		if f := m.Table.StoreAD(sroAD, slotParent, parent.Restrict(obj.RightsAll)); f != nil {
-			return obj.NilAD, f
-		}
-	}
-	return sroAD, nil
+	return sroAD, sv.Fault()
 }
 
 // footprint is the byte cost charged to an SRO for an object.
@@ -130,64 +118,48 @@ func footprint(spec obj.CreateSpec) uint32 {
 	return spec.DataLen + spec.AccessSlots*obj.ADSlotSize
 }
 
-func (m *Manager) charge(sro obj.AD, n uint32) *obj.Fault {
-	claim, f := m.Table.ReadDWord(sro, offClaim)
-	if f != nil {
-		return f
-	}
-	used, f := m.Table.ReadDWord(sro, offUsed)
-	if f != nil {
-		return f
-	}
+// charge draws n bytes on the claim of the opened SRO, or latches the
+// storage-claim fault.
+func charge(sv *obj.View, n uint32) {
+	claim, used := sv.DWord(offClaim), sv.DWord(offUsed)
 	if claim != 0 && used+n > claim {
-		return obj.Faultf(obj.FaultStorageClaim, sro,
-			"claim %d bytes, used %d, need %d more", claim, used, n)
+		sv.Latch(obj.Faultf(obj.FaultStorageClaim, sv.AD(),
+			"claim %d bytes, used %d, need %d more", claim, used, n))
 	}
-	return m.Table.WriteDWord(sro, offUsed, used+n)
+	sv.SetDWord(offUsed, used+n)
 }
 
+// credit returns n bytes to the claim of the SRO at sroIdx, if it is still
+// there: an ancestral SRO already gone has nothing to credit.
 func (m *Manager) credit(sroIdx obj.Index, n uint32) {
-	d := m.Table.DescriptorAt(sroIdx)
-	if d == nil || d.Type != obj.TypeSRO {
-		return // ancestral SRO already gone; nothing to credit
-	}
-	ad := obj.AD{Index: sroIdx, Gen: d.Gen, Rights: obj.RightsAll}
-	used, f := m.Table.ReadDWord(ad, offUsed)
-	if f != nil {
+	ad, ok := m.Table.SystemAD(sroIdx)
+	if !ok {
 		return
 	}
-	if n > used {
-		n = used // never underflow; damaged accounting degrades safely
-	}
-	_ = m.Table.WriteDWord(ad, offUsed, used-n)
+	var sv obj.View
+	m.Table.View(ad, obj.TypeSRO, obj.RightRead, &sv)
+	used := sv.DWord(offUsed)
+	// Never underflow; damaged accounting degrades safely.
+	sv.SetDWord(offUsed, used-min(n, used))
 }
 
 // Create allocates a new object from the SRO: the create-object
 // instruction's software half. The object's level and ancestry come from
 // the SRO; the spec's Type, DataLen and AccessSlots are the caller's.
 func (m *Manager) Create(sro obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
-	if _, f := m.Table.RequireType(sro, obj.TypeSRO); f != nil {
-		return obj.NilAD, f
-	}
-	if !sro.Rights.Has(RightAllocate) {
-		return obj.NilAD, obj.Faultf(obj.FaultRights, sro, "need allocate right on SRO")
-	}
-	level, f := m.Table.ReadWord(sro, offLevel)
-	if f != nil {
-		return obj.NilAD, f
-	}
-	spec.Level = obj.Level(level)
-	spec.SRO = sro.Index
-	if f := m.charge(sro, footprint(spec)); f != nil {
+	var sv obj.View
+	m.Table.View(sro, obj.TypeSRO, RightAllocate|obj.RightRead, &sv)
+	spec.Level, spec.SRO = obj.Level(sv.Word(offLevel)), sro.Index
+	charge(&sv, footprint(spec))
+	if f := sv.Fault(); f != nil {
 		return obj.NilAD, f
 	}
 	ad, f := m.Table.Create(spec)
 	if f != nil {
-		m.credit(sro.Index, footprint(spec))
+		sv.SetDWord(offUsed, sv.DWord(offUsed)-footprint(spec))
 		return obj.NilAD, f
 	}
-	allocs, _ := m.Table.ReadDWord(sro, offAllocs)
-	_ = m.Table.WriteDWord(sro, offAllocs, allocs+1)
+	sv.SetDWord(offAllocs, sv.DWord(offAllocs)+1)
 	return ad, nil
 }
 
@@ -222,11 +194,7 @@ func (m *Manager) DestroyHeap(sro obj.AD) (int, *obj.Fault) {
 	if !sro.Rights.Has(obj.RightDelete) {
 		return 0, obj.Faultf(obj.FaultRights, sro, "need delete right on SRO")
 	}
-	n := m.destroyAllocations(sro.Index)
-	if f := m.Reclaim(sro.Index); f != nil {
-		return n, f
-	}
-	return n, nil
+	return m.destroyAllocations(sro.Index), m.Reclaim(sro.Index)
 }
 
 func (m *Manager) destroyAllocations(sroIdx obj.Index) int {
@@ -250,32 +218,21 @@ func (m *Manager) destroyAllocations(sroIdx obj.Index) int {
 
 // Usage reports the SRO's claim, bytes in use, and cumulative allocations.
 func (m *Manager) Usage(sro obj.AD) (claim, used, allocs uint32, f *obj.Fault) {
-	if _, f := m.Table.RequireType(sro, obj.TypeSRO); f != nil {
-		return 0, 0, 0, f
-	}
-	if claim, f = m.Table.ReadDWord(sro, offClaim); f != nil {
-		return
-	}
-	if used, f = m.Table.ReadDWord(sro, offUsed); f != nil {
-		return
-	}
-	allocs, f = m.Table.ReadDWord(sro, offAllocs)
-	return
+	var sv obj.View
+	m.Table.View(sro, obj.TypeSRO, obj.RightRead, &sv)
+	return sv.DWord(offClaim), sv.DWord(offUsed), sv.DWord(offAllocs), sv.Fault()
 }
 
 // Level reports the level number of objects created from this SRO.
 func (m *Manager) Level(sro obj.AD) (obj.Level, *obj.Fault) {
-	if _, f := m.Table.RequireType(sro, obj.TypeSRO); f != nil {
-		return 0, f
-	}
-	l, f := m.Table.ReadWord(sro, offLevel)
-	return obj.Level(l), f
+	var sv obj.View
+	m.Table.View(sro, obj.TypeSRO, obj.RightRead, &sv)
+	return obj.Level(sv.Word(offLevel)), sv.Fault()
 }
 
 // Parent reports the SRO's parent capability, or NilAD for a root.
 func (m *Manager) Parent(sro obj.AD) (obj.AD, *obj.Fault) {
-	if _, f := m.Table.RequireType(sro, obj.TypeSRO); f != nil {
-		return obj.NilAD, f
-	}
-	return m.Table.LoadAD(sro, slotParent)
+	var sv obj.View
+	m.Table.View(sro, obj.TypeSRO, obj.RightRead, &sv)
+	return sv.LoadAD(slotParent), sv.Fault()
 }

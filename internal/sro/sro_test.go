@@ -176,7 +176,7 @@ func TestDestroyHeapRecursesIntoChildHeaps(t *testing.T) {
 	if n != 4 {
 		t.Fatalf("destroyed %d, want 4", n)
 	}
-	if _, f := tab.ReadWord(l2, offLevel); !obj.IsFault(f, obj.FaultInvalidAD) {
+	if _, f := tab.ReadDWord(l2, offLevel); !obj.IsFault(f, obj.FaultInvalidAD) {
 		t.Fatal("child SRO survived")
 	}
 }

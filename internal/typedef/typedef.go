@@ -78,29 +78,18 @@ func (m *Manager) Define(name string, level obj.Level, sro obj.Index) (obj.AD, *
 	if f != nil {
 		return obj.NilAD, f
 	}
-	if f := m.Table.WriteWord(tdo, offNameLen, uint16(len(name))); f != nil {
-		return obj.NilAD, f
-	}
-	if f := m.Table.WriteBytes(tdo, offName, []byte(name)); f != nil {
-		return obj.NilAD, f
-	}
-	return tdo, nil
+	var tv obj.View
+	m.Table.View(tdo, obj.TypeTDO, obj.RightWrite, &tv)
+	tv.SetWord(offNameLen, uint16(len(name)))
+	tv.SetBytes(offName, []byte(name))
+	return tdo, tv.Fault()
 }
 
 // Name reports the type's name.
 func (m *Manager) Name(tdo obj.AD) (string, *obj.Fault) {
-	if _, f := m.Table.RequireType(tdo, obj.TypeTDO); f != nil {
-		return "", f
-	}
-	n, f := m.Table.ReadWord(tdo, offNameLen)
-	if f != nil {
-		return "", f
-	}
-	p, f := m.Table.ReadBytes(tdo, offName, uint32(n))
-	if f != nil {
-		return "", f
-	}
-	return string(p), nil
+	var tv obj.View
+	m.Table.View(tdo, obj.TypeTDO, obj.RightRead, &tv)
+	return string(tv.Bytes(offName, uint32(tv.Word(offNameLen)))), tv.Fault()
 }
 
 // CreateInstance creates an object labelled with the TDO's user type. The
@@ -162,42 +151,27 @@ func (m *Manager) Amplify(tdo obj.AD, ad obj.AD, grant obj.Rights) (obj.AD, *obj
 // instance of a filtered type, manufactures an AD for it and sends it to
 // the port instead of reclaiming it. Requires the retype right.
 func (m *Manager) ArmDestructionFilter(tdo obj.AD, port obj.AD) *obj.Fault {
-	if _, f := m.Table.RequireType(tdo, obj.TypeTDO); f != nil {
-		return f
-	}
-	if !tdo.Rights.Has(RightRetype) {
-		return obj.Faultf(obj.FaultRights, tdo, "need retype right on TDO")
-	}
-	if _, f := m.Table.RequireType(port, obj.TypePort); f != nil {
-		return f
-	}
-	if f := m.Table.StoreAD(tdo, slotFilterPort, port); f != nil {
-		return f
-	}
-	flags, f := m.Table.ReadWord(tdo, offFlags)
-	if f != nil {
-		return f
-	}
-	return m.Table.WriteWord(tdo, offFlags, flags|flagFilterArmed)
+	var tv obj.View
+	m.Table.View(tdo, obj.TypeTDO, RightRetype, &tv)
+	_, f := m.Table.RequireType(port, obj.TypePort)
+	tv.Latch(f)
+	tv.StoreAD(slotFilterPort, port)
+	tv.SetWord(offFlags, tv.Word(offFlags)|flagFilterArmed)
+	return tv.Fault()
 }
 
 // FilterPort reports the destruction-filter port of the TDO at index tdoIdx
 // and whether the filter is armed. The collector calls this below the
 // capability discipline (it holds no ADs), so it takes a raw index.
 func (m *Manager) FilterPort(tdoIdx obj.Index) (obj.AD, bool) {
-	d := m.Table.DescriptorAt(tdoIdx)
-	if d == nil || d.Type != obj.TypeTDO {
+	tdo, ok := m.Table.SystemAD(tdoIdx)
+	if !ok {
 		return obj.NilAD, false
 	}
-	// Read below the capability discipline, mirroring Referents.
-	tdoAD := obj.AD{Index: tdoIdx, Gen: d.Gen, Rights: obj.RightsAll}
-	flags, f := m.Table.ReadWord(tdoAD, offFlags)
-	if f != nil || flags&flagFilterArmed == 0 {
-		return obj.NilAD, false
+	var tv obj.View
+	m.Table.View(tdo, obj.TypeTDO, obj.RightRead, &tv)
+	if port := tv.LoadAD(slotFilterPort); port.Valid() && tv.Word(offFlags)&flagFilterArmed != 0 {
+		return port, true
 	}
-	port, f := m.Table.LoadAD(tdoAD, slotFilterPort)
-	if f != nil || !port.Valid() {
-		return obj.NilAD, false
-	}
-	return port, true
+	return obj.NilAD, false
 }

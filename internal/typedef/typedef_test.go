@@ -180,7 +180,7 @@ func TestTDOIsFilable(t *testing.T) {
 	// name before and after a write of unrelated flags.
 	_, m := setup(t)
 	tdo := define(t, m, "persistent_type")
-	if f := m.Table.WriteWord(tdo, offFlags, flagFilterArmed); f != nil {
+	if f := m.Table.WriteBytes(tdo, offFlags, []byte{flagFilterArmed, 0}); f != nil {
 		t.Fatal(f)
 	}
 	name, f := m.Name(tdo)
