@@ -79,6 +79,7 @@ const (
 	kBrLT  // ip = imm if r[a] < r[b]
 	kLoad  // r[a] = dword at imm of the object a-reg b names
 	kStore // dword at imm of the object a-reg b names = r[a]
+	kDown  // kAddI r[a] = r[a] - 1, followed by kBrNZ r[a] back to it
 )
 
 // fastKind names the run loop's instruction for each opcode of the fast
@@ -93,7 +94,9 @@ var fastKind = [...]uint8{
 // predecode translates prog op for op (len(ops) == len(prog)). Register
 // fields are checked here, once, against the operand kinds of the opcode
 // table; branch targets are not, because an IP at or past the end is the
-// next fetch's FaultBounds, not the branch's.
+// next fetch's FaultBounds, not the branch's. The AddI of a countdown
+// `addi rX,rX,-1; brnz rX,<that addi>` becomes kDown; its BrNZ keeps its
+// own kind, for a jump straight to it.
 func predecode(prog []isa.Instr) []xop {
 	ops := make([]xop, len(prog))
 	for i, in := range prog {
@@ -110,6 +113,13 @@ func predecode(prog []isa.Instr) []xop {
 			}
 		}
 		ops[i] = op
+	}
+	for i := 1; i < len(ops); i++ {
+		add, br := &ops[i-1], ops[i]
+		if add.kind == kAddI && add.a == add.b && add.imm == ^uint32(0) &&
+			br.kind == kBrNZ && br.a == add.a && br.imm == uint32(i-1) {
+			add.kind = kDown
+		}
 	}
 	return ops
 }
@@ -261,6 +271,13 @@ func (s *System) surcharge() vtime.Cycles {
 // nothing for it. alu and br are the two costs, surcharge included. It is
 // a leaf — it calls nothing that is not inlined — so ip, left and the
 // count stay in registers; the loads and stores live in the caller.
+//
+// A kDown retires k whole passes of its pair at once: k is the least of
+// the trips to the loop's exit, the passes that leave left above zero and
+// the passes that fit room. Nothing reads the register between passes and
+// the line is tested after each instruction, so the reference would stop
+// at the same instruction: within pass k+1 if it stops at all before the
+// exit. A k of 0 retires the AddI alone.
 func runRegs(w *regWin, ops []xop, ip uint32, left, alu, br int64, room uint64) (uint32, int64, uint64) {
 	n := uint64(0)
 	for ip < uint32(len(ops)) {
@@ -286,6 +303,22 @@ func runRegs(w *regWin, ops []xop, ip uint32, left, alu, br int64, room uint64) 
 		case kAddI:
 			regSet(w, op.a, regGet(w, op.b)+op.imm)
 			ip, left = ip+1, left-alu
+		case kDown:
+			v := regGet(w, op.a)
+			trips := int64(v)
+			if v == 0 {
+				trips = 1 << 32
+			}
+			if k := min(trips, (left-1)/(alu+br), int64((room-n)/2)); k > 0 {
+				regSet(w, op.a, v-uint32(k))
+				if k == trips {
+					ip += 2
+				}
+				left, n = left-k*(alu+br), n+2*uint64(k)-1 // the last one is counted below
+			} else {
+				regSet(w, op.a, v-1)
+				ip, left = ip+1, left-alu
+			}
 		case kBr:
 			ip, left = op.imm, left-br
 		case kBrZ:
