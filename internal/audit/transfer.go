@@ -3,26 +3,25 @@ package audit
 import "fmt"
 
 // Cross-node reference accounting for the cluster transfer channel
-// (internal/cluster). A passivated graph in flight between kernels must
-// be owned by exactly one place at every instant — the sending node's
-// filing volume, exactly one wire buffer, or the receiving node's
-// volume — and once the flight closes, the activation-side object count
-// must reconcile with the passivation-side count. The cluster snapshots
+// (internal/cluster). A graph image in flight between kernels is on
+// exactly one wire buffer until delivery, on none once delivered, and
+// the activation-side object count of a closed flight must reconcile
+// with the passivation-side count. No filing volume holds a flight: the
+// receiver activates the bytes the wire carried. The cluster snapshots
 // its ledger and queues into the neutral structs below so this package
 // can check the invariants without importing cluster (which imports
 // audit for per-node checks).
 
 // Transfer-flight states as recorded in GraphFlight.State.
 const (
-	FlightWire   = "wire"   // serialized, sitting in exactly one wire buffer
-	FlightStore  = "store"  // delivered into the receiver's filing volume
-	FlightClosed = "closed" // activated (or failed) and removed everywhere
+	FlightWire      = "wire"      // serialized, sitting in exactly one wire buffer
+	FlightDelivered = "delivered" // off the wire, checked, not yet activated
+	FlightClosed    = "closed"    // activated (or failed) and removed everywhere
 )
 
 // GraphFlight is the ledger's view of one shipped graph, joined against
 // ground truth observed when the snapshot was taken: how many wire
-// buffers actually hold the image and whether the receiver's volume
-// actually holds the token.
+// buffers actually hold the image.
 type GraphFlight struct {
 	ID        uint64
 	From, To  int
@@ -30,16 +29,16 @@ type GraphFlight struct {
 	Objects   int  // passivation-side object count
 	Activated int  // activation-side object count (0 until closed)
 	Failed    bool // activation refused the image
-	// Observed ownership, not ledger claims:
-	WireCopies int  // images carrying this graph ID across all queues
-	StoreHeld  bool // receiver's filing volume still holds the token
+	// Observed ownership, not a ledger claim: images carrying this graph
+	// ID across all queues.
+	WireCopies int
 }
 
 // TransferSnapshot is everything CheckTransfers needs: the per-flight
 // ledger join plus each node's filing-store counters. The per-node
-// counters assume the transfer channel is the volumes' only client, which
+// counters assume the transfer channel is the stores' only client, which
 // holds inside a Cluster: nodes boot with private stores that only
-// Ship/Deliver/Materialize touch.
+// Ship and Materialize touch.
 type TransferSnapshot struct {
 	Nodes   int
 	Flights []GraphFlight
@@ -73,28 +72,19 @@ func CheckTransfers(s TransferSnapshot) []Violation {
 			if fl.WireCopies != 1 {
 				bad(fl.ID, "on the wire with %d wire copies, want exactly 1", fl.WireCopies)
 			}
-			if fl.StoreHeld {
-				bad(fl.ID, "on the wire but also held by node %d's volume", fl.To)
-			}
 			if fl.Activated != 0 {
 				bad(fl.ID, "on the wire yet %d objects already activated", fl.Activated)
 			}
-		case FlightStore:
+		case FlightDelivered:
 			if fl.WireCopies != 0 {
 				bad(fl.ID, "delivered but %d wire copies remain", fl.WireCopies)
 			}
-			if !fl.StoreHeld {
-				bad(fl.ID, "delivered but node %d's volume does not hold it", fl.To)
-			}
 			if fl.Activated != 0 {
-				bad(fl.ID, "still filed yet %d objects already activated", fl.Activated)
+				bad(fl.ID, "delivered yet %d objects already activated", fl.Activated)
 			}
 		case FlightClosed:
 			if fl.WireCopies != 0 {
 				bad(fl.ID, "closed but %d wire copies remain", fl.WireCopies)
-			}
-			if fl.StoreHeld {
-				bad(fl.ID, "closed but node %d's volume still holds it", fl.To)
 			}
 			if fl.Failed {
 				if fl.Activated != 0 {

@@ -24,7 +24,7 @@ func snap(flights ...GraphFlight) TransferSnapshot {
 func TestCheckTransfersCleanStates(t *testing.T) {
 	s := snap(
 		GraphFlight{ID: 1, From: 0, To: 1, State: FlightWire, Objects: 3, WireCopies: 1},
-		GraphFlight{ID: 2, From: 1, To: 0, State: FlightStore, Objects: 2, StoreHeld: true},
+		GraphFlight{ID: 2, From: 1, To: 0, State: FlightDelivered, Objects: 2},
 		GraphFlight{ID: 3, From: 0, To: 1, State: FlightClosed, Objects: 4, Activated: 4},
 		GraphFlight{ID: 4, From: 0, To: 1, State: FlightClosed, Objects: 2, Failed: true},
 	)
@@ -41,10 +41,13 @@ func TestCheckTransfersViolations(t *testing.T) {
 	}{
 		{"zero wire copies", GraphFlight{ID: 1, To: 1, State: FlightWire, Objects: 1, WireCopies: 0}, "wire copies"},
 		{"double wire copies", GraphFlight{ID: 1, To: 1, State: FlightWire, Objects: 1, WireCopies: 2}, "wire copies"},
-		{"wire and store", GraphFlight{ID: 1, To: 1, State: FlightWire, Objects: 1, WireCopies: 1, StoreHeld: true}, "volume"},
-		{"store without copy", GraphFlight{ID: 1, To: 1, State: FlightStore, Objects: 1}, "does not hold"},
-		{"store with wire copy", GraphFlight{ID: 1, To: 1, State: FlightStore, Objects: 1, StoreHeld: true, WireCopies: 1}, "wire copies remain"},
-		{"closed still held", GraphFlight{ID: 1, To: 1, State: FlightClosed, Objects: 1, Activated: 1, StoreHeld: true}, "still holds"},
+		// "store" is the receiving node: a delivered image, or the
+		// objects activation stored there.
+		{"wire and store", GraphFlight{ID: 1, To: 1, State: FlightWire, Objects: 1, WireCopies: 1, Activated: 1}, "already activated"},
+		{"store without copy", GraphFlight{ID: 1, To: 1, State: FlightClosed, Objects: 1}, "activated 0 of 1"},
+		{"store with wire copy", GraphFlight{ID: 1, To: 1, State: FlightDelivered, Objects: 1, WireCopies: 1}, "wire copies remain"},
+		{"delivered but activated", GraphFlight{ID: 1, To: 1, State: FlightDelivered, Objects: 1, Activated: 1}, "already activated"},
+		{"closed still held", GraphFlight{ID: 1, To: 1, State: FlightClosed, Objects: 1, Activated: 1, WireCopies: 1}, "wire copies remain"},
 		{"count mismatch", GraphFlight{ID: 1, To: 1, State: FlightClosed, Objects: 3, Activated: 2}, "activated 2 of 3"},
 		{"failed but live", GraphFlight{ID: 1, To: 1, State: FlightClosed, Objects: 2, Activated: 2, Failed: true}, "failed activation"},
 		{"bad endpoint", GraphFlight{ID: 1, From: 5, To: 1, State: FlightWire, Objects: 1, WireCopies: 1}, "outside cluster"},

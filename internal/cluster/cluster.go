@@ -2,24 +2,22 @@
 // process and connects them with the only channel the multicomputer
 // object-store design allows: passivated object graphs. Each node is a
 // full core.IMAX — its own object table, SRO manager, type manager, and
-// filing volume — and nothing else is shared. A graph leaves a node by
-// Passivate → Export on the sender's volume, rides a wire buffer as
-// self-checking image bytes, and re-enters by Import → Activate on the
-// receiver's volume, where user types re-bind to the *receiver's* live
-// TDOs. Capabilities never cross: an AD is meaningless outside its
-// table, so the wire carries structure and bytes, and each kernel mints
-// its own authority on arrival — exactly the filing guarantee made
-// load-bearing.
+// filing store — and nothing else is shared. A graph leaves a node as the
+// sender's filing.Encode image, rides a wire buffer as those self-checking
+// bytes, is checked on delivery, and re-enters by ActivateImage on the
+// receiver, where user types re-bind to the *receiver's* live TDOs.
+// Capabilities never cross: an AD is meaningless outside its table, so
+// the wire carries structure and bytes, and each kernel mints its own
+// authority on arrival — exactly the filing guarantee made load-bearing.
 //
 // Every shipped graph is tracked in a transfer ledger. At any instant a
-// graph is owned by exactly one place — the wire buffer between two
-// nodes, or the receiver's filing volume — and once materialized (or
-// refused), by no place at all. audit.CheckTransfers validates that
-// single-ownership rule and reconciles activation-side object counts
-// against passivation-side counts across the whole cluster; Snapshot
-// produces its input by joining the ledger against ground truth (the
-// actual queues, the actual volumes) rather than trusting the ledger's
-// own claims.
+// graph is on exactly one wire buffer, delivered to its receiver and not
+// yet activated, or — once materialized (or refused) — nowhere at all.
+// audit.CheckTransfers validates that single-ownership rule and
+// reconciles activation-side object counts against passivation-side
+// counts across the whole cluster; Snapshot produces its input by
+// joining the ledger against ground truth (the actual queues) rather
+// than trusting the ledger's own claims.
 package cluster
 
 import (
@@ -27,6 +25,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/core"
+	"repro/internal/filing"
 	"repro/internal/obj"
 )
 
@@ -45,22 +44,15 @@ type Msg struct {
 	From, To int
 	Kind     Kind
 	Seq      uint64 // caller correlation id (session, request, …)
-	Img      []byte // Export output: self-checking image bytes
+	Img      []byte // filing.Encode output: self-checking image bytes
 	Objects  int    // passivation-side object count
-}
-
-// Delivery is a message Import-ed into the receiving node's volume,
-// ready to Materialize.
-type Delivery struct {
-	Msg
-	Tok uint64 // token in the receiver's volume
 }
 
 type flightState uint8
 
 const (
 	flightWire flightState = iota
-	flightStore
+	flightDelivered
 	flightClosed
 )
 
@@ -70,7 +62,6 @@ type graphRec struct {
 	objects   int
 	activated int
 	state     flightState
-	tok       uint64 // receiver-volume token while state == flightStore
 	failed    bool
 }
 
@@ -99,12 +90,10 @@ type Cluster struct {
 	// out in shipping order from 1, and entry 0 is the id no graph has.
 	graphs []graphRec
 	// delivered is Deliver's result, reused by the next call.
-	delivered []Delivery
+	delivered []Msg
 
 	// Wire statistics.
 	Shipped           uint64
-	DeliveredMsgs     uint64
-	Materialized      uint64
 	FailedActivations uint64
 	WireBytes         uint64
 }
@@ -131,9 +120,8 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Ship passivates the graph rooted at root on node from and enqueues its
-// image toward node to. The sender's volume gives the image up
-// immediately — the wire buffer is the graph's sole owner until
+// Ship encodes the graph rooted at root on node from and enqueues its
+// image toward node to: the wire buffer is the image's sole owner until
 // delivery. The live graph on the sender is untouched; shipping files a
 // copy, it does not destroy the original.
 func (c *Cluster) Ship(from, to int, root obj.AD, kind Kind, seq uint64) (uint64, error) {
@@ -142,18 +130,11 @@ func (c *Cluster) Ship(from, to int, root obj.AD, kind Kind, seq uint64) (uint64
 	}
 	st := c.Nodes[from].IM.Files
 	filed0 := st.FiledObjects
-	tok, err := st.Passivate(root)
+	img, err := st.Encode(root)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: passivating on node %d: %w", from, err)
 	}
 	objects := int(st.FiledObjects - filed0)
-	img, err := st.Export(tok)
-	if err != nil {
-		return 0, err
-	}
-	if err := st.Delete(tok); err != nil {
-		return 0, err
-	}
 	id := uint64(len(c.graphs))
 	c.graphs = append(c.graphs, graphRec{from: from, to: to, kind: kind, objects: objects, state: flightWire})
 	c.queues[from][to] = append(c.queues[from][to], Msg{
@@ -165,31 +146,27 @@ func (c *Cluster) Ship(from, to int, root obj.AD, kind Kind, seq uint64) (uint64
 }
 
 // Deliver drains every queue addressed to node to, in deterministic
-// order (sender 0 first, FIFO within a sender), importing each image
-// into the receiver's volume. An image the volume refuses (wire damage)
-// closes its flight as failed; clean deliveries come back ready to
-// Materialize, in a slice that is the caller's until the next Deliver.
-func (c *Cluster) Deliver(to int) ([]Delivery, error) {
+// order (sender 0 first, FIFO within a sender), checking each image. An
+// image that fails its check (wire damage) closes its flight as failed;
+// clean messages come back ready to Materialize, in a slice that is the
+// caller's until the next Deliver.
+func (c *Cluster) Deliver(to int) ([]Msg, error) {
 	if to < 0 || to >= len(c.Nodes) {
 		return nil, fmt.Errorf("cluster: deliver to %d outside cluster of %d nodes", to, len(c.Nodes))
 	}
-	st := c.Nodes[to].IM.Files
 	out := c.delivered[:0]
 	for from := range c.Nodes {
 		q := c.queues[from][to]
 		for _, m := range q {
 			rec := &c.graphs[m.Graph]
-			tok, err := st.Import(m.Img)
-			if err != nil {
+			if filing.CheckImage(m.Img) != nil {
 				rec.state = flightClosed
 				rec.failed = true
 				c.FailedActivations++
 				continue
 			}
-			rec.state = flightStore
-			rec.tok = tok
-			c.DeliveredMsgs++
-			out = append(out, Delivery{Msg: m, Tok: tok})
+			rec.state = flightDelivered
+			out = append(out, m)
 		}
 		clear(q) // the queue keeps its room, not the images
 		c.queues[from][to] = q[:0]
@@ -198,20 +175,18 @@ func (c *Cluster) Deliver(to int) ([]Delivery, error) {
 	return out, nil
 }
 
-// Materialize activates a delivered graph on its destination node,
-// allocating from the node's global heap, and closes the flight. The
-// volume's copy is deleted either way: success hands ownership to the
-// live object graph, failure (corrupt edge, unbound type, exhausted
-// claim — all unwound by filing) leaves the graph owned by no one, and
-// the ledger records which.
-func (c *Cluster) Materialize(d Delivery) (obj.AD, []obj.AD, error) {
-	if d.Graph >= uint64(len(c.graphs)) || c.graphs[d.Graph].state != flightStore {
-		return obj.NilAD, nil, fmt.Errorf("cluster: graph %d is not deliverable", d.Graph)
+// Materialize activates a delivered message's image on its destination
+// node, allocating from the node's global heap, and closes the flight.
+// Success hands the graph to the live objects; failure (damage since
+// delivery, corrupt edge, unbound type, exhausted claim — all unwound by
+// filing) leaves it owned by no one, and the ledger records which.
+func (c *Cluster) Materialize(m Msg) (obj.AD, []obj.AD, error) {
+	if m.Graph >= uint64(len(c.graphs)) || c.graphs[m.Graph].state != flightDelivered {
+		return obj.NilAD, nil, fmt.Errorf("cluster: graph %d is not deliverable", m.Graph)
 	}
-	rec := &c.graphs[d.Graph]
-	im := c.Nodes[d.To].IM
-	root, created, err := im.Files.ActivateGraph(d.Tok, im.Heap)
-	_ = im.Files.Delete(d.Tok)
+	rec := &c.graphs[m.Graph]
+	im := c.Nodes[m.To].IM
+	root, created, err := im.Files.ActivateImage(m.Img, im.Heap)
 	rec.state = flightClosed
 	if err != nil {
 		rec.failed = true
@@ -219,7 +194,6 @@ func (c *Cluster) Materialize(d Delivery) (obj.AD, []obj.AD, error) {
 		return obj.NilAD, nil, err
 	}
 	rec.activated = len(created)
-	c.Materialized++
 	return root, created, nil
 }
 
@@ -242,9 +216,8 @@ func (c *Cluster) ReclaimGraph(node int, created []obj.AD) error {
 }
 
 // Snapshot joins the transfer ledger against observed ground truth —
-// the wire queues as they are, the volumes as they are — for
-// audit.CheckTransfers. It trusts the ledger for what was shipped and
-// the world for where everything is.
+// the wire queues as they are — for audit.CheckTransfers. It trusts the
+// ledger for what was shipped and the queues for what is on the wire.
 func (c *Cluster) Snapshot() audit.TransferSnapshot {
 	wireCount := make([]int, len(c.graphs))
 	for from := range c.queues {
@@ -259,21 +232,17 @@ func (c *Cluster) Snapshot() audit.TransferSnapshot {
 	s := audit.TransferSnapshot{Nodes: len(c.Nodes)}
 	for id := 1; id < len(c.graphs); id++ {
 		rec := &c.graphs[id]
-		// Ground truth, not the ledger's claim: a token is "held" iff the
-		// receiver's volume actually still has it. Tokens are never
-		// reused, so a closed flight whose Delete misfired shows up here.
-		held := rec.tok != 0 && c.Nodes[rec.to].IM.Files.Has(rec.tok)
 		state := audit.FlightWire
 		switch rec.state {
-		case flightStore:
-			state = audit.FlightStore
+		case flightDelivered:
+			state = audit.FlightDelivered
 		case flightClosed:
 			state = audit.FlightClosed
 		}
 		s.Flights = append(s.Flights, audit.GraphFlight{
 			ID: uint64(id), From: rec.from, To: rec.to, State: state,
 			Objects: rec.objects, Activated: rec.activated, Failed: rec.failed,
-			WireCopies: wireCount[id], StoreHeld: held,
+			WireCopies: wireCount[id],
 		})
 	}
 	for _, n := range c.Nodes {

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/audit"
 	"repro/internal/core"
+	"repro/internal/filing"
 	"repro/internal/obj"
 )
 
@@ -216,13 +218,16 @@ func TestSnapshotCatchesSmuggledWireCopy(t *testing.T) {
 	}
 }
 
-func TestSnapshotCatchesRetainedToken(t *testing.T) {
+// TestDamageAfterDeliveryFailsMaterialize: the receiver activates the
+// bytes the wire carried, so damage after Deliver's check still surfaces
+// at activation — and leaves node 1 exactly as it was.
+func TestDamageAfterDeliveryFailsMaterialize(t *testing.T) {
 	c, err := New(testConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := c.Nodes[0].IM
-	root, f := a.SROs.Create(a.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 4})
+	a, b := c.Nodes[0].IM, c.Nodes[1].IM
+	root, f := a.SROs.Create(a.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 16})
 	if f != nil {
 		t.Fatal(f)
 	}
@@ -233,19 +238,64 @@ func TestSnapshotCatchesRetainedToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Materialize(ds[0]); err != nil {
-		t.Fatal(err)
+	if len(ds) != 1 {
+		t.Fatalf("delivered %d messages, want 1", len(ds))
 	}
-	// Re-import the image behind the ledger's back under the closed
-	// flight's old token: a volume that failed to give up its copy.
-	img := ds[0].Img
-	tok, err := c.Nodes[1].IM.Files.Import(img)
+	live := b.Table.Live()
+	_, used, _, f := b.SROs.Usage(b.Heap)
+	if f != nil {
+		t.Fatal(f)
+	}
+	ds[0].Img[9] ^= 0x80
+	if _, _, err := c.Materialize(ds[0]); !errors.Is(err, filing.ErrCorrupt) {
+		t.Fatalf("damaged image materialized: err = %v, want ErrCorrupt", err)
+	}
+	if got := b.Table.Live(); got != live {
+		t.Fatalf("failed materialization leaked: live %d -> %d", live, got)
+	}
+	if _, u, _, f := b.SROs.Usage(b.Heap); f != nil || u != used {
+		t.Fatalf("failed materialization holds SRO quota: used %d -> %d (%v)", used, u, f)
+	}
+	if rec := c.graphs[ds[0].Graph]; rec.state != flightClosed || !rec.failed {
+		t.Fatalf("flight = %+v, want closed and failed", rec)
+	}
+	if c.FailedActivations != 1 {
+		t.Fatalf("FailedActivations = %d", c.FailedActivations)
+	}
+	checkClean(t, c)
+}
+
+// TestHopAllocBound pins the host allocations of one migration hop of a
+// 64-byte object: Ship, Deliver, Materialize and ReclaimGraph.
+func TestHopAllocBound(t *testing.T) {
+	c, err := New(testConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.graphs[ds[0].Graph].tok = tok
-	vs := audit.CheckTransfers(c.Snapshot())
-	if len(vs) == 0 {
-		t.Fatal("retained volume copy of a closed flight went unnoticed")
+	a := c.Nodes[0].IM
+	root, f := a.SROs.Create(a.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 64})
+	if f != nil {
+		t.Fatal(f)
+	}
+	hop := func() {
+		if _, err := c.Ship(0, 1, root, MsgRequest, 0); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := c.Deliver(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range ds {
+			_, created, err := c.Materialize(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.ReclaimGraph(1, created); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(200, hop); got > 7 {
+		t.Fatalf("one hop allocates %.1f objects, want at most 7", got)
 	}
 }

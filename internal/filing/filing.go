@@ -5,10 +5,11 @@
 // hardware-recognized type identity is guaranteed to be preserved and
 // checked, either by the hardware or by object filing."
 //
-// Passivate serialises the object graph reachable from a root —
+// Encode serialises the object graph reachable from a root —
 // hardware types, user-type labels, data parts, and the shape of the
-// access parts — into a token-addressed store. Activate rebuilds the
-// graph as fresh objects. User types are recorded by TDO *name* and
+// access parts — into a self-checking image; ActivateImage rebuilds the
+// graph from an image as fresh objects. Passivate and Activate do the same
+// through a token-addressed volume. User types are recorded by TDO *name* and
 // re-bound on activation through a type registry supplied by the
 // cooperating type managers, so an activated object is an instance of the
 // manager's live TDO, not of a forged copy: the filing system preserves
@@ -16,8 +17,8 @@
 //
 // That promise is enforced against two distinct adversaries:
 //
-//   - a corrupt volume: a stored image whose bytes rotted (or were
-//     truncated) must fail activation with ErrCorrupt — never panic,
+//   - a corrupt image: bytes that rotted on a volume or on the wire (or
+//     were truncated) must fail activation with ErrCorrupt — never panic,
 //     never leave partially built objects behind;
 //   - a hostile image: a well-formed image that claims a privileged
 //     hardware type (SRO, TDO, port, process, …) is an attempt to mint
@@ -35,9 +36,10 @@
 // object would dangle the moment its heap unwound, and the level rule
 // that prevents that in memory must hold across the store as well.
 //
-// Export and Import expose the image bytes as a self-checking wire
-// format: internal/cluster ships passivated graphs between the filing
-// volumes of independent kernels over exactly this path.
+// An image needs no volume to travel: internal/cluster ships Encode's
+// bytes between independent kernels, and the receiver runs CheckImage on
+// arrival and ActivateImage on the same bytes. No volume holds a graph in
+// transit.
 package filing
 
 import (
@@ -84,7 +86,6 @@ type Store struct {
 	// Stats.
 	FiledObjects     uint64
 	ActivatedObjects uint64
-	FiledBytes       uint64
 }
 
 // NewStore returns an empty filing volume over the given managers.
@@ -132,16 +133,30 @@ const objMinEncoded = 1 + 2 + 4 + 4
 const nameLenMax = 0xFFFF
 
 // Passivate files the object graph reachable from root and returns its
-// token. The root must be a global (level-0) object, and so must the
-// whole reachable graph — the level rule guarantees the rest of the graph
-// is if the root is.
+// token: Encode, then store the image.
 func (s *Store) Passivate(root obj.AD) (uint64, error) {
+	img, err := s.Encode(root)
+	if err != nil {
+		return 0, err
+	}
+	tok := s.next
+	s.next++
+	s.files[tok] = img
+	return tok, nil
+}
+
+// Encode serialises the object graph reachable from root into a
+// self-checking image (magic + CRC) without storing it: the wire form the
+// cluster ships. The root must be a global (level-0) object, and so must
+// the whole reachable graph — the level rule guarantees the rest of the
+// graph is if the root is.
+func (s *Store) Encode(root obj.AD) ([]byte, error) {
 	d, f := s.Table.Resolve(root)
 	if f != nil {
-		return 0, f
+		return nil, f
 	}
 	if d.Level != obj.LevelGlobal {
-		return 0, obj.Faultf(obj.FaultLevel, root, "only global objects may be filed")
+		return nil, obj.Faultf(obj.FaultLevel, root, "only global objects may be filed")
 	}
 
 	// Breadth-first enumeration; index in visit order is the graph id.
@@ -155,7 +170,7 @@ func (s *Store) Passivate(root obj.AD) (uint64, error) {
 			}
 		})
 		if f != nil {
-			return 0, f
+			return nil, f
 		}
 	}
 
@@ -165,7 +180,7 @@ func (s *Store) Passivate(root obj.AD) (uint64, error) {
 	for _, ad := range order {
 		d := s.Table.DescriptorAt(ad.Index)
 		if d == nil {
-			return 0, obj.Faultf(obj.FaultOddity, ad, "object vanished during passivation")
+			return nil, obj.Faultf(obj.FaultOddity, ad, "object vanished during passivation")
 		}
 		img = append(img, byte(d.Type))
 		name := ""
@@ -175,12 +190,12 @@ func (s *Store) Passivate(root obj.AD) (uint64, error) {
 				// The labelling TDO was destroyed while its instance
 				// lives on; an image recording the dead type would be
 				// unactivatable at best and a forgery vector at worst.
-				return 0, obj.Faultf(obj.FaultInvalidAD, ad,
+				return nil, obj.Faultf(obj.FaultInvalidAD, ad,
 					"user-type TDO %d destroyed before passivation", d.UserType)
 			}
 			n, f := s.TDOs.Name(tdoAD)
 			if f != nil {
-				return 0, f
+				return nil, f
 			}
 			name = n
 		}
@@ -188,7 +203,7 @@ func (s *Store) Passivate(root obj.AD) (uint64, error) {
 			// uint16(len(name)) would silently truncate the field and
 			// desynchronise every record after it — a corrupt image
 			// written by our own hand.
-			return 0, obj.Faultf(obj.FaultBounds, ad,
+			return nil, obj.Faultf(obj.FaultBounds, ad,
 				"user-type name of %d bytes exceeds the image's 16-bit field", len(name))
 		}
 		img = binary.LittleEndian.AppendUint16(img, uint16(len(name)))
@@ -198,7 +213,7 @@ func (s *Store) Passivate(root obj.AD) (uint64, error) {
 		if d.DataLen > 0 {
 			data, f := s.Table.ReadBytes(fullAD, 0, d.DataLen)
 			if f != nil {
-				return 0, f
+				return nil, f
 			}
 			img = append(img, data...)
 		}
@@ -206,7 +221,7 @@ func (s *Store) Passivate(root obj.AD) (uint64, error) {
 		for slot := uint32(0); slot < d.AccessSlots; slot++ {
 			ref, f := s.Table.LoadAD(fullAD, slot)
 			if f != nil {
-				return 0, f
+				return nil, f
 			}
 			var enc uint32
 			if ref.Valid() {
@@ -220,47 +235,51 @@ func (s *Store) Passivate(root obj.AD) (uint64, error) {
 		}
 	}
 	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img))
-
-	tok := s.next
-	s.next++
-	s.files[tok] = img
 	s.FiledObjects += uint64(len(order))
-	s.FiledBytes += uint64(len(img))
-	return tok, nil
+	return img, nil
 }
 
 // Activate rebuilds a filed graph as fresh objects allocated from heap
-// and returns a capability for the root. Stored user types are re-bound
-// through the type registry; an unbound type name is an error — identity
-// cannot be conjured. Activation is all-or-nothing: on any failure every
-// object already created is reclaimed, so a failed activation never
-// holds storage quota.
+// and returns a capability for the root: a token lookup, then
+// ActivateImage.
 func (s *Store) Activate(tok uint64, heap obj.AD) (obj.AD, error) {
-	root, _, err := s.ActivateGraph(tok, heap)
+	img, ok := s.files[tok]
+	if !ok {
+		return obj.NilAD, ErrNoSuchFile
+	}
+	root, _, err := s.ActivateImage(img, heap)
 	return root, err
 }
 
-// ActivateGraph is Activate returning, additionally, every object the
-// activation created in image order (the root first). Callers that later
-// need to dispose of the whole graph — the cluster transfer channel
-// reclaims a shipped copy after forwarding it — use the full list; there
-// is no other record of a graph's membership once it is live.
-func (s *Store) ActivateGraph(tok uint64, heap obj.AD) (obj.AD, []obj.AD, error) {
-	img, ok := s.files[tok]
-	if !ok {
-		return obj.NilAD, nil, ErrNoSuchFile
-	}
+// CheckImage runs an image's length, checksum and magic tests: the
+// damage an image picked up in transit or at rest surfaces here.
+func CheckImage(img []byte) error {
 	if len(img) < 12 {
-		return obj.NilAD, nil, ErrCorrupt
+		return ErrCorrupt
 	}
 	body, sum := img[:len(img)-4], binary.LittleEndian.Uint32(img[len(img)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return obj.NilAD, nil, ErrCorrupt
+	if crc32.ChecksumIEEE(body) != sum || binary.LittleEndian.Uint32(img) != fileMagic {
+		return ErrCorrupt
 	}
-	r := reader{b: body}
-	if r.u32() != fileMagic {
-		return obj.NilAD, nil, ErrCorrupt
+	return nil
+}
+
+// ActivateImage rebuilds the graph an image encodes as fresh objects
+// allocated from heap. It returns a capability for the root and every
+// object created in image order (the root first): callers that later
+// dispose of the whole graph — the cluster transfer channel reclaims a
+// shipped copy after forwarding it — need the full list, since nothing
+// else records a live graph's membership. Stored user types are re-bound
+// through the type registry; an unbound type name is an error — identity
+// cannot be conjured. Activation is all-or-nothing: on any failure every
+// object already created is reclaimed, so a failed activation never
+// holds storage quota. The image is checked first and only read, never
+// retained.
+func (s *Store) ActivateImage(img []byte, heap obj.AD) (obj.AD, []obj.AD, error) {
+	if err := CheckImage(img); err != nil {
+		return obj.NilAD, nil, err
 	}
+	r := reader{b: img[:len(img)-4], off: 4} // past the checked magic, short of the CRC
 	count := int(r.u32())
 	if count == 0 {
 		return obj.NilAD, nil, fmt.Errorf("%w: zero object count", ErrCorrupt)
@@ -351,8 +370,7 @@ func (s *Store) ActivateGraph(tok uint64, heap obj.AD) (obj.AD, []obj.AD, error)
 }
 
 // Export returns a copy of the stored image bytes: the wire form of a
-// passivated graph. The image is self-checking (magic + CRC), so a peer
-// volume can Import it and detect transit damage on its own.
+// passivated graph, which CheckImage and ActivateImage accept anywhere.
 func (s *Store) Export(tok uint64) ([]byte, error) {
 	img, ok := s.files[tok]
 	if !ok {
@@ -362,49 +380,6 @@ func (s *Store) Export(tok uint64) ([]byte, error) {
 	copy(out, img)
 	return out, nil
 }
-
-// Import installs an image produced by Export (possibly on another
-// volume) and returns its local token. The checksum and magic are
-// verified on the way in, so wire damage surfaces at the boundary; the
-// image is copied, never aliased to the caller's buffer.
-func (s *Store) Import(img []byte) (uint64, error) {
-	if len(img) < 12 {
-		return 0, ErrCorrupt
-	}
-	body, sum := img[:len(img)-4], binary.LittleEndian.Uint32(img[len(img)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return 0, ErrCorrupt
-	}
-	if binary.LittleEndian.Uint32(img) != fileMagic {
-		return 0, ErrCorrupt
-	}
-	cp := make([]byte, len(img))
-	copy(cp, img)
-	tok := s.next
-	s.next++
-	s.files[tok] = cp
-	s.FiledBytes += uint64(len(cp))
-	return tok, nil
-}
-
-// Has reports whether the volume currently holds the token. Tokens are
-// never reused, so Has answers "is this exact image still here".
-func (s *Store) Has(tok uint64) bool {
-	_, ok := s.files[tok]
-	return ok
-}
-
-// Delete removes a filed image.
-func (s *Store) Delete(tok uint64) error {
-	if _, ok := s.files[tok]; !ok {
-		return ErrNoSuchFile
-	}
-	delete(s.files, tok)
-	return nil
-}
-
-// Files reports the number of stored images.
-func (s *Store) Files() int { return len(s.files) }
 
 // Corrupt flips one byte of a stored image — the fault-injection hook for
 // the damage-detection tests.

@@ -2,6 +2,7 @@ package filing
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 	"repro/internal/typedef"
 )
 
-// fuzzSeedImages produces real Passivate output for the corpus: a lone
+// fuzzSeedImages produces real Encode output for the corpus: a lone
 // object, a shared/cyclic graph, and a user-typed instance.
 func fuzzSeedImages(f *testing.F) [][]byte {
 	f.Helper()
@@ -32,11 +33,7 @@ func fuzzSeedImages(f *testing.F) [][]byte {
 	}
 	var out [][]byte
 	file := func(root obj.AD) {
-		tok, err := store.Passivate(root)
-		if err != nil {
-			f.Fatal(err)
-		}
-		img, err := store.Export(tok)
+		img, err := store.Encode(root)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -72,12 +69,13 @@ func fuzzSeedImages(f *testing.F) [][]byte {
 	return out
 }
 
-// FuzzActivate feeds arbitrary bytes through Import and Activate — both
-// verbatim (exercising the checksum gate) and re-checksummed (forcing
-// the parser past the gate, as a hostile peer that computes valid CRCs
-// would). Whatever the bytes, activation must either succeed or fail
-// with an error; it must never panic and a failure must leave the node
-// exactly as it found it: no live objects gained, no SRO quota held.
+// FuzzActivate feeds arbitrary bytes through CheckImage and ActivateImage
+// — both verbatim (exercising the checksum gate) and re-checksummed
+// (forcing the parser past the gate, as a hostile peer that computes
+// valid CRCs would). Whatever the bytes, activation must either succeed
+// or fail with an error; it must never panic and a failure must leave the
+// node exactly as it found it: no live objects gained, no SRO quota held.
+// An image CheckImage refuses, ActivateImage refuses with ErrCorrupt.
 func FuzzActivate(f *testing.F) {
 	for _, img := range fuzzSeedImages(f) {
 		f.Add(img)
@@ -114,16 +112,16 @@ func FuzzActivate(f *testing.F) {
 			append([]byte{}, data...), crc32.ChecksumIEEE(data)))
 
 		for _, img := range images {
-			tok, err := store.Import(img)
-			if err != nil {
-				continue // rejected at the boundary: fine
-			}
+			checked := CheckImage(img)
 			live := tab.Live()
 			_, used, _, fault := sros.Usage(heap)
 			if fault != nil {
 				t.Fatal(fault)
 			}
-			_, created, err := store.ActivateGraph(tok, heap)
+			_, created, err := store.ActivateImage(img, heap)
+			if checked != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("CheckImage refused the image (%v) but ActivateImage returned %v", checked, err)
+			}
 			if err != nil {
 				if got := tab.Live(); got != live {
 					t.Fatalf("failed activation leaked objects: %d -> %d", live, got)

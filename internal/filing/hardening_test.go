@@ -286,69 +286,46 @@ func TestPassivateOverlongTypeName(t *testing.T) {
 	}
 }
 
-func TestImportRejectsDamage(t *testing.T) {
+func TestCheckImageRejectsDamage(t *testing.T) {
 	fx := setup(t)
-	orig := fx.obj(t, 16, 0)
-	tok, err := fx.store.Passivate(orig)
+	img, err := fx.store.Encode(fx.obj(t, 16, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := fx.store.Export(tok)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fx.store.Import(img); err != nil {
+	if err := CheckImage(img); err != nil {
 		t.Fatalf("clean image refused: %v", err)
 	}
+	flip := append([]byte{}, img...)
+	flip[6] ^= 0x40
 	for _, bad := range [][]byte{
 		nil,
 		img[:4],
 		img[:len(img)-1],
 		append(append([]byte{}, img...), 0),
+		flip,
 	} {
-		if _, err := fx.store.Import(bad); !errors.Is(err, ErrCorrupt) {
+		if err := CheckImage(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("damaged image (len %d): err = %v, want ErrCorrupt", len(bad), err)
 		}
 	}
-	flip := append([]byte{}, img...)
-	flip[6] ^= 0x40
-	if _, err := fx.store.Import(flip); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bit-flipped image accepted: %v", err)
-	}
 }
 
-func TestExportImportIsolation(t *testing.T) {
+func TestActivateImageIsolation(t *testing.T) {
 	fx := setup(t)
 	orig := fx.obj(t, 8, 0)
 	fx.tab.WriteDWord(orig, 0, 0xBEEF)
-	tok, err := fx.store.Passivate(orig)
+	img, err := fx.store.Encode(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := fx.store.Export(tok)
+	back, _, err := fx.store.ActivateImage(img, fx.heap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok2, err := fx.store.Import(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutating the caller's buffer after Import must not reach the store.
-	for i := range img {
-		img[i] = 0
-	}
-	back, err := fx.store.Activate(tok2, fx.heap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Mutating the image after activation must not reach the objects.
+	clear(img)
 	if v, _ := fx.tab.ReadDWord(back, 0); v != 0xBEEF {
-		t.Fatalf("imported image aliased the caller's buffer: data = %#x", v)
-	}
-	if !fx.store.Has(tok2) {
-		t.Fatal("Has(imported) = false")
-	}
-	if fx.store.Has(999999) {
-		t.Fatal("Has(unknown) = true")
+		t.Fatalf("activated graph aliased the image: data = %#x", v)
 	}
 }
 
@@ -432,9 +409,9 @@ func (n *node) shape(t *testing.T, root obj.AD) string {
 }
 
 // TestCrossNodeRoundTripProperty files structured graphs on one kernel
-// and activates them on another that shares only type *names* — the
-// exact path the cluster transfer channel rides. Graph shape, data
-// bytes, and user-type labels must survive; identity (indices,
+// and activates the exported image on another that shares only type
+// *names* — the bytes the cluster transfer channel carries. Graph shape,
+// data bytes, and user-type labels must survive; identity (indices,
 // generations) must not.
 func TestCrossNodeRoundTripProperty(t *testing.T) {
 	// A deterministic family of graphs: sizes, fanouts, cycle and
@@ -509,16 +486,12 @@ func TestCrossNodeRoundTripProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			btok, err := b.store.Import(img)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rootB, created, err := b.store.ActivateGraph(btok, b.heap)
+			rootB, created, err := b.store.ActivateImage(img, b.heap)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(created) != tc.objs || created[0] != rootB {
-				t.Fatalf("ActivateGraph bookkeeping wrong: %d created, root %v vs %v",
+				t.Fatalf("ActivateImage bookkeeping wrong: %d created, root %v vs %v",
 					len(created), created[0], rootB)
 			}
 

@@ -75,10 +75,8 @@ func TestShardRunCompletes(t *testing.T) {
 	if vs := e.CheckTransfers(); len(vs) > 0 {
 		t.Fatalf("transfer accounting violated after run: %v", vs)
 	}
-	for ni, n := range e.Cluster.Nodes {
-		if n.IM.Files.Files() != 0 {
-			t.Fatalf("node %d volume still holds %d images", ni, n.IM.Files.Files())
-		}
+	checkFlightsClosed(t, e)
+	for _, n := range e.Cluster.Nodes {
 		audit.Check(t, n.IM.System)
 	}
 	// Per-node served counts must sum to the cluster total.
@@ -199,10 +197,19 @@ func TestShardSoakCrossNodeAccounting(t *testing.T) {
 	if vs := e.CheckTransfers(); len(vs) > 0 {
 		t.Fatalf("transfer accounting violated at end: %v", vs)
 	}
-	for ni, n := range e.Cluster.Nodes {
+	checkFlightsClosed(t, e)
+	for _, n := range e.Cluster.Nodes {
 		audit.Check(t, n.IM.System)
-		if n.IM.Files.Files() != 0 {
-			t.Fatalf("node %d volume still holds %d images after drain", ni, n.IM.Files.Files())
+	}
+}
+
+// checkFlightsClosed: after the run's final drain no graph is left on the
+// wire or delivered but not activated.
+func checkFlightsClosed(t *testing.T, e *ShardEngine) {
+	t.Helper()
+	for _, fl := range e.Cluster.Snapshot().Flights {
+		if fl.State != audit.FlightClosed {
+			t.Fatalf("graph %d is %q after the drain, want closed", fl.ID, fl.State)
 		}
 	}
 }
