@@ -9,7 +9,7 @@
 # test, or remove it. Lower the ceiling when the count falls.
 set -eu
 cd "$(dirname "$0")/.."
-ceiling=169
+ceiling=129
 profile=$(mktemp)
 trap 'rm -f "$profile"' EXIT
 

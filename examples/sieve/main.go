@@ -87,24 +87,21 @@ func main() {
 	}
 
 	kernel, f := im.Domains.CreateNative(im.Heap, 3, func(env *domain.Env, entry uint32) *obj.Fault {
-		q, f := env.Procs.Reg(env.Ctx, 0)
-		if f != nil {
+		var c process.Ctx
+		env.Procs.OpenContext(env.Ctx, obj.RightRead, &c)
+		q := c.Reg(0)
+		if f := c.Fault(); f != nil || q >= limit {
 			return f
-		}
-		if q >= limit {
-			return nil
 		}
 		switch entry {
 		case 1:
 			return env.Table.WriteByteAt(flags, q, 1)
 		case 2:
 			v, f := env.Table.ReadByteAt(flags, q)
-			if f != nil {
-				return f
-			}
-			return env.Procs.SetReg(env.Ctx, 0, uint32(v))
+			c.Latch(f)
+			c.SetReg(0, uint32(v))
 		}
-		return nil
+		return c.Fault()
 	})
 	if f != nil {
 		log.Fatal(f)

@@ -38,8 +38,10 @@ func TestTransparentInterposition(t *testing.T) {
 	const quota = 20
 	auditDev, f := im.Domains.CreateNative(im.Heap, 3, func(env *domain.Env, entry uint32) *obj.Fault {
 		if entry == iosys.EntryWrite {
-			n, f := env.Procs.Reg(env.Ctx, 2)
-			if f != nil {
+			var c process.Ctx
+			env.Procs.OpenContext(env.Ctx, obj.RightRead, &c)
+			n := c.Reg(2)
+			if f := c.Fault(); f != nil {
 				return f
 			}
 			writes++

@@ -44,7 +44,7 @@ func TestBindingSurvivesCarry(t *testing.T) {
 		if got := cpu.xc.live(s, cpu); got != live {
 			t.Fatalf("%s: binding live = %v, want %v", when, got, live)
 		}
-		if live && cpu.xc.ctx != ctx {
+		if live && cpu.xc.ctx.AD() != ctx {
 			t.Fatalf("%s: bound to context %v, want %v", when, cpu.xc.ctx, ctx)
 		}
 		for _, rec := range s.AuditExecCaches() {
@@ -55,8 +55,10 @@ func TestBindingSurvivesCarry(t *testing.T) {
 	}
 	reg := func(ctx obj.AD, r uint8) uint32 {
 		t.Helper()
-		v, f := s.Procs.Reg(ctx, r)
-		if f != nil {
+		var c process.Ctx
+		s.Procs.OpenContext(ctx, obj.RightRead, &c)
+		v := c.Reg(r)
+		if f := c.Fault(); f != nil {
 			t.Fatal(f)
 		}
 		return v

@@ -199,28 +199,15 @@ func (s *System) stepNative(cpu *CPU, body NativeBody, quantum vtime.Cycles) *ob
 		// bound.
 		if cpu.sliceLeft > 0 {
 			if spent >= cpu.sliceLeft {
-				s.preemptions++
-				if l := s.Table.Tracer(); l != nil {
-					l.Emit(trace.EvPreempt, uint32(proc.Index), uint32(cpu.ID), 0)
-				}
-				if f := cpu.unbind(s); f != nil {
-					return f
-				}
-				return s.MakeReady(proc)
+				return s.requeue(cpu, proc, true)
 			}
 			cpu.sliceLeft -= spent
 		}
 		return nil
 	case BodyYield:
-		if f := cpu.unbind(s); f != nil {
-			return f
-		}
-		return s.MakeReady(proc)
+		return s.requeue(cpu, proc, false)
 	case BodyWaiting:
-		if f := s.Procs.SetState(proc, process.StateBlocked); f != nil {
-			return f
-		}
-		return cpu.unbind(s)
+		return s.block(cpu, proc)
 	case BodyDone:
 		return s.terminate(cpu, proc)
 	}
@@ -253,22 +240,36 @@ func (s *System) stepVM(cpu *CPU, quantum vtime.Cycles) *obj.Fault {
 		budget -= spent
 		if cpu.sliceLeft > 0 && cpu.proc.Valid() {
 			if spent >= cpu.sliceLeft {
-				// Time-slice end: back to the dispatch mix
-				// (§5: "such events as time-slice end").
-				proc := cpu.proc
-				s.preemptions++
-				if l := s.Table.Tracer(); l != nil {
-					l.Emit(trace.EvPreempt, uint32(proc.Index), uint32(cpu.ID), 0)
-				}
-				if f := cpu.unbind(s); f != nil {
-					return f
-				}
-				return s.MakeReady(proc)
+				return s.requeue(cpu, cpu.proc, true)
 			}
 			cpu.sliceLeft -= spent
 		}
 	}
 	return nil
+}
+
+// requeue takes the bound process off the processor and back to the
+// dispatch mix. A preempted one — its time slice ended (§5: "such events
+// as time-slice end") — is counted and logged first.
+func (s *System) requeue(cpu *CPU, proc obj.AD, preempted bool) *obj.Fault {
+	if preempted {
+		s.preemptions++
+		if l := s.Table.Tracer(); l != nil {
+			l.Emit(trace.EvPreempt, uint32(proc.Index), uint32(cpu.ID), 0)
+		}
+	}
+	if f := cpu.unbind(s); f != nil {
+		return f
+	}
+	return s.MakeReady(proc)
+}
+
+// block takes the bound process off the processor to wait at a port.
+func (s *System) block(cpu *CPU, proc obj.AD) *obj.Fault {
+	if f := s.Procs.SetState(proc, process.StateBlocked); f != nil {
+		return f
+	}
+	return cpu.unbind(s)
 }
 
 // execOne fetches, decodes and executes at least one instruction of the
@@ -302,14 +303,17 @@ func (s *System) execOne(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.Fault
 	return s.execOneSlow(cpu)
 }
 
-// execOneSlow is the uncached reference interpreter: every capability is
-// resolved afresh, every access is bounds- and rights-checked through
-// obj.Table. The fast path defines itself against this — whatever it does
-// must be byte-identical to what execOneSlow would have done.
+// execOneSlow is the uncached reference interpreter: the bound process and
+// its context are opened afresh for every instruction, and every access is
+// bounds- and rights-checked through obj. The fast path defines itself
+// against this — whatever it does must be byte-identical to what
+// execOneSlow would have done.
 func (s *System) execOneSlow(cpu *CPU) (vtime.Cycles, *obj.Fault) {
 	proc := cpu.proc
-	ctx, f := s.Procs.Context(proc)
-	if f != nil {
+	var pv process.Proc
+	s.Procs.Open(proc, obj.RightRead, &pv)
+	ctx := pv.LoadAD(process.SlotContext)
+	if f := pv.Fault(); f != nil {
 		return 0, f
 	}
 	if !ctx.Valid() {
@@ -317,27 +321,21 @@ func (s *System) execOneSlow(cpu *CPU) (vtime.Cycles, *obj.Fault) {
 	}
 
 	// Apply any pending resume action (message carried to a woken
-	// receiver).
-	action, f := s.Procs.Resume(ctx)
-	if f != nil {
-		return 0, f
-	}
-	if action&0xFF == process.ResumeRecv {
-		dst := uint8(action >> 8)
-		carry, f := s.Procs.Link(proc, process.SlotCarry)
-		if f != nil {
-			return 0, f
-		}
-		if f := s.Procs.SetAReg(ctx, dst, carry); f != nil {
-			return 0, f
-		}
-		if f := s.Procs.SetLink(proc, process.SlotCarry, obj.NilAD); f != nil {
-			return 0, f
-		}
+	// receiver). Its accesses alternate between the two views, so the
+	// fault is handed over at each crossing.
+	var c process.Ctx
+	s.Procs.OpenContext(ctx, obj.RightRead, &c)
+	if action := c.Resume(); action&0xFF == process.ResumeRecv {
+		carry := pv.LoadAD(process.SlotCarry)
+		c.Latch(pv.Fault())
+		c.SetAReg(uint8(action>>8), carry)
+		pv.Latch(c.Fault())
+		pv.StoreADSystem(process.SlotCarry, obj.NilAD)
+		c.Latch(pv.Fault())
 	}
 
-	dom, f := s.Table.LoadAD(ctx, process.CtxSlotDomain)
-	if f != nil {
+	dom := c.LoadAD(process.CtxSlotDomain)
+	if f := c.Fault(); f != nil {
 		return 0, f
 	}
 	code, f := s.Domains.Code(dom)
@@ -348,17 +346,15 @@ func (s *System) execOneSlow(cpu *CPU) (vtime.Cycles, *obj.Fault) {
 	if f != nil {
 		return 0, f
 	}
-	ip, f := s.Procs.IP(ctx)
-	if f != nil {
-		return 0, f
-	}
+	ip := c.IP()
 	if ip >= uint32(len(prog)) {
-		return 0, obj.Faultf(obj.FaultBounds, ctx, "IP %d outside program of %d", ip, len(prog))
+		c.Latch(obj.Faultf(obj.FaultBounds, ctx, "IP %d outside program of %d", ip, len(prog)))
+	}
+	c.SetIP(ip + 1)
+	if f := c.Fault(); f != nil {
+		return 0, f
 	}
 	in := prog[ip]
-	if f := s.Procs.SetIP(ctx, ip+1); f != nil {
-		return 0, f
-	}
 	cpu.Instructions++
 	s.instructions++
 
@@ -386,8 +382,15 @@ type TraceEvent struct {
 	Fault *obj.Fault
 }
 
+// execInstr executes one fetched instruction as one operation on the
+// running context, opened once. Each case reads its registers, reads the
+// view's fault before any effect outside it — another object's access, an
+// allocation, a port or type manager operation, a call — and writes its
+// results last, so a register that does not exist is the view's bounds
+// fault and stops the instruction where the first refusal stops it.
 func (s *System) execInstr(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycles, *obj.Fault) {
-	P := s.Procs
+	var c process.Ctx
+	s.Procs.OpenContext(ctx, obj.RightRead, &c)
 	switch in.Op {
 	case isa.OpNop:
 		return vtime.CostALU, nil
@@ -396,211 +399,137 @@ func (s *System) execInstr(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycl
 		return vtime.CostALU, s.terminate(cpu, proc)
 
 	case isa.OpMovI:
-		return vtime.CostALU, P.SetReg(ctx, in.A, in.C)
+		c.SetReg(in.A, in.C)
+		return vtime.CostALU, c.Fault()
 
 	case isa.OpMov:
-		v, f := P.Reg(ctx, in.B)
-		if f != nil {
-			return vtime.CostALU, f
-		}
-		return vtime.CostALU, P.SetReg(ctx, in.A, v)
+		c.SetReg(in.A, c.Reg(in.B))
+		return vtime.CostALU, c.Fault()
 
 	case isa.OpAdd, isa.OpSub, isa.OpMul:
-		b, f := P.Reg(ctx, in.B)
-		if f != nil {
-			return vtime.CostALU, f
-		}
-		c, f := P.Reg(ctx, uint8(in.C))
-		if f != nil {
-			return vtime.CostALU, f
-		}
-		var v uint32
+		b, x := c.Reg(in.B), c.Reg(uint8(in.C))
 		switch in.Op {
 		case isa.OpAdd:
-			v = b + c
+			c.SetReg(in.A, b+x)
 		case isa.OpSub:
-			v = b - c
+			c.SetReg(in.A, b-x)
 		case isa.OpMul:
-			v = b * c
+			c.SetReg(in.A, b*x)
 		}
-		return vtime.CostALU, P.SetReg(ctx, in.A, v)
+		return vtime.CostALU, c.Fault()
 
 	case isa.OpAddI:
-		b, f := P.Reg(ctx, in.B)
-		if f != nil {
-			return vtime.CostALU, f
-		}
-		return vtime.CostALU, P.SetReg(ctx, in.A, b+in.C)
+		c.SetReg(in.A, c.Reg(in.B)+in.C)
+		return vtime.CostALU, c.Fault()
 
 	case isa.OpBr:
-		return vtime.CostBranch, P.SetIP(ctx, in.C)
+		c.SetIP(in.C)
+		return vtime.CostBranch, c.Fault()
 
 	case isa.OpBrZ, isa.OpBrNZ:
-		v, f := P.Reg(ctx, in.A)
-		if f != nil {
-			return vtime.CostBranch, f
+		if (in.Op == isa.OpBrZ) == (c.Reg(in.A) == 0) {
+			c.SetIP(in.C)
 		}
-		if (in.Op == isa.OpBrZ) == (v == 0) {
-			return vtime.CostBranch, P.SetIP(ctx, in.C)
-		}
-		return vtime.CostBranch, nil
+		return vtime.CostBranch, c.Fault()
 
 	case isa.OpBrLT:
-		a, f := P.Reg(ctx, in.A)
-		if f != nil {
-			return vtime.CostBranch, f
+		if c.Reg(in.A) < c.Reg(in.B) {
+			c.SetIP(in.C)
 		}
-		b, f := P.Reg(ctx, in.B)
-		if f != nil {
-			return vtime.CostBranch, f
-		}
-		if a < b {
-			return vtime.CostBranch, P.SetIP(ctx, in.C)
-		}
-		return vtime.CostBranch, nil
+		return vtime.CostBranch, c.Fault()
 
 	case isa.OpLoad:
-		ad, f := P.AReg(ctx, in.B)
-		if f != nil {
-			return vtime.CostMove, f
+		if ad := c.AReg(in.B); c.Fault() == nil {
+			v, f := s.Table.ReadDWord(ad, in.C)
+			c.Latch(f)
+			c.SetReg(in.A, v)
 		}
-		v, f := s.Table.ReadDWord(ad, in.C)
-		if f != nil {
-			return vtime.CostMove, f
-		}
-		return vtime.CostMove, P.SetReg(ctx, in.A, v)
+		return vtime.CostMove, c.Fault()
 
 	case isa.OpStore:
-		ad, f := P.AReg(ctx, in.B)
-		if f != nil {
-			return vtime.CostMove, f
+		if ad, v := c.AReg(in.B), c.Reg(in.A); c.Fault() == nil {
+			c.Latch(s.Table.WriteDWord(ad, in.C, v))
 		}
-		v, f := P.Reg(ctx, in.A)
-		if f != nil {
-			return vtime.CostMove, f
-		}
-		return vtime.CostMove, s.Table.WriteDWord(ad, in.C, v)
+		return vtime.CostMove, c.Fault()
 
 	case isa.OpLoadA:
-		src, f := P.AReg(ctx, in.B)
-		if f != nil {
-			return vtime.CostMoveAD, f
+		if src := c.AReg(in.B); c.Fault() == nil {
+			ad, f := s.Table.LoadAD(src, in.C)
+			c.Latch(f)
+			c.SetAReg(in.A, ad)
 		}
-		ad, f := s.Table.LoadAD(src, in.C)
-		if f != nil {
-			return vtime.CostMoveAD, f
-		}
-		return vtime.CostMoveAD, P.SetAReg(ctx, in.A, ad)
+		return vtime.CostMoveAD, c.Fault()
 
 	case isa.OpStoreA:
-		dst, f := P.AReg(ctx, in.B)
-		if f != nil {
-			return vtime.CostMoveAD, f
-		}
-		ad, f := P.AReg(ctx, in.A)
-		if f != nil {
-			return vtime.CostMoveAD, f
-		}
 		// The user-visible AD store: level rule and gray bit apply.
-		return vtime.CostMoveAD, s.Table.StoreAD(dst, in.C, ad)
+		if dst, ad := c.AReg(in.B), c.AReg(in.A); c.Fault() == nil {
+			c.Latch(s.Table.StoreAD(dst, in.C, ad))
+		}
+		return vtime.CostMoveAD, c.Fault()
 
 	case isa.OpMovA:
-		ad, f := P.AReg(ctx, in.B)
-		if f != nil {
-			return vtime.CostMoveAD, f
-		}
-		return vtime.CostMoveAD, P.SetAReg(ctx, in.A, ad)
+		c.SetAReg(in.A, c.AReg(in.B))
+		return vtime.CostMoveAD, c.Fault()
 
 	case isa.OpCreate:
-		sroAD, f := P.AReg(ctx, in.B)
-		if f != nil {
-			return vtime.CostCreateObject, f
+		heap, size, slots := c.AReg(in.B), c.Reg(uint8(in.C)), c.Reg(uint8(in.C)+1)
+		if c.Fault() == nil {
+			ad, f := s.SROs.Create(heap, obj.CreateSpec{
+				Type:        obj.TypeGeneric,
+				DataLen:     size,
+				AccessSlots: slots,
+			})
+			c.Latch(f)
+			c.SetAReg(in.A, ad)
 		}
-		size, f := P.Reg(ctx, uint8(in.C))
-		if f != nil {
-			return vtime.CostCreateObject, f
-		}
-		slots, f := P.Reg(ctx, uint8(in.C)+1)
-		if f != nil {
-			return vtime.CostCreateObject, f
-		}
-		ad, f := s.SROs.Create(sroAD, obj.CreateSpec{
-			Type:        obj.TypeGeneric,
-			DataLen:     size,
-			AccessSlots: slots,
-		})
-		if f != nil {
-			return vtime.CostCreateObject, f
-		}
-		return vtime.CostCreateObject, P.SetAReg(ctx, in.A, ad)
+		return vtime.CostCreateObject, c.Fault()
 
 	case isa.OpSend, isa.OpCSend:
-		return s.execSend(cpu, proc, ctx, in)
+		return vtime.CostSend, s.execSend(cpu, proc, &c, in)
 
 	case isa.OpRecv, isa.OpCRecv:
-		return s.execRecv(cpu, proc, ctx, in)
+		return vtime.CostReceive, s.execRecv(cpu, proc, &c, in)
 
 	case isa.OpCall:
-		dom, f := P.AReg(ctx, in.B)
-		if f != nil {
+		dom := c.AReg(in.B)
+		if f := c.Fault(); f != nil {
 			return vtime.CostDomainCall, f
 		}
-		return s.execCall(proc, ctx, dom, in.C, true)
+		return s.execCall(proc, &c, dom, in.C, true)
 
 	case isa.OpCallLocal:
-		dom, f := s.Table.LoadAD(ctx, process.CtxSlotDomain)
-		if f != nil {
+		dom := c.LoadAD(process.CtxSlotDomain)
+		if f := c.Fault(); f != nil {
 			return vtime.CostIntraCall, f
 		}
-		return s.execCall(proc, ctx, dom, in.C, false)
+		return s.execCall(proc, &c, dom, in.C, false)
 
 	case isa.OpRet:
-		return s.execRet(cpu, proc, ctx)
+		return vtime.CostDomainReturn, s.execRet(cpu, proc, &c)
 
 	case isa.OpTypeOf:
-		ad, f := P.AReg(ctx, in.B)
-		if f != nil {
-			return vtime.CostALU, f
+		if ad := c.AReg(in.B); c.Fault() == nil {
+			typ, f := s.Table.TypeOf(ad)
+			c.Latch(f)
+			c.SetReg(in.A, uint32(typ))
 		}
-		typ, f := s.Table.TypeOf(ad)
-		if f != nil {
-			return vtime.CostALU, f
-		}
-		return vtime.CostALU, P.SetReg(ctx, in.A, uint32(typ))
+		return vtime.CostALU, c.Fault()
 
 	case isa.OpAmplify:
-		inst, f := P.AReg(ctx, in.A)
-		if f != nil {
-			return vtime.CostAmplify, f
+		if inst, tdo := c.AReg(in.A), c.AReg(in.B); c.Fault() == nil {
+			strong, f := s.TDOs.Amplify(tdo, inst, obj.Rights(in.C)&obj.RightsAll)
+			c.Latch(f)
+			c.SetAReg(in.A, strong)
 		}
-		tdo, f := P.AReg(ctx, in.B)
-		if f != nil {
-			return vtime.CostAmplify, f
-		}
-		strong, f := s.TDOs.Amplify(tdo, inst, obj.Rights(in.C)&obj.RightsAll)
-		if f != nil {
-			return vtime.CostAmplify, f
-		}
-		return vtime.CostAmplify, P.SetAReg(ctx, in.A, strong)
+		return vtime.CostAmplify, c.Fault()
 
 	case isa.OpIsType:
-		inst, f := P.AReg(ctx, in.B)
-		if f != nil {
-			return vtime.CostAmplify, f
+		if inst, tdo := c.AReg(in.B), c.AReg(uint8(in.C)); c.Fault() == nil {
+			ok, f := s.TDOs.Is(tdo, inst)
+			c.Latch(f)
+			c.SetReg(in.A, bit(ok))
 		}
-		tdo, f := P.AReg(ctx, uint8(in.C))
-		if f != nil {
-			return vtime.CostAmplify, f
-		}
-		ok, f := s.TDOs.Is(tdo, inst)
-		if f != nil {
-			return vtime.CostAmplify, f
-		}
-		v := uint32(0)
-		if ok {
-			v = 1
-		}
-		return vtime.CostAmplify, P.SetReg(ctx, in.A, v)
+		return vtime.CostAmplify, c.Fault()
 
 	case isa.OpFault:
 		return vtime.CostALU, obj.Faultf(obj.FaultCode(in.C), proc, "injected fault")
@@ -608,63 +537,54 @@ func (s *System) execInstr(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycl
 	return vtime.CostALU, obj.Faultf(obj.FaultOddity, proc, "unimplemented op %v", in.Op)
 }
 
-// execSend performs the send instruction. The message is in access
-// register A, the port in B, the key in data register C. For OpCSend,
-// data register C instead receives the success flag and the key is 0.
-func (s *System) execSend(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycles, *obj.Fault) {
-	P := s.Procs
-	msg, f := P.AReg(ctx, in.A)
-	if f != nil {
-		return vtime.CostSend, f
+// bit is a truth value as a data register holds it.
+func bit(ok bool) uint32 {
+	if ok {
+		return 1
 	}
-	prt, f := P.AReg(ctx, in.B)
-	if f != nil {
-		return vtime.CostSend, f
-	}
+	return 0
+}
+
+// execSend performs the send instruction on the running context c. The
+// message is in access register A, the port in B, the key in data register
+// C. For OpCSend, data register C instead receives the success flag and
+// the key is 0.
+func (s *System) execSend(cpu *CPU, proc obj.AD, c *process.Ctx, in isa.Instr) *obj.Fault {
+	msg, prt := c.AReg(in.A), c.AReg(in.B)
 	conditional := in.Op == isa.OpCSend
 	var key uint32
-	if !conditional {
-		if key, f = P.Reg(ctx, uint8(in.C)); f != nil {
-			return vtime.CostSend, f
-		}
-	}
 	blockOn := proc
 	if conditional {
 		blockOn = obj.NilAD
+	} else {
+		key = c.Reg(uint8(in.C))
+	}
+	if f := c.Fault(); f != nil {
+		return f
 	}
 	blocked, wake, f := s.Ports.Send(prt, msg, key, blockOn)
-	if f != nil {
-		return vtime.CostSend, f
-	}
-	if conditional {
-		flag := uint32(1)
-		if blocked {
-			flag = 0
-		}
-		return vtime.CostSend, P.SetReg(ctx, uint8(in.C), flag)
-	}
-	if blocked {
-		if f := P.SetState(proc, process.StateBlocked); f != nil {
-			return vtime.CostSend, f
-		}
-		return vtime.CostSend, cpu.unbind(s)
-	}
-	if wake != nil {
+	switch {
+	case f != nil:
+		return f
+	case conditional:
+		c.SetReg(uint8(in.C), bit(!blocked))
+		return c.Fault()
+	case blocked:
+		return s.block(cpu, proc)
+	case wake != nil:
 		// A blocked receiver was handed the message directly.
-		if f := s.Wake(*wake); f != nil {
-			return vtime.CostSend, f
-		}
+		return s.Wake(*wake)
 	}
-	return vtime.CostSend, nil
+	return nil
 }
 
-// execRecv performs the receive instruction: destination access register
-// A, port in B. For OpCRecv, data register C receives the success flag.
-func (s *System) execRecv(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycles, *obj.Fault) {
-	P := s.Procs
-	prt, f := P.AReg(ctx, in.B)
-	if f != nil {
-		return vtime.CostReceive, f
+// execRecv performs the receive instruction on the running context c:
+// destination access register A, port in B. For OpCRecv, data register C
+// receives the success flag.
+func (s *System) execRecv(cpu *CPU, proc obj.AD, c *process.Ctx, in isa.Instr) *obj.Fault {
+	prt := c.AReg(in.B)
+	if f := c.Fault(); f != nil {
+		return f
 	}
 	conditional := in.Op == isa.OpCRecv
 	blockOn := proc
@@ -672,49 +592,38 @@ func (s *System) execRecv(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycle
 		blockOn = obj.NilAD
 	}
 	msg, blocked, wake, f := s.Ports.Receive(prt, blockOn)
-	if f != nil {
-		return vtime.CostReceive, f
-	}
-	if conditional {
-		flag := uint32(1)
-		if blocked {
-			flag = 0
-		}
+	switch {
+	case f != nil:
+		return f
+	case conditional:
 		if !blocked {
-			if f := P.SetAReg(ctx, in.A, msg); f != nil {
-				return vtime.CostReceive, f
-			}
+			c.SetAReg(in.A, msg)
 		}
-		return vtime.CostReceive, P.SetReg(ctx, uint8(in.C), flag)
-	}
-	if blocked {
+		c.SetReg(uint8(in.C), bit(!blocked))
+		return c.Fault()
+	case blocked:
 		// Record where the message must land when we are woken.
-		if f := P.SetResume(ctx, process.ResumeRecv|uint16(in.A)<<8); f != nil {
-			return vtime.CostReceive, f
+		c.SetResume(process.ResumeRecv | uint16(in.A)<<8)
+		if f := c.Fault(); f != nil {
+			return f
 		}
-		if f := P.SetState(proc, process.StateBlocked); f != nil {
-			return vtime.CostReceive, f
-		}
-		return vtime.CostReceive, cpu.unbind(s)
+		return s.block(cpu, proc)
 	}
-	if f := P.SetAReg(ctx, in.A, msg); f != nil {
-		return vtime.CostReceive, f
+	c.SetAReg(in.A, msg)
+	if f := c.Fault(); f != nil || wake == nil {
+		return f
 	}
-	if wake != nil {
-		// A parked sender's message was deposited; the sender just
-		// becomes ready.
-		if f := s.Wake(*wake); f != nil {
-			return vtime.CostReceive, f
-		}
-	}
-	return vtime.CostReceive, nil
+	// A parked sender's message was deposited; the sender just becomes
+	// ready.
+	return s.Wake(*wake)
 }
 
-// execCall performs the inter- or intra-domain call instruction: a new
-// context at depth+1, arguments copied from the caller's registers, control
-// at the entry's IP. The protection switch is the cost difference §2
-// quantifies (65 µs versus an ordinary activation).
-func (s *System) execCall(proc, caller obj.AD, dom obj.AD, entry uint32, crossDomain bool) (vtime.Cycles, *obj.Fault) {
+// execCall performs the inter- or intra-domain call instruction from the
+// running context caller: a new context at depth+1, arguments copied from
+// the caller's registers, control at the entry's IP. The protection switch
+// is the cost difference §2 quantifies (65 µs versus an ordinary
+// activation).
+func (s *System) execCall(proc obj.AD, caller *process.Ctx, dom obj.AD, entry uint32, crossDomain bool) (vtime.Cycles, *obj.Fault) {
 	cost := vtime.CostIntraCall
 	if crossDomain {
 		cost = vtime.CostDomainCall
@@ -730,12 +639,11 @@ func (s *System) execCall(proc, caller obj.AD, dom obj.AD, entry uint32, crossDo
 		return cost, f
 	}
 	// Arguments: r0..r3 and a0..a3 copy across.
-	var from, to process.Ctx
-	s.Procs.OpenContext(caller, obj.RightRead, &from)
+	var to process.Ctx
 	s.Procs.OpenContext(ctx, obj.RightWrite, &to)
 	for r := uint8(0); r < 4; r++ {
-		v, ad := from.Reg(r), from.AReg(r)
-		to.Latch(from.Fault())
+		v, ad := caller.Reg(r), caller.AReg(r)
+		to.Latch(caller.Fault())
 		to.SetReg(r, v)
 		if ad.Valid() {
 			to.SetAReg(r, ad)
@@ -749,7 +657,7 @@ func (s *System) execCall(proc, caller obj.AD, dom obj.AD, entry uint32, crossDo
 		return cost, f
 	}
 	if native {
-		return s.execNativeCall(proc, caller, ctx, dom, entry, cost)
+		return s.execNativeCall(proc, caller.AD(), &to, dom, entry, cost)
 	}
 	ip, f := s.Domains.EntryIP(dom, entry)
 	if f != nil {
@@ -761,8 +669,9 @@ func (s *System) execCall(proc, caller obj.AD, dom obj.AD, entry uint32, crossDo
 
 // execNativeCall runs a native domain body to completion within the call
 // instruction and performs the return sequence. To the caller it is
-// indistinguishable from a VM domain (§4).
-func (s *System) execNativeCall(proc, caller, ctx, dom obj.AD, entry uint32, cost vtime.Cycles) (vtime.Cycles, *obj.Fault) {
+// indistinguishable from a VM domain (§4). callee is the new context, opened
+// by the call for its arguments.
+func (s *System) execNativeCall(proc, caller obj.AD, callee *process.Ctx, dom obj.AD, entry uint32, cost vtime.Cycles) (vtime.Cycles, *obj.Fault) {
 	h, f := s.Domains.HandlerOf(dom)
 	if f != nil {
 		return cost, f
@@ -772,7 +681,7 @@ func (s *System) execNativeCall(proc, caller, ctx, dom obj.AD, entry uint32, cos
 		Table: s.Table,
 		Procs: s.Procs,
 		Proc:  proc,
-		Ctx:   ctx,
+		Ctx:   callee.AD(),
 		Clock: &clk,
 	}
 	hf := h(env, entry)
@@ -784,40 +693,34 @@ func (s *System) execNativeCall(proc, caller, ctx, dom obj.AD, entry uint32, cos
 		return cost, hf
 	}
 	// Results: r0 and a0 copy back; then the frame unwinds.
-	if f := s.copyResults(ctx, caller); f != nil {
+	if f := s.copyResults(callee, caller); f != nil {
 		return cost, f
 	}
-	if _, f := s.Procs.PopContext(proc); f != nil {
-		return cost, f
-	}
-	return cost, nil
+	_, f = s.Procs.PopContext(proc)
+	return cost, f
 }
 
-// execRet returns from the current context, copying r0/a0 to the caller.
-// Returning from the outermost context terminates the process.
-func (s *System) execRet(cpu *CPU, proc, ctx obj.AD) (vtime.Cycles, *obj.Fault) {
-	caller, f := s.Table.LoadAD(ctx, process.CtxSlotCaller)
-	if f != nil {
-		return vtime.CostDomainReturn, f
+// execRet returns from the running context c, copying r0/a0 to the
+// caller; returning from the outermost context terminates the process.
+// The pop is the instruction's last access of c.
+func (s *System) execRet(cpu *CPU, proc obj.AD, c *process.Ctx) *obj.Fault {
+	caller := c.LoadAD(process.CtxSlotCaller)
+	if f := c.Fault(); f != nil {
+		return f
 	}
-	if !caller.Valid() {
-		if _, f := s.Procs.PopContext(proc); f != nil {
-			return vtime.CostDomainReturn, f
+	if caller.Valid() {
+		if f := s.copyResults(c, caller); f != nil {
+			return f
 		}
-		return vtime.CostDomainReturn, s.terminate(cpu, proc)
 	}
-	if f := s.copyResults(ctx, caller); f != nil {
-		return vtime.CostDomainReturn, f
+	if _, f := s.Procs.PopContext(proc); f != nil || caller.Valid() {
+		return f
 	}
-	if _, f := s.Procs.PopContext(proc); f != nil {
-		return vtime.CostDomainReturn, f
-	}
-	return vtime.CostDomainReturn, nil
+	return s.terminate(cpu, proc)
 }
 
-func (s *System) copyResults(callee, caller obj.AD) *obj.Fault {
-	var from process.Ctx
-	s.Procs.OpenContext(callee, obj.RightRead, &from)
+// copyResults copies r0 and a0 of the returning context from into caller.
+func (s *System) copyResults(from *process.Ctx, caller obj.AD) *obj.Fault {
 	v, ad := from.Reg(0), from.AReg(0)
 	if f := from.Fault(); f != nil {
 		return f

@@ -132,6 +132,16 @@ func deoptFingerprint(s *System, procs []obj.AD) string {
 	return b.String()
 }
 
+// setAReg stores ad in access register r of ctx, as a debugger would.
+func setAReg(t *testing.T, s *System, ctx obj.AD, r uint8, ad obj.AD) {
+	t.Helper()
+	var c process.Ctx
+	s.Procs.OpenContext(ctx, obj.RightWrite, &c)
+	if c.SetAReg(r, ad); c.Fault() != nil {
+		t.Fatal(c.Fault())
+	}
+}
+
 type deoptScenario struct {
 	name string
 	// build populates the world: spawn processes, stash aux handles,
@@ -217,9 +227,7 @@ func deoptScenarios() []deoptScenario {
 				if f != nil || !ctx.Valid() {
 					t.Fatalf("process lost its context: %v", f)
 				}
-				if f := w.s.Procs.SetAReg(ctx, 0, obj.NilAD); f != nil {
-					t.Fatal(f)
-				}
+				setAReg(t, w.s, ctx, 0, obj.NilAD)
 			},
 			mutateWhenIP: func() *uint32 { ip := uint32(2); return &ip }(),
 			budget:       4_001, steps: 120,
@@ -325,9 +333,7 @@ func deoptScenarios() []deoptScenario {
 				if f != nil || !ctx.Valid() {
 					t.Fatalf("spawned process has no context: %v", f)
 				}
-				if f := w.s.Procs.SetAReg(ctx, 2, ctx); f != nil {
-					t.Fatal(f)
-				}
+				setAReg(t, w.s, ctx, 2, ctx)
 				w.procs = append(w.procs, p)
 			},
 			budget: 4_001, steps: 120,

@@ -4,10 +4,10 @@ package gdp
 // state the real 432 microcode kept between instructions — the current
 // context's register file, the instruction pointer, the decoded program of
 // the current domain, and the most recently translated operand
-// capabilities. The uncached interpreter re-derives all of this through
-// 6–12 full capability resolutions per instruction; the cache pins it
-// between scheduling events and re-derives only when something could have
-// changed.
+// capabilities. The uncached interpreter re-derives all of this for every
+// instruction — it opens the process and its context, resolves the domain
+// and its code object — and the cache pins it between scheduling events and
+// re-derives only when something could have changed.
 //
 // Correctness rests on one rule: every operation that could alias what the
 // cache pins bumps obj.Table's cache generation — destruction, swap-out/in,
@@ -130,9 +130,10 @@ func predecode(prog []isa.Instr) []xop {
 type execCache struct {
 	gen  uint64 // obj.Table.CacheGen() snapshot at prime time
 	proc obj.AD // process this cache was primed for
-	ctx  obj.AD // its current context
-	win  []byte // context data part: IP, resume word, register file
-	awin []byte // context access part: linkage slots + access registers
+	// ctx is its current context, opened for reading and writing: the run
+	// loop works on its windows — IP, resume word and register file in the
+	// data part, linkage slots and access registers in the access part.
+	ctx  obj.View
 	dom  obj.AD // current domain (CtxSlotDomain at prime time)
 	code obj.AD // the domain's code object (prog was decoded from it)
 	prog []isa.Instr
@@ -179,52 +180,27 @@ func (xc *execCache) live(s *System, cpu *CPU) bool {
 	return xc.gen == s.Table.CacheGen() && xc.proc == cpu.proc
 }
 
-// primeExecCache performs the full slow-path resolution chain once —
-// process, context, domain, code, program — snapshots the cache generation,
-// and installs direct windows. It is the one place the interpreter reads
-// descriptors raw: it establishes the register-file window every later
-// access goes through. It mutates nothing in the object world, so a
-// nil return (anything at all out of the ordinary) simply leaves the slow
-// path to run and produce the canonical behaviour.
+// primeExecCache derives the binding as the slow prologue does — the
+// process opened for reading, its current context for reading and writing,
+// then domain, code and program — snapshots the cache generation, and pins
+// the context's view, whose windows every later register access goes
+// through. It mutates nothing in the object world, so a nil return
+// (anything at all out of the ordinary) simply leaves the slow path to run
+// and produce the canonical behaviour.
 func (s *System) primeExecCache(cpu *CPU) *execCache {
 	if s.xcOff || !cpu.proc.Valid() {
 		return nil
 	}
 	s.primes++
 	gen := s.Table.CacheGen()
-	proc := cpu.proc
-	// The slow prologue reaches the context via Context(proc) =
-	// LoadAD(proc, SlotContext) with RightRead; mirror its demands.
-	pd, f := s.Table.Resolve(proc)
-	if f != nil || pd.Type != obj.TypeProcess || pd.SwappedOut ||
-		!proc.Rights.Has(obj.RightRead) {
+	var pv, cv obj.View
+	ok := s.Table.Fill(cpu.proc, obj.RightRead, &pv) && pv.Type() == obj.TypeProcess &&
+		s.Table.Fill(pv.LoadAD(process.SlotContext), obj.RightRead|obj.RightWrite, &cv) && cv.Type() == obj.TypeContext
+	data, access := cv.Windows()
+	if !ok || len(data) < process.CtxDataBytes || len(access) < (process.CtxSlotA0+isa.NumAccessRegs)*obj.ADSlotSize {
 		return nil
 	}
-	ctx, f := s.Procs.Context(proc)
-	if f != nil || !ctx.Valid() {
-		return nil
-	}
-	// The per-instruction path reads the resume word and registers
-	// (RightRead) and writes the IP and registers (RightWrite).
-	cd, f := s.Table.Resolve(ctx)
-	if f != nil || cd.Type != obj.TypeContext || cd.SwappedOut ||
-		!ctx.Rights.Has(obj.RightRead|obj.RightWrite) {
-		return nil
-	}
-	if cd.DataLen < process.CtxDataBytes ||
-		cd.AccessSlots < process.CtxSlotA0+isa.NumAccessRegs {
-		return nil
-	}
-	m := s.Table.Memory()
-	win := m.Window(cd.Data)
-	awin := m.Window(cd.Access)
-	if len(win) < process.CtxDataBytes || awin == nil {
-		return nil
-	}
-	dom, f := s.Table.LoadAD(ctx, process.CtxSlotDomain)
-	if f != nil {
-		return nil
-	}
+	dom := cv.LoadAD(process.CtxSlotDomain)
 	code, f := s.Domains.Code(dom)
 	if f != nil {
 		return nil
@@ -240,18 +216,17 @@ func (s *System) primeExecCache(cpu *CPU) *execCache {
 	}
 	// Assigned in place: a fresh 900-byte literal is zeroed, then copied.
 	xc := &cpu.xc
-	xc.gen, xc.proc, xc.ctx = gen, proc, ctx
-	xc.win, xc.awin = win, awin
+	xc.gen, xc.proc, xc.ctx = gen, cpu.proc, cv
 	xc.dom, xc.code, xc.prog, xc.ops = dom, code, prog, ops
 	clear(xc.res[:]) // views filled under an older generation are dead
 	return xc
 }
 
-// areg reads access register r from the cached access-part window — the
-// same bytes LoadAD(ctx, CtxSlotA0+r) decodes, without the resolution.
-func (xc *execCache) areg(r uint8) obj.AD {
+// areg reads access register r from the context's access-part window —
+// the same bytes Ctx.AReg decodes, without the checks the prime made once.
+func areg(access []byte, r uint8) obj.AD {
 	off := (process.CtxSlotA0 + uint32(r)) * obj.ADSlotSize
-	return obj.DecodeAD(binary.LittleEndian.Uint64(xc.awin[off:]))
+	return obj.DecodeAD(binary.LittleEndian.Uint64(access[off:]))
 }
 
 // surcharge is the bus-contention wait every instruction pays this step
@@ -368,7 +343,7 @@ func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.F
 			return 0, nil, false
 		}
 	}
-	win := xc.win
+	win, access := xc.ctx.Windows()
 	// A pending resume action (message carried to a woken receiver)
 	// belongs to the slow prologue.
 	if binary.LittleEndian.Uint16(win[process.CtxOffResume:]) != 0 {
@@ -410,8 +385,8 @@ func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.F
 		// The IP is deferred, and the reference writes it before the
 		// operand access: a load or store naming the running context would
 		// see the difference, so it is refused like any other guard.
-		ad := xc.areg(op.b)
-		if ad.Index == xc.ctx.Index {
+		ad := areg(access, op.b)
+		if ad.Index == xc.ctx.AD().Index {
 			break
 		}
 		// The memoised view of ad, filled on a miss; the table refuses an
@@ -449,7 +424,7 @@ func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.F
 		setWinIP(win, ip0+1)
 		cpu.Instructions++
 		s.instructions++
-		spent, f := s.execInstr(cpu, xc.proc, xc.ctx, in)
+		spent, f := s.execInstr(cpu, xc.proc, xc.ctx.AD(), in)
 		return s.execFinish(cpu, xc.proc, ip0, in, spent, f), f, true
 	}
 	setWinIP(win, ip)
@@ -476,53 +451,34 @@ type ExecCacheAudit struct {
 // AuditExecCaches cross-checks every current-generation execution cache
 // against the object table, bound just now or not: a process that comes back
 // to the processor it last ran on runs from the binding as it stands. The
-// cached context must still be that process's current context, the cached
-// windows the table's own view of the context's extents, the program and
-// its predecoded table what a fresh derivation through the domain yields,
-// and every operand view what resolving its AD yields. It returns one
-// record per CPU whose cache is current; records with non-empty Problems
-// are invariant violations.
+// cached context must still be that process's current context and its view
+// what resolving it yields now (Table.Current), the program and its
+// predecoded table what a fresh derivation through the domain yields, and
+// every operand view what resolving its AD yields. It returns one record per
+// CPU whose cache is current; records with non-empty Problems are invariant
+// violations.
 func (s *System) AuditExecCaches() []ExecCacheAudit {
 	var out []ExecCacheAudit
-	m := s.Table.Memory()
-	sameView := func(a, b []byte) bool {
-		return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-	}
 	for _, cpu := range s.CPUs {
 		xc := &cpu.xc
 		if xc.gen != s.Table.CacheGen() || !xc.proc.Valid() {
 			continue // stale or never primed: re-primed before next use
 		}
-		rec := ExecCacheAudit{CPU: cpu.ID, Proc: xc.proc, Ctx: xc.ctx}
+		ctx := xc.ctx.AD()
+		rec := ExecCacheAudit{CPU: cpu.ID, Proc: xc.proc, Ctx: ctx}
 		bad := func(format string, args ...any) {
-			rec.Problems = append(rec.Problems, obj.Faultf(obj.FaultOddity, xc.ctx, format, args...).Error())
+			rec.Problems = append(rec.Problems, obj.Faultf(obj.FaultOddity, ctx, format, args...).Error())
 		}
 		cur, f := s.Procs.Context(xc.proc)
 		if f != nil {
 			bad("cached process lost its context: %v", f)
-		} else if cur != xc.ctx {
-			bad("cached context %v is not the current context %v", xc.ctx, cur)
+		} else if cur != ctx {
+			bad("cached context %v is not the current context %v", ctx, cur)
 		}
-		cd, f := s.Table.Resolve(xc.ctx)
-		switch {
-		case f != nil:
-			bad("cached context no longer resolves: %v", f)
-		case cd.Type != obj.TypeContext:
-			bad("cached context has type %v", cd.Type)
-		case cd.SwappedOut:
-			bad("cached context is swapped out under a live cache")
-		default:
-			if !sameView(m.Window(cd.Data), xc.win) {
-				bad("cached data window does not match the descriptor extent")
-			}
-			if !sameView(m.Window(cd.Access), xc.awin) {
-				bad("cached access window does not match the descriptor extent")
-			}
-			if len(xc.win) < process.CtxDataBytes {
-				bad("cached data window is %d bytes, need %d", len(xc.win), process.CtxDataBytes)
-			}
+		if !s.Table.Current(&xc.ctx) {
+			bad("cached context windows do not match the descriptor extents")
 		}
-		if dom, f := s.Table.LoadAD(xc.ctx, process.CtxSlotDomain); f != nil || dom != xc.dom {
+		if dom, f := s.Table.LoadAD(ctx, process.CtxSlotDomain); f != nil || dom != xc.dom {
 			bad("cached domain %v is not the context's domain slot", xc.dom)
 		}
 		// A live cache must execute exactly the code a slow-path re-prime

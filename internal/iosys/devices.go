@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/domain"
 	"repro/internal/obj"
+	"repro/internal/process"
 )
 
 // Console is a write-mostly character device: output accumulates in a
@@ -215,8 +216,10 @@ func InstallDisk(doms *domain.Manager, heap obj.AD, d *Disk) (obj.AD, *obj.Fault
 		if entry != EntryDiskSeek {
 			return false, nil
 		}
-		blk, f := env.Procs.Reg(env.Ctx, 1)
-		if f != nil {
+		var c process.Ctx
+		env.Procs.OpenContext(env.Ctx, obj.RightRead, &c)
+		blk := c.Reg(1)
+		if f := c.Fault(); f != nil {
 			return true, f
 		}
 		if err := d.Seek(int(blk)); err != nil {

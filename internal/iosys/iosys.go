@@ -26,6 +26,7 @@ package iosys
 import (
 	"repro/internal/domain"
 	"repro/internal/obj"
+	"repro/internal/process"
 	"repro/internal/vtime"
 )
 
@@ -81,16 +82,10 @@ func handlerFor(dev Device, extra func(env *domain.Env, entry uint32) (bool, *ob
 	return func(env *domain.Env, entry uint32) *obj.Fault {
 		switch entry {
 		case EntryWrite, EntryRead:
-			buf, f := env.Procs.AReg(env.Ctx, 1)
-			if f != nil {
-				return f
-			}
-			off, f := env.Procs.Reg(env.Ctx, 1)
-			if f != nil {
-				return f
-			}
-			n, f := env.Procs.Reg(env.Ctx, 2)
-			if f != nil {
+			var c process.Ctx
+			env.Procs.OpenContext(env.Ctx, obj.RightRead, &c)
+			buf, off, n := c.AReg(1), c.Reg(1), c.Reg(2)
+			if f := c.Fault(); f != nil {
 				return f
 			}
 			var moved int
@@ -118,11 +113,15 @@ func handlerFor(dev Device, extra func(env *domain.Env, entry uint32) (bool, *ob
 				moved = m
 			}
 			env.Clock.Charge(transferCycles(moved))
-			return env.Procs.SetReg(env.Ctx, 0, uint32(moved))
+			c.SetReg(0, uint32(moved))
+			return c.Fault()
 
 		case EntryStatus:
 			env.Clock.Charge(vtime.CostALU)
-			return env.Procs.SetReg(env.Ctx, 0, dev.Status())
+			var c process.Ctx
+			env.Procs.OpenContext(env.Ctx, obj.RightWrite, &c)
+			c.SetReg(0, dev.Status())
+			return c.Fault()
 		}
 		if extra != nil {
 			handled, f := extra(env, entry)

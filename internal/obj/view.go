@@ -25,7 +25,7 @@ import (
 //
 // A View holds no *Descriptor, so objects may be created under it; it is
 // dead once its object is destroyed, swapped out or moved, which nothing
-// inside a single port instruction does.
+// inside a single instruction does to a port or to the running context.
 type View struct {
 	t      *Table
 	ad     AD
@@ -52,8 +52,9 @@ func (t *Table) View(a AD, typ Type, want Rights, v *View) {
 }
 
 // Fill is View without the type or the diagnosis, for a caller that
-// answers a refusal by taking another path (the interpreter's operand memo)
-// and would throw the fault away. A refusal leaves v as it was.
+// answers a refusal by taking another path (the interpreter's operand memo
+// and its execution-cache prime) and would throw the fault away. A refusal
+// leaves v as it was.
 func (t *Table) Fill(a AD, want Rights, v *View) bool {
 	d := t.present(a, want)
 	if d == nil {
@@ -78,6 +79,14 @@ func sameBytes(a, b []byte) bool {
 
 // AD returns the capability the view was resolved from.
 func (v *View) AD() AD { return v.ad }
+
+// Type returns the hardware type of the viewed object.
+func (v *View) Type() Type { return v.access.typ }
+
+// Windows returns the view's windows over the data and access parts, nil
+// once it has faulted: the interpreter's register file, pinned by the
+// execution cache for as long as Current holds.
+func (v *View) Windows() (data, access []byte) { return v.data, v.access.win }
 
 // Fault returns the first refusal of the operation, or nil.
 func (v *View) Fault() *Fault { return v.f }

@@ -117,24 +117,16 @@ func TestAccessorsRefuseNonProcess(t *testing.T) {
 		t.Errorf("a refused operation wrote the object it refused: %x %v", data, f)
 	}
 	// Context accessors refuse non-contexts the same way.
-	var cv Ctx
-	fx.m.OpenContext(notProc, obj.RightRead, &cv)
+	cv := fx.context(notProc)
 	cv.SetReg(0, cv.Reg(1))
 	cv.SetAReg(0, cv.AReg(1))
+	cv.SetIP(cv.IP())
+	cv.SetResume(cv.Resume())
 	if !obj.IsFault(cv.Fault(), obj.FaultType) {
 		t.Errorf("OpenContext on non-context: %v", cv.Fault())
 	}
-	if _, f := fx.m.IP(notProc); !obj.IsFault(f, obj.FaultType) {
-		t.Errorf("IP on non-context: %v", f)
-	}
-	if f := fx.m.SetIP(notProc, 0); !obj.IsFault(f, obj.FaultType) {
-		t.Errorf("SetIP on non-context: %v", f)
-	}
-	if _, f := fx.m.Resume(notProc); !obj.IsFault(f, obj.FaultType) {
-		t.Errorf("Resume on non-context: %v", f)
-	}
-	if f := fx.m.SetResume(notProc, ResumeRecv); !obj.IsFault(f, obj.FaultType) {
-		t.Errorf("SetResume on non-context: %v", f)
+	if data, f := fx.tab.ReadBytes(notProc, 0, 64); f != nil || string(data) != string(make([]byte, 64)) {
+		t.Errorf("a refused context operation wrote the object it refused: %x %v", data, f)
 	}
 }
 

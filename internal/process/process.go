@@ -416,69 +416,13 @@ func (v *Ctx) SetReg(r uint8, x uint32) { v.SetDWord(ctxOffRegs+uint32(r)*4, x) 
 func (v *Ctx) AReg(r uint8) obj.AD        { return v.LoadAD(CtxSlotA0 + uint32(r)) }
 func (v *Ctx) SetAReg(r uint8, ad obj.AD) { v.StoreADSystem(CtxSlotA0+uint32(r), ad) }
 
-// IP reads the context's instruction pointer.
-func (m *Manager) IP(ctx obj.AD) (uint32, *obj.Fault) {
-	var v Ctx
-	m.OpenContext(ctx, obj.RightRead, &v)
-	return v.IP(), v.Fault()
-}
-
-// SetIP writes the context's instruction pointer.
-func (m *Manager) SetIP(ctx obj.AD, ip uint32) *obj.Fault {
-	var v Ctx
-	m.OpenContext(ctx, obj.RightWrite, &v)
-	v.SetIP(ip)
-	return v.Fault()
-}
-
-// Reg reads data register r of the context. This and the three below are
-// the reference interpreter's per-register traffic: each resolves afresh.
-func (m *Manager) Reg(ctx obj.AD, r uint8) (uint32, *obj.Fault) {
-	if r >= isa.NumDataRegs {
-		return 0, obj.Faultf(obj.FaultBounds, ctx, "data register %d", r)
-	}
-	return m.Table.ReadDWord(ctx, ctxOffRegs+uint32(r)*4)
-}
-
-// SetReg writes data register r of the context.
-func (m *Manager) SetReg(ctx obj.AD, r uint8, v uint32) *obj.Fault {
-	if r >= isa.NumDataRegs {
-		return obj.Faultf(obj.FaultBounds, ctx, "data register %d", r)
-	}
-	return m.Table.WriteDWord(ctx, ctxOffRegs+uint32(r)*4, v)
-}
-
-// AReg reads access register r of the context.
-func (m *Manager) AReg(ctx obj.AD, r uint8) (obj.AD, *obj.Fault) {
-	if r >= isa.NumAccessRegs {
-		return obj.NilAD, obj.Faultf(obj.FaultBounds, ctx, "access register %d", r)
-	}
-	return m.Table.LoadAD(ctx, CtxSlotA0+uint32(r))
-}
-
-// SetAReg writes access register r of the context (see Ctx.SetAReg).
-func (m *Manager) SetAReg(ctx obj.AD, r uint8, ad obj.AD) *obj.Fault {
-	if r >= isa.NumAccessRegs {
-		return obj.Faultf(obj.FaultBounds, ctx, "access register %d", r)
-	}
-	return m.Table.StoreADSystem(ctx, CtxSlotA0+uint32(r), ad)
-}
-
-// Resume reads and clears the context's pending resume action.
-func (m *Manager) Resume(ctx obj.AD) (uint16, *obj.Fault) {
-	var v Ctx
-	m.OpenContext(ctx, obj.RightRead, &v)
+// Resume reads and clears the pending resume action, and SetResume records
+// one to run when the process next runs.
+func (v *Ctx) Resume() uint16 {
 	action := v.Word(ctxOffResume)
 	if action != ResumeNone {
 		v.SetWord(ctxOffResume, ResumeNone)
 	}
-	return action, v.Fault()
+	return action
 }
-
-// SetResume records a resume action to run when the process next runs.
-func (m *Manager) SetResume(ctx obj.AD, action uint16) *obj.Fault {
-	var v Ctx
-	m.OpenContext(ctx, obj.RightWrite, &v)
-	v.SetWord(ctxOffResume, action)
-	return v.Fault()
-}
+func (v *Ctx) SetResume(action uint16) { v.SetWord(ctxOffResume, action) }

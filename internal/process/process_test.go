@@ -21,6 +21,14 @@ func (fx *fixture) open(p obj.AD) *Proc {
 	return &v
 }
 
+// context opens ctx for one operation, as the processor does for one
+// instruction.
+func (fx *fixture) context(ctx obj.AD) *Ctx {
+	var v Ctx
+	fx.m.OpenContext(ctx, obj.RightRead, &v)
+	return &v
+}
+
 func setup(t *testing.T) *fixture {
 	t.Helper()
 	tab := obj.NewTable(1 << 20)
@@ -150,8 +158,8 @@ func TestPushPopContext(t *testing.T) {
 		t.Fatalf("depth after pop = %d", d)
 	}
 	// The popped context is reclaimed.
-	if _, f := fx.m.IP(c2); !obj.IsFault(f, obj.FaultInvalidAD) {
-		t.Fatalf("popped context survived: %v", f)
+	if cv := fx.context(c2); cv.IP() != 0 || !obj.IsFault(cv.Fault(), obj.FaultInvalidAD) {
+		t.Fatalf("popped context survived: %v", cv.Fault())
 	}
 }
 
@@ -200,28 +208,36 @@ func TestRegisters(t *testing.T) {
 	fx := setup(t)
 	p := fx.newProc(t, Spec{})
 	ctx, _ := fx.m.PushContext(p, obj.NilAD)
-	if f := fx.m.SetReg(ctx, 3, 0xCAFE); f != nil {
+	target, _ := fx.sros.Create(fx.heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 4})
+	cv := fx.context(ctx)
+	cv.SetReg(3, 0xCAFE)
+	cv.SetAReg(2, target)
+	if f := cv.Fault(); f != nil {
 		t.Fatal(f)
 	}
-	if v, _ := fx.m.Reg(ctx, 3); v != 0xCAFE {
+	if v := fx.context(ctx).Reg(3); v != 0xCAFE {
 		t.Fatalf("r3 = %#x", v)
 	}
-	if _, f := fx.m.Reg(ctx, 8); !obj.IsFault(f, obj.FaultBounds) {
-		t.Errorf("register 8: %v", f)
-	}
-	if f := fx.m.SetReg(ctx, 200, 1); !obj.IsFault(f, obj.FaultBounds) {
-		t.Errorf("register 200: %v", f)
-	}
-
-	target, _ := fx.sros.Create(fx.heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 4})
-	if f := fx.m.SetAReg(ctx, 2, target); f != nil {
-		t.Fatal(f)
-	}
-	if got, _ := fx.m.AReg(ctx, 2); got.Index != target.Index {
+	if got := fx.context(ctx).AReg(2); got.Index != target.Index {
 		t.Fatal("a2 round trip failed")
 	}
-	if _, f := fx.m.AReg(ctx, 4); !obj.IsFault(f, obj.FaultBounds) {
-		t.Errorf("access register 4: %v", f)
+	// The register check is the view's bounds rule: a data register past
+	// the file is past the data part, an access register past a3 past the
+	// access part, and the fault names the context.
+	for _, c := range []struct {
+		name   string
+		access func(cv *Ctx)
+	}{
+		{"register 8", func(cv *Ctx) { cv.Reg(8) }},
+		{"register 200", func(cv *Ctx) { cv.SetReg(200, 1) }},
+		{"access register 4", func(cv *Ctx) { cv.AReg(4) }},
+		{"access register 255", func(cv *Ctx) { cv.SetAReg(255, target) }},
+	} {
+		cv := fx.context(ctx)
+		c.access(cv)
+		if f := cv.Fault(); !obj.IsFault(f, obj.FaultBounds) || f.AD != ctx {
+			t.Errorf("%s: %v", c.name, f)
+		}
 	}
 }
 
@@ -229,24 +245,21 @@ func TestIPAndResume(t *testing.T) {
 	fx := setup(t)
 	p := fx.newProc(t, Spec{})
 	ctx, _ := fx.m.PushContext(p, obj.NilAD)
-	if f := fx.m.SetIP(ctx, 17); f != nil {
+	cv := fx.context(ctx)
+	cv.SetIP(17)
+	cv.SetResume(ResumeRecv | 2<<8)
+	if f := cv.Fault(); f != nil {
 		t.Fatal(f)
 	}
-	if ip, _ := fx.m.IP(ctx); ip != 17 {
+	if ip := fx.context(ctx).IP(); ip != 17 {
 		t.Fatalf("IP = %d", ip)
 	}
-	if f := fx.m.SetResume(ctx, ResumeRecv|2<<8); f != nil {
-		t.Fatal(f)
-	}
-	act, f := fx.m.Resume(ctx)
-	if f != nil {
-		t.Fatal(f)
-	}
-	if act != ResumeRecv|2<<8 {
-		t.Fatalf("resume = %#x", act)
+	cv = fx.context(ctx)
+	if act := cv.Resume(); act != ResumeRecv|2<<8 || cv.Fault() != nil {
+		t.Fatalf("resume = %#x, %v", act, cv.Fault())
 	}
 	// Resume reads clear the action.
-	if act, _ := fx.m.Resume(ctx); act != ResumeNone {
+	if act := fx.context(ctx).Resume(); act != ResumeNone {
 		t.Fatalf("resume not cleared: %#x", act)
 	}
 }
@@ -286,8 +299,8 @@ func TestOpsOnNonProcess(t *testing.T) {
 	if _, f := fx.m.PushContext(notProc, obj.NilAD); !obj.IsFault(f, obj.FaultType) {
 		t.Errorf("PushContext non-process: %v", f)
 	}
-	if _, f := fx.m.IP(notProc); !obj.IsFault(f, obj.FaultType) {
-		t.Errorf("IP of non-context: %v", f)
+	if cv := fx.context(notProc); cv.IP() != 0 || !obj.IsFault(cv.Fault(), obj.FaultType) {
+		t.Errorf("IP of non-context: %v", cv.Fault())
 	}
 }
 
