@@ -79,8 +79,8 @@ func TestCreateValidation(t *testing.T) {
 	if _, f := fx.m.Create(fx.heap, MaxMessages+1, FIFO); !obj.IsFault(f, obj.FaultBounds) {
 		t.Errorf("capacity too large: %v", f)
 	}
-	if _, f := fx.m.Create(fx.heap, 4, Discipline(9)); !obj.IsFault(f, obj.FaultType) {
-		t.Errorf("bad discipline: %v", f)
+	if _, f := fx.m.Create(fx.heap, 4, Discipline(9)); !obj.IsFault(f, obj.FaultType) || Discipline(9).String() != "discipline(?)" {
+		t.Errorf("bad discipline: %v, %s", f, Discipline(9))
 	}
 	p := fx.newPort(t, 4, Priority)
 	if st, f := fx.m.Inspect(p); f != nil || st.Discipline != Priority {
