@@ -9,7 +9,7 @@
 # test, or remove it. Lower the ceiling when the count falls.
 set -eu
 cd "$(dirname "$0")/.."
-ceiling=129
+ceiling=125
 profile=$(mktemp)
 trap 'rm -f "$profile"' EXIT
 

@@ -131,9 +131,9 @@ type sealing struct {
 }
 
 // Sink is the batching pipeline. It implements trace.Sink; attach it with
-// trace.Log.SetSink. All methods are safe for concurrent use (the trace
-// log emits under its own lock, but the bench and tests drive sinks
-// directly).
+// trace.Log.SetSink. All methods are safe for concurrent use: the log's
+// goroutine records into it while a reader on another goroutine may ask how
+// far it has sealed.
 type Sink struct {
 	mu            sync.Mutex
 	segmentEvents int

@@ -18,8 +18,9 @@ import (
 
 // TestSealScheduleIndependence: the witness streams reproduce the pinned
 // lines (bytes TestLedgerWitness verifies) with one host thread and with
-// four, and a sink fed by one to eight goroutines at once, with a reader
-// joining the window underneath them, seals the same bytes every time.
+// four, and a sink fed through a log by its one producer, with zero to four
+// readers on goroutines of their own joining the window underneath it,
+// seals the same bytes every time.
 func TestSealScheduleIndependence(t *testing.T) {
 	want := loadPinned(t, ledgerWitnessPath)
 	for _, procs := range []int{1, 4} {
@@ -32,51 +33,51 @@ func TestSealScheduleIndependence(t *testing.T) {
 		runtime.GOMAXPROCS(prev)
 	}
 
-	// The producers emit through a trace.Log, as the kernel's do: the log
-	// numbers events in the order it hands them to Record, which is the
-	// order Verify demands. Every event carries the same payload, so the
-	// stream, and with it every byte, is the same however they interleave.
-	const perProducer = 3_000
-	var single []byte
-	for producers := 1; producers <= 8; producers++ {
+	// The producer emits through a trace.Log, as a kernel does, on the one
+	// goroutine that owns the log; the readers ask the sink how far it has
+	// sealed, and each question joins the sealers in flight.
+	const events = 24_000
+	var alone []byte
+	for readers := 0; readers <= 4; readers++ {
 		l := trace.New(64)
 		s := NewSink(Config{SegmentEvents: 7})
 		l.SetSink(s)
+		stop := make(chan struct{})
 		var wg sync.WaitGroup
-		for p := 0; p < producers; p++ {
+		for r := 0; r < readers; r++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := 0; i < 8*perProducer/producers; i++ {
-					l.Emit(trace.EvSend, 7, 7, 7)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						if n := s.Segments(); n > int(s.Recorded())/7 {
+							t.Errorf("%d readers: %d segments of 7 from %d events", readers, n, s.Recorded())
+						}
+					}
 				}
 			}()
 		}
-		stop := make(chan struct{})
-		go func() { wg.Wait(); close(stop) }()
-		for reading := true; reading; {
-			select {
-			case <-stop:
-				reading = false
-			default:
-				if n := s.Segments(); n > int(s.Recorded())/7 {
-					t.Errorf("%d producers: %d segments of 7 from %d events", producers, n, s.Recorded())
-				}
-			}
+		for i := 0; i < events; i++ {
+			l.Emit(trace.Kind(1+i%(trace.NumKinds()-1)), uint32(i), 7, uint64(i))
 		}
+		close(stop)
+		wg.Wait()
 		s.Close()
 		got := s.Bytes()
 		rep, err := Verify(got)
 		if err != nil {
-			t.Fatalf("%d producers: %v", producers, err)
+			t.Fatalf("%d readers: %v", readers, err)
 		}
-		if want := 8 * perProducer / producers * producers; len(rep.Events) != want || s.Dropped() != 0 {
-			t.Fatalf("%d producers: replayed %d events and dropped %d, want %d and 0", producers, len(rep.Events), s.Dropped(), want)
+		if len(rep.Events) != events || s.Dropped() != 0 {
+			t.Fatalf("%d readers: replayed %d events and dropped %d, want %d and 0", readers, len(rep.Events), s.Dropped(), events)
 		}
-		if producers == 1 {
-			single = got
-		} else if n := len(got); !bytes.Equal(got, single[:n]) {
-			t.Errorf("%d producers sealed other bytes than one producer did", producers)
+		if readers == 0 {
+			alone = got
+		} else if !bytes.Equal(got, alone) {
+			t.Errorf("%d readers: the sink sealed other bytes than with none", readers)
 		}
 	}
 }

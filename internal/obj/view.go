@@ -9,9 +9,9 @@ import (
 // View is an AD resolved once, for a microcoded operation that touches the
 // same object many times (a port operation reads and writes its port some
 // twenty times): windows over the object's two parts and the descriptor
-// fields an AD store consults. Every accessor still tests its own right (a
-// mask) and its bounds (a length compare); only the walk from AD to segment
-// is not repeated.
+// fields an AD store consults. Every accessor, or a Span for a window of
+// fields, still tests its right (a mask) and its bounds (a length compare);
+// only the walk from AD to segment is not repeated.
 //
 // A View is also the unit an operation faults as (§7.1; Figure 1's send and
 // receive are single instructions). Its accessors return only the value.
@@ -117,6 +117,18 @@ func (v *View) refuse(want Rights, off, n uint32) {
 	}
 }
 
+// Span tests the right want and the bounds once for the n bytes at
+// displacement off and returns them, for an operation that moves many fields
+// of one window itself. A refusal latches the diagnosis a per-field accessor
+// at off gives and returns nil, as does every Span after the first fault.
+func (v *View) Span(want Rights, off, n uint32) []byte {
+	if b, ok := span(v.data, off, n); ok && v.ad.Rights.Has(want) {
+		return b
+	}
+	v.refuse(want, off, n)
+	return nil
+}
+
 // Word reads the 16-bit ordinal at displacement off in the data part.
 func (v *View) Word(off uint32) uint16 {
 	if b, ok := span(v.data, off, 2); ok && v.ad.Rights.Has(RightRead) {
@@ -155,20 +167,12 @@ func (v *View) SetDWord(off uint32, x uint32) {
 
 // Bytes is Table.ReadBytes on the viewed object: a fresh slice.
 func (v *View) Bytes(off, n uint32) []byte {
-	if b, ok := span(v.data, off, n); ok && v.ad.Rights.Has(RightRead) {
-		return append(make([]byte, 0, n), b...)
-	}
-	v.refuse(RightRead, off, n)
-	return nil
+	return append([]byte(nil), v.Span(RightRead, off, n)...)
 }
 
 // SetBytes is Table.WriteBytes on the viewed object.
 func (v *View) SetBytes(off uint32, p []byte) {
-	if b, ok := span(v.data, off, uint32(len(p))); ok && v.ad.Rights.Has(RightWrite) {
-		copy(b, p)
-		return
-	}
-	v.refuse(RightWrite, off, uint32(len(p)))
+	copy(v.Span(RightWrite, off, uint32(len(p))), p)
 }
 
 // LoadAD is Table.LoadAD on the viewed object.

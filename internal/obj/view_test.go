@@ -1,6 +1,7 @@
 package obj
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -15,7 +16,7 @@ func faultCode(f *Fault) FaultCode {
 	return f.Code
 }
 
-// viewOp is one access of the nine an operation can make, in both forms:
+// viewOp is one access of the eleven an operation can make, in both forms:
 // through a View (which latches) and through the table's single-shot
 // accessor (which returns its fault). Each returns the value read, if any.
 type viewOp struct {
@@ -56,6 +57,17 @@ var viewOps = []viewOp{
 		}},
 	{"SetBytes",
 		func(v *View, off, _, x uint32, _ AD) uint64 { v.SetBytes(off, pattern(x)); return 0 },
+		func(t *Table, a AD, off, _, x uint32, _ AD) (uint64, *Fault) {
+			return 0, t.WriteBytes(a, off, pattern(x))
+		}},
+	{"Span read",
+		func(v *View, off, _, x uint32, _ AD) uint64 { return sum64(v.Span(RightRead, off, x%8)) },
+		func(t *Table, a AD, off, _, x uint32, _ AD) (uint64, *Fault) {
+			w, f := t.ReadBytes(a, off, x%8)
+			return sum64(w), f
+		}},
+	{"Span write",
+		func(v *View, off, _, x uint32, _ AD) uint64 { copy(v.Span(RightWrite, off, x%8), pattern(x)); return 0 },
 		func(t *Table, a AD, off, _, x uint32, _ AD) (uint64, *Fault) {
 			return 0, t.WriteBytes(a, off, pattern(x))
 		}},
@@ -251,6 +263,80 @@ func TestViewLatch(t *testing.T) {
 		}
 		if col, _ := tab.ColorOf(white.Index); col != White {
 			t.Errorf("%s: a faulted view shaded its source %s", c.name, col)
+		}
+	}
+}
+
+// TestViewSpan: over every subset of read/write rights, every displacement
+// and every length up to eight bytes of a 24-byte object, a span of either
+// right agrees with the per-field accessor of that width — Word and SetWord
+// for two bytes, DWord and SetDWord for four, Bytes and SetBytes otherwise:
+// the same bytes read or written, or the same fault code, AD and text. A
+// span is nil exactly when the view has faulted, and a faulted view spans
+// nothing, not even a window it could have spanned before, and keeps its
+// first fault.
+func TestViewSpan(t *testing.T) {
+	tab, a, _, _ := viewTwins(t)
+	base := []byte("0123456789abcdefghijklmn")
+	le := binary.LittleEndian
+	field := func(v *View, write bool, off, n uint32, pat []byte) []byte {
+		switch {
+		case write && n == 2:
+			v.SetWord(off, le.Uint16(pat))
+		case write && n == 4:
+			v.SetDWord(off, le.Uint32(pat))
+		case write:
+			v.SetBytes(off, pat)
+		case n == 2:
+			return le.AppendUint16(nil, v.Word(off))
+		case n == 4:
+			return le.AppendUint32(nil, v.DWord(off))
+		default:
+			return v.Bytes(off, n)
+		}
+		return nil
+	}
+	// access resets the object, makes one access through a fresh view and
+	// returns what it read, its fault and the bytes it left behind.
+	access := func(rights Rights, do func(v *View) []byte) ([]byte, *Fault, string) {
+		if f := tab.WriteBytes(a.WithRights(RightsAll), 0, base); f != nil {
+			t.Fatal(f)
+		}
+		var v View
+		tab.View(a.WithRights(rights), TypeContext, RightsNone, &v)
+		got := do(&v)
+		return got, v.Fault(), contents(t, tab, a)
+	}
+	for _, rights := range []Rights{RightsNone, RightRead, RightWrite, RightsData} {
+		for off := uint32(0); off <= 26; off++ {
+			for n := uint32(0); n <= 8; n++ {
+				for _, want := range []Rights{RightRead, RightWrite} {
+					name := fmt.Sprintf("%s %s [%d,+%d)", rights, want, off, n)
+					write, pat := want == RightWrite, []byte("ZYXWVUTS")[:n]
+					sb, sf, sc := access(rights, func(v *View) []byte {
+						b := v.Span(want, off, n)
+						switch first := v.Fault(); {
+						case first == nil && b == nil:
+							t.Errorf("%s: a nil span without a fault", name)
+						case first != nil && (b != nil || v.Span(RightsNone, 0, 1) != nil ||
+							v.Span(want, 400, 2) != nil || v.Fault() != first):
+							t.Errorf("%s: a faulted view spanned, or its first fault moved", name)
+						}
+						if write {
+							copy(b, pat)
+							return nil
+						}
+						return append([]byte(nil), b...)
+					})
+					fb, ff, fc := access(rights, func(v *View) []byte { return field(v, write, off, n, pat) })
+					if faultCode(sf) != faultCode(ff) || sf != nil && (sf.AD != ff.AD || sf.Error() != ff.Error()) {
+						t.Errorf("%s: span faulted %v, the field accessor %v", name, sf, ff)
+					}
+					if sf == nil && string(sb) != string(fb) || sc != fc {
+						t.Errorf("%s: span read %x and left %s\nthe field accessor read %x and left %s", name, sb, sc, fb, fc)
+					}
+				}
+			}
 		}
 	}
 }

@@ -20,6 +20,8 @@
 package port
 
 import (
+	"encoding/binary"
+
 	"repro/internal/obj"
 	"repro/internal/sro"
 	"repro/internal/trace"
@@ -152,15 +154,15 @@ type Wake struct {
 	Msg     obj.AD
 }
 
-// open checks that p is a port capability carrying the type right the
-// instruction needs, and returns the port's lifetime level.
-func (m *Manager) open(p obj.AD, right obj.Rights, name string) (obj.Level, *obj.Fault) {
+// open checks that p is a port capability carrying the send right, and
+// returns the port's lifetime level: Send tests its message before its fill.
+func (m *Manager) open(p obj.AD) (obj.Level, *obj.Fault) {
 	d, f := m.Table.RequireType(p, obj.TypePort)
 	if f != nil {
 		return 0, f
 	}
-	if !p.Rights.Has(right) {
-		return 0, obj.Faultf(obj.FaultRights, p, "need %s right", name)
+	if !p.Rights.Has(RightSend) {
+		return 0, obj.Faultf(obj.FaultRights, p, "need send right")
 	}
 	return d.Level, nil
 }
@@ -179,7 +181,7 @@ func (m *Manager) open(p obj.AD, right obj.Rights, name string) (obj.Level, *obj
 //   - queue full and proc is nil: the conditional send — fails with
 //     blocked=true and no side effects.
 func (m *Manager) Send(p obj.AD, msg obj.AD, key uint32, proc obj.AD) (blocked bool, wake *Wake, f *obj.Fault) {
-	level, f := m.open(p, RightSend, "send")
+	level, f := m.open(p)
 	if f != nil {
 		return false, nil, f
 	}
@@ -208,7 +210,7 @@ func (m *Manager) Send(p obj.AD, msg obj.AD, key uint32, proc obj.AD) (blocked b
 	switch {
 	case pv.Fault() != nil:
 	case count < capacity:
-		deposit(&pv, capacity, msg, key)
+		deposit(&pv, msg, key)
 		// A blocked receiver (possible only when the queue was empty)
 		// takes the best message immediately.
 		if recv, waiting := m.unpark(&pv, slotRecvHead, slotRecvTail); waiting {
@@ -239,20 +241,17 @@ func (m *Manager) Send(p obj.AD, msg obj.AD, key uint32, proc obj.AD) (blocked b
 //     (blocked=true);
 //   - empty and proc nil: conditional receive — blocked=true, no effect.
 func (m *Manager) Receive(p obj.AD, proc obj.AD) (msg obj.AD, blocked bool, wake *Wake, f *obj.Fault) {
-	if _, f := m.open(p, RightReceive, "receive"); f != nil {
-		return obj.NilAD, false, nil, f
-	}
+	// One fill tests the receive and read rights: nothing lies between them.
 	var pv obj.View
-	m.Table.View(p, obj.TypePort, obj.RightRead, &pv)
-	capacity, count := pv.Word(offCapacity), pv.Word(offCount)
+	m.Table.View(p, obj.TypePort, RightReceive|obj.RightRead, &pv)
 	switch {
 	case pv.Fault() != nil:
-	case count > 0:
+	case pv.Word(offCount) > 0:
 		msg = takeBest(&pv)
 		pv.Emit(trace.EvRecv, uint32(msg.Index), 0)
 		// A blocked sender's message moves into the freed slot.
 		if send, waiting := m.unpark(&pv, slotSendHead, slotSendTail); waiting {
-			deposit(&pv, capacity, send.Msg, send.key)
+			deposit(&pv, send.Msg, send.key)
 			m.wake = Wake{Process: send.Process}
 			wake = &m.wake
 		}
@@ -275,25 +274,48 @@ func (m *Manager) Count(p obj.AD) (int, *obj.Fault) {
 	return int(pv.Word(offCount)), pv.Fault()
 }
 
+// window is one read span over the data part of a port view that has not
+// faulted, with the capacity word and how many slot records the span holds
+// of its claim: all, or fewer when a damaged word claims records past the
+// data part. A scan that needs the first missing record faults on it through
+// the per-field read of its occupied word, so the diagnosis is that read's.
+func window(pv *obj.View) (win []byte, capacity uint16, held uint32) {
+	data, _ := pv.Windows()
+	win = pv.Span(obj.RightRead, 0, uint32(len(data)))
+	capacity = binary.LittleEndian.Uint16(win[offCapacity:])
+	return win, capacity, min(uint32(capacity), uint32(len(win)-offSlots)/slotRecSize)
+}
+
 // deposit places msg into the lowest free slot with the given key, stamps
-// the arrival sequence and emits the send event. The capacity is the
-// port's own word, so every record is bounds-checked: a damaged capacity
-// faults instead of running off the data part.
-func deposit(pv *obj.View, capacity uint16, msg obj.AD, key uint32) {
-	for i := uint32(0); i < uint32(capacity); i++ {
-		rec := offSlots + i*slotRecSize
-		if pv.Word(rec+recOccupied) != 0 {
+// the arrival sequence and emits the send event.
+func deposit(pv *obj.View, msg obj.AD, key uint32) {
+	le := binary.LittleEndian
+	win, capacity, held := window(pv)
+	for i := uint32(0); i < held; i++ {
+		if le.Uint16(win[offSlots+i*slotRecSize+recOccupied:]) != 0 {
 			continue
 		}
-		seq := pv.DWord(offSeq)
-		pv.SetDWord(offSeq, seq+1)
-		pv.StoreAD(slotMsg0+i, msg)
-		pv.SetWord(rec+recOccupied, 1)
-		pv.SetDWord(rec+recKey, key)
-		pv.SetDWord(rec+recSeq, seq)
-		pv.SetWord(offCount, pv.Word(offCount)+1)
+		// The sequence bump is the first write, where the write right is
+		// tested; the record and the count are written once the message is in.
+		w := pv.Span(obj.RightWrite, 0, uint32(len(win)))
+		if w == nil {
+			return
+		}
+		seq := le.Uint32(w[offSeq:])
+		le.PutUint32(w[offSeq:], seq+1)
+		if pv.StoreAD(slotMsg0+i, msg); pv.Fault() != nil {
+			return
+		}
+		rec := w[offSlots+i*slotRecSize:]
+		le.PutUint16(rec[recOccupied:], 1)
+		le.PutUint32(rec[recKey:], key)
+		le.PutUint32(rec[recSeq:], seq)
+		le.PutUint16(w[offCount:], le.Uint16(w[offCount:])+1)
 		pv.Emit(trace.EvSend, uint32(msg.Index), uint64(key))
 		return
+	}
+	if held < uint32(capacity) {
+		pv.Word(offSlots + held*slotRecSize + recOccupied)
 	}
 	pv.Latch(obj.Faultf(obj.FaultOddity, pv.AD(), "no free slot despite count < capacity"))
 }
@@ -301,22 +323,21 @@ func deposit(pv *obj.View, capacity uint16, msg obj.AD, key uint32) {
 // takeBest removes and returns the message the discipline orders first.
 // The scan walks slots from 0 but stops once it has examined every
 // occupied slot (the stored count), so a sparsely filled high-capacity
-// port pays for its messages, not its capacity. Selection among the
-// occupied slots is unchanged, so the result — and every byte written —
-// is identical under all three disciplines.
+// port pays for its messages, not its capacity.
 func takeBest(pv *obj.View) obj.AD {
-	disc := Discipline(pv.Word(offDiscipline))
-	capacity, count := pv.Word(offCapacity), pv.Word(offCount)
+	le := binary.LittleEndian
+	win, capacity, held := window(pv)
+	disc, count := Discipline(le.Uint16(win[offDiscipline:])), le.Uint16(win[offCount:])
 	best := -1
 	var bestKey, bestSeq uint32
 	seen := uint16(0)
-	for i := uint32(0); i < uint32(capacity) && seen < count; i++ {
-		rec := offSlots + i*slotRecSize
-		if pv.Word(rec+recOccupied) == 0 {
+	for i := uint32(0); i < held && seen < count; i++ {
+		rec := win[offSlots+i*slotRecSize:][:slotRecSize]
+		if le.Uint16(rec[recOccupied:]) == 0 {
 			continue
 		}
 		seen++
-		key, seq := pv.DWord(rec+recKey), pv.DWord(rec+recSeq)
+		key, seq := le.Uint32(rec[recKey:]), le.Uint32(rec[recSeq:])
 		better := false
 		switch disc {
 		case FIFO:
@@ -330,14 +351,22 @@ func takeBest(pv *obj.View) obj.AD {
 			best, bestKey, bestSeq = int(i), key, seq
 		}
 	}
+	if seen < count && held < uint32(capacity) {
+		pv.Word(offSlots + held*slotRecSize + recOccupied)
+	}
 	if best < 0 {
 		pv.Latch(obj.Faultf(obj.FaultOddity, pv.AD(), "count > 0 but no occupied slot"))
 		return obj.NilAD
 	}
 	msg := pv.LoadAD(slotMsg0 + uint32(best))
-	pv.SetWord(offSlots+uint32(best)*slotRecSize+recOccupied, 0)
-	pv.StoreAD(slotMsg0+uint32(best), obj.NilAD)
-	pv.SetWord(offCount, pv.Word(offCount)-1)
+	// The occupied-word clear is the first write, where the write right is
+	// tested; the count follows the slot's clear only if that succeeded.
+	if w := pv.Span(obj.RightWrite, 0, uint32(len(win))); w != nil {
+		le.PutUint16(w[offSlots+uint32(best)*slotRecSize+recOccupied:], 0)
+		if pv.StoreAD(slotMsg0+uint32(best), obj.NilAD); pv.Fault() == nil {
+			le.PutUint16(w[offCount:], count-1)
+		}
+	}
 	return msg
 }
 

@@ -16,12 +16,14 @@
 // *Log are safe on a nil receiver, and every hook site in the kernel is
 // guarded by a plain nil check, so a disabled trace costs one predictable
 // branch per event site — no interface calls, no allocation.
+//
+// A Log belongs to the goroutine that runs its kernel, so it takes no lock;
+// the audit ledger's sealers are handed finished segments, never events.
 package trace
 
 import (
 	"fmt"
 	"io"
-	"sync"
 )
 
 // Kind identifies a kernel event type. The numeric values are part of the
@@ -127,11 +129,11 @@ func (e Event) String() string {
 		e.Seq, e.Kind, e.Obj, e.Arg, e.Aux)
 }
 
-// Sink receives every emitted event, in emission order, under the log's
-// lock — implementations must not call back into the Log. A sink may
-// finish its work on goroutines of its own after Record returns (the
-// ledger hashes segment bodies that way); those goroutines must never
-// touch the Log either. The audit ledger (internal/ledger) is the
+// Sink receives every emitted event, in emission order, inside Emit on the
+// log's goroutine — implementations must not call back into the Log. A sink
+// may finish its work on goroutines of its own (the ledger hashes segment
+// bodies that way); those never touch the Log, and the sink guards whatever
+// they or its readers share. The audit ledger (internal/ledger) is the
 // standing implementation; the hook is nil-safe and costs one predictable
 // branch per Emit when unset.
 type Sink interface {
@@ -142,7 +144,6 @@ type Sink interface {
 // is a valid, always-disabled log: every method is a cheap no-op, which is
 // the "nil sink" the kernel hook sites rely on.
 type Log struct {
-	mu     sync.Mutex
 	events []Event // ring storage
 	next   int     // next write position
 	filled bool    // ring has wrapped at least once
@@ -171,7 +172,6 @@ func (l *Log) Emit(k Kind, obj, arg uint32, aux uint64) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
 	l.seq++
 	l.counts[k]++
 	ev := Event{Seq: l.seq, Kind: k, Obj: obj, Arg: arg, Aux: aux}
@@ -184,19 +184,14 @@ func (l *Log) Emit(k Kind, obj, arg uint32, aux uint64) {
 	if l.sink != nil {
 		l.sink.Record(ev)
 	}
-	l.mu.Unlock()
 }
 
 // SetSink attaches (or with nil detaches) a downstream sink. Every event
-// emitted from here on is also delivered to the sink, under the log's
-// lock and in sequence order.
+// emitted from here on is also delivered to the sink, in sequence order.
 func (l *Log) SetSink(s Sink) {
-	if l == nil {
-		return
+	if l != nil {
+		l.sink = s
 	}
-	l.mu.Lock()
-	l.sink = s
-	l.mu.Unlock()
 }
 
 // Sink returns the attached sink, or nil.
@@ -204,8 +199,6 @@ func (l *Log) Sink() Sink {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.sink
 }
 
@@ -215,37 +208,21 @@ func (l *Log) Seq() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.seq
 }
 
-// Snapshot returns the sequence number and a copy of the per-kind
-// counters under a single lock acquisition — one consistent view, where a
-// Seq call followed by a Counts call takes one lock each and can
-// interleave with emissions.
+// Snapshot returns the sequence number and a copy of the per-kind counters.
 func (l *Log) Snapshot() (seq uint64, counts []uint64) {
-	counts = make([]uint64, numKinds)
-	if l == nil {
-		return 0, counts
-	}
-	l.mu.Lock()
-	seq = l.seq
-	copy(counts, l.counts[:])
-	l.mu.Unlock()
-	return seq, counts
+	return l.Seq(), l.Counts()
 }
 
 // Counts returns a copy of the cumulative per-kind counters, indexed by
 // Kind.
 func (l *Log) Counts() []uint64 {
 	out := make([]uint64, numKinds)
-	if l == nil {
-		return out
+	if l != nil {
+		copy(out, l.counts[:])
 	}
-	l.mu.Lock()
-	copy(out, l.counts[:])
-	l.mu.Unlock()
 	return out
 }
 
@@ -254,8 +231,6 @@ func (l *Log) Events() []Event {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if !l.filled {
 		return append([]Event(nil), l.events[:l.next]...)
 	}
@@ -266,22 +241,14 @@ func (l *Log) Events() []Event {
 
 // Reset clears the ring and counters; the sequence number keeps running
 // so post-reset events remain globally ordered against earlier dumps.
-// Reset does NOT reach the attached sink: the ring is a view, the sink is
-// the pipeline, and segments a ledger sink has already sealed from
-// pre-reset events survive (by design — an operator clearing the ring
-// must not be able to erase audit history), as do the pre-reset events
-// of its open, not yet sealed segment.
+// Reset does NOT reach the attached sink: an operator clearing the ring
+// must not be able to erase audit history, so what a ledger has sealed,
+// and the events of its open segment, survive.
 func (l *Log) Reset() {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	l.next = 0
-	l.filled = false
-	for i := range l.counts {
-		l.counts[i] = 0
-	}
-	l.mu.Unlock()
+	l.next, l.filled, l.counts = 0, false, [numKinds]uint64{}
 }
 
 // Dump writes every retained event, one per line, oldest first. The
