@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -266,22 +267,30 @@ func TestDamageAfterDeliveryFailsMaterialize(t *testing.T) {
 }
 
 // TestHopAllocBound pins the host allocations of one migration hop of a
-// 64-byte object: Ship, Deliver, Materialize and ReclaimGraph.
+// 64-byte object: Ship, Deliver, Materialize and ReclaimGraph. The hops
+// alternate direction, as a migrated request and its reply do, so each
+// node's pool gets back image buffers as fast as the node ships them.
 func TestHopAllocBound(t *testing.T) {
 	c, err := New(testConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := c.Nodes[0].IM
-	root, f := a.SROs.Create(a.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 64})
-	if f != nil {
-		t.Fatal(f)
+	var roots [2]obj.AD
+	for i, n := range c.Nodes {
+		var f *obj.Fault
+		if roots[i], f = n.IM.SROs.Create(n.IM.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 64}); f != nil {
+			t.Fatal(f)
+		}
 	}
+	hops := 0
 	hop := func() {
-		if _, err := c.Ship(0, 1, root, MsgRequest, 0); err != nil {
+		from := hops % 2
+		to := 1 - from
+		hops++
+		if _, err := c.Ship(from, to, roots[from], MsgRequest, 0); err != nil {
 			t.Fatal(err)
 		}
-		ds, err := c.Deliver(1)
+		ds, err := c.Deliver(to)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,12 +299,99 @@ func TestHopAllocBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.ReclaimGraph(1, created); err != nil {
+			if err := c.ReclaimGraph(to, created); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if got := testing.AllocsPerRun(200, hop); got > 7 {
-		t.Fatalf("one hop allocates %.1f objects, want at most 7", got)
+	if got := testing.AllocsPerRun(200, hop); got > 0 {
+		t.Fatalf("one hop allocates %.1f objects, want none", got)
 	}
+	checkClean(t, c)
+}
+
+// TestRecycledBuffers holds the ownership rules of the pools. Activation
+// keeps no byte of an image, so an image buffer recycled into the next hop
+// cannot reach the objects the last one made; a message materializes
+// once; and a buffer Deliver refuses goes back to the pool without
+// spoiling the hop that reuses it.
+func TestRecycledBuffers(t *testing.T) {
+	c, err := New(testConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	object := func(node int, fill byte) obj.AD {
+		t.Helper()
+		im := c.Nodes[node].IM
+		ad, f := im.SROs.Create(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 32})
+		if f != nil {
+			t.Fatal(f)
+		}
+		if f := im.Table.WriteBytes(ad, 0, bytes.Repeat([]byte{fill}, 32)); f != nil {
+			t.Fatal(f)
+		}
+		return ad
+	}
+	filled := func(node int, ad obj.AD, fill byte) bool {
+		t.Helper()
+		p, f := c.Nodes[node].IM.Table.ReadBytes(ad, 0, 32)
+		return f == nil && bytes.Equal(p, bytes.Repeat([]byte{fill}, 32))
+	}
+	hop := func(from, to int, root obj.AD) (Msg, obj.AD) {
+		t.Helper()
+		if _, err := c.Ship(from, to, root, MsgRequest, 0); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := c.Deliver(to)
+		if err != nil || len(ds) != 1 {
+			t.Fatalf("delivered %d messages (%v), want 1", len(ds), err)
+		}
+		m := ds[0]
+		got, _, err := c.Materialize(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, got
+	}
+
+	// A's image goes to node 1's pool when its flight closes, and node 1
+	// encodes B into it.
+	mA, gotA := hop(0, 1, object(0, 0xAA))
+	mB, gotB := hop(1, 0, object(1, 0xBB))
+	if &mA.Img[0] != &mB.Img[0] {
+		t.Fatal("graph B was not encoded into graph A's recycled buffer")
+	}
+	if !filled(1, gotA, 0xAA) || !filled(0, gotB, 0xBB) {
+		t.Fatal("an activated graph changed when its image buffer was reused")
+	}
+
+	live := c.Nodes[0].IM.Table.Live()
+	if _, _, err := c.Materialize(mB); err == nil {
+		t.Fatal("a message materialized twice")
+	}
+	if c.Nodes[0].IM.Table.Live() != live || !filled(0, gotB, 0xBB) {
+		t.Fatal("the refused second materialization touched node 0")
+	}
+
+	// Damage on the wire: Deliver refuses the image and node 1's pool
+	// takes the buffer, which node 1's next shipment reuses.
+	if _, err := c.Ship(0, 1, object(0, 0xCC), MsgRequest, 0); err != nil {
+		t.Fatal(err)
+	}
+	damaged := c.queues[0][1][0].Img
+	damaged[9] ^= 0x80
+	if ds, err := c.Deliver(1); err != nil || len(ds) != 0 {
+		t.Fatalf("damaged image delivered: %v (%v)", ds, err)
+	}
+	mD, gotD := hop(1, 0, object(1, 0xDD))
+	if &mD.Img[0] != &damaged[0] {
+		t.Fatal("node 1 did not ship from the buffer Deliver refused")
+	}
+	if !filled(0, gotD, 0xDD) {
+		t.Fatal("the hop through a refused buffer carried other bytes")
+	}
+	if c.FailedActivations != 1 {
+		t.Fatalf("FailedActivations = %d, want 1", c.FailedActivations)
+	}
+	checkClean(t, c)
 }

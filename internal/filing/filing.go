@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/obj"
 	"repro/internal/sro"
@@ -83,6 +84,14 @@ type Store struct {
 	// labels instances with.
 	types map[string]obj.AD
 
+	// Scratch that encoding and activation reuse from call to call, so a
+	// graph crosses the store without a host allocation once the scratch
+	// has grown to its size: Encode's visit order and graph ids, and for
+	// each object ActivateImage creates, the image offset of its slot count.
+	order []obj.AD
+	ids   map[obj.Index]int
+	edges []int
+
 	// Stats.
 	FiledObjects     uint64
 	ActivatedObjects uint64
@@ -95,6 +104,7 @@ func NewStore(t *obj.Table, s *sro.Manager, td TypeNamer) *Store {
 		files: make(map[uint64][]byte),
 		next:  1,
 		types: make(map[string]obj.AD),
+		ids:   make(map[obj.Index]int),
 	}
 }
 
@@ -146,41 +156,59 @@ func (s *Store) Passivate(root obj.AD) (uint64, error) {
 }
 
 // Encode serialises the object graph reachable from root into a
-// self-checking image (magic + CRC) without storing it: the wire form the
-// cluster ships. The root must be a global (level-0) object, and so must
-// the whole reachable graph — the level rule guarantees the rest of the
-// graph is if the root is.
+// self-checking image (magic + CRC) without storing it: AppendEncode into
+// a fresh slice.
 func (s *Store) Encode(root obj.AD) ([]byte, error) {
+	return s.AppendEncode(nil, root)
+}
+
+// AppendEncode appends the image of the object graph reachable from root to
+// dst and returns the extended slice: the wire form the cluster ships, into
+// a buffer it recycles. The CRC covers the appended bytes only, so the
+// suffix is an image CheckImage accepts. On failure it returns dst as it was
+// passed. The root must be a global (level-0) object, and so must the whole
+// reachable graph — the level rule guarantees the rest of the graph is if
+// the root is.
+func (s *Store) AppendEncode(dst []byte, root obj.AD) ([]byte, error) {
 	d, f := s.Table.Resolve(root)
 	if f != nil {
-		return nil, f
+		return dst, f
 	}
 	if d.Level != obj.LevelGlobal {
-		return nil, obj.Faultf(obj.FaultLevel, root, "only global objects may be filed")
+		return dst, obj.Faultf(obj.FaultLevel, root, "only global objects may be filed")
 	}
 
 	// Breadth-first enumeration; index in visit order is the graph id.
-	order := []obj.AD{root}
-	ids := map[obj.Index]int{root.Index: 0}
-	for i := 0; i < len(order); i++ {
-		f := s.Table.Referents(order[i].Index, func(ad obj.AD) {
-			if _, seen := ids[ad.Index]; !seen {
-				ids[ad.Index] = len(order)
-				order = append(order, ad)
+	s.order = append(s.order[:0], root)
+	clear(s.ids)
+	s.ids[root.Index] = 0
+	for i := 0; i < len(s.order); i++ {
+		f := s.Table.Referents(s.order[i].Index, func(ad obj.AD) {
+			if _, seen := s.ids[ad.Index]; !seen {
+				s.ids[ad.Index] = len(s.order)
+				s.order = append(s.order, ad)
 			}
 		})
 		if f != nil {
-			return nil, f
+			return dst, f
 		}
 	}
 
-	var img []byte
-	img = binary.LittleEndian.AppendUint32(img, fileMagic)
-	img = binary.LittleEndian.AppendUint32(img, uint32(len(order)))
-	for _, ad := range order {
+	// Room for the image but its type names, so a buffer new to the
+	// caller's pool is allocated once rather than grown record by record.
+	size := 12 // magic, count, CRC
+	for _, ad := range s.order {
+		if d := s.Table.DescriptorAt(ad.Index); d != nil {
+			size += objMinEncoded + int(d.DataLen) + 4*int(d.AccessSlots)
+		}
+	}
+	img := binary.LittleEndian.AppendUint32(slices.Grow(dst, size), fileMagic)
+	img = binary.LittleEndian.AppendUint32(img, uint32(len(s.order)))
+	var v obj.View
+	for _, ad := range s.order {
 		d := s.Table.DescriptorAt(ad.Index)
 		if d == nil {
-			return nil, obj.Faultf(obj.FaultOddity, ad, "object vanished during passivation")
+			return dst, obj.Faultf(obj.FaultOddity, ad, "object vanished during passivation")
 		}
 		img = append(img, byte(d.Type))
 		name := ""
@@ -190,12 +218,12 @@ func (s *Store) Encode(root obj.AD) ([]byte, error) {
 				// The labelling TDO was destroyed while its instance
 				// lives on; an image recording the dead type would be
 				// unactivatable at best and a forgery vector at worst.
-				return nil, obj.Faultf(obj.FaultInvalidAD, ad,
+				return dst, obj.Faultf(obj.FaultInvalidAD, ad,
 					"user-type TDO %d destroyed before passivation", d.UserType)
 			}
 			n, f := s.TDOs.Name(tdoAD)
 			if f != nil {
-				return nil, f
+				return dst, f
 			}
 			name = n
 		}
@@ -203,29 +231,21 @@ func (s *Store) Encode(root obj.AD) ([]byte, error) {
 			// uint16(len(name)) would silently truncate the field and
 			// desynchronise every record after it — a corrupt image
 			// written by our own hand.
-			return nil, obj.Faultf(obj.FaultBounds, ad,
+			return dst, obj.Faultf(obj.FaultBounds, ad,
 				"user-type name of %d bytes exceeds the image's 16-bit field", len(name))
 		}
 		img = binary.LittleEndian.AppendUint16(img, uint16(len(name)))
 		img = append(img, name...)
 		img = binary.LittleEndian.AppendUint32(img, d.DataLen)
 		fullAD, _ := s.Table.SystemAD(ad.Index)
-		if d.DataLen > 0 {
-			data, f := s.Table.ReadBytes(fullAD, 0, d.DataLen)
-			if f != nil {
-				return nil, f
-			}
-			img = append(img, data...)
-		}
+		s.Table.View(fullAD, d.Type, obj.RightRead, &v)
+		img = append(img, v.Span(obj.RightRead, 0, d.DataLen)...)
 		img = binary.LittleEndian.AppendUint32(img, d.AccessSlots)
 		for slot := uint32(0); slot < d.AccessSlots; slot++ {
-			ref, f := s.Table.LoadAD(fullAD, slot)
-			if f != nil {
-				return nil, f
-			}
+			ref := v.LoadAD(slot)
 			var enc uint32
 			if ref.Valid() {
-				if id, ok := ids[ref.Index]; ok {
+				if id, ok := s.ids[ref.Index]; ok {
 					enc = uint32(id) + 1
 				}
 				// Dangling references file as nil: the object
@@ -233,9 +253,12 @@ func (s *Store) Encode(root obj.AD) ([]byte, error) {
 			}
 			img = binary.LittleEndian.AppendUint32(img, enc)
 		}
+		if f := v.Fault(); f != nil {
+			return dst, f
+		}
 	}
-	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img))
-	s.FiledObjects += uint64(len(order))
+	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img[len(dst):]))
+	s.FiledObjects += uint64(len(s.order))
 	return img, nil
 }
 
@@ -247,7 +270,7 @@ func (s *Store) Activate(tok uint64, heap obj.AD) (obj.AD, error) {
 	if !ok {
 		return obj.NilAD, ErrNoSuchFile
 	}
-	root, _, err := s.ActivateImage(img, heap)
+	root, _, err := s.ActivateImage(img, heap, nil)
 	return root, err
 }
 
@@ -265,58 +288,54 @@ func CheckImage(img []byte) error {
 }
 
 // ActivateImage rebuilds the graph an image encodes as fresh objects
-// allocated from heap. It returns a capability for the root and every
-// object created in image order (the root first): callers that later
-// dispose of the whole graph — the cluster transfer channel reclaims a
-// shipped copy after forwarding it — need the full list, since nothing
-// else records a live graph's membership. Stored user types are re-bound
-// through the type registry; an unbound type name is an error — identity
-// cannot be conjured. Activation is all-or-nothing: on any failure every
-// object already created is reclaimed, so a failed activation never
-// holds storage quota. The image is checked first and only read, never
-// retained.
-func (s *Store) ActivateImage(img []byte, heap obj.AD) (obj.AD, []obj.AD, error) {
+// allocated from heap. It returns a capability for the root and created
+// with every object it made appended in image order (the root first):
+// callers that later dispose of the whole graph — the cluster transfer
+// channel reclaims a shipped copy after forwarding it — need the full
+// list, since nothing else records a live graph's membership, and pass a
+// list they recycle. Stored user types are re-bound through the type
+// registry; an unbound type name is an error — identity cannot be
+// conjured. Activation is all-or-nothing: on any failure every object
+// already created is reclaimed, so a failed activation never holds storage
+// quota, and created comes back as it was passed. The image is checked
+// first and only read, never retained.
+func (s *Store) ActivateImage(img []byte, heap obj.AD, created []obj.AD) (obj.AD, []obj.AD, error) {
+	n0 := len(created)
 	if err := CheckImage(img); err != nil {
-		return obj.NilAD, nil, err
+		return obj.NilAD, created, err
 	}
 	r := reader{b: img[:len(img)-4], off: 4} // past the checked magic, short of the CRC
 	count := int(r.u32())
 	if count == 0 {
-		return obj.NilAD, nil, fmt.Errorf("%w: zero object count", ErrCorrupt)
+		return obj.NilAD, created, fmt.Errorf("%w: zero object count", ErrCorrupt)
 	}
 	// The count field is attacker-controlled 32-bit input; clamp it
 	// against what the remaining bytes could possibly encode before any
-	// allocation trusts it.
+	// loop trusts it.
 	if max := r.remaining() / objMinEncoded; count > max {
-		return obj.NilAD, nil, fmt.Errorf("%w: count %d exceeds image capacity %d", ErrCorrupt, count, max)
+		return obj.NilAD, created, fmt.Errorf("%w: count %d exceeds image capacity %d", ErrCorrupt, count, max)
 	}
 
-	type pending struct {
-		ad    obj.AD
-		slots []uint32
-	}
-	objs := make([]pending, 0, count)
 	// unwind reclaims everything created so far, newest first, so a
 	// failed activation leaks neither objects nor SRO claim.
 	unwind := func(err error) (obj.AD, []obj.AD, error) {
-		for i := len(objs) - 1; i >= 0; i-- {
-			_ = s.SROs.Reclaim(objs[i].ad.Index)
+		for i := len(created) - 1; i >= n0; i-- {
+			_ = s.SROs.Reclaim(created[i].Index)
 		}
-		return obj.NilAD, nil, err
+		return obj.NilAD, created[:n0], err
 	}
+	s.edges = s.edges[:0]
 	for i := 0; i < count; i++ {
 		typ := obj.Type(r.u8())
-		name := string(r.bytes(int(r.u16())))
+		name := r.bytes(int(r.u16()))
 		dataLen := r.u32()
 		data := r.bytes(int(dataLen))
+		slotsAt := r.off
 		slots := r.u32()
 		if int64(slots)*4 > int64(r.remaining()) {
 			return unwind(fmt.Errorf("%w: object %d claims %d slots beyond the image", ErrCorrupt, i, slots))
 		}
-		refs := make([]uint32, slots)
-		for j := range refs {
-			refs[j] = r.u32()
-		}
+		r.take(int(slots) * 4) // read back by the second pass
 		if r.err != nil {
 			return unwind(fmt.Errorf("%w: %v", ErrCorrupt, r.err))
 		}
@@ -329,8 +348,8 @@ func (s *Store) ActivateImage(img []byte, heap obj.AD) (obj.AD, []obj.AD, error)
 			return unwind(fmt.Errorf("%w: object %d stored as %v", ErrPrivilegedType, i, typ))
 		}
 		spec := obj.CreateSpec{Type: typ, DataLen: dataLen, AccessSlots: slots}
-		if name != "" {
-			tdo, ok := s.types[name]
+		if len(name) > 0 {
+			tdo, ok := s.types[string(name)]
 			if !ok {
 				return unwind(fmt.Errorf("%w: %q", ErrUnboundType, name))
 			}
@@ -340,33 +359,35 @@ func (s *Store) ActivateImage(img []byte, heap obj.AD) (obj.AD, []obj.AD, error)
 		if f != nil {
 			return unwind(f)
 		}
-		objs = append(objs, pending{ad: ad, slots: refs})
+		created = append(created, ad)
+		s.edges = append(s.edges, slotsAt)
 		if dataLen > 0 {
 			if f := s.Table.WriteBytes(ad, 0, data); f != nil {
 				return unwind(f)
 			}
 		}
 	}
-	// Second pass: rebuild the edges.
-	for _, p := range objs {
-		for slot, enc := range p.slots {
+	// Second pass: rebuild the edges, reading each object's slot count and
+	// edge words back from the image.
+	objs := created[n0:]
+	for i, ad := range objs {
+		edges := r.b[s.edges[i]:]
+		slots := binary.LittleEndian.Uint32(edges)
+		for slot := uint32(0); slot < slots; slot++ {
+			enc := binary.LittleEndian.Uint32(edges[4+4*slot:])
 			if enc == 0 {
 				continue
 			}
 			if int(enc-1) >= len(objs) {
 				return unwind(fmt.Errorf("%w: edge to object %d of %d", ErrCorrupt, enc-1, len(objs)))
 			}
-			if f := s.Table.StoreAD(p.ad, uint32(slot), objs[enc-1].ad); f != nil {
+			if f := s.Table.StoreAD(ad, slot, objs[enc-1]); f != nil {
 				return unwind(f)
 			}
 		}
 	}
 	s.ActivatedObjects += uint64(len(objs))
-	ads := make([]obj.AD, len(objs))
-	for i, p := range objs {
-		ads[i] = p.ad
-	}
-	return objs[0].ad, ads, nil
+	return objs[0], created, nil
 }
 
 // Export returns a copy of the stored image bytes: the wire form of a

@@ -252,6 +252,75 @@ func TestActivateIsRepeatable(t *testing.T) {
 	}
 }
 
+// TestAppendEncode: AppendEncode writes after what dst holds and nowhere
+// else, the bytes it appends are Encode's, and the suffix checks on its own.
+func TestAppendEncode(t *testing.T) {
+	fx := setup(t)
+	root := fx.obj(t, 12, 1)
+	leaf := fx.obj(t, 4, 0)
+	fx.tab.WriteBytes(root, 0, []byte("append after"))
+	fx.tab.WriteDWord(leaf, 0, 0xC0FFEE)
+	fx.tab.StoreAD(root, 0, leaf)
+	want, err := fx.store.Encode(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("a prefix the encoder must not touch")
+	dst := append(make([]byte, 0, len(prefix)+len(want)), prefix...)
+	img, err := fx.store.AppendEncode(dst, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &img[0] != &dst[0] {
+		t.Fatal("AppendEncode reallocated a buffer with room for the image")
+	}
+	if string(img[:len(prefix)]) != string(prefix) {
+		t.Fatalf("prefix rewritten: %q", img[:len(prefix)])
+	}
+	if string(img[len(prefix):]) != string(want) {
+		t.Fatalf("appended %x, Encode gives %x", img[len(prefix):], want)
+	}
+	if err := CheckImage(img[len(prefix):]); err != nil {
+		t.Fatalf("appended image refused: %v", err)
+	}
+	// A refusal hands dst back as it came.
+	local, f := fx.sros.NewLocalHeap(fx.heap, 3, 0)
+	if f != nil {
+		t.Fatal(f)
+	}
+	lo, f := fx.sros.Create(local, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 4})
+	if f != nil {
+		t.Fatal(f)
+	}
+	if got, err := fx.store.AppendEncode(dst, lo); err == nil || len(got) != len(dst) {
+		t.Fatalf("refused encode returned %d bytes and %v, want dst's %d and a fault", len(got), err, len(dst))
+	}
+}
+
+// TestActivateImageAppends: the created objects go after what the list
+// holds, which is left as it was.
+func TestActivateImageAppends(t *testing.T) {
+	fx := setup(t)
+	root := fx.obj(t, 4, 1)
+	fx.tab.StoreAD(root, 0, fx.obj(t, 4, 0))
+	img, err := fx.store.Encode(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := []obj.AD{root}
+	back, list, err := fx.store.ActivateImage(img, fx.heap, held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 3 || list[0] != root || list[1] != back {
+		t.Fatalf("list = %v, want [%v %v child]", list, root, back)
+	}
+	child, f := fx.tab.LoadAD(back, 0)
+	if f != nil || child.Index != list[2].Index {
+		t.Fatalf("activated root's edge leads to %v (%v), want %v", child, f, list[2])
+	}
+}
+
 func TestStatsAccumulate(t *testing.T) {
 	fx := setup(t)
 	root := fx.obj(t, 4, 1)

@@ -3,7 +3,9 @@ package filing
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"repro/internal/obj"
@@ -76,6 +78,11 @@ func fuzzSeedImages(f *testing.F) [][]byte {
 // or fail with an error; it must never panic and a failure must leave the
 // node exactly as it found it: no live objects gained, no SRO quota held.
 // An image CheckImage refuses, ActivateImage refuses with ErrCorrupt.
+//
+// Every image is activated in two identical worlds: into a nil list, and
+// appended to a recycled list that already holds entries. The verdicts and
+// the created objects must be the same, the recycled list's entries must be
+// untouched, and a failure must hand it back at its old length.
 func FuzzActivate(f *testing.F) {
 	for _, img := range fuzzSeedImages(f) {
 		f.Add(img)
@@ -89,21 +96,8 @@ func FuzzActivate(f *testing.F) {
 	f.Add(binary.LittleEndian.AppendUint32(nil, fileMagic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tab := obj.NewTable(1 << 16)
-		sros := sro.NewManager(tab)
-		tdos := typedef.NewManager(tab)
-		heap, fault := sros.NewGlobalHeap(1 << 14)
-		if fault != nil {
-			t.Fatal(fault)
-		}
-		store := NewStore(tab, sros, tdos)
-		tdo, fault := tdos.Define("fuzz_rec", obj.LevelGlobal, obj.NilIndex)
-		if fault != nil {
-			t.Fatal(fault)
-		}
-		if fault := store.BindType("fuzz_rec", tdo); fault != nil {
-			t.Fatal(fault)
-		}
+		fresh, reused := newFuzzWorld(t), newFuzzWorld(t)
+		prefix := []obj.AD{{Index: 0x7777, Gen: 3}, {Index: 0x7778, Gen: 5}}
 
 		images := [][]byte{data}
 		// Re-checksummed variant: the parser sees the payload even when
@@ -113,40 +107,97 @@ func FuzzActivate(f *testing.F) {
 
 		for _, img := range images {
 			checked := CheckImage(img)
-			live := tab.Live()
-			_, used, _, fault := sros.Usage(heap)
-			if fault != nil {
-				t.Fatal(fault)
-			}
-			_, created, err := store.ActivateImage(img, heap)
+			root, created, err := fresh.activate(t, img, nil)
+			list := append(make([]obj.AD, 0, 8), prefix...)
+			rootR, createdR, errR := reused.activate(t, img, list)
 			if checked != nil && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("CheckImage refused the image (%v) but ActivateImage returned %v", checked, err)
 			}
-			if err != nil {
-				if got := tab.Live(); got != live {
-					t.Fatalf("failed activation leaked objects: %d -> %d", live, got)
-				}
-				_, u, _, fault := sros.Usage(heap)
-				if fault != nil {
-					t.Fatal(fault)
-				}
-				if u != used {
-					t.Fatalf("failed activation holds SRO quota: used %d->%d", used, u)
-				}
-				continue
+			if fmt.Sprint(err) != fmt.Sprint(errR) || root != rootR {
+				t.Fatalf("verdict depends on the list: nil list (%v, %v), recycled list (%v, %v)", root, err, rootR, errR)
 			}
-			if got, want := tab.Live(), live+len(created); got != want {
-				t.Fatalf("activation created %d objects but %d appeared", len(created), got-live)
+			if len(createdR) < len(prefix) || !slices.Equal(createdR[:len(prefix)], prefix) {
+				t.Fatalf("activation rewrote the recycled list's entries: %v", createdR)
 			}
-			for _, ad := range created {
-				d := tab.DescriptorAt(ad.Index)
-				if d == nil {
-					t.Fatalf("activated object %d not live", ad.Index)
-				}
-				if d.Type != obj.TypeGeneric {
-					t.Fatalf("activation minted hardware type %v", d.Type)
-				}
+			if !slices.Equal(created, createdR[len(prefix):]) {
+				t.Fatalf("created objects depend on the list: %v vs %v", created, createdR[len(prefix):])
 			}
 		}
 	})
+}
+
+// fuzzWorld is one node's table and store, as FuzzActivate builds it.
+type fuzzWorld struct {
+	tab   *obj.Table
+	sros  *sro.Manager
+	store *Store
+	heap  obj.AD
+}
+
+func newFuzzWorld(t *testing.T) *fuzzWorld {
+	t.Helper()
+	tab := obj.NewTable(1 << 16)
+	sros := sro.NewManager(tab)
+	tdos := typedef.NewManager(tab)
+	heap, fault := sros.NewGlobalHeap(1 << 14)
+	if fault != nil {
+		t.Fatal(fault)
+	}
+	store := NewStore(tab, sros, tdos)
+	tdo, fault := tdos.Define("fuzz_rec", obj.LevelGlobal, obj.NilIndex)
+	if fault != nil {
+		t.Fatal(fault)
+	}
+	if fault := store.BindType("fuzz_rec", tdo); fault != nil {
+		t.Fatal(fault)
+	}
+	return &fuzzWorld{tab: tab, sros: sros, store: store, heap: heap}
+}
+
+// activate runs ActivateImage appending to list and checks what it left in
+// the world: on failure nothing (no live object gained, no SRO quota held),
+// on success exactly the objects it appended, every one generic. A failure
+// must return list at the length it was passed. It returns what
+// ActivateImage returned.
+func (w *fuzzWorld) activate(t *testing.T, img []byte, list []obj.AD) (obj.AD, []obj.AD, error) {
+	t.Helper()
+	n0, live := len(list), w.tab.Live()
+	_, used, _, fault := w.sros.Usage(w.heap)
+	if fault != nil {
+		t.Fatal(fault)
+	}
+	root, list, err := w.store.ActivateImage(img, w.heap, list)
+	if err != nil {
+		if got := w.tab.Live(); got != live {
+			t.Fatalf("failed activation leaked objects: %d -> %d", live, got)
+		}
+		_, u, _, fault := w.sros.Usage(w.heap)
+		if fault != nil {
+			t.Fatal(fault)
+		}
+		if u != used {
+			t.Fatalf("failed activation holds SRO quota: used %d->%d", used, u)
+		}
+		if len(list) != n0 {
+			t.Fatalf("failed activation returned a list of %d, passed %d", len(list), n0)
+		}
+		return root, list, err
+	}
+	created := list[n0:]
+	if got, want := w.tab.Live(), live+len(created); got != want {
+		t.Fatalf("activation created %d objects but %d appeared", len(created), got-live)
+	}
+	if len(created) == 0 || created[0] != root {
+		t.Fatalf("activation returned root %v and created %v", root, created)
+	}
+	for _, ad := range created {
+		d := w.tab.DescriptorAt(ad.Index)
+		if d == nil {
+			t.Fatalf("activated object %d not live", ad.Index)
+		}
+		if d.Type != obj.TypeGeneric {
+			t.Fatalf("activation minted hardware type %v", d.Type)
+		}
+	}
+	return root, list, nil
 }

@@ -318,7 +318,7 @@ func TestActivateImageIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := fx.store.ActivateImage(img, fx.heap)
+	back, _, err := fx.store.ActivateImage(img, fx.heap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestCrossNodeRoundTripProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rootB, created, err := b.store.ActivateImage(img, b.heap)
+			rootB, created, err := b.store.ActivateImage(img, b.heap, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

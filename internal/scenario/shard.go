@@ -89,22 +89,56 @@ type shardSession struct {
 	Dest int
 
 	// remote is the activated graph of the request copy a non-home node is
-	// serving, kept for its reclamation after the reply ships.
+	// serving, kept for its reclamation after the reply ships. Only the
+	// serving node touches it.
 	remote []obj.AD
 }
 
 // shardNode is one kernel's engine-side state: the node the
-// single-machine engine also runs, plus the cluster's bookkeeping.
+// single-machine engine also runs, plus the cluster's bookkeeping. A tick
+// touches this and the cluster node, and of the sessions it reads all and
+// writes only the remote lists of the copies this node serves.
 type shardNode struct {
 	node
+	cl          *cluster.Node
+	sessions    []shardSession
+	sessionData uint32
 
 	// byObj maps an object on this node's reply port to its session: the
 	// canonical session object where the session is homed, the root of the
 	// activated request copy where it is served away from home.
 	byObj obj.Side[int32]
 
+	// in is what Deliver handed this node for the next tick; out is what
+	// the last one left for the merge.
+	in  []cluster.Msg
+	out outbox
+
 	Completed uint64 // requests completed for sessions homed here
 	Served    uint64 // requests whose service ran here (home or migrated)
+}
+
+// outbox is a node tick's effect on state the nodes share — the transfer
+// ledger, the wire, the sessions' completions and the histograms — held
+// for the merge in the order the tick made it.
+type outbox struct {
+	// arrivals are the graphs the tick activated, each with its object
+	// count: its flight closes, and a reply completes its request.
+	arrivals []arrival
+	// departures are the requests the tick drained from the reply port: a
+	// completion where the session is homed, else a reply image to post.
+	departures []departure
+}
+
+type arrival struct {
+	msg       cluster.Msg
+	activated int
+}
+
+type departure struct {
+	sid     int32
+	img     []byte // nil for a completion
+	objects int
 }
 
 // ShardEngine drives one sharded scenario run.
@@ -163,8 +197,12 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 		return nil, fmt.Errorf("shard %q: %w", cfg.Name, err)
 	}
 	e := &ShardEngine{Cfg: cfg, Cluster: cl, perClass: make([]vtime.Hist, len(cfg.Classes))}
+	e.sessions = make([]shardSession, cfg.Sessions)
 	for ni, n := range cl.Nodes {
-		sn := &shardNode{node: node{IM: n.IM}, byObj: obj.NewSide[int32](n.IM.Table)}
+		sn := &shardNode{
+			node: node{IM: n.IM}, cl: n, sessions: e.sessions, sessionData: cfg.SessionData,
+			byObj: obj.NewSide[int32](n.IM.Table),
+		}
 		if err := sn.build(&cfg.Load); err != nil {
 			return nil, fmt.Errorf("shard %q: node %d: %w", cfg.Name, ni, err)
 		}
@@ -175,7 +213,6 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 	// property of identity, not of the arrival order — and routing has
 	// its own seeded stream.
 	rngRoute := rand.New(rand.NewSource(cfg.Seed ^ 0x3a9d0c11))
-	e.sessions = make([]shardSession, cfg.Sessions)
 	e.schedule, err = population(&cfg.Load, func(i, class int, arrive vtime.Cycles) error {
 		home := int((uint64(i) * 0x9E3779B97F4A7C15 >> 33) % uint64(cfg.Nodes))
 		im := e.nodes[home].IM
@@ -221,22 +258,34 @@ func (e *ShardEngine) issue(sid int) error {
 	return err
 }
 
-// deliver imports and materializes every graph addressed to node ni:
-// request copies go to the class request port, reply copies fold back
-// into their canonical session object and complete the request.
-func (e *ShardEngine) deliver(ni int) error {
-	ds, err := e.Cluster.Deliver(ni)
-	if err != nil {
-		return err
+// tick is node sn's share of a lockstep iteration: it activates what was
+// delivered to it, flushes its backlogs, steps its kernel one quantum and
+// drains its reply port. It touches only what the node owns and leaves
+// every effect on shared state in out for the merge.
+func (sn *shardNode) tick(in []cluster.Msg, out *outbox) (worked bool, err error) {
+	if err := sn.arrive(in, out); err != nil {
+		return false, err
 	}
-	sn := e.nodes[ni]
-	for _, d := range ds {
-		root, created, err := e.Cluster.Materialize(d)
+	sn.flush()
+	worked, f := sn.IM.Step(stepQuantum)
+	if f != nil {
+		return false, fmt.Errorf("fault: %v", f)
+	}
+	return worked, sn.drainReplies(out)
+}
+
+// arrive activates every graph delivered to the node: request copies go to
+// the class request port, reply copies fold back into their canonical
+// session object and are reclaimed.
+func (sn *shardNode) arrive(in []cluster.Msg, out *outbox) error {
+	for _, d := range in {
+		root, created, err := sn.cl.Activate(d)
 		if err != nil {
-			return fmt.Errorf("shard %q: node %d: materialize graph %d: %w", e.Cfg.Name, ni, d.Graph, err)
+			return fmt.Errorf("materialize graph %d: %w", d.Graph, err)
 		}
+		out.arrivals = append(out.arrivals, arrival{msg: d, activated: len(created)})
 		sid := int32(d.Seq)
-		s := &e.sessions[sid]
+		s := &sn.sessions[sid]
 		switch d.Kind {
 		case cluster.MsgRequest:
 			sn.byObj.Put(root.Index, sid)
@@ -244,22 +293,112 @@ func (e *ShardEngine) deliver(ni int) error {
 			sn.send(s.Class, root)
 		case cluster.MsgReply:
 			// Fold the served copy's bytes into the canonical object.
-			im := sn.IM
-			data, f := im.Table.ReadBytes(root, 0, e.Cfg.SessionData)
-			if f != nil {
-				return fmt.Errorf("shard %q: reply read: %v", e.Cfg.Name, f)
+			var src, dst obj.View
+			sn.IM.Table.View(root, obj.TypeGeneric, obj.RightRead, &src)
+			data := src.Span(obj.RightRead, 0, sn.sessionData)
+			if f := src.Fault(); f != nil {
+				return fmt.Errorf("reply read: %v", f)
 			}
-			if f := im.Table.WriteBytes(s.Obj, 0, data); f != nil {
-				return fmt.Errorf("shard %q: reply fold: %v", e.Cfg.Name, f)
+			sn.IM.Table.View(s.Obj, obj.TypeGeneric, obj.RightWrite, &dst)
+			dst.SetBytes(0, data)
+			if f := dst.Fault(); f != nil {
+				return fmt.Errorf("reply fold: %v", f)
 			}
-			if err := e.Cluster.ReclaimGraph(ni, created); err != nil {
+			if err := sn.cl.Reclaim(created); err != nil {
 				return err
 			}
-			e.migCompleted++
-			e.complete(sid)
 		}
 	}
 	return nil
+}
+
+// drainReplies observes the node's reply port: canonical session objects
+// complete where they are homed; remote-job copies are encoded for their
+// trip home and reclaimed.
+func (sn *shardNode) drainReplies(out *outbox) error {
+	for {
+		msg, ok, f := sn.IM.ReceiveMessage(sn.ReplyPort)
+		if f != nil {
+			return fmt.Errorf("drain: %v", f)
+		}
+		if !ok {
+			return nil
+		}
+		sid, known := sn.byObj.Get(msg.Index)
+		if !known {
+			return fmt.Errorf("unknown object %d on reply port", msg.Index)
+		}
+		sn.Served++
+		s := &sn.sessions[sid]
+		if s.Home == sn.cl.ID {
+			out.departures = append(out.departures, departure{sid: sid})
+			continue
+		}
+		img, objects, err := sn.cl.Encode(msg)
+		if err != nil {
+			return err
+		}
+		out.departures = append(out.departures, departure{sid: sid, img: img, objects: objects})
+		// The image owns the state now; the copy is done.
+		if err := sn.cl.Reclaim(s.remote); err != nil {
+			return err
+		}
+		s.remote = nil
+	}
+}
+
+// merge applies every node's outbox to the shared state in the order the
+// unsplit loop did: all nodes' arrivals (flight closures, then a reply's
+// completion), node by node, then all nodes' departures (completions and
+// posts, whose order gives graph ids), node by node.
+func (e *ShardEngine) merge() {
+	for _, sn := range e.nodes {
+		for _, a := range sn.out.arrivals {
+			e.Cluster.CloseFlight(a.msg, a.activated, nil)
+			if a.msg.Kind == cluster.MsgReply {
+				e.migCompleted++
+				e.complete(int32(a.msg.Seq))
+			}
+		}
+		sn.out.arrivals = sn.out.arrivals[:0]
+	}
+	for ni, sn := range e.nodes {
+		for _, d := range sn.out.departures {
+			if d.img == nil {
+				e.complete(d.sid)
+				continue
+			}
+			e.Cluster.Post(ni, e.sessions[d.sid].Home, cluster.MsgReply, uint64(d.sid), d.img, d.objects)
+		}
+		sn.out.departures = sn.out.departures[:0]
+	}
+}
+
+// round is one lockstep iteration past the issues: the wire's deliveries
+// to every node, each node's part (a tick, or when step is off only its
+// arrivals and its reply port: the final wire drain), then the merge. It
+// reports whether any kernel worked.
+func (e *ShardEngine) round(step bool) (anyWorked bool, err error) {
+	for ni, sn := range e.nodes {
+		// Wire messages shipped last step arrive before this step runs.
+		if sn.in, err = e.Cluster.Deliver(ni); err != nil {
+			return false, err
+		}
+	}
+	for ni, sn := range e.nodes {
+		worked := false
+		if step {
+			worked, err = sn.tick(sn.in, &sn.out)
+		} else if err = sn.arrive(sn.in, &sn.out); err == nil {
+			err = sn.drainReplies(&sn.out)
+		}
+		if err != nil {
+			return false, fmt.Errorf("shard %q: node %d at %v: %w", e.Cfg.Name, ni, e.now, err)
+		}
+		anyWorked = anyWorked || worked
+	}
+	e.merge()
+	return anyWorked, nil
 }
 
 // complete finishes session sid's request at the current lockstep instant.
@@ -276,39 +415,6 @@ func (e *ShardEngine) complete(sid int32) {
 	s.Completed++
 	e.totCompleted++
 	e.nodes[s.Home].Completed++
-}
-
-// drainReplies observes node ni's reply port: canonical session objects
-// complete locally; remote-job copies passivate and ship home.
-func (e *ShardEngine) drainReplies(ni int) error {
-	sn := e.nodes[ni]
-	for {
-		msg, ok, f := sn.IM.ReceiveMessage(sn.ReplyPort)
-		if f != nil {
-			return fmt.Errorf("shard %q: node %d drain: %v", e.Cfg.Name, ni, f)
-		}
-		if !ok {
-			return nil
-		}
-		sid, known := sn.byObj.Get(msg.Index)
-		if !known {
-			return fmt.Errorf("shard %q: node %d: unknown object %d on reply port", e.Cfg.Name, ni, msg.Index)
-		}
-		sn.Served++
-		s := &e.sessions[sid]
-		if s.Home == ni {
-			e.complete(sid)
-			continue
-		}
-		if _, err := e.Cluster.Ship(ni, s.Home, msg, cluster.MsgReply, uint64(sid)); err != nil {
-			return err
-		}
-		// The shipped image owns the state now; the copy is done.
-		if err := e.Cluster.ReclaimGraph(ni, s.remote); err != nil {
-			return err
-		}
-		s.remote = nil
-	}
 }
 
 // censor bounds the tail at the deadline exactly like the single-node
@@ -360,23 +466,9 @@ func (e *ShardEngine) Run() (*ShardResult, error) {
 			e.censor(deadline)
 			break
 		}
-		// Wire messages shipped last step arrive before this step runs.
-		for ni := range e.nodes {
-			if err := e.deliver(ni); err != nil {
-				return nil, err
-			}
-			e.nodes[ni].flush()
-		}
-		anyWorked := false
-		for ni, sn := range e.nodes {
-			worked, f := sn.IM.Step(stepQuantum)
-			if f != nil {
-				return nil, fmt.Errorf("shard %q: node %d fault at %v: %v", e.Cfg.Name, ni, e.now, f)
-			}
-			anyWorked = anyWorked || worked
-			if err := e.drainReplies(ni); err != nil {
-				return nil, err
-			}
+		anyWorked, err := e.round(true)
+		if err != nil {
+			return nil, err
 		}
 		if e.StepHook != nil {
 			e.StepHook(e)
@@ -405,13 +497,8 @@ func (e *ShardEngine) Run() (*ShardResult, error) {
 	}
 	// Final wire drain so a run that ends exactly on a completion step
 	// leaves no orphaned flights.
-	for ni := range e.nodes {
-		if err := e.deliver(ni); err != nil {
-			return nil, err
-		}
-		if err := e.drainReplies(ni); err != nil {
-			return nil, err
-		}
+	if _, err := e.round(false); err != nil {
+		return nil, err
 	}
 	return e.result(), nil
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/audit"
@@ -211,6 +212,38 @@ func checkFlightsClosed(t *testing.T, e *ShardEngine) {
 		if fl.State != audit.FlightClosed {
 			t.Fatalf("graph %d is %q after the drain, want closed", fl.ID, fl.State)
 		}
+	}
+}
+
+// TestShardRunAllocBound pins the host allocations of a sharded run in
+// which every request migrates: two hops a request, each encoding into a
+// recycled image buffer and activating into a recycled created list, and
+// the reply folded through views. What is left does not grow with the
+// request count, or grows by doubling: the pools filling to what is in
+// flight at the peak, the queues, the transfer ledger's records, one-time
+// caches and the result — some 200 allocations, hence the population.
+func TestShardRunAllocBound(t *testing.T) {
+	cfg := ShardPreset(2, 30_000, 42)
+	cfg.MigratePermille = 1000
+	cfg.MeanGap = 600 // below the knee, as the benchmark's shard workload
+	e, err := NewShard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := e.Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Completed == 0 || r.MigratedCompleted != r.Completed {
+		t.Fatalf("%d of %d completed requests migrated", r.MigratedCompleted, r.Completed)
+	}
+	mallocs := after.Mallocs - before.Mallocs
+	if per := float64(mallocs) / float64(r.Completed); per > 0.01 {
+		t.Fatalf("run allocated %d times for %d completed requests (%.4f each), want at most 0.01 each",
+			mallocs, r.Completed, per)
 	}
 }
 
