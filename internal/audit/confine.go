@@ -4,32 +4,17 @@ package audit
 // protection domains confines the effects of errors". The fault-injection
 // harness (internal/inject) turns that claim into a checkable statement by
 // comparing an injected run against a fault-free reference run of the same
-// seed: every passive object that is NOT reachable from a faulting process
-// (or from its declared collaborators) must be byte-identical in both
-// runs. Scheduling metadata — processes, contexts, ports, carriers,
-// processors, SROs — legitimately diverges after an injection (different
-// dispatch order, different cycle accounting), so confinement is asserted
-// over the passive payload types whose bytes are scheduling-independent.
+// seed over one declared list of witnesses: objects both runs built before
+// they diverged, outside every faulting party's declared group. Each
+// witness must come through the injected run unchanged. This file holds
+// the live verdict (final tables); ledgerconfine.go holds the same verdict
+// re-derived from two event histories.
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/obj"
 )
-
-// ObjImage is the byte-level image of one object in a reference run:
-// identity (type, generation, level), shape, and the raw data and
-// access-part bytes.
-type ObjImage struct {
-	Type        obj.Type
-	Gen         uint32
-	Level       obj.Level
-	DataLen     uint32
-	AccessSlots uint32
-	Data        []byte
-	Access      []byte
-}
 
 // confinementComparable reports whether confinement compares objects of
 // this hardware type. Process/context/port/carrier/processor/SRO objects
@@ -44,199 +29,62 @@ func confinementComparable(t obj.Type) bool {
 	return false
 }
 
-// Snapshot is the confinement reference: byte images of the comparable
-// passive objects, plus the reference run's full reachability edges. The
-// edges matter for exclusion: an object a faulting process referenced in
-// the reference run may not exist at all in the injected run (never
-// created, or collected after the fault cut its holder short), so the
-// blast radius must be closed over both graphs.
-type Snapshot struct {
-	Images map[obj.Index]ObjImage
-	Edges  map[obj.Index][]obj.Index
-}
-
-// SnapshotReachable captures byte images of every pinned-root-reachable
-// object of the comparable passive types. Taking the closure from the
-// pinned roots (the directory, processor objects, system heap) rather
-// than the whole table keeps garbage out of the snapshot: an unreferenced
-// object may be collected at different virtual times in two runs without
-// that being corruption.
-func SnapshotReachable(t *obj.Table) *Snapshot {
-	out := &Snapshot{
-		Images: make(map[obj.Index]ObjImage),
-		Edges:  make(map[obj.Index][]obj.Index),
-	}
-	var pinned []obj.Index
+// ComparableObjects lists, in index order, the live objects of the types
+// confinement compares: the candidates a caller draws witnesses from.
+func ComparableObjects(t *obj.Table) []obj.Index {
+	var out []obj.Index
 	for i := 1; i < t.Len(); i++ {
-		idx := obj.Index(i)
-		if t.IsPinned(idx) {
-			pinned = append(pinned, idx)
+		if d := t.DescriptorAt(obj.Index(i)); d != nil && confinementComparable(d.Type) {
+			out = append(out, obj.Index(i))
 		}
-	}
-	mem := t.Memory()
-	for idx := range reachClosure(t, pinned) {
-		var refs []obj.Index
-		_ = t.Referents(idx, func(ad obj.AD) { refs = append(refs, ad.Index) })
-		out.Edges[idx] = refs
-		d := t.DescriptorAt(idx)
-		if d == nil || d.SwappedOut || !confinementComparable(d.Type) {
-			continue
-		}
-		img := ObjImage{
-			Type:        d.Type,
-			Gen:         d.Gen,
-			Level:       d.Level,
-			DataLen:     d.DataLen,
-			AccessSlots: d.AccessSlots,
-		}
-		if d.DataLen > 0 {
-			b, err := mem.ReadBytes(d.Data, 0, d.DataLen)
-			if err != nil {
-				continue
-			}
-			img.Data = b
-		}
-		if d.AccessSlots > 0 {
-			b, err := mem.ReadBytes(d.Access, 0, d.AccessSlots*obj.ADSlotSize)
-			if err != nil {
-				continue
-			}
-			img.Access = b
-		}
-		out.Images[idx] = img
 	}
 	return out
 }
 
-// reachClosure is the reachability closure over access parts from the seed
-// indices. A swapped-out object is a leaf: its access part is not resident
-// to scan, and nothing can have been mutated through it while it was out.
-func reachClosure(t *obj.Table, seeds []obj.Index) map[obj.Index]bool {
-	seen := make(map[obj.Index]bool)
-	queue := make([]obj.Index, 0, len(seeds))
-	for _, s := range seeds {
-		if s != obj.NilIndex && !seen[s] && t.DescriptorAt(s) != nil {
-			seen[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		idx := queue[0]
-		queue = queue[1:]
-		_ = t.Referents(idx, func(ad obj.AD) {
-			if !seen[ad.Index] {
-				seen[ad.Index] = true
-				queue = append(queue, ad.Index)
-			}
-		})
-	}
-	return seen
-}
-
-// CheckConfinement verifies the damage-confinement claim against a
-// reference snapshot: every snapshot object that is not reachable from any
-// of the excluded seeds (faulting processes and their declared
-// collaborators) must still exist with the same identity, shape, and
-// bytes. The exclusion closure is taken over the injected run's table AND
-// the reference run's recorded edges — the blast radius is whatever the
-// faulting party could reach in either history. Everything outside it
-// diverging is a confinement violation.
-func (a *Auditor) CheckConfinement(ref *Snapshot, excluded []obj.Index) []Violation {
+// CheckConfinement verifies the damage-confinement claim against the final
+// table of a fault-free reference run: every witness, which must be live
+// in ref, must still exist in the audited table with the same identity
+// (generation, type, level) and data and access bytes; no operation
+// resizes an object, so the same generation is the same shape. Who is a
+// witness is the caller's declaration; nothing here computes a blast
+// radius. A witness swapped out in either table is compared by identity
+// only: its bytes are the backing store's business.
+func (a *Auditor) CheckConfinement(ref *obj.Table, witnesses []obj.Index) []Violation {
 	var out []Violation
 	bad := func(idx obj.Index, format string, args ...any) {
 		out = append(out, Violation{Subsystem: "confine", Obj: idx, Msg: fmt.Sprintf(format, args...)})
 	}
-	ex := reachClosure(a.Table, excluded)
-	for idx := range edgeClosure(ref.Edges, excluded) {
-		ex[idx] = true
-	}
-	idxs := make([]obj.Index, 0, len(ref.Images))
-	for idx := range ref.Images {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	mem := a.Table.Memory()
-	for _, idx := range idxs {
-		if ex[idx] {
-			continue
-		}
-		img := ref.Images[idx]
-		d := a.Table.DescriptorAt(idx)
-		if d == nil {
-			bad(idx, "%s object (gen %d) destroyed though unreachable from any faulting process", img.Type, img.Gen)
-			continue
-		}
-		if d.Gen != img.Gen {
-			bad(idx, "index reused: generation %d in reference, %d now", img.Gen, d.Gen)
-			continue
-		}
-		if d.Type != img.Type {
-			bad(idx, "type changed: %s in reference, %s now", img.Type, d.Type)
-			continue
-		}
-		if d.SwappedOut {
-			// Bytes live in the backing store; residency is the memory
-			// manager's business, not corruption.
-			continue
-		}
-		if d.DataLen != img.DataLen || d.AccessSlots != img.AccessSlots {
-			bad(idx, "resized: %d+%d in reference, %d+%d now",
-				img.DataLen, img.AccessSlots, d.DataLen, d.AccessSlots)
-			continue
-		}
-		if d.DataLen > 0 {
-			b, err := mem.ReadBytes(d.Data, 0, d.DataLen)
-			if err != nil {
-				bad(idx, "data part unreadable: %v", err)
-				continue
-			}
-			if off := firstDiff(img.Data, b); off >= 0 {
-				bad(idx, "data byte %d changed: %#x in reference, %#x now", off, img.Data[off], b[off])
-				continue
-			}
-		}
-		if d.AccessSlots > 0 {
-			b, err := mem.ReadBytes(d.Access, 0, d.AccessSlots*obj.ADSlotSize)
-			if err != nil {
-				bad(idx, "access part unreadable: %v", err)
-				continue
-			}
-			if off := firstDiff(img.Access, b); off >= 0 {
-				bad(idx, "access slot %d changed", off/obj.ADSlotSize)
+	rm, m := ref.Memory(), a.Table.Memory()
+	for _, idx := range witnesses {
+		r, d := ref.DescriptorAt(idx), a.Table.DescriptorAt(idx)
+		switch {
+		case d == nil:
+			bad(idx, "%s object (gen %d) destroyed", r.Type, r.Gen)
+		case d.Gen != r.Gen || d.Type != r.Type || d.Level != r.Level:
+			bad(idx, "identity changed: %s gen %d level %d in reference, %s gen %d level %d now",
+				r.Type, r.Gen, r.Level, d.Type, d.Gen, d.Level)
+		case d.SwappedOut || r.SwappedOut:
+			// Identity only.
+		default:
+			if off := firstDiff(rm.Window(r.Data), m.Window(d.Data)); off >= 0 {
+				bad(idx, "data byte %d differs from the reference", off)
+			} else if off := firstDiff(rm.Window(r.Access), m.Window(d.Access)); off >= 0 {
+				bad(idx, "access slot %d differs from the reference", off/obj.ADSlotSize)
 			}
 		}
 	}
 	return out
 }
 
-// edgeClosure is the reachability closure over a recorded edge map.
-func edgeClosure(edges map[obj.Index][]obj.Index, seeds []obj.Index) map[obj.Index]bool {
-	seen := make(map[obj.Index]bool)
-	queue := make([]obj.Index, 0, len(seeds))
-	for _, s := range seeds {
-		if s != obj.NilIndex && !seen[s] {
-			seen[s] = true
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		idx := queue[0]
-		queue = queue[1:]
-		for _, r := range edges[idx] {
-			if !seen[r] {
-				seen[r] = true
-				queue = append(queue, r)
-			}
-		}
-	}
-	return seen
-}
-
+// firstDiff is the offset of the first byte at which a and b differ, or -1
+// when they are equal.
 func firstDiff(a, b []byte) int {
-	for i := range a {
-		if a[i] != b[i] {
-			return i
-		}
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
 	}
-	return -1
+	if n == len(a) && n == len(b) {
+		return -1
+	}
+	return n
 }

@@ -3,13 +3,11 @@ package audit
 // ledgerconfine.go re-establishes the damage-confinement verdict (§7.1)
 // from ledger-replayed event streams alone — no live object table, no
 // byte images. Where CheckConfinement compares final object bytes against
-// a reference snapshot, this checker compares *histories*: from each
-// run's verified event stream it reconstructs every traced object's
-// creation identity, destruction, and the exact ordered sequence of
-// access-slot stores it received. Two deterministic runs of the same seed
-// agree on all of it until the injection fires; afterwards, anything the
-// injections could not reach must keep an identical history — a diverging
-// store on an unreachable object is exactly a confinement violation,
+// the reference run's table, this checker compares *histories*: from each
+// run's verified event stream it reconstructs every witness's creation
+// identity, destruction, and the exact ordered sequence of access-slot
+// stores it received. Both checkers judge the same witness list, so a
+// diverging store on a witness is exactly a confinement violation,
 // observable years later from archived ledger bytes.
 //
 // The comparison deliberately uses only the scheduling-independent event
@@ -18,7 +16,6 @@ package audit
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/obj"
 	"repro/internal/trace"
@@ -31,126 +28,78 @@ type adStore struct {
 	Src  obj.Index
 }
 
-// ledgerRun is the object-history model of one run, reconstructed purely
-// from its event stream.
-type ledgerRun struct {
-	created   map[obj.Index]trace.Event // last creation event per index
-	destroyed map[obj.Index]bool        // destroyed after last creation
-	edges     map[obj.Index][]obj.Index // all-time stored-AD edges (dst → srcs)
-	history   map[obj.Index][]adStore   // ordered stores per destination
+// history is one object's life in a run, reconstructed purely from its
+// event stream: the last creation event (Kind is EvNone if there was
+// none) and how many creations the index has seen, the stream's analogue
+// of the generation; whether a destruction followed; the ordered stores
+// since.
+type history struct {
+	created     trace.Event
+	incarnation int
+	destroyed   bool
+	stores      []adStore
 }
 
-// buildLedgerRun folds an event stream into the history model. An index
-// recreated after destruction starts a fresh history (matching the live
-// checker, which only ever sees the final incarnation).
-func buildLedgerRun(events []trace.Event) *ledgerRun {
-	r := &ledgerRun{
-		created:   make(map[obj.Index]trace.Event),
-		destroyed: make(map[obj.Index]bool),
-		edges:     make(map[obj.Index][]obj.Index),
-		history:   make(map[obj.Index][]adStore),
+// histories folds an event stream into the history of each witness. An
+// index recreated after destruction starts a fresh history in its next
+// incarnation.
+func histories(events []trace.Event, witnesses []obj.Index) map[obj.Index]*history {
+	out := make(map[obj.Index]*history, len(witnesses))
+	for _, idx := range witnesses {
+		out[idx] = &history{}
 	}
-	seen := make(map[obj.Index]map[obj.Index]bool)
 	for _, ev := range events {
+		h := out[obj.Index(ev.Obj)]
+		if h == nil {
+			continue
+		}
 		switch ev.Kind {
 		case trace.EvObjCreate:
-			idx := obj.Index(ev.Obj)
-			r.created[idx] = ev
-			delete(r.destroyed, idx)
-			delete(r.history, idx)
+			*h = history{created: ev, incarnation: h.incarnation + 1}
 		case trace.EvObjDestroy:
-			r.destroyed[obj.Index(ev.Obj)] = true
+			h.destroyed = true
 		case trace.EvADStore:
-			dst, src := obj.Index(ev.Obj), obj.Index(ev.Arg)
-			r.history[dst] = append(r.history[dst], adStore{Slot: ev.Aux, Src: src})
-			if src != obj.NilIndex {
-				if seen[dst] == nil {
-					seen[dst] = make(map[obj.Index]bool)
-				}
-				if !seen[dst][src] {
-					seen[dst][src] = true
-					r.edges[dst] = append(r.edges[dst], src)
-				}
-			}
+			h.stores = append(h.stores, adStore{Slot: ev.Aux, Src: obj.Index(ev.Arg)})
 		}
 	}
-	return r
+	return out
 }
 
 // CheckConfinementFromLedger replays the §7.1 confinement check from two
 // verified event streams: a fault-free reference run and an injected run
-// of the same seed. excluded seeds the blast radius (faulting processes,
-// flood/exhaust victims); the exclusion closure is taken over the
-// all-time stored-AD edges of BOTH runs, the replay analogue of the live
-// checker closing over the injected table and the reference edges.
-// injectionDestroyed lists objects an injection destroyed on purpose —
-// their absence is the injection, not damage. Every other object the
-// reference stream created with a comparable passive type must exist,
-// keep its creation identity, survive, and show an identical store
-// history in the injected stream.
-func CheckConfinementFromLedger(refEvents, injEvents []trace.Event, excluded, injectionDestroyed []obj.Index) []Violation {
-	ref := buildLedgerRun(refEvents)
-	inj := buildLedgerRun(injEvents)
-
-	ex := edgeClosure(ref.edges, excluded)
-	for idx := range edgeClosure(inj.edges, excluded) {
-		ex[idx] = true
-	}
-	injDestroyed := make(map[obj.Index]bool, len(injectionDestroyed))
-	for _, idx := range injectionDestroyed {
-		injDestroyed[idx] = true
-	}
-
+// of the same seed. It judges exactly the witnesses CheckConfinement
+// judges: each must exist in the injected stream, keep its creation
+// identity, survive, and show the reference's store history.
+func CheckConfinementFromLedger(refEvents, injEvents []trace.Event, witnesses []obj.Index) []Violation {
+	ref, inj := histories(refEvents, witnesses), histories(injEvents, witnesses)
 	var out []Violation
 	bad := func(idx obj.Index, format string, args ...any) {
 		out = append(out, Violation{Subsystem: "ledger-confine", Obj: idx, Msg: fmt.Sprintf(format, args...)})
 	}
-
-	idxs := make([]obj.Index, 0, len(ref.created))
-	for idx := range ref.created {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
-		rc := ref.created[idx]
-		if !confinementComparable(obj.Type(rc.Arg)) {
-			continue
-		}
-		// Mirrors the live checker's scope: objects gone by the end of
-		// the reference run (garbage, transient) are not witnesses.
-		if ref.destroyed[idx] || ex[idx] || injDestroyed[idx] {
-			continue
-		}
-		ic, ok := inj.created[idx]
-		if !ok {
+	for _, idx := range witnesses {
+		r, h := ref[idx], inj[idx]
+		rc, ic := r.created, h.created
+		switch {
+		case ic.Kind != trace.EvObjCreate:
 			bad(idx, "%s object never created in the injected run", obj.Type(rc.Arg))
-			continue
-		}
-		if ic.Arg != rc.Arg || ic.Aux != rc.Aux {
-			bad(idx, "creation identity changed: type %s level %d in reference, type %s level %d injected",
-				obj.Type(rc.Arg), rc.Aux, obj.Type(ic.Arg), ic.Aux)
-			continue
-		}
-		if inj.destroyed[idx] {
-			bad(idx, "%s object destroyed though unreachable from any faulting process", obj.Type(rc.Arg))
-			continue
-		}
-		rh, ih := ref.history[idx], inj.history[idx]
-		n := len(rh)
-		if len(ih) < n {
-			n = len(ih)
-		}
-		diverged := false
-		for i := 0; i < n; i++ {
-			if rh[i] != ih[i] {
-				bad(idx, "access history diverges at store %d: slot %d←%d in reference, slot %d←%d injected",
-					i, rh[i].Slot, rh[i].Src, ih[i].Slot, ih[i].Src)
-				diverged = true
-				break
+		case ic.Arg != rc.Arg || ic.Aux != rc.Aux || h.incarnation != r.incarnation:
+			bad(idx, "creation identity changed: type %s level %d incarnation %d in reference, type %s level %d incarnation %d injected",
+				obj.Type(rc.Arg), rc.Aux, r.incarnation, obj.Type(ic.Arg), ic.Aux, h.incarnation)
+		case h.destroyed:
+			bad(idx, "%s object destroyed", obj.Type(rc.Arg))
+		default:
+			rs, is := r.stores, h.stores
+			i := 0
+			for i < len(rs) && i < len(is) && rs[i] == is[i] {
+				i++
 			}
-		}
-		if !diverged && len(rh) != len(ih) {
-			bad(idx, "access history length %d in reference, %d injected", len(rh), len(ih))
+			switch {
+			case i < len(rs) && i < len(is):
+				bad(idx, "access history diverges at store %d: slot %d←%d in reference, slot %d←%d injected",
+					i, rs[i].Slot, rs[i].Src, is[i].Slot, is[i].Src)
+			case len(rs) != len(is):
+				bad(idx, "access history length %d in reference, %d injected", len(rs), len(is))
+			}
 		}
 	}
 	return out

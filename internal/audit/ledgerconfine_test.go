@@ -2,8 +2,7 @@ package audit
 
 // Unit tests for the ledger-replay confinement checker over synthetic
 // event streams: each violation class fires on exactly the stream shape
-// that should trigger it, and the exclusion closure follows stored-AD
-// edges from either run.
+// that should trigger it, and only the listed witnesses are judged.
 
 import (
 	"strings"
@@ -36,19 +35,23 @@ func baseStream() *stream {
 	s := &stream{}
 	s.create(10, obj.TypeGeneric, 0) // the innocent witness
 	s.create(11, obj.TypeGeneric, 0)
-	s.create(20, obj.TypeProcess, 0) // the faulting party (not comparable)
-	s.create(21, obj.TypeGeneric, 0) // reachable from the faulting party
+	s.create(20, obj.TypeProcess, 0) // the faulting party (no witness)
+	s.create(21, obj.TypeGeneric, 0) // in the faulting party's group
 	s.store(20, 21, 0)
 	s.store(10, 11, 3)
 	return s
 }
 
-func check(ref, inj *stream, excluded []obj.Index) []Violation {
-	return CheckConfinementFromLedger(ref.events, inj.events, excluded, nil)
+// witnesses is the declared scope of the synthetic runs: the two objects
+// outside the faulting party's group.
+var witnesses = []obj.Index{10, 11}
+
+func check(ref, inj *stream) []Violation {
+	return CheckConfinementFromLedger(ref.events, inj.events, witnesses)
 }
 
 func TestLedgerConfineClean(t *testing.T) {
-	if vs := check(baseStream(), baseStream(), []obj.Index{20}); len(vs) != 0 {
+	if vs := check(baseStream(), baseStream()); len(vs) != 0 {
 		t.Fatalf("identical streams reported violations: %v", vs)
 	}
 }
@@ -63,15 +66,20 @@ func TestLedgerConfineViolationClasses(t *testing.T) {
 		{"diverging store", func(s *stream) {
 			s.events[len(s.events)-1].Aux = 7 // slot 3 → 7 on object 10
 		}, "diverges at store"},
-		{"destroyed", func(s *stream) { s.add(trace.EvObjDestroy, 10, uint32(obj.TypeGeneric), 0) }, "destroyed though unreachable"},
+		{"destroyed", func(s *stream) { s.add(trace.EvObjDestroy, 10, uint32(obj.TypeGeneric), 0) }, "destroyed"},
 		{"identity changed", func(s *stream) {
 			s.events[0].Arg = uint32(obj.TypeDomain) // recreate 10 as a domain
 		}, "creation identity changed"},
+		{"recreated", func(s *stream) {
+			s.add(trace.EvObjDestroy, 10, uint32(obj.TypeGeneric), 0)
+			s.create(10, obj.TypeGeneric, 0)
+			s.store(10, 11, 3)
+		}, "incarnation 2 injected"},
 	}
 	for _, tc := range cases {
 		inj := baseStream()
 		tc.mutate(inj)
-		vs := check(baseStream(), inj, []obj.Index{20})
+		vs := check(baseStream(), inj)
 		if len(vs) == 0 {
 			t.Fatalf("%s: no violation", tc.name)
 		}
@@ -84,52 +92,26 @@ func TestLedgerConfineViolationClasses(t *testing.T) {
 func TestLedgerConfineNeverCreated(t *testing.T) {
 	inj := baseStream()
 	inj.events = inj.events[1:] // drop 10's creation
-	vs := check(baseStream(), inj, []obj.Index{20})
+	vs := check(baseStream(), inj)
 	if len(vs) == 0 || !strings.Contains(vs[0].Msg, "never created") {
 		t.Fatalf("missing creation not reported: %v", vs)
 	}
 }
 
-// TestLedgerConfineExclusionClosure: damage inside the blast radius —
-// including objects only reachable through edges the *injected* run added
-// — is not a violation.
-func TestLedgerConfineExclusionClosure(t *testing.T) {
-	ref, inj := baseStream(), baseStream()
-	// 21 is inside 20's closure in both runs: divergence is permitted.
-	inj.store(21, 11, 1)
-	if vs := check(ref, inj, []obj.Index{20}); len(vs) != 0 {
-		t.Fatalf("blast-radius divergence reported: %v", vs)
-	}
-	// The injected run grows the radius: 20 stores 10, then mutates 10.
-	inj2 := baseStream()
-	inj2.store(20, 10, 1)
-	inj2.store(10, 11, 9)
-	if vs := check(ref, inj2, []obj.Index{20}); len(vs) != 0 {
-		t.Fatalf("injected-run edge not honored by the closure: %v", vs)
-	}
-	// Same mutation without the edge is damage.
-	inj3 := baseStream()
-	inj3.store(10, 11, 9)
-	if vs := check(ref, inj3, []obj.Index{20}); len(vs) == 0 {
-		t.Fatalf("out-of-radius mutation not reported")
-	}
-}
-
-// TestLedgerConfineInjectionDestroyed: deliberate destruction is the
-// injection, not damage — but only for the named object.
+// TestLedgerConfineInjectionDestroyed: an object an injection destroyed is
+// not a witness (inject drops every victim's group from the list), so its
+// destruction and whatever the injected run then does on its index are not
+// judged; the same destruction of a listed witness is damage. Nothing
+// outside the list is judged, however far it diverges.
 func TestLedgerConfineInjectionDestroyed(t *testing.T) {
 	inj := baseStream()
 	inj.add(trace.EvObjDestroy, 10, uint32(obj.TypeGeneric), 0)
-	if vs := CheckConfinementFromLedger(baseStream().events, inj.events, []obj.Index{20}, []obj.Index{10}); len(vs) != 0 {
-		t.Fatalf("declared destruction reported as damage: %v", vs)
+	inj.store(10, 11, 2) // post-destruction noise on a dead index
+	inj.store(21, 11, 1) // divergence inside the faulting party's group
+	if vs := CheckConfinementFromLedger(baseStream().events, inj.events, []obj.Index{11}); len(vs) != 0 {
+		t.Fatalf("unlisted objects judged: %v", vs)
 	}
-	// Objects the reference run itself destroyed are out of scope.
-	ref := baseStream()
-	ref.add(trace.EvObjDestroy, 11, uint32(obj.TypeGeneric), 0)
-	inj2 := baseStream()
-	inj2.add(trace.EvObjDestroy, 11, uint32(obj.TypeGeneric), 0)
-	inj2.store(11, 10, 2) // post-destruction noise on a dead index
-	if vs := check(ref, inj2, []obj.Index{20}); len(vs) != 0 {
-		t.Fatalf("reference-dead object compared: %v", vs)
+	if vs := check(baseStream(), inj); len(vs) != 1 || vs[0].Obj != 10 {
+		t.Fatalf("destroyed witness: got %v, want one violation on object 10", vs)
 	}
 }

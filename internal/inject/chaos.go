@@ -11,12 +11,14 @@ package inject
 //     terminated, when an injected flood had already filled the port —
 //     the documented full-port arm of fault delivery);
 //  3. the invariant auditor finds nothing, and audit.CheckConfinement
-//     proves every object outside the injections' declared blast radius
-//     byte-identical to the reference run;
+//     proves every witness (witnesses: what the world held before it ran,
+//     outside the declared group of every faulted worker and injection
+//     victim) byte-identical to the reference run's;
 //  4. both corners produce the same fingerprint — trace stream, stats,
 //     worker states and fired-event log — byte for byte;
-//  5. the confinement verdict of 3, re-derived from the two sealed audit
-//     ledgers with no live system (DESIGN.md §12.5), is the same verdict.
+//  5. the confinement verdict of 3, re-derived over the same witnesses
+//     from the two sealed audit ledgers with no live system (DESIGN.md
+//     §12.5), is the same verdict.
 
 import (
 	"bytes"
@@ -28,7 +30,6 @@ import (
 	"repro/internal/audit"
 	"repro/internal/obj"
 	"repro/internal/process"
-	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
@@ -129,11 +130,12 @@ func faultPortResidents(w *World) (map[obj.Index]bool, error) {
 	return out, nil
 }
 
-// checkWorld judges one injected world against the §7 acceptance
-// criteria, given the reference snapshot of a fault-free run of the same
-// seed. It returns a list of human-readable problems, empty on success.
-func checkWorld(w *World, refSnap *audit.Snapshot) []string {
-	var problems []string
+// checkWorld judges one injected world against criteria 1–3, given the
+// final table of a fault-free reference run of the same seed and the
+// witnesses of the run. It returns the human-readable problems of
+// criteria 1 and 2 and the live confinement verdict, both empty on
+// success.
+func checkWorld(w *World, ref *obj.Table, witnesses []obj.Index) (problems []string, confinement []audit.Violation) {
 	bad := func(format string, args ...any) {
 		problems = append(problems, fmt.Sprintf(format, args...))
 	}
@@ -159,7 +161,7 @@ func checkWorld(w *World, refSnap *audit.Snapshot) []string {
 	for i, p := range w.Workers {
 		st, f := w.IM.Procs.StateOf(p)
 		if f != nil {
-			continue // destroyed mid-mark; judged by confinement below
+			continue // destroyed mid-mark; its group is no witness
 		}
 		code, _ := w.IM.Procs.FaultCode(p)
 		switch st {
@@ -181,101 +183,66 @@ func checkWorld(w *World, refSnap *audit.Snapshot) []string {
 		}
 	}
 
-	// 3. Damage confinement against the reference snapshot. The excluded
-	// seeds are the declared blast radius: the group of every faulted or
-	// destroyed worker, and the group of every object an environmental
-	// injection (flood, exhaust) acted on. Objects the injector itself
-	// destroyed are removed from the reference — their absence is the
-	// injection, not damage.
-	ref := refSnap
-	var excluded []obj.Index
-	exclude := func(idx obj.Index) {
-		if g := w.Group(idx); g != nil {
-			excluded = append(excluded, g...)
-		} else {
-			excluded = append(excluded, idx)
+	// 3. Damage confinement: every witness byte-identical to the reference.
+	return problems, aud.CheckConfinement(ref, witnesses)
+}
+
+// fate is what became of worker p: destroyed by an injection, or faulted
+// (parked at the fault port, or terminated by a full one).
+func (w *World) fate(p obj.AD) (destroyed, faulted bool) {
+	st, f := w.IM.Procs.StateOf(p)
+	if f != nil {
+		return true, false
+	}
+	code, _ := w.IM.Procs.FaultCode(p)
+	return false, st == process.StateFaulted || code != obj.FaultNone
+}
+
+// witnesses is the one confinement scope both verdicts judge (criteria 3
+// and 5): every object of a comparable type the world held before it ran
+// (World.built) and the fault-free reference ref still holds, same
+// generation, at its end — less the declared group of every worker of w
+// that faulted or was destroyed and of every victim an injection acted
+// on. A swap-out's victim stays: eviction must be transparent. Objects
+// created once the run starts are never witnesses: after the runs diverge
+// one index may name different objects in the two tables.
+func witnesses(ref, w *World) []obj.Index {
+	drop := make(map[obj.Index]bool)
+	dropGroup := func(idx obj.Index) {
+		drop[idx] = true
+		for _, m := range w.Group(idx) {
+			drop[m] = true
 		}
 	}
 	for _, p := range w.Workers {
-		st, f := w.IM.Procs.StateOf(p)
-		if f != nil {
-			exclude(p.Index)
-			continue
-		}
-		code, _ := w.IM.Procs.FaultCode(p)
-		if st == process.StateFaulted || code != obj.FaultNone {
-			exclude(p.Index)
+		if destroyed, faulted := w.fate(p); destroyed || faulted {
+			dropGroup(p.Index)
 		}
 	}
 	if w.Inj != nil {
-		pruned := false
 		for _, r := range w.Inj.Fired() {
-			switch r.Kind {
-			case KindPortFlood, KindSROExhaust:
-				if r.Victim != obj.NilIndex {
-					exclude(r.Victim)
-				}
-			case KindDestroyMidMark:
-				if r.Victim != obj.NilIndex {
-					if !pruned {
-						ref = cloneSnapshot(refSnap)
-						pruned = true
-					}
-					delete(ref.Images, r.Victim)
-				}
+			if r.Kind != KindSwapOut {
+				dropGroup(r.Victim)
 			}
 		}
 	}
-	for _, v := range aud.CheckConfinement(ref, excluded) {
-		bad("confinement: %v", v)
-	}
-	return problems
-}
-
-// cloneSnapshot copies the image map (the part the harness prunes when an
-// injection destroyed an object on purpose); edges are read-only and
-// shared.
-func cloneSnapshot(s *audit.Snapshot) *audit.Snapshot {
-	images := make(map[obj.Index]audit.ObjImage, len(s.Images))
-	for k, v := range s.Images {
-		images[k] = v
-	}
-	return &audit.Snapshot{Images: images, Edges: s.Edges}
-}
-
-// blastRadiusFromLedger derives the exclusion seeds and the deliberately
-// destroyed objects purely from an injected run's replayed events: every
-// fault delivery names its process, every injection names its victim.
-// This over-excludes relative to checkWorld (a serviced segment fault also
-// lands its process here), which can only weaken the check, never produce
-// a spurious violation.
-func blastRadiusFromLedger(events []trace.Event) (excluded, destroyed []obj.Index) {
-	for _, ev := range events {
-		switch ev.Kind {
-		case trace.EvFault:
-			excluded = append(excluded, obj.Index(ev.Obj))
-		case trace.EvInject:
-			v := obj.Index(ev.Obj)
-			if v == obj.NilIndex {
-				continue
-			}
-			if Kind(ev.Arg) == KindDestroyMidMark {
-				destroyed = append(destroyed, v)
-			} else {
-				excluded = append(excluded, v)
-			}
+	var out []obj.Index
+	for _, ad := range ref.built {
+		if d := ref.IM.Table.DescriptorAt(ad.Index); d != nil && d.Gen == ad.Gen && !drop[ad.Index] {
+			out = append(out, ad.Index)
 		}
 	}
-	return excluded, destroyed
+	return out
 }
 
 // SeedResult is the outcome of one full seed acceptance run.
 type SeedResult struct {
 	Seed        int64
 	Plan        Plan
-	Fingerprint string  // canonical (nocache) injected fingerprint
-	Fired       []Fired // fired-event log of the canonical corner
-	Faulted     int     // workers that ended faulted or fault-terminated
+	Fingerprint string      // canonical (nocache) injected fingerprint
+	Fired       []Fired     // fired-event log of the canonical corner
+	Faulted     int         // workers that ended faulted or fault-terminated
+	Witnesses   []obj.Index // what both confinement verdicts judged, canonical corner
 	Problems    []string
 }
 
@@ -299,7 +266,6 @@ func RunSeed(seed int64) (*SeedResult, error) {
 	if vs := audit.New(refWorld.IM.System).WithGC(refWorld.IM.Collector).CheckAll(); len(vs) > 0 {
 		return nil, fmt.Errorf("seed %d: reference run failed its own audit: %v", seed, vs[0])
 	}
-	refSnap := audit.SnapshotReachable(refWorld.IM.Table)
 	refRep, err := refWorld.IM.SealLedger()
 	if err != nil {
 		return nil, fmt.Errorf("seed %d: reference %v", seed, err)
@@ -315,17 +281,16 @@ func RunSeed(seed int64) (*SeedResult, error) {
 				fmt.Sprintf("%v: %v", corner, err))
 			continue
 		}
+		ws := witnesses(refWorld, w)
 		fp := Fingerprint(w)
 		if ci == 0 {
 			res.Plan = w.Inj.Plan()
 			res.Fingerprint = fp
 			res.Fired = w.Inj.Fired()
+			res.Witnesses = ws
 			for _, p := range w.Workers {
-				if st, f := w.IM.Procs.StateOf(p); f == nil {
-					code, _ := w.IM.Procs.FaultCode(p)
-					if st == process.StateFaulted || code != obj.FaultNone {
-						res.Faulted++
-					}
+				if _, faulted := w.fate(p); faulted {
+					res.Faulted++
 				}
 			}
 		} else if fp != res.Fingerprint {
@@ -333,19 +298,18 @@ func RunSeed(seed int64) (*SeedResult, error) {
 				fmt.Sprintf("%v: fingerprint diverges from %v at %s",
 					corner, Corners[0], diffLine(res.Fingerprint, fp)))
 		}
-		live := checkWorld(w, refSnap)
-		for _, p := range live {
+		problems, live := checkWorld(w, refWorld.IM.Table, ws)
+		for _, p := range problems {
 			res.Problems = append(res.Problems, fmt.Sprintf("%v: %s", corner, p))
+		}
+		for _, v := range live {
+			res.Problems = append(res.Problems, fmt.Sprintf("%v: confinement: %v", corner, v))
 		}
 		if rep, err := w.IM.SealLedger(); err != nil {
 			res.Problems = append(res.Problems, fmt.Sprintf("%v: %v", corner, err))
-		} else {
-			excluded, destroyed := blastRadiusFromLedger(rep.Events)
-			vs := audit.CheckConfinementFromLedger(refRep.Events, rep.Events, excluded, destroyed)
-			if (len(vs) == 0) != (len(live) == 0) {
-				res.Problems = append(res.Problems, fmt.Sprintf("%v: ledger verdict (%d violations: %v) disagrees with the live one (%d problems)",
-					corner, len(vs), vs, len(live)))
-			}
+		} else if vs := audit.CheckConfinementFromLedger(refRep.Events, rep.Events, ws); (len(vs) == 0) != (len(live) == 0) {
+			res.Problems = append(res.Problems, fmt.Sprintf("%v: ledger verdict (%d violations: %v) disagrees with the live one (%d violations)",
+				corner, len(vs), vs, len(live)))
 		}
 	}
 	return res, nil
@@ -387,7 +351,7 @@ func (r *SeedResult) Report(w io.Writer) {
 		fmt.Fprintf(w, "  %v\n", f)
 	}
 	if r.Ok() {
-		fmt.Fprintf(w, "  all corners identical, audit and confinement clean, ledger verdict agrees\n")
+		fmt.Fprintf(w, "  all corners identical, audit and confinement clean over %d witnesses, ledger verdict agrees\n", len(r.Witnesses))
 		return
 	}
 	for _, p := range r.Problems {

@@ -47,7 +47,7 @@ func runPair(t *testing.T, seed int64) (refW, injW *World) {
 }
 
 // TestChaosLedgerTamperDetected: a hostile editor appends one forged
-// store to a bystander and re-seals — the stream is well-formed, the
+// store to a witness and re-seals — the stream is well-formed, the
 // confinement verdict flips, and the forgery is detected because the
 // re-sealed root no longer matches the root the run committed. A corrupt
 // volume (raw flip, no re-seal) never even replays.
@@ -58,39 +58,29 @@ func TestChaosLedgerTamperDetected(t *testing.T) {
 	injRep := mustReplay(t, injW)
 	genuineRoot := injW.IM.Ledger.Root()
 
-	excluded, destroyed := blastRadiusFromLedger(injRep.Events)
-	if vs := audit.CheckConfinementFromLedger(refRep.Events, injRep.Events, excluded, destroyed); len(vs) != 0 {
+	ws := witnesses(refW, injW)
+	if len(ws) < 2 {
+		t.Fatalf("seed %d: %d witnesses, want two to forge one into the other", seed, len(ws))
+	}
+	if vs := audit.CheckConfinementFromLedger(refRep.Events, injRep.Events, ws); len(vs) != 0 {
 		t.Fatalf("honest ledger already shows violations: %v", vs)
 	}
 
-	// Hostile editor: one extra store into a bystander, sequence numbers
-	// kept clean, everything re-hashed from scratch. A bystander can
-	// itself be an injection victim (a swap-out picks arbitrary objects,
-	// a destroy-mid-mark the first generic: the corpus's first seed takes
-	// all three that way, so this runs its second) and then it is
-	// legitimately outside the compared set, so try each until one flips
-	// the verdict — at least one must.
-	var forgedRep *ledger.Replay
-	for i, b := range injW.Bystanders {
-		doctored := append([]trace.Event(nil), injRep.Events...)
-		doctored = append(doctored, trace.Event{
-			Seq:  doctored[len(doctored)-1].Seq + 1,
-			Kind: trace.EvADStore,
-			Obj:  uint32(b.Index),
-			Arg:  uint32(injW.Bystanders[(i+1)%len(injW.Bystanders)].Index),
-			Aux:  0,
-		})
-		rep, err := ledger.Verify(ledger.Seal(doctored, ledger.Config{}))
-		if err != nil {
-			t.Fatalf("re-sealed forgery should be well-formed: %v", err)
-		}
-		if len(audit.CheckConfinementFromLedger(refRep.Events, rep.Events, excluded, destroyed)) > 0 {
-			forgedRep = rep
-			break
-		}
+	// Hostile editor: one extra store into the first witness, sequence
+	// numbers kept clean, everything re-hashed from scratch.
+	doctored := append([]trace.Event(nil), injRep.Events...)
+	doctored = append(doctored, trace.Event{
+		Seq:  doctored[len(doctored)-1].Seq + 1,
+		Kind: trace.EvADStore,
+		Obj:  uint32(ws[0]),
+		Arg:  uint32(ws[1]),
+	})
+	forgedRep, err := ledger.Verify(ledger.Seal(doctored, ledger.Config{}))
+	if err != nil {
+		t.Fatalf("re-sealed forgery should be well-formed: %v", err)
 	}
-	if forgedRep == nil {
-		t.Fatalf("no forged bystander store flipped the confinement verdict")
+	if vs := audit.CheckConfinementFromLedger(refRep.Events, forgedRep.Events, ws); len(vs) != 1 || vs[0].Obj != ws[0] {
+		t.Fatalf("forged store into witness %d: verdict %v, want one violation on it", ws[0], vs)
 	}
 	if forgedRep.Root == genuineRoot {
 		t.Fatalf("forgery not detectable: re-sealed root equals the genuine commitment")

@@ -236,9 +236,11 @@ func (in *Injector) floodPort(s *gdp.System, ev Event) (obj.Index, string, *obj.
 // destroyMidMark destroys a victim object while the collector is marking —
 // the race §8.1's on-the-fly design must survive. It prefers a terminated
 // process (the paper's "process destroy" case: the object vanishes while
-// possibly gray on the mark stack); failing that, any unpinned generic.
-// Destruction goes through sro.Reclaim so storage accounting stays exact —
-// the injection is adversarial scheduling, not memory corruption.
+// possibly gray on the mark stack); failing that, any unpinned generic no
+// port or carrier holds as a message. Destruction goes through sro.Reclaim
+// so storage accounting stays exact — the injection is adversarial
+// scheduling, not memory corruption, and the collector never reclaims a
+// queued message: the port would hold a dangling capability.
 func (in *Injector) destroyMidMark(s *gdp.System, ev Event) (obj.Index, string, *obj.Fault) {
 	if in.env.Collector == nil {
 		return obj.NilIndex, "skipped: no collector", nil
@@ -252,6 +254,12 @@ func (in *Injector) destroyMidMark(s *gdp.System, ev Event) (obj.Index, string, 
 	for c := in.env.Collector; c.Phase() != gc.PhaseMark; {
 		if _, _, f := c.Step(1); f != nil {
 			return obj.NilIndex, fmt.Sprintf("skipped: collector faulted before its mark phase: %v", f), nil
+		}
+	}
+	queued := make(map[obj.Index]bool)
+	for i := 1; i < s.Table.Len(); i++ {
+		if d := s.Table.DescriptorAt(obj.Index(i)); d != nil && (d.Type == obj.TypePort || d.Type == obj.TypeCarrier) {
+			_ = s.Table.Referents(obj.Index(i), func(ad obj.AD) { queued[ad.Index] = true })
 		}
 	}
 	procVictim, genVictim := obj.NilIndex, obj.NilIndex
@@ -270,7 +278,7 @@ func (in *Injector) destroyMidMark(s *gdp.System, ev Event) (obj.Index, string, 
 				}
 			}
 		case obj.TypeGeneric:
-			if genVictim == obj.NilIndex {
+			if genVictim == obj.NilIndex && !queued[idx] {
 				genVictim = idx
 			}
 		}

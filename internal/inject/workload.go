@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/gdp"
 	"repro/internal/isa"
@@ -67,10 +68,17 @@ type World struct {
 	Bystanders []obj.AD
 
 	// groups maps every member index of a workgroup to the group's full
-	// member list. A fault that lands on any member may corrupt exactly
-	// the group (a ping-pong peer legitimately stops mid-rally when its
-	// partner faults); everything outside is confinement-protected.
+	// member list: its processes with their domains and code objects, and
+	// the objects they were handed. A fault that lands on any member may
+	// corrupt exactly the group (a ping-pong peer legitimately stops
+	// mid-rally when its partner faults); everything outside is
+	// confinement-protected.
 	groups map[obj.Index][]obj.Index
+
+	// built is every object of a type confinement compares that the world
+	// held when construction finished, with its generation: the
+	// candidates chaos.go draws confinement witnesses from.
+	built []obj.AD
 }
 
 // Group returns the blast-radius group containing idx, or nil.
@@ -161,14 +169,16 @@ func BuildWorld(seed int64, corner Corner, injected bool) (*World, error) {
 		}
 	}
 
-	spawn := func(prog []isa.Instr, aargs [4]obj.AD) (obj.AD, error) {
+	// spawn starts a worker and returns its group members so far: the
+	// process, its domain and its code object.
+	spawn := func(prog []isa.Instr, aargs [4]obj.AD) ([]obj.Index, error) {
 		code, f := im.Domains.CreateCode(im.Heap, prog)
 		if f != nil {
-			return obj.NilAD, fmt.Errorf("code: %v", f)
+			return nil, fmt.Errorf("code: %v", f)
 		}
 		dom, f := im.Domains.Create(im.Heap, code, []uint32{0})
 		if f != nil {
-			return obj.NilAD, fmt.Errorf("domain: %v", f)
+			return nil, fmt.Errorf("domain: %v", f)
 		}
 		slices := []uint32{0, 1_500, 4_000}
 		p, f := im.Spawn(dom, gdp.SpawnSpec{
@@ -178,10 +188,10 @@ func BuildWorld(seed int64, corner Corner, injected bool) (*World, error) {
 			AArgs:     aargs,
 		})
 		if f != nil {
-			return obj.NilAD, fmt.Errorf("spawn: %v", f)
+			return nil, fmt.Errorf("spawn: %v", f)
 		}
 		w.Workers = append(w.Workers, p)
-		return p, publish(p)
+		return []obj.Index{p.Index, dom.Index, code.Index}, publish(p)
 	}
 
 	newResult := func() (obj.AD, error) {
@@ -216,11 +226,11 @@ func BuildWorld(seed int64, corner Corner, injected bool) (*World, error) {
 				isa.Store(0, 1, 0),
 				isa.Halt(),
 			}
-			p, err := spawn(prog, [4]obj.AD{1: result})
+			g, err := spawn(prog, [4]obj.AD{1: result})
 			if err != nil {
 				return nil, err
 			}
-			w.addGroup(p.Index, result.Index)
+			w.addGroup(append(g, result.Index)...)
 
 		case 1: // ping-pong pair over two capacity-1 ports
 			laps := uint32(40 + rng.Intn(60))
@@ -265,7 +275,7 @@ func BuildWorld(seed int64, corner Corner, injected bool) (*World, error) {
 				return nil, fmt.Errorf("serve ball: ok=%v %v", ok, f)
 			}
 			floodPorts = append(floodPorts, p1, p2)
-			w.addGroup(pa.Index, pb.Index, ball.Index, p1.Index, p2.Index)
+			w.addGroup(append(append(pa, pb...), ball.Index, p1.Index, p2.Index)...)
 
 		case 2: // allocator on a claimed local heap
 			n := uint32(32 + rng.Intn(32))
@@ -292,15 +302,18 @@ func BuildWorld(seed int64, corner Corner, injected bool) (*World, error) {
 				isa.Store(0, 1, 0),
 				isa.Halt(),
 			}
-			p, err := spawn(prog, [4]obj.AD{0: heap, 1: result})
+			g, err := spawn(prog, [4]obj.AD{0: heap, 1: result})
 			if err != nil {
 				return nil, err
 			}
 			heaps = append(heaps, heap)
-			w.addGroup(p.Index, result.Index, heap.Index)
+			w.addGroup(append(g, result.Index, heap.Index)...)
 		}
 	}
 
+	for _, idx := range audit.ComparableObjects(im.Table) {
+		w.built = append(w.built, obj.AD{Index: idx, Gen: im.Table.DescriptorAt(idx).Gen})
+	}
 	if injected {
 		plan := NewPlan(seed, chaosHorizon, chaosEvents)
 		w.Inj = New(plan, Env{

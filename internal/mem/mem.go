@@ -185,17 +185,6 @@ func (m *Memory) check(e Extent, off, n uint32) error {
 	return nil
 }
 
-// ReadBytes copies n bytes starting at offset off into a fresh slice.
-func (m *Memory) ReadBytes(e Extent, off, n uint32) ([]byte, error) {
-	if err := m.check(e, off, n); err != nil {
-		return nil, err
-	}
-	b := e.Base + Addr(off)
-	out := make([]byte, n)
-	copy(out, m.data[b:])
-	return out, nil
-}
-
 // WriteBytes copies p into the segment starting at offset off.
 func (m *Memory) WriteBytes(e Extent, off uint32, p []byte) error {
 	if err := m.check(e, off, uint32(len(p))); err != nil {

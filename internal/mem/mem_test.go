@@ -113,11 +113,7 @@ func TestFreshSegmentZeroed(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := m.Alloc(64)
-	got, err := m.ReadBytes(b, 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, make([]byte, 64)) {
+	if got := m.Window(b); !bytes.Equal(got, make([]byte, 64)) {
 		t.Fatalf("segment reads % x after realloc, want zeros", got)
 	}
 }
@@ -125,15 +121,19 @@ func TestFreshSegmentZeroed(t *testing.T) {
 func TestBoundsChecks(t *testing.T) {
 	m := New(64)
 	e, _ := m.Alloc(8)
-	if _, err := m.ReadBytes(e, 8, 1); !errors.Is(err, ErrBadSegment) {
-		t.Errorf("ReadBytes past end: %v", err)
+	if err := m.WriteBytes(e, 8, []byte{1}); !errors.Is(err, ErrBadSegment) {
+		t.Errorf("WriteBytes past end: %v", err)
 	}
 	if err := m.WriteBytes(e, 7, []byte{1, 0}); !errors.Is(err, ErrBadSegment) {
 		t.Errorf("WriteBytes straddling end: %v", err)
 	}
 	// Offset overflow must not wrap.
-	if _, err := m.ReadBytes(e, ^uint32(0), 2); !errors.Is(err, ErrBadSegment) {
+	if err := m.WriteBytes(e, ^uint32(0), []byte{1, 0}); !errors.Is(err, ErrBadSegment) {
 		t.Errorf("overflowing offset: %v", err)
+	}
+	// A window never reaches past the memory.
+	if w := m.Window(Extent{Base: 60, Len: 8}); w != nil {
+		t.Errorf("window past the memory: %d bytes", len(w))
 	}
 }
 
@@ -144,11 +144,7 @@ func TestBytesRoundTrip(t *testing.T) {
 	if err := m.WriteBytes(e, 3, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := m.ReadBytes(e, 3, uint32(len(in)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != string(in) {
+	if out := m.Window(e)[3 : 3+len(in)]; string(out) != string(in) {
 		t.Fatalf("round trip = %q", out)
 	}
 }

@@ -84,17 +84,9 @@ func (m *refSwapping) swapOut(idx obj.Index) *obj.Fault {
 		return obj.Faultf(obj.FaultInvalidAD, obj.AD{Index: idx}, "no such object")
 	}
 	mem := m.Table.Memory()
-	var img refImage
-	var err error
-	if d.DataLen > 0 {
-		if img.data, err = mem.ReadBytes(d.Data, 0, d.DataLen); err != nil {
-			return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "%v", err)
-		}
-	}
-	if d.AccessSlots > 0 {
-		if img.access, err = mem.ReadBytes(d.Access, 0, d.AccessSlots*obj.ADSlotSize); err != nil {
-			return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "%v", err)
-		}
+	img := refImage{
+		data:   append([]byte(nil), mem.Window(d.Data)...),
+		access: append([]byte(nil), mem.Window(d.Access)...),
 	}
 	tok := m.next
 	m.next++
@@ -207,12 +199,7 @@ func (m *refSwapping) tryMoveLower(e mem.Extent) (mem.Extent, bool) {
 		_ = mem.Free(dst)
 		return e, false
 	}
-	p, err := mem.ReadBytes(e, 0, e.Len)
-	if err != nil {
-		_ = mem.Free(dst)
-		return e, false
-	}
-	if err := mem.WriteBytes(dst, 0, p); err != nil {
+	if err := mem.WriteBytes(dst, 0, mem.Window(e)); err != nil {
 		_ = mem.Free(dst)
 		return e, false
 	}

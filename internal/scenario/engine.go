@@ -32,8 +32,8 @@ func (s *Session) inFlight() bool { return s.Issued > s.Completed+s.Censored }
 // anchorSlots is the access-slot count of the anchor blocks that chain
 // every session object (and the class domains) to the system directory:
 // slot 0 links to the next block. Anchoring makes the whole session
-// population reachable from a pinned root, so audit.SnapshotReachable
-// sees it and damage confinement can be asserted over session bytes.
+// population reachable from a pinned root, so the collector never reclaims
+// a session object and damage confinement can be asserted over its bytes.
 const anchorSlots = 64
 
 // Engine is a built single-machine scenario ready to run once: one node

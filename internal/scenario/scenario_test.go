@@ -114,8 +114,8 @@ func TestScenarioSeedSensitivity(t *testing.T) {
 
 // TestScenarioCacheDifferential runs the same scenario with and without
 // the execution cache and asserts identical results AND identical final
-// world state: the reachable-object snapshots must be image-equal, and the
-// audit must pass in both worlds.
+// world state: every object of a comparable type must be the same object
+// with the same bytes in both, and the audit must pass in both worlds.
 func TestScenarioCacheDifferential(t *testing.T) {
 	n := testSessions(t) / 2
 	cached, rs := runPreset(t, "baseline", n, 11, nil)
@@ -136,24 +136,15 @@ func TestScenarioCacheDifferential(t *testing.T) {
 	audit.Check(t, cached.IM.System)
 	audit.Check(t, ref.IM.System)
 
-	ss := audit.SnapshotReachable(cached.IM.Table)
-	sp := audit.SnapshotReachable(ref.IM.Table)
-	if len(ss.Images) == 0 {
-		t.Fatalf("cached snapshot captured no comparable objects")
+	objs := audit.ComparableObjects(cached.IM.Table)
+	if len(objs) == 0 {
+		t.Fatalf("cached world holds no comparable objects")
 	}
-	if len(ss.Images) != len(sp.Images) {
-		t.Fatalf("snapshot sizes diverge: %d vs %d", len(ss.Images), len(sp.Images))
+	if fmt.Sprint(objs) != fmt.Sprint(audit.ComparableObjects(ref.IM.Table)) {
+		t.Fatalf("cached and uncached worlds hold different objects")
 	}
-	for idx, a := range ss.Images {
-		b, ok := sp.Images[idx]
-		if !ok {
-			t.Fatalf("object %d present only in cached world", idx)
-		}
-		if a.Type != b.Type || a.Gen != b.Gen || a.Level != b.Level ||
-			a.DataLen != b.DataLen || a.AccessSlots != b.AccessSlots ||
-			!bytes.Equal(a.Data, b.Data) || !bytes.Equal(a.Access, b.Access) {
-			t.Fatalf("object %d diverges between cached and uncached worlds", idx)
-		}
+	if vs := audit.New(cached.IM.System).CheckConfinement(ref.IM.Table, objs); len(vs) > 0 {
+		t.Fatalf("cached and uncached worlds diverge: %v", vs[0])
 	}
 	if cached.IM.Now() != ref.IM.Now() {
 		t.Fatalf("final virtual time diverges: %v vs %v", cached.IM.Now(), ref.IM.Now())
