@@ -56,6 +56,14 @@ type Memory struct {
 	data []byte
 	free []Extent // sorted by Base, coalesced
 	used uint32
+
+	// What Settled compares against: the holes at the last Settle and
+	// every extent Alloc placed since. Nothing is recorded before the
+	// first Settle, so a memory nobody compacts pays one branch in Alloc.
+	tracking bool
+	settled  []Extent
+	placed   []Extent
+	below    []uint32 // Settled's scratch: below[i] is the longest hole of free[:i]
 }
 
 // New creates a physical memory of the given size in bytes.
@@ -110,6 +118,9 @@ func (m *Memory) Alloc(n uint32) (Extent, error) {
 			m.free[i] = Extent{Base: e.Base + Addr(n), Len: e.Len - n}
 		}
 		m.used += n
+		if m.tracking {
+			m.placed = append(m.placed, got)
+		}
 		// The hardware zeroed fresh segments: a new object must not
 		// leak a previous object's contents through a fresh
 		// capability.
@@ -133,6 +144,54 @@ func (m *Memory) FitsBelow(n uint32, limit Addr) bool {
 		}
 	}
 	return false
+}
+
+// Settle records the holes as they are now and starts recording every
+// extent Alloc places. The compactor calls it at the end of a pass, when no
+// resident part has a hole below it at least as long as itself.
+func (m *Memory) Settle() {
+	m.tracking = true
+	m.settled = append(m.settled[:0], m.free...)
+	m.placed = m.placed[:0]
+}
+
+// Settled reports whether no extent can have a hole below it at least as
+// long as itself, given that none had at the last Settle: a compaction pass
+// would move nothing. It is false before the first Settle. It holds when
+//
+//   - (A) no hole is longer than the longest hole that, at the last Settle,
+//     had its base at or below this hole's base. For every address the
+//     longest hole below it has not grown, so what could not move then
+//     still cannot; and
+//   - (B) no extent placed since, and still wholly allocated, has a hole
+//     below it at least as long as itself. One that overlaps a hole has
+//     been freed.
+func (m *Memory) Settled() bool {
+	if !m.tracking {
+		return false
+	}
+	var longest uint32 // of the settled holes at or below h
+	j := 0
+	for _, h := range m.free {
+		for ; j < len(m.settled) && m.settled[j].Base <= h.Base; j++ {
+			longest = max(longest, m.settled[j].Len)
+		}
+		if h.Len > longest {
+			return false
+		}
+	}
+	m.below = append(m.below[:0], 0)
+	for _, h := range m.free {
+		m.below = append(m.below, max(m.below[len(m.below)-1], h.Len))
+	}
+	for _, e := range m.placed {
+		i := sort.Search(len(m.free), func(i int) bool { return m.free[i].Base >= e.Base })
+		freed := i > 0 && m.free[i-1].End() > e.Base || i < len(m.free) && m.free[i].Base < e.End()
+		if !freed && m.below[i] >= e.Len {
+			return false
+		}
+	}
+	return true
 }
 
 // Free returns an extent to the free pool, coalescing with neighbours.

@@ -102,6 +102,24 @@ func TestFreeOutOfRange(t *testing.T) {
 	}
 }
 
+// TestFreeRefusals reaches Free's two quiet edges: a zero-length extent is
+// nothing to free, and one that starts inside the hole before it is a
+// double free.
+func TestFreeRefusals(t *testing.T) {
+	m := New(300)
+	a, _ := m.Alloc(100)
+	m.Alloc(100)
+	if err := m.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Free(Extent{Base: 150, Len: 0}); err != nil || m.FragCount() != 2 || m.Used() != 100 {
+		t.Fatalf("zero-length free: err %v, %d fragments, %d used", err, m.FragCount(), m.Used())
+	}
+	if err := m.Free(Extent{Base: 50, Len: 100}); !errors.Is(err, ErrNotOwned) {
+		t.Fatalf("free overlapping the hole below: err = %v, want ErrNotOwned", err)
+	}
+}
+
 func TestFreshSegmentZeroed(t *testing.T) {
 	// A new object must not leak a previous object's contents.
 	m := New(64)
@@ -224,5 +242,133 @@ func TestFitsBelowAgreesWithAlloc(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// couldMove is Settled's oracle, by brute force: does any live extent have
+// a hole below it at least as long as itself?
+func couldMove(m *Memory, live []Extent) bool {
+	for _, e := range live {
+		for _, h := range m.free {
+			if h.Base < e.Base && h.Len >= e.Len {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// compact moves live extents lower, first-fit, until none can move, and
+// settles: what the compactor does, without the bytes.
+func compact(m *Memory, live []Extent) {
+	for moved := true; moved; {
+		moved = false
+		for i, e := range live {
+			if m.FitsBelow(e.Len, e.Base) {
+				live[i], _ = m.Alloc(e.Len)
+				_ = m.Free(e)
+				moved = true
+			}
+		}
+	}
+	m.Settle()
+}
+
+// TestSettledCases walks Settled through the cases that decide it, each
+// against the oracle. Every case starts from a 100-byte hole under a
+// 200-byte and a 300-byte extent, which cannot move into it, and a
+// 424-byte hole above them.
+func TestSettledCases(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		settled bool
+		after   func(m *Memory, live []Extent) []Extent
+	}{
+		{"an allocation freed again", true, func(m *Memory, live []Extent) []Extent {
+			e, _ := m.Alloc(50)
+			_ = m.Free(e)
+			return live
+		}},
+		{"a part placed above the holes, which cannot move", true, func(m *Memory, live []Extent) []Extent {
+			e, _ := m.Alloc(150)
+			return append(live, e)
+		}},
+		{"a free that makes an old hole longer", false, func(m *Memory, live []Extent) []Extent {
+			_ = m.Free(live[0])
+			return live[1:]
+		}},
+		{"a transient shrinks a hole, a part lands above it, the transient goes", false, func(m *Memory, live []Extent) []Extent {
+			tr, _ := m.Alloc(60)
+			e, _ := m.Alloc(50) // the 40 bytes left below are too short
+			_ = m.Free(tr)
+			return append(live, e)
+		}},
+	} {
+		m := New(1024)
+		a, _ := m.Alloc(100)
+		b, _ := m.Alloc(200)
+		c, _ := m.Alloc(300)
+		_ = m.Free(a)
+		live := []Extent{b, c}
+		if m.Settled() {
+			t.Fatalf("%s: memory never settled reads as settled", tc.name)
+		}
+		compact(m, live)
+		if !m.Settled() || couldMove(m, live) {
+			t.Fatalf("%s: not settled after compaction", tc.name)
+		}
+		live = tc.after(m, live)
+		if got := m.Settled(); got != tc.settled || got && couldMove(m, live) {
+			t.Errorf("%s: Settled() = %v, want %v; the oracle says a part could move: %v", tc.name, got, tc.settled, couldMove(m, live))
+		}
+	}
+}
+
+// TestSettledNeverHidesAMove property-checks the one direction the
+// compactor relies on: after a compaction and any allocations and frees,
+// Settled() true means no live extent could move lower.
+func TestSettledNeverHidesAMove(t *testing.T) {
+	var settled, checks int
+	f := func(sizes []uint16, freeMask []bool, ops []uint16) bool {
+		m := New(1 << 14)
+		var live []Extent
+		for _, s := range sizes {
+			if e, err := m.Alloc(uint32(s%1024) + 1); err == nil {
+				live = append(live, e)
+			}
+		}
+		kept := live[:0]
+		for i, e := range live {
+			if i < len(freeMask) && freeMask[i] {
+				_ = m.Free(e)
+			} else {
+				kept = append(kept, e)
+			}
+		}
+		live = kept
+		compact(m, live)
+		for _, op := range ops {
+			if op%3 == 0 && len(live) > 0 {
+				i := int(op/3) % len(live)
+				_ = m.Free(live[i])
+				live = append(live[:i], live[i+1:]...)
+			} else if e, err := m.Alloc(uint32(op%1024) + 1); err == nil {
+				live = append(live, e)
+			}
+			checks++
+			if m.Settled() {
+				settled++
+				if couldMove(m, live) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	if settled == 0 || settled == checks {
+		t.Errorf("Settled() held after %d of %d operations: the property was not exercised both ways", settled, checks)
 	}
 }

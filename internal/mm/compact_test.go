@@ -121,6 +121,46 @@ func TestCompactIdempotentWhenTight(t *testing.T) {
 	}
 }
 
+// TestCompactSettledAllocFree holds the pass that finds memory settled to
+// no host allocation: once warm, such a Compact beside a transient
+// Alloc/Free pair (which leaves memory settled) allocates nothing, moves
+// nothing, and counts the one pass over the resident set the walk would
+// have made.
+func TestCompactSettledAllocFree(t *testing.T) {
+	tab, s := setup(t, 1<<20)
+	alloc := NewSwapping(tab, s)
+	heap, _ := alloc.NewHeap(0)
+	for i := 0; i < 8; i++ {
+		if _, f := alloc.Allocate(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 1024}); f != nil {
+			t.Fatal(f)
+		}
+	}
+	phys := tab.Memory()
+	alloc.Compact()
+	if !phys.Settled() {
+		t.Fatal("memory is not settled after a pass")
+	}
+	passes0, visits0, moves0 := alloc.Compactions, alloc.CompactVisits, alloc.CompactMoves
+	allocs := testing.AllocsPerRun(100, func() {
+		alloc.Compact()
+		e, err := phys.Alloc(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := phys.Free(e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a settled pass and a transient Alloc/Free make %.1f host allocations, want 0", allocs)
+	}
+	passes, visits, moves := alloc.Compactions-passes0, alloc.CompactVisits-visits0, alloc.CompactMoves-moves0
+	if resident := uint64(tab.ResidentCount()); visits != passes*resident || moves != 0 {
+		t.Errorf("%d settled passes visited %d descriptors and moved %d parts; want %d visits of %d resident, no move",
+			passes, visits, moves, passes*resident, resident)
+	}
+}
+
 func TestCompactSkipsSwappedObjects(t *testing.T) {
 	tab, s := setup(t, 1<<20)
 	alloc := NewSwapping(tab, s)

@@ -161,6 +161,15 @@ func (t *Table) NextResident(after Index) Index {
 	return NilIndex
 }
 
+// ResidentCount reports the size of the resident set.
+func (t *Table) ResidentCount() int {
+	n := 0
+	for _, w := range t.resident {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // Memory exposes the underlying physical store to trusted subsystems (the
 // memory manager and experiment harness); ordinary code addresses memory
 // only through ADs.
