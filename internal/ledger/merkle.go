@@ -17,21 +17,38 @@ import (
 // leafHash is the domain-separated hash of one encoded record (0x00
 // prefix, so a leaf can never be confused with an interior node); rec
 // holds RecordBytes. The sink, Verify and the proofs all hash through
-// these two functions; each is one sha256.Sum256 over a stack buffer and
-// allocates nothing.
+// these two functions, and neither allocates. Each lays its message out
+// in a stack block with room for SHA-256's padding: where the CPU has the
+// SHA extensions (useSHANI) it pads the block, one for a leaf and two for
+// a node, and compresses it from the IV with hashSHANI; elsewhere it
+// calls sha256.Sum256 on the message. The bytes are the same either way.
 func leafHash(rec []byte) [HashBytes]byte {
-	var buf [1 + RecordBytes]byte
-	*(*[RecordBytes]byte)(buf[1:]) = [RecordBytes]byte(rec)
-	return sha256.Sum256(buf[:])
+	var blk [64]byte // 0x00 | record | 0x80 | 0… | bit length 208
+	*(*[RecordBytes]byte)(blk[1:]) = [RecordBytes]byte(rec)
+	if !useSHANI {
+		return sha256.Sum256(blk[:1+RecordBytes])
+	}
+	blk[1+RecordBytes] = 0x80
+	binary.BigEndian.PutUint64(blk[56:], (1+RecordBytes)*8)
+	var d [HashBytes]byte
+	hashSHANI(&d, blk[:])
+	return d
 }
 
 // nodeHash combines two subtree hashes (0x01 prefix).
 func nodeHash(l, r [HashBytes]byte) [HashBytes]byte {
-	var buf [1 + 2*HashBytes]byte
-	buf[0] = 0x01
-	copy(buf[1:], l[:])
-	copy(buf[1+HashBytes:], r[:])
-	return sha256.Sum256(buf[:])
+	var blk [128]byte // 0x01 | l | r | 0x80 | 0… | bit length 520
+	blk[0] = 0x01
+	*(*[HashBytes]byte)(blk[1:]) = l
+	*(*[HashBytes]byte)(blk[1+HashBytes:]) = r
+	if !useSHANI {
+		return sha256.Sum256(blk[:1+2*HashBytes])
+	}
+	blk[1+2*HashBytes] = 0x80
+	binary.BigEndian.PutUint64(blk[120:], (1+2*HashBytes)*8)
+	var d [HashBytes]byte
+	hashSHANI(&d, blk[:])
+	return d
 }
 
 // splitPoint is the largest power of two strictly less than n (n ≥ 2).
