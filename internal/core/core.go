@@ -164,38 +164,28 @@ func Boot(cfg Config) (*IMAX, error) {
 		sys.SetTracer(im.TraceLog)
 	}
 
-	dir, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{
+	// The boot objects are created straight through: the latch keeps the
+	// first refusal, and Boot checks it once, at the end.
+	var l obj.Latch
+	im.Directory = l.AD(sys.SROs.Create(sys.Heap, obj.CreateSpec{
 		Type:        obj.TypeGeneric,
 		AccessSlots: 64,
 		Pinned:      true,
-	})
-	if f != nil {
-		return nil, fmt.Errorf("core: creating directory: %w", error(f))
-	}
-	im.Directory = dir
+	}))
 
 	// Memory management by alternate implementation (§6.2).
 	if cfg.Swapping {
 		sw := mm.NewSwapping(sys.Table, sys.SROs)
 		im.MM = sw
 		im.Swapper = sw
-		fp, f := sys.Ports.Create(sys.Heap, 64, port.FIFO)
-		if f != nil {
-			return nil, fmt.Errorf("core: creating segment-fault port: %w", error(f))
-		}
-		if f := sys.Table.Pin(fp); f != nil {
-			return nil, error(f)
-		}
-		im.SegFaultPort = fp
-		handler, f := sys.SpawnNative(mm.FaultHandlerBody(sw, fp, obj.NilAD), gdp.SpawnSpec{
+		im.SegFaultPort = l.AD(sys.Ports.Create(sys.Heap, 64, port.FIFO))
+		l.Keep(sys.Table.Pin(im.SegFaultPort))
+		handler := l.AD(sys.SpawnNative(mm.FaultHandlerBody(sw, im.SegFaultPort, obj.NilAD), gdp.SpawnSpec{
 			Priority: 14,
-		})
-		if f != nil {
-			return nil, fmt.Errorf("core: spawning fault handler: %w", error(f))
-		}
+		}))
 		// The segment-fault service runs at level 2: it may time out
 		// but must never itself fault.
-		im.RegisterSystemProcess(handler, Level2)
+		l.Keep(im.RegisterSystemProcess(handler, Level2))
 	} else {
 		im.MM = mm.NewNonSwapping(sys.SROs)
 	}
@@ -211,18 +201,17 @@ func Boot(cfg Config) (*IMAX, error) {
 		if interval == 0 {
 			interval = 200_000
 		}
-		gcProc, f := sys.SpawnNative(gcBody(im.Collector, work, interval), gdp.SpawnSpec{
+		im.GCProc = l.AD(sys.SpawnNative(gcBody(im.Collector, work, interval), gdp.SpawnSpec{
 			Priority: 2, // background daemon
-		})
-		if f != nil {
-			return nil, fmt.Errorf("core: spawning collector: %w", error(f))
-		}
-		im.GCProc = gcProc
-		im.RegisterSystemProcess(gcProc, Level3)
+		}))
+		l.Keep(im.RegisterSystemProcess(im.GCProc, Level3))
 	}
 
 	if cfg.Filing {
 		im.Files = filing.NewStore(sys.Table, sys.SROs, im.TDOs)
+	}
+	if f := l.Fault(); f != nil {
+		return nil, fmt.Errorf("core: boot: %w", f)
 	}
 	return im, nil
 }

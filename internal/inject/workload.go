@@ -119,25 +119,20 @@ func BuildWorld(seed int64, corner Corner, injected bool) (*World, error) {
 	}
 	w := &World{IM: im, groups: make(map[obj.Index][]obj.Index)}
 
+	// The world is created straight through: the latch keeps the first
+	// refusal, and a step handed a refused create's NilAD refuses in turn.
+	var l obj.Latch
 	slot := uint32(0)
-	publish := func(ad obj.AD) error {
-		if f := im.Publish(slot, ad); f != nil {
-			return fmt.Errorf("publish slot %d: %v", slot, f)
-		}
+	publish := func(ad obj.AD) {
+		l.Keep(im.Publish(slot, ad))
 		slot++
-		return nil
 	}
 
 	// One shared, deliberately unserviced fault port: faulted workers park
 	// there (the §7.3 discipline) and the harness inspects them in place.
-	fp, f := im.Ports.Create(im.Heap, chaosFaultPortCap, port.FIFO)
-	if f != nil {
-		return nil, fmt.Errorf("fault port: %v", f)
-	}
+	fp := l.AD(im.Ports.Create(im.Heap, chaosFaultPortCap, port.FIFO))
 	w.FaultPort = fp
-	if err := publish(fp); err != nil {
-		return nil, err
-	}
+	publish(fp)
 	floodPorts := []obj.AD{fp}
 	var heaps []obj.AD
 
@@ -146,60 +141,41 @@ func BuildWorld(seed int64, corner Corner, injected bool) (*World, error) {
 	// them after construction.
 	var prev obj.AD
 	for i := 0; i < 3; i++ {
-		b, f := im.SROs.Create(im.Heap, obj.CreateSpec{
+		b := l.AD(im.SROs.Create(im.Heap, obj.CreateSpec{
 			Type: obj.TypeGeneric, DataLen: 32, AccessSlots: 1,
-		})
-		if f != nil {
-			return nil, fmt.Errorf("bystander %d: %v", i, f)
-		}
+		}))
 		for off := uint32(0); off < 32; off += 4 {
-			if f := im.Table.WriteDWord(b, off, rng.Uint32()); f != nil {
-				return nil, fmt.Errorf("bystander %d fill: %v", i, f)
-			}
+			l.Keep(im.Table.WriteDWord(b, off, rng.Uint32()))
 		}
 		if prev.Valid() {
-			if f := im.Table.StoreAD(b, 0, prev); f != nil {
-				return nil, fmt.Errorf("bystander %d link: %v", i, f)
-			}
+			l.Keep(im.Table.StoreAD(b, 0, prev))
 		}
 		prev = b
 		w.Bystanders = append(w.Bystanders, b)
-		if err := publish(b); err != nil {
-			return nil, err
-		}
+		publish(b)
 	}
 
 	// spawn starts a worker and returns its group members so far: the
 	// process, its domain and its code object.
-	spawn := func(prog []isa.Instr, aargs [4]obj.AD) ([]obj.Index, error) {
-		code, f := im.Domains.CreateCode(im.Heap, prog)
-		if f != nil {
-			return nil, fmt.Errorf("code: %v", f)
-		}
-		dom, f := im.Domains.Create(im.Heap, code, []uint32{0})
-		if f != nil {
-			return nil, fmt.Errorf("domain: %v", f)
-		}
+	spawn := func(prog []isa.Instr, aargs [4]obj.AD) []obj.Index {
+		code := l.AD(im.Domains.CreateCode(im.Heap, prog))
+		dom := l.AD(im.Domains.Create(im.Heap, code, []uint32{0}))
 		slices := []uint32{0, 1_500, 4_000}
-		p, f := im.Spawn(dom, gdp.SpawnSpec{
+		p := l.AD(im.Spawn(dom, gdp.SpawnSpec{
 			Priority:  uint16(3 + rng.Intn(4)),
 			TimeSlice: slices[rng.Intn(len(slices))],
 			FaultPort: fp,
 			AArgs:     aargs,
-		})
-		if f != nil {
-			return nil, fmt.Errorf("spawn: %v", f)
-		}
+		}))
 		w.Workers = append(w.Workers, p)
-		return []obj.Index{p.Index, dom.Index, code.Index}, publish(p)
+		publish(p)
+		return []obj.Index{p.Index, dom.Index, code.Index}
 	}
 
-	newResult := func() (obj.AD, error) {
-		r, f := im.SROs.Create(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
-		if f != nil {
-			return obj.NilAD, fmt.Errorf("result: %v", f)
-		}
-		return r, publish(r)
+	newResult := func() obj.AD {
+		r := l.AD(im.SROs.Create(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8}))
+		publish(r)
+		return r
 	}
 
 	nWorkers := 6 + rng.Intn(5)
@@ -213,10 +189,7 @@ func BuildWorld(seed int64, corner Corner, injected bool) (*World, error) {
 		switch kind {
 		case 0: // compute: sum a countdown into the result object
 			iters := uint32(1200 + rng.Intn(3000))
-			result, err := newResult()
-			if err != nil {
-				return nil, err
-			}
+			result := newResult()
 			prog := []isa.Instr{
 				isa.MovI(1, iters),
 				isa.MovI(0, 0),
@@ -226,30 +199,16 @@ func BuildWorld(seed int64, corner Corner, injected bool) (*World, error) {
 				isa.Store(0, 1, 0),
 				isa.Halt(),
 			}
-			g, err := spawn(prog, [4]obj.AD{1: result})
-			if err != nil {
-				return nil, err
-			}
+			g := spawn(prog, [4]obj.AD{1: result})
 			w.addGroup(append(g, result.Index)...)
 
 		case 1: // ping-pong pair over two capacity-1 ports
 			laps := uint32(40 + rng.Intn(60))
-			p1, f := im.Ports.Create(im.Heap, 1, port.FIFO)
-			if f != nil {
-				return nil, fmt.Errorf("ping port: %v", f)
-			}
-			p2, f := im.Ports.Create(im.Heap, 1, port.FIFO)
-			if f != nil {
-				return nil, fmt.Errorf("pong port: %v", f)
-			}
-			ball, f := im.SROs.Create(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
-			if f != nil {
-				return nil, fmt.Errorf("ball: %v", f)
-			}
+			p1 := l.AD(im.Ports.Create(im.Heap, 1, port.FIFO))
+			p2 := l.AD(im.Ports.Create(im.Heap, 1, port.FIFO))
+			ball := l.AD(im.SROs.Create(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8}))
 			for _, ad := range []obj.AD{p1, p2, ball} {
-				if err := publish(ad); err != nil {
-					return nil, err
-				}
+				publish(ad)
 			}
 			prog := []isa.Instr{
 				isa.MovI(4, laps),
@@ -263,34 +222,21 @@ func BuildWorld(seed int64, corner Corner, injected bool) (*World, error) {
 				isa.BrNZ(4, 2),
 				isa.Halt(),
 			}
-			pa, err := spawn(prog, [4]obj.AD{2: p1, 3: p2})
-			if err != nil {
-				return nil, err
-			}
-			pb, err := spawn(prog, [4]obj.AD{2: p2, 3: p1})
-			if err != nil {
-				return nil, err
-			}
-			if ok, f := im.SendMessage(p1, ball, 0); f != nil || !ok {
-				return nil, fmt.Errorf("serve ball: ok=%v %v", ok, f)
-			}
+			pa := spawn(prog, [4]obj.AD{2: p1, 3: p2})
+			pb := spawn(prog, [4]obj.AD{2: p2, 3: p1})
+			// p1 is empty and holds one message: only a fault refuses
+			// the serve.
+			_, f := im.SendMessage(p1, ball, 0)
+			l.Keep(f)
 			floodPorts = append(floodPorts, p1, p2)
 			w.addGroup(append(append(pa, pb...), ball.Index, p1.Index, p2.Index)...)
 
 		case 2: // allocator on a claimed local heap
 			n := uint32(32 + rng.Intn(32))
 			claim := n*64 + 512
-			heap, f := im.MM.NewLocalHeap(im.Heap, 1, claim)
-			if f != nil {
-				return nil, fmt.Errorf("local heap: %v", f)
-			}
-			if err := publish(heap); err != nil {
-				return nil, err
-			}
-			result, err := newResult()
-			if err != nil {
-				return nil, err
-			}
+			heap := l.AD(im.MM.NewLocalHeap(im.Heap, 1, claim))
+			publish(heap)
+			result := newResult()
 			prog := []isa.Instr{
 				isa.MovI(4, n),
 				isa.MovI(2, 64),
@@ -302,13 +248,13 @@ func BuildWorld(seed int64, corner Corner, injected bool) (*World, error) {
 				isa.Store(0, 1, 0),
 				isa.Halt(),
 			}
-			g, err := spawn(prog, [4]obj.AD{0: heap, 1: result})
-			if err != nil {
-				return nil, err
-			}
+			g := spawn(prog, [4]obj.AD{0: heap, 1: result})
 			heaps = append(heaps, heap)
 			w.addGroup(append(g, result.Index, heap.Index)...)
 		}
+	}
+	if f := l.Fault(); f != nil {
+		return nil, fmt.Errorf("inject: world of seed %d: %w", seed, f)
 	}
 
 	for _, idx := range audit.ComparableObjects(im.Table) {

@@ -87,6 +87,29 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("fault: %s on %s: %s", f.Code, f.AD, detail)
 }
 
+// Latch keeps the first fault of a run of creates, the way a View keeps the
+// first refusal of an operation's accesses: a constructor runs its steps
+// straight through and checks Fault once at the end. A step that is handed
+// a refused create's NilAD refuses in turn, typed.
+type Latch struct{ f *Fault }
+
+// Keep makes f the latch's fault if it has none yet.
+func (l *Latch) Keep(f *Fault) {
+	if l.f == nil {
+		l.f = f
+	}
+}
+
+// AD keeps f and returns a, so a create's two results pass through whole:
+// a := l.AD(mgr.Create(...)).
+func (l *Latch) AD(a AD, f *Fault) AD {
+	l.Keep(f)
+	return a
+}
+
+// Fault returns the first fault kept, or nil.
+func (l *Latch) Fault() *Fault { return l.f }
+
 // The details of the other routine fault, no memory for a part, rendered
 // once: mem.Alloc refuses a part no larger than mem.MaxPart for one reason.
 var (

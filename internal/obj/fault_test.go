@@ -54,3 +54,23 @@ func TestRoutineFaultStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestLatch: a construction latch passes every create's AD through, keeps
+// the first fault it is handed and no later one.
+func TestLatch(t *testing.T) {
+	var l Latch
+	a := AD{Index: 7, Gen: 1, Rights: RightsData}
+	if got := l.AD(a, nil); got != a || l.Fault() != nil {
+		t.Fatalf("a create that succeeded: %v, %v", got, l.Fault())
+	}
+	l.Keep(nil)
+	first := Faultf(FaultNoMemory, NilAD, "first")
+	if got := l.AD(NilAD, first); got != NilAD || l.Fault() != first {
+		t.Fatalf("a refused create: %v, %v", got, l.Fault())
+	}
+	l.Keep(nil)
+	l.Keep(Faultf(FaultOddity, NilAD, "second"))
+	if got := l.AD(a, nil); got != a || l.Fault() != first {
+		t.Fatalf("after the refusal: %v, %v", got, l.Fault())
+	}
+}

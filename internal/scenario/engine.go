@@ -86,40 +86,31 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("scenario %q: %w", cfg.Name, err)
 	}
 
+	// The population, its anchors and the chaos heap are created straight
+	// through, like the server side: one latch, one check at the end.
+	var l obj.Latch
 	var anchored []obj.AD
 	e.Sessions = make([]Session, cfg.Sessions)
-	e.schedule, err = population(&cfg.Load, func(i, class int, arrive vtime.Cycles) error {
-		so, f := im.MM.Allocate(im.Heap, obj.CreateSpec{
+	e.schedule = population(&cfg.Load, func(i, class int, arrive vtime.Cycles) {
+		so := l.AD(im.MM.Allocate(im.Heap, obj.CreateSpec{
 			Type:    obj.TypeGeneric,
 			DataLen: cfg.SessionData,
-		})
-		if f != nil {
-			return fmt.Errorf("scenario %q: session %d object: %v", cfg.Name, i, f)
-		}
+		}))
 		e.Sessions[i] = Session{Class: class, Obj: so, Arrive: arrive}
 		e.byObj.Put(so.Index, int32(i))
 		e.Classes[class].Sessions++
 		anchored = append(anchored, so)
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	for _, rt := range e.Classes {
 		anchored = append(anchored, rt.Domain)
 		if rt.Callee.Valid() {
 			anchored = append(anchored, rt.Callee)
 		}
 	}
-	if err := e.buildAnchors(anchored); err != nil {
-		return nil, err
-	}
+	l.Keep(e.buildAnchors(anchored))
 
 	if cfg.InjectEvents > 0 {
-		chaosHeap, f := im.MM.NewHeap(1 << 20)
-		if f != nil {
-			return nil, fmt.Errorf("scenario %q: chaos heap: %v", cfg.Name, f)
-		}
+		chaosHeap := l.AD(im.MM.NewHeap(1 << 20))
 		var reqPorts []obj.AD
 		for _, rt := range e.Classes {
 			reqPorts = append(reqPorts, rt.ReqPort)
@@ -133,46 +124,41 @@ func New(cfg Config) (*Engine, error) {
 		})
 		im.SetInjector(e.Inj)
 	}
+	if f := l.Fault(); f != nil {
+		return nil, fmt.Errorf("scenario %q: population: %w", cfg.Name, f)
+	}
 	return e, nil
 }
 
 // buildAnchors chains the given objects into anchor blocks reachable from
 // the pinned system directory (slot 0), so confinement snapshots see the
 // whole session population.
-func (e *Engine) buildAnchors(ads []obj.AD) error {
+func (e *Engine) buildAnchors(ads []obj.AD) *obj.Fault {
 	t := e.IM.Table
+	var l obj.Latch
 	var head, cur obj.AD
 	slot := uint32(anchorSlots) // force a block on the first object
 	for _, ad := range ads {
 		if slot >= anchorSlots {
-			blk, f := e.IM.MM.Allocate(e.IM.Heap, obj.CreateSpec{
+			blk := l.AD(e.IM.MM.Allocate(e.IM.Heap, obj.CreateSpec{
 				Type:        obj.TypeGeneric,
 				AccessSlots: anchorSlots,
-			})
-			if f != nil {
-				return fmt.Errorf("scenario %q: anchor block: %v", e.Cfg.Name, f)
-			}
+			}))
 			if cur.Valid() {
-				if f := t.StoreADSystem(cur, 0, blk); f != nil {
-					return fmt.Errorf("scenario %q: anchor link: %v", e.Cfg.Name, f)
-				}
+				l.Keep(t.StoreADSystem(cur, 0, blk))
 			} else {
 				head = blk
 			}
 			cur, slot = blk, 1
 		}
-		if f := t.StoreADSystem(cur, slot, ad); f != nil {
-			return fmt.Errorf("scenario %q: anchor slot: %v", e.Cfg.Name, f)
-		}
+		l.Keep(t.StoreADSystem(cur, slot, ad))
 		slot++
 	}
 	if head.Valid() {
-		if f := e.IM.Publish(0, head); f != nil {
-			return fmt.Errorf("scenario %q: publish anchors: %v", e.Cfg.Name, f)
-		}
+		l.Keep(e.IM.Publish(0, head))
 	}
 	e.AnchorHead = head
-	return nil
+	return l.Fault()
 }
 
 // issue sends session sid's request at its arrival instant: the latency

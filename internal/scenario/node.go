@@ -53,65 +53,50 @@ type node struct {
 // creation order (policy select, reply port, fault port unless swapping,
 // then per class: domain, request port, servers; then launch) assigns
 // object-table indices and is in the traced set-up, so it is part of the
-// determinism contract.
-func (n *node) build(l *Load) error {
+// determinism contract. The objects are created straight through: the
+// latch keeps the first refusal, and build checks it once, at the end.
+func (n *node) build(load *Load) error {
 	im := n.IM
-	sel, err := pm.Select(l.Policy, im.PM, fairQuantum)
+	sel, err := pm.Select(load.Policy, im.PM, fairQuantum)
 	if err != nil {
 		return err
 	}
 	n.Sel = sel
 
-	reply, f := im.Ports.Create(im.Heap, 256, port.FIFO)
-	if f != nil {
-		return fmt.Errorf("reply port: %v", f)
-	}
-	n.ReplyPort = reply
+	var l obj.Latch
+	n.ReplyPort = l.AD(im.Ports.Create(im.Heap, 256, port.FIFO))
 
 	faultPort := im.SegFaultPort
 	if im.Swapper == nil {
 		totalServers := 0
-		for _, cl := range l.Classes {
+		for _, cl := range load.Classes {
 			totalServers += cl.Servers
 		}
-		fp, f := im.Ports.Create(im.Heap, uint16(totalServers+8), port.FIFO)
-		if f != nil {
-			return fmt.Errorf("fault port: %v", f)
-		}
-		n.FaultPort = fp
-		faultPort = fp
+		n.FaultPort = l.AD(im.Ports.Create(im.Heap, uint16(totalServers+8), port.FIFO))
+		faultPort = n.FaultPort
 	}
 
 	// Server pools, spawned through the pm layer under the policy.
-	for _, cl := range l.Classes {
+	for _, cl := range load.Classes {
 		dom, callee, f := workload.NewServerDomain(im.System, cl.Spec)
-		if f != nil {
-			return fmt.Errorf("server domain: %v", f)
-		}
-		req, f := im.Ports.Create(im.Heap, portCapacity, port.FIFO)
-		if f != nil {
-			return fmt.Errorf("request port: %v", f)
-		}
+		l.Keep(f)
+		req := l.AD(im.Ports.Create(im.Heap, portCapacity, port.FIFO))
 		rt := ClassRt{Class: cl, ReqPort: req, Domain: dom, Callee: callee}
 		for s := 0; s < cl.Servers; s++ {
-			p, f := im.PM.CreateProcess(dom, obj.NilAD, gdp.SpawnSpec{
+			p := l.AD(im.PM.CreateProcess(dom, obj.NilAD, gdp.SpawnSpec{
 				Priority:  cl.Priority,
 				TimeSlice: cl.TimeSlice,
 				FaultPort: faultPort,
-				AArgs:     [4]obj.AD{callee, obj.NilAD, req, reply},
-			})
-			if f != nil {
-				return fmt.Errorf("spawn server: %v", f)
-			}
-			if f := sel.Adopt(p); f != nil {
-				return fmt.Errorf("adopt server: %v", f)
-			}
+				AArgs:     [4]obj.AD{callee, obj.NilAD, req, n.ReplyPort},
+			}))
+			l.Keep(sel.Adopt(p))
 			rt.Servers = append(rt.Servers, p)
 		}
 		n.Classes = append(n.Classes, rt)
 	}
-	if f := sel.Launch(rebalanceEvery, 14); f != nil {
-		return fmt.Errorf("launch policy: %v", f)
+	l.Keep(sel.Launch(rebalanceEvery, 14))
+	if f := l.Fault(); f != nil {
+		return fmt.Errorf("server side: %w", f)
 	}
 	return nil
 }
@@ -201,7 +186,7 @@ func (s *schedule) last() vtime.Cycles { return s.at[len(s.at)-1] }
 // the schedule of their requests. Class and arrival draws come from two
 // streams of the seed, so adding draws to one axis never perturbs the
 // other.
-func population(l *Load, each func(i, class int, arrive vtime.Cycles) error) (schedule, error) {
+func population(l *Load, each func(i, class int, arrive vtime.Cycles)) schedule {
 	rngClass := rand.New(rand.NewSource(l.Seed ^ 0x5e551017))
 	rngArr := rand.New(rand.NewSource(l.Seed ^ 0x0a221e5d))
 	arr := arrivalTimes(rngArr, l.Arrival, l.Sessions, l.MeanGap)
@@ -215,9 +200,7 @@ func population(l *Load, each func(i, class int, arrive vtime.Cycles) error) (sc
 			w -= l.Classes[ci].Weight
 			ci++
 		}
-		if err := each(i, ci, at); err != nil {
-			return schedule{}, err
-		}
+		each(i, ci, at)
 	}
-	return schedule{at: arr}, nil
+	return schedule{at: arr}
 }

@@ -211,18 +211,17 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 
 	// Home is a multiplicative hash of the session id — placement is a
 	// property of identity, not of the arrival order — and routing has
-	// its own seeded stream.
+	// its own seeded stream. The session objects are created straight
+	// through: the latch keeps the first refusal, checked once at the end.
 	rngRoute := rand.New(rand.NewSource(cfg.Seed ^ 0x3a9d0c11))
-	e.schedule, err = population(&cfg.Load, func(i, class int, arrive vtime.Cycles) error {
+	var l obj.Latch
+	e.schedule = population(&cfg.Load, func(i, class int, arrive vtime.Cycles) {
 		home := int((uint64(i) * 0x9E3779B97F4A7C15 >> 33) % uint64(cfg.Nodes))
 		im := e.nodes[home].IM
-		so, f := im.SROs.Create(im.Heap, obj.CreateSpec{
+		so := l.AD(im.SROs.Create(im.Heap, obj.CreateSpec{
 			Type:    obj.TypeGeneric,
 			DataLen: cfg.SessionData,
-		})
-		if f != nil {
-			return fmt.Errorf("shard %q: node %d: session %d object: %v", cfg.Name, home, i, f)
-		}
+		}))
 		dest := home
 		// The route draw is consumed unconditionally so the route of
 		// every other session is invariant under the knob.
@@ -233,10 +232,9 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 		}
 		e.sessions[i] = shardSession{Session: Session{Class: class, Obj: so, Arrive: arrive}, Home: home, Dest: dest}
 		e.nodes[home].byObj.Put(so.Index, int32(i))
-		return nil
 	})
-	if err != nil {
-		return nil, err
+	if f := l.Fault(); f != nil {
+		return nil, fmt.Errorf("shard %q: population: %w", cfg.Name, f)
 	}
 	return e, nil
 }

@@ -56,17 +56,13 @@ func ServerProgram(spec ServerSpec) []isa.Instr {
 
 // NewServerDomain assembles the server domain for the spec, plus the
 // trivial callee domain for its cross-domain calls (NilAD when the spec
-// makes none). Pass the callee in AArgs[0] at spawn.
+// makes none). Pass the callee in AArgs[0] at spawn. On a fault, use
+// neither domain.
 func NewServerDomain(sys *gdp.System, spec ServerSpec) (dom, callee obj.AD, f *obj.Fault) {
+	var l obj.Latch
 	if spec.DomainCalls > 0 {
-		callee, f = Domain(sys, []isa.Instr{isa.Ret()})
-		if f != nil {
-			return obj.NilAD, obj.NilAD, f
-		}
+		callee = l.AD(Domain(sys, []isa.Instr{isa.Ret()}))
 	}
-	dom, f = Domain(sys, ServerProgram(spec))
-	if f != nil {
-		return obj.NilAD, obj.NilAD, f
-	}
-	return dom, callee, nil
+	dom = l.AD(Domain(sys, ServerProgram(spec)))
+	return dom, callee, l.Fault()
 }

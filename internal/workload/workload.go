@@ -37,40 +37,43 @@ func (h *Handle) Done(sys *gdp.System) bool {
 
 // Domain builds a single-entry domain over prog on the system heap.
 func Domain(sys *gdp.System, prog []isa.Instr) (obj.AD, *obj.Fault) {
-	code, f := sys.Domains.CreateCode(sys.Heap, prog)
-	if f != nil {
-		return obj.NilAD, f
+	var l obj.Latch
+	code := l.AD(sys.Domains.CreateCode(sys.Heap, prog))
+	dom := l.AD(sys.Domains.Create(sys.Heap, code, []uint32{0}))
+	return dom, l.Fault()
+}
+
+// fleet spawns n processes of one program under one spec. A constructor
+// here creates straight through and checks once: the latch keeps the first
+// refusal, and a step handed a refused create's NilAD refuses in turn.
+func fleet(sys *gdp.System, n int, prog []isa.Instr, spec gdp.SpawnSpec) (*Handle, *obj.Fault) {
+	var l obj.Latch
+	dom := l.AD(Domain(sys, prog))
+	h := &Handle{}
+	for i := 0; i < n; i++ {
+		h.Procs = append(h.Procs, l.AD(sys.Spawn(dom, spec)))
 	}
-	return sys.Domains.Create(sys.Heap, code, []uint32{0})
+	if f := l.Fault(); f != nil {
+		return nil, f
+	}
+	return h, nil
 }
 
 // Compute spawns n independent compute-bound processes, each spinning for
 // iters iterations with the given time slice.
 func Compute(sys *gdp.System, n int, iters uint32, slice uint32) (*Handle, *obj.Fault) {
-	dom, f := Domain(sys, []isa.Instr{
+	return fleet(sys, n, []isa.Instr{
 		isa.MovI(1, iters),
 		isa.AddI(1, 1, ^uint32(0)),
 		isa.BrNZ(1, 1),
 		isa.Halt(),
-	})
-	if f != nil {
-		return nil, f
-	}
-	h := &Handle{}
-	for i := 0; i < n; i++ {
-		p, f := sys.Spawn(dom, gdp.SpawnSpec{TimeSlice: slice})
-		if f != nil {
-			return nil, f
-		}
-		h.Procs = append(h.Procs, p)
-	}
-	return h, nil
+	}, gdp.SpawnSpec{TimeSlice: slice})
 }
 
 // Churn spawns n allocation-churn processes, each creating and dropping
 // allocs objects of objBytes from the system heap — collector fodder.
 func Churn(sys *gdp.System, n int, allocs, objBytes uint32, slice uint32) (*Handle, *obj.Fault) {
-	dom, f := Domain(sys, []isa.Instr{
+	return fleet(sys, n, []isa.Instr{
 		isa.MovI(4, allocs),
 		isa.MovI(2, objBytes),
 		isa.MovI(3, 1),
@@ -78,22 +81,10 @@ func Churn(sys *gdp.System, n int, allocs, objBytes uint32, slice uint32) (*Hand
 		isa.AddI(4, 4, ^uint32(0)),
 		isa.BrNZ(4, 3),
 		isa.Halt(),
+	}, gdp.SpawnSpec{
+		TimeSlice: slice,
+		AArgs:     [4]obj.AD{sys.Heap},
 	})
-	if f != nil {
-		return nil, f
-	}
-	h := &Handle{}
-	for i := 0; i < n; i++ {
-		p, f := sys.Spawn(dom, gdp.SpawnSpec{
-			TimeSlice: slice,
-			AArgs:     [4]obj.AD{sys.Heap},
-		})
-		if f != nil {
-			return nil, f
-		}
-		h.Procs = append(h.Procs, p)
-	}
-	return h, nil
 }
 
 // Pipeline builds a stages-deep pipeline: a generator feeding transform
@@ -105,20 +96,14 @@ func Pipeline(sys *gdp.System, stages int, items uint32, capacity uint16, slice 
 	if stages < 1 {
 		return nil, obj.Faultf(obj.FaultBounds, obj.NilAD, "pipeline needs ≥1 stage")
 	}
-	var ports []obj.AD
-	for i := 0; i <= stages; i++ {
-		p, f := sys.Ports.Create(sys.Heap, capacity, port.FIFO)
-		if f != nil {
-			return nil, f
-		}
-		ports = append(ports, p)
+	var l obj.Latch
+	ports := make([]obj.AD, stages+1)
+	for i := range ports {
+		ports[i] = l.AD(sys.Ports.Create(sys.Heap, capacity, port.FIFO))
 	}
-	result, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
-	if f != nil {
-		return nil, f
-	}
+	result := l.AD(sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8}))
 
-	gen, f := Domain(sys, []isa.Instr{
+	gen := l.AD(Domain(sys, []isa.Instr{
 		isa.MovI(4, items),
 		isa.MovI(5, 1),
 		isa.MovI(2, 8),
@@ -131,11 +116,8 @@ func Pipeline(sys *gdp.System, stages int, items uint32, capacity uint16, slice 
 		isa.AddI(4, 4, ^uint32(0)),
 		isa.BrNZ(4, 2),
 		isa.Halt(),
-	})
-	if f != nil {
-		return nil, f
-	}
-	xform, f := Domain(sys, []isa.Instr{
+	}))
+	xform := l.AD(Domain(sys, []isa.Instr{
 		isa.MovI(4, items),
 		isa.Recv(1, 2),
 		isa.Load(0, 1, 0),
@@ -146,11 +128,8 @@ func Pipeline(sys *gdp.System, stages int, items uint32, capacity uint16, slice 
 		isa.AddI(4, 4, ^uint32(0)),
 		isa.BrNZ(4, 1),
 		isa.Halt(),
-	})
-	if f != nil {
-		return nil, f
-	}
-	acc, f := Domain(sys, []isa.Instr{
+	}))
+	acc := l.AD(Domain(sys, []isa.Instr{
 		isa.MovI(4, items),
 		isa.MovI(5, 0),
 		isa.Recv(1, 2),
@@ -160,37 +139,25 @@ func Pipeline(sys *gdp.System, stages int, items uint32, capacity uint16, slice 
 		isa.BrNZ(4, 2),
 		isa.Store(5, 3, 0),
 		isa.Halt(),
-	})
-	if f != nil {
-		return nil, f
-	}
+	}))
 
 	h := &Handle{Results: []obj.AD{result}}
-	spawn := func(dom obj.AD, in, out obj.AD) *obj.Fault {
-		p, f := sys.Spawn(dom, gdp.SpawnSpec{
+	spawn := func(dom obj.AD, in, out obj.AD) {
+		h.Procs = append(h.Procs, l.AD(sys.Spawn(dom, gdp.SpawnSpec{
 			TimeSlice: slice,
 			AArgs:     [4]obj.AD{sys.Heap, obj.NilAD, in, out},
-		})
-		if f != nil {
-			return f
-		}
-		h.Procs = append(h.Procs, p)
-		return nil
+		})))
 	}
-	if f := spawn(gen, ports[0], obj.NilAD); f != nil {
-		return nil, f
-	}
+	spawn(gen, ports[0], obj.NilAD)
 	for i := 0; i < stages; i++ {
-		var dom obj.AD
-		var in, out obj.AD
 		if i == stages-1 {
-			dom, in, out = acc, ports[i], result
+			spawn(acc, ports[i], result)
 		} else {
-			dom, in, out = xform, ports[i], ports[i+1]
+			spawn(xform, ports[i], ports[i+1])
 		}
-		if f := spawn(dom, in, out); f != nil {
-			return nil, f
-		}
+	}
+	if f := l.Fault(); f != nil {
+		return nil, f
 	}
 	return h, nil
 }
@@ -209,34 +176,25 @@ func ForkJoin(sys *gdp.System, depth int, iters uint32, slice uint32) (*Handle, 
 	if depth < 0 || depth > 8 {
 		return nil, obj.Faultf(obj.FaultBounds, obj.NilAD, "depth %d outside 0..8", depth)
 	}
-	leafDom, f := Domain(sys, []isa.Instr{
+	var l obj.Latch
+	leafDom := l.AD(Domain(sys, []isa.Instr{
 		isa.MovI(1, iters),
 		isa.AddI(1, 1, ^uint32(0)),
 		isa.BrNZ(1, 1),
 		isa.Halt(),
-	})
-	if f != nil {
-		return nil, f
-	}
+	}))
 	h := &Handle{}
-	var build func(parent obj.AD, d int) *obj.Fault
-	build = func(parent obj.AD, d int) *obj.Fault {
-		p, f := sys.Spawn(leafDom, gdp.SpawnSpec{TimeSlice: slice, Parent: parent})
-		if f != nil {
-			return f
-		}
+	var build func(parent obj.AD, d int)
+	build = func(parent obj.AD, d int) {
+		p := l.AD(sys.Spawn(leafDom, gdp.SpawnSpec{TimeSlice: slice, Parent: parent}))
 		h.Procs = append(h.Procs, p)
-		if d == 0 {
-			return nil
+		if d > 0 {
+			build(p, d-1)
+			build(p, d-1)
 		}
-		for c := 0; c < 2; c++ {
-			if f := build(p, d-1); f != nil {
-				return f
-			}
-		}
-		return nil
 	}
-	if f := build(obj.NilAD, depth); f != nil {
+	build(obj.NilAD, depth)
+	if f := l.Fault(); f != nil {
 		return nil, f
 	}
 	return h, nil
