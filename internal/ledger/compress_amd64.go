@@ -2,7 +2,7 @@
 
 package ledger
 
-// useSHANI selects the SHA-NI kernel in leafHash and nodeHash. It needs
+// useSHANI selects the SHA-NI kernel in leafHash2 and nodeHash2. It needs
 // the SHA extensions (CPUID leaf 7, EBX bit 29), SSSE3 and SSE4.1 (leaf 1,
 // ECX bits 9 and 19); the kernel has no VEX encoding, so AVX state is not
 // asked for.
@@ -17,10 +17,11 @@ func shaniSupported() bool {
 	return ecx1&(1<<9) != 0 && ecx1&(1<<19) != 0 && ebx7&(1<<29) != 0
 }
 
-// hashSHANI compresses p, whole SHA-256 blocks with the padding already
-// in place, starting from the SHA-256 IV, and writes the digest.
+// hashSHANI2 compresses two messages of equal length at once, p0 into d0
+// and p1 into d1: each is whole SHA-256 blocks with the padding already in
+// place, compressed from the SHA-256 IV. len(p1) must equal len(p0).
 //
 //go:noescape
-func hashSHANI(digest *[HashBytes]byte, p []byte)
+func hashSHANI2(d0, d1 *[HashBytes]byte, p0, p1 []byte)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -2,30 +2,44 @@
 // Use of this source code is governed by a BSD-style
 // license that can be found in the LICENSE file.
 
-// The SHA-NI compression behind leafHash and nodeHash, adapted from
+// The SHA-NI compression behind leafHash2 and nodeHash2, adapted from
 // blockSHANI in the Go distribution's
 // src/crypto/internal/fips140/sha256/sha256block_amd64.s (generated there
-// from _asm/sha256block_amd64_shani.go). The rounds are Go's, with three
-// changes: the state starts from the SHA-256 IV instead of a digest
-// argument and leaves as the big-endian digest, the VEX moves are their
-// SSE forms (MOVOU, MOVO) so the kernel needs no AVX state, and the K table
-// is stored once instead of in the AVX2 routine's doubled rows (stride 16,
-// not 32). Reference: S. Gulley et al., "New Instructions Supporting the
-// Secure Hash Algorithm on Intel Architecture Processors", July 2013.
+// from _asm/sha256block_amd64_shani.go). The rounds are Go's, written out
+// for two independent messages at once, with four changes: the state starts
+// from the SHA-256 IV instead of a digest argument and leaves as the
+// big-endian digest, the VEX moves are their SSE forms (MOVOU, MOVO) so the
+// kernel needs no AVX state, the K table is stored once instead of in the
+// AVX2 routine's doubled rows (stride 16, not 32), and each four rounds
+// extend the message schedule before they run, so that the lane's one
+// scratch register is free to hold its W+K words across both SHA256RNDS2.
+// Reference: S. Gulley et al., "New Instructions Supporting the Secure Hash
+// Algorithm on Intel Architecture Processors", July 2013.
 
 //go:build !purego
 
 #include "textflag.h"
 
-// func hashSHANI(digest *[HashBytes]byte, p []byte)
+// func hashSHANI2(d0, d1 *[HashBytes]byte, p0, p1 []byte)
 // Requires: SHA, SSE2, SSE4.1, SSSE3
-TEXT ·hashSHANI(SB), NOSPLIT, $0-32
-	MOVQ  digest+0(FP), DI
-	MOVQ  p_base+8(FP), SI
-	MOVQ  p_len+16(FP), DX
+//
+// Register budget. SHA256RNDS2 reads its W+K words from X0 implicitly, so
+// the lanes share X0 and each copies its words in just before each pair of
+// rounds. Lane 0 (p0) keeps ABEF, CDGH in X1, X2, its four message
+// registers in X3-X6 and its scratch in X7; lane 1 (p1) the same in X8, X9,
+// X10-X13 and X14. X15 holds the byte-swap mask. The four state registers
+// a block adds back at its end wait in the 64-byte frame.
+TEXT ·hashSHANI2(SB), NOSPLIT, $64-64
+	MOVQ  d0+0(FP), R8
+	MOVQ  d1+8(FP), R9
+	MOVQ  p0_base+16(FP), SI
+	MOVQ  p0_len+24(FP), DX
+	MOVQ  p1_base+40(FP), DI
 	MOVOU iv_abef<>+0(SB), X1
 	MOVOU iv_cdgh<>+0(SB), X2
-	MOVOU flip_mask<>+0(SB), X8
+	MOVO  X1, X8
+	MOVO  X2, X9
+	MOVOU flip_mask<>+0(SB), X15
 	LEAQ  K256<>+0(SB), AX
 	SHRQ  $0x06, DX
 	SHLQ  $0x06, DX
@@ -35,167 +49,384 @@ TEXT ·hashSHANI(SB), NOSPLIT, $0-32
 
 roundLoop:
 	// save hash values for addition after rounds
-	MOVO    X1, X9
-	MOVO    X2, X10
+	MOVOU X1, 0(SP)
+	MOVOU X2, 16(SP)
+	MOVOU X8, 32(SP)
+	MOVOU X9, 48(SP)
 
-	// do rounds 0-59
-	MOVOU       (SI), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X3
-	PADDD       (AX), X0
-	SHA256RNDS2 X0, X1, X2
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	MOVOU       16(SI), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X4
-	PADDD       16(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X4, X3
-	MOVOU       32(SI), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X5
-	PADDD       32(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X5, X4
-	MOVOU       48(SI), X0
-	PSHUFB      X8, X0
-	MOVO        X0, X6
-	PADDD       48(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X6, X7
-	PALIGNR     $0x04, X5, X7
-	PADDD       X7, X3
-	SHA256MSG2  X6, X3
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X6, X5
-	MOVO        X3, X0
-	PADDD       64(AX), X0
-	SHA256RNDS2 X0, X1, X2
+	// rounds 0-3
+	MOVOU       (SI), X3
+	PSHUFB      X15, X3
+	MOVOU       (DI), X10
+	PSHUFB      X15, X10
 	MOVO        X3, X7
-	PALIGNR     $0x04, X6, X7
-	PADDD       X7, X4
-	SHA256MSG2  X3, X4
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X3, X6
-	MOVO        X4, X0
-	PADDD       80(AX), X0
+	PADDD       (AX), X7
+	MOVO        X10, X14
+	PADDD       (AX), X14
+	MOVO        X7, X0
 	SHA256RNDS2 X0, X1, X2
-	MOVO        X4, X7
-	PALIGNR     $0x04, X3, X7
-	PADDD       X7, X5
-	SHA256MSG2  X4, X5
-	PSHUFD      $0x0e, X0, X0
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
 	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X4, X3
-	MOVO        X5, X0
-	PADDD       96(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X5, X7
-	PALIGNR     $0x04, X4, X7
-	PADDD       X7, X6
-	SHA256MSG2  X5, X6
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X5, X4
-	MOVO        X6, X0
-	PADDD       112(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X6, X7
-	PALIGNR     $0x04, X5, X7
-	PADDD       X7, X3
-	SHA256MSG2  X6, X3
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X6, X5
-	MOVO        X3, X0
-	PADDD       128(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X3, X7
-	PALIGNR     $0x04, X6, X7
-	PADDD       X7, X4
-	SHA256MSG2  X3, X4
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X3, X6
-	MOVO        X4, X0
-	PADDD       144(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X4, X7
-	PALIGNR     $0x04, X3, X7
-	PADDD       X7, X5
-	SHA256MSG2  X4, X5
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X4, X3
-	MOVO        X5, X0
-	PADDD       160(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X5, X7
-	PALIGNR     $0x04, X4, X7
-	PADDD       X7, X6
-	SHA256MSG2  X5, X6
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X5, X4
-	MOVO        X6, X0
-	PADDD       176(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X6, X7
-	PALIGNR     $0x04, X5, X7
-	PADDD       X7, X3
-	SHA256MSG2  X6, X3
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X6, X5
-	MOVO        X3, X0
-	PADDD       192(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X3, X7
-	PALIGNR     $0x04, X6, X7
-	PADDD       X7, X4
-	SHA256MSG2  X3, X4
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	SHA256MSG1  X3, X6
-	MOVO        X4, X0
-	PADDD       208(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X4, X7
-	PALIGNR     $0x04, X3, X7
-	PADDD       X7, X5
-	SHA256MSG2  X4, X5
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
-	MOVO        X5, X0
-	PADDD       224(AX), X0
-	SHA256RNDS2 X0, X1, X2
-	MOVO        X5, X7
-	PALIGNR     $0x04, X4, X7
-	PADDD       X7, X6
-	SHA256MSG2  X5, X6
-	PSHUFD      $0x0e, X0, X0
-	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
 
-	// do rounds 60-63
-	MOVO        X6, X0
-	PADDD       240(AX), X0
+	// rounds 4-7
+	MOVOU       16(SI), X4
+	PSHUFB      X15, X4
+	MOVOU       16(DI), X11
+	PSHUFB      X15, X11
+	MOVO        X4, X7
+	PADDD       16(AX), X7
+	MOVO        X11, X14
+	PADDD       16(AX), X14
+	MOVO        X7, X0
 	SHA256RNDS2 X0, X1, X2
-	PSHUFD      $0x0e, X0, X0
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
 	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
+	SHA256MSG1  X4, X3
+	SHA256MSG1  X11, X10
+
+	// rounds 8-11
+	MOVOU       32(SI), X5
+	PSHUFB      X15, X5
+	MOVOU       32(DI), X12
+	PSHUFB      X15, X12
+	MOVO        X5, X7
+	PADDD       32(AX), X7
+	MOVO        X12, X14
+	PADDD       32(AX), X14
+	MOVO        X7, X0
+	SHA256RNDS2 X0, X1, X2
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
+	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
+	SHA256MSG1  X5, X4
+	SHA256MSG1  X12, X11
+
+	// rounds 12-15
+	MOVOU       48(SI), X6
+	PSHUFB      X15, X6
+	MOVOU       48(DI), X13
+	PSHUFB      X15, X13
+	MOVO        X6, X7
+	PALIGNR     $0x04, X5, X7
+	PADDD       X7, X3
+	SHA256MSG2  X6, X3
+	MOVO        X13, X14
+	PALIGNR     $0x04, X12, X14
+	PADDD       X14, X10
+	SHA256MSG2  X13, X10
+	MOVO        X6, X7
+	PADDD       48(AX), X7
+	MOVO        X13, X14
+	PADDD       48(AX), X14
+	MOVO        X7, X0
+	SHA256RNDS2 X0, X1, X2
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
+	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
+	SHA256MSG1  X6, X5
+	SHA256MSG1  X13, X12
+
+	// rounds 16-19
+	MOVO        X3, X7
+	PALIGNR     $0x04, X6, X7
+	PADDD       X7, X4
+	SHA256MSG2  X3, X4
+	MOVO        X10, X14
+	PALIGNR     $0x04, X13, X14
+	PADDD       X14, X11
+	SHA256MSG2  X10, X11
+	MOVO        X3, X7
+	PADDD       64(AX), X7
+	MOVO        X10, X14
+	PADDD       64(AX), X14
+	MOVO        X7, X0
+	SHA256RNDS2 X0, X1, X2
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
+	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
+	SHA256MSG1  X3, X6
+	SHA256MSG1  X10, X13
+
+	// rounds 20-23
+	MOVO        X4, X7
+	PALIGNR     $0x04, X3, X7
+	PADDD       X7, X5
+	SHA256MSG2  X4, X5
+	MOVO        X11, X14
+	PALIGNR     $0x04, X10, X14
+	PADDD       X14, X12
+	SHA256MSG2  X11, X12
+	MOVO        X4, X7
+	PADDD       80(AX), X7
+	MOVO        X11, X14
+	PADDD       80(AX), X14
+	MOVO        X7, X0
+	SHA256RNDS2 X0, X1, X2
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
+	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
+	SHA256MSG1  X4, X3
+	SHA256MSG1  X11, X10
+
+	// rounds 24-27
+	MOVO        X5, X7
+	PALIGNR     $0x04, X4, X7
+	PADDD       X7, X6
+	SHA256MSG2  X5, X6
+	MOVO        X12, X14
+	PALIGNR     $0x04, X11, X14
+	PADDD       X14, X13
+	SHA256MSG2  X12, X13
+	MOVO        X5, X7
+	PADDD       96(AX), X7
+	MOVO        X12, X14
+	PADDD       96(AX), X14
+	MOVO        X7, X0
+	SHA256RNDS2 X0, X1, X2
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
+	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
+	SHA256MSG1  X5, X4
+	SHA256MSG1  X12, X11
+
+	// rounds 28-31
+	MOVO        X6, X7
+	PALIGNR     $0x04, X5, X7
+	PADDD       X7, X3
+	SHA256MSG2  X6, X3
+	MOVO        X13, X14
+	PALIGNR     $0x04, X12, X14
+	PADDD       X14, X10
+	SHA256MSG2  X13, X10
+	MOVO        X6, X7
+	PADDD       112(AX), X7
+	MOVO        X13, X14
+	PADDD       112(AX), X14
+	MOVO        X7, X0
+	SHA256RNDS2 X0, X1, X2
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
+	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
+	SHA256MSG1  X6, X5
+	SHA256MSG1  X13, X12
+
+	// rounds 32-35
+	MOVO        X3, X7
+	PALIGNR     $0x04, X6, X7
+	PADDD       X7, X4
+	SHA256MSG2  X3, X4
+	MOVO        X10, X14
+	PALIGNR     $0x04, X13, X14
+	PADDD       X14, X11
+	SHA256MSG2  X10, X11
+	MOVO        X3, X7
+	PADDD       128(AX), X7
+	MOVO        X10, X14
+	PADDD       128(AX), X14
+	MOVO        X7, X0
+	SHA256RNDS2 X0, X1, X2
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
+	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
+	SHA256MSG1  X3, X6
+	SHA256MSG1  X10, X13
+
+	// rounds 36-39
+	MOVO        X4, X7
+	PALIGNR     $0x04, X3, X7
+	PADDD       X7, X5
+	SHA256MSG2  X4, X5
+	MOVO        X11, X14
+	PALIGNR     $0x04, X10, X14
+	PADDD       X14, X12
+	SHA256MSG2  X11, X12
+	MOVO        X4, X7
+	PADDD       144(AX), X7
+	MOVO        X11, X14
+	PADDD       144(AX), X14
+	MOVO        X7, X0
+	SHA256RNDS2 X0, X1, X2
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
+	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
+	SHA256MSG1  X4, X3
+	SHA256MSG1  X11, X10
+
+	// rounds 40-43
+	MOVO        X5, X7
+	PALIGNR     $0x04, X4, X7
+	PADDD       X7, X6
+	SHA256MSG2  X5, X6
+	MOVO        X12, X14
+	PALIGNR     $0x04, X11, X14
+	PADDD       X14, X13
+	SHA256MSG2  X12, X13
+	MOVO        X5, X7
+	PADDD       160(AX), X7
+	MOVO        X12, X14
+	PADDD       160(AX), X14
+	MOVO        X7, X0
+	SHA256RNDS2 X0, X1, X2
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
+	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
+	SHA256MSG1  X5, X4
+	SHA256MSG1  X12, X11
+
+	// rounds 44-47
+	MOVO        X6, X7
+	PALIGNR     $0x04, X5, X7
+	PADDD       X7, X3
+	SHA256MSG2  X6, X3
+	MOVO        X13, X14
+	PALIGNR     $0x04, X12, X14
+	PADDD       X14, X10
+	SHA256MSG2  X13, X10
+	MOVO        X6, X7
+	PADDD       176(AX), X7
+	MOVO        X13, X14
+	PADDD       176(AX), X14
+	MOVO        X7, X0
+	SHA256RNDS2 X0, X1, X2
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
+	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
+	SHA256MSG1  X6, X5
+	SHA256MSG1  X13, X12
+
+	// rounds 48-51
+	MOVO        X3, X7
+	PALIGNR     $0x04, X6, X7
+	PADDD       X7, X4
+	SHA256MSG2  X3, X4
+	MOVO        X10, X14
+	PALIGNR     $0x04, X13, X14
+	PADDD       X14, X11
+	SHA256MSG2  X10, X11
+	MOVO        X3, X7
+	PADDD       192(AX), X7
+	MOVO        X10, X14
+	PADDD       192(AX), X14
+	MOVO        X7, X0
+	SHA256RNDS2 X0, X1, X2
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
+	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
+	SHA256MSG1  X3, X6
+	SHA256MSG1  X10, X13
+
+	// rounds 52-55
+	MOVO        X4, X7
+	PALIGNR     $0x04, X3, X7
+	PADDD       X7, X5
+	SHA256MSG2  X4, X5
+	MOVO        X11, X14
+	PALIGNR     $0x04, X10, X14
+	PADDD       X14, X12
+	SHA256MSG2  X11, X12
+	MOVO        X4, X7
+	PADDD       208(AX), X7
+	MOVO        X11, X14
+	PADDD       208(AX), X14
+	MOVO        X7, X0
+	SHA256RNDS2 X0, X1, X2
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
+	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
+
+	// rounds 56-59
+	MOVO        X5, X7
+	PALIGNR     $0x04, X4, X7
+	PADDD       X7, X6
+	SHA256MSG2  X5, X6
+	MOVO        X12, X14
+	PALIGNR     $0x04, X11, X14
+	PADDD       X14, X13
+	SHA256MSG2  X12, X13
+	MOVO        X5, X7
+	PADDD       224(AX), X7
+	MOVO        X12, X14
+	PADDD       224(AX), X14
+	MOVO        X7, X0
+	SHA256RNDS2 X0, X1, X2
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
+	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
+
+	// rounds 60-63
+	MOVO        X6, X7
+	PADDD       240(AX), X7
+	MOVO        X13, X14
+	PADDD       240(AX), X14
+	MOVO        X7, X0
+	SHA256RNDS2 X0, X1, X2
+	MOVO        X14, X0
+	SHA256RNDS2 X0, X8, X9
+	PSHUFD      $0x0e, X7, X0
+	SHA256RNDS2 X0, X2, X1
+	PSHUFD      $0x0e, X14, X0
+	SHA256RNDS2 X0, X9, X8
 
 	// add current hash values with previously saved
-	PADDD X9, X1
-	PADDD X10, X2
+	MOVOU 0(SP), X7
+	PADDD X7, X1
+	MOVOU 16(SP), X7
+	PADDD X7, X2
+	MOVOU 32(SP), X14
+	PADDD X14, X8
+	MOVOU 48(SP), X14
+	PADDD X14, X9
 
-	// advance data pointer; loop until buffer empty
+	// advance data pointers; loop until buffer empty
 	ADDQ $0x40, SI
+	ADDQ $0x40, DI
 	CMPQ DX, SI
 	JNE  roundLoop
 
@@ -206,10 +437,19 @@ output:
 	MOVO    X1, X7
 	PBLENDW $0xf0, X2, X1
 	PALIGNR $0x08, X7, X2
-	PSHUFB  X8, X1
-	PSHUFB  X8, X2
-	MOVOU   X1, (DI)
-	MOVOU   X2, 16(DI)
+	PSHUFB  X15, X1
+	PSHUFB  X15, X2
+	MOVOU   X1, (R8)
+	MOVOU   X2, 16(R8)
+	PSHUFD  $0x1b, X8, X8
+	PSHUFD  $0xb1, X9, X9
+	MOVO    X8, X14
+	PBLENDW $0xf0, X9, X8
+	PALIGNR $0x08, X14, X9
+	PSHUFB  X15, X8
+	PSHUFB  X15, X9
+	MOVOU   X8, (R9)
+	MOVOU   X9, 16(R9)
 	RET
 
 // The SHA-256 IV (H0..H7 = a..h) as SHA256RNDS2 holds it: ABEF is the

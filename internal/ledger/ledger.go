@@ -107,12 +107,14 @@ type Config struct {
 
 // sealWindow bounds the segments whose bodies are being hashed at once,
 // and with them the memory in flight (about 16 KB of records and leaves a
-// slot). Hashing costs more than admitting, so the emitter fills the
-// window and then waits; the window is what a second core draws on while
-// it does, and sealers the emitter has just started reach another core
-// only by being stolen from its run queue, which is quick for all but the
-// newest. At 8, serve-audit's run_s is within noise of 16 and a fifth
-// under 4 on a 2-core host.
+// slot). Hashing a segment still costs more than admitting it, so the
+// emitter fills the window and then waits; the window is what a second
+// core draws on while it does, and sealers the emitter has just started
+// reach another core only by being stolen from its run queue, which is
+// quick for all but the newest. With the two-lane kernel, serve-audit's
+// run_s on a 2-core host is within noise of 16 at 8 and a tenth under 4
+// (medians of fourteen rounds of the three: 0.118, 0.124 and 0.136 s at
+// 16, 8 and 4; 16 was ahead of 8 in nine of them).
 const sealWindow = 8
 
 // slabBytes is the unit segment buffers are carved from. A default
@@ -214,23 +216,22 @@ func (s *Sink) seal() {
 }
 
 // run encodes the records straight into the segment's body, counts them
-// per kind in the header's delta words and writes bodyRoot. It touches
-// nothing but its own slot, so it needs no lock and an abandoned sink
-// leaves nothing behind once it returns.
+// per kind in the header's delta words, and then hashes the body into
+// bodyRoot. It touches nothing but its own slot, so it needs no lock and
+// an abandoned sink leaves nothing behind once it returns.
 func (j *sealing) run(nk int) {
 	defer j.done.Done()
 	le := binary.LittleEndian
-	body, leaves := j.buf[headerLen(nk):headerLen(nk)], j.leaves[:0]
+	body := j.buf[headerLen(nk):headerLen(nk)]
 	for _, ev := range j.events {
 		body = appendRecord(body, ev)
-		leaves = append(leaves, leafHash(body[len(body)-RecordBytes:]))
 		if int(ev.Kind) < nk {
 			delta := j.buf[headerFixedBytes+8*int(ev.Kind):]
 			le.PutUint64(delta, le.Uint64(delta)+1)
 		}
 	}
-	root := merkleRoot(leaves)
-	j.leaves = leaves
+	var root [HashBytes]byte
+	root, j.leaves = bodyRoot(body, j.leaves)
 	copy(j.buf[bodyRootOff:], root[:])
 }
 

@@ -14,41 +14,116 @@ import (
 	"repro/internal/trace"
 )
 
-// leafHash is the domain-separated hash of one encoded record (0x00
-// prefix, so a leaf can never be confused with an interior node); rec
+// leafHash2 is the domain-separated hash (0x00 prefix, so a leaf can never
+// be confused with an interior node) of two encoded records at once; each
 // holds RecordBytes. The sink, Verify and the proofs all hash through
-// these two functions, and neither allocates. Each lays its message out
-// in a stack block with room for SHA-256's padding: where the CPU has the
-// SHA extensions (useSHANI) it pads the block, one for a leaf and two for
-// a node, and compresses it from the IV with hashSHANI; elsewhere it
-// calls sha256.Sum256 on the message. The bytes are the same either way.
-func leafHash(rec []byte) [HashBytes]byte {
-	var blk [64]byte // 0x00 | record | 0x80 | 0… | bit length 208
-	*(*[RecordBytes]byte)(blk[1:]) = [RecordBytes]byte(rec)
+// leafHash2 and nodeHash2, and neither allocates. Each lays its messages
+// out in stack blocks padded for SHA-256, one block for a leaf and two for
+// a node: where the CPU has the SHA extensions (useSHANI) it compresses
+// the pair from the IV with hashSHANI2, whose two lanes overlap; elsewhere
+// it calls sha256.Sum256 on each message. The bytes are the same either
+// way.
+func leafHash2(rec0, rec1 []byte) (h0, h1 [HashBytes]byte) {
+	var b0, b1 [64]byte
+	leafBlock(&b0, rec0)
+	leafBlock(&b1, rec1)
 	if !useSHANI {
-		return sha256.Sum256(blk[:1+RecordBytes])
+		return sha256.Sum256(b0[:1+RecordBytes]), sha256.Sum256(b1[:1+RecordBytes])
 	}
-	blk[1+RecordBytes] = 0x80
-	binary.BigEndian.PutUint64(blk[56:], (1+RecordBytes)*8)
-	var d [HashBytes]byte
-	hashSHANI(&d, blk[:])
-	return d
+	hashSHANI2(&h0, &h1, b0[:], b1[:])
+	return h0, h1
 }
 
-// nodeHash combines two subtree hashes (0x01 prefix).
-func nodeHash(l, r [HashBytes]byte) [HashBytes]byte {
-	var blk [128]byte // 0x01 | l | r | 0x80 | 0… | bit length 520
-	blk[0] = 0x01
-	*(*[HashBytes]byte)(blk[1:]) = l
-	*(*[HashBytes]byte)(blk[1+HashBytes:]) = r
+// leafBlock fills a zeroed b with 0x00 | record | 0x80 | 0… | bit length
+// 208. The blocks are filled in place: returned by value, they would be
+// copied.
+func leafBlock(b *[64]byte, rec []byte) {
+	*(*[RecordBytes]byte)(b[1:]) = [RecordBytes]byte(rec)
+	b[1+RecordBytes] = 0x80
+	binary.BigEndian.PutUint64(b[56:], (1+RecordBytes)*8)
+}
+
+// nodeHash2 combines two pairs of subtree hashes (0x01 prefix) at once.
+func nodeHash2(l0, r0, l1, r1 *[HashBytes]byte) (h0, h1 [HashBytes]byte) {
+	var b0, b1 [128]byte
+	nodeBlock(&b0, l0, r0)
+	nodeBlock(&b1, l1, r1)
 	if !useSHANI {
-		return sha256.Sum256(blk[:1+2*HashBytes])
+		return sha256.Sum256(b0[:1+2*HashBytes]), sha256.Sum256(b1[:1+2*HashBytes])
 	}
-	blk[1+2*HashBytes] = 0x80
-	binary.BigEndian.PutUint64(blk[120:], (1+2*HashBytes)*8)
-	var d [HashBytes]byte
-	hashSHANI(&d, blk[:])
-	return d
+	hashSHANI2(&h0, &h1, b0[:], b1[:])
+	return h0, h1
+}
+
+// nodeBlock fills a zeroed b with 0x01 | l | r | 0x80 | 0… | bit length
+// 520.
+func nodeBlock(b *[128]byte, l, r *[HashBytes]byte) {
+	b[0] = 0x01
+	*(*[HashBytes]byte)(b[1:]) = *l
+	*(*[HashBytes]byte)(b[1+HashBytes:]) = *r
+	b[1+2*HashBytes] = 0x80
+	binary.BigEndian.PutUint64(b[120:], (1+2*HashBytes)*8)
+}
+
+// leafHash and nodeHash are the single forms, for the proofs, an odd last
+// leaf or pair and the top of a tree: both lanes hash the same message.
+func leafHash(rec []byte) [HashBytes]byte {
+	h, _ := leafHash2(rec, rec)
+	return h
+}
+
+func nodeHash(l, r [HashBytes]byte) [HashBytes]byte {
+	h, _ := nodeHash2(&l, &r, &l, &r)
+	return h
+}
+
+// leafHashes is the leaf hash of each of body's records (a whole number of
+// RecordBytes), two at a time, in leaves resized to fit.
+func leafHashes(body []byte, leaves [][HashBytes]byte) [][HashBytes]byte {
+	n := len(body) / RecordBytes
+	if cap(leaves) < n {
+		leaves = make([][HashBytes]byte, n)
+	}
+	leaves = leaves[:n]
+	rec := func(i int) []byte { return body[i*RecordBytes : (i+1)*RecordBytes] }
+	for i := 0; i+1 < n; i += 2 {
+		leaves[i], leaves[i+1] = leafHash2(rec(i), rec(i+1))
+	}
+	if n%2 == 1 {
+		leaves[n-1] = leafHash(rec(n - 1))
+	}
+	return leaves
+}
+
+// bodyRoot is merkleRoot over the leaf hashes of body's records (a whole
+// number of RecordBytes), computed level by level so that every hash but
+// an odd one out has a partner for the kernel's other lane: the leaves in
+// pairs, then each level's nodes two pairs at a time, an odd last node
+// carried up unchanged. That is merkleRoot's tree: the left subtree is the
+// largest power of two, which pairs off within itself at every level, so
+// the right subtree starts on an even position and is paired as it would
+// be alone, its last node carried until the left has come down to one.
+// leaves is scratch, returned for reuse.
+func bodyRoot(body []byte, leaves [][HashBytes]byte) ([HashBytes]byte, [][HashBytes]byte) {
+	leaves = leafHashes(body, leaves)
+	n := len(leaves)
+	if n == 0 {
+		return sha256.Sum256(nil), leaves
+	}
+	for ; n > 1; n = (n + 1) / 2 {
+		pairs := n / 2
+		i := 0
+		for ; i+1 < pairs; i += 2 {
+			leaves[i], leaves[i+1] = nodeHash2(&leaves[2*i], &leaves[2*i+1], &leaves[2*i+2], &leaves[2*i+3])
+		}
+		if i < pairs {
+			leaves[i] = nodeHash(leaves[2*i], leaves[2*i+1])
+		}
+		if n%2 == 1 {
+			leaves[pairs] = leaves[n-1]
+		}
+	}
+	return leaves[0], leaves
 }
 
 // splitPoint is the largest power of two strictly less than n (n ≥ 2).

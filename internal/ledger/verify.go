@@ -109,9 +109,9 @@ func Verify(data []byte) (*Replay, error) {
 		hdr := rest[:headerLen(int(kinds))]
 		firstSeq := binary.LittleEndian.Uint64(hdr[20:28])
 		segLastSeq := binary.LittleEndian.Uint64(hdr[28:36])
-		var prevHash, bodyRoot [HashBytes]byte
+		var prevHash, wantRoot [HashBytes]byte
 		copy(prevHash[:], hdr[prevHashOff:])
-		copy(bodyRoot[:], hdr[bodyRootOff:])
+		copy(wantRoot[:], hdr[bodyRootOff:])
 		if prevHash != prev {
 			return nil, corruptf(seg, "previous-segment hash mismatch: chain broken")
 		}
@@ -124,7 +124,6 @@ func Verify(data []byte) (*Replay, error) {
 		}
 
 		body := rest[len(hdr) : len(hdr)+int(count)*RecordBytes]
-		leaves = leaves[:0]
 		for i := 0; i < int(count); i++ {
 			rec := body[i*RecordBytes : (i+1)*RecordBytes]
 			ev := decodeRecord(rec)
@@ -136,7 +135,6 @@ func Verify(data []byte) (*Replay, error) {
 			}
 			lastSeq = ev.Seq
 			bodyCounts[ev.Kind]++
-			leaves = append(leaves, leafHash(rec))
 			rep.Events = append(rep.Events, ev)
 		}
 		if rep.Events[len(rep.Events)-int(count)].Seq != firstSeq {
@@ -151,7 +149,8 @@ func Verify(data []byte) (*Replay, error) {
 					trace.Kind(k), countDelta[k], bodyCounts[k])
 			}
 		}
-		if got := merkleRoot(leaves); got != bodyRoot {
+		var got [HashBytes]byte
+		if got, leaves = bodyRoot(body, leaves); got != wantRoot {
 			return nil, corruptf(seg, "body Merkle root mismatch")
 		}
 		segHash := sha256.Sum256(hdr)
@@ -202,13 +201,11 @@ func (r *Replay) ProveEvent(i int) (*EventProof, error) {
 		seg++
 	}
 	info := r.Segments[seg]
-	leaves := make([][HashBytes]byte, info.Count)
-	var rec []byte
-	base := i - idx
-	for j := 0; j < info.Count; j++ {
-		rec = appendRecord(rec[:0], r.Events[base+j])
-		leaves[j] = leafHash(rec)
+	body := make([]byte, 0, info.Count*RecordBytes)
+	for _, ev := range r.Events[i-idx : i-idx+info.Count] {
+		body = appendRecord(body, ev)
 	}
+	leaves := leafHashes(body, nil)
 	return &EventProof{
 		Segment:      seg,
 		Segments:     len(r.Segments),
