@@ -15,6 +15,11 @@
 // scratch register is free to hold its W+K words across both SHA256RNDS2.
 // Reference: S. Gulley et al., "New Instructions Supporting the Secure Hash
 // Algorithm on Intel Architecture Processors", July 2013.
+//
+// The file also holds hashAVX512, the 16-lane kernel behind hashBatch,
+// which is this package's own: FIPS 180-4's rounds on sixteen messages at
+// once, one to a dword lane of each ZMM register. It shares the IV, the
+// byte-swap mask and the K table below with hashSHANI2.
 
 //go:build !purego
 
@@ -452,6 +457,275 @@ output:
 	MOVOU   X9, 16(R9)
 	RET
 
+// The wide kernel's steps, each on sixteen dword lanes at once.
+//
+// GATHER loads word off/4 of the current block of every lane into w and
+// byte-swaps it; the gather clears its mask, so each sets it first.
+#define GATHER(off, w) \
+	KXNORW     K0, K0, K1; \
+	VPGATHERDD off(SI)(Z30*1), K1, w; \
+	VPSHUFB    Z31, w, w
+
+// SCHED extends the schedule ring in place: w16 holds W[t-16] and becomes
+// W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16]. VPTERNLOGD $0x96 is a
+// three-way XOR.
+#define SCHED(w16, w15, w7, w2) \
+	VPRORD     $7, w15, Z24; \
+	VPRORD     $18, w15, Z25; \
+	VPSRLD     $3, w15, Z26; \
+	VPTERNLOGD $0x96, Z24, Z25, Z26; \
+	VPADDD     Z26, w16, w16; \
+	VPADDD     w7, w16, w16; \
+	VPRORD     $17, w2, Z24; \
+	VPRORD     $19, w2, Z25; \
+	VPSRLD     $10, w2, Z26; \
+	VPTERNLOGD $0x96, Z24, Z25, Z26; \
+	VPADDD     Z26, w16, w16
+
+// ROUND is SHA-256 round t with W[t] in w and K[t] at k(AX): h becomes
+// T1 = h + Σ1(e) + Ch(e, f, g) + K[t] + W[t], d becomes d + T1 and h then
+// T1 + Σ0(a) + Maj(a, b, c), the next round's a. VPTERNLOGD $0xCA picks f
+// where e is set and g elsewhere (Ch); $0xE8 is the bitwise majority (Maj).
+#define ROUND(a, b, c, d, e, f, g, h, w, k) \
+	VPADDD      w, h, h; \
+	VPADDD.BCST k(AX), h, h; \
+	VPRORD      $6, e, Z24; \
+	VPRORD      $11, e, Z25; \
+	VPRORD      $25, e, Z26; \
+	VPTERNLOGD  $0x96, Z24, Z25, Z26; \
+	VMOVDQA32   e, Z27; \
+	VPTERNLOGD  $0xCA, g, f, Z27; \
+	VPADDD      Z26, h, h; \
+	VPADDD      Z27, h, h; \
+	VPADDD      h, d, d; \
+	VPRORD      $2, a, Z24; \
+	VPRORD      $13, a, Z25; \
+	VPRORD      $22, a, Z28; \
+	VPTERNLOGD  $0x96, Z24, Z25, Z28; \
+	VMOVDQA32   a, Z29; \
+	VPTERNLOGD  $0xE8, c, b, Z29; \
+	VPADDD      Z28, h, h; \
+	VPADDD      Z29, h, h
+
+// SCATTER writes state word w, byte-swapped, as word off/4 of every lane's
+// digest.
+#define SCATTER(w, off) \
+	VPSHUFB     Z31, w, w; \
+	KXNORW      K0, K0, K1; \
+	VPSCATTERDD w, K1, off(DI)(Z30*1)
+
+// func hashAVX512(d *[batch][HashBytes]byte, p []byte)
+// Requires: AVX512F, AVX512BW
+//
+// Sixteen messages of equal length, laid out back to back in p, each
+// len(p)/16 bytes of whole SHA-256 blocks with the padding in place, are
+// compressed from the IV, one message to a dword lane of each ZMM
+// register, and digest i is written to d[i]. Z0-Z7 hold the state a-h;
+// each round's macro names them rotated by one, so no state moves. Z8-Z23
+// are the message-schedule ring W[t mod 16], Z24-Z29 scratch, Z30 the
+// gather (then scatter) index and Z31 the byte-swap mask. A block's words
+// come in by VPGATHERDD, lane i reading at i*len(p)/16, and are byte-swapped
+// with VPSHUFB; K comes in by embedded broadcast. The state a block adds
+// back at its end waits in the 512-byte frame. The digests leave
+// byte-swapped by VPSCATTERDD, lane i writing at i*32.
+TEXT ·hashAVX512(SB), NOSPLIT, $512-32
+	MOVQ            d+0(FP), DI
+	MOVQ            p_base+8(FP), SI
+	MOVQ            p_len+16(FP), DX
+	SHRQ            $0x04, DX
+	VPBROADCASTD    DX, Z30
+	VPMULLD         lanes<>+0(SB), Z30, Z30
+	VBROADCASTI32X4 flip_mask<>+0(SB), Z31
+	VPBROADCASTD    iv_abef<>+12(SB), Z0
+	VPBROADCASTD    iv_abef<>+8(SB), Z1
+	VPBROADCASTD    iv_cdgh<>+12(SB), Z2
+	VPBROADCASTD    iv_cdgh<>+8(SB), Z3
+	VPBROADCASTD    iv_abef<>+4(SB), Z4
+	VPBROADCASTD    iv_abef<>+0(SB), Z5
+	VPBROADCASTD    iv_cdgh<>+4(SB), Z6
+	VPBROADCASTD    iv_cdgh<>+0(SB), Z7
+	LEAQ            K256<>+0(SB), AX
+	ADDQ            SI, DX
+
+wideLoop:
+	VMOVDQU32 Z0, 0(SP)
+	VMOVDQU32 Z1, 64(SP)
+	VMOVDQU32 Z2, 128(SP)
+	VMOVDQU32 Z3, 192(SP)
+	VMOVDQU32 Z4, 256(SP)
+	VMOVDQU32 Z5, 320(SP)
+	VMOVDQU32 Z6, 384(SP)
+	VMOVDQU32 Z7, 448(SP)
+
+	GATHER(0, Z8)
+	GATHER(4, Z9)
+	GATHER(8, Z10)
+	GATHER(12, Z11)
+	GATHER(16, Z12)
+	GATHER(20, Z13)
+	GATHER(24, Z14)
+	GATHER(28, Z15)
+	GATHER(32, Z16)
+	GATHER(36, Z17)
+	GATHER(40, Z18)
+	GATHER(44, Z19)
+	GATHER(48, Z20)
+	GATHER(52, Z21)
+	GATHER(56, Z22)
+	GATHER(60, Z23)
+	// rounds 0-7
+	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, 0)
+	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z9, 4)
+	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z10, 8)
+	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z11, 12)
+	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z12, 16)
+	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z13, 20)
+	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z14, 24)
+	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z15, 28)
+
+	// rounds 8-15
+	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16, 32)
+	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z17, 36)
+	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z18, 40)
+	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z19, 44)
+	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z20, 48)
+	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z21, 52)
+	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z22, 56)
+	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z23, 60)
+
+	// rounds 16-23
+	SCHED(Z8, Z9, Z17, Z22)
+	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, 64)
+	SCHED(Z9, Z10, Z18, Z23)
+	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z9, 68)
+	SCHED(Z10, Z11, Z19, Z8)
+	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z10, 72)
+	SCHED(Z11, Z12, Z20, Z9)
+	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z11, 76)
+	SCHED(Z12, Z13, Z21, Z10)
+	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z12, 80)
+	SCHED(Z13, Z14, Z22, Z11)
+	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z13, 84)
+	SCHED(Z14, Z15, Z23, Z12)
+	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z14, 88)
+	SCHED(Z15, Z16, Z8, Z13)
+	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z15, 92)
+
+	// rounds 24-31
+	SCHED(Z16, Z17, Z9, Z14)
+	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16, 96)
+	SCHED(Z17, Z18, Z10, Z15)
+	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z17, 100)
+	SCHED(Z18, Z19, Z11, Z16)
+	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z18, 104)
+	SCHED(Z19, Z20, Z12, Z17)
+	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z19, 108)
+	SCHED(Z20, Z21, Z13, Z18)
+	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z20, 112)
+	SCHED(Z21, Z22, Z14, Z19)
+	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z21, 116)
+	SCHED(Z22, Z23, Z15, Z20)
+	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z22, 120)
+	SCHED(Z23, Z8, Z16, Z21)
+	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z23, 124)
+
+	// rounds 32-39
+	SCHED(Z8, Z9, Z17, Z22)
+	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, 128)
+	SCHED(Z9, Z10, Z18, Z23)
+	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z9, 132)
+	SCHED(Z10, Z11, Z19, Z8)
+	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z10, 136)
+	SCHED(Z11, Z12, Z20, Z9)
+	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z11, 140)
+	SCHED(Z12, Z13, Z21, Z10)
+	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z12, 144)
+	SCHED(Z13, Z14, Z22, Z11)
+	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z13, 148)
+	SCHED(Z14, Z15, Z23, Z12)
+	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z14, 152)
+	SCHED(Z15, Z16, Z8, Z13)
+	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z15, 156)
+
+	// rounds 40-47
+	SCHED(Z16, Z17, Z9, Z14)
+	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16, 160)
+	SCHED(Z17, Z18, Z10, Z15)
+	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z17, 164)
+	SCHED(Z18, Z19, Z11, Z16)
+	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z18, 168)
+	SCHED(Z19, Z20, Z12, Z17)
+	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z19, 172)
+	SCHED(Z20, Z21, Z13, Z18)
+	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z20, 176)
+	SCHED(Z21, Z22, Z14, Z19)
+	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z21, 180)
+	SCHED(Z22, Z23, Z15, Z20)
+	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z22, 184)
+	SCHED(Z23, Z8, Z16, Z21)
+	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z23, 188)
+
+	// rounds 48-55
+	SCHED(Z8, Z9, Z17, Z22)
+	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, 192)
+	SCHED(Z9, Z10, Z18, Z23)
+	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z9, 196)
+	SCHED(Z10, Z11, Z19, Z8)
+	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z10, 200)
+	SCHED(Z11, Z12, Z20, Z9)
+	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z11, 204)
+	SCHED(Z12, Z13, Z21, Z10)
+	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z12, 208)
+	SCHED(Z13, Z14, Z22, Z11)
+	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z13, 212)
+	SCHED(Z14, Z15, Z23, Z12)
+	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z14, 216)
+	SCHED(Z15, Z16, Z8, Z13)
+	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z15, 220)
+
+	// rounds 56-63
+	SCHED(Z16, Z17, Z9, Z14)
+	ROUND(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z16, 224)
+	SCHED(Z17, Z18, Z10, Z15)
+	ROUND(Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z17, 228)
+	SCHED(Z18, Z19, Z11, Z16)
+	ROUND(Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z5, Z18, 232)
+	SCHED(Z19, Z20, Z12, Z17)
+	ROUND(Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z4, Z19, 236)
+	SCHED(Z20, Z21, Z13, Z18)
+	ROUND(Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z3, Z20, 240)
+	SCHED(Z21, Z22, Z14, Z19)
+	ROUND(Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z2, Z21, 244)
+	SCHED(Z22, Z23, Z15, Z20)
+	ROUND(Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z1, Z22, 248)
+	SCHED(Z23, Z8, Z16, Z21)
+	ROUND(Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z0, Z23, 252)
+
+	VPADDD 0(SP), Z0, Z0
+	VPADDD 64(SP), Z1, Z1
+	VPADDD 128(SP), Z2, Z2
+	VPADDD 192(SP), Z3, Z3
+	VPADDD 256(SP), Z4, Z4
+	VPADDD 320(SP), Z5, Z5
+	VPADDD 384(SP), Z6, Z6
+	VPADDD 448(SP), Z7, Z7
+	ADDQ   $0x40, SI
+	CMPQ   SI, DX
+	JB     wideLoop
+
+	VMOVDQU32 lanes<>+0(SB), Z30
+	VPSLLD    $0x05, Z30, Z30
+	SCATTER(Z0, 0)
+	SCATTER(Z1, 4)
+	SCATTER(Z2, 8)
+	SCATTER(Z3, 12)
+	SCATTER(Z4, 16)
+	SCATTER(Z5, 20)
+	SCATTER(Z6, 24)
+	SCATTER(Z7, 28)
+	VZEROUPPER
+	RET
+
 // The SHA-256 IV (H0..H7 = a..h) as SHA256RNDS2 holds it: ABEF is the
 // dwords f, e, b, a from low to high and CDGH is h, g, d, c.
 DATA iv_abef<>+0(SB)/4, $0x9b05688c
@@ -470,6 +744,18 @@ GLOBL iv_cdgh<>(SB), RODATA|NOPTR, $16
 DATA flip_mask<>+0(SB)/8, $0x0405060700010203
 DATA flip_mask<>+8(SB)/8, $0x0c0d0e0f08090a0b
 GLOBL flip_mask<>(SB), RODATA|NOPTR, $16
+
+// lanes is 0..15, one dword a lane: times a message's length it is the
+// wide kernel's gather index, times 32 its scatter index.
+DATA lanes<>+0(SB)/8, $0x0000000100000000
+DATA lanes<>+8(SB)/8, $0x0000000300000002
+DATA lanes<>+16(SB)/8, $0x0000000500000004
+DATA lanes<>+24(SB)/8, $0x0000000700000006
+DATA lanes<>+32(SB)/8, $0x0000000900000008
+DATA lanes<>+40(SB)/8, $0x0000000b0000000a
+DATA lanes<>+48(SB)/8, $0x0000000d0000000c
+DATA lanes<>+56(SB)/8, $0x0000000f0000000e
+GLOBL lanes<>(SB), RODATA|NOPTR, $64
 
 // K256 is the 64 round constants, four to a PADDD. The legacy SSE PADDD
 // reads them from memory, so the table must be 16-byte aligned: the linker
@@ -549,4 +835,11 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL BX, ebx+12(FP)
 	MOVL CX, ecx+16(FP)
 	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	MOVL   $0, CX
+	XGETBV
+	MOVL   AX, eax+0(FP)
 	RET

@@ -14,29 +14,57 @@ import (
 	"repro/internal/trace"
 )
 
+// batch is how many messages hashBatch takes at once: the wide kernel's
+// lanes.
+const batch = 16
+
+// hash2 hashes two padded messages of equal length at once, p0 into d0 and
+// p1 into d1; the first n bytes of each are the message. Where the CPU has
+// the SHA extensions (useSHANI) it compresses the pair from the IV with
+// hashSHANI2, whose two lanes overlap; elsewhere it calls sha256.Sum256 on
+// each message. The bytes are the same either way.
+func hash2(d0, d1 *[HashBytes]byte, p0, p1 []byte, n int) {
+	if !useSHANI {
+		*d0, *d1 = sha256.Sum256(p0[:n]), sha256.Sum256(p1[:n])
+		return
+	}
+	hashSHANI2(d0, d1, p0, p1)
+}
+
+// hashBatch hashes the batch padded messages of p, laid out back to back
+// and each len(p)/batch bytes long, message i into d[i]; the first n bytes
+// of each are the message. Where the CPU has AVX-512 (useAVX512) the wide
+// kernel compresses all sixteen at once; elsewhere hash2 takes them a pair
+// at a time.
+func hashBatch(d *[batch][HashBytes]byte, p []byte, n int) {
+	if useAVX512 {
+		hashAVX512(d, p)
+		return
+	}
+	m := len(p) / batch
+	for k := 0; k < batch; k += 2 {
+		hash2(&d[k], &d[k+1], p[k*m:(k+1)*m], p[(k+1)*m:(k+2)*m], n)
+	}
+}
+
 // leafHash2 is the domain-separated hash (0x00 prefix, so a leaf can never
 // be confused with an interior node) of two encoded records at once; each
-// holds RecordBytes. The sink, Verify and the proofs all hash through
-// leafHash2 and nodeHash2, and neither allocates. Each lays its messages
-// out in stack blocks padded for SHA-256, one block for a leaf and two for
-// a node: where the CPU has the SHA extensions (useSHANI) it compresses
-// the pair from the IV with hashSHANI2, whose two lanes overlap; elsewhere
-// it calls sha256.Sum256 on each message. The bytes are the same either
-// way.
+// holds RecordBytes. nodeHash2 is its interior-node counterpart. The sink,
+// Verify and the proofs all hash through these and the batches of
+// leafHashes and bodyRoot, and none of them allocates: each lays its
+// messages out in stack blocks padded for SHA-256, one block for a leaf
+// and two for a node.
 func leafHash2(rec0, rec1 []byte) (h0, h1 [HashBytes]byte) {
 	var b0, b1 [64]byte
 	leafBlock(&b0, rec0)
 	leafBlock(&b1, rec1)
-	if !useSHANI {
-		return sha256.Sum256(b0[:1+RecordBytes]), sha256.Sum256(b1[:1+RecordBytes])
-	}
-	hashSHANI2(&h0, &h1, b0[:], b1[:])
+	hash2(&h0, &h1, b0[:], b1[:], 1+RecordBytes)
 	return h0, h1
 }
 
-// leafBlock fills a zeroed b with 0x00 | record | 0x80 | 0… | bit length
-// 208. The blocks are filled in place: returned by value, they would be
-// copied.
+// leafBlock fills b with 0x00 | record | 0x80 | 0… | bit length 208; the
+// bytes between the 0x80 and the length must already be zero. The blocks
+// are filled in place: returned by value, they would be copied.
 func leafBlock(b *[64]byte, rec []byte) {
 	*(*[RecordBytes]byte)(b[1:]) = [RecordBytes]byte(rec)
 	b[1+RecordBytes] = 0x80
@@ -48,15 +76,12 @@ func nodeHash2(l0, r0, l1, r1 *[HashBytes]byte) (h0, h1 [HashBytes]byte) {
 	var b0, b1 [128]byte
 	nodeBlock(&b0, l0, r0)
 	nodeBlock(&b1, l1, r1)
-	if !useSHANI {
-		return sha256.Sum256(b0[:1+2*HashBytes]), sha256.Sum256(b1[:1+2*HashBytes])
-	}
-	hashSHANI2(&h0, &h1, b0[:], b1[:])
+	hash2(&h0, &h1, b0[:], b1[:], 1+2*HashBytes)
 	return h0, h1
 }
 
-// nodeBlock fills a zeroed b with 0x01 | l | r | 0x80 | 0… | bit length
-// 520.
+// nodeBlock fills b with 0x01 | l | r | 0x80 | 0… | bit length 520, over
+// zeros as leafBlock does.
 func nodeBlock(b *[128]byte, l, r *[HashBytes]byte) {
 	b[0] = 0x01
 	*(*[HashBytes]byte)(b[1:]) = *l
@@ -78,7 +103,10 @@ func nodeHash(l, r [HashBytes]byte) [HashBytes]byte {
 }
 
 // leafHashes is the leaf hash of each of body's records (a whole number of
-// RecordBytes), two at a time, in leaves resized to fit.
+// RecordBytes), in leaves resized to fit: every full batch of sixteen
+// through hashBatch, the remainder two at a time. The batches share one
+// set of stack blocks, whose padding zeros each batch leaves as it found
+// them.
 func leafHashes(body []byte, leaves [][HashBytes]byte) [][HashBytes]byte {
 	n := len(body) / RecordBytes
 	if cap(leaves) < n {
@@ -86,7 +114,15 @@ func leafHashes(body []byte, leaves [][HashBytes]byte) [][HashBytes]byte {
 	}
 	leaves = leaves[:n]
 	rec := func(i int) []byte { return body[i*RecordBytes : (i+1)*RecordBytes] }
-	for i := 0; i+1 < n; i += 2 {
+	var blocks [batch * 64]byte
+	full := n - n%batch
+	for i := 0; i < full; i += batch {
+		for k := 0; k < batch; k++ {
+			leafBlock((*[64]byte)(blocks[k*64:]), rec(i+k))
+		}
+		hashBatch((*[batch][HashBytes]byte)(leaves[i:]), blocks[:], 1+RecordBytes)
+	}
+	for i := full; i+1 < n; i += 2 {
 		leaves[i], leaves[i+1] = leafHash2(rec(i), rec(i+1))
 	}
 	if n%2 == 1 {
@@ -96,23 +132,34 @@ func leafHashes(body []byte, leaves [][HashBytes]byte) [][HashBytes]byte {
 }
 
 // bodyRoot is merkleRoot over the leaf hashes of body's records (a whole
-// number of RecordBytes), computed level by level so that every hash but
-// an odd one out has a partner for the kernel's other lane: the leaves in
-// pairs, then each level's nodes two pairs at a time, an odd last node
-// carried up unchanged. That is merkleRoot's tree: the left subtree is the
-// largest power of two, which pairs off within itself at every level, so
-// the right subtree starts on an even position and is paired as it would
-// be alone, its last node carried until the left has come down to one.
-// leaves is scratch, returned for reuse.
+// number of RecordBytes), computed level by level so that the hashes of a
+// level are independent of each other: the leaves, then each level's
+// nodes, every full batch of sixteen pairs through hashBatch and the
+// remainder two pairs at a time, an odd last node carried up unchanged.
+// That is merkleRoot's tree: the left subtree is the largest power of two,
+// which pairs off within itself at every level, so the right subtree
+// starts on an even position and is paired as it would be alone, its last
+// node carried until the left has come down to one. A level's nodes are
+// written over its own first half: a batch's inputs are in its blocks
+// before its outputs land, and every later input sits past them. leaves is
+// scratch, returned for reuse.
 func bodyRoot(body []byte, leaves [][HashBytes]byte) ([HashBytes]byte, [][HashBytes]byte) {
 	leaves = leafHashes(body, leaves)
 	n := len(leaves)
 	if n == 0 {
 		return sha256.Sum256(nil), leaves
 	}
+	var blocks [batch * 128]byte
 	for ; n > 1; n = (n + 1) / 2 {
 		pairs := n / 2
-		i := 0
+		full := pairs - pairs%batch
+		for i := 0; i < full; i += batch {
+			for k := 0; k < batch; k++ {
+				nodeBlock((*[128]byte)(blocks[k*128:]), &leaves[2*(i+k)], &leaves[2*(i+k)+1])
+			}
+			hashBatch((*[batch][HashBytes]byte)(leaves[i:]), blocks[:], 1+2*HashBytes)
+		}
+		i := full
 		for ; i+1 < pairs; i += 2 {
 			leaves[i], leaves[i+1] = nodeHash2(&leaves[2*i], &leaves[2*i+1], &leaves[2*i+2], &leaves[2*i+3])
 		}

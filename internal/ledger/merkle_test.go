@@ -9,6 +9,7 @@ package ledger
 import (
 	"errors"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/trace"
@@ -169,5 +170,75 @@ func TestExhaustiveFlipSweep(t *testing.T) {
 					inSeg, off, ce.Segment)
 			}
 		}
+	}
+}
+
+// TestDoctoredProofsFailClosed: the proofs are the ledger's reader-side
+// boundary, so every refusal of VerifyInclusion, VerifyConsistency,
+// VerifyEvent and ProveEvent has a row here, reached by a proof or an
+// argument doctored from one that verifies; Verify's refusals are a
+// *CorruptError that names its segment and unwraps to ErrCorrupt.
+func TestDoctoredProofsFailClosed(t *testing.T) {
+	leaves := make([][HashBytes]byte, 7)
+	for i := range leaves {
+		leaves[i] = leafHash(appendRecord(nil, trace.Event{Seq: uint64(i)}))
+	}
+	root5, path := merkleRoot(leaves[:5]), inclusionPath(leaves[:5], 2)
+	root3, root7, proof := merkleRoot(leaves[:3]), merkleRoot(leaves), consistencyPath(leaves, 3)
+
+	rep, err := Verify(Seal(genEvents(100, 9), Config{SegmentEvents: 16}))
+	if err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	const evIndex = 20 // the fifth record of the second segment
+	ev := rep.Events[evIndex]
+	p, err := rep.ProveEvent(evIndex)
+	if err != nil {
+		t.Fatalf("prove %d: %v", evIndex, err)
+	}
+	doctor := func(f func(q *EventProof)) *EventProof {
+		q := *p
+		q.Header = append([]byte(nil), p.Header...)
+		f(&q)
+		return &q
+	}
+
+	if !VerifyInclusion(root5, leaves[2], 2, 5, path) || !VerifyConsistency(root3, root7, 3, 7, proof) || !VerifyEvent(rep.Root, ev, p) {
+		t.Fatal("an undoctored proof is rejected")
+	}
+	for _, c := range []struct {
+		name     string
+		accepted bool
+	}{
+		{"inclusion: index m = n", VerifyInclusion(root5, leaves[2], 5, 5, path)},
+		{"inclusion: tree size n = 0", VerifyInclusion(root5, leaves[2], 0, 0, path)},
+		{"inclusion: path one element too long", VerifyInclusion(root5, leaves[2], 2, 5, append(path[:len(path):len(path)], leaves[6]))},
+		{"consistency: old size n = 0", VerifyConsistency(root3, root7, 0, 7, proof)},
+		{"consistency: new size m < n", VerifyConsistency(root7, root3, 7, 3, proof)},
+		{"consistency: empty proof", VerifyConsistency(root3, root7, 3, 7, nil)},
+		{"consistency: trailing proof element", VerifyConsistency(root3, root7, 3, 7, append(proof[:len(proof):len(proof)], leaves[0]))},
+		{"event: nil proof", VerifyEvent(rep.Root, ev, nil)},
+		{"event: short header", VerifyEvent(rep.Root, ev, doctor(func(q *EventProof) { q.Header = q.Header[:headerFixedBytes-1] }))},
+		{"event: wrong magic", VerifyEvent(rep.Root, ev, doctor(func(q *EventProof) { q.Header[0] ^= 1 }))},
+		{"event: wrong version", VerifyEvent(rep.Root, ev, doctor(func(q *EventProof) { q.Header[4] ^= 1 }))},
+		{"event: wrong segment", VerifyEvent(rep.Root, ev, doctor(func(q *EventProof) { q.Segment++ }))},
+		{"event: wrong count", VerifyEvent(rep.Root, ev, doctor(func(q *EventProof) { q.SegmentCount++ }))},
+	} {
+		if c.accepted {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+
+	for _, i := range []int{-1, len(rep.Events)} {
+		if q, err := rep.ProveEvent(i); err == nil || q != nil {
+			t.Errorf("ProveEvent(%d) of %d events = %v, %v; want an error", i, len(rep.Events), q, err)
+		}
+	}
+
+	data := Seal(genEvents(48, 55), Config{SegmentEvents: 16})
+	_, err = Verify(data[:len(data)-1])
+	var ce *CorruptError
+	if !errors.As(err, &ce) || !errors.Is(err, ErrCorrupt) || err.Error() != "ledger: segment "+strconv.Itoa(ce.Segment)+": "+ce.Detail {
+		t.Errorf("a truncated ledger: Verify returns %v, want a *CorruptError naming its segment that unwraps to ErrCorrupt", err)
 	}
 }
