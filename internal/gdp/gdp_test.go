@@ -602,7 +602,8 @@ func TestAuditExecCachesFlagsStaleCode(t *testing.T) {
 // TestAuditExecCachesFlagsCorruptPredecode: the audit compares the cached
 // predecoded table with a fresh predecode of the domain's program, so one
 // flipped op kind is a finding — as is an operand view that no longer is
-// what its AD resolves to.
+// what its AD resolves to, a way keyed by another word than its view's AD,
+// and a way holding the running context.
 func TestAuditExecCachesFlagsCorruptPredecode(t *testing.T) {
 	w := buildLoopTwin(t, Config{}, []isa.Instr{isa.Nop(), isa.Load(1, 0, 0), isa.AddI(0, 0, 1), isa.Br(1)}, [4]uint32{}, false)
 	if _, f := w.s.execOne(w.cpu, 200); f != nil {
@@ -653,6 +654,35 @@ func TestAuditExecCachesFlagsCorruptPredecode(t *testing.T) {
 		t.Fatalf("stale operand view not flagged:\n%s", p)
 	}
 	d.Data = old
+	if p := problems(); p != "" {
+		t.Fatalf("restored cache flagged:\n%s", p)
+	}
+
+	// Key the way by the same object's word without the write right: a
+	// store through a register holding that word would hit a view that
+	// has the right.
+	wi := int(way.AD().Index % resolveWays)
+	key := xc.key[wi]
+	if key != way.AD().Encode() {
+		t.Fatalf("way %d is keyed %#x, want %#x", wi, key, way.AD().Encode())
+	}
+	xc.key[wi] = way.AD().Restrict(obj.RightWrite).Encode()
+	if p := problems(); !strings.Contains(p, "is keyed") {
+		t.Fatalf("doctored operand key not flagged:\n%s", p)
+	}
+	xc.key[wi] = key
+
+	// Fill the way with the running context, which the run loop never
+	// memoises: its IP is deferred.
+	saved := *way
+	if !w.s.Table.Fill(xc.ctx.AD(), 0, way) {
+		t.Fatal("the running context does not fill")
+	}
+	xc.key[wi] = xc.ctx.AD().Encode()
+	if p := problems(); !strings.Contains(p, "holds the running context") {
+		t.Fatalf("memoised context not flagged:\n%s", p)
+	}
+	*way, xc.key[wi] = saved, key
 	if p := problems(); p != "" {
 		t.Fatalf("restored cache flagged:\n%s", p)
 	}

@@ -5,9 +5,11 @@ package gdp
 // of an instruction naming a register that does not exist, for every
 // register field. These tests drive execOne directly on a {nocache, cache}
 // pair of twins and know nothing of how the cached side is built, but for
-// the last, which reads predecode's table.
+// the memo's way count, which two colliding operands read, and the last,
+// which reads predecode's table.
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/obj"
 	"repro/internal/port"
+	"repro/internal/process"
 	"repro/internal/vtime"
 )
 
@@ -24,6 +27,7 @@ type loopTwin struct {
 	s      *System
 	cpu    *CPU
 	procs  []obj.AD
+	data   obj.AD // a0
 	events []TraceEvent
 }
 
@@ -32,6 +36,13 @@ type loopTwin struct {
 // a second process spinning on a second processor so that bus contention
 // has someone to contend with, and binds everything with one Step(1).
 func buildLoopTwin(t *testing.T, cfg Config, prog []isa.Instr, args [4]uint32, spin bool) *loopTwin {
+	t.Helper()
+	return buildOperandTwin(t, cfg, prog, args, spin, nil)
+}
+
+// buildOperandTwin is buildLoopTwin with operands: before the binding
+// step, operands (when not nil) may create objects and fill a2 and a3.
+func buildOperandTwin(t *testing.T, cfg Config, prog []isa.Instr, args [4]uint32, spin bool, operands func(t *testing.T, w *loopTwin)) *loopTwin {
 	t.Helper()
 	cfg.MemoryBytes, cfg.Processors = 32<<10, 1
 	if spin {
@@ -49,10 +60,13 @@ func buildLoopTwin(t *testing.T, cfg Config, prog []isa.Instr, args [4]uint32, s
 	if f != nil {
 		t.Fatal(f)
 	}
-	w := &loopTwin{s: s}
+	w := &loopTwin{s: s, data: data}
 	w.procs = append(w.procs, spawnProg(t, s, prog, SpawnSpec{Args: args, AArgs: [4]obj.AD{data, prt}}))
 	if spin {
 		w.procs = append(w.procs, spawnProg(t, s, []isa.Instr{isa.Br(0)}, SpawnSpec{}))
+	}
+	if operands != nil {
+		operands(t, w)
 	}
 	if _, f := s.Step(1); f != nil {
 		t.Fatal(f)
@@ -152,27 +166,181 @@ var countdownProg = []isa.Instr{
 	isa.Br(1),
 }
 
+// The programs below drive loads and stores through the operand memo: a0
+// is the 16-byte data object, and a case's operands, when set, fill a2 or
+// a3 before the binding step.
+
+// computeProg is the benchmark's compute loop in miniature — load, three
+// ALU ops, store, and `addi; brnz` back to the load, not a countdown —
+// for r1 passes, then a self-loop.
+var computeProg = []isa.Instr{
+	isa.Nop(), // retired by the binding step
+	isa.MovI(5, 7),
+	isa.MovI(6, 3),
+	isa.MovI(7, 2),
+	isa.Load(0, 0, 0), // ip 4: loop head
+	isa.Add(0, 0, 5),
+	isa.Mul(0, 0, 6),
+	isa.Sub(0, 0, 7),
+	isa.Store(0, 0, 0),
+	isa.AddI(1, 1, ^uint32(0)),
+	isa.BrNZ(1, 4),
+	isa.Br(11), // ip 11: self-loop
+}
+
+// collideProg alternates between a0 and a2, two objects whose indices
+// share a memo way, so every other access misses.
+var collideProg = []isa.Instr{
+	isa.Nop(),
+	isa.Load(2, 0, 0), // ip 1: loop head
+	isa.Store(2, 2, 4),
+	isa.Load(3, 2, 0),
+	isa.Store(3, 0, 8),
+	isa.AddI(1, 1, ^uint32(0)),
+	isa.BrNZ(1, 1),
+	isa.Br(7),
+}
+
+// boundsProg loads the last dword of a0 for r1 passes — a hit from the
+// second on — and then the dword one byte further, which is out of bounds.
+var boundsProg = []isa.Instr{
+	isa.Nop(),
+	isa.Load(2, 0, 12), // ip 1: loop head
+	isa.AddI(1, 1, ^uint32(0)),
+	isa.BrNZ(1, 1),
+	isa.Load(3, 0, 13),
+	isa.Br(5),
+}
+
+// readOnlyProg reads through a3, a0 without the write right — the same
+// object, so the same way under another key — in turn with a0, then
+// stores through a3 while the way holds a0.
+var readOnlyProg = []isa.Instr{
+	isa.Nop(),
+	isa.Load(2, 3, 0), // ip 1: loop head
+	isa.Load(4, 0, 4),
+	isa.AddI(1, 1, ^uint32(0)),
+	isa.BrNZ(1, 1),
+	isa.Store(2, 3, 4),
+	isa.Br(6),
+}
+
+// selfProg reads and writes its own context through a2: the IP word, which
+// the reference has advanced before the access, and register r5.
+var selfProg = []isa.Instr{
+	isa.Nop(),
+	isa.Load(2, 0, 0), // ip 1: loop head
+	isa.Load(3, 2, process.CtxOffIP),
+	isa.Store(3, 2, process.CtxOffRegs+5*4),
+	isa.Add(6, 5, 3),
+	isa.AddI(1, 1, ^uint32(0)),
+	isa.BrNZ(1, 1),
+	isa.Br(7),
+}
+
+// collidingOperand puts in a2 a fresh 16-byte object whose index falls in
+// a0's memo way.
+func collidingOperand(t *testing.T, w *loopTwin) {
+	t.Helper()
+	for {
+		ad, f := w.s.SROs.Create(w.s.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 16})
+		if f != nil {
+			t.Fatal(f)
+		}
+		if ad.Index%resolveWays == w.data.Index%resolveWays {
+			setAReg(t, w.s, loopContext(t, w), 2, ad)
+			return
+		}
+	}
+}
+
+// readOnlyOperand puts a0 without the write right in a3.
+func readOnlyOperand(t *testing.T, w *loopTwin) {
+	t.Helper()
+	setAReg(t, w.s, loopContext(t, w), 3, w.data.Restrict(obj.RightWrite))
+}
+
+// selfOperand puts the process's own context in a2.
+func selfOperand(t *testing.T, w *loopTwin) {
+	t.Helper()
+	ctx := loopContext(t, w)
+	setAReg(t, w.s, ctx, 2, ctx)
+}
+
+func loopContext(t *testing.T, w *loopTwin) obj.AD {
+	t.Helper()
+	ctx, f := w.s.Procs.Context(w.procs[0])
+	if f != nil {
+		t.Fatal(f)
+	}
+	return ctx
+}
+
 // stopLineCase is one execOne limit on one program under one corner of
 // the observers: a bus surcharge, an injector due that many instructions
 // after the binding step (0: none), an instruction observer.
 type stopLineCase struct {
 	prog       []isa.Instr
 	args       [4]uint32
+	operands   func(t *testing.T, w *loopTwin)
 	contention vtime.Cycles
 	due        uint64
 	observe    bool
 	limit      vtime.Cycles
 }
 
+// machineDiff compares two twins directly and describes the first
+// difference, or returns "": every processor's clock and counters, the
+// system's counters but Primes (the one count the corners differ in by
+// design: nocache never binds), and every live object's descriptor and
+// bytes — process states, contexts and operands among them.
+func machineDiff(ref, cached *System) string {
+	for i, a := range ref.CPUs {
+		b := cached.CPUs[i]
+		if a.Clock.Now() != b.Clock.Now() || a.sliceLeft != b.sliceLeft || a.Instructions != b.Instructions ||
+			a.Dispatches != b.Dispatches || a.IdleCycles != b.IdleCycles || a.proc != b.proc {
+			return fmt.Sprintf("cpu%d: clock %d/%d, slice %d/%d, instructions %d/%d, dispatches %d/%d, idle %d/%d, bound %v/%v",
+				a.ID, a.Clock.Now(), b.Clock.Now(), a.sliceLeft, b.sliceLeft, a.Instructions, b.Instructions,
+				a.Dispatches, b.Dispatches, a.IdleCycles, b.IdleCycles, a.proc, b.proc)
+		}
+	}
+	sa, sb := ref.Stats(), cached.Stats()
+	sa.Primes, sb.Primes = 0, 0
+	if sa != sb || ref.Now() != cached.Now() {
+		return fmt.Sprintf("stats %+v now %d / %+v now %d", sa, ref.Now(), sb, cached.Now())
+	}
+	if ref.Table.Len() != cached.Table.Len() {
+		return fmt.Sprintf("table length %d/%d", ref.Table.Len(), cached.Table.Len())
+	}
+	ma, mb := ref.Table.Memory(), cached.Table.Memory()
+	for i := 1; i < ref.Table.Len(); i++ {
+		a, b := ref.Table.DescriptorAt(obj.Index(i)), cached.Table.DescriptorAt(obj.Index(i))
+		switch {
+		case a == nil && b == nil:
+		case a == nil || b == nil:
+			return fmt.Sprintf("object %d: live %v/%v", i, a != nil, b != nil)
+		case a.Gen != b.Gen || a.Type != b.Type || a.SwappedOut != b.SwappedOut:
+			return fmt.Sprintf("object %d: gen %d/%d, type %v/%v, swapped out %v/%v", i, a.Gen, b.Gen, a.Type, b.Type, a.SwappedOut, b.SwappedOut)
+		case a.SwappedOut:
+		case !bytes.Equal(ma.Window(a.Data), mb.Window(b.Data)):
+			return fmt.Sprintf("object %d: data\n% x\n% x", i, ma.Window(a.Data), mb.Window(b.Data))
+		case !bytes.Equal(ma.Window(a.Access), mb.Window(b.Access)):
+			return fmt.Sprintf("object %d: access part\n% x\n% x", i, ma.Window(a.Access), mb.Window(b.Access))
+		}
+	}
+	return ""
+}
+
 // checkStopLine drives the cached twin of c with execOne(limit) until it
-// has retired retire instructions, and the reference beside it one
-// instruction at a time, failing on the first call that retires an
-// instruction past the line, reports other cycles than the reference
-// spends, or leaves the machine anywhere else.
-func checkStopLine(t *testing.T, name string, c stopLineCase, retire uint64) {
+// has retired retire instructions or faulted, and the reference beside it
+// one instruction at a time, failing on the first call that retires an
+// instruction past the line, reports other cycles or another fault than
+// the reference, or leaves the machine anywhere else. It returns the
+// fault the run ended in, if any.
+func checkStopLine(t *testing.T, name string, c stopLineCase, retire uint64) *obj.Fault {
 	t.Helper()
-	ref := buildLoopTwin(t, Config{BusContention: c.contention, NoExecCache: true}, c.prog, c.args, true)
-	cached := buildLoopTwin(t, Config{BusContention: c.contention}, c.prog, c.args, true)
+	ref := buildOperandTwin(t, Config{BusContention: c.contention, NoExecCache: true}, c.prog, c.args, true, c.operands)
+	cached := buildOperandTwin(t, Config{BusContention: c.contention}, c.prog, c.args, true, c.operands)
 	injs := [2]*quietInjector{}
 	for i, w := range []*loopTwin{ref, cached} {
 		w := w
@@ -185,38 +353,42 @@ func checkStopLine(t *testing.T, name string, c stopLineCase, retire uint64) {
 		}
 	}
 	end := cached.cpu.Instructions + retire
-	for cached.cpu.Instructions < end {
+	var fault *obj.Fault
+	for fault == nil && cached.cpu.Instructions < end {
 		before := cached.cpu.Instructions
 		got, f := cached.s.execOne(cached.cpu, c.limit)
-		if f != nil {
-			t.Fatalf("%s: cached twin faulted: %v", name, f)
-		}
 		n := cached.cpu.Instructions - before
 		if n == 0 {
 			t.Fatalf("%s: at instruction %d the call retired nothing", name, before)
 		}
 		var spent vtime.Cycles
+		var rf *obj.Fault
 		for i := uint64(0); i < n; i++ {
 			if spent >= c.limit {
 				t.Fatalf("%s: at instruction %d the call retired %d instructions, but the first %d already spend %d of %d cycles",
 					name, before, n, i, spent, c.limit)
 			}
-			cost, f := ref.s.execOne(ref.cpu, 1)
-			if f != nil {
-				t.Fatalf("%s: reference faulted: %v", name, f)
+			if rf != nil {
+				t.Fatalf("%s: at instruction %d the call retired %d instructions, but the reference faulted at the %dth: %v",
+					name, before, n, i, rf)
 			}
+			cost, f := ref.s.execOne(ref.cpu, 1)
 			if cost < vtime.CostALU+c.contention {
 				t.Fatalf("%s: an instruction cost %d: the spinning neighbour is not counted busy", name, cost)
 			}
-			spent += cost
+			spent, rf = spent+cost, f
+		}
+		if x, y := faultString(rf), faultString(f); x != y {
+			t.Fatalf("%s: at instruction %d the reference ends in %s, the cached twin in %s", name, before, x, y)
 		}
 		if got != spent {
 			t.Fatalf("%s: at instruction %d the call reported %d cycles for %d instructions; the reference spends %d",
 				name, before, got, n, spent)
 		}
-		if a, b := deoptFingerprint(ref.s, ref.procs), deoptFingerprint(cached.s, cached.procs); a != b {
-			t.Fatalf("%s: cached machine diverged\n--- nocache ---\n%s--- cache ---\n%s", name, a, b)
+		if d := machineDiff(ref.s, cached.s); d != "" {
+			t.Fatalf("%s: at instruction %d the cached machine diverged: %s", name, before, d)
 		}
+		fault = f
 	}
 	if !reflect.DeepEqual(ref.events, cached.events) {
 		t.Fatalf("%s: observers saw different runs\n--- nocache ---\n%v\n--- cache ---\n%v", name, ref.events, cached.events)
@@ -224,9 +396,10 @@ func checkStopLine(t *testing.T, name string, c stopLineCase, retire uint64) {
 	if c.observe && uint64(len(cached.events)) != cached.cpu.Instructions-(end-retire) {
 		t.Fatalf("%s: observer saw %d events", name, len(cached.events))
 	}
-	if c.due > 0 && (len(injs[1].firedAt) != 1 || !reflect.DeepEqual(injs[0].firedAt, injs[1].firedAt)) {
+	if c.due > 0 && (fault == nil && len(injs[1].firedAt) != 1 || !reflect.DeepEqual(injs[0].firedAt, injs[1].firedAt)) {
 		t.Fatalf("%s: injector fired at %v on the reference, %v cached", name, injs[0].firedAt, injs[1].firedAt)
 	}
+	return fault
 }
 
 // TestRunLoopStopsWhereTheReferenceStops: however many instructions one
@@ -234,27 +407,41 @@ func checkStopLine(t *testing.T, name string, c stopLineCase, retire uint64) {
 // line — the instruction that takes the cycles spent (surcharge included)
 // to limit is the last, the injector fires at the same instruction count
 // as on the reference, an observer sees every instruction — and the
-// machine is where the reference is after as many instructions. (That a
-// call runs all the way to the line is TestRunLoopAllocFree's to pin.)
-// The programs are stopLineProg and countdownProg from 9, 0, 1 and 2.
+// machine is where the reference is after as many instructions, or in the
+// same fault. (That a call runs all the way to the line is
+// TestRunLoopAllocFree's to pin.) The programs are stopLineProg,
+// countdownProg from 9, 0, 1 and 2, and the five operand programs, two of
+// which must end in the reference's fault.
 func TestRunLoopStopsWhereTheReferenceStops(t *testing.T) {
 	const retire = 48 // instructions driven per case: the program, then some spin
 	type program struct {
-		name string
-		prog []isa.Instr
-		args [4]uint32
+		name     string
+		prog     []isa.Instr
+		args     [4]uint32
+		operands func(t *testing.T, w *loopTwin)
+		faults   bool
 	}
-	progs := []program{{"mix", stopLineProg, [4]uint32{}}}
+	progs := []program{{name: "mix", prog: stopLineProg}}
 	for _, start := range []uint32{9, 0, 1, 2} {
-		progs = append(progs, program{fmt.Sprintf("countdown from %d", start), countdownProg, [4]uint32{start, start}})
+		progs = append(progs, program{name: fmt.Sprintf("countdown from %d", start), prog: countdownProg, args: [4]uint32{start, start}})
 	}
+	progs = append(progs,
+		program{name: "compute", prog: computeProg, args: [4]uint32{1: 4}},
+		program{name: "colliding ways", prog: collideProg, args: [4]uint32{1: 5}, operands: collidingOperand},
+		program{name: "out of bounds after a hit", prog: boundsProg, args: [4]uint32{1: 3}, faults: true},
+		program{name: "store through read-only", prog: readOnlyProg, args: [4]uint32{1: 3}, operands: readOnlyOperand, faults: true},
+		program{name: "self-naming operand", prog: selfProg, args: [4]uint32{1: 4}, operands: selfOperand},
+	)
 	for _, p := range progs {
 		for _, contention := range []vtime.Cycles{0, 3} {
 			for _, due := range []uint64{0, 1, 2, 7} {
 				for _, observe := range []bool{false, true} {
 					for limit := vtime.Cycles(1); limit <= 130; limit++ {
 						name := fmt.Sprintf("%s contention=%d due=%d observe=%v limit=%d", p.name, contention, due, observe, limit)
-						checkStopLine(t, name, stopLineCase{p.prog, p.args, contention, due, observe, limit}, retire)
+						c := stopLineCase{prog: p.prog, args: p.args, operands: p.operands, contention: contention, due: due, observe: observe, limit: limit}
+						if f := checkStopLine(t, name, c, retire); (f != nil) != p.faults {
+							t.Fatalf("%s: ended in %s", name, faultString(f))
+						}
 					}
 				}
 			}
@@ -281,7 +468,10 @@ func FuzzCountdownStopLine(f *testing.F) {
 		retire := max(48, uint64(due)+1) // past the injector, which must fire
 		for _, observe := range []bool{false, true} {
 			name := fmt.Sprintf("start=%d contention=%d due=%d observe=%v limit=%d", start, contention, due, observe, limit)
-			checkStopLine(t, name, stopLineCase{countdownProg, [4]uint32{start, start}, contention, uint64(due), observe, vtime.Cycles(limit)}, retire)
+			c := stopLineCase{prog: countdownProg, args: [4]uint32{start, start}, contention: contention, due: uint64(due), observe: observe, limit: vtime.Cycles(limit)}
+			if f := checkStopLine(t, name, c, retire); f != nil {
+				t.Fatalf("%s: faulted: %v", name, f)
+			}
 		}
 	})
 }

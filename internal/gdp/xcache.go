@@ -139,30 +139,13 @@ type execCache struct {
 	prog []isa.Instr
 	ops  []xop // prog predecoded (System.xcodes); same length
 	// res memoises obj.Table.Fill per operand capability: way index mod
-	// resolveWays holds the view of the last AD that mapped there. The
-	// full AD is the key, and the view tests rights and bounds itself.
-	// Every view was filled under gen, the only time it is consulted.
+	// resolveWays holds the view of the last AD that mapped there, and
+	// key[way] the raw access-register word it was filled from (zero for
+	// an empty way), so a hit is one compare of the word the register
+	// holds; the view tests rights and bounds itself. Every view was
+	// filled under gen, the only time it is consulted.
 	res [resolveWays]obj.View
-}
-
-// regWin is the register-file view of the context data window. The prime
-// established len(win) >= CtxDataBytes, so the conversion cannot fail, and
-// constant offsets into the array need no bounds checks.
-type regWin = [process.CtxDataBytes]byte
-
-// regMask folds a register number into the register file. Predecode already
-// bounds every register < NumDataRegs (a power of two); the mask exists so
-// the compiler can prove the access in-bounds and drop the check.
-const regMask = isa.NumDataRegs - 1
-
-func regGet(w *regWin, r uint8) uint32 {
-	off := process.CtxOffRegs + uint32(r&regMask)*4
-	return binary.LittleEndian.Uint32(w[off : off+4])
-}
-
-func regSet(w *regWin, r uint8, v uint32) {
-	off := process.CtxOffRegs + uint32(r&regMask)*4
-	binary.LittleEndian.PutUint32(w[off:off+4], v)
+	key [resolveWays]uint64
 }
 
 func winIP(win []byte) uint32 {
@@ -219,14 +202,8 @@ func (s *System) primeExecCache(cpu *CPU) *execCache {
 	xc.gen, xc.proc, xc.ctx = gen, cpu.proc, cv
 	xc.dom, xc.code, xc.prog, xc.ops = dom, code, prog, ops
 	clear(xc.res[:]) // views filled under an older generation are dead
+	clear(xc.key[:])
 	return xc
-}
-
-// areg reads access register r from the context's access-part window —
-// the same bytes Ctx.AReg decodes, without the checks the prime made once.
-func areg(access []byte, r uint8) obj.AD {
-	off := (process.CtxSlotA0 + uint32(r)) * obj.ADSlotSize
-	return obj.DecodeAD(binary.LittleEndian.Uint64(access[off:]))
 }
 
 // surcharge is the bus-contention wait every instruction pays this step
@@ -240,12 +217,20 @@ func (s *System) surcharge() vtime.Cycles {
 	return 0
 }
 
-// runRegs retires register ops and branches from ip, at most room of them,
-// stopping after the one that takes left to zero or below. It returns at
-// the first op of any other kind, or an ip outside ops, having touched
-// nothing for it. alu and br are the two costs, surcharge included. It is
-// a leaf — it calls nothing that is not inlined — so ip, left and the
-// count stay in registers; the loads and stores live in the caller.
+// runRegs retires ops from ip, at most room of them, stopping after the one
+// that takes left to zero or below. It returns at the first op of any other
+// kind, an ip outside ops, or a load or store it cannot retire, having
+// touched nothing for that op. rf and ar are the context's two register
+// files; alu, br and move are the three costs, surcharge included. It calls
+// nothing but the view accessors of loads and stores, so ip, left and the
+// count stay in registers.
+//
+// A load or store retires here when its operand hits the memo: the raw word
+// in its access register is non-zero and equals its way's key. The way's
+// view tests rights and bounds itself; a refusal leaves it latched and
+// returns. Filling a way on a miss, emptying a refused one and refusing an
+// operand that names the running context are execOneFast's, so no way
+// ever holds the context, whose IP is deferred here.
 //
 // A kDown retires k whole passes of its pair at once: k is the least of
 // the trips to the loop's exit, the passes that leave left above zero and
@@ -253,7 +238,8 @@ func (s *System) surcharge() vtime.Cycles {
 // the line is tested after each instruction, so the reference would stop
 // at the same instruction: within pass k+1 if it stops at all before the
 // exit. A k of 0 retires the AddI alone.
-func runRegs(w *regWin, ops []xop, ip uint32, left, alu, br int64, room uint64) (uint32, int64, uint64) {
+func (xc *execCache) runRegs(rf *regFile, ar *aregFile, ip uint32, left, alu, br, move int64, room uint64) (uint32, int64, uint64) {
+	ops := xc.ops
 	n := uint64(0)
 	for ip < uint32(len(ops)) {
 		op := ops[ip]
@@ -261,56 +247,74 @@ func runRegs(w *regWin, ops []xop, ip uint32, left, alu, br int64, room uint64) 
 		case kNop:
 			ip, left = ip+1, left-alu
 		case kMovI:
-			regSet(w, op.a, op.imm)
+			regSet(rf, op.a, op.imm)
 			ip, left = ip+1, left-alu
 		case kMov:
-			regSet(w, op.a, regGet(w, op.b))
+			regSet(rf, op.a, regGet(rf, op.b))
 			ip, left = ip+1, left-alu
 		case kAdd:
-			regSet(w, op.a, regGet(w, op.b)+regGet(w, op.c))
+			regSet(rf, op.a, regGet(rf, op.b)+regGet(rf, op.c))
 			ip, left = ip+1, left-alu
 		case kSub:
-			regSet(w, op.a, regGet(w, op.b)-regGet(w, op.c))
+			regSet(rf, op.a, regGet(rf, op.b)-regGet(rf, op.c))
 			ip, left = ip+1, left-alu
 		case kMul:
-			regSet(w, op.a, regGet(w, op.b)*regGet(w, op.c))
+			regSet(rf, op.a, regGet(rf, op.b)*regGet(rf, op.c))
 			ip, left = ip+1, left-alu
 		case kAddI:
-			regSet(w, op.a, regGet(w, op.b)+op.imm)
+			regSet(rf, op.a, regGet(rf, op.b)+op.imm)
 			ip, left = ip+1, left-alu
 		case kDown:
-			v := regGet(w, op.a)
+			v := regGet(rf, op.a)
 			trips := int64(v)
 			if v == 0 {
 				trips = 1 << 32
 			}
 			if k := min(trips, (left-1)/(alu+br), int64((room-n)/2)); k > 0 {
-				regSet(w, op.a, v-uint32(k))
+				regSet(rf, op.a, v-uint32(k))
 				if k == trips {
 					ip += 2
 				}
 				left, n = left-k*(alu+br), n+2*uint64(k)-1 // the last one is counted below
 			} else {
-				regSet(w, op.a, v-1)
+				regSet(rf, op.a, v-1)
 				ip, left = ip+1, left-alu
 			}
 		case kBr:
 			ip, left = op.imm, left-br
 		case kBrZ:
-			if ip++; regGet(w, op.a) == 0 {
+			if ip++; regGet(rf, op.a) == 0 {
 				ip = op.imm
 			}
 			left -= br
 		case kBrNZ:
-			if ip++; regGet(w, op.a) != 0 {
+			if ip++; regGet(rf, op.a) != 0 {
 				ip = op.imm
 			}
 			left -= br
 		case kBrLT:
-			if ip++; regGet(w, op.a) < regGet(w, op.b) {
+			if ip++; regGet(rf, op.a) < regGet(rf, op.b) {
 				ip = op.imm
 			}
 			left -= br
+		case kLoad, kStore:
+			word := aregWord(ar, op.b)
+			way := uint32(word) % resolveWays
+			if word == 0 || word != xc.key[way] {
+				return ip, left, n
+			}
+			v := &xc.res[way]
+			if op.kind == kLoad {
+				if x := v.DWord(op.imm); v.Fault() == nil {
+					regSet(rf, op.a, x)
+				}
+			} else {
+				v.SetDWord(op.imm, regGet(rf, op.a))
+			}
+			if v.Fault() != nil {
+				return ip, left, n
+			}
+			ip, left = ip+1, left-move
 		default:
 			return ip, left, n
 		}
@@ -333,9 +337,11 @@ func runRegs(w *regWin, ops []xop, ip uint32, left, alu, br int64, room uint64) 
 // instructions are atomic, so the line is tested after each one), the
 // instruction at which the injector is due (or, under an s.Trace observer,
 // after one: the observer is owed an event per instruction), a kSlow op, a
-// load or store obj refuses, or an IP outside the program. It then writes
-// the IP, both instruction counters and one Clock.Charge. If that retired
-// nothing, the instruction at the IP goes to execInstr after a fast fetch.
+// load or store obj refuses or whose operand names the running context, or
+// an IP outside the program. A load or store that misses the memo fills
+// its way here and goes back to runRegs. It then writes the IP, both
+// instruction counters and one Clock.Charge. If that retired nothing, the
+// instruction at the IP goes to execInstr after a fast fetch.
 func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.Fault, bool) {
 	xc := &cpu.xc
 	if s.xcOff || !xc.live(s, cpu) {
@@ -370,49 +376,43 @@ func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.F
 	}
 	sur := int64(s.surcharge())
 	alu, br, move := int64(vtime.CostALU)+sur, int64(vtime.CostBranch)+sur, int64(vtime.CostMove)+sur
-	w, ops := (*regWin)(win), xc.ops
+	rf := (*regFile)(win[process.CtxOffRegs:])
+	ar := (*aregFile)(access[process.CtxSlotA0*obj.ADSlotSize:])
 	ip, left, n := ip0, budget, uint64(0)
 	for {
 		var k uint64
-		ip, left, k = runRegs(w, ops, ip, left, alu, br, room-n)
-		if n += k; left <= 0 || n >= room || ip >= uint32(len(ops)) {
+		ip, left, k = xc.runRegs(rf, ar, ip, left, alu, br, move, room-n)
+		if n += k; left <= 0 || n >= room || ip >= uint32(len(xc.ops)) {
 			break
 		}
-		op := ops[ip]
+		op := xc.ops[ip]
 		if op.kind != kLoad && op.kind != kStore {
 			break
 		}
-		// The IP is deferred, and the reference writes it before the
-		// operand access: a load or store naming the running context would
-		// see the difference, so it is refused like any other guard.
-		ad := areg(access, op.b)
-		if ad.Index == xc.ctx.AD().Index {
+		// runRegs stopped at a load or store. The IP is deferred, and the
+		// reference writes it before the operand access: an operand naming
+		// the running context would see the difference, so it is refused
+		// like any other guard, and never memoised.
+		word := aregWord(ar, op.b)
+		if obj.Index(word) == xc.ctx.AD().Index {
 			break
 		}
-		// The memoised view of ad, filled on a miss; the table refuses an
-		// invalid, dangling or swapped-out ad without building the fault,
-		// which the canonical path will raise itself. An empty way holds
-		// the zero AD, which is NilAD: hence the Valid test.
-		v := &xc.res[uint32(ad.Index)%resolveWays]
-		if (v.AD() != ad || !ad.Valid()) && !s.Table.Fill(ad, 0, v) {
+		way := uint32(word) % resolveWays
+		if word != 0 && word == xc.key[way] {
+			// A hit the view refused: the canonical path raises the fault
+			// itself, and the way is emptied rather than left holding a
+			// latched view.
+			xc.res[way], xc.key[way] = obj.View{}, 0
 			break
 		}
-		if op.kind == kLoad {
-			if x := v.DWord(op.imm); v.Fault() == nil {
-				regSet(w, op.a, x)
-			}
-		} else {
-			v.SetDWord(op.imm, regGet(w, op.a))
-		}
-		if v.Fault() != nil {
-			// Refused: the canonical path raises the fault itself, and
-			// the way is emptied rather than left holding a latched view.
-			*v = obj.View{}
+		// A miss, filled for runRegs to retire. The table refuses an
+		// invalid, dangling or swapped-out operand without building the
+		// fault, which the canonical path will raise itself; a refusal
+		// leaves the way as it was.
+		if !s.Table.Fill(obj.DecodeAD(word), 0, &xc.res[way]) {
 			break
 		}
-		if ip, left, n = ip+1, left-move, n+1; left <= 0 || n >= room {
-			break
-		}
+		xc.key[way] = word
 	}
 
 	if n == 0 {
@@ -454,9 +454,9 @@ type ExecCacheAudit struct {
 // cached context must still be that process's current context and its view
 // what resolving it yields now (Table.Current), the program and its
 // predecoded table what a fresh derivation through the domain yields, and
-// every operand view what resolving its AD yields. It returns one record per
-// CPU whose cache is current; records with non-empty Problems are invariant
-// violations.
+// every operand view what resolving its AD yields, keyed by that AD's word
+// and never the running context. It returns one record per CPU whose cache
+// is current; records with non-empty Problems are invariant violations.
 func (s *System) AuditExecCaches() []ExecCacheAudit {
 	var out []ExecCacheAudit
 	for _, cpu := range s.CPUs {
@@ -492,8 +492,15 @@ func (s *System) AuditExecCaches() []ExecCacheAudit {
 			bad("cached predecoded table diverges from the decoded program")
 		}
 		for way := range xc.res {
-			if v := &xc.res[way]; v.AD().Valid() && !s.Table.Current(v) {
+			v := &xc.res[way]
+			if v.AD().Valid() && !s.Table.Current(v) {
 				bad("operand way %d is not what %v resolves to", way, v.AD())
+			}
+			if k := xc.key[way]; k != 0 && obj.DecodeAD(k) != v.AD() {
+				bad("operand way %d is keyed %#x, not by its view's %v", way, k, v.AD())
+			}
+			if v.AD().Valid() && v.AD().Index == ctx.Index {
+				bad("operand way %d holds the running context", way)
 			}
 		}
 		out = append(out, rec)
