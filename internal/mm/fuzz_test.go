@@ -281,10 +281,28 @@ func sameWorlds(real, ref *swapWorld) error {
 	return nil
 }
 
+// denseOps is a corpus entry of the largest two-part objects, each tagged at
+// both ends of its data part and linked in its last access slot, so that
+// their images are both parts whole: the sequence allocates them under
+// pressure, evicts, touches and compacts them in turn, and the reference's
+// whole-segment images meet the store's prefixes where nothing is cut.
+func denseOps() []byte {
+	var ops []byte
+	for i := 0; i < 48; i++ {
+		ops = append(ops, 0, 26+byte(i%2)) // allocate: 4096 or 9000 data bytes, 16 access slots
+		ops = append(ops, 10, 0, 12, byte(i))
+		if i%8 == 7 {
+			ops = append(ops, 14, 0)
+		}
+	}
+	return ops
+}
+
 func FuzzSwapCompact(f *testing.F) {
 	for seed := int64(1); seed <= mmWitnessSeeds; seed++ {
 		f.Add(witnessOps(seed))
 	}
+	f.Add(denseOps())
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 4*mmWitnessOps {
 			ops = ops[:4*mmWitnessOps] // the trace ring holds this many operations' events

@@ -14,6 +14,8 @@
 package mm
 
 import (
+	"encoding/binary"
+
 	"repro/internal/mem"
 	"repro/internal/obj"
 	"repro/internal/sro"
@@ -74,25 +76,50 @@ var _ Allocator = (*NonSwapping)(nil)
 var _ Allocator = (*Swapping)(nil)
 
 // BackingStore simulates the swapping device: at most one image per object
-// index, named by the token its descriptor carries. The store owns its
-// buffers: an image is copied in from the memory window and back out to
-// one, and the buffer of an image read back or released serves the next
-// put, so a segment in transit never passes through a fresh Go slice. (The
-// paper's testbed used disk; this keeps the code path and the cost model.)
+// index, named by the token its descriptor carries. An image is each part
+// up to its last non-zero byte: a segment comes back into an extent that
+// mem.Alloc has just zeroed (§2: the hardware zeroes fresh segments), so
+// its zero tail need not travel, and a fresh object's image is empty. The
+// store owns its buffers: an image is copied in from the memory window and
+// back out to one, and the buffer of an image read back or released serves
+// the next put, so a segment in transit never passes through a fresh Go
+// slice. (The paper's testbed used disk; this keeps the code path and the
+// cost model, which charges the full parts.)
 type BackingStore struct {
 	images []image  // by obj.Index; tok 0 marks no image
-	spare  [][]byte // buffers of images read back or released, newest last
+	spare  [][]byte // buffers of minSpare bytes, free for the next image that fits one
+	large  [][]byte // larger buffers of images read back or released, newest last
 	held   int
 	next   uint64
 }
 
 type image struct {
 	tok uint64
-	buf []byte // the data part, then the access part
+	buf []byte // the data part's non-zero prefix, then the access part's
+	// kept is the data prefix's length in buf; dataLen and accessLen are
+	// the parts' full lengths, which a swap-in must fill exactly.
+	kept, dataLen, accessLen uint32
 }
 
+// Every image holds a buffer, an empty one too, and one of minSpare bytes
+// serves any image that fits it: the prefixes of small objects, and of large
+// ones written only near the front, so an image read back frees a buffer for
+// the next one written out, whatever the two hold. Each pool keeps at most
+// maxSpares buffers and is made with room for them, so a release never
+// grows it.
+const (
+	minSpare  = 32
+	maxSpares = 1024
+)
+
 // NewBackingStore returns an empty backing store.
-func NewBackingStore() *BackingStore { return &BackingStore{next: 1} }
+func NewBackingStore() *BackingStore {
+	return &BackingStore{
+		spare: make([][]byte, 0, maxSpares),
+		large: make([][]byte, 0, maxSpares),
+		next:  1,
+	}
+}
 
 // Images implements obj.Backing: how many images the store holds.
 func (b *BackingStore) Images() int { return b.held }
@@ -105,45 +132,98 @@ func (b *BackingStore) Token(idx obj.Index) uint64 {
 	return b.images[idx].tok
 }
 
-// put stores idx's image and returns its token. The newest spare buffer
-// holds it if it fits and would be at least half used; a spare that does
-// not is dropped, so the pool never outgrows the images read back.
-func (b *BackingStore) put(idx obj.Index, data, access []byte) uint64 {
-	for int(idx) >= len(b.images) {
-		b.images = append(b.images, image{})
+// nonZero is the length of p up to and including its last non-zero byte.
+func nonZero(p []byte) int {
+	n := len(p)
+	for n >= 8 && binary.LittleEndian.Uint64(p[n-8:n]) == 0 {
+		n -= 8
 	}
-	var buf []byte
-	if k := len(b.spare) - 1; k >= 0 {
-		if n := len(data) + len(access); n <= cap(b.spare[k]) && cap(b.spare[k]) <= 2*n {
-			buf = b.spare[k][:0]
+	for n > 0 && p[n-1] == 0 {
+		n--
+	}
+	return n
+}
+
+// buffer returns an empty buffer with room for n bytes: a spare of minSpare
+// bytes, or a new one, when n fits one; else the newest larger spare that it
+// fits and would at least half use. When none would, the newest is dropped,
+// so the pool never outgrows the images read back.
+func (b *BackingStore) buffer(n int) []byte {
+	if n <= minSpare {
+		if k := len(b.spare) - 1; k >= 0 {
+			buf := b.spare[k]
+			b.spare = b.spare[:k]
+			return buf[:0]
 		}
-		b.spare = b.spare[:k]
+		return make([]byte, 0, minSpare)
 	}
+	last := len(b.large) - 1
+	for k := last; k >= 0; k-- {
+		if c := cap(b.large[k]); n <= c && c <= 2*n {
+			buf := b.large[k]
+			b.large[k] = b.large[last]
+			b.large = b.large[:last]
+			return buf[:0]
+		}
+	}
+	if last >= 0 {
+		b.large = b.large[:last]
+	}
+	return make([]byte, 0, n)
+}
+
+// put stores idx's image and returns its token. room is how many indices
+// the table has room for: the store's index grows to it in one step, so it
+// grows when the table does and not while a run evicts what set-up built.
+func (b *BackingStore) put(idx obj.Index, room int, data, access []byte) uint64 {
+	if int(idx) >= len(b.images) {
+		b.images = append(b.images, make([]image, max(room, int(idx)+1)-len(b.images))...)
+	}
+	kept, akept := nonZero(data), nonZero(access)
+	buf := b.buffer(kept + akept)
 	tok := b.next
 	b.next++
-	b.images[idx] = image{tok: tok, buf: append(append(buf, data...), access...)}
+	b.images[idx] = image{
+		tok:       tok,
+		buf:       append(append(buf, data[:kept]...), access[:akept]...),
+		kept:      uint32(kept),
+		dataLen:   uint32(len(data)),
+		accessLen: uint32(len(access)),
+	}
 	b.held++
 	return tok
 }
 
 // get copies idx's image out to data and access and retires it, provided
-// it is the image tok names and fills the two exactly.
+// it is the image tok names and its parts are as long as the two. data and
+// access are the extents Table.SwapIn has just taken from mem.Alloc, which
+// zeroed them: only the prefixes are copied.
 func (b *BackingStore) get(idx obj.Index, tok uint64, data, access []byte) bool {
-	if tok == 0 || b.Token(idx) != tok || len(b.images[idx].buf) != len(data)+len(access) {
+	if tok == 0 || b.Token(idx) != tok {
 		return false
 	}
-	copy(access, b.images[idx].buf[copy(data, b.images[idx].buf):])
+	im := &b.images[idx]
+	if int(im.dataLen) != len(data) || int(im.accessLen) != len(access) {
+		return false
+	}
+	copy(access, im.buf[copy(data, im.buf[:im.kept]):])
 	b.Release(idx, tok)
 	return true
 }
 
 // Release implements obj.Backing: idx's image goes if tok names it, and its
-// buffer waits for the next put.
+// buffer waits for the next put unless its pool is full.
 func (b *BackingStore) Release(idx obj.Index, tok uint64) {
 	if tok == 0 || b.Token(idx) != tok {
 		return
 	}
-	b.spare = append(b.spare, b.images[idx].buf)
+	pool := &b.spare
+	if buf := b.images[idx].buf; cap(buf) > minSpare {
+		pool = &b.large
+	}
+	if len(*pool) < maxSpares {
+		*pool = append(*pool, b.images[idx].buf)
+	}
 	b.images[idx] = image{}
 	b.held--
 }
@@ -264,7 +344,7 @@ func (m *Swapping) swapOut(idx obj.Index) *obj.Fault {
 	if data == nil || access == nil {
 		return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "extents outside memory: data %v, access %v", d.Data, d.Access)
 	}
-	tok := m.Store.put(idx, data, access)
+	tok := m.Store.put(idx, m.Table.Cap(), data, access)
 	if f := m.Table.SwapOut(idx, tok); f != nil {
 		m.Store.Release(idx, tok)
 		return f

@@ -551,3 +551,57 @@ func TestSideGenerationGuard(t *testing.T) {
 		t.Error("an index past the table has an entry")
 	}
 }
+
+// TestReserve: after Reserve(n), the next n creates grow neither the
+// descriptor array nor the resident set, and a side table that reserved n
+// grows for none of their entries. Reserving changes nothing else: the
+// table assigns the indices and generations of a twin that never reserved,
+// a freed slot first.
+func TestReserve(t *testing.T) {
+	const n = 3000 // past the room a table is born with
+	tab, twin := newTestTable(t), newTestTable(t)
+	for _, tb := range []*Table{tab, twin} {
+		gone := mustCreate(t, tb, CreateSpec{Type: TypeGeneric, DataLen: 4})
+		mustCreate(t, tb, CreateSpec{Type: TypeGeneric, DataLen: 4})
+		if f := tb.Destroy(gone); f != nil {
+			t.Fatal(f)
+		}
+	}
+	tab.Reserve(n)
+	side := NewSide[int](tab)
+	side.Reserve(n)
+	descs, resident, entries := &tab.descs[0], &tab.resident[0], &side.entries[0]
+	capDescs, capResident, capEntries := cap(tab.descs), cap(tab.resident), cap(side.entries)
+	if capDescs < tab.Len()+n || tab.Cap() != capDescs {
+		t.Fatalf("Reserve(%d) on %d descriptors left room for %d (Cap %d)", n, tab.Len(), capDescs, tab.Cap())
+	}
+	ads := make([]AD, n)
+	for i := range ads {
+		spec := CreateSpec{Type: TypeGeneric, DataLen: 4, AccessSlots: uint32(i % 3)}
+		ads[i] = mustCreate(t, tab, spec)
+		if want := mustCreate(t, twin, spec); ads[i] != want {
+			t.Fatalf("create %d: %v, the twin that never reserved %v", i, ads[i], want)
+		}
+		side.Put(ads[i].Index, i)
+	}
+	if ads[0].Index != 1 || ads[0].Gen != 2 {
+		t.Fatalf("the first create after Reserve took %v, not the freed slot 1", ads[0])
+	}
+	if &tab.descs[0] != descs || cap(tab.descs) != capDescs {
+		t.Error("the descriptor array grew")
+	}
+	if &tab.resident[0] != resident || cap(tab.resident) != capResident {
+		t.Error("the resident set grew")
+	}
+	if &side.entries[0] != entries || cap(side.entries) != capEntries {
+		t.Error("the side table grew")
+	}
+	if tab.ResidentCount() != twin.ResidentCount() || tab.Len() != twin.Len() {
+		t.Errorf("%d resident of %d slots, the twin %d of %d", tab.ResidentCount(), tab.Len(), twin.ResidentCount(), twin.Len())
+	}
+	for i, ad := range ads {
+		if v, ok := side.Get(ad.Index); !ok || v != i {
+			t.Fatalf("object %d: side entry (%d, %v)", i, v, ok)
+		}
+	}
+}

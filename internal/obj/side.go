@@ -1,5 +1,7 @@
 package obj
 
+import "slices"
+
 // Side is host state kept beside the table, one entry per object: a slice
 // indexed by Index, each entry stored under the generation its descriptor
 // had at the time. Get answers only while the slot still holds that object,
@@ -26,14 +28,23 @@ func NewSide[V any](t *Table) Side[V] {
 	return Side[V]{t: t, entries: make([]sideEntry[V], sideBoot)}
 }
 
+// Reserve makes room for entries of the next n objects the table creates,
+// so that putting them grows nothing.
+func (s *Side[V]) Reserve(n int) {
+	if need := s.t.Len() + n; need > cap(s.entries) {
+		s.entries = append(make([]sideEntry[V], 0, need), s.entries...)
+	}
+}
+
 // Put records v for the live object at idx, and nothing for an empty slot.
 func (s *Side[V]) Put(idx Index, v V) {
 	d := s.t.DescriptorAt(idx)
 	if d == nil {
 		return
 	}
-	if n := int(idx) + 1 - len(s.entries); n > 0 {
-		s.entries = append(s.entries, make([]sideEntry[V], n)...)
+	if n := len(s.entries); int(idx) >= n {
+		s.entries = slices.Grow(s.entries, int(idx)+1-n)[:idx+1]
+		clear(s.entries[n:])
 	}
 	s.entries[idx] = sideEntry[V]{d.Gen, v}
 }

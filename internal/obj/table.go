@@ -124,6 +124,23 @@ func NewTable(memSize uint32) *Table {
 	return t
 }
 
+// Reserve makes room for n more descriptors and their bits of the resident
+// set, so that the next n creates grow neither: a world constructor that
+// knows how many objects it is about to create pays for one array, not for
+// every doubling on the way to it.
+func (t *Table) Reserve(n int) {
+	if need := len(t.descs) + n; need > cap(t.descs) {
+		t.descs = append(make([]Descriptor, 0, need), t.descs...)
+	}
+	if words := (len(t.descs) + n + 63) / 64; words > cap(t.resident) {
+		t.resident = append(make([]uint64, 0, words), t.resident...)
+	}
+}
+
+// Cap reports how many descriptors the table has room for before it next
+// grows.
+func (t *Table) Cap() int { return cap(t.descs) }
+
 // Backing is the swapping manager's store as the table sees it: the owner
 // of the image a swapped-out descriptor's SwapToken names.
 type Backing interface {

@@ -11,15 +11,14 @@ import (
 	"repro/internal/vtime"
 )
 
-// Session is one simulated user: its class, its session object, its
-// arrival instant and the progress of its one request, which is issued at
-// that instant. The session object is preallocated at build time and every
-// completed request increments its touched dwords — a byte-level witness
-// of service that the confinement checker can compare across runs.
+// Session is one simulated user: its class, its session object and the
+// progress of its one request, which is issued at the session's instant in
+// the engine's schedule. The session object is preallocated at build time
+// and every completed request increments its touched dwords — a byte-level
+// witness of service that the confinement checker can compare across runs.
 type Session struct {
 	Class     int
 	Obj       obj.AD
-	Arrive    vtime.Cycles
 	Issued    int
 	Completed int
 	Censored  int
@@ -87,16 +86,27 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	// The population, its anchors and the chaos heap are created straight
-	// through, like the server side: one latch, one check at the end.
+	// through, like the server side: one latch, one check at the end. The
+	// table is sized first for them and for what the servers create when
+	// they start, so that neither set-up nor the run grows it.
 	var l obj.Latch
-	var anchored []obj.AD
+	nAnchored := cfg.Sessions
+	for _, rt := range e.Classes {
+		nAnchored++
+		if rt.Callee.Valid() {
+			nAnchored++
+		}
+	}
+	anchored := make([]obj.AD, 0, nAnchored)
+	im.Table.Reserve(cfg.Sessions + anchorBlocks(nAnchored) + e.runRoom())
+	e.byObj.Reserve(cfg.Sessions)
 	e.Sessions = make([]Session, cfg.Sessions)
-	e.schedule = population(&cfg.Load, func(i, class int, arrive vtime.Cycles) {
+	e.schedule = population(&cfg.Load, func(i, class int) {
 		so := l.AD(im.MM.Allocate(im.Heap, obj.CreateSpec{
 			Type:    obj.TypeGeneric,
 			DataLen: cfg.SessionData,
 		}))
-		e.Sessions[i] = Session{Class: class, Obj: so, Arrive: arrive}
+		e.Sessions[i] = Session{Class: class, Obj: so}
 		e.byObj.Put(so.Index, int32(i))
 		e.Classes[class].Sessions++
 		anchored = append(anchored, so)
@@ -129,6 +139,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	return e, nil
 }
+
+// anchorBlocks is how many anchor blocks buildAnchors chains n objects into.
+func anchorBlocks(n int) int { return (n + anchorSlots - 2) / (anchorSlots - 1) }
 
 // buildAnchors chains the given objects into anchor blocks reachable from
 // the pinned system directory (slot 0), so confinement snapshots see the
@@ -190,7 +203,7 @@ func (e *Engine) drainReplies() *obj.Fault {
 			continue
 		}
 		s := &e.Sessions[sid]
-		lat := e.IM.Now() - s.Arrive
+		lat := e.IM.Now() - e.at[sid]
 		cl := &e.Classes[s.Class]
 		cl.Hist.Observe(lat)
 		e.all.Observe(lat)
@@ -209,7 +222,7 @@ func (e *Engine) censor(deadline vtime.Cycles) {
 		if !s.inFlight() {
 			continue
 		}
-		lat := deadline - s.Arrive // the deadline is past the last arrival
+		lat := deadline - e.at[i] // the deadline is past the last arrival
 		cl := &e.Classes[s.Class]
 		cl.Hist.Observe(lat)
 		e.all.Observe(lat)

@@ -101,6 +101,20 @@ func (n *node) build(load *Load) error {
 	return nil
 }
 
+// runRoom is how many objects the machine's server side creates once it
+// runs: a carrier for each server to wait at its request port in, and a
+// context for each server's domain call in flight.
+func (n *node) runRoom() int {
+	k := 0
+	for _, rt := range n.Classes {
+		k += len(rt.Servers)
+		if rt.Callee.Valid() {
+			k += len(rt.Servers)
+		}
+	}
+	return k
+}
+
 // send enqueues an object on a class's request port, spilling to the
 // FIFO backlog when the port is full (or the backlog is not yet empty).
 func (n *node) send(class int, ad obj.AD) {
@@ -182,25 +196,33 @@ func (s *schedule) pop() int {
 func (s *schedule) last() vtime.Cycles { return s.at[len(s.at)-1] }
 
 // population draws the seeded session population in session order, hands
-// each session to each — its class and its arrival instant — and returns
-// the schedule of their requests. Class and arrival draws come from two
-// streams of the seed, so adding draws to one axis never perturbs the
-// other.
-func population(l *Load, each func(i, class int, arrive vtime.Cycles)) schedule {
+// each session to each with its class, and returns the schedule of their
+// requests. Class and arrival draws come from two streams of the seed, so
+// adding draws to one axis never perturbs the other; and since the arrival
+// instants are a function of their own stream alone, they are drawn on
+// another goroutine while each creates the sessions, and joined before the
+// schedule is returned.
+func population(l *Load, each func(i, class int)) schedule {
+	var at []vtime.Cycles
+	drawn := make(chan struct{})
+	go func() {
+		rngArr := rand.New(rand.NewSource(l.Seed ^ 0x0a221e5d))
+		at = arrivalTimes(rngArr, l.Arrival, l.Sessions, l.MeanGap)
+		close(drawn)
+	}()
 	rngClass := rand.New(rand.NewSource(l.Seed ^ 0x5e551017))
-	rngArr := rand.New(rand.NewSource(l.Seed ^ 0x0a221e5d))
-	arr := arrivalTimes(rngArr, l.Arrival, l.Sessions, l.MeanGap)
 	totW := 0
 	for _, cl := range l.Classes {
 		totW += cl.Weight
 	}
-	for i, at := range arr {
+	for i := 0; i < l.Sessions; i++ {
 		ci, w := 0, rngClass.Intn(totW)
 		for w >= l.Classes[ci].Weight {
 			w -= l.Classes[ci].Weight
 			ci++
 		}
-		each(i, ci, at)
+		each(i, ci)
 	}
-	return schedule{at: arr}
+	<-drawn
+	return schedule{at: at}
 }

@@ -416,3 +416,55 @@ func TestBacklogRefillAllocFree(t *testing.T) {
 		t.Errorf("Deferred = %d: the sends did not spill, the backlog was never exercised", cl.Deferred)
 	}
 }
+
+// TestBuildAllocBound holds building a world to the cost of what it
+// creates: the objects and bytes New (the baseline preset) and NewShard
+// allocate for each session past the first, at 2 000 sessions. A session
+// owns an entry in the engine, the object table, the side map, the anchor
+// list and the schedule, each sized once for the whole population, so a
+// session costs no object and some 140 bytes on one machine and 180 on a
+// cluster; when every array doubled its way there it was 0.0125 and 0.010
+// objects and 238 and 221 bytes.
+func TestBuildAllocBound(t *testing.T) {
+	const n = 2_000
+	for _, c := range []struct {
+		name           string
+		build          func(sessions int) error
+		objects, bytes float64
+	}{
+		{"New", func(sessions int) error {
+			cfg, err := Preset("baseline", sessions, 42)
+			if err == nil {
+				_, err = New(cfg)
+			}
+			return err
+		}, 0.005, 155},
+		{"NewShard", func(sessions int) error {
+			_, err := NewShard(ShardPreset(2, sessions, 42))
+			return err
+		}, 0.005, 195},
+	} {
+		if err := c.build(1); err != nil { // what a first build in a process sets up once
+			t.Fatal(err)
+		}
+		var m [4]runtime.MemStats
+		runtime.ReadMemStats(&m[0])
+		err := c.build(1)
+		runtime.ReadMemStats(&m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m[2])
+		err = c.build(n)
+		runtime.ReadMemStats(&m[3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		objects := (float64(m[3].Mallocs-m[2].Mallocs) - float64(m[1].Mallocs-m[0].Mallocs)) / (n - 1)
+		bytes := (float64(m[3].TotalAlloc-m[2].TotalAlloc) - float64(m[1].TotalAlloc-m[0].TotalAlloc)) / (n - 1)
+		t.Logf("%s: %.4f objects and %.0f bytes per session", c.name, objects, bytes)
+		if objects > c.objects || bytes > c.bytes {
+			t.Errorf("%s allocates %.4f objects and %.0f bytes per session; want at most %g and %g", c.name, objects, bytes, c.objects, c.bytes)
+		}
+	}
+}

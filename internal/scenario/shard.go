@@ -210,13 +210,28 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 	}
 
 	// Home is a multiplicative hash of the session id — placement is a
-	// property of identity, not of the arrival order — and routing has
-	// its own seeded stream. The session objects are created straight
-	// through: the latch keeps the first refusal, checked once at the end.
+	// property of identity, not of the arrival order — so each node's table
+	// and reply map are sized first for exactly the sessions homed there,
+	// what its servers create when they start, and the request copies its
+	// request ports can hold (copies past those wait in the engine's
+	// backlog): neither set-up nor a run below the knee grows them.
+	homed := make([]int, cfg.Nodes)
+	for i := range e.sessions {
+		homed[homeOf(i, cfg.Nodes)]++
+	}
+	for ni, sn := range e.nodes {
+		room := homed[ni] + sn.runRoom() + len(cfg.Classes)*int(portCapacity)
+		sn.IM.Table.Reserve(room)
+		sn.byObj.Reserve(room)
+	}
+
+	// Routing has its own seeded stream. The session objects are created
+	// straight through: the latch keeps the first refusal, checked once at
+	// the end.
 	rngRoute := rand.New(rand.NewSource(cfg.Seed ^ 0x3a9d0c11))
 	var l obj.Latch
-	e.schedule = population(&cfg.Load, func(i, class int, arrive vtime.Cycles) {
-		home := int((uint64(i) * 0x9E3779B97F4A7C15 >> 33) % uint64(cfg.Nodes))
+	e.schedule = population(&cfg.Load, func(i, class int) {
+		home := homeOf(i, cfg.Nodes)
 		im := e.nodes[home].IM
 		so := l.AD(im.SROs.Create(im.Heap, obj.CreateSpec{
 			Type:    obj.TypeGeneric,
@@ -230,7 +245,7 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 		if cfg.Nodes > 1 && roll < cfg.MigratePermille {
 			dest = (home + 1 + pick) % cfg.Nodes
 		}
-		e.sessions[i] = shardSession{Session: Session{Class: class, Obj: so, Arrive: arrive}, Home: home, Dest: dest}
+		e.sessions[i] = shardSession{Session: Session{Class: class, Obj: so}, Home: home, Dest: dest}
 		e.nodes[home].byObj.Put(so.Index, int32(i))
 	})
 	if f := l.Fault(); f != nil {
@@ -238,6 +253,10 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 	}
 	return e, nil
 }
+
+// homeOf is session i's home node among nodes: a multiplicative hash of the
+// session id.
+func homeOf(i, nodes int) int { return int((uint64(i) * 0x9E3779B97F4A7C15 >> 33) % uint64(nodes)) }
 
 // issue sends session sid's request at its arrival instant: the latency
 // clock runs from that instant no matter how the request routes.
@@ -407,7 +426,7 @@ func (e *ShardEngine) complete(sid int32) {
 		// was already recorded at age-at-deadline; drop the straggler.
 		return
 	}
-	lat := e.now - s.Arrive
+	lat := e.now - e.at[sid]
 	e.all.Observe(lat)
 	e.perClass[s.Class].Observe(lat)
 	s.Completed++
@@ -423,7 +442,7 @@ func (e *ShardEngine) censor(deadline vtime.Cycles) {
 		if !s.inFlight() {
 			continue
 		}
-		lat := deadline - s.Arrive // the deadline is past the last arrival
+		lat := deadline - e.at[i] // the deadline is past the last arrival
 		e.all.Observe(lat)
 		e.perClass[s.Class].Observe(lat)
 		s.Censored++
