@@ -130,6 +130,7 @@ type sealing struct {
 	events []trace.Event     // the segment's records, recycled
 	leaves [][HashBytes]byte // body-tree scratch, recycled
 	done   sync.WaitGroup    // run has finished with buf
+	start  func()            // calls run; built once per slot, see seal
 }
 
 // Sink is the batching pipeline. It implements trace.Sink; attach it with
@@ -212,7 +213,13 @@ func (s *Sink) seal() {
 	le.PutUint64(j.buf[28:], j.events[len(j.events)-1].Seq)
 	s.segIndex++
 	j.done.Add(1)
-	go j.run(nk)
+	// A go statement over a func value without arguments allocates
+	// nothing; one that passes nk allocates a closure to carry it, every
+	// cut. A pool of sealers would need stopping (DESIGN §12).
+	if j.start == nil {
+		j.start = func() { j.run(nk) }
+	}
+	go j.start()
 }
 
 // run encodes the records straight into the segment's body, counts them

@@ -149,12 +149,24 @@ func TestSinkLeavesNoGoroutines(t *testing.T) {
 	settle("after dropping an unclosed sink")
 }
 
-// TestSealAllocBound: a sealed segment costs its own buffer and the
-// sealer's start, not a body, a header, a leaf slice and a regrown copy of
-// the ledger so far (seven objects and about seven times the bytes at the
-// commit this bound was written against).
+// TestSealAllocBound: a sealed segment costs its share of a buffer slab
+// and of the ledger's two index slices, not a body, a header, a leaf slice,
+// a regrown copy of the ledger so far (seven objects and about seven times
+// the bytes at the commit the byte bound was written against) or a closure
+// to start its sealer (one object a segment until each slot kept its own).
+// Counted exactly over a thousand warm segments: slabs come one in nine,
+// the index slices double, so about 0.12 objects a segment.
+//
+// Warm includes the host's goroutines. A sealer that finishes on another
+// processor leaves its goroutine on that processor's free list, which hands
+// it back only once it holds 64, so the runtime allocates goroutines until
+// every processor's list is that full: a few hundred in all, more with
+// more processors (a first round read 0.30 to 0.41 objects a segment at
+// GOMAXPROCS 8, the second one 0.12). So a round over the bound is
+// measured again, up to four times; the closure cost one object a segment
+// in every round.
 func TestSealAllocBound(t *testing.T) {
-	const segments = 100
+	const segments = 1_000
 	events := genEvents(DefaultSegmentEvents, 3)
 	segBytes := uint64(headerLen(trace.NumKinds()) + DefaultSegmentEvents*RecordBytes + HashBytes)
 	seq := uint64(0)
@@ -169,25 +181,33 @@ func TestSealAllocBound(t *testing.T) {
 	for i := 0; i < 4*sealWindow; i++ { // every slot's slices at full size
 		oneSegment()
 	}
-	before := s.Segments()
-	if objs := testing.AllocsPerRun(segments, oneSegment); objs > 4 {
-		t.Errorf("%v objects allocated per segment, want at most 4", objs)
-	}
-	if got := s.Segments() - before; got != segments+1 {
-		t.Fatalf("measured %d segments, want %d", got, segments+1)
-	}
-
-	// Bytes over ten times as many: segment buffers come nine to a slab,
-	// so a hundred segments can be charged eleven slabs or twelve.
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < 10*segments; i++ {
-		oneSegment()
-	}
-	s.Segments()
-	runtime.ReadMemStats(&m1)
-	if got, limit := m1.TotalAlloc-m0.TotalAlloc, 10*segments*segBytes*11/10; got > limit {
-		t.Errorf("%d bytes allocated for %d segments of %d, want at most %d", got, 10*segments, segBytes, limit)
+	for round := 1; ; round++ {
+		before := s.Segments()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < segments; i++ {
+			oneSegment()
+		}
+		after := s.Segments()
+		runtime.ReadMemStats(&m1)
+		if got := after - before; got != segments {
+			t.Fatalf("measured %d segments, want %d", got, segments)
+		}
+		objs := float64(m1.Mallocs-m0.Mallocs) / segments
+		t.Logf("round %d: %.3f objects and %.0f bytes allocated per segment of %d", round, objs, float64(m1.TotalAlloc-m0.TotalAlloc)/segments, segBytes)
+		// Segment buffers come nine to a slab, so a thousand segments are
+		// charged 111 slabs or 112; the index slices' doublings and the
+		// goroutines fit in the rest of the tenth.
+		if got, limit := m1.TotalAlloc-m0.TotalAlloc, segments*segBytes*11/10; got > limit {
+			t.Errorf("%d bytes allocated for %d segments of %d, want at most %d", got, segments, segBytes, limit)
+		}
+		if objs <= 0.2 {
+			break
+		}
+		if round == 4 {
+			t.Errorf("%.3f objects allocated per segment in each of %d rounds, want at most 0.2", objs, round)
+			break
+		}
 	}
 	if rep, err := Verify(s.Bytes()); err != nil || uint64(len(rep.Events)) != seq {
 		t.Fatalf("the measured ledger does not replay its %d events: %v", seq, err)

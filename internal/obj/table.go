@@ -92,6 +92,11 @@ type Table struct {
 	resident []uint64
 	backing  Backing // told when a descriptor dies swapped out; nil without a swapping manager
 
+	// faults is the unused tail of the current segment-fault slab (see
+	// whyNot); nil until the table first refuses an access to a swapped-out
+	// object.
+	faults []Fault
+
 	// stats for the experiment harness
 	created   uint64
 	destroyed uint64
@@ -269,10 +274,19 @@ func (t *Table) present(a AD, want Rights) *Descriptor {
 	return d
 }
 
+// faultSlab is the number of segment faults carved from one allocation.
+// A swapping system raises one on most requests (§7.3), so taking each
+// from the Go heap would cost a malloc a request; a slab of 256 (12 KB)
+// costs one per 256 faults.
+const faultSlab = 256
+
 // whyNot diagnoses an access present refused (or one a View refuses on
 // rights alone), walking the clauses in the order the hardware raises them:
 // invalid AD, then rights, then FaultSegmentMoved for the memory manager
-// to service.
+// to service. A segment fault is carved from the table's slab: each one
+// is its own Fault, never written after it is returned, so a view's latch,
+// the process it is delivered to and any observer that keeps it see what
+// they would see of a fresh allocation.
 func (t *Table) whyNot(a AD, want Rights) *Fault {
 	d, f := t.Resolve(a)
 	if f != nil {
@@ -281,7 +295,12 @@ func (t *Table) whyNot(a AD, want Rights) *Fault {
 	if !a.Rights.Has(want) {
 		return Faultf(FaultRights, a, "need %s", want&^a.Rights)
 	}
-	return &Fault{Code: FaultSegmentMoved, AD: a, Token: d.SwapToken}
+	if len(t.faults) == 0 {
+		t.faults = make([]Fault, faultSlab)
+	}
+	f, t.faults = &t.faults[0], t.faults[1:]
+	*f = Fault{Code: FaultSegmentMoved, AD: a, Token: d.SwapToken}
+	return f
 }
 
 // CreateSpec describes an object to create.
