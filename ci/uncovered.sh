@@ -13,8 +13,8 @@
 # that has it counts two fewer.
 set -eu
 cd "$(dirname "$0")/.."
-ceiling=125
-total_ceiling=401
+ceiling=89
+total_ceiling=369
 profile=$(mktemp)
 trap 'rm -f "$profile"' EXIT
 

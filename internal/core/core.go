@@ -227,9 +227,7 @@ func gcBody(c *gc.Collector, work int, interval vtime.Cycles) gdp.NativeBody {
 		// Destruction-filter deliveries may have unblocked type
 		// managers; return them to the mix (§8.2).
 		for _, w := range c.DrainWakes() {
-			if f := sys.Wake(w); f != nil {
-				return spent, gdp.BodyYield, f
-			}
+			sys.Wake(w)
 		}
 		if completed {
 			sys.WakeAt(sys.Now()+interval, self)
@@ -251,9 +249,7 @@ func (im *IMAX) Collect() (vtime.Cycles, *obj.Fault) {
 		return spent, f
 	}
 	for _, w := range c.DrainWakes() {
-		if f := im.Wake(w); f != nil {
-			return spent, f
-		}
+		im.Wake(w)
 	}
 	return spent, nil
 }

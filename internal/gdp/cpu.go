@@ -48,54 +48,55 @@ func (c *CPU) CurrentSlot(s *System) (obj.AD, *obj.Fault) {
 
 // bind attaches a ready process, opened by tryDispatch, to the processor:
 // the implicit hardware dispatch of §5 ("ready processes are dispatched on
-// processors automatically").
-func (c *CPU) bind(s *System, pv *process.Proc) *obj.Fault {
+// processors automatically"). A refusal of the process view or of the
+// processor object's current slot is system damage, kept in the latch.
+func (c *CPU) bind(s *System, pv *process.Proc) {
 	c.Clock.Charge(vtime.CostDispatch)
 	pv.SetState(process.StateRunning)
-	ts := pv.TimeSlice()
-	if f := pv.Fault(); f != nil {
-		return f
-	}
 	c.proc = pv.AD()
-	c.sliceLeft = vtime.Cycles(ts)
+	c.sliceLeft = vtime.Cycles(pv.TimeSlice())
+	s.damage.Keep(pv.Fault())
 	c.Dispatches++
 	s.dispatches++
 	pv.Emit(trace.EvDispatch, uint32(c.ID), 0)
 	// The processor object names its current process so the collector
 	// sees running processes as roots.
-	return s.Table.StoreADSystem(c.Obj, cpuSlotCurrent, c.proc)
+	s.damage.Keep(s.Table.StoreADSystem(c.Obj, cpuSlotCurrent, c.proc))
 }
 
 // unbind detaches the current process (which has blocked, terminated,
 // faulted, been preempted, or been stopped); consumed-cycle accounting
 // happens per step in the driver.
-func (c *CPU) unbind(s *System) *obj.Fault {
+func (c *CPU) unbind(s *System) {
 	c.proc = obj.NilAD
 	c.sliceLeft = 0
-	return s.Table.StoreADSystem(c.Obj, cpuSlotCurrent, obj.NilAD)
+	s.damage.Keep(s.Table.StoreADSystem(c.Obj, cpuSlotCurrent, obj.NilAD))
 }
 
 // tryDispatch draws the highest-priority ready process from the
 // dispatching port. It reports whether a process was bound. An entry whose
 // process was stopped while queued is stale (the process manager requeues
 // it on start, §6.1): it is skipped, charged as the receive that drew it,
-// and the next entry is drawn in the same dispatch.
-func (c *CPU) tryDispatch(s *System) (bool, *obj.Fault) {
+// and the next entry is drawn in the same dispatch. A refused receive or a
+// non-process at the dispatch port is system damage: it is latched and
+// the processor stays idle.
+func (c *CPU) tryDispatch(s *System) bool {
 	for {
 		msg, blocked, _, f := s.Ports.Receive(s.Dispatch, obj.NilAD)
 		if f != nil || blocked { // empty: stay idle
-			return false, f
+			s.damage.Keep(f)
+			return false
 		}
 		var pv process.Proc
 		s.Procs.Open(msg, obj.RightRead, &pv)
 		st := pv.State()
 		if f := pv.Fault(); f != nil {
-			// A non-process at the dispatch port is system damage; drop
-			// it rather than wedge the processor.
-			return false, f
+			s.damage.Keep(f)
+			return false
 		}
 		if st == process.StateReady {
-			return true, c.bind(s, &pv)
+			c.bind(s, &pv)
+			return true
 		}
 		c.Clock.Charge(vtime.CostReceive)
 	}

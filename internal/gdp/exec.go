@@ -14,8 +14,13 @@ import (
 // reports whether any processor did non-idle work. Processors run in a
 // fixed order within a step, but because quanta are bounded and clocks are
 // per-processor, all the interleavings that matter to the layers above
-// (port races, collector/mutator overlap) actually occur.
+// (port races, collector/mutator overlap) actually occur. The fault Step
+// returns is system damage (the damage latch): it is returned after the
+// processor that met it, and by every Step after, which steps nothing.
 func (s *System) Step(quantum vtime.Cycles) (bool, *obj.Fault) {
+	if f := s.damage.Fault(); f != nil {
+		return false, f
+	}
 	if s.contention > 0 {
 		// Bus contention is computed per step round: processors that
 		// are bound, plus idle ones that will draw from the dispatch
@@ -45,18 +50,15 @@ func (s *System) Step(quantum vtime.Cycles) (bool, *obj.Fault) {
 	}
 	worked := false
 	for _, cpu := range s.CPUs {
-		w, f := s.stepCPU(cpu, quantum)
-		if f != nil {
+		worked = s.stepCPU(cpu, quantum) || worked
+		if f := s.damage.Fault(); f != nil {
 			return worked, f
 		}
-		worked = worked || w
 	}
 	if len(s.timers) > 0 {
-		if f := s.fireTimers(s.Now()); f != nil {
-			return worked, f
-		}
+		s.fireTimers(s.Now())
 	}
-	return worked, nil
+	return worked, s.damage.Fault()
 }
 
 // Run steps the system until no processor can find work or maxCycles of
@@ -115,7 +117,8 @@ func (s *System) RunUntil(pred func() bool, maxCycles vtime.Cycles) (vtime.Cycle
 					cpu.IdleCycles += next - now
 				}
 			}
-			if f := s.fireTimers(s.Now()); f != nil {
+			s.fireTimers(s.Now())
+			if f := s.damage.Fault(); f != nil {
 				return s.Now() - start, f
 			}
 		}
@@ -130,37 +133,31 @@ func (s *System) RunUntil(pred func() bool, maxCycles vtime.Cycles) (vtime.Cycle
 	return s.Now() - start, nil
 }
 
-func (s *System) stepCPU(cpu *CPU, quantum vtime.Cycles) (bool, *obj.Fault) {
+// stepCPU advances one processor by at most quantum cycles and reports
+// whether it did non-idle work.
+func (s *System) stepCPU(cpu *CPU, quantum vtime.Cycles) bool {
 	// An offline processor burns idle time only; its clock keeps pace
 	// so system-wide time stays meaningful.
 	if cpu.offline {
 		cpu.Clock.Charge(quantum)
 		cpu.IdleCycles += quantum
-		return false, nil
+		return false
 	}
 	// A bound process the process manager has since stopped leaves the
 	// processor here — the "next scheduling event" its stop waits for.
 	if !cpu.Idle() {
 		st, f := s.Procs.StateOf(cpu.proc)
 		if f != nil || st != process.StateRunning {
-			if f := cpu.unbind(s); f != nil {
-				return false, f
-			}
+			cpu.unbind(s)
 		}
 	}
-	if cpu.Idle() {
-		got, f := cpu.tryDispatch(s)
-		if f != nil {
-			return false, f
-		}
-		if !got {
-			// Idle processors burn real time too; keeping clocks
-			// advancing together is what makes per-CPU time a
-			// fair utilisation measure.
-			cpu.Clock.Charge(quantum)
-			cpu.IdleCycles += quantum
-			return false, nil
-		}
+	if cpu.Idle() && !cpu.tryDispatch(s) {
+		// Idle processors burn real time too; keeping clocks advancing
+		// together is what makes per-CPU time a fair utilisation
+		// measure.
+		cpu.Clock.Charge(quantum)
+		cpu.IdleCycles += quantum
+		return false
 	}
 
 	// Consumed-cycle accounting (§6.1 scheduler bookkeeping) happens at
@@ -168,11 +165,10 @@ func (s *System) stepCPU(cpu *CPU, quantum vtime.Cycles) (bool, *obj.Fault) {
 	// consumption.
 	proc := cpu.proc
 	before := cpu.Clock.Now()
-	var f *obj.Fault
 	if body, native := s.bodies.Get(proc.Index); native {
-		f = s.stepNative(cpu, body, quantum)
+		s.stepNative(cpu, body)
 	} else {
-		f = s.stepVM(cpu, quantum)
+		s.stepVM(cpu, quantum)
 	}
 	if spent := cpu.Clock.Now() - before; spent > 0 {
 		// The process may have terminated and been collected within
@@ -181,16 +177,19 @@ func (s *System) stepCPU(cpu *CPU, quantum vtime.Cycles) (bool, *obj.Fault) {
 		s.Procs.Open(proc, obj.RightRead, &pv)
 		pv.AddCPUCycles(uint32(spent))
 	}
-	return true, f
+	return true
 }
 
-// stepNative runs one bounded chunk of a native process body.
-func (s *System) stepNative(cpu *CPU, body NativeBody, quantum vtime.Cycles) *obj.Fault {
+// stepNative runs one bounded chunk of a native process body. A fault the
+// body returns is the process's own and is delivered; a status the body
+// cannot return is system damage.
+func (s *System) stepNative(cpu *CPU, body NativeBody) {
 	proc := cpu.proc
 	spent, status, f := body.Step(s, proc)
 	cpu.Clock.Charge(spent)
 	if f != nil {
-		return s.deliverFault(cpu, proc, f)
+		s.deliverFault(cpu, proc, f)
+		return
 	}
 	switch status {
 	case BodyContinue:
@@ -199,26 +198,27 @@ func (s *System) stepNative(cpu *CPU, body NativeBody, quantum vtime.Cycles) *ob
 		// bound.
 		if cpu.sliceLeft > 0 {
 			if spent >= cpu.sliceLeft {
-				return s.requeue(cpu, proc, true)
+				s.requeue(cpu, proc, true)
+				return
 			}
 			cpu.sliceLeft -= spent
 		}
-		return nil
 	case BodyYield:
-		return s.requeue(cpu, proc, false)
+		s.requeue(cpu, proc, false)
 	case BodyWaiting:
-		return s.block(cpu, proc)
+		s.block(cpu, proc)
 	case BodyDone:
-		return s.terminate(cpu, proc)
+		s.terminate(cpu, proc)
+	default:
+		s.damage.Keep(obj.Faultf(obj.FaultOddity, proc, "native body returned status %d", status))
 	}
-	return obj.Faultf(obj.FaultOddity, proc, "native body returned status %d", status)
 }
 
 // stepVM executes instructions of the bound process until the quantum is
-// consumed or the process leaves the processor.
-func (s *System) stepVM(cpu *CPU, quantum vtime.Cycles) *obj.Fault {
+// consumed, the process leaves the processor, or the damage latch is set.
+func (s *System) stepVM(cpu *CPU, quantum vtime.Cycles) {
 	budget := quantum
-	for budget > 0 && cpu.proc.Valid() {
+	for budget > 0 && cpu.proc.Valid() && s.damage.Fault() == nil {
 		// The cycle allowance for this call: the cached run loop may retire
 		// many instructions in one execOne and must stop after the
 		// instruction that crosses the quantum budget or the time slice —
@@ -229,10 +229,8 @@ func (s *System) stepVM(cpu *CPU, quantum vtime.Cycles) *obj.Fault {
 		}
 		spent, f := s.execOne(cpu, limit)
 		if f != nil {
-			if df := s.deliverFault(cpu, cpu.proc, f); df != nil {
-				return df
-			}
-			return nil
+			s.deliverFault(cpu, cpu.proc, f)
+			return
 		}
 		if spent > budget {
 			spent = budget
@@ -240,36 +238,32 @@ func (s *System) stepVM(cpu *CPU, quantum vtime.Cycles) *obj.Fault {
 		budget -= spent
 		if cpu.sliceLeft > 0 && cpu.proc.Valid() {
 			if spent >= cpu.sliceLeft {
-				return s.requeue(cpu, cpu.proc, true)
+				s.requeue(cpu, cpu.proc, true)
+				return
 			}
 			cpu.sliceLeft -= spent
 		}
 	}
-	return nil
 }
 
 // requeue takes the bound process off the processor and back to the
 // dispatch mix. A preempted one — its time slice ended (§5: "such events
 // as time-slice end") — is counted and logged first.
-func (s *System) requeue(cpu *CPU, proc obj.AD, preempted bool) *obj.Fault {
+func (s *System) requeue(cpu *CPU, proc obj.AD, preempted bool) {
 	if preempted {
 		s.preemptions++
 		if l := s.Table.Tracer(); l != nil {
 			l.Emit(trace.EvPreempt, uint32(proc.Index), uint32(cpu.ID), 0)
 		}
 	}
-	if f := cpu.unbind(s); f != nil {
-		return f
-	}
-	return s.MakeReady(proc)
+	cpu.unbind(s)
+	s.MakeReady(proc)
 }
 
 // block takes the bound process off the processor to wait at a port.
-func (s *System) block(cpu *CPU, proc obj.AD) *obj.Fault {
-	if f := s.Procs.SetState(proc, process.StateBlocked); f != nil {
-		return f
-	}
-	return cpu.unbind(s)
+func (s *System) block(cpu *CPU, proc obj.AD) {
+	s.damage.Keep(s.Procs.SetState(proc, process.StateBlocked))
+	cpu.unbind(s)
 }
 
 // execOne fetches, decodes and executes at least one instruction of the
@@ -396,7 +390,8 @@ func (s *System) execInstr(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycl
 		return vtime.CostALU, nil
 
 	case isa.OpHalt:
-		return vtime.CostALU, s.terminate(cpu, proc)
+		s.terminate(cpu, proc)
+		return vtime.CostALU, nil
 
 	case isa.OpMovI:
 		c.SetReg(in.A, in.C)
@@ -570,10 +565,10 @@ func (s *System) execSend(cpu *CPU, proc obj.AD, c *process.Ctx, in isa.Instr) *
 		c.SetReg(uint8(in.C), bit(!blocked))
 		return c.Fault()
 	case blocked:
-		return s.block(cpu, proc)
+		s.block(cpu, proc)
 	case wake != nil:
 		// A blocked receiver was handed the message directly.
-		return s.Wake(*wake)
+		s.Wake(*wake)
 	}
 	return nil
 }
@@ -607,7 +602,8 @@ func (s *System) execRecv(cpu *CPU, proc obj.AD, c *process.Ctx, in isa.Instr) *
 		if f := c.Fault(); f != nil {
 			return f
 		}
-		return s.block(cpu, proc)
+		s.block(cpu, proc)
+		return nil
 	}
 	c.SetAReg(in.A, msg)
 	if f := c.Fault(); f != nil || wake == nil {
@@ -615,7 +611,8 @@ func (s *System) execRecv(cpu *CPU, proc obj.AD, c *process.Ctx, in isa.Instr) *
 	}
 	// A parked sender's message was deposited; the sender just becomes
 	// ready.
-	return s.Wake(*wake)
+	s.Wake(*wake)
+	return nil
 }
 
 // execCall performs the inter- or intra-domain call instruction from the
@@ -716,7 +713,8 @@ func (s *System) execRet(cpu *CPU, proc obj.AD, c *process.Ctx) *obj.Fault {
 	if _, f := s.Procs.PopContext(proc); f != nil || caller.Valid() {
 		return f
 	}
-	return s.terminate(cpu, proc)
+	s.terminate(cpu, proc)
+	return nil
 }
 
 // copyResults copies r0 and a0 of the returning context from into caller.
@@ -734,29 +732,26 @@ func (s *System) copyResults(from *process.Ctx, caller obj.AD) *obj.Fault {
 	return to.Fault()
 }
 
-// terminate ends the process: state change, scheduler notification, and
-// release of the processor.
-func (s *System) terminate(cpu *CPU, proc obj.AD) *obj.Fault {
+// terminate ends the bound process: state change, scheduler notification,
+// and release of the processor. The process view's refusal is latched.
+func (s *System) terminate(cpu *CPU, proc obj.AD) {
 	var pv process.Proc
 	s.Procs.Open(proc, obj.RightWrite, &pv)
 	pv.SetState(process.StateTerminated)
 	pv.Emit(trace.EvTerminate, 0, 0)
-	if f := pv.Fault(); f != nil {
-		return f
-	}
+	s.damage.Keep(pv.Fault())
 	s.notifyScheduler(proc)
-	if cpu != nil && cpu.proc == proc {
-		return cpu.unbind(s)
-	}
-	return nil
+	cpu.unbind(s)
 }
 
 // deliverFault implements "sending them back to software": the faulting
 // process is recorded, unbound, and sent as a message to its fault port.
 // A process with no fault port just terminates with the code recorded —
 // and per §7.3 the system levels configuration decides which processes are
-// allowed to reach here at all.
-func (s *System) deliverFault(cpu *CPU, proc obj.AD, cause *obj.Fault) *obj.Fault {
+// allowed to reach here at all. The cause is the process's; what delivery
+// itself meets — a process view that refuses, a wakeup of the fault
+// handler that cannot complete — is system damage, latched.
+func (s *System) deliverFault(cpu *CPU, proc obj.AD, cause *obj.Fault) {
 	cpu.Clock.Charge(vtime.CostFault)
 	if l := s.Table.Tracer(); l != nil {
 		l.Emit(trace.EvFault, uint32(proc.Index), uint32(cause.Code), uint64(cause.AD.Index))
@@ -781,27 +776,25 @@ func (s *System) deliverFault(cpu *CPU, proc obj.AD, cause *obj.Fault) *obj.Faul
 	pv.SetState(process.StateFaulted)
 	fport := pv.LoadAD(process.SlotFaultPort)
 	if f := pv.Fault(); f != nil {
-		return f
+		s.damage.Keep(f)
+		return
 	}
 	if cpu.proc == proc {
-		if f := cpu.unbind(s); f != nil {
-			return f
-		}
+		cpu.unbind(s)
 	}
 	if fport.Valid() {
 		if blocked, wake, f := s.Ports.Send(fport, proc, uint32(cause.Code), obj.NilAD); f == nil && !blocked {
 			s.faultsSent++
 			if wake != nil {
-				return s.Wake(*wake)
+				s.Wake(*wake)
 			}
-			return nil
+			return
 		}
 	}
 	// No fault port, or it is gone or full: the process is lost to
 	// software; terminate it rather than wedge the processor.
 	s.notifyScheduler(proc)
 	pv.SetState(process.StateTerminated)
-	return pv.Fault()
 }
 
 // notifyScheduler sends the process to its scheduler port, if it has one,
@@ -814,7 +807,7 @@ func (s *System) notifyScheduler(proc obj.AD) {
 	}
 	_, wake, f := s.Ports.Send(sport, proc, 0, obj.NilAD)
 	if f == nil && wake != nil {
-		_ = s.Wake(*wake)
+		s.Wake(*wake)
 	}
 }
 
@@ -824,12 +817,14 @@ func (s *System) notifyScheduler(proc obj.AD) {
 // woken receiver's message rides in the carry slot until the process next
 // runs, when the resume action moves it into the destination register. A
 // Wake that Send or Receive returned and nobody passed here is a lost
-// process: it is off the wait queue and still StateBlocked.
-func (s *System) Wake(w port.Wake) *obj.Fault {
+// process: it is off the wait queue and still StateBlocked. The port
+// operation that unparked the process has succeeded, so Wake reports
+// nothing to its caller: a carry slot that refuses the message or a
+// MakeReady that cannot queue the process is system damage, latched for
+// the next Step.
+func (s *System) Wake(w port.Wake) {
 	if w.Msg.Valid() {
-		if f := s.Procs.SetLink(w.Process, process.SlotCarry, w.Msg); f != nil {
-			return f
-		}
+		s.damage.Keep(s.Procs.SetLink(w.Process, process.SlotCarry, w.Msg))
 	}
-	return s.MakeReady(w.Process)
+	s.MakeReady(w.Process)
 }

@@ -16,38 +16,31 @@ import (
 // a simulated process (a device, the experiment harness): the message is
 // queued and any blocked receiver is woken exactly as the send instruction
 // would. It reports false when the port is full (the external agent cannot
-// block).
+// block), and a fault only for the port or message the agent passed: a
+// wakeup the dispatcher cannot complete is system damage, which the next
+// Step returns.
 func (s *System) SendMessage(prt, msg obj.AD, key uint32) (bool, *obj.Fault) {
 	blocked, wake, f := s.Ports.Send(prt, msg, key, obj.NilAD)
-	if f != nil {
+	if f != nil || blocked {
 		return false, f
 	}
-	if blocked {
-		return false, nil
-	}
 	if wake != nil {
-		if f := s.Wake(*wake); f != nil {
-			return true, f
-		}
+		s.Wake(*wake)
 	}
 	return true, nil
 }
 
 // ReceiveMessage performs a hardware receive on behalf of an external
 // agent, waking a parked sender exactly as the receive instruction would.
-// ok is false when the port is empty.
+// ok is false when the port is empty. As with SendMessage, a fault is the
+// port's refusal, never the wakeup's.
 func (s *System) ReceiveMessage(prt obj.AD) (msg obj.AD, ok bool, fault *obj.Fault) {
 	msg, blocked, wake, f := s.Ports.Receive(prt, obj.NilAD)
-	if f != nil {
+	if f != nil || blocked {
 		return obj.NilAD, false, f
 	}
-	if blocked {
-		return obj.NilAD, false, nil
-	}
 	if wake != nil {
-		if f := s.Wake(*wake); f != nil {
-			return msg, true, f
-		}
+		s.Wake(*wake)
 	}
 	return msg, true, nil
 }
@@ -80,8 +73,9 @@ func (s *System) WatchTimeout(at vtime.Cycles, proc obj.AD, prt obj.AD) {
 	s.timers = append(s.timers, timer{at: at, proc: proc, watch: prt})
 }
 
-// fireTimers wakes every timer at or before now.
-func (s *System) fireTimers(now vtime.Cycles) *obj.Fault {
+// fireTimers wakes every timer at or before now. A watched port that
+// refuses the cancel is system damage, latched like a wakeup's.
+func (s *System) fireTimers(now vtime.Cycles) {
 	kept, fired := s.timers[:0], s.fired[:0]
 	for _, t := range s.timers {
 		if t.at <= now {
@@ -108,9 +102,7 @@ func (s *System) fireTimers(now vtime.Cycles) *obj.Fault {
 				continue // the operation completed in time
 			}
 			found, _, f := s.Ports.CancelWaiter(t.watch, p)
-			if f != nil {
-				return f
-			}
+			s.damage.Keep(f)
 			if !found {
 				continue // blocked elsewhere; not ours to cancel
 			}
@@ -118,29 +110,22 @@ func (s *System) fireTimers(now vtime.Cycles) *obj.Fault {
 			// message (for senders) stays with the fault handler's
 			// problem — the port returned it to us but the
 			// in-progress operation failed, exactly a timeout.
-			if df := s.deliverFault(s.CPUs[0], p,
-				obj.Faultf(obj.FaultTimeout, t.watch, "port operation timed out")); df != nil {
-				return df
-			}
+			s.deliverFault(s.CPUs[0], p, obj.Faultf(obj.FaultTimeout, t.watch, "port operation timed out"))
 			continue
 		}
 		if st == process.StateBlocked {
-			if f := s.Procs.SetState(p, process.StateReady); f != nil {
-				return f
-			}
+			s.damage.Keep(s.Procs.SetState(p, process.StateReady))
 		}
-		if f := s.MakeReady(p); f != nil {
-			return f
-		}
+		s.MakeReady(p)
 	}
-	return nil
 }
 
 // SetProcessorOnline takes a processor out of the dispatching mix or
 // returns it. Going offline mid-run is the §3 degraded-operation story:
 // the processor finishes nothing — its bound process (if any) returns to
 // the dispatch port and other processors absorb the load, with no
-// software change anywhere. It reports an error only for a bad id.
+// software change anywhere. It reports a fault only for a bad id; a
+// requeue the dispatcher cannot complete is latched system damage.
 func (s *System) SetProcessorOnline(id int, online bool) *obj.Fault {
 	if id < 0 || id >= len(s.CPUs) {
 		return obj.Faultf(obj.FaultBounds, obj.NilAD, "no processor %d", id)
@@ -152,13 +137,9 @@ func (s *System) SetProcessorOnline(id int, online bool) *obj.Fault {
 	cpu.offline = !online
 	if !online && cpu.proc.Valid() {
 		proc := cpu.proc
-		if f := cpu.unbind(s); f != nil {
-			return f
-		}
-		if f := s.Procs.SetState(proc, process.StateReady); f != nil {
-			return f
-		}
-		return s.MakeReady(proc)
+		cpu.unbind(s)
+		s.damage.Keep(s.Procs.SetState(proc, process.StateReady))
+		s.MakeReady(proc)
 	}
 	return nil
 }

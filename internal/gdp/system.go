@@ -144,6 +144,11 @@ type System struct {
 	// inj is the installed fault injector, nil in production runs.
 	inj Injector
 
+	// damage keeps the first failure of the dispatcher's own transitions
+	// (DESIGN.md §5): system damage, never the running process's fault.
+	// Step returns it once set, and nothing clears it.
+	damage obj.Latch
+
 	// Stats.
 	dispatches   uint64
 	preemptions  uint64
@@ -284,7 +289,8 @@ type SpawnSpec struct {
 }
 
 // Spawn creates a process executing entry 0 of the given domain and queues
-// it at the dispatching port.
+// it at the dispatching port. A refused queueing is system damage: Spawn
+// returns the damage latch.
 func (s *System) Spawn(dom obj.AD, spec SpawnSpec) (obj.AD, *obj.Fault) {
 	p, f := s.newProcess(spec)
 	if f != nil {
@@ -316,7 +322,7 @@ func (s *System) Spawn(dom obj.AD, spec SpawnSpec) (obj.AD, *obj.Fault) {
 }
 
 // SpawnNative creates a process whose body is Go code, scheduled like any
-// other process.
+// other process. It returns the damage latch as Spawn does.
 func (s *System) SpawnNative(body NativeBody, spec SpawnSpec) (obj.AD, *obj.Fault) {
 	p, f := s.newProcess(spec)
 	if f != nil {
@@ -346,25 +352,27 @@ func (s *System) newProcess(spec SpawnSpec) (obj.AD, *obj.Fault) {
 // launch queues a new process at its dispatching port and logs the spawn;
 // native is 1 for a Go body.
 func (s *System) launch(p obj.AD, native uint32) *obj.Fault {
-	if f := s.MakeReady(p); f != nil {
-		return f
-	}
+	s.MakeReady(p)
 	if l := s.Table.Tracer(); l != nil {
 		l.Emit(trace.EvSpawn, uint32(p.Index), native, 0)
 	}
-	return nil
+	return s.damage.Fault()
 }
 
 // MakeReady queues the process at its dispatching port with its priority
 // as the key. This is the single hardware path by which a process enters
 // the dispatch mix — wakeups, time-slice end, and explicit starts all
-// funnel through it.
-func (s *System) MakeReady(p obj.AD) *obj.Fault {
+// funnel through it. A terminated process is left as it is. The process
+// view's refusal and a full or refused dispatch port are system damage:
+// MakeReady latches the first, and the next Step returns it.
+func (s *System) MakeReady(p obj.AD) {
 	var pv process.Proc
 	s.Procs.Open(p, obj.RightRead, &pv)
 	st, stops := pv.State(), pv.StopCount()
-	if pv.Fault() != nil || st == process.StateTerminated {
-		return pv.Fault()
+	dport, prio := pv.LoadAD(process.SlotDispatchPort), pv.Priority()
+	if f := pv.Fault(); f != nil || st == process.StateTerminated {
+		s.damage.Keep(f)
+		return
 	}
 	// A process with stops outstanding stays out of the mix (§6.1): it
 	// is parked in the stopped state and the process manager requeues
@@ -373,16 +381,12 @@ func (s *System) MakeReady(p obj.AD) *obj.Fault {
 	// stopped — the wakeup funnels through here and parks them.
 	if stops > 0 {
 		pv.SetState(process.StateStopped)
-		return pv.Fault()
+		return
 	}
-	dport, prio := pv.LoadAD(process.SlotDispatchPort), pv.Priority()
 	if !dport.Valid() {
 		dport = s.Dispatch
 	}
 	pv.SetState(process.StateReady)
-	if f := pv.Fault(); f != nil {
-		return f
-	}
 	key := uint32(prio)
 	if s.deadline {
 		// Deadline-within-priority: higher priority means a nearer
@@ -394,7 +398,7 @@ func (s *System) MakeReady(p obj.AD) *obj.Fault {
 	if f == nil && blocked {
 		f = obj.Faultf(obj.FaultBounds, dport, "dispatch port overflow")
 	}
-	return f
+	s.damage.Keep(f)
 }
 
 // SetTracer installs the kernel event log on the system and its object

@@ -39,9 +39,12 @@ var ErrNoWaker = errors.New("ipc: port operation unparked a process, and the por
 
 // Waker returns a process that a port operation unparked to the dispatch
 // mix. *gdp.System is one. Ports that simulated processes block at need
-// one (WithWaker); ports only Go callers use do not.
+// one (WithWaker); ports only Go callers use do not. The port operation
+// has already succeeded when Wake is called, so it reports nothing: a
+// wakeup the dispatcher cannot complete is system damage, which the
+// system latches and its next Step returns.
 type Waker interface {
-	Wake(port.Wake) *obj.Fault
+	Wake(port.Wake)
 }
 
 // Untyped is Figure 1: ports carrying any access descriptor.
@@ -107,9 +110,7 @@ func (u Untyped) wakeUp(w *port.Wake) error {
 	if u.waker == nil {
 		return ErrNoWaker
 	}
-	if f := u.waker.Wake(*w); f != nil {
-		return f
-	}
+	u.waker.Wake(*w)
 	return nil
 }
 

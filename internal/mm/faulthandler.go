@@ -61,9 +61,10 @@ func FaultHandlerBody(m *Swapping, faultPort, overflowPort obj.AD) gdp.NativeBod
 		if f := sys.Procs.SetState(victim, process.StateReady); f != nil {
 			return spent, gdp.BodyYield, f
 		}
-		if f := sys.MakeReady(victim); f != nil {
-			return spent, gdp.BodyYield, f
-		}
+		// A requeue the dispatcher cannot complete is system damage,
+		// latched for the Step this body runs in, not the handler's
+		// fault: a level-2 process may not fault (§7.3).
+		sys.MakeReady(victim)
 		return spent, gdp.BodyYield, nil
 	})
 }

@@ -349,6 +349,66 @@ func TestFaultHandlerForwardsOtherFaults(t *testing.T) {
 	}
 }
 
+// TestFaultHandlerTakesNoRequeueFault: a victim the handler has made
+// resident but cannot requeue, because the dispatch port is full, is
+// system damage. The handler is a level-2 process and may not fault
+// (§7.3): its step yields with no fault, and the next Step returns the
+// overflow.
+func TestFaultHandlerTakesNoRequeueFault(t *testing.T) {
+	sys, err := gdp.New(gdp.Config{Processors: 1, MemoryBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapper := NewSwapping(sys.Table, sys.SROs)
+	faultPort, f := sys.Ports.Create(sys.Heap, 16, port.FIFO)
+	if f != nil {
+		t.Fatal(f)
+	}
+	target, f := swapper.Allocate(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 64})
+	if f != nil {
+		t.Fatal(f)
+	}
+	if f := swapper.swapOut(target.Index); f != nil {
+		t.Fatal(f)
+	}
+	code, _ := sys.Domains.CreateCode(sys.Heap, []isa.Instr{isa.Load(0, 0, 0), isa.Halt()})
+	dom, _ := sys.Domains.Create(sys.Heap, code, []uint32{0})
+	victim, f := sys.Spawn(dom, gdp.SpawnSpec{FaultPort: faultPort, AArgs: [4]obj.AD{target}})
+	if f != nil {
+		t.Fatal(f)
+	}
+	if _, f := sys.Run(1_000_000); f != nil {
+		t.Fatal(f)
+	}
+	if n, _ := sys.Ports.Count(faultPort); n != 1 {
+		t.Fatalf("fault port holds %d, want the segment-faulted victim", n)
+	}
+	filler, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
+	if f != nil {
+		t.Fatal(f)
+	}
+	for n := 0; n < gdp.DispatchCapacity; n++ {
+		if blocked, _, f := sys.Ports.Send(sys.Dispatch, filler, 0, obj.NilAD); blocked || f != nil {
+			t.Fatalf("filling the dispatch port at %d: %v %v", n, blocked, f)
+		}
+	}
+
+	_, status, f := FaultHandlerBody(swapper, faultPort, obj.NilAD).Step(sys, obj.NilAD)
+	if f != nil || status != gdp.BodyYield {
+		t.Fatalf("handler step = %v, %v; want BodyYield and no fault", status, f)
+	}
+	if swapper.FaultsServiced != 1 {
+		t.Fatalf("%d faults serviced, want the victim's", swapper.FaultsServiced)
+	}
+	_, f = sys.Step(1_000)
+	if f == nil || f.Code != obj.FaultBounds || f.AD.Index != sys.Dispatch.Index {
+		t.Fatalf("next Step = %v, want the dispatch port's overflow", f)
+	}
+	if c, _ := sys.Procs.FaultCode(victim); c != obj.FaultSegmentMoved {
+		t.Fatalf("victim's recorded fault %v, want its own segment fault", c)
+	}
+}
+
 func TestTransferCost(t *testing.T) {
 	if transferCost(0) == 0 {
 		t.Error("zero-byte transfer should still cost a seek")

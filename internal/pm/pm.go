@@ -217,7 +217,7 @@ func (b *Basic) startOne(p obj.AD) *obj.Fault {
 		pv.SetState(process.StateReady)
 		if pv.Fault() == nil {
 			b.notifyEnter(p)
-			return b.Sys.MakeReady(p)
+			b.Sys.MakeReady(p)
 		}
 	}
 	return pv.Fault() // still stopped, or parked where a wakeup will find it
@@ -235,7 +235,7 @@ func (b *Basic) notify(p obj.AD, key uint32) {
 	// reply, §7.3). A scheduler parked at the port is handed this one
 	// directly and must be returned to the mix.
 	if _, wake, f := b.Sys.Ports.Send(b.Notify, p, key, obj.NilAD); f == nil && wake != nil {
-		_ = b.Sys.Wake(*wake)
+		b.Sys.Wake(*wake)
 	}
 }
 
