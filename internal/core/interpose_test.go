@@ -55,7 +55,7 @@ func TestTransparentInterposition(t *testing.T) {
 		// against the privately held capability. (A VM interposer
 		// would CALL the inner domain; a native one invokes its
 		// handler through the same registry.)
-		h, f := im.Domains.HandlerOf(realDev)
+		_, h, f := im.Domains.Entry(realDev, entry)
 		if f != nil {
 			return f
 		}

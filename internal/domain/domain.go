@@ -181,33 +181,25 @@ func (m *Manager) create(heap obj.AD, entries []uint32, flags uint16, code obj.A
 	return dom, dv.Fault()
 }
 
-// IsNative reports whether the domain's body is a Go handler.
-func (m *Manager) IsNative(dom obj.AD) (bool, *obj.Fault) {
-	var dv obj.View
-	m.Table.View(dom, obj.TypeDomain, obj.RightRead, &dv)
-	return dv.Word(offFlags)&flagNative != 0, dv.Fault()
-}
-
-// HandlerOf returns the native body of a domain.
-func (m *Manager) HandlerOf(dom obj.AD) (Handler, *obj.Fault) {
-	if _, f := m.Table.RequireType(dom, obj.TypeDomain); f != nil {
-		return nil, f
-	}
-	h, ok := m.handlers.Get(dom.Index)
-	if !ok {
-		return nil, obj.Faultf(obj.FaultOddity, dom, "native domain has no registered body")
-	}
-	return h, nil
-}
-
-// EntryIP reports the instruction index of entry point entry.
-func (m *Manager) EntryIP(dom obj.AD, entry uint32) (uint32, *obj.Fault) {
+// Entry opens the domain once for a call of entry point entry: the domain
+// must be readable, and entry inside its table whichever kind of body it
+// has. It returns the entry's instruction index, and the Go body of a
+// native domain (nil for a VM one).
+func (m *Manager) Entry(dom obj.AD, entry uint32) (uint32, Handler, *obj.Fault) {
 	var dv obj.View
 	m.Table.View(dom, obj.TypeDomain, obj.RightRead, &dv)
 	if n := dv.Word(offEntryCount); entry >= uint32(n) {
 		dv.Latch(obj.Faultf(obj.FaultBounds, dom, "entry %d of %d", entry, n))
 	}
-	return dv.DWord(offEntries + entry*4), dv.Fault()
+	ip, native := dv.DWord(offEntries+entry*4), dv.Word(offFlags)&flagNative != 0
+	if f := dv.Fault(); f != nil || !native {
+		return ip, nil, f
+	}
+	h, ok := m.handlers.Get(dom.Index)
+	if !ok {
+		return ip, nil, obj.Faultf(obj.FaultOddity, dom, "native domain has no registered body")
+	}
+	return ip, h, nil
 }
 
 // Code reports the domain's instruction object.

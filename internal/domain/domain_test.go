@@ -61,16 +61,16 @@ func TestCreateDomainAndEntries(t *testing.T) {
 	if f != nil {
 		t.Fatal(f)
 	}
-	if native, _ := fx.m.IsNative(dom); native {
+	if _, h, _ := fx.m.Entry(dom, 0); h != nil {
 		t.Error("VM domain claims native")
 	}
-	if ip, _ := fx.m.EntryIP(dom, 0); ip != 0 {
+	if ip, _, _ := fx.m.Entry(dom, 0); ip != 0 {
 		t.Errorf("entry 0 = %d", ip)
 	}
-	if ip, _ := fx.m.EntryIP(dom, 1); ip != 2 {
+	if ip, _, _ := fx.m.Entry(dom, 1); ip != 2 {
 		t.Errorf("entry 1 = %d", ip)
 	}
-	if _, f := fx.m.EntryIP(dom, 2); !obj.IsFault(f, obj.FaultBounds) {
+	if _, _, f := fx.m.Entry(dom, 2); !obj.IsFault(f, obj.FaultBounds) {
 		t.Errorf("entry 2: %v", f)
 	}
 	gotCode, _ := fx.m.Code(dom)
@@ -104,12 +104,16 @@ func TestNativeDomain(t *testing.T) {
 	if f != nil {
 		t.Fatal(f)
 	}
-	if native, _ := fx.m.IsNative(dom); !native {
-		t.Fatal("native domain not flagged")
-	}
-	h, f := fx.m.HandlerOf(dom)
+	_, h, f := fx.m.Entry(dom, 1)
 	if f != nil {
 		t.Fatal(f)
+	}
+	if h == nil {
+		t.Fatal("native domain not flagged")
+	}
+	// A native domain's entries are bounded by its table, as a VM one's.
+	if _, _, f := fx.m.Entry(dom, 2); !obj.IsFault(f, obj.FaultBounds) {
+		t.Errorf("entry 2: %v", f)
 	}
 	if f := h(nil, 1); f != nil {
 		t.Fatal(f)
@@ -129,12 +133,24 @@ func TestHandlerRegistrationGenerationGuard(t *testing.T) {
 	if f := fx.sros.Reclaim(dom.Index); f != nil {
 		t.Fatal(f)
 	}
-	// Recreate an object in (likely) the same slot.
-	other, _ := fx.sros.Create(fx.heap, obj.CreateSpec{Type: obj.TypeDomain, DataLen: domainData, AccessSlots: domainSlots})
-	if other.Index == dom.Index {
-		if _, f := fx.m.HandlerOf(other); !obj.IsFault(f, obj.FaultOddity) {
-			t.Fatalf("stale handler served for recycled slot: %v", f)
-		}
+	// Recreate a raw domain in the same slot, flagged native with an
+	// entry, so that Entry reaches the handler lookup.
+	other, f := fx.sros.Create(fx.heap, obj.CreateSpec{Type: obj.TypeDomain, DataLen: domainData, AccessSlots: domainSlots})
+	if f != nil {
+		t.Fatal(f)
+	}
+	if other.Index != dom.Index {
+		t.Fatalf("the table did not reuse slot %d (got %d); the test is vacuous", dom.Index, other.Index)
+	}
+	var dv obj.View
+	fx.tab.View(other, obj.TypeDomain, obj.RightWrite, &dv)
+	dv.SetWord(offFlags, flagNative)
+	dv.SetWord(offEntryCount, 1)
+	if f := dv.Fault(); f != nil {
+		t.Fatal(f)
+	}
+	if _, _, f := fx.m.Entry(other, 0); !obj.IsFault(f, obj.FaultOddity) {
+		t.Fatalf("stale handler served for recycled slot: %v", f)
 	}
 }
 

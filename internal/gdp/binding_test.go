@@ -83,10 +83,11 @@ func TestBindingSurvivesCarry(t *testing.T) {
 		t.Fatalf("the carry slot cost %d primes", got-primes)
 	}
 
-	inner, f := s.Procs.PushContext(p, callee)
-	if f != nil {
+	var cv process.Ctx
+	if f := s.Procs.PushContext(p, callee, &cv); f != nil {
 		t.Fatal(f)
 	}
+	inner := cv.AD()
 	check("after PushContext", false, obj.NilAD)
 	r1 := reg(outer, 1)
 	one()

@@ -289,23 +289,22 @@ type SpawnSpec struct {
 }
 
 // Spawn creates a process executing entry 0 of the given domain and queues
-// it at the dispatching port. A refused queueing is system damage: Spawn
-// returns the damage latch.
+// it at the dispatching port. The domain is checked before anything is
+// created, so a spawn it refuses leaves nothing behind. A refused queueing
+// is system damage: Spawn returns the damage latch.
 func (s *System) Spawn(dom obj.AD, spec SpawnSpec) (obj.AD, *obj.Fault) {
+	ip, _, f := s.Domains.Entry(dom, 0)
+	if f != nil {
+		return obj.NilAD, f
+	}
 	p, f := s.newProcess(spec)
 	if f != nil {
 		return obj.NilAD, f
 	}
-	ctx, f := s.Procs.PushContext(p, dom)
-	if f != nil {
-		return obj.NilAD, f
-	}
-	ip, f := s.Domains.EntryIP(dom, 0)
-	if f != nil {
-		return obj.NilAD, f
-	}
 	var cv process.Ctx
-	s.Procs.OpenContext(ctx, obj.RightWrite, &cv)
+	if f := s.Procs.PushContext(p, dom, &cv); f != nil {
+		return obj.NilAD, f
+	}
 	cv.SetIP(ip)
 	for i, v := range spec.Args {
 		cv.SetReg(uint8(i), v)

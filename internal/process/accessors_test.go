@@ -104,7 +104,7 @@ func TestAccessorsRefuseNonProcess(t *testing.T) {
 		{"FaultObject", func() *obj.Fault { _, f := fx.m.FaultObject(notProc); return f }},
 		{"Link", func() *obj.Fault { _, f := fx.m.Link(notProc, 0); return f }},
 		{"SetLink", func() *obj.Fault { return fx.m.SetLink(notProc, 0, obj.NilAD) }},
-		{"PushContext", func() *obj.Fault { _, f := fx.m.PushContext(notProc, obj.NilAD); return f }},
+		{"PushContext", func() *obj.Fault { var cv Ctx; return fx.m.PushContext(notProc, obj.NilAD, &cv) }},
 		{"PopContext", func() *obj.Fault { _, f := fx.m.PopContext(notProc); return f }},
 		{"StateOf", func() *obj.Fault { _, f := fx.m.StateOf(notProc); return f }},
 	}

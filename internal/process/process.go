@@ -324,15 +324,17 @@ func (m *Manager) Context(p obj.AD) (obj.AD, *obj.Fault) {
 }
 
 // PushContext creates a new context for executing domain and makes it the
-// process's current context. The new context's level is one greater than
-// the caller's (§5), which is what makes local heaps created in a frame
+// process's current context, and leaves it open for writing in cv, so the
+// caller writes its IP and arguments without a second resolve; on a refusal
+// cv is not to be used. The new context's level is one greater than the
+// caller's (§5), which is what makes local heaps created in a frame
 // unstorable above it. Allocation comes from the process's default SRO.
-func (m *Manager) PushContext(p obj.AD, domain obj.AD) (obj.AD, *obj.Fault) {
+func (m *Manager) PushContext(p obj.AD, domain obj.AD, cv *Ctx) *obj.Fault {
 	var pv Proc
 	m.Open(p, obj.RightRead, &pv)
 	caller, depth, heap := pv.LoadAD(SlotContext), pv.Word(offDepth), pv.LoadAD(SlotSRO)
 	if f := pv.Fault(); f != nil {
-		return obj.NilAD, f
+		return f
 	}
 	ctx, f := m.SRO.Create(heap, obj.CreateSpec{
 		Type:        obj.TypeContext,
@@ -340,15 +342,14 @@ func (m *Manager) PushContext(p obj.AD, domain obj.AD) (obj.AD, *obj.Fault) {
 		AccessSlots: ctxSlots,
 	})
 	if f != nil {
-		return obj.NilAD, f
+		return f
 	}
 	// Contexts are stack-like: their level is the call depth. The SRO
 	// assigns its own level at Create, so record depth directly in the
 	// descriptor via the system path: context lifetime is governed by
 	// the call stack, not the heap it was carved from.
 	m.Table.DescriptorAt(ctx.Index).Level = obj.Level(depth + 1)
-	var cv Ctx
-	m.OpenContext(ctx, obj.RightWrite, &cv)
+	m.OpenContext(ctx, obj.RightWrite, cv)
 	if caller.Valid() {
 		cv.StoreADSystem(CtxSlotCaller, caller)
 	}
@@ -358,7 +359,7 @@ func (m *Manager) PushContext(p obj.AD, domain obj.AD) (obj.AD, *obj.Fault) {
 	pv.Latch(cv.Fault())
 	pv.StoreADSystem(SlotContext, ctx)
 	pv.SetWord(offDepth, depth+1)
-	return ctx, pv.Fault()
+	return pv.Fault()
 }
 
 // PopContext unwinds the current context: its local heap (if any) is

@@ -29,6 +29,13 @@ func (fx *fixture) context(ctx obj.AD) *Ctx {
 	return &v
 }
 
+// push pushes a frame executing dom on p and reports the new context.
+func (fx *fixture) push(p, dom obj.AD) (obj.AD, *obj.Fault) {
+	var cv Ctx
+	f := fx.m.PushContext(p, dom, &cv)
+	return cv.AD(), f
+}
+
 func setup(t *testing.T) *fixture {
 	t.Helper()
 	tab := obj.NewTable(1 << 20)
@@ -126,9 +133,18 @@ func TestPushPopContext(t *testing.T) {
 	p := fx.newProc(t, Spec{})
 	dom, _ := fx.sros.Create(fx.heap, obj.CreateSpec{Type: obj.TypeDomain, DataLen: 16, AccessSlots: 4})
 
-	c1, f := fx.m.PushContext(p, dom)
-	if f != nil {
+	var cv Ctx
+	if f := fx.m.PushContext(p, dom, &cv); f != nil {
 		t.Fatal(f)
+	}
+	// The new frame is left open for writing, holding its domain.
+	c1 := cv.AD()
+	cv.SetIP(9)
+	if got := cv.LoadAD(CtxSlotDomain); cv.Fault() != nil || got.Index != dom.Index {
+		t.Fatalf("frame's domain = %v (%v)", got, cv.Fault())
+	}
+	if ip := fx.context(c1).IP(); ip != 9 {
+		t.Fatalf("IP written through the pushed frame = %d", ip)
 	}
 	if d := fx.open(p).Word(offDepth); d != 1 {
 		t.Fatalf("depth = %d", d)
@@ -136,7 +152,7 @@ func TestPushPopContext(t *testing.T) {
 	if lvl, _ := fx.tab.LevelOf(c1); lvl != 1 {
 		t.Fatalf("context level = %d, want 1", lvl)
 	}
-	c2, f := fx.m.PushContext(p, dom)
+	c2, f := fx.push(p, dom)
 	if f != nil {
 		t.Fatal(f)
 	}
@@ -166,7 +182,7 @@ func TestPushPopContext(t *testing.T) {
 func TestPopDestroysLocalHeap(t *testing.T) {
 	fx := setup(t)
 	p := fx.newProc(t, Spec{})
-	ctx, f := fx.m.PushContext(p, obj.NilAD)
+	ctx, f := fx.push(p, obj.NilAD)
 	if f != nil {
 		t.Fatal(f)
 	}
@@ -207,7 +223,7 @@ func TestPopEmptyStackFaults(t *testing.T) {
 func TestRegisters(t *testing.T) {
 	fx := setup(t)
 	p := fx.newProc(t, Spec{})
-	ctx, _ := fx.m.PushContext(p, obj.NilAD)
+	ctx, _ := fx.push(p, obj.NilAD)
 	target, _ := fx.sros.Create(fx.heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 4})
 	cv := fx.context(ctx)
 	cv.SetReg(3, 0xCAFE)
@@ -244,7 +260,7 @@ func TestRegisters(t *testing.T) {
 func TestIPAndResume(t *testing.T) {
 	fx := setup(t)
 	p := fx.newProc(t, Spec{})
-	ctx, _ := fx.m.PushContext(p, obj.NilAD)
+	ctx, _ := fx.push(p, obj.NilAD)
 	cv := fx.context(ctx)
 	cv.SetIP(17)
 	cv.SetResume(ResumeRecv | 2<<8)
@@ -296,7 +312,7 @@ func TestOpsOnNonProcess(t *testing.T) {
 	if _, f := fx.m.StateOf(notProc); !obj.IsFault(f, obj.FaultType) {
 		t.Errorf("StateOf non-process: %v", f)
 	}
-	if _, f := fx.m.PushContext(notProc, obj.NilAD); !obj.IsFault(f, obj.FaultType) {
+	if _, f := fx.push(notProc, obj.NilAD); !obj.IsFault(f, obj.FaultType) {
 		t.Errorf("PushContext non-process: %v", f)
 	}
 	if cv := fx.context(notProc); cv.IP() != 0 || !obj.IsFault(cv.Fault(), obj.FaultType) {
