@@ -129,3 +129,70 @@ func callerFootprint(t *testing.T) uint32 {
 	}
 	return used
 }
+
+// TestRefusedSpawnLeavesNoProcess: a spawn refused after its process object
+// exists — the heap's claim holds the process but not its first frame, or an
+// argument AD dangles — unwinds that process. Each row expects the refusal,
+// the table's live-object count unchanged and nothing queued at the
+// dispatching port.
+func TestRefusedSpawnLeavesNoProcess(t *testing.T) {
+	rows := []struct {
+		name string
+		spec func(t *testing.T, s *System) SpawnSpec
+		code obj.FaultCode
+	}{
+		{"a heap that holds the process but not its first frame", func(t *testing.T, s *System) SpawnSpec {
+			heap, f := s.SROs.NewGlobalHeap(processFootprint(t))
+			if f != nil {
+				t.Fatal(f)
+			}
+			return SpawnSpec{Heap: heap}
+		}, obj.FaultStorageClaim},
+		{"a dangling AD among the arguments", func(t *testing.T, s *System) SpawnSpec {
+			arg := damageFiller(t, s)
+			if f := s.SROs.Reclaim(arg.Index); f != nil {
+				t.Fatal(f)
+			}
+			return SpawnSpec{AArgs: [4]obj.AD{obj.NilAD, arg}}
+		}, obj.FaultInvalidAD},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			s := newSystem(t, 1)
+			dom := mustDomain(t, s, []isa.Instr{isa.Halt()})
+			spec := row.spec(t, s)
+			live := s.Table.Live()
+			if p, f := s.Spawn(dom, spec); f == nil || f.Code != row.code {
+				t.Fatalf("spawn = %v, %v; want %v", p, f, row.code)
+			}
+			if n := s.Table.Live(); n != live {
+				t.Errorf("%d live objects, want %d", n, live)
+			}
+			if n, f := s.Ports.Count(s.Dispatch); f != nil || n != 0 {
+				t.Errorf("dispatch port holds %d (%v), want 0", n, f)
+			}
+			if f := s.damage.Fault(); f != nil {
+				t.Errorf("damage %v", f)
+			}
+		})
+	}
+}
+
+// processFootprint measures, on a world of its own, the bytes a process
+// object draws from its heap.
+func processFootprint(t *testing.T) uint32 {
+	t.Helper()
+	s := newSystem(t, 1)
+	heap, f := s.SROs.NewGlobalHeap(0)
+	if f != nil {
+		t.Fatal(f)
+	}
+	if _, f := s.Procs.Create(heap, process.Spec{}); f != nil {
+		t.Fatal(f)
+	}
+	_, used, _, f := s.SROs.Usage(heap)
+	if f != nil {
+		t.Fatal(f)
+	}
+	return used
+}

@@ -290,8 +290,10 @@ type SpawnSpec struct {
 
 // Spawn creates a process executing entry 0 of the given domain and queues
 // it at the dispatching port. The domain is checked before anything is
-// created, so a spawn it refuses leaves nothing behind. A refused queueing
-// is system damage: Spawn returns the damage latch.
+// created, and a first frame the heap cannot hold or an argument AD that
+// does not resolve unwinds the process made for it, so a refused spawn
+// leaves nothing behind. A refused queueing is system damage: Spawn returns
+// the damage latch.
 func (s *System) Spawn(dom obj.AD, spec SpawnSpec) (obj.AD, *obj.Fault) {
 	ip, _, f := s.Domains.Entry(dom, 0)
 	if f != nil {
@@ -303,6 +305,7 @@ func (s *System) Spawn(dom obj.AD, spec SpawnSpec) (obj.AD, *obj.Fault) {
 	}
 	var cv process.Ctx
 	if f := s.Procs.PushContext(p, dom, &cv); f != nil {
+		s.damage.Keep(s.SROs.Reclaim(p.Index))
 		return obj.NilAD, f
 	}
 	cv.SetIP(ip)
@@ -315,6 +318,9 @@ func (s *System) Spawn(dom obj.AD, spec SpawnSpec) (obj.AD, *obj.Fault) {
 		}
 	}
 	if f := cv.Fault(); f != nil {
+		_, pf := s.Procs.PopContext(p)
+		s.damage.Keep(pf)
+		s.damage.Keep(s.SROs.Reclaim(p.Index))
 		return obj.NilAD, f
 	}
 	return p, s.launch(p, 0)
