@@ -196,3 +196,80 @@ func processFootprint(t *testing.T) uint32 {
 	}
 	return used
 }
+
+// TestDanglingResultFaultsTheProcess: a return whose a0 names an object the
+// callee side destroyed is the returning process's fault (FaultInvalidAD),
+// not system damage: Run returns no fault and the process takes it at its
+// fault port. A RET faults before it writes or pops anything, so the
+// returning frame is current; a native call unwinds its frame first, as for
+// its body's own fault, so the caller's is. The ISA has no destroy, so the
+// VM row's object is reclaimed while the callee waits at a port.
+func TestDanglingResultFaultsTheProcess(t *testing.T) {
+	t.Run("a native body reclaims the object its caller passed", func(t *testing.T) {
+		s := newSystem(t, 1)
+		fport := damagePort(t, s, 4)
+		dom, f := s.Domains.CreateNative(s.Heap, 1, func(env *domain.Env, _ uint32) *obj.Fault {
+			var cv process.Ctx
+			env.Procs.OpenContext(env.Ctx, obj.RightRead, &cv)
+			a0 := cv.AReg(0)
+			if f := cv.Fault(); f != nil {
+				return f
+			}
+			return s.SROs.Reclaim(a0.Index)
+		})
+		if f != nil {
+			t.Fatal(f)
+		}
+		p, f := s.Spawn(mustDomain(t, s, []isa.Instr{isa.Call(1, 0), isa.Halt()}),
+			SpawnSpec{FaultPort: fport, AArgs: [4]obj.AD{damageFiller(t, s), dom}})
+		if f != nil {
+			t.Fatal(f)
+		}
+		ctx, f := s.Procs.Context(p)
+		if f != nil {
+			t.Fatal(f)
+		}
+		run(t, s)
+		mustFaultIn(t, s, p, ctx)
+	})
+	t.Run("a VM callee returns an object reclaimed while it waited", func(t *testing.T) {
+		s := newSystem(t, 1)
+		fport, wait := damagePort(t, s, 4), damagePort(t, s, 4)
+		callee := mustDomain(t, s, []isa.Instr{isa.Recv(1, 1), isa.Ret()})
+		res := damageFiller(t, s)
+		p, f := s.Spawn(mustDomain(t, s, []isa.Instr{isa.Call(2, 0), isa.Halt()}),
+			SpawnSpec{FaultPort: fport, AArgs: [4]obj.AD{res, wait, callee}})
+		if f != nil {
+			t.Fatal(f)
+		}
+		run(t, s)
+		mustState(t, s, p, process.StateBlocked)
+		ctx, f := s.Procs.Context(p)
+		if f != nil {
+			t.Fatal(f)
+		}
+		if f := s.SROs.Reclaim(res.Index); f != nil {
+			t.Fatal(f)
+		}
+		_, wake, f := s.Ports.Send(wait, damageFiller(t, s), 0, obj.NilAD)
+		if f != nil || wake == nil {
+			t.Fatalf("send: wake %v, %v", wake, f)
+		}
+		s.Wake(*wake)
+		run(t, s)
+		mustFaultIn(t, s, p, ctx)
+	})
+}
+
+// mustFaultIn checks that p took FaultInvalidAD with ctx its current
+// context.
+func mustFaultIn(t *testing.T, s *System, p, ctx obj.AD) {
+	t.Helper()
+	mustState(t, s, p, process.StateFaulted)
+	if code, f := s.Procs.FaultCode(p); f != nil || code != obj.FaultInvalidAD {
+		t.Errorf("fault = %v (%v), want %v", code, f, obj.FaultInvalidAD)
+	}
+	if now, f := s.Procs.Context(p); f != nil || now != ctx {
+		t.Errorf("context = %v (%v), want %v", now, f, ctx)
+	}
+}

@@ -492,7 +492,11 @@ func (s *System) execInstr(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycl
 		return s.execCall(proc, &c, c.LoadAD(process.CtxSlotDomain), in.C, false)
 
 	case isa.OpRet:
-		s.execRet(cpu, proc, &c)
+		caller := c.LoadAD(process.CtxSlotCaller)
+		if f := s.resultFault(&c, caller); f != nil {
+			return vtime.CostDomainReturn, f
+		}
+		s.execRet(cpu, proc, &c, caller)
 		return vtime.CostDomainReturn, nil
 
 	case isa.OpTypeOf:
@@ -655,8 +659,8 @@ func (s *System) execCall(proc obj.AD, caller *process.Ctx, dom obj.AD, entry ui
 // execNativeCall runs a native domain body to completion within the call
 // instruction and performs the return sequence. To the caller it is
 // indistinguishable from a VM domain (§4). callee is the new context, opened
-// by the call for its arguments. The body's fault is delivered to the
-// caller once the frame has unwound.
+// by the call for its arguments. The body's fault, or a result AD the body
+// left dangling, is delivered to the caller once the frame has unwound.
 func (s *System) execNativeCall(proc, caller obj.AD, callee *process.Ctx, h domain.Handler, entry uint32, cost vtime.Cycles) (vtime.Cycles, *obj.Fault) {
 	var clk vtime.Clock
 	env := &domain.Env{
@@ -669,6 +673,9 @@ func (s *System) execNativeCall(proc, caller obj.AD, callee *process.Ctx, h doma
 	hf := h(env, entry)
 	cost += clk.Now() + vtime.CostDomainReturn
 	if hf == nil {
+		hf = s.resultFault(callee, caller)
+	}
+	if hf == nil {
 		// Results: r0 and a0 copy back; then the frame unwinds.
 		s.copyResults(callee, caller)
 	}
@@ -676,13 +683,13 @@ func (s *System) execNativeCall(proc, caller obj.AD, callee *process.Ctx, h doma
 	return cost, hf
 }
 
-// execRet returns from the running context c, copying r0/a0 to the
-// caller; returning from the outermost context terminates the process.
-// The pop is the instruction's last access of c. The frame was pushed by
-// a checked call or spawn, so a refusal of the copy or the pop is system
-// damage, never the process's fault.
-func (s *System) execRet(cpu *CPU, proc obj.AD, c *process.Ctx) {
-	caller := c.LoadAD(process.CtxSlotCaller)
+// execRet returns from the running context c to caller, its caller slot,
+// copying r0/a0 across; returning from the outermost context terminates the
+// process. The pop is the instruction's last access of c. The frame was
+// pushed by a checked call or spawn and the result was checked by
+// resultFault, so a refusal of the copy or the pop is system damage, never
+// the process's fault.
+func (s *System) execRet(cpu *CPU, proc obj.AD, c *process.Ctx, caller obj.AD) {
 	if caller.Valid() {
 		s.copyResults(c, caller)
 	}
@@ -690,6 +697,23 @@ func (s *System) execRet(cpu *CPU, proc obj.AD, c *process.Ctx) {
 	if !caller.Valid() {
 		s.terminate(cpu, proc)
 	}
+}
+
+// resultFault refuses the return from context from to caller when from's
+// a0 names an object that is gone (the callee, or a body it called,
+// destroyed it): that is the returning process's fault, not damage, and it
+// is raised before anything is written or popped. A RET faults in the
+// returning frame; a native call unwinds its frame and faults in the
+// caller's, as for the body's own fault. A return to no caller copies no
+// result and is not refused; a refusal of from's own view is left to
+// copyResults.
+func (s *System) resultFault(from *process.Ctx, caller obj.AD) *obj.Fault {
+	ad := from.AReg(0)
+	if !caller.Valid() || !ad.Valid() {
+		return nil
+	}
+	_, f := s.Table.Resolve(ad)
+	return f
 }
 
 // copyResults copies r0 and a0 of the returning context from into caller.
