@@ -21,7 +21,10 @@
 # The diff mode runs each of the six workloads once per side (`-reps 1
 # -trace 0 -seed SEED`) and prints every virt_*, allocs_per_op and
 # alloc_bytes_per_op value beside its other side's at full precision,
-# marking the ones that differ; it exits 1 if a virt_* value differs.
+# marking the ones that differ; it exits 1 if a virt_* value differs. It
+# prints live_heap_mb the same way, marks the workloads whose two values
+# are more than 0.5 % apart and lists them at the end, without gating on
+# them: a footprint claim is checked with the same runs.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -88,13 +91,21 @@ run() {
 
 if [ "$workload" = diff ]; then
 	status=0
+	: >"$work/apart"
 	for w in serve serve-audit compute churn swap shard; do
 		for side in parent change; do
 			run $side -workload "$w" -reps 1 -trace 0 -seed "$seed"
-			tail -n 1 "$work/out" | tr ',' '\n' | sed -En 's/.*"(virt_[a-z0-9_]+|allocs_per_op|alloc_bytes_per_op)":\{"value":(.*)$/\1 \2/p' >"$work/$side.$w"
+			tail -n 1 "$work/out" | tr ',' '\n' | sed -En 's/.*"(virt_[a-z0-9_]+|allocs_per_op|alloc_bytes_per_op|live_heap_mb)":\{"value":(.*)$/\1 \2/p' >"$work/$side.$w"
 		done
-		if ! awk -v w="$w" '
+		if ! awk -v w="$w" -v apart="$work/apart" '
 			NR == FNR { p[$1] = $2; next }
+			$1 == "live_heap_mb" {
+				rel = p[$1] != 0 ? 100 * ($2 - p[$1]) / p[$1] : 0
+				mark = rel > 0.5 || rel < -0.5 ? sprintf("  %+.1f%% apart (not gated)", rel) : ""
+				printf "%-12s %-20s %24s %24s%s\n", w, $1, p[$1], $2, mark
+				if (mark != "") printf " %s", w >>apart
+				next
+			}
 			{
 				mark = (p[$1] "") == ($2 "") ? "" : "  differs"
 				printf "%-12s %-20s %24s %24s%s\n", w, $1, p[$1], $2, mark
@@ -104,6 +115,8 @@ if [ "$workload" = diff ]; then
 			status=1
 		fi
 	done
+	[ -s "$work/apart" ] || printf ' none' >"$work/apart"
+	echo "live_heap_mb more than 0.5 % apart on:$(cat "$work/apart")"
 	exit $status
 fi
 

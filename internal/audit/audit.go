@@ -125,12 +125,12 @@ func (a *Auditor) CheckObjects() []Violation {
 	for i := 1; i < a.Table.Len(); i++ {
 		idx := obj.Index(i)
 		d := a.Table.DescriptorAt(idx)
-		if in := d != nil && !d.SwappedOut; a.Table.Resident(idx) != in {
+		if in := d != nil && !d.SwappedOut(); a.Table.Resident(idx) != in {
 			bad(idx, "resident-set bit is %v, descriptor in memory is %v", !in, in)
 		}
 		var token uint64 // of the image the store should hold for idx
-		if d != nil && d.SwappedOut {
-			token = d.SwapToken
+		if d != nil && d.SwappedOut() {
+			token = d.SwapToken()
 			swapped++
 		}
 		if store != nil && store.Token(idx) != token {
@@ -154,17 +154,17 @@ func (a *Auditor) CheckObjects() []Violation {
 				bad(idx, "ancestral SRO %d has type %s", d.SRO, sd.Type)
 			}
 		}
-		if d.SwappedOut {
-			if d.SwapToken == 0 {
+		if d.SwappedOut() {
+			if d.SwapToken() == 0 {
 				bad(idx, "swapped out with zero backing token")
 			}
-			if d.Pinned {
+			if d.Pinned() {
 				bad(idx, "pinned object swapped out")
 			}
 			continue // slots are not resident to scan
 		}
 		ad := a.capOf(idx)
-		for slot := uint32(0); slot < d.AccessSlots; slot++ {
+		for slot := uint32(0); slot < uint32(d.AccessSlots); slot++ {
 			sad, f := a.Table.LoadAD(ad, slot)
 			if f != nil {
 				bad(idx, "access slot %d unreadable: %v", slot, f)
@@ -201,7 +201,7 @@ func (a *Auditor) CheckSROs() []Violation {
 		if d == nil {
 			continue
 		}
-		if d.Type == obj.TypeSRO && !d.SwappedOut {
+		if d.Type == obj.TypeSRO && !d.SwappedOut() {
 			sroAD := a.capOf(idx)
 			claim, used, _, f := a.SROs.Usage(sroAD)
 			if f != nil {
@@ -234,7 +234,7 @@ func (a *Auditor) CheckSROs() []Violation {
 		// Level inheritance: objects charged to an SRO carry its level.
 		if d.SRO != obj.NilIndex && d.Type != obj.TypeSRO && d.Type != obj.TypeContext {
 			sd := a.Table.DescriptorAt(d.SRO)
-			if sd != nil && sd.Type == obj.TypeSRO && !sd.SwappedOut {
+			if sd != nil && sd.Type == obj.TypeSRO && !sd.SwappedOut() {
 				if slvl, f := a.SROs.Level(a.capOf(d.SRO)); f == nil && d.Level != slvl {
 					bad(idx, "level %d differs from ancestral SRO's %d", d.Level, slvl)
 				}
@@ -281,7 +281,7 @@ func (a *Auditor) CheckPorts() []Violation {
 		if d == nil || d.Type != obj.TypePort {
 			continue
 		}
-		if d.SwappedOut {
+		if d.SwappedOut() {
 			skippedPorts = true
 			continue
 		}
@@ -451,7 +451,7 @@ func (a *Auditor) CheckScheduler() []Violation {
 	for i := 1; i < a.Table.Len(); i++ {
 		idx := obj.Index(i)
 		d := a.Table.DescriptorAt(idx)
-		if d == nil || d.Type != obj.TypeProcess || d.SwappedOut {
+		if d == nil || d.Type != obj.TypeProcess || d.SwappedOut() {
 			continue
 		}
 		st, f := a.Procs.StateOf(a.capOf(idx))

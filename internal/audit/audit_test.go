@@ -143,7 +143,7 @@ func TestDetectsSROAccountingDrift(t *testing.T) {
 			// The slot goes dead without passing through Destroy: it is
 			// neither live nor on the free list, and its storage stays
 			// charged to the SRO with no object to account for it.
-			sys.Table.DescriptorAt(ad.Index).Valid = false
+			sys.Table.DescriptorAt(ad.Index).Flags &^= obj.FlagValid
 		}},
 	}
 	for _, tc := range cases {
@@ -176,19 +176,19 @@ func TestDetectsSwapStateDrift(t *testing.T) {
 	}{
 		{"descriptor swapped out behind the resident set", "resident-set bit is true", func(sys *gdp.System, _ *mm.Swapping, in, _ obj.AD) {
 			d := sys.Table.DescriptorAt(in.Index)
-			d.SwappedOut, d.SwapToken = true, 99
+			d.Flags, d.Place = d.Flags|obj.FlagSwappedOut, 99
 		}},
 		{"descriptor invalidated behind the resident set", "resident-set bit is true", func(sys *gdp.System, _ *mm.Swapping, in, _ obj.AD) {
-			sys.Table.DescriptorAt(in.Index).Valid = false
+			sys.Table.DescriptorAt(in.Index).Flags &^= obj.FlagValid
 		}},
 		{"descriptor swapped in behind the resident set", "resident-set bit is false", func(sys *gdp.System, _ *mm.Swapping, _, out obj.AD) {
-			sys.Table.DescriptorAt(out.Index).SwappedOut = false
+			sys.Table.DescriptorAt(out.Index).Flags &^= obj.FlagSwappedOut
 		}},
 		{"image released behind the descriptor", "backing store holds image 0, descriptor names 1", func(sys *gdp.System, sw *mm.Swapping, _, out obj.AD) {
-			sw.Store.Release(out.Index, sys.Table.DescriptorAt(out.Index).SwapToken)
+			sw.Store.Release(out.Index, sys.Table.DescriptorAt(out.Index).SwapToken())
 		}},
 		{"token rewritten behind the store", "backing store holds image 1, descriptor names 7", func(sys *gdp.System, _ *mm.Swapping, _, out obj.AD) {
-			sys.Table.DescriptorAt(out.Index).SwapToken = 7
+			sys.Table.DescriptorAt(out.Index).Place = 7
 		}},
 		{"image outliving its descriptor", "backing store holds 1 images, 0 descriptors are swapped out", func(sys *gdp.System, sw *mm.Swapping, _, out obj.AD) {
 			sys.Table.SetBacking(nil) // the release path cut

@@ -63,12 +63,12 @@ func (a *Auditor) CheckConfinement(ref *obj.Table, witnesses []obj.Index) []Viol
 		case d.Gen != r.Gen || d.Type != r.Type || d.Level != r.Level:
 			bad(idx, "identity changed: %s gen %d level %d in reference, %s gen %d level %d now",
 				r.Type, r.Gen, r.Level, d.Type, d.Gen, d.Level)
-		case d.SwappedOut || r.SwappedOut:
+		case d.SwappedOut() || r.SwappedOut():
 			// Identity only.
 		default:
-			if off := firstDiff(rm.Window(r.Data), m.Window(d.Data)); off >= 0 {
+			if off := firstDiff(rm.Window(r.Data()), m.Window(d.Data())); off >= 0 {
 				bad(idx, "data byte %d differs from the reference", off)
-			} else if off := firstDiff(rm.Window(r.Access), m.Window(d.Access)); off >= 0 {
+			} else if off := firstDiff(rm.Window(r.Access()), m.Window(d.Access())); off >= 0 {
 				bad(idx, "access slot %d differs from the reference", off/obj.ADSlotSize)
 			}
 		}

@@ -240,8 +240,8 @@ func (s *Store) AppendEncode(dst []byte, root obj.AD) ([]byte, error) {
 		fullAD, _ := s.Table.SystemAD(ad.Index)
 		s.Table.View(fullAD, d.Type, obj.RightRead, &v)
 		img = append(img, v.Span(obj.RightRead, 0, d.DataLen)...)
-		img = binary.LittleEndian.AppendUint32(img, d.AccessSlots)
-		for slot := uint32(0); slot < d.AccessSlots; slot++ {
+		img = binary.LittleEndian.AppendUint32(img, uint32(d.AccessSlots))
+		for slot := uint32(0); slot < uint32(d.AccessSlots); slot++ {
 			ref := v.LoadAD(slot)
 			var enc uint32
 			if ref.Valid() {

@@ -385,7 +385,7 @@ func (n *node) shape(t *testing.T, root obj.AD) string {
 		sb.WriteByte('|')
 		sb.Write(data)
 		sb.WriteByte('|')
-		for slot := uint32(0); slot < d.AccessSlots; slot++ {
+		for slot := uint32(0); slot < uint32(d.AccessSlots); slot++ {
 			ref, f := n.tab.LoadAD(full, slot)
 			if f != nil {
 				t.Fatal(f)

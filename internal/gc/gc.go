@@ -256,7 +256,7 @@ func (c *Collector) disposeWhite(idx obj.Index) (vtime.Cycles, bool, *obj.Fault)
 	if d == nil {
 		return vtime.CostGCSweepStep, false, nil
 	}
-	if d.UserType != obj.NilIndex && !d.Finalized {
+	if d.UserType != obj.NilIndex && !d.Finalized() {
 		if fport, armed := c.TDOs.FilterPort(d.UserType); armed {
 			ad, _ := c.Table.SystemAD(idx)
 			blocked, wake, f := c.Ports.Send(fport, ad, 0, obj.NilAD)
@@ -264,7 +264,7 @@ func (c *Collector) disposeWhite(idx obj.Index) (vtime.Cycles, bool, *obj.Fault)
 				// Delivered: the object is reachable from the
 				// filter port now. One delivery per garbage
 				// life.
-				d.Finalized = true
+				d.Flags |= obj.FlagFinalized
 				c.Table.SetColor(idx, obj.Black)
 				c.stats.Filtered++
 				if l := c.Table.Tracer(); l != nil {

@@ -178,7 +178,7 @@ func TestGCFaultingProcessMidMarkProperty(t *testing.T) {
 			for i := 1; i < im.Table.Len(); i++ {
 				idx := obj.Index(i)
 				d := im.Table.DescriptorAt(idx)
-				if d == nil || d.Pinned || d.Type != obj.TypeGeneric || d.SRO != heap.Index {
+				if d == nil || d.Pinned() || d.Type != obj.TypeGeneric || d.SRO != heap.Index {
 					continue
 				}
 				if f := im.SROs.Reclaim(idx); f != nil {

@@ -619,23 +619,23 @@ func TestAuditExecCachesFlagsStaleCode(t *testing.T) {
 	if f != nil {
 		t.Fatal(f)
 	}
-	moved, err := s.Table.Memory().Alloc(cd.Data.Len)
+	moved, err := s.Table.Memory().Alloc(cd.DataLen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := cd.Data
-	cd.Data = moved
+	old := cd.Place
+	cd.SetBases(moved.Base, cd.Access().Base)
 	if p := problems(); !strings.Contains(p, "match the descriptor extent") {
 		t.Fatalf("moved context not flagged:\n%s", p)
 	}
-	cd.Data = old
+	cd.Place = old
 
 	// Clear the process's context slot raw, behind the cache.
 	pd, f := s.Table.Resolve(proc)
 	if f != nil {
 		t.Fatal(f)
 	}
-	slot := s.Table.Memory().Window(pd.Access)[process.SlotContext*obj.ADSlotSize:][:obj.ADSlotSize]
+	slot := s.Table.Memory().Window(pd.Access())[process.SlotContext*obj.ADSlotSize:][:obj.ADSlotSize]
 	saved := binary.LittleEndian.Uint64(slot)
 	binary.LittleEndian.PutUint64(slot, obj.NilAD.Encode())
 	if p := problems(); !strings.Contains(p, "is not the current context") {
@@ -692,16 +692,16 @@ func TestAuditExecCachesFlagsCorruptPredecode(t *testing.T) {
 	if f != nil {
 		t.Fatal(f)
 	}
-	moved, err := w.s.Table.Memory().Alloc(d.Data.Len)
+	moved, err := w.s.Table.Memory().Alloc(d.DataLen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := d.Data
-	d.Data = moved
+	old := d.Place
+	d.SetBases(moved.Base, d.Access().Base)
 	if p := problems(); !strings.Contains(p, "is not what") {
 		t.Fatalf("stale operand view not flagged:\n%s", p)
 	}
-	d.Data = old
+	d.Place = old
 	if p := problems(); p != "" {
 		t.Fatalf("restored cache flagged:\n%s", p)
 	}

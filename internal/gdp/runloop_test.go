@@ -319,13 +319,13 @@ func machineDiff(ref, cached *System) string {
 		case a == nil && b == nil:
 		case a == nil || b == nil:
 			return fmt.Sprintf("object %d: live %v/%v", i, a != nil, b != nil)
-		case a.Gen != b.Gen || a.Type != b.Type || a.SwappedOut != b.SwappedOut:
-			return fmt.Sprintf("object %d: gen %d/%d, type %v/%v, swapped out %v/%v", i, a.Gen, b.Gen, a.Type, b.Type, a.SwappedOut, b.SwappedOut)
-		case a.SwappedOut:
-		case !bytes.Equal(ma.Window(a.Data), mb.Window(b.Data)):
-			return fmt.Sprintf("object %d: data\n% x\n% x", i, ma.Window(a.Data), mb.Window(b.Data))
-		case !bytes.Equal(ma.Window(a.Access), mb.Window(b.Access)):
-			return fmt.Sprintf("object %d: access part\n% x\n% x", i, ma.Window(a.Access), mb.Window(b.Access))
+		case a.Gen != b.Gen || a.Type != b.Type || a.SwappedOut() != b.SwappedOut():
+			return fmt.Sprintf("object %d: gen %d/%d, type %v/%v, swapped out %v/%v", i, a.Gen, b.Gen, a.Type, b.Type, a.SwappedOut(), b.SwappedOut())
+		case a.SwappedOut():
+		case !bytes.Equal(ma.Window(a.Data()), mb.Window(b.Data())):
+			return fmt.Sprintf("object %d: data\n% x\n% x", i, ma.Window(a.Data()), mb.Window(b.Data()))
+		case !bytes.Equal(ma.Window(a.Access()), mb.Window(b.Access())):
+			return fmt.Sprintf("object %d: access part\n% x\n% x", i, ma.Window(a.Access()), mb.Window(b.Access()))
 		}
 	}
 	return ""

@@ -150,11 +150,11 @@ func slowRow(t *testing.T, nocache bool, c slowCase, in isa.Instr) string {
 			continue
 		}
 		fmt.Fprintf(&objects, "%d type=%d gen=%d level=%d", i, d.Type, d.Gen, d.Level)
-		if d.SwappedOut {
+		if d.SwappedOut() {
 			fmt.Fprintf(&objects, " swapped\n")
 			continue
 		}
-		fmt.Fprintf(&objects, " data=%x access=%x\n", mem.Window(d.Data), mem.Window(d.Access))
+		fmt.Fprintf(&objects, " data=%x access=%x\n", mem.Window(d.Data()), mem.Window(d.Access()))
 	}
 	if log.Seq() > trace.DefaultCapacity {
 		t.Fatalf("trace ring wrapped: %d events", log.Seq())

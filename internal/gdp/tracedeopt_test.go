@@ -125,11 +125,11 @@ func deoptFingerprint(s *System, procs []obj.AD) string {
 			continue
 		}
 		d, f := s.Table.Resolve(ctx)
-		if f != nil || d.SwappedOut {
-			fmt.Fprintf(&b, "proc%d ctx-gone fault=%v swapped=%v\n", i, f, d != nil && d.SwappedOut)
+		if f != nil || d.SwappedOut() {
+			fmt.Fprintf(&b, "proc%d ctx-gone fault=%v swapped=%v\n", i, f, d != nil && d.SwappedOut())
 			continue
 		}
-		win := s.Table.Memory().Window(d.Data)
+		win := s.Table.Memory().Window(d.Data())
 		fmt.Fprintf(&b, "proc%d ctx=% x\n", i, win[:process.CtxDataBytes])
 	}
 	return b.String()
@@ -258,8 +258,8 @@ func deoptScenarios() []deoptScenario {
 				if f != nil {
 					t.Fatal(f)
 				}
-				oldBase := d.Data.Base
-				img := append([]byte(nil), tab.Memory().Window(d.Data)...)
+				oldBase := d.Data().Base
+				img := append([]byte(nil), tab.Memory().Window(d.Data())...)
 				if f := tab.SwapOut(w.aux.Index, 1); f != nil {
 					t.Fatal(f)
 				}
@@ -352,10 +352,10 @@ func ctxIP(s *System, p obj.AD) uint32 {
 		return ^uint32(0)
 	}
 	d, f := s.Table.Resolve(ctx)
-	if f != nil || d.SwappedOut {
+	if f != nil || d.SwappedOut() {
 		return ^uint32(0)
 	}
-	return winIP(s.Table.Memory().Window(d.Data))
+	return winIP(s.Table.Memory().Window(d.Data()))
 }
 
 // cacheLive reports whether the (one) processor has a process bound and an

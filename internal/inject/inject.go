@@ -264,7 +264,7 @@ func (in *Injector) destroyMidMark(s *gdp.System, ev Event) (obj.Index, string, 
 	for i := 1; i < s.Table.Len(); i++ {
 		idx := obj.Index(i)
 		d := s.Table.DescriptorAt(idx)
-		if d == nil || d.Pinned || d.SwappedOut || d.SRO == obj.NilIndex {
+		if d == nil || d.Pinned() || d.SwappedOut() || d.SRO == obj.NilIndex {
 			continue
 		}
 		switch d.Type {

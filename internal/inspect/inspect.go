@@ -58,11 +58,11 @@ func Take(t *obj.Table) *Snapshot {
 		}
 		tc.Count++
 		tc.Bytes += size
-		if d.SwappedOut {
+		if d.SwappedOut() {
 			s.SwappedOut++
 			tc.Swapped++
 		}
-		if d.Pinned {
+		if d.Pinned() {
 			s.Pinned++
 			roots = append(roots, idx)
 		}

@@ -61,7 +61,8 @@ func (m *Swapping) walk() (moved int, spent vtime.Cycles) {
 			d := t.DescriptorAt(idx)
 			m.CompactVisits++
 			// Try moving each part to a strictly lower address.
-			for _, part := range [2]*mem.Extent{&d.Data, &d.Access} {
+			data, access := d.Data(), d.Access()
+			for _, part := range [2]*mem.Extent{&data, &access} {
 				if part.Len == 0 || part.Len > largest {
 					continue
 				}
@@ -73,10 +74,11 @@ func (m *Swapping) walk() (moved int, spent vtime.Cycles) {
 					largest = phys.LargestFree()
 				}
 			}
+			d.SetBases(data.Base, access.Base)
 		}
 	}
 	if moved > 0 {
-		// Extents were rewritten behind the table's back (directly
+		// Bases were rewritten behind the table's back (SetBases
 		// through DescriptorAt); any execution-cache window over a moved
 		// segment now points at freed bytes.
 		t.InvalidateCaches()

@@ -68,7 +68,7 @@ func (m *refSwapping) Allocate(heap obj.AD, spec obj.CreateSpec) (obj.AD, *obj.F
 
 func (m *refSwapping) swappable(idx obj.Index) bool {
 	d := m.Table.DescriptorAt(idx)
-	if d == nil || d.SwappedOut || d.Pinned {
+	if d == nil || d.SwappedOut() || d.Pinned() {
 		return false
 	}
 	switch d.Type {
@@ -85,8 +85,8 @@ func (m *refSwapping) swapOut(idx obj.Index) *obj.Fault {
 	}
 	mem := m.Table.Memory()
 	img := refImage{
-		data:   append([]byte(nil), mem.Window(d.Data)...),
-		access: append([]byte(nil), mem.Window(d.Access)...),
+		data:   append([]byte(nil), mem.Window(d.Data())...),
+		access: append([]byte(nil), mem.Window(d.Access())...),
 	}
 	tok := m.next
 	m.next++
@@ -122,10 +122,10 @@ func (m *refSwapping) EnsureResident(idx obj.Index) *obj.Fault {
 	if d == nil {
 		return obj.Faultf(obj.FaultInvalidAD, obj.AD{Index: idx}, "no such object")
 	}
-	if !d.SwappedOut {
+	if !d.SwappedOut() {
 		return nil
 	}
-	tok := d.SwapToken
+	tok := d.SwapToken()
 	for {
 		data, access, f := m.Table.SwapIn(idx)
 		if f == nil {
@@ -159,22 +159,22 @@ func (m *refSwapping) Compact() (moved int, spent vtime.Cycles, fault *obj.Fault
 		progress := false
 		for i := 1; i < m.Table.Len(); i++ {
 			d := m.Table.DescriptorAt(obj.Index(i))
-			if d == nil || d.SwappedOut {
+			if d == nil || d.SwappedOut() {
 				continue
 			}
 			if d.DataLen > 0 {
-				if e, ok := m.tryMoveLower(d.Data); ok {
-					d.Data = e
+				if e, ok := m.tryMoveLower(d.Data()); ok {
+					d.SetBases(e.Base, d.Access().Base)
 					moved++
 					spent += vtime.CostSwapIn/4 + vtime.Cycles(d.DataLen/64)
 					progress = true
 				}
 			}
 			if d.AccessSlots > 0 {
-				if e, ok := m.tryMoveLower(d.Access); ok {
-					d.Access = e
+				if e, ok := m.tryMoveLower(d.Access()); ok {
+					d.SetBases(d.Data().Base, e.Base)
 					moved++
-					spent += vtime.CostSwapIn/4 + vtime.Cycles(d.AccessSlots*obj.ADSlotSize/64)
+					spent += vtime.CostSwapIn/4 + vtime.Cycles(d.Access().Len/64)
 					progress = true
 				}
 			}
@@ -233,7 +233,7 @@ func sameWorlds(real, ref *swapWorld) error {
 		if (d == nil) != (rd == nil) || d != nil && *d != *rd {
 			return fmt.Errorf("descriptor %d: %+v, reference %+v", idx, d, rd)
 		}
-		if rd != nil && !rd.SwappedOut {
+		if rd != nil && !rd.SwappedOut() {
 			if walk != idx {
 				return fmt.Errorf("resident walk reached %d, the table's next resident is %d", walk, idx)
 			}
@@ -264,7 +264,7 @@ func sameWorlds(real, ref *swapWorld) error {
 		if !bytes.Equal(data, rdata) || !sameFault(f, rf) {
 			return fmt.Errorf("%v data part: %x (%v), reference %x (%v)", ad, data, f, rdata, rf)
 		}
-		for slot := uint32(0); slot < d.AccessSlots; slot++ {
+		for slot := uint32(0); slot < uint32(d.AccessSlots); slot++ {
 			held, f := real.tab.LoadAD(ad, slot)
 			rheld, rf := ref.tab.LoadAD(ad, slot)
 			if held != rheld || !sameFault(f, rf) {

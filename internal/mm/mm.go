@@ -314,7 +314,7 @@ func (m *Swapping) Allocate(heap obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Faul
 // the machinery that must run to bring it back.
 func (m *Swapping) swappable(idx obj.Index) bool {
 	d := m.Table.DescriptorAt(idx)
-	if d == nil || d.SwappedOut || d.Pinned {
+	if d == nil || d.SwappedOut() || d.Pinned() {
 		return false
 	}
 	switch d.Type {
@@ -335,14 +335,14 @@ func (m *Swapping) evictOne() (bool, *obj.Fault) {
 // physical memory.
 func (m *Swapping) swapOut(idx obj.Index) *obj.Fault {
 	d := m.Table.DescriptorAt(idx)
-	if d == nil || d.SwappedOut {
+	if d == nil || d.SwappedOut() {
 		// The table's refusal, before the store's image of idx is written over.
 		return m.Table.SwapOut(idx, 0)
 	}
 	phys := m.Table.Memory()
-	data, access := phys.Window(d.Data), phys.Window(d.Access)
+	data, access := phys.Window(d.Data()), phys.Window(d.Access())
 	if data == nil || access == nil {
-		return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "extents outside memory: data %v, access %v", d.Data, d.Access)
+		return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "extents outside memory: data %v, access %v", d.Data(), d.Access())
 	}
 	tok := m.Store.put(idx, m.Table.Cap(), data, access)
 	if f := m.Table.SwapOut(idx, tok); f != nil {
@@ -381,16 +381,16 @@ func (m *Swapping) EnsureResident(idx obj.Index) *obj.Fault {
 	if d == nil {
 		return obj.Faultf(obj.FaultInvalidAD, obj.AD{Index: idx}, "no such object")
 	}
-	if !d.SwappedOut {
+	if !d.SwappedOut() {
 		return nil
 	}
-	tok := d.SwapToken
+	tok := d.SwapToken()
 	phys := m.Table.Memory()
 	// Under pressure memory is full, and the table's first answer would be
 	// a no-memory fault built to be thrown away: while not even the larger
 	// part has a hole, evict before asking. With nothing left to evict the
 	// table says why.
-	for need := max(d.DataLen, d.AccessSlots*obj.ADSlotSize); need > 0 && !phys.FitsBelow(need, mem.Addr(phys.Size())); {
+	for need := max(d.DataLen, d.Access().Len); need > 0 && !phys.FitsBelow(need, mem.Addr(phys.Size())); {
 		if evicted, ef := m.evictOne(); ef != nil {
 			return ef
 		} else if !evicted {

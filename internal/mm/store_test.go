@@ -10,7 +10,7 @@ import (
 // window returns the bytes of idx's data and access parts in memory.
 func window(tab *obj.Table, idx obj.Index) (data, access []byte) {
 	d := tab.DescriptorAt(idx)
-	return tab.Memory().Window(d.Data), tab.Memory().Window(d.Access)
+	return tab.Memory().Window(d.Data()), tab.Memory().Window(d.Access())
 }
 
 // TestSparseImageRoundTrip: an image holds each part only up to its last

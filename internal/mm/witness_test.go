@@ -23,9 +23,11 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/obj"
 	"repro/internal/sro"
 	"repro/internal/trace"
@@ -69,6 +71,12 @@ type swapWorld struct {
 	spent       vtime.Cycles
 	settled     int // Compact calls that found memory settled
 	walked      int // and those that did not
+	// held is what descriptors renders for a swapped-out descriptor, whose
+	// Place is its token: the data and access extents the descriptor held
+	// in the layout the witness was generated with, which kept them when it
+	// swapped out (noteExtents) and wrote a failed restore over them
+	// (noteFailedRestore).
+	held map[obj.Index][2]mem.Extent
 }
 
 func newSwapWorld(t testing.TB, mk func(*obj.Table, *sro.Manager) swapper) *swapWorld {
@@ -77,7 +85,7 @@ func newSwapWorld(t testing.TB, mk func(*obj.Table, *sro.Manager) swapper) *swap
 	log := trace.New(1 << 16)
 	tab.SetTracer(log)
 	s := sro.NewManager(tab)
-	w := &swapWorld{tab: tab, log: log, sros: s, m: mk(tab, s)}
+	w := &swapWorld{tab: tab, log: log, sros: s, m: mk(tab, s), held: map[obj.Index][2]mem.Extent{}}
 	var f *obj.Fault
 	if w.root, f = w.m.NewHeap(0); f != nil {
 		t.Fatal(f)
@@ -128,6 +136,9 @@ func (w *swapWorld) step(kind, arg byte) string {
 		}
 		_, before := w.tab.ReadDWord(ad, 0) // the segment fault, if it is out
 		f := w.m.EnsureResident(ad.Index)
+		if f != nil {
+			w.noteFailedRestore(ad.Index)
+		}
 		return fmt.Sprintf("touch %d: %v / %v / %v", ad.Index, before, f, w.tab.WriteDWord(ad, 0, uint32(arg)))
 	case k == 14:
 		if w.tab.Memory().Settled() {
@@ -187,7 +198,42 @@ func (w *swapWorld) allocate(heap obj.AD, arg byte) string {
 	return fmt.Sprintf("allocate %v: %v / %v", ad, tagged, linked)
 }
 
-// descriptors renders every table slot's extents and swap state.
+// noteExtents records the extents of every resident descriptor.
+func (w *swapWorld) noteExtents() {
+	for idx := w.tab.NextResident(obj.NilIndex); idx != obj.NilIndex; idx = w.tab.NextResident(idx) {
+		d := w.tab.DescriptorAt(idx)
+		w.held[idx] = [2]mem.Extent{d.Data(), d.Access()}
+	}
+}
+
+// noteFailedRestore records what the last allocation attempt of a restore
+// that found no room wrote into the witness layout's descriptor: a part it
+// could not allocate as no extent, and a data part it allocated before the
+// access part failed as the extent first fit gave it.
+func (w *swapWorld) noteFailedRestore(idx obj.Index) {
+	d := w.tab.DescriptorAt(idx)
+	if d == nil || !d.SwappedOut() {
+		return
+	}
+	phys, held := w.tab.Memory(), w.held[idx]
+	switch {
+	case d.DataLen > 0 && phys.LargestFree() < d.DataLen:
+		held[0] = mem.Extent{}
+	case d.DataLen > 0:
+		// The lowest limit first fit places the part below is one past
+		// the base it places it at.
+		held[0] = mem.Extent{Base: mem.Addr(sort.Search(int(phys.Size()), func(l int) bool {
+			return phys.FitsBelow(d.DataLen, mem.Addr(l))
+		}) - 1), Len: d.DataLen}
+		held[1] = mem.Extent{}
+	default:
+		held[1] = mem.Extent{}
+	}
+	w.held[idx] = held
+}
+
+// descriptors renders every table slot's extents and swap state; a
+// swapped-out descriptor's are those held records.
 func (w *swapWorld) descriptors() []byte {
 	var buf bytes.Buffer
 	for i := 1; i < w.tab.Len(); i++ {
@@ -196,8 +242,12 @@ func (w *swapWorld) descriptors() []byte {
 			fmt.Fprintf(&buf, "%d free\n", i)
 			continue
 		}
+		ext := [2]mem.Extent{d.Data(), d.Access()}
+		if d.SwappedOut() {
+			ext = w.held[obj.Index(i)]
+		}
 		fmt.Fprintf(&buf, "%d gen=%d data=%d+%d access=%d+%d swapped=%v token=%d\n", i, d.Gen,
-			d.Data.Base, d.Data.Len, d.Access.Base, d.Access.Len, d.SwappedOut, d.SwapToken)
+			ext[0].Base, ext[0].Len, ext[1].Base, ext[1].Len, d.SwappedOut(), d.SwapToken())
 	}
 	return buf.Bytes()
 }
@@ -219,7 +269,7 @@ func (w *swapWorld) contents(restore bool) []byte {
 		}
 		data, f := w.tab.ReadBytes(ad, 0, d.DataLen)
 		fmt.Fprintf(&buf, "%d data=%x %v access=", ad.Index, data, f)
-		for slot := uint32(0); slot < d.AccessSlots; slot++ {
+		for slot := uint32(0); slot < uint32(d.AccessSlots); slot++ {
 			held, f := w.tab.LoadAD(ad, slot)
 			fmt.Fprintf(&buf, "%v %v,", held, f)
 		}
@@ -251,6 +301,7 @@ func mmWitnessLine(t *testing.T, seed int64) (line string, settled, walked int) 
 	ops := witnessOps(seed)
 	for i := 0; i+1 < len(ops); i += 2 {
 		fmt.Fprintf(&results, "%d %s\n", i/2, w.step(ops[i], ops[i+1]))
+		w.noteExtents()
 	}
 	m := w.m.(*Swapping)
 	mem := w.tab.Memory()

@@ -30,13 +30,13 @@ func (t *Table) refuse(a AD, want Rights, off, n uint32) *Fault {
 	if d == nil {
 		return t.whyNot(a, want)
 	}
-	return Faultf(FaultBounds, a, "%v: [%d,%d) in segment of %d bytes", mem.ErrBadSegment, off, off+n, d.Data.Len)
+	return Faultf(FaultBounds, a, "%v: [%d,%d) in segment of %d bytes", mem.ErrBadSegment, off, off+n, d.DataLen)
 }
 
 // ReadByteAt reads the byte at displacement off in the data part.
 func (t *Table) ReadByteAt(a AD, off uint32) (byte, *Fault) {
 	if d := t.present(a, RightRead); d != nil {
-		if b, ok := span(t.mem.Window(d.Data), off, 1); ok {
+		if b, ok := span(t.mem.Window(d.Data()), off, 1); ok {
 			return b[0], nil
 		}
 	}
@@ -46,7 +46,7 @@ func (t *Table) ReadByteAt(a AD, off uint32) (byte, *Fault) {
 // WriteByteAt writes the byte at displacement off in the data part.
 func (t *Table) WriteByteAt(a AD, off uint32, v byte) *Fault {
 	if d := t.present(a, RightWrite); d != nil {
-		if b, ok := span(t.mem.Window(d.Data), off, 1); ok {
+		if b, ok := span(t.mem.Window(d.Data()), off, 1); ok {
 			b[0] = v
 			return nil
 		}
@@ -57,7 +57,7 @@ func (t *Table) WriteByteAt(a AD, off uint32, v byte) *Fault {
 // ReadDWord reads the 32-bit value at displacement off in the data part.
 func (t *Table) ReadDWord(a AD, off uint32) (uint32, *Fault) {
 	if d := t.present(a, RightRead); d != nil {
-		if b, ok := span(t.mem.Window(d.Data), off, 4); ok {
+		if b, ok := span(t.mem.Window(d.Data()), off, 4); ok {
 			return binary.LittleEndian.Uint32(b), nil
 		}
 	}
@@ -67,7 +67,7 @@ func (t *Table) ReadDWord(a AD, off uint32) (uint32, *Fault) {
 // WriteDWord writes the 32-bit value at displacement off in the data part.
 func (t *Table) WriteDWord(a AD, off uint32, v uint32) *Fault {
 	if d := t.present(a, RightWrite); d != nil {
-		if b, ok := span(t.mem.Window(d.Data), off, 4); ok {
+		if b, ok := span(t.mem.Window(d.Data()), off, 4); ok {
 			binary.LittleEndian.PutUint32(b, v)
 			return nil
 		}
@@ -79,7 +79,7 @@ func (t *Table) WriteDWord(a AD, off uint32, v uint32) *Fault {
 // fresh slice.
 func (t *Table) ReadBytes(a AD, off, n uint32) ([]byte, *Fault) {
 	if d := t.present(a, RightRead); d != nil {
-		if b, ok := span(t.mem.Window(d.Data), off, n); ok {
+		if b, ok := span(t.mem.Window(d.Data()), off, n); ok {
 			return append(make([]byte, 0, n), b...), nil
 		}
 	}
@@ -89,7 +89,7 @@ func (t *Table) ReadBytes(a AD, off, n uint32) ([]byte, *Fault) {
 // WriteBytes writes p at displacement off in the data part.
 func (t *Table) WriteBytes(a AD, off uint32, p []byte) *Fault {
 	if d := t.present(a, RightWrite); d != nil {
-		if b, ok := span(t.mem.Window(d.Data), off, uint32(len(p))); ok {
+		if b, ok := span(t.mem.Window(d.Data()), off, uint32(len(p))); ok {
 			copy(b, p)
 			return nil
 		}
@@ -108,7 +108,7 @@ type accessPart struct {
 }
 
 func (t *Table) accessOf(d *Descriptor) accessPart {
-	return accessPart{t.mem.Window(d.Access), d.AccessSlots, d.Level, d.Type}
+	return accessPart{t.mem.Window(d.Access()), uint32(d.AccessSlots), d.Level, d.Type}
 }
 
 // slot is the bounds rule of the access part: the bytes of slot i.
@@ -127,7 +127,7 @@ func (t *Table) refuseSlot(a AD, want Rights, slot uint32) *Fault {
 	if d == nil {
 		return t.whyNot(a, want)
 	}
-	if slot >= d.AccessSlots {
+	if slot >= uint32(d.AccessSlots) {
 		return Faultf(FaultBounds, a, "access slot %d of %d", slot, d.AccessSlots)
 	}
 	return Faultf(FaultOddity, a, "access part shorter than its %d slots", d.AccessSlots)
@@ -215,7 +215,7 @@ func (t *Table) moveAD(dst AD, p *accessPart, slot uint32, src AD, user bool) *F
 		// new destruction-filter life (§8.2). The collector's own
 		// filter delivery sets the latch after its deposit, so a
 		// delivered-then-dropped object still reclaims quietly.
-		sd.Finalized = false
+		sd.Flags &^= FlagFinalized
 	}
 	binary.LittleEndian.PutUint64(b, src.Encode())
 	if p.typ == TypeProcess && slot == ProcessSlotContext || p.typ == TypeDomain && slot == DomainSlotCode ||

@@ -19,7 +19,7 @@ func (t *Table) ColorOf(idx Index) (Color, bool) {
 		return White, false
 	}
 	d := &t.descs[idx]
-	if !d.Valid {
+	if !d.Valid() {
 		return White, false
 	}
 	return d.Color, true
@@ -28,7 +28,7 @@ func (t *Table) ColorOf(idx Index) (Color, bool) {
 // SetColor sets the marking colour of a live object.
 func (t *Table) SetColor(idx Index, c Color) {
 	if int(idx) < len(t.descs) && idx != NilIndex {
-		if d := &t.descs[idx]; d.Valid {
+		if d := &t.descs[idx]; d.Valid() {
 			d.Color = c
 		}
 	}
@@ -40,7 +40,7 @@ func (t *Table) IsPinned(idx Index) bool {
 		return false
 	}
 	d := &t.descs[idx]
-	return d.Valid && d.Pinned
+	return d.Flags&(FlagValid|FlagPinned) == FlagValid|FlagPinned
 }
 
 // Pin marks the object as a permanent root (processor objects, the system
@@ -50,7 +50,7 @@ func (t *Table) Pin(a AD) *Fault {
 	if f != nil {
 		return f
 	}
-	d.Pinned = true
+	d.Flags |= FlagPinned
 	return nil
 }
 
@@ -62,7 +62,7 @@ func (t *Table) DescriptorAt(idx Index) *Descriptor {
 		return nil
 	}
 	d := &t.descs[idx]
-	if !d.Valid {
+	if !d.Valid() {
 		return nil
 	}
 	return d
@@ -90,7 +90,7 @@ func (t *Table) Referents(idx Index, fn func(AD)) *Fault {
 	if d == nil {
 		return Faultf(FaultInvalidAD, AD{Index: idx}, "no such object")
 	}
-	if d.SwappedOut {
+	if d.SwappedOut() {
 		return Faultf(FaultSegmentMoved, AD{Index: idx}, "cannot scan swapped object")
 	}
 	p := t.accessOf(d)
@@ -114,7 +114,7 @@ func (t *Table) Referents(idx Index, fn func(AD)) *Fault {
 // SRO is sro. SRO bulk destruction (§5: local-heap reclamation) walks this.
 func (t *Table) AliveBySRO(sro Index, fn func(Index)) {
 	for i := 1; i < len(t.descs); i++ {
-		if t.descs[i].Valid && t.descs[i].SRO == sro {
+		if t.descs[i].Valid() && t.descs[i].SRO == sro {
 			fn(Index(i))
 		}
 	}
@@ -129,24 +129,24 @@ func (t *Table) SwapOut(idx Index, token uint64) *Fault {
 	if d == nil {
 		return Faultf(FaultInvalidAD, AD{Index: idx}, "no such object")
 	}
-	if d.SwappedOut {
+	if d.SwappedOut() {
 		return Faultf(FaultSegmentMoved, AD{Index: idx}, "already swapped out")
 	}
-	if d.Pinned {
+	if d.Pinned() {
 		return Faultf(FaultOddity, AD{Index: idx}, "cannot swap a pinned object")
 	}
 	if d.DataLen > 0 {
-		if err := t.mem.Free(d.Data); err != nil {
+		if err := t.mem.Free(d.Data()); err != nil {
 			return Faultf(FaultOddity, AD{Index: idx}, "%v", err)
 		}
 	}
 	if d.AccessSlots > 0 {
-		if err := t.mem.Free(d.Access); err != nil {
+		if err := t.mem.Free(d.Access()); err != nil {
 			return Faultf(FaultOddity, AD{Index: idx}, "%v", err)
 		}
 	}
-	d.SwappedOut = true
-	d.SwapToken = token
+	d.Flags |= FlagSwappedOut
+	d.Place = token
 	t.resident[idx/64] &^= 1 << (idx % 64)
 	t.xgen++ // cached windows over the freed extents are dead
 	if l := t.tr; l != nil {
@@ -163,31 +163,31 @@ func (t *Table) SwapIn(idx Index) (data, access mem.Extent, f *Fault) {
 	if d == nil {
 		return data, access, Faultf(FaultInvalidAD, AD{Index: idx}, "no such object")
 	}
-	if !d.SwappedOut {
+	if !d.SwappedOut() {
 		return data, access, Faultf(FaultOddity, AD{Index: idx}, "not swapped out")
 	}
 	var err error
 	if d.DataLen > 0 {
-		d.Data, err = t.mem.Alloc(d.DataLen)
+		data, err = t.mem.Alloc(d.DataLen)
 		if err != nil {
-			return data, access, &Fault{Code: FaultNoMemory, AD: AD{Index: idx}, Detail: noMemory}
+			return mem.Extent{}, mem.Extent{}, &Fault{Code: FaultNoMemory, AD: AD{Index: idx}, Detail: noMemory}
 		}
 	}
 	if d.AccessSlots > 0 {
-		d.Access, err = t.mem.Alloc(d.AccessSlots * ADSlotSize)
+		access, err = t.mem.Alloc(uint32(d.AccessSlots) * ADSlotSize)
 		if err != nil {
 			if d.DataLen > 0 {
-				_ = t.mem.Free(d.Data)
+				_ = t.mem.Free(data)
 			}
-			return data, access, &Fault{Code: FaultNoMemory, AD: AD{Index: idx}, Detail: noMemory}
+			return mem.Extent{}, mem.Extent{}, &Fault{Code: FaultNoMemory, AD: AD{Index: idx}, Detail: noMemory}
 		}
 	}
-	d.SwappedOut = false
-	d.SwapToken = 0
+	d.Flags &^= FlagSwappedOut
+	d.SetBases(data.Base, access.Base)
 	t.resident[idx/64] |= 1 << (idx % 64)
 	t.xgen++ // the object landed at fresh extents; re-prime any windows
 	if l := t.tr; l != nil {
 		l.Emit(trace.EvSwapIn, uint32(idx), 0, 0)
 	}
-	return d.Data, d.Access, nil
+	return data, access, nil
 }

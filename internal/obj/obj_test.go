@@ -447,7 +447,7 @@ func TestResidentSet(t *testing.T) {
 	}
 	want := func() (in []Index) {
 		for i := 1; i < tab.Len(); i++ {
-			if d := tab.DescriptorAt(Index(i)); d != nil && !d.SwappedOut {
+			if d := tab.DescriptorAt(Index(i)); d != nil && !d.SwappedOut() {
 				in = append(in, Index(i))
 			}
 		}

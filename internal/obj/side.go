@@ -55,7 +55,7 @@ func (s *Side[V]) Get(idx Index) (v V, ok bool) {
 	if int(idx) >= len(s.entries) || int(idx) >= len(s.t.descs) {
 		return v, false
 	}
-	if e, d := &s.entries[idx], &s.t.descs[idx]; d.Valid && e.gen == d.Gen {
+	if e, d := &s.entries[idx], &s.t.descs[idx]; d.Valid() && e.gen == d.Gen {
 		return e.v, true
 	}
 	return v, false

@@ -36,41 +36,100 @@ func (c Color) String() string {
 // Descriptor is one entry in the global object descriptor table (§2): the
 // single authoritative description of an object. There is exactly one
 // descriptor per object, however many ADs reference it.
+//
+// It is 32 bytes, two to a 64-byte cache line, and packed for that: each
+// part's length is stated once (DataLen; AccessSlots slots of ADSlotSize
+// bytes), the four state bits share Flags, and the two part bases share
+// Place with the swap token, since a resident object has no token and a
+// swapped-out one has no extents. Data, Access and SwapToken rebuild what
+// a reader wants from them.
 type Descriptor struct {
-	Valid bool
-	Type  Type
 	// UserType names the type definition object (TDO) that gave this
 	// object its user-defined type, or NilIndex for plain hardware
 	// typing (§7.2: user types enjoy the same hardware guarantee).
 	UserType Index
 	Gen      uint32
-	Level    Level
 	// SRO is the storage resource object this object was allocated
 	// from; its destruction bulk-frees the object (§5).
 	SRO Index
-
-	// Data is the data part (up to 64 KB); Access is the access part
-	// holding AccessSlots encoded ADs of ADSlotSize bytes each.
-	Data        mem.Extent
-	DataLen     uint32
-	Access      mem.Extent
-	AccessSlots uint32
-
+	// DataLen is the length of the data part (up to 64 KB).
+	DataLen uint32
+	// Place is where the object's segments are (§6.2). While the object
+	// is resident it holds the data part's base in its low 32 bits and
+	// the access part's in its high 32 (SetBases); while it is swapped
+	// out, the token naming its image in the backing store, and access
+	// raises FaultSegmentMoved for the memory manager to service.
+	Place uint64
+	// AccessSlots is the number of encoded ADs in the access part, at
+	// most MaxAccessSlots.
+	AccessSlots uint16
+	Level       Level
+	Type        Type
 	// Garbage collection state (§8.1).
 	Color Color
-	// Pinned objects are roots the collector must never reclaim
-	// (processor objects, the system directory).
-	Pinned bool
-	// Finalized records that the destruction filter (§8.2) has already
-	// delivered this object to its type manager once; when it becomes
-	// garbage again it reclaims normally.
-	Finalized bool
+	Flags Flags
+}
 
-	// Virtual memory state (§6.2). A swapped-out object's extents are
-	// invalid; SwapToken names its image in the backing store. Access
-	// raises FaultSegmentMoved for the memory manager to service.
-	SwappedOut bool
-	SwapToken  uint64
+// Flags are a descriptor's state bits.
+type Flags uint8
+
+const (
+	// FlagValid marks a live object.
+	FlagValid Flags = 1 << iota
+	// FlagPinned marks a root the collector must never reclaim
+	// (processor objects, the system directory).
+	FlagPinned
+	// FlagFinalized records that the destruction filter (§8.2) has
+	// already delivered this object to its type manager once; when it
+	// becomes garbage again it reclaims normally.
+	FlagFinalized
+	// FlagSwappedOut marks an object whose segments are in the backing
+	// store: Place is its token, not its bases.
+	FlagSwappedOut
+)
+
+// MaxAccessSlots is the largest access part, in slots: 64 KB of ADs.
+const MaxAccessSlots = mem.MaxPart / ADSlotSize
+
+// Valid reports whether the descriptor describes a live object.
+func (d *Descriptor) Valid() bool { return d.Flags&FlagValid != 0 }
+
+// Pinned reports whether the object is a permanent root.
+func (d *Descriptor) Pinned() bool { return d.Flags&FlagPinned != 0 }
+
+// Finalized reports whether the destruction filter has delivered the
+// object once.
+func (d *Descriptor) Finalized() bool { return d.Flags&FlagFinalized != 0 }
+
+// SwappedOut reports whether the object's segments are in the backing
+// store.
+func (d *Descriptor) SwappedOut() bool { return d.Flags&FlagSwappedOut != 0 }
+
+// Data is the data part's extent. It means nothing while the object is
+// swapped out.
+func (d *Descriptor) Data() mem.Extent {
+	return mem.Extent{Base: mem.Addr(d.Place), Len: d.DataLen}
+}
+
+// Access is the access part's extent, AccessSlots slots of ADSlotSize
+// bytes. It means nothing while the object is swapped out.
+func (d *Descriptor) Access() mem.Extent {
+	return mem.Extent{Base: mem.Addr(d.Place >> 32), Len: uint32(d.AccessSlots) * ADSlotSize}
+}
+
+// SwapToken names the object's image in the backing store, or is 0 while
+// the object is resident.
+func (d *Descriptor) SwapToken() uint64 {
+	if d.SwappedOut() {
+		return d.Place
+	}
+	return 0
+}
+
+// SetBases records where a resident object's parts are: the table when it
+// places them, the compactor when it moves them.
+func (d *Descriptor) SetBases(data, access mem.Addr) {
+	d.Place = uint64(access)<<32 | uint64(data)
 }
 
 // Table is the global object descriptor table. All object creation,
@@ -240,7 +299,7 @@ func (t *Table) CacheGen() uint64 { return t.xgen }
 
 // InvalidateCaches bumps the cache-invalidation generation. Table-internal
 // aliasing operations bump it themselves; external trusted mutators that
-// bypass the table's methods (the compactor rewriting extents through
+// bypass the table's methods (the compactor rewriting bases through
 // DescriptorAt) must call this explicitly.
 func (t *Table) InvalidateCaches() { t.xgen++ }
 
@@ -252,7 +311,7 @@ func (t *Table) Resolve(a AD) (*Descriptor, *Fault) {
 		return nil, Faultf(FaultInvalidAD, a, "no such object")
 	}
 	d := &t.descs[a.Index]
-	if !d.Valid || d.Gen&adGenMask != a.Gen&adGenMask {
+	if !d.Valid() || d.Gen&adGenMask != a.Gen&adGenMask {
 		return nil, Faultf(FaultInvalidAD, a, "object destroyed (dangling capability)")
 	}
 	return d, nil
@@ -268,7 +327,7 @@ func (t *Table) present(a AD, want Rights) *Descriptor {
 		return nil
 	}
 	d := &t.descs[a.Index]
-	if !d.Valid || d.Gen&adGenMask != a.Gen&adGenMask || a.Rights&want != want || d.SwappedOut {
+	if d.Flags&(FlagValid|FlagSwappedOut) != FlagValid || d.Gen&adGenMask != a.Gen&adGenMask || a.Rights&want != want {
 		return nil
 	}
 	return d
@@ -299,7 +358,7 @@ func (t *Table) whyNot(a AD, want Rights) *Fault {
 		t.faults = make([]Fault, faultSlab)
 	}
 	f, t.faults = &t.faults[0], t.faults[1:]
-	*f = Fault{Code: FaultSegmentMoved, AD: a, Token: d.SwapToken}
+	*f = Fault{Code: FaultSegmentMoved, AD: a, Token: d.SwapToken()}
 	return f
 }
 
@@ -323,7 +382,7 @@ func (t *Table) Create(spec CreateSpec) (AD, *Fault) {
 	if spec.Type == TypeInvalid || spec.Type >= numTypes {
 		return NilAD, Faultf(FaultType, NilAD, "cannot create objects of %s", spec.Type)
 	}
-	if spec.DataLen > mem.MaxPart || spec.AccessSlots*ADSlotSize > mem.MaxPart {
+	if spec.DataLen > mem.MaxPart || spec.AccessSlots > MaxAccessSlots {
 		return NilAD, Faultf(FaultBounds, NilAD, "part exceeds 64KB (data %d, access %d slots)",
 			spec.DataLen, spec.AccessSlots)
 	}
@@ -358,23 +417,25 @@ func (t *Table) Create(spec CreateSpec) (AD, *Fault) {
 	}
 	d := &t.descs[idx]
 	gen := d.Gen + 1 // bump on reuse so stale ADs dangle detectably
+	flags := FlagValid
+	if spec.Pinned {
+		flags |= FlagPinned
+	}
 	*d = Descriptor{
-		Valid:       true,
 		Type:        spec.Type,
 		UserType:    spec.UserType,
 		Gen:         gen,
 		Level:       spec.Level,
 		SRO:         spec.SRO,
-		Data:        data,
 		DataLen:     spec.DataLen,
-		Access:      access,
-		AccessSlots: spec.AccessSlots,
+		AccessSlots: uint16(spec.AccessSlots),
 		// New objects are born gray: the collector may be mid-cycle,
 		// and a white newborn referenced only from a black object
 		// would be lost (standard on-the-fly allocation colour).
-		Color:  Gray,
-		Pinned: spec.Pinned,
+		Color: Gray,
+		Flags: flags,
 	}
+	d.SetBases(data.Base, access.Base)
 	t.resident[idx/64] |= 1 << (idx % 64)
 	t.live++
 	t.created++
@@ -407,7 +468,7 @@ func (t *Table) DestroyIndex(idx Index) *Fault {
 		return Faultf(FaultInvalidAD, AD{Index: idx}, "no such object")
 	}
 	d := &t.descs[idx]
-	if !d.Valid {
+	if !d.Valid() {
 		return Faultf(FaultInvalidAD, AD{Index: idx}, "already destroyed")
 	}
 	return t.destroyDesc(idx, d)
@@ -418,22 +479,21 @@ func (t *Table) destroyDesc(idx Index, d *Descriptor) *Fault {
 	if l := t.tr; l != nil {
 		l.Emit(trace.EvObjDestroy, uint32(idx), uint32(d.Type), 0)
 	}
-	if !d.SwappedOut {
+	if !d.SwappedOut() {
 		if d.DataLen > 0 {
-			if err := t.mem.Free(d.Data); err != nil {
+			if err := t.mem.Free(d.Data()); err != nil {
 				return Faultf(FaultOddity, AD{Index: idx}, "freeing data part: %v", err)
 			}
 		}
 		if d.AccessSlots > 0 {
-			if err := t.mem.Free(d.Access); err != nil {
+			if err := t.mem.Free(d.Access()); err != nil {
 				return Faultf(FaultOddity, AD{Index: idx}, "freeing access part: %v", err)
 			}
 		}
 	} else if t.backing != nil {
-		t.backing.Release(idx, d.SwapToken)
+		t.backing.Release(idx, d.SwapToken())
 	}
-	d.Valid = false
-	d.SwappedOut = false
+	d.Flags &^= FlagValid | FlagSwappedOut
 	t.resident[idx/64] &^= 1 << (idx % 64)
 	t.free = append(t.free, idx)
 	t.live--

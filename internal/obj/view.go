@@ -60,7 +60,7 @@ func (t *Table) Fill(a AD, want Rights, v *View) bool {
 	if d == nil {
 		return false
 	}
-	v.t, v.ad, v.data, v.access, v.f = t, a, t.mem.Window(d.Data), t.accessOf(d), nil
+	v.t, v.ad, v.data, v.access, v.f = t, a, t.mem.Window(d.Data()), t.accessOf(d), nil
 	return true
 }
 

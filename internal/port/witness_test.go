@@ -53,12 +53,12 @@ func objectBytes(buf *bytes.Buffer, tab *obj.Table, idx obj.Index) {
 		fmt.Fprintf(buf, "%d gone\n", idx)
 		return
 	}
-	if d.SwappedOut {
+	if d.SwappedOut() {
 		fmt.Fprintf(buf, "%d swapped\n", idx)
 		return
 	}
 	m := tab.Memory()
-	fmt.Fprintf(buf, "%d data=%x access=%x\n", idx, m.Window(d.Data), m.Window(d.Access))
+	fmt.Fprintf(buf, "%d data=%x access=%x\n", idx, m.Window(d.Data()), m.Window(d.Access()))
 }
 
 // carrierBytes renders every live carrier of the table in index order.

@@ -17,11 +17,11 @@ import (
 // and every completed request increments its touched dwords — a byte-level
 // witness of service that the confinement checker can compare across runs.
 type Session struct {
-	Class     int
+	Class     uint32
 	Obj       obj.AD
-	Issued    int
-	Completed int
-	Censored  int
+	Issued    uint32
+	Completed uint32
+	Censored  uint32
 }
 
 // inFlight reports whether the session's request was issued and has
@@ -106,7 +106,7 @@ func New(cfg Config) (*Engine, error) {
 			Type:    obj.TypeGeneric,
 			DataLen: cfg.SessionData,
 		}))
-		e.Sessions[i] = Session{Class: class, Obj: so}
+		e.Sessions[i] = Session{Class: uint32(class), Obj: so}
 		e.byObj.Put(so.Index, int32(i))
 		e.Classes[class].Sessions++
 		anchored = append(anchored, so)

@@ -117,7 +117,7 @@ func (n *node) runRoom() int {
 
 // send enqueues an object on a class's request port, spilling to the
 // FIFO backlog when the port is full (or the backlog is not yet empty).
-func (n *node) send(class int, ad obj.AD) {
+func (n *node) send(class uint32, ad obj.AD) {
 	cl := &n.Classes[class]
 	if len(cl.pending) == 0 {
 		if ok, f := n.IM.SendMessage(cl.ReqPort, ad, 0); f == nil && ok {

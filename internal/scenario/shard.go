@@ -85,8 +85,8 @@ func ShardPreset(nodes, sessions int, seed int64) ShardConfig {
 // is Home unless the request migrates.
 type shardSession struct {
 	Session
-	Home int
-	Dest int
+	Home uint32
+	Dest uint32
 
 	// remote is the activated graph of the request copy a non-home node is
 	// serving, kept for its reclamation after the reply ships. Only the
@@ -245,7 +245,7 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 		if cfg.Nodes > 1 && roll < cfg.MigratePermille {
 			dest = (home + 1 + pick) % cfg.Nodes
 		}
-		e.sessions[i] = shardSession{Session: Session{Class: class, Obj: so}, Home: home, Dest: dest}
+		e.sessions[i] = shardSession{Session: Session{Class: uint32(class), Obj: so}, Home: uint32(home), Dest: uint32(dest)}
 		e.nodes[home].byObj.Put(so.Index, int32(i))
 	})
 	if f := l.Fault(); f != nil {
@@ -271,7 +271,7 @@ func (e *ShardEngine) issue(sid int) error {
 	// Migrated request: the canonical object's graph ships to the
 	// serving node; the activated copy is what the remote server mutates.
 	e.migIssued++
-	_, err := e.Cluster.Ship(s.Home, s.Dest, s.Obj, cluster.MsgRequest, uint64(sid))
+	_, err := e.Cluster.Ship(int(s.Home), int(s.Dest), s.Obj, cluster.MsgRequest, uint64(sid))
 	return err
 }
 
@@ -347,7 +347,7 @@ func (sn *shardNode) drainReplies(out *outbox) error {
 		}
 		sn.Served++
 		s := &sn.sessions[sid]
-		if s.Home == sn.cl.ID {
+		if int(s.Home) == sn.cl.ID {
 			out.departures = append(out.departures, departure{sid: sid})
 			continue
 		}
@@ -385,7 +385,7 @@ func (e *ShardEngine) merge() {
 				e.complete(d.sid)
 				continue
 			}
-			e.Cluster.Post(ni, e.sessions[d.sid].Home, cluster.MsgReply, uint64(d.sid), d.img, d.objects)
+			e.Cluster.Post(ni, int(e.sessions[d.sid].Home), cluster.MsgReply, uint64(d.sid), d.img, d.objects)
 		}
 		sn.out.departures = sn.out.departures[:0]
 	}

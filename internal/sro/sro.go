@@ -172,7 +172,7 @@ func (m *Manager) Reclaim(idx obj.Index) *obj.Fault {
 		return obj.Faultf(obj.FaultInvalidAD, obj.AD{Index: idx}, "no such object")
 	}
 	sroIdx := d.SRO
-	size := d.DataLen + d.AccessSlots*obj.ADSlotSize
+	size := d.DataLen + d.Access().Len
 	if f := m.Table.DestroyIndex(idx); f != nil {
 		return f
 	}
