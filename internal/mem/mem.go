@@ -261,8 +261,9 @@ func (m *Memory) WriteBytes(e Extent, off uint32, p []byte) error {
 // the extent itself is freed or moved, which the object layer signals
 // through its cache generation. Bad extents get nil.
 func (m *Memory) Window(e Extent) []byte {
-	if e.End() < e.Base || e.End() > Addr(len(m.data)) {
+	end := e.End()
+	if end < e.Base || end > Addr(len(m.data)) {
 		return nil
 	}
-	return m.data[e.Base:e.End():e.End()]
+	return m.data[e.Base:end:end]
 }

@@ -314,7 +314,7 @@ func (m *Swapping) Allocate(heap obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Faul
 // the machinery that must run to bring it back.
 func (m *Swapping) swappable(idx obj.Index) bool {
 	d := m.Table.DescriptorAt(idx)
-	if d == nil || d.SwappedOut() || d.Pinned() {
+	if d == nil || d.Flags&(obj.FlagSwappedOut|obj.FlagPinned) != 0 {
 		return false
 	}
 	switch d.Type {
