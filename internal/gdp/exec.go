@@ -712,7 +712,7 @@ func (s *System) resultFault(from *process.Ctx, caller obj.AD) *obj.Fault {
 	if !caller.Valid() || !ad.Valid() {
 		return nil
 	}
-	_, f := s.Table.Resolve(ad)
+	_, f := s.Table.TypeOf(ad) // resolves ad: FaultInvalidAD once it dangles
 	return f
 }
 

@@ -318,8 +318,7 @@ func (s *System) Spawn(dom obj.AD, spec SpawnSpec) (obj.AD, *obj.Fault) {
 		}
 	}
 	if f := cv.Fault(); f != nil {
-		_, pf := s.Procs.PopContext(p)
-		s.damage.Keep(pf)
+		s.pop(p)
 		s.damage.Keep(s.SROs.Reclaim(p.Index))
 		return obj.NilAD, f
 	}
