@@ -7,6 +7,14 @@
 // (internal/obj) maps object descriptors onto segments; this package only
 // knows about raw extents and free-space bookkeeping, which the storage
 // resource objects (internal/sro) draw from.
+//
+// The host backs the address space with a directory of 2 MB chunks. A chunk
+// is allocated by the first segment placed in it and is never moved or
+// freed after, so the host holds the part of memory that segments have
+// reached, not the configured size, and a window into a segment stays valid
+// until the segment itself is freed or moved. Each chunk also holds the
+// MaxSegment bytes past its end, so every segment is one contiguous window
+// of the chunk its base lies in.
 package mem
 
 import (
@@ -22,6 +30,13 @@ const (
 	MaxSegment = 128 * 1024
 	// MaxPart is the largest data or access part of an object: 64 KB.
 	MaxPart = 64 * 1024
+)
+
+// The host's chunk size: 2 MB, so a base's chunk is Base>>chunkShift.
+const (
+	chunkShift = 21
+	chunkSize  = 1 << chunkShift
+	chunkMask  = chunkSize - 1
 )
 
 // Addr is a physical byte address.
@@ -53,9 +68,18 @@ func (e Extent) End() Addr { return e.Base + Addr(e.Len) }
 // (internal/gdp) serialises access, exactly as the single shared bus of the
 // real machine did.
 type Memory struct {
-	data []byte
-	free []Extent // sorted by Base, coalesced
-	used uint32
+	// chunks[i] backs every segment based in [i·chunkSize, (i+1)·chunkSize)
+	// and covers [i·chunkSize, min(size, (i+1)·chunkSize+MaxSegment)): the
+	// tail past its range is also the next chunk's head, but extents are
+	// disjoint and each is only ever read and written through its base's
+	// chunk, so the two copies never hold the same segment. chunks[i] is
+	// nil until an Alloc places a segment in it. The last entry is a nil
+	// sentinel for every base past the memory.
+	chunks [][]byte
+	last   Addr // len(chunks)-1: the sentinel
+	size   uint32
+	free   []Extent // sorted by Base, coalesced
+	used   uint32
 
 	// What Settled compares against: the holes at the last Settle and
 	// every extent Alloc placed since. Nothing is recorded before the
@@ -66,16 +90,34 @@ type Memory struct {
 	below    []uint32 // Settled's scratch: below[i] is the longest hole of free[:i]
 }
 
-// New creates a physical memory of the given size in bytes.
+// New creates a physical memory of the given size in bytes. It allocates
+// the first chunk, where first fit places the first segment; a memory of at
+// most 2 MB is that one array.
 func New(size uint32) *Memory {
-	return &Memory{
-		data: make([]byte, size),
-		free: []Extent{{Base: 0, Len: size}},
+	n := max(1, (uint64(size)+chunkMask)>>chunkShift)
+	m := &Memory{
+		chunks: make([][]byte, n+1),
+		last:   Addr(n),
+		size:   size,
+		free:   []Extent{{Base: 0, Len: size}},
 	}
+	m.chunk(0)
+	return m
+}
+
+// chunk returns the chunk that backs the segments based at b, allocating
+// it on first use.
+func (m *Memory) chunk(b Addr) []byte {
+	i := b >> chunkShift
+	if m.chunks[i] == nil {
+		lo := uint64(i) << chunkShift
+		m.chunks[i] = make([]byte, min(uint64(m.size), lo+chunkSize+MaxSegment)-lo)
+	}
+	return m.chunks[i]
 }
 
 // Size reports the total physical size in bytes.
-func (m *Memory) Size() uint32 { return uint32(len(m.data)) }
+func (m *Memory) Size() uint32 { return m.size }
 
 // Used reports the number of allocated bytes.
 func (m *Memory) Used() uint32 { return m.used }
@@ -124,7 +166,8 @@ func (m *Memory) Alloc(n uint32) (Extent, error) {
 		// The hardware zeroed fresh segments: a new object must not
 		// leak a previous object's contents through a fresh
 		// capability.
-		clear(m.data[got.Base:got.End()])
+		off := got.Base & chunkMask
+		clear(m.chunk(got.Base)[off : off+Addr(n)])
 		return got, nil
 	}
 	return Extent{}, ErrNoMemory
@@ -202,7 +245,7 @@ func (m *Memory) Free(e Extent) error {
 	if e.Len == 0 {
 		return nil
 	}
-	if e.End() > Addr(m.Size()) || e.End() < e.Base {
+	if e.End() > Addr(m.size) || e.End() < e.Base {
 		return ErrNotOwned
 	}
 	// Find insertion point in the sorted free list.
@@ -236,34 +279,34 @@ func (m *Memory) coalesce(i int) {
 	}
 }
 
-// check validates that [off, off+n) lies inside e.
-func (m *Memory) check(e Extent, off, n uint32) error {
-	if off+n < off || off+n > e.Len || e.End() > Addr(m.Size()) {
-		return fmt.Errorf("%w: [%d,%d) in segment of %d bytes", ErrBadSegment, off, off+n, e.Len)
-	}
-	return nil
-}
-
 // WriteBytes copies p into the segment starting at offset off.
 func (m *Memory) WriteBytes(e Extent, off uint32, p []byte) error {
-	if err := m.check(e, off, uint32(len(p))); err != nil {
-		return err
+	w, n := m.Window(e), uint32(len(p))
+	if w == nil || off+n < off || off+n > e.Len {
+		return fmt.Errorf("%w: [%d,%d) in segment of %d bytes", ErrBadSegment, off, off+n, e.Len)
 	}
-	b := e.Base + Addr(off)
-	copy(m.data[b:], p)
+	copy(w[off:], p)
 	return nil
 }
 
 // Window returns a direct byte view over extent e, for the interpreter's
 // execution cache. It is the one sanctioned exception to the "no raw
-// slices" rule above, and it is safe only because the backing array is
-// allocated once in New and never reallocated: the view stays valid until
-// the extent itself is freed or moved, which the object layer signals
-// through its cache generation. Bad extents get nil.
+// slices" rule above, and it is safe only because a chunk is allocated once
+// and never moved: the view stays valid until the extent itself is freed or
+// moved, which the object layer signals through its cache generation. An
+// extent past the memory, overflowing, in a chunk no segment was ever
+// placed in, or reaching more than MaxSegment past its base's chunk gets
+// nil; the zero-length extent at 0 gets an empty view.
+//
+// Window is on every checked access, so it stays inlinable, and so does
+// obj's accessOf around it: the base indexes the directory clamped to its
+// sentinel, and one length test does the rest.
 func (m *Memory) Window(e Extent) []byte {
-	end := e.End()
-	if end < e.Base || end > Addr(len(m.data)) {
+	c := m.chunks[min(e.Base>>chunkShift, m.last)]
+	off := uint64(e.Base & chunkMask)
+	end := off + uint64(e.Len)
+	if end > uint64(len(c)) {
 		return nil
 	}
-	return m.data[e.Base:end:end]
+	return c[off:end:end]
 }

@@ -79,9 +79,18 @@ type swapWorld struct {
 	held map[obj.Index][2]mem.Extent
 }
 
-func newSwapWorld(t testing.TB, mk func(*obj.Table, *sro.Manager) swapper) *swapWorld {
+// newSwapWorld builds a world of mmWitnessMem bytes above below bytes of
+// physical memory that raw segments hold for the world's life.
+func newSwapWorld(t testing.TB, below uint32, mk func(*obj.Table, *sro.Manager) swapper) *swapWorld {
 	t.Helper()
-	tab := obj.NewTable(mmWitnessMem)
+	tab := obj.NewTable(below + mmWitnessMem)
+	for held := uint32(0); held < below; {
+		e, err := tab.Memory().Alloc(min(mem.MaxSegment, below-held))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held += e.Len
+	}
 	log := trace.New(1 << 16)
 	tab.SetTracer(log)
 	s := sro.NewManager(tab)
@@ -296,7 +305,7 @@ func sum(b []byte) string {
 // settled and how many walked.
 func mmWitnessLine(t *testing.T, seed int64) (line string, settled, walked int) {
 	t.Helper()
-	w := newSwapWorld(t, func(tab *obj.Table, s *sro.Manager) swapper { return NewSwapping(tab, s) })
+	w := newSwapWorld(t, 0, func(tab *obj.Table, s *sro.Manager) swapper { return NewSwapping(tab, s) })
 	var results bytes.Buffer
 	ops := witnessOps(seed)
 	for i := 0; i+1 < len(ops); i += 2 {

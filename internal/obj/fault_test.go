@@ -94,23 +94,22 @@ func TestSegmentFaultsDistinct(t *testing.T) {
 		}
 		return f
 	}
-	for i := 0; i < 2*faultSlab+88; i++ {
-		f := raise(i)
-		if seen[f] {
-			t.Fatalf("refusal %d returned a fault already handed out", i)
-		}
-		seen[f] = true
-	}
-	check("after 600 more")
-
 	const n = 1_000
 	faults := make([]*Fault, n)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := range faults {
-		faults[i] = raise(i)
-	}
-	runtime.ReadMemStats(&m1)
+	got, _ := hostAllocs(func() {
+		for i := 0; i < 2*faultSlab+88; i++ {
+			f := raise(i)
+			if seen[f] {
+				t.Fatalf("refusal %d returned a fault already handed out", i)
+			}
+			seen[f] = true
+		}
+		check("after 600 more")
+	}, func() {
+		for i := range faults {
+			faults[i] = raise(i)
+		}
+	})
 	check("after 1 600 more")
 	for i, f := range faults {
 		if seen[f] {
@@ -118,7 +117,7 @@ func TestSegmentFaultsDistinct(t *testing.T) {
 		}
 		seen[f] = true
 	}
-	if got, limit := m1.Mallocs-m0.Mallocs, uint64(n/faultSlab+1); got > limit {
+	if limit := uint64(n/faultSlab + 1); got > limit {
 		t.Errorf("%d refusals made %d allocations, want at most %d", n, got, limit)
 	}
 }
@@ -141,4 +140,22 @@ func TestLatch(t *testing.T) {
 	if got := l.AD(a, nil); got != a || l.Fault() != first {
 		t.Fatalf("after the refusal: %v, %v", got, l.Fault())
 	}
+}
+
+// hostAllocs reports the objects and bytes the host allocates while run
+// runs, measured as testing.AllocsPerRun measures: with GOMAXPROCS pinned
+// to 1, so that no other goroutine runs alongside, after warm (if not nil)
+// and a collection, and with GOMAXPROCS restored after. It is the one way an
+// allocation contract in this package reads runtime.MemStats.
+func hostAllocs(warm, run func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if warm != nil {
+		warm()
+	}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	run()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/audit"
@@ -121,18 +120,16 @@ func TestSwapPathAllocBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := e.Run()
-	runtime.ReadMemStats(&after)
+	var res *Result
+	mallocs, allocated := hostAllocs(nil, func() { res, err = e.Run() })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Completed != res.Issued || res.SwapIns == 0 {
 		t.Fatalf("completed %d of %d requests with %d swap-ins", res.Completed, res.Issued, res.SwapIns)
 	}
-	objects := float64(after.Mallocs-before.Mallocs) / float64(res.Completed)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Completed)
+	objects := float64(mallocs) / float64(res.Completed)
+	bytes := float64(allocated) / float64(res.Completed)
 	t.Logf("%d requests, %d swap-ins: %.3f objects and %.1f bytes allocated per completed request", res.Completed, res.SwapIns, objects, bytes)
 	if objects > 0.1 || bytes > 90 {
 		t.Errorf("Engine.Run allocates %.3f objects and %.1f bytes per completed request; want at most 0.1 and 90", objects, bytes)

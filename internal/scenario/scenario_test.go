@@ -257,19 +257,17 @@ func TestRequestPathAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := e.Run()
-	runtime.ReadMemStats(&after)
+	var res *Result
+	mallocs, _ := hostAllocs(nil, func() { res, err = e.Run() })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Completed != sessions {
 		t.Fatalf("completed %d of %d requests", res.Completed, sessions)
 	}
-	if per := float64(after.Mallocs-before.Mallocs) / float64(res.Completed); per > 0.01 {
+	if per := float64(mallocs) / float64(res.Completed); per > 0.01 {
 		t.Errorf("Engine.Run allocates %.3f objects per completed request (%d in all); want at most 0.01",
-			per, after.Mallocs-before.Mallocs)
+			per, mallocs)
 	}
 }
 
@@ -444,27 +442,43 @@ func TestBuildAllocBound(t *testing.T) {
 			return err
 		}, 0.005, 195},
 	} {
-		if err := c.build(1); err != nil { // what a first build in a process sets up once
-			t.Fatal(err)
+		var err error
+		build := func(sessions int) func() {
+			return func() {
+				if err == nil {
+					err = c.build(sessions)
+				}
+			}
 		}
-		var m [4]runtime.MemStats
-		runtime.ReadMemStats(&m[0])
-		err := c.build(1)
-		runtime.ReadMemStats(&m[1])
+		// The warm build sets up what a first build in a process sets up once.
+		objects1, bytes1 := hostAllocs(build(1), build(1))
+		objectsN, bytesN := hostAllocs(nil, build(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&m[2])
-		err = c.build(n)
-		runtime.ReadMemStats(&m[3])
-		if err != nil {
-			t.Fatal(err)
-		}
-		objects := (float64(m[3].Mallocs-m[2].Mallocs) - float64(m[1].Mallocs-m[0].Mallocs)) / (n - 1)
-		bytes := (float64(m[3].TotalAlloc-m[2].TotalAlloc) - float64(m[1].TotalAlloc-m[0].TotalAlloc)) / (n - 1)
+		objects := (float64(objectsN) - float64(objects1)) / (n - 1)
+		bytes := (float64(bytesN) - float64(bytes1)) / (n - 1)
 		t.Logf("%s: %.4f objects and %.0f bytes per session", c.name, objects, bytes)
 		if objects > c.objects || bytes > c.bytes {
 			t.Errorf("%s allocates %.4f objects and %.0f bytes per session; want at most %g and %g", c.name, objects, bytes, c.objects, c.bytes)
 		}
 	}
+}
+
+// hostAllocs reports the objects and bytes the host allocates while run
+// runs, measured as testing.AllocsPerRun measures: with GOMAXPROCS pinned
+// to 1, so that no other goroutine runs alongside, after warm (if not nil)
+// and a collection, and with GOMAXPROCS restored after. It is the one way an
+// allocation contract in this package reads runtime.MemStats.
+func hostAllocs(warm, run func()) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if warm != nil {
+		warm()
+	}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	run()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 }

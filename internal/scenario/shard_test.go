@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/audit"
@@ -230,17 +229,14 @@ func TestShardRunAllocBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	r, err := e.Run()
-	runtime.ReadMemStats(&after)
+	var r *ShardResult
+	mallocs, _ := hostAllocs(nil, func() { r, err = e.Run() })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Completed == 0 || r.MigratedCompleted != r.Completed {
 		t.Fatalf("%d of %d completed requests migrated", r.MigratedCompleted, r.Completed)
 	}
-	mallocs := after.Mallocs - before.Mallocs
 	if per := float64(mallocs) / float64(r.Completed); per > 0.01 {
 		t.Fatalf("run allocated %d times for %d completed requests (%.4f each), want at most 0.01 each",
 			mallocs, r.Completed, per)
