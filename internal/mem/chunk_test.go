@@ -136,7 +136,10 @@ func TestChunkedMemoryAgreesWithFlat(t *testing.T) {
 
 // TestChunkEdges pins the directory's edges: a largest segment based one
 // byte below a chunk boundary is one window that keeps its bytes apart from
-// the next chunk's head, and the extents no segment can be get no window.
+// the next chunk's head; an extent past the memory, overflowing, in a chunk
+// nothing was placed in or past its chunk's tail has no window, on a memory
+// of several chunks and on one of exactly one; and the zero-length extent
+// at 0 has an empty one.
 func TestChunkEdges(t *testing.T) {
 	m := New(3*chunkSize + 64<<10)
 	for at := uint32(0); at < chunkSize-1; {

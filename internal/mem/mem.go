@@ -71,10 +71,11 @@ type Memory struct {
 	// chunks[i] backs every segment based in [i·chunkSize, (i+1)·chunkSize)
 	// and covers [i·chunkSize, min(size, (i+1)·chunkSize+MaxSegment)): the
 	// tail past its range is also the next chunk's head, but extents are
-	// disjoint and each is only ever read and written through its base's
-	// chunk, so the two copies never hold the same segment. chunks[i] is
-	// nil until an Alloc places a segment in it. The last entry is a nil
-	// sentinel for every base past the memory.
+	// disjoint, each is only ever read and written through its base's
+	// chunk, and Alloc zeroes a fresh segment there, so no access sees a
+	// byte's other copy. chunks[i] is nil until an Alloc places a segment
+	// in it. The last entry is a nil sentinel for every base past the
+	// memory.
 	chunks [][]byte
 	last   Addr // len(chunks)-1: the sentinel
 	size   uint32
