@@ -298,3 +298,98 @@ func TestFaultDeliveryFullAndMissingPort(t *testing.T) {
 		})
 	}
 }
+
+// TestFaultHandlerFullOverflowTerminates: a victim the service cannot
+// forward, because the overflow port is full, is terminated, as a fault
+// delivery to a full fault port terminates it. It is not left faulted and
+// held at no port.
+func TestFaultHandlerFullOverflowTerminates(t *testing.T) {
+	im := bootSwapping(t)
+	hnd, f := im.Ports.Create(im.Heap, 16, port.FIFO)
+	if f != nil {
+		t.Fatal(f)
+	}
+	ovf, f := im.Ports.Create(im.Heap, 1, port.FIFO)
+	if f != nil {
+		t.Fatal(f)
+	}
+	filler, f := im.SROs.Create(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
+	if f != nil {
+		t.Fatal(f)
+	}
+	if ok, f := im.SendMessage(ovf, filler, 0); f != nil || !ok {
+		t.Fatalf("fill overflow port: ok=%v %v", ok, f)
+	}
+	if _, f := im.SpawnNative(mm.FaultHandlerBody(im.Swapper, hnd, ovf), gdp.SpawnSpec{
+		Priority: 14,
+	}); f != nil {
+		t.Fatal(f)
+	}
+	p := spawnProg(t, im, []isa.Instr{
+		isa.FaultInject(uint32(obj.FaultOddity)),
+		isa.Halt(),
+	}, hnd, [4]obj.AD{})
+	done := func() bool {
+		st, f := im.Procs.StateOf(p)
+		return f == nil && st == process.StateTerminated
+	}
+	if _, f := im.RunUntil(done, 10_000_000); f != nil || !done() {
+		st, _ := im.Procs.StateOf(p)
+		t.Fatalf("victim %v after the service met a full overflow port, want terminated: %v", st, f)
+	}
+	if code, f := im.Procs.FaultCode(p); f != nil || code != obj.FaultOddity {
+		t.Fatalf("recorded code %v (%v), want %v", code, f, obj.FaultOddity)
+	}
+	if n, _ := im.Ports.Count(ovf); n != 1 {
+		t.Fatalf("overflow port holds %d, want just the filler", n)
+	}
+}
+
+// TestFaultHandlerNeverFaults: the service is a level-2 process and may not
+// fault (§7.3), whatever a doctored world puts before it. A message on its
+// fault port that is not a process is dropped; a fault port that refuses
+// the receive is treated as an empty one.
+func TestFaultHandlerNeverFaults(t *testing.T) {
+	for _, row := range []struct {
+		name   string
+		port   func(t *testing.T, sys *gdp.System) obj.AD
+		status gdp.BodyStatus
+	}{
+		{"message not a process", func(t *testing.T, sys *gdp.System) obj.AD {
+			fp, f := sys.Ports.Create(sys.Heap, 4, port.FIFO)
+			if f != nil {
+				t.Fatal(f)
+			}
+			junk, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 32})
+			if f != nil {
+				t.Fatal(f)
+			}
+			if ok, f := sys.SendMessage(fp, junk, 0); f != nil || !ok {
+				t.Fatalf("queue the junk: ok=%v %v", ok, f)
+			}
+			return fp
+		}, gdp.BodyYield},
+		{"fault port not a port", func(t *testing.T, sys *gdp.System) obj.AD {
+			notPort, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 32})
+			if f != nil {
+				t.Fatal(f)
+			}
+			return notPort
+		}, gdp.BodyWaiting},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			sys, err := gdp.New(gdp.Config{Processors: 1, MemoryBytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp := row.port(t, sys)
+			body := mm.FaultHandlerBody(mm.NewSwapping(sys.Table, sys.SROs), fp, obj.NilAD)
+			if _, status, f := body.Step(sys, obj.NilAD); f != nil || status != row.status {
+				t.Fatalf("handler step = %v, %v; want %v and no fault", status, f, row.status)
+			}
+			if n, f := sys.Ports.Count(fp); f == nil && n != 0 {
+				t.Fatalf("fault port still holds %d", n)
+			}
+		})
+	}
+}

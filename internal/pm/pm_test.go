@@ -399,3 +399,118 @@ func opened(sys *gdp.System, p obj.AD) *process.Proc {
 	sys.Procs.Open(p, obj.RightRead, &v)
 	return &v
 }
+
+// TestCreateProcessMakesRoomFirst: a child whose parent's heap cannot hold
+// another child-list block is refused before it is spawned, so the refusal
+// leaves nothing behind: no process or context object, nothing queued at
+// the dispatch port, no new entry in the parent's child list.
+func TestCreateProcessMakesRoomFirst(t *testing.T) {
+	sys, b := newSys(t)
+	dom := spinDomain(t, sys, 10)
+	// The parent (92 bytes), its first frame (104) and one child block
+	// (64): the heap has no room for a second block.
+	heap, f := sys.SROs.NewGlobalHeap(92 + 104 + 64)
+	if f != nil {
+		t.Fatal(f)
+	}
+	parent, f := b.CreateProcess(dom, obj.NilAD, gdp.SpawnSpec{Heap: heap})
+	if f != nil {
+		t.Fatal(f)
+	}
+	for i := childSlot0; i < childBlockSlots; i++ {
+		if _, f := b.CreateProcess(dom, parent, gdp.SpawnSpec{}); f != nil {
+			t.Fatal(f)
+		}
+	}
+	live, kids := sys.Table.Live(), childCount(t, sys, parent)
+	queued, f := sys.Ports.Count(sys.Dispatch)
+	if f != nil {
+		t.Fatal(f)
+	}
+	if _, f := b.CreateProcess(dom, parent, gdp.SpawnSpec{}); !obj.IsFault(f, obj.FaultStorageClaim) {
+		t.Fatalf("child past the parent's claim: %v, want %v", f, obj.FaultStorageClaim)
+	}
+	if n := sys.Table.Live(); n != live {
+		t.Errorf("live objects %d after the refusal, want %d", n, live)
+	}
+	if n, _ := sys.Ports.Count(sys.Dispatch); n != queued {
+		t.Errorf("dispatch port holds %d after the refusal, want %d", n, queued)
+	}
+	if n := childCount(t, sys, parent); n != kids {
+		t.Errorf("parent lists %d children after the refusal, want %d", n, kids)
+	}
+}
+
+// TestStopStartAllOrNothing: stops and starts apply to entire trees
+// (§6.1), so one that cannot read the whole tree changes no stop count.
+// The tree is a root with 12 children, stopped once; then its second child
+// block is swapped out.
+func TestStopStartAllOrNothing(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		op   func(*Basic, obj.AD) *obj.Fault
+	}{
+		{"stop", (*Basic).Stop},
+		{"start", (*Basic).Start},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			sys, b := newSys(t)
+			dom := spinDomain(t, sys, 10)
+			root, f := b.CreateProcess(dom, obj.NilAD, gdp.SpawnSpec{})
+			if f != nil {
+				t.Fatal(f)
+			}
+			tree := []obj.AD{root}
+			for i := 0; i < 12; i++ {
+				c, f := b.CreateProcess(dom, root, gdp.SpawnSpec{})
+				if f != nil {
+					t.Fatal(f)
+				}
+				tree = append(tree, c)
+			}
+			if f := b.Stop(root); f != nil {
+				t.Fatal(f)
+			}
+			first, f := sys.Procs.Link(root, process.SlotChildren)
+			if f != nil {
+				t.Fatal(f)
+			}
+			second, f := sys.Table.LoadAD(first, childSlotNext)
+			if f != nil {
+				t.Fatal(f)
+			}
+			if f := sys.Table.SwapOut(second.Index, 1); f != nil {
+				t.Fatal(f)
+			}
+			if f := row.op(b, root); !obj.IsFault(f, obj.FaultSegmentMoved) {
+				t.Errorf("%s over a swapped-out child block: %v, want %v", row.name, f, obj.FaultSegmentMoved)
+			}
+			for i, p := range tree {
+				if n := opened(sys, p).StopCount(); n != 1 {
+					t.Errorf("tree member %d: stop count %d after the refused %s, want 1", i, n, row.name)
+				}
+			}
+		})
+	}
+}
+
+// childCount counts the entries of p's child list.
+func childCount(t *testing.T, sys *gdp.System, p obj.AD) int {
+	t.Helper()
+	n := 0
+	cur, f := sys.Procs.Link(p, process.SlotChildren)
+	for f == nil && cur.Valid() {
+		var bv obj.View
+		sys.Table.View(cur, obj.TypeGeneric, obj.RightRead, &bv)
+		for s := uint32(childSlot0); s < childBlockSlots; s++ {
+			if bv.LoadAD(s).Valid() {
+				n++
+			}
+		}
+		cur, f = bv.LoadAD(childSlotNext), bv.Fault()
+	}
+	if f != nil {
+		t.Fatal(f)
+	}
+	return n
+}
