@@ -13,8 +13,8 @@
 # that has it counts two fewer.
 set -eu
 cd "$(dirname "$0")/.."
-ceiling=78
-total_ceiling=359
+ceiling=61
+total_ceiling=326
 profile=$(mktemp)
 trap 'rm -f "$profile"' EXIT
 

@@ -318,12 +318,17 @@ func (s *Store) ActivateImage(img []byte, heap obj.AD, created []obj.AD) (obj.AD
 
 	// unwind reclaims everything created so far, newest first, so a
 	// failed activation leaks neither objects nor SRO claim.
+	// Reclaim cannot refuse an object this call made and no one else has
+	// seen (TestActivateUnwindsOnDanglingEdge reaches the unwind).
 	unwind := func(err error) (obj.AD, []obj.AD, error) {
 		for i := len(created) - 1; i >= n0; i-- {
 			_ = s.SROs.Reclaim(created[i].Index)
 		}
 		return obj.NilAD, created[:n0], err
 	}
+	// One latch keeps the first refusal of the writes into the fresh
+	// objects, read once after the second pass.
+	var l obj.Latch
 	s.edges = s.edges[:0]
 	for i := 0; i < count; i++ {
 		typ := obj.Type(r.u8())
@@ -362,9 +367,7 @@ func (s *Store) ActivateImage(img []byte, heap obj.AD, created []obj.AD) (obj.AD
 		created = append(created, ad)
 		s.edges = append(s.edges, slotsAt)
 		if dataLen > 0 {
-			if f := s.Table.WriteBytes(ad, 0, data); f != nil {
-				return unwind(f)
-			}
+			l.Keep(s.Table.WriteBytes(ad, 0, data))
 		}
 	}
 	// Second pass: rebuild the edges, reading each object's slot count and
@@ -381,10 +384,11 @@ func (s *Store) ActivateImage(img []byte, heap obj.AD, created []obj.AD) (obj.AD
 			if int(enc-1) >= len(objs) {
 				return unwind(fmt.Errorf("%w: edge to object %d of %d", ErrCorrupt, enc-1, len(objs)))
 			}
-			if f := s.Table.StoreAD(ad, slot, objs[enc-1]); f != nil {
-				return unwind(f)
-			}
+			l.Keep(s.Table.StoreAD(ad, slot, objs[enc-1]))
 		}
+	}
+	if f := l.Fault(); f != nil {
+		return unwind(f)
 	}
 	s.ActivatedObjects += uint64(len(objs))
 	return objs[0], created, nil

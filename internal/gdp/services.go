@@ -87,14 +87,16 @@ func (s *System) fireTimers(now vtime.Cycles) {
 	s.timers, s.fired = kept, fired
 	for _, t := range fired {
 		p := t.proc
-		if _, f := s.Table.RequireType(p, obj.TypeProcess); f != nil {
+		var pv process.Proc
+		s.Procs.Open(p, obj.RightRead, &pv)
+		st := pv.State()
+		if pv.Fault() != nil {
 			continue // process since collected
 		}
 		if l := s.Table.Tracer(); l != nil {
 			l.Emit(trace.EvTimer, uint32(p.Index), 0, uint64(t.at))
 		}
-		st, f := s.Procs.StateOf(p)
-		if f != nil || st == process.StateTerminated {
+		if st == process.StateTerminated {
 			continue
 		}
 		if t.watch.Valid() {
@@ -114,7 +116,8 @@ func (s *System) fireTimers(now vtime.Cycles) {
 			continue
 		}
 		if st == process.StateBlocked {
-			s.damage.Keep(s.Procs.SetState(p, process.StateReady))
+			pv.SetState(process.StateReady)
+			s.damage.Keep(pv.Fault())
 		}
 		s.MakeReady(p)
 	}

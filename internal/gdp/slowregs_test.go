@@ -137,8 +137,10 @@ func slowRow(t *testing.T, nocache bool, c slowCase, in isa.Instr) string {
 	if f != nil {
 		t.Fatal(f)
 	}
-	at, f := s.Procs.FaultObject(proc)
-	if f != nil {
+	var pv process.Proc
+	s.Procs.Open(proc, obj.RightRead, &pv)
+	at := pv.FaultObject()
+	if f := pv.Fault(); f != nil {
 		t.Fatal(f)
 	}
 

@@ -16,13 +16,15 @@ import (
 // inaccessible for some period of time".
 //
 // Faults other than segment faults are beyond this service; they are
-// forwarded to overflowPort if valid, else the process is terminated.
+// forwarded to overflowPort if valid. A victim with no overflow port, or one
+// it will not take (full or refusing), is terminated, as a fault delivery to
+// a full port terminates its process; so is one whose object cannot be
+// restored. The body returns no fault on any path: a fault port that refuses
+// the receive is treated as an empty one, and a message that does not open
+// as a process is a doctored world, and is dropped.
 func FaultHandlerBody(m *Swapping, faultPort, overflowPort obj.AD) gdp.NativeBody {
 	return gdp.NativeBodyFunc(func(sys *gdp.System, self obj.AD) (vtime.Cycles, gdp.BodyStatus, *obj.Fault) {
-		victim, ok, f := sys.ReceiveMessage(faultPort)
-		if f != nil {
-			return vtime.CostReceive, gdp.BodyYield, f
-		}
+		victim, ok, _ := sys.ReceiveMessage(faultPort)
 		if !ok {
 			// Nothing to service; sleep until the next fault
 			// wakes us via the port. Poll on the interval timer:
@@ -33,37 +35,32 @@ func FaultHandlerBody(m *Swapping, faultPort, overflowPort obj.AD) gdp.NativeBod
 			return vtime.CostReceive, gdp.BodyWaiting, nil
 		}
 		spent := vtime.CostReceive
-		code, f := sys.Procs.FaultCode(victim)
-		if f != nil {
-			return spent, gdp.BodyYield, f
+		var vv process.Proc
+		sys.Procs.Open(victim, obj.RightRead|obj.RightWrite, &vv)
+		code, idx := vv.FaultCode(), vv.FaultObject()
+		if vv.Fault() != nil {
+			return spent, gdp.BodyYield, nil
 		}
 		if code != obj.FaultSegmentMoved {
-			if overflowPort.Valid() {
-				_, _ = sys.SendMessage(overflowPort, victim, uint32(code))
-			} else {
-				_ = sys.Procs.SetState(victim, process.StateTerminated)
+			if !overflowPort.Valid() {
+				vv.SetState(process.StateTerminated)
+			} else if sent, _ := sys.SendMessage(overflowPort, victim, uint32(code)); !sent {
+				vv.SetState(process.StateTerminated)
 			}
 			return spent + vtime.CostSend, gdp.BodyYield, nil
 		}
-		idx, f := sys.Procs.FaultObject(victim)
-		if f != nil {
-			return spent, gdp.BodyYield, f
-		}
+		// EnsureResident evicts only swappable objects, never a process,
+		// and moves nothing, so the victim's view stays good across it.
 		before := m.SwapCycles
-		if f := m.EnsureResident(idx); f != nil {
-			// The object is unrecoverable (or memory is wedged):
-			// the victim cannot make progress; record and park it.
-			_ = sys.Procs.SetState(victim, process.StateTerminated)
+		if m.EnsureResident(idx) != nil {
+			// The object is unrecoverable (or memory is wedged): the
+			// victim cannot make progress.
+			vv.SetState(process.StateTerminated)
 			return spent, gdp.BodyYield, nil
 		}
 		spent += m.SwapCycles - before
 		m.FaultsServiced++
-		if f := sys.Procs.SetState(victim, process.StateReady); f != nil {
-			return spent, gdp.BodyYield, f
-		}
-		// A requeue the dispatcher cannot complete is system damage,
-		// latched for the Step this body runs in, not the handler's
-		// fault: a level-2 process may not fault (§7.3).
+		vv.SetState(process.StateReady)
 		sys.MakeReady(victim)
 		return spent, gdp.BodyYield, nil
 	})

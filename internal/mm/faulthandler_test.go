@@ -348,47 +348,75 @@ func TestFaultHandlerFullOverflowTerminates(t *testing.T) {
 // TestFaultHandlerNeverFaults: the service is a level-2 process and may not
 // fault (§7.3), whatever a doctored world puts before it. A message on its
 // fault port that is not a process is dropped; a fault port that refuses
-// the receive is treated as an empty one.
+// the receive is treated as an empty one; a victim whose segment fault
+// names an object the backing store holds no image of cannot be restored
+// and is terminated.
 func TestFaultHandlerNeverFaults(t *testing.T) {
+	generic := func(t *testing.T, sys *gdp.System) obj.AD {
+		ad, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 32})
+		if f != nil {
+			t.Fatal(f)
+		}
+		return ad
+	}
+	// queued makes a fault port holding msg.
+	queued := func(t *testing.T, sys *gdp.System, msg obj.AD) obj.AD {
+		fp, f := sys.Ports.Create(sys.Heap, 4, port.FIFO)
+		if f != nil {
+			t.Fatal(f)
+		}
+		if ok, f := sys.SendMessage(fp, msg, 0); f != nil || !ok {
+			t.Fatalf("queue the message: ok=%v %v", ok, f)
+		}
+		return fp
+	}
 	for _, row := range []struct {
 		name   string
-		port   func(t *testing.T, sys *gdp.System) obj.AD
+		world  func(t *testing.T, sys *gdp.System) (faultPort, victim obj.AD)
 		status gdp.BodyStatus
 	}{
-		{"message not a process", func(t *testing.T, sys *gdp.System) obj.AD {
-			fp, f := sys.Ports.Create(sys.Heap, 4, port.FIFO)
-			if f != nil {
-				t.Fatal(f)
-			}
-			junk, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 32})
-			if f != nil {
-				t.Fatal(f)
-			}
-			if ok, f := sys.SendMessage(fp, junk, 0); f != nil || !ok {
-				t.Fatalf("queue the junk: ok=%v %v", ok, f)
-			}
-			return fp
+		{"message not a process", func(t *testing.T, sys *gdp.System) (obj.AD, obj.AD) {
+			return queued(t, sys, generic(t, sys)), obj.NilAD
 		}, gdp.BodyYield},
-		{"fault port not a port", func(t *testing.T, sys *gdp.System) obj.AD {
-			notPort, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 32})
+		{"fault port not a port", func(t *testing.T, sys *gdp.System) (obj.AD, obj.AD) {
+			return generic(t, sys), obj.NilAD
+		}, gdp.BodyWaiting},
+		{"backing image missing", func(t *testing.T, sys *gdp.System) (obj.AD, obj.AD) {
+			lost := generic(t, sys)
+			if f := sys.Table.SwapOut(lost.Index, 77); f != nil { // past the swapper's store
+				t.Fatal(f)
+			}
+			victim, f := sys.Procs.Create(sys.Heap, process.Spec{})
 			if f != nil {
 				t.Fatal(f)
 			}
-			return notPort
-		}, gdp.BodyWaiting},
+			var pv process.Proc
+			sys.Procs.Open(victim, obj.RightWrite, &pv)
+			pv.SetFault(obj.FaultSegmentMoved, lost.Index)
+			pv.SetState(process.StateFaulted)
+			if f := pv.Fault(); f != nil {
+				t.Fatal(f)
+			}
+			return queued(t, sys, victim), victim
+		}, gdp.BodyYield},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			sys, err := gdp.New(gdp.Config{Processors: 1, MemoryBytes: 1 << 20})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fp := row.port(t, sys)
+			fp, victim := row.world(t, sys)
 			body := mm.FaultHandlerBody(mm.NewSwapping(sys.Table, sys.SROs), fp, obj.NilAD)
 			if _, status, f := body.Step(sys, obj.NilAD); f != nil || status != row.status {
 				t.Fatalf("handler step = %v, %v; want %v and no fault", status, f, row.status)
 			}
 			if n, f := sys.Ports.Count(fp); f == nil && n != 0 {
 				t.Fatalf("fault port still holds %d", n)
+			}
+			if victim.Valid() {
+				if st, f := sys.Procs.StateOf(victim); f != nil || st != process.StateTerminated {
+					t.Fatalf("victim %v (%v), want terminated", st, f)
+				}
 			}
 		})
 	}

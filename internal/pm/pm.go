@@ -47,136 +47,151 @@ func NewBasic(sys *gdp.System) *Basic { return &Basic{Sys: sys} }
 // find it. The returned capability carries all rights; hand out copies
 // without RightControl to deny scheduling interference.
 func (b *Basic) CreateProcess(dom obj.AD, parent obj.AD, spec gdp.SpawnSpec) (obj.AD, *obj.Fault) {
-	p, f := b.Sys.Spawn(dom, b.under(parent, spec))
-	return b.adopt(parent, p, f)
+	return b.create(parent, spec, func(spec gdp.SpawnSpec) (obj.AD, *obj.Fault) {
+		return b.Sys.Spawn(dom, spec)
+	})
 }
 
 // CreateNativeProcess is CreateProcess for a Go-bodied process.
 func (b *Basic) CreateNativeProcess(body gdp.NativeBody, parent obj.AD, spec gdp.SpawnSpec) (obj.AD, *obj.Fault) {
-	p, f := b.Sys.SpawnNative(body, b.under(parent, spec))
-	return b.adopt(parent, p, f)
+	return b.create(parent, spec, func(spec gdp.SpawnSpec) (obj.AD, *obj.Fault) {
+		return b.Sys.SpawnNative(body, spec)
+	})
 }
 
-// under completes a spawn spec for a child of parent: the tree link, and
-// the manager's notification port unless the caller named another.
-func (b *Basic) under(parent obj.AD, spec gdp.SpawnSpec) gdp.SpawnSpec {
+// create finds or makes the child-list slot before it spawns, so a parent
+// whose list cannot take another child refuses it with nothing spawned.
+// The spec gets the tree link, and the manager's notification port unless
+// the caller named another. The slot's block was opened for writing and
+// checked, and the process was just made, so the store that links it
+// cannot be refused.
+func (b *Basic) create(parent obj.AD, spec gdp.SpawnSpec, spawn func(gdp.SpawnSpec) (obj.AD, *obj.Fault)) (obj.AD, *obj.Fault) {
+	var blk obj.View
+	slot, f := b.childSlot(parent, &blk)
+	if f != nil {
+		return obj.NilAD, f
+	}
 	spec.Parent = parent
 	if b.Notify.Valid() && !spec.SchedPort.Valid() {
 		spec.SchedPort = b.Notify
 	}
-	return spec
-}
-
-// adopt records a process just spawned in its parent's child list.
-func (b *Basic) adopt(parent, p obj.AD, f *obj.Fault) (obj.AD, *obj.Fault) {
-	if f == nil && parent.Valid() {
-		f = b.addChild(parent, p)
-	}
+	p, f := spawn(spec)
 	if f != nil {
 		return obj.NilAD, f
+	}
+	if parent.Valid() {
+		blk.StoreADSystem(slot, p)
 	}
 	return p, nil
 }
 
-// addChild links child into parent's chained child list, growing it by a
-// block when full. Lists live at the parent's level so the level rule is
-// respected for the block objects; child ADs are linked via the system
-// path (children may be shorter-lived than the list block, and the
-// manager unlinks them on destruction).
-func (b *Basic) addChild(parent, child obj.AD) *obj.Fault {
+// childSlot finds the first free slot of parent's chained child list, or
+// grows the list by a block when every slot is taken, and leaves the block
+// that holds the slot open in blk. Lists live at the parent's level so the
+// level rule is respected for the block objects; child ADs are linked via
+// the system path (children may be shorter-lived than the list block).
+// Nothing unlinks a child: a destroyed one keeps its slot, and the tree
+// walk skips it.
+func (b *Basic) childSlot(parent obj.AD, blk *obj.View) (uint32, *obj.Fault) {
+	if !parent.Valid() {
+		return 0, nil
+	}
 	t := b.Sys.Table
 	var pv process.Proc
-	b.Sys.Procs.Open(parent, obj.RightRead, &pv)
-	var last obj.View // the block walked last, where a new one links
-	for cur := pv.LoadAD(process.SlotChildren); cur.Valid(); cur = last.LoadAD(childSlotNext) {
-		t.View(cur, obj.TypeGeneric, obj.RightRead, &last)
+	b.Sys.Procs.Open(parent, obj.RightRead|obj.RightWrite, &pv)
+	for cur := pv.LoadAD(process.SlotChildren); cur.Valid(); cur = blk.LoadAD(childSlotNext) {
+		t.View(cur, obj.TypeGeneric, obj.RightRead|obj.RightWrite, blk)
 		for s := uint32(childSlot0); s < childBlockSlots; s++ {
-			if ad := last.LoadAD(s); !ad.Valid() {
-				last.StoreADSystem(s, child)
-				return last.Fault()
+			if !blk.LoadAD(s).Valid() {
+				return s, blk.Fault()
 			}
 		}
 	}
-	// Allocate a new block from the parent's SRO.
-	pv.Latch(last.Fault())
+	// Every slot is taken (a block that did not open returned above):
+	// allocate a new block from the parent's SRO and link it where the
+	// walk ended. Both views were opened for writing and checked before
+	// the allocation, so neither store can be refused, and no block is
+	// made that the list does not hold.
 	heap := pv.LoadAD(process.SlotSRO)
 	if f := pv.Fault(); f != nil {
-		return f
+		return 0, f
 	}
-	blk, f := b.Sys.SROs.Create(heap, obj.CreateSpec{
+	nb, f := b.Sys.SROs.Create(heap, obj.CreateSpec{
 		Type:        obj.TypeGeneric,
 		AccessSlots: childBlockSlots,
 	})
 	if f != nil {
-		return f
+		return 0, f
 	}
-	if f := t.StoreADSystem(blk, childSlot0, child); f != nil {
-		return f
+	if blk.AD().Valid() {
+		blk.StoreADSystem(childSlotNext, nb)
+	} else {
+		pv.StoreADSystem(process.SlotChildren, nb)
 	}
-	if last.AD().Valid() {
-		last.StoreADSystem(childSlotNext, blk)
-		return last.Fault()
-	}
-	pv.StoreADSystem(process.SlotChildren, blk)
-	return pv.Fault()
+	t.View(nb, obj.TypeGeneric, obj.RightRead|obj.RightWrite, blk)
+	return childSlot0, nil
 }
 
-// Children calls fn with each live child of p. A block is read whole
-// before fn sees any of it: fn may do anything, and a view is held across
-// nothing but its own accesses.
-func (b *Basic) Children(p obj.AD, fn func(obj.AD) *obj.Fault) *obj.Fault {
+// treeRights are the rights a stop or start needs on every process of the
+// tree: the control right (§6.1), and read and write for the stop count.
+const treeRights = process.RightControl | obj.RightRead | obj.RightWrite
+
+// subtree opens p and every live descendant, depth-first with each parent
+// before its children, and appends the views to tree. A process or child
+// block it cannot open refuses the whole operation: stops and starts
+// "apply to entire trees" (§6.1), so nothing is changed until every member
+// is open. A child destroyed since it was listed is skipped.
+func (b *Basic) subtree(p obj.AD, tree []process.Proc) ([]process.Proc, *obj.Fault) {
 	t := b.Sys.Table
-	cur, f := b.Sys.Procs.Link(p, process.SlotChildren)
-	for f == nil && cur.Valid() {
-		var bv obj.View
-		t.View(cur, obj.TypeGeneric, obj.RightRead, &bv)
-		var slots [childBlockSlots]obj.AD
-		for s := range slots {
-			slots[s] = bv.LoadAD(uint32(s))
-		}
-		if f = bv.Fault(); f != nil {
-			break
-		}
-		for _, ad := range slots[childSlot0:] {
-			if !ad.Valid() {
+	tree = append(tree, process.Proc{})
+	pv := &tree[len(tree)-1]
+	b.Sys.Procs.Open(p, treeRights, pv)
+	var blk obj.View
+	blk.Latch(pv.Fault())
+	for cur := pv.LoadAD(process.SlotChildren); cur.Valid(); cur = blk.LoadAD(childSlotNext) {
+		t.View(cur, obj.TypeGeneric, obj.RightRead, &blk)
+		for s := uint32(childSlot0); s < childBlockSlots; s++ {
+			c := blk.LoadAD(s)
+			if !c.Valid() {
 				continue
 			}
-			if _, gone := t.Resolve(ad); gone != nil {
-				continue // child since collected
+			if _, gone := t.Resolve(c); gone != nil {
+				continue
 			}
-			if f := fn(ad); f != nil {
-				return f
+			var f *obj.Fault
+			if tree, f = b.subtree(c, tree); f != nil {
+				return tree, f
 			}
 		}
-		cur = slots[childSlotNext]
 	}
-	return f
-}
-
-// Walk calls fn with p and every live descendant, depth-first.
-func (b *Basic) Walk(p obj.AD, fn func(obj.AD) *obj.Fault) *obj.Fault {
-	if f := fn(p); f != nil {
-		return f
-	}
-	return b.Children(p, func(c obj.AD) *obj.Fault {
-		return b.Walk(c, fn)
-	})
+	return tree, blk.Fault()
 }
 
 // Stop increments the stop count of p and its whole subtree, removing
 // newly-stopped processes from the dispatching mix. Requires the control
 // right on p; the nesting means a scheduler can pass stop requests
 // through "without being tracked" (§6.1).
-func (b *Basic) Stop(p obj.AD) *obj.Fault {
-	if !p.Rights.Has(process.RightControl) {
-		return obj.Faultf(obj.FaultRights, p, "need control right")
+func (b *Basic) Stop(p obj.AD) *obj.Fault { return b.apply(p, b.stopOne) }
+
+// Start decrements the stop count of p and its subtree; processes whose
+// count returns to zero re-enter the dispatching mix.
+func (b *Basic) Start(p obj.AD) *obj.Fault { return b.apply(p, b.startOne) }
+
+// apply opens the whole tree under p, then applies op to each member in
+// the subtree's order. A tree it cannot open whole is refused with no
+// count changed.
+func (b *Basic) apply(p obj.AD, op func(*process.Proc)) *obj.Fault {
+	tree, f := b.subtree(p, nil)
+	if f != nil {
+		return f
 	}
-	return b.Walk(p, func(q obj.AD) *obj.Fault { return b.stopOne(q) })
+	for i := range tree {
+		op(&tree[i])
+	}
+	return nil
 }
 
-func (b *Basic) stopOne(p obj.AD) *obj.Fault {
-	var pv process.Proc
-	b.Sys.Procs.Open(p, obj.RightRead, &pv)
+func (b *Basic) stopOne(pv *process.Proc) {
 	n := pv.StopCount()
 	pv.SetStopCount(n + 1)
 	pv.Emit(trace.EvStop, uint32(n+1), 0)
@@ -188,39 +203,24 @@ func (b *Basic) stopOne(p obj.AD) *obj.Fault {
 	// scheduling event.
 	if st := pv.State(); n == 0 && (st == process.StateReady || st == process.StateRunning) {
 		pv.SetState(process.StateStopped)
-		if pv.Fault() == nil {
-			b.notifyLeave(p)
-		}
+		b.notifyLeave(pv.AD())
 	}
-	return pv.Fault()
 }
 
-// Start decrements the stop count of p and its subtree; processes whose
-// count returns to zero re-enter the dispatching mix.
-func (b *Basic) Start(p obj.AD) *obj.Fault {
-	if !p.Rights.Has(process.RightControl) {
-		return obj.Faultf(obj.FaultRights, p, "need control right")
-	}
-	return b.Walk(p, func(q obj.AD) *obj.Fault { return b.startOne(q) })
-}
-
-func (b *Basic) startOne(p obj.AD) *obj.Fault {
-	var pv process.Proc
-	b.Sys.Procs.Open(p, obj.RightRead, &pv)
+func (b *Basic) startOne(pv *process.Proc) {
 	n := pv.StopCount()
 	if n == 0 {
-		return pv.Fault() // never stopped; starts do not go negative
+		return // never stopped; starts do not go negative
 	}
 	pv.SetStopCount(n - 1)
 	pv.Emit(trace.EvStart, uint32(n-1), 0)
+	// Still stopped, or parked where a wakeup will find it, unless this
+	// start balanced the last stop of a stopped process.
 	if n == 1 && pv.State() == process.StateStopped {
 		pv.SetState(process.StateReady)
-		if pv.Fault() == nil {
-			b.notifyEnter(p)
-			b.Sys.MakeReady(p)
-		}
+		b.notifyEnter(pv.AD())
+		b.Sys.MakeReady(pv.AD())
 	}
-	return pv.Fault() // still stopped, or parked where a wakeup will find it
 }
 
 func (b *Basic) notifyLeave(p obj.AD) { b.notify(p, 0) }
@@ -264,10 +264,13 @@ func NewFairScheduler(b *Basic, quantum uint32) *FairScheduler {
 // Adopt places a process under this scheduler's control: its hardware
 // parameters now belong to the policy, not the user ("The protection
 // structures guarantee that only this second manager would then have
-// access to the basic process management facility").
+// access to the basic process management facility"). It needs the rights
+// Rebalance uses.
 func (s *FairScheduler) Adopt(p obj.AD) *obj.Fault {
-	P := s.Basic.Sys.Procs
-	if f := P.SetTimeSlice(p, s.Quantum); f != nil {
+	var pv process.Proc
+	s.Basic.Sys.Procs.Open(p, treeRights, &pv)
+	pv.SetTimeSlice(s.Quantum)
+	if f := pv.Fault(); f != nil {
 		return f
 	}
 	s.clients = append(s.clients, p)
@@ -276,53 +279,42 @@ func (s *FairScheduler) Adopt(p obj.AD) *obj.Fault {
 
 // Rebalance recomputes client priorities from consumed cycles: the less a
 // client has run, the higher it is placed. Run it periodically (the
-// scheduler's native-process body does).
-func (s *FairScheduler) Rebalance() *obj.Fault {
-	P := s.Basic.Sys.Procs
-	live := s.clients[:0]
-	var min, max uint32
-	first := true
+// scheduler's native-process body does). Each client is opened once; one
+// that no longer opens (collected) or has terminated leaves the table.
+func (s *FairScheduler) Rebalance() {
 	type rec struct {
-		p      obj.AD
+		pv     process.Proc
 		cycles uint32
 	}
+	live := s.clients[:0]
 	var recs []rec
+	var min, max uint32
 	for _, p := range s.clients {
-		st, f := P.StateOf(p)
-		if f != nil {
-			continue // collected or damaged: drop from the table
-		}
-		if st == process.StateTerminated {
+		var pv process.Proc
+		s.Basic.Sys.Procs.Open(p, treeRights, &pv)
+		st, c := pv.State(), pv.CPUCycles()
+		if pv.Fault() != nil || st == process.StateTerminated {
 			continue
 		}
 		live = append(live, p)
-		c, f := P.CPUCycles(p)
-		if f != nil {
-			return f
-		}
-		recs = append(recs, rec{p, c})
-		if first || c < min {
+		if len(recs) == 0 || c < min {
 			min = c
 		}
-		if first || c > max {
+		if len(recs) == 0 || c > max {
 			max = c
 		}
-		first = false
+		recs = append(recs, rec{pv, c})
 	}
 	s.clients = live
-	if len(recs) == 0 || max == min {
-		return nil
+	if max == min {
+		return
 	}
 	span := max - min
-	for _, r := range recs {
+	for i := range recs {
 		// Starved clients (near min) get the top level; hogs get 0.
-		frac := uint64(r.cycles-min) * uint64(s.Levels-1) / uint64(span)
-		prio := (s.Levels - 1) - uint16(frac)
-		if f := P.SetPriority(r.p, prio); f != nil {
-			return f
-		}
+		frac := uint64(recs[i].cycles-min) * uint64(s.Levels-1) / uint64(span)
+		recs[i].pv.SetPriority((s.Levels - 1) - uint16(frac))
 	}
-	return nil
 }
 
 // Body returns a native-process body that rebalances on the interval
@@ -331,9 +323,7 @@ func (s *FairScheduler) Rebalance() *obj.Fault {
 // clients. period is the rebalance interval in cycles.
 func (s *FairScheduler) Body(period vtime.Cycles) gdp.NativeBody {
 	return gdp.NativeBodyFunc(func(sys *gdp.System, proc obj.AD) (vtime.Cycles, gdp.BodyStatus, *obj.Fault) {
-		if f := s.Rebalance(); f != nil {
-			return 200, gdp.BodyWaiting, f
-		}
+		s.Rebalance()
 		// Sleep on the hardware interval timer until the next tick;
 		// charge per client for the pass itself.
 		sys.WakeAt(sys.Now()+period, proc)

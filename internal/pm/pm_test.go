@@ -38,6 +38,10 @@ func spinDomain(t *testing.T, sys *gdp.System, iters uint32) obj.AD {
 	return dom
 }
 
+// TestProcessTreeChildren: the tree a stop or start opens is the root and
+// every live descendant, depth-first with each parent before its children,
+// across child blocks; a destroyed child is skipped, and a descendant that
+// does not open refuses the whole.
 func TestProcessTreeChildren(t *testing.T) {
 	sys, b := newSys(t)
 	dom := spinDomain(t, sys, 10)
@@ -53,29 +57,51 @@ func TestProcessTreeChildren(t *testing.T) {
 		}
 		kids = append(kids, c)
 	}
-	var seen int
-	if f := b.Children(root, func(c obj.AD) *obj.Fault {
-		seen++
-		return nil
-	}); f != nil {
-		t.Fatal(f)
-	}
-	if seen != len(kids) {
-		t.Fatalf("Children saw %d of %d", seen, len(kids))
-	}
-	// Walk includes the root and grandchildren.
 	g, f := b.CreateProcess(dom, kids[0], gdp.SpawnSpec{})
 	if f != nil {
 		t.Fatal(f)
 	}
-	_ = g
-	var walked int
-	if f := b.Walk(root, func(obj.AD) *obj.Fault { walked++; return nil }); f != nil {
+	order := func() []obj.AD {
+		t.Helper()
+		tree, f := b.subtree(root, nil)
+		if f != nil {
+			t.Fatal(f)
+		}
+		ads := make([]obj.AD, len(tree))
+		for i := range tree {
+			ads[i] = tree[i].AD()
+		}
+		return ads
+	}
+	want := append([]obj.AD{root, kids[0], g}, kids[1:]...)
+	if got := order(); !equalADs(got, want) {
+		t.Fatalf("tree order %v, want %v", got, want)
+	}
+	if f := sys.SROs.Reclaim(kids[3].Index); f != nil {
 		t.Fatal(f)
 	}
-	if walked != 14 { // root + 12 children + 1 grandchild
-		t.Fatalf("Walk saw %d", walked)
+	want = append(want[:5:5], want[6:]...)
+	if got := order(); !equalADs(got, want) {
+		t.Fatalf("tree order with a destroyed child %v, want %v", got, want)
 	}
+	if f := sys.Table.SwapOut(g.Index, 1); f != nil {
+		t.Fatal(f)
+	}
+	if _, f := b.subtree(root, nil); !obj.IsFault(f, obj.FaultSegmentMoved) {
+		t.Fatalf("tree with a swapped-out grandchild: %v, want %v", f, obj.FaultSegmentMoved)
+	}
+}
+
+func equalADs(a, b []obj.AD) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestNestedStopStart(t *testing.T) {
@@ -162,6 +188,10 @@ func TestStopRequiresControlRight(t *testing.T) {
 	}
 	if f := b.Start(weak); !obj.IsFault(f, obj.FaultRights) {
 		t.Fatalf("start without control right: %v", f)
+	}
+	fs := NewFairScheduler(b, 1000)
+	if f := fs.Adopt(weak); !obj.IsFault(f, obj.FaultRights) || len(fs.clients) != 0 {
+		t.Fatalf("adopt without control right: %v, %d clients", f, len(fs.clients))
 	}
 }
 
@@ -385,9 +415,7 @@ func TestFairSchedulerDropsTerminatedClients(t *testing.T) {
 	if _, f := sys.Run(0); f != nil {
 		t.Fatal(f)
 	}
-	if f := fs.Rebalance(); f != nil {
-		t.Fatal(f)
-	}
+	fs.Rebalance()
 	if len(fs.clients) != 0 {
 		t.Fatalf("terminated client retained: %d", len(fs.clients))
 	}
@@ -400,44 +428,76 @@ func opened(sys *gdp.System, p obj.AD) *process.Proc {
 	return &v
 }
 
-// TestCreateProcessMakesRoomFirst: a child whose parent's heap cannot hold
-// another child-list block is refused before it is spawned, so the refusal
-// leaves nothing behind: no process or context object, nothing queued at
-// the dispatch port, no new entry in the parent's child list.
+// TestCreateProcessMakesRoomFirst: a child whose parent's child list cannot
+// take it is refused before it is spawned, so the refusal leaves nothing
+// behind: no process or context object, nothing queued at the dispatch
+// port, no new entry in the parent's child list. Each row fills the
+// parent's first child block, then doctors the parent.
 func TestCreateProcessMakesRoomFirst(t *testing.T) {
-	sys, b := newSys(t)
-	dom := spinDomain(t, sys, 10)
-	// The parent (92 bytes), its first frame (104) and one child block
-	// (64): the heap has no room for a second block.
-	heap, f := sys.SROs.NewGlobalHeap(92 + 104 + 64)
-	if f != nil {
-		t.Fatal(f)
-	}
-	parent, f := b.CreateProcess(dom, obj.NilAD, gdp.SpawnSpec{Heap: heap})
-	if f != nil {
-		t.Fatal(f)
-	}
-	for i := childSlot0; i < childBlockSlots; i++ {
-		if _, f := b.CreateProcess(dom, parent, gdp.SpawnSpec{}); f != nil {
-			t.Fatal(f)
-		}
-	}
-	live, kids := sys.Table.Live(), childCount(t, sys, parent)
-	queued, f := sys.Ports.Count(sys.Dispatch)
-	if f != nil {
-		t.Fatal(f)
-	}
-	if _, f := b.CreateProcess(dom, parent, gdp.SpawnSpec{}); !obj.IsFault(f, obj.FaultStorageClaim) {
-		t.Fatalf("child past the parent's claim: %v, want %v", f, obj.FaultStorageClaim)
-	}
-	if n := sys.Table.Live(); n != live {
-		t.Errorf("live objects %d after the refusal, want %d", n, live)
-	}
-	if n, _ := sys.Ports.Count(sys.Dispatch); n != queued {
-		t.Errorf("dispatch port holds %d after the refusal, want %d", n, queued)
-	}
-	if n := childCount(t, sys, parent); n != kids {
-		t.Errorf("parent lists %d children after the refusal, want %d", n, kids)
+	for _, row := range []struct {
+		name string
+		// claim bounds the parent's heap (0: unbounded).
+		claim  uint32
+		doctor func(t *testing.T, sys *gdp.System, parent obj.AD) obj.AD
+		want   obj.FaultCode
+	}{
+		// The parent (92 bytes), its first frame (104) and one child
+		// block (64): the heap has no room for a second block.
+		{"heap full", 92 + 104 + 64, nil, obj.FaultStorageClaim},
+		{"child block swapped out", 0, func(t *testing.T, sys *gdp.System, parent obj.AD) obj.AD {
+			first, f := sys.Procs.Link(parent, process.SlotChildren)
+			if f != nil {
+				t.Fatal(f)
+			}
+			if f := sys.Table.SwapOut(first.Index, 1); f != nil {
+				t.Fatal(f)
+			}
+			return parent
+		}, obj.FaultSegmentMoved},
+		{"parent without the write right", 0, func(t *testing.T, sys *gdp.System, parent obj.AD) obj.AD {
+			return parent.Restrict(obj.RightWrite)
+		}, obj.FaultRights},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			sys, b := newSys(t)
+			dom := spinDomain(t, sys, 10)
+			heap, f := sys.SROs.NewGlobalHeap(row.claim)
+			if f != nil {
+				t.Fatal(f)
+			}
+			parent, f := b.CreateProcess(dom, obj.NilAD, gdp.SpawnSpec{Heap: heap})
+			if f != nil {
+				t.Fatal(f)
+			}
+			for i := childSlot0; i < childBlockSlots; i++ {
+				if _, f := b.CreateProcess(dom, parent, gdp.SpawnSpec{}); f != nil {
+					t.Fatal(f)
+				}
+			}
+			kids := childCount(t, sys, parent)
+			if row.doctor != nil {
+				parent = row.doctor(t, sys, parent)
+			}
+			live := sys.Table.Live()
+			queued, f := sys.Ports.Count(sys.Dispatch)
+			if f != nil {
+				t.Fatal(f)
+			}
+			if _, f := b.CreateProcess(dom, parent, gdp.SpawnSpec{}); !obj.IsFault(f, row.want) {
+				t.Fatalf("child of the doctored parent: %v, want %v", f, row.want)
+			}
+			if n := sys.Table.Live(); n != live {
+				t.Errorf("live objects %d after the refusal, want %d", n, live)
+			}
+			if n, _ := sys.Ports.Count(sys.Dispatch); n != queued {
+				t.Errorf("dispatch port holds %d after the refusal, want %d", n, queued)
+			}
+			if row.doctor == nil {
+				if n := childCount(t, sys, parent); n != kids {
+					t.Errorf("parent lists %d children after the refusal, want %d", n, kids)
+				}
+			}
+		})
 	}
 }
 

@@ -46,3 +46,27 @@ func TestNullPolicyPassesParametersThrough(t *testing.T) {
 	check("null", 100, false)
 	check("fair", 500, true)
 }
+
+// TestLaunchRefusedLeavesNoDaemon: a fair policy whose rebalancer cannot be
+// spawned, because memory is full, reports the refusal and records no
+// daemon.
+func TestLaunchRefusedLeavesNoDaemon(t *testing.T) {
+	sys, err := gdp.New(gdp.Config{Processors: 1, MemoryBytes: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Select("fair", NewBasic(sys), 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []uint32{1024, 64, 8} {
+		for {
+			if _, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: n}); f != nil {
+				break
+			}
+		}
+	}
+	if f := s.Launch(10_000, 15); !obj.IsFault(f, obj.FaultNoMemory) || s.Daemon.Valid() {
+		t.Fatalf("launch into full memory: %v, daemon %v", f, s.Daemon)
+	}
+}

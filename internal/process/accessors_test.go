@@ -32,7 +32,7 @@ func TestAccessorsRoundTrip(t *testing.T) {
 	if c, _ := fx.m.FaultCode(p); c != obj.FaultBounds {
 		t.Fatalf("FaultCode = %v", c)
 	}
-	if idx, _ := fx.m.FaultObject(p); idx != 42 {
+	if idx := fx.open(p).FaultObject(); idx != 42 {
 		t.Fatalf("FaultObject = %d", idx)
 	}
 	if got, _ := fx.m.Link(p, SlotParent); got.Index != other.Index {
@@ -45,12 +45,17 @@ func TestAccessorsRoundTrip(t *testing.T) {
 		t.Fatal("SetLink did not clear the slot")
 	}
 
-	ts := fx.m.SetTimeSlice(p, 777)
-	if ts != nil {
-		t.Fatal(ts)
+	fx.m.Open(p, RightControl|obj.RightWrite, &v)
+	v.SetTimeSlice(777)
+	v.SetPriority(6)
+	if f := v.Fault(); f != nil {
+		t.Fatal(f)
 	}
-	if v := fx.open(p).TimeSlice(); v != 777 {
-		t.Fatalf("TimeSlice = %d", v)
+	if ts := fx.open(p).TimeSlice(); ts != 777 {
+		t.Fatalf("TimeSlice = %d", ts)
+	}
+	if prio := fx.open(p).Priority(); prio != 6 {
+		t.Fatalf("Priority = %d", prio)
 	}
 
 	if id, _ := fx.tab.ReadDWord(p, offPID); id == 0 {
@@ -93,15 +98,14 @@ func TestAccessorsRefuseNonProcess(t *testing.T) {
 			fx.m.Open(notProc, obj.RightRead, &v)
 			v.SetStopCount(v.StopCount() + 1)
 			v.AddCPUCycles(1)
-			v.SetFault(obj.FaultRights, 1)
+			v.SetFault(obj.FaultRights, v.FaultObject())
+			v.SetPriority(v.Priority() + 1)
+			v.SetTimeSlice(v.TimeSlice() + 1)
 			return v.Fault()
 		}},
 		{"SetState", func() *obj.Fault { return fx.m.SetState(notProc, StateReady) }},
-		{"SetPriority", func() *obj.Fault { return fx.m.SetPriority(notProc, 1) }},
-		{"SetTimeSlice", func() *obj.Fault { return fx.m.SetTimeSlice(notProc, 1) }},
 		{"CPUCycles", func() *obj.Fault { _, f := fx.m.CPUCycles(notProc); return f }},
 		{"FaultCode", func() *obj.Fault { _, f := fx.m.FaultCode(notProc); return f }},
-		{"FaultObject", func() *obj.Fault { _, f := fx.m.FaultObject(notProc); return f }},
 		{"Link", func() *obj.Fault { _, f := fx.m.Link(notProc, 0); return f }},
 		{"SetLink", func() *obj.Fault { return fx.m.SetLink(notProc, 0, obj.NilAD) }},
 		{"PushContext", func() *obj.Fault { var cv Ctx; return fx.m.PushContext(notProc, obj.NilAD, &cv) }},

@@ -217,11 +217,17 @@ func (v *Proc) SetState(s State) {
 	v.Emit(trace.EvProcState, uint32(s), 0)
 }
 
-// Priority reads the dispatching priority.
-func (v *Proc) Priority() uint16 { return v.Word(offPriority) }
+// Priority reads the dispatching priority, and SetPriority changes it: a
+// scheduler opens the process with RightControl to change it (the basic
+// process manager "makes directly available to the user the dispatching
+// parameters of the hardware", §6.1).
+func (v *Proc) Priority() uint16        { return v.Word(offPriority) }
+func (v *Proc) SetPriority(prio uint16) { v.SetWord(offPriority, prio) }
 
-// TimeSlice reads the quantum in cycles (0 = run to completion).
-func (v *Proc) TimeSlice() uint32 { return v.DWord(offTimeSlice) }
+// TimeSlice reads the quantum in cycles (0 = run to completion), and
+// SetTimeSlice changes it, like SetPriority under RightControl.
+func (v *Proc) TimeSlice() uint32          { return v.DWord(offTimeSlice) }
+func (v *Proc) SetTimeSlice(cycles uint32) { v.SetDWord(offTimeSlice, cycles) }
 
 // StopCount reads the nested stop count the basic process manager keeps
 // (§6.1), and SetStopCount records it.
@@ -263,24 +269,6 @@ func (m *Manager) SetState(p obj.AD, s State) *obj.Fault {
 	return v.Fault()
 }
 
-// SetPriority changes the dispatching priority; requires the control
-// right (the basic process manager "makes directly available to the user
-// the dispatching parameters of the hardware", §6.1).
-func (m *Manager) SetPriority(p obj.AD, prio uint16) *obj.Fault {
-	var v Proc
-	m.Open(p, RightControl|obj.RightWrite, &v)
-	v.SetWord(offPriority, prio)
-	return v.Fault()
-}
-
-// SetTimeSlice changes the quantum; requires the control right.
-func (m *Manager) SetTimeSlice(p obj.AD, cycles uint32) *obj.Fault {
-	var v Proc
-	m.Open(p, RightControl|obj.RightWrite, &v)
-	v.SetDWord(offTimeSlice, cycles)
-	return v.Fault()
-}
-
 // CPUCycles reports the processor cycles the process has consumed.
 func (m *Manager) CPUCycles(p obj.AD) (uint32, *obj.Fault) {
 	var v Proc
@@ -293,13 +281,6 @@ func (m *Manager) FaultCode(p obj.AD) (obj.FaultCode, *obj.Fault) {
 	var v Proc
 	m.Open(p, obj.RightRead, &v)
 	return v.FaultCode(), v.Fault()
-}
-
-// FaultObject reports the object involved in the last delivered fault.
-func (m *Manager) FaultObject(p obj.AD) (obj.Index, *obj.Fault) {
-	var v Proc
-	m.Open(p, obj.RightRead, &v)
-	return v.FaultObject(), v.Fault()
 }
 
 // Link reads one of the process's access slots (fault port, dispatch

@@ -114,13 +114,19 @@ func TestControlRightRequired(t *testing.T) {
 	fx := setup(t)
 	p := fx.newProc(t, Spec{Priority: 1})
 	weak := p.Restrict(RightControl)
-	if f := fx.m.SetPriority(weak, 9); !obj.IsFault(f, obj.FaultRights) {
-		t.Errorf("SetPriority without control right: %v", f)
+	var v Proc
+	fx.m.Open(weak, RightControl|obj.RightWrite, &v)
+	v.SetPriority(9)
+	v.SetTimeSlice(9)
+	if f := v.Fault(); !obj.IsFault(f, obj.FaultRights) {
+		t.Errorf("SetPriority and SetTimeSlice without control right: %v", f)
 	}
-	if f := fx.m.SetTimeSlice(weak, 9); !obj.IsFault(f, obj.FaultRights) {
-		t.Errorf("SetTimeSlice without control right: %v", f)
+	if prio, ts := fx.open(p).Priority(), fx.open(p).TimeSlice(); prio != 1 || ts != 0 {
+		t.Errorf("a refused operation left priority %d, time slice %d", prio, ts)
 	}
-	if f := fx.m.SetPriority(p, 9); f != nil {
+	fx.m.Open(p, RightControl|obj.RightWrite, &v)
+	v.SetPriority(9)
+	if f := v.Fault(); f != nil {
 		t.Errorf("SetPriority with right: %v", f)
 	}
 	if prio := fx.open(p).Priority(); prio != 9 {

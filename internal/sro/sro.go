@@ -85,23 +85,21 @@ func (m *Manager) newSRO(pv *obj.View, level obj.Level, claim uint32) (obj.AD, *
 		DataLen:     sroData,
 		AccessSlots: sroSlots,
 	}
+	var sroAD obj.AD
+	var f *obj.Fault
 	if pv != nil {
 		// The SRO object itself is allocated from its parent so that
 		// bulk destruction of the parent sweeps it up. Its own level
 		// is the parent's level (the SRO must be storable where its
 		// creator can reach it), while the objects it creates get
 		// the (deeper) level recorded in its data part.
-		spec.Level, spec.SRO = obj.Level(pv.Word(offLevel)), pv.AD().Index
+		spec.Level = obj.Level(pv.Word(offLevel))
+		sroAD, f = m.place(pv, spec)
+	} else {
+		sroAD, f = m.Table.Create(spec)
 	}
-	sroAD, f := m.Table.Create(spec)
 	if f != nil {
 		return obj.NilAD, f
-	}
-	if pv != nil {
-		if charge(pv, footprint(spec)); pv.Fault() != nil {
-			_ = m.Table.DestroyIndex(sroAD.Index)
-			return obj.NilAD, pv.Fault()
-		}
 	}
 	var sv obj.View
 	m.Table.View(sroAD, obj.TypeSRO, obj.RightWrite, &sv)
@@ -149,18 +147,26 @@ func (m *Manager) credit(sroIdx obj.Index, n uint32) {
 func (m *Manager) Create(sro obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
 	var sv obj.View
 	m.Table.View(sro, obj.TypeSRO, RightAllocate|obj.RightRead, &sv)
-	spec.Level, spec.SRO = obj.Level(sv.Word(offLevel)), sro.Index
-	charge(&sv, footprint(spec))
-	if f := sv.Fault(); f != nil {
-		return obj.NilAD, f
+	spec.Level = obj.Level(sv.Word(offLevel))
+	ad, f := m.place(&sv, spec)
+	if f == nil {
+		sv.SetDWord(offAllocs, sv.DWord(offAllocs)+1)
+	}
+	return ad, f
+}
+
+// place creates an object from the opened SRO sv, charging its claim first
+// and crediting it back if the table refuses: a refusal leaves neither.
+func (m *Manager) place(sv *obj.View, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
+	spec.SRO = sv.AD().Index
+	if charge(sv, footprint(spec)); sv.Fault() != nil {
+		return obj.NilAD, sv.Fault()
 	}
 	ad, f := m.Table.Create(spec)
 	if f != nil {
 		sv.SetDWord(offUsed, sv.DWord(offUsed)-footprint(spec))
-		return obj.NilAD, f
 	}
-	sv.SetDWord(offAllocs, sv.DWord(offAllocs)+1)
-	return ad, nil
+	return ad, f
 }
 
 // Reclaim destroys the object at idx and credits its footprint back to its

@@ -259,3 +259,47 @@ func TestClaimConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLocalHeapRefusedWhole: a local heap is charged to its parent before
+// it is created, so one the parent's claim or physical memory refuses
+// leaves no object and no charge behind.
+func TestLocalHeapRefusedWhole(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		claim uint32 // the parent's; a local heap's SRO object costs 24
+		full  bool   // physical memory filled first
+		want  obj.FaultCode
+	}{
+		{"parent's claim", 30, false, obj.FaultStorageClaim},
+		{"physical memory", 0, true, obj.FaultNoMemory},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			tab := obj.NewTable(4 << 10)
+			m := NewManager(tab)
+			parent, f := m.NewGlobalHeap(row.claim)
+			if f != nil {
+				t.Fatal(f)
+			}
+			if _, f := m.NewLocalHeap(parent, 1, 0); f != nil {
+				t.Fatal(f)
+			}
+			for row.full && f == nil {
+				_, f = tab.Create(obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
+			}
+			live := tab.Live()
+			_, used, allocs, f := m.Usage(parent)
+			if f != nil {
+				t.Fatal(f)
+			}
+			if _, f := m.NewLocalHeap(parent, 1, 0); !obj.IsFault(f, row.want) {
+				t.Fatalf("local heap: %v, want %v", f, row.want)
+			}
+			if n := tab.Live(); n != live {
+				t.Errorf("live objects %d after the refusal, want %d", n, live)
+			}
+			if _, u, a, _ := m.Usage(parent); u != used || a != allocs {
+				t.Errorf("parent used %d, allocs %d after the refusal, want %d, %d", u, a, used, allocs)
+			}
+		})
+	}
+}
