@@ -1,6 +1,7 @@
 package pm
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gdp"
@@ -74,14 +75,14 @@ func TestProcessTreeChildren(t *testing.T) {
 		return ads
 	}
 	want := append([]obj.AD{root, kids[0], g}, kids[1:]...)
-	if got := order(); !equalADs(got, want) {
+	if got := order(); !slices.Equal(got, want) {
 		t.Fatalf("tree order %v, want %v", got, want)
 	}
 	if f := sys.SROs.Reclaim(kids[3].Index); f != nil {
 		t.Fatal(f)
 	}
 	want = append(want[:5:5], want[6:]...)
-	if got := order(); !equalADs(got, want) {
+	if got := order(); !slices.Equal(got, want) {
 		t.Fatalf("tree order with a destroyed child %v, want %v", got, want)
 	}
 	if f := sys.Table.SwapOut(g.Index, 1); f != nil {
@@ -90,18 +91,6 @@ func TestProcessTreeChildren(t *testing.T) {
 	if _, f := b.subtree(root, nil); !obj.IsFault(f, obj.FaultSegmentMoved) {
 		t.Fatalf("tree with a swapped-out grandchild: %v, want %v", f, obj.FaultSegmentMoved)
 	}
-}
-
-func equalADs(a, b []obj.AD) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestNestedStopStart(t *testing.T) {
