@@ -93,7 +93,6 @@ func (m *Manager) newSRO(pv *obj.View, level obj.Level, claim uint32) (obj.AD, *
 		// is the parent's level (the SRO must be storable where its
 		// creator can reach it), while the objects it creates get
 		// the (deeper) level recorded in its data part.
-		spec.Level = obj.Level(pv.Word(offLevel))
 		sroAD, f = m.place(pv, spec)
 	} else {
 		sroAD, f = m.Table.Create(spec)
@@ -147,7 +146,6 @@ func (m *Manager) credit(sroIdx obj.Index, n uint32) {
 func (m *Manager) Create(sro obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
 	var sv obj.View
 	m.Table.View(sro, obj.TypeSRO, RightAllocate|obj.RightRead, &sv)
-	spec.Level = obj.Level(sv.Word(offLevel))
 	ad, f := m.place(&sv, spec)
 	if f == nil {
 		sv.SetDWord(offAllocs, sv.DWord(offAllocs)+1)
@@ -155,10 +153,11 @@ func (m *Manager) Create(sro obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
 	return ad, f
 }
 
-// place creates an object from the opened SRO sv, charging its claim first
-// and crediting it back if the table refuses: a refusal leaves neither.
+// place creates an object from the opened SRO sv, at the SRO's level and
+// in its ancestry, charging its claim first and crediting it back if the
+// table refuses: a refusal leaves neither.
 func (m *Manager) place(sv *obj.View, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
-	spec.SRO = sv.AD().Index
+	spec.Level, spec.SRO = obj.Level(sv.Word(offLevel)), sv.AD().Index
 	if charge(sv, footprint(spec)); sv.Fault() != nil {
 		return obj.NilAD, sv.Fault()
 	}
