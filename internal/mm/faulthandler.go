@@ -19,12 +19,17 @@ import (
 // forwarded to overflowPort if valid. A victim with no overflow port, or one
 // it will not take (full or refusing), is terminated, as a fault delivery to
 // a full port terminates its process; so is one whose object cannot be
-// restored. The body returns no fault on any path: a fault port that refuses
-// the receive is treated as an empty one, and a message that does not open
-// as a process is a doctored world, and is dropped.
+// restored. The body returns no fault on any path. A fault port that refuses
+// the receive is broken for good (ports are never swapped out), so the
+// service ends rather than poll a port that cannot deliver: its process
+// terminates, which its state and the trace show. A message that does not
+// open as a process is a doctored world, and is dropped.
 func FaultHandlerBody(m *Swapping, faultPort, overflowPort obj.AD) gdp.NativeBody {
 	return gdp.NativeBodyFunc(func(sys *gdp.System, self obj.AD) (vtime.Cycles, gdp.BodyStatus, *obj.Fault) {
-		victim, ok, _ := sys.ReceiveMessage(faultPort)
+		victim, ok, f := sys.ReceiveMessage(faultPort)
+		if f != nil {
+			return vtime.CostReceive, gdp.BodyDone, nil
+		}
 		if !ok {
 			// Nothing to service; sleep until the next fault
 			// wakes us via the port. Poll on the interval timer:
@@ -44,7 +49,7 @@ func FaultHandlerBody(m *Swapping, faultPort, overflowPort obj.AD) gdp.NativeBod
 		if code != obj.FaultSegmentMoved {
 			if !overflowPort.Valid() {
 				vv.SetState(process.StateTerminated)
-			} else if sent, _ := sys.SendMessage(overflowPort, victim, uint32(code)); !sent {
+			} else if sent, f := sys.SendMessage(overflowPort, victim, uint32(code)); f != nil || !sent {
 				vv.SetState(process.StateTerminated)
 			}
 			return spent + vtime.CostSend, gdp.BodyYield, nil

@@ -348,7 +348,7 @@ func TestFaultHandlerFullOverflowTerminates(t *testing.T) {
 // TestFaultHandlerNeverFaults: the service is a level-2 process and may not
 // fault (§7.3), whatever a doctored world puts before it. A message on its
 // fault port that is not a process is dropped; a fault port that refuses
-// the receive is treated as an empty one; a victim whose segment fault
+// the receive ends the service; a victim whose segment fault
 // names an object the backing store holds no image of cannot be restored
 // and is terminated.
 func TestFaultHandlerNeverFaults(t *testing.T) {
@@ -380,7 +380,7 @@ func TestFaultHandlerNeverFaults(t *testing.T) {
 		}, gdp.BodyYield},
 		{"fault port not a port", func(t *testing.T, sys *gdp.System) (obj.AD, obj.AD) {
 			return generic(t, sys), obj.NilAD
-		}, gdp.BodyWaiting},
+		}, gdp.BodyDone},
 		{"backing image missing", func(t *testing.T, sys *gdp.System) (obj.AD, obj.AD) {
 			lost := generic(t, sys)
 			if f := sys.Table.SwapOut(lost.Index, 77); f != nil { // past the swapper's store

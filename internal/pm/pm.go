@@ -60,7 +60,10 @@ func (b *Basic) CreateNativeProcess(body gdp.NativeBody, parent obj.AD, spec gdp
 }
 
 // create finds or makes the child-list slot before it spawns, so a parent
-// whose list cannot take another child refuses it with nothing spawned.
+// whose list cannot take another child refuses it with nothing spawned. A
+// spawn refused after the list grew leaves the new block empty in the list,
+// charged to the parent's heap; the next child takes its first slot, so
+// refusals never leave more than one such block.
 // The spec gets the tree link, and the manager's notification port unless
 // the caller named another. The slot's block was opened for writing and
 // checked, and the process was just made, so the store that links it

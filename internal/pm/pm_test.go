@@ -421,19 +421,23 @@ func opened(sys *gdp.System, p obj.AD) *process.Proc {
 // take it is refused before it is spawned, so the refusal leaves nothing
 // behind: no process or context object, nothing queued at the dispatch
 // port, no new entry in the parent's child list. Each row fills the
-// parent's first child block, then doctors the parent.
+// parent's first child block, then doctors the parent or the child's spec.
+// A spawn refused after the list grew leaves the new block, empty, in the
+// list (left = 1); the next child takes its first slot, so refusals never
+// leave more than one.
 func TestCreateProcessMakesRoomFirst(t *testing.T) {
 	for _, row := range []struct {
 		name string
 		// claim bounds the parent's heap (0: unbounded).
 		claim  uint32
-		doctor func(t *testing.T, sys *gdp.System, parent obj.AD) obj.AD
+		doctor func(t *testing.T, sys *gdp.System, parent obj.AD) (obj.AD, gdp.SpawnSpec)
 		want   obj.FaultCode
+		left   int
 	}{
 		// The parent (92 bytes), its first frame (104) and one child
 		// block (64): the heap has no room for a second block.
-		{"heap full", 92 + 104 + 64, nil, obj.FaultStorageClaim},
-		{"child block swapped out", 0, func(t *testing.T, sys *gdp.System, parent obj.AD) obj.AD {
+		{"heap full", 92 + 104 + 64, nil, obj.FaultStorageClaim, 0},
+		{"child block swapped out", 0, func(t *testing.T, sys *gdp.System, parent obj.AD) (obj.AD, gdp.SpawnSpec) {
 			first, f := sys.Procs.Link(parent, process.SlotChildren)
 			if f != nil {
 				t.Fatal(f)
@@ -441,11 +445,20 @@ func TestCreateProcessMakesRoomFirst(t *testing.T) {
 			if f := sys.Table.SwapOut(first.Index, 1); f != nil {
 				t.Fatal(f)
 			}
-			return parent
-		}, obj.FaultSegmentMoved},
-		{"parent without the write right", 0, func(t *testing.T, sys *gdp.System, parent obj.AD) obj.AD {
-			return parent.Restrict(obj.RightWrite)
-		}, obj.FaultRights},
+			return parent, gdp.SpawnSpec{}
+		}, obj.FaultSegmentMoved, 0},
+		{"parent without the write right", 0, func(t *testing.T, sys *gdp.System, parent obj.AD) (obj.AD, gdp.SpawnSpec) {
+			return parent.Restrict(obj.RightWrite), gdp.SpawnSpec{}
+		}, obj.FaultRights, 0},
+		// Room for a second block, but the child's own heap cannot
+		// hold its process.
+		{"spawn refused after the list grew", 92 + 104 + 2*64, func(t *testing.T, sys *gdp.System, parent obj.AD) (obj.AD, gdp.SpawnSpec) {
+			tiny, f := sys.SROs.NewGlobalHeap(1)
+			if f != nil {
+				t.Fatal(f)
+			}
+			return parent, gdp.SpawnSpec{Heap: tiny}
+		}, obj.FaultStorageClaim, 1},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			sys, b := newSys(t)
@@ -464,27 +477,42 @@ func TestCreateProcessMakesRoomFirst(t *testing.T) {
 				}
 			}
 			kids := childCount(t, sys, parent)
+			target, spec := parent, gdp.SpawnSpec{}
 			if row.doctor != nil {
-				parent = row.doctor(t, sys, parent)
+				target, spec = row.doctor(t, sys, parent)
 			}
 			live := sys.Table.Live()
 			queued, f := sys.Ports.Count(sys.Dispatch)
 			if f != nil {
 				t.Fatal(f)
 			}
-			if _, f := b.CreateProcess(dom, parent, gdp.SpawnSpec{}); !obj.IsFault(f, row.want) {
+			if _, f := b.CreateProcess(dom, target, spec); !obj.IsFault(f, row.want) {
 				t.Fatalf("child of the doctored parent: %v, want %v", f, row.want)
 			}
-			if n := sys.Table.Live(); n != live {
-				t.Errorf("live objects %d after the refusal, want %d", n, live)
+			if n := sys.Table.Live(); n != live+row.left {
+				t.Errorf("live objects %d after the refusal, want %d", n, live+row.left)
 			}
 			if n, _ := sys.Ports.Count(sys.Dispatch); n != queued {
 				t.Errorf("dispatch port holds %d after the refusal, want %d", n, queued)
 			}
-			if row.doctor == nil {
+			if target == parent && row.want != obj.FaultSegmentMoved { // else the list does not read
 				if n := childCount(t, sys, parent); n != kids {
 					t.Errorf("parent lists %d children after the refusal, want %d", n, kids)
 				}
+			}
+			if row.left == 0 {
+				return
+			}
+			// The next child (a process and its context) goes into the
+			// block the refusal left.
+			if _, f := b.CreateProcess(dom, parent, gdp.SpawnSpec{}); f != nil {
+				t.Fatalf("child after the refusal: %v", f)
+			}
+			if n := sys.Table.Live(); n != live+row.left+2 {
+				t.Errorf("live objects %d after the next child, want %d", n, live+row.left+2)
+			}
+			if n := childCount(t, sys, parent); n != kids+1 {
+				t.Errorf("parent lists %d children after the next child, want %d", n, kids+1)
 			}
 		})
 	}

@@ -15,6 +15,8 @@
 package process
 
 import (
+	"encoding/binary"
+
 	"repro/internal/isa"
 	"repro/internal/obj"
 	"repro/internal/sro"
@@ -217,17 +219,27 @@ func (v *Proc) SetState(s State) {
 	v.Emit(trace.EvProcState, uint32(s), 0)
 }
 
-// Priority reads the dispatching priority, and SetPriority changes it: a
-// scheduler opens the process with RightControl to change it (the basic
-// process manager "makes directly available to the user the dispatching
-// parameters of the hardware", §6.1).
-func (v *Proc) Priority() uint16        { return v.Word(offPriority) }
-func (v *Proc) SetPriority(prio uint16) { v.SetWord(offPriority, prio) }
+// Priority reads the dispatching priority, and SetPriority changes it. The
+// basic process manager "makes directly available to the user the
+// dispatching parameters of the hardware" (§6.1) to the holder of the
+// control right, so SetPriority needs RightControl and RightWrite on the
+// view's AD, whatever rights it was opened with, and latches FaultRights
+// without them.
+func (v *Proc) Priority() uint16 { return v.Word(offPriority) }
+func (v *Proc) SetPriority(prio uint16) {
+	if b := v.Span(RightControl|obj.RightWrite, offPriority, 2); b != nil {
+		binary.LittleEndian.PutUint16(b, prio)
+	}
+}
 
 // TimeSlice reads the quantum in cycles (0 = run to completion), and
-// SetTimeSlice changes it, like SetPriority under RightControl.
-func (v *Proc) TimeSlice() uint32          { return v.DWord(offTimeSlice) }
-func (v *Proc) SetTimeSlice(cycles uint32) { v.SetDWord(offTimeSlice, cycles) }
+// SetTimeSlice changes it, under the rights SetPriority needs.
+func (v *Proc) TimeSlice() uint32 { return v.DWord(offTimeSlice) }
+func (v *Proc) SetTimeSlice(cycles uint32) {
+	if b := v.Span(RightControl|obj.RightWrite, offTimeSlice, 4); b != nil {
+		binary.LittleEndian.PutUint32(b, cycles)
+	}
+}
 
 // StopCount reads the nested stop count the basic process manager keeps
 // (§6.1), and SetStopCount records it.

@@ -124,6 +124,24 @@ func TestControlRightRequired(t *testing.T) {
 	if prio, ts := fx.open(p).Priority(), fx.open(p).TimeSlice(); prio != 1 || ts != 0 {
 		t.Errorf("a refused operation left priority %d, time slice %d", prio, ts)
 	}
+	// The setters check the right themselves: a view opened for writing
+	// alone, over an AD without the control right, changes neither.
+	for _, set := range []func(*Proc){
+		func(v *Proc) { v.SetPriority(9) },
+		func(v *Proc) { v.SetTimeSlice(9) },
+	} {
+		fx.m.Open(weak, obj.RightWrite, &v)
+		if f := v.Fault(); f != nil {
+			t.Fatalf("open for writing: %v", f)
+		}
+		set(&v)
+		if f := v.Fault(); !obj.IsFault(f, obj.FaultRights) {
+			t.Errorf("setter on a view without the control right: %v, want rights fault", f)
+		}
+	}
+	if prio, ts := fx.open(p).Priority(), fx.open(p).TimeSlice(); prio != 1 || ts != 0 {
+		t.Errorf("the setters without the control right left priority %d, time slice %d", prio, ts)
+	}
 	fx.m.Open(p, RightControl|obj.RightWrite, &v)
 	v.SetPriority(9)
 	if f := v.Fault(); f != nil {
