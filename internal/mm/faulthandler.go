@@ -19,11 +19,10 @@ import (
 // forwarded to overflowPort if valid. A victim with no overflow port, or one
 // it will not take (full or refusing), is terminated, as a fault delivery to
 // a full port terminates its process; so is one whose object cannot be
-// restored. The body returns no fault on any path. A fault port that refuses
+// restored. The body returns no fault on any path: a fault port that refuses
 // the receive is broken for good (ports are never swapped out), so the
-// service ends rather than poll a port that cannot deliver: its process
-// terminates, which its state and the trace show. A message that does not
-// open as a process is a doctored world, and is dropped.
+// service ends, visibly, rather than poll it; a message that does not open
+// as a process is a doctored world, and is dropped.
 func FaultHandlerBody(m *Swapping, faultPort, overflowPort obj.AD) gdp.NativeBody {
 	return gdp.NativeBodyFunc(func(sys *gdp.System, self obj.AD) (vtime.Cycles, gdp.BodyStatus, *obj.Fault) {
 		victim, ok, f := sys.ReceiveMessage(faultPort)

@@ -60,14 +60,11 @@ func (b *Basic) CreateNativeProcess(body gdp.NativeBody, parent obj.AD, spec gdp
 }
 
 // create finds or makes the child-list slot before it spawns, so a parent
-// whose list cannot take another child refuses it with nothing spawned. A
-// spawn refused after the list grew leaves the new block empty in the list,
-// charged to the parent's heap; the next child takes its first slot, so
-// refusals never leave more than one such block.
-// The spec gets the tree link, and the manager's notification port unless
-// the caller named another. The slot's block was opened for writing and
-// checked, and the process was just made, so the store that links it
-// cannot be refused.
+// whose list cannot take another child refuses it with nothing spawned (a
+// spawn refused after the list grew leaves the new block empty, for the next
+// child). The spec gets the tree link, and the manager's notification port
+// unless the caller named another. The slot's block was opened for writing
+// and checked, and the process was just made, so the link cannot be refused.
 func (b *Basic) create(parent obj.AD, spec gdp.SpawnSpec, spawn func(gdp.SpawnSpec) (obj.AD, *obj.Fault)) (obj.AD, *obj.Fault) {
 	var blk obj.View
 	slot, f := b.childSlot(parent, &blk)

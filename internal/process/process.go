@@ -15,8 +15,6 @@
 package process
 
 import (
-	"encoding/binary"
-
 	"repro/internal/isa"
 	"repro/internal/obj"
 	"repro/internal/sro"
@@ -220,25 +218,20 @@ func (v *Proc) SetState(s State) {
 }
 
 // Priority reads the dispatching priority, and SetPriority changes it. The
-// basic process manager "makes directly available to the user the
-// dispatching parameters of the hardware" (§6.1) to the holder of the
-// control right, so SetPriority needs RightControl and RightWrite on the
-// view's AD, whatever rights it was opened with, and latches FaultRights
-// without them.
+// setters test the control right (§6.1) on the view's AD themselves: without
+// it Span latches FaultRights, and the write on the faulted view is dropped.
 func (v *Proc) Priority() uint16 { return v.Word(offPriority) }
 func (v *Proc) SetPriority(prio uint16) {
-	if b := v.Span(RightControl|obj.RightWrite, offPriority, 2); b != nil {
-		binary.LittleEndian.PutUint16(b, prio)
-	}
+	v.Span(RightControl, offPriority, 2)
+	v.SetWord(offPriority, prio)
 }
 
 // TimeSlice reads the quantum in cycles (0 = run to completion), and
-// SetTimeSlice changes it, under the rights SetPriority needs.
+// SetTimeSlice changes it, under the control right as SetPriority does.
 func (v *Proc) TimeSlice() uint32 { return v.DWord(offTimeSlice) }
 func (v *Proc) SetTimeSlice(cycles uint32) {
-	if b := v.Span(RightControl|obj.RightWrite, offTimeSlice, 4); b != nil {
-		binary.LittleEndian.PutUint32(b, cycles)
-	}
+	v.Span(RightControl, offTimeSlice, 4)
+	v.SetDWord(offTimeSlice, cycles)
 }
 
 // StopCount reads the nested stop count the basic process manager keeps
