@@ -34,6 +34,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/audit"
 	"repro/internal/core"
@@ -68,14 +69,19 @@ const (
 	flightClosed
 )
 
+// graphRec is one row of the transfer ledger, 12 bytes: the object counts
+// fit in 32 bits because filing's image carries its count in 32, and the
+// node ids in a byte because a cluster has at most MaxNodes nodes. A
+// message's Kind is the wire's, not the ledger's.
 type graphRec struct {
-	from, to  int
-	kind      Kind
-	objects   int
-	activated int
-	state     flightState
-	failed    bool
+	objects, activated uint32
+	from, to           uint8
+	state              flightState
+	failed             bool
 }
+
+// MaxNodes is the most nodes a cluster boots: a node id fits in a byte.
+const MaxNodes = 256
 
 // Node is one kernel of the cluster, with the buffers its half of a
 // transfer recycles.
@@ -174,8 +180,8 @@ type Cluster struct {
 
 // New boots the cluster.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("cluster: need at least one node, got %d", cfg.Nodes)
+	if cfg.Nodes <= 0 || cfg.Nodes > MaxNodes {
+		return nil, fmt.Errorf("cluster: need 1 to %d nodes, got %d", MaxNodes, cfg.Nodes)
 	}
 	nodeCfg := cfg.Node
 	nodeCfg.Filing = true
@@ -209,13 +215,21 @@ func (c *Cluster) Ship(from, to int, root obj.AD, kind Kind, seq uint64) (uint64
 	return c.Post(from, to, kind, seq, img, objects), nil
 }
 
+// Reserve makes room in the transfer ledger for the next n graphs, so that
+// posting them grows nothing.
+func (c *Cluster) Reserve(n int) {
+	c.graphs = slices.Grow(c.graphs, n)
+}
+
 // Post is the cluster half of Ship: it gives an encoded image of objects
 // objects the next graph id, records its flight and enqueues it toward node
 // to. The wire buffer is the image's sole owner from here to delivery.
 // from and to must be nodes of the cluster.
 func (c *Cluster) Post(from, to int, kind Kind, seq uint64, img []byte, objects int) uint64 {
 	id := uint64(len(c.graphs))
-	c.graphs = append(c.graphs, graphRec{from: from, to: to, kind: kind, objects: objects, state: flightWire})
+	c.graphs = append(c.graphs, graphRec{
+		objects: uint32(objects), from: uint8(from), to: uint8(to), state: flightWire,
+	})
 	c.queues[from][to] = append(c.queues[from][to], Msg{
 		Graph: id, From: from, To: to, Kind: kind, Seq: seq, Img: img, Objects: objects,
 	})
@@ -284,7 +298,7 @@ func (c *Cluster) CloseFlight(m Msg, activated int, err error) {
 		rec.failed = true
 		c.FailedActivations++
 	} else {
-		rec.activated = activated
+		rec.activated = uint32(activated)
 	}
 	c.Nodes[m.To].recycleImage(m.Img)
 }
@@ -326,8 +340,8 @@ func (c *Cluster) Snapshot() audit.TransferSnapshot {
 			state = audit.FlightClosed
 		}
 		s.Flights = append(s.Flights, audit.GraphFlight{
-			ID: uint64(id), From: rec.from, To: rec.to, State: state,
-			Objects: rec.objects, Activated: rec.activated, Failed: rec.failed,
+			ID: uint64(id), From: int(rec.from), To: int(rec.to), State: state,
+			Objects: int(rec.objects), Activated: int(rec.activated), Failed: rec.failed,
 			WireCopies: wireCount[id],
 		})
 	}

@@ -3,8 +3,10 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/audit"
 	"repro/internal/core"
@@ -394,4 +396,150 @@ func TestRecycledBuffers(t *testing.T) {
 		t.Fatalf("FailedActivations = %d, want 1", c.FailedActivations)
 	}
 	checkClean(t, c)
+}
+
+// TestTransferRecord pins the transfer ledger's row, one per shipped graph,
+// at 12 bytes: two 32-bit object counts and four single-byte facts.
+func TestTransferRecord(t *testing.T) {
+	if n := unsafe.Sizeof(graphRec{}); n > 12 {
+		t.Errorf("graphRec is %d bytes, want at most 12", n)
+	}
+}
+
+// TestTransferCountsExact ships graphs whose object counts pass each width a
+// ledger count could be narrowed to — a byte, 16 bits — and one activation
+// that fails after making all but its last object. Each flight must record
+// its counts exactly and the ledger reconcile with the nodes' own counters.
+// The ledger must also hold the largest count filing's 32-bit count field
+// can carry.
+func TestTransferCountsExact(t *testing.T) {
+	// graph makes n objects on node 0: a root over n-1 leaves, or over
+	// mids of obj.MaxAccessSlots leaves each where n-1 is too many for one
+	// access part. The last leaf carries tdo's type when tdo is valid.
+	graph := func(t *testing.T, c *Cluster, n int, tdo obj.AD) obj.AD {
+		t.Helper()
+		im := c.Nodes[0].IM
+		var l obj.Latch
+		mk := func(slots int) obj.AD {
+			return l.AD(im.SROs.Create(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, AccessSlots: uint32(slots)}))
+		}
+		leaves := n - 1
+		var root obj.AD
+		var parents []obj.AD
+		if leaves <= obj.MaxAccessSlots {
+			root = mk(leaves)
+			parents = []obj.AD{root}
+		} else {
+			mids := leaves / (obj.MaxAccessSlots + 1)
+			if mids*(obj.MaxAccessSlots+1) != leaves {
+				t.Fatalf("%d objects are not a root over full mids", n)
+			}
+			root, leaves = mk(mids), leaves-mids
+			for i := 0; i < mids; i++ {
+				parents = append(parents, mk(obj.MaxAccessSlots))
+				l.Keep(im.Table.StoreAD(root, uint32(i), parents[i]))
+			}
+		}
+		for i := 0; i < leaves; i++ {
+			leaf := mk(0)
+			if i == leaves-1 && tdo.Valid() {
+				leaf = l.AD(im.TDOs.CreateInstance(tdo, obj.CreateSpec{}))
+			}
+			l.Keep(im.Table.StoreAD(parents[i/obj.MaxAccessSlots], uint32(i%obj.MaxAccessSlots), leaf))
+		}
+		if f := l.Fault(); f != nil {
+			t.Fatal(f)
+		}
+		return root
+	}
+	for _, row := range []struct {
+		name    string
+		objects int
+		fail    bool // the last leaf's type is bound on the sender only
+	}{
+		{"one", 1, false},
+		{"past a byte", 257, false},
+		{"past 16 bits", 65_545, false},
+		{"failed past 16 bits", 65_545, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			c, err := New(testConfig(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tdo := obj.NilAD
+			if row.fail {
+				var f *obj.Fault
+				a := c.Nodes[0].IM
+				if tdo, f = a.TDOs.Define("sender_only", obj.LevelGlobal, obj.NilIndex); f != nil {
+					t.Fatal(f)
+				}
+				if f := a.Files.BindType("sender_only", tdo); f != nil {
+					t.Fatal(f)
+				}
+			}
+			id, err := c.Ship(0, 1, graph(t, c, row.objects, tdo), MsgRequest, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds, err := c.Deliver(1)
+			if err != nil || len(ds) != 1 || ds[0].Objects != row.objects {
+				t.Fatalf("delivered %+v (%v), want one message of %d objects", ds, err, row.objects)
+			}
+			live := c.Nodes[1].IM.Table.Live()
+			_, created, err := c.Materialize(ds[0])
+			if (err != nil) != row.fail {
+				t.Fatalf("materialize: %v, want failure %v", err, row.fail)
+			}
+			want := audit.GraphFlight{ID: id, From: 0, To: 1, State: audit.FlightClosed,
+				Objects: row.objects, Activated: row.objects, Failed: row.fail}
+			if row.fail {
+				want.Activated = 0
+			}
+			if fl := c.Snapshot().Flights; len(fl) != 1 || fl[0] != want {
+				t.Fatalf("ledger = %+v, want %+v", fl, want)
+			}
+			checkClean(t, c)
+			if err := c.ReclaimGraph(1, created); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Nodes[1].IM.Table.Live(); got != live {
+				t.Fatalf("live %d -> %d after the graph went", live, got)
+			}
+		})
+	}
+
+	t.Run("filing's largest count", func(t *testing.T) {
+		c, err := New(testConfig(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, _, err := c.Nodes[0].Encode(graph(t, c, 1, obj.NilAD))
+		if err != nil {
+			t.Fatal(err)
+		}
+		largest := uint64(math.MaxUint32) // the image's count field is 32 bits
+		if largest > math.MaxInt {
+			t.Skip("an int cannot hold the count")
+		}
+		id := c.Post(0, 1, MsgRequest, 1, img, int(largest))
+		ds, err := c.Deliver(1)
+		if err != nil || len(ds) != 1 {
+			t.Fatalf("delivered %d messages (%v), want 1", len(ds), err)
+		}
+		c.CloseFlight(ds[0], int(largest), nil)
+		want := audit.GraphFlight{ID: id, From: 0, To: 1, State: audit.FlightClosed,
+			Objects: int(largest), Activated: int(largest)}
+		if fl := c.Snapshot().Flights; len(fl) != 1 || fl[0] != want {
+			t.Fatalf("ledger = %+v, want %+v", fl, want)
+		}
+	})
+}
+
+// TestNodeLimit holds a cluster to MaxNodes, so that a node id fits the
+// ledger's byte; more are refused before any kernel boots.
+func TestNodeLimit(t *testing.T) {
+	if _, err := New(testConfig(MaxNodes + 1)); err == nil {
+		t.Fatalf("a cluster of %d nodes booted", MaxNodes+1)
+	}
 }

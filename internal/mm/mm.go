@@ -291,8 +291,15 @@ func (m *Swapping) DestroyHeap(heap obj.AD) (int, *obj.Fault) {
 
 // Allocate implements Allocator: on physical exhaustion it evicts victims
 // until the allocation fits, so virtual allocation can exceed physical
-// memory up to the backing store's capacity.
+// memory up to the backing store's capacity. While not even the larger part
+// has a hole the create fails for certain, so it evicts before asking; a
+// part past mem.MaxPart the table refuses without a hole.
 func (m *Swapping) Allocate(heap obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
+	if spec.DataLen <= mem.MaxPart && spec.AccessSlots <= obj.MaxAccessSlots {
+		if f := m.makeRoom(max(spec.DataLen, spec.AccessSlots*obj.ADSlotSize)); f != nil {
+			return obj.NilAD, f
+		}
+	}
 	for {
 		ad, f := m.SROs.Create(heap, spec)
 		if f == nil {
@@ -322,6 +329,19 @@ func (m *Swapping) swappable(idx obj.Index) bool {
 		return d.DataLen > 0 || d.AccessSlots > 0
 	}
 	return false
+}
+
+// makeRoom evicts victims while no hole can hold need bytes. Under pressure
+// memory is full, and the table's first answer would be a no-memory fault
+// built to be thrown away; with nothing left to evict, the table says why.
+func (m *Swapping) makeRoom(need uint32) *obj.Fault {
+	phys := m.Table.Memory()
+	for need > 0 && !phys.FitsBelow(need, mem.Addr(phys.Size())) {
+		if evicted, ef := m.evictOne(); ef != nil || !evicted {
+			return ef
+		}
+	}
+	return nil
 }
 
 // evictOne selects a victim by clock sweep and swaps it out. It reports
@@ -385,18 +405,10 @@ func (m *Swapping) EnsureResident(idx obj.Index) *obj.Fault {
 		return nil
 	}
 	tok := d.SwapToken()
-	phys := m.Table.Memory()
-	// Under pressure memory is full, and the table's first answer would be
-	// a no-memory fault built to be thrown away: while not even the larger
-	// part has a hole, evict before asking. With nothing left to evict the
-	// table says why.
-	for need := max(d.DataLen, d.Access().Len); need > 0 && !phys.FitsBelow(need, mem.Addr(phys.Size())); {
-		if evicted, ef := m.evictOne(); ef != nil {
-			return ef
-		} else if !evicted {
-			break
-		}
+	if f := m.makeRoom(max(d.DataLen, d.Access().Len)); f != nil {
+		return f
 	}
+	phys := m.Table.Memory()
 	for {
 		data, access, f := m.Table.SwapIn(idx)
 		if f == nil {

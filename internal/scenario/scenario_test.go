@@ -416,13 +416,17 @@ func TestBacklogRefillAllocFree(t *testing.T) {
 }
 
 // TestBuildAllocBound holds building a world to the cost of what it
-// creates: the objects and bytes New (the baseline preset) and NewShard
-// allocate for each session past the first, at 2 000 sessions. A session
-// owns an entry in the engine, the object table, the side map, the anchor
-// list and the schedule, each sized once for the whole population, so a
-// session costs no object and some 140 bytes on one machine and 180 on a
-// cluster; when every array doubled its way there it was 0.0125 and 0.010
-// objects and 238 and 221 bytes.
+// creates: the objects and bytes New (the baseline preset), NewShard and New
+// under memory pressure allocate for each session past the first, at 2 000
+// sessions. A session owns an entry in the engine, the object table, the
+// side map, the anchor list and the schedule, each sized once for the whole
+// population, so a session costs no object and some 94 bytes on one machine
+// or on a cluster; when every array doubled its way there it was 0.0125 and
+// 0.010 objects and 238 and 221 bytes, and while a shard session was 64
+// bytes and the transfer ledger grew in the run, 123 on a cluster. Under
+// pressure a session's object evicts another's to the backing store, whose
+// image is half an object a session; the no-memory fault each create used
+// to build and drop first was another whole one.
 func TestBuildAllocBound(t *testing.T) {
 	const n = 2_000
 	for _, c := range []struct {
@@ -440,7 +444,14 @@ func TestBuildAllocBound(t *testing.T) {
 		{"NewShard", func(sessions int) error {
 			_, err := NewShard(ShardPreset(2, sessions, 42))
 			return err
-		}, 0.005, 195},
+		}, 0.005, 110},
+		{"mempressure", func(sessions int) error {
+			cfg, err := Preset("mempressure", sessions, 42)
+			if err == nil {
+				_, err = New(cfg)
+			}
+			return err
+		}, 0.55, 175},
 	} {
 		var err error
 		build := func(sessions int) func() {

@@ -80,34 +80,34 @@ func ShardPreset(nodes, sessions int, seed int64) ShardConfig {
 	}
 }
 
-// shardSession is one simulated user pinned to a home node, where its
-// canonical session object lives. Its one request is served on Dest, which
-// is Home unless the request migrates.
+// shardSession is one simulated user, 32 bytes. Its canonical session object
+// lives on its home node, homeOf its id, and its one request is served on
+// Dest, which is the home unless the request migrates.
 type shardSession struct {
 	Session
-	Home uint32
-	Dest uint32
-
-	// remote is the activated graph of the request copy a non-home node is
-	// serving, kept for its reclamation after the reply ships. Only the
-	// serving node touches it.
-	remote []obj.AD
+	Dest uint8 // a node id fits in a byte (cluster.MaxNodes)
 }
 
 // shardNode is one kernel's engine-side state: the node the
 // single-machine engine also runs, plus the cluster's bookkeeping. A tick
-// touches this and the cluster node, and of the sessions it reads all and
-// writes only the remote lists of the copies this node serves.
+// touches this and the cluster node, and only reads the sessions.
 type shardNode struct {
 	node
 	cl          *cluster.Node
 	sessions    []shardSession
 	sessionData uint32
 
-	// byObj maps an object on this node's reply port to its session: the
-	// canonical session object where the session is homed, the root of the
-	// activated request copy where it is served away from home.
+	// byObj maps an object on this node's reply port to what it stands for:
+	// a canonical session object to its session id, where the session is
+	// homed, and the root of an activated request copy to ^slot of copies,
+	// where the request is served away from home.
 	byObj obj.Side[int32]
+
+	// copies holds the request copies in service here, each with its
+	// session and its activated graph, reclaimed once the reply ships. A
+	// slot whose copy shipped is on free until the next copy takes it.
+	copies []servedCopy
+	free   []int32
 
 	// in is what Deliver handed this node for the next tick; out is what
 	// the last one left for the merge.
@@ -128,6 +128,11 @@ type outbox struct {
 	// departures are the requests the tick drained from the reply port: a
 	// completion where the session is homed, else a reply image to post.
 	departures []departure
+}
+
+type servedCopy struct {
+	sid   int32
+	graph []obj.AD
 }
 
 type arrival struct {
@@ -214,15 +219,18 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 	// and reply map are sized first for exactly the sessions homed there,
 	// what its servers create when they start, and the request copies its
 	// request ports can hold (copies past those wait in the engine's
-	// backlog): neither set-up nor a run below the knee grows them.
+	// backlog), and its store of copies for those copies: neither set-up nor
+	// a run below the knee grows them.
 	homed := make([]int, cfg.Nodes)
 	for i := range e.sessions {
 		homed[homeOf(i, cfg.Nodes)]++
 	}
 	for ni, sn := range e.nodes {
-		room := homed[ni] + sn.runRoom() + len(cfg.Classes)*int(portCapacity)
+		copies := len(cfg.Classes) * int(portCapacity)
+		room := homed[ni] + sn.runRoom() + copies
 		sn.IM.Table.Reserve(room)
 		sn.byObj.Reserve(room)
+		sn.copies, sn.free = make([]servedCopy, 0, copies), make([]int32, 0, copies)
 	}
 
 	// Routing has its own seeded stream. The session objects are created
@@ -230,6 +238,7 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 	// the end.
 	rngRoute := rand.New(rand.NewSource(cfg.Seed ^ 0x3a9d0c11))
 	var l obj.Latch
+	migrating := 0
 	e.schedule = population(&cfg.Load, func(i, class int) {
 		home := homeOf(i, cfg.Nodes)
 		im := e.nodes[home].IM
@@ -244,13 +253,17 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 		pick := rngRoute.Intn(max(cfg.Nodes-1, 1))
 		if cfg.Nodes > 1 && roll < cfg.MigratePermille {
 			dest = (home + 1 + pick) % cfg.Nodes
+			migrating++
 		}
-		e.sessions[i] = shardSession{Session: Session{Class: uint32(class), Obj: so}, Home: uint32(home), Dest: uint32(dest)}
+		e.sessions[i] = shardSession{Session: Session{Class: uint32(class), Obj: so}, Dest: uint8(dest)}
 		e.nodes[home].byObj.Put(so.Index, int32(i))
 	})
 	if f := l.Fault(); f != nil {
 		return nil, fmt.Errorf("shard %q: population: %w", cfg.Name, f)
 	}
+	// A migrating session's request and reply are the only graphs a run
+	// ships, so the transfer ledger is sized once for all of them.
+	cl.Reserve(2 * migrating)
 	return e, nil
 }
 
@@ -264,14 +277,15 @@ func (e *ShardEngine) issue(sid int) error {
 	s := &e.sessions[sid]
 	s.Issued++
 	e.totIssued++
-	if s.Dest == s.Home {
-		e.nodes[s.Home].send(s.Class, s.Obj)
+	home := homeOf(sid, len(e.nodes))
+	if int(s.Dest) == home {
+		e.nodes[home].send(s.Class, s.Obj)
 		return nil
 	}
 	// Migrated request: the canonical object's graph ships to the
 	// serving node; the activated copy is what the remote server mutates.
 	e.migIssued++
-	_, err := e.Cluster.Ship(int(s.Home), int(s.Dest), s.Obj, cluster.MsgRequest, uint64(sid))
+	_, err := e.Cluster.Ship(home, int(s.Dest), s.Obj, cluster.MsgRequest, uint64(sid))
 	return err
 }
 
@@ -305,8 +319,7 @@ func (sn *shardNode) arrive(in []cluster.Msg, out *outbox) error {
 		s := &sn.sessions[sid]
 		switch d.Kind {
 		case cluster.MsgRequest:
-			sn.byObj.Put(root.Index, sid)
-			s.remote = created
+			sn.byObj.Put(root.Index, ^sn.serve(sid, created))
 			sn.send(s.Class, root)
 		case cluster.MsgReply:
 			// Fold the served copy's bytes into the canonical object.
@@ -329,6 +342,20 @@ func (sn *shardNode) arrive(in []cluster.Msg, out *outbox) error {
 	return nil
 }
 
+// serve keeps a request copy's session and activated graph in a free slot
+// of copies and returns the slot.
+func (sn *shardNode) serve(sid int32, graph []obj.AD) int32 {
+	c := servedCopy{sid, graph}
+	if k := len(sn.free); k > 0 {
+		slot := sn.free[k-1]
+		sn.free = sn.free[:k-1]
+		sn.copies[slot] = c
+		return slot
+	}
+	sn.copies = append(sn.copies, c)
+	return int32(len(sn.copies) - 1)
+}
+
 // drainReplies observes the node's reply port: canonical session objects
 // complete where they are homed; remote-job copies are encoded for their
 // trip home and reclaimed.
@@ -341,26 +368,27 @@ func (sn *shardNode) drainReplies(out *outbox) error {
 		if !ok {
 			return nil
 		}
-		sid, known := sn.byObj.Get(msg.Index)
+		v, known := sn.byObj.Get(msg.Index)
 		if !known {
 			return fmt.Errorf("unknown object %d on reply port", msg.Index)
 		}
 		sn.Served++
-		s := &sn.sessions[sid]
-		if int(s.Home) == sn.cl.ID {
-			out.departures = append(out.departures, departure{sid: sid})
+		if v >= 0 {
+			out.departures = append(out.departures, departure{sid: v})
 			continue
 		}
+		c := &sn.copies[^v]
 		img, objects, err := sn.cl.Encode(msg)
 		if err != nil {
 			return err
 		}
-		out.departures = append(out.departures, departure{sid: sid, img: img, objects: objects})
+		out.departures = append(out.departures, departure{sid: c.sid, img: img, objects: objects})
 		// The image owns the state now; the copy is done.
-		if err := sn.cl.Reclaim(s.remote); err != nil {
+		if err := sn.cl.Reclaim(c.graph); err != nil {
 			return err
 		}
-		s.remote = nil
+		*c = servedCopy{}
+		sn.free = append(sn.free, ^v)
 	}
 }
 
@@ -385,7 +413,7 @@ func (e *ShardEngine) merge() {
 				e.complete(d.sid)
 				continue
 			}
-			e.Cluster.Post(ni, int(e.sessions[d.sid].Home), cluster.MsgReply, uint64(d.sid), d.img, d.objects)
+			e.Cluster.Post(ni, homeOf(int(d.sid), len(e.nodes)), cluster.MsgReply, uint64(d.sid), d.img, d.objects)
 		}
 		sn.out.departures = sn.out.departures[:0]
 	}
@@ -431,7 +459,7 @@ func (e *ShardEngine) complete(sid int32) {
 	e.perClass[s.Class].Observe(lat)
 	s.Completed++
 	e.totCompleted++
-	e.nodes[s.Home].Completed++
+	e.nodes[homeOf(int(sid), len(e.nodes))].Completed++
 }
 
 // censor bounds the tail at the deadline exactly like the single-node

@@ -93,7 +93,7 @@ func (e *ShardEngine) result() *ShardResult {
 	}
 	homed := make([]int, len(e.nodes))
 	for i := range e.sessions {
-		homed[e.sessions[i].Home]++
+		homed[homeOf(i, len(e.nodes))]++
 	}
 	for ni, sn := range e.nodes {
 		for ci := range sn.Classes {

@@ -142,7 +142,7 @@ func TestShardMigrationWitness(t *testing.T) {
 	}
 	for i := range e.sessions {
 		s := &e.sessions[i]
-		im := e.Cluster.Nodes[s.Home].IM
+		im := e.Cluster.Nodes[homeOf(i, len(e.nodes))].IM
 		for w := uint32(0); w < 2; w++ {
 			v, f := im.Table.ReadDWord(s.Obj, w*4)
 			if f != nil {
@@ -217,10 +217,14 @@ func checkFlightsClosed(t *testing.T, e *ShardEngine) {
 // TestShardRunAllocBound pins the host allocations of a sharded run in
 // which every request migrates: two hops a request, each encoding into a
 // recycled image buffer and activating into a recycled created list, and
-// the reply folded through views. What is left does not grow with the
+// the reply folded through views. The transfer ledger and the stores of
+// copies in service are sized at build. What is left does not grow with the
 // request count, or grows by doubling: the pools filling to what is in
-// flight at the peak, the queues, the transfer ledger's records, one-time
-// caches and the result — some 200 allocations, hence the population.
+// flight at the peak, the queues, the kernels' free lists, one-time caches
+// and the result — some 170 allocations of 36 KB (200 under the race
+// detector, where each buffer's first growth allocates twice), hence the
+// population. While the ledger grew in the run it was 195 allocations of
+// 16 MB.
 func TestShardRunAllocBound(t *testing.T) {
 	cfg := ShardPreset(2, 30_000, 42)
 	cfg.MigratePermille = 1000
@@ -230,16 +234,20 @@ func TestShardRunAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r *ShardResult
-	mallocs, _ := hostAllocs(nil, func() { r, err = e.Run() })
+	mallocs, bytes := hostAllocs(nil, func() { r, err = e.Run() })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Completed == 0 || r.MigratedCompleted != r.Completed {
 		t.Fatalf("%d of %d completed requests migrated", r.MigratedCompleted, r.Completed)
 	}
-	if per := float64(mallocs) / float64(r.Completed); per > 0.01 {
-		t.Fatalf("run allocated %d times for %d completed requests (%.4f each), want at most 0.01 each",
+	if per := float64(mallocs) / float64(r.Completed); per > 0.007 {
+		t.Errorf("run allocated %d times for %d completed requests (%.4f each), want at most 0.007 each",
 			mallocs, r.Completed, per)
+	}
+	if per := float64(bytes) / float64(r.Completed); per > 8 {
+		t.Errorf("run allocated %d bytes for %d completed requests (%.1f each), want at most 8 each",
+			bytes, r.Completed, per)
 	}
 }
 
@@ -277,10 +285,8 @@ func TestShardCensoredRun(t *testing.T) {
 		t.Fatal("nothing censored: the run never reached the deadline path")
 	}
 	remote := 0
-	for i := range e.sessions {
-		if len(e.sessions[i].remote) > 0 {
-			remote++
-		}
+	for _, sn := range e.nodes {
+		remote += len(sn.copies) - len(sn.free)
 	}
 	if remote == 0 {
 		t.Fatal("no remote copy was in service at the deadline")
