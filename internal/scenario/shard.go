@@ -114,6 +114,7 @@ type shardNode struct {
 	in  []cluster.Msg
 	out outbox
 
+	homed     int    // sessions homed here
 	Completed uint64 // requests completed for sessions homed here
 	Served    uint64 // requests whose service ran here (home or migrated)
 }
@@ -226,6 +227,7 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 		homed[homeOf(i, cfg.Nodes)]++
 	}
 	for ni, sn := range e.nodes {
+		sn.homed = homed[ni]
 		copies := len(cfg.Classes) * int(portCapacity)
 		room := homed[ni] + sn.runRoom() + copies
 		sn.IM.Table.Reserve(room)
@@ -269,7 +271,7 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 
 // homeOf is session i's home node among nodes: a multiplicative hash of the
 // session id.
-func homeOf(i, nodes int) int { return int((uint64(i) * 0x9E3779B97F4A7C15 >> 33) % uint64(nodes)) }
+func homeOf(i, nodes int) int { return int(uint32(uint64(i)*0x9E3779B97F4A7C15>>33) % uint32(nodes)) }
 
 // issue sends session sid's request at its arrival instant: the latency
 // clock runs from that instant no matter how the request routes.
@@ -402,7 +404,7 @@ func (e *ShardEngine) merge() {
 			e.Cluster.CloseFlight(a.msg, a.activated, nil)
 			if a.msg.Kind == cluster.MsgReply {
 				e.migCompleted++
-				e.complete(int32(a.msg.Seq))
+				e.complete(sn, int32(a.msg.Seq))
 			}
 		}
 		sn.out.arrivals = sn.out.arrivals[:0]
@@ -410,7 +412,7 @@ func (e *ShardEngine) merge() {
 	for ni, sn := range e.nodes {
 		for _, d := range sn.out.departures {
 			if d.img == nil {
-				e.complete(d.sid)
+				e.complete(sn, d.sid)
 				continue
 			}
 			e.Cluster.Post(ni, homeOf(int(d.sid), len(e.nodes)), cluster.MsgReply, uint64(d.sid), d.img, d.objects)
@@ -446,8 +448,9 @@ func (e *ShardEngine) round(step bool) (anyWorked bool, err error) {
 	return anyWorked, nil
 }
 
-// complete finishes session sid's request at the current lockstep instant.
-func (e *ShardEngine) complete(sid int32) {
+// complete finishes session sid's request at the current lockstep instant
+// on its home node.
+func (e *ShardEngine) complete(home *shardNode, sid int32) {
 	s := &e.sessions[sid]
 	if !s.inFlight() {
 		// Censored at the deadline before its reply landed: the latency
@@ -459,7 +462,7 @@ func (e *ShardEngine) complete(sid int32) {
 	e.perClass[s.Class].Observe(lat)
 	s.Completed++
 	e.totCompleted++
-	e.nodes[homeOf(int(sid), len(e.nodes))].Completed++
+	home.Completed++
 }
 
 // censor bounds the tail at the deadline exactly like the single-node

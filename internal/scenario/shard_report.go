@@ -91,17 +91,13 @@ func (e *ShardEngine) result() *ShardResult {
 	for ci, c := range e.Cfg.Classes {
 		r.Classes = append(r.Classes, ShardClassReport{Name: c.Name, Latency: latencyReport(&e.perClass[ci])})
 	}
-	homed := make([]int, len(e.nodes))
-	for i := range e.sessions {
-		homed[homeOf(i, len(e.nodes))]++
-	}
 	for ni, sn := range e.nodes {
 		for ci := range sn.Classes {
 			r.Deferred += sn.Classes[ci].Deferred
 		}
 		nr := ShardNodeReport{
 			Node:             ni,
-			SessionsHomed:    homed[ni],
+			SessionsHomed:    sn.homed,
 			Completed:        sn.Completed,
 			Served:           sn.Served,
 			FiledObjects:     sn.IM.Files.FiledObjects,
