@@ -399,10 +399,14 @@ func TestRecycledBuffers(t *testing.T) {
 }
 
 // TestTransferRecord pins the transfer ledger's row, one per shipped graph,
-// at 12 bytes: two 32-bit object counts and four single-byte facts.
+// at 12 bytes: two 32-bit object counts and four single-byte facts, among
+// them the node ids, which a byte holds only while MaxNodes is at most 256.
 func TestTransferRecord(t *testing.T) {
 	if n := unsafe.Sizeof(graphRec{}); n > 12 {
 		t.Errorf("graphRec is %d bytes, want at most 12", n)
+	}
+	if MaxNodes > 1<<8 {
+		t.Errorf("MaxNodes is %d: a node id does not fit the record's byte", MaxNodes)
 	}
 }
 
@@ -413,39 +417,26 @@ func TestTransferRecord(t *testing.T) {
 // The ledger must also hold the largest count filing's 32-bit count field
 // can carry.
 func TestTransferCountsExact(t *testing.T) {
-	// graph makes n objects on node 0: a root over n-1 leaves, or over
-	// mids of obj.MaxAccessSlots leaves each where n-1 is too many for one
-	// access part. The last leaf carries tdo's type when tdo is valid.
-	graph := func(t *testing.T, c *Cluster, n int, tdo obj.AD) obj.AD {
+	// graph makes a root on node 0 over fan children over per leaves each:
+	// 1 + fan + fan·per objects. The last one made carries tdo's type when
+	// tdo is valid.
+	graph := func(t *testing.T, c *Cluster, fan, per int, tdo obj.AD) obj.AD {
 		t.Helper()
 		im := c.Nodes[0].IM
 		var l obj.Latch
-		mk := func(slots int) obj.AD {
+		mk := func(slots int, last bool) obj.AD {
+			if last && tdo.Valid() {
+				return l.AD(im.TDOs.CreateInstance(tdo, obj.CreateSpec{}))
+			}
 			return l.AD(im.SROs.Create(im.Heap, obj.CreateSpec{Type: obj.TypeGeneric, AccessSlots: uint32(slots)}))
 		}
-		leaves := n - 1
-		var root obj.AD
-		var parents []obj.AD
-		if leaves <= obj.MaxAccessSlots {
-			root = mk(leaves)
-			parents = []obj.AD{root}
-		} else {
-			mids := leaves / (obj.MaxAccessSlots + 1)
-			if mids*(obj.MaxAccessSlots+1) != leaves {
-				t.Fatalf("%d objects are not a root over full mids", n)
+		root := mk(fan, false)
+		for i := 0; i < fan; i++ {
+			child := mk(per, per == 0 && i == fan-1)
+			l.Keep(im.Table.StoreAD(root, uint32(i), child))
+			for j := 0; j < per; j++ {
+				l.Keep(im.Table.StoreAD(child, uint32(j), mk(0, i == fan-1 && j == per-1)))
 			}
-			root, leaves = mk(mids), leaves-mids
-			for i := 0; i < mids; i++ {
-				parents = append(parents, mk(obj.MaxAccessSlots))
-				l.Keep(im.Table.StoreAD(root, uint32(i), parents[i]))
-			}
-		}
-		for i := 0; i < leaves; i++ {
-			leaf := mk(0)
-			if i == leaves-1 && tdo.Valid() {
-				leaf = l.AD(im.TDOs.CreateInstance(tdo, obj.CreateSpec{}))
-			}
-			l.Keep(im.Table.StoreAD(parents[i/obj.MaxAccessSlots], uint32(i%obj.MaxAccessSlots), leaf))
 		}
 		if f := l.Fault(); f != nil {
 			t.Fatal(f)
@@ -453,14 +444,14 @@ func TestTransferCountsExact(t *testing.T) {
 		return root
 	}
 	for _, row := range []struct {
-		name    string
-		objects int
-		fail    bool // the last leaf's type is bound on the sender only
+		name     string
+		fan, per int
+		fail     bool // the last object's type is bound on the sender only
 	}{
-		{"one", 1, false},
-		{"past a byte", 257, false},
-		{"past 16 bits", 65_545, false},
-		{"failed past 16 bits", 65_545, true},
+		{"one", 0, 0, false},
+		{"past a byte", 256, 0, false},
+		{"past 16 bits", 8, obj.MaxAccessSlots, false},
+		{"failed past 16 bits", 8, obj.MaxAccessSlots, true},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			c, err := New(testConfig(2))
@@ -478,13 +469,14 @@ func TestTransferCountsExact(t *testing.T) {
 					t.Fatal(f)
 				}
 			}
-			id, err := c.Ship(0, 1, graph(t, c, row.objects, tdo), MsgRequest, 1)
+			objects := 1 + row.fan + row.fan*row.per
+			id, err := c.Ship(0, 1, graph(t, c, row.fan, row.per, tdo), MsgRequest, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ds, err := c.Deliver(1)
-			if err != nil || len(ds) != 1 || ds[0].Objects != row.objects {
-				t.Fatalf("delivered %+v (%v), want one message of %d objects", ds, err, row.objects)
+			if err != nil || len(ds) != 1 || ds[0].Objects != objects {
+				t.Fatalf("delivered %+v (%v), want one message of %d objects", ds, err, objects)
 			}
 			live := c.Nodes[1].IM.Table.Live()
 			_, created, err := c.Materialize(ds[0])
@@ -492,7 +484,7 @@ func TestTransferCountsExact(t *testing.T) {
 				t.Fatalf("materialize: %v, want failure %v", err, row.fail)
 			}
 			want := audit.GraphFlight{ID: id, From: 0, To: 1, State: audit.FlightClosed,
-				Objects: row.objects, Activated: row.objects, Failed: row.fail}
+				Objects: objects, Activated: objects, Failed: row.fail}
 			if row.fail {
 				want.Activated = 0
 			}
@@ -514,7 +506,7 @@ func TestTransferCountsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, _, err := c.Nodes[0].Encode(graph(t, c, 1, obj.NilAD))
+		img, _, err := c.Nodes[0].Encode(graph(t, c, 0, 0, obj.NilAD))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -291,9 +291,9 @@ func (m *Swapping) DestroyHeap(heap obj.AD) (int, *obj.Fault) {
 
 // Allocate implements Allocator: on physical exhaustion it evicts victims
 // until the allocation fits, so virtual allocation can exceed physical
-// memory up to the backing store's capacity. While not even the larger part
-// has a hole the create fails for certain, so it evicts before asking; a
-// part past mem.MaxPart the table refuses without a hole.
+// memory up to the backing store's capacity. While no hole holds even the
+// larger part the create fails for certain, so it evicts before it asks; a
+// part past mem.MaxPart fits no hole, and the table refuses it as too large.
 func (m *Swapping) Allocate(heap obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
 	if spec.DataLen <= mem.MaxPart && spec.AccessSlots <= obj.MaxAccessSlots {
 		if f := m.makeRoom(max(spec.DataLen, spec.AccessSlots*obj.ADSlotSize)); f != nil {

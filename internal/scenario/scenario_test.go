@@ -420,13 +420,12 @@ func TestBacklogRefillAllocFree(t *testing.T) {
 // under memory pressure allocate for each session past the first, at 2 000
 // sessions. A session owns an entry in the engine, the object table, the
 // side map, the anchor list and the schedule, each sized once for the whole
-// population, so a session costs no object and some 94 bytes on one machine
-// or on a cluster; when every array doubled its way there it was 0.0125 and
-// 0.010 objects and 238 and 221 bytes, and while a shard session was 64
-// bytes and the transfer ledger grew in the run, 123 on a cluster. Under
-// pressure a session's object evicts another's to the backing store, whose
-// image is half an object a session; the no-memory fault each create used
-// to build and drop first was another whole one.
+// population, so a session costs no object and some 94 bytes, on one
+// machine or on a cluster; when every array doubled its way there it was
+// 0.0125 and 0.010 objects and 238 and 221 bytes. Under memory pressure a
+// create evicts another session's object, whose image the backing store
+// keeps: half an object a session at this size, and no fault, since a
+// create that must fail for want of a hole is not tried.
 func TestBuildAllocBound(t *testing.T) {
 	const n = 2_000
 	for _, c := range []struct {

@@ -223,8 +223,7 @@ func checkFlightsClosed(t *testing.T, e *ShardEngine) {
 // flight at the peak, the queues, the kernels' free lists, one-time caches
 // and the result — some 170 allocations of 36 KB (200 under the race
 // detector, where each buffer's first growth allocates twice), hence the
-// population. While the ledger grew in the run it was 195 allocations of
-// 16 MB.
+// population.
 func TestShardRunAllocBound(t *testing.T) {
 	cfg := ShardPreset(2, 30_000, 42)
 	cfg.MigratePermille = 1000
