@@ -292,26 +292,22 @@ func (m *Swapping) DestroyHeap(heap obj.AD) (int, *obj.Fault) {
 // Allocate implements Allocator: on physical exhaustion it evicts victims
 // until the allocation fits, so virtual allocation can exceed physical
 // memory up to the backing store's capacity. While no hole holds even the
-// larger part the create fails for certain, so it evicts before it asks; a
-// part past mem.MaxPart fits no hole, and the table refuses it as too large.
+// larger part the create fails for certain, so it evicts without asking; a
+// part past mem.MaxPart fits no hole, and it is the table's to refuse.
 func (m *Swapping) Allocate(heap obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
-	if spec.DataLen <= mem.MaxPart && spec.AccessSlots <= obj.MaxAccessSlots {
-		if f := m.makeRoom(max(spec.DataLen, spec.AccessSlots*obj.ADSlotSize)); f != nil {
-			return obj.NilAD, f
-		}
-	}
+	oversize := spec.DataLen > mem.MaxPart || spec.AccessSlots > obj.MaxAccessSlots
+	need := max(spec.DataLen, spec.AccessSlots*obj.ADSlotSize)
 	for {
-		ad, f := m.SROs.Create(heap, spec)
-		if f == nil {
-			return ad, nil
-		}
-		if f.Code != obj.FaultNoMemory {
-			return obj.NilAD, f
+		if oversize || !m.fitsNowhere(need) {
+			ad, f := m.SROs.Create(heap, spec)
+			if f == nil || f.Code != obj.FaultNoMemory {
+				return ad, f
+			}
 		}
 		if evicted, ef := m.evictOne(); ef != nil {
 			return obj.NilAD, ef
 		} else if !evicted {
-			return obj.NilAD, f // nothing left to evict
+			return m.SROs.Create(heap, spec) // nothing left to evict: the table says why
 		}
 	}
 }
@@ -331,17 +327,13 @@ func (m *Swapping) swappable(idx obj.Index) bool {
 	return false
 }
 
-// makeRoom evicts victims while no hole can hold need bytes. Under pressure
-// memory is full, and the table's first answer would be a no-memory fault
-// built to be thrown away; with nothing left to evict, the table says why.
-func (m *Swapping) makeRoom(need uint32) *obj.Fault {
+// fitsNowhere reports whether no hole holds a part of need bytes. Under
+// pressure memory is full, and the table's first answer to a part that long
+// would be a no-memory fault built to be thrown away, so a caller evicts
+// before it asks.
+func (m *Swapping) fitsNowhere(need uint32) bool {
 	phys := m.Table.Memory()
-	for need > 0 && !phys.FitsBelow(need, mem.Addr(phys.Size())) {
-		if evicted, ef := m.evictOne(); ef != nil || !evicted {
-			return ef
-		}
-	}
-	return nil
+	return need > 0 && !phys.FitsBelow(need, mem.Addr(phys.Size()))
 }
 
 // evictOne selects a victim by clock sweep and swaps it out. It reports
@@ -405,8 +397,13 @@ func (m *Swapping) EnsureResident(idx obj.Index) *obj.Fault {
 		return nil
 	}
 	tok := d.SwapToken()
-	if f := m.makeRoom(max(d.DataLen, d.Access().Len)); f != nil {
-		return f
+	// With nothing left to evict the table says why.
+	for m.fitsNowhere(max(d.DataLen, d.Access().Len)) {
+		if evicted, ef := m.evictOne(); ef != nil {
+			return ef
+		} else if !evicted {
+			break
+		}
 	}
 	phys := m.Table.Memory()
 	for {
