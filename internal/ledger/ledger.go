@@ -20,20 +20,26 @@
 // emitter waits when sealWindow segments are still being hashed.
 //
 // That is what lets the folding itself be host-asynchronous. Once a
-// segment is cut its events and index are fixed, so encoding its body and
-// computing bodyRoot run on a goroutine of their own while the emitter
-// goes on admitting; the emitter collects finished segments oldest-first
-// and only then writes prevHash and hashes the header, so the chain is
-// built in segment order whatever order bodies finish in. Every
-// byte is a function of values fixed at the cut; the host's schedule
-// decides when a byte is written, never which. Every method that reads
-// sealed state joins the segments in flight first.
+// segment is cut its events and index are fixed, so packing it, writing
+// its wire form and computing bodyRoot run on a goroutine of their own
+// while the emitter goes on admitting; the emitter collects finished
+// segments oldest-first and only then writes prevHash and hashes the
+// header, so the chain is built in segment order whatever order bodies
+// finish in. Every byte is a function of values fixed at the cut; the
+// host's schedule decides when a byte is written, never which. Every
+// method that reads sealed state joins the segments in flight first.
+//
+// A sealed segment is held packed (packSegment), about a quarter of its
+// wire size; appendWire is the one writer of wire bytes, for the sealer
+// that hashes them and for Bytes, which rebuilds the ledger from the packed
+// segments.
 package ledger
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"sync"
 
 	"repro/internal/trace"
@@ -106,30 +112,138 @@ type Config struct {
 }
 
 // sealWindow bounds the segments whose bodies are being hashed at once,
-// and with them the memory in flight (about 16 KB of records and leaves a
-// slot). Hashing a segment still costs more than admitting it, so the
-// emitter fills the window and then waits; the window is what a second
-// core draws on while it does, and sealers the emitter has just started
-// reach another core only by being stolen from its run queue, which is
-// quick for all but the newest. With the two-lane kernel, serve-audit's
+// and with them the memory in flight (about 25 KB of records, packed and
+// wire bytes and leaves a slot at the default size). Hashing a segment
+// still costs more than admitting it, so the emitter fills the window and
+// then waits; the window is what a second core draws on while it does,
+// and sealers the emitter has just started reach another core only by
+// being stolen from its run queue, which is quick for all but the newest. With the two-lane kernel, serve-audit's
 // run_s on a 2-core host is within noise of 16 at 8 and a tenth under 4
 // (medians of fourteen rounds of the three: 0.118, 0.124 and 0.136 s at
 // 16, 8 and 4; 16 was ahead of 8 in nine of them).
 const sealWindow = 8
 
-// slabBytes is the unit segment buffers are carved from. A default
-// segment is 6 948 bytes, which allocated alone occupies an 8 192-byte
-// size class; nine to a slab waste 5 % instead of 18 %.
+// slabBytes is the unit sealed segments are carved from. A segment is held
+// packed, about 1.6 KB for a default segment of serve-audit's events, so a
+// slab holds some forty and wastes at most the one that did not fit.
 const slabBytes = 64 << 10
 
-// sealing is one cut segment on its way to the chain. The emitter fills
-// everything fixed at the cut; run, on its own goroutine, fills the rest
-// except prevHash and the footer, which wait for the segment before it.
+// A sealed segment is held as the bytes packSegment writes:
+//
+//	bodyRoot [32] | uvarint firstSeq | uvarint count
+//	count × (kind u8 | uvarint gap | uvarint obj | uvarint arg | uvarint aux)
+//
+// where gap is the record's seq less the previous record's, less one (the
+// first record's is its distance from firstSeq, so 0), taken modulo 2^64.
+// That is everything a segment's wire bytes hold but its index, prevHash
+// and footer, which are its place in the chain and the hashes in
+// segHashes. A record packs into 5 to 31 bytes; a kernel stream's
+// sequence numbers are consecutive and its objects and scalars small, so
+// serve-audit's take about 6.
+func packSegment(dst []byte, events []trace.Event) []byte {
+	dst = append(dst, make([]byte, HashBytes)...) // bodyRoot, once hashed
+	dst = binary.AppendUvarint(dst, events[0].Seq)
+	dst = binary.AppendUvarint(dst, uint64(len(events)))
+	prev := events[0].Seq - 1
+	for _, ev := range events {
+		dst = append(dst, byte(ev.Kind))
+		dst = binary.AppendUvarint(dst, ev.Seq-prev-1)
+		dst = binary.AppendUvarint(dst, uint64(ev.Obj))
+		dst = binary.AppendUvarint(dst, uint64(ev.Arg))
+		dst = binary.AppendUvarint(dst, ev.Aux)
+		prev = ev.Seq
+	}
+	return dst
+}
+
+// packedHead reads a packed segment's first sequence number and record
+// count, and returns its records.
+func packedHead(seg []byte) (first uint64, count int, recs []byte) {
+	recs = seg[HashBytes:]
+	first, n := binary.Uvarint(recs)
+	recs = recs[n:]
+	c, n := binary.Uvarint(recs)
+	return first, int(c), recs[n:]
+}
+
+// uvarint reads the uvarint packSegment wrote at the front of b and
+// returns it and the rest of b. Most of a kernel's fields are one byte,
+// which it reads without entering the loop.
+func uvarint(b []byte) (uint64, []byte) {
+	if b[0] < 0x80 {
+		return uint64(b[0]), b[1:]
+	}
+	x := uint64(b[0] & 0x7f)
+	for i, s := 1, 7; ; i, s = i+1, s+7 {
+		c := b[i]
+		x |= uint64(c&0x7f) << s
+		if c < 0x80 {
+			return x, b[i+1:]
+		}
+	}
+}
+
+// wireLen is the wire size of a packed segment with nk kinds.
+func wireLen(nk int, seg []byte) int {
+	_, count, _ := packedHead(seg)
+	return headerLen(nk) + count*RecordBytes + HashBytes
+}
+
+// appendWire appends the wire form of the packed segment seg (§12.3) to
+// dst: the header of segment index with nk kinds, prev as its prevHash and
+// the packed bodyRoot, each record decoded, encoded by appendRecord and
+// counted in its kind's delta word, and foot as the footer. It is the one
+// writer of wire bytes: the sealer hashes what it writes, with prev, foot
+// and the packed bodyRoot still zero, and Bytes rebuilds every sealed
+// segment through it with the hashes the chain holds, so a rebuilt segment
+// is the one hashed byte for byte.
+func appendWire(dst []byte, index uint32, nk int, seg []byte, prev, foot *[HashBytes]byte) []byte {
+	le := binary.LittleEndian
+	first, count, recs := packedHead(seg)
+	h := len(dst)
+	// Room for the whole segment first, so that hdr stays dst's header
+	// while the records are appended.
+	dst = slices.Grow(dst, wireLen(nk, seg))[:h+headerLen(nk)]
+	hdr := dst[h:]
+	clear(hdr)
+	le.PutUint32(hdr[0:], Magic)
+	le.PutUint32(hdr[4:], Version)
+	le.PutUint32(hdr[8:], index)
+	le.PutUint32(hdr[12:], uint32(nk))
+	le.PutUint32(hdr[16:], uint32(count))
+	le.PutUint64(hdr[20:], first)
+	copy(hdr[prevHashOff:], prev[:])
+	copy(hdr[bodyRootOff:], seg[:HashBytes])
+	seq := first - 1
+	for i := 0; i < count; i++ {
+		kind := trace.Kind(recs[0])
+		var gap, obj, arg, aux uint64
+		gap, recs = uvarint(recs[1:])
+		obj, recs = uvarint(recs)
+		arg, recs = uvarint(recs)
+		aux, recs = uvarint(recs)
+		seq += gap + 1
+		dst = appendRecord(dst, trace.Event{Seq: seq, Kind: kind, Obj: uint32(obj), Arg: uint32(arg), Aux: aux})
+		if int(kind) < nk {
+			delta := hdr[headerFixedBytes+8*int(kind):]
+			le.PutUint64(delta, le.Uint64(delta)+1)
+		}
+	}
+	le.PutUint64(hdr[28:], seq)
+	return append(dst, foot[:]...)
+}
+
+// sealing is one cut segment on its way to the chain. The emitter fixes
+// its index and records at the cut; run, on its own goroutine, packs them
+// and writes and hashes their wire form; collect chains it. The scratch
+// slices grow to the largest segment the slot has sealed.
 type sealing struct {
-	buf    []byte            // header ‖ body ‖ footer, exact size
+	index  uint32
 	events []trace.Event     // the segment's records, recycled
+	packed []byte            // the segment packed, bodyRoot filled by run
+	wire   []byte            // its wire form, prevHash filled by collect
 	leaves [][HashBytes]byte // body-tree scratch, recycled
-	done   sync.WaitGroup    // run has finished with buf
+	done   sync.WaitGroup    // run has finished with packed and wire
 	start  func()            // calls run; built once per slot, see seal
 }
 
@@ -149,7 +263,7 @@ type Sink struct {
 	segIndex uint32              // segments cut so far
 
 	slab      []byte            // unused tail of the current slab
-	segs      [][]byte          // chained segments, in order
+	segs      [][]byte          // chained segments, packed, in order
 	segHashes [][HashBytes]byte // footer hash of every chained segment
 	prev      [HashBytes]byte   // last chained segment's hash
 
@@ -186,74 +300,62 @@ func (s *Sink) Record(ev trace.Event) {
 }
 
 // seal cuts the open segment: it fixes everything the bytes depend on
-// (index, records), in one zeroed buffer of the segment's exact size, and
-// starts the goroutine that fills in the body. Called with mu held and
-// len(s.pending) > 0. Waiting here for the oldest sealer holds mu across a
-// block, which is safe because no sealer ever takes it.
+// (index, records) in a window slot and starts the goroutine that seals
+// it. Called with mu held and len(s.pending) > 0. Waiting here for the
+// oldest sealer holds mu across a block, which is safe because no sealer
+// ever takes it.
 func (s *Sink) seal() {
 	if s.n == sealWindow {
 		s.collect()
 	}
-	nk, le := s.kinds, binary.LittleEndian
 	j := &s.window[(s.head+s.n)%sealWindow]
 	s.n++
 	j.events, s.pending = s.pending, j.events[:0]
-
-	size := headerLen(nk) + len(j.events)*RecordBytes + HashBytes
-	if len(s.slab) < size {
-		s.slab = make([]byte, max(size, slabBytes))
-	}
-	j.buf, s.slab = s.slab[:size:size], s.slab[size:]
-	le.PutUint32(j.buf[0:], Magic)
-	le.PutUint32(j.buf[4:], Version)
-	le.PutUint32(j.buf[8:], s.segIndex)
-	le.PutUint32(j.buf[12:], uint32(nk))
-	le.PutUint32(j.buf[16:], uint32(len(j.events)))
-	le.PutUint64(j.buf[20:], j.events[0].Seq)
-	le.PutUint64(j.buf[28:], j.events[len(j.events)-1].Seq)
+	j.index = s.segIndex
 	s.segIndex++
 	j.done.Add(1)
 	// A go statement over a func value without arguments allocates
 	// nothing; one that passes nk allocates a closure to carry it, every
 	// cut. A pool of sealers would need stopping (DESIGN §12).
 	if j.start == nil {
+		nk := s.kinds
 		j.start = func() { j.run(nk) }
 	}
 	go j.start()
 }
 
-// run encodes the records straight into the segment's body, counts them
-// per kind in the header's delta words, and then hashes the body into
-// bodyRoot. It touches nothing but its own slot, so it needs no lock and
-// an abandoned sink leaves nothing behind once it returns.
+// run packs the records, writes the packed segment's wire form through
+// appendWire, and hashes that body into bodyRoot, which it writes into
+// both. It touches nothing but its own slot, so it needs no lock and an
+// abandoned sink leaves nothing behind once it returns.
 func (j *sealing) run(nk int) {
 	defer j.done.Done()
-	le := binary.LittleEndian
-	body := j.buf[headerLen(nk):headerLen(nk)]
-	for _, ev := range j.events {
-		body = appendRecord(body, ev)
-		if int(ev.Kind) < nk {
-			delta := j.buf[headerFixedBytes+8*int(ev.Kind):]
-			le.PutUint64(delta, le.Uint64(delta)+1)
-		}
-	}
-	var root [HashBytes]byte
-	root, j.leaves = bodyRoot(body, j.leaves)
-	copy(j.buf[bodyRootOff:], root[:])
+	var zero, root [HashBytes]byte
+	j.packed = packSegment(j.packed[:0], j.events)
+	j.wire = appendWire(j.wire[:0], j.index, nk, j.packed, &zero, &zero)
+	root, j.leaves = bodyRoot(j.wire[headerLen(nk):len(j.wire)-HashBytes], j.leaves)
+	copy(j.packed, root[:])
+	copy(j.wire[bodyRootOff:], root[:])
 }
 
-// collect waits for the oldest cut segment's body and chains it: prevHash
-// in, header hashed, footer out. Called with mu held and s.n > 0.
+// collect waits for the oldest cut segment and chains it: prevHash into
+// its wire header, the header hashed into its footer hash, and the packed
+// segment carved from the slab. Called with mu held and s.n > 0.
 func (s *Sink) collect() {
 	j := &s.window[s.head]
 	s.head, s.n = (s.head+1)%sealWindow, s.n-1
 	j.done.Wait()
-	copy(j.buf[prevHashOff:], s.prev[:])
-	s.prev = sha256.Sum256(j.buf[:headerLen(s.kinds)])
-	copy(j.buf[len(j.buf)-HashBytes:], s.prev[:])
-	s.segs = append(s.segs, j.buf)
+	copy(j.wire[prevHashOff:], s.prev[:])
+	s.prev = sha256.Sum256(j.wire[:headerLen(s.kinds)])
+	size := len(j.packed)
+	if len(s.slab) < size {
+		s.slab = make([]byte, max(size, slabBytes))
+	}
+	seg := s.slab[:size:size]
+	copy(seg, j.packed)
+	s.slab = s.slab[size:]
+	s.segs = append(s.segs, seg)
 	s.segHashes = append(s.segHashes, s.prev)
-	j.buf = nil
 }
 
 // join chains every segment cut so far. Called with mu held.
@@ -264,7 +366,8 @@ func (s *Sink) join() {
 }
 
 // Close seals the final (short) segment and returns once every segment
-// is chained, so no goroutine of the sink outlives it. Idempotent; events
+// is chained, so no goroutine of the sink outlives it, and drops the
+// window's scratch, which nothing seals into again. Idempotent; events
 // Recorded after Close are counted as drops. A segment already sealed is
 // immutable from here on — in particular a trace.Log.Reset of the ring
 // upstream has no effect on the ledger (see trace.Log.Reset).
@@ -279,21 +382,27 @@ func (s *Sink) Close() {
 		s.seal()
 	}
 	s.join()
+	s.window, s.pending = [sealWindow]sealing{}, nil
 }
 
-// Bytes returns a copy of the sealed ledger. Call Close first for the
-// complete stream; before Close it returns the segments cut so far.
+// Bytes returns the sealed ledger, rebuilt from the packed segments by
+// appendWire. Call Close first for the complete stream; before Close it
+// returns the segments cut so far. A chained segment and its hash never
+// change, so the rebuild runs outside the lock.
 func (s *Sink) Bytes() []byte {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.join()
+	segs, hashes, nk := s.segs, s.segHashes, s.kinds
+	s.mu.Unlock()
 	size := 0
-	for _, seg := range s.segs {
-		size += len(seg)
+	for _, seg := range segs {
+		size += wireLen(nk, seg)
 	}
 	out := make([]byte, 0, size)
-	for _, seg := range s.segs {
-		out = append(out, seg...)
+	var prev [HashBytes]byte
+	for i, seg := range segs {
+		out = appendWire(out, uint32(i), nk, seg, &prev, &hashes[i])
+		prev = hashes[i]
 	}
 	return out
 }

@@ -4,7 +4,8 @@ package ledger
 // has those): bodies are hashed on goroutines the emitter starts and
 // collects, so the bytes must not depend on the host's schedule, every
 // reader must see the segments cut so far, nothing may outlive the sink,
-// and a segment must cost about its own size in allocation.
+// and a segment must cost about its packed size in allocation and in what
+// the sink holds.
 
 import (
 	"bytes"
@@ -149,13 +150,35 @@ func TestSinkLeavesNoGoroutines(t *testing.T) {
 	settle("after dropping an unclosed sink")
 }
 
-// TestSealAllocBound: a sealed segment costs its share of a buffer slab
-// and of the ledger's two index slices, not a body, a header, a leaf slice,
-// a regrown copy of the ledger so far (seven objects and about seven times
-// the bytes at the commit the byte bound was written against) or a closure
-// to start its sealer (one object a segment until each slot kept its own).
-// Counted exactly over a thousand warm segments: slabs come one in nine,
-// the index slices double, so about 0.12 objects a segment.
+// packedSize is the size of events held as one sealed segment, counted
+// from the layout packSegment documents rather than by packing them.
+func packedSize(events []trace.Event) int {
+	uv := func(x uint64) int {
+		n := 1
+		for ; x >= 0x80; x >>= 7 {
+			n++
+		}
+		return n
+	}
+	size := HashBytes + uv(events[0].Seq) + uv(uint64(len(events)))
+	prev := events[0].Seq - 1
+	for _, ev := range events {
+		size += 1 + uv(ev.Seq-prev-1) + uv(uint64(ev.Obj)) + uv(uint64(ev.Arg)) + uv(ev.Aux)
+		prev = ev.Seq
+	}
+	return size
+}
+
+// TestSealAllocBound: a sealed segment costs its share of a slab of packed
+// segments and of the ledger's two index slices, not its wire bytes (6 948
+// of them, which the sink held until it kept segments packed), a body, a
+// header, a leaf slice, a regrown copy of the ledger so far (seven objects
+// and about seven times the bytes at the commit the byte bound was first
+// written against) or a closure to start its sealer (one object a segment
+// until each slot kept its own). Counted exactly over a thousand warm
+// segments of full-width records, about 5.5 KB packed: slabs come one in
+// eleven, the index slices grow by a quarter, so about 0.12 objects a
+// segment.
 //
 // Warm includes the host's goroutines. A sealer that finishes on another
 // processor leaves its goroutine on that processor's free list, which hands
@@ -168,19 +191,22 @@ func TestSinkLeavesNoGoroutines(t *testing.T) {
 func TestSealAllocBound(t *testing.T) {
 	const segments = 1_000
 	events := genEvents(DefaultSegmentEvents, 3)
-	segBytes := uint64(headerLen(trace.NumKinds()) + DefaultSegmentEvents*RecordBytes + HashBytes)
 	seq := uint64(0)
 	s := NewSink(Config{})
 	oneSegment := func() {
-		for _, ev := range events {
+		for i := range events {
 			seq++
-			ev.Seq = seq
-			s.Record(ev)
+			events[i].Seq = seq
+			s.Record(events[i])
 		}
 	}
 	for i := 0; i < 4*sealWindow; i++ { // every slot's slices at full size
 		oneSegment()
 	}
+	// The measured segments start past this one; their first sequence
+	// numbers pack in as many bytes as its.
+	packed := uint64(packedSize(events))
+	slabShare := slabBytes / (slabBytes / packed)
 	for round := 1; ; round++ {
 		before := s.Segments()
 		var m0, m1 runtime.MemStats
@@ -194,12 +220,12 @@ func TestSealAllocBound(t *testing.T) {
 			t.Fatalf("measured %d segments, want %d", got, segments)
 		}
 		objs := float64(m1.Mallocs-m0.Mallocs) / segments
-		t.Logf("round %d: %.3f objects and %.0f bytes allocated per segment of %d", round, objs, float64(m1.TotalAlloc-m0.TotalAlloc)/segments, segBytes)
-		// Segment buffers come nine to a slab, so a thousand segments are
-		// charged 111 slabs or 112; the index slices' doublings and the
-		// goroutines fit in the rest of the tenth.
-		if got, limit := m1.TotalAlloc-m0.TotalAlloc, segments*segBytes*11/10; got > limit {
-			t.Errorf("%d bytes allocated for %d segments of %d, want at most %d", got, segments, segBytes, limit)
+		t.Logf("round %d: %.3f objects and %.0f bytes allocated per segment of %d packed", round, objs, float64(m1.TotalAlloc-m0.TotalAlloc)/segments, packed)
+		// Packed segments come as many to a slab as fit whole, so a
+		// segment is charged its slab's share; the index slices' growth
+		// and the goroutines fit in a tenth on top.
+		if got, limit := m1.TotalAlloc-m0.TotalAlloc, segments*slabShare*11/10; got > limit {
+			t.Errorf("%d bytes allocated for %d segments of %d packed, want at most %d", got, segments, packed, limit)
 		}
 		if objs <= 0.2 {
 			break
@@ -211,5 +237,38 @@ func TestSealAllocBound(t *testing.T) {
 	}
 	if rep, err := Verify(s.Bytes()); err != nil || uint64(len(rep.Events)) != seq {
 		t.Fatalf("the measured ledger does not replay its %d events: %v", seq, err)
+	}
+}
+
+// TestSealedBytesPerEvent: a closed sink holds a kernel-shaped stream in
+// at most 8 bytes an event, live heap, where its wire form takes 27. The
+// stream is emitted through a trace.Log, so its sequence numbers are
+// consecutive, with object ids below 2^17 and small arg and aux: every
+// record packs into 5 to 7 bytes, and the index slices, the segment heads
+// and the last slab's tail add under one.
+func TestSealedBytesPerEvent(t *testing.T) {
+	const events = 1 << 18
+	l := trace.New(64)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	s := NewSink(Config{})
+	l.SetSink(s)
+	x := uint64(1)
+	for i := 0; i < events; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		l.Emit(trace.Kind(1+(x>>8)%uint64(trace.NumKinds()-1)), uint32(x>>20)%(1<<17), uint32(x>>40)%64, (x>>50)%128)
+	}
+	s.Close()
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	held := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / events
+	wire := s.Bytes()
+	t.Logf("%.2f bytes an event held, %.2f on the wire", held, float64(len(wire))/events)
+	if held > 8 {
+		t.Errorf("the closed sink holds %.2f bytes an event, want at most 8", held)
+	}
+	if rep, err := Verify(wire); err != nil || len(rep.Events) != events {
+		t.Fatalf("the ledger does not replay its %d events: %v", events, err)
 	}
 }
