@@ -127,7 +127,9 @@ func FuzzSegmentDecode(f *testing.F) {
 // obj, arg and aux follow, little-endian: 0, 1, 2 or the full width (8,
 // 4, 4, 8). An event's seq is the last one's plus one plus its gap, from
 // 0; the stream ends where the input does, or at a seq that would wrap.
-var fullWidth = [4]int{8, 4, 4, 8}
+func fieldBytes(widths byte, f int) int {
+	return [4]int{0, 1, 2, [4]int{8, 4, 4, 8}[f]}[widths>>(2*f)&3]
+}
 
 func widthCode(x uint64) byte {
 	switch {
@@ -155,8 +157,7 @@ func encodeStream(segmentEvents int, mid byte, events []trace.Event) []byte {
 		}
 		out = append(out, byte(ev.Kind), widths)
 		for f, x := range v {
-			n := [4]int{0, 1, 2, fullWidth[f]}[widths>>(2*f)&3]
-			for b := 0; b < n; b++ {
+			for b := 0; b < fieldBytes(widths, f); b++ {
 				out = append(out, byte(x>>(8*b)))
 			}
 		}
@@ -178,7 +179,7 @@ func decodeStream(data []byte) (segmentEvents, mid int, events []trace.Event) {
 		var v [4]uint64
 		short := false
 		for f := range v {
-			n := [4]int{0, 1, 2, fullWidth[f]}[widths>>(2*f)&3]
+			n := fieldBytes(widths, f)
 			if len(data) < n {
 				short = true
 				break
@@ -198,9 +199,9 @@ func decodeStream(data []byte) (segmentEvents, mid int, events []trace.Event) {
 }
 
 // referenceLedger encodes events straight to the wire format (§12.3), a
-// segment at a time as the sealer did before it kept segments packed: the
-// header, each record by appendRecord and counted by kind, bodyRoot as
-// merkleRoot over the record leaves, and the chain.
+// segment at a time, with no packed form between the events and the
+// bytes: the header, each record by appendRecord and counted by kind,
+// bodyRoot as merkleRoot over the record leaves, and the chain.
 func referenceLedger(events []trace.Event, segmentEvents int) []byte {
 	le, nk := binary.LittleEndian, trace.NumKinds()
 	var out []byte

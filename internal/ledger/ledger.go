@@ -117,10 +117,11 @@ type Config struct {
 // still costs more than admitting it, so the emitter fills the window and
 // then waits; the window is what a second core draws on while it does,
 // and sealers the emitter has just started reach another core only by
-// being stolen from its run queue, which is quick for all but the newest. With the two-lane kernel, serve-audit's
-// run_s on a 2-core host is within noise of 16 at 8 and a tenth under 4
-// (medians of fourteen rounds of the three: 0.118, 0.124 and 0.136 s at
-// 16, 8 and 4; 16 was ahead of 8 in nine of them).
+// being stolen from its run queue, which is quick for all but the newest.
+// With the two-lane kernel, serve-audit's run_s on a 2-core host is within
+// noise of 16 at 8 and a tenth under 4 (medians of fourteen rounds of the
+// three: 0.118, 0.124 and 0.136 s at 16, 8 and 4; 16 was ahead of 8 in
+// nine of them).
 const sealWindow = 8
 
 // slabBytes is the unit sealed segments are carved from. A segment is held
@@ -156,16 +157,6 @@ func packSegment(dst []byte, events []trace.Event) []byte {
 	return dst
 }
 
-// packedHead reads a packed segment's first sequence number and record
-// count, and returns its records.
-func packedHead(seg []byte) (first uint64, count int, recs []byte) {
-	recs = seg[HashBytes:]
-	first, n := binary.Uvarint(recs)
-	recs = recs[n:]
-	c, n := binary.Uvarint(recs)
-	return first, int(c), recs[n:]
-}
-
 // uvarint reads the uvarint packSegment wrote at the front of b and
 // returns it and the rest of b. Most of a kernel's fields are one byte,
 // which it reads without entering the loop.
@@ -181,6 +172,14 @@ func uvarint(b []byte) (uint64, []byte) {
 			return x, b[i+1:]
 		}
 	}
+}
+
+// packedHead reads a packed segment's first sequence number and record
+// count, and returns its records.
+func packedHead(seg []byte) (first uint64, count int, recs []byte) {
+	first, recs = uvarint(seg[HashBytes:])
+	c, recs := uvarint(recs)
+	return first, int(c), recs
 }
 
 // wireLen is the wire size of a packed segment with nk kinds.
