@@ -14,7 +14,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 ceiling=61
-total_ceiling=324
+total_ceiling=322
 profile=$(mktemp)
 trap 'rm -f "$profile"' EXIT
 

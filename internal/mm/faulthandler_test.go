@@ -348,9 +348,9 @@ func TestFaultHandlerFullOverflowTerminates(t *testing.T) {
 // TestFaultHandlerNeverFaults: the service is a level-2 process and may not
 // fault (§7.3), whatever a doctored world puts before it. A message on its
 // fault port that is not a process is dropped; a fault port that refuses
-// the receive ends the service; a victim whose segment fault
-// names an object the backing store holds no image of cannot be restored
-// and is terminated.
+// the receive ends the service; a victim whose segment fault names an
+// object the backing store holds no image of, or one since reclaimed,
+// cannot be restored and is terminated. No row counts a fault serviced.
 func TestFaultHandlerNeverFaults(t *testing.T) {
 	generic := func(t *testing.T, sys *gdp.System) obj.AD {
 		ad, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 32})
@@ -370,6 +370,21 @@ func TestFaultHandlerNeverFaults(t *testing.T) {
 		}
 		return fp
 	}
+	// faulted makes a process stopped on a segment fault that names idx.
+	faulted := func(t *testing.T, sys *gdp.System, idx obj.Index) obj.AD {
+		victim, f := sys.Procs.Create(sys.Heap, process.Spec{})
+		if f != nil {
+			t.Fatal(f)
+		}
+		var pv process.Proc
+		sys.Procs.Open(victim, obj.RightWrite, &pv)
+		pv.SetFault(obj.FaultSegmentMoved, idx)
+		pv.SetState(process.StateFaulted)
+		if f := pv.Fault(); f != nil {
+			t.Fatal(f)
+		}
+		return victim
+	}
 	for _, row := range []struct {
 		name   string
 		world  func(t *testing.T, sys *gdp.System) (faultPort, victim obj.AD)
@@ -386,18 +401,18 @@ func TestFaultHandlerNeverFaults(t *testing.T) {
 			if f := sys.Table.SwapOut(lost.Index, 77); f != nil { // past the swapper's store
 				t.Fatal(f)
 			}
-			victim, f := sys.Procs.Create(sys.Heap, process.Spec{})
-			if f != nil {
-				t.Fatal(f)
-			}
-			var pv process.Proc
-			sys.Procs.Open(victim, obj.RightWrite, &pv)
-			pv.SetFault(obj.FaultSegmentMoved, lost.Index)
-			pv.SetState(process.StateFaulted)
-			if f := pv.Fault(); f != nil {
-				t.Fatal(f)
-			}
+			victim := faulted(t, sys, lost.Index)
 			return queued(t, sys, victim), victim
+		}, gdp.BodyYield},
+		{"segment fault names a reclaimed object", func(t *testing.T, sys *gdp.System) (obj.AD, obj.AD) {
+			dead := generic(t, sys)
+			victim := faulted(t, sys, dead.Index)
+			fp := queued(t, sys, victim)
+			// Destroyed last, so that no object the world makes takes its slot.
+			if f := sys.Table.Destroy(dead); f != nil {
+				t.Fatal(f)
+			}
+			return fp, victim
 		}, gdp.BodyYield},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -406,9 +421,13 @@ func TestFaultHandlerNeverFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			fp, victim := row.world(t, sys)
-			body := mm.FaultHandlerBody(mm.NewSwapping(sys.Table, sys.SROs), fp, obj.NilAD)
+			m := mm.NewSwapping(sys.Table, sys.SROs)
+			body := mm.FaultHandlerBody(m, fp, obj.NilAD)
 			if _, status, f := body.Step(sys, obj.NilAD); f != nil || status != row.status {
 				t.Fatalf("handler step = %v, %v; want %v and no fault", status, f, row.status)
+			}
+			if m.FaultsServiced != 0 {
+				t.Fatalf("%d faults counted as serviced, want 0", m.FaultsServiced)
 			}
 			if n, f := sys.Ports.Count(fp); f == nil && n != 0 {
 				t.Fatalf("fault port still holds %d", n)

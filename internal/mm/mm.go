@@ -15,6 +15,7 @@ package mm
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/obj"
@@ -79,46 +80,68 @@ var _ Allocator = (*Swapping)(nil)
 // index, named by the token its descriptor carries. An image is each part
 // up to its last non-zero byte: a segment comes back into an extent that
 // mem.Alloc has just zeroed (§2: the hardware zeroes fresh segments), so
-// its zero tail need not travel, and a fresh object's image is empty. The
-// store owns its buffers: an image is copied in from the memory window and
-// back out to one, and the buffer of an image read back or released serves
-// the next put, so a segment in transit never passes through a fresh Go
-// slice. (The paper's testbed used disk; this keeps the code path and the
-// cost model, which charges the full parts.)
+// its zero tail need not travel, and a fresh object's image is empty. (The
+// paper's testbed used disk; this keeps the code path and the cost model,
+// which charges the full parts.)
+//
+// The store keeps its images in one arena of its own. An image is a
+// pointer-free record in the index, which the collector does not scan, and a
+// slot of the least power-of-two class from 16 bytes to 128 KB that holds
+// its prefixes. Every image holds a slot, an empty one too: an object
+// swapped out empty and again later, written near its front, takes the
+// 16-byte class both times, so the second image reuses a slot an image read
+// back freed. A class up to half a block carves its slots from blocks of 8
+// KB; a larger class gets a block of exactly its own size. A block is
+// allocated once and never grown or moved, and a slot freed goes onto its
+// class's free list, threaded through the slot's own first four bytes, for
+// the next image of that class: the arena holds each class at its high-water
+// mark, as mem holds the chunks segments have reached, and a segment in
+// transit is copied between the mem.Window and a slot, never through a fresh
+// slice.
 type BackingStore struct {
-	images []image  // by obj.Index; tok 0 marks no image
-	spare  [][]byte // buffers of minSpare bytes, free for the next image that fits one
-	large  [][]byte // larger buffers of images read back or released, newest last
+	images []image            // by obj.Index; tok 0 marks no image
+	blocks [][]byte           // the arena
+	free   [numClasses]uint32 // each class's newest freed slot; noSlot ends a list
+	carve  [numCarved]uint32  // each carved class's next slot; offset 0 wants a new block
 	held   int
 	next   uint64
 }
 
+// image is an index record: 24 bytes and no pointer.
 type image struct {
-	tok uint64
-	buf []byte // the data part's non-zero prefix, then the access part's
-	// kept is the data prefix's length in buf; dataLen and accessLen are
-	// the parts' full lengths, which a swap-in must fill exactly.
-	kept, dataLen, accessLen uint32
+	tok  uint64
+	slot uint32 // the block's number above blockShift, the offset in it below
+	n    uint32 // bytes held: the data part's non-zero prefix, then the access part's
+	kept uint32 // the data prefix's length
+	// lens holds the parts' full lengths, which a swap-in must fill
+	// exactly: the data part's in the low dataBits, the access part's in
+	// ADs above them.
+	lens uint32
 }
 
-// Every image holds a buffer, an empty one too, and one of minSpare bytes
-// serves any image that fits it: the prefixes of small objects, and of large
-// ones written only near the front, so an image read back frees a buffer for
-// the next one written out, whatever the two hold. Each pool keeps at most
-// maxSpares buffers and is made with room for them, so a release never
-// grows it.
 const (
-	minSpare  = 32
-	maxSpares = 1024
+	blockShift = 13 // 8 KB blocks
+	blockSize  = 1 << blockShift
+	minShift   = 4                     // 16-byte slots, room for the free-list link
+	numClasses = 18 - minShift         // to 128 KB: both parts of mem.MaxPart
+	numCarved  = blockShift - minShift // the classes to half a block
+	noSlot     = ^uint32(0)            // no slot starts at the last byte of a block
+
+	// The longest data part, mem.MaxPart, is 1<<16 bytes, and the longest
+	// access part 1<<13 ADs: 17 bits and 14.
+	dataBits = 17
 )
+
+func (im *image) dataLen() int   { return int(im.lens & (1<<dataBits - 1)) }
+func (im *image) accessLen() int { return int(im.lens>>dataBits) * obj.ADSlotSize }
 
 // NewBackingStore returns an empty backing store.
 func NewBackingStore() *BackingStore {
-	return &BackingStore{
-		spare: make([][]byte, 0, maxSpares),
-		large: make([][]byte, 0, maxSpares),
-		next:  1,
+	b := &BackingStore{next: 1}
+	for c := range b.free {
+		b.free[c] = noSlot
 	}
+	return b
 }
 
 // Images implements obj.Backing: how many images the store holds.
@@ -144,51 +167,61 @@ func nonZero(p []byte) int {
 	return n
 }
 
-// buffer returns an empty buffer with room for n bytes: a spare of minSpare
-// bytes, or a new one, when n fits one; else the newest larger spare that it
-// fits and would at least half use. When none would, the newest is dropped,
-// so the pool never outgrows the images read back.
-func (b *BackingStore) buffer(n int) []byte {
-	if n <= minSpare {
-		if k := len(b.spare) - 1; k >= 0 {
-			buf := b.spare[k]
-			b.spare = b.spare[:k]
-			return buf[:0]
-		}
-		return make([]byte, 0, minSpare)
+// class is the class of the least slot that holds n bytes.
+func class(n uint32) int {
+	return bits.Len32((max(n, 1<<minShift) - 1) >> minShift)
+}
+
+// bytes returns the first n bytes of slot h.
+func (b *BackingStore) bytes(h, n uint32) []byte {
+	off := h & (blockSize - 1)
+	return b.blocks[h>>blockShift][off : off+n]
+}
+
+// take returns a slot of class c: the newest freed, else the next its
+// block carves, else a new block's first.
+func (b *BackingStore) take(c int) uint32 {
+	if h := b.free[c]; h != noSlot {
+		b.free[c] = binary.LittleEndian.Uint32(b.bytes(h, 4))
+		return h
 	}
-	last := len(b.large) - 1
-	for k := last; k >= 0; k-- {
-		if c := cap(b.large[k]); n <= c && c <= 2*n {
-			buf := b.large[k]
-			b.large[k] = b.large[last]
-			b.large = b.large[:last]
-			return buf[:0]
-		}
+	size := uint32(1) << (c + minShift)
+	if c >= numCarved {
+		b.blocks = append(b.blocks, make([]byte, size))
+		return uint32(len(b.blocks)-1) << blockShift
 	}
-	if last >= 0 {
-		b.large = b.large[:last]
+	if b.carve[c]&(blockSize-1) == 0 {
+		b.blocks = append(b.blocks, make([]byte, blockSize))
+		b.carve[c] = uint32(len(b.blocks)-1) << blockShift
 	}
-	return make([]byte, 0, n)
+	h := b.carve[c]
+	b.carve[c] += size // past the block's end the offset wraps to 0
+	return h
 }
 
 // put stores idx's image and returns its token. room is how many indices
 // the table has room for: the store's index grows to it in one step, so it
 // grows when the table does and not while a run evicts what set-up built.
+// access is a whole number of AD slots. An image still at idx, which a
+// swap-in refused by get leaves behind, gives its slot back first.
 func (b *BackingStore) put(idx obj.Index, room int, data, access []byte) uint64 {
 	if int(idx) >= len(b.images) {
 		b.images = append(b.images, make([]image, max(room, int(idx)+1)-len(b.images))...)
 	}
+	b.Release(idx, b.images[idx].tok)
 	kept, akept := nonZero(data), nonZero(access)
-	buf := b.buffer(kept + akept)
+	n := uint32(kept + akept)
+	h := b.take(class(n))
+	s := b.bytes(h, n)
+	copy(s[copy(s, data[:kept]):], access[:akept])
 	tok := b.next
 	b.next++
 	b.images[idx] = image{
-		tok:       tok,
-		buf:       append(append(buf, data[:kept]...), access[:akept]...),
-		kept:      uint32(kept),
-		dataLen:   uint32(len(data)),
-		accessLen: uint32(len(access)),
+		tok:  tok,
+		slot: h,
+		n:    n,
+		kept: uint32(kept),
+		lens: uint32(len(data)) | uint32(len(access)/obj.ADSlotSize)<<dataBits,
 	}
 	b.held++
 	return tok
@@ -203,28 +236,26 @@ func (b *BackingStore) get(idx obj.Index, tok uint64, data, access []byte) bool 
 		return false
 	}
 	im := &b.images[idx]
-	if int(im.dataLen) != len(data) || int(im.accessLen) != len(access) {
+	if im.dataLen() != len(data) || im.accessLen() != len(access) {
 		return false
 	}
-	copy(access, im.buf[copy(data, im.buf[:im.kept]):])
+	s := b.bytes(im.slot, im.n)
+	copy(access, s[copy(data, s[:im.kept]):])
 	b.Release(idx, tok)
 	return true
 }
 
 // Release implements obj.Backing: idx's image goes if tok names it, and its
-// buffer waits for the next put unless its pool is full.
+// slot heads its class's free list.
 func (b *BackingStore) Release(idx obj.Index, tok uint64) {
 	if tok == 0 || b.Token(idx) != tok {
 		return
 	}
-	pool := &b.spare
-	if buf := b.images[idx].buf; cap(buf) > minSpare {
-		pool = &b.large
-	}
-	if len(*pool) < maxSpares {
-		*pool = append(*pool, b.images[idx].buf)
-	}
-	b.images[idx] = image{}
+	im := &b.images[idx]
+	c := class(im.n)
+	binary.LittleEndian.PutUint32(b.bytes(im.slot, 4), b.free[c])
+	b.free[c] = im.slot
+	*im = image{}
 	b.held--
 }
 

@@ -201,7 +201,7 @@ func TestDestroyHeapReleasesBackingImages(t *testing.T) {
 // TestDestroyReleasesBackingImage: an object destroyed while swapped out
 // gives its image back whoever destroys it — the capability path, the
 // collector's DestroyIndex, SRO reclaim, or the bulk destruction of a heap
-// it is not a direct member of — and the next eviction reuses the buffer.
+// it is not a direct member of — and the next eviction reuses its slot.
 func TestDestroyReleasesBackingImage(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -231,17 +231,18 @@ func TestDestroyReleasesBackingImage(t *testing.T) {
 			if n, tok := alloc.Store.Images(), alloc.Store.Token(ad.Index); n != 1 || tok != 1 {
 				t.Fatalf("after swap-out: %d images, token %d for the object", n, tok)
 			}
+			slot := alloc.Store.images[ad.Index].slot
 			if f := c.destroy(tab, s, outer, ad); f != nil {
 				t.Fatal(f)
 			}
 			if n, tok := alloc.Store.Images(), alloc.Store.Token(ad.Index); n != 0 || tok != 0 {
 				t.Fatalf("backing image leaked: %d images, token %d for the dead object", n, tok)
 			}
-			if len(alloc.Store.spare) != 1 {
-				t.Fatalf("%d spare buffers after the release, want 1", len(alloc.Store.spare))
+			if free := alloc.Store.free[0]; free != slot {
+				t.Fatalf("after the release the free list of the least class starts at slot %#x, want the image's %#x", free, slot)
 			}
 			// A slot recycled for a new object starts with no image, and
-			// its eviction takes the released buffer.
+			// its eviction takes the released backing slot.
 			next, f := alloc.Allocate(root, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 1040})
 			if f != nil {
 				t.Fatal(f)
@@ -249,8 +250,9 @@ func TestDestroyReleasesBackingImage(t *testing.T) {
 			if f := alloc.swapOut(next.Index); f != nil {
 				t.Fatal(f)
 			}
-			if alloc.Store.Images() != 1 || len(alloc.Store.spare) != 0 {
-				t.Fatalf("after the next swap-out: %d images, %d spare buffers", alloc.Store.Images(), len(alloc.Store.spare))
+			if got, free := alloc.Store.images[next.Index].slot, alloc.Store.free[0]; alloc.Store.Images() != 1 || got != slot || free != noSlot {
+				t.Fatalf("after the next swap-out: %d images, the new one in slot %#x, the free list at %#x; want 1, %#x and empty",
+					alloc.Store.Images(), got, free, slot)
 			}
 			if f := alloc.EnsureResident(next.Index); f != nil {
 				t.Fatal(f)

@@ -2,8 +2,13 @@ package mm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
+	"runtime"
+	"sort"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/obj"
 )
 
@@ -82,9 +87,9 @@ func TestSparseImageRoundTrip(t *testing.T) {
 				t.Fatal(f)
 			}
 			im := m.Store.images[ad.Index]
-			if len(im.buf) != c.kept || im.dataLen != c.data || im.accessLen != c.slots*obj.ADSlotSize {
+			if int(im.n) != c.kept || im.dataLen() != int(c.data) || im.accessLen() != int(c.slots*obj.ADSlotSize) {
 				t.Fatalf("image holds %d bytes of parts %d and %d long; want %d of %d and %d",
-					len(im.buf), im.dataLen, im.accessLen, c.kept, c.data, c.slots*obj.ADSlotSize)
+					im.n, im.dataLen(), im.accessLen(), c.kept, c.data, c.slots*obj.ADSlotSize)
 			}
 			scribble, f := m.Allocate(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: c.data + c.slots*obj.ADSlotSize})
 			if f != nil {
@@ -204,5 +209,245 @@ func TestSwapRoundTripAllocFree(t *testing.T) {
 	}
 	if v, f := tab.ReadDWord(ads[3], 196); f != nil || v != 197 {
 		t.Fatalf("after the cycles: dword 196 = %d, %v; want 197", v, f)
+	}
+}
+
+// TestImageRecord: an index record is at most 24 bytes and holds no
+// pointer, so the collector does not scan the index, and its packed
+// lengths carry the longest parts an object has.
+func TestImageRecord(t *testing.T) {
+	typ := reflect.TypeOf(image{})
+	if typ.Size() > 24 {
+		t.Errorf("an image record is %d bytes, want at most 24", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("image.%s is a %v, want an unsigned integer", f.Name, f.Type)
+		}
+	}
+	b := NewBackingStore()
+	data, access := make([]byte, mem.MaxPart), make([]byte, obj.MaxAccessSlots*obj.ADSlotSize)
+	data[len(data)-1], access[len(access)-1] = 1, 2
+	b.put(0, 1, data, access)
+	if im := b.images[0]; im.dataLen() != len(data) || im.accessLen() != len(access) || int(im.n) != len(data)+len(access) {
+		t.Fatalf("an image of the longest parts reads %d and %d long, %d held; want %d, %d and %d",
+			im.dataLen(), im.accessLen(), im.n, len(data), len(access), len(data)+len(access))
+	}
+}
+
+// TestBackingStoreBytesPerImage: a store holding 20 000 images with 5- to
+// 13-byte prefixes, the sessions a swap workload leaves swapped out, holds
+// at most 48 bytes of live heap an image: a 24-byte record and a 16-byte
+// slot, where a record of 48 bytes and a buffer of 32 held 80.
+func TestBackingStoreBytesPerImage(t *testing.T) {
+	const images = 20_000
+	data, access := make([]byte, 2048), make([]byte, 2*obj.ADSlotSize)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	b := NewBackingStore()
+	for i := 0; i < images; i++ {
+		kept := 5 + i%9
+		for j := 0; j < kept; j++ {
+			data[j] = byte(i+j) | 1
+		}
+		b.put(obj.Index(i), images, data, access)
+		clear(data[:kept])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	held := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / images
+	t.Logf("%.2f bytes of live heap an image", held)
+	if held > 48 {
+		t.Errorf("the store holds %.2f bytes an image, want at most 48", held)
+	}
+	if b.Images() != images {
+		t.Fatalf("%d images held, want %d", b.Images(), images)
+	}
+}
+
+// heldImage is FuzzBackingStore's reference for an image: its token and
+// the parts put.
+type heldImage struct {
+	tok          uint64
+	data, access []byte
+}
+
+// storeOp encodes one operation of FuzzBackingStore: its kind (put, get,
+// release or refused get), the index, the part lengths, how much of each
+// part is its non-zero prefix in 255ths, and the seed of the prefix bytes.
+func storeOp(kind, idx byte, dataLen, slots int, dataFrac, accessFrac, seed byte) []byte {
+	op := []byte{kind, idx, 0, 0, 0, 0, 0, dataFrac, accessFrac, seed}
+	op[2], op[3], op[4] = byte(dataLen), byte(dataLen>>8), byte(dataLen>>16)
+	binary.LittleEndian.PutUint16(op[5:7], uint16(slots))
+	return op
+}
+
+// prefixed returns a part of n bytes whose non-zero prefix is frac/255 of
+// it: seeded bytes, the last of them non-zero.
+func prefixed(n int, frac, seed byte) []byte {
+	p := make([]byte, n)
+	k := n * int(frac) / 255
+	x := uint64(seed) + 1
+	for i := 0; i < k; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		p[i] = byte(x >> 56)
+	}
+	if k > 0 {
+		p[k-1] |= 1
+	}
+	return p
+}
+
+// FuzzBackingStore runs the store against a map over 64 indices: puts of
+// parts from empty to mem.MaxPart long with seeded non-zero prefixes,
+// gets, releases under the right token and a stale one, and gets the
+// store must refuse. After every operation each held image holds exactly
+// its parts' prefixes and lengths, Token and Images agree with the map,
+// tokens run 1, 2, 3, … in put order, and no two slots held or free
+// overlap or leave their block.
+func FuzzBackingStore(f *testing.F) {
+	var ops []byte
+	add := func(op []byte) { ops = append(ops, op...) }
+	// Empty, small and dense images, two past half a block, the longest, a
+	// put over a held image, and refusals of each kind.
+	add(storeOp(0, 1, 2048, 0, 0, 0, 1))
+	add(storeOp(0, 2, 2048, 4, 1, 255, 2))
+	add(storeOp(0, 3, 6000, 0, 255, 0, 3))
+	add(storeOp(0, 4, mem.MaxPart, obj.MaxAccessSlots, 255, 255, 4))
+	add(storeOp(0, 5, 300, 40, 200, 100, 5))
+	for refusal := byte(0); refusal < 4; refusal++ {
+		add(storeOp(3, 3, 0, 0, refusal, 0, 0))
+	}
+	add(storeOp(1, 3, 0, 0, 0, 0, 0))
+	add(storeOp(0, 5, 100, 1, 255, 255, 6))
+	add(storeOp(2, 4, 0, 0, 1, 0, 0))
+	add(storeOp(2, 4, 0, 0, 0, 0, 0))
+	add(storeOp(0, 6, 7000, 0, 255, 0, 7))
+	add(storeOp(1, 2, 0, 0, 0, 0, 0))
+	add(storeOp(1, 1, 0, 0, 0, 0, 0))
+	f.Add(bytes.Clone(ops))
+	// Enough 512-byte images to carve a second block of their class, half
+	// released and half read back, then written again from the free list.
+	ops = ops[:0]
+	for i := byte(0); i < 40; i++ {
+		add(storeOp(0, i, 512, 0, 255, 0, i))
+	}
+	for i := byte(0); i < 40; i += 2 {
+		add(storeOp(2, i, 0, 0, 0, 0, 0))
+		add(storeOp(1, i+1, 0, 0, 0, 0, 0))
+	}
+	for i := byte(0); i < 40; i++ {
+		add(storeOp(0, i, 400, 8, 255, 255, i))
+	}
+	f.Add(bytes.Clone(ops))
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		b := NewBackingStore()
+		ref := make(map[obj.Index]heldImage)
+		next := uint64(1)
+		for step := 0; len(ops) >= 10; step, ops = step+1, ops[10:] {
+			kind, idx := ops[0]%4, obj.Index(ops[1]%64)
+			dataLen := int(uint32(ops[2])|uint32(ops[3])<<8|uint32(ops[4])<<16) % (mem.MaxPart + 1)
+			accessLen := int(binary.LittleEndian.Uint16(ops[5:7])) % (obj.MaxAccessSlots + 1) * obj.ADSlotSize
+			e, held := ref[idx]
+			switch kind {
+			case 0:
+				data, access := prefixed(dataLen, ops[7], ops[9]), prefixed(accessLen, ops[8], ops[9]^0xff)
+				if tok := b.put(idx, 64, data, access); tok != next {
+					t.Fatalf("step %d: put returned token %d, want %d", step, tok, next)
+				}
+				ref[idx] = heldImage{next, data, access}
+				next++
+			case 1:
+				data, access := make([]byte, len(e.data)), make([]byte, len(e.access))
+				if got := b.get(idx, e.tok, data, access); got != held {
+					t.Fatalf("step %d: get of index %d = %v, want %v", step, idx, got, held)
+				}
+				if held && (!bytes.Equal(data, e.data) || !bytes.Equal(access, e.access)) {
+					t.Fatalf("step %d: index %d read back\n%x %x\nwant\n%x %x", step, idx, data, access, e.data, e.access)
+				}
+				delete(ref, idx)
+			case 2:
+				tok := e.tok
+				if ops[7]%2 == 1 {
+					tok++ // stale: the image stays
+				} else {
+					delete(ref, idx)
+				}
+				b.Release(idx, tok)
+			case 3:
+				tok, dl, al := e.tok, len(e.data), len(e.access)
+				if !held {
+					tok, dl, al = next-1, dataLen, accessLen
+				}
+				switch ops[7] % 4 {
+				case 0:
+					tok++
+				case 1:
+					tok = 0
+				case 2:
+					dl++
+				case 3:
+					al += obj.ADSlotSize
+				}
+				if b.get(idx, tok, make([]byte, dl), make([]byte, al)) {
+					t.Fatalf("step %d: get of index %d under token %d into %d and %d bytes succeeded", step, idx, tok, dl, al)
+				}
+			}
+			checkStore(t, step, b, ref)
+		}
+	})
+}
+
+// checkStore holds b to the reference after an operation of
+// FuzzBackingStore.
+func checkStore(t *testing.T, step int, b *BackingStore, ref map[obj.Index]heldImage) {
+	t.Helper()
+	if b.Images() != len(ref) {
+		t.Fatalf("step %d: the store holds %d images, want %d", step, b.Images(), len(ref))
+	}
+	type span struct{ block, from, to uint32 }
+	var spans []span
+	claim := func(h uint32, c int) {
+		from := h & (blockSize - 1)
+		to := from + 1<<(c+minShift)
+		if int(h>>blockShift) >= len(b.blocks) || int(to) > len(b.blocks[h>>blockShift]) {
+			t.Fatalf("step %d: slot %#x of class %d leaves the arena", step, h, c)
+		}
+		spans = append(spans, span{h >> blockShift, from, to})
+	}
+	for idx := obj.Index(0); idx < 64; idx++ {
+		e := ref[idx]
+		if tok := b.Token(idx); tok != e.tok {
+			t.Fatalf("step %d: token of index %d = %d, want %d", step, idx, tok, e.tok)
+		}
+		if e.tok == 0 {
+			continue
+		}
+		im := &b.images[idx]
+		kept, akept := nonZero(e.data), nonZero(e.access)
+		want := append(e.data[:kept:kept], e.access[:akept]...)
+		if im.dataLen() != len(e.data) || im.accessLen() != len(e.access) || int(im.kept) != kept ||
+			!bytes.Equal(b.bytes(im.slot, im.n), want) {
+			t.Fatalf("step %d: index %d holds %d of parts %d and %d long, data prefix %d; want %d of %d and %d, %d",
+				step, idx, im.n, im.dataLen(), im.accessLen(), im.kept, len(want), len(e.data), len(e.access), kept)
+		}
+		claim(im.slot, class(im.n))
+	}
+	for c, h := range b.free {
+		for ; h != noSlot; h = binary.LittleEndian.Uint32(b.bytes(h, 4)) {
+			claim(h, c)
+		}
+	}
+	sort.Slice(spans, func(i, j int) bool {
+		return spans[i].block < spans[j].block || spans[i].block == spans[j].block && spans[i].from < spans[j].from
+	})
+	for i := 1; i < len(spans); i++ {
+		if p, q := spans[i-1], spans[i]; p.block == q.block && p.to > q.from {
+			t.Fatalf("step %d: slots %v and %v overlap", step, p, q)
+		}
 	}
 }
