@@ -29,10 +29,12 @@
 // host's schedule decides when a byte is written, never which. Every
 // method that reads sealed state joins the segments in flight first.
 //
-// A sealed segment is held packed (packSegment), about a quarter of its
-// wire size; appendWire is the one writer of wire bytes, for the sealer
-// that hashes them and for Bytes, which rebuilds the ledger from the packed
-// segments.
+// A sealed segment is held packed (packSegment), about a sixth of its
+// wire size. appendRecord is the one writer of record bytes and putHeader
+// of header bytes: the sealer writes each cut event once, straight from the
+// events, and hashes that body, and Bytes rebuilds the ledger from the
+// packed segments through appendWire, which decodes each record and writes
+// it with appendRecord.
 package ledger
 
 import (
@@ -112,12 +114,13 @@ type Config struct {
 }
 
 // sealWindow bounds the segments whose bodies are being hashed at once,
-// and with them the memory in flight (about 25 KB of records, packed and
-// wire bytes and leaves a slot at the default size). Hashing a segment
-// still costs more than admitting it, so the emitter fills the window and
-// then waits; the window is what a second core draws on while it does,
-// and sealers the emitter has just started reach another core only by
-// being stolen from its run queue, which is quick for all but the newest.
+// and with them the memory in flight (about 24 KB a slot at the default
+// size: 8 KB of events, 8 KB of leaves, 6.9 KB of header and wire records
+// and 1.2 KB packed). Hashing a segment still costs more than admitting
+// it, so the emitter fills the window and then waits; the window is what
+// a second core draws on while it does, and sealers the emitter has just
+// started reach another core only by being stolen from its run queue,
+// which is quick for all but the newest.
 // With the two-lane kernel, serve-audit's run_s on a 2-core host is within
 // noise of 16 at 8 and a tenth under 4 (medians of fourteen rounds of the
 // three: 0.118, 0.124 and 0.136 s at 16, 8 and 4; 16 was ahead of 8 in
@@ -125,34 +128,66 @@ type Config struct {
 const sealWindow = 8
 
 // slabBytes is the unit sealed segments are carved from. A segment is held
-// packed, about 1.6 KB for a default segment of serve-audit's events, so a
-// slab holds some forty and wastes at most the one that did not fit.
+// packed, about 1.2 KB for a default segment of serve-audit's events, so a
+// slab holds some fifty and wastes at most the one that did not fit.
 const slabBytes = 64 << 10
+
+// A packed record opens with a head byte: its low five bits hold the kind,
+// or kindEscape when the kind follows as a byte of its own, and the three
+// high bits say which of the gap, arg and aux follow. A field that is zero
+// is not written.
+const (
+	kindBits   = 0x1f
+	kindEscape = kindBits
+	hasGap     = 0x20
+	hasArg     = 0x40
+	hasAux     = 0x80
+)
 
 // A sealed segment is held as the bytes packSegment writes:
 //
 //	bodyRoot [32] | uvarint firstSeq | uvarint count
-//	count × (kind u8 | uvarint gap | uvarint obj | uvarint arg | uvarint aux)
+//	count × (head u8 | [kind u8] | [uvarint gap] | uvarint obj | [uvarint arg] | [uvarint aux])
 //
 // where gap is the record's seq less the previous record's, less one (the
-// first record's is its distance from firstSeq, so 0), taken modulo 2^64.
-// That is everything a segment's wire bytes hold but its index, prevHash
-// and footer, which are its place in the chain and the hashes in
-// segHashes. A record packs into 5 to 31 bytes; a kernel stream's
-// sequence numbers are consecutive and its objects and scalars small, so
-// serve-audit's take about 6.
+// first record's is its distance from firstSeq, so 0), taken modulo 2^64,
+// and the head is as above. That is everything a segment's wire bytes hold
+// but its index, prevHash and footer, which are its place in the chain and
+// the hashes in segHashes. A record packs into 2 to 32 bytes; a kernel
+// stream's sequence numbers are consecutive, its kinds fewer than 31 and
+// its objects and scalars small, so serve-audit's take about 4.5.
 func packSegment(dst []byte, events []trace.Event) []byte {
 	dst = append(dst, make([]byte, HashBytes)...) // bodyRoot, once hashed
 	dst = binary.AppendUvarint(dst, events[0].Seq)
 	dst = binary.AppendUvarint(dst, uint64(len(events)))
 	prev := events[0].Seq - 1
 	for _, ev := range events {
-		dst = append(dst, byte(ev.Kind))
-		dst = binary.AppendUvarint(dst, ev.Seq-prev-1)
-		dst = binary.AppendUvarint(dst, uint64(ev.Obj))
-		dst = binary.AppendUvarint(dst, uint64(ev.Arg))
-		dst = binary.AppendUvarint(dst, ev.Aux)
+		gap := ev.Seq - prev - 1
 		prev = ev.Seq
+		head := byte(min(ev.Kind, kindEscape))
+		if gap != 0 {
+			head |= hasGap
+		}
+		if ev.Arg != 0 {
+			head |= hasArg
+		}
+		if ev.Aux != 0 {
+			head |= hasAux
+		}
+		dst = append(dst, head)
+		if head&kindBits == kindEscape {
+			dst = append(dst, byte(ev.Kind))
+		}
+		if gap != 0 {
+			dst = binary.AppendUvarint(dst, gap)
+		}
+		dst = binary.AppendUvarint(dst, uint64(ev.Obj))
+		if ev.Arg != 0 {
+			dst = binary.AppendUvarint(dst, uint64(ev.Arg))
+		}
+		if ev.Aux != 0 {
+			dst = binary.AppendUvarint(dst, ev.Aux)
+		}
 	}
 	return dst
 }
@@ -188,59 +223,77 @@ func wireLen(nk int, seg []byte) int {
 	return headerLen(nk) + count*RecordBytes + HashBytes
 }
 
-// appendWire appends the wire form of the packed segment seg (§12.3) to
-// dst: the header of segment index with nk kinds, prev as its prevHash and
-// the packed bodyRoot, each record decoded, encoded by appendRecord and
-// counted in its kind's delta word, and foot as the footer. It is the one
-// writer of wire bytes: the sealer hashes what it writes, with prev, foot
-// and the packed bodyRoot still zero, and Bytes rebuilds every sealed
-// segment through it with the hashes the chain holds, so a rebuilt segment
-// is the one hashed byte for byte.
-func appendWire(dst []byte, index uint32, nk int, seg []byte, prev, foot *[HashBytes]byte) []byte {
+// putHeader writes into hdr, headerLen(nk) bytes, the header of segment
+// index with nk kinds over body, its records in the wire layout: their
+// count, first and last sequence numbers and per-kind count deltas, prev
+// as its prevHash and root as its bodyRoot. It is the one writer of header
+// bytes, for the sealer and for appendWire.
+func putHeader(hdr []byte, index uint32, nk int, body []byte, prev, root *[HashBytes]byte) {
 	le := binary.LittleEndian
-	first, count, recs := packedHead(seg)
-	h := len(dst)
-	// Room for the whole segment first, so that hdr stays dst's header
-	// while the records are appended.
-	dst = slices.Grow(dst, wireLen(nk, seg))[:h+headerLen(nk)]
-	hdr := dst[h:]
 	clear(hdr)
 	le.PutUint32(hdr[0:], Magic)
 	le.PutUint32(hdr[4:], Version)
 	le.PutUint32(hdr[8:], index)
 	le.PutUint32(hdr[12:], uint32(nk))
-	le.PutUint32(hdr[16:], uint32(count))
-	le.PutUint64(hdr[20:], first)
+	le.PutUint32(hdr[16:], uint32(len(body)/RecordBytes))
+	le.PutUint64(hdr[20:], le.Uint64(body))
+	le.PutUint64(hdr[28:], le.Uint64(body[len(body)-RecordBytes:]))
 	copy(hdr[prevHashOff:], prev[:])
-	copy(hdr[bodyRootOff:], seg[:HashBytes])
-	seq := first - 1
-	for i := 0; i < count; i++ {
-		kind := trace.Kind(recs[0])
-		var gap, obj, arg, aux uint64
-		gap, recs = uvarint(recs[1:])
-		obj, recs = uvarint(recs)
-		arg, recs = uvarint(recs)
-		aux, recs = uvarint(recs)
-		seq += gap + 1
-		dst = appendRecord(dst, trace.Event{Seq: seq, Kind: kind, Obj: uint32(obj), Arg: uint32(arg), Aux: aux})
-		if int(kind) < nk {
-			delta := hdr[headerFixedBytes+8*int(kind):]
+	copy(hdr[bodyRootOff:], root[:])
+	for k := 8; k < len(body); k += RecordBytes {
+		if kind := int(body[k]); kind < nk {
+			delta := hdr[headerFixedBytes+8*kind:]
 			le.PutUint64(delta, le.Uint64(delta)+1)
 		}
 	}
-	le.PutUint64(hdr[28:], seq)
+}
+
+// appendWire appends the wire form of the packed segment seg (§12.3) to
+// dst: the header of segment index with nk kinds, prev as its prevHash and
+// the packed bodyRoot, each record decoded and encoded by appendRecord,
+// and foot as the footer. Bytes rebuilds every sealed segment through it
+// with the hashes the chain holds. The sealer wrote and hashed the same
+// records straight from the events, so a packing that lost a bit shows as
+// a body that no longer matches its bodyRoot, and Verify refuses it.
+func appendWire(dst []byte, index uint32, nk int, seg []byte, prev, foot *[HashBytes]byte) []byte {
+	first, count, recs := packedHead(seg)
+	h := len(dst)
+	dst = slices.Grow(dst, wireLen(nk, seg))[:h+headerLen(nk)]
+	seq := first - 1
+	for i := 0; i < count; i++ {
+		head := recs[0]
+		kind := trace.Kind(head & kindBits)
+		recs = recs[1:]
+		if kind == kindEscape {
+			kind, recs = trace.Kind(recs[0]), recs[1:]
+		}
+		var gap, obj, arg, aux uint64
+		if head&hasGap != 0 {
+			gap, recs = uvarint(recs)
+		}
+		obj, recs = uvarint(recs)
+		if head&hasArg != 0 {
+			arg, recs = uvarint(recs)
+		}
+		if head&hasAux != 0 {
+			aux, recs = uvarint(recs)
+		}
+		seq += gap + 1
+		dst = appendRecord(dst, trace.Event{Seq: seq, Kind: kind, Obj: uint32(obj), Arg: uint32(arg), Aux: aux})
+	}
+	putHeader(dst[h:h+headerLen(nk)], index, nk, dst[h+headerLen(nk):], prev, (*[HashBytes]byte)(seg))
 	return append(dst, foot[:]...)
 }
 
 // sealing is one cut segment on its way to the chain. The emitter fixes
-// its index and records at the cut; run, on its own goroutine, packs them
-// and writes and hashes their wire form; collect chains it. The scratch
-// slices grow to the largest segment the slot has sealed.
+// its index and records at the cut; run, on its own goroutine, packs them,
+// writes them once in the wire layout and hashes that body; collect chains
+// it. The scratch slices grow to the largest segment the slot has sealed.
 type sealing struct {
 	index  uint32
 	events []trace.Event     // the segment's records, recycled
 	packed []byte            // the segment packed, bodyRoot filled by run
-	wire   []byte            // its wire form, prevHash filled by collect
+	wire   []byte            // its header and body, prevHash filled by collect
 	leaves [][HashBytes]byte // body-tree scratch, recycled
 	done   sync.WaitGroup    // run has finished with packed and wire
 	start  func()            // calls run; built once per slot, see seal
@@ -323,18 +376,23 @@ func (s *Sink) seal() {
 	go j.start()
 }
 
-// run packs the records, writes the packed segment's wire form through
-// appendWire, and hashes that body into bodyRoot, which it writes into
-// both. It touches nothing but its own slot, so it needs no lock and an
-// abandoned sink leaves nothing behind once it returns.
+// run packs the records, writes each of them once with appendRecord
+// into the wire scratch behind room for the header, hashes that body into
+// bodyRoot, and writes the header and the packed bodyRoot. It touches
+// nothing but its own slot, so it needs no lock and an abandoned sink
+// leaves nothing behind once it returns.
 func (j *sealing) run(nk int) {
 	defer j.done.Done()
-	var zero, root [HashBytes]byte
 	j.packed = packSegment(j.packed[:0], j.events)
-	j.wire = appendWire(j.wire[:0], j.index, nk, j.packed, &zero, &zero)
-	root, j.leaves = bodyRoot(j.wire[headerLen(nk):len(j.wire)-HashBytes], j.leaves)
+	hl := headerLen(nk)
+	j.wire = slices.Grow(j.wire[:0], hl+len(j.events)*RecordBytes)[:hl]
+	for _, ev := range j.events {
+		j.wire = appendRecord(j.wire, ev)
+	}
+	var zero, root [HashBytes]byte
+	root, j.leaves = bodyRoot(j.wire[hl:], j.leaves)
+	putHeader(j.wire[:hl], j.index, nk, j.wire[hl:], &zero, &root)
 	copy(j.packed, root[:])
-	copy(j.wire[bodyRootOff:], root[:])
 }
 
 // collect waits for the oldest cut segment and chains it: prevHash into

@@ -37,6 +37,11 @@ func TestConfigBoundary(t *testing.T) {
 	}{
 		{"no sessions", build(func(c *Config) { c.Sessions = 0 }), "Sessions must be positive"},
 		{"no classes", build(func(c *Config) { c.Classes = nil }), "at least one class required"},
+		{"too many classes", build(func(c *Config) {
+			for len(c.Classes) <= maxClasses {
+				c.Classes = append(c.Classes, c.Classes[0])
+			}
+		}), "257 classes, at most 256"},
 		{"class without servers", build(func(c *Config) { c.Classes[1].Servers = 0 }),
 			`class "batch" needs positive Weight and Servers`},
 		{"touches past the session", build(func(c *Config) { c.SessionData = 12 }),

@@ -11,17 +11,19 @@ import (
 	"repro/internal/vtime"
 )
 
-// Session is one simulated user: its class, its session object and the
-// progress of its one request, which is issued at the session's instant in
-// the engine's schedule. The session object is preallocated at build time
-// and every completed request increments its touched dwords — a byte-level
-// witness of service that the confinement checker can compare across runs.
+// Session is one simulated user, 16 bytes: its session object, its class
+// and the progress of its one request, which is issued at the session's
+// instant in the engine's schedule. A session makes one request, so each
+// counter is 0 or 1, and a load has at most maxClasses classes. The session
+// object is preallocated at build time and every completed request
+// increments its touched dwords — a byte-level witness of service that the
+// confinement checker can compare across runs.
 type Session struct {
-	Class     uint32
 	Obj       obj.AD
-	Issued    uint32
-	Completed uint32
-	Censored  uint32
+	Class     uint8
+	Issued    uint8
+	Completed uint8
+	Censored  uint8
 }
 
 // inFlight reports whether the session's request was issued and has
@@ -106,7 +108,7 @@ func New(cfg Config) (*Engine, error) {
 			Type:    obj.TypeGeneric,
 			DataLen: cfg.SessionData,
 		}))
-		e.Sessions[i] = Session{Class: uint32(class), Obj: so}
+		e.Sessions[i] = Session{Obj: so, Class: uint8(class)}
 		e.byObj.Put(so.Index, int32(i))
 		e.Classes[class].Sessions++
 		anchored = append(anchored, so)

@@ -156,6 +156,9 @@ const (
 	rebalanceEvery vtime.Cycles = 20_000
 	// injectHorizon is the instruction window an injection plan covers.
 	injectHorizon uint64 = 200_000
+	// maxClasses bounds a load's classes: a session keeps its class in a
+	// byte.
+	maxClasses = 256
 )
 
 // withDefaults fills zero fields; it never mutates the receiver.
@@ -187,6 +190,9 @@ func (l Load) validate() error {
 	}
 	if len(l.Classes) == 0 {
 		return fmt.Errorf("scenario %q: at least one class required", l.Name)
+	}
+	if len(l.Classes) > maxClasses {
+		return fmt.Errorf("scenario %q: %d classes, at most %d", l.Name, len(l.Classes), maxClasses)
 	}
 	for _, cl := range l.Classes {
 		if cl.Weight <= 0 || cl.Servers <= 0 {

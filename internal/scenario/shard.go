@@ -80,7 +80,7 @@ func ShardPreset(nodes, sessions int, seed int64) ShardConfig {
 	}
 }
 
-// shardSession is one simulated user, 32 bytes. Its canonical session object
+// shardSession is one simulated user, 20 bytes. Its canonical session object
 // lives on its home node, homeOf its id, and its one request is served on
 // Dest, which is the home unless the request migrates.
 type shardSession struct {
@@ -257,7 +257,7 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 			dest = (home + 1 + pick) % cfg.Nodes
 			migrating++
 		}
-		e.sessions[i] = shardSession{Session: Session{Class: uint32(class), Obj: so}, Dest: uint8(dest)}
+		e.sessions[i] = shardSession{Session: Session{Obj: so, Class: uint8(class)}, Dest: uint8(dest)}
 		e.nodes[home].byObj.Put(so.Index, int32(i))
 	})
 	if f := l.Fault(); f != nil {
