@@ -51,14 +51,15 @@ const (
 	MsgReply
 )
 
-// Msg is one passivated graph in flight between two nodes.
+// Msg is one passivated graph in flight between two nodes, 48 bytes: its
+// object count and node ids are as wide as the ledger's.
 type Msg struct {
 	Graph    uint64 // transfer-ledger id
-	From, To int
-	Kind     Kind
 	Seq      uint64 // caller correlation id (session, request, …)
 	Img      []byte // filing.Encode output: self-checking image bytes
-	Objects  int    // passivation-side object count
+	Objects  uint32 // passivation-side object count
+	From, To uint8
+	Kind     Kind
 }
 
 type flightState uint8
@@ -215,10 +216,46 @@ func (c *Cluster) Ship(from, to int, root obj.AD, kind Kind, seq uint64) (uint64
 	return c.Post(from, to, kind, seq, img, objects), nil
 }
 
-// Reserve makes room in the transfer ledger for the next n graphs, so that
-// posting them grows nothing.
-func (c *Cluster) Reserve(n int) {
-	c.graphs = slices.Grow(c.graphs, n)
+// Reserve sizes the cluster for the next graphs graphs, of which at most
+// flights are in flight from or to any one node at once, each of at most
+// objects objects in an image of at most size bytes. It makes room in the
+// transfer ledger for every graph and in each wire queue for flights
+// messages; each node gets the same room in its Deliver slice, its filing
+// scratch for the largest graph, and its pools flights image buffers and
+// flights created lists of that size. Sending and receiving inside those
+// bounds then grows nothing.
+func (c *Cluster) Reserve(graphs, flights, size, objects int) {
+	c.graphs = slices.Grow(c.graphs, graphs)
+	for from, qs := range c.queues {
+		for to := range qs {
+			if to != from {
+				qs[to] = slices.Grow(qs[to], flights)
+			}
+		}
+	}
+	for _, n := range c.Nodes {
+		n.reserve(flights, len(c.Nodes)*flights, size, objects)
+	}
+}
+
+// reserve fills the node's pools with flights image buffers of size bytes
+// and flights created lists of objects entries, the buffers carved from one
+// array and the lists from another, and gives the image pool room for
+// pooled buffers: an image goes to its receiver's pool, so one node's pool
+// may come to hold every buffer of the cluster.
+func (n *Node) reserve(flights, pooled, size, objects int) {
+	bufs := make([]byte, flights*size)
+	n.images = slices.Grow(n.images, pooled)
+	for i := range flights {
+		n.images = append(n.images, bufs[i*size:i*size:(i+1)*size])
+	}
+	ads := make([]obj.AD, flights*objects)
+	n.lists = slices.Grow(n.lists, flights)
+	for i := range flights {
+		n.lists = append(n.lists, ads[i*objects:i*objects:(i+1)*objects])
+	}
+	n.delivered = slices.Grow(n.delivered, flights)
+	n.IM.Files.Reserve(objects)
 }
 
 // Post is the cluster half of Ship: it gives an encoded image of objects
@@ -231,7 +268,7 @@ func (c *Cluster) Post(from, to int, kind Kind, seq uint64, img []byte, objects 
 		objects: uint32(objects), from: uint8(from), to: uint8(to), state: flightWire,
 	})
 	c.queues[from][to] = append(c.queues[from][to], Msg{
-		Graph: id, From: from, To: to, Kind: kind, Seq: seq, Img: img, Objects: objects,
+		Graph: id, Seq: seq, Img: img, Objects: uint32(objects), From: uint8(from), To: uint8(to), Kind: kind,
 	})
 	c.Shipped++
 	c.WireBytes += uint64(len(img))
@@ -350,6 +387,30 @@ func (c *Cluster) Snapshot() audit.TransferSnapshot {
 		s.NodeActivatedObjects = append(s.NodeActivatedObjects, n.IM.Files.ActivatedObjects)
 	}
 	return s
+}
+
+// Room sums what the cluster's transfers fill has room for: the entries of
+// every wire queue and Deliver slice, of each node's pools and of every
+// buffer and list in them, and each node's filing scratch. Capacities only
+// grow, so a run with every flight closed that leaves Room as Reserve made
+// it grew none of them.
+func (c *Cluster) Room() int {
+	n := 0
+	for _, qs := range c.queues {
+		for _, q := range qs {
+			n += cap(q)
+		}
+	}
+	for _, nd := range c.Nodes {
+		n += cap(nd.images) + cap(nd.lists) + cap(nd.delivered) + nd.IM.Files.Room()
+		for _, b := range nd.images {
+			n += cap(b)
+		}
+		for _, l := range nd.lists {
+			n += cap(l)
+		}
+	}
+	return n
 }
 
 // PendingWire reports the number of messages sitting in wire buffers.

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -396,6 +398,73 @@ func TestRecycledBuffers(t *testing.T) {
 		t.Fatalf("FailedActivations = %d, want 1", c.FailedActivations)
 	}
 	checkClean(t, c)
+
+	// A full-bound burst: Reserve sizes each node for 128 graphs in flight,
+	// and each node ships that many at once. Each image is in a buffer of
+	// its own, no two reaching into the same bytes, so each graph arrives
+	// with its own fill; and the burst grows no pool, queue or scratch.
+	const flights = 128
+	if c, err = New(testConfig(2)); err != nil {
+		t.Fatal(err)
+	}
+	var roots [2][]obj.AD
+	for node := range roots {
+		for i := range flights {
+			roots[node] = append(roots[node], object(node, byte(i)))
+		}
+	}
+	size, objects, err := c.Nodes[0].IM.Files.Measure(roots[0][0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Reserve(2*flights, flights, size, objects)
+	room := c.Room()
+	burst := func() {
+		for from, rs := range roots {
+			for i, root := range rs {
+				if _, err := c.Ship(from, 1-from, root, MsgRequest, uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		type span struct{ lo, hi uintptr }
+		var spans []span
+		for from := range c.queues {
+			for _, m := range c.queues[from][1-from] {
+				lo := uintptr(unsafe.Pointer(unsafe.SliceData(m.Img)))
+				spans = append(spans, span{lo, lo + uintptr(cap(m.Img))})
+			}
+		}
+		slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+		for i := 1; i < len(spans); i++ {
+			if spans[i].lo < spans[i-1].hi {
+				t.Fatalf("two images in flight share the bytes at %#x", spans[i].lo)
+			}
+		}
+		for to := range c.Nodes {
+			ds, err := c.Deliver(to)
+			if err != nil || len(ds) != flights {
+				t.Fatalf("delivered %d messages to node %d (%v), want %d", len(ds), to, err, flights)
+			}
+			for _, d := range ds {
+				got, created, err := c.Materialize(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !filled(to, got, byte(d.Seq)) {
+					t.Fatalf("graph %d arrived with other bytes than its own", d.Graph)
+				}
+				if err := c.ReclaimGraph(to, created); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	burst()
+	if got := c.Room(); got != room {
+		t.Errorf("a full-bound burst grew the cluster's room from %d to %d entries", room, got)
+	}
+	checkClean(t, c)
 }
 
 // TestTransferRecord pins the transfer ledger's row, one per shipped graph,
@@ -475,7 +544,7 @@ func TestTransferCountsExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			ds, err := c.Deliver(1)
-			if err != nil || len(ds) != 1 || ds[0].Objects != objects {
+			if err != nil || len(ds) != 1 || int(ds[0].Objects) != objects {
 				t.Fatalf("delivered %+v (%v), want one message of %d objects", ds, err, objects)
 			}
 			live := c.Nodes[1].IM.Table.Live()

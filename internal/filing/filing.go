@@ -170,39 +170,12 @@ func (s *Store) Encode(root obj.AD) ([]byte, error) {
 // reachable graph — the level rule guarantees the rest of the graph is if
 // the root is.
 func (s *Store) AppendEncode(dst []byte, root obj.AD) ([]byte, error) {
-	d, f := s.Table.Resolve(root)
-	if f != nil {
+	if f := s.enumerate(root); f != nil {
 		return dst, f
 	}
-	if d.Level != obj.LevelGlobal {
-		return dst, obj.Faultf(obj.FaultLevel, root, "only global objects may be filed")
-	}
-
-	// Breadth-first enumeration; index in visit order is the graph id.
-	s.order = append(s.order[:0], root)
-	clear(s.ids)
-	s.ids[root.Index] = 0
-	for i := 0; i < len(s.order); i++ {
-		f := s.Table.Referents(s.order[i].Index, func(ad obj.AD) {
-			if _, seen := s.ids[ad.Index]; !seen {
-				s.ids[ad.Index] = len(s.order)
-				s.order = append(s.order, ad)
-			}
-		})
-		if f != nil {
-			return dst, f
-		}
-	}
-
 	// Room for the image but its type names, so a buffer new to the
 	// caller's pool is allocated once rather than grown record by record.
-	size := 12 // magic, count, CRC
-	for _, ad := range s.order {
-		if d := s.Table.DescriptorAt(ad.Index); d != nil {
-			size += objMinEncoded + int(d.DataLen) + 4*int(d.AccessSlots)
-		}
-	}
-	img := binary.LittleEndian.AppendUint32(slices.Grow(dst, size), fileMagic)
+	img := binary.LittleEndian.AppendUint32(slices.Grow(dst, s.size()), fileMagic)
 	img = binary.LittleEndian.AppendUint32(img, uint32(len(s.order)))
 	var v obj.View
 	for _, ad := range s.order {
@@ -211,28 +184,9 @@ func (s *Store) AppendEncode(dst []byte, root obj.AD) ([]byte, error) {
 			return dst, obj.Faultf(obj.FaultOddity, ad, "object vanished during passivation")
 		}
 		img = append(img, byte(d.Type))
-		name := ""
-		if d.UserType != obj.NilIndex {
-			tdoAD, ok := s.Table.SystemAD(d.UserType)
-			if !ok {
-				// The labelling TDO was destroyed while its instance
-				// lives on; an image recording the dead type would be
-				// unactivatable at best and a forgery vector at worst.
-				return dst, obj.Faultf(obj.FaultInvalidAD, ad,
-					"user-type TDO %d destroyed before passivation", d.UserType)
-			}
-			n, f := s.TDOs.Name(tdoAD)
-			if f != nil {
-				return dst, f
-			}
-			name = n
-		}
-		if len(name) > nameLenMax {
-			// uint16(len(name)) would silently truncate the field and
-			// desynchronise every record after it — a corrupt image
-			// written by our own hand.
-			return dst, obj.Faultf(obj.FaultBounds, ad,
-				"user-type name of %d bytes exceeds the image's 16-bit field", len(name))
+		name, f := s.typeName(ad, d)
+		if f != nil {
+			return dst, f
 		}
 		img = binary.LittleEndian.AppendUint16(img, uint16(len(name)))
 		img = append(img, name...)
@@ -260,6 +214,106 @@ func (s *Store) AppendEncode(dst []byte, root obj.AD) ([]byte, error) {
 	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(img[len(dst):]))
 	s.FiledObjects += uint64(len(s.order))
 	return img, nil
+}
+
+// Measure reports what AppendEncode would append for the graph reachable
+// from root, its image bytes and its object count, without filing it.
+func (s *Store) Measure(root obj.AD) (bytes, objects int, err error) {
+	if f := s.enumerate(root); f != nil {
+		return 0, 0, f
+	}
+	bytes = s.size()
+	for _, ad := range s.order {
+		if d := s.Table.DescriptorAt(ad.Index); d != nil {
+			name, f := s.typeName(ad, d)
+			if f != nil {
+				return 0, 0, f
+			}
+			bytes += len(name)
+		}
+	}
+	return bytes, len(s.order), nil
+}
+
+// Reserve makes room in the scratch for graphs of up to n objects, so that
+// encoding or activating one grows nothing.
+func (s *Store) Reserve(n int) {
+	s.order = slices.Grow(s.order, n)
+	s.edges = slices.Grow(s.edges, n)
+	s.ids = make(map[obj.Index]int, n)
+	s.ids[obj.NilIndex] = 0 // a small map takes its room on its first insert
+	clear(s.ids)
+}
+
+// Room sums what the scratch has room for: the entries of the visit order
+// and of the edge offsets. A map keeps its room, but does not report it.
+func (s *Store) Room() int { return cap(s.order) + cap(s.edges) }
+
+// enumerate lists the graph reachable from root in s.order, breadth first:
+// an object's index in the visit order is its graph id, which s.ids maps
+// it to. The root must be a global (level-0) object.
+func (s *Store) enumerate(root obj.AD) *obj.Fault {
+	d, f := s.Table.Resolve(root)
+	if f != nil {
+		return f
+	}
+	if d.Level != obj.LevelGlobal {
+		return obj.Faultf(obj.FaultLevel, root, "only global objects may be filed")
+	}
+	s.order = append(s.order[:0], root)
+	clear(s.ids)
+	s.ids[root.Index] = 0
+	for i := 0; i < len(s.order); i++ {
+		f := s.Table.Referents(s.order[i].Index, func(ad obj.AD) {
+			if _, seen := s.ids[ad.Index]; !seen {
+				s.ids[ad.Index] = len(s.order)
+				s.order = append(s.order, ad)
+			}
+		})
+		if f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
+// size is the image size of the enumerated graph but its type names.
+func (s *Store) size() int {
+	size := 12 // magic, count, CRC
+	for _, ad := range s.order {
+		if d := s.Table.DescriptorAt(ad.Index); d != nil {
+			size += objMinEncoded + int(d.DataLen) + 4*int(d.AccessSlots)
+		}
+	}
+	return size
+}
+
+// typeName is the user-type name filed with the object ad, whose
+// descriptor is d: empty for an object of no user type.
+func (s *Store) typeName(ad obj.AD, d *obj.Descriptor) (string, *obj.Fault) {
+	if d.UserType == obj.NilIndex {
+		return "", nil
+	}
+	tdoAD, ok := s.Table.SystemAD(d.UserType)
+	if !ok {
+		// The labelling TDO was destroyed while its instance lives on; an
+		// image recording the dead type would be unactivatable at best and
+		// a forgery vector at worst.
+		return "", obj.Faultf(obj.FaultInvalidAD, ad,
+			"user-type TDO %d destroyed before passivation", d.UserType)
+	}
+	name, f := s.TDOs.Name(tdoAD)
+	if f != nil {
+		return "", f
+	}
+	if len(name) > nameLenMax {
+		// uint16(len(name)) would silently truncate the field and
+		// desynchronise every record after it — a corrupt image written
+		// by our own hand.
+		return "", obj.Faultf(obj.FaultBounds, ad,
+			"user-type name of %d bytes exceeds the image's 16-bit field", len(name))
+	}
+	return name, nil
 }
 
 // Activate rebuilds a filed graph as fresh objects allocated from heap

@@ -332,3 +332,90 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Fatalf("stats: filed=%d activated=%d", fx.store.FiledObjects, fx.store.ActivatedObjects)
 	}
 }
+
+// TestMeasure: Measure reports the bytes and objects AppendEncode appends for
+// a graph, type names included, files nothing, and refuses what AppendEncode
+// refuses. After Reserve for an untyped graph's objects, encoding it into a
+// buffer of its size and activating it into a list of that room allocate
+// nothing.
+func TestMeasure(t *testing.T) {
+	fx := setup(t)
+	tdo, f := fx.tdos.Define("measured_type", obj.LevelGlobal, obj.NilIndex)
+	if f != nil {
+		t.Fatal(f)
+	}
+	if f := fx.store.BindType("measured_type", tdo); f != nil {
+		t.Fatal(f)
+	}
+	root, f := fx.tdos.CreateInstance(tdo, obj.CreateSpec{DataLen: 12, AccessSlots: 2})
+	if f != nil {
+		t.Fatal(f)
+	}
+	fx.tab.StoreAD(root, 0, fx.obj(t, 5, 1))
+	fx.tab.StoreAD(root, 1, fx.obj(t, 0, 0))
+	size, objects, err := fx.store.Measure(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fx.store.FiledObjects != 0 {
+		t.Fatalf("Measure filed %d objects", fx.store.FiledObjects)
+	}
+	img, err := fx.store.Encode(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size != len(img) || objects != 3 {
+		t.Fatalf("Measure = %d bytes, %d objects; the image is %d bytes of 3", size, objects, len(img))
+	}
+
+	// The row a cluster ships: an untyped graph, whose encoding looks up no
+	// type name.
+	plain := fx.obj(t, 16, 2)
+	fx.tab.StoreAD(plain, 0, fx.obj(t, 8, 0))
+	fx.tab.StoreAD(plain, 1, fx.obj(t, 4, 1))
+	if size, objects, err = fx.store.Measure(plain); err != nil {
+		t.Fatal(err)
+	}
+	fx.store.Reserve(objects)
+	room := fx.store.Room()
+	buf, list := make([]byte, 0, size), make([]obj.AD, 0, objects)
+	hop := func() {
+		enc, err := fx.store.AppendEncode(buf, plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, created, err := fx.store.ActivateImage(enc, fx.heap, list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := len(created) - 1; i >= 0; i-- {
+			if f := fx.sros.Reclaim(created[i].Index); f != nil {
+				t.Fatal(f)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, hop); allocs != 0 {
+		t.Errorf("an encode and an activation inside the reserved room allocate %.1f objects; want 0", allocs)
+	}
+	if got := fx.store.Room(); got != room {
+		t.Errorf("the scratch grew from room for %d entries to %d", room, got)
+	}
+
+	local, f := fx.sros.NewLocalHeap(fx.heap, 3, 0)
+	if f != nil {
+		t.Fatal(f)
+	}
+	lo, f := fx.sros.Create(local, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 4})
+	if f != nil {
+		t.Fatal(f)
+	}
+	if _, _, err := fx.store.Measure(lo); err == nil {
+		t.Error("a local object measured")
+	}
+	if f := fx.tab.Destroy(tdo); f != nil {
+		t.Fatal(f)
+	}
+	if _, _, err := fx.store.Measure(root); err == nil {
+		t.Error("an instance of a destroyed type measured")
+	}
+}

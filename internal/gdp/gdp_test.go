@@ -735,3 +735,61 @@ func TestAuditExecCachesFlagsCorruptPredecode(t *testing.T) {
 		t.Fatalf("restored cache flagged:\n%s", p)
 	}
 }
+
+// TestPredecode: Predecode decodes a domain's program, and under the
+// execution cache predecodes it, before the first dispatch, which then finds
+// both and derives neither again; a twin that never predecoded runs the same
+// instructions in the same cycles. A capability that names no domain is
+// refused.
+func TestPredecode(t *testing.T) {
+	prog := []isa.Instr{isa.MovI(1, 6), isa.MovI(2, 7), isa.Mul(0, 1, 2), isa.Halt()}
+	for _, noCache := range []bool{false, true} {
+		var clocks [2]vtime.Cycles
+		var stats [2]Stats
+		for i, predecode := range []bool{true, false} {
+			s, err := New(Config{Processors: 1, NoExecCache: noCache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dom := mustDomain(t, s, prog)
+			code, f := s.Domains.Code(dom)
+			if f != nil {
+				t.Fatal(f)
+			}
+			if predecode {
+				if f := s.Predecode(dom); f != nil {
+					t.Fatal(f)
+				}
+			}
+			decoded, _ := s.Domains.Program(code)
+			ops, cached := s.xcodes.Get(code.Index)
+			if predecode && cached == noCache {
+				t.Fatalf("nocache=%v: predecoded table cached %v", noCache, cached)
+			}
+			p, f := s.Spawn(dom, SpawnSpec{})
+			if f != nil {
+				t.Fatal(f)
+			}
+			clocks[i] = run(t, s)
+			stats[i] = s.Stats()
+			mustState(t, s, p, process.StateTerminated)
+			if !predecode {
+				continue
+			}
+			if after, _ := s.Domains.Program(code); &after[0] != &decoded[0] {
+				t.Errorf("nocache=%v: the first dispatch decoded the program again", noCache)
+			}
+			if after, _ := s.xcodes.Get(code.Index); cached && &after[0] != &ops[0] {
+				t.Errorf("nocache=%v: the first dispatch predecoded the program again", noCache)
+			}
+		}
+		if clocks[0] != clocks[1] || stats[0] != stats[1] {
+			t.Errorf("nocache=%v: predecoded run %d cycles %+v, the twin %d cycles %+v",
+				noCache, clocks[0], stats[0], clocks[1], stats[1])
+		}
+	}
+	s := newSystem(t, 1)
+	if f := s.Predecode(obj.NilAD); f == nil {
+		t.Error("a nil domain predecoded")
+	}
+}

@@ -192,11 +192,7 @@ func (s *System) primeExecCache(cpu *CPU) *execCache {
 	if f != nil {
 		return nil
 	}
-	ops, ok := s.xcodes.Get(code.Index)
-	if !ok { // predecoded once per code object, here and nowhere else
-		ops = predecode(prog)
-		s.xcodes.Put(code.Index, ops)
-	}
+	ops := s.opsOf(code, prog)
 	// Assigned in place: a fresh 900-byte literal is zeroed, then copied.
 	xc := &cpu.xc
 	xc.gen, xc.proc, xc.ctx = gen, cpu.proc, cv
@@ -204,6 +200,33 @@ func (s *System) primeExecCache(cpu *CPU) *execCache {
 	clear(xc.res[:]) // views filled under an older generation are dead
 	clear(xc.key[:])
 	return xc
+}
+
+// opsOf returns the predecoded table of code, whose program is prog. A code
+// object is predecoded once, here and nowhere else.
+func (s *System) opsOf(code obj.AD, prog []isa.Instr) []xop {
+	ops, ok := s.xcodes.Get(code.Index)
+	if !ok {
+		ops = predecode(prog)
+		s.xcodes.Put(code.Index, ops)
+	}
+	return ops
+}
+
+// Predecode decodes the program of domain dom, and predecodes it for the
+// execution cache, ahead of the first dispatch into it: a world builder
+// calls it so that its run decodes nothing. It changes nothing in the object
+// world; the first dispatch finds what it would have derived.
+func (s *System) Predecode(dom obj.AD) *obj.Fault {
+	code, f := s.Domains.Code(dom)
+	if f != nil {
+		return f
+	}
+	prog, f := s.Domains.Program(code)
+	if f == nil && !s.xcOff {
+		s.opsOf(code, prog)
+	}
+	return f
 }
 
 // surcharge is the bus-contention wait every instruction pays this step

@@ -20,6 +20,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -116,6 +117,10 @@ func (m *Memory) chunk(b Addr) []byte {
 	}
 	return m.chunks[i]
 }
+
+// Reserve makes room for n more holes, so that the next n frees that each
+// open one grow nothing.
+func (m *Memory) Reserve(n int) { m.free = slices.Grow(m.free, n) }
 
 // Size reports the total physical size in bytes.
 func (m *Memory) Size() uint32 { return m.size }

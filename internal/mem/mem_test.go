@@ -84,6 +84,31 @@ func TestFreeCoalesce(t *testing.T) {
 	}
 }
 
+// TestReserveHoles: after Reserve(n), n frees that each open a hole of its
+// own grow no hole list.
+func TestReserveHoles(t *testing.T) {
+	const n = 100
+	m := New(2 * n * 16)
+	var es []Extent
+	for range 2 * n {
+		e, err := m.Alloc(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		es = append(es, e)
+	}
+	m.Reserve(n)
+	room := cap(m.free)
+	for i := 0; i < len(es); i += 2 {
+		if err := m.Free(es[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.FragCount() != n || cap(m.free) != room {
+		t.Fatalf("%d holes in a list whose room went %d -> %d; want %d holes, no growth", m.FragCount(), room, cap(m.free), n)
+	}
+}
+
 func TestDoubleFreeDetected(t *testing.T) {
 	m := New(128)
 	a, _ := m.Alloc(64)

@@ -552,6 +552,36 @@ func TestSideGenerationGuard(t *testing.T) {
 	}
 }
 
+// TestReserveFree: after ReserveFree(n), destroying n objects, each with a
+// data part and an access part, allocates nothing, though every other object
+// goes, so that each destroy opens a hole of its own: neither the free-slot
+// list nor the memory's hole list grows.
+func TestReserveFree(t *testing.T) {
+	const n = 500
+	tab := newTestTable(t)
+	ads := make([]AD, 2*n)
+	for i := range ads {
+		ads[i] = mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 8, AccessSlots: 1})
+	}
+	tab.ReserveFree(n)
+	free := cap(tab.free)
+	var f *Fault
+	objects, _ := hostAllocs(nil, func() {
+		for i := 0; i < len(ads) && f == nil; i += 2 {
+			f = tab.Destroy(ads[i])
+		}
+	})
+	if f != nil {
+		t.Fatal(f)
+	}
+	if len(tab.free) != n || tab.Memory().FragCount() < n {
+		t.Fatalf("%d free slots and %d holes, want %d and at least %d", len(tab.free), tab.Memory().FragCount(), n, n)
+	}
+	if objects != 0 || cap(tab.free) != free {
+		t.Errorf("destroying %d objects allocated %d times, the free-slot list %d -> %d", n, objects, free, cap(tab.free))
+	}
+}
+
 // TestReserve: after Reserve(n), the next n creates grow neither the
 // descriptor array nor the resident set, and a side table that reserved n
 // grows for none of their entries. Reserving changes nothing else: the

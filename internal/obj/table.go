@@ -3,6 +3,7 @@ package obj
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -199,6 +200,15 @@ func (t *Table) Reserve(n int) {
 	if words := (len(t.descs) + n + 63) / 64; words > cap(t.resident) {
 		t.resident = append(make([]uint64, 0, words), t.resident...)
 	}
+}
+
+// ReserveFree makes room for n more free slots and n more holes in memory,
+// so that destroying n objects grows neither list. A world sizes it for what
+// its run creates and destroys, not for the whole table: room for a slot
+// would cost every slot.
+func (t *Table) ReserveFree(n int) {
+	t.free = slices.Grow(t.free, n)
+	t.mem.Reserve(n)
 }
 
 // Cap reports how many descriptors the table has room for before it next

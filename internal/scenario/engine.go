@@ -101,6 +101,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	anchored := make([]obj.AD, 0, nAnchored)
 	im.Table.Reserve(cfg.Sessions + anchorBlocks(nAnchored) + e.runRoom())
+	im.Table.ReserveFree(e.runRoom())
 	e.byObj.Reserve(cfg.Sessions)
 	e.Sessions = make([]Session, cfg.Sessions)
 	e.schedule = population(&cfg.Load, func(i, class int) {

@@ -80,6 +80,15 @@ func (n *node) build(load *Load) error {
 	for _, cl := range load.Classes {
 		dom, callee, f := workload.NewServerDomain(im.System, cl.Spec)
 		l.Keep(f)
+		// The class's programs are decoded now, not on their first
+		// dispatch; except under swapping, where the code may be out by
+		// then, and the segment fault that brings it back is the run's.
+		if im.Swapper == nil {
+			l.Keep(im.Predecode(dom))
+			if callee.Valid() {
+				l.Keep(im.Predecode(callee))
+			}
+		}
 		req := l.AD(im.Ports.Create(im.Heap, portCapacity, port.FIFO))
 		rt := ClassRt{Class: cl, ReqPort: req, Domain: dom, Callee: callee}
 		for s := 0; s < cl.Servers; s++ {

@@ -123,9 +123,10 @@ type shardNode struct {
 // ledger, the wire, the sessions' completions and the histograms — held
 // for the merge in the order the tick made it.
 type outbox struct {
-	// arrivals are the graphs the tick activated, each with its object
-	// count: its flight closes, and a reply completes its request.
-	arrivals []arrival
+	// activated is the object count of each graph the tick activated, one
+	// for each message of the node's in, in order: its flight closes, and a
+	// reply completes its request.
+	activated []uint32
 	// departures are the requests the tick drained from the reply port: a
 	// completion where the session is homed, else a reply image to post.
 	departures []departure
@@ -136,15 +137,10 @@ type servedCopy struct {
 	graph []obj.AD
 }
 
-type arrival struct {
-	msg       cluster.Msg
-	activated int
-}
-
 type departure struct {
-	sid     int32
 	img     []byte // nil for a completion
-	objects int
+	sid     int32
+	objects uint32
 }
 
 // ShardEngine drives one sharded scenario run.
@@ -226,13 +222,16 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 	for i := range e.sessions {
 		homed[homeOf(i, cfg.Nodes)]++
 	}
+	copies := len(cfg.Classes) * int(portCapacity)
 	for ni, sn := range e.nodes {
 		sn.homed = homed[ni]
-		copies := len(cfg.Classes) * int(portCapacity)
 		room := homed[ni] + sn.runRoom() + copies
 		sn.IM.Table.Reserve(room)
+		sn.IM.Table.ReserveFree(sn.runRoom() + copies)
 		sn.byObj.Reserve(room)
 		sn.copies, sn.free = make([]servedCopy, 0, copies), make([]int32, 0, copies)
+		sn.out.activated = make([]uint32, 0, copies)
+		sn.out.departures = make([]departure, 0, copies)
 	}
 
 	// Routing has its own seeded stream. The session objects are created
@@ -264,8 +263,19 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 		return nil, fmt.Errorf("shard %q: population: %w", cfg.Name, f)
 	}
 	// A migrating session's request and reply are the only graphs a run
-	// ships, so the transfer ledger is sized once for all of them.
-	cl.Reserve(2 * migrating)
+	// ships, so the transfer ledger is sized once for all of them; and each
+	// is a copy of a session object, so one session's graph sizes every
+	// image buffer and created list. Where requests migrate, a node below
+	// the knee has no more graphs in flight than it has copies in service.
+	size, objects, err := e.nodes[homeOf(0, cfg.Nodes)].IM.Files.Measure(e.sessions[0].Obj)
+	if err != nil {
+		return nil, fmt.Errorf("shard %q: session graph: %w", cfg.Name, err)
+	}
+	flights := 0
+	if cfg.Nodes > 1 && cfg.MigratePermille > 0 {
+		flights = copies
+	}
+	cl.Reserve(2*migrating, flights, size, objects)
 	return e, nil
 }
 
@@ -316,7 +326,7 @@ func (sn *shardNode) arrive(in []cluster.Msg, out *outbox) error {
 		if err != nil {
 			return fmt.Errorf("materialize graph %d: %w", d.Graph, err)
 		}
-		out.arrivals = append(out.arrivals, arrival{msg: d, activated: len(created)})
+		out.activated = append(out.activated, uint32(len(created)))
 		sid := int32(d.Seq)
 		s := &sn.sessions[sid]
 		switch d.Kind {
@@ -384,7 +394,7 @@ func (sn *shardNode) drainReplies(out *outbox) error {
 		if err != nil {
 			return err
 		}
-		out.departures = append(out.departures, departure{sid: c.sid, img: img, objects: objects})
+		out.departures = append(out.departures, departure{img: img, sid: c.sid, objects: uint32(objects)})
 		// The image owns the state now; the copy is done.
 		if err := sn.cl.Reclaim(c.graph); err != nil {
 			return err
@@ -400,14 +410,15 @@ func (sn *shardNode) drainReplies(out *outbox) error {
 // posts, whose order gives graph ids), node by node.
 func (e *ShardEngine) merge() {
 	for _, sn := range e.nodes {
-		for _, a := range sn.out.arrivals {
-			e.Cluster.CloseFlight(a.msg, a.activated, nil)
-			if a.msg.Kind == cluster.MsgReply {
+		for i, activated := range sn.out.activated {
+			m := sn.in[i]
+			e.Cluster.CloseFlight(m, int(activated), nil)
+			if m.Kind == cluster.MsgReply {
 				e.migCompleted++
-				e.complete(sn, int32(a.msg.Seq))
+				e.complete(sn, int32(m.Seq))
 			}
 		}
-		sn.out.arrivals = sn.out.arrivals[:0]
+		sn.out.activated = sn.out.activated[:0]
 	}
 	for ni, sn := range e.nodes {
 		for _, d := range sn.out.departures {
@@ -415,7 +426,7 @@ func (e *ShardEngine) merge() {
 				e.complete(sn, d.sid)
 				continue
 			}
-			e.Cluster.Post(ni, homeOf(int(d.sid), len(e.nodes)), cluster.MsgReply, uint64(d.sid), d.img, d.objects)
+			e.Cluster.Post(ni, homeOf(int(d.sid), len(e.nodes)), cluster.MsgReply, uint64(d.sid), d.img, int(d.objects))
 		}
 		sn.out.departures = sn.out.departures[:0]
 	}
