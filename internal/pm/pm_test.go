@@ -4,6 +4,8 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/audit"
+	"repro/internal/gc"
 	"repro/internal/gdp"
 	"repro/internal/isa"
 	"repro/internal/obj"
@@ -590,4 +592,152 @@ func childCount(t *testing.T, sys *gdp.System, p obj.AD) int {
 		t.Fatal(f)
 	}
 	return n
+}
+
+// deadChildWorld is a system whose published root process is blocked at an
+// empty port: a pinned directory holds the root and the domain its children
+// run, a two-instruction program that halts.
+type deadChildWorld struct {
+	sys      *gdp.System
+	b        *Basic
+	root     obj.AD
+	childDom obj.AD
+}
+
+func newDeadChildWorld(t *testing.T) *deadChildWorld {
+	t.Helper()
+	sys, b := newSys(t)
+	var l obj.Latch
+	dir := l.AD(sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, AccessSlots: 2, Pinned: true}))
+	empty := l.AD(sys.Ports.Create(sys.Heap, 4, port.FIFO))
+	waitCode := l.AD(sys.Domains.CreateCode(sys.Heap, []isa.Instr{isa.Recv(1, 2), isa.Halt()}))
+	waitDom := l.AD(sys.Domains.Create(sys.Heap, waitCode, []uint32{0}))
+	haltCode := l.AD(sys.Domains.CreateCode(sys.Heap, []isa.Instr{isa.MovI(1, 1), isa.Halt()}))
+	childDom := l.AD(sys.Domains.Create(sys.Heap, haltCode, []uint32{0}))
+	if f := l.Fault(); f != nil {
+		t.Fatal(f)
+	}
+	root, f := b.CreateProcess(waitDom, obj.NilAD, gdp.SpawnSpec{AArgs: [4]obj.AD{obj.NilAD, obj.NilAD, empty}})
+	if f != nil {
+		t.Fatal(f)
+	}
+	l.Keep(sys.Table.StoreAD(dir, 0, root))
+	l.Keep(sys.Table.StoreAD(dir, 1, childDom))
+	if f := l.Fault(); f != nil {
+		t.Fatal(f)
+	}
+	return &deadChildWorld{sys: sys, b: b, root: root, childDom: childDom}
+}
+
+// children creates n children of the root and runs the system until they
+// have terminated and the root waits at its port again.
+func (w *deadChildWorld) children(t *testing.T, n int) []obj.AD {
+	t.Helper()
+	var kids []obj.AD
+	for range n {
+		c, f := w.b.CreateProcess(w.childDom, w.root, gdp.SpawnSpec{})
+		if f != nil {
+			t.Fatal(f)
+		}
+		kids = append(kids, c)
+	}
+	if _, f := w.sys.Run(0); f != nil {
+		t.Fatal(f)
+	}
+	for _, c := range kids {
+		mustState(t, w.sys, c, process.StateTerminated)
+	}
+	mustState(t, w.sys, w.root, process.StateBlocked)
+	return kids
+}
+
+func (w *deadChildWorld) collect(t *testing.T) {
+	t.Helper()
+	if _, f := gc.New(w.sys.Table, w.sys.SROs, w.sys.Ports, w.sys.TDOs).Collect(); f != nil {
+		t.Fatal(f)
+	}
+}
+
+func (w *deadChildWorld) audit(t *testing.T) {
+	t.Helper()
+	if vs := audit.New(w.sys).CheckAll(); len(vs) > 0 {
+		t.Fatalf("audit: %v", vs)
+	}
+}
+
+// TestDeadChildCollected: a child that has terminated is garbage, though
+// its parent lives on and is published: after one collection cycle it no
+// longer resolves, and its parent does.
+func TestDeadChildCollected(t *testing.T) {
+	w := newDeadChildWorld(t)
+	child := w.children(t, 1)[0]
+	w.collect(t)
+	if _, f := w.sys.Table.Resolve(child); f == nil {
+		t.Error("a terminated child still resolves after a collection cycle")
+	}
+	if _, f := w.sys.Table.Resolve(w.root); f != nil {
+		t.Fatalf("the published root: %v", f)
+	}
+	w.audit(t)
+}
+
+// TestDeadChildSlotsReused: a parent that creates 10 000 children, no more
+// than four of them alive at once, holds one child block: a child that has
+// terminated gives its slot to the next.
+func TestDeadChildSlotsReused(t *testing.T) {
+	w := newDeadChildWorld(t)
+	for i := range 2_500 {
+		w.children(t, 4)
+		if i%100 == 99 { // the dead children's storage goes back
+			w.collect(t)
+		}
+	}
+	blocks := 0
+	cur, f := w.sys.Procs.Link(w.root, process.SlotChildren)
+	for f == nil && cur.Valid() {
+		blocks++
+		cur, f = w.sys.Table.LoadAD(cur, childSlotNext)
+	}
+	if f != nil {
+		t.Fatal(f)
+	}
+	if blocks != 1 {
+		t.Errorf("the parent of 10 000 children, four alive at once, holds %d child blocks; want 1", blocks)
+	}
+	if n := childCount(t, w.sys, w.root); n != 0 {
+		t.Errorf("the parent lists %d children, all of them terminated", n)
+	}
+	w.audit(t)
+}
+
+// TestStopOpensLiveTreeOnly: a stop of a root whose children have all
+// terminated opens the root alone, and a start balances it.
+func TestStopOpensLiveTreeOnly(t *testing.T) {
+	w := newDeadChildWorld(t)
+	w.children(t, 12) // more than one child block
+	tree, f := w.b.subtree(w.root, nil)
+	if f != nil {
+		t.Fatal(f)
+	}
+	if len(tree) != 1 || tree[0].AD() != w.root {
+		t.Errorf("the tree under a root whose children all terminated has %d members; want the root alone", len(tree))
+	}
+	if f := w.b.Stop(w.root); f != nil {
+		t.Fatal(f)
+	}
+	if n := opened(w.sys, w.root).StopCount(); n != 1 {
+		t.Errorf("root stop count %d after the stop, want 1", n)
+	}
+	if f := w.b.Start(w.root); f != nil {
+		t.Fatal(f)
+	}
+	mustState(t, w.sys, w.root, process.StateBlocked)
+	w.audit(t)
+}
+
+func mustState(t *testing.T, sys *gdp.System, p obj.AD, want process.State) {
+	t.Helper()
+	if got, f := sys.Procs.StateOf(p); f != nil || got != want {
+		t.Fatalf("process %d is %v (%v), want %v", p.Index, got, f, want)
+	}
 }
