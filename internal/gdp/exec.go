@@ -805,15 +805,17 @@ func (s *System) deliverFault(cpu *CPU, proc obj.AD, cause *obj.Fault) {
 
 // notifyScheduler sends the process to its scheduler port, if it has one,
 // so the process manager learns of termination (§6.1: a process is "sent
-// to its process scheduler" when it would leave the dispatching mix).
+// to its process scheduler" when it would leave the dispatching mix), and
+// hands it to the reaper, if one is installed.
 func (s *System) notifyScheduler(proc obj.AD) {
-	sport, f := s.Procs.Link(proc, process.SlotSchedPort)
-	if f != nil || !sport.Valid() {
-		return
+	if sport, f := s.Procs.Link(proc, process.SlotSchedPort); f == nil && sport.Valid() {
+		_, wake, f := s.Ports.Send(sport, proc, 0, obj.NilAD)
+		if f == nil && wake != nil {
+			s.Wake(*wake)
+		}
 	}
-	_, wake, f := s.Ports.Send(sport, proc, 0, obj.NilAD)
-	if f == nil && wake != nil {
-		s.Wake(*wake)
+	if s.reaper != nil {
+		s.reaper.Reap(proc)
 	}
 }
 

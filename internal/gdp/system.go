@@ -84,6 +84,19 @@ type Injector interface {
 // determinism argument.
 func (s *System) SetInjector(i Injector) { s.inj = i }
 
+// Reaper is the process manager as the terminate path sees it: every
+// process that terminates is handed to Reap, after it was sent to its
+// scheduler port, so that the manager lets go of what it keeps of the
+// process (pm unlinks it from its parent's child list). Reap must not fault
+// or charge cycles: termination is the hardware's, and what the manager
+// cannot do it leaves as it was.
+type Reaper interface {
+	Reap(proc obj.AD)
+}
+
+// SetReaper installs the reaper, or removes it with nil.
+func (s *System) SetReaper(r Reaper) { s.reaper = r }
+
 // NativeBody is the Go body of a native process (the GC daemon, device
 // drivers, schedulers — the parts of iMAX that are software, scheduled
 // exactly like any other process per §8.1's "daemon process"). Each call
@@ -143,6 +156,8 @@ type System struct {
 
 	// inj is the installed fault injector, nil in production runs.
 	inj Injector
+	// reaper is told of every termination (SetReaper), nil if none.
+	reaper Reaper
 
 	// damage keeps the first failure of the dispatcher's own transitions
 	// (DESIGN.md §5): system damage, never the running process's fault.

@@ -39,8 +39,13 @@ type Basic struct {
 	Notify obj.AD
 }
 
-// NewBasic returns a basic process manager over the system.
-func NewBasic(sys *gdp.System) *Basic { return &Basic{Sys: sys} }
+// NewBasic returns a basic process manager over the system, installed as
+// the system's reaper.
+func NewBasic(sys *gdp.System) *Basic {
+	b := &Basic{Sys: sys}
+	sys.SetReaper(b)
+	return b
+}
 
 // CreateProcess spawns a process under parent (NilAD for a root of a new
 // tree), recording it in the parent's child list so tree operations can
@@ -90,8 +95,8 @@ func (b *Basic) create(parent obj.AD, spec gdp.SpawnSpec, spawn func(gdp.SpawnSp
 // that holds the slot open in blk. Lists live at the parent's level so the
 // level rule is respected for the block objects; child ADs are linked via
 // the system path (children may be shorter-lived than the list block).
-// Nothing unlinks a child: a destroyed one keeps its slot, and the tree
-// walk skips it.
+// Reap unlinks a child that terminates, so its slot takes the next child; a
+// child destroyed unterminated keeps its slot, and the tree walk skips it.
 func (b *Basic) childSlot(parent obj.AD, blk *obj.View) (uint32, *obj.Fault) {
 	if !parent.Valid() {
 		return 0, nil
@@ -130,6 +135,32 @@ func (b *Basic) childSlot(parent obj.AD, blk *obj.View) (uint32, *obj.Fault) {
 	}
 	t.View(nb, obj.TypeGeneric, obj.RightRead|obj.RightWrite, blk)
 	return childSlot0, nil
+}
+
+// Reap unlinks a process that has terminated from its parent's child list
+// (gdp.Reaper): the list no longer keeps it from the collector, a stop or
+// start of the tree no longer opens it, and its slot takes the parent's next
+// child. A parentless process is in no list. A list that does not open for
+// writing keeps the child, which is then what it was before Reap: listed,
+// and opened by the walk.
+func (b *Basic) Reap(proc obj.AD) {
+	parent, f := b.Sys.Procs.Link(proc, process.SlotParent)
+	if f != nil || !parent.Valid() {
+		return
+	}
+	t := b.Sys.Table
+	var pv process.Proc
+	var blk obj.View
+	b.Sys.Procs.Open(parent, obj.RightRead, &pv)
+	for cur := pv.LoadAD(process.SlotChildren); cur.Valid(); cur = blk.LoadAD(childSlotNext) {
+		t.View(cur, obj.TypeGeneric, obj.RightRead|obj.RightWrite, &blk)
+		for s := uint32(childSlot0); s < childBlockSlots; s++ {
+			if c := blk.LoadAD(s); c.Index == proc.Index && c.Gen == proc.Gen {
+				blk.StoreADSystem(s, obj.NilAD)
+				return
+			}
+		}
+	}
 }
 
 // treeRights are the rights a stop or start needs on every process of the
