@@ -389,30 +389,6 @@ func (c *Cluster) Snapshot() audit.TransferSnapshot {
 	return s
 }
 
-// Room sums what the cluster's transfers fill has room for: the entries of
-// every wire queue and Deliver slice, of each node's pools and of every
-// buffer and list in them, and each node's filing scratch. Capacities only
-// grow, so a run with every flight closed that leaves Room as Reserve made
-// it grew none of them.
-func (c *Cluster) Room() int {
-	n := 0
-	for _, qs := range c.queues {
-		for _, q := range qs {
-			n += cap(q)
-		}
-	}
-	for _, nd := range c.Nodes {
-		n += cap(nd.images) + cap(nd.lists) + cap(nd.delivered) + nd.IM.Files.Room()
-		for _, b := range nd.images {
-			n += cap(b)
-		}
-		for _, l := range nd.lists {
-			n += cap(l)
-		}
-	}
-	return n
-}
-
 // PendingWire reports the number of messages sitting in wire buffers.
 func (c *Cluster) PendingWire() int {
 	n := 0

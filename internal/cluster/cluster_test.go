@@ -418,7 +418,7 @@ func TestRecycledBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Reserve(2*flights, flights, size, objects)
-	room := c.Room()
+	room := heldRoom(c)
 	burst := func() {
 		for from, rs := range roots {
 			for i, root := range rs {
@@ -461,10 +461,33 @@ func TestRecycledBuffers(t *testing.T) {
 		}
 	}
 	burst()
-	if got := c.Room(); got != room {
+	if got := heldRoom(c); got != room {
 		t.Errorf("a full-bound burst grew the cluster's room from %d to %d entries", room, got)
 	}
 	checkClean(t, c)
+}
+
+// heldRoom sums what the cluster's transfers fill has room for: the entries
+// of every wire queue and Deliver slice, of each node's pools and of every
+// buffer and list in them. Capacities only grow, so a burst whose flights
+// all closed and that leaves the sum as it was grew none of them.
+func heldRoom(c *Cluster) int {
+	n := 0
+	for _, qs := range c.queues {
+		for _, q := range qs {
+			n += cap(q)
+		}
+	}
+	for _, nd := range c.Nodes {
+		n += cap(nd.images) + cap(nd.lists) + cap(nd.delivered)
+		for _, b := range nd.images {
+			n += cap(b)
+		}
+		for _, l := range nd.lists {
+			n += cap(l)
+		}
+	}
+	return n
 }
 
 // TestTransferRecord pins the transfer ledger's row, one per shipped graph,

@@ -245,10 +245,6 @@ func (s *Store) Reserve(n int) {
 	clear(s.ids)
 }
 
-// Room sums what the scratch has room for: the entries of the visit order
-// and of the edge offsets. A map keeps its room, but does not report it.
-func (s *Store) Room() int { return cap(s.order) + cap(s.edges) }
-
 // enumerate lists the graph reachable from root in s.order, breadth first:
 // an object's index in the visit order is its graph id, which s.ids maps
 // it to. The root must be a global (level-0) object.

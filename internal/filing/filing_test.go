@@ -377,7 +377,7 @@ func TestMeasure(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx.store.Reserve(objects)
-	room := fx.store.Room()
+	room := cap(fx.store.order) + cap(fx.store.edges)
 	buf, list := make([]byte, 0, size), make([]obj.AD, 0, objects)
 	hop := func() {
 		enc, err := fx.store.AppendEncode(buf, plain)
@@ -397,7 +397,7 @@ func TestMeasure(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, hop); allocs != 0 {
 		t.Errorf("an encode and an activation inside the reserved room allocate %.1f objects; want 0", allocs)
 	}
-	if got := fx.store.Room(); got != room {
+	if got := cap(fx.store.order) + cap(fx.store.edges); got != room {
 		t.Errorf("the scratch grew from room for %d entries to %d", room, got)
 	}
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"repro/internal/audit"
@@ -222,7 +223,8 @@ func checkFlightsClosed(t *testing.T, e *ShardEngine) {
 // sizes every pool, queue and scratch the run fills, the kernels' free lists
 // and the programs' decoding, so the run allocates its ShardResult and
 // nothing else: the result, its class and node reports (shardResultAllocs),
-// whatever the request count. No pool, queue or scratch gains room.
+// whatever the request count. No pool, queue, scratch or kernel free list
+// gains room (shardRoom).
 func TestShardRunAllocBound(t *testing.T) {
 	cfg := ShardPreset(2, 30_000, 42)
 	cfg.MigratePermille = 1000
@@ -230,7 +232,7 @@ func TestShardRunAllocBound(t *testing.T) {
 	var e *ShardEngine
 	var r *ShardResult
 	var err error
-	room := 0
+	before := 0
 	// A process's first CRC builds hash/crc32's table: a cost of the
 	// process, not of the run.
 	warm := func() { crc32.ChecksumIEEE(nil) }
@@ -239,7 +241,7 @@ func TestShardRunAllocBound(t *testing.T) {
 		if e, berr = NewShard(cfg); berr != nil {
 			t.Fatal(berr)
 		}
-		room = shardRoom(e)
+		before = shardRoom(e)
 		return func() { r, err = e.Run() }
 	})
 	if err != nil {
@@ -252,8 +254,8 @@ func TestShardRunAllocBound(t *testing.T) {
 	if mallocs > shardResultAllocs {
 		t.Errorf("run allocated %d times (%d bytes); want at most %d, the result's", mallocs, bytes, shardResultAllocs)
 	}
-	if got := shardRoom(e); got != room {
-		t.Errorf("the run grew the room of its pools, queues and scratch from %d to %d entries", room, got)
+	if got := shardRoom(e); got != before {
+		t.Errorf("the run grew the room of its pools, queues, scratch and free lists from %d to %d entries", before, got)
 	}
 }
 
@@ -262,13 +264,35 @@ func TestShardRunAllocBound(t *testing.T) {
 // each.
 const shardResultAllocs = 5
 
-// shardRoom sums what the pools, queues and scratch a sharded run fills have
-// room for: the cluster's (Cluster.Room) and each node's outbox, copies and
-// free slots.
+// shardRoom sums the room of what a sharded run fills: each node's outbox,
+// copies and free copy slots; the cluster's wire queues, and each node's
+// pools with every buffer and list in them and its Deliver slice; each
+// kernel's filing scratch, free-slot list and hole list. The packages below
+// the engine keep theirs unexported, so it reads those fields by name.
+// Capacities only grow, so a run whose flights all closed and that leaves
+// the sum as it was grew none of them.
 func shardRoom(e *ShardEngine) int {
-	n := e.Cluster.Room()
-	for _, sn := range e.nodes {
+	field := func(p any, name string) reflect.Value { return reflect.ValueOf(p).Elem().FieldByName(name) }
+	n := room(field(e.Cluster, "queues"))
+	for i, sn := range e.nodes {
 		n += cap(sn.out.activated) + cap(sn.out.departures) + cap(sn.copies) + cap(sn.free)
+		nd := e.Cluster.Nodes[i]
+		for _, name := range []string{"images", "lists", "delivered"} {
+			n += room(field(nd, name))
+		}
+		n += room(field(nd.IM.Files, "order")) + room(field(nd.IM.Files, "edges"))
+		n += room(field(nd.IM.Table, "free")) + room(field(nd.IM.Table.Memory(), "free"))
+	}
+	return n
+}
+
+// room is the capacity of slice v and of every slice among its elements.
+func room(v reflect.Value) int {
+	n := v.Cap()
+	if v.Type().Elem().Kind() == reflect.Slice {
+		for i := range v.Len() {
+			n += room(v.Index(i))
+		}
 	}
 	return n
 }
