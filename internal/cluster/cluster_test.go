@@ -493,9 +493,14 @@ func heldRoom(c *Cluster) int {
 // TestTransferRecord pins the transfer ledger's row, one per shipped graph,
 // at 12 bytes: two 32-bit object counts and four single-byte facts, among
 // them the node ids, which a byte holds only while MaxNodes is at most 256.
+// A wire message, which the presized queues hold by the hundred, carries
+// the same counts and ids in 48 bytes.
 func TestTransferRecord(t *testing.T) {
 	if n := unsafe.Sizeof(graphRec{}); n > 12 {
 		t.Errorf("graphRec is %d bytes, want at most 12", n)
+	}
+	if n := unsafe.Sizeof(Msg{}); n > 48 {
+		t.Errorf("Msg is %d bytes, want at most 48", n)
 	}
 	if MaxNodes > 1<<8 {
 		t.Errorf("MaxNodes is %d: a node id does not fit the record's byte", MaxNodes)
