@@ -28,8 +28,9 @@
 // until its flight closes — refused by Deliver's check, or at
 // CloseFlight — and then goes to the receiving node's pool. A created list
 // belongs to whoever Activate returned it to until ReclaimGraph hands it
-// back. Once the pools hold what a node has in flight, a hop allocates
-// nothing on the host.
+// back. Reserve fills the pools and sizes the queues and scratch before a
+// run, for a bound on the graphs a node has in flight; a run inside that
+// bound allocates nothing on the host.
 package cluster
 
 import (

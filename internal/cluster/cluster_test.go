@@ -413,9 +413,9 @@ func TestRecycledBuffers(t *testing.T) {
 			roots[node] = append(roots[node], object(node, byte(i)))
 		}
 	}
-	size, objects, err := c.Nodes[0].IM.Files.Measure(roots[0][0])
-	if err != nil {
-		t.Fatal(err)
+	size, objects, f := c.Nodes[0].IM.Files.Measure(roots[0][0])
+	if f != nil {
+		t.Fatal(f)
 	}
 	c.Reserve(2*flights, flights, size, objects)
 	room := heldRoom(c)

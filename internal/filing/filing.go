@@ -218,7 +218,7 @@ func (s *Store) AppendEncode(dst []byte, root obj.AD) ([]byte, error) {
 
 // Measure reports what AppendEncode would append for the graph reachable
 // from root, its image bytes and its object count, without filing it.
-func (s *Store) Measure(root obj.AD) (bytes, objects int, err error) {
+func (s *Store) Measure(root obj.AD) (bytes, objects int, f *obj.Fault) {
 	if f := s.enumerate(root); f != nil {
 		return 0, 0, f
 	}

@@ -353,9 +353,9 @@ func TestMeasure(t *testing.T) {
 	}
 	fx.tab.StoreAD(root, 0, fx.obj(t, 5, 1))
 	fx.tab.StoreAD(root, 1, fx.obj(t, 0, 0))
-	size, objects, err := fx.store.Measure(root)
-	if err != nil {
-		t.Fatal(err)
+	size, objects, f := fx.store.Measure(root)
+	if f != nil {
+		t.Fatal(f)
 	}
 	if fx.store.FiledObjects != 0 {
 		t.Fatalf("Measure filed %d objects", fx.store.FiledObjects)
@@ -373,8 +373,8 @@ func TestMeasure(t *testing.T) {
 	plain := fx.obj(t, 16, 2)
 	fx.tab.StoreAD(plain, 0, fx.obj(t, 8, 0))
 	fx.tab.StoreAD(plain, 1, fx.obj(t, 4, 1))
-	if size, objects, err = fx.store.Measure(plain); err != nil {
-		t.Fatal(err)
+	if size, objects, f = fx.store.Measure(plain); f != nil {
+		t.Fatal(f)
 	}
 	fx.store.Reserve(objects)
 	room := cap(fx.store.order) + cap(fx.store.edges)
@@ -409,13 +409,13 @@ func TestMeasure(t *testing.T) {
 	if f != nil {
 		t.Fatal(f)
 	}
-	if _, _, err := fx.store.Measure(lo); err == nil {
+	if _, _, f := fx.store.Measure(lo); f == nil {
 		t.Error("a local object measured")
 	}
 	if f := fx.tab.Destroy(tdo); f != nil {
 		t.Fatal(f)
 	}
-	if _, _, err := fx.store.Measure(root); err == nil {
+	if _, _, f := fx.store.Measure(root); f == nil {
 		t.Error("an instance of a destroyed type measured")
 	}
 }

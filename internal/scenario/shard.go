@@ -259,17 +259,15 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 		e.sessions[i] = shardSession{Session: Session{Obj: so, Class: uint8(class)}, Dest: uint8(dest)}
 		e.nodes[home].byObj.Put(so.Index, int32(i))
 	})
-	if f := l.Fault(); f != nil {
-		return nil, fmt.Errorf("shard %q: population: %w", cfg.Name, f)
-	}
 	// A migrating session's request and reply are the only graphs a run
 	// ships, so the transfer ledger is sized once for all of them; and each
 	// is a copy of a session object, so one session's graph sizes every
 	// image buffer and created list. Where requests migrate, a node below
 	// the knee has no more graphs in flight than it has copies in service.
-	size, objects, err := e.nodes[homeOf(0, cfg.Nodes)].IM.Files.Measure(e.sessions[0].Obj)
-	if err != nil {
-		return nil, fmt.Errorf("shard %q: session graph: %w", cfg.Name, err)
+	size, objects, f := e.nodes[homeOf(0, cfg.Nodes)].IM.Files.Measure(e.sessions[0].Obj)
+	l.Keep(f)
+	if f := l.Fault(); f != nil {
+		return nil, fmt.Errorf("shard %q: population: %w", cfg.Name, f)
 	}
 	flights := 0
 	if cfg.Nodes > 1 && cfg.MigratePermille > 0 {
