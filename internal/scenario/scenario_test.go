@@ -283,8 +283,8 @@ func TestRequestPathAllocFree(t *testing.T) {
 }
 
 // resultAllocs is what Engine.result allocates for a two-class run: the
-// Result, and its class reports in two growths.
-const resultAllocs = 3
+// Result, and its class reports sized once.
+const resultAllocs = 2
 
 // TestAgendaOrder holds what the schedule rests on: arrivalTimes draws
 // instants non-decreasing in session order, for both arrival processes over

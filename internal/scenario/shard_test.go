@@ -260,9 +260,8 @@ func TestShardRunAllocBound(t *testing.T) {
 }
 
 // shardResultAllocs is what ShardEngine.result allocates for a two-class,
-// two-node run: the result, and its class and node reports in two growths
-// each.
-const shardResultAllocs = 5
+// two-node run: the result, and its class and node reports sized once each.
+const shardResultAllocs = 3
 
 // shardRoom sums the room of what a sharded run fills: each node's outbox,
 // copies and free copy slots; the cluster's wire queues, and each node's
