@@ -140,6 +140,7 @@ func (e *Engine) result() *Result {
 	if cycles > 0 {
 		r.VirtualRPS = float64(e.totCompleted) * vtime.HzDefault / float64(cycles)
 	}
+	r.Classes = make([]ClassReport, 0, len(e.Classes))
 	for i := range e.Classes {
 		cl := &e.Classes[i]
 		r.Deferred += cl.Deferred

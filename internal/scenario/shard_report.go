@@ -88,9 +88,11 @@ func (e *ShardEngine) result() *ShardResult {
 	if e.totIssued > 0 {
 		r.MigrationFraction = float64(e.migIssued) / float64(e.totIssued)
 	}
+	r.Classes = make([]ShardClassReport, 0, len(e.Cfg.Classes))
 	for ci, c := range e.Cfg.Classes {
 		r.Classes = append(r.Classes, ShardClassReport{Name: c.Name, Latency: latencyReport(&e.perClass[ci])})
 	}
+	r.PerNode = make([]ShardNodeReport, 0, len(e.nodes))
 	for ni, sn := range e.nodes {
 		for ci := range sn.Classes {
 			r.Deferred += sn.Classes[ci].Deferred
