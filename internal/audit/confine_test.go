@@ -1,6 +1,7 @@
 package audit_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -47,7 +48,7 @@ func TestConfinementViolationClasses(t *testing.T) {
 		}, "identity changed"},
 		{"data", func(tab *obj.Table, w, _ obj.AD) { must(tab.WriteDWord(w, 4, 1)) }, "data byte 4"},
 		{"access", func(tab *obj.Table, w, other obj.AD) { must(tab.StoreAD(w, 0, other)) }, "access slot 0"},
-		{"swapped out", func(tab *obj.Table, w, _ obj.AD) { must(tab.SwapOut(w.Index, 1)) }, ""},
+		{"swapped out", func(tab *obj.Table, w, _ obj.AD) { must(tab.SwapOut(w.Index, 1, math.MaxUint32, math.MaxUint32)) }, ""},
 		{"unlisted", func(tab *obj.Table, _, other obj.AD) { must(tab.Destroy(other)) }, ""},
 	}
 	for _, tc := range cases {

@@ -3,6 +3,7 @@ package gc
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/obj"
@@ -135,7 +136,7 @@ func TestCollectLocalRefusesSwappedParts(t *testing.T) {
 	// references cannot be examined, so the collection must refuse.
 	outside := fx.alloc(t, 2)
 	fx.tab.StoreAD(fx.root, 1, outside)
-	if f := fx.tab.SwapOut(outside.Index, 1); f != nil {
+	if f := fx.tab.SwapOut(outside.Index, 1, math.MaxUint32, math.MaxUint32); f != nil {
 		t.Fatal(f)
 	}
 	if _, _, f := fx.c.CollectLocal(local.Index); !obj.IsFault(f, obj.FaultSegmentMoved) {

@@ -13,6 +13,7 @@ package gdp
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/isa"
@@ -202,7 +203,7 @@ func deoptScenarios() []deoptScenario {
 				w.procs = append(w.procs, spawnProg(t, w.s, hotLoadLoop(60_000), SpawnSpec{AArgs: [4]obj.AD{res}}))
 			},
 			mutate: func(t *testing.T, w *deoptWorld) {
-				if f := w.s.Table.SwapOut(w.aux.Index, 1); f != nil {
+				if f := w.s.Table.SwapOut(w.aux.Index, 1, math.MaxUint32, math.MaxUint32); f != nil {
 					t.Fatal(f)
 				}
 			},
@@ -260,7 +261,7 @@ func deoptScenarios() []deoptScenario {
 				}
 				oldBase := d.Data().Base
 				img := append([]byte(nil), tab.Memory().Window(d.Data())...)
-				if f := tab.SwapOut(w.aux.Index, 1); f != nil {
+				if f := tab.SwapOut(w.aux.Index, 1, math.MaxUint32, math.MaxUint32); f != nil {
 					t.Fatal(f)
 				}
 				// Plug the freed extent so the swap-in cannot land back

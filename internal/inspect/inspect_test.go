@@ -1,6 +1,7 @@
 package inspect
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestSnapshotCounts(t *testing.T) {
 func TestSnapshotSwappedAccounting(t *testing.T) {
 	tab, s, heap := setup(t)
 	ad, _ := s.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 64})
-	if f := tab.SwapOut(ad.Index, 1); f != nil {
+	if f := tab.SwapOut(ad.Index, 1, math.MaxUint32, math.MaxUint32); f != nil {
 		t.Fatal(f)
 	}
 	snap := Take(tab)

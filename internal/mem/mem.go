@@ -15,6 +15,13 @@
 // until the segment itself is freed or moved. Each chunk also holds the
 // MaxSegment bytes past its end, so every segment is one contiguous window
 // of the chunk its base lies in.
+//
+// Every hole reads zero. Free zeroes what it frees, in the window of the
+// extent's base chunk, so Alloc hands out a segment that reads zero without
+// touching it (§2: the hardware zeroed fresh segments), and no object sees
+// another object's bytes. A caller that knows an extent is zero past some
+// prefix, as the swapping manager does once it has measured the image it
+// copies out, frees it with FreePrefix and zeroes only that prefix.
 package mem
 
 import (
@@ -73,10 +80,11 @@ type Memory struct {
 	// and covers [i·chunkSize, min(size, (i+1)·chunkSize+MaxSegment)): the
 	// tail past its range is also the next chunk's head, but extents are
 	// disjoint, each is only ever read and written through its base's
-	// chunk, and Alloc zeroes a fresh segment there, so no access sees a
-	// byte's other copy. chunks[i] is nil until an Alloc places a segment
-	// in it. The last entry is a nil sentinel for every base past the
-	// memory.
+	// chunk, and Free zeroes a segment's window there, so no access sees a
+	// byte's other copy: a hole that lies in the previous chunk's overhang
+	// is zero in both copies. chunks[i] is nil until an Alloc places a
+	// segment in it. The last entry is a nil sentinel for every base past
+	// the memory.
 	chunks [][]byte
 	last   Addr // len(chunks)-1: the sentinel
 	size   uint32
@@ -147,7 +155,8 @@ func (m *Memory) FragCount() int { return len(m.free) }
 
 // Alloc carves a segment of n bytes from physical memory using first-fit,
 // the policy simple enough to microcode (the 432 performed allocation in
-// the create-object instruction, so the policy had to be trivial).
+// the create-object instruction, so the policy had to be trivial). The
+// segment is carved from a hole, so it reads zero.
 func (m *Memory) Alloc(n uint32) (Extent, error) {
 	if n == 0 {
 		n = 1 // §2: segments are from 1 byte
@@ -169,11 +178,7 @@ func (m *Memory) Alloc(n uint32) (Extent, error) {
 		if m.tracking {
 			m.placed = append(m.placed, got)
 		}
-		// The hardware zeroed fresh segments: a new object must not
-		// leak a previous object's contents through a fresh
-		// capability.
-		off := got.Base & chunkMask
-		clear(m.chunk(got.Base)[off : off+Addr(n)])
+		m.chunk(got.Base)
 		return got, nil
 	}
 	return Extent{}, ErrNoMemory
@@ -243,11 +248,18 @@ func (m *Memory) Settled() bool {
 	return true
 }
 
-// Free returns an extent to the free pool, coalescing with neighbours.
-// Freeing an extent that was not allocated (or double-freeing) is an error:
-// on the real machine only the microcode and the collector could reach this
-// path, so corruption here meant a hardware fault.
-func (m *Memory) Free(e Extent) error {
+// Free returns an extent to the free pool, coalescing with neighbours, and
+// zeroes it, so that a new object cannot read a previous object's contents
+// through a fresh capability. Freeing an extent that was not allocated (or
+// double-freeing) is an error: on the real machine only the microcode and
+// the collector could reach this path, so corruption here meant a hardware
+// fault.
+func (m *Memory) Free(e Extent) error { return m.FreePrefix(e, e.Len) }
+
+// FreePrefix is Free for an extent that reads zero past its first dirty
+// bytes: it zeroes only those. A dirty length past the extent is clamped to
+// it.
+func (m *Memory) FreePrefix(e Extent, dirty uint32) error {
 	if e.Len == 0 {
 		return nil
 	}
@@ -264,6 +276,7 @@ func (m *Memory) Free(e Extent) error {
 	if i < len(m.free) && e.End() > m.free[i].Base {
 		return fmt.Errorf("%w: overlaps free extent at %d", ErrNotOwned, m.free[i].Base)
 	}
+	clear(m.Window(Extent{Base: e.Base, Len: min(dirty, e.Len)}))
 	m.free = append(m.free, Extent{})
 	copy(m.free[i+1:], m.free[i:])
 	m.free[i] = e

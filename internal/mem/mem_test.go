@@ -145,19 +145,31 @@ func TestFreeRefusals(t *testing.T) {
 	}
 }
 
+// TestFreshSegmentZeroed holds Alloc to handing out zero: a new object must
+// not leak a previous object's contents, whether its predecessor was freed
+// whole or by a prefix that covers every byte it wrote.
 func TestFreshSegmentZeroed(t *testing.T) {
-	// A new object must not leak a previous object's contents.
-	m := New(64)
-	a, _ := m.Alloc(64)
-	if err := m.WriteBytes(a, 0, bytes.Repeat([]byte{0xAA}, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Free(a); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := m.Alloc(64)
-	if got := m.Window(b); !bytes.Equal(got, make([]byte, 64)) {
-		t.Fatalf("segment reads % x after realloc, want zeros", got)
+	for _, c := range []struct {
+		name  string
+		wrote int
+		free  func(m *Memory, e Extent) error
+	}{
+		{"written whole, freed whole", 64, (*Memory).Free},
+		{"written in 13 bytes, freed by a 13-byte prefix", 13, func(m *Memory, e Extent) error { return m.FreePrefix(e, 13) }},
+		{"written whole, freed by a prefix past its end", 64, func(m *Memory, e Extent) error { return m.FreePrefix(e, 1000) }},
+	} {
+		m := New(64)
+		a, _ := m.Alloc(64)
+		if err := m.WriteBytes(a, 0, bytes.Repeat([]byte{0xAA}, c.wrote)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.free(m, a); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := m.Alloc(64)
+		if got := m.Window(b); !bytes.Equal(got, make([]byte, 64)) {
+			t.Errorf("%s: segment reads % x after realloc, want zeros", c.name, got)
+		}
 	}
 }
 

@@ -98,7 +98,7 @@ func (m *Swapping) tryMoveLower(e mem.Extent) (mem.Extent, bool) {
 		return e, false
 	}
 	dst, _ := mem.Alloc(e.Len)
-	_ = mem.WriteBytes(dst, 0, mem.Window(e))
+	copy(mem.Window(dst), mem.Window(e))
 	_ = mem.Free(e)
 	return dst, true
 }

@@ -7,6 +7,7 @@ package mm_test
 // same handler, and fault delivery to a full or missing fault port.
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -398,7 +399,7 @@ func TestFaultHandlerNeverFaults(t *testing.T) {
 		}, gdp.BodyDone},
 		{"backing image missing", func(t *testing.T, sys *gdp.System) (obj.AD, obj.AD) {
 			lost := generic(t, sys)
-			if f := sys.Table.SwapOut(lost.Index, 77); f != nil { // past the swapper's store
+			if f := sys.Table.SwapOut(lost.Index, 77, math.MaxUint32, math.MaxUint32); f != nil { // past the swapper's store
 				t.Fatal(f)
 			}
 			victim := faulted(t, sys, lost.Index)

@@ -91,7 +91,7 @@ func (m *refSwapping) swapOut(idx obj.Index) *obj.Fault {
 	tok := m.next
 	m.next++
 	m.images[tok] = img
-	if f := m.Table.SwapOut(idx, tok); f != nil {
+	if f := m.Table.SwapOut(idx, tok, d.DataLen, d.Access().Len); f != nil {
 		delete(m.images, tok)
 		return f
 	}

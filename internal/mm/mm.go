@@ -14,6 +14,7 @@
 package mm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
 
@@ -78,11 +79,12 @@ var _ Allocator = (*Swapping)(nil)
 
 // BackingStore simulates the swapping device: at most one image per object
 // index, named by the token its descriptor carries. An image is each part
-// up to its last non-zero byte: a segment comes back into an extent that
-// mem.Alloc has just zeroed (§2: the hardware zeroes fresh segments), so
-// its zero tail need not travel, and a fresh object's image is empty. (The
-// paper's testbed used disk; this keeps the code path and the cost model,
-// which charges the full parts.)
+// up to its last non-zero byte: a segment comes back into a hole, and every
+// hole reads zero (mem.Memory.Free zeroes what it frees), so its zero tail
+// need not travel, and a fresh object's image is empty. The same prefixes
+// are all the swap-out's free has to zero. (The paper's testbed used disk;
+// this keeps the code path and the cost model, which charges the full
+// parts.)
 //
 // The store keeps its images in one arena of its own. An image is a
 // pointer-free record in the index, which the collector does not scan, and a
@@ -155,9 +157,27 @@ func (b *BackingStore) Token(idx obj.Index) uint64 {
 	return b.images[idx].tok
 }
 
+// zeros is what nonZero compares a part's candidate tail against.
+var zeros [mem.MaxPart]byte
+
 // nonZero is the length of p up to and including its last non-zero byte.
+// A part longer than 64 bytes whose last word reads zero, as most evicted
+// parts do, halves its candidate tail with bytes.Equal against zeros, which
+// the runtime compares in vector registers, until at most 64 bytes are left
+// to the word and byte loops: p[n:] reads zero, and the last non-zero byte
+// lies at or past lo.
 func nonZero(p []byte) int {
 	n := len(p)
+	if n > 64 && binary.LittleEndian.Uint64(p[n-8:]) == 0 {
+		for lo := 0; n-lo > 64; {
+			mid := lo + (n-lo)/2
+			if bytes.Equal(p[mid:n], zeros[:n-mid]) {
+				n = mid
+			} else {
+				lo = mid
+			}
+		}
+	}
 	for n >= 8 && binary.LittleEndian.Uint64(p[n-8:n]) == 0 {
 		n -= 8
 	}
@@ -229,8 +249,8 @@ func (b *BackingStore) put(idx obj.Index, room int, data, access []byte) uint64 
 
 // get copies idx's image out to data and access and retires it, provided
 // it is the image tok names and its parts are as long as the two. data and
-// access are the extents Table.SwapIn has just taken from mem.Alloc, which
-// zeroed them: only the prefixes are copied.
+// access are the extents Table.SwapIn has just taken from mem.Alloc, out of
+// holes that read zero: only the prefixes are copied.
 func (b *BackingStore) get(idx obj.Index, tok uint64, data, access []byte) bool {
 	if tok == 0 || b.Token(idx) != tok {
 		return false
@@ -380,7 +400,7 @@ func (m *Swapping) swapOut(idx obj.Index) *obj.Fault {
 	d := m.Table.DescriptorAt(idx)
 	if d == nil || d.SwappedOut() {
 		// The table's refusal, before the store's image of idx is written over.
-		return m.Table.SwapOut(idx, 0)
+		return m.Table.SwapOut(idx, 0, 0, 0)
 	}
 	phys := m.Table.Memory()
 	data, access := phys.Window(d.Data()), phys.Window(d.Access())
@@ -388,7 +408,8 @@ func (m *Swapping) swapOut(idx obj.Index) *obj.Fault {
 		return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "extents outside memory: data %v, access %v", d.Data(), d.Access())
 	}
 	tok := m.Store.put(idx, m.Table.Cap(), data, access)
-	if f := m.Table.SwapOut(idx, tok); f != nil {
+	im := &m.Store.images[idx]
+	if f := m.Table.SwapOut(idx, tok, im.kept, im.n-im.kept); f != nil {
 		m.Store.Release(idx, tok)
 		return f
 	}

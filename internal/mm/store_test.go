@@ -19,8 +19,8 @@ func window(tab *obj.Table, idx obj.Index) (data, access []byte) {
 }
 
 // TestSparseImageRoundTrip: an image holds each part only up to its last
-// non-zero byte, and a swap-in restores every byte, the zero tail from the
-// extent mem.Alloc zeroed. Between the swap-out and the swap-in another
+// non-zero byte, and a swap-in restores every byte, the zero tail from a
+// hole, which reads zero. Between the swap-out and the swap-in another
 // object takes the freed memory and fills it, so a tail that came back as
 // anything but zeroes would show.
 func TestSparseImageRoundTrip(t *testing.T) {
@@ -287,6 +287,62 @@ func storeOp(kind, idx byte, dataLen, slots int, dataFrac, accessFrac, seed byte
 
 // prefixed returns a part of n bytes whose non-zero prefix is frac/255 of
 // it: seeded bytes, the last of them non-zero.
+// byteLoopPrefix is nonZero's oracle: the length of p up to and including
+// its last non-zero byte, found one byte at a time from the end. The table
+// test below reads about a gigabyte through it in one goroutine, which the
+// race detector would otherwise instrument byte by byte.
+//
+//go:norace
+func byteLoopPrefix(p []byte) int {
+	n := len(p)
+	for n > 0 && p[n-1] == 0 {
+		n--
+	}
+	return n
+}
+
+// TestNonZeroAgainstByteLoop holds nonZero to its oracle at the lengths its
+// loops and its halving turn on. A part of each length reads zero, or has
+// its last non-zero byte at every position within a word of each boundary
+// its candidate tail can be halved at, and of both ends, with one more
+// non-zero byte halfway before it.
+func TestNonZeroAgainstByteLoop(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 63, 64, 65, 2048, mem.MaxPart - 1, mem.MaxPart} {
+		p := make([]byte, n)
+		near := make([]bool, n)
+		mark := func(b int) {
+			for k := max(0, b-8); k < min(n, b+8); k++ {
+				near[k] = true
+			}
+		}
+		mark(0)
+		mark(n)
+		var halve func(lo, hi int)
+		halve = func(lo, hi int) {
+			if hi-lo > 64 {
+				mid := lo + (hi-lo)/2
+				mark(mid)
+				halve(lo, mid)
+				halve(mid, hi)
+			}
+		}
+		halve(0, n)
+		if got := nonZero(p); got != 0 {
+			t.Errorf("%d zero bytes: nonZero = %d", n, got)
+		}
+		for k := range near {
+			if !near[k] {
+				continue
+			}
+			p[k/2], p[k] = 0x5a, 0x80
+			if got, want := nonZero(p), byteLoopPrefix(p); got != want || want != k+1 {
+				t.Errorf("%d bytes, last non-zero at %d: nonZero = %d, byte loop %d", n, k, got, want)
+			}
+			p[k/2], p[k] = 0, 0
+		}
+	}
+}
+
 func prefixed(n int, frac, seed byte) []byte {
 	p := make([]byte, n)
 	k := n * int(frac) / 255
@@ -428,7 +484,7 @@ func checkStore(t *testing.T, step int, b *BackingStore, ref map[obj.Index]heldI
 			continue
 		}
 		im := &b.images[idx]
-		kept, akept := nonZero(e.data), nonZero(e.access)
+		kept, akept := byteLoopPrefix(e.data), byteLoopPrefix(e.access)
 		want := append(e.data[:kept:kept], e.access[:akept]...)
 		if im.dataLen() != len(e.data) || im.accessLen() != len(e.access) || int(im.kept) != kept ||
 			!bytes.Equal(b.bytes(im.slot, im.n), want) {

@@ -1,6 +1,9 @@
 package obj
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // Coverage for accessors exercised mainly by other packages, plus their
 // refusal paths: the checked byte/word/dword/bytes accessors, the system
@@ -151,7 +154,7 @@ func TestSwapInFailureModes(t *testing.T) {
 	if _, _, f := tab.SwapIn(a.Index); !IsFault(f, FaultOddity) {
 		t.Fatalf("SwapIn of resident object: %v", f)
 	}
-	if f := tab.SwapOut(a.Index, 1); f != nil {
+	if f := tab.SwapOut(a.Index, 1, math.MaxUint32, math.MaxUint32); f != nil {
 		t.Fatal(f)
 	}
 	// Fill memory so the swap-in cannot find room.

@@ -1,6 +1,7 @@
 package obj
 
 import (
+	"math"
 	"runtime"
 	"testing"
 )
@@ -14,7 +15,7 @@ import (
 func TestRoutineFaultStrings(t *testing.T) {
 	tab := NewTable(1024)
 	ad := mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 256, AccessSlots: 2})
-	if f := tab.SwapOut(ad.Index, 7); f != nil {
+	if f := tab.SwapOut(ad.Index, 7, math.MaxUint32, math.MaxUint32); f != nil {
 		t.Fatal(f)
 	}
 	const moved = "fault: segment moved or swapped out on AD<1#1 rwd123>: swapped out (token 7)"
@@ -45,7 +46,7 @@ func TestRoutineFaultStrings(t *testing.T) {
 		{"store AD", tab.StoreAD(ad, 0, NilAD), moved},
 		{"view", v.Fault(), moved},
 		{"referents", referents, "fault: segment moved or swapped out on AD<1#0 ->: cannot scan swapped object"},
-		{"swap out twice", tab.SwapOut(ad.Index, 8), "fault: segment moved or swapped out on AD<1#0 ->: already swapped out"},
+		{"swap out twice", tab.SwapOut(ad.Index, 8, math.MaxUint32, math.MaxUint32), "fault: segment moved or swapped out on AD<1#0 ->: already swapped out"},
 		{"swap in", swapIn, "fault: insufficient storage on AD<1#0 ->: mem: insufficient free storage"},
 		{"create, data part", data, "fault: insufficient storage on AD<nil>: data part: mem: insufficient free storage"},
 		{"create, access part", access, "fault: insufficient storage on AD<nil>: access part: mem: insufficient free storage"},
@@ -68,7 +69,7 @@ func TestSegmentFaultsDistinct(t *testing.T) {
 	var ads [5]AD
 	for i := range ads {
 		ads[i] = mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 64})
-		if f := tab.SwapOut(ads[i].Index, uint64(100+i)); f != nil {
+		if f := tab.SwapOut(ads[i].Index, uint64(100+i), math.MaxUint32, math.MaxUint32); f != nil {
 			t.Fatal(f)
 		}
 	}

@@ -123,8 +123,10 @@ func (t *Table) AliveBySRO(sro Index, fn func(Index)) {
 // SwapOut marks the object's segments as resident in the backing store
 // under token and releases its physical memory. Only the swapping memory
 // manager calls this. The object's contents must already have been copied
-// out by the caller (through Memory()).
-func (t *Table) SwapOut(idx Index, token uint64) *Fault {
+// out by the caller (through Memory()), which measured each part's
+// possibly non-zero prefix on the way: dataDirty and accessDirty bytes,
+// the only ones the free zeroes (mem.Memory.FreePrefix).
+func (t *Table) SwapOut(idx Index, token uint64, dataDirty, accessDirty uint32) *Fault {
 	d := t.DescriptorAt(idx)
 	if d == nil {
 		return Faultf(FaultInvalidAD, AD{Index: idx}, "no such object")
@@ -136,12 +138,12 @@ func (t *Table) SwapOut(idx Index, token uint64) *Fault {
 		return Faultf(FaultOddity, AD{Index: idx}, "cannot swap a pinned object")
 	}
 	if d.DataLen > 0 {
-		if err := t.mem.Free(d.Data()); err != nil {
+		if err := t.mem.FreePrefix(d.Data(), dataDirty); err != nil {
 			return Faultf(FaultOddity, AD{Index: idx}, "%v", err)
 		}
 	}
 	if d.AccessSlots > 0 {
-		if err := t.mem.Free(d.Access()); err != nil {
+		if err := t.mem.FreePrefix(d.Access(), accessDirty); err != nil {
 			return Faultf(FaultOddity, AD{Index: idx}, "%v", err)
 		}
 	}

@@ -1,6 +1,7 @@
 package obj
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -329,7 +330,7 @@ func TestSwapOutIn(t *testing.T) {
 		t.Fatal(f)
 	}
 	before := tab.Memory().Used()
-	if f := tab.SwapOut(ad.Index, 42); f != nil {
+	if f := tab.SwapOut(ad.Index, 42, math.MaxUint32, math.MaxUint32); f != nil {
 		t.Fatal(f)
 	}
 	if tab.Memory().Used() >= before {
@@ -340,7 +341,7 @@ func TestSwapOutIn(t *testing.T) {
 		t.Fatalf("access to swapped object: %v", f)
 	}
 	// Double swap-out is rejected.
-	if f := tab.SwapOut(ad.Index, 43); !IsFault(f, FaultSegmentMoved) {
+	if f := tab.SwapOut(ad.Index, 43, math.MaxUint32, math.MaxUint32); !IsFault(f, FaultSegmentMoved) {
 		t.Fatalf("double swap-out: %v", f)
 	}
 	data, _, f := tab.SwapIn(ad.Index)
@@ -359,7 +360,7 @@ func TestSwapOutIn(t *testing.T) {
 func TestPinnedNotSwappable(t *testing.T) {
 	tab := newTestTable(t)
 	ad := mustCreate(t, tab, CreateSpec{Type: TypeProcessor, DataLen: 16, Pinned: true})
-	if f := tab.SwapOut(ad.Index, 1); !IsFault(f, FaultOddity) {
+	if f := tab.SwapOut(ad.Index, 1, math.MaxUint32, math.MaxUint32); !IsFault(f, FaultOddity) {
 		t.Fatalf("swapping a pinned object: %v", f)
 	}
 	if !tab.IsPinned(ad.Index) {
@@ -372,7 +373,7 @@ func TestDestroySwappedObject(t *testing.T) {
 	// does not hold.
 	tab := newTestTable(t)
 	ad := mustCreate(t, tab, CreateSpec{Type: TypeGeneric, DataLen: 64})
-	if f := tab.SwapOut(ad.Index, 7); f != nil {
+	if f := tab.SwapOut(ad.Index, 7, math.MaxUint32, math.MaxUint32); f != nil {
 		t.Fatal(f)
 	}
 	if f := tab.Destroy(ad); f != nil {
@@ -473,7 +474,7 @@ func TestResidentSet(t *testing.T) {
 	for i, ad := range ads {
 		switch {
 		case i%3 == 0:
-			if f := tab.SwapOut(ad.Index, uint64(i+1)); f != nil {
+			if f := tab.SwapOut(ad.Index, uint64(i+1), math.MaxUint32, math.MaxUint32); f != nil {
 				t.Fatal(f)
 			}
 		case i%7 == 0 || i >= 60 && i < 130: // two whole words go empty

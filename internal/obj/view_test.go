@@ -3,6 +3,7 @@ package obj
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -378,7 +379,7 @@ func TestViewResolve(t *testing.T) {
 	if !tab.Current(&v) {
 		t.Error("a view of a resident object is not current")
 	}
-	if f := tab.SwapOut(a.Index, 3); f != nil {
+	if f := tab.SwapOut(a.Index, 3, math.MaxUint32, math.MaxUint32); f != nil {
 		t.Fatal(f)
 	}
 	if tab.Current(&v) {

@@ -1,6 +1,7 @@
 package pm
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -87,7 +88,7 @@ func TestProcessTreeChildren(t *testing.T) {
 	if got := order(); !slices.Equal(got, want) {
 		t.Fatalf("tree order with a destroyed child %v, want %v", got, want)
 	}
-	if f := sys.Table.SwapOut(g.Index, 1); f != nil {
+	if f := sys.Table.SwapOut(g.Index, 1, math.MaxUint32, math.MaxUint32); f != nil {
 		t.Fatal(f)
 	}
 	if _, f := b.subtree(root, nil); !obj.IsFault(f, obj.FaultSegmentMoved) {
@@ -444,7 +445,7 @@ func TestCreateProcessMakesRoomFirst(t *testing.T) {
 			if f != nil {
 				t.Fatal(f)
 			}
-			if f := sys.Table.SwapOut(first.Index, 1); f != nil {
+			if f := sys.Table.SwapOut(first.Index, 1, math.MaxUint32, math.MaxUint32); f != nil {
 				t.Fatal(f)
 			}
 			return parent, gdp.SpawnSpec{}
@@ -558,7 +559,7 @@ func TestStopStartAllOrNothing(t *testing.T) {
 			if f != nil {
 				t.Fatal(f)
 			}
-			if f := sys.Table.SwapOut(second.Index, 1); f != nil {
+			if f := sys.Table.SwapOut(second.Index, 1, math.MaxUint32, math.MaxUint32); f != nil {
 				t.Fatal(f)
 			}
 			if f := row.op(b, root); !obj.IsFault(f, obj.FaultSegmentMoved) {

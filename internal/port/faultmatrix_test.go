@@ -15,6 +15,7 @@ package port
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -105,7 +106,7 @@ func matrixRow(t *testing.T, send bool, rights obj.Rights, state, fill, mode, ms
 	}
 	switch state {
 	case "swapped":
-		if f := fx.tab.SwapOut(p.Index, 7); f != nil {
+		if f := fx.tab.SwapOut(p.Index, 7, math.MaxUint32, math.MaxUint32); f != nil {
 			t.Fatal(f)
 		}
 	case "destroyed":
