@@ -70,8 +70,8 @@ func (f *flatMemory) agree(m *Memory) error {
 	return nil
 }
 
-// TestChunkedMemoryAgreesWithFlat runs random Alloc, Free and WriteBytes
-// sequences, and writes through windows as the interpreter makes them, on
+// TestChunkedMemoryAgreesWithFlat runs random Alloc, Free and write
+// sequences, writing through windows as the object layer does, on
 // memories just below, at and just above one chunk, and over three chunks,
 // against a flat reference. After every step each live extent reads as the
 // reference, and the free-space counts agree; a fresh extent reads zero.
@@ -118,11 +118,7 @@ func TestChunkedMemoryAgreesWithFlat(t *testing.T) {
 				rng.Read(p)
 				what = fmt.Sprintf("write %d bytes at %d of %+v", len(p), off, e)
 				copy(ref.bytes[e.Base+Addr(off):], p)
-				if rng.Intn(2) == 0 {
-					copy(m.Window(e)[off:], p)
-				} else if err := m.WriteBytes(e, off, p); err != nil {
-					t.Fatalf("size %d step %d: %s: %v", size, step, what, err)
-				}
+				copy(m.Window(e)[off:], p)
 			}
 			if err := ref.agree(m); err != nil {
 				t.Fatalf("size %d step %d, after %s: %v", size, step, what, err)
@@ -158,12 +154,8 @@ func TestChunkEdges(t *testing.T) {
 		t.Fatalf("the segment after it was placed at %+v (%v), want it in chunk 1", next, err)
 	}
 	pattern := bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 8}, MaxSegment/8)
-	if err := m.WriteBytes(straddle, 0, pattern); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteBytes(next, 0, bytes.Repeat([]byte{0xee}, 64)); err != nil {
-		t.Fatal(err)
-	}
+	copy(m.Window(straddle), pattern)
+	copy(m.Window(next), bytes.Repeat([]byte{0xee}, 64))
 	if w := m.Window(straddle); len(w) != MaxSegment || cap(w) != MaxSegment || !bytes.Equal(w, pattern) {
 		t.Errorf("the straddling segment reads back %d bytes (cap %d), equal to what was written: %v", len(w), cap(w), bytes.Equal(w, pattern))
 	}
@@ -188,9 +180,6 @@ func TestChunkEdges(t *testing.T) {
 		} {
 			if w := m.Window(c.e); w != nil {
 				t.Errorf("%d-byte memory: an extent %s, %+v, has a %d-byte window", m.Size(), c.name, c.e, len(w))
-			}
-			if err := m.WriteBytes(c.e, 0, nil); err == nil {
-				t.Errorf("%d-byte memory: WriteBytes accepted an extent %s, %+v", m.Size(), c.name, c.e)
 			}
 		}
 		if w := m.Window(Extent{}); w == nil || len(w) != 0 {

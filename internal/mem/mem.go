@@ -67,10 +67,11 @@ type Extent struct {
 // End returns the address one past the extent.
 func (e Extent) End() Addr { return e.Base + Addr(e.Len) }
 
-// Memory is the physical store. All mutation goes through Alloc/Free and
-// the bounds-checked Read*/Write* accessors; processors never hold raw
-// slices into it, mirroring the 432 rule that all addressing is via object
-// descriptors.
+// Memory is the physical store. Segments are placed and released through
+// Alloc and Free, and their bytes reached through Window, which the object
+// layer calls only for the extents its descriptors hold, after its own
+// bounds check: processors never hold raw slices into it, mirroring the 432
+// rule that all addressing is via object descriptors.
 //
 // Memory is not safe for concurrent use; the lock-step processor driver
 // (internal/gdp) serialises access, exactly as the single shared bus of the
@@ -298,20 +299,10 @@ func (m *Memory) coalesce(i int) {
 	}
 }
 
-// WriteBytes copies p into the segment starting at offset off.
-func (m *Memory) WriteBytes(e Extent, off uint32, p []byte) error {
-	w, n := m.Window(e), uint32(len(p))
-	if w == nil || off+n < off || off+n > e.Len {
-		return fmt.Errorf("%w: [%d,%d) in segment of %d bytes", ErrBadSegment, off, off+n, e.Len)
-	}
-	copy(w[off:], p)
-	return nil
-}
-
-// Window returns a direct byte view over extent e, for the interpreter's
-// execution cache. It is the one sanctioned exception to the "no raw
-// slices" rule above, and it is safe only because a chunk is allocated once
-// and never moved: the view stays valid until the extent itself is freed or
+// Window returns a direct byte view over extent e, exactly e.Len long and
+// with no capacity past it, for the object layer's accessors, the
+// interpreter's execution cache and the swapping manager's copies. It is
+// safe only because a chunk is allocated once and never moved: the view stays valid until the extent itself is freed or
 // moved, which the object layer signals through its cache generation. An
 // extent past the memory, overflowing, in a chunk no segment was ever
 // placed in, or reaching more than MaxSegment past its base's chunk gets

@@ -160,9 +160,7 @@ func TestFreshSegmentZeroed(t *testing.T) {
 	} {
 		m := New(64)
 		a, _ := m.Alloc(64)
-		if err := m.WriteBytes(a, 0, bytes.Repeat([]byte{0xAA}, c.wrote)); err != nil {
-			t.Fatal(err)
-		}
+		copy(m.Window(a), bytes.Repeat([]byte{0xAA}, c.wrote))
 		if err := c.free(m, a); err != nil {
 			t.Fatal(err)
 		}
@@ -173,32 +171,30 @@ func TestFreshSegmentZeroed(t *testing.T) {
 	}
 }
 
+// TestBoundsChecks: a window is exactly its extent, with no capacity past
+// it, so no reslice of it reaches the next segment's bytes; and a window
+// never reaches past the memory.
 func TestBoundsChecks(t *testing.T) {
 	m := New(64)
 	e, _ := m.Alloc(8)
-	if err := m.WriteBytes(e, 8, []byte{1}); !errors.Is(err, ErrBadSegment) {
-		t.Errorf("WriteBytes past end: %v", err)
+	if _, err := m.Alloc(8); err != nil {
+		t.Fatal(err)
 	}
-	if err := m.WriteBytes(e, 7, []byte{1, 0}); !errors.Is(err, ErrBadSegment) {
-		t.Errorf("WriteBytes straddling end: %v", err)
+	if w := m.Window(e); len(w) != 8 || cap(w) != 8 {
+		t.Errorf("window of an 8-byte segment: length %d, capacity %d", len(w), cap(w))
 	}
-	// Offset overflow must not wrap.
-	if err := m.WriteBytes(e, ^uint32(0), []byte{1, 0}); !errors.Is(err, ErrBadSegment) {
-		t.Errorf("overflowing offset: %v", err)
-	}
-	// A window never reaches past the memory.
 	if w := m.Window(Extent{Base: 60, Len: 8}); w != nil {
 		t.Errorf("window past the memory: %d bytes", len(w))
 	}
 }
 
+// TestBytesRoundTrip: a window is a view, not a copy, so bytes written
+// through one read back through the next window of the same extent.
 func TestBytesRoundTrip(t *testing.T) {
 	m := New(64)
 	e, _ := m.Alloc(32)
 	in := []byte("the 432 blurs hw and sw")
-	if err := m.WriteBytes(e, 3, in); err != nil {
-		t.Fatal(err)
-	}
+	copy(m.Window(e)[3:], in)
 	if out := m.Window(e)[3 : 3+len(in)]; string(out) != string(in) {
 		t.Fatalf("round trip = %q", out)
 	}

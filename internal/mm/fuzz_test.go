@@ -135,12 +135,12 @@ func (m *refSwapping) EnsureResident(idx obj.Index) *obj.Fault {
 			}
 			delete(m.images, tok)
 			mem := m.Table.Memory()
-			if err := mem.WriteBytes(data, 0, img.data); err != nil {
-				return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "%v", err)
+			dw, aw := mem.Window(data), mem.Window(access)
+			if len(dw) != len(img.data) || len(aw) != len(img.access) {
+				return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "extents %v and %v for an image of %d and %d bytes", data, access, len(img.data), len(img.access))
 			}
-			if err := mem.WriteBytes(access, 0, img.access); err != nil {
-				return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "%v", err)
-			}
+			copy(dw, img.data)
+			copy(aw, img.access)
 			return nil
 		}
 		if f.Code != obj.FaultNoMemory {
@@ -199,10 +199,7 @@ func (m *refSwapping) tryMoveLower(e mem.Extent) (mem.Extent, bool) {
 		_ = mem.Free(dst)
 		return e, false
 	}
-	if err := mem.WriteBytes(dst, 0, mem.Window(e)); err != nil {
-		_ = mem.Free(dst)
-		return e, false
-	}
+	copy(mem.Window(dst), mem.Window(e))
 	_ = mem.Free(e)
 	return dst, true
 }
