@@ -11,6 +11,10 @@ import (
 // third, so segments are placed across both chunk edges.
 const holesSize = 2*chunkSize + 64<<10
 
+// maxHoleSteps bounds an input of FuzzHolesReadZero: every step checks
+// every hole, so a mutator's long input would take seconds an exec.
+const maxHoleSteps = 512
+
 // holeStep encodes one step of FuzzHolesReadZero: op%4 picks Alloc (0, 1),
 // a write (2) or a free (3); a and b are its operands.
 func holeStep(op, a byte, b uint16) []byte {
@@ -28,7 +32,8 @@ func holeStep(op, a byte, b uint16) []byte {
 //     the segment was written in (1), or FreePrefix by a length past its
 //     end (2).
 //
-// The holes are checked after every step. The seeds fill the memory,
+// The holes are checked after every step, and an input runs at most
+// maxHoleSteps steps. The seeds fill the memory,
 // write into every segment, free every other one by each of the three
 // frees, and fill the holes again with segments of both sizes.
 func FuzzHolesReadZero(f *testing.F) {
@@ -58,6 +63,7 @@ func FuzzHolesReadZero(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		m := New(holesSize)
 		var live []Extent
+		ops = ops[:min(len(ops), 4*maxHoleSteps)]
 		for step := 0; len(ops) >= 4; step, ops = step+1, ops[4:] {
 			op, a, b := ops[0], ops[1], binary.LittleEndian.Uint16(ops[2:4])
 			var what string
