@@ -15,30 +15,25 @@ const holesSize = 2*chunkSize + 64<<10
 // every hole, so a mutator's long input would take seconds an exec.
 const maxHoleSteps = 512
 
-// holeStep encodes one step of FuzzHolesReadZero: op%4 picks Alloc (0, 1),
-// a write (2) or a free (3); a and b are its operands.
-func holeStep(op, a byte, b uint16) []byte {
-	return binary.LittleEndian.AppendUint16([]byte{op, a}, b)
-}
-
 // FuzzHolesReadZero holds Memory to its invariant: every hole reads zero
 // through every chunk that holds a copy of it, its base's chunk and the
 // previous chunk's overhang. An input is a sequence of 4-byte steps on a
-// memory of several chunks:
+// memory of several chunks, each an op byte, a byte a and a 16-bit b; op%4
+// picks
 //
-//   - Alloc of a segment near MaxSegment (a even) or of at most 4 KB;
-//   - a write of non-zero bytes through a live segment's window;
-//   - a free of a live segment: Free (b%3 == 0), FreePrefix by the prefix
+//   - (0, 1) Alloc of a segment near MaxSegment (a even) or of at most 4 KB;
+//   - (2) a write of non-zero bytes through a live segment's window;
+//   - (3) a free of a live segment: Free (b%3 == 0), FreePrefix by the prefix
 //     the segment was written in (1), or FreePrefix by a length past its
 //     end (2).
 //
 // The holes are checked after every step, and an input runs at most
-// maxHoleSteps steps. The seeds fill the memory,
-// write into every segment, free every other one by each of the three
-// frees, and fill the holes again with segments of both sizes.
+// maxHoleSteps steps. The seeds fill the memory, write into every segment,
+// free twenty by the three frees in turn, and fill the holes again while
+// writing and freeing more; the second makes every other segment small.
 func FuzzHolesReadZero(f *testing.F) {
 	var ops []byte
-	add := func(op, a byte, b uint16) { ops = append(ops, holeStep(op, a, b)...) }
+	add := func(op, a byte, b uint16) { ops = binary.LittleEndian.AppendUint16(append(ops, op, a), b) }
 	for _, small := range []byte{0, 1} {
 		ops = ops[:0]
 		for i := 0; i < 40; i++ {

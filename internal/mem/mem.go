@@ -302,8 +302,9 @@ func (m *Memory) coalesce(i int) {
 // Window returns a direct byte view over extent e, exactly e.Len long and
 // with no capacity past it, for the object layer's accessors, the
 // interpreter's execution cache and the swapping manager's copies. It is
-// safe only because a chunk is allocated once and never moved: the view stays valid until the extent itself is freed or
-// moved, which the object layer signals through its cache generation. An
+// safe only because a chunk is allocated once and never moved: the view
+// stays valid until the extent itself is freed or moved, which the object
+// layer signals through its cache generation. An
 // extent past the memory, overflowing, in a chunk no segment was ever
 // placed in, or reaching more than MaxSegment past its base's chunk gets
 // nil; the zero-length extent at 0 gets an empty view.

@@ -164,8 +164,9 @@ var zeros [mem.MaxPart]byte
 // A part longer than 64 bytes whose last word reads zero, as most evicted
 // parts do, halves its candidate tail with bytes.Equal against zeros, which
 // the runtime compares in vector registers, until at most 64 bytes are left
-// to the word and byte loops: p[n:] reads zero, and the last non-zero byte
-// lies at or past lo.
+// to the word and byte loops. The halving keeps p[n:] zero and, once lo has
+// moved, a non-zero byte in p[lo:n]; a part that ends non-zero returns
+// after its first word test, as before.
 func nonZero(p []byte) int {
 	n := len(p)
 	if n > 64 && binary.LittleEndian.Uint64(p[n-8:]) == 0 {
