@@ -11,7 +11,8 @@
 //   - object table: descriptor/type/generation consistency, ancestral-SRO
 //     liveness, swap-state sanity (the resident set is exactly the valid,
 //     swapped-in slots; the backing store holds exactly the images swapped-
-//     out descriptors name), AD slots decode within the table;
+//     out descriptors name), a resident object flagged pristine reads zero
+//     in both parts, AD slots decode within the table;
 //   - storage resource objects: used ≤ claim, the level ordering of the
 //     SRO tree (§5), and byte-exact accounting — an SRO's used counter
 //     equals the summed footprint of its live allocations;
@@ -115,7 +116,9 @@ func (a *Auditor) capOf(idx obj.Index) obj.AD {
 // CheckObjects validates the object descriptor table: type and generation
 // sanity, ancestral-SRO liveness, swap-state consistency (with the resident
 // set, and with the backing store when a swapping manager installed one),
-// and that every stored AD decodes to an index inside the table.
+// that a resident object flagged pristine reads zero in both parts (the
+// swap-out takes its image as empty unread), and that every stored AD
+// decodes to an index inside the table.
 func (a *Auditor) CheckObjects() []Violation {
 	var out []Violation
 	bad := func(idx obj.Index, format string, args ...any) {
@@ -163,6 +166,15 @@ func (a *Auditor) CheckObjects() []Violation {
 			}
 			continue // slots are not resident to scan
 		}
+		if d.Pristine() {
+			phys := a.Table.Memory()
+			if off := firstNonZero(phys.Window(d.Data())); off >= 0 {
+				bad(idx, "pristine object's data byte %d is not zero", off)
+			}
+			if off := firstNonZero(phys.Window(d.Access())); off >= 0 {
+				bad(idx, "pristine object's access byte %d is not zero", off)
+			}
+		}
 		ad := a.capOf(idx)
 		for slot := uint32(0); slot < uint32(d.AccessSlots); slot++ {
 			sad, f := a.Table.LoadAD(ad, slot)
@@ -182,6 +194,17 @@ func (a *Auditor) CheckObjects() []Violation {
 		bad(obj.NilIndex, "backing store holds %d images, %d descriptors are swapped out", store.Images(), swapped)
 	}
 	return out
+}
+
+// firstNonZero is the offset of p's first non-zero byte, or -1 when p
+// reads zero.
+func firstNonZero(p []byte) int {
+	for i, b := range p {
+		if b != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // CheckSROs validates storage accounting: used never exceeds a finite

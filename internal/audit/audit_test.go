@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/gdp"
+	"repro/internal/mem"
 	"repro/internal/mm"
 	"repro/internal/obj"
 	"repro/internal/port"
@@ -216,6 +217,37 @@ func TestDetectsSwapStateDrift(t *testing.T) {
 			tc.damage(sys, sw, ads[1], ads[0])
 			if vs := audit.New(sys).CheckObjects(); !hasViolation(vs, "obj", tc.want) {
 				t.Fatalf("not flagged (want %q):\n%s", tc.want, dump(vs))
+			}
+		})
+	}
+}
+
+// TestDetectsWrittenPristineObject writes one raw byte behind the table
+// into each part of an object it still flags pristine, which no checked
+// path can do, and expects the pristine clause to object: the swap-out
+// would take that object's image as empty and drop the byte.
+func TestDetectsWrittenPristineObject(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		part       func(*obj.Descriptor) mem.Extent
+	}{
+		{"data part", "pristine object's data byte 40 is not zero", (*obj.Descriptor).Data},
+		{"access part", "pristine object's access byte 40 is not zero", (*obj.Descriptor).Access},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := newSystem(t, 1)
+			ad, f := sys.SROs.Create(sys.Heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 64, AccessSlots: 8})
+			if f != nil {
+				t.Fatalf("create: %v", f)
+			}
+			mustClean(t, audit.New(sys))
+			d := sys.Table.DescriptorAt(ad.Index)
+			if !d.Pristine() {
+				t.Fatal("a fresh object is not pristine")
+			}
+			sys.Table.Memory().Window(c.part(d))[40] = 1
+			if vs := audit.New(sys).CheckObjects(); !hasViolation(vs, "obj", c.want) {
+				t.Fatalf("not flagged (want %q):\n%s", c.want, dump(vs))
 			}
 		})
 	}

@@ -295,6 +295,34 @@ func denseOps() []byte {
 	return ops
 }
 
+// pristineOps is a corpus entry whose worlds allocate untouched (see
+// untouched in FuzzSwapCompact): objects of every swappable shape, created
+// under pressure and evicted without a byte written, then compacted, and a
+// few of them touched, which writes them, and evicted again: the store's
+// images taken as empty unread, and measured ones beside them, meet the
+// reference's whole-segment copies.
+func pristineOps() []byte {
+	var ops []byte
+	for i := 0; i < 60; i++ {
+		ops = append(ops, 0, byte(i*11%208)) // allocate: below 208 no anchor and nothing pinned
+		if i%3 == 2 {
+			ops = append(ops, 10, 0) // evict
+		}
+	}
+	ops = append(ops, 14, 0)
+	for i := 0; i < 8; i++ {
+		ops = append(ops, 12, byte(i*29), 10, 0, 10, 0) // touch one, evict two
+	}
+	for i := 0; i < 16; i++ {
+		ops = append(ops, 10, 0) // round the clock to the touched ones
+	}
+	ops = append(ops, 14, 0)
+	if len(ops)%4 != 2 {
+		ops = append(ops, 11, 0) // evict
+	}
+	return ops
+}
+
 // straddle is the memory an odd-length input's worlds hold below their
 // 64 KB, so that those straddle the host memory's first 2 MB chunk boundary
 // and a compaction move can cross it. The unpaired last byte is not an
@@ -307,16 +335,22 @@ func FuzzSwapCompact(f *testing.F) {
 	}
 	f.Add(denseOps())
 	f.Add(append(witnessOps(1), 0)) // 23 of its 155 compaction moves cross the boundary
+	f.Add(pristineOps())
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		below := uint32(0)
 		if len(ops)%2 == 1 {
 			below = straddle
 		}
+		// An input of 2 or 3 bytes past a multiple of four allocates
+		// untouched. The reference reads no flag: it copies whole segments
+		// either way.
+		untouched := len(ops)%4 >= 2
 		if len(ops) > 4*mmWitnessOps {
 			ops = ops[:4*mmWitnessOps] // the trace ring holds this many operations' events
 		}
 		real := newSwapWorld(t, below, func(tab *obj.Table, s *sro.Manager) swapper { return NewSwapping(tab, s) })
 		ref := newSwapWorld(t, below, func(tab *obj.Table, s *sro.Manager) swapper { return newRefSwapping(tab, s) })
+		real.untouched, ref.untouched = untouched, untouched
 		for i := 0; i+1 < len(ops); i += 2 {
 			got, want := real.step(ops[i], ops[i+1]), ref.step(ops[i], ops[i+1])
 			if got != want {

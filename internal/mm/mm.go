@@ -82,7 +82,9 @@ var _ Allocator = (*Swapping)(nil)
 // up to its last non-zero byte: a segment comes back into a hole, and every
 // hole reads zero (mem.Memory.Free zeroes what it frees), so its zero tail
 // need not travel, and a fresh object's image is empty. The same prefixes
-// are all the swap-out's free has to zero. (The paper's testbed used disk;
+// are all the swap-out's free has to zero. An object the table still flags
+// pristine (obj.FlagPristine) has never been written, so its prefixes are
+// taken as empty without reading either part. (The paper's testbed used disk;
 // this keeps the code path and the cost model, which charges the full
 // parts.)
 //
@@ -223,14 +225,18 @@ func (b *BackingStore) take(c int) uint32 {
 // put stores idx's image and returns its token. room is how many indices
 // the table has room for: the store's index grows to it in one step, so it
 // grows when the table does and not while a run evicts what set-up built.
-// access is a whole number of AD slots. An image still at idx, which a
+// access is a whole number of AD slots. pristine says both parts read
+// zero, which nonZero need not confirm. An image still at idx, which a
 // swap-in refused by get leaves behind, gives its slot back first.
-func (b *BackingStore) put(idx obj.Index, room int, data, access []byte) uint64 {
+func (b *BackingStore) put(idx obj.Index, room int, data, access []byte, pristine bool) uint64 {
 	if int(idx) >= len(b.images) {
 		b.images = append(b.images, make([]image, max(room, int(idx)+1)-len(b.images))...)
 	}
 	b.Release(idx, b.images[idx].tok)
-	kept, akept := nonZero(data), nonZero(access)
+	kept, akept := 0, 0
+	if !pristine {
+		kept, akept = nonZero(data), nonZero(access)
+	}
 	n := uint32(kept + akept)
 	h := b.take(class(n))
 	s := b.bytes(h, n)
@@ -408,7 +414,7 @@ func (m *Swapping) swapOut(idx obj.Index) *obj.Fault {
 	if data == nil || access == nil {
 		return obj.Faultf(obj.FaultOddity, obj.AD{Index: idx}, "extents outside memory: data %v, access %v", d.Data(), d.Access())
 	}
-	tok := m.Store.put(idx, m.Table.Cap(), data, access)
+	tok := m.Store.put(idx, m.Table.Cap(), data, access, d.Pristine())
 	im := &m.Store.images[idx]
 	if f := m.Table.SwapOut(idx, tok, im.kept, im.n-im.kept); f != nil {
 		m.Store.Release(idx, tok)

@@ -6,8 +6,10 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/mem"
 	"repro/internal/obj"
 )
@@ -31,9 +33,16 @@ func TestSparseImageRoundTrip(t *testing.T) {
 		kept        int // bytes the image holds
 	}{
 		{"all-zero parts", 1024, 4, func(*obj.Table, obj.AD, obj.AD) {}, 0},
-		{"only the last byte set", 1024, 4, func(tab *obj.Table, ad, _ obj.AD) {
-			data, access := window(tab, ad.Index)
-			data[len(data)-1], access[len(access)-1] = 0x5a, 0xa5
+		{"only the last byte set", 1024, 4, func(tab *obj.Table, ad, other obj.AD) {
+			// Through the table, which clears the object's FlagPristine: the
+			// last data byte, and the last slot, whose last byte holds the
+			// AD's valid bit.
+			if f := tab.WriteByteAt(ad, 1023, 0x5a); f != nil {
+				t.Fatal(f)
+			}
+			if f := tab.StoreAD(ad, 3, other); f != nil {
+				t.Fatal(f)
+			}
 		}, 1024 + 4*obj.ADSlotSize},
 		{"dense parts", 1024, 4, func(tab *obj.Table, ad, other obj.AD) {
 			data, _ := window(tab, ad.Index)
@@ -117,6 +126,51 @@ func TestSparseImageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStoreTrustsPristine: the swap-out takes the image of an object the
+// table flags pristine as empty, without reading either part. A compaction
+// move keeps the flag, and the moved object swaps out empty. One byte
+// written behind the table into the data part of such an object, which no
+// checked path can do, does not reach its image: the store never read the
+// part. The auditor reports that world before the swap-out.
+func TestStoreTrustsPristine(t *testing.T) {
+	tab, s := setup(t, 1<<16)
+	m := NewSwapping(tab, s)
+	heap, _ := m.NewHeap(0)
+	var ads [3]obj.AD // a hole to be, then the object moved into it, then the doctored one
+	for i := range ads {
+		var f *obj.Fault
+		if ads[i], f = m.Allocate(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 1024, AccessSlots: 4}); f != nil {
+			t.Fatal(f)
+		}
+	}
+	if f := s.Reclaim(ads[0].Index); f != nil {
+		t.Fatal(f)
+	}
+	moved, before := ads[1], tab.DescriptorAt(ads[1].Index).Data()
+	if n, _, f := m.Compact(); f != nil || n == 0 || tab.DescriptorAt(moved.Index).Data() == before {
+		t.Fatalf("compact moved %d parts, object %d's data part still at %v: %v", n, moved.Index, before, f)
+	}
+	if !tab.DescriptorAt(moved.Index).Pristine() {
+		t.Fatal("a compaction move cleared FlagPristine")
+	}
+
+	doctored := ads[2]
+	data, _ := window(tab, doctored.Index)
+	data[100] = 0x5a
+	vs := (&audit.Auditor{Table: tab}).CheckObjects()
+	if len(vs) != 1 || vs[0].Obj != doctored.Index || !strings.Contains(vs[0].Msg, "pristine object's data byte 100") {
+		t.Fatalf("the auditor reports %v, want the pristine object %d's data byte 100", vs, doctored.Index)
+	}
+	for _, ad := range []obj.AD{moved, doctored} {
+		if f := m.swapOut(ad.Index); f != nil {
+			t.Fatal(f)
+		}
+		if im := m.Store.images[ad.Index]; im.n != 0 {
+			t.Fatalf("object %d's image holds %d bytes, want 0", ad.Index, im.n)
+		}
+	}
+}
+
 // TestBackingStoreRefusesMismatch: get gives an image up only to the token
 // that names it and only into parts of its two lengths; a refusal leaves the
 // image where it was.
@@ -124,7 +178,7 @@ func TestBackingStoreRefusesMismatch(t *testing.T) {
 	b := NewBackingStore()
 	data, access := make([]byte, 16), make([]byte, 8)
 	data[3], access[0] = 1, 2
-	tok := b.put(5, 8, data, access)
+	tok := b.put(5, 8, data, access, false)
 	for _, c := range []struct {
 		name         string
 		tok          uint64
@@ -230,7 +284,7 @@ func TestImageRecord(t *testing.T) {
 	b := NewBackingStore()
 	data, access := make([]byte, mem.MaxPart), make([]byte, obj.MaxAccessSlots*obj.ADSlotSize)
 	data[len(data)-1], access[len(access)-1] = 1, 2
-	b.put(0, 1, data, access)
+	b.put(0, 1, data, access, false)
 	if im := b.images[0]; im.dataLen() != len(data) || im.accessLen() != len(access) || int(im.n) != len(data)+len(access) {
 		t.Fatalf("an image of the longest parts reads %d and %d long, %d held; want %d, %d and %d",
 			im.dataLen(), im.accessLen(), im.n, len(data), len(access), len(data)+len(access))
@@ -253,7 +307,7 @@ func TestBackingStoreBytesPerImage(t *testing.T) {
 		for j := 0; j < kept; j++ {
 			data[j] = byte(i+j) | 1
 		}
-		b.put(obj.Index(i), images, data, access)
+		b.put(obj.Index(i), images, data, access, false)
 		clear(data[:kept])
 	}
 	runtime.GC()
@@ -412,7 +466,8 @@ func FuzzBackingStore(f *testing.F) {
 			switch kind {
 			case 0:
 				data, access := prefixed(dataLen, ops[7], ops[9]), prefixed(accessLen, ops[8], ops[9]^0xff)
-				if tok := b.put(idx, 64, data, access); tok != next {
+				pristine := ops[7] == 0 && ops[8] == 0 // both parts all zero, as a pristine object's are
+				if tok := b.put(idx, 64, data, access, pristine); tok != next {
 					t.Fatalf("step %d: put returned token %d, want %d", step, tok, next)
 				}
 				ref[idx] = heldImage{next, data, access}

@@ -71,6 +71,9 @@ type swapWorld struct {
 	spent       vtime.Cycles
 	settled     int // Compact calls that found memory settled
 	walked      int // and those that did not
+	// untouched makes allocate write nothing, so that what it creates
+	// stays pristine (obj.FlagPristine) until a touch writes it.
+	untouched bool
 	// held is what descriptors renders for a swapped-out descriptor, whose
 	// Place is its token: the data and access extents the descriptor held
 	// in the layout the witness was generated with, which kept them when it
@@ -197,11 +200,11 @@ func (w *swapWorld) allocate(heap obj.AD, arg byte) string {
 	serial := uint32(len(w.ads))
 	w.ads = append(w.ads, ad)
 	var tagged, linked *obj.Fault
-	if spec.DataLen > 0 {
+	if spec.DataLen > 0 && !w.untouched {
 		_ = w.tab.WriteDWord(ad, 0, serial)
 		tagged = w.tab.WriteDWord(ad, spec.DataLen-4, ^serial)
 	}
-	if spec.AccessSlots > 0 && serial > 0 {
+	if spec.AccessSlots > 0 && serial > 0 && !w.untouched {
 		linked = w.tab.StoreAD(ad, spec.AccessSlots-1, w.ads[serial-1])
 	}
 	return fmt.Sprintf("allocate %v: %v / %v", ad, tagged, linked)

@@ -7,6 +7,8 @@ package obj
 // per-reference hardware checking of §7.1. Each accessor is the access rule
 // (Table.present), the bounds rule (span), then the transfer, in one frame;
 // when a rule refuses, an outlined diagnosis (refuse, refuseSlot) says why.
+// A data write that lands, and an AD store the access rule lets through,
+// clear the object's FlagPristine.
 
 import (
 	"encoding/binary"
@@ -48,6 +50,7 @@ func (t *Table) WriteByteAt(a AD, off uint32, v byte) *Fault {
 	if d := t.present(a, RightWrite); d != nil {
 		if b, ok := span(t.mem.Window(d.Data()), off, 1); ok {
 			b[0] = v
+			d.Flags &^= FlagPristine
 			return nil
 		}
 	}
@@ -69,6 +72,7 @@ func (t *Table) WriteDWord(a AD, off uint32, v uint32) *Fault {
 	if d := t.present(a, RightWrite); d != nil {
 		if b, ok := span(t.mem.Window(d.Data()), off, 4); ok {
 			binary.LittleEndian.PutUint32(b, v)
+			d.Flags &^= FlagPristine
 			return nil
 		}
 	}
@@ -91,6 +95,7 @@ func (t *Table) WriteBytes(a AD, off uint32, p []byte) *Fault {
 	if d := t.present(a, RightWrite); d != nil {
 		if b, ok := span(t.mem.Window(d.Data()), off, uint32(len(p))); ok {
 			copy(b, p)
+			d.Flags &^= FlagPristine
 			return nil
 		}
 	}
@@ -179,6 +184,7 @@ func (t *Table) storeAD(dst AD, slot uint32, src AD, user bool) *Fault {
 	if d == nil {
 		return t.whyNot(dst, RightWrite)
 	}
+	d.Flags &^= FlagPristine
 	p := t.accessOf(d)
 	return t.moveAD(dst, &p, slot, src, user)
 }

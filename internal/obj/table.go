@@ -40,7 +40,7 @@ func (c Color) String() string {
 //
 // It is 32 bytes, two to a 64-byte cache line, and packed for that: each
 // part's length is stated once (DataLen; AccessSlots slots of ADSlotSize
-// bytes), the four state bits share Flags, and the two part bases share
+// bytes), the five state bits share Flags, and the two part bases share
 // Place with the swap token, since a resident object has no token and a
 // swapped-out one has no extents. Data, Access and SwapToken rebuild what
 // a reader wants from them.
@@ -87,6 +87,15 @@ const (
 	// FlagSwappedOut marks an object whose segments are in the backing
 	// store: Place is its token, not its bases.
 	FlagSwappedOut
+	// FlagPristine marks an object onto which no write window has been
+	// handed out since Create, so both parts still read zero: every hole
+	// does (mem.Memory.Free). Create sets it, and the five ways to a
+	// writable byte of the object clear it: Fill (every View, the
+	// interpreter's operand memo and execution-cache prime), WriteByteAt,
+	// WriteDWord, WriteBytes and storeAD (StoreAD, StoreADSystem). Reads,
+	// SwapIn and a compaction move leave it as it is. The swapping
+	// manager's store takes a pristine object's image as empty unread.
+	FlagPristine
 )
 
 // MaxAccessSlots is the largest access part, in slots: 64 KB of ADs.
@@ -105,6 +114,10 @@ func (d *Descriptor) Finalized() bool { return d.Flags&FlagFinalized != 0 }
 // SwappedOut reports whether the object's segments are in the backing
 // store.
 func (d *Descriptor) SwappedOut() bool { return d.Flags&FlagSwappedOut != 0 }
+
+// Pristine reports whether nothing has been handed a window to write the
+// object's bytes since it was created, so that both its parts read zero.
+func (d *Descriptor) Pristine() bool { return d.Flags&FlagPristine != 0 }
 
 // Data is the data part's extent. It means nothing while the object is
 // swapped out.
@@ -427,7 +440,7 @@ func (t *Table) Create(spec CreateSpec) (AD, *Fault) {
 	}
 	d := &t.descs[idx]
 	gen := d.Gen + 1 // bump on reuse so stale ADs dangle detectably
-	flags := FlagValid
+	flags := FlagValid | FlagPristine
 	if spec.Pinned {
 		flags |= FlagPinned
 	}

@@ -54,11 +54,17 @@ func (t *Table) View(a AD, typ Type, want Rights, v *View) {
 // Fill is View without the type or the diagnosis, for a caller that
 // answers a refusal by taking another path (the interpreter's operand memo
 // and its execution-cache prime) and would throw the fault away. A refusal
-// leaves v as it was.
+// leaves v as it was. A fill hands out windows a caller may write through,
+// so it clears the object's FlagPristine, whatever rights a carries.
 func (t *Table) Fill(a AD, want Rights, v *View) bool {
 	d := t.present(a, want)
 	if d == nil {
 		return false
+	}
+	// Tested before it is cleared: a fill is on every request path, and most
+	// find the bit clear already, so they store nothing to the descriptor.
+	if d.Flags&FlagPristine != 0 {
+		d.Flags &^= FlagPristine
 	}
 	v.t, v.ad, v.data, v.access, v.f = t, a, t.mem.Window(d.Data()), t.accessOf(d), nil
 	return true
