@@ -251,6 +251,17 @@ func FuzzSinkRoundTrip(f *testing.F) {
 		{Seq: math.MaxUint64 - 1, Kind: trace.Kind(trace.NumKinds() - 1), Obj: math.MaxUint32, Arg: math.MaxUint32, Aux: math.MaxUint64},
 		{Seq: math.MaxUint64, Aux: math.MaxUint64},
 	}))
+	// Streams over a handful of objects start the fuzzer from recency-list
+	// hits, and past fifteen objects from evictions too.
+	for i, objects := range []uint32{1, 4, 15, 16, 40} {
+		events := genEvents(400, uint64(i))
+		for j := range events {
+			events[j].Obj = 1 + events[j].Obj%objects
+			events[j].Arg %= objects + 1
+			events[j].Aux %= 200
+		}
+		f.Add(encodeStream([]int{7, 64, 256, 100, 300}[i], byte(60*i), events))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		se, mid, events := decodeStream(data)

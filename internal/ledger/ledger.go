@@ -29,12 +29,13 @@
 // host's schedule decides when a byte is written, never which. Every
 // method that reads sealed state joins the segments in flight first.
 //
-// A sealed segment is held packed (packSegment), about a sixth of its
-// wire size. appendRecord is the one writer of record bytes and putHeader
-// of header bytes: the sealer writes each cut event once, straight from the
-// events, and hashes that body, and Bytes rebuilds the ledger from the
-// packed segments through appendWire, which decodes each record and writes
-// it with appendRecord.
+// A sealed segment is held packed (packSegment), about an eighth of its
+// wire size: each record behind a head byte, its object indices coded
+// against a recency list that starts empty in every segment. appendRecord
+// is the one writer of record bytes and putHeader of header bytes: the
+// sealer writes each cut event once, straight from the events, and hashes
+// that body, and Bytes rebuilds the ledger from the packed segments through
+// appendWire, which decodes each record and writes it with appendRecord.
 package ledger
 
 import (
@@ -116,7 +117,7 @@ type Config struct {
 // sealWindow bounds the segments whose bodies are being hashed at once,
 // and with them the memory in flight (about 24 KB a slot at the default
 // size: 8 KB of events, 8 KB of leaves, 6.9 KB of header and wire records
-// and 1.2 KB packed). Hashing a segment still costs more than admitting
+// and 0.9 KB packed). Hashing a segment still costs more than admitting
 // it, so the emitter fills the window and then waits; the window is what
 // a second core draws on while it does, and sealers the emitter has just
 // started reach another core only by being stolen from its run queue,
@@ -128,48 +129,104 @@ type Config struct {
 const sealWindow = 8
 
 // slabBytes is the unit sealed segments are carved from. A segment is held
-// packed, about 1.2 KB for a default segment of serve-audit's events, so a
-// slab holds some fifty and wastes at most the one that did not fit.
+// packed, about 0.9 KB for a default segment of serve-audit's events, so a
+// slab holds some seventy and wastes at most the one that did not fit.
 const slabBytes = 64 << 10
 
 // A packed record opens with a head byte: its low five bits hold the kind,
 // or kindEscape when the kind follows as a byte of its own, and the three
-// high bits say which of the gap, arg and aux follow. A field that is zero
-// is not written.
+// high bits say whether a gap follows, whether obj and arg share one byte of
+// recency codes (paired) and whether an aux follows. A zero gap or aux is
+// not written.
 const (
 	kindBits   = 0x1f
 	kindEscape = kindBits
 	hasGap     = 0x20
-	hasArg     = 0x40
+	paired     = 0x40
 	hasAux     = 0x80
 )
+
+// recentLen is the length of a segment's recency list. An object index is
+// written as a code: 0 for zero, 1 to recentLen for the list's entries,
+// most recent first, and the index plus recentLen for one the list does not
+// hold, past the sixteen codes a nibble carries.
+const recentLen = 15
+
+// recent is the recency list packSegment codes a segment's obj and arg
+// fields against and appendWire decodes them with: the last recentLen
+// distinct non-zero values, most recent first, the unused tail zero, which
+// no coded value equals. Both sides start each segment with an empty list
+// and move every value they code to the front, obj before arg, so a
+// segment decodes on its own.
+type recent [recentLen]uint32
+
+// code returns v's code and moves v to the front. It searches and shifts
+// in one pass: each entry it passes moves back a place, and the pass stops
+// at v, which the entry before it overwrites, or falls off the end.
+func (r *recent) code(v uint32) uint64 {
+	if v == 0 {
+		return 0
+	}
+	prev := v
+	for i, cur := range r {
+		r[i] = prev
+		if cur == v {
+			return uint64(i) + 1
+		}
+		prev = cur
+	}
+	return uint64(v) + recentLen
+}
+
+// value is code's inverse: it returns the value coded c and moves it to the
+// front.
+func (r *recent) value(c uint64) uint32 {
+	if c == 0 {
+		return 0
+	}
+	i, v := recentLen-1, uint32(c-recentLen)
+	if c <= recentLen {
+		i = int(c) - 1
+		v = r[i]
+	}
+	copy(r[1:i+1], r[:i])
+	r[0] = v
+	return v
+}
 
 // A sealed segment is held as the bytes packSegment writes:
 //
 //	bodyRoot [32] | uvarint firstSeq | uvarint count
-//	count × (head u8 | [kind u8] | [uvarint gap] | uvarint obj | [uvarint arg] | [uvarint aux])
+//	count × (head u8 | [kind u8] | [uvarint gap] | codes | [uvarint aux])
+//	codes   obj code | arg code << 4      (u8, paired)
+//	        uvarint obj code | uvarint arg code  (otherwise)
 //
 // where gap is the record's seq less the previous record's, less one (the
 // first record's is its distance from firstSeq, so 0), taken modulo 2^64,
-// and the head is as above. That is everything a segment's wire bytes hold
-// but its index, prevHash and footer, which are its place in the chain and
-// the hashes in segHashes. A record packs into 2 to 32 bytes; a kernel
-// stream's sequence numbers are consecutive, its kinds fewer than 31 and
-// its objects and scalars small, so serve-audit's take about 4.5.
+// the codes are obj's and then arg's against the segment's recency list
+// (recent), and a record is paired when both codes are below 16. That is
+// everything a segment's wire bytes hold but its index, prevHash and
+// footer, which are its place in the chain and the hashes in segHashes. A
+// record packs into 2 to 32 bytes; a kernel stream's sequence numbers are
+// consecutive, its kinds fewer than 31, its scalars small and most of its
+// objects among the last few it named, so serve-audit's segments take
+// about 3.5 bytes an event, their heads included (DESIGN §12.2).
 func packSegment(dst []byte, events []trace.Event) []byte {
 	dst = append(dst, make([]byte, HashBytes)...) // bodyRoot, once hashed
 	dst = binary.AppendUvarint(dst, events[0].Seq)
 	dst = binary.AppendUvarint(dst, uint64(len(events)))
+	var r recent
 	prev := events[0].Seq - 1
 	for _, ev := range events {
 		gap := ev.Seq - prev - 1
 		prev = ev.Seq
+		oc, ac := r.code(ev.Obj), r.code(ev.Arg)
 		head := byte(min(ev.Kind, kindEscape))
 		if gap != 0 {
 			head |= hasGap
 		}
-		if ev.Arg != 0 {
-			head |= hasArg
+		if oc|ac < 16 {
+			head |= paired
 		}
 		if ev.Aux != 0 {
 			head |= hasAux
@@ -181,9 +238,11 @@ func packSegment(dst []byte, events []trace.Event) []byte {
 		if gap != 0 {
 			dst = binary.AppendUvarint(dst, gap)
 		}
-		dst = binary.AppendUvarint(dst, uint64(ev.Obj))
-		if ev.Arg != 0 {
-			dst = binary.AppendUvarint(dst, uint64(ev.Arg))
+		if head&paired != 0 {
+			dst = append(dst, byte(oc|ac<<4))
+		} else {
+			dst = binary.AppendUvarint(dst, oc)
+			dst = binary.AppendUvarint(dst, ac)
 		}
 		if ev.Aux != 0 {
 			dst = binary.AppendUvarint(dst, ev.Aux)
@@ -251,15 +310,18 @@ func putHeader(hdr []byte, index uint32, nk int, body []byte, prev, root *[HashB
 // appendWire appends the wire form of the packed segment seg (§12.3) to
 // dst: the header of segment index with nk kinds, prev as its prevHash and
 // the packed bodyRoot, each record decoded and encoded by appendRecord,
-// and foot as the footer. Bytes rebuilds every sealed segment through it
-// with the hashes the chain holds. The sealer wrote and hashed the same
-// records straight from the events, so a packing that lost a bit shows as
-// a body that no longer matches its bodyRoot, and Verify refuses it.
+// and foot as the footer. It decodes the object codes against a recency
+// list of its own, kept as packSegment kept the encoder's. Bytes rebuilds
+// every sealed segment through it with the hashes the chain holds. The
+// sealer wrote and hashed the same records straight from the events, so a
+// packing that lost a bit shows as a body that no longer matches its
+// bodyRoot, and Verify refuses it.
 func appendWire(dst []byte, index uint32, nk int, seg []byte, prev, foot *[HashBytes]byte) []byte {
 	first, count, recs := packedHead(seg)
 	h := len(dst)
 	dst = slices.Grow(dst, wireLen(nk, seg))[:h+headerLen(nk)]
 	seq := first - 1
+	var r recent
 	for i := 0; i < count; i++ {
 		head := recs[0]
 		kind := trace.Kind(head & kindBits)
@@ -267,19 +329,23 @@ func appendWire(dst []byte, index uint32, nk int, seg []byte, prev, foot *[HashB
 		if kind == kindEscape {
 			kind, recs = trace.Kind(recs[0]), recs[1:]
 		}
-		var gap, obj, arg, aux uint64
+		var gap, oc, ac, aux uint64
 		if head&hasGap != 0 {
 			gap, recs = uvarint(recs)
 		}
-		obj, recs = uvarint(recs)
-		if head&hasArg != 0 {
-			arg, recs = uvarint(recs)
+		if head&paired != 0 {
+			oc, ac, recs = uint64(recs[0]&0xf), uint64(recs[0]>>4), recs[1:]
+		} else {
+			oc, recs = uvarint(recs)
+			ac, recs = uvarint(recs)
 		}
+		obj := r.value(oc)
+		arg := r.value(ac)
 		if head&hasAux != 0 {
 			aux, recs = uvarint(recs)
 		}
 		seq += gap + 1
-		dst = appendRecord(dst, trace.Event{Seq: seq, Kind: kind, Obj: uint32(obj), Arg: uint32(arg), Aux: aux})
+		dst = appendRecord(dst, trace.Event{Seq: seq, Kind: kind, Obj: obj, Arg: arg, Aux: aux})
 	}
 	putHeader(dst[h:h+headerLen(nk)], index, nk, dst[h+headerLen(nk):], prev, (*[HashBytes]byte)(seg))
 	return append(dst, foot[:]...)
