@@ -14,7 +14,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 ceiling=61
-total_ceiling=322
+total_ceiling=321
 profile=$(mktemp)
 trap 'rm -f "$profile"' EXIT
 

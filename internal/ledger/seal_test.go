@@ -384,10 +384,13 @@ func TestSealAllocBound(t *testing.T) {
 // so the recency list holds almost none of them, and the packed segments
 // alone must take at most 6.1 bytes an event, counted exactly (5.99 with
 // every index written as a plain uvarint, 6.01 with the recency codes, 7.0
-// with a byte more a record). The live-heap reading also counts the
-// goroutines the sealers leave on the host's free lists, which vary with
-// the host: 6.38 at GOMAXPROCS 1 and about 6.5 at 2, at either layout.
+// with a byte more a record). The live-heap reading is taken on one host
+// thread, as the scenario's hostAllocs takes its counts: the goroutines the
+// sealers leave parked on each processor's free list would otherwise count
+// toward it, more of them the more processors the host has (6.38 at
+// GOMAXPROCS 1, about 6.5 at 2).
 func TestSealedBytesPerEvent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const events = 1 << 18
 	l := trace.New(64)
 	var m0, m1 runtime.MemStats

@@ -49,9 +49,19 @@ func (m *refSwapping) DestroyHeap(heap obj.AD) (int, *obj.Fault) {
 	return m.SROs.DestroyHeap(heap)
 }
 
+// Allocate opens the heap again for every try, as the manager once did.
 func (m *refSwapping) Allocate(heap obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
+	return m.allocate(func() (obj.AD, *obj.Fault) { return m.SROs.Create(heap, spec) })
+}
+
+func (m *refSwapping) AllocateIn(hv *obj.View, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
+	return m.allocate(func() (obj.AD, *obj.Fault) { return m.SROs.CreateIn(hv, spec) })
+}
+
+// allocate tries create, evicting one victim after each no-memory refusal.
+func (m *refSwapping) allocate(create func() (obj.AD, *obj.Fault)) (obj.AD, *obj.Fault) {
 	for {
-		ad, f := m.SROs.Create(heap, spec)
+		ad, f := create()
 		if f == nil {
 			return ad, nil
 		}
@@ -323,6 +333,52 @@ func pristineOps() []byte {
 	return ops
 }
 
+// fuzzStep is step, except that a kind byte of heldRun or above is a
+// run of 1 to 8 creates through one opened heap (the root, or for an odd
+// arg the local heap): the manager evicts and retries on that view for
+// every create of the run. The witness drives step alone.
+func (w *swapWorld) fuzzStep(kind, arg byte) string {
+	if kind < heldRun {
+		return w.step(kind, arg)
+	}
+	w.n++
+	heap := w.root
+	if arg%2 == 1 && w.local.Valid() {
+		heap = w.local
+	}
+	var hv obj.View
+	w.sros.Open(heap, &hv)
+	out := "run:"
+	for i := 0; i <= int(kind-heldRun); i++ {
+		spec := witnessSpec(arg + byte(37*i))
+		ad, f := w.m.AllocateIn(&hv, spec)
+		if f != nil {
+			return out + fmt.Sprintf(" allocate: %v", f)
+		}
+		out += " " + w.keep(ad, spec)
+	}
+	return out
+}
+
+// heldRun is the least kind byte fuzzStep takes for a run of creates.
+const heldRun = 0xf8
+
+// heldRunOps is a corpus entry of runs of creates through one opened heap
+// under pressure, from the root heap and from a local one, with touches
+// and compactions between them, so a run's evictions fall in the middle
+// of the run.
+func heldRunOps() []byte {
+	ops := []byte{6, 0} // the local heap
+	for i := 0; i < 40; i++ {
+		ops = append(ops, heldRun+byte(i%8), byte(i*23))
+		ops = append(ops, 12, byte(i*7))
+		if i%10 == 9 {
+			ops = append(ops, 14, 0)
+		}
+	}
+	return ops
+}
+
 // straddle is the memory an odd-length input's worlds hold below their
 // 64 KB, so that those straddle the host memory's first 2 MB chunk boundary
 // and a compaction move can cross it. The unpaired last byte is not an
@@ -336,6 +392,7 @@ func FuzzSwapCompact(f *testing.F) {
 	f.Add(denseOps())
 	f.Add(append(witnessOps(1), 0)) // 23 of its 155 compaction moves cross the boundary
 	f.Add(pristineOps())
+	f.Add(heldRunOps())
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		below := uint32(0)
 		if len(ops)%2 == 1 {
@@ -352,7 +409,7 @@ func FuzzSwapCompact(f *testing.F) {
 		ref := newSwapWorld(t, below, func(tab *obj.Table, s *sro.Manager) swapper { return newRefSwapping(tab, s) })
 		real.untouched, ref.untouched = untouched, untouched
 		for i := 0; i+1 < len(ops); i += 2 {
-			got, want := real.step(ops[i], ops[i+1]), ref.step(ops[i], ops[i+1])
+			got, want := real.fuzzStep(ops[i], ops[i+1]), ref.fuzzStep(ops[i], ops[i+1])
 			if got != want {
 				t.Fatalf("op %d (%d, %d) returned %q, reference %q", i/2, ops[i], ops[i+1], got, want)
 			}

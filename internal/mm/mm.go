@@ -37,6 +37,9 @@ type Allocator interface {
 	NewLocalHeap(parent obj.AD, level obj.Level, claim uint32) (obj.AD, *obj.Fault)
 	// Allocate creates an object from the heap.
 	Allocate(heap obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Fault)
+	// AllocateIn creates an object from the heap opened in hv
+	// (sro.Manager.Open): the heap is resolved once for a run of creates.
+	AllocateIn(hv *obj.View, spec obj.CreateSpec) (obj.AD, *obj.Fault)
 	// DestroyHeap bulk-reclaims a local heap.
 	DestroyHeap(heap obj.AD) (int, *obj.Fault)
 }
@@ -67,6 +70,11 @@ func (m *NonSwapping) NewLocalHeap(parent obj.AD, level obj.Level, claim uint32)
 // Allocate implements Allocator.
 func (m *NonSwapping) Allocate(heap obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
 	return m.SROs.Create(heap, spec)
+}
+
+// AllocateIn implements Allocator.
+func (m *NonSwapping) AllocateIn(hv *obj.View, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
+	return m.SROs.CreateIn(hv, spec)
 }
 
 // DestroyHeap implements Allocator.
@@ -347,17 +355,26 @@ func (m *Swapping) DestroyHeap(heap obj.AD) (int, *obj.Fault) {
 	return m.SROs.DestroyHeap(heap)
 }
 
-// Allocate implements Allocator: on physical exhaustion it evicts victims
+// Allocate implements Allocator.
+func (m *Swapping) Allocate(heap obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
+	var hv obj.View
+	m.SROs.Open(heap, &hv)
+	return m.AllocateIn(&hv, spec)
+}
+
+// AllocateIn implements Allocator: on physical exhaustion it evicts victims
 // until the allocation fits, so virtual allocation can exceed physical
 // memory up to the backing store's capacity. While no hole holds even the
 // larger part the create fails for certain, so it evicts without asking; a
-// part past mem.MaxPart fits no hole, and it is the table's to refuse.
-func (m *Swapping) Allocate(heap obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
+// part past mem.MaxPart fits no hole, and it is the table's to refuse. hv
+// stays good across the evictions: swappable admits no SRO, and a chunk of
+// memory never moves.
+func (m *Swapping) AllocateIn(hv *obj.View, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
 	oversize := spec.DataLen > mem.MaxPart || spec.AccessSlots > obj.MaxAccessSlots
 	need := max(spec.DataLen, spec.AccessSlots*obj.ADSlotSize)
 	for {
 		if oversize || !m.fitsNowhere(need) {
-			ad, f := m.SROs.Create(heap, spec)
+			ad, f := m.SROs.CreateIn(hv, spec)
 			if f == nil || f.Code != obj.FaultNoMemory {
 				return ad, f
 			}
@@ -365,7 +382,7 @@ func (m *Swapping) Allocate(heap obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Faul
 		if evicted, ef := m.evictOne(); ef != nil {
 			return obj.NilAD, ef
 		} else if !evicted {
-			return m.SROs.Create(heap, spec) // nothing left to evict: the table says why
+			return m.SROs.CreateIn(hv, spec) // nothing left to evict: the table says why
 		}
 	}
 }

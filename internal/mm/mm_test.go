@@ -111,6 +111,37 @@ func TestSwappingExceedsPhysicalMemory(t *testing.T) {
 	}
 }
 
+// TestAllocateInHoldsItsView: a run of creates through one opened heap
+// evicts as Allocate does and hands out the indices Allocate hands out, and
+// the view stays the table's own view of the heap (Table.Current) across
+// every eviction, since no SRO is swappable and no chunk of memory moves.
+func TestAllocateInHoldsItsView(t *testing.T) {
+	each, in := NewSwapping(setup(t, 64*1024)), NewSwapping(setup(t, 64*1024))
+	heap, _ := each.NewHeap(0)
+	inHeap, _ := in.NewHeap(0)
+	var hv obj.View
+	in.SROs.Open(inHeap, &hv)
+	for i := uint32(0); i < 96; i++ {
+		spec := obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 1024 + i%4*1024, AccessSlots: i % 3 * 8}
+		ad, f := each.Allocate(heap, spec)
+		inAD, inF := in.AllocateIn(&hv, spec)
+		if f != nil || inF != nil || ad != inAD {
+			t.Fatalf("allocation %d: Allocate %v (%v), AllocateIn %v (%v)", i, ad, f, inAD, inF)
+		}
+		if !in.Table.Current(&hv) {
+			t.Fatalf("allocation %d (%d evictions): the heap's view is no longer current", i, in.Evictions)
+		}
+	}
+	if in.Evictions == 0 || in.Evictions != each.Evictions || in.SwapOuts != each.SwapOuts {
+		t.Fatalf("evictions: Allocate %d, %d swap-outs; AllocateIn %d, %d", each.Evictions, each.SwapOuts, in.Evictions, in.SwapOuts)
+	}
+	_, used, allocs, _ := each.SROs.Usage(heap)
+	_, inUsed, inAllocs, _ := in.SROs.Usage(inHeap)
+	if used != inUsed || allocs != inAllocs {
+		t.Fatalf("heap usage: Allocate %d bytes, %d allocs; AllocateIn %d, %d", used, allocs, inUsed, inAllocs)
+	}
+}
+
 func TestSwappedObjectFaultsOnAccess(t *testing.T) {
 	tab, s := setup(t, 1<<20)
 	alloc := NewSwapping(tab, s)

@@ -177,6 +177,16 @@ func (w *swapWorld) step(kind, arg byte) string {
 // the previous allocation, so that a part landing on the wrong bytes shows
 // in the contents.
 func (w *swapWorld) allocate(heap obj.AD, arg byte) string {
+	spec := witnessSpec(arg)
+	ad, f := w.m.Allocate(heap, spec)
+	if f != nil {
+		return fmt.Sprintf("allocate: %v", f)
+	}
+	return w.keep(ad, spec)
+}
+
+// witnessSpec is the shape of object arg selects.
+func witnessSpec(arg byte) obj.CreateSpec {
 	spec := obj.CreateSpec{
 		Type:        obj.TypeGeneric,
 		DataLen:     witnessData[arg%7],
@@ -193,10 +203,12 @@ func (w *swapWorld) allocate(heap obj.AD, arg byte) string {
 	case arg%5 == 4:
 		spec.Type = obj.TypeInstruction
 	}
-	ad, f := w.m.Allocate(heap, spec)
-	if f != nil {
-		return fmt.Sprintf("allocate: %v", f)
-	}
+	return spec
+}
+
+// keep hands out the new object ad of shape spec: it is tagged and linked
+// as allocate says.
+func (w *swapWorld) keep(ad obj.AD, spec obj.CreateSpec) string {
 	serial := uint32(len(w.ads))
 	w.ads = append(w.ads, ad)
 	var tagged, linked *obj.Fault

@@ -39,7 +39,9 @@ const ln2fp = 45426
 func log2fp(u uint64) uint64 {
 	k := uint64(bits.Len64(u) - 1)
 	// Normalise the mantissa to [2^30, 2^31) and pull 16 fractional
-	// bits by repeated squaring.
+	// bits by repeated squaring. A square lies in [2^30, 2^32): its bit 31
+	// is the next fractional bit, and halving by that bit, not by a
+	// branch, brings it back below 2^31.
 	var x uint64
 	if k >= 30 {
 		x = u >> (k - 30)
@@ -49,11 +51,9 @@ func log2fp(u uint64) uint64 {
 	var frac uint64
 	for i := 0; i < 16; i++ {
 		x = x * x >> 30
-		frac <<= 1
-		if x >= 1<<31 {
-			frac |= 1
-			x >>= 1
-		}
+		b := x >> 31
+		frac = frac<<1 | b
+		x >>= b
 	}
 	return k<<16 | frac
 }

@@ -88,10 +88,13 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	// The population, its anchors and the chaos heap are created straight
-	// through, like the server side: one latch, one check at the end. The
-	// table is sized first for them and for what the servers create when
-	// they start, so that neither set-up nor the run grows it.
+	// through, like the server side: one latch, one check at the end, and
+	// the heap opened once for all of them. The table is sized first for
+	// them and for what the servers create when they start, so that
+	// neither set-up nor the run grows it.
 	var l obj.Latch
+	var heap obj.View
+	im.SROs.Open(im.Heap, &heap)
 	nAnchored := cfg.Sessions
 	for _, rt := range e.Classes {
 		nAnchored++
@@ -99,28 +102,20 @@ func New(cfg Config) (*Engine, error) {
 			nAnchored++
 		}
 	}
-	anchored := make([]obj.AD, 0, nAnchored)
 	im.Table.Reserve(cfg.Sessions + anchorBlocks(nAnchored) + e.runRoom())
 	im.Table.ReserveFree(e.runRoom())
 	e.byObj.Reserve(cfg.Sessions)
 	e.Sessions = make([]Session, cfg.Sessions)
 	e.schedule = population(&cfg.Load, func(i, class int) {
-		so := l.AD(im.MM.Allocate(im.Heap, obj.CreateSpec{
+		so := l.AD(im.MM.AllocateIn(&heap, obj.CreateSpec{
 			Type:    obj.TypeGeneric,
 			DataLen: cfg.SessionData,
 		}))
 		e.Sessions[i] = Session{Obj: so, Class: uint8(class)}
 		e.byObj.Put(so.Index, int32(i))
 		e.Classes[class].Sessions++
-		anchored = append(anchored, so)
 	})
-	for _, rt := range e.Classes {
-		anchored = append(anchored, rt.Domain)
-		if rt.Callee.Valid() {
-			anchored = append(anchored, rt.Callee)
-		}
-	}
-	l.Keep(e.buildAnchors(anchored))
+	l.Keep(e.buildAnchors(&heap))
 
 	if cfg.InjectEvents > 0 {
 		chaosHeap := l.AD(im.MM.NewHeap(1 << 20))
@@ -146,30 +141,45 @@ func New(cfg Config) (*Engine, error) {
 // anchorBlocks is how many anchor blocks buildAnchors chains n objects into.
 func anchorBlocks(n int) int { return (n + anchorSlots - 2) / (anchorSlots - 1) }
 
-// buildAnchors chains the given objects into anchor blocks reachable from
-// the pinned system directory (slot 0), so confinement snapshots see the
-// whole session population.
-func (e *Engine) buildAnchors(ads []obj.AD) *obj.Fault {
-	t := e.IM.Table
+// buildAnchors chains every session object, then each class's domain and
+// callee, into anchor blocks reachable from the pinned system directory
+// (slot 0), so confinement snapshots see the whole session population. The
+// blocks are created from the heap opened in heap, and each is opened once
+// for its slots; a block is linked to the next through the table, since
+// creating the next may have swapped it out.
+func (e *Engine) buildAnchors(heap *obj.View) *obj.Fault {
 	var l obj.Latch
-	var head, cur obj.AD
+	var head obj.AD
+	var blk obj.View
 	slot := uint32(anchorSlots) // force a block on the first object
-	for _, ad := range ads {
+	anchor := func(ad obj.AD) {
 		if slot >= anchorSlots {
-			blk := l.AD(e.IM.MM.Allocate(e.IM.Heap, obj.CreateSpec{
+			next := l.AD(e.IM.MM.AllocateIn(heap, obj.CreateSpec{
 				Type:        obj.TypeGeneric,
 				AccessSlots: anchorSlots,
 			}))
-			if cur.Valid() {
-				l.Keep(t.StoreADSystem(cur, 0, blk))
+			if head.Valid() {
+				l.Keep(blk.Fault())
+				l.Keep(e.IM.Table.StoreADSystem(blk.AD(), 0, next))
 			} else {
-				head = blk
+				head = next
 			}
-			cur, slot = blk, 1
+			e.IM.Table.View(next, obj.TypeGeneric, obj.RightWrite, &blk)
+			slot = 1
 		}
-		l.Keep(t.StoreADSystem(cur, slot, ad))
+		blk.StoreADSystem(slot, ad)
 		slot++
 	}
+	for i := range e.Sessions {
+		anchor(e.Sessions[i].Obj)
+	}
+	for _, rt := range e.Classes {
+		anchor(rt.Domain)
+		if rt.Callee.Valid() {
+			anchor(rt.Callee)
+		}
+	}
+	l.Keep(blk.Fault())
 	if head.Valid() {
 		l.Keep(e.IM.Publish(0, head))
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -282,6 +283,10 @@ func TestRequestPathAllocFree(t *testing.T) {
 	}
 }
 
+// raceBuild reports a build with the race detector, whose own bookkeeping
+// adds to what a build allocates (race_test.go sets it).
+var raceBuild bool
+
 // resultAllocs is what Engine.result allocates for a two-class run: the
 // Result, and its class reports sized once.
 const resultAllocs = 2
@@ -337,6 +342,53 @@ func TestAgendaOrder(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// log2fpRecurrence is log2fp as it was first written, the textbook digit
+// recurrence with a branch per fractional bit: the reference the branchless
+// form is held to.
+func log2fpRecurrence(u uint64) uint64 {
+	k := uint64(bits.Len64(u) - 1)
+	var x uint64
+	if k >= 30 {
+		x = u >> (k - 30)
+	} else {
+		x = u << (30 - k)
+	}
+	var frac uint64
+	for i := 0; i < 16; i++ {
+		x = x * x >> 30
+		frac <<= 1
+		if x >= 1<<31 {
+			frac |= 1
+			x >>= 1
+		}
+	}
+	return k<<16 | frac
+}
+
+// TestLog2fpDigitRecurrence holds log2fp to the digit recurrence at every
+// power of two and its two neighbours, where the normalising shift and the
+// squares' carries turn, and along a stride through [1, 2^30], the range
+// expGap draws from. (A run over every u in that range agreed as well; it
+// takes half a minute, too long for every test run.)
+func TestLog2fpDigitRecurrence(t *testing.T) {
+	check := func(u uint64) {
+		if got, want := log2fp(u), log2fpRecurrence(u); got != want {
+			t.Fatalf("log2fp(%d) = %#x, the digit recurrence gives %#x", u, got, want)
+		}
+	}
+	for k := 0; k < 64; k++ {
+		p := uint64(1) << k
+		check(p)
+		check(p + 1)
+		if p > 1 {
+			check(p - 1)
+		}
+	}
+	for u := uint64(1); u <= 1<<30; u += 4093 {
+		check(u)
 	}
 }
 
@@ -434,21 +486,22 @@ func TestBacklogRefillAllocFree(t *testing.T) {
 // creates: the objects and bytes New (the baseline preset), NewShard and New
 // under memory pressure allocate for each session past the first, at 2 000
 // sessions. A session owns an entry in the engine, the object table, the
-// side map, the anchor list and the schedule, each sized once for the whole
-// population, so a session costs no object and some 82 bytes, on one
-// machine or on a cluster (86 for NewShard under the race detector; 94
-// while a session was 28 bytes); when every array doubled its way there it
-// was 0.0125 and 0.010 objects and 238 and 221 bytes. Under memory pressure
-// a create evicts another session's object, whose image the backing store
-// keeps: half an object and some 127 bytes a session at this size (156
-// under the race detector), and no fault, since a create that must fail for
-// want of a hole is not tried.
+// side map and the schedule, each sized once for the whole population, and
+// nothing else: New anchors straight from its sessions, so a session costs
+// no object and some 70 bytes (82 while the anchored objects were listed
+// again; 94 while a session was 28 bytes). NewShard keeps some 82 bytes a
+// session, with its route and its nodes' tables (86 under the race
+// detector); when every array doubled its way there it was 0.0125 and 0.010
+// objects and 238 and 221 bytes. Under memory pressure a create evicts another session's
+// object, whose image the backing store keeps: some 115 bytes a session at
+// this size, 144 under the race detector (raceBytes), and no fault, since
+// a create that must fail for want of a hole is not tried.
 func TestBuildAllocBound(t *testing.T) {
 	const n = 2_000
 	for _, c := range []struct {
-		name           string
-		build          func(sessions int) error
-		objects, bytes float64
+		name                      string
+		build                     func(sessions int) error
+		objects, bytes, raceBytes float64
 	}{
 		{"New", func(sessions int) error {
 			cfg, err := Preset("baseline", sessions, 42)
@@ -456,18 +509,18 @@ func TestBuildAllocBound(t *testing.T) {
 				_, err = New(cfg)
 			}
 			return err
-		}, 0.005, 100},
+		}, 0.005, 74, 74},
 		{"NewShard", func(sessions int) error {
 			_, err := NewShard(ShardPreset(2, sessions, 42))
 			return err
-		}, 0.005, 100},
+		}, 0.005, 100, 100},
 		{"mempressure", func(sessions int) error {
 			cfg, err := Preset("mempressure", sessions, 42)
 			if err == nil {
 				_, err = New(cfg)
 			}
 			return err
-		}, 0.55, 240},
+		}, 0.55, 120, 150},
 	} {
 		var err error
 		build := func(sessions int) func() {
@@ -486,8 +539,12 @@ func TestBuildAllocBound(t *testing.T) {
 		objects := (float64(objectsN) - float64(objects1)) / (n - 1)
 		bytes := (float64(bytesN) - float64(bytes1)) / (n - 1)
 		t.Logf("%s: %.4f objects and %.0f bytes per session", c.name, objects, bytes)
-		if objects > c.objects || bytes > c.bytes {
-			t.Errorf("%s allocates %.4f objects and %.0f bytes per session; want at most %g and %g", c.name, objects, bytes, c.objects, c.bytes)
+		bound := c.bytes
+		if raceBuild {
+			bound = c.raceBytes
+		}
+		if objects > c.objects || bytes > bound {
+			t.Errorf("%s allocates %.4f objects and %.0f bytes per session; want at most %g and %g", c.name, objects, bytes, c.objects, bound)
 		}
 	}
 }

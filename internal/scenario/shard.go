@@ -235,15 +235,18 @@ func NewShard(cfg ShardConfig) (*ShardEngine, error) {
 	}
 
 	// Routing has its own seeded stream. The session objects are created
-	// straight through: the latch keeps the first refusal, checked once at
-	// the end.
+	// straight through, each node's heap opened once for its share: the
+	// latch keeps the first refusal, checked once at the end.
 	rngRoute := rand.New(rand.NewSource(cfg.Seed ^ 0x3a9d0c11))
 	var l obj.Latch
+	heaps := make([]obj.View, cfg.Nodes)
+	for ni, sn := range e.nodes {
+		sn.IM.SROs.Open(sn.IM.Heap, &heaps[ni])
+	}
 	migrating := 0
 	e.schedule = population(&cfg.Load, func(i, class int) {
 		home := homeOf(i, cfg.Nodes)
-		im := e.nodes[home].IM
-		so := l.AD(im.SROs.Create(im.Heap, obj.CreateSpec{
+		so := l.AD(e.nodes[home].IM.SROs.CreateIn(&heaps[home], obj.CreateSpec{
 			Type:    obj.TypeGeneric,
 			DataLen: cfg.SessionData,
 		}))

@@ -141,12 +141,28 @@ func (m *Manager) credit(sroIdx obj.Index, n uint32) {
 }
 
 // Create allocates a new object from the SRO: the create-object
-// instruction's software half. The object's level and ancestry come from
-// the SRO; the spec's Type, DataLen and AccessSlots are the caller's.
+// instruction's software half, Open and then CreateIn.
 func (m *Manager) Create(sro obj.AD, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
 	var sv obj.View
-	m.Table.View(sro, obj.TypeSRO, RightAllocate|obj.RightRead, &sv)
-	ad, f := m.place(&sv, spec)
+	m.Open(sro, &sv)
+	return m.CreateIn(&sv, spec)
+}
+
+// Open resolves the SRO into sv for a run of creates through CreateIn, so a
+// world builder opens its heap once and not once an object. sv stays good
+// while the SRO is neither destroyed nor moved: no manager swaps an SRO
+// out, and nothing compacts while a world is built.
+func (m *Manager) Open(sro obj.AD, sv *obj.View) {
+	m.Table.View(sro, obj.TypeSRO, RightAllocate|obj.RightRead, sv)
+}
+
+// CreateIn allocates a new object from the SRO opened in sv. The object's
+// level and ancestry come from the SRO; the spec's Type, DataLen and
+// AccessSlots are the caller's. A refusal of the open or of the storage
+// claim is latched in sv, and every later create through sv returns it and
+// charges nothing.
+func (m *Manager) CreateIn(sv *obj.View, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
+	ad, f := m.place(sv, spec)
 	if f == nil {
 		sv.SetDWord(offAllocs, sv.DWord(offAllocs)+1)
 	}

@@ -1,10 +1,13 @@
 package sro
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/obj"
+	"repro/internal/trace"
 )
 
 func setup(t *testing.T) (*obj.Table, *Manager) {
@@ -301,5 +304,116 @@ func TestLocalHeapRefusedWhole(t *testing.T) {
 				t.Errorf("parent used %d, allocs %d after the refusal, want %d, %d", u, a, used, allocs)
 			}
 		})
+	}
+}
+
+// TestCreateInMatchesCreate: a run of creates through one opened SRO leaves
+// what the same run of Create calls leaves — the SRO's claim, used and
+// allocs, every descriptor, and the trace — over a memory small enough
+// that creates past its end are refused for want of memory, which latches
+// nothing, so the smaller creates after them still succeed.
+func TestCreateInMatchesCreate(t *testing.T) {
+	type world struct {
+		tab  *obj.Table
+		log  *trace.Log
+		m    *Manager
+		heap obj.AD
+		got  []string
+	}
+	newWorld := func() *world {
+		w := &world{tab: obj.NewTable(16 << 10), log: trace.New(1 << 10)}
+		w.tab.SetTracer(w.log)
+		w.m = NewManager(w.tab)
+		var f *obj.Fault
+		if w.heap, f = w.m.NewGlobalHeap(0); f != nil {
+			t.Fatal(f)
+		}
+		return w
+	}
+	each, in := newWorld(), newWorld()
+	var sv obj.View
+	in.m.Open(in.heap, &sv)
+	refused := 0
+	for i := uint32(0); i < 60; i++ {
+		spec := obj.CreateSpec{Type: obj.TypeGeneric, DataLen: (i * 97) % 1500, AccessSlots: i % 5}
+		ad, f := each.m.Create(each.heap, spec)
+		each.got = append(each.got, fmt.Sprint(ad, f))
+		ad, f = in.m.CreateIn(&sv, spec)
+		in.got = append(in.got, fmt.Sprint(ad, f))
+		if obj.IsFault(f, obj.FaultNoMemory) {
+			refused++
+		}
+	}
+	if refused == 0 || refused == 60 {
+		t.Fatalf("%d of 60 creates refused for want of memory; the run must cross the memory's end", refused)
+	}
+	if sv.Fault() != nil {
+		t.Fatalf("the opened SRO latched %v", sv.Fault())
+	}
+	for i := range each.got {
+		if each.got[i] != in.got[i] {
+			t.Fatalf("create %d: Create returned %s, CreateIn %s", i, each.got[i], in.got[i])
+		}
+	}
+	c1, u1, a1, f1 := each.m.Usage(each.heap)
+	c2, u2, a2, f2 := in.m.Usage(in.heap)
+	if c1 != c2 || u1 != u2 || a1 != a2 || f1 != nil || f2 != nil {
+		t.Fatalf("usage: Create %d/%d, %d allocs (%v); CreateIn %d/%d, %d allocs (%v)", u1, c1, a1, f1, u2, c2, a2, f2)
+	}
+	if each.tab.Len() != in.tab.Len() || each.tab.Live() != in.tab.Live() {
+		t.Fatalf("table: %d slots, %d live; CreateIn %d, %d", each.tab.Len(), each.tab.Live(), in.tab.Len(), in.tab.Live())
+	}
+	for i := 1; i < each.tab.Len(); i++ {
+		d, dn := each.tab.DescriptorAt(obj.Index(i)), in.tab.DescriptorAt(obj.Index(i))
+		if (d == nil) != (dn == nil) || d != nil && *d != *dn {
+			t.Fatalf("descriptor %d: Create %+v, CreateIn %+v", i, d, dn)
+		}
+	}
+	var d1, d2 bytes.Buffer
+	if err := each.log.Dump(&d1); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.log.Dump(&d2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(d1.Bytes(), d2.Bytes()) {
+		t.Fatalf("traces differ:\n%s\nCreateIn:\n%s", d1.Bytes(), d2.Bytes())
+	}
+}
+
+// TestCreateInLatchesRefusal: a refusal latched in the opened SRO — its
+// storage claim, or the open itself — refuses every later create through
+// it with that same fault, one the claim would have let through too, and
+// charges nothing.
+func TestCreateInLatchesRefusal(t *testing.T) {
+	tab, m := setup(t)
+	heap, _ := m.NewGlobalHeap(100)
+	var sv obj.View
+	m.Open(heap, &sv)
+	if _, f := m.CreateIn(&sv, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 60}); f != nil {
+		t.Fatal(f)
+	}
+	live := tab.Live()
+	_, first := m.CreateIn(&sv, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 50})
+	if !obj.IsFault(first, obj.FaultStorageClaim) || sv.Fault() != first {
+		t.Fatalf("claim exceeded: %v, latched %v", first, sv.Fault())
+	}
+	for _, n := range []uint32{8, 0, 50} {
+		if ad, f := m.CreateIn(&sv, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: n}); f != first || ad != obj.NilAD {
+			t.Fatalf("a %d-byte create after the refusal: %v, %v; want the latched %v", n, ad, f, first)
+		}
+	}
+	if _, used, allocs, _ := m.Usage(heap); used != 60 || allocs != 1 || tab.Live() != live {
+		t.Fatalf("after the refusals: used %d, allocs %d, %d live; want 60, 1, %d", used, allocs, tab.Live(), live)
+	}
+	// A fresh open sees the claim as it stands: 8 bytes still fit.
+	if _, f := m.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8}); f != nil {
+		t.Fatalf("an 8-byte create through a fresh open: %v", f)
+	}
+
+	var bad obj.View
+	m.Open(obj.NilAD, &bad)
+	if _, f := m.CreateIn(&bad, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8}); f == nil || f != bad.Fault() {
+		t.Fatalf("create through an open refused: %v, latched %v", f, bad.Fault())
 	}
 }
