@@ -17,7 +17,6 @@ func TestDeadlineDispatchAvoidsStarvation(t *testing.T) {
 		s, err := New(Config{
 			Processors:       1,
 			DeadlineDispatch: deadline,
-			DeadlineBase:     20_000,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -64,7 +63,8 @@ func TestDeadlineDispatchAvoidsStarvation(t *testing.T) {
 	}
 }
 
-// TestDeadlineDispatchDefaultBase exercises the default-base path.
+// TestDeadlineDispatchDefaultBase runs a process to completion under
+// deadline dispatch at the one period there is, DeadlineBase.
 func TestDeadlineDispatchDefaultBase(t *testing.T) {
 	s, err := New(Config{Processors: 1, DeadlineDispatch: true})
 	if err != nil {

@@ -32,6 +32,10 @@ import (
 // dispatching port.
 const DispatchCapacity = 1024
 
+// DeadlineBase is the period, in cycles, that deadline dispatch scales by
+// a ready process's priority (Config.DeadlineDispatch).
+const DeadlineBase vtime.Cycles = 100_000
+
 // Processor object data layout (diagnostic identity only; the live state
 // is in the CPU struct, as the real processor's was on-chip).
 const (
@@ -144,7 +148,6 @@ type System struct {
 	contention   vtime.Cycles
 	busyThisStep int
 	deadline     bool
-	deadlineBase vtime.Cycles
 
 	// xcOff disables the execution cache (Config.NoExecCache), forcing
 	// every instruction down the uncached reference path.
@@ -187,16 +190,13 @@ type Config struct {
 	BusContention vtime.Cycles
 
 	// DeadlineDispatch selects deadline-ordered dispatching: each ready
-	// process queues with deadline now + period/(priority+1), so high
+	// process queues with deadline now + DeadlineBase/(priority+1), so high
 	// priority still means quicker service but a starved low-priority
 	// process's deadline eventually comes due — the aging behaviour of
 	// the real 432's deadline-within-priority dispatching port. The
 	// default is strict priority order (starvation possible by design;
 	// resource control is a scheduler's job, §6.1).
 	DeadlineDispatch bool
-	// DeadlineBase is the period scaled by priority under deadline
-	// dispatch; 0 means 100000 cycles.
-	DeadlineBase vtime.Cycles
 
 	// NoExecCache disables the per-CPU execution cache (xcache.go),
 	// forcing the uncached reference interpreter. Results are identical
@@ -240,25 +240,20 @@ func New(cfg Config) (*System, error) {
 		return nil, error(f)
 	}
 
-	deadlineBase := cfg.DeadlineBase
-	if deadlineBase == 0 {
-		deadlineBase = 100_000
-	}
 	s := &System{
-		Table:        tab,
-		SROs:         sros,
-		Ports:        ports,
-		Procs:        procs,
-		Domains:      doms,
-		TDOs:         tdos,
-		Heap:         heap,
-		Dispatch:     dispatch,
-		contention:   cfg.BusContention,
-		deadline:     cfg.DeadlineDispatch,
-		deadlineBase: deadlineBase,
-		xcOff:        cfg.NoExecCache,
-		xcodes:       obj.NewSide[[]xop](tab),
-		bodies:       obj.NewSide[NativeBody](tab),
+		Table:      tab,
+		SROs:       sros,
+		Ports:      ports,
+		Procs:      procs,
+		Domains:    doms,
+		TDOs:       tdos,
+		Heap:       heap,
+		Dispatch:   dispatch,
+		contention: cfg.BusContention,
+		deadline:   cfg.DeadlineDispatch,
+		xcOff:      cfg.NoExecCache,
+		xcodes:     obj.NewSide[[]xop](tab),
+		bodies:     obj.NewSide[NativeBody](tab),
 	}
 	for i := 0; i < cfg.Processors; i++ {
 		cpu, err := s.addCPU(i)
@@ -411,7 +406,7 @@ func (s *System) MakeReady(p obj.AD) {
 		// Deadline-within-priority: higher priority means a nearer
 		// deadline, but every ready process's turn eventually comes
 		// due — aging instead of starvation.
-		key = uint32(s.Now() + s.deadlineBase/vtime.Cycles(prio+1))
+		key = uint32(s.Now() + DeadlineBase/vtime.Cycles(prio+1))
 	}
 	blocked, _, f := s.Ports.Send(dport, p, key, obj.NilAD)
 	if f == nil && blocked {

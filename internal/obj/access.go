@@ -1,19 +1,16 @@
 package obj
 
 // Checked access paths. Every read and write in the system — by user
-// processes, iMAX packages, and the collector alike — goes through these
-// methods or through a View (view.go), so a capability's rights and its
-// object's bounds are enforced on every reference, exactly the
-// per-reference hardware checking of §7.1. Each accessor is the access rule
-// (Table.present), the bounds rule (span), then the transfer, in one frame;
-// when a rule refuses, an outlined diagnosis (refuse, refuseSlot) says why.
-// A data write that lands, and an AD store the access rule lets through,
-// clear the object's FlagPristine.
+// processes, iMAX packages, and the collector alike — goes through a View
+// (view.go), which tests the access rule (Table.present) when it is filled
+// and the rights and bounds rules (span, slot) on each access: the
+// per-reference hardware checking of §7.1, stated once. Each single-shot
+// accessor below is an open and one access through the view it opens; a
+// write then ends in written, which clears FlagPristine if it landed.
 
 import (
 	"encoding/binary"
 
-	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -25,81 +22,72 @@ func span(part []byte, off, n uint32) ([]byte, bool) {
 	return part[off : off+n], true
 }
 
-// refuse diagnoses a data-part access that present or span turned down:
-// whyNot's clauses first, then the displacement.
-func (t *Table) refuse(a AD, want Rights, off, n uint32) *Fault {
-	d := t.present(a, want)
-	if d == nil {
-		return t.whyNot(a, want)
+// open is a single-shot accessor's view of a: a fill, which leaves
+// FlagPristine alone, with a refusal latched as whyNot diagnoses it.
+func (t *Table) open(a AD, want Rights, v *View) {
+	if t.fill(a, want, v) == nil {
+		*v = View{t: t, ad: a, f: t.whyNot(a, want)}
 	}
-	return Faultf(FaultBounds, a, "%v: [%d,%d) in segment of %d bytes", mem.ErrBadSegment, off, off+n, d.DataLen)
+}
+
+// written ends a single-shot write through v: a write that landed leaves
+// its object not pristine. It returns the write's fault.
+func (t *Table) written(v *View) *Fault {
+	if v.f == nil {
+		t.descs[v.ad.Index].Flags &^= FlagPristine
+	}
+	return v.f
 }
 
 // ReadByteAt reads the byte at displacement off in the data part.
 func (t *Table) ReadByteAt(a AD, off uint32) (byte, *Fault) {
-	if d := t.present(a, RightRead); d != nil {
-		if b, ok := span(t.mem.Window(d.Data()), off, 1); ok {
-			return b[0], nil
-		}
+	var v View
+	t.open(a, RightRead, &v)
+	if b := v.Span(RightRead, off, 1); b != nil {
+		return b[0], nil
 	}
-	return 0, t.refuse(a, RightRead, off, 1)
+	return 0, v.f
 }
 
 // WriteByteAt writes the byte at displacement off in the data part.
-func (t *Table) WriteByteAt(a AD, off uint32, v byte) *Fault {
-	if d := t.present(a, RightWrite); d != nil {
-		if b, ok := span(t.mem.Window(d.Data()), off, 1); ok {
-			b[0] = v
-			d.Flags &^= FlagPristine
-			return nil
-		}
+func (t *Table) WriteByteAt(a AD, off uint32, x byte) *Fault {
+	var v View
+	t.open(a, RightWrite, &v)
+	if b := v.Span(RightWrite, off, 1); b != nil {
+		b[0] = x
 	}
-	return t.refuse(a, RightWrite, off, 1)
+	return t.written(&v)
 }
 
 // ReadDWord reads the 32-bit value at displacement off in the data part.
 func (t *Table) ReadDWord(a AD, off uint32) (uint32, *Fault) {
-	if d := t.present(a, RightRead); d != nil {
-		if b, ok := span(t.mem.Window(d.Data()), off, 4); ok {
-			return binary.LittleEndian.Uint32(b), nil
-		}
-	}
-	return 0, t.refuse(a, RightRead, off, 4)
+	var v View
+	t.open(a, RightRead, &v)
+	return v.DWord(off), v.Fault()
 }
 
 // WriteDWord writes the 32-bit value at displacement off in the data part.
-func (t *Table) WriteDWord(a AD, off uint32, v uint32) *Fault {
-	if d := t.present(a, RightWrite); d != nil {
-		if b, ok := span(t.mem.Window(d.Data()), off, 4); ok {
-			binary.LittleEndian.PutUint32(b, v)
-			d.Flags &^= FlagPristine
-			return nil
-		}
-	}
-	return t.refuse(a, RightWrite, off, 4)
+func (t *Table) WriteDWord(a AD, off uint32, x uint32) *Fault {
+	var v View
+	t.open(a, RightWrite, &v)
+	v.SetDWord(off, x)
+	return t.written(&v)
 }
 
 // ReadBytes reads n bytes at displacement off in the data part into a
 // fresh slice.
 func (t *Table) ReadBytes(a AD, off, n uint32) ([]byte, *Fault) {
-	if d := t.present(a, RightRead); d != nil {
-		if b, ok := span(t.mem.Window(d.Data()), off, n); ok {
-			return append(make([]byte, 0, n), b...), nil
-		}
-	}
-	return nil, t.refuse(a, RightRead, off, n)
+	var v View
+	t.open(a, RightRead, &v)
+	return v.Bytes(off, n), v.Fault()
 }
 
 // WriteBytes writes p at displacement off in the data part.
 func (t *Table) WriteBytes(a AD, off uint32, p []byte) *Fault {
-	if d := t.present(a, RightWrite); d != nil {
-		if b, ok := span(t.mem.Window(d.Data()), off, uint32(len(p))); ok {
-			copy(b, p)
-			d.Flags &^= FlagPristine
-			return nil
-		}
-	}
-	return t.refuse(a, RightWrite, off, uint32(len(p)))
+	var v View
+	t.open(a, RightWrite, &v)
+	v.SetBytes(off, p)
+	return t.written(&v)
 }
 
 // accessPart is the access part of a resolved object: its window, and the
@@ -141,13 +129,9 @@ func (t *Table) refuseSlot(a AD, want Rights, slot uint32) *Fault {
 // LoadAD loads the access descriptor in the given slot of a's access part.
 // Reading an AD requires the Read right on the container.
 func (t *Table) LoadAD(a AD, slot uint32) (AD, *Fault) {
-	if d := t.present(a, RightRead); d != nil {
-		p := t.accessOf(d)
-		if b, ok := p.slot(slot); ok {
-			return DecodeAD(binary.LittleEndian.Uint64(b)), nil
-		}
-	}
-	return NilAD, t.refuseSlot(a, RightRead, slot)
+	var v View
+	t.open(a, RightRead, &v)
+	return v.LoadAD(slot), v.Fault()
 }
 
 // StoreAD stores capability src into the given slot of dst's access part.
@@ -164,7 +148,10 @@ func (t *Table) LoadAD(a AD, slot uint32) (AD, *Fault) {
 //
 // Storing NilAD clears the slot and needs no checks beyond Write.
 func (t *Table) StoreAD(dst AD, slot uint32, src AD) *Fault {
-	return t.storeAD(dst, slot, src, true)
+	var v View
+	t.open(dst, RightWrite, &v)
+	v.StoreAD(slot, src)
+	return t.written(&v)
 }
 
 // StoreADSystem is the microcode-internal AD store: it performs validity,
@@ -176,17 +163,10 @@ func (t *Table) StoreAD(dst AD, slot uint32, src AD) *Fault {
 // user-visible. Only the port and dispatching machinery may use this path;
 // everything user-reachable goes through StoreAD.
 func (t *Table) StoreADSystem(dst AD, slot uint32, src AD) *Fault {
-	return t.storeAD(dst, slot, src, false)
-}
-
-func (t *Table) storeAD(dst AD, slot uint32, src AD, user bool) *Fault {
-	d := t.present(dst, RightWrite)
-	if d == nil {
-		return t.whyNot(dst, RightWrite)
-	}
-	d.Flags &^= FlagPristine
-	p := t.accessOf(d)
-	return t.moveAD(dst, &p, slot, src, user)
+	var v View
+	t.open(dst, RightWrite, &v)
+	v.StoreADSystem(slot, src)
+	return t.written(&v)
 }
 
 // moveAD is the AD-move microcode: it stores src into a slot of p, the

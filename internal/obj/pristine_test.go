@@ -7,10 +7,11 @@ import (
 )
 
 // TestPristineFlag holds FlagPristine to its definition: Create sets it,
-// each of the five ways to a writable byte of an object clears it, and
-// every read, a refused fill or write, a swap-out and swap-in and a
-// compaction move leave it set, with both parts still reading zero. The
-// object an AD store reads as its source stays pristine in every row.
+// the two ways to a written byte of an object clear it (a Fill, which hands
+// out writable windows, and a single-shot write that lands), and every
+// read, a refused fill or write, a swap-out and swap-in and a compaction
+// move leave it set, with both parts still reading zero. The object an AD
+// store reads as its source stays pristine in every row.
 func TestPristineFlag(t *testing.T) {
 	var v View
 	for _, c := range []struct {
@@ -20,7 +21,8 @@ func TestPristineFlag(t *testing.T) {
 	}{
 		{"Create", func(*Table, AD, AD) bool { return true }, true},
 
-		// The five clearing sites.
+		// The two clearing sites: Fill, under every View, and the end of
+		// each single-shot write.
 		{"Fill with the write right", func(tab *Table, ad, _ AD) bool {
 			return tab.Fill(ad, RightWrite, &v)
 		}, false},
@@ -87,6 +89,13 @@ func TestPristineFlag(t *testing.T) {
 		}, true},
 		{"StoreAD refused for a right", func(tab *Table, ad, other AD) bool {
 			return IsFault(tab.StoreAD(ad.Restrict(RightWrite), 0, other), FaultRights)
+		}, true},
+		{"StoreAD refused past the last slot", func(tab *Table, ad, other AD) bool {
+			return IsFault(tab.StoreAD(ad, 4, other), FaultBounds)
+		}, true},
+		{"StoreAD refused by the level rule", func(tab *Table, ad, _ AD) bool {
+			local, f := tab.Create(CreateSpec{Type: TypeGeneric, Level: 1, DataLen: 8})
+			return f == nil && IsFault(tab.StoreAD(ad, 0, local), FaultLevel)
 		}, true},
 
 		// Motion.

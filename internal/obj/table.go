@@ -89,12 +89,12 @@ const (
 	FlagSwappedOut
 	// FlagPristine marks an object onto which no write window has been
 	// handed out since Create, so both parts still read zero: every hole
-	// does (mem.Memory.Free). Create sets it, and the five ways to a
-	// writable byte of the object clear it: Fill (every View, the
-	// interpreter's operand memo and execution-cache prime), WriteByteAt,
-	// WriteDWord, WriteBytes and storeAD (StoreAD, StoreADSystem). Reads,
-	// SwapIn and a compaction move leave it as it is. The swapping
-	// manager's store takes a pristine object's image as empty unread.
+	// does (mem.Memory.Free). Create sets it, and two sites clear it: Fill
+	// (every View, the interpreter's operand memo and execution-cache
+	// prime) and written, the end of a single-shot write that landed. Reads,
+	// refusals, Current, SwapIn and a compaction move leave it as it is.
+	// The swapping manager's store takes a pristine object's image as empty
+	// unread.
 	FlagPristine
 )
 

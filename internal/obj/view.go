@@ -3,6 +3,7 @@ package obj
 import (
 	"encoding/binary"
 
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -16,12 +17,11 @@ import (
 // A View is also the unit an operation faults as (§7.1; Figure 1's send and
 // receive are single instructions). Its accessors return only the value.
 // The first refusal — of the fill or of any access — is latched, diagnosed
-// by the same refuse, refuseSlot, whyNot and moveAD the single-shot
-// accessors use, and the windows are dropped with it: every later access
-// finds no byte in bounds, moves nothing, and leaves the latch alone. The
-// operation reads Fault once, where it ends or before its next effect that
-// is not an access of this view (an allocation, a counter, an access
-// through a second view: see Latch).
+// by refuse, refuseSlot, whyNot and moveAD, and the windows are dropped
+// with it: every later access finds no byte in bounds, moves nothing, and
+// leaves the latch alone. The operation reads Fault once, where it ends or
+// before its next effect that is not an access of this view (an
+// allocation, a counter, an access through a second view: see Latch).
 //
 // A View holds no *Descriptor, so objects may be created under it; it is
 // dead once its object is destroyed, swapped out or moved, which nothing
@@ -57,7 +57,7 @@ func (t *Table) View(a AD, typ Type, want Rights, v *View) {
 // leaves v as it was. A fill hands out windows a caller may write through,
 // so it clears the object's FlagPristine, whatever rights a carries.
 func (t *Table) Fill(a AD, want Rights, v *View) bool {
-	d := t.present(a, want)
+	d := t.fill(a, want, v)
 	if d == nil {
 		return false
 	}
@@ -66,8 +66,17 @@ func (t *Table) Fill(a AD, want Rights, v *View) bool {
 	if d.Flags&FlagPristine != 0 {
 		d.Flags &^= FlagPristine
 	}
-	v.t, v.ad, v.data, v.access, v.f = t, a, t.mem.Window(d.Data()), t.accessOf(d), nil
 	return true
+}
+
+// fill is Fill without the pristine clear: the open of a single-shot
+// accessor, and the question Current asks, change no flag.
+func (t *Table) fill(a AD, want Rights, v *View) *Descriptor {
+	d := t.present(a, want)
+	if d != nil {
+		v.t, v.ad, v.data, v.access, v.f = t, a, t.mem.Window(d.Data()), t.accessOf(d), nil
+	}
+	return d
 }
 
 // Current reports whether v is what resolving its AD would produce now:
@@ -75,7 +84,7 @@ func (t *Table) Fill(a AD, want Rights, v *View) bool {
 // extents. The invariant auditor asks this of every view a cache holds.
 func (t *Table) Current(v *View) bool {
 	var now View
-	return t.Fill(v.ad, 0, &now) &&
+	return t.fill(v.ad, 0, &now) != nil &&
 		sameBytes(now.data, v.data) && sameBytes(now.access.win, v.access.win)
 }
 
@@ -116,10 +125,15 @@ func (v *View) Emit(k trace.Kind, arg uint32, aux uint64) {
 	}
 }
 
-// refuse latches the diagnosis of a data-part access the view turned down.
+// refuse latches the diagnosis of a data-part access the view turned down:
+// whyNot's clauses first, then the displacement.
 func (v *View) refuse(want Rights, off, n uint32) {
-	if v.f == nil {
-		v.Latch(v.t.refuse(v.ad, want, off, n))
+	switch d := v.t.present(v.ad, want); {
+	case v.f != nil:
+	case d == nil:
+		v.Latch(v.t.whyNot(v.ad, want))
+	default:
+		v.Latch(Faultf(FaultBounds, v.ad, "%v: [%d,%d) in segment of %d bytes", mem.ErrBadSegment, off, off+n, d.DataLen))
 	}
 }
 
