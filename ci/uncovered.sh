@@ -13,8 +13,8 @@
 # that has it counts two fewer.
 set -eu
 cd "$(dirname "$0")/.."
-ceiling=61
-total_ceiling=321
+ceiling=51
+total_ceiling=310
 profile=$(mktemp)
 trap 'rm -f "$profile"' EXIT
 

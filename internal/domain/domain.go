@@ -67,17 +67,16 @@ type Env struct {
 // the entry indexes a VM domain would dispatch through.
 type Handler func(env *Env, entry uint32) *obj.Fault
 
-// Manager provides domain operations over an object table.
+// Manager provides domain operations over an object table. Decoding a code
+// object is instruction fetch, the processor's own (gdp).
 type Manager struct {
 	Table *obj.Table
 	SRO   *sro.Manager
 
-	// handlers holds the Go body of each native domain object and programs
-	// the decoded image of each code object: obj.Side's generation guard
-	// keeps a registration from running, and a decode from being fetched,
-	// for whatever takes a recycled slot.
+	// handlers holds the Go body of each native domain object: obj.Side's
+	// generation guard keeps a registration from running for whatever
+	// takes a recycled slot.
 	handlers obj.Side[Handler]
-	programs obj.Side[[]isa.Instr]
 }
 
 // NewManager returns a domain manager.
@@ -86,7 +85,6 @@ func NewManager(t *obj.Table, s *sro.Manager) *Manager {
 		Table:    t,
 		SRO:      s,
 		handlers: obj.NewSide[Handler](t),
-		programs: obj.NewSide[[]isa.Instr](t),
 	}
 }
 
@@ -104,28 +102,6 @@ func (m *Manager) CreateCode(heap obj.AD, prog []isa.Instr) (obj.AD, *obj.Fault)
 		return obj.NilAD, f
 	}
 	return code, m.Table.WriteBytes(code, 0, img)
-}
-
-// Program returns the decoded program of an instruction object, cached by
-// identity (index and generation), so repeated fetches cost nothing.
-func (m *Manager) Program(code obj.AD) ([]isa.Instr, *obj.Fault) {
-	d, f := m.Table.RequireType(code, obj.TypeInstruction)
-	if f != nil {
-		return nil, f
-	}
-	if prog, ok := m.programs.Get(code.Index); ok {
-		return prog, nil
-	}
-	img, f := m.Table.ReadBytes(code, 0, d.DataLen)
-	if f != nil {
-		return nil, f
-	}
-	prog, err := isa.DecodeProgram(img)
-	if err != nil {
-		return nil, obj.Faultf(obj.FaultOddity, code, "%v", err)
-	}
-	m.programs.Put(code.Index, prog)
-	return prog, nil
 }
 
 // Create makes a VM domain over the given code object. entries lists the

@@ -33,17 +33,20 @@ func TestCreateCodeAndProgram(t *testing.T) {
 	if f != nil {
 		t.Fatal(f)
 	}
-	got, f := fx.m.Program(code)
+	d, f := fx.tab.RequireType(code, obj.TypeInstruction)
 	if f != nil {
 		t.Fatal(f)
 	}
-	if len(got) != 2 || got[0] != prog[0] || got[1] != prog[1] {
-		t.Fatalf("Program = %v", got)
+	img, f := fx.tab.ReadBytes(code, 0, d.DataLen)
+	if f != nil {
+		t.Fatal(f)
 	}
-	// Second fetch comes from the cache and must agree.
-	again, f := fx.m.Program(code)
-	if f != nil || len(again) != 2 {
-		t.Fatalf("cached Program = %v, %v", again, f)
+	got, err := isa.DecodeProgram(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != prog[0] || got[1] != prog[1] {
+		t.Fatalf("the code object decodes as %v", got)
 	}
 }
 
@@ -151,58 +154,5 @@ func TestHandlerRegistrationGenerationGuard(t *testing.T) {
 	}
 	if _, _, f := fx.m.Entry(other, 0); !obj.IsFault(f, obj.FaultOddity) {
 		t.Fatalf("stale handler served for recycled slot: %v", f)
-	}
-}
-
-func TestProgramCacheInvalidatedByGeneration(t *testing.T) {
-	fx := setup(t)
-	code, _ := fx.m.CreateCode(fx.heap, []isa.Instr{isa.Halt()})
-	if _, f := fx.m.Program(code); f != nil {
-		t.Fatal(f)
-	}
-	if f := fx.sros.Reclaim(code.Index); f != nil {
-		t.Fatal(f)
-	}
-	// New code object, possibly same slot, different program.
-	code2, _ := fx.m.CreateCode(fx.heap, []isa.Instr{isa.Nop(), isa.Halt()})
-	prog, f := fx.m.Program(code2)
-	if f != nil {
-		t.Fatal(f)
-	}
-	if len(prog) != 2 {
-		t.Fatalf("stale cached program served: %v", prog)
-	}
-	// The dangling capability must not resolve at all.
-	if _, f := fx.m.Program(code); !obj.IsFault(f, obj.FaultInvalidAD) {
-		t.Fatalf("dangling code AD: %v", f)
-	}
-}
-
-// TestProgramCacheBoundedBySlots: the decode cache is indexed by table slot
-// (obj.Side, bounded by the table by construction), so each of a thousand
-// code objects created and destroyed through a reused slot must be decoded
-// afresh, never served its predecessor's program.
-func TestProgramCacheBoundedBySlots(t *testing.T) {
-	fx := setup(t)
-	slots := make(map[obj.Index]bool)
-	for i := uint32(0); i < 1000; i++ {
-		code, f := fx.m.CreateCode(fx.heap, []isa.Instr{isa.MovI(0, i), isa.Halt()})
-		if f != nil {
-			t.Fatal(f)
-		}
-		slots[code.Index] = true
-		prog, f := fx.m.Program(code)
-		if f != nil {
-			t.Fatal(f)
-		}
-		if prog[0].C != i {
-			t.Fatalf("code object %d decoded as %v", i, prog)
-		}
-		if f := fx.sros.Reclaim(code.Index); f != nil {
-			t.Fatal(f)
-		}
-	}
-	if len(slots) >= 1000 {
-		t.Fatalf("the table never reused a slot (%d distinct); the test is vacuous", len(slots))
 	}
 }

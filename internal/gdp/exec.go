@@ -332,14 +332,11 @@ func (s *System) execOneSlow(cpu *CPU) (vtime.Cycles, *obj.Fault) {
 	if f := c.Fault(); f != nil {
 		return 0, f
 	}
-	code, f := s.Domains.Code(dom)
+	_, dec, f := s.fetch(dom, false)
 	if f != nil {
 		return 0, f
 	}
-	prog, f := s.Domains.Program(code)
-	if f != nil {
-		return 0, f
-	}
+	prog := dec.prog
 	ip := c.IP()
 	if ip >= uint32(len(prog)) {
 		c.Latch(obj.Faultf(obj.FaultBounds, ctx, "IP %d outside program of %d", ip, len(prog)))
@@ -354,6 +351,51 @@ func (s *System) execOneSlow(cpu *CPU) (vtime.Cycles, *obj.Fault) {
 
 	spent, f := s.execInstr(cpu, proc, ctx, in)
 	return s.execFinish(cpu, proc, ip, in, spent, f), f
+}
+
+// decoded is a code object as the processor executes it: its program,
+// decoded once, and the execution cache's predecoded table of that program,
+// derived once, when the cache first asks for it (nil until then).
+type decoded struct {
+	prog []isa.Instr
+	ops  []xop
+}
+
+// fetch is instruction fetch, the one path from a domain to the program it
+// runs: the domain's code object, which must be an instruction object, and
+// its decode, made once per code object (index and generation, so whatever
+// takes a recycled slot is decoded afresh) and predecoded too when withOps
+// is set. It returns the code object whenever the domain yields one, even
+// with a fault the code object itself raised.
+func (s *System) fetch(dom obj.AD, withOps bool) (obj.AD, decoded, *obj.Fault) {
+	code, f := s.Domains.Code(dom)
+	if f != nil {
+		return obj.NilAD, decoded{}, f
+	}
+	d, f := s.Table.RequireType(code, obj.TypeInstruction)
+	if f != nil {
+		return code, decoded{}, f
+	}
+	dec, ok := s.decodes.Get(code.Index)
+	if ok && (dec.ops != nil || !withOps) {
+		return code, dec, nil
+	}
+	if !ok {
+		img, f := s.Table.ReadBytes(code, 0, d.DataLen)
+		if f != nil {
+			return code, decoded{}, f
+		}
+		prog, err := isa.DecodeProgram(img)
+		if err != nil {
+			return code, decoded{}, obj.Faultf(obj.FaultOddity, code, "%v", err)
+		}
+		dec.prog = prog
+	}
+	if withOps {
+		dec.ops = predecode(dec.prog)
+	}
+	s.decodes.Put(code.Index, dec)
+	return code, dec, nil
 }
 
 // execFinish is the shared per-instruction epilogue of both interpreter

@@ -2,6 +2,7 @@ package gdp
 
 import (
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -20,6 +21,16 @@ func newSystem(t *testing.T, cpus int) *System {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestBootRefusedTyped: a machine too small for its boot objects is refused
+// once, by New, with the first refusal as an *obj.Fault the error wraps.
+func TestBootRefusedTyped(t *testing.T) {
+	s, err := New(Config{MemoryBytes: 4096, Processors: 2})
+	var f *obj.Fault
+	if s != nil || !errors.As(err, &f) || f.Code != obj.FaultNoMemory || !strings.HasPrefix(err.Error(), "gdp: boot: ") {
+		t.Fatalf("New on 4 KB: %v, %v", s, err)
+	}
 }
 
 func mustDomain(t *testing.T, s *System, prog []isa.Instr) obj.AD {
@@ -669,7 +680,7 @@ func TestAuditExecCachesFlagsCorruptPredecode(t *testing.T) {
 	}
 	xc := &w.cpu.xc
 
-	// The table is shared with System.xcodes; the audit must not be fooled
+	// The table is shared with System.decodes; the audit must not be fooled
 	// by comparing the cache with its own source.
 	xc.ops[2].kind = kSub
 	if p := problems(); !strings.Contains(p, "predecoded table diverges from the decoded program") {
@@ -761,8 +772,11 @@ func TestPredecode(t *testing.T) {
 					t.Fatal(f)
 				}
 			}
-			decoded, _ := s.Domains.Program(code)
-			ops, cached := s.xcodes.Get(code.Index)
+			rec, decodedOnce := s.decodes.Get(code.Index)
+			decoded, ops, cached := rec.prog, rec.ops, rec.ops != nil
+			if predecode && !decodedOnce {
+				t.Fatalf("nocache=%v: Predecode decoded nothing", noCache)
+			}
 			if predecode && cached == noCache {
 				t.Fatalf("nocache=%v: predecoded table cached %v", noCache, cached)
 			}
@@ -776,10 +790,11 @@ func TestPredecode(t *testing.T) {
 			if !predecode {
 				continue
 			}
-			if after, _ := s.Domains.Program(code); &after[0] != &decoded[0] {
+			after, _ := s.decodes.Get(code.Index)
+			if &after.prog[0] != &decoded[0] {
 				t.Errorf("nocache=%v: the first dispatch decoded the program again", noCache)
 			}
-			if after, _ := s.xcodes.Get(code.Index); cached && &after[0] != &ops[0] {
+			if cached && &after.ops[0] != &ops[0] {
 				t.Errorf("nocache=%v: the first dispatch predecoded the program again", noCache)
 			}
 		}

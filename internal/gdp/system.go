@@ -153,9 +153,8 @@ type System struct {
 	// every instruction down the uncached reference path.
 	xcOff bool
 
-	// xcodes holds the predecoded table of each code object the execution
-	// cache has run (xcache.go).
-	xcodes obj.Side[[]xop]
+	// decodes holds each code object as fetch has decoded it (exec.go).
+	decodes obj.Side[decoded]
 
 	// inj is the installed fault injector, nil in production runs.
 	inj Injector
@@ -216,13 +215,11 @@ func New(cfg Config) (*System, error) {
 	}
 	tab := obj.NewTable(cfg.MemoryBytes)
 	sros := sro.NewManager(tab)
-	heap, f := sros.NewGlobalHeap(0)
-	if f != nil {
-		return nil, fmt.Errorf("gdp: creating global heap: %w", error(f))
-	}
-	if f := tab.Pin(heap); f != nil {
-		return nil, error(f)
-	}
+	// The boot objects are created straight through: the latch keeps the
+	// first refusal, and New checks it once, at the end.
+	var l obj.Latch
+	heap := l.AD(sros.NewGlobalHeap(0))
+	l.Keep(tab.Pin(heap))
 	ports := port.NewManager(tab, sros)
 	procs := process.NewManager(tab, sros)
 	doms := domain.NewManager(tab, sros)
@@ -232,13 +229,8 @@ func New(cfg Config) (*System, error) {
 	if cfg.DeadlineDispatch {
 		discipline = port.Deadline
 	}
-	dispatch, f := ports.Create(heap, DispatchCapacity, discipline)
-	if f != nil {
-		return nil, fmt.Errorf("gdp: creating dispatch port: %w", error(f))
-	}
-	if f := tab.Pin(dispatch); f != nil {
-		return nil, error(f)
-	}
+	dispatch := l.AD(ports.Create(heap, DispatchCapacity, discipline))
+	l.Keep(tab.Pin(dispatch))
 
 	s := &System{
 		Table:      tab,
@@ -252,36 +244,30 @@ func New(cfg Config) (*System, error) {
 		contention: cfg.BusContention,
 		deadline:   cfg.DeadlineDispatch,
 		xcOff:      cfg.NoExecCache,
-		xcodes:     obj.NewSide[[]xop](tab),
+		decodes:    obj.NewSide[decoded](tab),
 		bodies:     obj.NewSide[NativeBody](tab),
 	}
 	for i := 0; i < cfg.Processors; i++ {
-		cpu, err := s.addCPU(i)
-		if err != nil {
-			return nil, err
-		}
-		s.CPUs = append(s.CPUs, cpu)
+		s.CPUs = append(s.CPUs, s.addCPU(&l, i))
+	}
+	if f := l.Fault(); f != nil {
+		return nil, fmt.Errorf("gdp: boot: %w", f)
 	}
 	return s, nil
 }
 
-func (s *System) addCPU(id int) (*CPU, error) {
-	pobj, f := s.SROs.Create(s.Heap, obj.CreateSpec{
+// addCPU creates processor id's object, bound to the dispatching port, and
+// keeps a refusal in l.
+func (s *System) addCPU(l *obj.Latch, id int) *CPU {
+	pobj := l.AD(s.SROs.Create(s.Heap, obj.CreateSpec{
 		Type:        obj.TypeProcessor,
 		DataLen:     procObjData,
 		AccessSlots: cpuSlots,
 		Pinned:      true,
-	})
-	if f != nil {
-		return nil, fmt.Errorf("gdp: creating processor object: %w", error(f))
-	}
-	if f := s.Table.WriteDWord(pobj, 0, uint32(id)); f != nil {
-		return nil, error(f)
-	}
-	if f := s.Table.StoreADSystem(pobj, cpuSlotDispatch, s.Dispatch); f != nil {
-		return nil, error(f)
-	}
-	return &CPU{ID: id, Obj: pobj}, nil
+	}))
+	l.Keep(s.Table.WriteDWord(pobj, 0, uint32(id)))
+	l.Keep(s.Table.StoreADSystem(pobj, cpuSlotDispatch, s.Dispatch))
+	return &CPU{ID: id, Obj: pobj}
 }
 
 // SpawnSpec describes a process to start.

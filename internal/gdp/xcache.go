@@ -137,7 +137,7 @@ type execCache struct {
 	dom  obj.AD // current domain (CtxSlotDomain at prime time)
 	code obj.AD // the domain's code object (prog was decoded from it)
 	prog []isa.Instr
-	ops  []xop // prog predecoded (System.xcodes); same length
+	ops  []xop // prog predecoded (System.decodes); same length
 	// res memoises obj.Table.Fill per operand capability: way index mod
 	// resolveWays holds the view of the last AD that mapped there, and
 	// key[way] the raw access-register word it was filled from (zero for
@@ -184,48 +184,25 @@ func (s *System) primeExecCache(cpu *CPU) *execCache {
 		return nil
 	}
 	dom := cv.LoadAD(process.CtxSlotDomain)
-	code, f := s.Domains.Code(dom)
+	code, dec, f := s.fetch(dom, true)
 	if f != nil {
 		return nil
 	}
-	prog, f := s.Domains.Program(code)
-	if f != nil {
-		return nil
-	}
-	ops := s.opsOf(code, prog)
 	// Assigned in place: a fresh 900-byte literal is zeroed, then copied.
 	xc := &cpu.xc
 	xc.gen, xc.proc, xc.ctx = gen, cpu.proc, cv
-	xc.dom, xc.code, xc.prog, xc.ops = dom, code, prog, ops
+	xc.dom, xc.code, xc.prog, xc.ops = dom, code, dec.prog, dec.ops
 	clear(xc.res[:]) // views filled under an older generation are dead
 	clear(xc.key[:])
 	return xc
 }
 
-// opsOf returns the predecoded table of code, whose program is prog. A code
-// object is predecoded once, here and nowhere else.
-func (s *System) opsOf(code obj.AD, prog []isa.Instr) []xop {
-	ops, ok := s.xcodes.Get(code.Index)
-	if !ok {
-		ops = predecode(prog)
-		s.xcodes.Put(code.Index, ops)
-	}
-	return ops
-}
-
-// Predecode decodes the program of domain dom, and predecodes it for the
+// Predecode fetches the program of domain dom, predecoded under the
 // execution cache, ahead of the first dispatch into it: a world builder
 // calls it so that its run decodes nothing. It changes nothing in the object
 // world; the first dispatch finds what it would have derived.
 func (s *System) Predecode(dom obj.AD) *obj.Fault {
-	code, f := s.Domains.Code(dom)
-	if f != nil {
-		return f
-	}
-	prog, f := s.Domains.Program(code)
-	if f == nil && !s.xcOff {
-		s.opsOf(code, prog)
-	}
+	_, _, f := s.fetch(dom, !s.xcOff)
 	return f
 }
 
@@ -507,11 +484,11 @@ func (s *System) AuditExecCaches() []ExecCacheAudit {
 		// A live cache must execute exactly the code a slow-path re-prime
 		// would fetch: compare content, whichever decode produced the
 		// slices.
-		if code, f := s.Domains.Code(xc.dom); f != nil || code != xc.code {
+		if code, dec, f := s.fetch(xc.dom, false); code != xc.code {
 			bad("cached code object %v is not the domain's code slot", xc.code)
-		} else if prog, f := s.Domains.Program(code); f != nil || !slices.Equal(prog, xc.prog) {
+		} else if f != nil || !slices.Equal(dec.prog, xc.prog) {
 			bad("cached decoded program diverges from the code object")
-		} else if !slices.Equal(predecode(prog), xc.ops) {
+		} else if !slices.Equal(predecode(dec.prog), xc.ops) {
 			bad("cached predecoded table diverges from the decoded program")
 		}
 		for way := range xc.res {
