@@ -303,6 +303,7 @@ func (s *System) execOne(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.Fault
 // against this — whatever it does must be byte-identical to what
 // execOneSlow would have done.
 func (s *System) execOneSlow(cpu *CPU) (vtime.Cycles, *obj.Fault) {
+	s.slows++
 	proc := cpu.proc
 	var pv process.Proc
 	s.Procs.Open(proc, obj.RightRead, &pv)
@@ -314,20 +315,9 @@ func (s *System) execOneSlow(cpu *CPU) (vtime.Cycles, *obj.Fault) {
 		return 0, obj.Faultf(obj.FaultOddity, proc, "running process has no context")
 	}
 
-	// Apply any pending resume action (message carried to a woken
-	// receiver). Its accesses alternate between the two views, so the
-	// fault is handed over at each crossing.
 	var c process.Ctx
 	s.Procs.OpenContext(ctx, obj.RightRead, &c)
-	if action := c.Resume(); action&0xFF == process.ResumeRecv {
-		carry := pv.LoadAD(process.SlotCarry)
-		c.Latch(pv.Fault())
-		c.SetAReg(uint8(action>>8), carry)
-		pv.Latch(c.Fault())
-		pv.StoreADSystem(process.SlotCarry, obj.NilAD)
-		c.Latch(pv.Fault())
-	}
-
+	resume(&pv, &c)
 	dom := c.LoadAD(process.CtxSlotDomain)
 	if f := c.Fault(); f != nil {
 		return 0, f
@@ -349,8 +339,28 @@ func (s *System) execOneSlow(cpu *CPU) (vtime.Cycles, *obj.Fault) {
 	cpu.Instructions++
 	s.instructions++
 
-	spent, f := s.execInstr(cpu, proc, ctx, in)
+	spent, f := s.execInstr(cpu, proc, &c, in)
 	return s.execFinish(cpu, proc, ip, in, spent, f), f
+}
+
+// resume applies the pending resume action of context c of the process
+// opened in pv, for both interpreter corners: the word is cleared, and a
+// receive that completed while the process was parked moves the message
+// from the carry slot into its destination register and empties the slot.
+// Its accesses alternate between the two views, so the fault is handed
+// over at each crossing and c ends holding it. The stores are system stores
+// into a process's carry slot and into a context, which leave every
+// execution-cache binding live.
+func resume(pv *process.Proc, c *process.Ctx) {
+	c.Latch(pv.Fault())
+	if action := c.Resume(); action&0xFF == process.ResumeRecv {
+		carry := pv.LoadAD(process.SlotCarry)
+		c.Latch(pv.Fault())
+		c.SetAReg(uint8(action>>8), carry)
+		pv.Latch(c.Fault())
+		pv.StoreADSystem(process.SlotCarry, obj.NilAD)
+		c.Latch(pv.Fault())
+	}
 }
 
 // decoded is a code object as the processor executes it: its program,
@@ -419,14 +429,13 @@ type TraceEvent struct {
 }
 
 // execInstr executes one fetched instruction as one operation on the
-// running context, opened once. Each case reads its registers, reads the
-// view's fault before any effect outside it — another object's access, an
-// allocation, a port or type manager operation, a call — and writes its
-// results last, so a register that does not exist is the view's bounds
-// fault and stops the instruction where the first refusal stops it.
-func (s *System) execInstr(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycles, *obj.Fault) {
-	var c process.Ctx
-	s.Procs.OpenContext(ctx, obj.RightRead, &c)
+// running context, which the caller has opened in c: the slow prologue's
+// view, or a copy of the execution cache's. Each case reads its registers,
+// reads the view's fault before any effect outside it — another object's
+// access, an allocation, a port or type manager operation, a call — and
+// writes its results last, so a register that does not exist is the view's
+// bounds fault and stops the instruction where the first refusal stops it.
+func (s *System) execInstr(cpu *CPU, proc obj.AD, c *process.Ctx, in isa.Instr) (vtime.Cycles, *obj.Fault) {
 	switch in.Op {
 	case isa.OpNop:
 		return vtime.CostALU, nil
@@ -522,23 +531,23 @@ func (s *System) execInstr(cpu *CPU, proc, ctx obj.AD, in isa.Instr) (vtime.Cycl
 		return vtime.CostCreateObject, c.Fault()
 
 	case isa.OpSend, isa.OpCSend:
-		return vtime.CostSend, s.execSend(cpu, proc, &c, in)
+		return vtime.CostSend, s.execSend(cpu, proc, c, in)
 
 	case isa.OpRecv, isa.OpCRecv:
-		return vtime.CostReceive, s.execRecv(cpu, proc, &c, in)
+		return vtime.CostReceive, s.execRecv(cpu, proc, c, in)
 
 	case isa.OpCall:
-		return s.execCall(proc, &c, c.AReg(in.B), in.C, true)
+		return s.execCall(proc, c, c.AReg(in.B), in.C, true)
 
 	case isa.OpCallLocal:
-		return s.execCall(proc, &c, c.LoadAD(process.CtxSlotDomain), in.C, false)
+		return s.execCall(proc, c, c.LoadAD(process.CtxSlotDomain), in.C, false)
 
 	case isa.OpRet:
 		caller := c.LoadAD(process.CtxSlotCaller)
-		if f := s.resultFault(&c, caller); f != nil {
+		if f := s.resultFault(c, caller); f != nil {
 			return vtime.CostDomainReturn, f
 		}
-		s.execRet(cpu, proc, &c, caller)
+		s.execRet(cpu, proc, c, caller)
 		return vtime.CostDomainReturn, nil
 
 	case isa.OpTypeOf:

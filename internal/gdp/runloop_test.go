@@ -225,6 +225,19 @@ var readOnlyProg = []isa.Instr{
 	isa.Br(6),
 }
 
+// writeOnlyProg is readOnlyProg's mirror: it writes through a3, a0 without
+// the read right, in turn with reads through a0, then loads through a3
+// while the way holds a0.
+var writeOnlyProg = []isa.Instr{
+	isa.Nop(),
+	isa.Store(1, 3, 0), // ip 1: loop head
+	isa.Load(4, 0, 4),
+	isa.AddI(1, 1, ^uint32(0)),
+	isa.BrNZ(1, 1),
+	isa.Load(2, 3, 0),
+	isa.Br(6),
+}
+
 // selfProg reads and writes its own context through a2: the IP word, which
 // the reference has advanced before the access, and register r5.
 var selfProg = []isa.Instr{
@@ -258,6 +271,12 @@ func collidingOperand(t *testing.T, w *loopTwin) {
 func readOnlyOperand(t *testing.T, w *loopTwin) {
 	t.Helper()
 	setAReg(t, w.s, loopContext(t, w), 3, w.data.Restrict(obj.RightWrite))
+}
+
+// writeOnlyOperand puts a0 without the read right in a3.
+func writeOnlyOperand(t *testing.T, w *loopTwin) {
+	t.Helper()
+	setAReg(t, w.s, loopContext(t, w), 3, w.data.Restrict(obj.RightRead))
 }
 
 // selfOperand puts the process's own context in a2.
@@ -410,8 +429,9 @@ func checkStopLine(t *testing.T, name string, c stopLineCase, retire uint64) *ob
 // machine is where the reference is after as many instructions, or in the
 // same fault. (That a call runs all the way to the line is
 // TestRunLoopAllocFree's to pin.) The programs are stopLineProg,
-// countdownProg from 9, 0, 1 and 2, and the five operand programs, two of
-// which must end in the reference's fault.
+// countdownProg from 9, 0, 1 and 2, and the six operand programs, three of
+// which must end in the reference's fault: a memo hit the operand view
+// refuses on bounds, on the write right and on the read right.
 func TestRunLoopStopsWhereTheReferenceStops(t *testing.T) {
 	const retire = 48 // instructions driven per case: the program, then some spin
 	type program struct {
@@ -430,6 +450,7 @@ func TestRunLoopStopsWhereTheReferenceStops(t *testing.T) {
 		program{name: "colliding ways", prog: collideProg, args: [4]uint32{1: 5}, operands: collidingOperand},
 		program{name: "out of bounds after a hit", prog: boundsProg, args: [4]uint32{1: 3}, faults: true},
 		program{name: "store through read-only", prog: readOnlyProg, args: [4]uint32{1: 3}, operands: readOnlyOperand, faults: true},
+		program{name: "load through write-only", prog: writeOnlyProg, args: [4]uint32{1: 3}, operands: writeOnlyOperand, faults: true},
 		program{name: "self-naming operand", prog: selfProg, args: [4]uint32{1: 4}, operands: selfOperand},
 	)
 	for _, p := range progs {

@@ -172,6 +172,7 @@ type System struct {
 	faultsSent   uint64
 	instructions uint64
 	primes       uint64
+	slows        uint64 // execOneSlow calls, in no Stats: the tests' count of the reference's runs
 }
 
 // Config sizes a new system.

@@ -304,14 +304,16 @@ func (xc *execCache) runRegs(rf *regFile, ar *aregFile, ip uint32, left, alu, br
 				return ip, left, n
 			}
 			v := &xc.res[way]
+			ok := false
 			if op.kind == kLoad {
-				if x := v.DWord(op.imm); v.Fault() == nil {
+				var x uint32
+				if x, ok = v.TryDWord(op.imm); ok {
 					regSet(rf, op.a, x)
 				}
 			} else {
-				v.SetDWord(op.imm, regGet(rf, op.a))
+				ok = v.TrySetDWord(op.imm, regGet(rf, op.a))
 			}
-			if v.Fault() != nil {
+			if !ok {
 				return ip, left, n
 			}
 			ip, left = ip+1, left-move
@@ -350,10 +352,16 @@ func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.F
 		}
 	}
 	win, access := xc.ctx.Windows()
-	// A pending resume action (message carried to a woken receiver)
-	// belongs to the slow prologue.
 	if binary.LittleEndian.Uint16(win[process.CtxOffResume:]) != 0 {
-		return 0, nil, false
+		// A woken receiver's pending resume action, applied as the slow
+		// prologue applies it, through a copy of the pinned view: a
+		// refusal latches the copy and leaves the binding's windows.
+		var pv process.Proc
+		s.Procs.Open(xc.proc, obj.RightRead, &pv)
+		c := process.Ctx{View: xc.ctx}
+		if resume(&pv, &c); c.Fault() != nil {
+			return 0, c.Fault(), true
+		}
 	}
 	ip0 := winIP(win)
 	if ip0 >= uint32(len(xc.prog)) {
@@ -424,7 +432,10 @@ func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.F
 		setWinIP(win, ip0+1)
 		cpu.Instructions++
 		s.instructions++
-		spent, f := s.execInstr(cpu, xc.proc, xc.ctx.AD(), in)
+		// A copy of the pinned view, which the instruction's refusal may
+		// latch.
+		c := process.Ctx{View: xc.ctx}
+		spent, f := s.execInstr(cpu, xc.proc, &c, in)
 		return s.execFinish(cpu, xc.proc, ip0, in, spent, f), f, true
 	}
 	setWinIP(win, ip)

@@ -185,6 +185,26 @@ func (v *View) SetDWord(off uint32, x uint32) {
 	v.refuse(RightWrite, off, 4)
 }
 
+// TryDWord is DWord that latches nothing: where DWord would refuse, it
+// reads 0 and reports false. The interpreter's operand memo retires a hit
+// through it and leaves a refusal's diagnosis to the canonical path.
+func (v *View) TryDWord(off uint32) (uint32, bool) {
+	if b, ok := span(v.data, off, 4); ok && v.ad.Rights.Has(RightRead) {
+		return binary.LittleEndian.Uint32(b), true
+	}
+	return 0, false
+}
+
+// TrySetDWord is SetDWord that latches nothing: where SetDWord would
+// refuse, it writes nothing and reports false.
+func (v *View) TrySetDWord(off uint32, x uint32) bool {
+	if b, ok := span(v.data, off, 4); ok && v.ad.Rights.Has(RightWrite) {
+		binary.LittleEndian.PutUint32(b, x)
+		return true
+	}
+	return false
+}
+
 // Bytes is Table.ReadBytes on the viewed object: a fresh slice.
 func (v *View) Bytes(off, n uint32) []byte {
 	return append([]byte(nil), v.Span(RightRead, off, n)...)

@@ -20,6 +20,8 @@
 package sro
 
 import (
+	"encoding/binary"
+
 	"repro/internal/obj"
 )
 
@@ -93,7 +95,7 @@ func (m *Manager) newSRO(pv *obj.View, level obj.Level, claim uint32) (obj.AD, *
 		// is the parent's level (the SRO must be storable where its
 		// creator can reach it), while the objects it creates get
 		// the (deeper) level recorded in its data part.
-		sroAD, f = m.place(pv, spec)
+		sroAD, _, f = m.place(pv, spec)
 	} else {
 		sroAD, f = m.Table.Create(spec)
 	}
@@ -115,17 +117,6 @@ func footprint(spec obj.CreateSpec) uint32 {
 	return spec.DataLen + spec.AccessSlots*obj.ADSlotSize
 }
 
-// charge draws n bytes on the claim of the opened SRO, or latches the
-// storage-claim fault.
-func charge(sv *obj.View, n uint32) {
-	claim, used := sv.DWord(offClaim), sv.DWord(offUsed)
-	if claim != 0 && used+n > claim {
-		sv.Latch(obj.Faultf(obj.FaultStorageClaim, sv.AD(),
-			"claim %d bytes, used %d, need %d more", claim, used, n))
-	}
-	sv.SetDWord(offUsed, used+n)
-}
-
 // credit returns n bytes to the claim of the SRO at sroIdx, if it is still
 // there: an ancestral SRO already gone has nothing to credit.
 func (m *Manager) credit(sroIdx obj.Index, n uint32) {
@@ -135,9 +126,11 @@ func (m *Manager) credit(sroIdx obj.Index, n uint32) {
 	}
 	var sv obj.View
 	m.Table.View(ad, obj.TypeSRO, obj.RightRead, &sv)
-	used := sv.DWord(offUsed)
-	// Never underflow; damaged accounting degrades safely.
-	sv.SetDWord(offUsed, used-min(n, used))
+	if w := sv.Span(obj.RightRead|obj.RightWrite, offUsed, 4); w != nil {
+		used := binary.LittleEndian.Uint32(w)
+		// Never underflow; damaged accounting degrades safely.
+		binary.LittleEndian.PutUint32(w, used-min(n, used))
+	}
 }
 
 // Create allocates a new object from the SRO: the create-object
@@ -162,26 +155,42 @@ func (m *Manager) Open(sro obj.AD, sv *obj.View) {
 // claim is latched in sv, and every later create through sv returns it and
 // charges nothing.
 func (m *Manager) CreateIn(sv *obj.View, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
-	ad, f := m.place(sv, spec)
+	ad, counts, f := m.place(sv, spec)
 	if f == nil {
-		sv.SetDWord(offAllocs, sv.DWord(offAllocs)+1)
+		allocs := counts[offAllocs-offUsed:]
+		binary.LittleEndian.PutUint32(allocs, binary.LittleEndian.Uint32(allocs)+1)
 	}
 	return ad, f
 }
 
 // place creates an object from the opened SRO sv, at the SRO's level and
 // in its ancestry, charging its claim first and crediting it back if the
-// table refuses: a refusal leaves neither.
-func (m *Manager) place(sv *obj.View, spec obj.CreateSpec) (obj.AD, *obj.Fault) {
-	spec.Level, spec.SRO = obj.Level(sv.Word(offLevel)), sv.AD().Index
-	if charge(sv, footprint(spec)); sv.Fault() != nil {
-		return obj.NilAD, sv.Fault()
+// table refuses: a refusal leaves neither. It reads the SRO's words through
+// one span and writes through a second, over used and allocs, which it
+// returns for CreateIn to count the object. The claim is tested before the
+// write right, so a create past the claim is refused by the claim.
+func (m *Manager) place(sv *obj.View, spec obj.CreateSpec) (obj.AD, []byte, *obj.Fault) {
+	words := sv.Span(obj.RightRead, 0, sroData)
+	if words == nil {
+		return obj.NilAD, nil, sv.Fault()
 	}
+	spec.Level, spec.SRO = obj.Level(binary.LittleEndian.Uint16(words[offLevel:])), sv.AD().Index
+	n := footprint(spec)
+	claim, used := binary.LittleEndian.Uint32(words[offClaim:]), binary.LittleEndian.Uint32(words[offUsed:])
+	if claim != 0 && used+n > claim {
+		sv.Latch(obj.Faultf(obj.FaultStorageClaim, sv.AD(),
+			"claim %d bytes, used %d, need %d more", claim, used, n))
+	}
+	counts := sv.Span(obj.RightWrite, offUsed, 8)
+	if counts == nil {
+		return obj.NilAD, nil, sv.Fault()
+	}
+	binary.LittleEndian.PutUint32(counts, used+n)
 	ad, f := m.Table.Create(spec)
 	if f != nil {
-		sv.SetDWord(offUsed, sv.DWord(offUsed)-footprint(spec))
+		binary.LittleEndian.PutUint32(counts, used)
 	}
-	return ad, f
+	return ad, counts, f
 }
 
 // Reclaim destroys the object at idx and credits its footprint back to its

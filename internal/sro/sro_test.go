@@ -417,3 +417,46 @@ func TestCreateInLatchesRefusal(t *testing.T) {
 		t.Fatalf("create through an open refused: %v, latched %v", f, bad.Fault())
 	}
 }
+
+// TestCreateRefusalText pins the text of the two refusals a create meets in
+// the SRO's own words: the storage claim, and an SRO capability without the
+// write right, which cannot draw on the claim. Each leaves no object and no
+// charge, for an object and for a local heap alike.
+func TestCreateRefusalText(t *testing.T) {
+	tab, m := setup(t)
+	heap, _ := m.NewGlobalHeap(100)
+	if _, f := m.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 60}); f != nil {
+		t.Fatal(f)
+	}
+	local, f := m.NewLocalHeap(heap, 1, 0)
+	if f != nil {
+		t.Fatal(f)
+	}
+	_, used, allocs, _ := m.Usage(heap)
+	live := tab.Live()
+	for _, row := range []struct {
+		name string
+		do   func() *obj.Fault
+		want string
+	}{
+		{"claim", func() *obj.Fault {
+			_, f := m.Create(heap, obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 50})
+			return f
+		}, "fault: storage claim exhausted on AD<1#1 rwd123>: claim 100 bytes, used 84, need 50 more"},
+		{"no write right", func() *obj.Fault {
+			_, f := m.Create(heap.Restrict(obj.RightWrite), obj.CreateSpec{Type: obj.TypeGeneric, DataLen: 8})
+			return f
+		}, "fault: insufficient rights on AD<1#1 rd123>: need w"},
+		{"local heap, no write right", func() *obj.Fault {
+			_, f := m.NewLocalHeap(local.Restrict(obj.RightWrite), 2, 0)
+			return f
+		}, "fault: insufficient rights on AD<3#1 rd123>: need w"},
+	} {
+		if f := row.do(); f == nil || f.Error() != row.want {
+			t.Errorf("%s: %v, want %s", row.name, f, row.want)
+		}
+		if _, u, a, _ := m.Usage(heap); u != used || a != allocs || tab.Live() != live {
+			t.Errorf("%s: used %d, allocs %d, %d live; want %d, %d, %d", row.name, u, a, tab.Live(), used, allocs, live)
+		}
+	}
+}
