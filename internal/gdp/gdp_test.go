@@ -582,7 +582,8 @@ func TestStatsAccumulate(t *testing.T) {
 // and a cache whose pinned code object or decoded program no longer matches
 // what the domain holds is reported — the check that stands behind every
 // "the fast path executes what the slow path would fetch" claim — as is one
-// whose context has moved under it or is no longer the process's.
+// whose context has moved under it or is no longer the process's, or whose
+// process has moved under it.
 func TestAuditExecCachesFlagsStaleCode(t *testing.T) {
 	s := newSystem(t, 1)
 	dom := mustDomain(t, s, []isa.Instr{isa.AddI(0, 0, 1), isa.Br(0)})
@@ -641,11 +642,23 @@ func TestAuditExecCachesFlagsStaleCode(t *testing.T) {
 	}
 	cd.Place = old
 
-	// Clear the process's context slot raw, behind the cache.
+	// Move the process's data part the same way: the pinned process view,
+	// which a resumption goes through, is no longer the process's.
 	pd, f := s.Table.Resolve(proc)
 	if f != nil {
 		t.Fatal(f)
 	}
+	if moved, err = s.Table.Memory().Alloc(pd.DataLen); err != nil {
+		t.Fatal(err)
+	}
+	old = pd.Place
+	pd.SetBases(moved.Base, pd.Access().Base)
+	if p := problems(); !strings.Contains(p, "cached process view is not what") {
+		t.Fatalf("moved process not flagged:\n%s", p)
+	}
+	pd.Place = old
+
+	// Clear the process's context slot raw, behind the cache.
 	slot := s.Table.Memory().Window(pd.Access())[process.SlotContext*obj.ADSlotSize:][:obj.ADSlotSize]
 	saved := binary.LittleEndian.Uint64(slot)
 	binary.LittleEndian.PutUint64(slot, obj.NilAD.Encode())

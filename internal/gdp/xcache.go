@@ -15,8 +15,12 @@ package gdp
 // PopContext), a store into the code slot of a domain, a user-reachable
 // store into a context — and nothing else
 // does (Table.CacheGen, moveAD): a process that parks and is woken through
-// its carry slot comes back to a live binding, and the prime that is left
-// is the one a dispatch of another process or a context switch owes.
+// its carry slot comes back to a live binding, which applies the resume
+// word itself (resume, the body the slow prologue calls too), and the prime
+// that is left is the one a dispatch of another process or a context
+// switch owes. The binding is the one place a running process's context is
+// derived: the run loop, the resumption and every slow op work on its
+// context view.
 // execOneFast compares its generation snapshot on entry and re-primes on any
 // mismatch; nothing the run loop retires can bump the generation, so the
 // pinned windows stay exact for the whole call.
@@ -35,9 +39,9 @@ package gdp
 //     the canonical outcome, fault or not.
 //   - fast ops are exactly the ops whose reference implementations emit no
 //     kernel trace events and mutate only data-part bytes; everything else
-//     is predecoded as kSlow and runs the unchanged execInstr after a fast
-//     fetch whose writes (IP, instruction counters) replicate the reference
-//     prologue exactly.
+//     is predecoded as kSlow and runs the unchanged execInstr, on a copy of
+//     the pinned context view, after a fast fetch whose writes (IP,
+//     instruction counters) replicate the reference prologue exactly.
 
 import (
 	"encoding/binary"
@@ -130,6 +134,9 @@ func predecode(prog []isa.Instr) []xop {
 type execCache struct {
 	gen  uint64 // obj.Table.CacheGen() snapshot at prime time
 	proc obj.AD // process this cache was primed for
+	// pv is that process, opened for reading: a resumption reads and
+	// clears its carry slot.
+	pv obj.View
 	// ctx is its current context, opened for reading and writing: the run
 	// loop works on its windows — IP, resume word and register file in the
 	// data part, linkage slots and access registers in the access part.
@@ -166,8 +173,8 @@ func (xc *execCache) live(s *System, cpu *CPU) bool {
 // primeExecCache derives the binding as the slow prologue does — the
 // process opened for reading, its current context for reading and writing,
 // then domain, code and program — snapshots the cache generation, and pins
-// the context's view, whose windows every later register access goes
-// through. It mutates nothing in the object world, so a nil return
+// both views: the context's, whose windows every later register access goes
+// through, and the process's, whose carry slot a resumption empties. It mutates nothing in the object world, so a nil return
 // (anything at all out of the ordinary) simply leaves the slow path to run
 // and produce the canonical behaviour.
 func (s *System) primeExecCache(cpu *CPU) *execCache {
@@ -190,7 +197,7 @@ func (s *System) primeExecCache(cpu *CPU) *execCache {
 	}
 	// Assigned in place: a fresh 900-byte literal is zeroed, then copied.
 	xc := &cpu.xc
-	xc.gen, xc.proc, xc.ctx = gen, cpu.proc, cv
+	xc.gen, xc.proc, xc.pv, xc.ctx = gen, cpu.proc, pv, cv
 	xc.dom, xc.code, xc.prog, xc.ops = dom, code, dec.prog, dec.ops
 	clear(xc.res[:]) // views filled under an older generation are dead
 	clear(xc.key[:])
@@ -222,15 +229,16 @@ func (s *System) surcharge() vtime.Cycles {
 // kind, an ip outside ops, or a load or store it cannot retire, having
 // touched nothing for that op. rf and ar are the context's two register
 // files; alu, br and move are the three costs, surcharge included. It calls
-// nothing but the view accessors of loads and stores, so ip, left and the
-// count stay in registers.
+// nothing: the view probes of loads and stores are inlined, so ip, left and
+// the count stay in registers.
 //
 // A load or store retires here when its operand hits the memo: the raw word
 // in its access register is non-zero and equals its way's key. The way's
-// view tests rights and bounds itself; a refusal leaves it latched and
-// returns. Filling a way on a miss, emptying a refused one and refusing an
-// operand that names the running context are execOneFast's, so no way
-// ever holds the context, whose IP is deferred here.
+// view tests rights and bounds itself (TryDWord, TrySetDWord); a refusal
+// latches nothing and returns. Filling a way on a miss, emptying a refused
+// one and refusing an operand that names the running context are
+// execOneFast's, so no way ever holds the context, whose IP is deferred
+// here.
 //
 // A kDown retires k whole passes of its pair at once: k is the least of
 // the trips to the loop's exit, the passes that leave left above zero and
@@ -328,9 +336,11 @@ func (xc *execCache) runRegs(rf *regFile, ar *aregFile, ip uint32, left, alu, br
 }
 
 // execOneFast is the cached interpreter. It reports handled=false — with
-// the machine state untouched — when the cache cannot be primed, a resume
-// action is pending or the IP is out of bounds; the slow path then
-// re-derives everything and produces the canonical outcome.
+// the machine state untouched — when the cache cannot be primed or the IP
+// is out of bounds; the slow path then re-derives everything and produces
+// the canonical outcome. A pending resume action is applied first, by
+// resume through a copy of the binding's context view; a refusal returns
+// its fault as the slow path does, with nothing retired.
 //
 // Otherwise it retires instructions from the cached IP, holding the IP,
 // the cycles left and the count in locals, until one of five things:
@@ -343,7 +353,8 @@ func (xc *execCache) runRegs(rf *regFile, ar *aregFile, ip uint32, left, alu, br
 // an IP outside the program. A load or store that misses the memo fills
 // its way here and goes back to runRegs. It then writes the IP, both
 // instruction counters and one Clock.Charge. If that retired nothing, the
-// instruction at the IP goes to execInstr after a fast fetch.
+// instruction at the IP goes to execInstr, on a copy of the binding's
+// context view, after a fast fetch.
 func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.Fault, bool) {
 	xc := &cpu.xc
 	if s.xcOff || !xc.live(s, cpu) {
@@ -354,11 +365,9 @@ func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.F
 	win, access := xc.ctx.Windows()
 	if binary.LittleEndian.Uint16(win[process.CtxOffResume:]) != 0 {
 		// A woken receiver's pending resume action, applied as the slow
-		// prologue applies it, through a copy of the pinned view: a
-		// refusal latches the copy and leaves the binding's windows.
-		var pv process.Proc
-		s.Procs.Open(xc.proc, obj.RightRead, &pv)
-		c := process.Ctx{View: xc.ctx}
+		// prologue applies it, through copies of the pinned views: a
+		// refusal latches the copies and leaves the binding's windows.
+		pv, c := process.Proc{View: xc.pv}, process.Ctx{View: xc.ctx}
 		if resume(&pv, &c); c.Fault() != nil {
 			return 0, c.Fault(), true
 		}
@@ -408,8 +417,7 @@ func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.F
 		way := uint32(word) % resolveWays
 		if word != 0 && word == xc.key[way] {
 			// A hit the view refused: the canonical path raises the fault
-			// itself, and the way is emptied rather than left holding a
-			// latched view.
+			// itself, and the way is emptied with its key.
 			xc.res[way], xc.key[way] = obj.View{}, 0
 			break
 		}
@@ -462,8 +470,9 @@ type ExecCacheAudit struct {
 // AuditExecCaches cross-checks every current-generation execution cache
 // against the object table, bound just now or not: a process that comes back
 // to the processor it last ran on runs from the binding as it stands. The
-// cached context must still be that process's current context and its view
-// what resolving it yields now (Table.Current), the program and its
+// process view must be what resolving the process yields now
+// (Table.Current), the cached context still its current context and its
+// view what resolving that yields, the program and its
 // predecoded table what a fresh derivation through the domain yields, and
 // every operand view what resolving its AD yields, keyed by that AD's word
 // and never the running context. It returns one record per CPU whose cache
@@ -488,6 +497,9 @@ func (s *System) AuditExecCaches() []ExecCacheAudit {
 		}
 		if !s.Table.Current(&xc.ctx) {
 			bad("cached context windows do not match the descriptor extents")
+		}
+		if xc.pv.AD() != xc.proc || !s.Table.Current(&xc.pv) {
+			bad("cached process view is not what %v resolves to", xc.proc)
 		}
 		if dom, f := s.Table.LoadAD(ctx, process.CtxSlotDomain); f != nil || dom != xc.dom {
 			bad("cached domain %v is not the context's domain slot", xc.dom)
