@@ -169,8 +169,8 @@ func (v *View) SetWord(off uint32, x uint16) {
 
 // DWord is Table.ReadDWord on the viewed object.
 func (v *View) DWord(off uint32) uint32 {
-	if b, ok := span(v.data, off, 4); ok && v.ad.Rights.Has(RightRead) {
-		return binary.LittleEndian.Uint32(b)
+	if x, ok := v.TryDWord(off); ok {
+		return x
 	}
 	v.refuse(RightRead, off, 4)
 	return 0
@@ -178,16 +178,16 @@ func (v *View) DWord(off uint32) uint32 {
 
 // SetDWord is Table.WriteDWord on the viewed object.
 func (v *View) SetDWord(off uint32, x uint32) {
-	if b, ok := span(v.data, off, 4); ok && v.ad.Rights.Has(RightWrite) {
-		binary.LittleEndian.PutUint32(b, x)
-		return
+	if !v.TrySetDWord(off, x) {
+		v.refuse(RightWrite, off, 4)
 	}
-	v.refuse(RightWrite, off, 4)
 }
 
-// TryDWord is DWord that latches nothing: where DWord would refuse, it
-// reads 0 and reports false. The interpreter's operand memo retires a hit
-// through it and leaves a refusal's diagnosis to the canonical path.
+// TryDWord reads the dword at displacement off in the data part, testing
+// the read right and the bounds, and reports whether they let it; it latches
+// nothing, and DWord is it plus the diagnosis of a refusal. The
+// interpreter's operand memo retires a hit through it and leaves the
+// diagnosis to the canonical path.
 func (v *View) TryDWord(off uint32) (uint32, bool) {
 	if b, ok := span(v.data, off, 4); ok && v.ad.Rights.Has(RightRead) {
 		return binary.LittleEndian.Uint32(b), true
@@ -195,8 +195,9 @@ func (v *View) TryDWord(off uint32) (uint32, bool) {
 	return 0, false
 }
 
-// TrySetDWord is SetDWord that latches nothing: where SetDWord would
-// refuse, it writes nothing and reports false.
+// TrySetDWord writes the dword at displacement off in the data part, as
+// TryDWord reads it: under the write right and the bounds, reporting whether
+// they let it, latching nothing. SetDWord is it plus the diagnosis.
 func (v *View) TrySetDWord(off uint32, x uint32) bool {
 	if b, ok := span(v.data, off, 4); ok && v.ad.Rights.Has(RightWrite) {
 		binary.LittleEndian.PutUint32(b, x)
