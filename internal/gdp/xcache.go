@@ -174,9 +174,10 @@ func (xc *execCache) live(s *System, cpu *CPU) bool {
 // process opened for reading, its current context for reading and writing,
 // then domain, code and program — snapshots the cache generation, and pins
 // both views: the context's, whose windows every later register access goes
-// through, and the process's, whose carry slot a resumption empties. It mutates nothing in the object world, so a nil return
-// (anything at all out of the ordinary) simply leaves the slow path to run
-// and produce the canonical behaviour.
+// through, and the process's, whose carry slot a resumption empties. It
+// mutates nothing in the object world, so a nil return (anything at all out
+// of the ordinary) simply leaves the slow path to run and produce the
+// canonical behaviour.
 func (s *System) primeExecCache(cpu *CPU) *execCache {
 	if s.xcOff || !cpu.proc.Valid() {
 		return nil
@@ -339,8 +340,8 @@ func (xc *execCache) runRegs(rf *regFile, ar *aregFile, ip uint32, left, alu, br
 // the machine state untouched — when the cache cannot be primed or the IP
 // is out of bounds; the slow path then re-derives everything and produces
 // the canonical outcome. A pending resume action is applied first, by
-// resume through a copy of the binding's context view; a refusal returns
-// its fault as the slow path does, with nothing retired.
+// resume through copies of the binding's process and context views; a
+// refusal returns its fault as the slow path does, with nothing retired.
 //
 // Otherwise it retires instructions from the cached IP, holding the IP,
 // the cycles left and the count in locals, until one of five things:
