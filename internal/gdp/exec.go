@@ -273,9 +273,10 @@ func (s *System) block(cpu *CPU, proc obj.AD) {
 // anything it cannot prove safe falls through — with machine state
 // untouched — to the slow path, which re-derives the full resolution
 // chain. One call of the fast path retires a whole run of register,
-// branch and load/store instructions, stopping after the instruction that
-// crosses limit — the caller's remaining cycle allowance — exactly where
-// a per-instruction loop would have stopped.
+// branch and load/store instructions, and the instruction after it that it
+// does not retire, stopping after the instruction that crosses limit — the
+// caller's remaining cycle allowance — exactly where a per-instruction loop
+// would have stopped.
 func (s *System) execOne(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.Fault) {
 	if s.inj != nil && s.instructions >= s.inj.NextAt() {
 		// Fault injection fires between instructions: the due event acts

@@ -336,12 +336,12 @@ func (xc *execCache) runRegs(rf *regFile, ar *aregFile, ip uint32, left, alu, br
 	return ip, left, n
 }
 
-// execOneFast is the cached interpreter. It reports handled=false — with
-// the machine state untouched — when the cache cannot be primed or the IP
-// is out of bounds; the slow path then re-derives everything and produces
-// the canonical outcome. A pending resume action is applied first, by
-// resume through copies of the binding's process and context views; a
-// refusal returns its fault as the slow path does, with nothing retired.
+// execOneFast is the cached interpreter. A pending resume action is applied
+// first, by resume through copies of the binding's process and context
+// views; a refusal returns its fault as the slow path does, with nothing
+// retired. It reports handled=false when the cache cannot be primed or the
+// IP is out of bounds, having changed nothing else; the slow path then
+// re-derives everything and produces the canonical outcome.
 //
 // Otherwise it retires instructions from the cached IP, holding the IP,
 // the cycles left and the count in locals, until one of five things:
@@ -352,10 +352,12 @@ func (xc *execCache) runRegs(rf *regFile, ar *aregFile, ip uint32, left, alu, br
 // after one: the observer is owed an event per instruction), a kSlow op, a
 // load or store obj refuses or whose operand names the running context, or
 // an IP outside the program. A load or store that misses the memo fills
-// its way here and goes back to runRegs. It then writes the IP, both
-// instruction counters and one Clock.Charge. If that retired nothing, the
-// instruction at the IP goes to execInstr, on a copy of the binding's
-// context view, after a fast fetch.
+// its way here and goes back to runRegs. For what it retired it then
+// writes the IP, both instruction counters and one Clock.Charge. If it
+// stopped at an instruction it does not retire — a kSlow op or a refused
+// guard — with cycles and room left inside the program, that instruction
+// goes to execInstr in the same call, on a copy of the binding's context
+// view, after a fast fetch: the reference would execute it next.
 func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.Fault, bool) {
 	xc := &cpu.xc
 	if s.xcOff || !xc.live(s, cpu) {
@@ -432,30 +434,37 @@ func (s *System) execOneFast(cpu *CPU, limit vtime.Cycles) (vtime.Cycles, *obj.F
 		xc.key[way] = word
 	}
 
-	if n == 0 {
-		// Everything else — communication, calls, capability moves,
-		// creation, termination, and whatever a guard above refused —
-		// runs the canonical implementation after a fast fetch that
-		// replicates the slow prologue's writes.
-		in := xc.prog[ip0]
-		setWinIP(win, ip0+1)
-		cpu.Instructions++
-		s.instructions++
-		// A copy of the pinned view, which the instruction's refusal may
-		// latch.
-		c := process.Ctx{View: xc.ctx}
-		spent, f := s.execInstr(cpu, xc.proc, &c, in)
-		return s.execFinish(cpu, xc.proc, ip0, in, spent, f), f, true
+	var spent vtime.Cycles
+	if n > 0 {
+		setWinIP(win, ip)
+		cpu.Instructions += n
+		s.instructions += n
+		spent = vtime.Cycles(budget - left)
+		cpu.Clock.Charge(spent)
+		if s.Trace != nil {
+			s.Trace(cpu.ID, xc.proc, TraceEvent{IP: ip0, Instr: xc.prog[ip0], Cost: spent})
+		}
+		if left <= 0 || n >= room || ip >= uint32(len(xc.prog)) {
+			return spent, nil, true
+		}
+		// The loop stopped at an instruction it does not retire, with
+		// cycles and room left: the reference executes that one next, and
+		// so does this call.
+		ip0 = ip
 	}
-	setWinIP(win, ip)
-	cpu.Instructions += n
-	s.instructions += n
-	spent := vtime.Cycles(budget - left)
-	cpu.Clock.Charge(spent)
-	if s.Trace != nil {
-		s.Trace(cpu.ID, xc.proc, TraceEvent{IP: ip0, Instr: xc.prog[ip0], Cost: spent})
-	}
-	return spent, nil, true
+	// Everything else — communication, calls, capability moves,
+	// creation, termination, and whatever a guard above refused —
+	// runs the canonical implementation after a fast fetch that
+	// replicates the slow prologue's writes.
+	in := xc.prog[ip0]
+	setWinIP(win, ip0+1)
+	cpu.Instructions++
+	s.instructions++
+	// A copy of the pinned view, which the instruction's refusal may
+	// latch.
+	c := process.Ctx{View: xc.ctx}
+	cost, f := s.execInstr(cpu, xc.proc, &c, in)
+	return spent + s.execFinish(cpu, xc.proc, ip0, in, cost, f), f, true
 }
 
 // ExecCacheAudit describes one execution-cache binding for the invariant
